@@ -1,13 +1,15 @@
 GO ?= go
 
-.PHONY: all ci fmt vet lint build test race stress recovery chaos fed-chaos wire load-smoke bench bench-json bench-compare bench-compare-wire
+.PHONY: all ci fmt vet lint build test race stress recovery chaos fed-chaos wire load-smoke bench bench-smoke fuzz-smoke bench-json bench-compare bench-compare-wire
 
 all: ci
 
 # ci is the gate GitHub Actions runs: formatting, static checks (go vet
 # plus the repo's own gridmon-vet analyzers), the tier-1 build/test
-# pass, the race-detector pass, and a one-iteration benchmark smoke run.
-ci: fmt vet lint build test race bench
+# pass, the race-detector pass, a one-iteration benchmark smoke run, a
+# smoke run of the bench/ end-to-end benchmark, and a few seconds of
+# each fuzz target.
+ci: fmt vet lint build test race bench bench-smoke fuzz-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -52,8 +54,11 @@ recovery:
 # resets — typed error or correct retried result, never a hang), the
 # breaker/backoff/admission unit contracts, the load-shedding bounds,
 # server-close-under-load, and the client-side server-restart drill.
+# GRIDMON_WALLCLOCK=1 turns on the wall-clock bounds of the shedding
+# tests (shed < 1ms, accepted p99 within 3x, the ungated collapse),
+# which plain `go test` only logs: they need a quiet machine.
 chaos:
-	$(GO) test -race -count=3 -run 'Chaos|Breaker|Backoff|Admission|Overload|Shed|ServerClose|SurvivesServerRestart' . ./internal/transport
+	GRIDMON_WALLCLOCK=1 $(GO) test -race -count=3 -run 'Chaos|Breaker|Backoff|Admission|Overload|Shed|ServerClose|SurvivesServerRestart' . ./internal/transport
 
 # fed-chaos re-runs the federation gates hard under the race detector:
 # the differential suite (federated answers bit-identical to the
@@ -84,6 +89,24 @@ load-smoke:
 # harness works, not a measurement.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# bench-smoke proves the end-to-end benchmark (bench/, BENCHMARK.json)
+# still builds, passes its own tests and runs every workload through
+# its correctness gate — half-second phases, so the numbers mean
+# nothing. The measuring run is `go run ./bench` (see bench/README.md).
+bench-smoke:
+	$(GO) test ./bench
+	$(GO) run ./bench -short
+
+# fuzz-smoke gives each native fuzz target a few seconds beyond its
+# checked-in seed corpus: the counted-size and append-form invariants
+# ResponseBytes rests on (SizeBytes is the length of the canonical
+# rendering; fold-free lookups find what strings.ToLower found).
+FUZZTIME ?= 5s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzValueSize$$' -fuzztime $(FUZZTIME) ./internal/relational
+	$(GO) test -run '^$$' -fuzz '^FuzzExprAppend$$' -fuzztime $(FUZZTIME) ./internal/classad
+	$(GO) test -run '^$$' -fuzz '^FuzzEntrySize$$' -fuzztime $(FUZZTIME) ./internal/ldap
 
 # bench-json runs the full benchmark suite with memory stats and records
 # the go-test JSON event stream in BENCH_<date>.json, so the perf

@@ -1,0 +1,71 @@
+package gridmon
+
+import (
+	"context"
+	"fmt"
+	"testing"
+)
+
+// allocBudgetCells is one representative query per (system, role) — the
+// nine cells of the facade's query surface — with the allocations one
+// in-process Grid.Query of it may cost: the measured count plus ~10%.
+// What the engine side of a query allocates is dominated by how often it
+// renders a value and folds a name, so a budget breaks when a decoder
+// goes back to one string per value, SizeBytes goes back to building
+// the text it measures, or a lookup goes back to strings.ToLower.
+//
+// Measured with go1.24.0 linux/amd64 (swiss maps), three hosts, frozen
+// clock, before → after the decoders rendered each answer once. go.mod
+// and CI pin Go 1.22, which is not in this image; its map implementation
+// is the one GOEXPERIMENT=noswissmap selects, and under it every cell
+// measures the same or lower (25 67 92 / 72 32 210 / 118 14 34), so the
+// budgets hold there with at least the headroom they have here. Re-measure
+// on the toolchain you change to before trusting a cell that fails.
+//
+//	MDS      information   72 →  27      R-GMA  information  113 →  72      Hawkeye  information   482 → 122
+//	MDS      directory    192 →  67      R-GMA  directory     95 →  32      Hawkeye  directory    1042 →  14
+//	MDS      aggregate   1184 →  98      R-GMA  aggregate    615 → 210      Hawkeye  aggregate    1054 →  39
+var allocBudgetCells = []struct {
+	q      Query
+	budget float64
+}{
+	{Query{System: MDS, Role: RoleInformationServer, Host: "lucky4", Expr: "(objectclass=MdsCpu)"}, 30},
+	{Query{System: MDS, Role: RoleDirectoryServer, Expr: "(objectclass=MdsHost)", Attrs: []string{"Mds-Host-hn"}}, 74},
+	{Query{System: MDS, Role: RoleAggregateServer}, 108},
+	{Query{System: RGMA, Role: RoleInformationServer, Host: "lucky4", Expr: "SELECT host, value FROM siteinfo WHERE value >= 50"}, 80},
+	{Query{System: RGMA, Role: RoleDirectoryServer, Expr: "siteinfo"}, 36},
+	{Query{System: RGMA, Role: RoleAggregateServer, Expr: "SELECT * FROM siteinfo", Attrs: []string{"host", "value"}}, 231},
+	{Query{System: Hawkeye, Role: RoleInformationServer, Host: "lucky4"}, 135},
+	{Query{System: Hawkeye, Role: RoleDirectoryServer, Attrs: []string{"Name", "CpuLoad"}}, 16},
+	{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: `TARGET.OpSys == "LINUX"`}, 43},
+}
+
+// TestQueryAllocBudget pins the per-query allocation count of every
+// cell where go test can see it (the end-to-end number is bench/'s
+// allocs_per_query).
+func TestQueryAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops entries at random, so counts are not repeatable")
+	}
+	grid := newTestGrid(t)
+	ctx := context.Background()
+	for _, cell := range allocBudgetCells {
+		name := fmt.Sprintf("%s/%s", cell.q.System, cell.q.Role)
+		rs, err := grid.Query(ctx, cell.q) // also warms the mediator and the pools
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(rs.Records) == 0 {
+			t.Fatalf("%s: the representative query returned no records", name)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := grid.Query(ctx, cell.q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%-40s %3d records %5.0f allocs/query (budget %.0f)", name, len(rs.Records), allocs, cell.budget)
+		if allocs > cell.budget {
+			t.Errorf("%s: %.0f allocs/query, budget %.0f", name, allocs, cell.budget)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Ad is a ClassAd: an ordered set of attribute = expression pairs.
@@ -26,14 +27,41 @@ func NewAd() *Ad {
 
 // Set binds an attribute to an expression, replacing any previous binding
 // (the original spelling and position of a replaced attribute survive).
-func (a *Ad) Set(name string, e Expr) {
-	key := strings.ToLower(name)
+func (a *Ad) Set(name string, e Expr) { a.setLower(strings.ToLower(name), name, e) }
+
+// setLower is Set with the key already lower-cased — Merge and Clone
+// copy attributes whose keys another ad folded when it stored them.
+func (a *Ad) setLower(key, name string, e Expr) {
 	if old, ok := a.attrs[key]; ok {
 		a.attrs[key] = adEntry{name: old.name, expr: e}
 		return
 	}
 	a.attrs[key] = adEntry{name: name, expr: e}
 	a.order = append(a.order, key)
+}
+
+// foldBufLen bounds the names folded on the stack; a longer (or
+// non-ASCII) name goes through strings.ToLower.
+const foldBufLen = 64
+
+// foldASCII lower-cases name into buf and returns its length. ok is
+// false when name does not fit or holds a non-ASCII byte, where only
+// strings.ToLower folds the way the stored keys were folded.
+func foldASCII(buf *[foldBufLen]byte, name string) (n int, ok bool) {
+	if len(name) > len(buf) {
+		return 0, false
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c >= 0x80 {
+			return 0, false
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return len(name), true
 }
 
 // SetValue binds an attribute to a constant value.
@@ -58,6 +86,11 @@ func (a *Ad) SetExprString(name, src string) error {
 
 // Lookup returns the expression bound to name (case-insensitive).
 func (a *Ad) Lookup(name string) (Expr, bool) {
+	var buf [foldBufLen]byte
+	if n, ok := foldASCII(&buf, name); ok {
+		e, ok := a.attrs[string(buf[:n])] // indexes without allocating the key
+		return e.expr, ok
+	}
 	return a.lookupLower(strings.ToLower(name))
 }
 
@@ -87,6 +120,13 @@ func (a *Ad) Delete(name string) bool {
 // Len reports the number of attributes.
 func (a *Ad) Len() int { return len(a.attrs) }
 
+// At returns the i'th attribute in insertion order, 0 <= i < Len():
+// its name in the original spelling and the expression bound to it.
+func (a *Ad) At(i int) (name string, e Expr) {
+	ent := a.attrs[a.order[i]]
+	return ent.name, ent.expr
+}
+
 // Names returns attribute names (original spelling) in insertion order.
 func (a *Ad) Names() []string {
 	out := make([]string, 0, len(a.order))
@@ -102,6 +142,9 @@ func (a *Ad) Eval(name string) Value {
 	e, ok := a.Lookup(name)
 	if !ok {
 		return Undefined()
+	}
+	if l, ok := e.(literal); ok {
+		return l.v // a constant needs no evaluation context
 	}
 	ctx := &evalCtx{a: a, cur: a}
 	return e.eval(ctx)
@@ -128,45 +171,80 @@ func (a *Ad) EvalExprString(src string) (Value, error) {
 func (a *Ad) Merge(src *Ad) {
 	for _, k := range src.order {
 		e := src.attrs[k]
-		a.Set(e.name, e.expr)
+		a.setLower(k, e.name, e.expr)
 	}
 }
 
 // Clone returns a deep-enough copy: expressions are immutable so sharing
 // them is safe.
 func (a *Ad) Clone() *Ad {
-	out := NewAd()
+	out := &Ad{attrs: make(map[string]adEntry, len(a.attrs)), order: make([]string, 0, len(a.order))}
 	for _, k := range a.order {
 		e := a.attrs[k]
-		out.Set(e.name, e.expr)
+		out.setLower(k, e.name, e.expr)
 	}
 	return out
 }
 
 // String renders the ad in new-ClassAd record syntax: [ a = 1; b = 2 ].
-func (a *Ad) String() string {
-	parts := make([]string, 0, len(a.order))
-	for _, k := range a.order {
+func (a *Ad) String() string { return string(a.appendRecord(nil)) }
+
+func (a *Ad) appendRecord(dst []byte) []byte {
+	dst = append(dst, "[ "...)
+	for i, k := range a.order {
+		if i > 0 {
+			dst = append(dst, "; "...)
+		}
 		e := a.attrs[k]
-		parts = append(parts, e.name+" = "+e.expr.String())
+		dst = append(append(dst, e.name...), " = "...)
+		dst = e.expr.AppendTo(dst)
 	}
-	return "[ " + strings.Join(parts, "; ") + " ]"
+	return append(dst, " ]"...)
 }
 
 // Unparse renders the ad in old-ClassAd style: one "name = expr" line per
 // attribute, the on-the-wire format Condor tools exchange.
 func (a *Ad) Unparse() string {
-	var sb strings.Builder
+	var dst []byte
 	for _, k := range a.order {
 		e := a.attrs[k]
-		fmt.Fprintf(&sb, "%s = %s\n", e.name, e.expr.String())
+		dst = append(append(dst, e.name...), " = "...)
+		dst = append(e.expr.AppendTo(dst), '\n')
 	}
-	return sb.String()
+	return string(dst)
 }
 
-// SizeBytes estimates the ad's wire size, used by the testbed's network
-// model.
-func (a *Ad) SizeBytes() int { return len(a.Unparse()) }
+// sizeScratch holds the buffers SizeBytes renders non-constant
+// expressions into, to measure them.
+var sizeScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// SizeBytes is the ad's wire size for the testbed's network model:
+// len(a.Unparse()), counted rather than built. Constant attributes —
+// all a Startd ad carries — are measured without rendering; any other
+// expression is rendered into a pooled scratch buffer.
+func (a *Ad) SizeBytes() int {
+	n := 0
+	var scratch *[]byte
+	for _, k := range a.order {
+		e := a.attrs[k]
+		n += len(e.name) + len(" = ") + len("\n")
+		if l, ok := e.expr.(literal); ok {
+			if ln, ok := l.v.renderedLen(); ok {
+				n += ln
+				continue
+			}
+		}
+		if scratch == nil {
+			scratch = sizeScratch.Get().(*[]byte)
+		}
+		*scratch = e.expr.AppendTo((*scratch)[:0])
+		n += len(*scratch)
+	}
+	if scratch != nil {
+		sizeScratch.Put(scratch)
+	}
+	return n
+}
 
 // sameAs reports structural identity (same attributes bound to textually
 // identical expressions), ignoring insertion order and name case.
@@ -189,11 +267,12 @@ func (a *Ad) sameAs(o *Ad) bool {
 // SortedNames returns attribute names (original spelling) sorted
 // case-insensitively — handy for stable test output.
 func (a *Ad) SortedNames() []string {
-	out := a.Names()
-	sort.Slice(out, func(i, j int) bool {
-		return strings.ToLower(out[i]) < strings.ToLower(out[j])
-	})
-	return out
+	keys := append([]string(nil), a.order...)
+	sort.Strings(keys) // the stored keys are the lower-cased names
+	for i, k := range keys {
+		keys[i] = a.attrs[k].name
+	}
+	return keys
 }
 
 // ParseAd parses a ClassAd in either syntax: a new-ClassAd record

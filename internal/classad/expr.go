@@ -10,14 +10,29 @@ type Expr interface {
 	// String renders the expression in canonical, re-parseable form:
 	// binary and ternary operations are fully parenthesized.
 	String() string
+	// AppendTo appends the canonical form — exactly the bytes of
+	// String — to dst and returns the extended buffer.
+	AppendTo(dst []byte) []byte
 	eval(ctx *evalCtx) Value
+}
+
+// appendExprs appends items separated by ", ".
+func appendExprs(dst []byte, items []Expr) []byte {
+	for i, it := range items {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = it.AppendTo(dst)
+	}
+	return dst
 }
 
 // literal is a constant value.
 type literal struct{ v Value }
 
-func (l literal) String() string          { return l.v.String() }
-func (l literal) eval(ctx *evalCtx) Value { return l.v }
+func (l literal) String() string             { return l.v.String() }
+func (l literal) AppendTo(dst []byte) []byte { return l.v.AppendTo(dst) }
+func (l literal) eval(ctx *evalCtx) Value    { return l.v }
 
 // Lit wraps a Value as a constant expression.
 func Lit(v Value) Expr { return literal{v} }
@@ -46,14 +61,16 @@ func newAttrRef(sc scope, name string) attrRef {
 	return attrRef{sc: sc, name: name, lower: strings.ToLower(name)}
 }
 
-func (a attrRef) String() string {
+func (a attrRef) String() string { return string(a.AppendTo(nil)) }
+
+func (a attrRef) AppendTo(dst []byte) []byte {
 	switch a.sc {
 	case scopeMy:
-		return "MY." + a.name
+		dst = append(dst, "MY."...)
 	case scopeTarget:
-		return "TARGET." + a.name
+		dst = append(dst, "TARGET."...)
 	}
-	return a.name
+	return append(dst, a.name...)
 }
 
 // unary is a prefix operation: !, -, +.
@@ -62,7 +79,12 @@ type unary struct {
 	x  Expr
 }
 
-func (u unary) String() string { return "(" + u.op + u.x.String() + ")" }
+func (u unary) String() string { return string(u.AppendTo(nil)) }
+
+func (u unary) AppendTo(dst []byte) []byte {
+	dst = append(append(dst, '('), u.op...)
+	return append(u.x.AppendTo(dst), ')')
+}
 
 // binary is an infix operation.
 type binary struct {
@@ -70,8 +92,12 @@ type binary struct {
 	l, r Expr
 }
 
-func (b binary) String() string {
-	return "(" + b.l.String() + " " + b.op + " " + b.r.String() + ")"
+func (b binary) String() string { return string(b.AppendTo(nil)) }
+
+func (b binary) AppendTo(dst []byte) []byte {
+	dst = b.l.AppendTo(append(dst, '('))
+	dst = append(append(append(dst, ' '), b.op...), ' ')
+	return append(b.r.AppendTo(dst), ')')
 }
 
 // cond is the ternary ?: operator.
@@ -79,8 +105,13 @@ type cond struct {
 	c, t, f Expr
 }
 
-func (c cond) String() string {
-	return "(" + c.c.String() + " ? " + c.t.String() + " : " + c.f.String() + ")"
+func (c cond) String() string { return string(c.AppendTo(nil)) }
+
+func (c cond) AppendTo(dst []byte) []byte {
+	dst = c.c.AppendTo(append(dst, '('))
+	dst = c.t.AppendTo(append(dst, " ? "...))
+	dst = c.f.AppendTo(append(dst, " : "...))
+	return append(dst, ')')
 }
 
 // call is a built-in function invocation.
@@ -89,23 +120,20 @@ type call struct {
 	args []Expr
 }
 
-func (c call) String() string {
-	parts := make([]string, len(c.args))
-	for i, a := range c.args {
-		parts[i] = a.String()
-	}
-	return c.name + "(" + strings.Join(parts, ", ") + ")"
+func (c call) String() string { return string(c.AppendTo(nil)) }
+
+func (c call) AppendTo(dst []byte) []byte {
+	dst = append(append(dst, c.name...), '(')
+	return append(appendExprs(dst, c.args), ')')
 }
 
 // listExpr is a list constructor {e1, e2, ...}.
 type listExpr struct{ items []Expr }
 
-func (l listExpr) String() string {
-	parts := make([]string, len(l.items))
-	for i, it := range l.items {
-		parts[i] = it.String()
-	}
-	return "{" + strings.Join(parts, ", ") + "}"
+func (l listExpr) String() string { return string(l.AppendTo(nil)) }
+
+func (l listExpr) AppendTo(dst []byte) []byte {
+	return append(appendExprs(append(dst, '{'), l.items), '}')
 }
 
 // adExpr is a nested classad constructor [a = 1; b = 2].
@@ -114,10 +142,16 @@ type adExpr struct {
 	exprs []Expr
 }
 
-func (a adExpr) String() string {
-	parts := make([]string, len(a.names))
+func (a adExpr) String() string { return string(a.AppendTo(nil)) }
+
+func (a adExpr) AppendTo(dst []byte) []byte {
+	dst = append(dst, "[ "...)
 	for i := range a.names {
-		parts[i] = a.names[i] + " = " + a.exprs[i].String()
+		if i > 0 {
+			dst = append(dst, "; "...)
+		}
+		dst = append(append(dst, a.names[i]...), " = "...)
+		dst = a.exprs[i].AppendTo(dst)
 	}
-	return "[ " + strings.Join(parts, "; ") + " ]"
+	return append(dst, " ]"...)
 }

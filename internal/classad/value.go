@@ -8,7 +8,6 @@ package classad
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Kind enumerates the runtime types of ClassAd values.
@@ -174,39 +173,92 @@ func (v Value) SameAs(o Value) bool {
 // String renders the value in ClassAd literal syntax (strings quoted,
 // reals always with a decimal point so they re-parse as reals).
 func (v Value) String() string {
-	switch v.kind {
-	case UndefinedKind:
-		return "undefined"
-	case ErrorKind:
-		return "error"
-	case BoolKind:
-		if v.b {
-			return "true"
-		}
-		return "false"
-	case IntKind:
-		return strconv.FormatInt(v.i, 10)
-	case RealKind:
-		return formatReal(v.r)
-	case StringKind:
-		return strconv.Quote(v.s)
-	case ListKind:
-		parts := make([]string, len(v.list))
-		for i, it := range v.list {
-			parts[i] = it.String()
-		}
-		return "{" + strings.Join(parts, ", ") + "}"
-	case AdKind:
-		return v.ad.String()
+	var buf [32]byte
+	if b, ok := v.appendScalar(buf[:0]); ok {
+		return string(b)
 	}
-	return "invalid"
+	return string(v.AppendTo(nil))
 }
 
-// formatReal prints r so that it re-parses as a real literal.
-func formatReal(r float64) string {
-	s := strconv.FormatFloat(r, 'g', -1, 64)
-	if !strings.ContainsAny(s, ".eE") && !strings.Contains(s, "Inf") && !strings.Contains(s, "NaN") {
-		s += ".0"
+// AppendTo appends the rendering String returns to dst.
+func (v Value) AppendTo(dst []byte) []byte {
+	if b, ok := v.appendScalar(dst); ok {
+		return b
 	}
-	return s
+	switch v.kind {
+	case ListKind:
+		dst = append(dst, '{')
+		for i, it := range v.list {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = it.AppendTo(dst)
+		}
+		return append(dst, '}')
+	case AdKind:
+		return v.ad.appendRecord(dst)
+	}
+	return append(dst, "invalid"...)
+}
+
+// appendScalar renders every kind that holds no nested expression; ok
+// is false (and dst untouched) for lists, ads and invalid kinds. It
+// calls nothing that retains dst, so a caller's stack buffer stays on
+// the stack.
+func (v Value) appendScalar(dst []byte) (out []byte, ok bool) {
+	switch v.kind {
+	case UndefinedKind:
+		return append(dst, "undefined"...), true
+	case ErrorKind:
+		return append(dst, "error"...), true
+	case BoolKind:
+		return strconv.AppendBool(dst, v.b), true
+	case IntKind:
+		return strconv.AppendInt(dst, v.i, 10), true
+	case RealKind:
+		return appendReal(dst, v.r), true
+	case StringKind:
+		return strconv.AppendQuote(dst, v.s), true
+	}
+	return dst, false
+}
+
+// renderedLen reports len(v.String()) without building the string, for
+// the kinds where that takes no allocation: numbers and constants are
+// rendered into a stack buffer, strings made only of bytes Quote copies
+// or backslash-escapes are counted. ok is false for everything else.
+func (v Value) renderedLen() (n int, ok bool) {
+	switch v.kind {
+	case ListKind, AdKind:
+		return 0, false
+	case StringKind:
+		n = len(v.s) + 2
+		for i := 0; i < len(v.s); i++ {
+			switch c := v.s[i]; {
+			case c == '"' || c == '\\':
+				n++
+			case c < ' ' || c > '~':
+				return 0, false
+			}
+		}
+		return n, true
+	}
+	var buf [32]byte // the longest scalar is a 24-byte real
+	b, ok := v.appendScalar(buf[:0])
+	return len(b), ok
+}
+
+// appendReal prints r so that it re-parses as a real literal.
+func appendReal(dst []byte, r float64) []byte {
+	start := len(dst)
+	dst = strconv.AppendFloat(dst, r, 'g', -1, 64)
+	for _, c := range dst[start:] {
+		// A point or exponent already marks a real; Inf and NaN
+		// ('I', 'N') take no suffix.
+		switch c {
+		case '.', 'e', 'E', 'I', 'N':
+			return dst
+		}
+	}
+	return append(dst, ".0"...)
 }

@@ -109,6 +109,8 @@ type ProducerServletServer struct {
 	// SQL is the standard query (defaults to selecting the whole
 	// "siteinfo" table).
 	SQL string
+	// Attrs projects decoded records to these columns (empty = all).
+	Attrs []string
 }
 
 func (s *ProducerServletServer) ComponentName() string { return "ProducerServlet" }
@@ -153,6 +155,8 @@ type ConsumerServer struct {
 	// SQL is the standard query (defaults to selecting the whole
 	// "siteinfo" table).
 	SQL string
+	// Attrs projects decoded records to these columns (empty = all).
+	Attrs []string
 }
 
 func (s *ConsumerServer) ComponentName() string { return "ConsumerServlet" }
@@ -177,6 +181,8 @@ type RegistryServer struct {
 	Registry *rgma.Registry
 	// Table is the table name the standard lookup resolves.
 	Table string
+	// Attrs projects decoded records to these fields (empty = all).
+	Attrs []string
 }
 
 func (s *RegistryServer) ComponentName() string { return "Registry" }
@@ -200,6 +206,8 @@ type AgentServer struct {
 	Agent *hawkeye.Agent
 	// Constraint shapes the standard query (nil = return the Startd ad).
 	Constraint classad.Expr
+	// Attrs projects decoded records to these attributes (empty = all).
+	Attrs []string
 }
 
 func (s *AgentServer) ComponentName() string { return "Agent" }
@@ -239,6 +247,8 @@ type ManagerServer struct {
 	// Constraint is the scan constraint; the paper's Experiment Set 4
 	// uses a worst-case constraint met by no machine.
 	Constraint classad.Expr
+	// Attrs projects decoded records to these attributes (empty = all).
+	Attrs []string
 }
 
 func (s *ManagerServer) ComponentName() string { return "Manager" }
@@ -355,6 +365,8 @@ type CompositeServer struct {
 	// PartSQL is the query-part request (defaults to a single-host
 	// slice of the table).
 	PartSQL string
+	// Attrs projects decoded records to these columns (empty = all).
+	Attrs []string
 }
 
 func (s *CompositeServer) ComponentName() string { return "Composite Consumer/Producer" }

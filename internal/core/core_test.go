@@ -30,12 +30,12 @@ func TestComponentMapping(t *testing.T) {
 	}
 }
 
-func newMDSServer(t *testing.T) *GRISServer {
+func newMDSServer(t testing.TB) *GRISServer {
 	t.Helper()
 	return &GRISServer{GRIS: mds.NewGRIS("lucky7", 1e9, mds.DefaultProviders())}
 }
 
-func newRGMAServer(t *testing.T) (*ProducerServletServer, *RegistryServer) {
+func newRGMAServer(t testing.TB) (*ProducerServletServer, *RegistryServer) {
 	t.Helper()
 	reg := rgma.NewRegistry("lucky1")
 	ps := rgma.NewProducerServlet("lucky3:8080")
@@ -50,7 +50,7 @@ func newRGMAServer(t *testing.T) (*ProducerServletServer, *RegistryServer) {
 	return &ProducerServletServer{Servlet: ps}, &RegistryServer{Registry: reg}
 }
 
-func newHawkeyeServers(t *testing.T) (*AgentServer, *ManagerServer) {
+func newHawkeyeServers(t testing.TB) (*AgentServer, *ManagerServer) {
 	t.Helper()
 	agent := hawkeye.NewAgent("lucky4", 30)
 	if err := agent.AddModules(hawkeye.DefaultModules()); err != nil {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
-	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/classad"
 	"repro/internal/gma"
@@ -62,11 +64,12 @@ func ProjectRecords(recs []Record, attrs []string) []Record {
 }
 
 // RecordQuerier is the record-returning face of a Table 1 component
-// binding: one standard query decoded into uniform records, with the
-// Work it cost. Every adapter in this package implements it. The context
-// is honored during execution: every adapter checks it before starting,
-// and the fan-out adapters (GIIS aggregate, mediated consumer) check it
-// again between sub-queries, so an abandoned query stops mid-flight.
+// binding: one standard query decoded into uniform records (projected
+// to the binding's Attrs), with the Work it cost. Every adapter in this
+// package implements it. The context is honored during execution: every
+// adapter checks it before starting, and the fan-out adapters (GIIS
+// aggregate, mediated consumer) check it again between sub-queries, so
+// an abandoned query stops mid-flight.
 type RecordQuerier interface {
 	Component
 	QueryRecords(ctx context.Context, now float64) ([]Record, Work, error)
@@ -74,64 +77,163 @@ type RecordQuerier interface {
 
 // --- decoders: each system's native result shape into []Record ---
 
+// arena is where a decoder renders the values of one result set. Every
+// value is appended to buf exactly once and marked; records then turns
+// buf into a single string and cuts the values out of it, so the text
+// of a whole result costs one allocation however many values it holds.
+// Values that are strings already are marked as they are and never
+// copied. Arenas are pooled: buf and marks are scratch, only the final
+// string and the records outlive a decode.
+type arena struct {
+	buf   []byte
+	marks []mark
+}
+
+// mark is one value of the result: a record key (which starts a new
+// record) or a field of the record last started.
+type mark struct {
+	key      bool
+	rendered bool   // the value is buf[end of the previous rendered value:end]
+	end      int    // (rendered values only)
+	text     string // the value, when it is not rendered
+	name     string // field name
+}
+
+var arenas = sync.Pool{New: func() any { return new(arena) }}
+
+// keyText and fieldText mark a value that is a string already.
+func (a *arena) keyText(s string)         { a.marks = append(a.marks, mark{key: true, text: s}) }
+func (a *arena) fieldText(name, s string) { a.marks = append(a.marks, mark{name: name, text: s}) }
+
+// keyRendered and fieldRendered mark the value the caller has just
+// appended to buf.
+func (a *arena) keyRendered() {
+	a.marks = append(a.marks, mark{key: true, rendered: true, end: len(a.buf)})
+}
+func (a *arena) fieldRendered(name string) {
+	a.marks = append(a.marks, mark{name: name, rendered: true, end: len(a.buf)})
+}
+
+// records builds the n marked records and returns the arena to the pool.
+func (a *arena) records(n int) []Record {
+	text := string(a.buf)
+	out := make([]Record, 0, n)
+	from := 0
+	value := func(m *mark) string {
+		if !m.rendered {
+			return m.text
+		}
+		v := text[from:m.end]
+		from = m.end
+		return v
+	}
+	for i := 0; i < len(a.marks); {
+		rec := Record{Key: value(&a.marks[i])}
+		j := i + 1
+		for j < len(a.marks) && !a.marks[j].key {
+			j++
+		}
+		rec.Fields = make(map[string]string, j-i-1)
+		for k := i + 1; k < j; k++ {
+			rec.Fields[a.marks[k].name] = value(&a.marks[k])
+		}
+		out = append(out, rec)
+		i = j
+	}
+	clear(a.marks) // drop the references to names and values
+	a.marks, a.buf = a.marks[:0], a.buf[:0]
+	arenas.Put(a)
+	return out
+}
+
+// selected reports whether a projection keeps the named field: attrs
+// empty keeps everything, otherwise the name must be listed exactly
+// (the rule of Record.Project).
+func selected(attrs []string, name string) bool {
+	if len(attrs) == 0 {
+		return true
+	}
+	for _, a := range attrs {
+		if a == name {
+			return true
+		}
+	}
+	return false
+}
+
 // MDSRecords decodes LDAP entries: the record key is the DN and each
 // attribute becomes a field (multi-valued attributes joined with "|").
+// LDAP values are strings already, so nothing is rendered.
 func MDSRecords(entries []*ldap.Entry) []Record {
 	out := make([]Record, len(entries))
 	for i, e := range entries {
-		fields := make(map[string]string)
-		for _, attr := range e.Attributes() {
-			fields[attr] = strings.Join(e.Get(attr), "|")
+		fields := make(map[string]string, e.Len())
+		for j := 0; j < e.Len(); j++ {
+			name, values := e.At(j)
+			fields[name] = strings.Join(values, "|")
 		}
-		out[i] = Record{Key: e.DN.String(), Fields: fields}
+		out[i] = Record{Key: e.DNString(), Fields: fields}
 	}
 	return out
 }
 
 // RGMARecords decodes a relational result: one record per row, keyed by
 // position (SQL rows have no inherent identity), each column a field.
-func RGMARecords(res *relational.Result) []Record {
+func RGMARecords(res *relational.Result) []Record { return rgmaRecords(res, nil) }
+
+// rgmaRecords is RGMARecords keeping only the columns attrs names (all
+// of them when attrs is empty).
+func rgmaRecords(res *relational.Result, attrs []string) []Record {
 	if res == nil {
 		return nil
 	}
-	out := make([]Record, len(res.Rows))
-	for i, row := range res.Rows {
-		fields := make(map[string]string, len(res.Columns))
-		for c, col := range res.Columns {
-			if c < len(row) {
-				fields[col] = plainValue(row[c])
-			}
-		}
-		out[i] = Record{Key: fmt.Sprintf("row-%04d", i), Fields: fields}
-	}
-	return out
+	return rowRecords("", res.Columns, res.Rows, attrs)
 }
 
 // RowRecords decodes raw published rows (the R-GMA push path, where no
 // relational.Result exists) into records keyed by producer and position,
 // so a continuous query's deliveries identify which producer streamed
-// each row.
-func RowRecords(producerID string, cols []relational.Column, rows [][]relational.Value) []Record {
-	out := make([]Record, len(rows))
-	for i, row := range rows {
-		fields := make(map[string]string, len(cols))
-		for c, col := range cols {
-			if c < len(row) {
-				fields[col.Name] = plainValue(row[c])
-			}
-		}
-		out[i] = Record{Key: fmt.Sprintf("%s/row-%04d", producerID, i), Fields: fields}
+// each row. Only the columns attrs names are decoded (all of them when
+// attrs is empty), so a buffered event holds no text it did not ask for.
+func RowRecords(producerID string, cols []relational.Column, rows [][]relational.Value, attrs []string) []Record {
+	names := make([]string, len(cols))
+	for i, col := range cols {
+		names[i] = col.Name
 	}
-	return out
+	return rowRecords(producerID+"/", names, rows, attrs)
 }
 
-// plainValue renders a SQL cell as plain text: strings unquoted (the
-// record field is decoded data, not a SQL literal), numbers as usual.
-func plainValue(v relational.Value) string {
-	if v.Type == relational.StringType {
-		return v.S
+// rowRecords decodes rows into records keyed keyPrefix + "row-NNNN".
+// String cells are plain text already (the field is decoded data, not a
+// SQL literal); numbers and keys are rendered into the arena.
+func rowRecords(keyPrefix string, cols []string, rows [][]relational.Value, attrs []string) []Record {
+	a := arenas.Get().(*arena)
+	for i, row := range rows {
+		a.buf = appendRowKey(append(a.buf, keyPrefix...), i)
+		a.keyRendered()
+		for c, col := range cols {
+			if c >= len(row) || !selected(attrs, col) {
+				continue
+			}
+			if v := row[c]; v.Type == relational.StringType {
+				a.fieldText(col, v.S)
+			} else {
+				a.buf = v.AppendTo(a.buf)
+				a.fieldRendered(col)
+			}
+		}
 	}
-	return v.String()
+	return a.records(len(rows))
+}
+
+// appendRowKey appends "row-" and i zero-padded to four digits, as
+// fmt's %04d pads it.
+func appendRowKey(dst []byte, i int) []byte {
+	dst = append(dst, "row-"...)
+	for limit := 1000; limit > 1 && i < limit; limit /= 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(i), 10)
 }
 
 // AdvertisementRecords decodes GMA producer advertisements (the R-GMA
@@ -154,22 +256,30 @@ func AdvertisementRecords(ads []gma.Advertisement) []Record {
 // HawkeyeRecords decodes ClassAds, keyed by the ad's Name attribute, each
 // attribute unparsed to its expression text. Ads are sorted by key so the
 // record order is deterministic regardless of pool-map iteration.
-func HawkeyeRecords(ads []*classad.Ad) []Record {
-	out := make([]Record, 0, len(ads))
+func HawkeyeRecords(ads []*classad.Ad) []Record { return AdRecords(ads, nil) }
+
+// AdRecords is HawkeyeRecords keeping only the attributes attrs names
+// (all of them when attrs is empty); the others are never rendered.
+func AdRecords(ads []*classad.Ad, attrs []string) []Record {
+	a := arenas.Get().(*arena)
+	n := 0
 	for _, ad := range ads {
 		if ad == nil {
 			continue
 		}
-		fields := make(map[string]string, ad.Len())
-		for _, name := range ad.SortedNames() {
-			if e, ok := ad.Lookup(name); ok {
-				fields[name] = e.String()
+		n++
+		key, _ := ad.Eval("Name").StringVal()
+		a.keyText(key)
+		for i := 0; i < ad.Len(); i++ {
+			name, e := ad.At(i)
+			if selected(attrs, name) {
+				a.buf = e.AppendTo(a.buf)
+				a.fieldRendered(name)
 			}
 		}
-		key, _ := ad.Eval("Name").StringVal()
-		out = append(out, Record{Key: key, Fields: fields})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	out := a.records(n)
+	slices.SortStableFunc(out, func(x, y Record) int { return strings.Compare(x.Key, y.Key) })
 	return out
 }
 
@@ -206,14 +316,14 @@ func (s *ProducerServletServer) QueryRecords(ctx context.Context, now float64) (
 		return nil, Work{}, err
 	}
 	res, st, err := s.Servlet.Query(now, s.sql())
-	return RGMARecords(res), RGMAWork(st), err
+	return rgmaRecords(res, s.Attrs), RGMAWork(st), err
 }
 
 // QueryRecords answers the configured SQL query through the mediator
 // with decoded rows, honoring ctx between producer-servlet fan-outs.
 func (s *ConsumerServer) QueryRecords(ctx context.Context, now float64) ([]Record, Work, error) {
 	res, st, err := s.Consumer.QueryCtx(ctx, now, s.sql())
-	return RGMARecords(res), RGMAWork(st), err
+	return rgmaRecords(res, s.Attrs), RGMAWork(st), err
 }
 
 // QueryRecords resolves the configured table's producers as records.
@@ -226,7 +336,7 @@ func (s *RegistryServer) QueryRecords(ctx context.Context, now float64) ([]Recor
 		table = "siteinfo"
 	}
 	ads, st, err := s.Registry.LookupProducersStats(table, now)
-	return AdvertisementRecords(ads), RGMAWork(st), err
+	return ProjectRecords(AdvertisementRecords(ads), s.Attrs), RGMAWork(st), err
 }
 
 // QueryRecords answers the configured Agent query with the decoded
@@ -239,7 +349,7 @@ func (s *AgentServer) QueryRecords(ctx context.Context, now float64) ([]Record, 
 	if ad == nil {
 		return nil, HawkeyeWork(st), nil
 	}
-	return HawkeyeRecords([]*classad.Ad{ad}), HawkeyeWork(st), nil
+	return AdRecords([]*classad.Ad{ad}, s.Attrs), HawkeyeWork(st), nil
 }
 
 // QueryRecords scans the pool with the configured constraint, returning
@@ -249,7 +359,7 @@ func (s *ManagerServer) QueryRecords(ctx context.Context, now float64) ([]Record
 		return nil, Work{}, err
 	}
 	ads, st := s.Manager.Query(now, s.Constraint)
-	return HawkeyeRecords(ads), HawkeyeWork(st), nil
+	return AdRecords(ads, s.Attrs), HawkeyeWork(st), nil
 }
 
 // QueryRecords answers the configured SQL query against the composite
@@ -263,7 +373,7 @@ func (s *CompositeServer) QueryRecords(ctx context.Context, now float64) ([]Reco
 		sql = "SELECT * FROM " + s.Composite.Table
 	}
 	res, st, err := s.Composite.Query(now, sql)
-	return RGMARecords(res), RGMAWork(st), err
+	return rgmaRecords(res, s.Attrs), RGMAWork(st), err
 }
 
 // Every adapter answers record-returning queries.

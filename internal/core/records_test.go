@@ -1,0 +1,409 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/classad"
+	"repro/internal/ldap"
+	"repro/internal/mds"
+	"repro/internal/relational"
+)
+
+// The oracles below are the decoder bodies this package had before the
+// decoders rendered into one arena per result and took the projection
+// with them: one small string per value, then Record.Project over every
+// finished map. The new decoders must produce the same records, nil
+// versus empty maps included.
+
+func oracleMDSRecords(entries []*ldap.Entry) []Record {
+	out := make([]Record, len(entries))
+	for i, e := range entries {
+		fields := make(map[string]string)
+		for _, attr := range e.Attributes() {
+			fields[attr] = strings.Join(e.Get(attr), "|")
+		}
+		out[i] = Record{Key: e.DN.String(), Fields: fields}
+	}
+	return out
+}
+
+func oraclePlainValue(v relational.Value) string {
+	if v.Type == relational.StringType {
+		return v.S
+	}
+	return v.String()
+}
+
+func oracleRGMARecords(res *relational.Result) []Record {
+	if res == nil {
+		return nil
+	}
+	out := make([]Record, len(res.Rows))
+	for i, row := range res.Rows {
+		fields := make(map[string]string, len(res.Columns))
+		for c, col := range res.Columns {
+			if c < len(row) {
+				fields[col] = oraclePlainValue(row[c])
+			}
+		}
+		out[i] = Record{Key: fmt.Sprintf("row-%04d", i), Fields: fields}
+	}
+	return out
+}
+
+func oracleRowRecords(producerID string, cols []relational.Column, rows [][]relational.Value) []Record {
+	out := make([]Record, len(rows))
+	for i, row := range rows {
+		fields := make(map[string]string, len(cols))
+		for c, col := range cols {
+			if c < len(row) {
+				fields[col.Name] = oraclePlainValue(row[c])
+			}
+		}
+		out[i] = Record{Key: fmt.Sprintf("%s/row-%04d", producerID, i), Fields: fields}
+	}
+	return out
+}
+
+func oracleHawkeyeRecords(ads []*classad.Ad) []Record {
+	out := make([]Record, 0, len(ads))
+	for _, ad := range ads {
+		if ad == nil {
+			continue
+		}
+		fields := make(map[string]string, ad.Len())
+		for _, name := range ad.SortedNames() {
+			if e, ok := ad.Lookup(name); ok {
+				fields[name] = e.String()
+			}
+		}
+		key, _ := ad.Eval("Name").StringVal()
+		out = append(out, Record{Key: key, Fields: fields})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
+}
+
+// The generators mirror the randomized data sets of the engines' own
+// differential suites (ldap/index_test.go, relational/plan_test.go,
+// classad/compile_test.go), which a test in this package cannot import.
+
+func randomEntries(rng *rand.Rand, n int) []*ldap.Entry {
+	dit := ldap.NewDIT()
+	classes := []string{"MdsHost", "MdsCpu", "MdsFs", "MdsNet"}
+	oses := []string{"Linux", "Solaris", "AIX"}
+	for i := 0; i < n; i++ {
+		vo := "local"
+		if rng.Intn(3) == 0 {
+			vo = "remote"
+		}
+		e := ldap.NewEntry(ldap.MustParseDN(fmt.Sprintf("Mds-Host-hn=h%03d, Mds-Vo-name=%s, o=grid", i, vo)))
+		e.Set("objectclass", classes[rng.Intn(len(classes))])
+		e.Set("Mds-Cpu-Free-1minX100", fmt.Sprintf("%d", rng.Intn(100)))
+		if rng.Intn(2) == 0 {
+			e.Set("Mds-Os-name", oses[rng.Intn(len(oses))])
+		}
+		if rng.Intn(4) == 0 {
+			e.Set("Mds-Service", "ldap", "gris")
+		}
+		if rng.Intn(5) == 0 {
+			e.Set("Mds-Memory-Ram-Total-freeMB", fmt.Sprintf("%d", 64+rng.Intn(1000)))
+		}
+		if rng.Intn(6) == 0 {
+			e.Set("Mds-Empty") // present with no values
+		}
+		if err := dit.Add(e); err != nil {
+			panic(err)
+		}
+	}
+	all, _ := dit.Search(nil, ldap.ScopeSub, nil) // stored entries, glue included
+	return all
+}
+
+func randomResult(rng *rand.Rand, rows int) *relational.Result {
+	db := relational.NewDB()
+	t, err := db.CreateTable("siteinfo", []relational.Column{
+		{Name: "host", Type: relational.StringType},
+		{Name: "metric", Type: relational.StringType},
+		{Name: "value", Type: relational.RealType},
+		{Name: "slot", Type: relational.IntType},
+	})
+	if err != nil {
+		panic(err)
+	}
+	reals := []float64{0, math.Copysign(0, -1), 42.5, 1e21, 1e-7, math.Inf(1), math.NaN(), -3}
+	for i := 0; i < rows; i++ {
+		row := []relational.Value{
+			relational.StrVal(fmt.Sprintf("h%02d", rng.Intn(12))),
+			relational.StrVal([]string{"cpu", "mem", "it's", ""}[rng.Intn(4)]),
+			relational.RealVal(reals[rng.Intn(len(reals))] + float64(rng.Intn(200))/2),
+			relational.IntVal(int64(rng.Intn(8)) - 2),
+		}
+		if err := t.Insert(row); err != nil {
+			panic(err)
+		}
+	}
+	selects := []string{
+		"SELECT * FROM siteinfo",
+		"SELECT host, value FROM siteinfo",
+		"SELECT value, host, value FROM siteinfo WHERE slot >= 0",
+		"SELECT * FROM siteinfo WHERE host = 'h03' ORDER BY value LIMIT 3",
+		"SELECT slot FROM siteinfo WHERE host = 'nosuch'",
+	}
+	res, err := db.Exec(selects[rng.Intn(len(selects))])
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+func randomAds(rng *rand.Rand, n int) []*classad.Ad {
+	exprs := []string{
+		"TARGET.CpuLoad > 50 && TARGET.OpSys == \"LINUX\"",
+		"ifThenElse(TARGET.CpuLoad > 50, true, false)",
+		"{1, 2.5, \"three\"}",
+		"[ a = 1; b = MY.a ]",
+		"strcat(\"a\\\"b\", Name)",
+	}
+	ads := make([]*classad.Ad, 0, n)
+	for i := 0; i < n; i++ {
+		if rng.Intn(8) == 0 {
+			ads = append(ads, nil)
+			continue
+		}
+		ad := classad.NewAd()
+		switch rng.Intn(10) {
+		case 0: // no Name: empty key
+		case 1:
+			ad.SetInt("Name", int64(i)) // not a string: empty key
+		case 2:
+			if err := ad.SetExprString("NAME", fmt.Sprintf("strcat(\"m\", \"%03d\")", i)); err != nil {
+				panic(err)
+			}
+		default:
+			ad.SetString("Name", fmt.Sprintf("m%03d", n-i))
+		}
+		ad.SetReal("CpuLoad", float64(rng.Intn(100)))
+		if rng.Intn(2) == 0 {
+			ad.SetString("OpSys", []string{"LINUX", "SOLARIS", "say \"hi\""}[rng.Intn(3)])
+		}
+		if rng.Intn(3) == 0 {
+			ad.SetInt("FreeDisk", int64(rng.Intn(200)))
+		}
+		ad.SetBool("Idle", rng.Intn(2) == 0)
+		if rng.Intn(2) == 0 {
+			if err := ad.SetExprString(classad.AttrRequirements, exprs[rng.Intn(len(exprs))]); err != nil {
+				panic(err)
+			}
+		}
+		ads = append(ads, ad)
+	}
+	return ads
+}
+
+// projections are the Attrs the decoders are tried with: none, exact
+// names, names in the wrong case (which select nothing, as in
+// Record.Project), unknown names, duplicates.
+var projections = [][]string{
+	nil,
+	{},
+	{"value"},
+	{"host", "value", "host"},
+	{"CpuLoad", "Name"},
+	{"cpuload", "NAME", "nosuch"},
+	{"Requirements", "OpSys", "Idle", "FreeDisk"},
+	{"objectclass", "Mds-Service"},
+}
+
+func TestDecodersMatchOracles(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	diff := func(what string, attrs []string, got, want []Record) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s with attrs %q:\n got %v\nwant %v", what, attrs, got, want)
+		}
+	}
+	for trial := 0; trial < 60; trial++ {
+		entries := randomEntries(rng, rng.Intn(20))
+		diff("MDSRecords", nil, MDSRecords(entries), oracleMDSRecords(entries))
+		for _, attrs := range projections {
+			// MDS projects inside the LDAP query: decode the projected entries.
+			projected := ldap.ProjectAll(entries, attrs)
+			diff("MDSRecords(ProjectAll)", attrs, MDSRecords(projected), oracleMDSRecords(projected))
+		}
+
+		res := randomResult(rng, rng.Intn(40))
+		diff("RGMARecords", nil, RGMARecords(res), oracleRGMARecords(res))
+		cols := make([]relational.Column, len(res.Columns))
+		for i, c := range res.Columns {
+			cols[i] = relational.Column{Name: c}
+		}
+		diff("RowRecords", nil, RowRecords("lucky3-p0", cols, res.Rows, nil), oracleRowRecords("lucky3-p0", cols, res.Rows))
+
+		ads := randomAds(rng, rng.Intn(12))
+		diff("HawkeyeRecords", nil, HawkeyeRecords(ads), oracleHawkeyeRecords(ads))
+
+		for _, attrs := range projections {
+			diff("rgmaRecords", attrs, rgmaRecords(res, attrs), ProjectRecords(oracleRGMARecords(res), attrs))
+			diff("RowRecords", attrs, RowRecords("lucky3-p0", cols, res.Rows, attrs), ProjectRecords(oracleRowRecords("lucky3-p0", cols, res.Rows), attrs))
+			diff("AdRecords", attrs, AdRecords(ads, attrs), ProjectRecords(oracleHawkeyeRecords(ads), attrs))
+		}
+	}
+	diff("RGMARecords(nil)", nil, RGMARecords(nil), oracleRGMARecords(nil))
+	diff("HawkeyeRecords(nil)", nil, HawkeyeRecords(nil), oracleHawkeyeRecords(nil))
+	short := &relational.Result{Columns: []string{"a", "b"}, Rows: [][]relational.Value{{relational.IntVal(1)}, {}}}
+	diff("RGMARecords(short rows)", nil, RGMARecords(short), oracleRGMARecords(short))
+}
+
+// TestRowKeysPadLikePrintf: the append-formatted row key is fmt's %04d.
+func TestRowKeysPadLikePrintf(t *testing.T) {
+	for _, i := range []int{0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 123456} {
+		if got, want := string(appendRowKey(nil, i)), fmt.Sprintf("row-%04d", i); got != want {
+			t.Errorf("appendRowKey(%d) = %q, want %q", i, got, want)
+		}
+	}
+}
+
+// TestAdaptersProjectLikeProjectRecords: a binding with Attrs answers
+// with the records ProjectRecords would have cut from its full answer,
+// and the same Work.
+func TestAdaptersProjectLikeProjectRecords(t *testing.T) {
+	pserv, registry := newRGMAServer(t)
+	agent, manager := newHawkeyeServers(t)
+	ctx := context.Background()
+	cases := []struct {
+		name  string
+		attrs []string
+		full  RecordQuerier
+		part  func(attrs []string) RecordQuerier
+	}{
+		{"ProducerServlet", []string{"host", "value"}, pserv,
+			func(a []string) RecordQuerier { return &ProducerServletServer{Servlet: pserv.Servlet, Attrs: a} }},
+		{"Registry", []string{"table", "predicate"}, registry,
+			func(a []string) RecordQuerier { return &RegistryServer{Registry: registry.Registry, Attrs: a} }},
+		{"Agent", []string{"CpuLoad", "OpSys", "nosuch"}, agent,
+			func(a []string) RecordQuerier { return &AgentServer{Agent: agent.Agent, Attrs: a} }},
+		{"Manager", []string{"Name", "cpuload"}, manager,
+			func(a []string) RecordQuerier { return &ManagerServer{Manager: manager.Manager, Attrs: a} }},
+	}
+	for _, c := range cases {
+		full, fullWork, err := c.full.QueryRecords(ctx, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		part, partWork, err := c.part(c.attrs).QueryRecords(ctx, 1)
+		if err != nil {
+			t.Fatalf("%s projected: %v", c.name, err)
+		}
+		if want := ProjectRecords(full, c.attrs); !reflect.DeepEqual(part, want) {
+			t.Errorf("%s with attrs %q:\n got %v\nwant %v", c.name, c.attrs, part, want)
+		}
+		if partWork != fullWork {
+			t.Errorf("%s: projecting changed Work: %+v vs %+v", c.name, partWork, fullWork)
+		}
+	}
+}
+
+// --- decoder microbenchmarks (recorded by make bench-json) ---
+
+var benchRecords []Record
+
+// benchEntries is a five-host GIIS's answer to "everything", the shape
+// of the facade's MDS aggregate query.
+func benchEntries(b *testing.B) []*ldap.Entry {
+	b.Helper()
+	giis := mds.NewGIIS("giis", 1e9, 1e9)
+	for i := 0; i < 5; i++ {
+		gris := mds.NewGRIS(fmt.Sprintf("lucky%d", i+3), 1e9, mds.DefaultProviders())
+		if _, err := giis.Register(fmt.Sprintf("gris-%d", i), gris, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	entries, _, err := giis.Query(1, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return entries
+}
+
+func BenchmarkMDSRecords(b *testing.B) {
+	entries := benchEntries(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchRecords = MDSRecords(entries)
+	}
+}
+
+func BenchmarkMDSRecordsProjected(b *testing.B) {
+	entries := benchEntries(b)
+	attrs := []string{"Mds-Cpu-Free-1minX100", "objectclass"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// MDS projects the entries, then decodes what is left.
+		benchRecords = MDSRecords(ldap.ProjectAll(entries, attrs))
+	}
+}
+
+func benchResult(b *testing.B) *relational.Result {
+	b.Helper()
+	pserv, _ := newRGMAServer(b)
+	res, _, err := pserv.Servlet.Query(1, "SELECT * FROM siteinfo")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+func BenchmarkRGMARecords(b *testing.B) {
+	res := benchResult(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchRecords = RGMARecords(res)
+	}
+}
+
+func BenchmarkRGMARecordsProjected(b *testing.B) {
+	res := benchResult(b)
+	attrs := []string{"host", "value"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchRecords = rgmaRecords(res, attrs)
+	}
+}
+
+func benchAds(b *testing.B) []*classad.Ad {
+	b.Helper()
+	_, manager := newHawkeyeServers(b)
+	ads, _ := manager.Manager.Query(1, nil)
+	return ads
+}
+
+func BenchmarkHawkeyeRecords(b *testing.B) {
+	ads := benchAds(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchRecords = HawkeyeRecords(ads)
+	}
+}
+
+func BenchmarkHawkeyeRecordsProjected(b *testing.B) {
+	ads := benchAds(b)
+	attrs := []string{"CpuLoad", "OpSys"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchRecords = AdRecords(ads, attrs)
+	}
+}

@@ -59,9 +59,13 @@ type Manager struct {
 	triggers []*Trigger            // guarded by mu
 }
 
+// machineAd is one pool member's latest advertisement. Update installs
+// a whole ad at a time and nothing edits it afterwards, so its wire
+// size is taken once, under the write lock Update already holds.
 type machineAd struct {
 	name    string
 	ad      *classad.Ad
+	size    int // ad.SizeBytes()
 	expires float64
 }
 
@@ -110,8 +114,9 @@ func fire(firings []firing) {
 }
 
 // Update ingests a Startd ClassAd (the hawkeye_advertise path). The ad
-// must carry a Name attribute identifying the machine. Matching triggers
-// fire immediately. It returns the number of triggers fired.
+// must carry a Name attribute identifying the machine, and belongs to
+// the Manager from here on: the caller must not modify it. Matching
+// triggers fire immediately. It returns the number of triggers fired.
 func (m *Manager) Update(now float64, ad *classad.Ad) (int, error) {
 	m.mu.Lock()
 	nameV := ad.Eval("Name")
@@ -120,14 +125,15 @@ func (m *Manager) Update(now float64, ad *classad.Ad) (int, error) {
 		m.mu.Unlock()
 		return 0, fmt.Errorf("hawkeye: advertised ad has no Name")
 	}
-	key := lower(name)
-	rec, exists := m.ads[key]
+	rec, exists := m.lookup(name)
 	if !exists {
+		key := string(foldASCII(nil, name))
 		rec = &machineAd{name: name}
 		m.ads[key] = rec
 		m.order = append(m.order, key)
 	}
 	rec.ad = ad
+	rec.size = ad.SizeBytes()
 	rec.expires = now + m.AdLifetime
 	var firings []firing
 	for _, tr := range m.triggers {
@@ -161,11 +167,11 @@ func (m *Manager) expire(now float64) {
 // the Manager's efficiency.
 func (m *Manager) QueryByName(now float64, name string) (*classad.Ad, QueryStats, bool) {
 	defer m.lockForRead(now)()
-	rec, ok := m.ads[lower(name)]
+	rec, ok := m.lookup(name)
 	if !ok {
 		return nil, QueryStats{}, false
 	}
-	st := QueryStats{AdsReturned: 1, ResponseBytes: rec.ad.SizeBytes(), IndexHits: 1}
+	st := QueryStats{AdsReturned: 1, ResponseBytes: rec.size, IndexHits: 1}
 	return rec.ad, st, true
 }
 
@@ -190,7 +196,7 @@ func (m *Manager) Query(now float64, constraint classad.Expr) ([]*classad.Ad, Qu
 		}
 		out = append(out, rec.ad)
 		st.AdsReturned++
-		st.ResponseBytes += rec.ad.SizeBytes()
+		st.ResponseBytes += rec.size
 	}
 	return out, st
 }
@@ -251,19 +257,30 @@ func (m *Manager) Machines(now float64) []string {
 // the two-step lookup the paper describes.
 func (m *Manager) AgentAddress(now float64, name string) (string, bool) {
 	defer m.lockForRead(now)()
-	rec, ok := m.ads[lower(name)]
+	rec, ok := m.lookup(name)
 	if !ok {
 		return "", false
 	}
 	return rec.name + ":hawkeye-agent", true
 }
 
-func lower(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c + 'a' - 'A'
+// lookup finds a pool member by machine name in any ASCII case.
+// Callers hold mu.
+func (m *Manager) lookup(name string) (*machineAd, bool) {
+	var buf [64]byte // machine names are host names; longer ones spill to the heap
+	rec, ok := m.ads[string(foldASCII(buf[:0], name))]
+	return rec, ok
+}
+
+// foldASCII appends s to dst with ASCII letters lower-cased — the
+// pool's machine-name key.
+func foldASCII(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
 		}
+		dst = append(dst, c)
 	}
-	return string(b)
+	return dst
 }

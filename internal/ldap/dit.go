@@ -104,6 +104,7 @@ func (t *DIT) Add(e *Entry) error {
 
 func (t *DIT) link(e *Entry) {
 	key := e.DN.Norm()
+	e.memoize()
 	t.entries[key] = e
 	parent := e.DN.Parent().Norm()
 	t.children[parent] = append(t.children[parent], key)
@@ -126,6 +127,7 @@ func (t *DIT) Upsert(e *Entry) {
 		id := t.ids[key]
 		t.unindexEntry(id)
 		fresh := e.Clone()
+		fresh.memoize()
 		t.entries[key] = fresh
 		t.byID[id] = fresh
 		t.indexEntry(id, fresh)
@@ -289,9 +291,10 @@ func ProjectAll(entries []*Entry, attrs []string) []*Entry {
 	if len(attrs) == 0 {
 		return entries
 	}
+	want := lowerSet(attrs) // folded once for the whole result set
 	out := make([]*Entry, len(entries))
 	for i, e := range entries {
-		out[i] = e.Project(attrs)
+		out[i] = e.project(want)
 	}
 	return out
 }

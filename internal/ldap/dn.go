@@ -61,11 +61,47 @@ func MustParseDN(s string) DN {
 
 // String renders the DN in the usual leaf-first comma form.
 func (d DN) String() string {
-	parts := make([]string, len(d))
+	var sb strings.Builder
+	sb.Grow(d.stringLen())
 	for i, r := range d {
-		parts[i] = r.String()
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(r.Attr)
+		sb.WriteByte('=')
+		sb.WriteString(r.Value)
 	}
-	return strings.Join(parts, ", ")
+	return sb.String()
+}
+
+// stringLen is len(d.String()).
+func (d DN) stringLen() int {
+	n := 0
+	for i, r := range d {
+		if i > 0 {
+			n += len(", ")
+		}
+		n += len(r.Attr) + len("=") + len(r.Value)
+	}
+	return n
+}
+
+// rendersAs reports whether s == d.String(), without building it.
+func (d DN) rendersAs(s string) bool {
+	for i, r := range d {
+		if i > 0 {
+			if !strings.HasPrefix(s, ", ") {
+				return false
+			}
+			s = s[len(", "):]
+		}
+		a, v := len(r.Attr), len(r.Value)
+		if len(s) < a+1+v || s[:a] != r.Attr || s[a] != '=' || s[a+1:a+1+v] != r.Value {
+			return false
+		}
+		s = s[a+1+v:]
+	}
+	return s == ""
 }
 
 // Norm returns the case-normalized comparison key for the DN.

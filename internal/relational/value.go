@@ -109,16 +109,37 @@ func (v Value) Coerce(t ColType) (Value, error) {
 
 // String renders the value in SQL literal form.
 func (v Value) String() string {
-	switch v.Type {
-	case IntType:
-		return strconv.FormatInt(v.I, 10)
-	case RealType:
-		return strconv.FormatFloat(v.R, 'g', -1, 64)
-	case StringType:
-		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
-	}
-	return "NULL"
+	var buf [32]byte
+	return string(v.AppendTo(buf[:0]))
 }
 
-// SizeBytes estimates the value's wire size for the network model.
-func (v Value) SizeBytes() int { return len(v.String()) }
+// AppendTo appends the SQL literal form — exactly the bytes of String —
+// to dst.
+func (v Value) AppendTo(dst []byte) []byte {
+	switch v.Type {
+	case IntType:
+		return strconv.AppendInt(dst, v.I, 10)
+	case RealType:
+		return strconv.AppendFloat(dst, v.R, 'g', -1, 64)
+	case StringType:
+		dst = append(dst, '\'')
+		for i := 0; i < len(v.S); i++ {
+			if v.S[i] == '\'' {
+				dst = append(dst, '\'')
+			}
+			dst = append(dst, v.S[i])
+		}
+		return append(dst, '\'')
+	}
+	return append(dst, "NULL"...)
+}
+
+// SizeBytes is the value's wire size for the network model:
+// len(v.String()), counted rather than built.
+func (v Value) SizeBytes() int {
+	if v.Type == StringType {
+		return len(v.S) + 2 + strings.Count(v.S, "'")
+	}
+	var buf [32]byte // the longest number is a 24-byte real
+	return len(v.AppendTo(buf[:0]))
+}

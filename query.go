@@ -179,11 +179,9 @@ func (g *Grid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 		g.counters.Errors.Add(1)
 		return nil, transport.AsError(err)
 	}
-	// MDS applies Attrs natively inside the LDAP query (so Work reflects
-	// the projected response); the other systems project here.
-	if q.System != MDS {
-		records = core.ProjectRecords(records, q.Attrs)
-	}
+	// The records come back projected to q.Attrs: MDS projects inside
+	// the LDAP query (so Work reflects the projected response), the
+	// other systems' decoders skip the fields nobody asked for.
 	if g.cache != nil {
 		g.cache.store(key, gen, start, records, work)
 		work.CacheMisses = 1
@@ -266,18 +264,18 @@ func (g *Grid) rgmaQuerier(role Role, q Query) (core.RecordQuerier, error) {
 	switch role {
 	case RoleInformationServer:
 		if q.Host == "" {
-			return &core.ConsumerServer{Consumer: g.consumer, SQL: q.Expr}, nil
+			return &core.ConsumerServer{Consumer: g.consumer, SQL: q.Expr, Attrs: q.Attrs}, nil
 		}
 		ps, ok := g.servlets[q.Host]
 		if !ok {
 			return nil, transport.Errf(transport.CodeBadRequest,
 				"unknown host %q (monitored hosts: %v)", q.Host, g.cfg.hosts)
 		}
-		return &core.ProducerServletServer{Servlet: ps, SQL: q.Expr}, nil
+		return &core.ProducerServletServer{Servlet: ps, SQL: q.Expr, Attrs: q.Attrs}, nil
 	case RoleDirectoryServer:
-		return &core.RegistryServer{Registry: g.registry, Table: q.Expr}, nil
+		return &core.RegistryServer{Registry: g.registry, Table: q.Expr, Attrs: q.Attrs}, nil
 	case RoleAggregateServer:
-		return &core.CompositeServer{Composite: g.composite, SQL: q.Expr}, nil
+		return &core.CompositeServer{Composite: g.composite, SQL: q.Expr, Attrs: q.Attrs}, nil
 	}
 	return nil, badRole(role)
 }
@@ -302,11 +300,11 @@ func (g *Grid) hawkeyeQuerier(role Role, q Query) (core.RecordQuerier, error) {
 			return nil, transport.Errf(transport.CodeBadRequest,
 				"unknown host %q (monitored hosts: %v)", q.Host, g.cfg.hosts)
 		}
-		return &core.AgentServer{Agent: agent, Constraint: constraint}, nil
+		return &core.AgentServer{Agent: agent, Constraint: constraint, Attrs: q.Attrs}, nil
 	case RoleDirectoryServer:
-		return &core.ManagerServer{Manager: g.manager, AsDirectory: true, Constraint: constraint}, nil
+		return &core.ManagerServer{Manager: g.manager, AsDirectory: true, Constraint: constraint, Attrs: q.Attrs}, nil
 	case RoleAggregateServer:
-		return &core.ManagerServer{Manager: g.manager, Constraint: constraint}, nil
+		return &core.ManagerServer{Manager: g.manager, Constraint: constraint, Attrs: q.Attrs}, nil
 	}
 	return nil, badRole(role)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -29,6 +30,15 @@ import (
 //     form of queueing;
 //   - the same offered load WITHOUT admission collapses (documented by
 //     the companion test below).
+//
+// The structural half of the contract — sheds carry the overloaded
+// code, Stats count exactly the sheds and queue waits callers saw,
+// requests are accepted, nothing hangs — is checked on every run, and so
+// is the throughput plateau (a 2× margin on a rate, which a busy box does
+// not eat). The three tail-latency bounds (shed < 1ms, accepted p99 ≤ 3×
+// unsaturated, "the ungated collapse reproduces") depend on how busy the
+// box is as much as on the code, so they are asserted only with
+// GRIDMON_WALLCLOCK=1, which `make chaos` and the CI chaos job set.
 //
 // Service time is simulated by burning CPU WORK, not wall time and not
 // sleep: on this single-core CI runner, sleeps (and wall-bounded spins)
@@ -90,6 +100,10 @@ func burnClock(units int) Option {
 		return 1
 	})
 }
+
+// wallclockBounds reports whether this run asserts the absolute and
+// ratio timing bounds, or only logs them.
+func wallclockBounds() bool { return os.Getenv("GRIDMON_WALLCLOCK") == "1" }
 
 // shedQuery is the probe: engine-cheap, so the burn clock dominates.
 var shedQuery = Query{System: MDS, Role: RoleDirectoryServer}
@@ -160,8 +174,9 @@ func flood(t *testing.T, grid *Grid, workers int, window time.Duration) (accepte
 }
 
 // TestLoadShedding: the admission gate holds the acceptance bounds past
-// saturation. Timing-based, so one re-measure damps scheduler flakes;
-// the bounds themselves have wide margins (see the constants).
+// saturation. One re-measure damps scheduler flakes on the plateau and
+// (GRIDMON_WALLCLOCK=1 only) the tail-latency bounds; the bounds
+// themselves have wide margins (see the constants).
 func TestLoadShedding(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-based load test")
@@ -200,17 +215,29 @@ func TestLoadShedding(t *testing.T) {
 		t.Logf("flooded (%d workers): accepted=%d (p99=%v, %.0f/s) shed=%d (p99=%v) stats=%+v",
 			shedWorkers, len(accepted), accP99, accRate, len(shed), shedP99, st)
 
-		if accP99 > 3*unsatP99 {
-			return fmt.Sprintf("accepted p99 %v > 3× unsaturated p99 %v", accP99, unsatP99)
+		if st.Shed != int64(len(shed)) {
+			return fmt.Sprintf("stats shed %d != observed sheds %d", st.Shed, len(shed))
+		}
+		if want := int64(len(unsat) + len(accepted)); st.Queries != want {
+			return fmt.Sprintf("stats queries %d != answered queries %d", st.Queries, want)
+		}
+		if st.Queued > int64(len(accepted)+len(shed)) {
+			return fmt.Sprintf("stats queued %d > flood requests %d", st.Queued, len(accepted)+len(shed))
+		}
+		if st.QueueDepth != 0 || st.InFlight != 0 {
+			return fmt.Sprintf("idle grid reports queue depth %d, %d in flight", st.QueueDepth, st.InFlight)
 		}
 		if accRate < 0.5*unsatRate {
 			return fmt.Sprintf("accepted throughput %.0f/s collapsed below half the unsaturated %.0f/s", accRate, unsatRate)
 		}
+		if !wallclockBounds() {
+			return ""
+		}
+		if accP99 > 3*unsatP99 {
+			return fmt.Sprintf("accepted p99 %v > 3× unsaturated p99 %v", accP99, unsatP99)
+		}
 		if shedP99 > time.Millisecond {
 			return fmt.Sprintf("shed p99 %v — refusal must take < 1ms", shedP99)
-		}
-		if st.Shed != int64(len(shed)) {
-			return fmt.Sprintf("stats shed %d != observed sheds %d", st.Shed, len(shed))
 		}
 		return ""
 	}
@@ -247,7 +274,7 @@ func TestLoadCollapseWithoutAdmission(t *testing.T) {
 	// Every admitted request shares the engine with ~all workers, so the
 	// tail grows with the worker count; 3× is the bound the gated grid
 	// holds and the ungated one must blow through.
-	if collapsedP99 <= 3*unsatP99 {
+	if wallclockBounds() && collapsedP99 <= 3*unsatP99 {
 		t.Errorf("ungated flooded p99 %v stayed within 3× unsaturated %v — collapse did not reproduce",
 			collapsedP99, unsatP99)
 	}

@@ -201,7 +201,7 @@ func (g *Grid) subscribeRGMA(st *Stream, sub Subscription, id string) (func(), e
 		ID:    id,
 		Where: where,
 		Deliver: func(producerID string, rows [][]relational.Value) {
-			records := core.ProjectRecords(core.RowRecords(producerID, schemas[producerID], rows), sub.Attrs)
+			records := core.RowRecords(producerID, schemas[producerID], rows, sub.Attrs)
 			st.send(g.clock(), EventPut, records, Work{RecordsReturned: len(records)})
 		},
 	}
@@ -246,7 +246,7 @@ func (g *Grid) subscribeHawkeye(st *Stream, sub Subscription, id string) (func()
 			if sub.Host != "" && machine != sub.Host {
 				return
 			}
-			records := core.ProjectRecords(core.HawkeyeRecords([]*classad.Ad{matched}), sub.Attrs)
+			records := core.AdRecords([]*classad.Ad{matched}, sub.Attrs)
 			st.send(g.clock(), EventTrigger, records,
 				Work{RecordsReturned: 1, ResponseBytes: matched.SizeBytes()})
 		},

@@ -115,6 +115,61 @@ func TestSubscribeEquivalence(t *testing.T) {
 	}
 }
 
+// TestSubscribeAttrs: a subscription's Attrs narrows every event's
+// records to exactly what projecting the unnarrowed event would keep —
+// the push decoders select while decoding rather than after — and
+// leaves Work alone.
+func TestSubscribeAttrs(t *testing.T) {
+	cases := []struct {
+		name  string
+		sub   Subscription
+		attrs []string
+		want  int
+	}{
+		{"RGMA", Subscription{System: RGMA, Expr: "SELECT * FROM siteinfo WHERE value >= 0"}, []string{"value", "host", "nosuch"}, 9},
+		{"Hawkeye", Subscription{System: Hawkeye, Expr: "TARGET.CpuLoad >= 0"}, []string{"CpuLoad", "Name"}, 6},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			grid, now := steppedGrid(t)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			full, err := grid.Subscribe(ctx, tc.sub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			narrowedSub := tc.sub
+			narrowedSub.Attrs = tc.attrs
+			narrowed, err := grid.Subscribe(ctx, narrowedSub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			*now = 5
+			if err := grid.Advance(5); err != nil {
+				t.Fatal(err)
+			}
+			fullEvents := collectEvents(t, full, tc.want)
+			for i, ev := range collectEvents(t, narrowed, tc.want) {
+				want := fullEvents[i]
+				projected := make([]Record, len(want.Records))
+				for j, r := range want.Records {
+					projected[j] = r.Project(tc.attrs)
+				}
+				if !reflect.DeepEqual(ev.Records, projected) {
+					t.Errorf("event %d: records %+v, want the projection %+v", i, ev.Records, projected)
+				}
+				if len(ev.Records[0].Fields) == 0 || len(ev.Records[0].Fields) >= len(want.Records[0].Fields) {
+					t.Errorf("event %d: %d fields of %d — projection kept nothing or everything",
+						i, len(ev.Records[0].Fields), len(want.Records[0].Fields))
+				}
+				if ev.Work != want.Work || ev.Kind != want.Kind {
+					t.Errorf("event %d: work %+v kind %q, unnarrowed %+v %q", i, ev.Work, ev.Kind, want.Work, want.Kind)
+				}
+			}
+		})
+	}
+}
+
 // TestSubscribeKinds: each system's events carry its documented kind.
 func TestSubscribeKinds(t *testing.T) {
 	grid, now := steppedGrid(t)
