@@ -101,9 +101,12 @@ bench-smoke:
 # fuzz-smoke gives each native fuzz target a few seconds beyond its
 # checked-in seed corpus: the counted-size and append-form invariants
 # ResponseBytes rests on (SizeBytes is the length of the canonical
-# rendering; fold-free lookups find what strings.ToLower found).
+# rendering; fold-free lookups find what strings.ToLower found), and the
+# v3 decoders that read what a peer sent (never panic, allocate in
+# proportion to the frame, round-trip what they accept).
 FUZZTIME ?= 5s
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzValueSize$$' -fuzztime $(FUZZTIME) ./internal/relational
 	$(GO) test -run '^$$' -fuzz '^FuzzExprAppend$$' -fuzztime $(FUZZTIME) ./internal/classad
 	$(GO) test -run '^$$' -fuzz '^FuzzEntrySize$$' -fuzztime $(FUZZTIME) ./internal/ldap

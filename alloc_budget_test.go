@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 )
 
 // allocBudgetCells is one representative query per (system, role) — the
@@ -25,10 +26,7 @@ import (
 //	MDS      information   72 →  27      R-GMA  information  113 →  72      Hawkeye  information   482 → 122
 //	MDS      directory    192 →  67      R-GMA  directory     95 →  32      Hawkeye  directory    1042 →  14
 //	MDS      aggregate   1184 →  98      R-GMA  aggregate    615 → 210      Hawkeye  aggregate    1054 →  39
-var allocBudgetCells = []struct {
-	q      Query
-	budget float64
-}{
+var allocBudgetCells = []allocBudgetCell{
 	{Query{System: MDS, Role: RoleInformationServer, Host: "lucky4", Expr: "(objectclass=MdsCpu)"}, 30},
 	{Query{System: MDS, Role: RoleDirectoryServer, Expr: "(objectclass=MdsHost)", Attrs: []string{"Mds-Host-hn"}}, 74},
 	{Query{System: MDS, Role: RoleAggregateServer}, 108},
@@ -40,18 +38,24 @@ var allocBudgetCells = []struct {
 	{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: `TARGET.OpSys == "LINUX"`}, 43},
 }
 
-// TestQueryAllocBudget pins the per-query allocation count of every
-// cell where go test can see it (the end-to-end number is bench/'s
-// allocs_per_query).
-func TestQueryAllocBudget(t *testing.T) {
+// allocBudgetCell is a query and the allocations one run of it may cost.
+type allocBudgetCell struct {
+	q      Query
+	budget float64
+}
+
+// checkAllocBudget runs every cell against source — once to warm the
+// mediator, the pools and any cache, then measured — and fails the cells
+// that allocate more than their budget.
+func checkAllocBudget(t *testing.T, source Querier, cells []allocBudgetCell) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops entries at random, so counts are not repeatable")
 	}
-	grid := newTestGrid(t)
 	ctx := context.Background()
-	for _, cell := range allocBudgetCells {
+	for _, cell := range cells {
 		name := fmt.Sprintf("%s/%s", cell.q.System, cell.q.Role)
-		rs, err := grid.Query(ctx, cell.q) // also warms the mediator and the pools
+		rs, err := source.Query(ctx, cell.q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -59,13 +63,52 @@ func TestQueryAllocBudget(t *testing.T) {
 			t.Fatalf("%s: the representative query returned no records", name)
 		}
 		allocs := testing.AllocsPerRun(200, func() {
-			if _, err := grid.Query(ctx, cell.q); err != nil {
+			if _, err := source.Query(ctx, cell.q); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%-40s %3d records %5.0f allocs/query (budget %.0f)", name, len(rs.Records), allocs, cell.budget)
+		fields := 0
+		for _, rec := range rs.Records {
+			fields += len(rec.Fields)
+		}
+		t.Logf("%-40s %3d records %4d fields %5.0f allocs/query (budget %.0f)", name, len(rs.Records), fields, allocs, cell.budget)
 		if allocs > cell.budget {
 			t.Errorf("%s: %.0f allocs/query, budget %.0f", name, allocs, cell.budget)
 		}
 	}
+}
+
+// TestQueryAllocBudget pins the per-query allocation count of every
+// cell where go test can see it (the end-to-end number is bench/'s
+// allocs_per_query).
+func TestQueryAllocBudget(t *testing.T) {
+	checkAllocBudget(t, newTestGrid(t), allocBudgetCells)
+}
+
+// remoteAllocBudgetCells is one representative query per system with the
+// allocations one RemoteGrid.Query of it may cost over a loopback v3
+// connection when the serving grid answers from its result cache — so
+// the count is the wire's: framing, the cache lookup, and the client
+// decoding the answer. Server and client share the process, so both
+// sides are counted. Measured +10% on go1.24.0 linux/amd64, before →
+// after the client cut its strings out of one copy of the frame; what is
+// left is the field map of each record (two allocations for a small one)
+// plus ~15 for the call. Under GOEXPERIMENT=noswissmap the cells measure
+// 85, 105 and 20 — the same or lower.
+//
+//	MDS aggregate      36 records, 162 fields   441 →  91
+//	R-GMA aggregate    45 records,  90 fields   335 → 105
+//	Hawkeye aggregate   3 records,  69 fields   163 →  25
+var remoteAllocBudgetCells = []allocBudgetCell{
+	{Query{System: MDS, Role: RoleAggregateServer}, 100},
+	{Query{System: RGMA, Role: RoleAggregateServer, Expr: "SELECT * FROM siteinfo", Attrs: []string{"host", "value"}}, 115},
+	{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: `TARGET.OpSys == "LINUX"`}, 28},
+}
+
+// TestRemoteQueryAllocBudget is TestQueryAllocBudget's remote twin: it
+// pins what the client half of a query allocates, which the in-process
+// cells never see.
+func TestRemoteQueryAllocBudget(t *testing.T) {
+	remote := serveGridProto(t, newTestGrid(t, WithQueryCache(time.Hour)), ProtoV3)
+	checkAllocBudget(t, remote, remoteAllocBudgetCells)
 }

@@ -2,7 +2,9 @@ package relational
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -190,5 +192,46 @@ func TestSelectIndexStats(t *testing.T) {
 	}
 	if res.Indexed || res.IndexHits != 0 {
 		t.Fatalf("range-only predicate should scan: %+v", res)
+	}
+}
+
+// renderedIndexKey is the index key as it was first defined — the
+// lower-cased SQL literal — kept as the oracle for which values must
+// share a bucket.
+func renderedIndexKey(v Value) string {
+	if v.Type == RealType && v.R == 0 {
+		return "0"
+	}
+	return strings.ToLower(v.String())
+}
+
+// TestIndexKeyEquality: two values share an index bucket exactly when
+// their lower-cased literals are equal — IndexHits counts a bucket's
+// candidates, so this is what keeps Work unchanged — and keying a string
+// that is already lower case allocates nothing.
+func TestIndexKeyEquality(t *testing.T) {
+	vals := []Value{
+		{}, IntVal(0), IntVal(5), IntVal(-5), IntVal(math.MinInt64),
+		RealVal(0), RealVal(math.Copysign(0, -1)), RealVal(5), RealVal(5.5), RealVal(1e21),
+		RealVal(math.Inf(1)), RealVal(math.Inf(-1)), RealVal(math.NaN()),
+		StrVal(""), StrVal("siteinfo"), StrVal("SiteInfo"), StrVal("SITEINFO"),
+		StrVal("null"), StrVal("NULL"), StrVal("5"), StrVal("0"), StrVal("+inf"), StrVal("nan"),
+		StrVal("it's"), StrVal("IT'S"), StrVal("its"), StrVal("'"), StrVal("''"),
+		StrVal("Éire"), StrVal("éire"), StrVal("a\xffb"), StrVal("A\xffB"), StrVal("a�b"),
+		StrVal("\x00"), StrVal("\x005"), StrVal("\x00null"), StrVal("\x00'"), StrVal("\x00'\x005"), StrVal("'\x005"),
+		StrVal("\x00A"), StrVal("\x00a"),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			got := indexKey(a) == indexKey(b)
+			want := renderedIndexKey(a) == renderedIndexKey(b)
+			if got != want {
+				t.Errorf("%v and %v share a key: %v, want %v", a, b, got, want)
+			}
+		}
+	}
+	v := StrVal("siteinfo")
+	if allocs := testing.AllocsPerRun(100, func() { _ = indexKey(v) }); allocs != 0 {
+		t.Errorf("key of a lower-case string: %.0f allocs", allocs)
 	}
 }

@@ -93,15 +93,28 @@ func (t *Table) createIndexLocked(ci int) {
 	t.index[ci] = idx
 }
 
-// indexKey is the hash key for one value: case-folded so string lookups
-// are case-insensitive supersets of Compare equality, with negative zero
+// indexKey is the hash key for one value. Strings are case-folded, so
+// string lookups are case-insensitive supersets of Compare equality, and
+// a string's key is its folded text itself: for one that is already
+// lower case that is the stored string, so (re)building the index over a
+// column of lower-case names allocates no key per row. Every other value
+// is keyed by a NUL byte and its SQL literal, with negative zero
 // normalized so -0.0 and +0.0 (numerically equal to Compare) share a
-// bucket.
+// bucket with the integer 0; a string that itself begins with NUL gets
+// NUL and a quote in front, which no literal begins with — so a string
+// never shares a bucket with a number or NULL, whatever its text.
 func indexKey(v Value) string {
-	if v.Type == RealType && v.R == 0 {
-		return "0"
+	if v.Type == StringType {
+		if strings.HasPrefix(v.S, "\x00") {
+			return "\x00'" + strings.ToLower(v.S)
+		}
+		return strings.ToLower(v.S)
 	}
-	return strings.ToLower(v.String())
+	if v.Type == RealType && v.R == 0 {
+		return "\x000"
+	}
+	var buf [32]byte // NUL and the longest number, a 24-byte real
+	return string(v.AppendTo(append(buf[:0], 0)))
 }
 
 // lookupIndex returns the candidate row numbers for key in the index on

@@ -11,11 +11,12 @@ import (
 // This file is the binary codec layer under the v3 wire format (see
 // v3.go): append-style encoders that extend a caller-owned []byte, a
 // sticky-error decoder that reads values back out of a frame without
-// copying, and a pool of frame buffers so steady-state traffic encodes
-// and decodes without allocating. The primitives are deliberately dumb —
-// uvarints, length-prefixed strings, fixed 8-byte floats — the typed
-// record section for ResultSet/Event payloads is composed from them by
-// the root package, which owns those types.
+// copying (text, when asked, out of one copy of the whole frame), and a
+// pool of frame buffers so steady-state framing does not allocate. The
+// primitives are deliberately dumb — uvarints, length-prefixed strings,
+// fixed 8-byte floats — the typed record section for ResultSet/Event
+// payloads is composed from them by the root package, which owns those
+// types.
 
 // AppendUvarint appends v in unsigned varint encoding.
 func AppendUvarint(b []byte, v uint64) []byte {
@@ -50,19 +51,30 @@ func AppendBytes(b []byte, p []byte) []byte {
 var errMalformed = &Error{Code: CodeBadRequest, Message: "transport: truncated or malformed binary frame"}
 
 // Dec decodes values out of one frame payload. Errors are sticky: the
-// first short read marks the decoder bad, every later read returns zero
-// values, and Err reports the failure once at the end — so decode
-// sequences read straight-line without per-field error checks. Byte-view
-// accessors (Bytes, and the strings StringReuse can avoid copying)
-// alias the frame buffer and are only valid until it is reused.
+// first short read or oversized count marks the decoder bad, every later
+// read returns zero values, and Err reports the failure once at the end —
+// so decode sequences read straight-line without per-field error checks.
+//
+// Bytes and Rest return views into the payload, valid only until the
+// frame buffer is reused. String never aliases the payload: a NewDec
+// decoder copies each string out of it, a NewDecText decoder copies the
+// whole payload once and returns substrings of that copy — one allocation
+// for all the text of a frame, which every string read from it then
+// keeps alive together.
 type Dec struct {
-	buf []byte
-	off int
-	bad bool
+	buf  []byte
+	text string // NewDecText: string(buf), the copy String slices
+	off  int
+	bad  bool
 }
 
 // NewDec returns a decoder positioned at the start of payload.
 func NewDec(payload []byte) Dec { return Dec{buf: payload} }
+
+// NewDecText returns a decoder over payload whose String results are
+// substrings of a single copy of it. Use it for bodies that are mostly
+// text and decode into values that outlive the frame.
+func NewDecText(payload []byte) Dec { return Dec{buf: payload, text: string(payload)} }
 
 // Err reports whether any read so far ran off the frame.
 func (d *Dec) Err() error {
@@ -81,20 +93,6 @@ func (d *Dec) Rest() []byte {
 	b := d.buf[d.off:]
 	d.off = len(d.buf)
 	return b
-}
-
-// Off returns the current decode offset; Seek rewinds to one (used by
-// decode-into codecs that need a second pass over a section).
-func (d *Dec) Off() int { return d.off }
-
-// Seek repositions the decoder at off (an offset previously returned by
-// Off).
-func (d *Dec) Seek(off int) {
-	if off < 0 || off > len(d.buf) {
-		d.bad = true
-		return
-	}
-	d.off = off
 }
 
 // Byte reads one byte.
@@ -159,19 +157,28 @@ func (d *Dec) Bytes() []byte {
 	return b
 }
 
-// String reads a length-prefixed string (copying out of the frame).
-func (d *Dec) String() string { return string(d.Bytes()) }
-
-// StringReuse reads a length-prefixed string, returning old when the
-// decoded bytes equal it — the comparison is allocation-free, so a
-// decode-into loop over steady data keeps its existing strings instead
-// of copying every frame.
-func (d *Dec) StringReuse(old string) string {
+// String reads a length-prefixed string: a substring of the decoder's
+// text copy when it has one, a fresh copy out of the frame otherwise.
+func (d *Dec) String() string {
 	b := d.Bytes()
-	if old == string(b) {
-		return old
+	if d.text != "" {
+		return d.text[d.off-len(b) : d.off]
 	}
 	return string(b)
+}
+
+// Count validates an element count read off the wire: it returns n as an
+// int when n elements of at least minBytes encoded bytes each can still
+// fit in the undecoded rest of the frame, and marks the decoder bad
+// (returning 0) otherwise. Decoders size their slices and maps by the
+// result, so a peer cannot make them allocate more than a small multiple
+// of the bytes it actually sent.
+func (d *Dec) Count(n uint64, minBytes int) int {
+	if d.bad || n > uint64(d.Len()/minBytes) {
+		d.bad = true
+		return 0
+	}
+	return int(n)
 }
 
 // wireBuf is a pooled grow-only scratch buffer for frame payloads.

@@ -95,36 +95,86 @@ func TestCodecTruncation(t *testing.T) {
 	}
 }
 
-// TestCodecStringReuse: decoding a string equal to the one already held
-// allocates nothing; a different string replaces it.
-func TestCodecStringReuse(t *testing.T) {
-	payload := AppendString(nil, "stable-key")
-	held := "stable-key"
+// TestCodecText: a NewDecText decoder reads every string of a frame out
+// of one copy of it — one allocation however many strings — the strings
+// do not alias the frame buffer, and the numeric readers and Bytes behave
+// as they do on a NewDec decoder.
+func TestCodecText(t *testing.T) {
+	var b []byte
+	b = AppendString(b, "key")
+	b = AppendUvarint(b, 7)
+	b = AppendString(b, "")
+	b = AppendFloat64(b, 2.5)
+	b = AppendString(b, "value-α")
+	b = AppendBytes(b, []byte{9})
+	var got [3]string
 	allocs := testing.AllocsPerRun(100, func() {
-		d := NewDec(payload)
-		held = d.StringReuse(held)
+		d := NewDecText(b)
+		got[0] = d.String()
+		d.Uvarint()
+		got[1] = d.String()
+		d.Float64()
+		got[2] = d.String()
 	})
-	if allocs != 0 {
-		t.Errorf("StringReuse on equal value: %.1f allocs/op", allocs)
+	if allocs != 1 {
+		t.Errorf("text decode of 3 strings: %.1f allocs, want 1", allocs)
 	}
-	d := NewDec(AppendString(nil, "fresh"))
-	if got := d.StringReuse(held); got != "fresh" {
-		t.Fatalf("StringReuse = %q", got)
+	d := NewDecText(b)
+	s0 := d.String()
+	n := d.Uvarint()
+	s1 := d.String()
+	f := d.Float64()
+	s2 := d.String()
+	raw := d.Bytes()
+	if err := d.Err(); err != nil || d.Len() != 0 {
+		t.Fatalf("err = %v, %d bytes left", err, d.Len())
+	}
+	for i := range b {
+		b[i] = 0xff // the frame buffer is reused; nothing decoded may change
+	}
+	if s0 != "key" || n != 7 || s1 != "" || f != 2.5 || s2 != "value-α" || len(raw) != 1 {
+		t.Fatalf("decoded %q %d %q %v %q %v", s0, n, s1, f, s2, raw)
+	}
+	// Truncation is the same sticky error.
+	d = NewDecText(AppendUvarint(nil, 100))
+	if s := d.String(); s != "" || ErrorCode(d.Err()) != CodeBadRequest {
+		t.Fatalf("string past end = %q, err %v", s, d.Err())
 	}
 }
 
-// TestCodecSeek: Off/Seek support two-pass decodes; seeking back
-// replays the same bytes.
-func TestCodecSeek(t *testing.T) {
-	b := AppendUvarint(nil, 7)
-	b = AppendString(b, "x")
-	d := NewDec(b)
-	mark := d.Off()
-	if d.Uvarint() != 7 {
-		t.Fatal("first pass")
+// TestCodecCount: a count is accepted only when that many minimum-size
+// elements fit in what is left of the frame; anything larger is the
+// sticky malformed error, never a value a decoder would size a slice by.
+func TestCodecCount(t *testing.T) {
+	rest := make([]byte, 10)
+	cases := []struct {
+		n    uint64
+		min  int
+		want int
+		ok   bool
+	}{
+		{0, 1, 0, true},
+		{10, 1, 10, true},
+		{11, 1, 0, false},
+		{5, 2, 5, true},
+		{6, 2, 0, false},
+		{2, 4, 2, true},
+		{3, 4, 0, false},
+		{1 << 30, 1, 0, false},
+		{1 << 62, 1, 0, false},
+		{math.MaxUint64, 2, 0, false},
 	}
-	d.Seek(mark)
-	if d.Uvarint() != 7 || d.String() != "x" {
-		t.Fatal("second pass")
+	for _, c := range cases {
+		d := NewDec(rest)
+		got := d.Count(c.n, c.min)
+		if got != c.want || (d.Err() == nil) != c.ok {
+			t.Errorf("Count(%d, %d) over 10 bytes = %d, err %v", c.n, c.min, got, d.Err())
+		}
+	}
+	// Sticky: a decoder already bad accepts nothing.
+	d := NewDec(nil)
+	d.Byte()
+	if d.Count(0, 1) != 0 || d.Err() == nil {
+		t.Error("Count on a bad decoder")
 	}
 }

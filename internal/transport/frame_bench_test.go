@@ -77,7 +77,9 @@ func BenchmarkV3CallFrame(b *testing.B) {
 			b.Fatalf("kind = %d", kind)
 		}
 		_ = d.Uvarint() // id
-		op = d.StringReuse(op)
+		if string(d.Bytes()) != op {
+			b.Fatal("op")
+		}
 		_ = d.Byte()    // flags
 		_ = d.Uvarint() // timeout
 		if d.Err() != nil {

@@ -731,6 +731,13 @@ func (r *RemoteGrid) subscribeV3(ctx context.Context, mux *transport.MuxClient, 
 // request and answer ride the binary codec — no JSON on either side —
 // and the call pipelines with its siblings instead of queuing on the
 // connection lock.
+//
+// The caller owns the returned ResultSet. On a v3 connection all its
+// strings (record keys, field names and values, Host, branch error
+// texts) are substrings of one copy of the answer's frame, so a retained
+// Record keeps its whole answer's text alive — the contract in-process
+// answers already have; clone the strings to keep a few fields of a
+// large answer for long.
 func (r *RemoteGrid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 	start := time.Now()
 	var rs ResultSet
@@ -739,7 +746,7 @@ func (r *RemoteGrid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 			err := c.v3.CallV3(actx, "grid.query",
 				func(b []byte) []byte { return appendWireQuery(b, q) },
 				func(body []byte) error {
-					d := transport.NewDec(body)
+					d := transport.NewDecText(body)
 					decodeWireResultSetInto(&d, &rs)
 					return d.Err()
 				})

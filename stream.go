@@ -190,6 +190,12 @@ func (s *Stream) tryNext() (Event, uint64, bool) {
 // subscribe context was cancelled, Close was called, or a remote
 // connection failed — Next drains the remaining buffered events and then
 // returns the terminal error.
+//
+// The strings of an event's Records share storage with the rest of what
+// was decoded with them — on a remote v3 stream, one copy of the event
+// batch (up to 32 events) the event arrived in — so a retained
+// Record keeps that whole text alive; clone the strings to keep a few
+// fields of a large stream for long.
 func (s *Stream) Next(ctx context.Context) (Event, error) {
 	if n, lagged := s.takeLag(); lagged {
 		return Event{}, &LagError{Dropped: n}

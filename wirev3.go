@@ -17,11 +17,17 @@ import (
 // import it.
 //
 // Every codec comes in append/decode-into pairs: encoders extend a
-// caller-owned []byte, decoders write into an existing value reusing its
-// allocations — record slices keep their backing arrays, field maps keep
-// their entries, and strings survive unchanged when the incoming bytes
-// compare equal (Dec.StringReuse) — so a steady-state round trip over
-// unchanging data allocates nothing (see BenchmarkWireQueryRoundTripV3).
+// caller-owned []byte; decoders write every field of the value they are
+// handed, straight-line, and keep nothing it held before. Production
+// hands them a transport.NewDecText decoder, so every string of an
+// answer, an event batch or a request — keys, field names, values, branch
+// error texts — is a substring of one copy of the frame body: the text
+// costs one allocation however many records it spans, never aliases the
+// connection's pooled frame buffer, and stays alive as a whole while any
+// decoded string is retained. Beside it an answer costs its []Record and
+// one map per record (see TestWireQueryRoundTripAllocs). Counts read off
+// the wire are bounded by the bytes left in the frame (Dec.Count) before
+// anything is sized by them.
 //
 // Nil-ness is preserved exactly as the JSON codecs preserve it, so a v3
 // answer is reflect.DeepEqual to the v2 answer for the same request:
@@ -40,13 +46,13 @@ func appendWireQuery(b []byte, q Query) []byte {
 	return appendWireStrings(b, q.Attrs)
 }
 
-// decodeWireQueryInto decodes a Query into q, reusing its allocations.
+// decodeWireQueryInto decodes a Query into q.
 func decodeWireQueryInto(d *transport.Dec, q *Query) {
-	q.System = System(d.StringReuse(string(q.System)))
-	q.Role = Role(d.StringReuse(string(q.Role)))
-	q.Host = d.StringReuse(q.Host)
-	q.Expr = d.StringReuse(q.Expr)
-	q.Attrs = decodeWireStringsInto(d, q.Attrs)
+	q.System = System(d.String())
+	q.Role = Role(d.String())
+	q.Host = d.String()
+	q.Expr = d.String()
+	q.Attrs = decodeWireStrings(d)
 }
 
 // appendWireStrings appends an omitempty-style string slice (nil and
@@ -60,20 +66,16 @@ func appendWireStrings(b []byte, ss []string) []byte {
 	return b
 }
 
-// decodeWireStringsInto decodes a string slice into old's storage.
-func decodeWireStringsInto(d *transport.Dec, old []string) []string {
-	n := int(d.Uvarint())
-	if n == 0 || d.Err() != nil {
+// decodeWireStrings decodes an omitempty-style string slice (a string
+// is at least its one length byte).
+func decodeWireStrings(d *transport.Dec) []string {
+	n := d.Count(d.Uvarint(), 1)
+	if n == 0 {
 		return nil
 	}
-	var out []string
-	if cap(old) >= n {
-		out = old[:n]
-	} else {
-		out = make([]string, n)
-	}
+	out := make([]string, n)
 	for i := range out {
-		out[i] = d.StringReuse(out[i])
+		out[i] = d.String()
 	}
 	return out
 }
@@ -124,47 +126,23 @@ func appendWireRecord(b []byte, r *Record) []byte {
 	return b
 }
 
-// decodeWireRecordInto decodes one record into rec, reusing its Fields
-// map. The fast path updates the existing map in place, allocating only
-// for keys or values that actually changed; when stale keys from a
-// previous decode would survive (len mismatch after the merge), the
-// section is decoded again into a fresh map.
+// decodeWireRecordInto decodes one record into rec. A field name the
+// frame repeats keeps its last value, as a JSON object would.
 func decodeWireRecordInto(d *transport.Dec, rec *Record) {
-	rec.Key = d.StringReuse(rec.Key)
-	nf := int(d.Uvarint())
-	if nf == 0 || d.Err() != nil {
+	rec.Key = d.String()
+	rec.Fields = nil
+	nf := d.Count(d.Uvarint(), 2) // a field is two length bytes at least
+	if nf == 0 {
 		// JSON omitempty: an empty Fields map crosses the wire as absent
 		// and decodes as nil.
-		rec.Fields = nil
 		return
 	}
-	m := rec.Fields
-	if m == nil {
-		m = make(map[string]string, nf)
-		rec.Fields = m
-	}
-	mark := d.Off()
+	m := make(map[string]string, nf)
 	for i := 0; i < nf; i++ {
-		k := d.Bytes()
-		v := d.Bytes()
-		// Both the lookup and the insert below are allocation-free when
-		// the key/value already match (the compiler elides the []byte ->
-		// string conversions in map index expressions and comparisons).
-		if old, ok := m[string(k)]; !ok || old != string(v) {
-			m[string(k)] = string(v)
-		}
+		k := d.String()
+		m[k] = d.String()
 	}
-	if d.Err() == nil && len(m) != nf {
-		// A previous decode left keys this record no longer has (or the
-		// frame repeated a key); rebuild from a clean map.
-		m = make(map[string]string, nf)
-		d.Seek(mark)
-		for i := 0; i < nf; i++ {
-			k := d.String()
-			m[k] = d.String()
-		}
-		rec.Fields = m
-	}
+	rec.Fields = m
 }
 
 // appendWireRecords appends a record slice, preserving nil-ness (the
@@ -181,29 +159,15 @@ func appendWireRecords(b []byte, recs []Record) []byte {
 	return b
 }
 
-// decodeWireRecordsInto decodes a record slice into old's storage,
-// reusing its entries (and their field maps) index for index.
-func decodeWireRecordsInto(d *transport.Dec, old []Record) []Record {
+// decodeWireRecords decodes a record slice (a record is at least its
+// key's length byte and its field count).
+func decodeWireRecords(d *transport.Dec) []Record {
 	n1 := d.Uvarint()
-	if n1 == 0 || d.Err() != nil {
+	if n1 == 0 {
 		return nil
 	}
-	n := int(n1 - 1)
-	if n == 0 {
-		// Present but empty ([] in JSON, distinct from null): never nil,
-		// even when there is no storage to reuse.
-		if old == nil {
-			return []Record{}
-		}
-		return old[:0]
-	}
-	var out []Record
-	if cap(old) >= n {
-		out = old[:n]
-	} else {
-		out = make([]Record, n)
-		copy(out, old)
-	}
+	// Present but empty ([] in JSON, distinct from null) is never nil.
+	out := make([]Record, d.Count(n1-1, 2))
 	for i := range out {
 		decodeWireRecordInto(d, &out[i])
 	}
@@ -234,36 +198,27 @@ func appendWireResultSet(b []byte, rs *ResultSet) []byte {
 	return b
 }
 
-// decodeWireResultSetInto decodes a ResultSet into rs, reusing its
-// allocations. Every field is written, so a reused rs carries nothing
-// over from its previous decode.
+// decodeWireResultSetInto decodes a ResultSet into rs.
 func decodeWireResultSetInto(d *transport.Dec, rs *ResultSet) {
-	rs.System = System(d.StringReuse(string(rs.System)))
-	rs.Role = Role(d.StringReuse(string(rs.Role)))
-	rs.Host = d.StringReuse(rs.Host)
-	rs.Records = decodeWireRecordsInto(d, rs.Records)
+	rs.System = System(d.String())
+	rs.Role = Role(d.String())
+	rs.Host = d.String()
+	rs.Records = decodeWireRecords(d)
 	decodeWireWorkInto(d, &rs.Work)
 	rs.Elapsed = time.Duration(d.Varint())
 	rs.Partial = d.Byte() == 1
-	nb := int(d.Uvarint())
-	if nb == 0 || d.Err() != nil {
-		rs.Branches = nil
-		return
+	rs.Branches = nil
+	// A branch is a shard varint and three length bytes at least.
+	if nb := d.Count(d.Uvarint(), 4); nb > 0 {
+		rs.Branches = make([]BranchError, nb)
 	}
-	var branches []BranchError
-	if cap(rs.Branches) >= nb {
-		branches = rs.Branches[:nb]
-	} else {
-		branches = make([]BranchError, nb)
-	}
-	for i := range branches {
-		be := &branches[i]
+	for i := range rs.Branches {
+		be := &rs.Branches[i]
 		be.Shard = int(d.Varint())
-		be.Addr = d.StringReuse(be.Addr)
-		be.Code = ErrorCode(d.StringReuse(string(be.Code)))
-		be.Message = d.StringReuse(be.Message)
+		be.Addr = d.String()
+		be.Code = ErrorCode(d.String())
+		be.Message = d.String()
 	}
-	rs.Branches = branches
 }
 
 // appendWireEvent appends ev's binary encoding to b.
@@ -275,12 +230,12 @@ func appendWireEvent(b []byte, ev *Event) []byte {
 	return appendWireWork(b, &ev.Work)
 }
 
-// decodeWireEventInto decodes an Event into ev, reusing its allocations.
+// decodeWireEventInto decodes an Event into ev.
 func decodeWireEventInto(d *transport.Dec, ev *Event) {
 	ev.Seq = d.Uvarint()
 	ev.Time = d.Float64()
-	ev.Kind = EventKind(d.StringReuse(string(ev.Kind)))
-	ev.Records = decodeWireRecordsInto(d, ev.Records)
+	ev.Kind = EventKind(d.String())
+	ev.Records = decodeWireRecords(d)
 	decodeWireWorkInto(d, &ev.Work)
 }
 
@@ -301,7 +256,7 @@ func decodeWireSubscriptionInto(d *transport.Dec, sub *Subscription) {
 	sub.Role = Role(d.String())
 	sub.Host = d.String()
 	sub.Expr = d.String()
-	sub.Attrs = decodeWireStringsInto(d, sub.Attrs)
+	sub.Attrs = decodeWireStrings(d)
 	sub.PollEvery = d.Float64()
 	sub.Buffer = int(d.Varint())
 }
@@ -337,7 +292,7 @@ const (
 func ServeQueryV3(srv *TransportServer, source Querier) {
 	srv.HandleV3("grid.query", func(ctx context.Context, body []byte, out []byte) ([]byte, *transport.Error) {
 		var q Query
-		d := transport.NewDec(body)
+		d := transport.NewDecText(body)
 		decodeWireQueryInto(&d, &q)
 		if err := d.Err(); err != nil {
 			return nil, transport.Errf(transport.CodeBadRequest, "grid.query: %v", err)
@@ -359,7 +314,7 @@ func ServeQueryV3(srv *TransportServer, source Querier) {
 func serveSubscribeV3(srv *TransportServer, source Subscriber) {
 	srv.HandleStreamV3("grid.subscribe", func(ctx context.Context, body []byte) (transport.V3StreamFunc, *transport.Error) {
 		var sub Subscription
-		d := transport.NewDec(body)
+		d := transport.NewDecText(body)
 		decodeWireSubscriptionInto(&d, &sub)
 		if err := d.Err(); err != nil {
 			return nil, transport.Errf(transport.CodeBadRequest, "grid.subscribe: %v", err)
@@ -437,10 +392,11 @@ func serveSubscribeV3(srv *TransportServer, source Subscriber) {
 
 // decodeWireBatch decodes one batched event frame body, dispatching each
 // entry: events to emit, lag counts to lag, the preamble bound to
-// buffer. Any callback may be nil to ignore that entry kind.
+// buffer. Any callback may be nil to ignore that entry kind. The events
+// of one batch share one copy of its text.
 func decodeWireBatch(body []byte, emit func(Event), lag func(uint64), buffer func(int)) error {
-	d := transport.NewDec(body)
-	n := int(d.Uvarint())
+	d := transport.NewDecText(body)
+	n := d.Count(d.Uvarint(), 2) // an entry is a tag and a value at least
 	for i := 0; i < n && d.Err() == nil; i++ {
 		switch tag := d.Byte(); tag {
 		case wireEntryEvent:

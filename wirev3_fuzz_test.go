@@ -1,0 +1,154 @@
+package gridmon
+
+import (
+	"math"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/transport"
+)
+
+// wireBatch is what decodeWireBatch delivered, in order: one entry per
+// callback, so a batch can be re-encoded and compared.
+type wireBatch struct {
+	Tags    []byte
+	Events  []Event  // wireEntryEvent entries, in order
+	Numbers []uint64 // wireEntryLag / wireEntryBuffer values, in order
+}
+
+func decodeBatch(body []byte) (wireBatch, error) {
+	var wb wireBatch
+	err := decodeWireBatch(body,
+		func(ev Event) { wb.Tags = append(wb.Tags, wireEntryEvent); wb.Events = append(wb.Events, ev) },
+		func(n uint64) { wb.Tags = append(wb.Tags, wireEntryLag); wb.Numbers = append(wb.Numbers, n) },
+		func(n int) { wb.Tags = append(wb.Tags, wireEntryBuffer); wb.Numbers = append(wb.Numbers, uint64(n)) })
+	return wb, err
+}
+
+func (wb wireBatch) encode() []byte {
+	b := transport.AppendUvarint(nil, uint64(len(wb.Tags)))
+	evs, nums := wb.Events, wb.Numbers
+	for _, tag := range wb.Tags {
+		b = append(b, tag)
+		if tag == wireEntryEvent {
+			b = appendWireEvent(b, &evs[0])
+			evs = evs[1:]
+		} else {
+			b = transport.AppendUvarint(b, nums[0])
+			nums = nums[1:]
+		}
+	}
+	return b
+}
+
+// noNaN replaces NaNs, which arbitrary bits can decode to and which
+// DeepEqual holds unequal to themselves, before a comparison.
+func noNaN(fs ...*float64) {
+	for _, f := range fs {
+		if math.IsNaN(*f) {
+			*f = 0
+		}
+	}
+}
+
+// wireFuzzDecoders are the four decoders that face bytes a peer chose,
+// each as: decode data with the given kind of Dec into a fresh value
+// (NaNs scrubbed), and re-encode that value.
+var wireFuzzDecoders = []struct {
+	name   string
+	decode func(newDec func([]byte) transport.Dec, data []byte) (interface{}, error)
+	encode func(v interface{}) []byte
+}{
+	{"query",
+		func(newDec func([]byte) transport.Dec, data []byte) (interface{}, error) {
+			var q Query
+			d := newDec(data)
+			decodeWireQueryInto(&d, &q)
+			return q, d.Err()
+		},
+		func(v interface{}) []byte { return appendWireQuery(nil, v.(Query)) }},
+	{"resultset",
+		func(newDec func([]byte) transport.Dec, data []byte) (interface{}, error) {
+			var rs ResultSet
+			d := newDec(data)
+			decodeWireResultSetInto(&d, &rs)
+			noNaN(&rs.Work.CollectorInvocations)
+			return rs, d.Err()
+		},
+		func(v interface{}) []byte { rs := v.(ResultSet); return appendWireResultSet(nil, &rs) }},
+	{"subscription",
+		func(newDec func([]byte) transport.Dec, data []byte) (interface{}, error) {
+			var sub Subscription
+			d := newDec(data)
+			decodeWireSubscriptionInto(&d, &sub)
+			noNaN(&sub.PollEvery)
+			return sub, d.Err()
+		},
+		func(v interface{}) []byte { return appendWireSubscription(nil, v.(Subscription)) }},
+	{"batch",
+		// decodeWireBatch makes its own decoder; production's is the
+		// only kind it has.
+		func(_ func([]byte) transport.Dec, data []byte) (interface{}, error) {
+			wb, err := decodeBatch(data)
+			for i := range wb.Events {
+				noNaN(&wb.Events[i].Time, &wb.Events[i].Work.CollectorInvocations)
+			}
+			return wb, err
+		},
+		func(v interface{}) []byte { return v.(wireBatch).encode() }},
+}
+
+// FuzzWireDecode feeds arbitrary bytes to every v3 decoder that reads
+// what a peer sent — the grid.query and grid.subscribe requests on the
+// server, the answer and the event batch on the client. None may panic;
+// none may allocate more than a fixed multiple of the input (counts are
+// bounded by the bytes left in the frame before anything is sized by
+// them); a decode that reports no error yields a value that re-encodes
+// and decodes back to itself; and cutting strings out of one copy of the
+// frame (NewDecText) decodes exactly what copying each one (NewDec) does.
+func FuzzWireDecode(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The widest thing a decoder sizes from a count is a field map:
+		// one slot per two input bytes, ~40-80 bytes a slot.
+		budget := uint64(256*len(data) + 64<<10)
+		for _, dec := range wireFuzzDecoders {
+			// Bytes allocated by one decode. Other goroutines' allocations
+			// land in the same counter, so only a reading that repeats
+			// counts as the decoder's.
+			var got interface{}
+			var err error
+			var before, after runtime.MemStats
+			for try := 0; try < 3; try++ {
+				runtime.ReadMemStats(&before)
+				got, err = dec.decode(transport.NewDecText, data)
+				runtime.ReadMemStats(&after)
+				if after.TotalAlloc-before.TotalAlloc <= budget {
+					break
+				}
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > budget {
+				t.Fatalf("%s: decoding %d bytes allocated %d", dec.name, len(data), n)
+			}
+
+			copied, cerr := dec.decode(transport.NewDec, data)
+			if (err == nil) != (cerr == nil) {
+				t.Fatalf("%s: text decode err %v, copying decode err %v", dec.name, err, cerr)
+			}
+			if err != nil {
+				continue
+			}
+			if !reflect.DeepEqual(got, copied) {
+				t.Fatalf("%s: text decode %#v, copying decode %#v", dec.name, got, copied)
+			}
+			again, err := dec.decode(transport.NewDecText, dec.encode(got))
+			if err != nil {
+				t.Fatalf("%s: re-encoded %#v does not decode: %v", dec.name, got, err)
+			}
+			if !reflect.DeepEqual(got, again) {
+				t.Fatalf("%s: decoded %#v, round trip gave %#v", dec.name, got, again)
+			}
+		}
+	})
+}

@@ -1,0 +1,149 @@
+package gridmon
+
+import (
+	"context"
+	"reflect"
+	"testing"
+
+	"repro/internal/transport"
+)
+
+// hugeCountQueryFrame is a grid.query body of four empty strings
+// (System, Role, Host, Expr), then an Attrs count with no strings behind
+// it. With a count of 1<<62 it is 13 bytes.
+func hugeCountQueryFrame(count uint64) []byte {
+	return transport.AppendUvarint([]byte{0, 0, 0, 0}, count)
+}
+
+// wireDecKinds are the two ways a frame's strings are read; the typed
+// decoders must behave the same over both.
+var wireDecKinds = []func([]byte) transport.Dec{transport.NewDec, transport.NewDecText}
+
+// TestWireHugeCountIsBadRequest: a count read off the wire is bounded by
+// the bytes left in the frame before anything is sized by it. The
+// 13-byte frame used to reach make([]string, 1<<62) on the server — a
+// panic nothing recovered, so any client could kill the process (and
+// 1<<30 instead asked for 16 GB). It must be an ordinary typed
+// bad_request, and the server must keep serving.
+func TestWireHugeCountIsBadRequest(t *testing.T) {
+	srv := transport.NewServer()
+	newTestGrid(t).Serve(srv)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ctx := context.Background()
+	mux, err := transport.DialV3(ctx, addr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mux.Close()
+
+	hostile := [][]byte{hugeCountQueryFrame(1 << 62), hugeCountQueryFrame(1 << 30)}
+	if len(hostile[0]) != 13 {
+		t.Fatalf("frame is %d bytes", len(hostile[0]))
+	}
+	for _, body := range hostile {
+		err = mux.CallV3(ctx, "grid.query",
+			func(b []byte) []byte { return append(b, body...) },
+			func([]byte) error { t.Error("the hostile frame was answered"); return nil })
+		if transport.ErrorCode(err) != transport.CodeBadRequest {
+			t.Fatalf("body %x: err = %v, want bad_request", body, err)
+		}
+	}
+	// Same connection, same server: the next call is answered.
+	q := Query{System: Hawkeye, Role: RoleDirectoryServer}
+	var rs ResultSet
+	err = mux.CallV3(ctx, "grid.query",
+		func(b []byte) []byte { return appendWireQuery(b, q) },
+		func(body []byte) error {
+			d := transport.NewDecText(body)
+			decodeWireResultSetInto(&d, &rs)
+			return d.Err()
+		})
+	if err != nil || len(rs.Records) == 0 {
+		t.Fatalf("call after the hostile frames: %d records, err %v", len(rs.Records), err)
+	}
+}
+
+// TestWireHugeCountsEverywhere: every count the decoders size something
+// by — record, field, branch, string-slice and batch-entry counts — is
+// refused as malformed when the frame cannot hold that many.
+func TestWireHugeCountsEverywhere(t *testing.T) {
+	const huge = 1 << 62
+	str := func(b []byte, ss ...string) []byte {
+		for _, s := range ss {
+			b = transport.AppendString(b, s)
+		}
+		return b
+	}
+	work := appendWireWork(nil, &Work{})
+	tail := append(append([]byte{}, work...), 0, 0) // elapsed, partial
+	frames := map[string]struct {
+		body   []byte
+		decode func(*transport.Dec)
+	}{
+		"query attrs": {hugeCountQueryFrame(huge),
+			func(d *transport.Dec) { decodeWireQueryInto(d, new(Query)) }},
+		"subscription attrs": {hugeCountQueryFrame(huge),
+			func(d *transport.Dec) { decodeWireSubscriptionInto(d, new(Subscription)) }},
+		"records": {transport.AppendUvarint(str(nil, "", "", ""), huge),
+			func(d *transport.Dec) { decodeWireResultSetInto(d, new(ResultSet)) }},
+		"fields": {transport.AppendUvarint(str(transport.AppendUvarint(str(nil, "", "", ""), 2), "k"), huge),
+			func(d *transport.Dec) { decodeWireResultSetInto(d, new(ResultSet)) }},
+		"branches": {transport.AppendUvarint(append(transport.AppendUvarint(str(nil, "", "", ""), 0), tail...), huge),
+			func(d *transport.Dec) { decodeWireResultSetInto(d, new(ResultSet)) }},
+		"event records": {transport.AppendUvarint(str(transport.AppendFloat64(transport.AppendUvarint(nil, 1), 0), "put"), huge),
+			func(d *transport.Dec) { decodeWireEventInto(d, new(Event)) }},
+	}
+	for name, f := range frames {
+		for _, newDec := range wireDecKinds {
+			d := newDec(f.body)
+			f.decode(&d)
+			if transport.ErrorCode(d.Err()) != transport.CodeBadRequest {
+				t.Errorf("%s: err = %v, want bad_request", name, d.Err())
+			}
+		}
+	}
+	err := decodeWireBatch(transport.AppendUvarint(nil, huge), nil, nil, nil)
+	if transport.ErrorCode(err) != transport.CodeBadRequest {
+		t.Errorf("batch entries: err = %v, want bad_request", err)
+	}
+}
+
+// TestWireRepeatedFieldLastWins: a record whose frame repeats a field
+// name decodes like the JSON object {"f":"1","g":"x","f":"2"} — the last
+// value stays.
+func TestWireRepeatedFieldLastWins(t *testing.T) {
+	body := repeatedFieldAnswer()
+	for _, newDec := range wireDecKinds {
+		var got ResultSet
+		d := newDec(body)
+		decodeWireResultSetInto(&d, &got)
+		if err := d.Err(); err != nil || d.Len() != 0 {
+			t.Fatalf("err = %v, %d bytes left", err, d.Len())
+		}
+		want := []Record{{Key: "r", Fields: map[string]string{"f": "2", "g": "x"}}}
+		if !reflect.DeepEqual(got.Records, want) {
+			t.Errorf("got %#v, want %#v", got.Records, want)
+		}
+	}
+}
+
+// repeatedFieldAnswer hand-encodes a one-record answer whose record
+// carries the field f twice; no encoder produces it, a peer could.
+func repeatedFieldAnswer() []byte {
+	b := transport.AppendString(nil, string(MDS))
+	b = transport.AppendString(b, string(RoleInformationServer))
+	b = transport.AppendString(b, "lucky3")
+	b = transport.AppendUvarint(b, 2) // one record
+	b = transport.AppendString(b, "r")
+	b = transport.AppendUvarint(b, 3)
+	for _, kv := range [][2]string{{"f", "1"}, {"g", "x"}, {"f", "2"}} {
+		b = transport.AppendString(b, kv[0])
+		b = transport.AppendString(b, kv[1])
+	}
+	b = appendWireWork(b, &Work{})
+	return append(b, 0, 0, 0) // elapsed, partial, no branches
+}

@@ -103,42 +103,6 @@ func TestWireResultSetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireResultSetDecodeReuse: decoding into a ResultSet that already
-// holds a previous (larger, differently-shaped) answer must produce
-// exactly what a fresh decode would — no stale records, fields or
-// branches surviving the reuse.
-func TestWireResultSetDecodeReuse(t *testing.T) {
-	big := ResultSet{
-		System: MDS,
-		Records: []Record{
-			{Key: "a", Fields: map[string]string{"cpu": "4", "stale": "yes", "extra": "x"}},
-			{Key: "b", Fields: map[string]string{"gone": "soon"}},
-			{Key: "c"},
-		},
-		Work:     fullWork(),
-		Partial:  true,
-		Branches: []BranchError{{Shard: 1, Addr: "x:1", Code: ErrUnavailable, Message: "m"}},
-	}
-	small := ResultSet{
-		System:  RGMA,
-		Records: []Record{{Key: "a", Fields: map[string]string{"cpu": "8"}}},
-	}
-	var got ResultSet
-	d := transport.NewDec(appendWireResultSet(nil, &big))
-	decodeWireResultSetInto(&d, &got)
-	if err := d.Err(); err != nil {
-		t.Fatal(err)
-	}
-	d = transport.NewDec(appendWireResultSet(nil, &small))
-	decodeWireResultSetInto(&d, &got)
-	if err := d.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if want := jsonRT(t, small); !reflect.DeepEqual(got, want) {
-		t.Errorf("reused decode: got %#v, want %#v", got, want)
-	}
-}
-
 // TestWireEventRoundTrip: events preserve Seq, time, kind, records and
 // work through the binary codec.
 func TestWireEventRoundTrip(t *testing.T) {
