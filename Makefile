@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci fmt vet lint build test race stress recovery chaos fed-chaos wire load-smoke bench bench-smoke fuzz-smoke bench-json bench-compare bench-compare-wire
+.PHONY: all ci fmt vet lint build test race stress recovery chaos fed-chaos wire load-smoke bench bench-smoke fuzz-smoke bench-json bench-compare
 
 all: ci
 
@@ -71,8 +71,8 @@ fed-chaos:
 	$(GO) test -race -count=3 ./internal/federation
 
 # wire re-runs the wire-protocol gates hard under the race detector:
-# the v2/v3 equivalence suites (identical answers and event sequences
-# across generations, the no-binary-codec JSON fallback), the v3
+# the equivalence suites (identical answers in-process, binary-bodied
+# and JSON-bodied; identical event sequences in-process and remote), the
 # transport/mux and codec suites, the typed record codec round trips,
 # and the pipelining chaos case (mid-frame reset with K>1 in-flight
 # calls fails exactly the affected calls, typed, no hang).
@@ -101,12 +101,16 @@ bench-smoke:
 # fuzz-smoke gives each native fuzz target a few seconds beyond its
 # checked-in seed corpus: the counted-size and append-form invariants
 # ResponseBytes rests on (SizeBytes is the length of the canonical
-# rendering; fold-free lookups find what strings.ToLower found), and the
-# v3 decoders that read what a peer sent (never panic, allocate in
-# proportion to the frame, round-trip what they accept).
+# rendering; fold-free lookups find what strings.ToLower found), the
+# wire decoders that read what a peer sent (never panic, allocate in
+# proportion to the frame, round-trip what they accept), and the two
+# frame readers under them (never panic or hang: a well-formed answer or
+# a closed connection, and every waiter released).
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzV3ServerFrames$$' -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzV3ClientFrames$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzValueSize$$' -fuzztime $(FUZZTIME) ./internal/relational
 	$(GO) test -run '^$$' -fuzz '^FuzzExprAppend$$' -fuzztime $(FUZZTIME) ./internal/classad
 	$(GO) test -run '^$$' -fuzz '^FuzzEntrySize$$' -fuzztime $(FUZZTIME) ./internal/ldap
@@ -130,14 +134,3 @@ bench-compare:
 	$(GO) test -run '^$$' -bench . -benchmem -json ./... > bench-current.json.tmp
 	$(GO) run ./cmd/gridmon-bench -compare $(BASELINE) -against bench-current.json.tmp; \
 		status=$$?; rm -f bench-current.json.tmp; exit $$status
-
-# bench-compare-wire is the CI wire job's gate: only the codec/framing
-# microbenchmarks — steady, microsecond-scale, reliable to threshold —
-# are re-run and diffed against the recorded baseline. The full-suite
-# bench-compare stays a human prompt because the multi-second figure
-# simulations swing far past the threshold on loaded shared hardware.
-bench-compare-wire:
-	@test -n "$(BASELINE)" || { echo "no BENCH_*.json baseline found (run make bench-json first)"; exit 1; }
-	$(GO) test -run '^$$' -bench 'Wire|V3|ReadFrame' -benchmem -json . ./internal/transport > bench-wire.json.tmp
-	$(GO) run ./cmd/gridmon-bench -compare $(BASELINE) -against bench-wire.json.tmp -filter '^Benchmark(Wire|V3|ReadFrame)'; \
-		status=$$?; rm -f bench-wire.json.tmp; exit $$status

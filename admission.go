@@ -12,7 +12,7 @@ import (
 // was at its concurrency limit and the bounded wait queue was full, or
 // the request timed out waiting in it. Match it with errors.Is — every
 // shed error carries the same structured code (ErrOverloadedCode), which
-// travels transport v2 unchanged, so a remote client sees exactly the
+// travels the wire unchanged, so a remote client sees exactly the
 // in-process failure:
 //
 //	if errors.Is(err, gridmon.ErrOverloaded) { backoff and retry }

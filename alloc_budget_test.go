@@ -109,6 +109,6 @@ var remoteAllocBudgetCells = []allocBudgetCell{
 // pins what the client half of a query allocates, which the in-process
 // cells never see.
 func TestRemoteQueryAllocBudget(t *testing.T) {
-	remote := serveGridProto(t, newTestGrid(t, WithQueryCache(time.Hour)), ProtoV3)
+	remote := serveGrid(t, newTestGrid(t, WithQueryCache(time.Hour)))
 	checkAllocBudget(t, remote, remoteAllocBudgetCells)
 }

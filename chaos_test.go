@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/faultconn"
+	"repro/internal/leakcheck"
 	"repro/internal/transport"
 )
 
@@ -74,6 +75,7 @@ func assertChaosAnswers(t *testing.T, ctx context.Context, local *Grid, remote *
 // connection only slows calls down — answers stay correct and no
 // deadline machinery misfires when the budget is generous.
 func TestChaosLatency(t *testing.T) {
+	leakcheck.Check(t)
 	grid := newTestGrid(t)
 	addr, inj := chaosServe(t, grid, faultconn.Plan{
 		Seed:         1,
@@ -101,6 +103,7 @@ func TestChaosLatency(t *testing.T) {
 // sides of the connection reassemble transparently — the framing layer
 // must not assume write atomicity.
 func TestChaosPartialWrites(t *testing.T) {
+	leakcheck.Check(t)
 	grid := newTestGrid(t)
 	addr, srvInj := chaosServe(t, grid, faultconn.Plan{Seed: 2, ChunkBytes: 7})
 	cliInj := faultconn.New(faultconn.Plan{Seed: 3, ChunkBytes: 5})
@@ -125,6 +128,7 @@ func TestChaosPartialWrites(t *testing.T) {
 // client must classify the torn read as a connection failure, re-dial,
 // and land the same correct answer on the third connection.
 func TestChaosMidFrameReset(t *testing.T) {
+	leakcheck.Check(t)
 	grid := newTestGrid(t)
 	addr, inj := chaosServe(t, grid, faultconn.Plan{
 		Seed:            4,
@@ -159,6 +163,7 @@ func TestChaosMidFrameReset(t *testing.T) {
 // re-dials a clean connection. MaxRetries is 0 so the typed errors
 // surface unmasked instead of being retried away.
 func TestChaosPipelinedMidFrameReset(t *testing.T) {
+	leakcheck.Check(t)
 	grid := newTestGrid(t)
 	addr, inj := chaosServe(t, grid, faultconn.Plan{
 		Seed:            8,
@@ -250,6 +255,7 @@ func TestChaosPipelinedMidFrameReset(t *testing.T) {
 // deadline — not hang — and the retry on a clean connection must
 // succeed within the caller's budget.
 func TestChaosStall(t *testing.T) {
+	leakcheck.Check(t)
 	grid := newTestGrid(t)
 	addr, inj := chaosServe(t, grid, faultconn.Plan{
 		Seed:       5,
@@ -293,6 +299,7 @@ func TestChaosStall(t *testing.T) {
 // too — the client's own first connection tears on write, and the
 // retry re-dials clean.
 func TestChaosClientSideReset(t *testing.T) {
+	leakcheck.Check(t)
 	grid := newTestGrid(t)
 	addr, _ := chaosServe(t, grid, faultconn.Plan{})
 	inj := faultconn.New(faultconn.Plan{Seed: 6, ResetAfterBytes: 10, FaultConns: 1})
@@ -320,6 +327,7 @@ func TestChaosClientSideReset(t *testing.T) {
 // mid-frame must terminate with an error — events already delivered
 // stay well-formed and in order, Next never hangs.
 func TestChaosSubscribeReset(t *testing.T) {
+	leakcheck.Check(t)
 	grid, now := steppedGrid(t)
 	addr, inj := chaosServe(t, grid, faultconn.Plan{Seed: 7, ResetAfterBytes: 1500})
 	remote, err := DialWith(addr, DialOptions{})
@@ -374,19 +382,26 @@ func TestChaosSubscribeReset(t *testing.T) {
 	}
 }
 
+// querierFunc adapts a function to the Querier interface, for stub
+// servers that script their answers.
+type querierFunc func(context.Context, Query) (*ResultSet, error)
+
+func (f querierFunc) Query(ctx context.Context, q Query) (*ResultSet, error) { return f(ctx, q) }
+
 // TestChaosOverloadRetry: a server that sheds the first two calls with
 // CodeOverloaded is retried — transparently to the caller — and the
 // shed count is visible in client stats.
 func TestChaosOverloadRetry(t *testing.T) {
+	leakcheck.Check(t)
 	srv := transport.NewServer()
 	srv.Concurrent = true
 	var calls atomic.Int64
-	transport.Handle(srv, "grid.query", func(_ context.Context, q Query) (ResultSet, error) {
+	ServeQueryV3(srv, querierFunc(func(_ context.Context, q Query) (*ResultSet, error) {
 		if calls.Add(1) <= 2 {
-			return ResultSet{}, transport.Errf(transport.CodeOverloaded, "admission queue full")
+			return nil, transport.Errf(transport.CodeOverloaded, "admission queue full")
 		}
-		return ResultSet{System: q.System, Role: RoleAggregateServer}, nil
-	})
+		return &ResultSet{System: q.System, Role: RoleAggregateServer}, nil
+	}))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -419,13 +434,14 @@ func TestChaosOverloadRetry(t *testing.T) {
 // at its threshold; further calls fail fast locally with a
 // distinguishable error and never touch the wire.
 func TestChaosBreakerTrips(t *testing.T) {
+	leakcheck.Check(t)
 	srv := transport.NewServer()
 	srv.Concurrent = true
 	var calls atomic.Int64
-	transport.Handle(srv, "grid.query", func(context.Context, Query) (ResultSet, error) {
+	ServeQueryV3(srv, querierFunc(func(context.Context, Query) (*ResultSet, error) {
 		calls.Add(1)
-		return ResultSet{}, transport.Errf(transport.CodeOverloaded, "drowning")
-	})
+		return nil, transport.Errf(transport.CodeOverloaded, "drowning")
+	}))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

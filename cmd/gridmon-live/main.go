@@ -1,8 +1,8 @@
 // Command gridmon-live runs all three monitoring services as one real TCP
 // server built on the gridmon.Grid facade: MDS queries, R-GMA SQL, and
 // Hawkeye constraint scans, dispatched by operation name over the
-// framed-JSON transport. Pair it with gridmon-query, or connect
-// programmatically with gridmon.Dial.
+// binary framed transport (see internal/transport). Pair it with
+// gridmon-query, or connect programmatically with gridmon.Dial.
 //
 // Usage:
 //
@@ -31,12 +31,12 @@
 //
 // Operations served (ops.list reports the full namespace):
 //
-//	grid.query      typed v2 query (body: gridmon.Query) — what gridmon.Dial speaks
-//	grid.subscribe  typed v2 event stream (body: gridmon.Subscription)
-//	grid.hosts      typed v2: list monitored hosts
-//	grid.systems    typed v2: list deployed systems
-//	ops.list        typed v2: list every registered op
-//	ops.stats       typed v2: serving counters (gridmon.Stats)
+//	grid.query      typed query (body: gridmon.Query; binary codec or JSON) — what gridmon.Dial speaks
+//	grid.subscribe  typed event stream (body: gridmon.Subscription; binary)
+//	grid.hosts      list monitored hosts
+//	grid.systems    list deployed systems
+//	ops.list        list every registered op
+//	ops.stats       serving counters (gridmon.Stats)
 //	mds.query       params: filter (RFC 1960), attrs (comma-separated)
 //	mds.hosts       list registered hosts
 //	rgma.query      params: sql (SELECT over table "siteinfo")
@@ -49,8 +49,10 @@
 // advertise (running trigger matchmaking), and MDS watchers poll-and-
 // diff — so grid.subscribe streams move in real time.
 //
-// The param-based ops answer both v1 frames (the legacy string-payload
-// protocol) and typed v2 frames, so old clients keep working.
+// Every op but grid.subscribe takes a JSON body (the param-based ops as
+// {"params": {...}}), which is what gridmon-query sends. A peer that does
+// not open with the protocol's magic preamble — a client of the removed
+// JSON framings, say — is disconnected without an answer.
 //
 // With -data DIR the grid's directory state is durable: the R-GMA
 // Registry and the GIIS registration table are write-ahead-logged under
@@ -100,7 +102,6 @@ func main() {
 	retries := flag.Int("retries", 0, "giis: retries per backend call")
 	attemptTimeout := flag.Duration("attempt-timeout", 0, "giis: per-attempt timeout per backend call")
 	breaker := flag.String("breaker", "", "giis: backend circuit breaker as THRESHOLD[,COOLDOWN] (empty: federation default)")
-	proto := flag.String("proto", "v3", "giis: wire protocol generation for backend dials: v2 (JSON) or v3 (binary, pipelined)")
 	flag.Parse()
 	if *advance <= 0 {
 		log.Fatalf("-advance %v: the monitoring-round interval must be positive", *advance)
@@ -108,7 +109,7 @@ func main() {
 	hosts := strings.Split(*hostList, ",")
 
 	if *role == "giis" {
-		runGIIS(*addr, *shards, *policy, *fanout, *branchTimeout, *retries, *attemptTimeout, *breaker, *proto)
+		runGIIS(*addr, *shards, *policy, *fanout, *branchTimeout, *retries, *attemptTimeout, *breaker)
 		return
 	}
 	if *role != "grid" && *role != "leaf" {
@@ -181,12 +182,9 @@ func main() {
 // runGIIS serves the federation aggregator: no grid of its own, just
 // the Router scatter-gathering the -shards leaves.
 func runGIIS(addr, shards, policy string, fanout int, branchTimeout time.Duration,
-	retries int, attemptTimeout time.Duration, breaker, proto string) {
+	retries int, attemptTimeout time.Duration, breaker string) {
 	if shards == "" {
 		log.Fatal("-role giis needs -shards (the leaf addresses to aggregate)")
-	}
-	if proto != "v2" && proto != "v3" {
-		log.Fatalf("-proto %q: want v2 or v3", proto)
 	}
 	m, err := federation.ParseShardMap(shards)
 	if err != nil {
@@ -209,7 +207,6 @@ func runGIIS(addr, shards, policy string, fanout int, branchTimeout time.Duratio
 			MaxRetries:     retries,
 			AttemptTimeout: attemptTimeout,
 			Breaker:        br,
-			Proto:          gridmon.Proto(proto),
 		},
 	})
 	if err != nil {

@@ -12,7 +12,7 @@
 //	             [-hosts lucky3,...] [-producers 3] [-advance 1s] [-cache 0]
 //	             [-data DIR] [-admit-max 0] [-admit-queue 16] [-admit-timeout 100ms]
 //	             [-scenario restart|overload|churn] [-fed-shards 3]
-//	             [-proto v2|v3] [-cpuprofile f] [-memprofile f]
+//	             [-cpuprofile f] [-memprofile f]
 //
 // With no -addr the tool serves itself: it builds an in-process grid
 // (over -hosts, with -producers R-GMA producers per host and, when
@@ -30,7 +30,7 @@
 //
 // Each level also reports allocs/op and bytes/op — the process's heap
 // allocation deltas per completed query — so the codec cost of the wire
-// generation (-proto v2 vs v3) shows up next to the latency columns.
+// shows up next to the latency columns.
 //
 // The cache hit rate is computed from the Work.CacheHits/CacheMisses
 // counters in each response, so it reflects the serving grid's cache,
@@ -114,7 +114,6 @@ func run() int {
 	admitTimeout := flag.Duration("admit-timeout", 100*time.Millisecond, "self-serve: admission control queue timeout")
 	scenario := flag.String("scenario", "", "run a fault scenario instead of the level sweep: restart, overload or churn")
 	fedShards := flag.Int("fed-shards", 3, "churn: number of leaf grids the -hosts universe is sharded over")
-	proto := flag.String("proto", "v3", "wire protocol generation the users dial: v2 (JSON) or v3 (binary, pipelined)")
 	maxErrRate := flag.Float64("max-error-rate", 0,
 		"exit non-zero when a level's transport-error rate exceeds this fraction (sheds excluded)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the client loop to this file")
@@ -130,11 +129,6 @@ func run() int {
 		log.Printf("bad -o %q (want table or json)", *output)
 		return 1
 	}
-	if *proto != "v2" && *proto != "v3" {
-		log.Printf("bad -proto %q (want v2 or v3)", *proto)
-		return 1
-	}
-	dialProto = gridmon.Proto(*proto)
 
 	switch *scenario {
 	case "", "restart", "overload", "churn":
@@ -316,14 +310,10 @@ type levelResult struct {
 	// completed query over the level window (runtime.MemStats deltas,
 	// think-time sleeps included). In self-serve mode the server shares
 	// the process, so the figure covers both halves of the exchange —
-	// which is exactly the codec cost the v3 wire format attacks.
+	// which is exactly the codec cost the binary wire format attacks.
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 }
-
-// dialProto is the -proto flag: the wire generation every user (and
-// scenario client) dials unless its DialOptions pin one explicitly.
-var dialProto gridmon.Proto
 
 // userStats is one user's tally, merged after the level completes.
 type userStats struct {
@@ -351,9 +341,6 @@ func runLevel(addr string, q gridmon.Query, hosts []string, users int,
 func runLevelObserved(addr string, q gridmon.Query, hosts []string, users int,
 	duration, think time.Duration, dial gridmon.DialOptions,
 	observe func(start, done time.Time, rs *gridmon.ResultSet)) (levelResult, error) {
-	if dial.Proto == "" {
-		dial.Proto = dialProto
-	}
 	// Dial every user before the window opens so slow connects don't
 	// eat into the measurement.
 	conns := make([]*gridmon.RemoteGrid, users)

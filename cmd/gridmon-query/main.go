@@ -1,7 +1,9 @@
 // Command gridmon-query is the client for gridmon-live: it issues one
-// operation against a running server and prints the payload. It speaks
-// the typed v2 protocol, so server failures come back with structured
-// error codes, which map to the exit status (see below).
+// operation against a running server and prints the payload. Ops are
+// called with JSON bodies over the one binary-framed wire (grid.query
+// included, so any op a server lists is reachable from here); server
+// failures come back with structured error codes, which map to the exit
+// status (see below).
 //
 // Usage:
 //
@@ -77,7 +79,6 @@ func main() {
 	retries := flag.Int("retries", 0, "retries per failed idempotent call (0 = single attempt)")
 	attemptTimeout := flag.Duration("attempt-timeout", 0, "per-attempt timeout within -timeout (0 = none)")
 	breaker := flag.String("breaker", "", "circuit breaker as THRESHOLD[,COOLDOWN], e.g. 3,1s (empty = off)")
-	proto := flag.String("proto", "v3", "wire protocol generation: v2 (JSON frames) or v3 (binary, pipelined)")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) < 1 {
@@ -105,15 +106,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bad -breaker %q: %v\n", *breaker, err)
 		os.Exit(2)
 	}
-	if *proto != "v2" && *proto != "v3" {
-		fmt.Fprintf(os.Stderr, "bad -proto %q (want v2 or v3)\n", *proto)
-		os.Exit(2)
-	}
 	dialOpts := gridmon.DialOptions{
 		MaxRetries:     *retries,
 		AttemptTimeout: *attemptTimeout,
 		Breaker:        br,
-		Proto:          gridmon.Proto(*proto),
 	}
 
 	if *watch {
@@ -256,7 +252,7 @@ func printEvent(ev gridmon.Event, output string) {
 	}
 }
 
-// call invokes one op over the typed v2 protocol. The typed ops
+// call invokes one op. The typed ops
 // (ops.list, grid.*) get their own request/response shapes — rendered as
 // text or, with -o json, as JSON; everything else is a param-based op.
 func call(ctx context.Context, remote *gridmon.RemoteGrid, op string, params map[string]string, output string) (string, error) {

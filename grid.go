@@ -398,18 +398,17 @@ type TransportServer = transport.Server
 func NewTransportServer() *TransportServer { return transport.NewServer() }
 
 // Serve registers the grid's full operation namespace on a transport
-// server: the typed v2 ops
+// server, each op exactly once:
 //
-//	grid.query      body: Query            -> ResultSet
+//	grid.query      body: Query            -> ResultSet (binary codec + JSON)
 //	grid.subscribe  body: Subscription     -> event stream (see Subscribe)
 //	grid.hosts      ->  {"hosts": [...]}
 //	grid.systems    ->  {"systems": [...]}
 //	ops.stats       ->  Stats (serving counters: queries/errors/shed/cache)
 //
 // plus the six legacy param-based ops (mds.query, mds.hosts, rgma.query,
-// rgma.tables, hawkeye.query, hawkeye.pool) in both protocol
-// generations, so old v1 clients keep working unchanged. The server's
-// built-in ops.list op reports the whole namespace.
+// rgma.tables, hawkeye.query, hawkeye.pool; see internal/liveops). The
+// server's built-in ops.list op reports the whole namespace.
 //
 // Serve marks the server Concurrent: the grid does its own locking
 // (queries under the facade's read lock run in parallel; the legacy ops
@@ -421,14 +420,8 @@ func NewTransportServer() *TransportServer { return transport.NewServer() }
 // handlers registered on srv must do their own locking too.
 func (g *Grid) Serve(srv *transport.Server) {
 	srv.Concurrent = true
-	transport.Handle(srv, "grid.query", func(ctx context.Context, q Query) (*ResultSet, error) {
-		return g.Query(ctx, q)
-	})
-	// The binary v3 codec serves the same grid.query (and the batched v3
-	// subscribe stream) without the JSON round trip; v1/v2 clients and
-	// the v3 JSON bridge keep using the handlers above.
 	ServeQueryV3(srv, g)
-	g.serveSubscribe(srv)
+	ServeSubscribe(srv, g)
 	g.serveStats(srv)
 	transport.Handle(srv, "grid.hosts", func(context.Context, struct{}) (HostList, error) {
 		return HostList{Hosts: g.Hosts()}, nil
@@ -463,12 +456,12 @@ func (g *Grid) Serve(srv *transport.Server) {
 	})
 }
 
-// HostList is the v2 response body of grid.hosts.
+// HostList is the response body of grid.hosts.
 type HostList struct {
 	Hosts []string `json:"hosts"`
 }
 
-// SystemList is the v2 response body of grid.systems.
+// SystemList is the response body of grid.systems.
 type SystemList struct {
 	Systems []System `json:"systems"`
 }

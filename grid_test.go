@@ -2,13 +2,13 @@ package gridmon
 
 import (
 	"context"
-	"net"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/liveops"
 	"repro/internal/transport"
 )
 
@@ -127,27 +127,12 @@ func TestQueryErrorEquivalence(t *testing.T) {
 	}
 }
 
-// TestV1CompatShim: old-style v1 frames (Request{Op, Params} with no
-// version field) against a server wired by Grid.Serve still answer in
-// the v1 Response shape for all six documented ops.
-func TestV1CompatShim(t *testing.T) {
-	grid := newTestGrid(t)
-	srv := transport.NewServer()
-	grid.Serve(srv)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-
-	// Speak the raw v1 protocol: write a v1 Request frame, decode the
-	// reply strictly into the v1 Response struct.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
+// TestLegacyOps: the six documented param-based ops, registered by
+// Grid.Serve, answer a JSON-bodied call with their text payload, and a
+// missing parameter is a typed bad_request.
+func TestLegacyOps(t *testing.T) {
+	remote := serveGrid(t, newTestGrid(t))
+	ctx := context.Background()
 	cases := []struct {
 		op     string
 		params map[string]string
@@ -161,31 +146,16 @@ func TestV1CompatShim(t *testing.T) {
 		{"hawkeye.pool", nil, "lucky7"},
 	}
 	for _, tc := range cases {
-		if err := transport.WriteFrame(conn, transport.Request{Op: tc.op, Params: tc.params}); err != nil {
-			t.Fatal(err)
-		}
-		var resp transport.Response
-		if err := transport.ReadFrame(conn, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if !resp.OK || resp.Error != "" {
-			t.Errorf("v1 %s: ok=%v error=%q", tc.op, resp.OK, resp.Error)
+		var resp liveops.OpResponse
+		if err := remote.Call(ctx, tc.op, liveops.OpRequest{Params: tc.params}, &resp); err != nil {
+			t.Errorf("%s: %v", tc.op, err)
 		}
 		if !strings.Contains(resp.Payload, tc.want) {
-			t.Errorf("v1 %s: payload %q missing %q", tc.op, resp.Payload, tc.want)
+			t.Errorf("%s: payload %q missing %q", tc.op, resp.Payload, tc.want)
 		}
 	}
-
-	// A v1 error keeps the v1 shape too: ok=false plus a bare message.
-	if err := transport.WriteFrame(conn, transport.Request{Op: "rgma.query"}); err != nil {
-		t.Fatal(err)
-	}
-	var resp transport.Response
-	if err := transport.ReadFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK || resp.Error == "" || resp.Payload != "" {
-		t.Errorf("v1 error shape: %+v", resp)
+	if err := remote.Call(ctx, "rgma.query", liveops.OpRequest{}, nil); CodeOf(err) != ErrBadRequest {
+		t.Errorf("rgma.query without sql: err = %v, want %s", err, ErrBadRequest)
 	}
 }
 

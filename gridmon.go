@@ -49,7 +49,7 @@
 // Grid.Advance runs the monitoring rounds that feed the streams.
 //
 // The same interfaces work over the network: Grid.Serve registers the
-// typed grid.query and grid.subscribe ops (plus the legacy v1 ops) on a
+// typed grid.query and grid.subscribe ops (plus the legacy param ops) on a
 // transport server, and Dial returns a remote client implementing the
 // same Querier and Subscriber interfaces, so in-process and live-TCP
 // modes are interchangeable — down to identical event sequences.
@@ -120,55 +120,6 @@ const (
 
 // ComponentMapping is the paper's Table 1.
 var ComponentMapping = core.ComponentMapping
-
-// NewMDS builds an MDS deployment: a GIIS aggregating one GRIS (with the
-// standard ten information providers) per host. Caches are warm, matching
-// a steady-state deployment.
-//
-// Deprecated: construct a Grid instead — New(WithHosts(hosts...),
-// WithSystems(MDS)) — and query it through Query or the role accessors;
-// the GIIS and GRIS map remain reachable via Grid.MDS.
-func NewMDS(hosts ...string) (*GIIS, map[string]*GRIS, error) {
-	g, err := New(WithHosts(hosts...), WithSystems(MDS))
-	if err != nil {
-		return nil, nil, err
-	}
-	giis, grises := g.MDS()
-	return giis, grises, nil
-}
-
-// NewRGMA builds an R-GMA deployment: one ProducerServlet per host, each
-// hosting nProducers monitoring producers of the "siteinfo" table, all
-// registered with a Registry, plus a ConsumerServlet mediating queries.
-// The servlet map is keyed by servlet address ("host:8080").
-//
-// Deprecated: construct a Grid instead — New(WithHosts(hosts...),
-// WithSystems(RGMA), WithRGMAProducers(n)) — and query it through Query
-// or the role accessors; the components remain reachable via Grid.RGMA.
-func NewRGMA(hosts []string, nProducers int) (*Registry, *ConsumerServlet, map[string]*ProducerServlet, error) {
-	g, err := New(WithHosts(hosts...), WithSystems(RGMA), WithRGMAProducers(nProducers))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return g.registry, g.consumer, copyMap(g.servletsByAddr), nil
-}
-
-// NewHawkeyePool builds a Hawkeye deployment: a Manager plus one Agent
-// (with the standard eleven modules) per host, each primed with an
-// initial Startd ClassAd.
-//
-// Deprecated: construct a Grid instead — New(WithHosts(agentHosts...),
-// WithSystems(Hawkeye), WithManagerHost(managerHost)) — and query it
-// through Query or the role accessors; the Manager and Agent map remain
-// reachable via Grid.HawkeyePool.
-func NewHawkeyePool(managerHost string, agentHosts ...string) (*Manager, map[string]*Agent, error) {
-	g, err := New(WithHosts(agentHosts...), WithSystems(Hawkeye), WithManagerHost(managerHost))
-	if err != nil {
-		return nil, nil, err
-	}
-	mgr, agents := g.HawkeyePool()
-	return mgr, agents, nil
-}
 
 // AttrRequirements is the ClassAd attribute matchmaking evaluates (used
 // when building Trigger ads).

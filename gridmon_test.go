@@ -75,27 +75,6 @@ func TestGridHawkeyeQueryable(t *testing.T) {
 	}
 }
 
-// TestDeprecatedConstructorShims: the v1 tuple constructors remain
-// supported as thin delegates to the facade.
-func TestDeprecatedConstructorShims(t *testing.T) {
-	giis, grises, err := NewMDS("lucky3", "lucky7")
-	if err != nil || giis == nil || len(grises) != 2 {
-		t.Fatalf("NewMDS = %v, %d grises", err, len(grises))
-	}
-	reg, cserv, servlets, err := NewRGMA([]string{"a", "b"}, 2)
-	if err != nil || reg == nil || cserv == nil {
-		t.Fatalf("NewRGMA: %v", err)
-	}
-	// The servlet map keeps its v1 contract: keyed by address.
-	if _, ok := servlets["a:8080"]; !ok || len(servlets) != 2 {
-		t.Fatalf("NewRGMA servlet keys = %v", servlets)
-	}
-	mgr, agents, err := NewHawkeyePool("m", "h1", "h2")
-	if err != nil || mgr == nil || len(agents) != 2 {
-		t.Fatalf("NewHawkeyePool = %v, %d agents", err, len(agents))
-	}
-}
-
 func TestSQLConvenience(t *testing.T) {
 	res, err := SQL(
 		"CREATE TABLE t (x INT)",

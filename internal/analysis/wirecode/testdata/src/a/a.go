@@ -1,4 +1,4 @@
-// Package a exercises wirecode on v2 handler registrations.
+// Package a exercises wirecode on handler registrations.
 package a
 
 import (
@@ -25,15 +25,15 @@ func Register(s *transport.Server) {
 		return Resp{N: len(r.Q)}, nil
 	})
 	transport.Handle(s, "bad", func(ctx context.Context, r Req) (Resp, error) {
-		return Resp{}, fmt.Errorf("boom: %s", r.Q) // want `fmt.Errorf crosses the v2 wire`
+		return Resp{}, fmt.Errorf("boom: %s", r.Q) // want `fmt.Errorf crosses the wire`
 	})
 	transport.Handle(s, "bad2", func(ctx context.Context, r Req) (Resp, error) {
-		return Resp{}, errors.New("boom") // want `errors.New crosses the v2 wire`
+		return Resp{}, errors.New("boom") // want `errors.New crosses the wire`
 	})
 	transport.Handle(s, "named", named)
-	transport.HandleStream(s, "stream", func(ctx context.Context, q string) error {
-		return fmt.Errorf("stream boom") // want `fmt.Errorf crosses the v2 wire`
-	})
+	transport.HandleV3(s, "codec", func(ctx context.Context, r Req) (Resp, error) {
+		return Resp{}, fmt.Errorf("codec boom") // want `fmt.Errorf crosses the wire`
+	}, nil)
 	transport.Handle(s, "nested", func(ctx context.Context, r Req) (Resp, error) {
 		// The nested literal is not a handler; its returns are free.
 		f := func() error { return fmt.Errorf("internal detail") }
@@ -50,7 +50,7 @@ func Register(s *transport.Server) {
 
 // named is a handler passed by name.
 func named(ctx context.Context, r Req) (Resp, error) {
-	return Resp{}, fmt.Errorf("named boom") // want `fmt.Errorf crosses the v2 wire`
+	return Resp{}, fmt.Errorf("named boom") // want `fmt.Errorf crosses the wire`
 }
 
 // helper is not a handler: bare errors are fine in ordinary code, and

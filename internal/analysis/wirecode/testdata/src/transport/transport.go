@@ -29,8 +29,12 @@ func Errf(code Code, format string, args ...interface{}) *Error {
 	return &Error{Code: code, Message: fmt.Sprintf(format, args...)}
 }
 
-// Handle registers a typed v2 handler.
+// Handle registers a typed handler.
 func Handle[Req, Resp any](s *Server, op string, fn func(context.Context, Req) (Resp, error)) {}
 
-// HandleStream registers a streaming handler.
-func HandleStream(s *Server, op string, fn func(context.Context, string) error) {}
+// V3Handler is a binary codec.
+type V3Handler func(ctx context.Context, body, out []byte) ([]byte, *Error)
+
+// HandleV3 registers a typed handler with a binary codec beside it.
+func HandleV3[Req, Resp any](s *Server, op string, fn func(context.Context, Req) (Resp, error), binary V3Handler) {
+}

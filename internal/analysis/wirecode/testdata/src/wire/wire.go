@@ -1,6 +1,6 @@
 // Package transport (import path "wire" in testdata) exercises the
 // transport-package JSON check: any json.Marshal/Unmarshal here must
-// either be flagged or carry a nolint naming itself a compat shim.
+// either be flagged or carry a nolint naming itself a JSON-body seam.
 package transport
 
 import "encoding/json"
@@ -23,8 +23,8 @@ func decodeHot(b []byte) (Frame, error) {
 	return f, err
 }
 
-// encodeV2 is a declared compat shim: suppressed.
-func encodeV2(f Frame) ([]byte, error) {
-	//gridmon:nolint wirecode v2 compat shim, JSON is the wire format
+// encodeJSONBody is a declared JSON-body seam: suppressed.
+func encodeJSONBody(f Frame) ([]byte, error) {
+	//gridmon:nolint wirecode JSON-bodied ops: the body is JSON by definition
 	return json.Marshal(f)
 }

@@ -1,6 +1,6 @@
-// Package wirecode keeps v2 wire errors structured. A handler
-// registered with transport.Handle/HandleStream that returns a bare
-// fmt.Errorf or errors.New loses its machine-readable code on the
+// Package wirecode keeps wire errors structured. A handler registered
+// with transport.Handle/HandleV3 that returns a bare fmt.Errorf or
+// errors.New loses its machine-readable code on the
 // wire (the client sees CodeExec for everything); handlers must build
 // failures with transport.Errf so the code survives the round trip.
 //
@@ -10,11 +10,13 @@
 // out of scope (flow-insensitive).
 //
 // Inside the transport package itself the check goes further: any
-// json.Marshal/json.Unmarshal call is flagged, because the v3 serving
+// json.Marshal/json.Unmarshal call is flagged, because the serving
 // path rides the binary codec and reflective JSON creeping into a
-// frame loop costs allocations on every call. The v1/v2 compatibility
-// shims keep their JSON behind an explicit //gridmon:nolint wirecode
-// suppression, so an unsuppressed site is a hot-path regression.
+// frame loop costs allocations on every call. The two seams where
+// JSON-bodied ops meet the wire (the form transport.Handle derives,
+// MuxClient.CallJSON) keep their JSON behind an explicit
+// //gridmon:nolint wirecode suppression, so an unsuppressed site is a
+// hot-path regression.
 package wirecode
 
 import (
@@ -27,8 +29,8 @@ import (
 // Analyzer is the wirecode analyzer.
 var Analyzer = &framework.Analyzer{
 	Name: "wirecode",
-	Doc: "transport v2 handlers must return structured transport.Errf errors, not bare fmt.Errorf/errors.New; " +
-		"inside package transport, json.Marshal/Unmarshal is flagged off the v1/v2 compat shims (nolint-able)",
+	Doc: "transport handlers must return structured transport.Errf errors, not bare fmt.Errorf/errors.New; " +
+		"inside package transport, json.Marshal/Unmarshal is flagged off the JSON-body seams (nolint-able)",
 	Run: run,
 }
 
@@ -62,9 +64,9 @@ func run(pass *framework.Pass) error {
 }
 
 // checkTransportJSON flags encoding/json calls in the transport
-// package's own code. The binary v3 codec exists precisely so the
+// package's own code. The binary codec exists precisely so the
 // serving hot path never pays reflective marshalling; JSON is legal
-// only in the v1/v2 compatibility shims, and those carry an explicit
+// only at the JSON-body seams, and those carry an explicit
 // //gridmon:nolint wirecode comment naming themselves as such.
 func checkTransportJSON(pass *framework.Pass) {
 	for _, f := range pass.Files {
@@ -84,7 +86,7 @@ func checkTransportJSON(pass *framework.Pass) {
 			switch fn.FullName() {
 			case "encoding/json.Marshal", "encoding/json.Unmarshal":
 				pass.Reportf(call.Pos(),
-					"%s in package transport: hot paths ride the binary codec; if this is a v1/v2 compat shim, say so with //gridmon:nolint wirecode", fn.FullName())
+					"%s in package transport: hot paths ride the binary codec; if this is a JSON-body seam, say so with //gridmon:nolint wirecode", fn.FullName())
 			}
 			return true
 		})
@@ -105,8 +107,7 @@ func namedFuncs(pass *framework.Pass) map[types.Object]*ast.FuncDecl {
 	return decls
 }
 
-// isHandlerRegistration recognizes transport.Handle / HandleStream /
-// (*Server).Handle calls.
+// isHandlerRegistration recognizes transport.Handle / HandleV3 calls.
 func isHandlerRegistration(pass *framework.Pass, call *ast.CallExpr) bool {
 	fun := call.Fun
 	if ix, ok := fun.(*ast.IndexExpr); ok { // explicit instantiation
@@ -128,7 +129,7 @@ func isHandlerRegistration(pass *framework.Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	switch fn.Name() {
-	case "Handle", "HandleStream":
+	case "Handle", "HandleV3":
 		return true
 	}
 	return false
@@ -171,7 +172,7 @@ func checkReturnExpr(pass *framework.Pass, e ast.Expr) {
 		switch fn.FullName() {
 		case "fmt.Errorf", "errors.New":
 			pass.Reportf(call.Pos(),
-				"%s crosses the v2 wire without a code (clients see code=exec_error); use transport.Errf", fn.FullName())
+				"%s crosses the wire without a code (clients see code=exec_error); use transport.Errf", fn.FullName())
 		}
 		return true
 	})

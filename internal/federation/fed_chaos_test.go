@@ -11,6 +11,7 @@ import (
 	gridmon "repro"
 	"repro/internal/faultconn"
 	"repro/internal/federation"
+	"repro/internal/leakcheck"
 	"repro/internal/transport"
 )
 
@@ -28,6 +29,7 @@ var mdsBroad = gridmon.Query{System: gridmon.MDS, Role: gridmon.RoleAggregateSer
 // answers from the survivors — Partial set, the dead branch named, and
 // the records exactly the surviving shards' merge.
 func TestFedChaosLeafDownBestEffort(t *testing.T) {
+	leakcheck.Check(t)
 	c := newCluster(t, 3, nil, federation.Config{})
 	c.kill(1)
 	ctx := testCtx(t)
@@ -59,6 +61,7 @@ func TestFedChaosLeafDownBestEffort(t *testing.T) {
 // TestFedChaosFailFastDegraded: under fail-fast the same fault is a
 // typed CodeDegraded error naming the failed branch — no partial data.
 func TestFedChaosFailFastDegraded(t *testing.T) {
+	leakcheck.Check(t)
 	c := newCluster(t, 3, nil, federation.Config{Policy: federation.FailFast})
 	c.kill(2)
 	ctx := testCtx(t)
@@ -78,6 +81,7 @@ func TestFedChaosFailFastDegraded(t *testing.T) {
 // under either policy — availability-class branch errors never pass
 // through as if the request itself were bad.
 func TestFedChaosAllDown(t *testing.T) {
+	leakcheck.Check(t)
 	for _, policy := range []federation.Policy{federation.BestEffort, federation.FailFast} {
 		t.Run(string(policy), func(t *testing.T) {
 			c := newCluster(t, 2, nil, federation.Config{Policy: policy})
@@ -95,6 +99,7 @@ func TestFedChaosAllDown(t *testing.T) {
 // request itself is bad, the Router relays that verdict — the caller
 // sees what a single grid would say, not a degradation.
 func TestFedChaosBadRequestPassesThrough(t *testing.T) {
+	leakcheck.Check(t)
 	c := newCluster(t, 2, nil, federation.Config{})
 	q := gridmon.Query{System: gridmon.System("no-such-system")}
 	_, err := c.router.Query(testCtx(t), q)
@@ -114,6 +119,7 @@ func TestFedChaosBadRequestPassesThrough(t *testing.T) {
 // partial answer from the healthy shards in bounded time instead of
 // inheriting the stall.
 func TestFedChaosStalledBranchBudget(t *testing.T) {
+	leakcheck.Check(t)
 	plans := []faultconn.Plan{{}, {Seed: 3, StallEvery: 1, StallFor: 3 * time.Second}}
 	c := newCluster(t, 3, plans, federation.Config{
 		BranchTimeout: 400 * time.Millisecond,
@@ -148,6 +154,7 @@ func TestFedChaosStalledBranchBudget(t *testing.T) {
 // the federated answer comes back complete — no Partial, records
 // identical to the oracle.
 func TestFedChaosMidFrameResetRetried(t *testing.T) {
+	leakcheck.Check(t)
 	// Only the first wrapped connection per leaf is doomed; the
 	// retry's reconnect runs clean.
 	plans := []faultconn.Plan{
@@ -187,6 +194,7 @@ func TestFedChaosMidFrameResetRetried(t *testing.T) {
 // leaf trip that address's breaker — visible in Stats — and later
 // queries fail that branch fast instead of re-dialing.
 func TestFedChaosBreakerMarksBranchDown(t *testing.T) {
+	leakcheck.Check(t)
 	c := newCluster(t, 2, nil, federation.Config{
 		Dial: gridmon.DialOptions{Breaker: gridmon.Breaker{Threshold: 2, Cooldown: time.Minute}},
 	})
@@ -233,6 +241,7 @@ func TestFedChaosBreakerMarksBranchDown(t *testing.T) {
 // half-open breaker probe reconnects and answers become complete
 // again, inside a bounded window.
 func TestFedChaosChurnRecovery(t *testing.T) {
+	leakcheck.Check(t)
 	c := newCluster(t, 3, nil, federation.Config{
 		Dial: gridmon.DialOptions{Breaker: gridmon.Breaker{Threshold: 2, Cooldown: 100 * time.Millisecond}},
 	})
@@ -270,6 +279,7 @@ func TestFedChaosChurnRecovery(t *testing.T) {
 // over inside the query, no Partial, records identical to a healthy
 // run.
 func TestFedChaosReplicaFailover(t *testing.T) {
+	leakcheck.Check(t)
 	m := federation.NewShardMap("placeholder-a", "placeholder-b")
 	parts := m.PartitionHosts(fedHosts)
 	if len(parts[0]) == 0 || len(parts[1]) == 0 {
@@ -317,6 +327,7 @@ func TestFedChaosReplicaFailover(t *testing.T) {
 // never a hang — with Seq monotonic across everything delivered and
 // Dropped() consistent before and after the cut.
 func TestFedChaosSubscribePartitionMidEvent(t *testing.T) {
+	leakcheck.Check(t)
 	// One stepped-clock leaf behind a connection that dies after ~1500
 	// bytes — a few events in, mid-frame.
 	now := new(float64)
@@ -399,6 +410,7 @@ func TestFedChaosSubscribePartitionMidEvent(t *testing.T) {
 // mid-fan-out cancels every branch — the query returns the caller's
 // own cancellation promptly, not degradation and not a hang.
 func TestFedChaosCallerCancelPropagation(t *testing.T) {
+	leakcheck.Check(t)
 	plans := []faultconn.Plan{
 		{Seed: 5, StallEvery: 1, StallFor: 3 * time.Second},
 		{Seed: 6, StallEvery: 1, StallFor: 3 * time.Second},

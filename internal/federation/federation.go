@@ -4,7 +4,7 @@
 // but a single gridmon.Grid collapses the whole hierarchy into one
 // process. Here the hierarchy is real: leaf grids (cmd/gridmon-live
 // -role leaf) each monitor a shard of the hosts, and a Router — the
-// upper GIIS — aggregates them over transport-v2 sockets behind the
+// upper GIIS — aggregates them over transport sockets behind the
 // same Querier/Subscriber surface a single grid serves.
 //
 // Host registrations are sharded by hash: ShardMap assigns every host

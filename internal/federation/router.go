@@ -473,12 +473,6 @@ func (r *Router) Stats() Stats {
 // aggregator) — plus fed.stats for the federation counters.
 func (r *Router) Serve(srv *gridmon.TransportServer) {
 	srv.Concurrent = true
-	transport.Handle(srv, "grid.query", func(ctx context.Context, q gridmon.Query) (*gridmon.ResultSet, error) {
-		return r.Query(ctx, q)
-	})
-	// The binary v3 codec serves alongside the JSON handler, so a
-	// stacked GIIS tree answers v3 clients without the per-client
-	// no-binary-codec probe and JSON fallback.
 	gridmon.ServeQueryV3(srv, r)
 	gridmon.ServeSubscribe(srv, r)
 	transport.Handle(srv, "grid.hosts", func(ctx context.Context, _ struct{}) (gridmon.HostList, error) {

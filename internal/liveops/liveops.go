@@ -2,11 +2,9 @@
 // transport's operation namespace. cmd/gridmon-live uses it to serve real
 // TCP clients; tests exercise the same wiring in-process.
 //
-// Each of the six documented ops is registered twice on the server: as a
-// legacy v1 handler (old Request{Op, Params} frames keep answering with
-// the v1 Response shape — the compatibility shim for pre-v2 clients) and
-// as a typed v2 handler (OpRequest to OpResponse) that returns structured
-// error codes and honors propagated context deadlines.
+// Each of the six documented ops is registered once, as a typed handler
+// (OpRequest to OpResponse, JSON bodies) that returns structured error
+// codes and honors propagated context deadlines.
 package liveops
 
 import (
@@ -43,26 +41,24 @@ type Deployment struct {
 	Serialize func(ctx context.Context, run func()) error
 }
 
-// OpRequest is the v2 request body of the param-based ops: the same
-// key/value parameters the v1 protocol carried.
+// OpRequest is the request body of the param-based ops: key/value
+// parameters.
 type OpRequest struct {
 	Params map[string]string `json:"params,omitempty"`
 }
 
-// OpResponse is the v2 response body of the param-based ops.
+// OpResponse is the response body of the param-based ops.
 type OpResponse struct {
 	Payload string `json:"payload"`
 }
 
-// opFunc is one op's shared implementation, used by both protocol
-// generations. The ctx is the caller's: v2 handlers pass the propagated
-// wire deadline through, the v1 shim has none to give. Returned errors
-// should be *transport.Error to carry a structured code; plain errors
-// are classified as exec failures.
+// opFunc is one op's implementation. The ctx is the caller's, carrying
+// the propagated wire deadline. Returned errors should be
+// *transport.Error to carry a structured code; plain errors are
+// classified as exec failures.
 type opFunc func(ctx context.Context, params map[string]string) (string, error)
 
-// Register installs every operation on the server, in both protocol
-// generations:
+// Register installs every operation on the server:
 //
 //	mds.query      params: filter (RFC 1960), attrs (comma-separated)
 //	mds.hosts      list registered hosts
@@ -83,11 +79,11 @@ func Register(srv *transport.Server, dep Deployment) {
 	// the shared components; a serializer refusal (admission shed) is the
 	// op's failure.
 	serialized := func(op string, fn opFunc) {
-		register(srv, op, func(ctx context.Context, params map[string]string) (payload string, err error) {
-			if serr := serialize(ctx, func() { payload, err = fn(ctx, params) }); serr != nil {
-				return "", serr
+		transport.Handle(srv, op, func(ctx context.Context, req OpRequest) (resp OpResponse, err error) {
+			if serr := serialize(ctx, func() { resp.Payload, err = fn(ctx, req.Params) }); serr != nil {
+				return OpResponse{}, serr
 			}
-			return payload, err
+			return resp, err
 		})
 	}
 	serialized("mds.query", func(ctx context.Context, params map[string]string) (string, error) {
@@ -174,36 +170,6 @@ func Register(srv *transport.Server, dep Deployment) {
 			return "", transport.Errf(transport.CodeUnavailable, "Hawkeye is not deployed on this server")
 		}
 		return strings.Join(dep.Manager.Machines(now()), "\n"), nil
-	})
-}
-
-// register installs one shared implementation under both protocol
-// generations. The v2 registration threads the propagated wire deadline
-// into the op; the v1 protocol never carried one, so its shim runs the
-// op from a background root.
-func register(srv *transport.Server, op string, fn opFunc) {
-	srv.Handle(op, func(req transport.Request) transport.Response {
-		//gridmon:nolint ctxflow the v1 protocol has no deadline field; there is nothing to propagate
-		payload, err := fn(context.Background(), req.Params)
-		if err != nil {
-			e := transport.AsError(err)
-			msg := e.Message
-			// The v1 Response has no code field; mark admission sheds in
-			// the message so string-only legacy clients can still tell a
-			// retryable refusal from a real failure.
-			if e.Code == transport.CodeOverloaded {
-				msg = "overloaded: " + msg
-			}
-			return transport.Response{Error: msg}
-		}
-		return transport.Response{OK: true, Payload: payload}
-	})
-	transport.Handle(srv, op, func(ctx context.Context, req OpRequest) (OpResponse, error) {
-		payload, err := fn(ctx, req.Params)
-		if err != nil {
-			return OpResponse{}, err
-		}
-		return OpResponse{Payload: payload}, nil
 	})
 }
 

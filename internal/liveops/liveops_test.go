@@ -8,14 +8,20 @@ import (
 	"repro/internal/transport"
 )
 
-// startLive boots the full live deployment on a real TCP socket and
-// returns a connected client.
-func startLive(t *testing.T) *transport.Client {
+// liveClient calls the param-based ops the way every client does: a
+// JSON-bodied OpRequest in, an OpResponse payload out.
+type liveClient struct{ *transport.MuxClient }
+
+func (c liveClient) Call(op string, params map[string]string) (string, error) {
+	var resp OpResponse
+	err := c.CallJSON(context.Background(), op, OpRequest{Params: params}, &resp)
+	return resp.Payload, err
+}
+
+// serveLive serves dep on a real TCP socket and returns a connected
+// client.
+func serveLive(t *testing.T, dep Deployment) liveClient {
 	t.Helper()
-	dep, _, err := BuildDefault([]string{"lucky3", "lucky4", "lucky7"}, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv := transport.NewServer()
 	Register(srv, dep)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -23,12 +29,22 @@ func startLive(t *testing.T) *transport.Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	client, err := transport.Dial(addr)
+	client, err := transport.DialV3(context.Background(), addr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { client.Close() })
-	return client
+	return liveClient{client}
+}
+
+// startLive boots the full live deployment.
+func startLive(t *testing.T) liveClient {
+	t.Helper()
+	dep, _, err := BuildDefault([]string{"lucky3", "lucky4", "lucky7"}, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serveLive(t, dep)
 }
 
 func TestLiveMDSQueryOverTCP(t *testing.T) {
@@ -114,22 +130,6 @@ func TestLiveHawkeyePool(t *testing.T) {
 	}
 }
 
-func TestLiveErrorsPropagate(t *testing.T) {
-	c := startLive(t)
-	if _, err := c.Call("mds.query", map[string]string{"filter": "(((broken"}); err == nil {
-		t.Fatal("bad filter accepted")
-	}
-	if _, err := c.Call("rgma.query", nil); err == nil {
-		t.Fatal("missing sql accepted")
-	}
-	if _, err := c.Call("rgma.query", map[string]string{"sql": "DELETE FROM siteinfo"}); err == nil {
-		t.Fatal("non-SELECT accepted")
-	}
-	if _, err := c.Call("hawkeye.query", map[string]string{"constraint": "1 +"}); err == nil {
-		t.Fatal("bad constraint accepted")
-	}
-}
-
 func TestLiveOpsComplete(t *testing.T) {
 	dep, _, err := BuildDefault([]string{"h"}, 1, nil)
 	if err != nil {
@@ -149,39 +149,10 @@ func TestLiveOpsComplete(t *testing.T) {
 	}
 }
 
-// --- typed v2 coverage ---
-
-// TestV2OpsTyped: every param-based op also answers typed v2 frames.
-func TestV2OpsTyped(t *testing.T) {
+// TestLiveErrorCodes: parse failures, missing params, refused statements
+// and unknown ops carry structured codes.
+func TestLiveErrorCodes(t *testing.T) {
 	c := startLive(t)
-	ctx := context.Background()
-	for op, want := range map[string]string{
-		"mds.hosts":    "lucky4",
-		"rgma.tables":  "siteinfo",
-		"hawkeye.pool": "lucky7",
-	} {
-		var resp OpResponse
-		if err := c.CallV2(ctx, op, OpRequest{}, &resp); err != nil {
-			t.Fatalf("%s: %v", op, err)
-		}
-		if !strings.Contains(resp.Payload, want) {
-			t.Errorf("%s = %q, want %q", op, resp.Payload, want)
-		}
-	}
-	var resp OpResponse
-	err := c.CallV2(ctx, "rgma.query", OpRequest{Params: map[string]string{
-		"sql": "SELECT host, value FROM siteinfo",
-	}}, &resp)
-	if err != nil || !strings.HasPrefix(resp.Payload, "host,value") {
-		t.Fatalf("rgma.query = %q, %v", resp.Payload, err)
-	}
-}
-
-// TestV2ErrorCodes: parse failures and missing params carry structured
-// codes over the v2 protocol.
-func TestV2ErrorCodes(t *testing.T) {
-	c := startLive(t)
-	ctx := context.Background()
 	cases := []struct {
 		op     string
 		params map[string]string
@@ -194,7 +165,7 @@ func TestV2ErrorCodes(t *testing.T) {
 		{"no.such.op", nil, transport.CodeUnknownOp},
 	}
 	for _, tc := range cases {
-		err := c.CallV2(ctx, tc.op, OpRequest{Params: tc.params}, nil)
+		_, err := c.Call(tc.op, tc.params)
 		if transport.ErrorCode(err) != tc.code {
 			t.Errorf("%s %v: err = %v, want code %s", tc.op, tc.params, err, tc.code)
 		}
@@ -209,27 +180,11 @@ func TestPartialDeploymentUnavailable(t *testing.T) {
 		t.Fatal(err)
 	}
 	dep.Manager = nil // no Hawkeye here
-	srv := transport.NewServer()
-	Register(srv, dep)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	c, err := transport.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+	c := serveLive(t, dep)
 	for _, op := range []string{"hawkeye.query", "hawkeye.pool"} {
-		err := c.CallV2(context.Background(), op, OpRequest{}, nil)
+		_, err := c.Call(op, nil)
 		if transport.ErrorCode(err) != transport.CodeUnavailable {
 			t.Errorf("%s: err = %v, want unavailable", op, err)
-		}
-		// The v1 generation fails too (with a bare message) rather than
-		// crashing the server.
-		if _, err := c.Call(op, nil); err == nil {
-			t.Errorf("v1 %s: no error", op)
 		}
 	}
 }

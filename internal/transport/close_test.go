@@ -2,86 +2,31 @@ package transport
 
 import (
 	"context"
+	"net"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
 
-// The Server.Close contract under load, in three parts: a client blocked
-// on an in-flight v2 request unblocks with an error the moment Close
-// cuts the connection; Close itself waits for the in-flight handler to
-// finish (graceful to server-side work, abrupt to the wire); and a live
-// subscribe stream's client terminates instead of hanging.
-
-// TestServerCloseWithInFlightV2: Close during a v2 exchange. The client
-// must not hang on the dead connection, and Close must not return until
-// the handler has.
-func TestServerCloseWithInFlightV2(t *testing.T) {
-	srv := NewServer()
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	Handle(srv, "block", func(context.Context, struct{}) (struct{}, error) {
-		close(entered)
-		<-release
-		return struct{}{}, nil
-	})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	callErr := make(chan error, 1)
-	go func() {
-		callErr <- c.CallV2(context.Background(), "block", nil, nil)
-	}()
-	select {
-	case <-entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("handler never entered")
-	}
-
-	closed := make(chan struct{})
-	go func() {
-		srv.Close()
-		close(closed)
-	}()
-	// The connection dies with Close, so the blocked client call must
-	// fail promptly even though the handler is still running.
-	select {
-	case err := <-callErr:
-		if err == nil {
-			t.Fatal("call over a closed server succeeded")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("client call hung across Server.Close")
-	}
-	// But Close itself waits for the in-flight handler.
-	select {
-	case <-closed:
-		t.Fatal("Server.Close returned while a handler was still in flight")
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(release)
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Server.Close hung after the handler finished")
-	}
-}
+// The Server.Close contract under load: a client blocked on an in-flight
+// call unblocks with an error the moment Close cuts the connection while
+// Close itself waits for the in-flight handler to finish (graceful to
+// server-side work, abrupt to the wire — TestV3ServerCloseFailsInFlight);
+// a live stream's client terminates instead of hanging; and the listener
+// is down afterwards.
 
 // TestServerCloseUnblocksStreamClient: a client blocked in Recv on a
 // live stream gets a terminal error when the server closes — never a
-// hang, and the server's stream handler is unwound too.
+// hang — the server's stream handler is unwound too, and a later call on
+// the dead connection surfaces the connection error.
 func TestServerCloseUnblocksStreamClient(t *testing.T) {
+	leakcheck.Check(t)
 	srv := NewServer()
 	handlerDone := make(chan error, 1)
-	HandleStream(srv, "forever", func(ctx context.Context, _ struct{}) (StreamFunc, error) {
-		return func(send func(v interface{}) error) error {
-			if err := send(tick{N: 0}); err != nil {
+	srv.HandleStreamV3("forever", func(ctx context.Context, _ []byte) (V3StreamFunc, *Error) {
+		return func(send V3Send) error {
+			if err := send(func(b []byte) []byte { return AppendUvarint(b, 0) }); err != nil {
 				return err
 			}
 			<-ctx.Done()
@@ -93,26 +38,24 @@ func TestServerCloseUnblocksStreamClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(addr)
+	m := dialV3(t, addr)
+	ms, err := m.OpenStreamV3(context.Background(), "forever", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	cs, err := c.StreamV2(context.Background(), "forever", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first tick
-	if err := cs.Recv(&first); err != nil {
+	if err := ms.Recv(func(byte, []byte) error { return nil }); err != nil {
 		t.Fatalf("first event: %v", err)
 	}
 
 	recvErr := make(chan error, 1)
 	go func() {
-		var v tick
-		recvErr <- cs.Recv(&v)
+		recvErr <- ms.Recv(func(byte, []byte) error { return nil })
 	}()
-	srv.Close()
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
 	select {
 	case err := <-recvErr:
 		if err == nil {
@@ -126,18 +69,31 @@ func TestServerCloseUnblocksStreamClient(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("stream handler was not unwound by Server.Close")
 	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close hung on an open stream")
+	}
+	err = m.CallJSON(context.Background(), "ops.list", nil, nil)
+	if err == nil {
+		t.Fatal("call on a dead connection succeeded")
+	}
+	if _, typed := err.(*Error); typed {
+		t.Fatalf("call after a failed stream = %v, want the connection error", err)
+	}
 }
 
 // TestServerCloseRefusesNewConns: after Close the listener is down —
 // new dials fail instead of connecting to a half-dead server.
 func TestServerCloseRefusesNewConns(t *testing.T) {
+	leakcheck.Check(t)
 	srv := NewServer()
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
-	if c, err := Dial(addr); err == nil {
+	if c, err := net.Dial("tcp", addr); err == nil {
 		c.Close()
 		t.Fatal("dial succeeded after Server.Close")
 	}

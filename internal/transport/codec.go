@@ -205,31 +205,18 @@ func putBuf(pb *wireBuf) {
 	wireBufPool.Put(pb)
 }
 
-// writeFrameBytes writes one length-prefixed binary frame: the same
-// 4-byte big-endian length envelope as the JSON protocols, carrying an
-// opaque payload instead of a JSON document.
-func writeFrameBytes(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readFrameInto reads one length-prefixed frame into *buf — growing it
-// only when a frame exceeds its capacity, exactly like ReadFrameBuf —
-// and returns the payload as a view into it, valid until the next call.
+// readFrameInto reads one length-prefixed frame (4-byte big-endian
+// length, then the payload) into *buf — growing it only when a frame
+// exceeds its capacity, so a long-lived read loop stops paying one
+// allocation per frame — and returns the payload as a view into it,
+// valid until the next call.
 func readFrameInto(r io.Reader, buf *[]byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	// Bounds-check before the int conversion, as ReadFrameBuf does.
+	// Bounds-check before any int conversion: on 32-bit platforms a
+	// length above MaxInt32 would wrap negative and sail past the guard.
 	if binary.BigEndian.Uint32(hdr[:]) > MaxFrame {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", binary.BigEndian.Uint32(hdr[:]))
 	}

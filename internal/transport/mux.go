@@ -12,9 +12,8 @@ import (
 	"time"
 )
 
-// This file is the client half of the v3 wire format: a pipelined,
-// multiplexing connection. Where the v2 Client serializes one call at a
-// time over its connection, a MuxClient assigns each call a request id,
+// This file is the client half of the wire format: a pipelined,
+// multiplexing connection. A MuxClient assigns each call a request id,
 // writes frames back-to-back, and a demux goroutine routes responses to
 // per-call completion channels — so K callers share one connection with
 // their calls in flight simultaneously, bounded by maxInFlight. Streams
@@ -23,22 +22,6 @@ import (
 // DefaultMaxInFlight bounds a MuxClient's concurrently in-flight calls
 // when the dialer does not choose a bound.
 const DefaultMaxInFlight = 32
-
-// ErrNoBinaryCodec matches (via errors.Is) the failure of a
-// binary-bodied call or stream open against a server that has the op
-// registered only as JSON: the op exists, but this server cannot decode
-// the binary body. Callers should retry the op through CallJSON (or a
-// JSON-generation connection) and remember the answer — the server's
-// registrations do not change over a connection's lifetime.
-var ErrNoBinaryCodec = errors.New("transport: op has no binary codec on this server")
-
-// noBinaryCodecError wraps the server's typed error so the structured
-// code survives while errors.Is(err, ErrNoBinaryCodec) reports true.
-type noBinaryCodecError struct{ err *Error }
-
-func (e *noBinaryCodecError) Error() string        { return e.err.Error() }
-func (e *noBinaryCodecError) Unwrap() error        { return e.err }
-func (e *noBinaryCodecError) Is(target error) bool { return target == ErrNoBinaryCodec }
 
 // muxReply is one demultiplexed response frame, handed from the demux
 // goroutine to the waiting call or stream. body is pooled; the receiver
@@ -68,7 +51,7 @@ func (r *muxReply) release() {
 	}
 }
 
-// MuxClient is a pipelined v3 connection to a transport server. It is
+// MuxClient is a pipelined connection to a transport server. It is
 // safe for concurrent use: up to maxInFlight calls proceed at once, each
 // matched to its response by request id rather than by position. A
 // connection-level failure fails every in-flight call and stream with
@@ -88,10 +71,8 @@ type MuxClient struct {
 	sem chan struct{} // in-flight call slots
 }
 
-// DialV3 connects to a server speaking the v3 binary protocol.
-// maxInFlight bounds pipelined in-flight calls (0 uses
-// DefaultMaxInFlight). The server must answer the v3 magic: a v1/v2-only
-// peer fails loudly on the first call rather than mis-executing.
+// DialV3 connects to a server. maxInFlight bounds pipelined in-flight
+// calls (0 uses DefaultMaxInFlight).
 func DialV3(ctx context.Context, addr string, maxInFlight int) (*MuxClient, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -101,9 +82,11 @@ func DialV3(ctx context.Context, addr string, maxInFlight int) (*MuxClient, erro
 	return NewMuxClient(conn, maxInFlight), nil
 }
 
-// NewMuxClient wraps an established connection as a v3 client — the
-// client-side fault-injection seam, like NewClient for v2. The magic
-// preamble is buffered now and flushed with the first frame.
+// NewMuxClient wraps an established connection as a client — the
+// client-side half of the fault-injection seam: callers that need to
+// interpose on the wire (see internal/faultconn) dial themselves, wrap
+// the conn, and hand it here. The magic preamble is buffered now and
+// flushed with the first frame.
 func NewMuxClient(conn net.Conn, maxInFlight int) *MuxClient {
 	if maxInFlight <= 0 {
 		maxInFlight = DefaultMaxInFlight
@@ -288,7 +271,8 @@ func (m *MuxClient) unregister(id uint64, ch chan muxReply) {
 }
 
 // appendCallHeader appends a request frame header: kind, id, op, flags,
-// and ctx's remaining budget as timeout_ms (CallV2's propagation rule).
+// and ctx's remaining budget as timeout_ms (rounded up to 1 when less
+// than a millisecond is left, since 0 means "no deadline").
 func appendCallHeader(b []byte, kind byte, id uint64, op string, flags byte, ctx context.Context) ([]byte, error) {
 	b = append(b, kind)
 	b = AppendUvarint(b, id)
@@ -350,9 +334,6 @@ func (m *MuxClient) call(ctx context.Context, op string, flags byte, enc func(b 
 		}
 		defer reply.release()
 		if reply.flags&v3FlagError != 0 {
-			if reply.flags&v3FlagJSON != 0 && flags&v3FlagJSON == 0 {
-				return &noBinaryCodecError{err: reply.err()}
-			}
 			return reply.err()
 		}
 		if handle != nil {
@@ -375,7 +356,7 @@ func (m *MuxClient) call(ctx context.Context, op string, flags byte, enc func(b 
 // CallV3 performs one binary-bodied exchange: enc appends the request
 // body to the frame, dec decodes the response body (a view valid only
 // during the callback). Server failures return as *Error with their
-// structured code, exactly like CallV2.
+// structured code.
 func (m *MuxClient) CallV3(ctx context.Context, op string, enc func(b []byte) []byte, dec func(body []byte) error) error {
 	return m.call(ctx, op, 0, enc, func(flags byte, body []byte) error {
 		if flags&v3FlagJSON != 0 {
@@ -389,13 +370,13 @@ func (m *MuxClient) CallV3(ctx context.Context, op string, enc func(b []byte) []
 }
 
 // CallJSON performs one JSON-bodied exchange over the pipelined
-// connection — the v3 bridge for ops without a binary codec: the server
-// routes it through the op's registered v2 handler, so every op is
-// callable (and pipelined) over one v3 connection.
+// connection: the server routes it through the op's derived JSON form
+// (see Handle), so every call op is callable — and pipelined — whether
+// or not it has a binary codec.
 func (m *MuxClient) CallJSON(ctx context.Context, op string, req, resp interface{}) error {
 	var enc func(b []byte) []byte
 	if req != nil {
-		//gridmon:nolint wirecode v2 JSON bridge: ops without a binary codec ride v3 frames with JSON bodies
+		//gridmon:nolint wirecode JSON-bodied calls: the client half of the seam Handle derives on the server
 		body, err := json.Marshal(req)
 		if err != nil {
 			return Errf(CodeBadRequest, "op %q: encoding request: %v", op, err)
@@ -404,7 +385,7 @@ func (m *MuxClient) CallJSON(ctx context.Context, op string, req, resp interface
 	}
 	return m.call(ctx, op, v3FlagJSON, enc, func(_ byte, body []byte) error {
 		if resp != nil && len(body) > 0 {
-			//gridmon:nolint wirecode v2 JSON bridge: ops without a binary codec ride v3 frames with JSON bodies
+			//gridmon:nolint wirecode JSON-bodied calls: the client half of the seam Handle derives on the server
 			if err := json.Unmarshal(body, resp); err != nil {
 				return Errf(CodeInternal, "op %q: decoding response: %v", op, err)
 			}
@@ -579,9 +560,6 @@ func (m *MuxClient) OpenStreamV3(ctx context.Context, op string, enc func(b []by
 	if reply.kind == v3End {
 		reply.release()
 		if reply.flags&v3FlagError != 0 {
-			if reply.flags&v3FlagJSON != 0 {
-				return nil, &noBinaryCodecError{err: reply.err()}
-			}
 			return nil, reply.err()
 		}
 		return nil, Errf(CodeProtocol, "op %q: stream ended before it was acknowledged", op)

@@ -1,25 +1,23 @@
-// Package transport provides the live-mode wire layer: length-prefixed
-// JSON messages over TCP (or any net.Conn), with an op-dispatch server
-// speaking two protocol generations over one connection format. The
-// legacy v1 exchange is Request{Op, Params} to Response{OK, Error,
-// Payload} with string payloads; the typed v2 exchange (see v2.go)
-// carries JSON request/response bodies for generic per-op handlers
-// registered with the package-level Handle function, returns structured
-// error codes, and propagates the client's context deadline to the
-// server. The monitoring services' engines are pure request/response
-// logic; this package makes them network services a real client can
-// query, complementing the simulated testbed used for the experiments.
+// Package transport provides the live-mode wire layer: one protocol —
+// length-prefixed binary frames, pipelined and multiplexed by request id
+// over TCP (or any net.Conn) — with an op-dispatch Server and the
+// MuxClient that speaks to it. Every op is registered once in the
+// server's table: a typed function whose JSON request/response bodies are
+// derived (Handle), optionally with a binary codec beside them for the
+// hot path (HandleV3), or a binary server-push stream (HandleStreamV3).
+// Failures carry structured error codes and the client's context deadline
+// is propagated to the server. The frame layout is documented in v3.go,
+// the client in mux.go, the codec primitives in codec.go. The monitoring
+// services' engines are pure request/response logic; this package makes
+// them network services a real client can query, complementing the
+// simulated testbed used for the experiments.
 package transport
 
 import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net"
 	"sort"
 	"sync"
@@ -29,93 +27,23 @@ import (
 // runaway payloads.
 const MaxFrame = 16 << 20
 
-// Request is a generic service request.
-type Request struct {
-	// Op selects the operation, e.g. "mds.query" or "hawkeye.machines".
-	Op string `json:"op"`
-	// Params carries operation arguments (filter strings, SQL, ...).
-	Params map[string]string `json:"params,omitempty"`
+// opEntry is one row of the server's op table. A call op always has its
+// JSON form and may have a binary codec beside it; a stream op has only
+// stream set.
+type opEntry struct {
+	json   V3Handler
+	binary V3Handler
+	stream v3StreamOpen
 }
 
-// Response is a generic service response.
-type Response struct {
-	OK      bool   `json:"ok"`
-	Error   string `json:"error,omitempty"`
-	Payload string `json:"payload,omitempty"`
-}
-
-// WriteFrame writes one length-prefixed JSON message.
-func WriteFrame(w io.Writer, v interface{}) error {
-	//gridmon:nolint wirecode v1/v2 frames carry JSON payloads; v3 bypasses this path
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if len(data) > MaxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(data))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
-// ReadFrame reads one length-prefixed JSON message into v.
-func ReadFrame(r io.Reader, v interface{}) error {
-	var buf []byte
-	return ReadFrameBuf(r, &buf, v)
-}
-
-// ReadFrameBuf is ReadFrame with a caller-owned payload buffer: the
-// frame is read into *buf, growing it only when a frame exceeds its
-// capacity, so a long-lived loop (the server's per-connection read loop,
-// a client issuing many calls) stops paying one allocation per frame.
-// json.Unmarshal copies what it keeps, so the buffer is free for reuse
-// as soon as the call returns.
-func ReadFrameBuf(r io.Reader, buf *[]byte, v interface{}) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	// Bounds-check before any int conversion: on 32-bit platforms a
-	// length above MaxInt32 would wrap negative and sail past the guard.
-	if binary.BigEndian.Uint32(hdr[:]) > MaxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", binary.BigEndian.Uint32(hdr[:]))
-	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if cap(*buf) < n {
-		*buf = make([]byte, n)
-	}
-	b := (*buf)[:n]
-	if _, err := io.ReadFull(r, b); err != nil {
-		return err
-	}
-	//gridmon:nolint wirecode v1/v2 frames carry JSON payloads; v3 bypasses this path
-	return json.Unmarshal(b, v)
-}
-
-// Handler answers one request. Handlers must be safe for concurrent use;
-// the Server serializes calls per default unless Concurrent is set.
-type Handler func(Request) Response
-
-// Server dispatches framed requests to registered op handlers. One op
-// namespace serves both protocol generations: v1 string-payload handlers
-// (Handle method) and typed v2 handlers (the package-level generic
-// Handle function); each incoming frame is routed by its "v" field.
+// Server dispatches framed requests to the ops registered in its table.
 type Server struct {
-	mu        sync.Mutex
-	handlers  map[string]Handler
-	v2        map[string]rawV2Handler
-	streams   map[string]rawStreamHandler
-	v3        map[string]V3Handler
-	v3streams map[string]v3StreamOpen
-	ln        net.Listener
-	wg        sync.WaitGroup
-	conns     map[net.Conn]bool
-	closed    bool
+	mu     sync.Mutex
+	ops    map[string]opEntry
+	ln     net.Listener
+	wg     sync.WaitGroup
+	conns  map[net.Conn]bool
+	closed bool
 	// Concurrent allows handlers to run in parallel; by default calls
 	// are serialized, matching the single-backend daemons being modeled.
 	Concurrent bool
@@ -133,12 +61,8 @@ type Server struct {
 // introspection op registered.
 func NewServer() *Server {
 	s := &Server{
-		handlers:  make(map[string]Handler),
-		v2:        make(map[string]rawV2Handler),
-		streams:   make(map[string]rawStreamHandler),
-		v3:        make(map[string]V3Handler),
-		v3streams: make(map[string]v3StreamOpen),
-		conns:     make(map[net.Conn]bool),
+		ops:   make(map[string]opEntry),
+		conns: make(map[net.Conn]bool),
 	}
 	Handle(s, "ops.list", func(context.Context, struct{}) (OpsList, error) {
 		return OpsList{Ops: s.Ops()}, nil
@@ -146,55 +70,62 @@ func NewServer() *Server {
 	return s
 }
 
-// Handle registers a handler for op, replacing any previous one.
-func (s *Server) Handle(op string, h Handler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.handlers[op] = h
+// Handle registers a typed handler for op on s, replacing any previous
+// registration. The op takes JSON bodies: the request body is decoded
+// into Req, the handler's Resp is encoded as the response body, and a
+// returned error becomes a structured error frame (keeping its Code when
+// it is a *Error). The context carries the client's propagated deadline,
+// when it sent one.
+func Handle[Req, Resp any](s *Server, op string, fn func(context.Context, Req) (Resp, error)) {
+	HandleV3(s, op, fn, nil)
 }
 
-// Ops lists registered operation names across both protocol
-// generations, sorted.
+// HandleV3 is Handle for an op that also has a binary codec: binary
+// answers binary-bodied calls straight from and into the frame buffers —
+// no JSON on the op's hot path — while JSON-bodied calls keep going
+// through fn, so the JSON encoding stays the codec's reference and every
+// op stays reachable by a generic client (gridmon-query).
+func HandleV3[Req, Resp any](s *Server, op string, fn func(context.Context, Req) (Resp, error), binary V3Handler) {
+	jsonBody := func(ctx context.Context, body, out []byte) ([]byte, *Error) {
+		var req Req
+		if len(body) > 0 {
+			//gridmon:nolint wirecode the derived JSON form of an op: this is the seam where typed requests meet JSON bodies
+			if err := json.Unmarshal(body, &req); err != nil {
+				return nil, Errf(CodeBadRequest, "op %q: decoding request: %v", op, err)
+			}
+		}
+		resp, err := fn(ctx, req)
+		if err != nil {
+			return nil, AsError(err)
+		}
+		//gridmon:nolint wirecode the derived JSON form of an op: this is the seam where typed responses meet JSON bodies
+		b, err := json.Marshal(resp)
+		if err != nil {
+			return nil, Errf(CodeInternal, "op %q: encoding response: %v", op, err)
+		}
+		return append(out, b...), nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ops[op] = opEntry{json: jsonBody, binary: binary}
+}
+
+// OpsList is the response of the built-in "ops.list" introspection op:
+// every registered op name, sorted.
+type OpsList struct {
+	Ops []string `json:"ops"`
+}
+
+// Ops lists the registered operation names, sorted.
 func (s *Server) Ops() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seen := make(map[string]bool, len(s.handlers)+len(s.v2)+len(s.streams))
-	out := make([]string, 0, len(s.handlers)+len(s.v2)+len(s.streams))
-	for _, ops := range []map[string]bool{opNames(s.handlers), opNames(s.v2), opNames(s.streams), opNames(s.v3), opNames(s.v3streams)} {
-		for op := range ops {
-			if !seen[op] {
-				seen[op] = true
-				out = append(out, op)
-			}
-		}
+	out := make([]string, 0, len(s.ops))
+	for op := range s.ops {
+		out = append(out, op)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// opNames projects a handler map to its op-name set (Ops is cold path;
-// the copies keep it generic over the four handler map types).
-func opNames[T any](m map[string]T) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for op := range m {
-		out[op] = true
-	}
-	return out
-}
-
-// dispatch runs the handler for one request.
-func (s *Server) dispatch(req Request) Response {
-	s.mu.Lock()
-	h := s.handlers[req.Op]
-	s.mu.Unlock()
-	if h == nil {
-		return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
-	}
-	if !s.Concurrent {
-		s.callMu.Lock()
-		defer s.callMu.Unlock()
-	}
-	return h(req)
 }
 
 // Listen starts accepting connections on addr ("127.0.0.1:0" picks a free
@@ -246,62 +177,19 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// serveConn answers requests on one connection until it closes. The
-// protocol generation is negotiated once, at accept time: a connection
-// opening with the v3 magic bytes takes the binary pipelined loop (see
-// v3.go); anything else flows into the JSON loop below, where frames
-// carrying "v":2 take the typed v2 path and everything else is served as
-// a v1 request and answered in the v1 Response shape — so v1 and v2
-// clients keep receiving bit-identical bytes.
+// serveConn answers requests on one connection until it closes. A client
+// opens its connection with the magic preamble (see v3.go); a peer whose
+// first bytes are anything else — an old JSON-framed client, a stray
+// probe — is not answered in a dialect this server no longer speaks: the
+// connection is closed.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
-	if magic, err := r.Peek(4); err == nil && bytes.Equal(magic, v3Magic[:]) {
-		r.Discard(4)
-		s.serveConnV3(conn, r)
+	if magic, err := r.Peek(4); err != nil || !bytes.Equal(magic, v3Magic[:]) {
 		return
 	}
-	w := bufio.NewWriter(conn)
-	// One grow-only frame buffer per connection: steady request traffic
-	// reads every frame into the same backing array instead of
-	// allocating per frame (see BenchmarkReadFrame/BenchmarkReadFrameBuf).
-	var frameBuf []byte
-	for {
-		var req requestFrame
-		if err := ReadFrameBuf(r, &frameBuf, &req); err != nil {
-			return
-		}
-		var resp responseFrame
-		if req.V >= 2 {
-			s.mu.Lock()
-			sh := s.streams[req.Op]
-			s.mu.Unlock()
-			switch {
-			case sh != nil && req.Stream:
-				if !s.serveStream(r, w, req, sh) {
-					return
-				}
-				continue
-			case sh != nil:
-				resp = v2Failure(Errf(CodeBadRequest,
-					"op %q is a streaming op (open it with a stream request)", req.Op))
-			case req.Stream:
-				resp = v2Failure(Errf(CodeUnknownOp,
-					"no stream op %q registered (try ops.list)", req.Op))
-			default:
-				resp = s.dispatchV2(req)
-			}
-		} else {
-			v1 := s.dispatch(Request{Op: req.Op, Params: req.Params})
-			resp = responseFrame{OK: v1.OK, Error: v1.Error, Payload: v1.Payload}
-		}
-		if err := WriteFrame(w, resp); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
+	r.Discard(4)
+	s.serveConnV3(conn, r)
 }
 
 // Close stops the listener, closes every open connection (terminating
@@ -327,70 +215,3 @@ func (s *Server) Close() {
 	}
 	s.wg.Wait()
 }
-
-// Client is a connection to a transport server. It is safe for concurrent
-// use; calls are serialized over the single connection.
-type Client struct {
-	mu   sync.Mutex
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
-	// buf is the grow-only response-frame buffer, reused across calls
-	// (guarded by mu, like the rest of the exchange).
-	buf []byte
-	// streaming marks the connection as dedicated to an open stream
-	// (see StreamV2); request/response calls fail while it is set.
-	streaming bool
-}
-
-// Dial connects to a server.
-func Dial(addr string) (*Client, error) {
-	//gridmon:nolint ctxflow compat shim around DialContext for pre-context callers
-	return DialContext(context.Background(), addr)
-}
-
-// DialContext connects to a server, honoring ctx's deadline and
-// cancellation during the TCP connect.
-func DialContext(ctx context.Context, addr string) (*Client, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewClient(conn), nil
-}
-
-// NewClient wraps an established connection as a Client. It is the
-// client-side half of the fault-injection seam: callers that need to
-// interpose on the wire (see internal/faultconn) dial themselves, wrap
-// the conn, and hand it here; Dial/DialContext are equivalent to
-// NewClient over a plain TCP connect.
-func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
-}
-
-// Call performs one request/response exchange.
-func (c *Client) Call(op string, params map[string]string) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.streaming {
-		return "", fmt.Errorf("transport: connection carries an open stream")
-	}
-	if err := WriteFrame(c.w, Request{Op: op, Params: params}); err != nil {
-		return "", err
-	}
-	if err := c.w.Flush(); err != nil {
-		return "", err
-	}
-	var resp Response
-	if err := ReadFrameBuf(c.r, &c.buf, &resp); err != nil {
-		return "", err
-	}
-	if !resp.OK {
-		return "", errors.New(resp.Error)
-	}
-	return resp.Payload, nil
-}
-
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }

@@ -3,20 +3,18 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/json"
+	"math"
 	"net"
 	"sync"
 	"time"
 )
 
-// This file is the server half of the v3 wire format: length-prefixed
-// binary frames with pipelining. A v3 client opens its connection with a
-// 4-byte magic; the server peeks it at accept time and switches this
-// connection to the binary loop, while any other first bytes flow into
-// the untouched v1/v2 JSON loop — so negotiation is decided once per
-// connection and the JSON generations keep answering bit-identically.
+// This file is the server half of the wire format: length-prefixed
+// binary frames with pipelining. A client opens its connection with a
+// 4-byte magic; the server checks it at accept time (see serveConn) and
+// closes a connection that opens with anything else.
 //
-// Every v3 request frame carries a client-assigned request id. The
+// Every request frame carries a client-assigned request id. The
 // server dispatches calls concurrently (bounded by maxPipeline per
 // connection) and writes each response as its handler completes —
 // completion order, not arrival order — so one slow call no longer
@@ -40,15 +38,17 @@ import (
 //	-- on error: string code, string message (no body) --
 //	...     body         the rest of the frame
 //
-// Bodies are opaque here: ops with a registered binary handler
-// (HandleV3/HandleStreamV3) decode and encode them with the codec
-// primitives; everything else bridges to the op's registered v2 JSON
-// handler with the JSON flag set, so every op is reachable — and
-// pipelined — over a v3 connection even before it grows a binary codec.
+// Bodies are opaque here: a binary body goes to the op's binary codec
+// (HandleV3/HandleStreamV3), which decodes and encodes with the codec
+// primitives; a body sent with the JSON flag goes to the op's derived
+// JSON form (Handle) and is answered with the JSON flag set, so every
+// call op is reachable — and pipelined — whether or not it has a binary
+// codec. Stream ops are binary only.
 
-// v3Magic is the preamble a v3 client opens its connection with. Read as
-// a v1/v2 big-endian length prefix it is 1.19 GiB — far beyond MaxFrame —
-// so no JSON client can ever begin a connection with these bytes.
+// v3Magic is the preamble a client opens its connection with. Read as a
+// big-endian frame length it is 1.19 GiB — far beyond MaxFrame — so a
+// peer that starts with a length-prefixed frame instead of the preamble
+// can never be mistaken for a client.
 var v3Magic = [4]byte{'G', 'M', '3', 0x01}
 
 // Request frame kinds.
@@ -77,10 +77,10 @@ const (
 // picking up frames, which backpressures the client through TCP.
 const DefaultMaxPipeline = 64
 
-// V3Handler answers one binary-bodied v3 call: body is the request
-// payload (a view valid only for the duration of the call), and the
-// response payload is appended to out (pooled by the server) and
-// returned. A returned *Error reaches the client with its code intact.
+// V3Handler answers one call: body is the request payload (a view valid
+// only for the duration of the call), and the response payload is
+// appended to out (pooled by the server) and returned. A returned *Error
+// reaches the client with its code intact.
 type V3Handler func(ctx context.Context, body []byte, out []byte) ([]byte, *Error)
 
 // V3Send writes one binary event frame on an open v3 stream: fill
@@ -96,23 +96,14 @@ type V3StreamFunc func(send V3Send) error
 // v3StreamOpen is the stored form of a binary stream handler.
 type v3StreamOpen func(ctx context.Context, body []byte) (V3StreamFunc, *Error)
 
-// HandleV3 registers a binary v3 handler for op, replacing any previous
-// one. Ops without one are still served over v3 through the JSON bridge;
-// a binary handler removes the JSON round-trip from the op's hot path.
-func (s *Server) HandleV3(op string, h V3Handler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.v3[op] = h
-}
-
-// HandleStreamV3 registers a binary v3 stream handler for op, replacing
-// any previous one. open validates the request and attaches sources; the
-// returned V3StreamFunc runs for the stream's lifetime with ctx
+// HandleStreamV3 registers a binary stream handler for op, replacing any
+// previous registration. open validates the request and attaches sources;
+// the returned V3StreamFunc runs for the stream's lifetime with ctx
 // cancelled when the client cancels or the connection drops.
 func (s *Server) HandleStreamV3(op string, open func(ctx context.Context, body []byte) (V3StreamFunc, *Error)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.v3streams[op] = open
+	s.ops[op] = opEntry{stream: open}
 }
 
 // v3ConnWriter serializes response frames onto one v3 connection: header
@@ -157,24 +148,21 @@ func appendV3RespHeader(b []byte, kind byte, id uint64, flags byte) []byte {
 	return append(b, flags)
 }
 
-// v3Error writes an error response frame for id. extra flags are OR'd
-// into the frame's flag byte alongside the error bit: the JSON flag on
-// an error frame marks "this op exists but only with a JSON body here",
-// which the client turns into ErrNoBinaryCodec and a bridge retry.
-func (cw *v3ConnWriter) v3Error(kind byte, id uint64, extra byte, e *Error) error {
+// v3Error writes an error response frame for id.
+func (cw *v3ConnWriter) v3Error(kind byte, id uint64, e *Error) error {
 	hdr := getBuf()
 	defer putBuf(hdr)
 	code := e.Code
 	if code == "" {
 		code = CodeExec
 	}
-	b := appendV3RespHeader(hdr.b, kind, id, v3FlagError|extra)
+	b := appendV3RespHeader(hdr.b, kind, id, v3FlagError)
 	b = AppendString(b, string(code))
 	b = AppendString(b, e.Message)
 	return cw.writeSplit(b, nil)
 }
 
-// serveConnV3 answers pipelined binary frames on one connection until it
+// serveConnV3 answers pipelined frames on one connection until it
 // closes. The magic has already been consumed by serveConn.
 func (s *Server) serveConnV3(conn net.Conn, r *bufio.Reader) {
 	cw := &v3ConnWriter{w: bufio.NewWriter(conn)}
@@ -260,68 +248,57 @@ func (s *Server) serveConnV3(conn net.Conn, r *bufio.Reader) {
 	}
 }
 
-// dispatchV3 runs one v3 call — through the op's binary handler when it
-// has one and the client sent a binary body, otherwise through the v2
-// JSON bridge — and writes the response frame. It owns and releases pb.
+// maxTimeoutMS is the longest wire deadline that still fits a
+// time.Duration; a frame asking for more is asking for "no deadline in
+// practice" and gets the longest one representable instead of a wrapped,
+// already-expired one.
+const maxTimeoutMS = uint64(math.MaxInt64 / int64(time.Millisecond))
+
+// dispatchV3 runs one call — through the op's binary codec for a binary
+// body, through its derived JSON form for a JSON-flagged one — and writes
+// the response frame. It owns and releases pb.
 func (s *Server) dispatchV3(cw *v3ConnWriter, id uint64, op string, flags byte, timeoutMS uint64, pb *wireBuf) {
 	defer putBuf(pb)
 	//gridmon:nolint ctxflow server-side root: the caller's deadline arrives on the wire and is re-armed via WithTimeout below
 	ctx := context.Background()
 	if timeoutMS > 0 {
+		if timeoutMS > maxTimeoutMS {
+			timeoutMS = maxTimeoutMS
+		}
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
 		defer cancel()
 	}
 	s.mu.Lock()
-	bh := s.v3[op]
-	jh := s.v2[op]
+	e := s.ops[op]
 	s.mu.Unlock()
-	// A binary body must never reach the JSON bridge (the handler would
-	// see garbage): when the op is only registered as JSON here, answer
-	// with the JSON-flagged error that tells the client to retry through
-	// the bridge.
-	var useJSON bool
+	h, respFlags := e.binary, byte(0)
+	if flags&v3FlagJSON != 0 {
+		h, respFlags = e.json, v3FlagJSON
+	}
 	switch {
-	case flags&v3FlagJSON == 0 && bh != nil:
-	case flags&v3FlagJSON == 0 && jh != nil:
-		cw.v3Error(v3Reply, id, v3FlagJSON, Errf(CodeBadRequest, "op %q has no binary codec on this server (retry with a JSON body)", op))
+	case e.stream != nil:
+		cw.v3Error(v3Reply, id, Errf(CodeBadRequest, "op %q is a streaming op (open it as a stream)", op))
 		return
-	case flags&v3FlagJSON != 0 && jh != nil:
-		useJSON = true
-	default:
-		cw.v3Error(v3Reply, id, 0, Errf(CodeUnknownOp, "unknown op %q (try ops.list)", op))
+	case e.json == nil:
+		cw.v3Error(v3Reply, id, Errf(CodeUnknownOp, "unknown op %q (try ops.list)", op))
 		return
-	}
-	if !s.Concurrent {
-		s.callMu.Lock()
-		defer s.callMu.Unlock()
-	}
-	// The deadline may already have passed while queued; don't start
-	// work the client has given up on.
-	if err := ctx.Err(); err != nil {
-		cw.v3Error(v3Reply, id, 0, Errf(CodeDeadline, "op %q: %v", op, err))
+	case h == nil:
+		// A binary body must never reach the JSON form (the handler
+		// would see garbage).
+		cw.v3Error(v3Reply, id, Errf(CodeBadRequest, "op %q has no binary codec on this server (send a JSON body)", op))
 		return
 	}
 	out := getBuf()
 	defer putBuf(out)
-	var respFlags byte
-	var body []byte
-	var herr *Error
-	if useJSON {
-		var jbody json.RawMessage
-		jbody, herr = jh(ctx, json.RawMessage(pb.b))
-		body = jbody
-		respFlags = v3FlagJSON
-	} else {
-		body, herr = bh(ctx, pb.b, out.b)
-		if body != nil {
-			// The handler may have grown the buffer; keep the grown
-			// backing array when it returns to the pool.
-			out.b = body[:0]
-		}
+	body, herr := s.invoke(ctx, op, h, pb.b, out.b)
+	if body != nil {
+		// The handler may have grown the buffer; keep the grown backing
+		// array when it returns to the pool.
+		out.b = body[:0]
 	}
 	if herr != nil {
-		cw.v3Error(v3Reply, id, 0, herr)
+		cw.v3Error(v3Reply, id, herr)
 		return
 	}
 	hdr := getBuf()
@@ -329,50 +306,44 @@ func (s *Server) dispatchV3(cw *v3ConnWriter, id uint64, op string, flags byte, 
 	cw.writeSplit(appendV3RespHeader(hdr.b, v3Reply, id, respFlags), body)
 }
 
-// serveStreamV3 runs one v3 stream: ack, event frames, end frame. Unlike
-// a v2 stream it does not own the connection — event frames interleave
-// with other responses under the connection writer — so the client can
-// keep calling while subscribed. It owns and releases pb.
+// invoke runs h under the server's concurrency policy. The serializing
+// lock is held for the handler only: it is released before the caller
+// writes the response, so a peer that has stopped reading stalls its own
+// connection's writer, never the calls of other connections.
+func (s *Server) invoke(ctx context.Context, op string, h V3Handler, body, out []byte) ([]byte, *Error) {
+	if !s.Concurrent {
+		s.callMu.Lock()
+		defer s.callMu.Unlock()
+	}
+	// The deadline may already have passed while queued; don't start
+	// work the client has given up on.
+	if err := ctx.Err(); err != nil {
+		return nil, Errf(CodeDeadline, "op %q: %v", op, err)
+	}
+	return h(ctx, body, out)
+}
+
+// serveStreamV3 runs one stream: ack, event frames, end frame. It does
+// not own the connection — event frames interleave with other responses
+// under the connection writer — so the client can keep calling while
+// subscribed. It owns and releases pb.
 func (s *Server) serveStreamV3(ctx context.Context, cw *v3ConnWriter, id uint64, op string, flags byte, pb *wireBuf) {
 	s.mu.Lock()
-	bo := s.v3streams[op]
-	jo := s.streams[op]
+	open := s.ops[op].stream
 	s.mu.Unlock()
 	var run V3StreamFunc
 	var herr *Error
-	var herrFlags byte
-	var respFlags byte
 	switch {
-	case flags&v3FlagJSON == 0 && bo != nil:
-		run, herr = bo(ctx, pb.b)
-	case flags&v3FlagJSON == 0 && jo != nil:
-		// Same rule as dispatchV3: a binary body never bridges to JSON.
-		herrFlags = v3FlagJSON
-		herr = Errf(CodeBadRequest, "stream op %q has no binary codec on this server (retry with a JSON body)", op)
-	case flags&v3FlagJSON != 0 && jo != nil:
-		// The JSON bridge: open through the v2 stream handler and wrap
-		// its send so each event rides a v3 event frame with a JSON body.
-		respFlags = v3FlagJSON
-		var jrun StreamFunc
-		jrun, herr = jo(ctx, json.RawMessage(pb.b))
-		if herr == nil {
-			run = func(send V3Send) error {
-				return jrun(func(v interface{}) error {
-					//gridmon:nolint wirecode v2 JSON bridge: ops without a binary codec ride v3 frames with JSON bodies
-					b, err := json.Marshal(v)
-					if err != nil {
-						return Errf(CodeInternal, "op %q: encoding event: %v", op, err)
-					}
-					return send(func(dst []byte) []byte { return append(dst, b...) })
-				})
-			}
-		}
-	default:
+	case open == nil:
 		herr = Errf(CodeUnknownOp, "no stream op %q registered (try ops.list)", op)
+	case flags&v3FlagJSON != 0:
+		herr = Errf(CodeBadRequest, "stream op %q takes a binary body", op)
+	default:
+		run, herr = open(ctx, pb.b)
 	}
 	putBuf(pb)
 	if herr != nil {
-		cw.v3Error(v3End, id, herrFlags, herr)
+		cw.v3Error(v3End, id, herr)
 		return
 	}
 	hdr := getBuf()
@@ -387,13 +358,13 @@ func (s *Server) serveStreamV3(ctx context.Context, cw *v3ConnWriter, id uint64,
 		}
 		fb := getBuf()
 		defer putBuf(fb)
-		b := appendV3RespHeader(fb.b, v3Event, id, respFlags)
+		b := appendV3RespHeader(fb.b, v3Event, id, 0)
 		b = fill(b)
 		return cw.writeSplit(b, nil)
 	}
 	err := run(send)
 	if e := AsError(err); err != nil && e.Code != CodeCanceled && e.Code != CodeDeadline {
-		cw.v3Error(v3End, id, 0, e)
+		cw.v3Error(v3End, id, e)
 		return
 	}
 	eb := getBuf()

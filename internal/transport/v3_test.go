@@ -2,25 +2,23 @@ package transport
 
 import (
 	"context"
-	"errors"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
 
-// v3AddServer serves "math.add" with a binary codec (two uvarints in,
-// their sum out) next to the JSON registrations the older generations
-// use, so one server answers every protocol in these tests.
-func v3AddServer(t *testing.T) (*Server, string) {
-	t.Helper()
-	srv := NewServer()
-	srv.Concurrent = true
-	Handle(srv, "math.add", func(_ context.Context, req addReq) (addResp, error) {
+// handleAdd registers "math.add" in both body encodings from one
+// registration: a binary codec (two uvarints in, their sum out) beside
+// the JSON form derived from the typed function.
+func handleAdd(srv *Server) {
+	HandleV3(srv, "math.add", func(_ context.Context, req addReq) (addResp, error) {
 		return addResp{Sum: req.A + req.B}, nil
-	})
-	srv.HandleV3("math.add", func(_ context.Context, body, out []byte) ([]byte, *Error) {
+	}, func(_ context.Context, body, out []byte) ([]byte, *Error) {
 		d := NewDec(body)
 		a := d.Uvarint()
 		b := d.Uvarint()
@@ -29,6 +27,14 @@ func v3AddServer(t *testing.T) (*Server, string) {
 		}
 		return AppendUvarint(out, a+b), nil
 	})
+}
+
+// v3AddServer serves "math.add" on a loopback socket.
+func v3AddServer(t *testing.T) (*Server, string) {
+	t.Helper()
+	srv := NewServer()
+	srv.Concurrent = true
+	handleAdd(srv)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -81,14 +87,15 @@ func TestV3BinaryRoundTrip(t *testing.T) {
 // the same connection completes first — responses are written in
 // completion order, not arrival order.
 func TestV3PipelinedOutOfOrder(t *testing.T) {
+	leakcheck.Check(t)
 	srv := NewServer()
 	srv.Concurrent = true
 	release := make(chan struct{})
-	srv.HandleV3("slow", func(_ context.Context, _, out []byte) ([]byte, *Error) {
+	handleBinary(srv, "slow", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		<-release
 		return append(out, 1), nil
 	})
-	srv.HandleV3("fast", func(_ context.Context, _, out []byte) ([]byte, *Error) {
+	handleBinary(srv, "fast", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		return append(out, 2), nil
 	})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -124,6 +131,7 @@ func TestV3PipelinedOutOfOrder(t *testing.T) {
 // TestV3ConcurrentCalls: many goroutines share one mux connection, each
 // getting its own answer back — no cross-call corruption under load.
 func TestV3ConcurrentCalls(t *testing.T) {
+	leakcheck.Check(t)
 	_, addr := v3AddServer(t)
 	m := dialV3(t, addr)
 	var wg sync.WaitGroup
@@ -175,12 +183,15 @@ func TestV3JSONBridge(t *testing.T) {
 	}
 }
 
-// TestV3NoBinaryCodec: a binary-bodied call against an op registered
-// only as JSON never reaches the JSON handler; it fails with the typed
-// marker the client uses to fall back to the bridge.
-func TestV3NoBinaryCodec(t *testing.T) {
+// TestV3BinaryBodyToJSONOnlyOp: a binary-bodied call against an op
+// registered without a binary codec never reaches the JSON handler (it
+// would see garbage); it fails as a plain typed bad_request, distinct
+// from an unknown op, and the connection stays usable.
+func TestV3BinaryBodyToJSONOnlyOp(t *testing.T) {
 	srv := NewServer()
+	var ran atomic.Bool
 	Handle(srv, "math.add", func(_ context.Context, req addReq) (addResp, error) {
+		ran.Store(true)
 		return addResp{Sum: req.A + req.B}, nil
 	})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -190,24 +201,27 @@ func TestV3NoBinaryCodec(t *testing.T) {
 	t.Cleanup(srv.Close)
 	m := dialV3(t, addr)
 	_, cerr := addV3(t, m, 1, 2)
-	if !errors.Is(cerr, ErrNoBinaryCodec) {
-		t.Fatalf("want ErrNoBinaryCodec, got %v", cerr)
-	}
 	if ErrorCode(cerr) != CodeBadRequest {
-		t.Fatalf("code = %s, want %s", ErrorCode(cerr), CodeBadRequest)
+		t.Fatalf("code = %s, want %s (%v)", ErrorCode(cerr), CodeBadRequest, cerr)
 	}
-	// A truly unknown op is distinguishable from a JSON-only one.
+	if ran.Load() {
+		t.Fatal("the JSON handler ran on a binary body")
+	}
 	err = m.CallV3(context.Background(), "no.such.op", nil, nil)
-	if errors.Is(err, ErrNoBinaryCodec) || ErrorCode(err) != CodeUnknownOp {
+	if ErrorCode(err) != CodeUnknownOp {
 		t.Fatalf("unknown op err = %v", err)
+	}
+	var resp addResp
+	if err := m.CallJSON(context.Background(), "math.add", addReq{A: 1, B: 2}, &resp); err != nil || resp.Sum != 3 {
+		t.Fatalf("JSON-bodied call on the same connection = %+v, %v", resp, err)
 	}
 }
 
 // TestV3ErrorCodePropagation: a binary handler's structured error
-// arrives with its code intact, like every earlier generation.
+// arrives with its code intact.
 func TestV3ErrorCodePropagation(t *testing.T) {
 	srv := NewServer()
-	srv.HandleV3("fail", func(context.Context, []byte, []byte) ([]byte, *Error) {
+	handleBinary(srv, "fail", func(context.Context, []byte, []byte) ([]byte, *Error) {
 		return nil, Errf(CodeUnavailable, "deliberately unavailable")
 	})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -226,17 +240,18 @@ func TestV3ErrorCodePropagation(t *testing.T) {
 // abandoned without tearing the connection — a sibling call in flight
 // and the next call both succeed on the same mux.
 func TestV3AbandonedCallSparesSiblings(t *testing.T) {
+	leakcheck.Check(t)
 	srv := NewServer()
 	srv.Concurrent = true
 	release := make(chan struct{})
 	// The handler ignores its context so the client's deadline always
 	// fires first: the call is abandoned client-side and the late reply
 	// must be dropped without disturbing the connection.
-	srv.HandleV3("stall", func(_ context.Context, _, out []byte) ([]byte, *Error) {
+	handleBinary(srv, "stall", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		<-release
 		return out, nil
 	})
-	srv.HandleV3("quick", func(_ context.Context, _, out []byte) ([]byte, *Error) {
+	handleBinary(srv, "quick", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		return out, nil
 	})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -263,6 +278,7 @@ func TestV3AbandonedCallSparesSiblings(t *testing.T) {
 // the two sides disagree about framing; the server hangs up rather than
 // guessing at a resync.
 func TestV3MalformedFrameClosesConn(t *testing.T) {
+	leakcheck.Check(t)
 	_, addr := v3AddServer(t)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -279,29 +295,6 @@ func TestV3MalformedFrameClosesConn(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("read after malformed frame = %v, want EOF", err)
-	}
-}
-
-// TestV3MixedGenerationsSameServer: one server answers v1, v2 and v3
-// clients, each over its own connection, with the same results — the
-// magic-peek negotiation never disturbs the JSON generations.
-func TestV3MixedGenerationsSameServer(t *testing.T) {
-	srv, addr := v3AddServer(t)
-	srv.Handle("echo", func(req Request) Response {
-		return Response{OK: true, Payload: req.Params["msg"]}
-	})
-
-	c := dialV2(t, addr)
-	if got, err := c.Call("echo", map[string]string{"msg": "v1"}); err != nil || got != "v1" {
-		t.Fatalf("v1 call = %q, %v", got, err)
-	}
-	var resp addResp
-	if err := c.CallV2(context.Background(), "math.add", addReq{A: 2, B: 3}, &resp); err != nil || resp.Sum != 5 {
-		t.Fatalf("v2 call = %+v, %v", resp, err)
-	}
-	m := dialV3(t, addr)
-	if sum, err := addV3(t, m, 2, 3); err != nil || sum != 5 {
-		t.Fatalf("v3 call = %d, %v", sum, err)
 	}
 }
 
@@ -349,6 +342,7 @@ func v3TickServer(t *testing.T) string {
 // TestV3StreamDelivery: a finite binary stream delivers every event in
 // order and ends with io.EOF.
 func TestV3StreamDelivery(t *testing.T) {
+	leakcheck.Check(t)
 	m := dialV3(t, v3TickServer(t))
 	ms, err := m.OpenStreamV3(context.Background(), "ticks",
 		func(b []byte) []byte { return AppendUvarint(b, 3) })
@@ -377,6 +371,7 @@ func TestV3StreamDelivery(t *testing.T) {
 // TestV3StreamSetupError: a failing open returns the structured error
 // from OpenStreamV3 itself; nothing is left registered.
 func TestV3StreamSetupError(t *testing.T) {
+	leakcheck.Check(t)
 	m := dialV3(t, v3TickServer(t))
 	_, err := m.OpenStreamV3(context.Background(), "ticks",
 		func(b []byte) []byte { return AppendUvarint(b, 99) })
@@ -395,6 +390,7 @@ func TestV3StreamSetupError(t *testing.T) {
 // TestV3StreamCancel: cancelling an endless stream ends it cleanly —
 // Recv observes the end frame, never a hang.
 func TestV3StreamCancel(t *testing.T) {
+	leakcheck.Check(t)
 	m := dialV3(t, v3TickServer(t))
 	ms, err := m.OpenStreamV3(context.Background(), "ticks",
 		func(b []byte) []byte { return AppendUvarint(b, 0) })
@@ -430,19 +426,27 @@ func TestV3StreamCancel(t *testing.T) {
 	}
 }
 
-// TestV3StreamNoBinaryCodec: a binary open against a JSON-only stream
-// op fails with the typed marker instead of feeding the JSON handler
-// garbage.
-func TestV3StreamNoBinaryCodec(t *testing.T) {
-	m := dialV3(t, streamServer(t)) // JSON "ticks" registrations only
-	_, err := m.OpenStreamV3(context.Background(), "ticks",
-		func(b []byte) []byte { return AppendUvarint(b, 3) })
-	if !errors.Is(err, ErrNoBinaryCodec) {
-		t.Fatalf("want ErrNoBinaryCodec, got %v", err)
+// TestV3StreamOpMisuse: stream ops demand stream opens and call ops
+// demand calls, with structured codes either way — and neither mistake
+// costs the connection.
+func TestV3StreamOpMisuse(t *testing.T) {
+	leakcheck.Check(t)
+	m := dialV3(t, v3TickServer(t))
+	err := m.CallV3(context.Background(), "ticks", func(b []byte) []byte { return AppendUvarint(b, 1) }, nil)
+	if ErrorCode(err) != CodeBadRequest {
+		t.Fatalf("plain call on stream op = %v, want %s", err, CodeBadRequest)
 	}
-	_, err = m.OpenStreamV3(context.Background(), "no.such.stream", nil)
-	if errors.Is(err, ErrNoBinaryCodec) || ErrorCode(err) != CodeUnknownOp {
+	if err := m.CallJSON(context.Background(), "ticks", nil, nil); ErrorCode(err) != CodeBadRequest {
+		t.Fatalf("JSON call on stream op = %v, want %s", err, CodeBadRequest)
+	}
+	if _, err := m.OpenStreamV3(context.Background(), "ops.list", nil); ErrorCode(err) != CodeUnknownOp {
+		t.Fatalf("stream open on call op = %v, want %s", err, CodeUnknownOp)
+	}
+	if _, err := m.OpenStreamV3(context.Background(), "no.such.stream", nil); ErrorCode(err) != CodeUnknownOp {
 		t.Fatalf("unknown stream err = %v", err)
+	}
+	if err := m.CallJSON(context.Background(), "ops.list", nil, nil); err != nil {
+		t.Fatalf("call after the misuses: %v", err)
 	}
 }
 
@@ -453,9 +457,10 @@ func TestV3StreamNoBinaryCodec(t *testing.T) {
 // fallen maxStreamInbox frames behind, the stream alone dies with
 // CodeOverloaded while the connection stays usable.
 func TestV3StalledStreamDoesNotBlockCalls(t *testing.T) {
+	leakcheck.Check(t)
 	srv := NewServer()
 	srv.Concurrent = true
-	srv.HandleV3("ping", func(_ context.Context, _, out []byte) ([]byte, *Error) {
+	handleBinary(srv, "ping", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		return append(out, 'p'), nil
 	})
 	srv.HandleStreamV3("flood", func(ctx context.Context, _ []byte) (V3StreamFunc, *Error) {
@@ -493,6 +498,19 @@ func TestV3StalledStreamDoesNotBlockCalls(t *testing.T) {
 			t.Fatalf("call %d alongside a stalled stream: %v", i, err)
 		}
 	}
+	// Wait for the flood to overflow the inbox — how long that takes is
+	// the scheduler's business, not this test's.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		ms.qMu.Lock()
+		overflowed := ms.done
+		ms.qMu.Unlock()
+		if overflowed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the flood never overflowed the stream's inbox")
+		}
+	}
 	// The abandoned consumer finds its frames up to the inbox bound and
 	// then the typed overflow error — never a hang, never a conn error.
 	var streamErr error
@@ -510,13 +528,13 @@ func TestV3StalledStreamDoesNotBlockCalls(t *testing.T) {
 	}
 }
 
-// TestV3CallsInterleaveWithStream: unlike a v2 stream, an open v3
-// stream does not dedicate the connection — calls keep answering on the
-// same mux while events flow.
+// TestV3CallsInterleaveWithStream: an open stream does not dedicate the
+// connection — calls keep answering on the same mux while events flow.
 func TestV3CallsInterleaveWithStream(t *testing.T) {
+	leakcheck.Check(t)
 	srv := NewServer()
 	srv.Concurrent = true
-	srv.HandleV3("ping", func(_ context.Context, _, out []byte) ([]byte, *Error) {
+	handleBinary(srv, "ping", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		return append(out, 'p'), nil
 	})
 	srv.HandleStreamV3("ticks", func(ctx context.Context, _ []byte) (V3StreamFunc, *Error) {
@@ -556,15 +574,16 @@ func TestV3CallsInterleaveWithStream(t *testing.T) {
 	}
 }
 
-// TestV3ServerCloseFailsInFlight: closing the server fails a pending v3
+// TestV3ServerCloseFailsInFlight: closing the server fails a pending
 // call with a connection error instead of hanging the caller, while
-// Close itself waits out the running handler (the v2 contract).
+// Close itself waits out the running handler.
 func TestV3ServerCloseFailsInFlight(t *testing.T) {
+	leakcheck.Check(t)
 	srv := NewServer()
 	srv.Concurrent = true
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	srv.HandleV3("stall", func(_ context.Context, _, out []byte) ([]byte, *Error) {
+	handleBinary(srv, "stall", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		close(entered)
 		<-release
 		return out, nil
@@ -597,6 +616,12 @@ func TestV3ServerCloseFailsInFlight(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("in-flight call hung through server close")
+	}
+	// But Close itself waits for the in-flight handler.
+	select {
+	case <-closed:
+		t.Fatal("Server.Close returned while a handler was still in flight")
+	case <-time.After(50 * time.Millisecond):
 	}
 	close(release)
 	select {

@@ -2,31 +2,11 @@ package gridmon
 
 import (
 	"context"
-	"errors"
 	"reflect"
 	"testing"
 
-	"repro/internal/transport"
+	"repro/internal/leakcheck"
 )
-
-// serveGridProto exposes a grid on a loopback server and returns a
-// client pinned to the given protocol generation.
-func serveGridProto(t *testing.T, grid *Grid, proto Proto) *RemoteGrid {
-	t.Helper()
-	srv := transport.NewServer()
-	grid.Serve(srv)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	remote, err := DialWith(addr, DialOptions{Proto: proto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { remote.Close() })
-	return remote
-}
 
 // protoQueries is a representative slice of the query surface across
 // all three systems and dialects.
@@ -40,15 +20,16 @@ var protoQueries = []Query{
 	{System: Hawkeye, Role: RoleAggregateServer, Expr: "TARGET.CpuLoad >= 0"},
 }
 
-// TestProtoQueryEquivalence: the same query sequence against three
-// identically-constructed grids — in-process, over the JSON v2 wire and
-// over the binary v3 wire — answers identically except for Elapsed.
-// This is the codec refactor's core safety contract: switching wire
-// generations must be invisible in every decoded field.
+// TestProtoQueryEquivalence: the same query sequence against
+// identically-constructed grids — in-process, over the wire with the
+// binary codec (RemoteGrid.Query) and over the wire with a JSON body
+// (RemoteGrid.Call) — answers identically except for Elapsed. The JSON
+// encoding is the binary codec's reference: the two body encodings of
+// grid.query must be indistinguishable in every decoded field.
 func TestProtoQueryEquivalence(t *testing.T) {
+	leakcheck.Check(t)
 	local := newTestGrid(t)
-	overV2 := serveGridProto(t, newTestGrid(t), ProtoV2)
-	overV3 := serveGridProto(t, newTestGrid(t), ProtoV3)
+	remote := serveGrid(t, newTestGrid(t))
 	ctx := context.Background()
 
 	for _, q := range protoQueries {
@@ -56,17 +37,21 @@ func TestProtoQueryEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%s in-process: %v", q.System, q.Role, err)
 		}
-		for proto, remote := range map[Proto]*RemoteGrid{ProtoV2: overV2, ProtoV3: overV3} {
-			got, err := remote.Query(ctx, q)
-			if err != nil {
-				t.Fatalf("%s/%s over %s: %v", q.System, q.Role, proto, err)
-			}
+		binary, err := remote.Query(ctx, q)
+		if err != nil {
+			t.Fatalf("%s/%s binary-bodied: %v", q.System, q.Role, err)
+		}
+		var jsonBodied ResultSet
+		if err := remote.Call(ctx, "grid.query", q, &jsonBodied); err != nil {
+			t.Fatalf("%s/%s JSON-bodied: %v", q.System, q.Role, err)
+		}
+		for body, got := range map[string]*ResultSet{"binary": binary, "JSON": &jsonBodied} {
 			// Elapsed legitimately differs (it includes the round trip).
 			norm := *got
 			norm.Elapsed = want.Elapsed
 			if !reflect.DeepEqual(*want, norm) {
-				t.Errorf("%s/%s over %s differs\nin-process: %+v\nremote:     %+v",
-					q.System, q.Role, proto, *want, norm)
+				t.Errorf("%s/%s with a %s body differs\nin-process: %+v\nremote:     %+v",
+					q.System, q.Role, body, *want, norm)
 			}
 		}
 	}
@@ -74,8 +59,8 @@ func TestProtoQueryEquivalence(t *testing.T) {
 
 // TestProtoSubscribeEquivalence: the same subscription driven through
 // the same Advance sequence delivers the identical ordered event
-// sequence over both wire generations — batched v3 event frames
-// reassemble to exactly the per-event v2 deliveries.
+// sequence in-process and over the wire — batched event frames
+// reassemble to exactly the per-event in-process deliveries.
 func TestProtoSubscribeEquivalence(t *testing.T) {
 	cases := []struct {
 		name string
@@ -88,23 +73,22 @@ func TestProtoSubscribeEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			grids := make([]*Grid, 3)
-			clocks := make([]*float64, 3)
+			leakcheck.Check(t)
+			grids := make([]*Grid, 2)
+			clocks := make([]*float64, 2)
 			for i := range grids {
 				grids[i], clocks[i] = steppedGrid(t)
 			}
-			local := grids[0]
-			overV2 := serveGridProto(t, grids[1], ProtoV2)
-			overV3 := serveGridProto(t, grids[2], ProtoV3)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 
-			streams := make([]*Stream, 3)
-			for i, s := range []Subscriber{local, overV2, overV3} {
+			streams := make([]*Stream, 2)
+			for i, s := range []Subscriber{grids[0], serveGrid(t, grids[1])} {
 				st, err := s.Subscribe(ctx, tc.sub)
 				if err != nil {
 					t.Fatalf("subscriber %d: %v", i, err)
 				}
+				t.Cleanup(func() { st.Close() })
 				streams[i] = st
 			}
 			for _, tick := range []float64{5, 10} {
@@ -116,129 +100,11 @@ func TestProtoSubscribeEquivalence(t *testing.T) {
 				}
 			}
 			want := collectEvents(t, streams[0], tc.want)
-			for i, name := range []string{"", "v2", "v3"} {
-				if i == 0 {
-					continue
-				}
-				got := collectEvents(t, streams[i], tc.want)
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s event sequence differs\nin-process: %+v\nover %s:    %+v",
-						tc.name, want, name, got)
-				}
+			got := collectEvents(t, streams[1], tc.want)
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s event sequence differs\nin-process:    %+v\nover the wire: %+v",
+					tc.name, want, got)
 			}
 		})
 	}
-}
-
-// TestProtoQueryJSONFallback: a v3 client against a server that
-// registered grid.query only through the plain JSON transport (no
-// binary codec) falls back to the JSON bridge transparently — every
-// query answers, and answers match a JSON-generation client's.
-func TestProtoQueryJSONFallback(t *testing.T) {
-	grid := newTestGrid(t)
-	srv := transport.NewServer()
-	transport.Handle(srv, "grid.query", func(ctx context.Context, q Query) (*ResultSet, error) {
-		return grid.Query(ctx, q)
-	})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	remote, err := Dial(addr) // default protocol: v3
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { remote.Close() })
-
-	want, err := newTestGrid(t).Query(context.Background(), protoQueries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Twice: the first call probes binary and falls back mid-call, the
-	// second goes straight to the bridge.
-	for i := 0; i < 2; i++ {
-		got, err := remote.Query(context.Background(), protoQueries[0])
-		if err != nil {
-			t.Fatalf("query %d through the fallback: %v", i, err)
-		}
-		if !reflect.DeepEqual(want.Records, got.Records) {
-			t.Errorf("query %d records differ through the fallback", i)
-		}
-	}
-	if st := remote.ClientStats(); st.Retries != 0 {
-		t.Errorf("the binary->JSON fallback burned %d retries; it must resolve within one attempt", st.Retries)
-	}
-}
-
-// TestProtoSubscribeJSONFallback: a v3 client against a server whose
-// grid.subscribe is JSON-only re-subscribes over a v2 connection
-// transparently and delivers the same events.
-func TestProtoSubscribeJSONFallback(t *testing.T) {
-	grid, now := steppedGrid(t)
-	srv := transport.NewServer()
-	// The v2 half of ServeSubscribe only — what a pre-v3 server serves.
-	transport.HandleStream(srv, "grid.subscribe",
-		func(ctx context.Context, sub Subscription) (transport.StreamFunc, error) {
-			st, err := grid.Subscribe(ctx, sub)
-			if err != nil {
-				return nil, err
-			}
-			return func(send func(v interface{}) error) error {
-				defer st.Close()
-				if serr := send(wireEvent{Buffer: st.Buffer()}); serr != nil {
-					return serr
-				}
-				for {
-					ev, err := st.Next(ctx)
-					if err != nil {
-						var lag *LagError
-						if errors.As(err, &lag) {
-							if serr := send(wireEvent{Lagged: lag.Dropped}); serr != nil {
-								return serr
-							}
-							continue
-						}
-						return err
-					}
-					if serr := send(wireEvent{Event: &ev}); serr != nil {
-						return serr
-					}
-				}
-			}, nil
-		})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	remote, err := Dial(addr) // default protocol: v3
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { remote.Close() })
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sub := Subscription{System: RGMA, Expr: "SELECT * FROM siteinfo WHERE value >= 0"}
-	st, err := remote.Subscribe(ctx, sub)
-	if err != nil {
-		t.Fatalf("subscribe through the fallback: %v", err)
-	}
-	*now = 5
-	if err := grid.Advance(5); err != nil {
-		t.Fatal(err)
-	}
-	events := collectEvents(t, st, 9)
-	for i, ev := range events {
-		if ev.Seq != uint64(i+1) {
-			t.Errorf("event %d: seq = %d", i, ev.Seq)
-		}
-	}
-	// A second subscribe goes straight to the JSON generation.
-	st2, err := remote.Subscribe(ctx, sub)
-	if err != nil {
-		t.Fatalf("second subscribe through the fallback: %v", err)
-	}
-	st2.Close()
 }

@@ -73,30 +73,12 @@ func (b Backoff) delay(n int, rng *rand.Rand) time.Duration {
 	return time.Duration(d)
 }
 
-// Proto selects the wire protocol generation a RemoteGrid speaks.
-type Proto string
-
-// The dialable protocol generations. ProtoV3 — the default — is the
-// binary pipelined format: one connection multiplexes up to MaxInFlight
-// concurrent calls by request id, grid.query rides the binary codec, and
-// subscriptions receive batched event frames. ProtoV2 is the
-// length-prefixed JSON format with one call in flight per connection —
-// the compatibility choice for servers predating v3 (a v3 client fails
-// loudly against one rather than mis-executing).
-const (
-	ProtoV2 Proto = "v2"
-	ProtoV3 Proto = "v3"
-)
-
 // DialOptions configures the resilient remote client (DialWith). The
 // zero value is the plain client Dial builds: no per-attempt timeout, no
-// retries, no breaker, speaking the default ProtoV3.
+// retries, no breaker.
 type DialOptions struct {
-	// Proto selects the wire protocol generation ("" means ProtoV3).
-	Proto Proto
-	// MaxInFlight bounds pipelined in-flight calls per v3 connection (0
-	// uses transport.DefaultMaxInFlight). Ignored for ProtoV2, which is
-	// strict request/response.
+	// MaxInFlight bounds pipelined in-flight calls per connection (0 uses
+	// transport.DefaultMaxInFlight).
 	MaxInFlight int
 	// AttemptTimeout bounds each individual attempt (dial + exchange);
 	// the caller's ctx still bounds the whole call, retries and backoff
@@ -149,9 +131,10 @@ type ClientStats struct {
 // Querier and Subscriber interfaces as the in-process Grid: the same
 // Query returns the same records and Work (with Elapsed measuring the
 // full round trip), and the same Subscription delivers the same ordered
-// event sequence. It is safe for concurrent use; calls are serialized
-// over one connection, and each Subscribe opens a dedicated streaming
-// connection of its own.
+// event sequence. It is safe for concurrent use: calls share one
+// pipelined connection — up to MaxInFlight genuinely in flight together,
+// matched to their answers by request id — and each Subscribe opens a
+// dedicated streaming connection of its own.
 //
 // Built with DialWith, the client is also resilient: idempotent calls
 // retry with exponential backoff across connection resets, per-attempt
@@ -170,21 +153,12 @@ type RemoteGrid struct {
 	// connMu guards client, the current shared request/response
 	// connection; nil means the next call must dial.
 	connMu sync.Mutex
-	client *wireClient // guarded by connMu
+	client *transport.MuxClient // guarded by connMu
 
 	calls      atomic.Int64
 	retries    atomic.Int64
 	reconnects atomic.Int64
 	overloaded atomic.Int64
-
-	// jsonQuery / jsonSubscribe flip on the first time the server answers
-	// a binary-bodied grid.query / grid.subscribe with "no binary codec"
-	// (a server that registered the op through the plain JSON transport
-	// only). They stay on for the client's lifetime — registrations don't
-	// change — so every later call goes straight to the JSON bridge
-	// without a probing round trip.
-	jsonQuery     atomic.Bool
-	jsonSubscribe atomic.Bool
 }
 
 // Dial connects to a grid server with no resilience options — exactly
@@ -243,57 +217,8 @@ func defSeed(seed int64) int64 {
 	return 0x67726964 // "grid": fixed so unconfigured jitter is still reproducible
 }
 
-// proto resolves the configured protocol generation.
-func (r *RemoteGrid) proto() Proto {
-	if r.opts.Proto == "" {
-		return ProtoV3
-	}
-	return r.opts.Proto
-}
-
-// wireClient is one protocol-generation connection behind a RemoteGrid:
-// exactly one of the two fields is set. The v2 client serializes calls;
-// the v3 mux pipelines them, so concurrent Query/Call on one RemoteGrid
-// share the connection with their requests genuinely in flight together.
-type wireClient struct {
-	v2 *transport.Client
-	v3 *transport.MuxClient
-}
-
-// callJSON performs one JSON-bodied exchange on whichever generation the
-// connection speaks (the v3 side bridges through the server's v2
-// handlers, so answers are identical).
-func (c *wireClient) callJSON(ctx context.Context, op string, req, resp interface{}) error {
-	if c.v3 != nil {
-		return c.v3.CallJSON(ctx, op, req, resp)
-	}
-	return c.v2.CallV2(ctx, op, req, resp)
-}
-
-// Close closes the underlying connection.
-func (c *wireClient) Close() error {
-	if c.v3 != nil {
-		return c.v3.Close()
-	}
-	return c.v2.Close()
-}
-
-// dialClient opens one wrapped connection to the server, speaking the
-// configured protocol generation.
-func (r *RemoteGrid) dialClient(ctx context.Context) (*wireClient, error) {
-	return r.dialProto(ctx, r.proto())
-}
-
-// dialProto opens one wrapped connection speaking the given generation
-// (the subscribe fallback dials ProtoV2 explicitly when the server has
-// no binary stream codec).
-func (r *RemoteGrid) dialProto(ctx context.Context, proto Proto) (*wireClient, error) {
-	switch proto {
-	case ProtoV2, ProtoV3:
-	default:
-		return nil, transport.Errf(transport.CodeBadRequest,
-			"unknown wire protocol %q (want %q or %q)", r.opts.Proto, ProtoV2, ProtoV3)
-	}
+// dialClient opens one wrapped connection to the server.
+func (r *RemoteGrid) dialClient(ctx context.Context) (*transport.MuxClient, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", r.addr)
 	if err != nil {
@@ -302,15 +227,12 @@ func (r *RemoteGrid) dialProto(ctx context.Context, proto Proto) (*wireClient, e
 	if r.opts.WrapConn != nil {
 		conn = r.opts.WrapConn(conn)
 	}
-	if proto == ProtoV2 {
-		return &wireClient{v2: transport.NewClient(conn)}, nil
-	}
-	return &wireClient{v3: transport.NewMuxClient(conn, r.opts.MaxInFlight)}, nil
+	return transport.NewMuxClient(conn, r.opts.MaxInFlight), nil
 }
 
 // getClient returns the current shared connection, dialing a fresh one
 // if the last was torn down.
-func (r *RemoteGrid) getClient(ctx context.Context) (*wireClient, error) {
+func (r *RemoteGrid) getClient(ctx context.Context) (*transport.MuxClient, error) {
 	r.connMu.Lock()
 	defer r.connMu.Unlock()
 	if r.client != nil {
@@ -325,14 +247,12 @@ func (r *RemoteGrid) getClient(ctx context.Context) (*wireClient, error) {
 	return c, nil
 }
 
-// invalidate tears down a connection that failed mid-exchange: after a
-// v2 deadline or a reset the socket may hold a half-read frame, so the
-// next attempt must re-dial (see transport.Client.CallV2); closing a v3
-// mux additionally fails its sibling in-flight calls with typed
-// connection errors, each of which retries on the fresh connection under
-// its own budget. Only the current client is dropped — a concurrent call
-// may already have replaced it.
-func (r *RemoteGrid) invalidate(c *wireClient) {
+// invalidate tears down a connection that failed mid-exchange, so the
+// next attempt re-dials; closing the mux fails its sibling in-flight
+// calls with typed connection errors, each of which retries on the fresh
+// connection under its own budget. Only the current client is dropped —
+// a concurrent call may already have replaced it.
+func (r *RemoteGrid) invalidate(c *transport.MuxClient) {
 	r.connMu.Lock()
 	if r.client == c {
 		r.client = nil
@@ -361,8 +281,8 @@ func (r *RemoteGrid) sleepBackoff(ctx context.Context, n int) error {
 // machinery (the common case; Query routes its binary codec through
 // callWire directly).
 func (r *RemoteGrid) call(ctx context.Context, op string, req, resp interface{}) error {
-	return r.callWire(ctx, func(actx context.Context, c *wireClient) error {
-		return c.callJSON(actx, op, req, resp)
+	return r.callWire(ctx, func(actx context.Context, c *transport.MuxClient) error {
+		return c.CallJSON(actx, op, req, resp)
 	})
 }
 
@@ -370,7 +290,7 @@ func (r *RemoteGrid) call(ctx context.Context, op string, req, resp interface{})
 // machinery: breaker gate, per-attempt timeout, retry with backoff and
 // reconnect. attempt performs the protocol-level exchange on the
 // connection it is handed.
-func (r *RemoteGrid) callWire(ctx context.Context, attempt func(ctx context.Context, c *wireClient) error) error {
+func (r *RemoteGrid) callWire(ctx context.Context, attempt func(ctx context.Context, c *transport.MuxClient) error) error {
 	r.calls.Add(1)
 	attempts := 1 + r.opts.MaxRetries
 	if attempts < 1 {
@@ -459,8 +379,8 @@ func (r *RemoteGrid) classify(ctx context.Context, err error) (retry, reconnect,
 			// The caller's own deadline expired: done, no retry.
 			return false, true, false
 		}
-		// The per-attempt timeout fired; the conn may hold a half-read
-		// frame, so reconnect and retry within the caller's budget.
+		// The per-attempt timeout fired; the connection itself may be
+		// what stalled, so reconnect and retry within the caller's budget.
 		return true, true, false
 	case transport.CodeCanceled:
 		return false, true, false
@@ -501,14 +421,15 @@ func (r *RemoteGrid) ClientStats() ClientStats {
 }
 
 // Subscribe opens a typed event stream for sub on the remote grid, over
-// a dedicated connection speaking the transport's streaming frames
-// (subscribe/event/error/cancel). Setup failures return here with the
-// same structured codes as in-process Subscribe. Events preserve the
-// serving grid's sequence numbers, so a remote stream is
-// event-for-event identical to an in-process one; the client-side
-// buffer applies the same bounded-buffer lag semantics (see ErrLagged),
-// and drops on the serving side are merged into this stream's drop
-// accounting.
+// a dedicated connection: the subscription rides the binary codec and
+// events arrive as batched frames (up to maxEventBatch entries per frame
+// under fan-out), lag reports and the buffer preamble in the same entry
+// sequence. Setup failures return here with the same structured codes as
+// in-process Subscribe. Events preserve the serving grid's sequence
+// numbers, so a remote stream is event-for-event identical to an
+// in-process one; the client-side buffer applies the same bounded-buffer
+// lag semantics (see ErrLagged), and drops on the serving side are
+// merged into this stream's drop accounting.
 //
 // Subscribe is deliberately outside the retry machinery: a replayed
 // subscribe is not idempotent (the server acks and begins delivery —
@@ -522,142 +443,21 @@ func (r *RemoteGrid) ClientStats() ClientStats {
 // frame, after which Next drains the buffer and returns the terminal
 // error. A failed connection surfaces as the stream's terminal error.
 func (r *RemoteGrid) Subscribe(ctx context.Context, sub Subscription) (*Stream, error) {
-	if r.proto() == ProtoV3 && r.jsonSubscribe.Load() {
-		// This server is known to have grid.subscribe only as JSON: go
-		// straight to a dedicated JSON-generation connection.
-		wc, err := r.dialProto(ctx, ProtoV2)
-		if err != nil {
-			return nil, transport.AsError(err)
-		}
-		return r.subscribeV2(ctx, wc.v2, sub)
-	}
-	wc, err := r.dialClient(ctx)
+	mux, err := r.dialClient(ctx)
 	if err != nil {
 		return nil, transport.AsError(err)
 	}
-	if wc.v3 != nil {
-		st, err := r.subscribeV3(ctx, wc.v3, sub)
-		if err == nil || !errors.Is(err, transport.ErrNoBinaryCodec) {
-			return st, err
-		}
-		// The server only registered grid.subscribe through the plain
-		// JSON transport: remember that and re-subscribe over a v2
-		// connection, which speaks exactly the stream dialect the server
-		// has. subscribeV3 already closed the probing connection.
-		r.jsonSubscribe.Store(true)
-		wc, err = r.dialProto(ctx, ProtoV2)
-		if err != nil {
-			return nil, transport.AsError(err)
-		}
-	}
-	return r.subscribeV2(ctx, wc.v2, sub)
-}
-
-// subscribeV2 is Subscribe over a dedicated JSON-generation connection:
-// one wireEvent frame per event, the connection owned by the stream.
-func (r *RemoteGrid) subscribeV2(ctx context.Context, client *transport.Client, sub Subscription) (*Stream, error) {
-	cs, err := client.StreamV2(ctx, "grid.subscribe", sub)
-	if err != nil {
-		client.Close()
-		return nil, err
-	}
-	// The stream's first frame is the preamble carrying the serving
-	// grid's effective buffer bound, so an unset Subscription.Buffer
-	// lags exactly as the in-process stream would (WithStreamBuffer on
-	// the server included). The read is bounded by ctx through the
-	// cancel frame.
-	preDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			cs.Cancel()
-		case <-preDone:
-		}
-	}()
-	var pre wireEvent
-	preErr := cs.Recv(&pre)
-	close(preDone)
-	if preErr != nil {
-		client.Close()
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, transport.AsError(ctxErr)
-		}
-		return nil, transport.AsError(preErr)
-	}
-	buffer := sub.Buffer
-	if buffer <= 0 {
-		buffer = pre.Buffer
-	}
-	if buffer <= 0 {
-		buffer = DefaultStreamBuffer
-	}
-	st := newStream(sub, buffer)
-	// A first frame that already carries data (a server not sending the
-	// preamble) is processed, not lost.
-	switch {
-	case pre.Lagged > 0:
-		st.addDrops(pre.Lagged)
-	case pre.Event != nil:
-		st.emit(*pre.Event)
-	}
-	// The canceller propagates the consumer hanging up — by ctx or by
-	// Stream.Close — to the server as a cancel frame; the reader below
-	// then observes the server's end frame and terminates the stream.
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-st.stopped:
-		case <-st.done:
-		}
-		cs.Cancel()
-	}()
-	go func() {
-		defer client.Close()
-		for {
-			var we wireEvent
-			if err := cs.Recv(&we); err != nil {
-				switch {
-				case errors.Is(err, io.EOF) && ctx.Err() != nil:
-					st.terminate(ctx.Err())
-				case errors.Is(err, io.EOF):
-					st.terminate(ErrStreamClosed)
-				default:
-					st.terminate(transport.AsError(err))
-				}
-				return
-			}
-			switch {
-			case we.Lagged > 0:
-				st.addDrops(we.Lagged)
-			case we.Event != nil:
-				st.emit(*we.Event)
-			}
-		}
-	}()
-	return st, nil
-}
-
-// subscribeV3 is Subscribe over the binary pipelined protocol: the same
-// dedicated-connection discipline, with the subscription encoded by the
-// binary codec and events arriving as batched frames (up to
-// maxEventBatch entries per frame under fan-out). Lag reports and the
-// buffer preamble ride the same entry sequence, so ordering, Seq
-// preservation and Dropped() accounting are identical to the v2 path.
-func (r *RemoteGrid) subscribeV3(ctx context.Context, mux *transport.MuxClient, sub Subscription) (*Stream, error) {
 	ms, err := mux.OpenStreamV3(ctx, "grid.subscribe",
 		func(b []byte) []byte { return appendWireSubscription(b, sub) })
 	if err != nil {
 		mux.Close()
-		if errors.Is(err, transport.ErrNoBinaryCodec) {
-			// Keep the marker intact: Subscribe's caller-side fallback
-			// matches it with errors.Is to re-subscribe over v2.
-			return nil, err
-		}
 		return nil, transport.AsError(err)
 	}
 	// The first frame is the preamble batch carrying the serving grid's
-	// effective buffer bound (the v2 path's first wireEvent). A first
-	// frame that already carries data is processed, not lost.
+	// effective buffer bound, so an unset Subscription.Buffer lags exactly
+	// as the in-process stream would (WithStreamBuffer on the server
+	// included). A first frame that already carries data is processed,
+	// not lost.
 	var preEvents []Event
 	var preDrops uint64
 	preBuffer := 0
@@ -727,38 +527,26 @@ func (r *RemoteGrid) subscribeV3(ctx context.Context, mux *transport.MuxClient, 
 // Query answers q on the remote grid. The context deadline, when set,
 // is propagated to the server and bounds the call; failures carry the
 // same structured codes as in-process queries (see CodeOf). Elapsed
-// measures the full round trip, retries included. On a v3 connection the
-// request and answer ride the binary codec — no JSON on either side —
-// and the call pipelines with its siblings instead of queuing on the
-// connection lock.
+// measures the full round trip, retries included. The request and answer
+// ride the binary codec — no JSON on either side — and the call
+// pipelines with its siblings on the shared connection.
 //
-// The caller owns the returned ResultSet. On a v3 connection all its
-// strings (record keys, field names and values, Host, branch error
-// texts) are substrings of one copy of the answer's frame, so a retained
-// Record keeps its whole answer's text alive — the contract in-process
-// answers already have; clone the strings to keep a few fields of a
-// large answer for long.
+// The caller owns the returned ResultSet. All its strings (record keys,
+// field names and values, Host, branch error texts) are substrings of
+// one copy of the answer's frame, so a retained Record keeps its whole
+// answer's text alive — the contract in-process answers already have;
+// clone the strings to keep a few fields of a large answer for long.
 func (r *RemoteGrid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 	start := time.Now()
 	var rs ResultSet
-	err := r.callWire(ctx, func(actx context.Context, c *wireClient) error {
-		if c.v3 != nil && !r.jsonQuery.Load() {
-			err := c.v3.CallV3(actx, "grid.query",
-				func(b []byte) []byte { return appendWireQuery(b, q) },
-				func(body []byte) error {
-					d := transport.NewDecText(body)
-					decodeWireResultSetInto(&d, &rs)
-					return d.Err()
-				})
-			if !errors.Is(err, transport.ErrNoBinaryCodec) {
-				return err
-			}
-			// The server only has grid.query as JSON (a plain transport
-			// registration): finish this call over the bridge and stay
-			// there — still pipelined, just JSON-bodied.
-			r.jsonQuery.Store(true)
-		}
-		return c.callJSON(actx, "grid.query", q, &rs)
+	err := r.callWire(ctx, func(actx context.Context, c *transport.MuxClient) error {
+		return c.CallV3(actx, "grid.query",
+			func(b []byte) []byte { return appendWireQuery(b, q) },
+			func(body []byte) error {
+				d := transport.NewDecText(body)
+				decodeWireResultSetInto(&d, &rs)
+				return d.Err()
+			})
 	})
 	if err != nil {
 		return nil, err

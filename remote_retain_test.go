@@ -16,7 +16,7 @@ import (
 // since replaced.
 func TestDecodedAnswersOutliveTheirFrames(t *testing.T) {
 	grid := newTestGrid(t)
-	remote := serveGridProto(t, grid, ProtoV3)
+	remote := serveGrid(t, grid)
 	ctx := context.Background()
 
 	want := make([]*ResultSet, len(protoQueries))

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/metrics"
 	"repro/internal/transport"
 )
@@ -15,6 +16,7 @@ import (
 // TestBreakerStateMachine walks the full closed → open → half-open
 // cycle on an injected clock — no sleeps, fully deterministic.
 func TestBreakerStateMachine(t *testing.T) {
+	leakcheck.Check(t)
 	now := time.Unix(0, 0)
 	b := newBreaker(Breaker{Threshold: 3, Cooldown: time.Second})
 	b.now = func() time.Time { return now }
@@ -82,6 +84,7 @@ func TestBreakerStateMachine(t *testing.T) {
 
 // TestBreakerDisabled: a zero threshold builds no breaker at all.
 func TestBreakerDisabled(t *testing.T) {
+	leakcheck.Check(t)
 	if b := newBreaker(Breaker{}); b != nil {
 		t.Fatalf("zero-value Breaker built a live breaker: %+v", b)
 	}
@@ -90,6 +93,7 @@ func TestBreakerDisabled(t *testing.T) {
 // TestBackoffDeterminism: the same seed yields the same delay sequence,
 // delays grow exponentially, and the cap holds.
 func TestBackoffDeterminism(t *testing.T) {
+	leakcheck.Check(t)
 	cfg := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Multiplier: 2, Jitter: 0.2}
 	a := rand.New(rand.NewSource(42))
 	b := rand.New(rand.NewSource(42))
@@ -126,6 +130,7 @@ func TestBackoffDeterminism(t *testing.T) {
 // path, no-queue shed, full-queue shed, queue-timeout shed, and a ctx
 // expiring mid-wait reporting as the ctx's error rather than a shed.
 func TestAdmissionGate(t *testing.T) {
+	leakcheck.Check(t)
 	ctx := context.Background()
 
 	t.Run("fast path", func(t *testing.T) {
@@ -252,6 +257,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // TestStatsOverTheWire: Grid.Stats and the ops.stats op report the same
 // counters, and the counters actually move with traffic.
 func TestStatsOverTheWire(t *testing.T) {
+	leakcheck.Check(t)
 	grid := newTestGrid(t, WithAdmission(2, 4, 50*time.Millisecond))
 	remote := serveGrid(t, grid)
 	ctx := context.Background()
@@ -283,6 +289,7 @@ func TestStatsOverTheWire(t *testing.T) {
 // arrives at a remote caller with the same structured code, and
 // errors.Is recognizes it.
 func TestOverloadedTravelsTheWire(t *testing.T) {
+	leakcheck.Check(t)
 	// maxConcurrent 1 with no queue, and a slot held hostage by a
 	// blocked acquire of our own: every remote query sheds.
 	grid := newTestGrid(t, WithAdmission(1, 0, 0))

@@ -2,7 +2,6 @@ package gridmon
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"maps"
 	"sort"
@@ -364,64 +363,4 @@ func diffRecords(last map[string]Record, cur []Record) (puts, dels []Record) {
 	sort.Slice(puts, func(i, j int) bool { return puts[i].Key < puts[j].Key })
 	sort.Slice(dels, func(i, j int) bool { return dels[i].Key < dels[j].Key })
 	return puts, dels
-}
-
-// wireEvent is the body of one grid.subscribe event frame: an event, an
-// upstream lag report (the serving grid's own buffer overflowed; the
-// client merges the count into its stream's accounting), or — in the
-// stream's first frame only — the preamble carrying the effective
-// buffer bound, so the client's buffer honors the serving grid's
-// WithStreamBuffer configuration and lag behavior matches in-process.
-type wireEvent struct {
-	Event  *Event `json:"event,omitempty"`
-	Lagged uint64 `json:"lagged,omitempty"`
-	Buffer int    `json:"buffer,omitempty"`
-}
-
-// serveSubscribe registers the grid.subscribe streaming op for the
-// in-process grid.
-func (g *Grid) serveSubscribe(srv *transport.Server) { ServeSubscribe(srv, g) }
-
-// ServeSubscribe registers the grid.subscribe streaming op backed by any
-// Subscriber — the in-process Grid, or a federation Router proxying the
-// stream to the shard that owns the host. The body is a Subscription,
-// the event frames are wireEvents, and cancellation propagates both
-// ways (a client cancel detaches the serving-side sources; a
-// serving-side source failure ends the client's stream with the
-// structured error).
-func ServeSubscribe(srv *TransportServer, source Subscriber) {
-	serveSubscribeV3(srv, source)
-	transport.HandleStream(srv, "grid.subscribe",
-		func(ctx context.Context, sub Subscription) (transport.StreamFunc, error) {
-			st, err := source.Subscribe(ctx, sub)
-			if err != nil {
-				return nil, err
-			}
-			run := func(send func(v interface{}) error) error {
-				defer st.Close()
-				if serr := send(wireEvent{Buffer: st.Buffer()}); serr != nil {
-					return serr
-				}
-				for {
-					ev, err := st.Next(ctx)
-					if err != nil {
-						var lag *LagError
-						if errors.As(err, &lag) {
-							if serr := send(wireEvent{Lagged: lag.Dropped}); serr != nil {
-								return serr
-							}
-							continue
-						}
-						if errors.Is(err, context.Canceled) || errors.Is(err, ErrStreamClosed) {
-							return nil
-						}
-						return err
-					}
-					if serr := send(wireEvent{Event: &ev}); serr != nil {
-						return serr
-					}
-				}
-			}
-			return run, nil
-		})
 }

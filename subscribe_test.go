@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/liveops"
 	"repro/internal/transport"
 )
@@ -52,6 +53,7 @@ func collectEvents(t *testing.T, st *Stream, n int) []Event {
 // Kind, Records and Work — in-process and over TCP, for all three
 // systems.
 func TestSubscribeEquivalence(t *testing.T) {
+	leakcheck.Check(t)
 	cases := []struct {
 		name string
 		sub  Subscription
@@ -120,6 +122,7 @@ func TestSubscribeEquivalence(t *testing.T) {
 // the push decoders select while decoding rather than after — and
 // leaves Work alone.
 func TestSubscribeAttrs(t *testing.T) {
+	leakcheck.Check(t)
 	cases := []struct {
 		name  string
 		sub   Subscription
@@ -172,6 +175,7 @@ func TestSubscribeAttrs(t *testing.T) {
 
 // TestSubscribeKinds: each system's events carry its documented kind.
 func TestSubscribeKinds(t *testing.T) {
+	leakcheck.Check(t)
 	grid, now := steppedGrid(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -213,6 +217,7 @@ func TestSubscribeKinds(t *testing.T) {
 // *LagError; buffered events then deliver with their original sequence
 // numbers, so the gap is visible in Seq.
 func TestSubscribeLag(t *testing.T) {
+	leakcheck.Check(t)
 	grid, now := steppedGrid(t, WithSystems(RGMA), WithRGMAProducers(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -262,6 +267,7 @@ func TestSubscribeLag(t *testing.T) {
 // (carried in the stream preamble), so lag behavior matches in-process;
 // an explicit Buffer still wins.
 func TestRemoteBufferFollowsServer(t *testing.T) {
+	leakcheck.Check(t)
 	served, _ := steppedGrid(t, WithStreamBuffer(7))
 	remote := serveGrid(t, served)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -286,6 +292,7 @@ func TestRemoteBufferFollowsServer(t *testing.T) {
 // source — producer hubs, Manager triggers, MDS watchers — and Next
 // reports the cancellation after the buffer drains.
 func TestSubscribeTeardown(t *testing.T) {
+	leakcheck.Check(t)
 	grid, _ := steppedGrid(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	subs := make([]*Stream, 0, 3)
@@ -338,6 +345,7 @@ func TestSubscribeTeardown(t *testing.T) {
 // TestStreamClose: the consumer hanging up via Close detaches sources
 // and surfaces ErrStreamClosed.
 func TestStreamClose(t *testing.T) {
+	leakcheck.Check(t)
 	grid, _ := steppedGrid(t, WithSystems(Hawkeye))
 	st, err := grid.Subscribe(context.Background(), Subscription{
 		System: Hawkeye, Expr: "TARGET.CpuLoad > 1e9"})
@@ -362,6 +370,7 @@ func TestStreamClose(t *testing.T) {
 // propagates over the wire — the server detaches its sources — and the
 // client stream terminates with the cancellation.
 func TestRemoteSubscribeCancel(t *testing.T) {
+	leakcheck.Check(t)
 	served, servedNow := steppedGrid(t)
 	remote := serveGrid(t, served)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -400,6 +409,7 @@ func TestRemoteSubscribeCancel(t *testing.T) {
 // TestSubscribeErrorEquivalence: setup failures carry the same
 // structured code in-process and over TCP.
 func TestSubscribeErrorEquivalence(t *testing.T) {
+	leakcheck.Check(t)
 	local, _ := steppedGrid(t, WithSystems(RGMA, Hawkeye))
 	served, _ := steppedGrid(t, WithSystems(RGMA, Hawkeye))
 	remote := serveGrid(t, served)
@@ -443,6 +453,7 @@ func TestSubscribeErrorEquivalence(t *testing.T) {
 // TestDiffRecords: the MDS watcher's diff classifies new, changed and
 // vanished records deterministically.
 func TestDiffRecords(t *testing.T) {
+	leakcheck.Check(t)
 	last := map[string]Record{
 		"a": {Key: "a", Fields: map[string]string{"v": "1"}},
 		"b": {Key: "b", Fields: map[string]string{"v": "2"}},
@@ -469,6 +480,7 @@ func TestDiffRecords(t *testing.T) {
 // TestMDSWatchPollInterval: PollEvery gates how often the watcher
 // re-queries the directory.
 func TestMDSWatchPollInterval(t *testing.T) {
+	leakcheck.Check(t)
 	grid, now := steppedGrid(t, WithSystems(MDS))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -512,6 +524,7 @@ func TestMDSWatchPollInterval(t *testing.T) {
 // the same components) serve clients. The ops route through the
 // facade's mutex via liveops.Deployment.Serialize.
 func TestAdvanceConcurrentWithLegacyOps(t *testing.T) {
+	leakcheck.Check(t)
 	// A fixed clock: the Advance tick alone drives sensor regeneration,
 	// and the clock closure is read concurrently by op handlers.
 	grid, _ := steppedGrid(t)
@@ -557,7 +570,7 @@ func TestAdvanceConcurrentWithLegacyOps(t *testing.T) {
 		queryWG.Add(1)
 		go func(op string, params map[string]string) {
 			defer queryWG.Done()
-			client, err := transport.Dial(addr)
+			client, err := Dial(addr)
 			if err != nil {
 				t.Error(err)
 				return
@@ -565,7 +578,7 @@ func TestAdvanceConcurrentWithLegacyOps(t *testing.T) {
 			defer client.Close()
 			for i := 0; i < 25; i++ {
 				var resp liveops.OpResponse
-				if err := client.CallV2(context.Background(), op,
+				if err := client.Call(context.Background(), op,
 					liveops.OpRequest{Params: params}, &resp); err != nil {
 					t.Errorf("%s: %v", op, err)
 					return
@@ -608,6 +621,7 @@ func (c *cancelAfterCtx) Err() error {
 // component checks it mid-flight — and the failure carries the
 // canceled code.
 func TestQueryMidExecutionCancellation(t *testing.T) {
+	leakcheck.Check(t)
 	grid := newTestGrid(t)
 	for _, q := range []Query{
 		{System: MDS, Role: RoleAggregateServer},

@@ -29,8 +29,9 @@ import (
 // the wire are bounded by the bytes left in the frame (Dec.Count) before
 // anything is sized by them.
 //
-// Nil-ness is preserved exactly as the JSON codecs preserve it, so a v3
-// answer is reflect.DeepEqual to the v2 answer for the same request:
+// Nil-ness is preserved exactly as the JSON codecs preserve it, so a
+// binary-bodied answer is reflect.DeepEqual to the JSON-bodied answer
+// for the same request (see TestProtoQueryEquivalence):
 // slices whose JSON tag lacks omitempty (ResultSet.Records,
 // Event.Records) distinguish nil from empty on the wire (count+1
 // encoding, 0 = nil); omitempty slices and maps (Query.Attrs,
@@ -146,8 +147,8 @@ func decodeWireRecordInto(d *transport.Dec, rec *Record) {
 }
 
 // appendWireRecords appends a record slice, preserving nil-ness (the
-// records JSON tag has no omitempty, so nil and empty are distinct on
-// the v2 wire too): count+1 for a non-nil slice, 0 for nil.
+// records JSON tag has no omitempty, so nil and empty are distinct in
+// a JSON body too): count+1 for a non-nil slice, 0 for nil.
 func appendWireRecords(b []byte, recs []Record) []byte {
 	if recs == nil {
 		return transport.AppendUvarint(b, 0)
@@ -284,13 +285,14 @@ const (
 	maxEventBatchBytes = 1 << 10
 )
 
-// ServeQueryV3 registers the binary v3 grid.query codec for source on
-// srv: requests decode straight from the frame, answers encode straight
-// into the server's pooled response buffer — no intermediate JSON. The
-// JSON grid.query handler registered alongside it keeps serving v1/v2
-// clients and the v3 JSON bridge.
+// ServeQueryV3 is the registration of grid.query for source on srv, in
+// both of the op's body encodings: binary-bodied requests decode straight
+// from the frame and answers encode straight into the server's pooled
+// response buffer — no intermediate JSON — while JSON-bodied calls
+// (gridmon-query, RemoteGrid.Call) reach the same source through the
+// derived JSON form.
 func ServeQueryV3(srv *TransportServer, source Querier) {
-	srv.HandleV3("grid.query", func(ctx context.Context, body []byte, out []byte) ([]byte, *transport.Error) {
+	transport.HandleV3(srv, "grid.query", source.Query, func(ctx context.Context, body []byte, out []byte) ([]byte, *transport.Error) {
 		var q Query
 		d := transport.NewDecText(body)
 		decodeWireQueryInto(&d, &q)
@@ -305,13 +307,17 @@ func ServeQueryV3(srv *TransportServer, source Querier) {
 	})
 }
 
-// serveSubscribeV3 registers the binary v3 grid.subscribe stream for
-// source on srv: the request decodes from the frame, and events are
-// delivered as batched binary frames — up to maxEventBatch entries per
-// flush under fan-out — instead of one JSON frame per event. Lag
+// ServeSubscribe registers the grid.subscribe streaming op backed by any
+// Subscriber — the in-process Grid, or a federation Router proxying the
+// stream to the shard that owns the host. The request (a Subscription)
+// decodes from the frame, and events are delivered as batched binary
+// frames — up to maxEventBatch entries per flush under fan-out. Lag
 // reports and the buffer preamble ride the same entry stream, so
-// ordering and Dropped() accounting match the v2 path exactly.
-func serveSubscribeV3(srv *TransportServer, source Subscriber) {
+// ordering and Dropped() accounting match the in-process stream.
+// Cancellation propagates both ways (a client cancel detaches the
+// serving-side sources; a serving-side source failure ends the client's
+// stream with the structured error).
+func ServeSubscribe(srv *TransportServer, source Subscriber) {
 	srv.HandleStreamV3("grid.subscribe", func(ctx context.Context, body []byte) (transport.V3StreamFunc, *transport.Error) {
 		var sub Subscription
 		d := transport.NewDecText(body)
@@ -326,7 +332,8 @@ func serveSubscribeV3(srv *TransportServer, source Subscriber) {
 		run := func(send transport.V3Send) error {
 			defer st.Close()
 			// The preamble carries the serving grid's effective buffer
-			// bound, as the v2 path's first wireEvent frame does.
+			// bound, so the client's buffer honors the serving grid's
+			// WithStreamBuffer configuration.
 			serr := send(func(b []byte) []byte {
 				b = transport.AppendUvarint(b, 1)
 				b = append(b, wireEntryBuffer)

@@ -1,7 +1,6 @@
 package gridmon
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -10,11 +9,10 @@ import (
 
 // The round-trip benchmarks measure the v3 codec's end-to-end cost for
 // the two hot exchanges: a grid.query request/answer pair and a batched
-// event flush fanned out to 64 subscribers. Each has a JSON twin so the
-// generation gap stays visible in the recorded BENCH_*.json trail. The
-// binary round trip decodes the way production does — into a fresh Query
-// and a fresh ResultSet the caller keeps, text out of one copy of each
-// frame — and TestWireQueryRoundTripAllocs pins what that costs.
+// event flush fanned out to 64 subscribers. The round trip decodes the
+// way production does — into a fresh Query and a fresh ResultSet the
+// caller keeps, text out of one copy of each frame — and
+// TestWireQueryRoundTripAllocs pins what that costs.
 
 // benchQuery is a realistic aggregate query.
 var benchQuery = Query{
@@ -76,34 +74,6 @@ func BenchmarkWireQueryRoundTripV3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		reqBuf, respBuf, gotRS, err = wireQueryRoundTripV3(reqBuf, respBuf, rs)
 		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if len(gotRS.Records) != len(rs.Records) {
-		b.Fatalf("decoded %d records", len(gotRS.Records))
-	}
-}
-
-func BenchmarkWireQueryRoundTripJSON(b *testing.B) {
-	rs := benchResultSet()
-	var gotQ Query
-	var gotRS ResultSet
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reqBuf, err := json.Marshal(benchQuery)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := json.Unmarshal(reqBuf, &gotQ); err != nil {
-			b.Fatal(err)
-		}
-		respBuf, err := json.Marshal(rs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gotRS = ResultSet{}
-		if err := json.Unmarshal(respBuf, &gotRS); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -194,36 +164,6 @@ func BenchmarkWireEventFanout64V3(b *testing.B) {
 			delivered := 0
 			if err := decodeWireBatch(body, func(Event) { delivered++ }, nil, nil); err != nil {
 				b.Fatal(err)
-			}
-			if delivered != len(evs) {
-				b.Fatalf("delivered %d events", delivered)
-			}
-		}
-	}
-}
-
-// BenchmarkWireEventFanout64JSON: the v2 shape of the same flush — one
-// wireEvent JSON frame per event per subscriber.
-func BenchmarkWireEventFanout64JSON(b *testing.B) {
-	evs := benchEvents()
-	const subscribers = 64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for s := 0; s < subscribers; s++ {
-			delivered := 0
-			for j := range evs {
-				frame, err := json.Marshal(wireEvent{Event: &evs[j]})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var we wireEvent
-				if err := json.Unmarshal(frame, &we); err != nil {
-					b.Fatal(err)
-				}
-				if we.Event != nil {
-					delivered++
-				}
 			}
 			if delivered != len(evs) {
 				b.Fatalf("delivered %d events", delivered)

@@ -11,8 +11,7 @@ import (
 
 // jsonRT round-trips v through JSON — the reference semantics the binary
 // codec must reproduce exactly, nil-ness and omitempty behaviour
-// included, so v1/v2 JSON clients and v3 binary clients see the same
-// values.
+// included, so JSON-bodied and binary-bodied calls see the same values.
 func jsonRT[T any](t *testing.T, v T) T {
 	t.Helper()
 	b, err := json.Marshal(v)
