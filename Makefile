@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci fmt vet lint build test race stress recovery chaos fed-chaos wire load-smoke bench bench-smoke fuzz-smoke bench-json bench-compare
+.PHONY: all ci fmt vet lint build test race stress recovery chaos fed-chaos wire load-smoke bench bench-smoke fuzz-smoke
 
 all: ci
 
@@ -73,11 +73,12 @@ fed-chaos:
 # wire re-runs the wire-protocol gates hard under the race detector:
 # the equivalence suites (identical answers in-process, binary-bodied
 # and JSON-bodied; identical event sequences in-process and remote), the
-# transport/mux and codec suites, the typed record codec round trips,
-# and the pipelining chaos case (mid-frame reset with K>1 in-flight
-# calls fails exactly the affected calls, typed, no hang).
+# transport/mux suites, the shared binary encoding's own (binenc), the
+# typed record codec round trips, and the pipelining chaos case
+# (mid-frame reset with K>1 in-flight calls fails exactly the affected
+# calls, typed, no hang).
 wire:
-	$(GO) test -race -count=3 -run 'Proto|Wire|V3|Codec|ChaosPipelined' . ./internal/transport
+	$(GO) test -race -count=3 -run 'Proto|Wire|V3|Codec|ChaosPipelined' . ./internal/transport ./internal/binenc
 
 # load-smoke proves the closed-loop load generator end to end: an
 # in-process server, two users, one second — enough to catch rot without
@@ -103,9 +104,11 @@ bench-smoke:
 # ResponseBytes rests on (SizeBytes is the length of the canonical
 # rendering; fold-free lookups find what strings.ToLower found), the
 # wire decoders that read what a peer sent (never panic, allocate in
-# proportion to the frame, round-trip what they accept), and the two
-# frame readers under them (never panic or hang: a well-formed answer or
-# a closed connection, and every waiter released).
+# proportion to the frame, round-trip what they accept), the two frame
+# readers under them (never panic or hang: a well-formed answer or a
+# closed connection, and every waiter released), and the two replay
+# decoders that read what a data directory holds (the same bounds, and
+# every record the encoders log replays to the state that logged it).
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) .
@@ -114,23 +117,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzValueSize$$' -fuzztime $(FUZZTIME) ./internal/relational
 	$(GO) test -run '^$$' -fuzz '^FuzzExprAppend$$' -fuzztime $(FUZZTIME) ./internal/classad
 	$(GO) test -run '^$$' -fuzz '^FuzzEntrySize$$' -fuzztime $(FUZZTIME) ./internal/ldap
-
-# bench-json runs the full benchmark suite with memory stats and records
-# the go-test JSON event stream in BENCH_<date>.json, so the perf
-# trajectory across PRs has machine-readable data points. Compare runs
-# with e.g.:  jq -r 'select(.Action=="output") | .Output' BENCH_*.json | grep ns/op
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -json ./... > BENCH_$$(date +%Y-%m-%d).json
-
-# bench-compare runs a fresh benchmark suite and diffs it against a
-# recorded baseline (BASELINE ?= the newest BENCH_*.json), flagging any
-# benchmark whose ns/op regressed more than 20% — or missing from the
-# current run (a crashed suite must not read as a pass; the temp file
-# keeps go test's own failure visible too). Timing on shared hardware is
-# noisy — treat failures as a prompt to re-run, not a CI gate.
-BASELINE ?= $(shell ls -1 BENCH_*.json 2>/dev/null | sort | tail -1)
-bench-compare:
-	@test -n "$(BASELINE)" || { echo "no BENCH_*.json baseline found (run make bench-json first)"; exit 1; }
-	$(GO) test -run '^$$' -bench . -benchmem -json ./... > bench-current.json.tmp
-	$(GO) run ./cmd/gridmon-bench -compare $(BASELINE) -against bench-current.json.tmp; \
-		status=$$?; rm -f bench-current.json.tmp; exit $$status
+	$(GO) test -run '^$$' -fuzz '^FuzzRegistryReplay$$' -fuzztime $(FUZZTIME) ./internal/rgma
+	$(GO) test -run '^$$' -fuzz '^FuzzGIISReplay$$' -fuzztime $(FUZZTIME) ./internal/mds

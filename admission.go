@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/transport"
 )
 
@@ -36,10 +35,10 @@ type admission struct {
 	sem          chan struct{}
 	maxQueued    int
 	queueTimeout time.Duration
-	counters     *metrics.ServeCounters
+	counters     *serveCounters
 }
 
-func newAdmission(maxConcurrent, maxQueued int, queueTimeout time.Duration, c *metrics.ServeCounters) *admission {
+func newAdmission(maxConcurrent, maxQueued int, queueTimeout time.Duration, c *serveCounters) *admission {
 	return &admission{
 		sem:          make(chan struct{}, maxConcurrent),
 		maxQueued:    maxQueued,

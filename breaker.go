@@ -1,6 +1,9 @@
 package gridmon
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -21,6 +24,30 @@ type Breaker struct {
 	// Cooldown is how long the circuit stays open before admitting a
 	// half-open probe (default 1s).
 	Cooldown time.Duration
+}
+
+// ParseBreaker parses the command-line form THRESHOLD[,COOLDOWN] ("5" or
+// "5,2s"). Empty is the zero Breaker: off for a client, the federation
+// default for a Router.
+func ParseBreaker(s string) (Breaker, error) {
+	if s == "" {
+		return Breaker{}, nil
+	}
+	threshold, cooldown, hasCooldown := strings.Cut(s, ",")
+	var br Breaker
+	n, err := strconv.Atoi(strings.TrimSpace(threshold))
+	if err != nil {
+		return br, fmt.Errorf("threshold %q: %v", threshold, err)
+	}
+	br.Threshold = n
+	if hasCooldown {
+		d, err := time.ParseDuration(strings.TrimSpace(cooldown))
+		if err != nil {
+			return br, fmt.Errorf("cooldown %q: %v", cooldown, err)
+		}
+		br.Cooldown = d
+	}
+	return br, nil
 }
 
 // The breaker states, visible in ClientStats.BreakerState.

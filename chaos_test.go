@@ -26,7 +26,6 @@ func chaosServe(t *testing.T, grid *Grid, plan faultconn.Plan) (string, *faultco
 	t.Helper()
 	inj := faultconn.New(plan)
 	srv := transport.NewServer()
-	srv.Concurrent = true
 	srv.WrapConn = inj.Wrap
 	grid.Serve(srv)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -394,7 +393,6 @@ func (f querierFunc) Query(ctx context.Context, q Query) (*ResultSet, error) { r
 func TestChaosOverloadRetry(t *testing.T) {
 	leakcheck.Check(t)
 	srv := transport.NewServer()
-	srv.Concurrent = true
 	var calls atomic.Int64
 	ServeQueryV3(srv, querierFunc(func(_ context.Context, q Query) (*ResultSet, error) {
 		if calls.Add(1) <= 2 {
@@ -436,7 +434,6 @@ func TestChaosOverloadRetry(t *testing.T) {
 func TestChaosBreakerTrips(t *testing.T) {
 	leakcheck.Check(t)
 	srv := transport.NewServer()
-	srv.Concurrent = true
 	var calls atomic.Int64
 	ServeQueryV3(srv, querierFunc(func(context.Context, Query) (*ResultSet, error) {
 		calls.Add(1)

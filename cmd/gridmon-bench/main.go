@@ -6,7 +6,6 @@
 //
 //	gridmon-bench [-quick] [-parallel n] [-csv dir]
 //	              [-cpuprofile f] [-memprofile f] [exp1|exp2|exp3|exp4 ...]
-//	gridmon-bench -compare BENCH_<date>.json [-against current.json]
 //
 // With no experiment arguments every set runs. -quick shortens the
 // measurement window for smoke runs (the paper's full 10-minute windows
@@ -14,13 +13,6 @@
 // (default: one per CPU); every point runs on its own simulation
 // environment, so the printed curves are bit-identical to -parallel 1 —
 // only the wall-clock changes.
-//
-// -compare switches to benchmark-diff mode: the flag names a recorded
-// `make bench-json` baseline (a go-test -json event stream) and -against
-// the current run to diff it with ("-", the default, reads stdin — the
-// Makefile's bench-compare target pipes a fresh suite in). Shared
-// benchmarks are tabulated by ns/op delta and anything more than 20%
-// slower is flagged as a regression, failing the exit status.
 package main
 
 import (
@@ -46,16 +38,10 @@ func run() int {
 	quick := flag.Bool("quick", false, "shortened measurement windows")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "max sweep points measured concurrently (1 = serial)")
 	csvDir := flag.String("csv", "", "also write per-experiment CSV files to this directory")
-	compare := flag.String("compare", "", "baseline BENCH_<date>.json to diff instead of running experiments")
-	against := flag.String("against", "-", "current-run bench json to diff the baseline with (- = stdin)")
-	filter := flag.String("filter", "", "compare: regexp restricting which benchmarks are diffed (empty = all)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	if *compare != "" {
-		return runCompare(*compare, *against, *filter)
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

@@ -74,7 +74,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -194,7 +193,7 @@ func runGIIS(addr, shards, policy string, fanout int, branchTimeout time.Duratio
 	if err != nil {
 		log.Fatalf("-policy: %v", err)
 	}
-	br, err := parseBreakerFlag(breaker)
+	br, err := gridmon.ParseBreaker(breaker)
 	if err != nil {
 		log.Fatalf("-breaker: %v", err)
 	}
@@ -227,27 +226,4 @@ func runGIIS(addr, shards, policy string, fanout int, branchTimeout time.Duratio
 	<-sig
 	srv.Close()
 	router.Close()
-}
-
-// parseBreakerFlag parses THRESHOLD[,COOLDOWN] ("5" or "5,2s"). Empty
-// keeps the federation default breaker.
-func parseBreakerFlag(s string) (gridmon.Breaker, error) {
-	if s == "" {
-		return gridmon.Breaker{}, nil
-	}
-	threshold, cooldown, hasCooldown := strings.Cut(s, ",")
-	var br gridmon.Breaker
-	n, err := strconv.Atoi(strings.TrimSpace(threshold))
-	if err != nil {
-		return br, fmt.Errorf("threshold %q: %v", threshold, err)
-	}
-	br.Threshold = n
-	if hasCooldown {
-		d, err := time.ParseDuration(strings.TrimSpace(cooldown))
-		if err != nil {
-			return br, fmt.Errorf("cooldown %q: %v", cooldown, err)
-		}
-		br.Cooldown = d
-	}
-	return br, nil
 }

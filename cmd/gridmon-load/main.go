@@ -575,7 +575,6 @@ func startSelfServer(cfg selfConfig, listenAddr string) (*selfServer, error) {
 		return nil, err
 	}
 	srv := gridmon.NewTransportServer()
-	srv.Concurrent = true
 	grid.Serve(srv)
 	bound, err := srv.Listen(listenAddr)
 	if err != nil {

@@ -60,13 +60,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"time"
 
 	gridmon "repro"
 	"repro/internal/federation"
-	"repro/internal/liveops"
 	"repro/internal/transport"
 )
 
@@ -101,7 +99,7 @@ func main() {
 		params[kv[:eq]] = kv[eq+1:]
 	}
 
-	br, err := parseBreakerFlag(*breaker)
+	br, err := gridmon.ParseBreaker(*breaker)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bad -breaker %q: %v\n", *breaker, err)
 		os.Exit(2)
@@ -341,8 +339,8 @@ func call(ctx context.Context, remote *gridmon.RemoteGrid, op string, params map
 		}
 		return rs.String(), nil
 	}
-	var resp liveops.OpResponse
-	if err := remote.Call(ctx, op, liveops.OpRequest{Params: params}, &resp); err != nil {
+	var resp gridmon.OpResponse
+	if err := remote.Call(ctx, op, gridmon.OpRequest{Params: params}, &resp); err != nil {
 		return "", err
 	}
 	return resp.Payload, nil
@@ -375,27 +373,4 @@ func exitStatus(code transport.Code) int {
 	default:
 		return 1
 	}
-}
-
-// parseBreakerFlag parses THRESHOLD[,COOLDOWN] ("5" or "5,2s"). Empty
-// leaves the breaker off.
-func parseBreakerFlag(s string) (gridmon.Breaker, error) {
-	if s == "" {
-		return gridmon.Breaker{}, nil
-	}
-	threshold, cooldown, hasCooldown := strings.Cut(s, ",")
-	var br gridmon.Breaker
-	n, err := strconv.Atoi(strings.TrimSpace(threshold))
-	if err != nil {
-		return br, fmt.Errorf("threshold %q: %v", threshold, err)
-	}
-	br.Threshold = n
-	if hasCooldown {
-		d, err := time.ParseDuration(strings.TrimSpace(cooldown))
-		if err != nil {
-			return br, fmt.Errorf("cooldown %q: %v", cooldown, err)
-		}
-		br.Cooldown = d
-	}
-	return br, nil
 }

@@ -8,9 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hawkeye"
-	"repro/internal/liveops"
 	"repro/internal/mds"
-	"repro/internal/metrics"
 	"repro/internal/rgma"
 	"repro/internal/storage"
 	"repro/internal/transport"
@@ -31,9 +29,9 @@ type Grid struct {
 	// so independent queries run in parallel on a multi-core server (the
 	// engines' read paths are safe for concurrent readers — lazily
 	// maintained structures double-check under their own locks); the
-	// state-changing paths — Advance, Advertise, Subscribe bookkeeping,
-	// and the legacy ops serialized through Serve — take the write lock
-	// and run exclusively, exactly as before.
+	// legacy param-based ops are readers too (see beginRead); the
+	// state-changing paths — Advance, Advertise, Subscribe bookkeeping —
+	// take the write lock and run exclusively.
 	mu       sync.RWMutex
 	subID    uint64        // allocator for subscription ids; guarded by mu
 	watchers []*mdsWatcher // active MDS poll-and-diff watchers; guarded by mu
@@ -44,7 +42,7 @@ type Grid struct {
 
 	// counters is the serving path's self-observability (Grid.Stats,
 	// ops.stats); always allocated, lock-free.
-	counters *metrics.ServeCounters
+	counters *serveCounters
 	// admit is the opt-in overload gate in front of Query and the legacy
 	// ops (nil without WithAdmission).
 	admit *admission
@@ -95,7 +93,7 @@ func New(opts ...Option) (*Grid, error) {
 	if cfg.queryCacheTTL > 0 {
 		g.cache = newQueryCache(cfg.queryCacheTTL)
 	}
-	g.counters = &metrics.ServeCounters{}
+	g.counters = &serveCounters{}
 	if cfg.admitMax > 0 {
 		g.admit = newAdmission(cfg.admitMax, cfg.admitQueue, cfg.admitTimeout, g.counters)
 	}
@@ -407,19 +405,16 @@ func NewTransportServer() *TransportServer { return transport.NewServer() }
 //	ops.stats       ->  Stats (serving counters: queries/errors/shed/cache)
 //
 // plus the six legacy param-based ops (mds.query, mds.hosts, rgma.query,
-// rgma.tables, hawkeye.query, hawkeye.pool; see internal/liveops). The
+// rgma.tables, hawkeye.query, hawkeye.pool; see serveLegacyOps). The
 // server's built-in ops.list op reports the whole namespace.
 //
-// Serve marks the server Concurrent: the grid does its own locking
-// (queries under the facade's read lock run in parallel; the legacy ops
-// are serialized through its write lock), so requests from different
-// connections are dispatched simultaneously — the property the
-// concurrent-user experiments (gridmon-load) measure. Call Serve before
-// Listen (ops must be registered before traffic anyway): the Concurrent
-// flag is plain state, and the switch applies server-wide, so any other
-// handlers registered on srv must do their own locking too.
+// The transport dispatches requests from different connections (and
+// pipelined ones from the same connection) simultaneously; the grid does
+// its own locking — queries and the legacy ops run in parallel under the
+// facade's read lock, past the same admission gate — which is the
+// property the concurrent-user experiments (gridmon-load) measure. Call
+// Serve before Listen: ops must be registered before traffic.
 func (g *Grid) Serve(srv *transport.Server) {
-	srv.Concurrent = true
 	ServeQueryV3(srv, g)
 	ServeSubscribe(srv, g)
 	g.serveStats(srv)
@@ -429,31 +424,7 @@ func (g *Grid) Serve(srv *transport.Server) {
 	transport.Handle(srv, "grid.systems", func(context.Context, struct{}) (SystemList, error) {
 		return SystemList{Systems: g.Systems()}, nil
 	})
-	liveops.Register(srv, liveops.Deployment{
-		GIIS:     g.giis,
-		Registry: g.registry,
-		Consumer: g.consumer,
-		Manager:  g.manager,
-		Now:      g.clock,
-		// The legacy ops touch the same components the Advance pump
-		// mutates; serialize them through the facade's write lock, and
-		// treat them as potential writes for the query cache. The
-		// admission gate covers them too: under overload a legacy op is
-		// shed (ErrOverloaded) before it can pile onto the write lock.
-		Serialize: func(ctx context.Context, run func()) error {
-			if g.admit != nil {
-				if err := g.admit.acquire(ctx); err != nil {
-					return err
-				}
-				defer g.admit.release()
-			}
-			g.mu.Lock()
-			defer g.mu.Unlock()
-			g.invalidateCacheLocked()
-			run()
-			return nil
-		},
-	})
+	g.serveLegacyOps(srv)
 }
 
 // HostList is the response body of grid.hosts.

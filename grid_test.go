@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/liveops"
 	"repro/internal/transport"
 )
 
@@ -146,15 +145,15 @@ func TestLegacyOps(t *testing.T) {
 		{"hawkeye.pool", nil, "lucky7"},
 	}
 	for _, tc := range cases {
-		var resp liveops.OpResponse
-		if err := remote.Call(ctx, tc.op, liveops.OpRequest{Params: tc.params}, &resp); err != nil {
+		var resp OpResponse
+		if err := remote.Call(ctx, tc.op, OpRequest{Params: tc.params}, &resp); err != nil {
 			t.Errorf("%s: %v", tc.op, err)
 		}
 		if !strings.Contains(resp.Payload, tc.want) {
 			t.Errorf("%s: payload %q missing %q", tc.op, resp.Payload, tc.want)
 		}
 	}
-	if err := remote.Call(ctx, "rgma.query", liveops.OpRequest{}, nil); CodeOf(err) != ErrBadRequest {
+	if err := remote.Call(ctx, "rgma.query", OpRequest{}, nil); CodeOf(err) != ErrBadRequest {
 		t.Errorf("rgma.query without sql: err = %v, want %s", err, ErrBadRequest)
 	}
 }

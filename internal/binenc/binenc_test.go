@@ -1,6 +1,7 @@
-package transport
+package binenc
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -17,7 +18,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	b = AppendFloat64(b, math.Inf(-1))
 	b = AppendString(b, "")
 	b = AppendString(b, "grid-α")
-	b = AppendBytes(b, []byte{0, 1, 2})
+	b = AppendString(b, "\x00\x01\x02")
 	b = append(b, 0x7f)
 
 	d := NewDec(b)
@@ -54,8 +55,30 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Len() != 0 {
-		t.Fatalf("%d bytes left over", d.Len())
+	if d.Len() != 0 || !d.Done() {
+		t.Fatalf("%d bytes left over, Done = %v", d.Len(), d.Done())
+	}
+}
+
+// TestCodecDone: Done is true only for a payload consumed exactly — a
+// record with bytes left over, or one that ended early, is not the record
+// its type tag promised.
+func TestCodecDone(t *testing.T) {
+	rec := AppendFloat64([]byte{0x03}, 1.5)
+	for name, tc := range map[string]struct {
+		payload []byte
+		done    bool
+	}{
+		"exact":    {rec, true},
+		"trailing": {append(append([]byte(nil), rec...), 0), false},
+		"short":    {rec[:len(rec)-1], false},
+	} {
+		d := NewDec(tc.payload)
+		d.Byte()
+		d.Float64()
+		if d.Done() != tc.done {
+			t.Errorf("%s: Done = %v, err %v, %d bytes left", name, d.Done(), d.Err(), d.Len())
+		}
 	}
 }
 
@@ -82,11 +105,8 @@ func TestCodecTruncation(t *testing.T) {
 		default:
 			_ = d.String() // vet: String() results must be used
 		}
-		if d.Err() == nil {
-			t.Errorf("%s: no error", name)
-		}
-		if ErrorCode(d.Err()) != CodeBadRequest {
-			t.Errorf("%s: code = %s", name, ErrorCode(d.Err()))
+		if !errors.Is(d.Err(), ErrMalformed) {
+			t.Errorf("%s: err = %v, want ErrMalformed", name, d.Err())
 		}
 		// Sticky: subsequent reads are inert.
 		if v := d.Uvarint(); v != 0 {
@@ -106,7 +126,7 @@ func TestCodecText(t *testing.T) {
 	b = AppendString(b, "")
 	b = AppendFloat64(b, 2.5)
 	b = AppendString(b, "value-α")
-	b = AppendBytes(b, []byte{9})
+	b = AppendString(b, "\x09")
 	var got [3]string
 	allocs := testing.AllocsPerRun(100, func() {
 		d := NewDecText(b)
@@ -137,7 +157,7 @@ func TestCodecText(t *testing.T) {
 	}
 	// Truncation is the same sticky error.
 	d = NewDecText(AppendUvarint(nil, 100))
-	if s := d.String(); s != "" || ErrorCode(d.Err()) != CodeBadRequest {
+	if s := d.String(); s != "" || !errors.Is(d.Err(), ErrMalformed) {
 		t.Fatalf("string past end = %q, err %v", s, d.Err())
 	}
 }

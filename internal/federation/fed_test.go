@@ -94,7 +94,6 @@ func newCluster(t *testing.T, shards int, plans []faultconn.Plan, cfg federation
 func serveLeaf(t *testing.T, leaf *gridmon.Grid, plan faultconn.Plan, addr string) (string, *transport.Server, *faultconn.Injector) {
 	t.Helper()
 	srv := transport.NewServer()
-	srv.Concurrent = true
 	var inj *faultconn.Injector
 	if plan != (faultconn.Plan{}) {
 		inj = faultconn.New(plan)

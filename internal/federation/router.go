@@ -472,7 +472,6 @@ func (r *Router) Stats() Stats {
 // can stack (an aggregator's shard address may itself be an
 // aggregator) — plus fed.stats for the federation counters.
 func (r *Router) Serve(srv *gridmon.TransportServer) {
-	srv.Concurrent = true
 	gridmon.ServeQueryV3(srv, r)
 	gridmon.ServeSubscribe(srv, r)
 	transport.Handle(srv, "grid.hosts", func(ctx context.Context, _ struct{}) (gridmon.HostList, error) {

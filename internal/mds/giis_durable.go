@@ -3,6 +3,7 @@ package mds
 import (
 	"fmt"
 
+	"repro/internal/binenc"
 	"repro/internal/storage"
 )
 
@@ -16,7 +17,7 @@ import (
 // recovered registration's source returns, the entry is "detached" —
 // it holds its directory slot and expiry but contributes no entries.
 //
-// WAL record grammar (see storage.Encoder for the primitive forms):
+// WAL record grammar (see internal/binenc for the primitive forms):
 //
 //	upsert = 0x01 id expiry     (register or renew)
 //	expire = 0x02 now           (soft-state sweep that dropped entries)
@@ -149,9 +150,11 @@ func (g *GIIS) encodeState() []byte {
 // restoreState loads a snapshot image into the (empty) registration
 // table as detached registrations. Callers hold mu exclusively.
 func (g *GIIS) restoreState(snap []byte) error {
-	d := storage.NewDecoder(snap)
-	n := d.Uvarint()
-	for i := uint64(0); i < n; i++ {
+	d := binenc.NewDec(snap)
+	// A registration is a length-prefixed id and a float64 at least, so a
+	// damaged count cannot outrun the bytes that follow it.
+	n := d.Count(d.Uvarint(), 1+8)
+	for i := 0; i < n; i++ {
 		id := d.String()
 		expiry := d.Float64()
 		if d.Err() != nil {
@@ -160,7 +163,7 @@ func (g *GIIS) restoreState(snap []byte) error {
 		g.upsertRegistration(id, expiry)
 	}
 	if !d.Done() {
-		return fmt.Errorf("mds: corrupt giis snapshot: %v", d.Err())
+		return fmt.Errorf("mds: corrupt giis snapshot (%d bytes)", len(snap))
 	}
 	return nil
 }
@@ -169,20 +172,20 @@ func (g *GIIS) restoreState(snap []byte) error {
 // the live paths use, so a recovered GIIS holds exactly the
 // registration table that logged it.
 func (g *GIIS) applyRecord(rec []byte) error {
-	d := storage.NewDecoder(rec)
+	d := binenc.NewDec(rec)
 	switch op := d.Byte(); op {
 	case giisOpUpsert:
 		id := d.String()
 		expiry := d.Float64()
 		if !d.Done() {
-			return fmt.Errorf("mds: corrupt upsert record: %v", d.Err())
+			return fmt.Errorf("mds: corrupt upsert record (%d bytes)", len(rec))
 		}
 		g.upsertRegistration(id, expiry)
 		return nil
 	case giisOpExpire:
 		now := d.Float64()
 		if !d.Done() {
-			return fmt.Errorf("mds: corrupt expire record: %v", d.Err())
+			return fmt.Errorf("mds: corrupt expire record (%d bytes)", len(rec))
 		}
 		g.expire(now)
 		return nil

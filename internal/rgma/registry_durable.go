@@ -3,6 +3,7 @@ package rgma
 import (
 	"fmt"
 
+	"repro/internal/binenc"
 	"repro/internal/gma"
 	"repro/internal/relational"
 	"repro/internal/storage"
@@ -16,7 +17,7 @@ import (
 // re-announce. Queries are never logged: lookups read the directory,
 // they do not change it.
 //
-// WAL record grammar (see storage.Encoder for the primitive forms):
+// WAL record grammar (see internal/binenc for the primitive forms):
 //
 //	register   = 0x01 producerID address tableName predicate expires
 //	unregister = 0x02 producerID
@@ -159,9 +160,11 @@ func (r *Registry) encodeState() []byte {
 // restoreState loads a snapshot image into the (empty) producers
 // table. Callers hold mu exclusively.
 func (r *Registry) restoreState(snap []byte) error {
-	d := storage.NewDecoder(snap)
-	n := d.Uvarint()
-	for i := uint64(0); i < n; i++ {
+	d := binenc.NewDec(snap)
+	// A row is four length-prefixed strings and a float64 at least, so a
+	// damaged count cannot outrun the bytes that follow it.
+	n := d.Count(d.Uvarint(), 4+8)
+	for i := 0; i < n; i++ {
 		ad := gma.Advertisement{
 			ProducerID: d.String(),
 			Address:    d.String(),
@@ -177,7 +180,7 @@ func (r *Registry) restoreState(snap []byte) error {
 		}
 	}
 	if !d.Done() {
-		return fmt.Errorf("rgma: corrupt registry snapshot: %v", d.Err())
+		return fmt.Errorf("rgma: corrupt registry snapshot (%d bytes)", len(snap))
 	}
 	return nil
 }
@@ -186,7 +189,7 @@ func (r *Registry) restoreState(snap []byte) error {
 // the live paths use, so a recovered registry is bit-identical to the
 // one that logged it.
 func (r *Registry) applyRecord(rec []byte) error {
-	d := storage.NewDecoder(rec)
+	d := binenc.NewDec(rec)
 	switch op := d.Byte(); op {
 	case regOpRegister:
 		ad := gma.Advertisement{
@@ -197,20 +200,20 @@ func (r *Registry) applyRecord(rec []byte) error {
 		}
 		expires := d.Float64()
 		if !d.Done() {
-			return fmt.Errorf("rgma: corrupt register record: %v", d.Err())
+			return fmt.Errorf("rgma: corrupt register record (%d bytes)", len(rec))
 		}
 		return r.putProducer(ad, expires)
 	case regOpUnregister:
 		id := d.String()
 		if !d.Done() {
-			return fmt.Errorf("rgma: corrupt unregister record: %v", d.Err())
+			return fmt.Errorf("rgma: corrupt unregister record (%d bytes)", len(rec))
 		}
 		r.deleteProducer(id)
 		return nil
 	case regOpExpire:
 		now := d.Float64()
 		if !d.Done() {
-			return fmt.Errorf("rgma: corrupt expire record: %v", d.Err())
+			return fmt.Errorf("rgma: corrupt expire record (%d bytes)", len(rec))
 		}
 		r.expire(now)
 		return nil

@@ -1,14 +1,10 @@
 package storage
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "repro/internal/binenc"
 
-// Encoder builds a record payload from primitives in the storage
-// layer's deterministic wire form (little-endian, uvarint lengths).
-// The zero value is ready to use.
+// Encoder builds a record payload from the shared binenc primitives
+// (little-endian, uvarint lengths) — the form binenc.Dec reads back. The
+// zero value is ready to use.
 type Encoder struct {
 	buf []byte
 }
@@ -17,93 +13,14 @@ type Encoder struct {
 func (e *Encoder) Byte(b byte) { e.buf = append(e.buf, b) }
 
 // Uvarint appends an unsigned varint.
-func (e *Encoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *Encoder) Uvarint(v uint64) { e.buf = binenc.AppendUvarint(e.buf, v) }
 
 // Float64 appends the IEEE 754 bits of f, little-endian.
-func (e *Encoder) Float64(f float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(f))
-}
+func (e *Encoder) Float64(f float64) { e.buf = binenc.AppendFloat64(e.buf, f) }
 
 // String appends a uvarint length followed by the bytes of s.
-func (e *Encoder) String(s string) {
-	e.Uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
+func (e *Encoder) String(s string) { e.buf = binenc.AppendString(e.buf, s) }
 
 // Bytes returns the encoded payload. The slice aliases the encoder's
 // buffer; it is valid until the next append.
 func (e *Encoder) Bytes() []byte { return e.buf }
-
-// Decoder reads primitives back out of a record payload. Errors are
-// sticky: after the first malformed read every subsequent read returns
-// a zero value, and Err reports the failure — callers decode a whole
-// record and check once.
-type Decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-// NewDecoder decodes the given payload.
-func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
-
-func (d *Decoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("storage: truncated %s at offset %d (record is %d bytes)", what, d.off, len(d.buf))
-	}
-}
-
-// Byte reads one byte.
-func (d *Decoder) Byte() byte {
-	if d.err != nil || d.off >= len(d.buf) {
-		d.fail("byte")
-		return 0
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b
-}
-
-// Uvarint reads an unsigned varint.
-func (d *Decoder) Uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// Float64 reads an IEEE 754 little-endian float.
-func (d *Decoder) Float64() float64 {
-	if d.err != nil || d.off+8 > len(d.buf) {
-		d.fail("float64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return math.Float64frombits(v)
-}
-
-// String reads a uvarint-length-prefixed string.
-func (d *Decoder) String() string {
-	n := d.Uvarint()
-	if d.err != nil || uint64(len(d.buf)-d.off) < n {
-		d.fail("string")
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-// Err reports the first malformed read, or nil.
-func (d *Decoder) Err() error { return d.err }
-
-// Done reports whether the whole payload was consumed cleanly — the
-// check that a record carried exactly the fields its type implies.
-func (d *Decoder) Done() bool { return d.err == nil && d.off == len(d.buf) }

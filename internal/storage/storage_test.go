@@ -6,8 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/binenc"
 )
 
+// TestCodecRoundTrip: what Encoder writes is the shared binenc form.
 func TestCodecRoundTrip(t *testing.T) {
 	var e Encoder
 	e.Byte(7)
@@ -16,7 +19,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	e.Float64(3.5)
 	e.String("")
 	e.String("lucky3:8080")
-	d := NewDecoder(e.Bytes())
+	d := binenc.NewDec(e.Bytes())
 	if got := d.Byte(); got != 7 {
 		t.Errorf("Byte = %d, want 7", got)
 	}
@@ -40,27 +43,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCodecTruncatedIsSticky(t *testing.T) {
-	var e Encoder
-	e.String("abcdef")
-	buf := e.Bytes()
-	d := NewDecoder(buf[:3]) // length prefix says 6, only 2 bytes follow
-	if got := d.String(); got != "" {
-		t.Errorf("truncated String = %q, want empty", got)
-	}
-	if d.Err() == nil {
-		t.Fatal("no error after truncated read")
-	}
-	if got := d.Byte(); got != 0 {
-		t.Errorf("read after error = %d, want 0", got)
-	}
-	if d.Done() {
-		t.Error("Done reported true on a failed decode")
-	}
-}
-
-// testRecords builds a deterministic record set with varied sizes,
-// including empty and large-ish payloads.
 func testRecords(n int) [][]byte {
 	recs := make([][]byte, n)
 	for i := range recs {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/binenc"
 	"repro/internal/leakcheck"
 )
 
@@ -26,7 +27,7 @@ func TestServerCloseUnblocksStreamClient(t *testing.T) {
 	handlerDone := make(chan error, 1)
 	srv.HandleStreamV3("forever", func(ctx context.Context, _ []byte) (V3StreamFunc, *Error) {
 		return func(send V3Send) error {
-			if err := send(func(b []byte) []byte { return AppendUvarint(b, 0) }); err != nil {
+			if err := send(func(b []byte) []byte { return binenc.AppendUvarint(b, 0) }); err != nil {
 				return err
 			}
 			<-ctx.Done()

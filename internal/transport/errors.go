@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net"
 	"os"
+
+	"repro/internal/binenc"
 )
 
 // Code classifies a failure so clients can react programmatically
@@ -86,10 +88,16 @@ func Errf(code Code, format string, args ...interface{}) *Error {
 // CodeExec for plain errors and CodeDeadline for context expiry.
 func ErrorCode(err error) Code { return AsError(err).Code }
 
+// errMalformed is what a body that does not decode (binenc.ErrMalformed)
+// reaches the peer as. A shared instance keeps the error path off the
+// decode hot path's allocation budget.
+var errMalformed = &Error{Code: CodeBadRequest, Message: "transport: truncated or malformed binary frame"}
+
 // AsError coerces any error to a structured *Error: structured errors
-// pass through; context expiry and socket-deadline timeouts (the form a
-// client's armed conn deadline surfaces as) map to CodeDeadline;
-// everything else to CodeExec. A nil error yields a zero-code *Error,
+// pass through; a body that ran off its frame maps to CodeBadRequest;
+// context expiry and socket-deadline timeouts (the form a client's armed
+// conn deadline surfaces as) map to CodeDeadline; everything else to
+// CodeExec. A nil error yields a zero-code *Error,
 // so ErrorCode(nil) == "" rather than panicking.
 func AsError(err error) *Error {
 	if err == nil {
@@ -98,6 +106,9 @@ func AsError(err error) *Error {
 	var e *Error
 	if errors.As(err, &e) {
 		return e
+	}
+	if errors.Is(err, binenc.ErrMalformed) {
+		return errMalformed
 	}
 	if errors.Is(err, context.Canceled) {
 		return &Error{Code: CodeCanceled, Message: err.Error()}

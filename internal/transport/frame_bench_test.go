@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"testing"
+
+	"repro/internal/binenc"
 )
 
 // BenchmarkV3CallFrame: one grid.query-sized request through the
@@ -13,11 +15,11 @@ import (
 // allocates nothing.
 func BenchmarkV3CallFrame(b *testing.B) {
 	// A binary body the size of a realistic grid.query request.
-	body := AppendString(nil, "MDS")
-	body = AppendString(body, "Aggregate Information Server")
-	body = AppendString(body, "")
-	body = AppendString(body, "(objectclass=MdsCpu)")
-	body = AppendUvarint(body, 0)
+	body := binenc.AppendString(nil, "MDS")
+	body = binenc.AppendString(body, "Aggregate Information Server")
+	body = binenc.AppendString(body, "")
+	body = binenc.AppendString(body, "(objectclass=MdsCpu)")
+	body = binenc.AppendUvarint(body, 0)
 	ctx := context.Background()
 	var wire bytes.Buffer
 	var frame, readBuf []byte
@@ -41,7 +43,7 @@ func BenchmarkV3CallFrame(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		d := NewDec(payload)
+		d := binenc.NewDec(payload)
 		if kind := d.Byte(); kind != v3Call {
 			b.Fatalf("kind = %d", kind)
 		}

@@ -8,6 +8,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"repro/internal/binenc"
 )
 
 // The two halves of the wire read bytes a peer chose. The fuzz targets
@@ -22,10 +24,9 @@ import (
 // fuzzServer serves one op of each kind over in-process connections.
 func fuzzServer() (*Server, pipeListener) {
 	srv := NewServer()
-	srv.Concurrent = true
 	handleAdd(srv)
 	srv.HandleStreamV3("ticks", func(ctx context.Context, body []byte) (V3StreamFunc, *Error) {
-		d := NewDec(body)
+		d := binenc.NewDec(body)
 		n := d.Uvarint() % 8
 		if err := d.Err(); err != nil {
 			return nil, AsError(err)
@@ -33,7 +34,7 @@ func fuzzServer() (*Server, pipeListener) {
 		return func(send V3Send) error {
 			for i := uint64(0); i < n; i++ {
 				i := i
-				if err := send(func(b []byte) []byte { return AppendUvarint(b, i) }); err != nil {
+				if err := send(func(b []byte) []byte { return binenc.AppendUvarint(b, i) }); err != nil {
 					return err
 				}
 			}
@@ -107,7 +108,7 @@ func FuzzV3ServerFrames(f *testing.F) {
 // checkResponseFrame fails t unless payload parses as a response frame.
 func checkResponseFrame(t *testing.T, payload []byte) {
 	t.Helper()
-	d := NewDec(payload)
+	d := binenc.NewDec(payload)
 	kind, _, flags := d.Byte(), d.Uvarint(), d.Byte()
 	if flags&v3FlagError != 0 {
 		if code := d.String(); code == "" && d.Err() == nil {
@@ -156,7 +157,7 @@ func FuzzV3ClientFrames(f *testing.F) {
 			m.CallV3(ctx, "math.add",
 				func(b []byte) []byte { return append(b, addBody(19, 23)...) },
 				func(body []byte) error {
-					d := NewDec(body)
+					d := binenc.NewDec(body)
 					d.Uvarint()
 					return d.Err()
 				})

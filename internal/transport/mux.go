@@ -10,6 +10,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/binenc"
 )
 
 // This file is the client half of the wire format: a pipelined,
@@ -116,7 +118,7 @@ func (m *MuxClient) readLoop() {
 			m.fail(err)
 			return
 		}
-		d := NewDec(payload)
+		d := binenc.NewDec(payload)
 		kind := d.Byte()
 		id := d.Uvarint()
 		flags := d.Byte()
@@ -275,8 +277,8 @@ func (m *MuxClient) unregister(id uint64, ch chan muxReply) {
 // than a millisecond is left, since 0 means "no deadline").
 func appendCallHeader(b []byte, kind byte, id uint64, op string, flags byte, ctx context.Context) ([]byte, error) {
 	b = append(b, kind)
-	b = AppendUvarint(b, id)
-	b = AppendString(b, op)
+	b = binenc.AppendUvarint(b, id)
+	b = binenc.AppendString(b, op)
 	b = append(b, flags)
 	var timeoutMS uint64
 	if dl, ok := ctx.Deadline(); ok {
@@ -289,7 +291,7 @@ func appendCallHeader(b []byte, kind byte, id uint64, op string, flags byte, ctx
 			timeoutMS = 1
 		}
 	}
-	return AppendUvarint(b, timeoutMS), nil
+	return binenc.AppendUvarint(b, timeoutMS), nil
 }
 
 // call runs one pipelined exchange: acquire an in-flight slot, register,
@@ -629,7 +631,7 @@ func (s *MuxStream) Cancel() error {
 	s.canceled = true
 	pb := getBuf()
 	b := append(pb.b, v3Cancel)
-	b = AppendUvarint(b, s.id)
+	b = binenc.AppendUvarint(b, s.id)
 	pb.b = b[:0]
 	err := s.m.writeFrame(b)
 	putBuf(pb)

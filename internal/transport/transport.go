@@ -7,10 +7,10 @@
 // hot path (HandleV3), or a binary server-push stream (HandleStreamV3).
 // Failures carry structured error codes and the client's context deadline
 // is propagated to the server. The frame layout is documented in v3.go,
-// the client in mux.go, the codec primitives in codec.go. The monitoring
-// services' engines are pure request/response logic; this package makes
-// them network services a real client can query, complementing the
-// simulated testbed used for the experiments.
+// the client in mux.go; bodies are built from internal/binenc. The
+// monitoring services' engines are pure request/response logic; this
+// package makes them network services a real client can query,
+// complementing the simulated testbed used for the experiments.
 package transport
 
 import (
@@ -37,6 +37,8 @@ type opEntry struct {
 }
 
 // Server dispatches framed requests to the ops registered in its table.
+// Handlers run in parallel — across connections and, pipelined, within
+// one — so they do their own locking.
 type Server struct {
 	mu     sync.Mutex
 	ops    map[string]opEntry
@@ -44,10 +46,6 @@ type Server struct {
 	wg     sync.WaitGroup
 	conns  map[net.Conn]bool
 	closed bool
-	// Concurrent allows handlers to run in parallel; by default calls
-	// are serialized, matching the single-backend daemons being modeled.
-	Concurrent bool
-	callMu     sync.Mutex
 	// WrapConn, when non-nil, wraps every accepted connection before the
 	// server reads from it — the fault-injection seam mirroring
 	// storage's Options.WrapWAL: the chaos tests install a faultconn

@@ -7,6 +7,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/binenc"
 )
 
 // This file is the server half of the wire format: length-prefixed
@@ -144,7 +146,7 @@ func (cw *v3ConnWriter) writeSplit(hdr, body []byte) error {
 // appendV3RespHeader appends a response frame header for id.
 func appendV3RespHeader(b []byte, kind byte, id uint64, flags byte) []byte {
 	b = append(b, kind)
-	b = AppendUvarint(b, id)
+	b = binenc.AppendUvarint(b, id)
 	return append(b, flags)
 }
 
@@ -157,8 +159,8 @@ func (cw *v3ConnWriter) v3Error(kind byte, id uint64, e *Error) error {
 		code = CodeExec
 	}
 	b := appendV3RespHeader(hdr.b, kind, id, v3FlagError)
-	b = AppendString(b, string(code))
-	b = AppendString(b, e.Message)
+	b = binenc.AppendString(b, string(code))
+	b = binenc.AppendString(b, e.Message)
 	return cw.writeSplit(b, nil)
 }
 
@@ -189,7 +191,7 @@ func (s *Server) serveConnV3(conn net.Conn, r *bufio.Reader) {
 		if err != nil {
 			return
 		}
-		d := NewDec(payload)
+		d := binenc.NewDec(payload)
 		kind := d.Byte()
 		id := d.Uvarint()
 		if kind == v3Cancel {
@@ -291,7 +293,7 @@ func (s *Server) dispatchV3(cw *v3ConnWriter, id uint64, op string, flags byte, 
 	}
 	out := getBuf()
 	defer putBuf(out)
-	body, herr := s.invoke(ctx, op, h, pb.b, out.b)
+	body, herr := h(ctx, pb.b, out.b)
 	if body != nil {
 		// The handler may have grown the buffer; keep the grown backing
 		// array when it returns to the pool.
@@ -304,23 +306,6 @@ func (s *Server) dispatchV3(cw *v3ConnWriter, id uint64, op string, flags byte, 
 	hdr := getBuf()
 	defer putBuf(hdr)
 	cw.writeSplit(appendV3RespHeader(hdr.b, v3Reply, id, respFlags), body)
-}
-
-// invoke runs h under the server's concurrency policy. The serializing
-// lock is held for the handler only: it is released before the caller
-// writes the response, so a peer that has stopped reading stalls its own
-// connection's writer, never the calls of other connections.
-func (s *Server) invoke(ctx context.Context, op string, h V3Handler, body, out []byte) ([]byte, *Error) {
-	if !s.Concurrent {
-		s.callMu.Lock()
-		defer s.callMu.Unlock()
-	}
-	// The deadline may already have passed while queued; don't start
-	// work the client has given up on.
-	if err := ctx.Err(); err != nil {
-		return nil, Errf(CodeDeadline, "op %q: %v", op, err)
-	}
-	return h(ctx, body, out)
 }
 
 // serveStreamV3 runs one stream: ack, event frames, end frame. It does

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/binenc"
 	"repro/internal/leakcheck"
 )
 
@@ -19,13 +20,13 @@ func handleAdd(srv *Server) {
 	HandleV3(srv, "math.add", func(_ context.Context, req addReq) (addResp, error) {
 		return addResp{Sum: req.A + req.B}, nil
 	}, func(_ context.Context, body, out []byte) ([]byte, *Error) {
-		d := NewDec(body)
+		d := binenc.NewDec(body)
 		a := d.Uvarint()
 		b := d.Uvarint()
 		if err := d.Err(); err != nil {
 			return nil, AsError(err)
 		}
-		return AppendUvarint(out, a+b), nil
+		return binenc.AppendUvarint(out, a+b), nil
 	})
 }
 
@@ -33,7 +34,6 @@ func handleAdd(srv *Server) {
 func v3AddServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	srv := NewServer()
-	srv.Concurrent = true
 	handleAdd(srv)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -58,11 +58,11 @@ func addV3(t *testing.T, m *MuxClient, a, b uint64) (uint64, error) {
 	var sum uint64
 	err := m.CallV3(context.Background(), "math.add",
 		func(buf []byte) []byte {
-			buf = AppendUvarint(buf, a)
-			return AppendUvarint(buf, b)
+			buf = binenc.AppendUvarint(buf, a)
+			return binenc.AppendUvarint(buf, b)
 		},
 		func(body []byte) error {
-			d := NewDec(body)
+			d := binenc.NewDec(body)
 			sum = d.Uvarint()
 			return d.Err()
 		})
@@ -81,6 +81,13 @@ func TestV3BinaryRoundTrip(t *testing.T) {
 	if sum != 42 {
 		t.Fatalf("sum = %d", sum)
 	}
+	// A body that runs off its frame (binenc.ErrMalformed in the codec)
+	// reaches the caller as a typed bad_request, not an exec failure.
+	err = m.CallV3(context.Background(), "math.add",
+		func(b []byte) []byte { return binenc.AppendUvarint(b, 19) }, nil)
+	if ErrorCode(err) != CodeBadRequest {
+		t.Fatalf("truncated body err = %v, want %s", err, CodeBadRequest)
+	}
 }
 
 // TestV3PipelinedOutOfOrder: with a slow call in flight, a fast call on
@@ -89,7 +96,6 @@ func TestV3BinaryRoundTrip(t *testing.T) {
 func TestV3PipelinedOutOfOrder(t *testing.T) {
 	leakcheck.Check(t)
 	srv := NewServer()
-	srv.Concurrent = true
 	release := make(chan struct{})
 	handleBinary(srv, "slow", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		<-release
@@ -242,7 +248,6 @@ func TestV3ErrorCodePropagation(t *testing.T) {
 func TestV3AbandonedCallSparesSiblings(t *testing.T) {
 	leakcheck.Check(t)
 	srv := NewServer()
-	srv.Concurrent = true
 	release := make(chan struct{})
 	// The handler ignores its context so the client's deadline always
 	// fires first: the call is abandoned client-side and the late reply
@@ -304,7 +309,7 @@ func v3TickServer(t *testing.T) string {
 	t.Helper()
 	srv := NewServer()
 	srv.HandleStreamV3("ticks", func(ctx context.Context, body []byte) (V3StreamFunc, *Error) {
-		d := NewDec(body)
+		d := binenc.NewDec(body)
 		n := d.Uvarint()
 		if err := d.Err(); err != nil {
 			return nil, AsError(err)
@@ -320,7 +325,7 @@ func v3TickServer(t *testing.T) string {
 				default:
 				}
 				i := i
-				if err := send(func(b []byte) []byte { return AppendUvarint(b, i) }); err != nil {
+				if err := send(func(b []byte) []byte { return binenc.AppendUvarint(b, i) }); err != nil {
 					return err
 				}
 				if n == 0 {
@@ -345,14 +350,14 @@ func TestV3StreamDelivery(t *testing.T) {
 	leakcheck.Check(t)
 	m := dialV3(t, v3TickServer(t))
 	ms, err := m.OpenStreamV3(context.Background(), "ticks",
-		func(b []byte) []byte { return AppendUvarint(b, 3) })
+		func(b []byte) []byte { return binenc.AppendUvarint(b, 3) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []uint64
 	for {
 		err := ms.Recv(func(_ byte, body []byte) error {
-			d := NewDec(body)
+			d := binenc.NewDec(body)
 			got = append(got, d.Uvarint())
 			return d.Err()
 		})
@@ -374,13 +379,13 @@ func TestV3StreamSetupError(t *testing.T) {
 	leakcheck.Check(t)
 	m := dialV3(t, v3TickServer(t))
 	_, err := m.OpenStreamV3(context.Background(), "ticks",
-		func(b []byte) []byte { return AppendUvarint(b, 99) })
+		func(b []byte) []byte { return binenc.AppendUvarint(b, 99) })
 	if ErrorCode(err) != CodeUnavailable {
 		t.Fatalf("setup err = %v", err)
 	}
 	// The connection is fine for the next stream.
 	ms, err := m.OpenStreamV3(context.Background(), "ticks",
-		func(b []byte) []byte { return AppendUvarint(b, 1) })
+		func(b []byte) []byte { return binenc.AppendUvarint(b, 1) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +398,7 @@ func TestV3StreamCancel(t *testing.T) {
 	leakcheck.Check(t)
 	m := dialV3(t, v3TickServer(t))
 	ms, err := m.OpenStreamV3(context.Background(), "ticks",
-		func(b []byte) []byte { return AppendUvarint(b, 0) })
+		func(b []byte) []byte { return binenc.AppendUvarint(b, 0) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +437,7 @@ func TestV3StreamCancel(t *testing.T) {
 func TestV3StreamOpMisuse(t *testing.T) {
 	leakcheck.Check(t)
 	m := dialV3(t, v3TickServer(t))
-	err := m.CallV3(context.Background(), "ticks", func(b []byte) []byte { return AppendUvarint(b, 1) }, nil)
+	err := m.CallV3(context.Background(), "ticks", func(b []byte) []byte { return binenc.AppendUvarint(b, 1) }, nil)
 	if ErrorCode(err) != CodeBadRequest {
 		t.Fatalf("plain call on stream op = %v, want %s", err, CodeBadRequest)
 	}
@@ -459,7 +464,6 @@ func TestV3StreamOpMisuse(t *testing.T) {
 func TestV3StalledStreamDoesNotBlockCalls(t *testing.T) {
 	leakcheck.Check(t)
 	srv := NewServer()
-	srv.Concurrent = true
 	handleBinary(srv, "ping", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		return append(out, 'p'), nil
 	})
@@ -472,7 +476,7 @@ func TestV3StalledStreamDoesNotBlockCalls(t *testing.T) {
 				default:
 				}
 				i := i
-				if err := send(func(b []byte) []byte { return AppendUvarint(b, i) }); err != nil {
+				if err := send(func(b []byte) []byte { return binenc.AppendUvarint(b, i) }); err != nil {
 					return err
 				}
 			}
@@ -533,7 +537,6 @@ func TestV3StalledStreamDoesNotBlockCalls(t *testing.T) {
 func TestV3CallsInterleaveWithStream(t *testing.T) {
 	leakcheck.Check(t)
 	srv := NewServer()
-	srv.Concurrent = true
 	handleBinary(srv, "ping", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		return append(out, 'p'), nil
 	})
@@ -546,7 +549,7 @@ func TestV3CallsInterleaveWithStream(t *testing.T) {
 				default:
 				}
 				i := i
-				if err := send(func(b []byte) []byte { return AppendUvarint(b, i) }); err != nil {
+				if err := send(func(b []byte) []byte { return binenc.AppendUvarint(b, i) }); err != nil {
 					return err
 				}
 				time.Sleep(time.Millisecond)
@@ -580,7 +583,6 @@ func TestV3CallsInterleaveWithStream(t *testing.T) {
 func TestV3ServerCloseFailsInFlight(t *testing.T) {
 	leakcheck.Check(t)
 	srv := NewServer()
-	srv.Concurrent = true
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	handleBinary(srv, "stall", func(_ context.Context, _, out []byte) ([]byte, *Error) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/binenc"
 	"repro/internal/leakcheck"
 )
 
@@ -23,16 +24,16 @@ func rawFrame(payload []byte) []byte {
 
 // rawRequest builds a call or stream-open frame.
 func rawRequest(kind byte, id uint64, op string, flags byte, timeoutMS uint64, body []byte) []byte {
-	b := AppendUvarint([]byte{kind}, id)
-	b = AppendString(b, op)
+	b := binenc.AppendUvarint([]byte{kind}, id)
+	b = binenc.AppendString(b, op)
 	b = append(b, flags)
-	b = AppendUvarint(b, timeoutMS)
+	b = binenc.AppendUvarint(b, timeoutMS)
 	return rawFrame(append(b, body...))
 }
 
 // addBody is math.add's binary request body.
 func addBody(a, b uint64) []byte {
-	return AppendUvarint(AppendUvarint(nil, a), b)
+	return binenc.AppendUvarint(binenc.AppendUvarint(nil, a), b)
 }
 
 // TestV3HugeTimeoutRuns: a frame asking for a deadline too long for a
@@ -60,7 +61,7 @@ func TestV3HugeTimeoutRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := NewDec(payload)
+		d := binenc.NewDec(payload)
 		kind, id, flags := d.Byte(), d.Uvarint(), d.Byte()
 		if kind != v3Reply || id != uint64(i+1) || flags != 0 {
 			t.Fatalf("timeout_ms=%d: reply kind=%d id=%d flags=%#x body=%q, want a clean reply",
@@ -72,13 +73,13 @@ func TestV3HugeTimeoutRuns(t *testing.T) {
 	}
 }
 
-// TestV3SlowReaderSparesOtherConns: on a serialized server the
-// serializing lock covers the handler, not the response write — a peer
-// that sends a call for a large reply and never reads it stalls only its
-// own connection; a call on another connection still completes.
+// TestV3SlowReaderSparesOtherConns: nothing server-wide is held across a
+// response write — a peer that sends a call for a large reply and never
+// reads it stalls only its own connection; a call on another connection
+// still completes.
 func TestV3SlowReaderSparesOtherConns(t *testing.T) {
 	leakcheck.Check(t)
-	srv := NewServer() // Concurrent stays false: calls are serialized
+	srv := NewServer()
 	// Larger than loopback socket buffers can swallow, so the write of
 	// the reply is still blocked when the second connection calls.
 	big := make([]byte, MaxFrame-1024)

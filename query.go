@@ -103,7 +103,7 @@ func CodeOf(err error) ErrorCode { return transport.ErrorCode(err) }
 // it again between sub-queries. Query is safe for concurrent use with
 // Advance and Subscribe, and runs under the facade's read lock:
 // independent queries are served in parallel, while the state-changing
-// paths (Advance, Advertise, legacy writes) exclude them.
+// paths (Advance, Advertise) exclude them.
 //
 // With WithQueryCache configured, an identical query repeated within the
 // TTL is answered from the cache without taking the facade lock at all;
@@ -148,20 +148,14 @@ func (g *Grid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 			}, nil
 		}
 	}
-	if g.admit != nil {
-		if err := g.admit.acquire(ctx); err != nil {
-			// Sheds are accounted inside the gate (Stats.Shed), not as
-			// query errors; a ctx expiry while queued counts as neither.
-			return nil, err
-		}
-		defer g.admit.release()
+	if err := g.beginRead(ctx); err != nil {
+		// Sheds are accounted inside the gate (Stats.Shed), not as
+		// query errors; a ctx expiry while queued counts as neither.
+		return nil, err
 	}
-	g.counters.InFlight.Add(1)
-	defer g.counters.InFlight.Add(-1)
-	g.mu.RLock()
 	rq, err := g.querier(q)
 	if err != nil {
-		g.mu.RUnlock()
+		g.endRead()
 		g.counters.Errors.Add(1)
 		return nil, err
 	}
@@ -174,7 +168,7 @@ func (g *Grid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 		gen = g.cache.gen.Load()
 	}
 	records, work, err := rq.QueryRecords(ctx, g.clock())
-	g.mu.RUnlock()
+	g.endRead()
 	if err != nil {
 		g.counters.Errors.Add(1)
 		return nil, transport.AsError(err)
@@ -196,6 +190,32 @@ func (g *Grid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 		Work:    work,
 		Elapsed: time.Since(start),
 	}, nil
+}
+
+// beginRead admits the caller as one reader of the engines, the way every
+// op that reaches them is admitted: through the admission gate when one is
+// configured (a shed returns its ErrOverloaded, a ctx expiry while queued
+// its own code, and nothing is held), then under the facade's read lock,
+// so readers run in parallel and only the state-changing paths exclude
+// them. A nil return must be paired with endRead.
+func (g *Grid) beginRead(ctx context.Context) error {
+	if g.admit != nil {
+		if err := g.admit.acquire(ctx); err != nil {
+			return err
+		}
+	}
+	g.counters.InFlight.Add(1)
+	g.mu.RLock()
+	return nil
+}
+
+// endRead releases what beginRead took.
+func (g *Grid) endRead() {
+	g.mu.RUnlock()
+	g.counters.InFlight.Add(-1)
+	if g.admit != nil {
+		g.admit.release()
+	}
 }
 
 // querier resolves q to the core.RecordQuerier binding that answers it.

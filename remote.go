@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/binenc"
 	"repro/internal/transport"
 )
 
@@ -543,7 +544,7 @@ func (r *RemoteGrid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 		return c.CallV3(actx, "grid.query",
 			func(b []byte) []byte { return appendWireQuery(b, q) },
 			func(body []byte) error {
-				d := transport.NewDecText(body)
+				d := binenc.NewDecText(body)
 				decodeWireResultSetInto(&d, &rs)
 				return d.Err()
 			})

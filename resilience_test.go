@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/leakcheck"
-	"repro/internal/metrics"
 	"repro/internal/transport"
 )
 
@@ -90,6 +89,27 @@ func TestBreakerDisabled(t *testing.T) {
 	}
 }
 
+// TestParseBreaker: the -breaker flag form THRESHOLD[,COOLDOWN].
+func TestParseBreaker(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Breaker
+		ok   bool
+	}{
+		{"", Breaker{}, true},
+		{"5", Breaker{Threshold: 5}, true},
+		{"5,2s", Breaker{Threshold: 5, Cooldown: 2 * time.Second}, true},
+		{" 5 , 250ms ", Breaker{Threshold: 5, Cooldown: 250 * time.Millisecond}, true},
+		{"x", Breaker{}, false},
+		{"5,zz", Breaker{Threshold: 5}, false},
+	} {
+		got, err := ParseBreaker(tc.in)
+		if got != tc.want || (err == nil) != tc.ok {
+			t.Errorf("ParseBreaker(%q) = %+v, %v; want %+v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
 // TestBackoffDeterminism: the same seed yields the same delay sequence,
 // delays grow exponentially, and the cap holds.
 func TestBackoffDeterminism(t *testing.T) {
@@ -134,7 +154,7 @@ func TestAdmissionGate(t *testing.T) {
 	ctx := context.Background()
 
 	t.Run("fast path", func(t *testing.T) {
-		c := &metrics.ServeCounters{}
+		c := &serveCounters{}
 		a := newAdmission(2, 0, 0, c)
 		if err := a.acquire(ctx); err != nil {
 			t.Fatal(err)
@@ -144,13 +164,13 @@ func TestAdmissionGate(t *testing.T) {
 		}
 		a.release()
 		a.release()
-		if st := c.Snapshot(); st.Shed != 0 || st.Queued != 0 {
+		if st := c.snapshot(); st.Shed != 0 || st.Queued != 0 {
 			t.Errorf("uncontended stats: %+v", st)
 		}
 	})
 
 	t.Run("no queue sheds immediately", func(t *testing.T) {
-		c := &metrics.ServeCounters{}
+		c := &serveCounters{}
 		a := newAdmission(1, 0, 0, c)
 		if err := a.acquire(ctx); err != nil {
 			t.Fatal(err)
@@ -164,14 +184,14 @@ func TestAdmissionGate(t *testing.T) {
 		if fastFail > time.Millisecond {
 			t.Errorf("shed took %v, want < 1ms", fastFail)
 		}
-		if st := c.Snapshot(); st.Shed != 1 {
+		if st := c.snapshot(); st.Shed != 1 {
 			t.Errorf("shed count = %d, want 1", st.Shed)
 		}
 		a.release()
 	})
 
 	t.Run("full queue sheds immediately", func(t *testing.T) {
-		c := &metrics.ServeCounters{}
+		c := &serveCounters{}
 		a := newAdmission(1, 1, time.Minute, c)
 		if err := a.acquire(ctx); err != nil {
 			t.Fatal(err)
@@ -196,14 +216,14 @@ func TestAdmissionGate(t *testing.T) {
 			t.Fatalf("queued waiter: %v", err)
 		}
 		a.release()
-		st := c.Snapshot()
+		st := c.snapshot()
 		if st.Shed != 1 || st.Queued != 1 || st.QueueDepth != 0 {
 			t.Errorf("stats after queue cycle: %+v", st)
 		}
 	})
 
 	t.Run("queue timeout sheds", func(t *testing.T) {
-		c := &metrics.ServeCounters{}
+		c := &serveCounters{}
 		a := newAdmission(1, 4, 10*time.Millisecond, c)
 		if err := a.acquire(ctx); err != nil {
 			t.Fatal(err)
@@ -213,14 +233,14 @@ func TestAdmissionGate(t *testing.T) {
 			t.Fatalf("timed-out acquire: %v, want ErrOverloaded", err)
 		}
 		a.release()
-		st := c.Snapshot()
+		st := c.snapshot()
 		if st.Shed != 1 || st.QueueDepth != 0 {
 			t.Errorf("stats after queue timeout: %+v", st)
 		}
 	})
 
 	t.Run("ctx expiry while queued is not a shed", func(t *testing.T) {
-		c := &metrics.ServeCounters{}
+		c := &serveCounters{}
 		a := newAdmission(1, 4, time.Minute, c)
 		if err := a.acquire(ctx); err != nil {
 			t.Fatal(err)
@@ -235,7 +255,7 @@ func TestAdmissionGate(t *testing.T) {
 			t.Errorf("ctx-expired acquire code = %s, want deadline", transport.ErrorCode(err))
 		}
 		a.release()
-		if st := c.Snapshot(); st.Shed != 0 || st.QueueDepth != 0 {
+		if st := c.snapshot(); st.Shed != 0 || st.QueueDepth != 0 {
 			t.Errorf("stats after ctx expiry: %+v", st)
 		}
 	})

@@ -20,7 +20,6 @@ func TestRemoteGridSurvivesServerRestart(t *testing.T) {
 	dir := t.TempDir()
 	grid1 := buildDurableGrid(t, dir)
 	srv1 := transport.NewServer()
-	srv1.Concurrent = true
 	grid1.Serve(srv1)
 	addr, err := srv1.Listen("127.0.0.1:0")
 	if err != nil {
@@ -71,7 +70,6 @@ func TestRemoteGridSurvivesServerRestart(t *testing.T) {
 			return
 		}
 		srv2 := transport.NewServer()
-		srv2.Concurrent = true
 		grid2.Serve(srv2)
 		if _, err := srv2.Listen(addr); err != nil {
 			restarted <- reopened{err: err}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/leakcheck"
-	"repro/internal/liveops"
 	"repro/internal/transport"
 )
 
@@ -521,15 +520,14 @@ func TestMDSWatchPollInterval(t *testing.T) {
 // TestAdvanceConcurrentWithLegacyOps is the -race regression for the
 // gridmon-live configuration: the background Advance pump mutating
 // sensors and caches while legacy param-based ops (which dispatch to
-// the same components) serve clients. The ops route through the
-// facade's mutex via liveops.Deployment.Serialize.
+// the same components) serve clients. The ops are readers under the
+// facade's lock (beginRead); the pump is its writer.
 func TestAdvanceConcurrentWithLegacyOps(t *testing.T) {
 	leakcheck.Check(t)
 	// A fixed clock: the Advance tick alone drives sensor regeneration,
 	// and the clock closure is read concurrently by op handlers.
 	grid, _ := steppedGrid(t)
 	srv := transport.NewServer()
-	srv.Concurrent = true
 	grid.Serve(srv)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -577,9 +575,9 @@ func TestAdvanceConcurrentWithLegacyOps(t *testing.T) {
 			}
 			defer client.Close()
 			for i := 0; i < 25; i++ {
-				var resp liveops.OpResponse
+				var resp OpResponse
 				if err := client.Call(context.Background(), op,
-					liveops.OpRequest{Params: params}, &resp); err != nil {
+					OpRequest{Params: params}, &resp); err != nil {
 					t.Errorf("%s: %v", op, err)
 					return
 				}

@@ -5,13 +5,14 @@ import (
 	"errors"
 	"time"
 
+	"repro/internal/binenc"
 	"repro/internal/transport"
 )
 
 // This file is the typed record section of the v3 wire format: binary
 // encode/decode for the public request/response shapes (Query,
 // ResultSet, Record, Work, Event, Subscription), composed from the
-// transport codec primitives. The transport layer carries bodies as
+// internal/binenc primitives. The transport layer carries bodies as
 // opaque bytes, so the codecs live here, next to the types they encode —
 // the root package owns the types and the transport package cannot
 // import it.
@@ -19,7 +20,7 @@ import (
 // Every codec comes in append/decode-into pairs: encoders extend a
 // caller-owned []byte; decoders write every field of the value they are
 // handed, straight-line, and keep nothing it held before. Production
-// hands them a transport.NewDecText decoder, so every string of an
+// hands them a binenc.NewDecText decoder, so every string of an
 // answer, an event batch or a request — keys, field names, values, branch
 // error texts — is a substring of one copy of the frame body: the text
 // costs one allocation however many records it spans, never aliases the
@@ -40,15 +41,15 @@ import (
 
 // appendWireQuery appends q's binary encoding to b.
 func appendWireQuery(b []byte, q Query) []byte {
-	b = transport.AppendString(b, string(q.System))
-	b = transport.AppendString(b, string(q.Role))
-	b = transport.AppendString(b, q.Host)
-	b = transport.AppendString(b, q.Expr)
+	b = binenc.AppendString(b, string(q.System))
+	b = binenc.AppendString(b, string(q.Role))
+	b = binenc.AppendString(b, q.Host)
+	b = binenc.AppendString(b, q.Expr)
 	return appendWireStrings(b, q.Attrs)
 }
 
 // decodeWireQueryInto decodes a Query into q.
-func decodeWireQueryInto(d *transport.Dec, q *Query) {
+func decodeWireQueryInto(d *binenc.Dec, q *Query) {
 	q.System = System(d.String())
 	q.Role = Role(d.String())
 	q.Host = d.String()
@@ -60,16 +61,16 @@ func decodeWireQueryInto(d *transport.Dec, q *Query) {
 // empty both encode as count 0 and decode as nil, matching JSON
 // omitempty round-trip behavior).
 func appendWireStrings(b []byte, ss []string) []byte {
-	b = transport.AppendUvarint(b, uint64(len(ss)))
+	b = binenc.AppendUvarint(b, uint64(len(ss)))
 	for _, s := range ss {
-		b = transport.AppendString(b, s)
+		b = binenc.AppendString(b, s)
 	}
 	return b
 }
 
 // decodeWireStrings decodes an omitempty-style string slice (a string
 // is at least its one length byte).
-func decodeWireStrings(d *transport.Dec) []string {
+func decodeWireStrings(d *binenc.Dec) []string {
 	n := d.Count(d.Uvarint(), 1)
 	if n == 0 {
 		return nil
@@ -87,21 +88,21 @@ func decodeWireStrings(d *transport.Dec) []string {
 // decodeWireWorkInto (the wire_test.go round-trip test fails loudly on a
 // field this codec misses).
 func appendWireWork(b []byte, w *Work) []byte {
-	b = transport.AppendFloat64(b, w.CollectorInvocations)
-	b = transport.AppendVarint(b, int64(w.RecordsVisited))
-	b = transport.AppendVarint(b, int64(w.RecordsReturned))
-	b = transport.AppendVarint(b, int64(w.Subqueries))
-	b = transport.AppendVarint(b, int64(w.ThreadSpawns))
-	b = transport.AppendVarint(b, int64(w.ResponseBytes))
-	b = transport.AppendVarint(b, int64(w.IndexHits))
-	b = transport.AppendVarint(b, int64(w.ScanFallbacks))
-	b = transport.AppendVarint(b, int64(w.CacheHits))
-	b = transport.AppendVarint(b, int64(w.CacheMisses))
+	b = binenc.AppendFloat64(b, w.CollectorInvocations)
+	b = binenc.AppendVarint(b, int64(w.RecordsVisited))
+	b = binenc.AppendVarint(b, int64(w.RecordsReturned))
+	b = binenc.AppendVarint(b, int64(w.Subqueries))
+	b = binenc.AppendVarint(b, int64(w.ThreadSpawns))
+	b = binenc.AppendVarint(b, int64(w.ResponseBytes))
+	b = binenc.AppendVarint(b, int64(w.IndexHits))
+	b = binenc.AppendVarint(b, int64(w.ScanFallbacks))
+	b = binenc.AppendVarint(b, int64(w.CacheHits))
+	b = binenc.AppendVarint(b, int64(w.CacheMisses))
 	return b
 }
 
 // decodeWireWorkInto decodes a Work into w.
-func decodeWireWorkInto(d *transport.Dec, w *Work) {
+func decodeWireWorkInto(d *binenc.Dec, w *Work) {
 	w.CollectorInvocations = d.Float64()
 	w.RecordsVisited = int(d.Varint())
 	w.RecordsReturned = int(d.Varint())
@@ -118,18 +119,18 @@ func decodeWireWorkInto(d *transport.Dec, w *Work) {
 // key/value pairs. Field iteration order is unspecified — record
 // equality is map equality, which the decoder reconstructs.
 func appendWireRecord(b []byte, r *Record) []byte {
-	b = transport.AppendString(b, r.Key)
-	b = transport.AppendUvarint(b, uint64(len(r.Fields)))
+	b = binenc.AppendString(b, r.Key)
+	b = binenc.AppendUvarint(b, uint64(len(r.Fields)))
 	for k, v := range r.Fields {
-		b = transport.AppendString(b, k)
-		b = transport.AppendString(b, v)
+		b = binenc.AppendString(b, k)
+		b = binenc.AppendString(b, v)
 	}
 	return b
 }
 
 // decodeWireRecordInto decodes one record into rec. A field name the
 // frame repeats keeps its last value, as a JSON object would.
-func decodeWireRecordInto(d *transport.Dec, rec *Record) {
+func decodeWireRecordInto(d *binenc.Dec, rec *Record) {
 	rec.Key = d.String()
 	rec.Fields = nil
 	nf := d.Count(d.Uvarint(), 2) // a field is two length bytes at least
@@ -151,9 +152,9 @@ func decodeWireRecordInto(d *transport.Dec, rec *Record) {
 // a JSON body too): count+1 for a non-nil slice, 0 for nil.
 func appendWireRecords(b []byte, recs []Record) []byte {
 	if recs == nil {
-		return transport.AppendUvarint(b, 0)
+		return binenc.AppendUvarint(b, 0)
 	}
-	b = transport.AppendUvarint(b, uint64(len(recs))+1)
+	b = binenc.AppendUvarint(b, uint64(len(recs))+1)
 	for i := range recs {
 		b = appendWireRecord(b, &recs[i])
 	}
@@ -162,7 +163,7 @@ func appendWireRecords(b []byte, recs []Record) []byte {
 
 // decodeWireRecords decodes a record slice (a record is at least its
 // key's length byte and its field count).
-func decodeWireRecords(d *transport.Dec) []Record {
+func decodeWireRecords(d *binenc.Dec) []Record {
 	n1 := d.Uvarint()
 	if n1 == 0 {
 		return nil
@@ -177,30 +178,30 @@ func decodeWireRecords(d *transport.Dec) []Record {
 
 // appendWireResultSet appends rs's binary encoding to b.
 func appendWireResultSet(b []byte, rs *ResultSet) []byte {
-	b = transport.AppendString(b, string(rs.System))
-	b = transport.AppendString(b, string(rs.Role))
-	b = transport.AppendString(b, rs.Host)
+	b = binenc.AppendString(b, string(rs.System))
+	b = binenc.AppendString(b, string(rs.Role))
+	b = binenc.AppendString(b, rs.Host)
 	b = appendWireRecords(b, rs.Records)
 	b = appendWireWork(b, &rs.Work)
-	b = transport.AppendVarint(b, int64(rs.Elapsed))
+	b = binenc.AppendVarint(b, int64(rs.Elapsed))
 	var partial byte
 	if rs.Partial {
 		partial = 1
 	}
 	b = append(b, partial)
-	b = transport.AppendUvarint(b, uint64(len(rs.Branches)))
+	b = binenc.AppendUvarint(b, uint64(len(rs.Branches)))
 	for i := range rs.Branches {
 		be := &rs.Branches[i]
-		b = transport.AppendVarint(b, int64(be.Shard))
-		b = transport.AppendString(b, be.Addr)
-		b = transport.AppendString(b, string(be.Code))
-		b = transport.AppendString(b, be.Message)
+		b = binenc.AppendVarint(b, int64(be.Shard))
+		b = binenc.AppendString(b, be.Addr)
+		b = binenc.AppendString(b, string(be.Code))
+		b = binenc.AppendString(b, be.Message)
 	}
 	return b
 }
 
 // decodeWireResultSetInto decodes a ResultSet into rs.
-func decodeWireResultSetInto(d *transport.Dec, rs *ResultSet) {
+func decodeWireResultSetInto(d *binenc.Dec, rs *ResultSet) {
 	rs.System = System(d.String())
 	rs.Role = Role(d.String())
 	rs.Host = d.String()
@@ -224,15 +225,15 @@ func decodeWireResultSetInto(d *transport.Dec, rs *ResultSet) {
 
 // appendWireEvent appends ev's binary encoding to b.
 func appendWireEvent(b []byte, ev *Event) []byte {
-	b = transport.AppendUvarint(b, ev.Seq)
-	b = transport.AppendFloat64(b, ev.Time)
-	b = transport.AppendString(b, string(ev.Kind))
+	b = binenc.AppendUvarint(b, ev.Seq)
+	b = binenc.AppendFloat64(b, ev.Time)
+	b = binenc.AppendString(b, string(ev.Kind))
 	b = appendWireRecords(b, ev.Records)
 	return appendWireWork(b, &ev.Work)
 }
 
 // decodeWireEventInto decodes an Event into ev.
-func decodeWireEventInto(d *transport.Dec, ev *Event) {
+func decodeWireEventInto(d *binenc.Dec, ev *Event) {
 	ev.Seq = d.Uvarint()
 	ev.Time = d.Float64()
 	ev.Kind = EventKind(d.String())
@@ -242,17 +243,17 @@ func decodeWireEventInto(d *transport.Dec, ev *Event) {
 
 // appendWireSubscription appends sub's binary encoding to b.
 func appendWireSubscription(b []byte, sub Subscription) []byte {
-	b = transport.AppendString(b, string(sub.System))
-	b = transport.AppendString(b, string(sub.Role))
-	b = transport.AppendString(b, sub.Host)
-	b = transport.AppendString(b, sub.Expr)
+	b = binenc.AppendString(b, string(sub.System))
+	b = binenc.AppendString(b, string(sub.Role))
+	b = binenc.AppendString(b, sub.Host)
+	b = binenc.AppendString(b, sub.Expr)
 	b = appendWireStrings(b, sub.Attrs)
-	b = transport.AppendFloat64(b, sub.PollEvery)
-	return transport.AppendVarint(b, int64(sub.Buffer))
+	b = binenc.AppendFloat64(b, sub.PollEvery)
+	return binenc.AppendVarint(b, int64(sub.Buffer))
 }
 
 // decodeWireSubscriptionInto decodes a Subscription into sub.
-func decodeWireSubscriptionInto(d *transport.Dec, sub *Subscription) {
+func decodeWireSubscriptionInto(d *binenc.Dec, sub *Subscription) {
 	sub.System = System(d.String())
 	sub.Role = Role(d.String())
 	sub.Host = d.String()
@@ -294,10 +295,10 @@ const (
 func ServeQueryV3(srv *TransportServer, source Querier) {
 	transport.HandleV3(srv, "grid.query", source.Query, func(ctx context.Context, body []byte, out []byte) ([]byte, *transport.Error) {
 		var q Query
-		d := transport.NewDecText(body)
+		d := binenc.NewDecText(body)
 		decodeWireQueryInto(&d, &q)
 		if err := d.Err(); err != nil {
-			return nil, transport.Errf(transport.CodeBadRequest, "grid.query: %v", err)
+			return nil, transport.Errf(transport.CodeBadRequest, "grid.query: %v", transport.AsError(err))
 		}
 		rs, err := source.Query(ctx, q)
 		if err != nil {
@@ -320,10 +321,10 @@ func ServeQueryV3(srv *TransportServer, source Querier) {
 func ServeSubscribe(srv *TransportServer, source Subscriber) {
 	srv.HandleStreamV3("grid.subscribe", func(ctx context.Context, body []byte) (transport.V3StreamFunc, *transport.Error) {
 		var sub Subscription
-		d := transport.NewDecText(body)
+		d := binenc.NewDecText(body)
 		decodeWireSubscriptionInto(&d, &sub)
 		if err := d.Err(); err != nil {
-			return nil, transport.Errf(transport.CodeBadRequest, "grid.subscribe: %v", err)
+			return nil, transport.Errf(transport.CodeBadRequest, "grid.subscribe: %v", transport.AsError(err))
 		}
 		st, err := source.Subscribe(ctx, sub)
 		if err != nil {
@@ -335,9 +336,9 @@ func ServeSubscribe(srv *TransportServer, source Subscriber) {
 			// bound, so the client's buffer honors the serving grid's
 			// WithStreamBuffer configuration.
 			serr := send(func(b []byte) []byte {
-				b = transport.AppendUvarint(b, 1)
+				b = binenc.AppendUvarint(b, 1)
 				b = append(b, wireEntryBuffer)
-				return transport.AppendUvarint(b, uint64(st.Buffer()))
+				return binenc.AppendUvarint(b, uint64(st.Buffer()))
 			})
 			if serr != nil {
 				return serr
@@ -360,7 +361,7 @@ func ServeSubscribe(srv *TransportServer, source Subscriber) {
 					var lag *LagError
 					if errors.As(err, &lag) {
 						scratch = append(scratch, wireEntryLag)
-						scratch = transport.AppendUvarint(scratch, lag.Dropped)
+						scratch = binenc.AppendUvarint(scratch, lag.Dropped)
 						count++
 						break
 					}
@@ -376,7 +377,7 @@ func ServeSubscribe(srv *TransportServer, source Subscriber) {
 					}
 					if dropped > 0 {
 						scratch = append(scratch, wireEntryLag)
-						scratch = transport.AppendUvarint(scratch, dropped)
+						scratch = binenc.AppendUvarint(scratch, dropped)
 					} else {
 						scratch = append(scratch, wireEntryEvent)
 						scratch = appendWireEvent(scratch, &ev)
@@ -386,7 +387,7 @@ func ServeSubscribe(srv *TransportServer, source Subscriber) {
 				batch := scratch
 				n := count
 				if serr := send(func(b []byte) []byte {
-					b = transport.AppendUvarint(b, uint64(n))
+					b = binenc.AppendUvarint(b, uint64(n))
 					return append(b, batch...)
 				}); serr != nil {
 					return serr
@@ -402,7 +403,7 @@ func ServeSubscribe(srv *TransportServer, source Subscriber) {
 // buffer. Any callback may be nil to ignore that entry kind. The events
 // of one batch share one copy of its text.
 func decodeWireBatch(body []byte, emit func(Event), lag func(uint64), buffer func(int)) error {
-	d := transport.NewDecText(body)
+	d := binenc.NewDecText(body)
 	n := d.Count(d.Uvarint(), 2) // an entry is a tag and a value at least
 	for i := 0; i < n && d.Err() == nil; i++ {
 		switch tag := d.Byte(); tag {

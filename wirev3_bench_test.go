@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/transport"
+	"repro/internal/binenc"
 )
 
 // The round-trip benchmarks measure the v3 codec's end-to-end cost for
@@ -52,14 +52,14 @@ func benchResultSet() *ResultSet {
 func wireQueryRoundTripV3(reqBuf, respBuf []byte, rs *ResultSet) ([]byte, []byte, *ResultSet, error) {
 	reqBuf = appendWireQuery(reqBuf[:0], benchQuery)
 	var gotQ Query
-	d := transport.NewDecText(reqBuf)
+	d := binenc.NewDecText(reqBuf)
 	decodeWireQueryInto(&d, &gotQ)
 	if err := d.Err(); err != nil {
 		return reqBuf, respBuf, nil, err
 	}
 	respBuf = appendWireResultSet(respBuf[:0], rs)
 	var gotRS ResultSet
-	d = transport.NewDecText(respBuf)
+	d = binenc.NewDecText(respBuf)
 	decodeWireResultSetInto(&d, &gotRS)
 	return reqBuf, respBuf, &gotRS, d.Err()
 }
@@ -109,7 +109,7 @@ func TestWireQueryRoundTripAllocs(t *testing.T) {
 	}
 
 	const textStrings = 3 + 18*7 // System, Role, Host + per record key, 3 names, 3 values
-	decode := func(newDec func([]byte) transport.Dec) float64 {
+	decode := func(newDec func([]byte) binenc.Dec) float64 {
 		return testing.AllocsPerRun(200, func() {
 			var got ResultSet
 			d := newDec(respBuf)
@@ -119,7 +119,7 @@ func TestWireQueryRoundTripAllocs(t *testing.T) {
 			}
 		})
 	}
-	perString, oneText := decode(transport.NewDec), decode(transport.NewDecText)
+	perString, oneText := decode(binenc.NewDec), decode(binenc.NewDecText)
 	if perString-oneText != textStrings-1 {
 		t.Errorf("answer text: %.0f allocs with one copy per string, %.0f out of one copy of the frame; want %d fewer",
 			perString, oneText, textStrings-1)
@@ -155,7 +155,7 @@ func BenchmarkWireEventFanout64V3(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for s := 0; s < subscribers; s++ {
-			body := transport.AppendUvarint(bufs[s][:0], uint64(len(evs)))
+			body := binenc.AppendUvarint(bufs[s][:0], uint64(len(evs)))
 			for j := range evs {
 				body = append(body, wireEntryEvent)
 				body = appendWireEvent(body, &evs[j])

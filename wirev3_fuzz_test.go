@@ -6,7 +6,7 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/transport"
+	"repro/internal/binenc"
 )
 
 // wireBatch is what decodeWireBatch delivered, in order: one entry per
@@ -27,7 +27,7 @@ func decodeBatch(body []byte) (wireBatch, error) {
 }
 
 func (wb wireBatch) encode() []byte {
-	b := transport.AppendUvarint(nil, uint64(len(wb.Tags)))
+	b := binenc.AppendUvarint(nil, uint64(len(wb.Tags)))
 	evs, nums := wb.Events, wb.Numbers
 	for _, tag := range wb.Tags {
 		b = append(b, tag)
@@ -35,7 +35,7 @@ func (wb wireBatch) encode() []byte {
 			b = appendWireEvent(b, &evs[0])
 			evs = evs[1:]
 		} else {
-			b = transport.AppendUvarint(b, nums[0])
+			b = binenc.AppendUvarint(b, nums[0])
 			nums = nums[1:]
 		}
 	}
@@ -57,11 +57,11 @@ func noNaN(fs ...*float64) {
 // (NaNs scrubbed), and re-encode that value.
 var wireFuzzDecoders = []struct {
 	name   string
-	decode func(newDec func([]byte) transport.Dec, data []byte) (interface{}, error)
+	decode func(newDec func([]byte) binenc.Dec, data []byte) (interface{}, error)
 	encode func(v interface{}) []byte
 }{
 	{"query",
-		func(newDec func([]byte) transport.Dec, data []byte) (interface{}, error) {
+		func(newDec func([]byte) binenc.Dec, data []byte) (interface{}, error) {
 			var q Query
 			d := newDec(data)
 			decodeWireQueryInto(&d, &q)
@@ -69,7 +69,7 @@ var wireFuzzDecoders = []struct {
 		},
 		func(v interface{}) []byte { return appendWireQuery(nil, v.(Query)) }},
 	{"resultset",
-		func(newDec func([]byte) transport.Dec, data []byte) (interface{}, error) {
+		func(newDec func([]byte) binenc.Dec, data []byte) (interface{}, error) {
 			var rs ResultSet
 			d := newDec(data)
 			decodeWireResultSetInto(&d, &rs)
@@ -78,7 +78,7 @@ var wireFuzzDecoders = []struct {
 		},
 		func(v interface{}) []byte { rs := v.(ResultSet); return appendWireResultSet(nil, &rs) }},
 	{"subscription",
-		func(newDec func([]byte) transport.Dec, data []byte) (interface{}, error) {
+		func(newDec func([]byte) binenc.Dec, data []byte) (interface{}, error) {
 			var sub Subscription
 			d := newDec(data)
 			decodeWireSubscriptionInto(&d, &sub)
@@ -89,7 +89,7 @@ var wireFuzzDecoders = []struct {
 	{"batch",
 		// decodeWireBatch makes its own decoder; production's is the
 		// only kind it has.
-		func(_ func([]byte) transport.Dec, data []byte) (interface{}, error) {
+		func(_ func([]byte) binenc.Dec, data []byte) (interface{}, error) {
 			wb, err := decodeBatch(data)
 			for i := range wb.Events {
 				noNaN(&wb.Events[i].Time, &wb.Events[i].Work.CollectorInvocations)
@@ -122,7 +122,7 @@ func FuzzWireDecode(f *testing.F) {
 			var before, after runtime.MemStats
 			for try := 0; try < 3; try++ {
 				runtime.ReadMemStats(&before)
-				got, err = dec.decode(transport.NewDecText, data)
+				got, err = dec.decode(binenc.NewDecText, data)
 				runtime.ReadMemStats(&after)
 				if after.TotalAlloc-before.TotalAlloc <= budget {
 					break
@@ -132,7 +132,7 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("%s: decoding %d bytes allocated %d", dec.name, len(data), n)
 			}
 
-			copied, cerr := dec.decode(transport.NewDec, data)
+			copied, cerr := dec.decode(binenc.NewDec, data)
 			if (err == nil) != (cerr == nil) {
 				t.Fatalf("%s: text decode err %v, copying decode err %v", dec.name, err, cerr)
 			}
@@ -142,7 +142,7 @@ func FuzzWireDecode(f *testing.F) {
 			if !reflect.DeepEqual(got, copied) {
 				t.Fatalf("%s: text decode %#v, copying decode %#v", dec.name, got, copied)
 			}
-			again, err := dec.decode(transport.NewDecText, dec.encode(got))
+			again, err := dec.decode(binenc.NewDecText, dec.encode(got))
 			if err != nil {
 				t.Fatalf("%s: re-encoded %#v does not decode: %v", dec.name, got, err)
 			}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/transport"
 )
 
@@ -12,12 +13,12 @@ import (
 // (System, Role, Host, Expr), then an Attrs count with no strings behind
 // it. With a count of 1<<62 it is 13 bytes.
 func hugeCountQueryFrame(count uint64) []byte {
-	return transport.AppendUvarint([]byte{0, 0, 0, 0}, count)
+	return binenc.AppendUvarint([]byte{0, 0, 0, 0}, count)
 }
 
 // wireDecKinds are the two ways a frame's strings are read; the typed
 // decoders must behave the same over both.
-var wireDecKinds = []func([]byte) transport.Dec{transport.NewDec, transport.NewDecText}
+var wireDecKinds = []func([]byte) binenc.Dec{binenc.NewDec, binenc.NewDecText}
 
 // TestWireHugeCountIsBadRequest: a count read off the wire is bounded by
 // the bytes left in the frame before anything is sized by it. The
@@ -58,7 +59,7 @@ func TestWireHugeCountIsBadRequest(t *testing.T) {
 	err = mux.CallV3(ctx, "grid.query",
 		func(b []byte) []byte { return appendWireQuery(b, q) },
 		func(body []byte) error {
-			d := transport.NewDecText(body)
+			d := binenc.NewDecText(body)
 			decodeWireResultSetInto(&d, &rs)
 			return d.Err()
 		})
@@ -74,7 +75,7 @@ func TestWireHugeCountsEverywhere(t *testing.T) {
 	const huge = 1 << 62
 	str := func(b []byte, ss ...string) []byte {
 		for _, s := range ss {
-			b = transport.AppendString(b, s)
+			b = binenc.AppendString(b, s)
 		}
 		return b
 	}
@@ -82,20 +83,20 @@ func TestWireHugeCountsEverywhere(t *testing.T) {
 	tail := append(append([]byte{}, work...), 0, 0) // elapsed, partial
 	frames := map[string]struct {
 		body   []byte
-		decode func(*transport.Dec)
+		decode func(*binenc.Dec)
 	}{
 		"query attrs": {hugeCountQueryFrame(huge),
-			func(d *transport.Dec) { decodeWireQueryInto(d, new(Query)) }},
+			func(d *binenc.Dec) { decodeWireQueryInto(d, new(Query)) }},
 		"subscription attrs": {hugeCountQueryFrame(huge),
-			func(d *transport.Dec) { decodeWireSubscriptionInto(d, new(Subscription)) }},
-		"records": {transport.AppendUvarint(str(nil, "", "", ""), huge),
-			func(d *transport.Dec) { decodeWireResultSetInto(d, new(ResultSet)) }},
-		"fields": {transport.AppendUvarint(str(transport.AppendUvarint(str(nil, "", "", ""), 2), "k"), huge),
-			func(d *transport.Dec) { decodeWireResultSetInto(d, new(ResultSet)) }},
-		"branches": {transport.AppendUvarint(append(transport.AppendUvarint(str(nil, "", "", ""), 0), tail...), huge),
-			func(d *transport.Dec) { decodeWireResultSetInto(d, new(ResultSet)) }},
-		"event records": {transport.AppendUvarint(str(transport.AppendFloat64(transport.AppendUvarint(nil, 1), 0), "put"), huge),
-			func(d *transport.Dec) { decodeWireEventInto(d, new(Event)) }},
+			func(d *binenc.Dec) { decodeWireSubscriptionInto(d, new(Subscription)) }},
+		"records": {binenc.AppendUvarint(str(nil, "", "", ""), huge),
+			func(d *binenc.Dec) { decodeWireResultSetInto(d, new(ResultSet)) }},
+		"fields": {binenc.AppendUvarint(str(binenc.AppendUvarint(str(nil, "", "", ""), 2), "k"), huge),
+			func(d *binenc.Dec) { decodeWireResultSetInto(d, new(ResultSet)) }},
+		"branches": {binenc.AppendUvarint(append(binenc.AppendUvarint(str(nil, "", "", ""), 0), tail...), huge),
+			func(d *binenc.Dec) { decodeWireResultSetInto(d, new(ResultSet)) }},
+		"event records": {binenc.AppendUvarint(str(binenc.AppendFloat64(binenc.AppendUvarint(nil, 1), 0), "put"), huge),
+			func(d *binenc.Dec) { decodeWireEventInto(d, new(Event)) }},
 	}
 	for name, f := range frames {
 		for _, newDec := range wireDecKinds {
@@ -106,7 +107,7 @@ func TestWireHugeCountsEverywhere(t *testing.T) {
 			}
 		}
 	}
-	err := decodeWireBatch(transport.AppendUvarint(nil, huge), nil, nil, nil)
+	err := decodeWireBatch(binenc.AppendUvarint(nil, huge), nil, nil, nil)
 	if transport.ErrorCode(err) != transport.CodeBadRequest {
 		t.Errorf("batch entries: err = %v, want bad_request", err)
 	}
@@ -134,15 +135,15 @@ func TestWireRepeatedFieldLastWins(t *testing.T) {
 // repeatedFieldAnswer hand-encodes a one-record answer whose record
 // carries the field f twice; no encoder produces it, a peer could.
 func repeatedFieldAnswer() []byte {
-	b := transport.AppendString(nil, string(MDS))
-	b = transport.AppendString(b, string(RoleInformationServer))
-	b = transport.AppendString(b, "lucky3")
-	b = transport.AppendUvarint(b, 2) // one record
-	b = transport.AppendString(b, "r")
-	b = transport.AppendUvarint(b, 3)
+	b := binenc.AppendString(nil, string(MDS))
+	b = binenc.AppendString(b, string(RoleInformationServer))
+	b = binenc.AppendString(b, "lucky3")
+	b = binenc.AppendUvarint(b, 2) // one record
+	b = binenc.AppendString(b, "r")
+	b = binenc.AppendUvarint(b, 3)
 	for _, kv := range [][2]string{{"f", "1"}, {"g", "x"}, {"f", "2"}} {
-		b = transport.AppendString(b, kv[0])
-		b = transport.AppendString(b, kv[1])
+		b = binenc.AppendString(b, kv[0])
+		b = binenc.AppendString(b, kv[1])
 	}
 	b = appendWireWork(b, &Work{})
 	return append(b, 0, 0, 0) // elapsed, partial, no branches

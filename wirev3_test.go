@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/transport"
+	"repro/internal/binenc"
 )
 
 // jsonRT round-trips v through JSON — the reference semantics the binary
@@ -51,7 +51,7 @@ func TestWireQueryRoundTrip(t *testing.T) {
 	}
 	for i, q := range cases {
 		var got Query
-		d := transport.NewDec(appendWireQuery(nil, q))
+		d := binenc.NewDec(appendWireQuery(nil, q))
 		decodeWireQueryInto(&d, &got)
 		if err := d.Err(); err != nil {
 			t.Fatalf("case %d: %v", i, err)
@@ -91,7 +91,7 @@ func TestWireResultSetRoundTrip(t *testing.T) {
 	}
 	for i, rs := range cases {
 		var got ResultSet
-		d := transport.NewDec(appendWireResultSet(nil, &rs))
+		d := binenc.NewDec(appendWireResultSet(nil, &rs))
 		decodeWireResultSetInto(&d, &got)
 		if err := d.Err(); err != nil {
 			t.Fatalf("case %d: %v", i, err)
@@ -116,7 +116,7 @@ func TestWireEventRoundTrip(t *testing.T) {
 	}
 	for i, ev := range cases {
 		var got Event
-		d := transport.NewDec(appendWireEvent(nil, &ev))
+		d := binenc.NewDec(appendWireEvent(nil, &ev))
 		decodeWireEventInto(&d, &got)
 		if err := d.Err(); err != nil {
 			t.Fatalf("case %d: %v", i, err)
@@ -136,7 +136,7 @@ func TestWireSubscriptionRoundTrip(t *testing.T) {
 	}
 	for i, sub := range cases {
 		var got Subscription
-		d := transport.NewDec(appendWireSubscription(nil, sub))
+		d := binenc.NewDec(appendWireSubscription(nil, sub))
 		decodeWireSubscriptionInto(&d, &got)
 		if err := d.Err(); err != nil {
 			t.Fatalf("case %d: %v", i, err)
@@ -153,7 +153,7 @@ func TestWireDecodeMalformed(t *testing.T) {
 	rs := ResultSet{Records: []Record{{Key: "a", Fields: map[string]string{"f": "v"}}}}
 	payload := appendWireResultSet(nil, &rs)
 	for cut := 0; cut < len(payload); cut++ {
-		d := transport.NewDec(payload[:cut])
+		d := binenc.NewDec(payload[:cut])
 		var got ResultSet
 		decodeWireResultSetInto(&d, &got)
 		if d.Err() == nil {
