@@ -106,9 +106,13 @@ bench-smoke:
 # wire decoders that read what a peer sent (never panic, allocate in
 # proportion to the frame, round-trip what they accept), the two frame
 # readers under them (never panic or hang: a well-formed answer or a
-# closed connection, and every waiter released), and the two replay
+# closed connection, and every waiter released), the two replay
 # decoders that read what a data directory holds (the same bounds, and
-# every record the encoders log replays to the state that logged it).
+# every record the encoders log replays to the state that logged it),
+# the SQL parser that reads what a user wrote (parse or error, never a
+# panic or a stack overflow, allocation in proportion to the text), and
+# the ProducerServlet answering from its producers' rows (what the
+# scratch-database body it replaced answers, for any SQL) — ten targets.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) .
@@ -119,3 +123,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEntrySize$$' -fuzztime $(FUZZTIME) ./internal/ldap
 	$(GO) test -run '^$$' -fuzz '^FuzzRegistryReplay$$' -fuzztime $(FUZZTIME) ./internal/rgma
 	$(GO) test -run '^$$' -fuzz '^FuzzGIISReplay$$' -fuzztime $(FUZZTIME) ./internal/mds
+	$(GO) test -run '^$$' -fuzz '^FuzzSQLParse$$' -fuzztime $(FUZZTIME) ./internal/relational
+	$(GO) test -run '^$$' -fuzz '^FuzzServletSelect$$' -fuzztime $(FUZZTIME) ./internal/rgma

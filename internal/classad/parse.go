@@ -7,11 +7,25 @@ import (
 
 // parser consumes a token stream produced by lexAll.
 type parser struct {
-	toks []token
-	pos  int
-	// keepNewlines makes newline tokens significant (old-style ad
-	// parsing); inside any bracketing construct they are always skipped.
-	depth int
+	toks  []token
+	pos   int
+	depth int // parseExpr and parseUnary calls in progress
+}
+
+// maxParseDepth bounds how deep an expression may nest. Every nesting
+// construct — parentheses, lists, ads, call arguments, ?: arms — recurses
+// through parseExpr, and a chain of unary operators through parseUnary;
+// a goroutine stack overflow kills the process instead of panicking,
+// while a few MiB of "(" fit in one v3 frame.
+const maxParseDepth = 1000
+
+// nest enters one level of recursion; the caller defers p.depth--.
+func (p *parser) nest() error {
+	p.depth++
+	if p.depth > maxParseDepth {
+		return fmt.Errorf("classad: expression nested deeper than %d levels", maxParseDepth)
+	}
+	return nil
 }
 
 // ParseExpr parses a single ClassAd expression.
@@ -76,6 +90,10 @@ func (p *parser) expect(k tokKind, what string) (token, error) {
 
 // parseExpr parses the lowest-precedence production (the ?: ternary).
 func (p *parser) parseExpr() (Expr, error) {
+	defer func() { p.depth-- }()
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	c, err := p.parseOr()
 	if err != nil {
 		return nil, err
@@ -208,6 +226,10 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 }
 
 func (p *parser) parseUnary() (Expr, error) {
+	defer func() { p.depth-- }()
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	switch p.peekSig().kind {
 	case tokNot:
 		p.advance()

@@ -87,6 +87,37 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseDeepNestingIsError: an expression nested past maxParseDepth is
+// an ordinary parse error. Unbounded, 4 Mi "(" overflowed the goroutine
+// stack, which kills the process rather than panicking. These inputs
+// are smaller, because the lexer reads all of one before parsing starts
+// (~250 bytes allocated per "("), but would parse without the bound.
+func TestParseDeepNestingIsError(t *testing.T) {
+	// A parenthesis costs two levels: parseExpr, then parseUnary.
+	paren := func(n int) string { return strings.Repeat("(", n) + "1" + strings.Repeat(")", n) }
+	if _, err := ParseExpr(paren(maxParseDepth/2 - 1)); err != nil {
+		t.Fatalf("%d parentheses: %v", maxParseDepth/2-1, err)
+	}
+	for name, src := range map[string]string{
+		"parentheses": paren(maxParseDepth / 2),
+		"64 Ki (":     paren(64 << 10),
+		"!":           strings.Repeat("!", maxParseDepth) + "true",
+		"-":           strings.Repeat("-", maxParseDepth) + "1",
+		"?:":          strings.Repeat("true ? ", maxParseDepth) + "1" + strings.Repeat(" : 0", maxParseDepth),
+		"lists":       strings.Repeat("{", maxParseDepth) + strings.Repeat("}", maxParseDepth),
+		"ads":         "[a = " + strings.Repeat("[a = ", maxParseDepth) + "1" + strings.Repeat("]", maxParseDepth+1),
+		"calls":       strings.Repeat("size(", maxParseDepth) + "1" + strings.Repeat(")", maxParseDepth),
+	} {
+		_, err := ParseExpr(src)
+		if err == nil || !strings.Contains(err.Error(), "nested deeper than") {
+			t.Errorf("%s: err = %v, want the nesting bound", name, err)
+		}
+	}
+	if _, err := ParseAd("a = " + paren(maxParseDepth) + "\nb = 1"); err == nil {
+		t.Error("ParseAd accepted an attribute nested past the bound")
+	}
+}
+
 func TestParseTrailingInput(t *testing.T) {
 	if _, err := ParseExpr("1 2"); err == nil {
 		t.Fatal("trailing input accepted")

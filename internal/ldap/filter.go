@@ -168,9 +168,15 @@ func MustParseFilter(s string) Filter {
 }
 
 type filterParser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	depth int // parse calls in progress
 }
+
+// maxFilterDepth bounds how deep filters may nest. parse recurses once
+// per level, and a goroutine stack overflow kills the process instead
+// of panicking — while a few MiB of "(&" fit in one v3 frame.
+const maxFilterDepth = 1000
 
 func (p *filterParser) errf(format string, args ...interface{}) error {
 	return fmt.Errorf("ldap: filter %q at %d: %s", p.src, p.pos, fmt.Sprintf(format, args...))
@@ -183,6 +189,12 @@ func (p *filterParser) skipSpace() {
 }
 
 func (p *filterParser) parse() (Filter, error) {
+	p.depth++
+	defer func() { p.depth-- }()
+	if p.depth > maxFilterDepth {
+		// Not errf: it would quote the whole (hostile, huge) filter.
+		return nil, fmt.Errorf("ldap: filter nested deeper than %d levels at %d", maxFilterDepth, p.pos)
+	}
 	p.skipSpace()
 	if p.pos >= len(p.src) || p.src[p.pos] != '(' {
 		return nil, p.errf("expected '('")

@@ -207,6 +207,33 @@ func TestFilterParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseDeepNestingIsError: a filter nested past maxFilterDepth is an
+// ordinary parse error. Unbounded, 4 Mi "(&" — 8 MiB, one v3 frame —
+// overflowed the goroutine stack, which kills the process rather than
+// panicking.
+func TestParseDeepNestingIsError(t *testing.T) {
+	nest := func(op string, n int) string {
+		return strings.Repeat("("+op, n) + "(a=b)" + strings.Repeat(")", n)
+	}
+	if _, err := ParseFilter(nest("&", maxFilterDepth-1)); err != nil {
+		t.Fatalf("%d levels: %v", maxFilterDepth, err)
+	}
+	for name, s := range map[string]string{
+		"&":       nest("&", maxFilterDepth),
+		"|":       nest("|", maxFilterDepth),
+		"!":       nest("!", maxFilterDepth),
+		"4 Mi (&": strings.Repeat("(&", 4<<20),
+	} {
+		_, err := ParseFilter(s)
+		if err == nil || !strings.Contains(err.Error(), "nested deeper than") {
+			t.Errorf("%s: err = %v, want the nesting bound", name, err)
+		}
+		if err != nil && len(err.Error()) > 200 {
+			t.Errorf("%s: the error is %d bytes long", name, len(err.Error()))
+		}
+	}
+}
+
 func TestFilterStringRoundTrip(t *testing.T) {
 	srcs := []string{
 		"(a=b)",

@@ -206,12 +206,14 @@ func (db *DB) runInsert(s InsertStmt) (*Result, error) {
 // projectionPlan resolves the SELECT column list against the table.
 func projectionPlan(t *Table, s SelectStmt) (colIdx []int, colNames []string, err error) {
 	if len(s.Columns) == 0 {
-		for i, c := range t.Schema.Columns {
-			colIdx = append(colIdx, i)
-			colNames = append(colNames, c.Name)
+		colIdx = make([]int, len(t.Schema.Columns))
+		for i := range colIdx {
+			colIdx[i] = i
 		}
-		return colIdx, colNames, nil
+		return colIdx, t.Schema.Names(), nil
 	}
+	colIdx = make([]int, 0, len(s.Columns))
+	colNames = make([]string, 0, len(s.Columns))
 	for _, cn := range s.Columns {
 		ci := t.Schema.ColIndex(cn)
 		if ci < 0 {

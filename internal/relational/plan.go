@@ -279,11 +279,12 @@ func eqLookupFor(ci int, colType ColType, lit Value) (eqLookup, bool) {
 // wantIndex decides whether an equality conjunct should go through the
 // hash index: yes when the index already exists (built explicitly or by
 // an earlier probe), or on the second equality probe of the column —
-// building an O(rows) index for a table queried exactly once (R-GMA's
-// per-query scratch DB) would cost more than the compiled scan it
-// replaces. Provably-empty lookups are free and always taken. Probe
-// counting mutates on the read path, so it runs under idxMu — concurrent
-// read-locked SELECTs (the grid facade's parallel query path) race here.
+// building an O(rows) index for a table queried exactly once would cost
+// more than the compiled scan it replaces (SelectRows' rows are queried
+// exactly once, so it never asks). Provably-empty lookups are free and
+// always taken. Probe counting mutates on the read path, so it runs
+// under idxMu — concurrent read-locked SELECTs (the grid facade's
+// parallel query path) race here.
 func (t *Table) wantIndex(lk eqLookup) bool {
 	if lk.impossible {
 		return true
@@ -327,11 +328,21 @@ func (db *DB) planSelect(s SelectStmt) (*selectPlan, error) {
 	if !ok {
 		return nil, fmt.Errorf("relational: no table %q", s.Table)
 	}
-	colIdx, colNames, err := projectionPlan(t, s)
+	p, err := newSelectPlan(t, s)
 	if err != nil {
 		return nil, err
 	}
-	p := &selectPlan{table: t, colIdx: colIdx, colNames: colNames, oi: -1}
+	return &p, nil
+}
+
+// newSelectPlan resolves s against t. It returns the plan by value, so a
+// plan run once (SelectRows) stays on the stack.
+func newSelectPlan(t *Table, s SelectStmt) (selectPlan, error) {
+	colIdx, colNames, err := projectionPlan(t, s)
+	if err != nil {
+		return selectPlan{}, err
+	}
+	p := selectPlan{table: t, colIdx: colIdx, colNames: colNames, oi: -1}
 	if s.Where != nil {
 		p.pred, p.compiled = compileBool(&t.Schema, s.Where)
 		if p.compiled && typeSafe(&t.Schema, s.Where) {
@@ -349,10 +360,14 @@ func (db *DB) planSelect(s SelectStmt) (*selectPlan, error) {
 // between the index probe, the compiled scan, and the legacy Eval scan.
 // The returned matched rows are in row order on every path. scanned and
 // indexHits carry the work accounting described at the top of the file.
-func (p *selectPlan) match(where BoolExpr) (matched [][]Value, scanned, indexHits int, indexed bool, err error) {
+func (p *selectPlan) match(s SelectStmt) (matched [][]Value, scanned, indexHits int, indexed bool, err error) {
 	t := p.table
+	where := s.Where
 	if where == nil {
-		// Copy: the caller may reorder the matched slice for ORDER BY.
+		if s.OrderBy == "" {
+			return t.rows, len(t.rows), 0, false, nil // exec only reads it
+		}
+		// Copy: ORDER BY reorders the matched slice.
 		return append([][]Value(nil), t.rows...), len(t.rows), 0, false, nil
 	}
 	if p.safe && p.lkOK && t.wantIndex(p.lk) {
@@ -372,7 +387,7 @@ func (p *selectPlan) match(where BoolExpr) (matched [][]Value, scanned, indexHit
 		}
 		return matched, len(t.rows), len(cand), true, nil
 	}
-	for _, row := range t.rows {
+	for i, row := range t.rows {
 		var keep bool
 		var err error
 		if p.compiled {
@@ -384,6 +399,10 @@ func (p *selectPlan) match(where BoolExpr) (matched [][]Value, scanned, indexHit
 			return nil, len(t.rows), 0, false, err
 		}
 		if keep {
+			if matched == nil {
+				// No more rows can match than are left to scan.
+				matched = make([][]Value, 0, len(t.rows)-i)
+			}
 			matched = append(matched, row)
 		}
 	}
@@ -393,7 +412,7 @@ func (p *selectPlan) match(where BoolExpr) (matched [][]Value, scanned, indexHit
 // exec runs the planned SELECT.
 func (p *selectPlan) exec(s SelectStmt) (*Result, error) {
 	res := &Result{Columns: p.colNames}
-	matched, scanned, indexHits, indexed, err := p.match(s.Where)
+	matched, scanned, indexHits, indexed, err := p.match(s)
 	if err != nil {
 		return nil, err
 	}
@@ -409,15 +428,74 @@ func (p *selectPlan) exec(s SelectStmt) (*Result, error) {
 	if s.Limit > 0 && len(matched) > s.Limit {
 		matched = matched[:s.Limit]
 	}
-	res.Rows = make([][]Value, 0, len(matched))
-	for _, row := range matched {
-		out := make([]Value, len(p.colIdx))
+	// Every projected row is cut from one backing array; the full-slice
+	// expression caps each row, so appending to one cannot overwrite the
+	// next.
+	w := len(p.colIdx)
+	vals := make([]Value, len(matched)*w)
+	res.Rows = make([][]Value, len(matched))
+	for r, row := range matched {
+		out := vals[r*w : (r+1)*w : (r+1)*w]
 		for i, ci := range p.colIdx {
 			out[i] = row[ci]
 		}
-		res.Rows = append(res.Rows, out)
+		res.Rows[r] = out
 	}
 	return res, nil
+}
+
+// SelectRows runs a parsed SELECT over rows held outside any table — an
+// R-GMA ProducerServlet answering from its producers' rows — with the
+// result, Work accounting and errors of inserting rows into a fresh
+// table name(cols) and querying it once, but without building that
+// table. A row whose values already have their column's types is
+// borrowed as it is (exec copies the projected values out, so no result
+// aliases a row); only a mistyped row is copied and coerced, and a row
+// Insert would refuse fails with Insert's error. rows itself is never
+// written. stored counts the rows accepted, all of them unless one was
+// refused: the materialization work a table would have cost.
+func SelectRows(s SelectStmt, name string, cols []Column, rows [][]Value) (res *Result, stored int, err error) {
+	t := &Table{Name: name, Schema: Schema{Columns: cols}, rows: rows}
+	copied := false
+	for i, row := range rows {
+		if err := t.checkWidth(row); err != nil {
+			return nil, i, err
+		}
+		if hasColumnTypes(cols, row) {
+			continue
+		}
+		cv, err := t.coerceRow(row)
+		if err != nil {
+			return nil, i, err
+		}
+		if !copied {
+			t.rows, copied = append([][]Value(nil), rows...), true
+		}
+		t.rows[i] = cv
+	}
+	p, err := newSelectPlan(t, s)
+	if err != nil {
+		return nil, len(rows), err
+	}
+	// A fresh table's first equality probe keeps the compiled scan
+	// (wantIndex); only a provably empty lookup takes the index path,
+	// and that one reads no index.
+	if !p.lk.impossible {
+		p.lkOK = false
+	}
+	res, err = p.exec(s)
+	return res, len(rows), err
+}
+
+// hasColumnTypes reports whether every value of row already has its
+// column's type, so storing it would leave it unchanged.
+func hasColumnTypes(cols []Column, row []Value) bool {
+	for i, v := range row {
+		if v.Type != cols[i].Type {
+			return false
+		}
+	}
+	return true
 }
 
 // orderRows applies ORDER BY (and LIMIT, when present) to matched rows:

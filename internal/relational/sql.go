@@ -169,94 +169,88 @@ type sqlTok struct {
 	r    float64
 }
 
-func sqlLex(src string) ([]sqlTok, error) {
-	var toks []sqlTok
-	i := 0
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '\'':
-			j := i + 1
-			var sb strings.Builder
-			for {
-				if j >= len(src) {
-					return nil, fmt.Errorf("relational: unterminated string at %d", i)
+// sqlLexOne lexes the token at src[i:], after any white space, and
+// returns it with the offset just past it: an "eof" token at the end of
+// src. Parse lexes one token ahead, so what it allocates is the tree it
+// builds, not a token per input byte, and a parse that stops early (at
+// the nesting bound, say) lexes no further.
+func sqlLexOne(src string, i int) (sqlTok, int, error) {
+	for i < len(src) && (src[i] == ' ' || src[i] == '\t' || src[i] == '\n' || src[i] == '\r') {
+		i++
+	}
+	if i == len(src) {
+		return sqlTok{kind: "eof"}, i, nil
+	}
+	c := src[i]
+	switch {
+	case c == '\'':
+		j := i + 1
+		escaped := false
+		for {
+			if j >= len(src) {
+				return sqlTok{}, i, fmt.Errorf("relational: unterminated string at %d", i)
+			}
+			if src[j] == '\'' {
+				if j+1 < len(src) && src[j+1] == '\'' {
+					escaped = true
+					j += 2
+					continue
 				}
-				if src[j] == '\'' {
-					if j+1 < len(src) && src[j+1] == '\'' {
-						sb.WriteByte('\'')
-						j += 2
-						continue
-					}
-					j++
-					break
-				}
-				sb.WriteByte(src[j])
-				j++
+				break
 			}
-			toks = append(toks, sqlTok{kind: "string", text: sb.String()})
-			i = j
-		case c >= '0' && c <= '9', c == '-' && i+1 < len(src) && src[i+1] >= '0' && src[i+1] <= '9',
-			c == '.' && i+1 < len(src) && src[i+1] >= '0' && src[i+1] <= '9':
-			j := i
-			if src[j] == '-' {
-				j++
+			j++
+		}
+		text := src[i+1 : j]
+		if escaped {
+			text = strings.ReplaceAll(text, "''", "'")
+		}
+		return sqlTok{kind: "string", text: text}, j + 1, nil
+	case c >= '0' && c <= '9', c == '-' && i+1 < len(src) && src[i+1] >= '0' && src[i+1] <= '9',
+		c == '.' && i+1 < len(src) && src[i+1] >= '0' && src[i+1] <= '9':
+		j := i
+		if src[j] == '-' {
+			j++
+		}
+		isReal := false
+		for j < len(src) && (src[j] >= '0' && src[j] <= '9' || src[j] == '.' || src[j] == 'e' || src[j] == 'E' ||
+			((src[j] == '+' || src[j] == '-') && (src[j-1] == 'e' || src[j-1] == 'E'))) {
+			if src[j] == '.' || src[j] == 'e' || src[j] == 'E' {
+				isReal = true
 			}
-			isReal := false
-			for j < len(src) && (src[j] >= '0' && src[j] <= '9' || src[j] == '.' || src[j] == 'e' || src[j] == 'E' ||
-				((src[j] == '+' || src[j] == '-') && (src[j-1] == 'e' || src[j-1] == 'E'))) {
-				if src[j] == '.' || src[j] == 'e' || src[j] == 'E' {
-					isReal = true
-				}
-				j++
+			j++
+		}
+		text := src[i:j]
+		if isReal {
+			r, err := strconv.ParseFloat(text, 64)
+			if err != nil {
+				return sqlTok{}, i, fmt.Errorf("relational: bad number %q", text)
 			}
-			text := src[i:j]
-			if isReal {
-				r, err := strconv.ParseFloat(text, 64)
-				if err != nil {
-					return nil, fmt.Errorf("relational: bad number %q", text)
-				}
-				toks = append(toks, sqlTok{kind: "real", text: text, r: r})
-			} else {
-				n, err := strconv.ParseInt(text, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("relational: bad number %q", text)
-				}
-				toks = append(toks, sqlTok{kind: "int", text: text, i: n})
-			}
-			i = j
-		case isSQLIdentStart(c):
-			j := i
-			for j < len(src) && isSQLIdentPart(src[j]) {
-				j++
-			}
-			toks = append(toks, sqlTok{kind: "ident", text: src[i:j]})
-			i = j
-		default:
-			two := ""
-			if i+1 < len(src) {
-				two = src[i : i+2]
-			}
-			switch {
-			case two == "<=" || two == ">=" || two == "!=" || two == "<>":
-				op := two
-				if op == "<>" {
-					op = "!="
-				}
-				toks = append(toks, sqlTok{kind: "op", text: op})
-				i += 2
-			case strings.ContainsRune("(),*=<>;", rune(c)):
-				toks = append(toks, sqlTok{kind: "op", text: string(c)})
-				i++
-			default:
-				return nil, fmt.Errorf("relational: unexpected character %q at %d", c, i)
-			}
+			return sqlTok{kind: "real", text: text, r: r}, j, nil
+		}
+		n, err := strconv.ParseInt(text, 10, 64)
+		if err != nil {
+			return sqlTok{}, i, fmt.Errorf("relational: bad number %q", text)
+		}
+		return sqlTok{kind: "int", text: text, i: n}, j, nil
+	case isSQLIdentStart(c):
+		j := i
+		for j < len(src) && isSQLIdentPart(src[j]) {
+			j++
+		}
+		return sqlTok{kind: "ident", text: src[i:j]}, j, nil
+	}
+	if i+1 < len(src) {
+		switch two := src[i : i+2]; two {
+		case "<=", ">=", "!=":
+			return sqlTok{kind: "op", text: two}, i + 2, nil
+		case "<>":
+			return sqlTok{kind: "op", text: "!="}, i + 2, nil
 		}
 	}
-	toks = append(toks, sqlTok{kind: "eof"})
-	return toks, nil
+	if strings.IndexByte("(),*=<>;", c) >= 0 {
+		return sqlTok{kind: "op", text: src[i : i+1]}, i + 1, nil
+	}
+	return sqlTok{}, i, fmt.Errorf("relational: unexpected character %q at %d", c, i)
 }
 
 func isSQLIdentStart(c byte) bool {
@@ -270,18 +264,34 @@ func isSQLIdentPart(c byte) bool {
 // --- parser ---
 
 type sqlParser struct {
-	toks []sqlTok
-	pos  int
+	src   string
+	next  int    // offset just past tok
+	tok   sqlTok // the current token
+	err   error  // the lexer's error; tok is "eof" from then on
+	depth int    // parseNot calls in progress
 }
+
+// maxNesting bounds how deep parentheses and NOTs may nest in a WHERE
+// clause. parseNot recurses once per level, and a goroutine stack
+// overflow kills the process instead of panicking — while a few MiB of
+// "(" fit in one v3 frame.
+const maxNesting = 1000
 
 // Parse parses one SQL statement (a trailing semicolon is allowed).
 func Parse(src string) (Statement, error) {
-	toks, err := sqlLex(src)
-	if err != nil {
-		return nil, err
+	p := &sqlParser{src: src}
+	p.scan()
+	st, err := p.parseStatement()
+	if p.err != nil {
+		// The parser reached a token the lexer could not read.
+		return nil, p.err
 	}
-	p := &sqlParser{toks: toks}
+	return st, err
+}
+
+func (p *sqlParser) parseStatement() (Statement, error) {
 	var st Statement
+	var err error
 	switch {
 	case p.acceptKeyword("CREATE"):
 		st, err = p.parseCreate()
@@ -306,12 +316,23 @@ func Parse(src string) (Statement, error) {
 	return st, nil
 }
 
-func (p *sqlParser) peek() sqlTok { return p.toks[p.pos] }
+// scan moves to the next token.
+func (p *sqlParser) scan() {
+	if p.err != nil {
+		return
+	}
+	p.tok, p.next, p.err = sqlLexOne(p.src, p.next)
+	if p.err != nil {
+		p.tok = sqlTok{kind: "eof"}
+	}
+}
+
+func (p *sqlParser) peek() sqlTok { return p.tok }
 
 func (p *sqlParser) advance() sqlTok {
-	t := p.toks[p.pos]
+	t := p.tok
 	if t.kind != "eof" {
-		p.pos++
+		p.scan()
 	}
 	return t
 }
@@ -319,7 +340,7 @@ func (p *sqlParser) advance() sqlTok {
 func (p *sqlParser) acceptKeyword(kw string) bool {
 	t := p.peek()
 	if t.kind == "ident" && strings.EqualFold(t.text, kw) {
-		p.pos++
+		p.scan()
 		return true
 	}
 	return false
@@ -328,7 +349,7 @@ func (p *sqlParser) acceptKeyword(kw string) bool {
 func (p *sqlParser) acceptOp(op string) bool {
 	t := p.peek()
 	if t.kind == "op" && t.text == op {
-		p.pos++
+		p.scan()
 		return true
 	}
 	return false
@@ -353,7 +374,7 @@ func (p *sqlParser) expectIdent() (string, error) {
 	if t.kind != "ident" {
 		return "", fmt.Errorf("relational: expected identifier, got %q", t.text)
 	}
-	p.pos++
+	p.scan()
 	return t.text, nil
 }
 
@@ -608,6 +629,11 @@ func (p *sqlParser) parseAnd() (BoolExpr, error) {
 }
 
 func (p *sqlParser) parseNot() (BoolExpr, error) {
+	p.depth++
+	defer func() { p.depth-- }()
+	if p.depth > maxNesting {
+		return nil, fmt.Errorf("relational: WHERE clause nested deeper than %d levels", maxNesting)
+	}
 	if p.acceptKeyword("NOT") {
 		x, err := p.parseNot()
 		if err != nil {
@@ -639,10 +665,10 @@ func (p *sqlParser) parseComparison() (BoolExpr, error) {
 	case t.kind == "op" && (t.text == "=" || t.text == "!=" || t.text == "<" ||
 		t.text == "<=" || t.text == ">" || t.text == ">="):
 		op = t.text
-		p.pos++
+		p.scan()
 	case t.kind == "ident" && strings.EqualFold(t.text, "LIKE"):
 		op = "LIKE"
-		p.pos++
+		p.scan()
 	default:
 		return nil, fmt.Errorf("relational: expected comparison operator, got %q", t.text)
 	}
@@ -657,16 +683,16 @@ func (p *sqlParser) parseOperand() (operand, error) {
 	t := p.peek()
 	switch t.kind {
 	case "ident":
-		p.pos++
+		p.scan()
 		return operand{isCol: true, col: t.text}, nil
 	case "int":
-		p.pos++
+		p.scan()
 		return operand{val: IntVal(t.i)}, nil
 	case "real":
-		p.pos++
+		p.scan()
 		return operand{val: RealVal(t.r)}, nil
 	case "string":
-		p.pos++
+		p.scan()
 		return operand{val: StrVal(t.text)}, nil
 	}
 	return operand{}, fmt.Errorf("relational: expected operand, got %q", t.text)

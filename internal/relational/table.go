@@ -53,9 +53,10 @@ type Table struct {
 	// index maps an indexed column position to value-key -> row numbers.
 	index map[int]map[string][]int
 	// eqProbes counts equality SELECTs per un-indexed column; the
-	// planner auto-builds an index only on the second probe, so a
-	// throwaway table queried once (R-GMA's per-query scratch DB) never
-	// pays an O(rows) index build for a single lookup.
+	// planner auto-builds an index only on the second probe, so a table
+	// queried once never pays an O(rows) index build for a single
+	// lookup (SelectRows, which queries rows exactly once, relies on
+	// this to skip the index altogether).
 	eqProbes map[int]int
 }
 
@@ -140,20 +141,15 @@ func (t *Table) Len() int { return len(t.rows) }
 
 // Insert appends a row after coercing each value to its column type.
 func (t *Table) Insert(row []Value) error {
-	if len(row) != len(t.Schema.Columns) {
-		return fmt.Errorf("relational: table %q expects %d values, got %d",
-			t.Name, len(t.Schema.Columns), len(row))
+	if err := t.checkWidth(row); err != nil {
+		return err
 	}
 	if t.MaxRows > 0 && len(t.rows) >= t.MaxRows {
 		return fmt.Errorf("relational: table %q is full (%d rows)", t.Name, t.MaxRows)
 	}
-	stored := make([]Value, len(row))
-	for i, v := range row {
-		cv, err := v.Coerce(t.Schema.Columns[i].Type)
-		if err != nil {
-			return fmt.Errorf("relational: column %q: %v", t.Schema.Columns[i].Name, err)
-		}
-		stored[i] = cv
+	stored, err := t.coerceRow(row)
+	if err != nil {
+		return err
 	}
 	rowNum := len(t.rows)
 	t.rows = append(t.rows, stored)
@@ -164,6 +160,29 @@ func (t *Table) Insert(row []Value) error {
 	}
 	t.idxMu.Unlock()
 	return nil
+}
+
+// checkWidth fails a row that does not have one value per column.
+func (t *Table) checkWidth(row []Value) error {
+	if len(row) != len(t.Schema.Columns) {
+		return fmt.Errorf("relational: table %q expects %d values, got %d",
+			t.Name, len(t.Schema.Columns), len(row))
+	}
+	return nil
+}
+
+// coerceRow returns a copy of row with each value converted to its
+// column's type, failing on a value that does not convert.
+func (t *Table) coerceRow(row []Value) ([]Value, error) {
+	stored := make([]Value, len(row))
+	for i, v := range row {
+		cv, err := v.Coerce(t.Schema.Columns[i].Type)
+		if err != nil {
+			return nil, fmt.Errorf("relational: column %q: %v", t.Schema.Columns[i].Name, err)
+		}
+		stored[i] = cv
+	}
+	return stored, nil
 }
 
 // Rows returns the backing rows; callers must not mutate them.

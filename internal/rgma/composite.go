@@ -1,7 +1,6 @@
 package rgma
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/gma"
@@ -30,7 +29,7 @@ type CompositeProducer struct {
 
 	// mu guards the staleness bookkeeping and serializes upstream pulls,
 	// so concurrent queries double-check the refresh the way a GRIS
-	// double-checks its provider cache. The serving itself (a scratch-DB
+	// double-checks its provider cache. The serving itself (its servlet's
 	// SELECT over the local copy) runs outside the lock.
 	mu          sync.Mutex
 	lastRefresh float64 // guarded by mu
@@ -80,7 +79,7 @@ func (cp *CompositeProducer) refreshLocked(now float64) (int, QueryStats, error)
 	var rows [][]relational.Value
 	seen := make(map[string]bool)
 	contacted := 0
-	sql := fmt.Sprintf("SELECT * FROM %s", cp.Table)
+	all := relational.SelectStmt{Table: cp.Table} // SELECT * FROM <Table>
 	for _, ad := range ads {
 		if ad.ProducerID == cp.ID {
 			continue // never aggregate ourselves
@@ -93,7 +92,7 @@ func (cp *CompositeProducer) refreshLocked(now float64) (int, QueryStats, error)
 		if err != nil {
 			return contacted, st, err
 		}
-		res, pStats, err := pserv.Query(now, sql)
+		res, pStats, err := pserv.query(now, all, QueryStats{ThreadSpawns: 1})
 		contacted++
 		st.ProducersContacted++
 		st.Add(pStats)

@@ -49,9 +49,9 @@ func (ps *ProducerServlet) Advertisements() []gma.Advertisement {
 }
 
 // Query executes a SQL SELECT over the union of hosted producers' rows for
-// the statement's table, materializing the table in a scratch database —
-// the way a ProducerServlet answers on behalf of its producers. Every
-// producer of the table contributes rows (refreshed at time now).
+// the statement's table — the way a ProducerServlet answers on behalf of
+// its producers. Every producer of the table contributes rows (refreshed
+// at time now).
 func (ps *ProducerServlet) Query(now float64, sql string) (*relational.Result, QueryStats, error) {
 	st := QueryStats{ThreadSpawns: 1}
 	stmt, err := relational.Parse(sql)
@@ -62,31 +62,41 @@ func (ps *ProducerServlet) Query(now float64, sql string) (*relational.Result, Q
 	if !ok {
 		return nil, st, fmt.Errorf("rgma: producer servlet accepts only SELECT, got %T", stmt)
 	}
-	db := relational.NewDB()
-	var contributors int
+	return ps.query(now, sel, st)
+}
+
+// query is Query's body for a parsed statement, accounting into st. The
+// union of the producers' rows is handed to the SELECT as it is, not
+// inserted into a table; Work still charges the paper's servlet for
+// materializing each row before it scans them.
+func (ps *ProducerServlet) query(now float64, sel relational.SelectStmt, st QueryStats) (*relational.Result, QueryStats, error) {
+	var first *Producer
+	var buf [8][][]relational.Value
+	batches, n := buf[:0], 0
 	for _, p := range ps.producers {
 		if !strings.EqualFold(p.Table, sel.Table) {
 			continue
 		}
-		t, exists := db.Table(p.Table)
-		if !exists {
-			t, err = db.CreateTable(p.Table, p.Schema())
-			if err != nil {
-				return nil, st, err
-			}
+		if first == nil {
+			first = p
 		}
-		for _, row := range p.Rows(now) {
-			if err := t.Insert(row); err != nil {
-				return nil, st, err
-			}
-			st.RowsScanned++ // materialization work
-		}
-		contributors++
+		rows := p.Rows(now)
+		batches = append(batches, rows)
+		n += len(rows)
 	}
-	if contributors == 0 {
+	if first == nil {
 		return nil, st, fmt.Errorf("rgma: no producer of table %q at %s", sel.Table, ps.Address)
 	}
-	res, err := db.Run(sel)
+	rows := batches[0]
+	if len(batches) > 1 {
+		rows = make([][]relational.Value, 0, n)
+		for _, b := range batches {
+			rows = append(rows, b...)
+		}
+	}
+	// The first producer of the table names it and sets its columns.
+	res, stored, err := relational.SelectRows(sel, first.Table, first.Schema(), rows)
+	st.RowsScanned += stored // materialization work
 	if err != nil {
 		return nil, st, err
 	}
@@ -185,7 +195,7 @@ func (cs *ConsumerServlet) QueryCtx(ctx context.Context, now float64, sql string
 		if err != nil {
 			return nil, st, err
 		}
-		res, pStats, err := pserv.Query(now, sql)
+		res, pStats, err := pserv.query(now, sel, QueryStats{ThreadSpawns: 1})
 		st.ProducersContacted++
 		st.Add(pStats)
 		if err != nil {

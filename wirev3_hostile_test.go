@@ -3,6 +3,7 @@ package gridmon
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/binenc"
@@ -65,6 +66,37 @@ func TestWireHugeCountIsBadRequest(t *testing.T) {
 		})
 	if err != nil || len(rs.Records) == 0 {
 		t.Fatalf("call after the hostile frames: %d records, err %v", len(rs.Records), err)
+	}
+}
+
+// TestWireDeepNestingIsParseError: an expression nested a few million
+// levels deep fits in one frame and, before the parsers bounded their
+// recursion, overflowed the goroutine stack — a fatal error, not a
+// panic, so one grid.query killed the server. Each system's parser must
+// refuse it with the code its parse errors carry (a SQL error surfaces
+// from inside the mediator, as exec), and the server must keep serving
+// on the same connection.
+func TestWireDeepNestingIsParseError(t *testing.T) {
+	remote := serveGrid(t, newTestGrid(t))
+	ctx := context.Background()
+	for _, tc := range []struct {
+		q    Query
+		code transport.Code
+	}{
+		{Query{System: MDS, Role: RoleAggregateServer, Expr: strings.Repeat("(&", 4<<20)}, transport.CodeParse},
+		{Query{System: RGMA, Expr: "SELECT * FROM siteinfo WHERE " + strings.Repeat("(", 4<<20) + "value > 1"}, transport.CodeExec},
+		// The ClassAd lexer reads all of an expression before parsing,
+		// so this one is smaller: 64 Ki levels would parse unbounded.
+		{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: strings.Repeat("(", 64<<10) + "true" + strings.Repeat(")", 64<<10)}, transport.CodeParse},
+	} {
+		_, err := remote.Query(ctx, tc.q)
+		if transport.ErrorCode(err) != tc.code || !strings.Contains(err.Error(), "nested deeper than") {
+			t.Fatalf("%s: err = %v, want %s and the nesting bound", tc.q.System, err, tc.code)
+		}
+	}
+	rs, err := remote.Query(ctx, Query{System: Hawkeye, Role: RoleDirectoryServer})
+	if err != nil || len(rs.Records) == 0 {
+		t.Fatalf("query after the nested ones: %v", err)
 	}
 }
 
