@@ -109,10 +109,12 @@ bench-smoke:
 # closed connection, and every waiter released), the two replay
 # decoders that read what a data directory holds (the same bounds, and
 # every record the encoders log replays to the state that logged it),
-# the SQL parser that reads what a user wrote (parse or error, never a
-# panic or a stack overflow, allocation in proportion to the text), and
-# the ProducerServlet answering from its producers' rows (what the
-# scratch-database body it replaced answers, for any SQL) — ten targets.
+# the SQL and LDAP-filter parsers that read what a user wrote (parse or
+# error, never a panic or a stack overflow, allocation in proportion to
+# the text; an accepted filter renders to a canonical form that parses
+# back to itself), and the ProducerServlet answering from its producers'
+# rows (what the scratch-database body it replaced answers, for any
+# SQL) — eleven targets.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) .
@@ -124,4 +126,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRegistryReplay$$' -fuzztime $(FUZZTIME) ./internal/rgma
 	$(GO) test -run '^$$' -fuzz '^FuzzGIISReplay$$' -fuzztime $(FUZZTIME) ./internal/mds
 	$(GO) test -run '^$$' -fuzz '^FuzzSQLParse$$' -fuzztime $(FUZZTIME) ./internal/relational
+	$(GO) test -run '^$$' -fuzz '^FuzzLDAPFilter$$' -fuzztime $(FUZZTIME) ./internal/ldap
 	$(GO) test -run '^$$' -fuzz '^FuzzServletSelect$$' -fuzztime $(FUZZTIME) ./internal/rgma

@@ -12,22 +12,25 @@ import (
 // information-server throughput with data in cache, Figures 5–6). A hit
 // serves the decoded records of an earlier identical query without
 // touching any engine; entries live for the configured TTL and are
-// invalidated wholesale whenever the grid's state advances (Advance,
-// Advertise, or a legacy write serialized through the facade), so a
-// cached answer is never older than both the TTL and the last
-// monitoring round.
+// invalidated wholesale whenever the grid's state advances (Advance or
+// Advertise), so a cached answer is never older than both the TTL and
+// the last monitoring round.
 
 // cacheKey identifies one cacheable query: the full request shape, with
 // Attrs joined order-sensitively (projections with different orders are
-// different requests to the engines). The role is the caller's
-// normalized one, so an empty Role and an explicit information-server
-// Role — identical requests to the engines — share an entry.
+// different requests to the engines) and counted, so that no attrs (keep
+// every field) and one empty name (keep none) are different keys. The
+// join is undone by the count only while no name holds the separator:
+// see cacheable. The role is the caller's normalized one, so an empty
+// Role and an explicit information-server Role — identical requests to
+// the engines — share an entry.
 type cacheKey struct {
 	system System
 	role   Role
 	host   string
 	expr   string
 	attrs  string
+	nattrs int
 }
 
 func keyFor(q Query, role Role) cacheKey {
@@ -37,7 +40,20 @@ func keyFor(q Query, role Role) cacheKey {
 		host:   q.Host,
 		expr:   q.Expr,
 		attrs:  strings.Join(q.Attrs, "\x00"),
+		nattrs: len(q.Attrs),
 	}
+}
+
+// cacheable reports whether q's key identifies it alone: an attribute
+// name holding a NUL would join to the key of two names, so such a query
+// bypasses the cache.
+func cacheable(q Query) bool {
+	for _, a := range q.Attrs {
+		if strings.IndexByte(a, 0) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // cacheEntry is one cached answer. Records are shared between the cache

@@ -37,20 +37,18 @@
 //	grid.systems    list deployed systems
 //	ops.list        list every registered op
 //	ops.stats       serving counters (gridmon.Stats)
-//	mds.query       params: filter (RFC 1960), attrs (comma-separated)
-//	mds.hosts       list registered hosts
-//	rgma.query      params: sql (SELECT over table "siteinfo")
-//	rgma.tables     list advertised tables
-//	hawkeye.query   params: constraint (ClassAd expression)
-//	hawkeye.pool    list pool members
+//
+// grid.query is the one read op: a gridmon.Query names the system and
+// the Table 1 role, so every GRIS, GIIS, servlet, Registry, composite,
+// Agent and Manager of the deployment answers through it.
 //
 // A background loop calls Grid.Advance every -advance interval: R-GMA
 // sensors regenerate (feeding continuous queries), Hawkeye agents
 // advertise (running trigger matchmaking), and MDS watchers poll-and-
 // diff — so grid.subscribe streams move in real time.
 //
-// Every op but grid.subscribe takes a JSON body (the param-based ops as
-// {"params": {...}}), which is what gridmon-query sends. A peer that does
+// Every op but grid.subscribe takes a JSON body, which is what
+// gridmon-query sends. A peer that does
 // not open with the protocol's magic preamble — a client of the removed
 // JSON framings, say — is disconnected without an answer.
 //

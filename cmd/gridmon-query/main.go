@@ -17,19 +17,21 @@
 //	gridmon-query -o json ops.stats
 //	gridmon-query -o json fed.stats
 //	gridmon-query grid.hosts
-//	gridmon-query grid.query system=MDS role='Aggregate Information Server' 'expr=(objectclass=MdsCpu)'
 //	gridmon-query -o json grid.query system=Hawkeye role='Aggregate Information Server' 'expr=TARGET.CpuLoad > 50'
-//	gridmon-query -watch grid.query system=RGMA 'expr=SELECT * FROM siteinfo WHERE value >= 50'
+//	gridmon-query -watch grid.query system=R-GMA 'expr=SELECT * FROM siteinfo WHERE value >= 50'
 //	gridmon-query -watch -interval 10s -o json grid.query system=MDS 'expr=(objectclass=MdsCpu)'
-//	gridmon-query mds.hosts
-//	gridmon-query mds.query 'filter=(objectclass=MdsCpu)' attrs=Mds-Cpu-Free-1minX100
-//	gridmon-query rgma.query "sql=SELECT host, value FROM siteinfo WHERE value >= 50"
-//	gridmon-query hawkeye.query 'constraint=TARGET.CpuLoad > 50'
+//	gridmon-query grid.query system=MDS role='Directory Server'
+//	gridmon-query grid.query system=MDS role='Aggregate Information Server' 'expr=(objectclass=MdsCpu)' attrs=Mds-Cpu-Free-1minX100
+//	gridmon-query grid.query system=R-GMA 'expr=SELECT host, value FROM siteinfo WHERE value >= 50'
+//	gridmon-query grid.query system=R-GMA role='Directory Server' expr=siteinfo
+//	gridmon-query grid.query system=Hawkeye role='Directory Server'
 //
 // The grid.query op takes params system, role, host, expr and attrs
 // (comma-separated) and renders the typed ResultSet; role defaults to
-// the information server. -o json renders the typed ops' responses as
-// JSON instead of text tables.
+// the information server. It is the one read op: every engine of every
+// system is reached through it. -o json renders the typed ops' responses
+// as JSON instead of text tables; any other op is called with no body
+// and prints its JSON answer.
 //
 // -watch turns a grid.query into a grid.subscribe: the same params
 // become a gridmon.Subscription (with -interval as the MDS watcher's
@@ -250,9 +252,9 @@ func printEvent(ev gridmon.Event, output string) {
 	}
 }
 
-// call invokes one op. The typed ops
-// (ops.list, grid.*) get their own request/response shapes — rendered as
-// text or, with -o json, as JSON; everything else is a param-based op.
+// call invokes one op. The typed ops (ops.list, ops.stats, fed.stats,
+// grid.*) get their own request/response shapes — rendered as text or,
+// with -o json, as JSON.
 func call(ctx context.Context, remote *gridmon.RemoteGrid, op string, params map[string]string, output string) (string, error) {
 	asJSON := func(v interface{}) (string, error) {
 		b, err := json.Marshal(v)
@@ -339,11 +341,13 @@ func call(ctx context.Context, remote *gridmon.RemoteGrid, op string, params map
 		}
 		return rs.String(), nil
 	}
-	var resp gridmon.OpResponse
-	if err := remote.Call(ctx, op, gridmon.OpRequest{Params: params}, &resp); err != nil {
+	// Any other op is called with no body and its JSON answer printed as
+	// it came; an op the server does not serve fails with unknown_op.
+	var resp json.RawMessage
+	if err := remote.Call(ctx, op, nil, &resp); err != nil {
 		return "", err
 	}
-	return resp.Payload, nil
+	return string(resp), nil
 }
 
 // printOps asks the server for its registered op names, so an unknown-op

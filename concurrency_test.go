@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
 
 // This file is the -race gate for the concurrent serving layer: queries
@@ -380,8 +382,10 @@ func TestQueryCacheRemote(t *testing.T) {
 
 // TestConcurrentRemoteQueryWithAdvance drives the full live stack — TCP
 // clients against a served grid with the Advance pump running — under
-// -race, the shape gridmon-load exercises.
+// -race, the shape gridmon-load and gridmon-live's -advance loop
+// exercise: the pump is the facade's writer, grid.query its readers.
 func TestConcurrentRemoteQueryWithAdvance(t *testing.T) {
+	leakcheck.Check(t)
 	var clock atomicClock
 	grid := newStressGrid(t, clock.Fn())
 	srv := NewTransportServer()

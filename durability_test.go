@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/gma"
+	"repro/internal/leakcheck"
 	"repro/internal/mds"
 )
 
@@ -55,6 +56,7 @@ func registryHas(t *testing.T, grid *Grid, producerID string) bool {
 // nothing snapshots), and a new grid over the same directory must know
 // everything the dead one knew.
 func TestGridStorageSurvivesCrash(t *testing.T) {
+	leakcheck.Check(t)
 	dir := t.TempDir()
 	g1 := buildDurableGrid(t, dir)
 
@@ -116,6 +118,7 @@ func TestGridStorageSurvivesCrash(t *testing.T) {
 // final snapshots, and the next grid over the directory opens replay-
 // free with the same state. Closing twice is safe.
 func TestGridStorageCleanClose(t *testing.T) {
+	leakcheck.Check(t)
 	dir := t.TempDir()
 	g1 := buildDurableGrid(t, dir)
 	registry, _, _ := g1.RGMA()
@@ -139,6 +142,7 @@ func TestGridStorageCleanClose(t *testing.T) {
 // TestGridVolatileCloseNoop pins that a grid without WithStorage closes
 // as a no-op — the facade's Close is safe to call unconditionally.
 func TestGridVolatileCloseNoop(t *testing.T) {
+	leakcheck.Check(t)
 	grid := newTestGrid(t)
 	if err := grid.Close(); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/hawkeye"
 	"repro/internal/mds"
 	"repro/internal/rgma"
@@ -17,10 +16,9 @@ import (
 // Grid is the unified facade over the three monitoring systems: one
 // value owning a complete MDS hierarchy, R-GMA mesh and Hawkeye pool
 // over a common host set, queried through one typed request shape
-// (Query) and one role-keyed accessor surface (InformationServer,
-// DirectoryServer, AggregateServer). Construct it with New; the remote
-// client returned by Dial implements the same Querier interface, so
-// in-process and over-TCP use are interchangeable.
+// (Query) that names a system and a Table 1 role. Construct it with New;
+// the remote client returned by Dial implements the same Querier
+// interface, so in-process and over-TCP use are interchangeable.
 type Grid struct {
 	cfg   *config
 	clock func() float64
@@ -29,7 +27,6 @@ type Grid struct {
 	// so independent queries run in parallel on a multi-core server (the
 	// engines' read paths are safe for concurrent readers — lazily
 	// maintained structures double-check under their own locks); the
-	// legacy param-based ops are readers too (see beginRead); the
 	// state-changing paths — Advance, Advertise, Subscribe bookkeeping —
 	// take the write lock and run exclusively.
 	mu       sync.RWMutex
@@ -43,8 +40,8 @@ type Grid struct {
 	// counters is the serving path's self-observability (Grid.Stats,
 	// ops.stats); always allocated, lock-free.
 	counters *serveCounters
-	// admit is the opt-in overload gate in front of Query and the legacy
-	// ops (nil without WithAdmission).
+	// admit is the opt-in overload gate in front of Query (nil without
+	// WithAdmission).
 	admit *admission
 
 	// MDS: one GIIS aggregating a warm GRIS per host.
@@ -355,36 +352,6 @@ func (g *Grid) Advance(now float64) error {
 	return g.advertiseLocked(now)
 }
 
-// InformationServer returns sys's Table 1 Information Server binding for
-// one host: the GRIS, ProducerServlet or Agent serving that host's data.
-func (g *Grid) InformationServer(sys System, host string) (core.InformationServer, error) {
-	rq, err := g.querier(Query{System: sys, Role: RoleInformationServer, Host: host})
-	if err != nil {
-		return nil, err
-	}
-	return rq.(core.InformationServer), nil
-}
-
-// DirectoryServer returns sys's Table 1 Directory Server binding: the
-// GIIS, Registry or Manager resolving what resources exist.
-func (g *Grid) DirectoryServer(sys System) (core.DirectoryServer, error) {
-	rq, err := g.querier(Query{System: sys, Role: RoleDirectoryServer})
-	if err != nil {
-		return nil, err
-	}
-	return rq.(core.DirectoryServer), nil
-}
-
-// AggregateServer returns sys's Table 1 Aggregate Information Server
-// binding: the GIIS, the composite Consumer/Producer, or the Manager.
-func (g *Grid) AggregateServer(sys System) (core.AggregateInformationServer, error) {
-	rq, err := g.querier(Query{System: sys, Role: RoleAggregateServer})
-	if err != nil {
-		return nil, err
-	}
-	return rq.(core.AggregateInformationServer), nil
-}
-
 // TransportServer is the wire server a grid serves itself on (see
 // Serve). The alias makes hosting possible outside this module, where
 // internal/transport is unimportable: NewTransportServer, Listen,
@@ -404,16 +371,15 @@ func NewTransportServer() *TransportServer { return transport.NewServer() }
 //	grid.systems    ->  {"systems": [...]}
 //	ops.stats       ->  Stats (serving counters: queries/errors/shed/cache)
 //
-// plus the six legacy param-based ops (mds.query, mds.hosts, rgma.query,
-// rgma.tables, hawkeye.query, hawkeye.pool; see serveLegacyOps). The
+// grid.query is the one read op: every engine is reached through it. The
 // server's built-in ops.list op reports the whole namespace.
 //
 // The transport dispatches requests from different connections (and
 // pipelined ones from the same connection) simultaneously; the grid does
-// its own locking — queries and the legacy ops run in parallel under the
-// facade's read lock, past the same admission gate — which is the
-// property the concurrent-user experiments (gridmon-load) measure. Call
-// Serve before Listen: ops must be registered before traffic.
+// its own locking — queries run in parallel under the facade's read
+// lock, past the admission gate — which is the property the
+// concurrent-user experiments (gridmon-load) measure. Call Serve before
+// Listen: ops must be registered before traffic.
 func (g *Grid) Serve(srv *transport.Server) {
 	ServeQueryV3(srv, g)
 	ServeSubscribe(srv, g)
@@ -424,7 +390,6 @@ func (g *Grid) Serve(srv *transport.Server) {
 	transport.Handle(srv, "grid.systems", func(context.Context, struct{}) (SystemList, error) {
 		return SystemList{Systems: g.Systems()}, nil
 	})
-	g.serveLegacyOps(srv)
 }
 
 // HostList is the response body of grid.hosts.

@@ -3,11 +3,9 @@ package gridmon
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/transport"
 )
 
@@ -126,90 +124,6 @@ func TestQueryErrorEquivalence(t *testing.T) {
 	}
 }
 
-// TestLegacyOps: the six documented param-based ops, registered by
-// Grid.Serve, answer a JSON-bodied call with their text payload, and a
-// missing parameter is a typed bad_request.
-func TestLegacyOps(t *testing.T) {
-	remote := serveGrid(t, newTestGrid(t))
-	ctx := context.Background()
-	cases := []struct {
-		op     string
-		params map[string]string
-		want   string // substring of the payload
-	}{
-		{"mds.query", map[string]string{"filter": "(objectclass=MdsCpu)"}, "Mds-Host-hn=lucky3"},
-		{"mds.hosts", nil, "lucky4"},
-		{"rgma.query", map[string]string{"sql": "SELECT host, value FROM siteinfo"}, "host,value"},
-		{"rgma.tables", nil, "siteinfo"},
-		{"hawkeye.query", map[string]string{"constraint": "TARGET.CpuLoad >= 0"}, "Name = "},
-		{"hawkeye.pool", nil, "lucky7"},
-	}
-	for _, tc := range cases {
-		var resp OpResponse
-		if err := remote.Call(ctx, tc.op, OpRequest{Params: tc.params}, &resp); err != nil {
-			t.Errorf("%s: %v", tc.op, err)
-		}
-		if !strings.Contains(resp.Payload, tc.want) {
-			t.Errorf("%s: payload %q missing %q", tc.op, resp.Payload, tc.want)
-		}
-	}
-	if err := remote.Call(ctx, "rgma.query", OpRequest{}, nil); CodeOf(err) != ErrBadRequest {
-		t.Errorf("rgma.query without sql: err = %v, want %s", err, ErrBadRequest)
-	}
-}
-
-// TestRoleAccessors: the facade exposes every Table 1 binding with the
-// right component identity, built on the internal/core interfaces.
-func TestRoleAccessors(t *testing.T) {
-	grid := newTestGrid(t)
-	infoWant := map[System]string{MDS: "GRIS", RGMA: "ProducerServlet", Hawkeye: "Agent"}
-	dirWant := map[System]string{MDS: "GIIS", RGMA: "Registry", Hawkeye: "Manager"}
-	aggWant := map[System]string{MDS: "GIIS", RGMA: "Composite Consumer/Producer", Hawkeye: "Manager"}
-	for _, sys := range grid.Systems() {
-		info, err := grid.InformationServer(sys, "lucky3")
-		if err != nil {
-			t.Fatalf("%s information server: %v", sys, err)
-		}
-		if info.ComponentName() != infoWant[sys] || info.Role() != RoleInformationServer {
-			t.Errorf("%s information server = %s/%s", sys, info.ComponentName(), info.Role())
-		}
-		if _, err := info.QueryAll(1); err != nil {
-			t.Errorf("%s information QueryAll: %v", sys, err)
-		}
-		dir, err := grid.DirectoryServer(sys)
-		if err != nil {
-			t.Fatalf("%s directory server: %v", sys, err)
-		}
-		if dir.ComponentName() != dirWant[sys] || dir.Role() != RoleDirectoryServer {
-			t.Errorf("%s directory server = %s/%s", sys, dir.ComponentName(), dir.Role())
-		}
-		if _, err := dir.Lookup(1); err != nil {
-			t.Errorf("%s directory Lookup: %v", sys, err)
-		}
-		agg, err := grid.AggregateServer(sys)
-		if err != nil {
-			t.Fatalf("%s aggregate server: %v", sys, err)
-		}
-		if agg.ComponentName() != aggWant[sys] || agg.Role() != RoleAggregateServer {
-			t.Errorf("%s aggregate server = %s/%s", sys, agg.ComponentName(), agg.Role())
-		}
-		if _, err := agg.QueryAll(1); err != nil {
-			t.Errorf("%s aggregate QueryAll: %v", sys, err)
-		}
-	}
-	// The R-GMA aggregate binding fills the cell Table 1 leaves empty.
-	var _ core.AggregateInformationServer = mustAgg(t, grid, RGMA)
-}
-
-func mustAgg(t *testing.T, g *Grid, sys System) core.AggregateInformationServer {
-	t.Helper()
-	agg, err := g.AggregateServer(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return agg
-}
-
 // TestOptionValidation: construction rejects bad configurations.
 func TestOptionValidation(t *testing.T) {
 	cases := []struct {
@@ -267,8 +181,7 @@ func TestRemoteIntrospection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"grid.query", "grid.hosts", "grid.systems", "ops.list",
-		"mds.query", "mds.hosts", "rgma.query", "rgma.tables", "hawkeye.query", "hawkeye.pool"} {
+	for _, want := range []string{"grid.query", "grid.subscribe", "grid.hosts", "grid.systems", "ops.list", "ops.stats"} {
 		found := false
 		for _, op := range ops {
 			if op == want {

@@ -30,10 +30,9 @@
 //	})
 //
 // The ResultSet carries uniformly decoded records, the component's Work
-// accounting, and elapsed time. Table 1 component bindings are available
-// directly through g.InformationServer, g.DirectoryServer and
-// g.AggregateServer, and each system's concrete components through
-// g.MDS, g.RGMA and g.HawkeyePool.
+// accounting, and elapsed time. Query is the one read path: every Table 1
+// component answers through it, and each system's concrete components
+// are reachable directly through g.MDS, g.RGMA and g.HawkeyePool.
 //
 // The push half mirrors the pull half: one Subscription shape opens a
 // typed event stream against any system — R-GMA continuous queries,
@@ -49,10 +48,10 @@
 // Grid.Advance runs the monitoring rounds that feed the streams.
 //
 // The same interfaces work over the network: Grid.Serve registers the
-// typed grid.query and grid.subscribe ops (plus the legacy param ops) on a
-// transport server, and Dial returns a remote client implementing the
-// same Querier and Subscriber interfaces, so in-process and live-TCP
-// modes are interchangeable — down to identical event sequences.
+// typed grid.query and grid.subscribe ops on a transport server, and
+// Dial returns a remote client implementing the same Querier and
+// Subscriber interfaces, so in-process and live-TCP modes are
+// interchangeable — down to identical event sequences.
 //
 // The package has two modes:
 //

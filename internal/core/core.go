@@ -1,10 +1,11 @@
-// Package core is the paper's primary contribution rendered as code: the
-// functional component mapping of Table 1 — Information Collector,
-// Information Server, Aggregate Information Server, and Directory Server —
-// expressed as interfaces, with adapters binding MDS, R-GMA and Hawkeye
-// components to each role. The experiment harness measures every system
-// through these uniform interfaces, exactly as the paper compares the
-// systems through the mapping.
+// Package core holds what the three systems share once the paper puts
+// them side by side: Table 1's functional component mapping as data
+// (ComponentMapping, System, Role), the uniform cost of one request
+// (Work, with MDSWork, RGMAWork and HawkeyeWork converting each engine's
+// own statistics), and the uniform result shape (Record, with one decoder
+// per engine's native answer). The facade and the simulator both call
+// the engines directly and meet here: the simulator prices Work, the
+// facade returns Records and Work.
 package core
 
 // System identifies one of the three monitoring and information services.
@@ -110,50 +111,4 @@ func (w *Work) Add(o Work) {
 	w.ScanFallbacks += o.ScanFallbacks
 	w.CacheHits += o.CacheHits
 	w.CacheMisses += o.CacheMisses
-}
-
-// Component is anything occupying a Table 1 role.
-type Component interface {
-	// ComponentName names the concrete component (e.g. "GRIS").
-	ComponentName() string
-	// System identifies the owning service.
-	System() System
-	// Role identifies the Table 1 role this binding represents.
-	Role() Role
-}
-
-// InformationServer is the resource-level query target: the most heavily
-// accessed component (Experiment Sets 1 and 3).
-type InformationServer interface {
-	Component
-	// QueryAll answers the standard user query for all of the server's
-	// data at time now.
-	QueryAll(now float64) (Work, error)
-}
-
-// DirectoryServer resolves "what resources exist and where" (Experiment
-// Set 2).
-type DirectoryServer interface {
-	Component
-	// Lookup performs the standard directory query at time now.
-	Lookup(now float64) (Work, error)
-}
-
-// AggregateInformationServer serves data aggregated from many information
-// servers (Experiment Set 4).
-type AggregateInformationServer interface {
-	Component
-	// QueryAll requests all data from every aggregated information
-	// server.
-	QueryAll(now float64) (Work, error)
-	// QueryPart requests only a slice of each aggregated server's data.
-	QueryPart(now float64) (Work, error)
-}
-
-// InformationCollector is the lowest-level data generator.
-type InformationCollector interface {
-	Component
-	// Collect produces the collector's current records, returning the
-	// record count.
-	Collect(now float64) (records int, err error)
 }

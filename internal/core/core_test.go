@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/classad"
 	"repro/internal/hawkeye"
+	"repro/internal/ldap"
 	"repro/internal/mds"
 	"repro/internal/rgma"
 )
@@ -30,12 +32,11 @@ func TestComponentMapping(t *testing.T) {
 	}
 }
 
-func newMDSServer(t testing.TB) *GRISServer {
-	t.Helper()
-	return &GRISServer{GRIS: mds.NewGRIS("lucky7", 1e9, mds.DefaultProviders())}
+func newGRIS() *mds.GRIS {
+	return mds.NewGRIS("lucky7", 1e9, mds.DefaultProviders())
 }
 
-func newRGMAServer(t testing.TB) (*ProducerServletServer, *RegistryServer) {
+func newRGMA(t testing.TB) (*rgma.ProducerServlet, *rgma.Registry) {
 	t.Helper()
 	reg := rgma.NewRegistry("lucky1")
 	ps := rgma.NewProducerServlet("lucky3:8080")
@@ -47,10 +48,12 @@ func newRGMAServer(t testing.TB) (*ProducerServletServer, *RegistryServer) {
 			t.Fatal(err)
 		}
 	}
-	return &ProducerServletServer{Servlet: ps}, &RegistryServer{Registry: reg}
+	return ps, reg
 }
 
-func newHawkeyeServers(t testing.TB) (*AgentServer, *ManagerServer) {
+// newHawkeye returns an Agent with the default modules and a Manager
+// holding six machines' Startd ads.
+func newHawkeye(t testing.TB) (*hawkeye.Agent, *hawkeye.Manager) {
 	t.Helper()
 	agent := hawkeye.NewAgent("lucky4", 30)
 	if err := agent.AddModules(hawkeye.DefaultModules()); err != nil {
@@ -67,28 +70,29 @@ func newHawkeyeServers(t testing.TB) (*AgentServer, *ManagerServer) {
 			t.Fatal(err)
 		}
 	}
-	return &AgentServer{Agent: agent}, &ManagerServer{Manager: mgr}
+	return agent, mgr
 }
 
+// TestInformationServersAnswerUniformly: each system's Table 1
+// information server answers "everything" with Work in the common
+// units — records and bytes returned.
 func TestInformationServersAnswerUniformly(t *testing.T) {
-	gris := newMDSServer(t)
-	pserv, _ := newRGMAServer(t)
-	agent, _ := newHawkeyeServers(t)
-
-	servers := []InformationServer{gris, pserv, agent}
-	for _, s := range servers {
-		w, err := s.QueryAll(1)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", s.System(), s.ComponentName(), err)
-		}
+	ps, _ := newRGMA(t)
+	agent, _ := newHawkeye(t)
+	_, mdsSt := newGRIS().Query(1, nil, nil)
+	_, rgmaSt, err := ps.Query(1, "SELECT * FROM siteinfo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hawkSt := agent.Query(1, nil)
+	for sys, w := range map[System]Work{
+		SystemMDS:     MDSWork(mdsSt),
+		SystemRGMA:    RGMAWork(rgmaSt),
+		SystemHawkeye: HawkeyeWork(hawkSt),
+	} {
+		name := ComponentMapping[RoleInformationServer][sys]
 		if w.RecordsReturned == 0 || w.ResponseBytes == 0 {
-			t.Errorf("%s/%s returned empty work: %+v", s.System(), s.ComponentName(), w)
-		}
-		if s.Role() != RoleInformationServer {
-			t.Errorf("%s role = %v", s.ComponentName(), s.Role())
-		}
-		if ComponentMapping[RoleInformationServer][s.System()] != s.ComponentName() {
-			t.Errorf("%s/%s not in Table 1", s.System(), s.ComponentName())
+			t.Errorf("%s/%s returned empty work: %+v", sys, name, w)
 		}
 	}
 }
@@ -97,20 +101,23 @@ func TestCachingContrastAcrossSystems(t *testing.T) {
 	// The paper's central finding in one assertion: a cached GRIS performs
 	// no collector invocations per query, while the Agent re-collects
 	// everything.
-	gris := newMDSServer(t)
-	gris.GRIS.Warm(0)
-	agent, _ := newHawkeyeServers(t)
+	gris := newGRIS()
+	gris.Warm(0)
+	agent, _ := newHawkeye(t)
 
-	wg, _ := gris.QueryAll(1)
-	wa, _ := agent.QueryAll(1)
-	if wg.CollectorInvocations != 0 {
+	_, gst := gris.Query(1, nil, nil)
+	_, ast := agent.Query(1, nil)
+	if wg := MDSWork(gst); wg.CollectorInvocations != 0 {
 		t.Errorf("cached GRIS invoked %v collectors per query", wg.CollectorInvocations)
 	}
-	if wa.CollectorInvocations != 11 {
+	if wa := HawkeyeWork(ast); wa.CollectorInvocations != 11 {
 		t.Errorf("Agent invoked %v collectors, want 11 (no resident database)", wa.CollectorInvocations)
 	}
 }
 
+// TestDirectoryServersAnswerUniformly: each system's directory query —
+// the GIIS search, the Registry's producer lookup, the Manager's pool
+// scan — resolves resources.
 func TestDirectoryServersAnswerUniformly(t *testing.T) {
 	giis := mds.NewGIIS("giis0", 1e9, 1e9)
 	for i := 0; i < 5; i++ {
@@ -119,25 +126,32 @@ func TestDirectoryServersAnswerUniformly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, registry := newRGMAServer(t)
-	_, manager := newHawkeyeServers(t)
-	manager.AsDirectory = true
+	_, registry := newRGMA(t)
+	_, manager := newHawkeye(t)
 
-	dirs := []DirectoryServer{&GIISServer{GIIS: giis, AsDirectory: true}, registry, manager}
-	for _, d := range dirs {
-		w, err := d.Lookup(1)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", d.System(), d.ComponentName(), err)
-		}
+	_, mdsSt, err := giis.Query(1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rgmaSt, err := registry.LookupProducersStats("siteinfo", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hawkSt := manager.Query(1, nil)
+	for sys, w := range map[System]Work{
+		SystemMDS:     MDSWork(mdsSt),
+		SystemRGMA:    RGMAWork(rgmaSt),
+		SystemHawkeye: HawkeyeWork(hawkSt),
+	} {
 		if w.RecordsReturned == 0 {
-			t.Errorf("%s/%s lookup returned no records", d.System(), d.ComponentName())
-		}
-		if d.Role() != RoleDirectoryServer {
-			t.Errorf("%s role = %v", d.ComponentName(), d.Role())
+			t.Errorf("%s/%s lookup returned no records", sys, ComponentMapping[RoleDirectoryServer][sys])
 		}
 	}
 }
 
+// TestAggregateQueryPartCheaperThanAll: the GIIS "query part" of
+// Experiment Set 4 (one attribute of every CPU entry) returns fewer bytes
+// than "query all" but walks the same tree.
 func TestAggregateQueryPartCheaperThanAll(t *testing.T) {
 	giis := mds.NewGIIS("giis0", 1e9, 1e9)
 	for i := 0; i < 10; i++ {
@@ -146,15 +160,15 @@ func TestAggregateQueryPartCheaperThanAll(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	agg := &GIISServer{GIIS: giis}
-	all, err := agg.QueryAll(1)
+	_, allSt, err := giis.Query(1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := agg.QueryPart(1)
+	_, partSt, err := giis.Query(1, ldap.MustParseFilter("(objectclass=MdsCpu)"), []string{"Mds-Cpu-Free-1minX100"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	all, part := MDSWork(allSt), MDSWork(partSt)
 	if part.ResponseBytes >= all.ResponseBytes {
 		t.Fatalf("query-part bytes %d >= query-all bytes %d", part.ResponseBytes, all.ResponseBytes)
 	}
@@ -164,11 +178,9 @@ func TestAggregateQueryPartCheaperThanAll(t *testing.T) {
 }
 
 func TestManagerWorstCaseScansEverything(t *testing.T) {
-	_, manager := newHawkeyeServers(t)
-	w, err := manager.QueryPart(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, manager := newHawkeye(t)
+	_, st := manager.Query(1, classad.MustParseExpr("TARGET.CpuLoad > 200")) // matches nothing
+	w := HawkeyeWork(st)
 	if w.RecordsVisited != 6 {
 		t.Fatalf("worst-case scan visited %d, want 6", w.RecordsVisited)
 	}
@@ -177,25 +189,17 @@ func TestManagerWorstCaseScansEverything(t *testing.T) {
 	}
 }
 
+// TestCollectors: each system's Table 1 information collector — an MDS
+// provider, a Hawkeye module, an R-GMA producer — produces records.
 func TestCollectors(t *testing.T) {
-	provs := mds.DefaultProviders()
-	mods := hawkeye.DefaultModules()
-	prod := rgma.NewMonitoringProducer("p", "t", "h", 4)
-	collectors := []InformationCollector{
-		&ProviderCollector{Provider: provs[0], Host: "lucky7"},
-		&ModuleCollector{Module: mods[0], Host: "lucky4"},
-		&ProducerCollector{Producer: prod},
+	counts := map[System]int{
+		SystemMDS:     len(mds.DefaultProviders()[0].Generate("lucky7", 1)),
+		SystemHawkeye: hawkeye.DefaultModules()[0].Collect("lucky4", 1).Len(),
+		SystemRGMA:    len(rgma.NewMonitoringProducer("p", "t", "h", 4).Rows(1)),
 	}
-	for _, c := range collectors {
-		n, err := c.Collect(1)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", c.System(), c.ComponentName(), err)
-		}
+	for sys, n := range counts {
 		if n == 0 {
-			t.Errorf("%s/%s collected nothing", c.System(), c.ComponentName())
-		}
-		if ComponentMapping[RoleInformationCollector][c.System()] != c.ComponentName() {
-			t.Errorf("%s/%s not in Table 1", c.System(), c.ComponentName())
+			t.Errorf("%s/%s collected nothing", sys, ComponentMapping[RoleInformationCollector][sys])
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"slices"
 	"sort"
 	"strconv"
@@ -61,18 +60,6 @@ func ProjectRecords(recs []Record, attrs []string) []Record {
 		out[i] = r.Project(attrs)
 	}
 	return out
-}
-
-// RecordQuerier is the record-returning face of a Table 1 component
-// binding: one standard query decoded into uniform records (projected
-// to the binding's Attrs), with the Work it cost. Every adapter in this
-// package implements it. The context is honored during execution: every
-// adapter checks it before starting, and the fan-out adapters (GIIS
-// aggregate, mediated consumer) check it again between sub-queries, so
-// an abandoned query stops mid-flight.
-type RecordQuerier interface {
-	Component
-	QueryRecords(ctx context.Context, now float64) ([]Record, Work, error)
 }
 
 // --- decoders: each system's native result shape into []Record ---
@@ -179,11 +166,11 @@ func MDSRecords(entries []*ldap.Entry) []Record {
 
 // RGMARecords decodes a relational result: one record per row, keyed by
 // position (SQL rows have no inherent identity), each column a field.
-func RGMARecords(res *relational.Result) []Record { return rgmaRecords(res, nil) }
+func RGMARecords(res *relational.Result) []Record { return ResultRecords(res, nil) }
 
-// rgmaRecords is RGMARecords keeping only the columns attrs names (all
+// ResultRecords is RGMARecords keeping only the columns attrs names (all
 // of them when attrs is empty).
-func rgmaRecords(res *relational.Result, attrs []string) []Record {
+func ResultRecords(res *relational.Result, attrs []string) []Record {
 	if res == nil {
 		return nil
 	}
@@ -282,108 +269,3 @@ func AdRecords(ads []*classad.Ad, attrs []string) []Record {
 	slices.SortStableFunc(out, func(x, y Record) int { return strings.Compare(x.Key, y.Key) })
 	return out
 }
-
-// HostRecords decodes a bare host/name list (directory listings).
-func HostRecords(hosts []string) []Record {
-	out := make([]Record, len(hosts))
-	for i, h := range hosts {
-		out[i] = Record{Key: h}
-	}
-	return out
-}
-
-// --- record-returning queries on the adapters ---
-
-// QueryRecords answers the configured GRIS query with decoded entries.
-func (s *GRISServer) QueryRecords(ctx context.Context, now float64) ([]Record, Work, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, Work{}, err
-	}
-	entries, st := s.GRIS.Query(now, s.Filter, s.Attrs)
-	return MDSRecords(entries), MDSWork(st), nil
-}
-
-// QueryRecords answers the configured GIIS query with decoded entries,
-// honoring ctx between per-source cache refreshes.
-func (s *GIISServer) QueryRecords(ctx context.Context, now float64) ([]Record, Work, error) {
-	entries, st, err := s.GIIS.QueryCtx(ctx, now, s.Filter, s.Attrs)
-	return MDSRecords(entries), MDSWork(st), err
-}
-
-// QueryRecords answers the configured SQL query with decoded rows.
-func (s *ProducerServletServer) QueryRecords(ctx context.Context, now float64) ([]Record, Work, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, Work{}, err
-	}
-	res, st, err := s.Servlet.Query(now, s.sql())
-	return rgmaRecords(res, s.Attrs), RGMAWork(st), err
-}
-
-// QueryRecords answers the configured SQL query through the mediator
-// with decoded rows, honoring ctx between producer-servlet fan-outs.
-func (s *ConsumerServer) QueryRecords(ctx context.Context, now float64) ([]Record, Work, error) {
-	res, st, err := s.Consumer.QueryCtx(ctx, now, s.sql())
-	return rgmaRecords(res, s.Attrs), RGMAWork(st), err
-}
-
-// QueryRecords resolves the configured table's producers as records.
-func (s *RegistryServer) QueryRecords(ctx context.Context, now float64) ([]Record, Work, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, Work{}, err
-	}
-	table := s.Table
-	if table == "" {
-		table = "siteinfo"
-	}
-	ads, st, err := s.Registry.LookupProducersStats(table, now)
-	return ProjectRecords(AdvertisementRecords(ads), s.Attrs), RGMAWork(st), err
-}
-
-// QueryRecords answers the configured Agent query with the decoded
-// Startd ad (zero records when the constraint rejects it).
-func (s *AgentServer) QueryRecords(ctx context.Context, now float64) ([]Record, Work, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, Work{}, err
-	}
-	ad, st := s.Agent.Query(now, s.Constraint)
-	if ad == nil {
-		return nil, HawkeyeWork(st), nil
-	}
-	return AdRecords([]*classad.Ad{ad}, s.Attrs), HawkeyeWork(st), nil
-}
-
-// QueryRecords scans the pool with the configured constraint, returning
-// the matching ads as records.
-func (s *ManagerServer) QueryRecords(ctx context.Context, now float64) ([]Record, Work, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, Work{}, err
-	}
-	ads, st := s.Manager.Query(now, s.Constraint)
-	return AdRecords(ads, s.Attrs), HawkeyeWork(st), nil
-}
-
-// QueryRecords answers the configured SQL query against the composite
-// producer's aggregated table.
-func (s *CompositeServer) QueryRecords(ctx context.Context, now float64) ([]Record, Work, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, Work{}, err
-	}
-	sql := s.SQL
-	if sql == "" {
-		sql = "SELECT * FROM " + s.Composite.Table
-	}
-	res, st, err := s.Composite.Query(now, sql)
-	return rgmaRecords(res, s.Attrs), RGMAWork(st), err
-}
-
-// Every adapter answers record-returning queries.
-var (
-	_ RecordQuerier = (*GRISServer)(nil)
-	_ RecordQuerier = (*GIISServer)(nil)
-	_ RecordQuerier = (*ProducerServletServer)(nil)
-	_ RecordQuerier = (*ConsumerServer)(nil)
-	_ RecordQuerier = (*RegistryServer)(nil)
-	_ RecordQuerier = (*AgentServer)(nil)
-	_ RecordQuerier = (*ManagerServer)(nil)
-	_ RecordQuerier = (*CompositeServer)(nil)
-)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -251,7 +250,7 @@ func TestDecodersMatchOracles(t *testing.T) {
 		diff("HawkeyeRecords", nil, HawkeyeRecords(ads), oracleHawkeyeRecords(ads))
 
 		for _, attrs := range projections {
-			diff("rgmaRecords", attrs, rgmaRecords(res, attrs), ProjectRecords(oracleRGMARecords(res), attrs))
+			diff("ResultRecords", attrs, ResultRecords(res, attrs), ProjectRecords(oracleRGMARecords(res), attrs))
 			diff("RowRecords", attrs, RowRecords("lucky3-p0", cols, res.Rows, attrs), ProjectRecords(oracleRowRecords("lucky3-p0", cols, res.Rows), attrs))
 			diff("AdRecords", attrs, AdRecords(ads, attrs), ProjectRecords(oracleHawkeyeRecords(ads), attrs))
 		}
@@ -267,46 +266,6 @@ func TestRowKeysPadLikePrintf(t *testing.T) {
 	for _, i := range []int{0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 123456} {
 		if got, want := string(appendRowKey(nil, i)), fmt.Sprintf("row-%04d", i); got != want {
 			t.Errorf("appendRowKey(%d) = %q, want %q", i, got, want)
-		}
-	}
-}
-
-// TestAdaptersProjectLikeProjectRecords: a binding with Attrs answers
-// with the records ProjectRecords would have cut from its full answer,
-// and the same Work.
-func TestAdaptersProjectLikeProjectRecords(t *testing.T) {
-	pserv, registry := newRGMAServer(t)
-	agent, manager := newHawkeyeServers(t)
-	ctx := context.Background()
-	cases := []struct {
-		name  string
-		attrs []string
-		full  RecordQuerier
-		part  func(attrs []string) RecordQuerier
-	}{
-		{"ProducerServlet", []string{"host", "value"}, pserv,
-			func(a []string) RecordQuerier { return &ProducerServletServer{Servlet: pserv.Servlet, Attrs: a} }},
-		{"Registry", []string{"table", "predicate"}, registry,
-			func(a []string) RecordQuerier { return &RegistryServer{Registry: registry.Registry, Attrs: a} }},
-		{"Agent", []string{"CpuLoad", "OpSys", "nosuch"}, agent,
-			func(a []string) RecordQuerier { return &AgentServer{Agent: agent.Agent, Attrs: a} }},
-		{"Manager", []string{"Name", "cpuload"}, manager,
-			func(a []string) RecordQuerier { return &ManagerServer{Manager: manager.Manager, Attrs: a} }},
-	}
-	for _, c := range cases {
-		full, fullWork, err := c.full.QueryRecords(ctx, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		part, partWork, err := c.part(c.attrs).QueryRecords(ctx, 1)
-		if err != nil {
-			t.Fatalf("%s projected: %v", c.name, err)
-		}
-		if want := ProjectRecords(full, c.attrs); !reflect.DeepEqual(part, want) {
-			t.Errorf("%s with attrs %q:\n got %v\nwant %v", c.name, c.attrs, part, want)
-		}
-		if partWork != fullWork {
-			t.Errorf("%s: projecting changed Work: %+v vs %+v", c.name, partWork, fullWork)
 		}
 	}
 }
@@ -355,8 +314,8 @@ func BenchmarkMDSRecordsProjected(b *testing.B) {
 
 func benchResult(b *testing.B) *relational.Result {
 	b.Helper()
-	pserv, _ := newRGMAServer(b)
-	res, _, err := pserv.Servlet.Query(1, "SELECT * FROM siteinfo")
+	ps, _ := newRGMA(b)
+	res, _, err := ps.Query(1, "SELECT * FROM siteinfo")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -378,14 +337,14 @@ func BenchmarkRGMARecordsProjected(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchRecords = rgmaRecords(res, attrs)
+		benchRecords = ResultRecords(res, attrs)
 	}
 }
 
 func benchAds(b *testing.B) []*classad.Ad {
 	b.Helper()
-	_, manager := newHawkeyeServers(b)
-	ads, _ := manager.Manager.Query(1, nil)
+	_, manager := newHawkeye(b)
+	ads, _ := manager.Query(1, nil)
 	return ads
 }
 

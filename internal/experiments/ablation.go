@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/mds"
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -21,20 +20,13 @@ func BuildGRISWithTTL(cal Calibration, ttl float64) Builder {
 		if ttl > 0 {
 			gris.Warm(0)
 		}
-		adapter := &core.GRISServer{GRIS: gris}
 		server := node.NewServer(env, tb.Host("lucky7"), tb.Network, cal.GRISConfig())
 		return &Deployment{
 			Env: env, Testbed: tb, Server: server,
 			Monitored: tb.Host("lucky7"),
 			Clients:   tb.Clients,
 			Users:     x,
-			Query: func(now float64) (node.Demand, error) {
-				w, err := adapter.QueryAll(now)
-				if err != nil {
-					return node.Demand{}, err
-				}
-				return cal.GRISDemand(w), nil
-			},
+			Query:     grisQuery(cal, gris),
 		}, nil
 	}
 }

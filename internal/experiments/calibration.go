@@ -120,8 +120,10 @@ type Calibration struct {
 }
 
 // DefaultCalibration returns the constants used for every reported
-// experiment. See EXPERIMENTS.md for the paper-vs-measured comparison they
-// produce.
+// experiment. The paper's qualitative results they must reproduce are
+// the tests in experiments_test.go (TestCachingDominatesInfoServerThroughput,
+// TestQueryPartBeatsQueryAll, ...); a generated paper-vs-measured
+// comparison is ROADMAP item 3.
 func DefaultCalibration() Calibration {
 	return Calibration{
 		GRISBaseCPU:       0.006,

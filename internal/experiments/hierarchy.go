@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/mds"
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -44,7 +43,6 @@ func BuildGIISFlat(cal Calibration) Builder {
 			}
 			grises = append(grises, g)
 		}
-		adapter := &core.GIISServer{GIIS: giis}
 		server := node.NewServer(env, tb.Host("lucky0"), tb.Network, cal.GIISConfig())
 		senders := luckyClients(tb, "lucky0")
 		dep := &Deployment{
@@ -52,13 +50,7 @@ func BuildGIISFlat(cal Calibration) Builder {
 			Monitored: tb.Host("lucky0"),
 			Clients:   tb.Clients,
 			Users:     Exp4Users,
-			Query: func(now float64) (node.Demand, error) {
-				w, err := adapter.QueryPart(now)
-				if err != nil {
-					return node.Demand{}, err
-				}
-				return cal.GIISAggregateDemand(w), nil
-			},
+			Query:     giisQueryPart(cal, giis),
 		}
 		dep.Background = func() {
 			startRegistrationLoops(env, cal, server, senders, grises, func(id int, now float64) (int, error) {
@@ -100,20 +92,13 @@ func BuildGIISTwoLevel(cal Calibration) Builder {
 				return nil, err
 			}
 		}
-		adapter := &core.GIISServer{GIIS: top}
 		server := node.NewServer(env, tb.Host("lucky0"), tb.Network, cal.GIISConfig())
 		dep := &Deployment{
 			Env: env, Testbed: tb, Server: server,
 			Monitored: tb.Host("lucky0"),
 			Clients:   tb.Clients,
 			Users:     Exp4Users,
-			Query: func(now float64) (node.Demand, error) {
-				w, err := adapter.QueryPart(now)
-				if err != nil {
-					return node.Demand{}, err
-				}
-				return cal.GIISAggregateDemand(w), nil
-			},
+			Query:     giisQueryPart(cal, top),
 		}
 		dep.Background = func() {
 			// GRIS renewals hit the mid-level hosts.

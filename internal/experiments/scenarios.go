@@ -7,10 +7,12 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/hawkeye"
+	"repro/internal/ldap"
 	"repro/internal/mds"
 	"repro/internal/node"
 	"repro/internal/rgma"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // luckyClients returns the Lucky machines usable as client hosts, leaving
@@ -29,6 +31,24 @@ func luckyClients(tb *cluster.Testbed, exclude ...string) []*cluster.Machine {
 	return out
 }
 
+// grisQuery is the information-server request of Experiment Sets 1 and
+// 3 on a GRIS: everything it holds.
+func grisQuery(cal Calibration, gris *mds.GRIS) workload.Query {
+	return func(now float64) (node.Demand, error) {
+		_, st := gris.Query(now, nil, nil)
+		return cal.GRISDemand(core.MDSWork(st)), nil
+	}
+}
+
+// agentQuery is the same request on a Hawkeye Agent: its Startd ad, from
+// a fresh collection by every module.
+func agentQuery(cal Calibration, agent *hawkeye.Agent) workload.Query {
+	return func(now float64) (node.Demand, error) {
+		_, st := agent.Query(now, nil)
+		return cal.AgentDemand(core.HawkeyeWork(st), agent.NumModules()), nil
+	}
+}
+
 // --- Experiment Set 1: Information Server scalability with users ---
 
 // BuildGRISUsers returns a Builder for the MDS GRIS variants: a GRIS with
@@ -43,20 +63,13 @@ func BuildGRISUsers(cal Calibration, cached bool) Builder {
 		if cached {
 			gris.Warm(0)
 		}
-		adapter := &core.GRISServer{GRIS: gris}
 		server := node.NewServer(env, tb.Host("lucky7"), tb.Network, cal.GRISConfig())
 		return &Deployment{
 			Env: env, Testbed: tb, Server: server,
 			Monitored: tb.Host("lucky7"),
 			Clients:   tb.Clients,
 			Users:     x,
-			Query: func(now float64) (node.Demand, error) {
-				w, err := adapter.QueryAll(now)
-				if err != nil {
-					return node.Demand{}, err
-				}
-				return cal.GRISDemand(w), nil
-			},
+			Query:     grisQuery(cal, gris),
 		}, nil
 	}
 }
@@ -72,7 +85,6 @@ func BuildAgentUsers(cal Calibration) Builder {
 			return nil, err
 		}
 		manager := hawkeye.NewManager("lucky3", 90)
-		adapter := &core.AgentServer{Agent: agent}
 		server := node.NewServer(env, tb.Host("lucky4"), tb.Network, cal.AgentConfig())
 		mgrNode := node.NewServer(env, tb.Host("lucky3"), tb.Network, cal.ManagerConfig())
 		dep := &Deployment{
@@ -80,13 +92,7 @@ func BuildAgentUsers(cal Calibration) Builder {
 			Monitored: tb.Host("lucky4"),
 			Clients:   tb.Clients,
 			Users:     x,
-			Query: func(now float64) (node.Demand, error) {
-				w, err := adapter.QueryAll(now)
-				if err != nil {
-					return node.Demand{}, err
-				}
-				return cal.AgentDemand(w, agent.NumModules()), nil
-			},
+			Query:     agentQuery(cal, agent),
 		}
 		dep.Background = func() {
 			startAdvertiseLoop(env, tb, cal, agent, manager, mgrNode, tb.Host("lucky4"), 0)
@@ -229,7 +235,6 @@ func BuildGIISUsers(cal Calibration) Builder {
 				return nil, err
 			}
 		}
-		adapter := &core.GIISServer{GIIS: giis, AsDirectory: true}
 		server := node.NewServer(env, tb.Host("lucky0"), tb.Network, cal.GIISConfig())
 		return &Deployment{
 			Env: env, Testbed: tb, Server: server,
@@ -237,11 +242,13 @@ func BuildGIISUsers(cal Calibration) Builder {
 			Clients:   tb.Clients,
 			Users:     x,
 			Query: func(now float64) (node.Demand, error) {
-				w, err := adapter.Lookup(now)
+				// The directory query: the cached search that resolves
+				// which resources exist.
+				_, st, err := giis.Query(now, nil, nil)
 				if err != nil {
 					return node.Demand{}, err
 				}
-				return cal.GIISDirectoryDemand(w), nil
+				return cal.GIISDirectoryDemand(core.MDSWork(st)), nil
 			},
 		}, nil
 	}
@@ -268,18 +275,16 @@ func BuildManagerUsers(cal Calibration) Builder {
 			}
 			agents = append(agents, a)
 		}
-		adapter := &core.ManagerServer{Manager: manager, AsDirectory: true}
 		dep := &Deployment{
 			Env: env, Testbed: tb, Server: server,
 			Monitored: tb.Host("lucky3"),
 			Clients:   tb.Clients,
 			Users:     x,
 			Query: func(now float64) (node.Demand, error) {
-				w, err := adapter.Lookup(now)
-				if err != nil {
-					return node.Demand{}, err
-				}
-				return cal.ManagerDirectoryDemand(w), nil
+				// The directory query: the pool-membership scan a status
+				// query triggers.
+				_, st := manager.Query(now, nil)
+				return cal.ManagerDirectoryDemand(core.HawkeyeWork(st)), nil
 			},
 		}
 		dep.Background = func() {
@@ -314,7 +319,6 @@ func BuildRegistryUsers(cal Calibration, fromUC bool) Builder {
 				}
 			}
 		}
-		adapter := &core.RegistryServer{Registry: reg}
 		server := node.NewServer(env, tb.Host("lucky1"), tb.Network, cal.ServletConfig())
 		clients := tb.Clients
 		if !fromUC {
@@ -326,11 +330,11 @@ func BuildRegistryUsers(cal Calibration, fromUC bool) Builder {
 			Clients:   clients,
 			Users:     x,
 			Query: func(now float64) (node.Demand, error) {
-				w, err := adapter.Lookup(now)
+				_, st, err := reg.LookupProducersStats("siteinfo", now)
 				if err != nil {
 					return node.Demand{}, err
 				}
-				return cal.RegistryDemand(w), nil
+				return cal.RegistryDemand(core.RGMAWork(st)), nil
 			},
 		}, nil
 	}
@@ -364,20 +368,13 @@ func BuildGRISCollectors(cal Calibration, cached bool) Builder {
 		if cached {
 			gris.Warm(0)
 		}
-		adapter := &core.GRISServer{GRIS: gris}
 		server := node.NewServer(env, tb.Host("lucky7"), tb.Network, cal.GRISConfig())
 		return &Deployment{
 			Env: env, Testbed: tb, Server: server,
 			Monitored: tb.Host("lucky7"),
 			Clients:   tb.Clients,
 			Users:     Exp3Users,
-			Query: func(now float64) (node.Demand, error) {
-				w, err := adapter.QueryAll(now)
-				if err != nil {
-					return node.Demand{}, err
-				}
-				return cal.GRISDemand(w), nil
-			},
+			Query:     grisQuery(cal, gris),
 		}, nil
 	}
 }
@@ -397,20 +394,13 @@ func BuildAgentCollectors(cal Calibration) Builder {
 		if err := agent.AddModules(modules); err != nil {
 			return nil, err
 		}
-		adapter := &core.AgentServer{Agent: agent}
 		server := node.NewServer(env, tb.Host("lucky4"), tb.Network, cal.AgentConfig())
 		return &Deployment{
 			Env: env, Testbed: tb, Server: server,
 			Monitored: tb.Host("lucky4"),
 			Clients:   tb.Clients,
 			Users:     Exp3Users,
-			Query: func(now float64) (node.Demand, error) {
-				w, err := adapter.QueryAll(now)
-				if err != nil {
-					return node.Demand{}, err
-				}
-				return cal.AgentDemand(w, agent.NumModules()), nil
-			},
+			Query:     agentQuery(cal, agent),
 		}, nil
 	}
 }
@@ -459,6 +449,27 @@ const Exp4Users = 10
 // registered GRIS the GIIS could not serve query-all.
 const GIISQueryAllLimit = 200
 
+// The two Experiment Set 4 requests that are not "everything", parsed
+// once. The GIIS "query part" asks every registered GRIS for one
+// attribute of its CPU entries; the Manager runs the paper's worst case,
+// a full scan under a constraint no machine meets.
+var (
+	queryPartFilter  = ldap.MustParseFilter("(objectclass=MdsCpu)")
+	queryPartAttrs   = []string{"Mds-Cpu-Free-1minX100"}
+	managerWorstCase = classad.MustParseExpr("TARGET.CpuLoad > 200")
+)
+
+// giisQueryPart is the query-part request on a GIIS.
+func giisQueryPart(cal Calibration, giis *mds.GIIS) workload.Query {
+	return func(now float64) (node.Demand, error) {
+		_, st, err := giis.Query(now, queryPartFilter, queryPartAttrs)
+		if err != nil {
+			return node.Demand{}, err
+		}
+		return cal.GIISAggregateDemand(core.MDSWork(st)), nil
+	}
+}
+
 // BuildGIISAggregate varies the number of GRIS registered to the lucky0
 // GIIS (multiple instances per Lucky node, as the paper simulated).
 // queryAll selects the full-data query; otherwise a partial query.
@@ -474,26 +485,23 @@ func BuildGIISAggregate(cal Calibration, queryAll bool) Builder {
 				return nil, err
 			}
 		}
-		adapter := &core.GIISServer{GIIS: giis}
+		query := giisQueryPart(cal, giis)
+		if queryAll {
+			query = func(now float64) (node.Demand, error) {
+				_, st, err := giis.Query(now, nil, nil)
+				if err != nil {
+					return node.Demand{}, err
+				}
+				return cal.GIISAggregateDemand(core.MDSWork(st)), nil
+			}
+		}
 		server := node.NewServer(env, tb.Host("lucky0"), tb.Network, cal.GIISConfig())
 		return &Deployment{
 			Env: env, Testbed: tb, Server: server,
 			Monitored: tb.Host("lucky0"),
 			Clients:   tb.Clients,
 			Users:     Exp4Users,
-			Query: func(now float64) (node.Demand, error) {
-				var w core.Work
-				var err error
-				if queryAll {
-					w, err = adapter.QueryAll(now)
-				} else {
-					w, err = adapter.QueryPart(now)
-				}
-				if err != nil {
-					return node.Demand{}, err
-				}
-				return cal.GIISAggregateDemand(w), nil
-			},
+			Query:     query,
 		}, nil
 	}
 }
@@ -519,8 +527,6 @@ func BuildManagerAggregate(cal Calibration) Builder {
 				return nil, err
 			}
 		}
-		constraint := classad.MustParseExpr("TARGET.CpuLoad > 200")
-		adapter := &core.ManagerServer{Manager: manager, Constraint: constraint}
 		advertisers := luckyClients(tb, "lucky3")
 		dep := &Deployment{
 			Env: env, Testbed: tb, Server: server,
@@ -528,11 +534,8 @@ func BuildManagerAggregate(cal Calibration) Builder {
 			Clients:   tb.Clients,
 			Users:     Exp4Users,
 			Query: func(now float64) (node.Demand, error) {
-				w, err := adapter.QueryAll(now)
-				if err != nil {
-					return node.Demand{}, err
-				}
-				return cal.ManagerScanDemand(w), nil
+				_, st := manager.Query(now, managerWorstCase)
+				return cal.ManagerScanDemand(core.HawkeyeWork(st)), nil
 			},
 		}
 		dep.Background = func() {
@@ -620,7 +623,6 @@ func BuildCompositeAggregate(cal Calibration) Builder {
 		}
 		composite := rgma.NewCompositeProducer("composite", "lucky3:8080", "siteinfo", reg, resolve)
 		composite.RefreshTTL = 30
-		adapter := &core.CompositeServer{Composite: composite}
 		server := node.NewServer(env, tb.Host("lucky3"), tb.Network, cal.ServletConfig())
 		return &Deployment{
 			Env: env, Testbed: tb, Server: server,
@@ -628,11 +630,11 @@ func BuildCompositeAggregate(cal Calibration) Builder {
 			Clients:   tb.Clients,
 			Users:     Exp4Users,
 			Query: func(now float64) (node.Demand, error) {
-				w, err := adapter.QueryAll(now)
+				_, st, err := composite.Query(now, "SELECT * FROM "+composite.Table)
 				if err != nil {
 					return node.Demand{}, err
 				}
-				return cal.CompositeDemand(w), nil
+				return cal.CompositeDemand(core.RGMAWork(st)), nil
 			},
 		}, nil
 	}

@@ -9,6 +9,7 @@ import (
 
 	gridmon "repro"
 	"repro/internal/federation"
+	"repro/internal/leakcheck"
 )
 
 // The differential gates. Two oracles pin the Router's answers:
@@ -137,6 +138,7 @@ func keyedRecords(q gridmon.Query) bool {
 // the in-process scatter-gather oracle — Records, order included, and
 // every Work field.
 func TestFederatedOracleIdentity(t *testing.T) {
+	leakcheck.Check(t)
 	c := newCluster(t, 3, nil, federation.Config{})
 	ctx := testCtx(t)
 	for _, q := range broadQueries {
@@ -166,6 +168,7 @@ func TestFederatedOracleIdentity(t *testing.T) {
 // the one shard owning the host, and its answer — Records AND Work —
 // is byte-identical to a single grid monitoring all the hosts.
 func TestFederatedHostTargetedIdentity(t *testing.T) {
+	leakcheck.Check(t)
 	c := newCluster(t, 3, nil, federation.Config{})
 	single := buildGrid(t, fedHosts)
 	ctx := testCtx(t)
@@ -199,6 +202,7 @@ func TestFederatedHostTargetedIdentity(t *testing.T) {
 // rows) and Work equal after the exactly-pinned federation tax. Runs
 // at two shard counts so a mis-modeled tax cannot pass by luck.
 func TestFederatedSingleGridEquivalence(t *testing.T) {
+	leakcheck.Check(t)
 	for _, shards := range []int{2, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			c := newCluster(t, shards, nil, federation.Config{})

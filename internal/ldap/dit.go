@@ -3,7 +3,6 @@ package ldap
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -297,16 +296,4 @@ func ProjectAll(entries []*Entry, attrs []string) []*Entry {
 		out[i] = e.project(want)
 	}
 	return out
-}
-
-// FormatResults renders a result set as concatenated LDIF records.
-func FormatResults(entries []*Entry) string {
-	var sb strings.Builder
-	for i, e := range entries {
-		if i > 0 {
-			sb.WriteByte('\n')
-		}
-		sb.WriteString(e.LDIF())
-	}
-	return sb.String()
 }

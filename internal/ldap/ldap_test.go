@@ -398,15 +398,6 @@ func TestProjectAllAndSize(t *testing.T) {
 	}
 }
 
-func TestFormatResults(t *testing.T) {
-	dit := buildTestDIT(t)
-	all, _ := dit.Search(nil, ScopeSub, MustParseFilter("(objectclass=MdsHost)"))
-	out := FormatResults(all)
-	if strings.Count(out, "dn: ") != 3 {
-		t.Fatalf("FormatResults = %q", out)
-	}
-}
-
 // Property: De Morgan for filters — (!(&(a)(b))) matches exactly when
 // (|(!(a))(!(b))) matches.
 func TestFilterDeMorganProperty(t *testing.T) {

@@ -107,7 +107,8 @@ func CodeOf(err error) ErrorCode { return transport.ErrorCode(err) }
 //
 // With WithQueryCache configured, an identical query repeated within the
 // TTL is answered from the cache without taking the facade lock at all;
-// Work then reports CacheHits=1 and no engine accounting.
+// Work then reports CacheHits=1 and no engine accounting. (A query whose
+// Attrs hold a name with a NUL byte always runs uncached.)
 //
 // With WithAdmission configured, a query that misses the cache must be
 // admitted before it executes: past the concurrency limit it waits in
@@ -123,10 +124,14 @@ func (g *Grid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 	if role == "" {
 		role = RoleInformationServer
 	}
+	cache := g.cache
+	if cache != nil && !cacheable(q) {
+		cache = nil
+	}
 	var key cacheKey
-	if g.cache != nil {
+	if cache != nil {
 		key = keyFor(q, role)
-		if e, ok := g.cache.lookup(key, start); ok {
+		if e, ok := cache.lookup(key, start); ok {
 			// A hit did no engine work: only the response-shaped fields
 			// carry over from the cached computation. Admission is not
 			// consulted — a hit consumes no engine capacity, which is
@@ -153,31 +158,22 @@ func (g *Grid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 		// query errors; a ctx expiry while queued counts as neither.
 		return nil, err
 	}
-	rq, err := g.querier(q)
-	if err != nil {
-		g.endRead()
-		g.counters.Errors.Add(1)
-		return nil, err
-	}
 	var gen uint64
-	if g.cache != nil {
+	if cache != nil {
 		// Read the cache generation while holding the read lock: an
 		// Advance cannot run concurrently, so the records below are
 		// computed at exactly this generation and the store after the
 		// unlock can never publish pre-Advance data as fresh.
-		gen = g.cache.gen.Load()
+		gen = cache.gen.Load()
 	}
-	records, work, err := rq.QueryRecords(ctx, g.clock())
+	records, work, err := g.read(ctx, q, role)
 	g.endRead()
 	if err != nil {
 		g.counters.Errors.Add(1)
 		return nil, transport.AsError(err)
 	}
-	// The records come back projected to q.Attrs: MDS projects inside
-	// the LDAP query (so Work reflects the projected response), the
-	// other systems' decoders skip the fields nobody asked for.
-	if g.cache != nil {
-		g.cache.store(key, gen, start, records, work)
+	if cache != nil {
+		cache.store(key, gen, start, records, work)
 		work.CacheMisses = 1
 		g.counters.CacheMisses.Add(1)
 	}
@@ -218,53 +214,70 @@ func (g *Grid) endRead() {
 	}
 }
 
-// querier resolves q to the core.RecordQuerier binding that answers it.
-func (g *Grid) querier(q Query) (core.RecordQuerier, error) {
-	role := q.Role
-	if role == "" {
-		role = RoleInformationServer
-	}
+// read answers q, under role, from the engine that serves it. The checks
+// run in the order every caller sees their errors — system, deployment,
+// expression, role, host — and only then does the engine run. The clock
+// is read once, and ctx is checked after it: here for the single-server
+// engines, inside QueryCtx between sub-queries for the two fan-out ones
+// (the GIIS and the mediating ConsumerServlet), so an abandoned query
+// stops mid-flight. The records come back projected to q.Attrs: MDS
+// projects inside the LDAP query (so Work reflects the projected
+// response), the other decoders skip the fields nobody asked for.
+// Callers hold beginRead.
+func (g *Grid) read(ctx context.Context, q Query, role Role) ([]Record, Work, error) {
 	switch q.System {
 	case MDS, RGMA, Hawkeye:
 	default:
-		return nil, transport.Errf(transport.CodeBadRequest,
+		return nil, Work{}, transport.Errf(transport.CodeBadRequest,
 			"unknown system %q (want %q, %q or %q)", q.System, MDS, RGMA, Hawkeye)
 	}
 	if !g.Enabled(q.System) {
-		return nil, transport.Errf(transport.CodeUnavailable, "%s is not deployed in this grid", q.System)
+		return nil, Work{}, transport.Errf(transport.CodeUnavailable, "%s is not deployed in this grid", q.System)
 	}
 	switch q.System {
 	case MDS:
-		return g.mdsQuerier(role, q)
+		return g.readMDS(ctx, role, q)
 	case RGMA:
-		return g.rgmaQuerier(role, q)
+		return g.readRGMA(ctx, role, q)
 	default:
-		return g.hawkeyeQuerier(role, q)
+		return g.readHawkeye(ctx, role, q)
 	}
 }
 
-func (g *Grid) mdsQuerier(role Role, q Query) (core.RecordQuerier, error) {
+// engineNow reads the clock for one single-server engine call, then
+// checks ctx.
+func (g *Grid) engineNow(ctx context.Context) (float64, error) {
+	now := g.clock()
+	return now, ctx.Err()
+}
+
+func (g *Grid) readMDS(ctx context.Context, role Role, q Query) ([]Record, Work, error) {
 	var filter ldap.Filter
 	if q.Expr != "" {
 		var err error
 		filter, err = ldap.ParseFilter(q.Expr)
 		if err != nil {
-			return nil, transport.Errf(transport.CodeParse, "MDS filter: %v", err)
+			return nil, Work{}, transport.Errf(transport.CodeParse, "MDS filter: %v", err)
 		}
 	}
 	switch role {
 	case RoleInformationServer:
 		gris, err := g.gris(q.Host)
 		if err != nil {
-			return nil, err
+			return nil, Work{}, err
 		}
-		return &core.GRISServer{GRIS: gris, Filter: filter, Attrs: q.Attrs}, nil
-	case RoleDirectoryServer:
-		return &core.GIISServer{GIIS: g.giis, AsDirectory: true, Filter: filter, Attrs: q.Attrs}, nil
-	case RoleAggregateServer:
-		return &core.GIISServer{GIIS: g.giis, Filter: filter, Attrs: q.Attrs}, nil
+		now, err := g.engineNow(ctx)
+		if err != nil {
+			return nil, Work{}, err
+		}
+		entries, st := gris.Query(now, filter, q.Attrs)
+		return core.MDSRecords(entries), core.MDSWork(st), nil
+	case RoleDirectoryServer, RoleAggregateServer:
+		// The GIIS plays both roles in Table 1.
+		entries, st, err := g.giis.QueryCtx(ctx, g.clock(), filter, q.Attrs)
+		return core.MDSRecords(entries), core.MDSWork(st), err
 	}
-	return nil, badRole(role)
+	return nil, Work{}, badRole(role)
 }
 
 func (g *Grid) gris(host string) (*GRIS, error) {
@@ -280,53 +293,99 @@ func (g *Grid) gris(host string) (*GRIS, error) {
 	return gris, nil
 }
 
-func (g *Grid) rgmaQuerier(role Role, q Query) (core.RecordQuerier, error) {
+// readRGMA answers an R-GMA query. SQL is parsed by the engine, so there
+// is no expression check ahead of the role: an empty Expr selects the
+// whole table, and an empty Host on the information-server role goes
+// through the mediating ConsumerServlet instead of one servlet.
+func (g *Grid) readRGMA(ctx context.Context, role Role, q Query) ([]Record, Work, error) {
 	switch role {
 	case RoleInformationServer:
+		sql := q.Expr
+		if sql == "" {
+			sql = "SELECT * FROM siteinfo"
+		}
 		if q.Host == "" {
-			return &core.ConsumerServer{Consumer: g.consumer, SQL: q.Expr, Attrs: q.Attrs}, nil
+			res, st, err := g.consumer.QueryCtx(ctx, g.clock(), sql)
+			return core.ResultRecords(res, q.Attrs), core.RGMAWork(st), err
 		}
 		ps, ok := g.servlets[q.Host]
 		if !ok {
-			return nil, transport.Errf(transport.CodeBadRequest,
+			return nil, Work{}, transport.Errf(transport.CodeBadRequest,
 				"unknown host %q (monitored hosts: %v)", q.Host, g.cfg.hosts)
 		}
-		return &core.ProducerServletServer{Servlet: ps, SQL: q.Expr, Attrs: q.Attrs}, nil
+		now, err := g.engineNow(ctx)
+		if err != nil {
+			return nil, Work{}, err
+		}
+		res, st, err := ps.Query(now, sql)
+		return core.ResultRecords(res, q.Attrs), core.RGMAWork(st), err
 	case RoleDirectoryServer:
-		return &core.RegistryServer{Registry: g.registry, Table: q.Expr, Attrs: q.Attrs}, nil
+		table := q.Expr
+		if table == "" {
+			table = "siteinfo"
+		}
+		now, err := g.engineNow(ctx)
+		if err != nil {
+			return nil, Work{}, err
+		}
+		ads, st, err := g.registry.LookupProducersStats(table, now)
+		return core.ProjectRecords(core.AdvertisementRecords(ads), q.Attrs), core.RGMAWork(st), err
 	case RoleAggregateServer:
-		return &core.CompositeServer{Composite: g.composite, SQL: q.Expr, Attrs: q.Attrs}, nil
+		sql := q.Expr
+		if sql == "" {
+			sql = "SELECT * FROM " + g.composite.Table
+		}
+		now, err := g.engineNow(ctx)
+		if err != nil {
+			return nil, Work{}, err
+		}
+		res, st, err := g.composite.Query(now, sql)
+		return core.ResultRecords(res, q.Attrs), core.RGMAWork(st), err
 	}
-	return nil, badRole(role)
+	return nil, Work{}, badRole(role)
 }
 
-func (g *Grid) hawkeyeQuerier(role Role, q Query) (core.RecordQuerier, error) {
+func (g *Grid) readHawkeye(ctx context.Context, role Role, q Query) ([]Record, Work, error) {
 	var constraint classad.Expr
 	if q.Expr != "" {
 		var err error
 		constraint, err = classad.ParseExpr(q.Expr)
 		if err != nil {
-			return nil, transport.Errf(transport.CodeParse, "Hawkeye constraint: %v", err)
+			return nil, Work{}, transport.Errf(transport.CodeParse, "Hawkeye constraint: %v", err)
 		}
 	}
 	switch role {
 	case RoleInformationServer:
 		if q.Host == "" {
-			return nil, transport.Errf(transport.CodeBadRequest,
+			return nil, Work{}, transport.Errf(transport.CodeBadRequest,
 				"Hawkeye information-server query needs a Host (one of %v)", g.cfg.hosts)
 		}
 		agent, ok := g.agents[q.Host]
 		if !ok {
-			return nil, transport.Errf(transport.CodeBadRequest,
+			return nil, Work{}, transport.Errf(transport.CodeBadRequest,
 				"unknown host %q (monitored hosts: %v)", q.Host, g.cfg.hosts)
 		}
-		return &core.AgentServer{Agent: agent, Constraint: constraint, Attrs: q.Attrs}, nil
-	case RoleDirectoryServer:
-		return &core.ManagerServer{Manager: g.manager, AsDirectory: true, Constraint: constraint, Attrs: q.Attrs}, nil
-	case RoleAggregateServer:
-		return &core.ManagerServer{Manager: g.manager, Constraint: constraint, Attrs: q.Attrs}, nil
+		now, err := g.engineNow(ctx)
+		if err != nil {
+			return nil, Work{}, err
+		}
+		// The Agent answers with its Startd ad, or nothing when the
+		// constraint rejects it.
+		ad, st := agent.Query(now, constraint)
+		if ad == nil {
+			return nil, core.HawkeyeWork(st), nil
+		}
+		return core.AdRecords([]*classad.Ad{ad}, q.Attrs), core.HawkeyeWork(st), nil
+	case RoleDirectoryServer, RoleAggregateServer:
+		// The Manager plays both roles in Table 1.
+		now, err := g.engineNow(ctx)
+		if err != nil {
+			return nil, Work{}, err
+		}
+		ads, st := g.manager.Query(now, constraint)
+		return core.AdRecords(ads, q.Attrs), core.HawkeyeWork(st), nil
 	}
-	return nil, badRole(role)
+	return nil, Work{}, badRole(role)
 }
 
 func badRole(role Role) error {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/transport"
 )
 
@@ -17,6 +18,7 @@ import (
 // help from the test — and the recovered server must answer with the
 // directory state the WAL preserved.
 func TestRemoteGridSurvivesServerRestart(t *testing.T) {
+	leakcheck.Check(t)
 	dir := t.TempDir()
 	grid1 := buildDurableGrid(t, dir)
 	srv1 := transport.NewServer()

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
 
 // The load-shedding acceptance test, the paper's users-vs-latency curves
@@ -178,6 +180,7 @@ func flood(t *testing.T, grid *Grid, workers int, window time.Duration) (accepte
 // (GRIDMON_WALLCLOCK=1 only) the tail-latency bounds; the bounds
 // themselves have wide margins (see the constants).
 func TestLoadShedding(t *testing.T) {
+	leakcheck.Check(t)
 	if testing.Short() {
 		t.Skip("timing-based load test")
 	}
@@ -254,6 +257,7 @@ func TestLoadShedding(t *testing.T) {
 // tail latency far past the admission-controlled bound, exactly like the
 // paper's past-saturation curves.
 func TestLoadCollapseWithoutAdmission(t *testing.T) {
+	leakcheck.Check(t)
 	if testing.Short() {
 		t.Skip("timing-based load test")
 	}

@@ -36,8 +36,7 @@ type Stats struct {
 	// QueueDepth is the number of requests waiting in the admission
 	// queue right now.
 	QueueDepth int64 `json:"queue_depth"`
-	// InFlight is the number of queries and legacy ops executing right
-	// now.
+	// InFlight is the number of queries executing right now.
 	InFlight int64 `json:"in_flight"`
 	// CacheHits / CacheMisses mirror the query cache's lifetime counters
 	// as seen from the serving path (zero without WithQueryCache).

@@ -261,7 +261,7 @@ func (g *Grid) subscribeHawkeye(st *Stream, sub Subscription, id string) (func()
 type mdsWatcher struct {
 	id       string
 	st       *Stream
-	q        core.RecordQuerier
+	poll     func(now float64) ([]Record, Work, error)
 	interval float64
 	nextPoll float64
 	last     map[string]Record
@@ -285,22 +285,30 @@ func (g *Grid) subscribeMDS(st *Stream, sub Subscription, id string) (func(), er
 			role = RoleAggregateServer
 		}
 	}
-	var q core.RecordQuerier
+	// The poll is built here, so a bad target fails the Subscribe call,
+	// not the first Advance after it.
+	var poll func(now float64) ([]Record, Work, error)
 	switch role {
 	case RoleInformationServer:
 		gris, err := g.gris(sub.Host)
 		if err != nil {
 			return nil, err
 		}
-		q = &core.GRISServer{GRIS: gris, Filter: filter, Attrs: sub.Attrs}
+		poll = func(now float64) ([]Record, Work, error) {
+			entries, st := gris.Query(now, filter, sub.Attrs)
+			return core.MDSRecords(entries), core.MDSWork(st), nil
+		}
 	case RoleAggregateServer:
-		q = &core.GIISServer{GIIS: g.giis, Filter: filter, Attrs: sub.Attrs}
+		poll = func(now float64) ([]Record, Work, error) {
+			entries, st, err := g.giis.Query(now, filter, sub.Attrs)
+			return core.MDSRecords(entries), core.MDSWork(st), err
+		}
 	default:
 		return nil, transport.Errf(transport.CodeBadRequest,
 			"MDS subscriptions watch the GRIS or GIIS (role %q, %q or empty), not %q",
 			RoleInformationServer, RoleAggregateServer, role)
 	}
-	w := &mdsWatcher{id: id, st: st, q: q, interval: sub.PollEvery}
+	w := &mdsWatcher{id: id, st: st, poll: poll, interval: sub.PollEvery}
 	g.watchers = append(g.watchers, w)
 	return func() {
 		for i, cand := range g.watchers {
@@ -320,8 +328,7 @@ func (g *Grid) pollWatchersLocked(now float64) {
 			continue
 		}
 		w.nextPoll = now + w.interval
-		//gridmon:nolint ctxflow watcher polls run on the grid's own clock; a subscriber cancels via Subscription.Close, not a ctx
-		recs, work, err := w.q.QueryRecords(context.Background(), now)
+		recs, work, err := w.poll(now)
 		if err != nil {
 			// The source failed; the watch cannot continue honestly. The
 			// subscriber sees the buffered events, then the error.

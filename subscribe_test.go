@@ -519,13 +519,14 @@ func TestMDSWatchPollInterval(t *testing.T) {
 
 // TestAdvanceConcurrentWithLegacyOps is the -race regression for the
 // gridmon-live configuration: the background Advance pump mutating
-// sensors and caches while legacy param-based ops (which dispatch to
-// the same components) serve clients. The ops are readers under the
-// facade's lock (beginRead); the pump is its writer.
+// sensors and caches while remote clients ask the same components what
+// the retired param-based ops (rgma.query, mds.query, hawkeye.query)
+// used to ask them, now as grid.query. The clients are readers under
+// the facade's lock (beginRead); the pump is its writer. Unlike
+// TestConcurrentRemoteQueryWithAdvance the clock is fixed, so the
+// Advance tick alone drives sensor regeneration while handlers read it.
 func TestAdvanceConcurrentWithLegacyOps(t *testing.T) {
 	leakcheck.Check(t)
-	// A fixed clock: the Advance tick alone drives sensor regeneration,
-	// and the clock closure is read concurrently by op handlers.
 	grid, _ := steppedGrid(t)
 	srv := transport.NewServer()
 	grid.Serve(srv)
@@ -554,19 +555,16 @@ func TestAdvanceConcurrentWithLegacyOps(t *testing.T) {
 			}
 		}
 	}()
-	// The clients: legacy param-based ops hammering the same components.
-	ops := []struct {
-		op     string
-		params map[string]string
-	}{
-		{"rgma.query", map[string]string{"sql": "SELECT host, value FROM siteinfo"}},
-		{"mds.query", map[string]string{"filter": "(objectclass=MdsCpu)"}},
-		{"hawkeye.query", map[string]string{"constraint": "TARGET.CpuLoad >= 0"}},
+	// The clients: one per system, hammering the same components.
+	queries := []Query{
+		{System: RGMA, Expr: "SELECT host, value FROM siteinfo"},
+		{System: MDS, Role: RoleAggregateServer, Expr: "(objectclass=MdsCpu)"},
+		{System: Hawkeye, Role: RoleAggregateServer, Expr: "TARGET.CpuLoad >= 0"},
 	}
 	var queryWG sync.WaitGroup
-	for _, o := range ops {
+	for _, q := range queries {
 		queryWG.Add(1)
-		go func(op string, params map[string]string) {
+		go func(q Query) {
 			defer queryWG.Done()
 			client, err := Dial(addr)
 			if err != nil {
@@ -575,14 +573,17 @@ func TestAdvanceConcurrentWithLegacyOps(t *testing.T) {
 			}
 			defer client.Close()
 			for i := 0; i < 25; i++ {
-				var resp OpResponse
-				if err := client.Call(context.Background(), op,
-					OpRequest{Params: params}, &resp); err != nil {
-					t.Errorf("%s: %v", op, err)
+				res, err := client.Query(context.Background(), q)
+				if err != nil {
+					t.Errorf("%s query: %v", q.System, err)
+					return
+				}
+				if len(res.Records) == 0 {
+					t.Errorf("%s query %q: no records", q.System, q.Expr)
 					return
 				}
 			}
-		}(o.op, o.params)
+		}(q)
 	}
 	finished := make(chan struct{})
 	go func() {
@@ -592,7 +593,7 @@ func TestAdvanceConcurrentWithLegacyOps(t *testing.T) {
 	select {
 	case <-finished:
 	case <-time.After(20 * time.Second):
-		t.Fatal("legacy ops vs Advance did not finish")
+		t.Fatal("grid.query vs Advance did not finish")
 	}
 	close(done)
 	pumpWG.Wait()
