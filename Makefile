@@ -109,12 +109,13 @@ bench-smoke:
 # closed connection, and every waiter released), the two replay
 # decoders that read what a data directory holds (the same bounds, and
 # every record the encoders log replays to the state that logged it),
-# the SQL and LDAP-filter parsers that read what a user wrote (parse or
-# error, never a panic or a stack overflow, allocation in proportion to
-# the text; an accepted filter renders to a canonical form that parses
-# back to itself), and the ProducerServlet answering from its producers'
-# rows (what the scratch-database body it replaced answers, for any
-# SQL) — eleven targets.
+# the SQL, LDAP-filter and ClassAd-expression parsers that read what a
+# user wrote (parse or error, never a panic or a stack overflow,
+# allocation in proportion to the text; an accepted filter or expression
+# renders to a canonical form that parses back to itself), and the
+# ProducerServlet answering from its producers' rows (what the
+# scratch-database body it replaced answers, for any SQL) — twelve
+# targets.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) .
@@ -127,4 +128,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGIISReplay$$' -fuzztime $(FUZZTIME) ./internal/mds
 	$(GO) test -run '^$$' -fuzz '^FuzzSQLParse$$' -fuzztime $(FUZZTIME) ./internal/relational
 	$(GO) test -run '^$$' -fuzz '^FuzzLDAPFilter$$' -fuzztime $(FUZZTIME) ./internal/ldap
+	$(GO) test -run '^$$' -fuzz '^FuzzClassAdParse$$' -fuzztime $(FUZZTIME) ./internal/classad
 	$(GO) test -run '^$$' -fuzz '^FuzzServletSelect$$' -fuzztime $(FUZZTIME) ./internal/rgma

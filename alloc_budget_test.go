@@ -24,9 +24,11 @@ import (
 // on the toolchain you change to before trusting a cell that fails.
 // The R-GMA information and aggregate cells were re-pinned when the
 // ProducerServlet stopped building a scratch table per query (the third
-// number; noswissmap: the same).
+// number; noswissmap: the same), the Hawkeye information cell when the
+// Agent stopped building and merging one ad per module (the third
+// number; noswissmap: 10).
 //
-//	MDS      information   72 →  27      R-GMA  information  113 →  72 → 33     Hawkeye  information   482 → 122
+//	MDS      information   72 →  27      R-GMA  information  113 →  72 → 33     Hawkeye  information   482 → 122 → 14
 //	MDS      directory    192 →  67      R-GMA  directory     95 →  32          Hawkeye  directory    1042 →  14
 //	MDS      aggregate   1184 →  98      R-GMA  aggregate    615 → 210 → 101    Hawkeye  aggregate    1054 →  39
 var allocBudgetCells = []allocBudgetCell{
@@ -36,7 +38,7 @@ var allocBudgetCells = []allocBudgetCell{
 	{Query{System: RGMA, Role: RoleInformationServer, Host: "lucky4", Expr: "SELECT host, value FROM siteinfo WHERE value >= 50"}, 36},
 	{Query{System: RGMA, Role: RoleDirectoryServer, Expr: "siteinfo"}, 36},
 	{Query{System: RGMA, Role: RoleAggregateServer, Expr: "SELECT * FROM siteinfo", Attrs: []string{"host", "value"}}, 111},
-	{Query{System: Hawkeye, Role: RoleInformationServer, Host: "lucky4"}, 135},
+	{Query{System: Hawkeye, Role: RoleInformationServer, Host: "lucky4"}, 16},
 	{Query{System: Hawkeye, Role: RoleDirectoryServer, Attrs: []string{"Name", "CpuLoad"}}, 16},
 	{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: `TARGET.OpSys == "LINUX"`}, 43},
 }

@@ -12,7 +12,8 @@ import (
 // Set is preserved for printing.
 type Ad struct {
 	attrs map[string]adEntry
-	order []string // lowercase keys in insertion order
+	order []string  // lowercase keys in insertion order
+	lits  []literal // the constants SetValue and SetNamed bound
 }
 
 type adEntry struct {
@@ -25,12 +26,17 @@ func NewAd() *Ad {
 	return &Ad{attrs: make(map[string]adEntry)}
 }
 
+// NewAdSized returns an empty ClassAd with room for n attributes, so
+// binding up to n constants allocates nothing more.
+func NewAdSized(n int) *Ad {
+	return &Ad{attrs: make(map[string]adEntry, n), order: make([]string, 0, n), lits: make([]literal, 0, n)}
+}
+
 // Set binds an attribute to an expression, replacing any previous binding
 // (the original spelling and position of a replaced attribute survive).
 func (a *Ad) Set(name string, e Expr) { a.setLower(strings.ToLower(name), name, e) }
 
-// setLower is Set with the key already lower-cased — Merge and Clone
-// copy attributes whose keys another ad folded when it stored them.
+// setLower is Set with the key already lower-cased.
 func (a *Ad) setLower(key, name string, e Expr) {
 	if old, ok := a.attrs[key]; ok {
 		a.attrs[key] = adEntry{name: old.name, expr: e}
@@ -65,7 +71,22 @@ func foldASCII(buf *[foldBufLen]byte, name string) (n int, ok bool) {
 }
 
 // SetValue binds an attribute to a constant value.
-func (a *Ad) SetValue(name string, v Value) { a.Set(name, Lit(v)) }
+func (a *Ad) SetValue(name string, v Value) { a.Set(name, a.lit(v)) }
+
+// SetNamed is SetValue for a name folded in advance: it binds a
+// constant without folding the name or allocating for the value.
+func (a *Ad) SetNamed(n Name, v Value) { a.setLower(n.lower, n.name, a.lit(v)) }
+
+// lit places v in the ad's slab of constants and returns it as an
+// expression. A full slab is not copied but replaced: the constants
+// already bound point into it and stay where they are.
+func (a *Ad) lit(v Value) Expr {
+	if len(a.lits) == cap(a.lits) {
+		a.lits = make([]literal, 0, max(4, 2*cap(a.lits)))
+	}
+	a.lits = append(a.lits, literal{v})
+	return &a.lits[len(a.lits)-1]
+}
 
 // SetInt, SetReal, SetString and SetBool are conveniences for constant
 // attributes.
@@ -143,7 +164,7 @@ func (a *Ad) Eval(name string) Value {
 	if !ok {
 		return Undefined()
 	}
-	if l, ok := e.(literal); ok {
+	if l, ok := e.(*literal); ok {
 		return l.v // a constant needs no evaluation context
 	}
 	ctx := &evalCtx{a: a, cur: a}
@@ -163,27 +184,6 @@ func (a *Ad) EvalExprString(src string) (Value, error) {
 		return Undefined(), err
 	}
 	return a.EvalExpr(e), nil
-}
-
-// Merge copies every attribute of src into a, overwriting collisions. The
-// Hawkeye Agent uses this to integrate Module ClassAds into a single
-// Startd ClassAd.
-func (a *Ad) Merge(src *Ad) {
-	for _, k := range src.order {
-		e := src.attrs[k]
-		a.setLower(k, e.name, e.expr)
-	}
-}
-
-// Clone returns a deep-enough copy: expressions are immutable so sharing
-// them is safe.
-func (a *Ad) Clone() *Ad {
-	out := &Ad{attrs: make(map[string]adEntry, len(a.attrs)), order: make([]string, 0, len(a.order))}
-	for _, k := range a.order {
-		e := a.attrs[k]
-		out.setLower(k, e.name, e.expr)
-	}
-	return out
 }
 
 // String renders the ad in new-ClassAd record syntax: [ a = 1; b = 2 ].
@@ -228,7 +228,7 @@ func (a *Ad) SizeBytes() int {
 	for _, k := range a.order {
 		e := a.attrs[k]
 		n += len(e.name) + len(" = ") + len("\n")
-		if l, ok := e.expr.(literal); ok {
+		if l, ok := e.expr.(*literal); ok {
 			if ln, ok := l.v.renderedLen(); ok {
 				n += ln
 				continue

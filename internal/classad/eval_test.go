@@ -231,10 +231,10 @@ func TestAdSetValueAndDelete(t *testing.T) {
 	}
 }
 
-func TestAdMergeOverwrites(t *testing.T) {
+func TestAdSetOverwrites(t *testing.T) {
 	a := MustParseAd("x = 1\ny = 2\n")
-	b := MustParseAd("y = 20\nz = 30\n")
-	a.Merge(b)
+	a.SetInt("Y", 20)
+	a.SetNamed(NewName("z"), Int(30))
 	if v := a.Eval("y"); !v.SameAs(Int(20)) {
 		t.Fatalf("y = %v, want 20", v)
 	}
@@ -255,15 +255,6 @@ func TestAdNamesPreserveOrderAndSpelling(t *testing.T) {
 	sorted := ad.SortedNames()
 	if sorted[0] != "Alpha" {
 		t.Fatalf("SortedNames = %v", sorted)
-	}
-}
-
-func TestAdClone(t *testing.T) {
-	a := MustParseAd("x = 1\n")
-	b := a.Clone()
-	b.SetInt("x", 2)
-	if v := a.Eval("x"); !v.SameAs(Int(1)) {
-		t.Fatalf("clone mutated original: x = %v", v)
 	}
 }
 

@@ -27,15 +27,16 @@ func appendExprs(dst []byte, items []Expr) []byte {
 	return dst
 }
 
-// literal is a constant value.
+// literal is a constant value. It is used by pointer, so an Ad can bind
+// constants that live in its own slab without boxing each one.
 type literal struct{ v Value }
 
-func (l literal) String() string             { return l.v.String() }
-func (l literal) AppendTo(dst []byte) []byte { return l.v.AppendTo(dst) }
-func (l literal) eval(ctx *evalCtx) Value    { return l.v }
+func (l *literal) String() string             { return l.v.String() }
+func (l *literal) AppendTo(dst []byte) []byte { return l.v.AppendTo(dst) }
+func (l *literal) eval(ctx *evalCtx) Value    { return l.v }
 
 // Lit wraps a Value as a constant expression.
-func Lit(v Value) Expr { return literal{v} }
+func Lit(v Value) Expr { return &literal{v} }
 
 // scope qualifies an attribute reference.
 type scope int
@@ -46,19 +47,30 @@ const (
 	scopeTarget              // TARGET.attr: other ad only
 )
 
-// attrRef is a reference to an attribute, optionally scope-qualified.
-// The lowercased name is resolved once at parse time so evaluation does
-// not re-fold it on every lookup.
-type attrRef struct {
-	sc    scope
+// Name is an attribute name with its Ad lookup key folded once, for a
+// caller that binds the same name into many ads — the Hawkeye Modules
+// fold theirs when they are built, the way an attribute reference folds
+// its key at parse time.
+type Name struct {
 	name  string // original spelling, for printing
 	lower string // strings.ToLower(name), the Ad lookup key
+}
+
+// NewName folds name once, for SetNamed.
+func NewName(name string) Name { return Name{name: name, lower: strings.ToLower(name)} }
+
+// attrRef is a reference to an attribute, optionally scope-qualified.
+// Its name is folded once at parse time so evaluation does not re-fold
+// it on every lookup.
+type attrRef struct {
+	sc scope
+	Name
 }
 
 // newAttrRef builds an attribute reference with its lookup key
 // precomputed.
 func newAttrRef(sc scope, name string) attrRef {
-	return attrRef{sc: sc, name: name, lower: strings.ToLower(name)}
+	return attrRef{sc: sc, Name: NewName(name)}
 }
 
 func (a attrRef) String() string { return string(a.AppendTo(nil)) }

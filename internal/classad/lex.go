@@ -2,6 +2,7 @@ package classad
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -276,25 +277,17 @@ func (l *lexer) scanString() (token, error) {
 			l.pos++
 			return token{kind: tokString, text: sb.String(), pos: start}, nil
 		case '\\':
-			l.pos++
-			if l.pos >= len(l.src) {
-				return token{}, l.errf("unterminated string")
+			// Every escape Go quoting writes, so a rendered string
+			// (Value.String quotes with strconv) reads back as itself.
+			r, multibyte, tail, err := strconv.UnquoteChar(l.src[l.pos:], '"')
+			if err != nil {
+				return token{}, l.errf("bad escape in string literal")
 			}
-			esc := l.src[l.pos]
-			l.pos++
-			switch esc {
-			case 'n':
-				sb.WriteByte('\n')
-			case 't':
-				sb.WriteByte('\t')
-			case 'r':
-				sb.WriteByte('\r')
-			case '\\':
-				sb.WriteByte('\\')
-			case '"':
-				sb.WriteByte('"')
-			default:
-				return token{}, l.errf("unknown escape \\%c", esc)
+			l.pos = len(l.src) - len(tail)
+			if multibyte {
+				sb.WriteRune(r)
+			} else {
+				sb.WriteByte(byte(r)) // \xNN and octal escapes are bytes
 			}
 		case '\n':
 			return token{}, l.errf("newline in string literal")

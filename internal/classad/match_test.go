@@ -223,14 +223,7 @@ func TestAdRoundTripProperty(t *testing.T) {
 		ad.SetInt("I", int64(i))
 		ad.SetReal("R", r)
 		ad.SetBool("B", b)
-		// Only strings whose escapes we support round-trip.
-		clean := ""
-		for _, c := range s {
-			if c >= ' ' && c < 127 && c != '"' && c != '\\' {
-				clean += string(c)
-			}
-		}
-		ad.SetString("S", clean)
+		ad.SetString("S", s)
 		again, err := ParseAd(ad.Unparse())
 		if err != nil {
 			return false

@@ -246,12 +246,12 @@ func (p *parser) parseUnary() (Expr, error) {
 		}
 		// Fold negative numeric literals so that "-5" round-trips as a
 		// literal rather than a unary operation.
-		if lit, ok := x.(literal); ok {
+		if lit, ok := x.(*literal); ok {
 			if i, isInt := lit.v.IntVal(); isInt {
-				return literal{Int(-i)}, nil
+				return &literal{Int(-i)}, nil
 			}
 			if r, isReal := lit.v.RealVal(); isReal {
-				return literal{Real(-r)}, nil
+				return &literal{Real(-r)}, nil
 			}
 		}
 		return unary{op: "-", x: x}, nil
@@ -267,13 +267,13 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch t.kind {
 	case tokInt:
 		p.advance()
-		return literal{Int(t.i)}, nil
+		return &literal{Int(t.i)}, nil
 	case tokReal:
 		p.advance()
-		return literal{Real(t.r)}, nil
+		return &literal{Real(t.r)}, nil
 	case tokString:
 		p.advance()
-		return literal{Str(t.text)}, nil
+		return &literal{Str(t.text)}, nil
 	case tokIdent:
 		return p.parseIdent()
 	case tokLParen:
@@ -299,13 +299,13 @@ func (p *parser) parseIdent() (Expr, error) {
 	lower := strings.ToLower(t.text)
 	switch lower {
 	case "true":
-		return literal{Bool(true)}, nil
+		return &literal{Bool(true)}, nil
 	case "false":
-		return literal{Bool(false)}, nil
+		return &literal{Bool(false)}, nil
 	case "undefined":
-		return literal{Undefined()}, nil
+		return &literal{Undefined()}, nil
 	case "error":
-		return literal{ErrorValue("error literal")}, nil
+		return &literal{ErrorValue("error literal")}, nil
 	case "my", "target":
 		if p.peek().kind == tokDot {
 			p.advance()

@@ -1,6 +1,7 @@
 package classad
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -191,6 +192,35 @@ func TestUnparseRoundTrip(t *testing.T) {
 	again := MustParseAd(ad.Unparse())
 	if !ad.sameAs(again) {
 		t.Fatalf("round trip changed ad:\n%s\nvs\n%s", ad.Unparse(), again.Unparse())
+	}
+}
+
+// TestUnparseRoundTripsEveryByte: a string holding control bytes, DEL,
+// invalid UTF-8 or a non-printable rune renders with the escapes Go
+// quoting writes (\x00, \a, \x7f, \xff, \u2028), and the lexer reads
+// every one of them back — alone, inside a list, and as an ad attribute.
+func TestUnparseRoundTripsEveryByte(t *testing.T) {
+	for _, s := range []string{"\x00", "\a\b\f\v", "\x7f", "\xff", "a\xc3", "\u2028", "\U0001f600", "\x01\"\\\n\t\r"} {
+		e := Lit(Str(s))
+		again, err := ParseExpr(e.String())
+		if err != nil {
+			t.Fatalf("%q renders as %s, which does not parse: %v", s, e, err)
+		}
+		if got, _ := NewAd().EvalExpr(again).StringVal(); got != s {
+			t.Errorf("%q renders as %s, which reads back as %q", s, e, got)
+		}
+		if list := fmt.Sprintf("{%s}", e); MustParseExpr(list).String() != list {
+			t.Errorf("%s does not render to itself", list)
+		}
+		ad := NewAd()
+		ad.SetString("S", s)
+		back, err := ParseAd(ad.Unparse())
+		if err != nil {
+			t.Fatalf("ParseAd(%q): %v", ad.Unparse(), err)
+		}
+		if !ad.sameAs(back) {
+			t.Errorf("ParseAd(Unparse()) changed %q into %q", ad.Unparse(), back.Unparse())
+		}
 	}
 }
 

@@ -56,7 +56,7 @@ func oracleExprString(e Expr) string {
 		return strings.Join(parts, ", ")
 	}
 	switch e := e.(type) {
-	case literal:
+	case *literal:
 		return oracleValueString(e.v)
 	case attrRef:
 		switch e.sc {
@@ -149,16 +149,19 @@ func FuzzExprAppend(f *testing.F) {
 	f.Add(`-x ? +y : !z`, 5e-324, int64(-1))
 	f.Add(`1e21 + 1e-7 + 100000000000000000000.0`, 1e21, int64(10))
 	f.Fuzz(func(t *testing.T, src string, r float64, i int64) {
-		ad := NewAd()
-		ad.SetString("Name", "m01")
-		ad.SetString("Raw", src)
-		ad.SetReal("R", r)
-		ad.SetInt("I", i)
-		ad.SetBool("B", i%2 == 0)
-		ad.SetValue("U", Undefined())
-		ad.SetValue("E", ErrorValue("%s", src))
-		ad.SetValue("L", List(Int(i), Real(r), Str(src), List()))
-		ad.SetValue("A", AdValue(ad.Clone()))
+		literals := func(ad *Ad) *Ad {
+			ad.SetString("Name", "m01")
+			ad.SetString("Raw", src)
+			ad.SetReal("R", r)
+			ad.SetInt("I", i)
+			ad.SetBool("B", i%2 == 0)
+			ad.SetValue("U", Undefined())
+			ad.SetValue("E", ErrorValue("%s", src))
+			ad.SetValue("L", List(Int(i), Real(r), Str(src), List()))
+			return ad
+		}
+		ad := literals(NewAd())
+		ad.SetValue("A", AdValue(literals(NewAd())))
 		if e, err := ParseExpr(src); err == nil {
 			checkExprRendering(t, e)
 			ad.Set(AttrRequirements, e)
@@ -205,22 +208,34 @@ func TestLookupFoldMatchesToLower(t *testing.T) {
 	}
 }
 
-// TestMergeCloneKeepSpellingAndOrder: copying attributes by their stored
-// keys keeps first spelling, position and replacement semantics.
-func TestMergeCloneKeepSpellingAndOrder(t *testing.T) {
+// TestSetKeepsSpellingAndOrder: rebinding a name — through Set or
+// through a pre-folded Name, in any case — replaces the expression but
+// keeps the first spelling and position, and a rebound constant does not
+// disturb the constants bound before it.
+func TestSetKeepsSpellingAndOrder(t *testing.T) {
 	a := MustParseAd("[ Name = \"m\"; CpuLoad = 1; Keep = 2 ]")
-	b := MustParseAd("[ CPULOAD = 5; Extra = 6 ]")
-	a.Merge(b)
+	a.Set("CPULOAD", MustParseExpr("5"))
+	a.SetNamed(NewName("Extra"), Int(6))
 	if got, want := a.Unparse(), "Name = \"m\"\nCpuLoad = 5\nKeep = 2\nExtra = 6\n"; got != want {
-		t.Fatalf("Merge: %q, want %q", got, want)
+		t.Fatalf("Set: %q, want %q", got, want)
 	}
-	c := a.Clone()
-	if c.Unparse() != a.Unparse() {
-		t.Fatalf("Clone: %q, want %q", c.Unparse(), a.Unparse())
+	a.SetNamed(NewName("KEEP"), Int(7))
+	a.SetNamed(NewName("extra"), Str("x"))
+	if got, want := a.Unparse(), "Name = \"m\"\nCpuLoad = 5\nKeep = 7\nExtra = \"x\"\n"; got != want {
+		t.Fatalf("SetNamed: %q, want %q", got, want)
 	}
-	c.SetInt("cpuload", 9)
-	if v, _ := a.Eval("CpuLoad").IntVal(); v != 5 {
-		t.Fatalf("mutating the clone changed the original: CpuLoad = %d", v)
+	// Past its first slab, an ad's earlier constants keep their values.
+	b := NewAdSized(2)
+	for i := 0; i < 40; i++ {
+		b.SetNamed(NewName(fmt.Sprintf("A%d", i%20)), Int(int64(i)))
+	}
+	for i := 0; i < 20; i++ {
+		if v, _ := b.Eval(fmt.Sprintf("a%d", i)).IntVal(); v != int64(20+i) {
+			t.Fatalf("A%d = %d, want %d", i, v, 20+i)
+		}
+	}
+	if b.Len() != 20 {
+		t.Fatalf("Len = %d, want 20", b.Len())
 	}
 }
 

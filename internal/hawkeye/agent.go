@@ -47,10 +47,11 @@ func (s *QueryStats) Add(other QueryStats) {
 }
 
 // Agent is a Hawkeye Monitoring Agent: it runs on a pool member, collects
-// ClassAds from its Modules, integrates them into a single Startd
-// ClassAd, and sends that ad to its Manager at fixed intervals. Direct
-// queries re-collect the modules — the Agent holds no indexed resident
-// database, the property the paper uses to explain its query costs.
+// its Modules into a single Startd ClassAd, and sends that ad to its
+// Manager at fixed intervals. Direct queries re-collect every module —
+// the Agent holds no indexed resident database, the property the paper
+// uses to explain its query costs. A collection builds one ad, sized for
+// the modules, and each module fills it in place.
 type Agent struct {
 	Host string
 	// AdvertiseInterval is the Startd ClassAd push period (30 s in the
@@ -88,15 +89,28 @@ func (a *Agent) AddModules(ms []*Module) error {
 // NumModules reports the number of registered modules.
 func (a *Agent) NumModules() int { return len(a.modules) }
 
-// StartdAd collects every module and integrates the results into a single
-// Startd ClassAd carrying the host identity.
+// The Startd ad's identity attributes, and the empty MY ad a direct
+// query's constraint is evaluated as (shared, never written).
+var (
+	attrName   = classad.NewName("Name")
+	attrMyType = classad.NewName("MyType")
+	noAd       = classad.NewAd()
+)
+
+// StartdAd collects every module into a single fresh Startd ClassAd
+// carrying the host identity. The ad is new on every call and belongs to
+// the caller, which may hand it to a Manager.
 func (a *Agent) StartdAd(now float64) (*classad.Ad, QueryStats) {
-	ad := classad.NewAd()
-	ad.SetString("Name", a.Host)
-	ad.SetString("MyType", "Machine")
+	n := 2
+	for _, m := range a.modules {
+		n += m.attrs
+	}
+	ad := classad.NewAdSized(n)
+	ad.SetNamed(attrName, classad.Str(a.Host))
+	ad.SetNamed(attrMyType, classad.Str("Machine"))
 	var st QueryStats
 	for _, m := range a.modules {
-		ad.Merge(m.Collect(a.Host, now))
+		m.Fill(ad, a.Host, now)
 		st.ModulesCollected++
 		st.ModuleExecWeight += m.ExecWeight
 	}
@@ -110,7 +124,7 @@ func (a *Agent) Query(now float64, constraint classad.Expr) (*classad.Ad, QueryS
 	ad, st := a.StartdAd(now)
 	match := true
 	if constraint != nil {
-		v := classad.EvalExprAgainst(constraint, classad.NewAd(), ad)
+		v := classad.EvalExprAgainst(constraint, noAd, ad)
 		b, ok := v.BoolVal()
 		match = ok && b
 	}

@@ -64,13 +64,13 @@ func TestAgentStartdAdIntegratesModules(t *testing.T) {
 
 func TestAgentModuleLimit(t *testing.T) {
 	a := NewAgent("lucky4", 30)
-	blank := func(string, float64) *classad.Ad { return classad.NewAd() }
+	blank := func(*classad.Ad, string, float64) {}
 	for i := 0; i < MaxModules; i++ {
-		if err := a.AddModule(&Module{Name: fmt.Sprintf("m%d", i), Collect: blank}); err != nil {
+		if err := a.AddModule(&Module{Name: fmt.Sprintf("m%d", i), Fill: blank}); err != nil {
 			t.Fatalf("module %d rejected: %v", i, err)
 		}
 	}
-	err := a.AddModule(&Module{Name: "m99", Collect: blank})
+	err := a.AddModule(&Module{Name: "m99", Fill: blank})
 	if err == nil {
 		t.Fatal("99th module accepted; the Startd should crash")
 	}
@@ -336,5 +336,41 @@ func TestTriggerFireReentrant(t *testing.T) {
 	}
 	if fired != 1 {
 		t.Fatalf("one-shot trigger fired again: %d", fired)
+	}
+}
+
+// TestStartdAdAllocs: a collection builds one ad sized for its modules
+// and fills it in place, so what it allocates is the ad — its struct,
+// map, order and constant slab — and not a count that grows per module
+// or per attribute: 11 modules and 90 cost the same. Each module's
+// declared attribute count, which sizes the ad, is what its Fill binds.
+func TestStartdAdAllocs(t *testing.T) {
+	for _, m := range append(DefaultModules(), VmstatModuleCopies(79)...) {
+		if got := m.Collect("lucky4", 0).Len(); got != m.attrs {
+			t.Errorf("module %q binds %d attributes, declares %d", m.Name, got, m.attrs)
+		}
+	}
+	small := newDefaultAgent(t)
+	big := newDefaultAgent(t)
+	if err := big.AddModules(VmstatModuleCopies(79)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		agent *Agent
+		attrs int
+	}{{small, 23}, {big, 23 + 2*79}} {
+		ad, _ := c.agent.StartdAd(0)
+		if ad.Len() != c.attrs {
+			t.Fatalf("%d modules: %d attributes, want %d", c.agent.NumModules(), ad.Len(), c.attrs)
+		}
+		allocs := testing.AllocsPerRun(100, func() { c.agent.StartdAd(1) })
+		t.Logf("%d modules, %d attributes: %.0f allocs", c.agent.NumModules(), c.attrs, allocs)
+		// The ad struct, its order and constant slabs, and the map: 4
+		// allocations for a Swiss-table map of up to 1,024 slots; a bucket
+		// map (GOEXPERIMENT=noswissmap) takes 2 for 23 attributes, 4 for
+		// 181.
+		if allocs > 7 {
+			t.Errorf("%d modules: StartdAd costs %.0f allocs, want at most 7", c.agent.NumModules(), allocs)
+		}
 	}
 }
