@@ -112,10 +112,11 @@ bench-smoke:
 # the SQL, LDAP-filter and ClassAd-expression parsers that read what a
 # user wrote (parse or error, never a panic or a stack overflow,
 # allocation in proportion to the text; an accepted filter or expression
-# renders to a canonical form that parses back to itself), and the
+# renders to a canonical form that parses back to itself), the
 # ProducerServlet answering from its producers' rows (what the
-# scratch-database body it replaced answers, for any SQL) — twelve
-# targets.
+# scratch-database body it replaced answers, for any SQL), and the
+# -shards flag parser (never a panic; an accepted map renders back to
+# one that parses equal) — thirteen targets.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) .
@@ -130,3 +131,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLDAPFilter$$' -fuzztime $(FUZZTIME) ./internal/ldap
 	$(GO) test -run '^$$' -fuzz '^FuzzClassAdParse$$' -fuzztime $(FUZZTIME) ./internal/classad
 	$(GO) test -run '^$$' -fuzz '^FuzzServletSelect$$' -fuzztime $(FUZZTIME) ./internal/rgma
+	$(GO) test -run '^$$' -fuzz '^FuzzShardMap$$' -fuzztime $(FUZZTIME) ./internal/federation

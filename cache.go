@@ -5,12 +5,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/core"
 )
 
 // The facade's opt-in result cache, modeled on the paper's GIIS cache:
 // the single biggest performance lever its experiments found (>10x
 // information-server throughput with data in cache, Figures 5–6). A hit
-// serves the decoded records of an earlier identical query without
+// serves the decoded answer of an earlier identical query without
 // touching any engine; entries live for the configured TTL and are
 // invalidated wholesale whenever the grid's state advances (Advance or
 // Advertise), so a cached answer is never older than both the TTL and
@@ -56,13 +58,23 @@ func cacheable(q Query) bool {
 	return true
 }
 
-// cacheEntry is one cached answer. Records are shared between the cache
-// and every hit — see WithQueryCache for the read-only contract.
+// cacheEntry is one cached answer, kept flat for remote hits to encode;
+// in-process callers share the records built once from it — see
+// WithQueryCache for the read-only contract.
 type cacheEntry struct {
 	gen     uint64
 	expires time.Time
-	records []Record
+	answer  core.Answer
 	work    Work
+
+	once sync.Once
+	recs []Record
+}
+
+// records returns the entry's answer as Records, built once per entry.
+func (e *cacheEntry) records() []Record {
+	e.once.Do(func() { e.recs = e.answer.Records() })
+	return e.recs
 }
 
 // queryCache is the facade's TTL result cache. Lookups run under a read
@@ -101,19 +113,20 @@ func (c *queryCache) lookup(key cacheKey, now time.Time) (*cacheEntry, bool) {
 
 // maxCacheEntries bounds the cache map: a long-lived server seeing many
 // distinct query shapes (per-client filters, rotating hosts) must not
-// retain a record payload per shape forever.
+// retain an answer per shape forever.
 const maxCacheEntries = 1024
 
 // store caches an answer computed while generation gen was current (the
 // caller reads gen under the facade's read lock, so a concurrent
 // Advance cannot slip between the engine query and the stamp — an entry
 // stored after an invalidation carries the old gen and is dead on
-// arrival rather than serving pre-Advance data as fresh).
-func (c *queryCache) store(key cacheKey, gen uint64, now time.Time, records []Record, work Work) {
+// arrival rather than serving pre-Advance data as fresh). It returns the
+// stored entry.
+func (c *queryCache) store(key cacheKey, gen uint64, now time.Time, answer core.Answer, work Work) *cacheEntry {
 	e := &cacheEntry{
 		gen:     gen,
 		expires: now.Add(c.ttl),
-		records: records,
+		answer:  answer,
 		work:    work,
 	}
 	c.mu.Lock()
@@ -133,6 +146,7 @@ func (c *queryCache) store(key cacheKey, gen uint64, now time.Time, records []Re
 	}
 	c.entries[key] = e
 	c.mu.Unlock()
+	return e
 }
 
 // invalidate drops every cached answer (generation bump; O(1)).

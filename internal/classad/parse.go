@@ -16,7 +16,8 @@ type parser struct {
 // construct — parentheses, lists, ads, call arguments, ?: arms — recurses
 // through parseExpr, and a chain of unary operators through parseUnary;
 // a goroutine stack overflow kills the process instead of panicking,
-// while a few MiB of "(" fit in one v3 frame.
+// while a few MiB of "(" fit in one v3 frame. So does the tree: x && x
+// && … loops in parseAnd but evaluates recursively, one level per link.
 const maxParseDepth = 1000
 
 // nest enters one level of recursion; the caller defers p.depth--.
@@ -89,6 +90,7 @@ func (p *parser) expect(k tokKind, what string) (token, error) {
 }
 
 // parseExpr parses the lowest-precedence production (the ?: ternary).
+// The outermost call also holds the tree it built to maxParseDepth.
 func (p *parser) parseExpr() (Expr, error) {
 	defer func() { p.depth-- }()
 	if err := p.nest(); err != nil {
@@ -111,9 +113,41 @@ func (p *parser) parseExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return cond{c: c, t: t, f: f}, nil
+		c = cond{c: c, t: t, f: f}
+	}
+	if p.depth == 1 && deeperThan(c, maxParseDepth) {
+		return nil, fmt.Errorf("classad: expression nested deeper than %d levels", maxParseDepth)
 	}
 	return c, nil
+}
+
+// deeperThan reports whether e has a node more than max levels below
+// it. It recurses at most max+1 levels, however deep e is.
+func deeperThan(e Expr, max int) bool {
+	if max < 0 {
+		return true
+	}
+	var kids []Expr
+	switch x := e.(type) {
+	case binary:
+		kids = []Expr{x.l, x.r}
+	case unary:
+		kids = []Expr{x.x}
+	case cond:
+		kids = []Expr{x.c, x.t, x.f}
+	case call:
+		kids = x.args
+	case listExpr:
+		kids = x.items
+	case adExpr:
+		kids = x.exprs
+	}
+	for _, k := range kids {
+		if deeperThan(k, max-1) {
+			return true
+		}
+	}
+	return false
 }
 
 func (p *parser) parseOr() (Expr, error) {

@@ -2,10 +2,10 @@
 // them side by side: Table 1's functional component mapping as data
 // (ComponentMapping, System, Role), the uniform cost of one request
 // (Work, with MDSWork, RGMAWork and HawkeyeWork converting each engine's
-// own statistics), and the uniform result shape (Record, with one decoder
-// per engine's native answer). The facade and the simulator both call
-// the engines directly and meet here: the simulator prices Work, the
-// facade returns Records and Work.
+// own statistics), and the uniform result shape (a flat Answer from one
+// decoder per engine's native answer, and the Records built from it).
+// The facade and the simulator both call the engines directly and meet
+// here: the simulator prices Work, the facade returns Records and Work.
 package core
 
 // System identifies one of the three monitoring and information services.

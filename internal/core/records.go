@@ -15,12 +15,49 @@ import (
 
 // Record is one decoded result record in the uniform shape shared by all
 // three systems: a key identifying the record (an LDAP DN, a row key, a
-// machine name) plus flat string fields. Records are what the v2 query
-// API returns, so they must survive a JSON round trip unchanged —
-// in-process and remote queries compare equal on them.
+// machine name) plus flat string fields. Records are what the query API
+// returns, so they must survive a JSON round trip unchanged — in-process
+// and remote queries compare equal on them. A server builds them only
+// for in-process callers (Answer.Records).
 type Record struct {
 	Key    string            `json:"key"`
 	Fields map[string]string `json:"fields,omitempty"`
+}
+
+// Answer is one decoded result in flat form: Recs in decoder order, each
+// a key and its fields Pairs[From:To] in engine order, cut from one text
+// (the arena's), so it costs at most three allocations and no map
+// however many records it holds. A nil Recs is a nil record slice.
+// Records is the one place a field map is built from it.
+type Answer struct {
+	Recs  []Span
+	Pairs []Pair
+}
+
+// Span is one record of an Answer.
+type Span struct {
+	Key      string
+	From, To int
+}
+
+// Pair is one field of an Answer record.
+type Pair struct{ Name, Value string }
+
+// Records builds the map form of a: one Record per span, fields keyed by
+// name. A name the span repeats (SELECT host, host) keeps its last value.
+func (a Answer) Records() []Record {
+	if a.Recs == nil {
+		return nil
+	}
+	out := make([]Record, len(a.Recs))
+	for i, s := range a.Recs {
+		fields := make(map[string]string, s.To-s.From)
+		for _, p := range a.Pairs[s.From:s.To] {
+			fields[p.Name] = p.Value
+		}
+		out[i] = Record{Key: s.Key, Fields: fields}
+	}
+	return out
 }
 
 // SortedFieldNames lists the record's field names in sorted order — the
@@ -34,30 +71,21 @@ func (r Record) SortedFieldNames() []string {
 	return names
 }
 
-// Project returns a copy of r keeping only the named fields (nil or empty
-// attrs returns r unchanged). Unknown names are ignored, matching LDAP
-// projection semantics.
-func (r Record) Project(attrs []string) Record {
-	if len(attrs) == 0 {
-		return r
-	}
-	out := Record{Key: r.Key, Fields: make(map[string]string, len(attrs))}
-	for _, a := range attrs {
-		if v, ok := r.Fields[a]; ok {
-			out.Fields[a] = v
-		}
-	}
-	return out
-}
-
-// ProjectRecords applies Project to every record.
+// ProjectRecords returns copies of recs keeping only the named fields
+// (nil or empty attrs returns recs unchanged). Unknown names are ignored,
+// matching LDAP projection semantics.
 func ProjectRecords(recs []Record, attrs []string) []Record {
 	if len(attrs) == 0 {
 		return recs
 	}
 	out := make([]Record, len(recs))
 	for i, r := range recs {
-		out[i] = r.Project(attrs)
+		out[i] = Record{Key: r.Key, Fields: make(map[string]string, len(attrs))}
+		for _, a := range attrs {
+			if v, ok := r.Fields[a]; ok {
+				out[i].Fields[a] = v
+			}
+		}
 	}
 	return out
 }
@@ -101,31 +129,24 @@ func (a *arena) fieldRendered(name string) {
 	a.marks = append(a.marks, mark{name: name, rendered: true, end: len(a.buf)})
 }
 
-// records builds the n marked records and returns the arena to the pool.
-func (a *arena) records(n int) []Record {
+// answer builds the Answer of the n marked records and returns the arena
+// to the pool.
+func (a *arena) answer(n int) Answer {
 	text := string(a.buf)
-	out := make([]Record, 0, n)
+	out := Answer{Recs: make([]Span, 0, n), Pairs: make([]Pair, 0, len(a.marks)-n)}
 	from := 0
-	value := func(m *mark) string {
-		if !m.rendered {
-			return m.text
+	for i := range a.marks {
+		m := &a.marks[i]
+		v := m.text
+		if m.rendered {
+			v, from = text[from:m.end], m.end
 		}
-		v := text[from:m.end]
-		from = m.end
-		return v
-	}
-	for i := 0; i < len(a.marks); {
-		rec := Record{Key: value(&a.marks[i])}
-		j := i + 1
-		for j < len(a.marks) && !a.marks[j].key {
-			j++
+		if m.key {
+			out.Recs = append(out.Recs, Span{Key: v, From: len(out.Pairs), To: len(out.Pairs)})
+			continue
 		}
-		rec.Fields = make(map[string]string, j-i-1)
-		for k := i + 1; k < j; k++ {
-			rec.Fields[a.marks[k].name] = value(&a.marks[k])
-		}
-		out = append(out, rec)
-		i = j
+		out.Pairs = append(out.Pairs, Pair{m.name, v})
+		out.Recs[len(out.Recs)-1].To++
 	}
 	clear(a.marks) // drop the references to names and values
 	a.marks, a.buf = a.marks[:0], a.buf[:0]
@@ -135,7 +156,7 @@ func (a *arena) records(n int) []Record {
 
 // selected reports whether a projection keeps the named field: attrs
 // empty keeps everything, otherwise the name must be listed exactly
-// (the rule of Record.Project).
+// (the rule of ProjectRecords).
 func selected(attrs []string, name string) bool {
 	if len(attrs) == 0 {
 		return true
@@ -150,18 +171,20 @@ func selected(attrs []string, name string) bool {
 
 // MDSRecords decodes LDAP entries: the record key is the DN and each
 // attribute becomes a field (multi-valued attributes joined with "|").
-// LDAP values are strings already, so nothing is rendered.
-func MDSRecords(entries []*ldap.Entry) []Record {
-	out := make([]Record, len(entries))
-	for i, e := range entries {
-		fields := make(map[string]string, e.Len())
+func MDSRecords(entries []*ldap.Entry) []Record { return MDSAnswer(entries).Records() }
+
+// MDSAnswer is MDSRecords in flat form. LDAP values are strings already,
+// so nothing is rendered.
+func MDSAnswer(entries []*ldap.Entry) Answer {
+	a := arenas.Get().(*arena)
+	for _, e := range entries {
+		a.keyText(e.DNString())
 		for j := 0; j < e.Len(); j++ {
 			name, values := e.At(j)
-			fields[name] = strings.Join(values, "|")
+			a.fieldText(name, strings.Join(values, "|"))
 		}
-		out[i] = Record{Key: e.DNString(), Fields: fields}
 	}
-	return out
+	return a.answer(len(entries))
 }
 
 // RGMARecords decodes a relational result: one record per row, keyed by
@@ -171,10 +194,16 @@ func RGMARecords(res *relational.Result) []Record { return ResultRecords(res, ni
 // ResultRecords is RGMARecords keeping only the columns attrs names (all
 // of them when attrs is empty).
 func ResultRecords(res *relational.Result, attrs []string) []Record {
+	return ResultAnswer(res, attrs).Records()
+}
+
+// ResultAnswer is ResultRecords in flat form; a nil result is a nil
+// record slice.
+func ResultAnswer(res *relational.Result, attrs []string) Answer {
 	if res == nil {
-		return nil
+		return Answer{}
 	}
-	return rowRecords("", res.Columns, res.Rows, attrs)
+	return rowAnswer("", res.Columns, res.Rows, attrs)
 }
 
 // RowRecords decodes raw published rows (the R-GMA push path, where no
@@ -187,13 +216,13 @@ func RowRecords(producerID string, cols []relational.Column, rows [][]relational
 	for i, col := range cols {
 		names[i] = col.Name
 	}
-	return rowRecords(producerID+"/", names, rows, attrs)
+	return rowAnswer(producerID+"/", names, rows, attrs).Records()
 }
 
-// rowRecords decodes rows into records keyed keyPrefix + "row-NNNN".
+// rowAnswer decodes rows into records keyed keyPrefix + "row-NNNN".
 // String cells are plain text already (the field is decoded data, not a
 // SQL literal); numbers and keys are rendered into the arena.
-func rowRecords(keyPrefix string, cols []string, rows [][]relational.Value, attrs []string) []Record {
+func rowAnswer(keyPrefix string, cols []string, rows [][]relational.Value, attrs []string) Answer {
 	a := arenas.Get().(*arena)
 	for i, row := range rows {
 		a.buf = appendRowKey(append(a.buf, keyPrefix...), i)
@@ -210,7 +239,7 @@ func rowRecords(keyPrefix string, cols []string, rows [][]relational.Value, attr
 			}
 		}
 	}
-	return a.records(len(rows))
+	return a.answer(len(rows))
 }
 
 // appendRowKey appends "row-" and i zero-padded to four digits, as
@@ -223,21 +252,24 @@ func appendRowKey(dst []byte, i int) []byte {
 	return strconv.AppendInt(dst, int64(i), 10)
 }
 
-// AdvertisementRecords decodes GMA producer advertisements (the R-GMA
-// Registry's directory answer), keyed by producer ID.
-func AdvertisementRecords(ads []gma.Advertisement) []Record {
-	out := make([]Record, len(ads))
-	for i, ad := range ads {
-		fields := map[string]string{
-			"address": ad.Address,
-			"table":   ad.TableName,
+// AdvertisementAnswer decodes GMA producer advertisements (the R-GMA
+// Registry's directory answer), keyed by producer ID, keeping only the
+// fields attrs names (all of them when attrs is empty).
+func AdvertisementAnswer(ads []gma.Advertisement, attrs []string) Answer {
+	a := arenas.Get().(*arena)
+	for _, ad := range ads {
+		a.keyText(ad.ProducerID)
+		fields := []Pair{{"address", ad.Address}, {"table", ad.TableName}, {"predicate", ad.Predicate}}
+		if ad.Predicate == "" {
+			fields = fields[:2]
 		}
-		if ad.Predicate != "" {
-			fields["predicate"] = ad.Predicate
+		for _, f := range fields {
+			if selected(attrs, f.Name) {
+				a.fieldText(f.Name, f.Value)
+			}
 		}
-		out[i] = Record{Key: ad.ProducerID, Fields: fields}
 	}
-	return out
+	return a.answer(len(ads))
 }
 
 // HawkeyeRecords decodes ClassAds, keyed by the ad's Name attribute, each
@@ -247,7 +279,10 @@ func HawkeyeRecords(ads []*classad.Ad) []Record { return AdRecords(ads, nil) }
 
 // AdRecords is HawkeyeRecords keeping only the attributes attrs names
 // (all of them when attrs is empty); the others are never rendered.
-func AdRecords(ads []*classad.Ad, attrs []string) []Record {
+func AdRecords(ads []*classad.Ad, attrs []string) []Record { return AdAnswer(ads, attrs).Records() }
+
+// AdAnswer is AdRecords in flat form. Sorting moves only the spans.
+func AdAnswer(ads []*classad.Ad, attrs []string) Answer {
 	a := arenas.Get().(*arena)
 	n := 0
 	for _, ad := range ads {
@@ -265,7 +300,7 @@ func AdRecords(ads []*classad.Ad, attrs []string) []Record {
 			}
 		}
 	}
-	out := a.records(n)
-	slices.SortStableFunc(out, func(x, y Record) int { return strings.Compare(x.Key, y.Key) })
+	out := a.answer(n)
+	slices.SortStableFunc(out.Recs, func(x, y Span) int { return strings.Compare(x.Key, y.Key) })
 	return out
 }

@@ -274,7 +274,8 @@ type sqlParser struct {
 // maxNesting bounds how deep parentheses and NOTs may nest in a WHERE
 // clause. parseNot recurses once per level, and a goroutine stack
 // overflow kills the process instead of panicking — while a few MiB of
-// "(" fit in one v3 frame.
+// "(" fit in one v3 frame. So does the tree: a=1 OR a=1 OR … loops in
+// parseOr but compiles and evaluates recursively, one level per link.
 const maxNesting = 1000
 
 // Parse parses one SQL statement (a trailing semicolon is allowed).
@@ -598,6 +599,20 @@ func (p *sqlParser) parseUpdate() (Statement, error) {
 	return st, nil
 }
 
+// deeperThan reports whether e has a node more than max levels below
+// it. It recurses at most max+1 levels, however deep e is.
+func deeperThan(e BoolExpr, max int) bool {
+	switch x := e.(type) {
+	case andExpr:
+		return max < 1 || deeperThan(x.l, max-1) || deeperThan(x.r, max-1)
+	case orExpr:
+		return max < 1 || deeperThan(x.l, max-1) || deeperThan(x.r, max-1)
+	case notExpr:
+		return max < 1 || deeperThan(x.x, max-1)
+	}
+	return false
+}
+
 func (p *sqlParser) parseOr() (BoolExpr, error) {
 	l, err := p.parseAnd()
 	if err != nil {
@@ -609,6 +624,9 @@ func (p *sqlParser) parseOr() (BoolExpr, error) {
 			return nil, err
 		}
 		l = orExpr{l: l, r: r}
+	}
+	if p.depth == 0 && deeperThan(l, maxNesting) {
+		return nil, fmt.Errorf("relational: WHERE clause nested deeper than %d levels", maxNesting)
 	}
 	return l, nil
 }

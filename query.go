@@ -116,13 +116,29 @@ func CodeOf(err error) ErrorCode { return transport.ErrorCode(err) }
 // fast-fails with ErrOverloaded — see WithAdmission for the semantics.
 func (g *Grid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 	start := time.Now()
+	rs, ans, e, err := g.answer(ctx, q, start)
+	if err != nil {
+		return nil, err
+	}
+	if e != nil {
+		rs.Records = e.records()
+	} else {
+		rs.Records = ans.Records()
+	}
+	rs.Elapsed = time.Since(start)
+	return &rs, nil
+}
+
+// answer is Query without Records: ans holds them flat, and e is the
+// cache entry holding ans (the hit, or the miss just stored), if any.
+func (g *Grid) answer(ctx context.Context, q Query, start time.Time) (rs ResultSet, ans core.Answer, e *cacheEntry, err error) {
 	if err := ctx.Err(); err != nil {
 		g.counters.Errors.Add(1)
-		return nil, transport.AsError(err)
+		return rs, ans, nil, transport.AsError(err)
 	}
-	role := q.Role
-	if role == "" {
-		role = RoleInformationServer
+	rs.System, rs.Role, rs.Host = q.System, q.Role, q.Host
+	if rs.Role == "" {
+		rs.Role = RoleInformationServer
 	}
 	cache := g.cache
 	if cache != nil && !cacheable(q) {
@@ -130,62 +146,48 @@ func (g *Grid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 	}
 	var key cacheKey
 	if cache != nil {
-		key = keyFor(q, role)
+		key = keyFor(q, rs.Role)
 		if e, ok := cache.lookup(key, start); ok {
 			// A hit did no engine work: only the response-shaped fields
 			// carry over from the cached computation. Admission is not
 			// consulted — a hit consumes no engine capacity, which is
 			// exactly what the gate protects.
-			work := Work{
+			rs.Work = Work{
 				CacheHits:       1,
 				RecordsReturned: e.work.RecordsReturned,
 				ResponseBytes:   e.work.ResponseBytes,
 			}
 			g.counters.Queries.Add(1)
 			g.counters.CacheHits.Add(1)
-			return &ResultSet{
-				System:  q.System,
-				Role:    role,
-				Host:    q.Host,
-				Records: e.records,
-				Work:    work,
-				Elapsed: time.Since(start),
-			}, nil
+			return rs, e.answer, e, nil
 		}
 	}
 	if err := g.beginRead(ctx); err != nil {
 		// Sheds are accounted inside the gate (Stats.Shed), not as
 		// query errors; a ctx expiry while queued counts as neither.
-		return nil, err
+		return rs, ans, nil, err
 	}
 	var gen uint64
 	if cache != nil {
 		// Read the cache generation while holding the read lock: an
-		// Advance cannot run concurrently, so the records below are
+		// Advance cannot run concurrently, so the answer below is
 		// computed at exactly this generation and the store after the
 		// unlock can never publish pre-Advance data as fresh.
 		gen = cache.gen.Load()
 	}
-	records, work, err := g.read(ctx, q, role)
+	ans, rs.Work, err = g.read(ctx, q, rs.Role)
 	g.endRead()
 	if err != nil {
 		g.counters.Errors.Add(1)
-		return nil, transport.AsError(err)
+		return rs, core.Answer{}, nil, transport.AsError(err)
 	}
 	if cache != nil {
-		cache.store(key, gen, start, records, work)
-		work.CacheMisses = 1
+		e = cache.store(key, gen, start, ans, rs.Work)
+		rs.Work.CacheMisses = 1
 		g.counters.CacheMisses.Add(1)
 	}
 	g.counters.Queries.Add(1)
-	return &ResultSet{
-		System:  q.System,
-		Role:    role,
-		Host:    q.Host,
-		Records: records,
-		Work:    work,
-		Elapsed: time.Since(start),
-	}, nil
+	return rs, ans, e, nil
 }
 
 // beginRead admits the caller as one reader of the engines, the way every
@@ -220,19 +222,19 @@ func (g *Grid) endRead() {
 // is read once, and ctx is checked after it: here for the single-server
 // engines, inside QueryCtx between sub-queries for the two fan-out ones
 // (the GIIS and the mediating ConsumerServlet), so an abandoned query
-// stops mid-flight. The records come back projected to q.Attrs: MDS
+// stops mid-flight. The answer comes back projected to q.Attrs: MDS
 // projects inside the LDAP query (so Work reflects the projected
 // response), the other decoders skip the fields nobody asked for.
 // Callers hold beginRead.
-func (g *Grid) read(ctx context.Context, q Query, role Role) ([]Record, Work, error) {
+func (g *Grid) read(ctx context.Context, q Query, role Role) (core.Answer, Work, error) {
 	switch q.System {
 	case MDS, RGMA, Hawkeye:
 	default:
-		return nil, Work{}, transport.Errf(transport.CodeBadRequest,
+		return core.Answer{}, Work{}, transport.Errf(transport.CodeBadRequest,
 			"unknown system %q (want %q, %q or %q)", q.System, MDS, RGMA, Hawkeye)
 	}
 	if !g.Enabled(q.System) {
-		return nil, Work{}, transport.Errf(transport.CodeUnavailable, "%s is not deployed in this grid", q.System)
+		return core.Answer{}, Work{}, transport.Errf(transport.CodeUnavailable, "%s is not deployed in this grid", q.System)
 	}
 	switch q.System {
 	case MDS:
@@ -251,33 +253,33 @@ func (g *Grid) engineNow(ctx context.Context) (float64, error) {
 	return now, ctx.Err()
 }
 
-func (g *Grid) readMDS(ctx context.Context, role Role, q Query) ([]Record, Work, error) {
+func (g *Grid) readMDS(ctx context.Context, role Role, q Query) (core.Answer, Work, error) {
 	var filter ldap.Filter
 	if q.Expr != "" {
 		var err error
 		filter, err = ldap.ParseFilter(q.Expr)
 		if err != nil {
-			return nil, Work{}, transport.Errf(transport.CodeParse, "MDS filter: %v", err)
+			return core.Answer{}, Work{}, transport.Errf(transport.CodeParse, "MDS filter: %v", err)
 		}
 	}
 	switch role {
 	case RoleInformationServer:
 		gris, err := g.gris(q.Host)
 		if err != nil {
-			return nil, Work{}, err
+			return core.Answer{}, Work{}, err
 		}
 		now, err := g.engineNow(ctx)
 		if err != nil {
-			return nil, Work{}, err
+			return core.Answer{}, Work{}, err
 		}
 		entries, st := gris.Query(now, filter, q.Attrs)
-		return core.MDSRecords(entries), core.MDSWork(st), nil
+		return core.MDSAnswer(entries), core.MDSWork(st), nil
 	case RoleDirectoryServer, RoleAggregateServer:
 		// The GIIS plays both roles in Table 1.
 		entries, st, err := g.giis.QueryCtx(ctx, g.clock(), filter, q.Attrs)
-		return core.MDSRecords(entries), core.MDSWork(st), err
+		return core.MDSAnswer(entries), core.MDSWork(st), err
 	}
-	return nil, Work{}, badRole(role)
+	return core.Answer{}, Work{}, badRole(role)
 }
 
 func (g *Grid) gris(host string) (*GRIS, error) {
@@ -297,7 +299,7 @@ func (g *Grid) gris(host string) (*GRIS, error) {
 // is no expression check ahead of the role: an empty Expr selects the
 // whole table, and an empty Host on the information-server role goes
 // through the mediating ConsumerServlet instead of one servlet.
-func (g *Grid) readRGMA(ctx context.Context, role Role, q Query) ([]Record, Work, error) {
+func (g *Grid) readRGMA(ctx context.Context, role Role, q Query) (core.Answer, Work, error) {
 	switch role {
 	case RoleInformationServer:
 		sql := q.Expr
@@ -306,19 +308,19 @@ func (g *Grid) readRGMA(ctx context.Context, role Role, q Query) ([]Record, Work
 		}
 		if q.Host == "" {
 			res, st, err := g.consumer.QueryCtx(ctx, g.clock(), sql)
-			return core.ResultRecords(res, q.Attrs), core.RGMAWork(st), err
+			return core.ResultAnswer(res, q.Attrs), core.RGMAWork(st), err
 		}
 		ps, ok := g.servlets[q.Host]
 		if !ok {
-			return nil, Work{}, transport.Errf(transport.CodeBadRequest,
+			return core.Answer{}, Work{}, transport.Errf(transport.CodeBadRequest,
 				"unknown host %q (monitored hosts: %v)", q.Host, g.cfg.hosts)
 		}
 		now, err := g.engineNow(ctx)
 		if err != nil {
-			return nil, Work{}, err
+			return core.Answer{}, Work{}, err
 		}
 		res, st, err := ps.Query(now, sql)
-		return core.ResultRecords(res, q.Attrs), core.RGMAWork(st), err
+		return core.ResultAnswer(res, q.Attrs), core.RGMAWork(st), err
 	case RoleDirectoryServer:
 		table := q.Expr
 		if table == "" {
@@ -326,10 +328,10 @@ func (g *Grid) readRGMA(ctx context.Context, role Role, q Query) ([]Record, Work
 		}
 		now, err := g.engineNow(ctx)
 		if err != nil {
-			return nil, Work{}, err
+			return core.Answer{}, Work{}, err
 		}
 		ads, st, err := g.registry.LookupProducersStats(table, now)
-		return core.ProjectRecords(core.AdvertisementRecords(ads), q.Attrs), core.RGMAWork(st), err
+		return core.AdvertisementAnswer(ads, q.Attrs), core.RGMAWork(st), err
 	case RoleAggregateServer:
 		sql := q.Expr
 		if sql == "" {
@@ -337,55 +339,55 @@ func (g *Grid) readRGMA(ctx context.Context, role Role, q Query) ([]Record, Work
 		}
 		now, err := g.engineNow(ctx)
 		if err != nil {
-			return nil, Work{}, err
+			return core.Answer{}, Work{}, err
 		}
 		res, st, err := g.composite.Query(now, sql)
-		return core.ResultRecords(res, q.Attrs), core.RGMAWork(st), err
+		return core.ResultAnswer(res, q.Attrs), core.RGMAWork(st), err
 	}
-	return nil, Work{}, badRole(role)
+	return core.Answer{}, Work{}, badRole(role)
 }
 
-func (g *Grid) readHawkeye(ctx context.Context, role Role, q Query) ([]Record, Work, error) {
+func (g *Grid) readHawkeye(ctx context.Context, role Role, q Query) (core.Answer, Work, error) {
 	var constraint classad.Expr
 	if q.Expr != "" {
 		var err error
 		constraint, err = classad.ParseExpr(q.Expr)
 		if err != nil {
-			return nil, Work{}, transport.Errf(transport.CodeParse, "Hawkeye constraint: %v", err)
+			return core.Answer{}, Work{}, transport.Errf(transport.CodeParse, "Hawkeye constraint: %v", err)
 		}
 	}
 	switch role {
 	case RoleInformationServer:
 		if q.Host == "" {
-			return nil, Work{}, transport.Errf(transport.CodeBadRequest,
+			return core.Answer{}, Work{}, transport.Errf(transport.CodeBadRequest,
 				"Hawkeye information-server query needs a Host (one of %v)", g.cfg.hosts)
 		}
 		agent, ok := g.agents[q.Host]
 		if !ok {
-			return nil, Work{}, transport.Errf(transport.CodeBadRequest,
+			return core.Answer{}, Work{}, transport.Errf(transport.CodeBadRequest,
 				"unknown host %q (monitored hosts: %v)", q.Host, g.cfg.hosts)
 		}
 		now, err := g.engineNow(ctx)
 		if err != nil {
-			return nil, Work{}, err
+			return core.Answer{}, Work{}, err
 		}
 		// The Agent answers with its Startd ad, or nothing when the
 		// constraint rejects it.
 		ad, st := agent.Query(now, constraint)
 		if ad == nil {
-			return nil, core.HawkeyeWork(st), nil
+			return core.Answer{}, core.HawkeyeWork(st), nil
 		}
-		return core.AdRecords([]*classad.Ad{ad}, q.Attrs), core.HawkeyeWork(st), nil
+		return core.AdAnswer([]*classad.Ad{ad}, q.Attrs), core.HawkeyeWork(st), nil
 	case RoleDirectoryServer, RoleAggregateServer:
 		// The Manager plays both roles in Table 1.
 		now, err := g.engineNow(ctx)
 		if err != nil {
-			return nil, Work{}, err
+			return core.Answer{}, Work{}, err
 		}
 		ads, st := g.manager.Query(now, constraint)
-		return core.AdRecords(ads, q.Attrs), core.HawkeyeWork(st), nil
+		return core.AdAnswer(ads, q.Attrs), core.HawkeyeWork(st), nil
 	}
-	return nil, Work{}, badRole(role)
+	return core.Answer{}, Work{}, badRole(role)
 }
 
 func badRole(role Role) error {

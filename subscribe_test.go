@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/leakcheck"
 	"repro/internal/transport"
 )
@@ -153,10 +154,7 @@ func TestSubscribeAttrs(t *testing.T) {
 			fullEvents := collectEvents(t, full, tc.want)
 			for i, ev := range collectEvents(t, narrowed, tc.want) {
 				want := fullEvents[i]
-				projected := make([]Record, len(want.Records))
-				for j, r := range want.Records {
-					projected[j] = r.Project(tc.attrs)
-				}
+				projected := core.ProjectRecords(want.Records, tc.attrs)
 				if !reflect.DeepEqual(ev.Records, projected) {
 					t.Errorf("event %d: records %+v, want the projection %+v", i, ev.Records, projected)
 				}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/binenc"
+	"repro/internal/core"
 	"repro/internal/transport"
 )
 
@@ -25,10 +26,11 @@ import (
 // error texts — is a substring of one copy of the frame body: the text
 // costs one allocation however many records it spans, never aliases the
 // connection's pooled frame buffer, and stays alive as a whole while any
-// decoded string is retained. Beside it an answer costs its []Record and
-// one map per record (see TestWireQueryRoundTripAllocs). Counts read off
-// the wire are bounded by the bytes left in the frame (Dec.Count) before
-// anything is sized by them.
+// decoded string is retained. Beside it the client builds an answer's
+// []Record and one map per record (see TestWireQueryRoundTripAllocs);
+// the server builds none, a Grid encoding its flat core.Answer
+// (appendWireAnswer). Counts read off the wire are bounded by the bytes
+// left in the frame (Dec.Count) before anything is sized by them.
 //
 // Nil-ness is preserved exactly as the JSON codecs preserve it, so a
 // binary-bodied answer is reflect.DeepEqual to the JSON-bodied answer
@@ -115,19 +117,6 @@ func decodeWireWorkInto(d *binenc.Dec, w *Work) {
 	w.CacheMisses = int(d.Varint())
 }
 
-// appendWireRecord appends one record: key, then field count and
-// key/value pairs. Field iteration order is unspecified — record
-// equality is map equality, which the decoder reconstructs.
-func appendWireRecord(b []byte, r *Record) []byte {
-	b = binenc.AppendString(b, r.Key)
-	b = binenc.AppendUvarint(b, uint64(len(r.Fields)))
-	for k, v := range r.Fields {
-		b = binenc.AppendString(b, k)
-		b = binenc.AppendString(b, v)
-	}
-	return b
-}
-
 // decodeWireRecordInto decodes one record into rec. A field name the
 // frame repeats keeps its last value, as a JSON object would.
 func decodeWireRecordInto(d *binenc.Dec, rec *Record) {
@@ -149,14 +138,41 @@ func decodeWireRecordInto(d *binenc.Dec, rec *Record) {
 
 // appendWireRecords appends a record slice, preserving nil-ness (the
 // records JSON tag has no omitempty, so nil and empty are distinct in
-// a JSON body too): count+1 for a non-nil slice, 0 for nil.
+// a JSON body too): count+1 for a non-nil slice, 0 for nil. Per record
+// it appends the key, then the field count and name/value pairs, in map
+// order — record equality is map equality, which the decoder rebuilds.
 func appendWireRecords(b []byte, recs []Record) []byte {
 	if recs == nil {
 		return binenc.AppendUvarint(b, 0)
 	}
 	b = binenc.AppendUvarint(b, uint64(len(recs))+1)
-	for i := range recs {
-		b = appendWireRecord(b, &recs[i])
+	for _, r := range recs {
+		b = binenc.AppendString(b, r.Key)
+		b = binenc.AppendUvarint(b, uint64(len(r.Fields)))
+		for k, v := range r.Fields {
+			b = binenc.AppendString(b, k)
+			b = binenc.AppendString(b, v)
+		}
+	}
+	return b
+}
+
+// appendWireAnswer appends a's records as appendWireRecords appends
+// a.Records(), but pair for pair in a's order: the same answer always
+// encodes to the same bytes, and a repeated name is sent each time (the
+// decoder keeps its last value, as Records does).
+func appendWireAnswer(b []byte, a *core.Answer) []byte {
+	if a.Recs == nil {
+		return binenc.AppendUvarint(b, 0)
+	}
+	b = binenc.AppendUvarint(b, uint64(len(a.Recs))+1)
+	for _, r := range a.Recs {
+		b = binenc.AppendString(b, r.Key)
+		b = binenc.AppendUvarint(b, uint64(r.To-r.From))
+		for _, p := range a.Pairs[r.From:r.To] {
+			b = binenc.AppendString(b, p.Name)
+			b = binenc.AppendString(b, p.Value)
+		}
 	}
 	return b
 }
@@ -176,12 +192,17 @@ func decodeWireRecords(d *binenc.Dec) []Record {
 	return out
 }
 
-// appendWireResultSet appends rs's binary encoding to b.
-func appendWireResultSet(b []byte, rs *ResultSet) []byte {
+// appendWireResultSet appends rs's binary encoding to b, with ans in
+// place of rs.Records when it is not nil.
+func appendWireResultSet(b []byte, rs *ResultSet, ans *core.Answer) []byte {
 	b = binenc.AppendString(b, string(rs.System))
 	b = binenc.AppendString(b, string(rs.Role))
 	b = binenc.AppendString(b, rs.Host)
-	b = appendWireRecords(b, rs.Records)
+	if ans != nil {
+		b = appendWireAnswer(b, ans)
+	} else {
+		b = appendWireRecords(b, rs.Records)
+	}
 	b = appendWireWork(b, &rs.Work)
 	b = binenc.AppendVarint(b, int64(rs.Elapsed))
 	var partial byte
@@ -293,19 +314,44 @@ const (
 // (gridmon-query, RemoteGrid.Call) reach the same source through the
 // derived JSON form.
 func ServeQueryV3(srv *TransportServer, source Querier) {
-	transport.HandleV3(srv, "grid.query", source.Query, func(ctx context.Context, body []byte, out []byte) ([]byte, *transport.Error) {
+	transport.HandleV3(srv, "grid.query", source.Query, queryV3(source))
+}
+
+// queryV3 is the binary body of grid.query for source. A Grid encodes
+// its flat answer and builds no Records; any other Querier's ResultSet is
+// encoded as it is.
+func queryV3(source Querier) transport.V3Handler {
+	answer := func(ctx context.Context, q Query, out []byte) ([]byte, error) {
+		rs, err := source.Query(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		return appendWireResultSet(out, rs, nil), nil
+	}
+	if g, ok := source.(*Grid); ok {
+		answer = func(ctx context.Context, q Query, out []byte) ([]byte, error) {
+			start := time.Now()
+			rs, ans, _, err := g.answer(ctx, q, start)
+			if err != nil {
+				return nil, err
+			}
+			rs.Elapsed = time.Since(start)
+			return appendWireResultSet(out, &rs, &ans), nil
+		}
+	}
+	return func(ctx context.Context, body []byte, out []byte) ([]byte, *transport.Error) {
 		var q Query
 		d := binenc.NewDecText(body)
 		decodeWireQueryInto(&d, &q)
 		if err := d.Err(); err != nil {
 			return nil, transport.Errf(transport.CodeBadRequest, "grid.query: %v", transport.AsError(err))
 		}
-		rs, err := source.Query(ctx, q)
+		b, err := answer(ctx, q, out)
 		if err != nil {
 			return nil, transport.AsError(err)
 		}
-		return appendWireResultSet(out, rs), nil
-	})
+		return b, nil
+	}
 }
 
 // ServeSubscribe registers the grid.subscribe streaming op backed by any

@@ -57,7 +57,7 @@ func wireQueryRoundTripV3(reqBuf, respBuf []byte, rs *ResultSet) ([]byte, []byte
 	if err := d.Err(); err != nil {
 		return reqBuf, respBuf, nil, err
 	}
-	respBuf = appendWireResultSet(respBuf[:0], rs)
+	respBuf = appendWireResultSet(respBuf[:0], rs, nil)
 	var gotRS ResultSet
 	d = binenc.NewDecText(respBuf)
 	decodeWireResultSetInto(&d, &gotRS)

@@ -76,7 +76,7 @@ var wireFuzzDecoders = []struct {
 			noNaN(&rs.Work.CollectorInvocations)
 			return rs, d.Err()
 		},
-		func(v interface{}) []byte { rs := v.(ResultSet); return appendWireResultSet(nil, &rs) }},
+		func(v interface{}) []byte { rs := v.(ResultSet); return appendWireResultSet(nil, &rs, nil) }},
 	{"subscription",
 		func(newDec func([]byte) binenc.Dec, data []byte) (interface{}, error) {
 			var sub Subscription

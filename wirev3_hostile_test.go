@@ -75,10 +75,17 @@ func TestWireHugeCountIsBadRequest(t *testing.T) {
 // panic, so one grid.query killed the server. Each system's parser must
 // refuse it with the code its parse errors carry (a SQL error surfaces
 // from inside the mediator, as exec), and the server must keep serving
-// on the same connection.
+// on the same connection. A flat chain (a=1 OR a=1 OR …) is parsed in a
+// loop but builds one tree level per link, which compiling and
+// evaluating it recurse through, so it is held to the same bound: 1,000
+// links answer, 1,001 are refused.
 func TestWireDeepNestingIsParseError(t *testing.T) {
 	remote := serveGrid(t, newTestGrid(t))
 	ctx := context.Background()
+	sqlChain := func(links int) string {
+		return "SELECT * FROM siteinfo WHERE value > 1" + strings.Repeat(" OR value > 1", links)
+	}
+	adChain := func(links int) string { return "true" + strings.Repeat(" && true", links) }
 	for _, tc := range []struct {
 		q    Query
 		code transport.Code
@@ -88,10 +95,20 @@ func TestWireDeepNestingIsParseError(t *testing.T) {
 		// The ClassAd lexer reads all of an expression before parsing,
 		// so this one is smaller: 64 Ki levels would parse unbounded.
 		{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: strings.Repeat("(", 64<<10) + "true" + strings.Repeat(")", 64<<10)}, transport.CodeParse},
+		{Query{System: RGMA, Expr: sqlChain(1001)}, transport.CodeExec},
+		{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: adChain(1001)}, transport.CodeParse},
 	} {
 		_, err := remote.Query(ctx, tc.q)
 		if transport.ErrorCode(err) != tc.code || !strings.Contains(err.Error(), "nested deeper than") {
 			t.Fatalf("%s: err = %v, want %s and the nesting bound", tc.q.System, err, tc.code)
+		}
+	}
+	for _, q := range []Query{
+		{System: RGMA, Expr: sqlChain(1000)},
+		{System: Hawkeye, Role: RoleAggregateServer, Expr: adChain(1000)},
+	} {
+		if rs, err := remote.Query(ctx, q); err != nil || len(rs.Records) == 0 {
+			t.Fatalf("%s chain of 1,000 links: %v", q.System, err)
 		}
 	}
 	rs, err := remote.Query(ctx, Query{System: Hawkeye, Role: RoleDirectoryServer})

@@ -1,6 +1,8 @@
 package gridmon
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -91,7 +93,7 @@ func TestWireResultSetRoundTrip(t *testing.T) {
 	}
 	for i, rs := range cases {
 		var got ResultSet
-		d := binenc.NewDec(appendWireResultSet(nil, &rs))
+		d := binenc.NewDec(appendWireResultSet(nil, &rs, nil))
 		decodeWireResultSetInto(&d, &got)
 		if err := d.Err(); err != nil {
 			t.Fatalf("case %d: %v", i, err)
@@ -151,7 +153,7 @@ func TestWireSubscriptionRoundTrip(t *testing.T) {
 // bad_request from the decoder, never a panic.
 func TestWireDecodeMalformed(t *testing.T) {
 	rs := ResultSet{Records: []Record{{Key: "a", Fields: map[string]string{"f": "v"}}}}
-	payload := appendWireResultSet(nil, &rs)
+	payload := appendWireResultSet(nil, &rs, nil)
 	for cut := 0; cut < len(payload); cut++ {
 		d := binenc.NewDec(payload[:cut])
 		var got ResultSet
@@ -162,6 +164,104 @@ func TestWireDecodeMalformed(t *testing.T) {
 			// least have consumed every byte it was given.
 			if d.Len() != 0 {
 				t.Fatalf("cut %d: clean decode with %d bytes left", cut, d.Len())
+			}
+		}
+	}
+}
+
+// flatAnswerQueries are the alloc-budget cells, each also with Attrs nil,
+// [] and [""] (a projection that keeps no field, so zero-field records),
+// plus a column selected twice, an Agent constraint that rejects (nil
+// records) and a WHERE that matches nothing (empty records).
+func flatAnswerQueries() []Query {
+	var qs []Query
+	for _, cell := range allocBudgetCells {
+		for _, attrs := range [][]string{cell.q.Attrs, nil, {}, {""}} {
+			q := cell.q
+			q.Attrs = attrs
+			qs = append(qs, q)
+		}
+	}
+	return append(qs,
+		Query{System: RGMA, Host: "lucky4", Expr: "SELECT host, host FROM siteinfo"},
+		Query{System: RGMA, Expr: "SELECT host, host FROM siteinfo"},
+		Query{System: Hawkeye, Host: "lucky4", Expr: "false"},
+		Query{System: RGMA, Expr: "SELECT * FROM siteinfo WHERE value > 1000000"},
+	)
+}
+
+// TestWireAnswerIsRecordEncoding: a grid's flat answer decodes to what
+// its records' encoding decodes to, and encodes to the same bytes every
+// time — the pairs go in the engine's order, not a map's.
+func TestWireAnswerIsRecordEncoding(t *testing.T) {
+	g := newTestGrid(t)
+	ctx := context.Background()
+	decode := func(b []byte) []Record {
+		d := binenc.NewDecText(b)
+		recs := decodeWireRecords(&d)
+		if err := d.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	var nilRecs, emptyRecs, zeroFields, repeated bool
+	for _, q := range flatAnswerQueries() {
+		_, ans, _, err := g.answer(ctx, q, time.Now())
+		if err != nil {
+			t.Fatalf("%+v: %v", q, err)
+		}
+		flat := appendWireAnswer(nil, &ans)
+		if got, want := decode(flat), decode(appendWireRecords(nil, ans.Records())); !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: the flat encoding decodes to\n%+v\nthe records' to\n%+v", q, got, want)
+		}
+		if again := appendWireAnswer(nil, &ans); !bytes.Equal(again, flat) {
+			t.Errorf("%+v: one answer encodes to two byte strings", q)
+		}
+		_, ans2, _, err := g.answer(ctx, q, time.Now())
+		if err != nil || !bytes.Equal(appendWireAnswer(nil, &ans2), flat) {
+			t.Errorf("%+v: asking again encodes different bytes (err %v)", q, err)
+		}
+		nilRecs = nilRecs || ans.Recs == nil
+		emptyRecs = emptyRecs || (ans.Recs != nil && len(ans.Recs) == 0)
+		for _, r := range ans.Recs {
+			zeroFields = zeroFields || r.From == r.To
+			if r.To-r.From == 2 && ans.Pairs[r.From].Name == ans.Pairs[r.From+1].Name {
+				repeated = true
+			}
+		}
+	}
+	if !nilRecs || !emptyRecs || !zeroFields || !repeated {
+		t.Errorf("cases not covered: nil records %v, empty records %v, zero-field record %v, repeated name %v",
+			nilRecs, emptyRecs, zeroFields, repeated)
+	}
+}
+
+// TestRemoteFlatAnswerMatchesInProcess: over a result cache, a remote
+// answer (encoded from the flat answer) is the in-process answer (built
+// from its records), on the miss that stores it and the hit that reuses
+// it. Records compare in their JSON form, the contract both sides keep:
+// an empty field map crosses the wire as absent.
+func TestRemoteFlatAnswerMatchesInProcess(t *testing.T) {
+	local := newTestGrid(t, WithQueryCache(time.Hour))
+	remote := serveGrid(t, newTestGrid(t, WithQueryCache(time.Hour)))
+	ctx := context.Background()
+	for _, q := range flatAnswerQueries() {
+		for _, pass := range []string{"miss", "hit"} {
+			want, err := local.Query(ctx, q)
+			if err != nil {
+				t.Fatalf("%+v in-process: %v", q, err)
+			}
+			got, err := remote.Query(ctx, q)
+			if err != nil {
+				t.Fatalf("%+v remote: %v", q, err)
+			}
+			if pass == "hit" && got.Work.CacheHits != 1 {
+				t.Fatalf("%+v: the second query missed the cache", q)
+			}
+			w, _ := json.Marshal(want.Records)
+			g, _ := json.Marshal(got.Records)
+			if !bytes.Equal(w, g) || want.Work != got.Work {
+				t.Errorf("%+v on the %s differs\nin-process: %s %+v\nremote:     %s %+v", q, pass, w, want.Work, g, got.Work)
 			}
 		}
 	}
