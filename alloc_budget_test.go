@@ -8,7 +8,8 @@ import (
 )
 
 // allocBudgetCells is one representative query per (system, role) — the
-// nine cells of the facade's query surface — with the allocations one
+// nine cells of the facade's query surface, plus the R-GMA information
+// role's mediated query (no Host) — with the allocations one
 // in-process Grid.Query of it may cost: the measured count plus ~10%.
 // What the engine side of a query allocates is dominated by how often it
 // renders a value and folds a name, so a budget breaks when a decoder
@@ -33,22 +34,31 @@ import (
 // were not raised). The "served" column is the same query through the
 // binary grid.query handler (serverAllocBudgets), which builds no map;
 // noswissmap measures the same there, except Hawkeye information at 9.
+// The mediated cell was added when one plan and one result began serving
+// every producer servlet of a mediated query (before → after, in-process
+// and served; noswissmap: the same). In that change a single servlet's
+// query costs one allocation more, the list of answered rows the result
+// is projected from, and the MDS cells were re-pinned, when an LDAP search
+// began normalizing its base DN once, in one allocation (the last numbers;
+// noswissmap: 11, 59, 84 in-process, the same served).
 //
 //	                                                             served
-//	MDS      information     72 →  27 →  28                        23
-//	MDS      directory      192 →  67 →  68                        56
-//	MDS      aggregate     1184 →  98 →  99                        20
-//	R-GMA    information    113 →  72 →  33 →  34                  19
+//	MDS      information     72 →  27 →  28 →  13             23 →  8
+//	MDS      directory      192 →  67 →  68 →  59             56 → 47
+//	MDS      aggregate     1184 →  98 →  99 →  90             20 → 11
+//	R-GMA    information    113 →  72 →  33 →  34 →  35       19 → 20
+//	R-GMA    mediated               102 →  79                 55 → 32
 //	R-GMA    directory       95 →  32 →  32                        13
 //	R-GMA    aggregate      615 → 210 → 101 → 102                  12
 //	Hawkeye  information    482 → 122 →  14 →  16                  11
 //	Hawkeye  directory     1042 →  14 →  15                         9
 //	Hawkeye  aggregate     1054 →  39 →  40                        27
 var allocBudgetCells = []allocBudgetCell{
-	{Query{System: MDS, Role: RoleInformationServer, Host: "lucky4", Expr: "(objectclass=MdsCpu)"}, 30},
-	{Query{System: MDS, Role: RoleDirectoryServer, Expr: "(objectclass=MdsHost)", Attrs: []string{"Mds-Host-hn"}}, 74},
-	{Query{System: MDS, Role: RoleAggregateServer}, 108},
+	{Query{System: MDS, Role: RoleInformationServer, Host: "lucky4", Expr: "(objectclass=MdsCpu)"}, 15},
+	{Query{System: MDS, Role: RoleDirectoryServer, Expr: "(objectclass=MdsHost)", Attrs: []string{"Mds-Host-hn"}}, 65},
+	{Query{System: MDS, Role: RoleAggregateServer}, 99},
 	{Query{System: RGMA, Role: RoleInformationServer, Host: "lucky4", Expr: "SELECT host, value FROM siteinfo WHERE value >= 50"}, 36},
+	{Query{System: RGMA, Role: RoleInformationServer, Expr: "SELECT host, value FROM siteinfo WHERE value >= 50"}, 87},
 	{Query{System: RGMA, Role: RoleDirectoryServer, Expr: "siteinfo"}, 36},
 	{Query{System: RGMA, Role: RoleAggregateServer, Expr: "SELECT * FROM siteinfo", Attrs: []string{"host", "value"}}, 111},
 	{Query{System: Hawkeye, Role: RoleInformationServer, Host: "lucky4"}, 16},
@@ -62,6 +72,14 @@ type allocBudgetCell struct {
 	budget float64
 }
 
+// cellName names a cell by system and role, and host when it has one.
+func cellName(q Query) string {
+	if q.Host == "" {
+		return fmt.Sprintf("%s/%s", q.System, q.Role)
+	}
+	return fmt.Sprintf("%s/%s@%s", q.System, q.Role, q.Host)
+}
+
 // checkAllocBudget runs every cell against source — once to warm the
 // mediator, the pools and any cache, then measured — and fails the cells
 // that allocate more than their budget.
@@ -72,7 +90,7 @@ func checkAllocBudget(t *testing.T, source Querier, cells []allocBudgetCell) {
 	}
 	ctx := context.Background()
 	for _, cell := range cells {
-		name := fmt.Sprintf("%s/%s", cell.q.System, cell.q.Role)
+		name := cellName(cell.q)
 		rs, err := source.Query(ctx, cell.q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -136,7 +154,70 @@ func TestRemoteQueryAllocBudget(t *testing.T) {
 // what one binary grid.query costs the server on an uncached grid:
 // decoding the request, answering it, and encoding the answer into a
 // reused buffer (queryV3's body, without the transport around it).
-var serverAllocBudgets = []float64{25, 62, 22, 21, 14, 13, 12, 10, 30}
+var serverAllocBudgets = []float64{9, 52, 13, 21, 35, 14, 13, 12, 10, 30}
+
+// servedAllocs is what one binary grid.query of q costs the server of g,
+// after a warming call.
+func servedAllocs(t *testing.T, g *Grid, q Query) float64 {
+	t.Helper()
+	serve := queryV3(g)
+	ctx := context.Background()
+	body := appendWireQuery(nil, q)
+	var out []byte
+	call := func() {
+		b, err := serve(ctx, body, out[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = b
+	}
+	call()
+	return testing.AllocsPerRun(200, call)
+}
+
+// TestMediatedQueryScaling pins what each producer servlet a mediated
+// R-GMA query reaches adds to the served query: one plan and one result
+// serve every servlet, so a grid of 16 hosts costs little more than one
+// of 3 (0.46, 0.46 and 2.46 per extra servlet; topK still allocates its
+// heap and output per servlet). Before that, each servlet compiled its
+// own plan and built its own result, and the extra servlet cost 11.85,
+// 7.85 and 10.85 allocations.
+func TestMediatedQueryScaling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops entries at random, so counts are not repeatable")
+	}
+	hosts := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("node%02d", i+1)
+		}
+		return out
+	}
+	grid := func(n int) *Grid {
+		g, err := New(WithHosts(hosts(n)...), WithRGMAProducers(3), fixedClock(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	small, large := grid(3), grid(16)
+	for _, shape := range []struct {
+		expr       string
+		perServlet float64
+	}{
+		{"SELECT host, value FROM siteinfo WHERE value >= 50", 2},
+		{"SELECT * FROM siteinfo", 1},
+		{"SELECT host, metric, value FROM siteinfo ORDER BY value DESC LIMIT 3", 4},
+	} {
+		q := Query{System: RGMA, Role: RoleInformationServer, Expr: shape.expr}
+		a3, a16 := servedAllocs(t, small, q), servedAllocs(t, large, q)
+		per := (a16 - a3) / 13
+		t.Logf("%-72s 3 hosts %4.0f, 16 hosts %4.0f: %5.2f allocs per extra servlet (budget %.0f)", shape.expr, a3, a16, per, shape.perServlet)
+		if per > shape.perServlet {
+			t.Errorf("%s: %.2f allocs per extra servlet, budget %.0f", shape.expr, per, shape.perServlet)
+		}
+	}
+}
 
 // TestServerQueryAllocBudget pins the server half of a remote query. A
 // Grid encodes its flat answer and builds no field map, so each cell
@@ -150,25 +231,14 @@ func TestServerQueryAllocBudget(t *testing.T) {
 		t.Fatalf("%d server budgets for %d cells", len(serverAllocBudgets), len(allocBudgetCells))
 	}
 	g := newTestGrid(t)
-	serve := queryV3(g)
 	ctx := context.Background()
-	var out []byte
 	for i, cell := range allocBudgetCells {
-		name := fmt.Sprintf("%s/%s", cell.q.System, cell.q.Role)
+		name := cellName(cell.q)
 		rs, err := g.Query(ctx, cell.q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		body := appendWireQuery(nil, cell.q)
-		call := func() {
-			b, terr := serve(ctx, body, out[:0])
-			if terr != nil {
-				t.Fatal(terr)
-			}
-			out = b
-		}
-		call()
-		served := testing.AllocsPerRun(200, call)
+		served := servedAllocs(t, g, cell.q)
 		inProcess := testing.AllocsPerRun(200, func() {
 			if _, err := g.Query(ctx, cell.q); err != nil {
 				t.Fatal(err)

@@ -217,13 +217,14 @@ func (t *DIT) Search(base DN, scope Scope, filter Filter) ([]*Entry, int) {
 // same Visited count; Info.IndexHits and Info.Scanned record which path
 // ran.
 func (t *DIT) SearchStats(base DN, scope Scope, filter Filter) (results []*Entry, info SearchInfo) {
-	baseEntry, ok := t.Get(base)
+	baseKey := base.Norm() // the one normalization of the search
+	baseEntry, ok := t.entries[baseKey]
 	if !ok && base.Depth() > 0 {
 		return nil, SearchInfo{}
 	}
 	if scope == ScopeSub && filter != nil {
 		if plan, _, planned := t.planFilter(filter); planned {
-			return t.searchIndexed(base, plan, filter)
+			return t.searchIndexed(baseKey, plan, filter)
 		}
 	}
 	info.Scanned = true
@@ -258,7 +259,7 @@ func (t *DIT) SearchStats(base DN, scope Scope, filter Filter) (results []*Entry
 				rec(c)
 			}
 		} else {
-			rec(base.Norm())
+			rec(baseKey)
 		}
 	}
 	return results, info

@@ -19,11 +19,6 @@ type RDN struct {
 // String renders the RDN as attr=value.
 func (r RDN) String() string { return r.Attr + "=" + r.Value }
 
-// norm returns the case-normalized comparison form.
-func (r RDN) norm() string {
-	return strings.ToLower(r.Attr) + "=" + strings.ToLower(strings.TrimSpace(r.Value))
-}
-
 // DN is a distinguished name: RDNs ordered leaf-first, as in
 // "Mds-Host-hn=lucky7, Mds-Vo-name=local, o=grid".
 type DN []RDN
@@ -104,13 +99,42 @@ func (d DN) rendersAs(s string) bool {
 	return s == ""
 }
 
-// Norm returns the case-normalized comparison key for the DN.
+// Norm returns the case-normalized comparison key for the DN: each RDN
+// as attr=value, lower-cased with the value trimmed, joined by commas.
+// An ASCII DN — every MDS DN — is folded as it is written, in one
+// allocation; any other is lowered whole, which strings.ToLower does
+// rune by rune, as lowering each part would.
 func (d DN) Norm() string {
-	parts := make([]string, len(d))
+	var b strings.Builder
+	b.Grow(d.stringLen()) // enough: "," joins where ", " does, and values are trimmed
+	ascii := true
 	for i, r := range d {
-		parts[i] = r.norm()
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		ascii = writeLowerASCII(&b, r.Attr) && ascii
+		b.WriteByte('=')
+		ascii = writeLowerASCII(&b, strings.TrimSpace(r.Value)) && ascii
 	}
-	return strings.Join(parts, ",")
+	if !ascii {
+		return strings.ToLower(b.String())
+	}
+	return b.String()
+}
+
+// writeLowerASCII writes s to b with its ASCII letters lower-cased and
+// reports whether s is all ASCII.
+func writeLowerASCII(b *strings.Builder, s string) bool {
+	ascii := true
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		ascii = ascii && c < 0x80
+		b.WriteByte(c)
+	}
+	return ascii
 }
 
 // Parent returns the DN with the leaf RDN removed; the parent of a

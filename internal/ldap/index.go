@@ -379,16 +379,13 @@ func (t *DIT) planFilter(f Filter) (plan filterPlan, owned, ok bool) {
 // searchIndexed answers a ScopeSub search from a candidate plan: restrict
 // to the base subtree, verify against the full filter when the plan is
 // inexact, and order by global DFS position.
-func (t *DIT) searchIndexed(base DN, plan filterPlan, filter Filter) ([]*Entry, SearchInfo) {
+func (t *DIT) searchIndexed(baseKey string, plan filterPlan, filter Filter) ([]*Entry, SearchInfo) {
 	info := SearchInfo{IndexHits: plan.bits.count()}
-	baseKey := base.Norm()
 	info.Visited = t.counts[baseKey]
 	ids := make([]int, 0, info.IndexHits)
 	plan.bits.forEach(func(id int) {
-		if baseKey != "" {
-			if k := t.keyByID[id]; k != baseKey && !strings.HasSuffix(k, ","+baseKey) {
-				return
-			}
+		if baseKey != "" && !inSubtree(t.keyByID[id], baseKey) {
+			return
 		}
 		if !plan.exact && !filter.Matches(t.byID[id]) {
 			return
@@ -402,6 +399,16 @@ func (t *DIT) searchIndexed(base DN, plan filterPlan, filter Filter) ([]*Entry, 
 		results[i] = t.byID[id]
 	}
 	return results, info
+}
+
+// inSubtree reports whether the entry keyed k is the one keyed baseKey
+// or lies under it: k is baseKey or ends in ","+baseKey.
+func inSubtree(k, baseKey string) bool {
+	if len(k) == len(baseKey) {
+		return k == baseKey
+	}
+	cut := len(k) - len(baseKey) - 1
+	return cut >= 0 && k[cut] == ',' && k[cut+1:] == baseKey
 }
 
 // sortIDsByOrdinal orders entry ids by DFS position. Ordinals are unique

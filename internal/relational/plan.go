@@ -3,6 +3,7 @@ package relational
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -26,6 +27,11 @@ func errBadOperator(op string) error {
 //     the index would skip.
 //  3. Top-k selection: ORDER BY + LIMIT keeps a bounded heap instead of
 //     sorting every matched row.
+//
+// A plan runs in one of two places: over a DB table (DB.Exec caches it by
+// statement source), or over row sets held outside any table (RowsQuery,
+// the R-GMA servlets' path), where one plan and one Result serve every
+// set a query runs over.
 //
 // Work accounting: Result.Scanned always reports the logical scan cost
 // (the rows a scan-based executor examines — the quantity the testbed
@@ -280,7 +286,7 @@ func eqLookupFor(ci int, colType ColType, lit Value) (eqLookup, bool) {
 // hash index: yes when the index already exists (built explicitly or by
 // an earlier probe), or on the second equality probe of the column —
 // building an O(rows) index for a table queried exactly once would cost
-// more than the compiled scan it replaces (SelectRows' rows are queried
+// more than the compiled scan it replaces (a RowsQuery's sets are queried
 // exactly once, so it never asks). Provably-empty lookups are free and
 // always taken. Probe counting mutates on the read path, so it runs
 // under idxMu — concurrent read-locked SELECTs (the grid facade's
@@ -336,7 +342,7 @@ func (db *DB) planSelect(s SelectStmt) (*selectPlan, error) {
 }
 
 // newSelectPlan resolves s against t. It returns the plan by value, so a
-// plan run once (SelectRows) stays on the stack.
+// RowsQuery holds its plan without a separate allocation.
 func newSelectPlan(t *Table, s SelectStmt) (selectPlan, error) {
 	colIdx, colNames, err := projectionPlan(t, s)
 	if err != nil {
@@ -356,36 +362,59 @@ func newSelectPlan(t *Table, s SelectStmt) (selectPlan, error) {
 	return p, nil
 }
 
-// match evaluates the FROM/WHERE part of the planned SELECT, choosing
-// between the index probe, the compiled scan, and the legacy Eval scan.
-// The returned matched rows are in row order on every path. scanned and
-// indexHits carry the work accounting described at the top of the file.
-func (p *selectPlan) match(s SelectStmt) (matched [][]Value, scanned, indexHits int, indexed bool, err error) {
+// selectRows matches, orders and limits the table's rows: the source rows
+// the SELECT answers with. Matches are appended to buf, which comes back
+// grown; st carries the work accounting described at the top of the file.
+func (p *selectPlan) selectRows(s SelectStmt, buf [][]Value) (rows, grown [][]Value, st RowsStats, err error) {
+	rows, grown, st, err = p.match(s, buf)
+	if err != nil {
+		return nil, grown, st, err
+	}
+	if s.OrderBy != "" {
+		if p.oi < 0 {
+			return nil, grown, st, fmt.Errorf("relational: no column %q in %q", s.OrderBy, s.Table)
+		}
+		rows = orderRows(rows, p.oi, s.Desc, s.Limit)
+	}
+	if s.Limit > 0 && len(rows) > s.Limit {
+		rows = rows[:s.Limit]
+	}
+	return rows, grown, st, nil
+}
+
+// match is selectRows' FROM/WHERE part, choosing between the index probe,
+// the compiled scan, and the legacy Eval scan. The matched rows are in row
+// order on every path (and may be the table's own rows, only read).
+func (p *selectPlan) match(s SelectStmt, buf [][]Value) (matched, grown [][]Value, st RowsStats, err error) {
 	t := p.table
+	st.Scanned = len(t.rows)
 	where := s.Where
 	if where == nil {
 		if s.OrderBy == "" {
-			return t.rows, len(t.rows), 0, false, nil // exec only reads it
+			return t.rows, buf, st, nil // the projection only reads it
 		}
 		// Copy: ORDER BY reorders the matched slice.
-		return append([][]Value(nil), t.rows...), len(t.rows), 0, false, nil
+		matched = append(buf[:0], t.rows...)
+		return matched, matched, st, nil
 	}
+	matched = buf[:0]
 	if p.safe && p.lkOK && t.wantIndex(p.lk) {
 		var cand []int
 		if !p.lk.impossible {
 			cand = t.lookupIndex(p.lk.ci, p.lk.key)
 		}
+		st.IndexHits, st.Indexed = len(cand), true
 		for _, rn := range cand {
 			row := t.rows[rn]
 			keep, err := p.pred(row)
 			if err != nil {
-				return nil, len(t.rows), len(cand), true, err
+				return nil, matched, st, err
 			}
 			if keep {
 				matched = append(matched, row)
 			}
 		}
-		return matched, len(t.rows), len(cand), true, nil
+		return matched, matched, st, nil
 	}
 	for i, row := range t.rows {
 		var keep bool
@@ -396,95 +425,210 @@ func (p *selectPlan) match(s SelectStmt) (matched [][]Value, scanned, indexHits 
 			keep, err = where.Eval(&t.Schema, row)
 		}
 		if err != nil {
-			return nil, len(t.rows), 0, false, err
+			return nil, matched, st, err
 		}
 		if keep {
-			if matched == nil {
+			if cap(matched) == 0 {
 				// No more rows can match than are left to scan.
 				matched = make([][]Value, 0, len(t.rows)-i)
 			}
 			matched = append(matched, row)
 		}
 	}
-	return matched, len(t.rows), 0, false, nil
+	return matched, matched, st, nil
 }
 
 // exec runs the planned SELECT.
 func (p *selectPlan) exec(s SelectStmt) (*Result, error) {
-	res := &Result{Columns: p.colNames}
-	matched, scanned, indexHits, indexed, err := p.match(s)
+	rows, _, st, err := p.selectRows(s, nil)
 	if err != nil {
 		return nil, err
 	}
-	res.Scanned = scanned
-	res.IndexHits = indexHits
-	res.Indexed = indexed
-	if s.OrderBy != "" {
-		if p.oi < 0 {
-			return nil, fmt.Errorf("relational: no column %q in %q", s.OrderBy, s.Table)
-		}
-		matched = orderRows(matched, p.oi, s.Desc, s.Limit)
-	}
-	if s.Limit > 0 && len(matched) > s.Limit {
-		matched = matched[:s.Limit]
-	}
-	// Every projected row is cut from one backing array; the full-slice
-	// expression caps each row, so appending to one cannot overwrite the
-	// next.
-	w := len(p.colIdx)
-	vals := make([]Value, len(matched)*w)
-	res.Rows = make([][]Value, len(matched))
-	for r, row := range matched {
-		out := vals[r*w : (r+1)*w : (r+1)*w]
-		for i, ci := range p.colIdx {
-			out[i] = row[ci]
-		}
-		res.Rows[r] = out
-	}
+	res := &Result{Columns: p.colNames, Rows: make([][]Value, 0, len(rows)),
+		Scanned: st.Scanned, IndexHits: st.IndexHits, Indexed: st.Indexed}
+	p.project(res, make([]Value, 0, len(rows)*len(p.colIdx)), rows...)
 	return res, nil
 }
 
-// SelectRows runs a parsed SELECT over rows held outside any table — an
-// R-GMA ProducerServlet answering from its producers' rows — with the
-// result, Work accounting and errors of inserting rows into a fresh
-// table name(cols) and querying it once, but without building that
-// table. A row whose values already have their column's types is
-// borrowed as it is (exec copies the projected values out, so no result
-// aliases a row); only a mistyped row is copied and coerced, and a row
-// Insert would refuse fails with Insert's error. rows itself is never
-// written. stored counts the rows accepted, all of them unless one was
-// refused: the materialization work a table would have cost.
-func SelectRows(s SelectStmt, name string, cols []Column, rows [][]Value) (res *Result, stored int, err error) {
-	t := &Table{Name: name, Schema: Schema{Columns: cols}, rows: rows}
-	copied := false
+// project appends the projection of rows to res.Rows, each row cut from
+// vals, and returns vals grown. The full-slice expression caps each row,
+// so appending to one cannot overwrite the next.
+func (p *selectPlan) project(res *Result, vals []Value, rows ...[]Value) []Value {
+	for _, row := range rows {
+		from := len(vals)
+		for _, ci := range p.colIdx {
+			vals = append(vals, row[ci])
+		}
+		res.Rows = append(res.Rows, vals[from:len(vals):len(vals)])
+	}
+	return vals
+}
+
+// answerBytes is the SizeBytes of the Result projecting rows builds,
+// counted rather than built.
+func (p *selectPlan) answerBytes(rows [][]Value) int {
+	n := 0
+	for _, c := range p.colNames {
+		n += len(c) + 1
+	}
+	for _, row := range rows {
+		for _, ci := range p.colIdx {
+			n += row[ci].SizeBytes() + 1
+		}
+		n++
+	}
+	return n
+}
+
+// RowsQuery runs one parsed SELECT over row sets held outside any table —
+// one per R-GMA ProducerServlet a query reaches — into one Result. Each
+// set is answered with the rows, Work accounting and errors of querying
+// it once as a fresh table name(cols), but no table is built: column-typed
+// rows are borrowed (projection copies values out, so no answer aliases
+// them), and a row Insert would refuse fails the set with Insert's error.
+// The plan is compiled at the first set that passes its row checks, and
+// again whenever a set's columns differ. Result orders and limits the
+// union of the sets' answers as one table of all their rows, in set
+// order, would, and projects it once. Its zero value with Select set is
+// ready for one query on one goroutine.
+type RowsQuery struct {
+	Select SelectStmt
+
+	t       Table // the set being run, over borrowed rows
+	plan    selectPlan
+	planned []Column  // the columns plan was compiled against
+	columns []string  // the result's: those the first set answered with
+	held    []heldRow // the sets' answered rows, in set order
+	sets    int       // the sets answered
+	// Scratch reused by every set: the sets' rows concatenated or
+	// coerced, and the matched rows.
+	rows, matched [][]Value
+}
+
+// heldRow is a set's answered source row and the plan that projects it.
+type heldRow struct {
+	row  []Value
+	plan *selectPlan
+}
+
+// RowsStats is what one set of a RowsQuery cost: the rows Stored (all
+// unless one was refused — what a table would have cost to fill), its
+// Result accounting, and the Rows it answered and their Bytes, the
+// SizeBytes of the set's own answer.
+type RowsStats struct {
+	Stored, Scanned, IndexHits int
+	Indexed                    bool
+	Rows, Bytes                int
+}
+
+// Run answers the query over one set: the rows of batches, concatenated,
+// as a table name with columns cols. After an error the query is spent.
+func (q *RowsQuery) Run(name string, cols []Column, batches [][][]Value) (RowsStats, error) {
+	t := &q.t
+	t.Name, t.Schema.Columns = name, cols
+	var rows [][]Value
+	owned := len(batches) > 1
+	if owned {
+		n := 0
+		for _, b := range batches {
+			n += len(b)
+		}
+		q.rows = slices.Grow(q.rows[:0], n)
+		for _, b := range batches {
+			q.rows = append(q.rows, b...)
+		}
+		rows = q.rows
+	} else if len(batches) == 1 {
+		rows = batches[0]
+	}
 	for i, row := range rows {
 		if err := t.checkWidth(row); err != nil {
-			return nil, i, err
+			return RowsStats{Stored: i}, err
 		}
 		if hasColumnTypes(cols, row) {
 			continue
 		}
 		cv, err := t.coerceRow(row)
 		if err != nil {
-			return nil, i, err
+			return RowsStats{Stored: i}, err
 		}
-		if !copied {
-			t.rows, copied = append([][]Value(nil), rows...), true
+		if !owned {
+			q.rows = append(q.rows[:0], rows...)
+			rows, owned = q.rows, true
 		}
-		t.rows[i] = cv
+		rows[i] = cv
 	}
-	p, err := newSelectPlan(t, s)
+	t.rows = rows
+	if q.planned == nil || !slices.Equal(q.planned, cols) {
+		p, err := newSelectPlan(t, q.Select)
+		if err != nil {
+			return RowsStats{Stored: len(rows)}, err
+		}
+		// A fresh table's first equality probe keeps the compiled scan
+		// (wantIndex); only a provably empty lookup takes the index path,
+		// and that one reads no index.
+		if !p.lk.impossible {
+			p.lkOK = false
+		}
+		if len(q.held) > 0 {
+			// The rows held so far keep the plan they were answered by.
+			old := q.plan
+			for i := range q.held {
+				if q.held[i].plan == &q.plan {
+					q.held[i].plan = &old
+				}
+			}
+		}
+		q.plan, q.planned = p, cols
+	}
+	out, grown, st, err := q.plan.selectRows(q.Select, q.matched)
+	q.matched = grown
+	st.Stored = len(rows)
 	if err != nil {
-		return nil, len(rows), err
+		return st, err
 	}
-	// A fresh table's first equality probe keeps the compiled scan
-	// (wantIndex); only a provably empty lookup takes the index path,
-	// and that one reads no index.
-	if !p.lk.impossible {
-		p.lkOK = false
+	st.Rows, st.Bytes = len(out), q.plan.answerBytes(out)
+	if q.sets == 0 {
+		q.columns = q.plan.colNames
 	}
-	res, err = p.exec(s)
-	return res, len(rows), err
+	q.sets++
+	q.held = slices.Grow(q.held, len(out))
+	for _, row := range out {
+		q.held = append(q.held, heldRow{row, &q.plan})
+	}
+	return st, nil
+}
+
+// Result returns the query's answer once its last set has run, nil when
+// no set answered; its columns are the first set's. One set is already
+// ordered; several are re-sorted stably, Compare errors ranking as equal
+// as in orderRows.
+func (q *RowsQuery) Result() *Result {
+	if q.sets == 0 {
+		return nil
+	}
+	held := q.held
+	if q.sets > 1 && q.Select.OrderBy != "" {
+		slices.SortStableFunc(held, func(a, b heldRow) int {
+			cmp, err := a.row[a.plan.oi].Compare(b.row[b.plan.oi])
+			if err != nil {
+				return 0
+			}
+			if q.Select.Desc {
+				return -cmp
+			}
+			return cmp
+		})
+	}
+	if q.Select.Limit > 0 && len(held) > q.Select.Limit {
+		held = held[:q.Select.Limit]
+	}
+	res := &Result{Columns: q.columns, Rows: make([][]Value, 0, len(held))}
+	vals := make([]Value, 0, len(held)*len(q.plan.colIdx)) // exact unless a recompile changed the width
+	for _, h := range held {
+		vals = h.plan.project(res, vals, h.row)
+	}
+	return res
 }
 
 // hasColumnTypes reports whether every value of row already has its

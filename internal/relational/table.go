@@ -55,8 +55,8 @@ type Table struct {
 	// eqProbes counts equality SELECTs per un-indexed column; the
 	// planner auto-builds an index only on the second probe, so a table
 	// queried once never pays an O(rows) index build for a single
-	// lookup (SelectRows, which queries rows exactly once, relies on
-	// this to skip the index altogether).
+	// lookup (RowsQuery, which queries each row set exactly once, relies
+	// on this to skip the index altogether).
 	eqProbes map[int]int
 }
 

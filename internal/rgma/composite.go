@@ -76,10 +76,10 @@ func (cp *CompositeProducer) refreshLocked(now float64) (int, QueryStats, error)
 	if err != nil {
 		return 0, st, err
 	}
-	var rows [][]relational.Value
 	seen := make(map[string]bool)
 	contacted := 0
-	all := relational.SelectStmt{Table: cp.Table} // SELECT * FROM <Table>
+	// SELECT * FROM <Table>, one plan and one result for every servlet.
+	q := relational.RowsQuery{Select: relational.SelectStmt{Table: cp.Table}}
 	for _, ad := range ads {
 		if ad.ProducerID == cp.ID {
 			continue // never aggregate ourselves
@@ -92,14 +92,17 @@ func (cp *CompositeProducer) refreshLocked(now float64) (int, QueryStats, error)
 		if err != nil {
 			return contacted, st, err
 		}
-		res, pStats, err := pserv.query(now, all, QueryStats{ThreadSpawns: 1})
+		pStats, err := pserv.query(now, &q, QueryStats{ThreadSpawns: 1})
 		contacted++
 		st.ProducersContacted++
 		st.Add(pStats)
 		if err != nil {
 			return contacted, st, err
 		}
-		rows = append(rows, res.Rows...)
+	}
+	var rows [][]relational.Value
+	if res := q.Result(); res != nil {
+		rows = res.Rows
 	}
 	cp.producer.Publish(rows)
 	cp.lastRefresh = now

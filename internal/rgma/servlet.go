@@ -3,7 +3,7 @@ package rgma
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/gma"
@@ -62,52 +62,48 @@ func (ps *ProducerServlet) Query(now float64, sql string) (*relational.Result, Q
 	if !ok {
 		return nil, st, fmt.Errorf("rgma: producer servlet accepts only SELECT, got %T", stmt)
 	}
-	return ps.query(now, sel, st)
+	q := relational.RowsQuery{Select: sel}
+	st, err = ps.query(now, &q, st)
+	if err != nil {
+		return nil, st, err
+	}
+	return q.Result(), st, nil
 }
 
-// query is Query's body for a parsed statement, accounting into st. The
-// union of the producers' rows is handed to the SELECT as it is, not
-// inserted into a table; Work still charges the paper's servlet for
-// materializing each row before it scans them.
-func (ps *ProducerServlet) query(now float64, sel relational.SelectStmt, st QueryStats) (*relational.Result, QueryStats, error) {
+// query runs q over the union of the hosted producers' rows for its
+// table — one set of q — accounting into st. The rows are handed to the
+// SELECT as they are, not inserted into a table; Work still charges the
+// paper's servlet for materializing each row before it scans them.
+func (ps *ProducerServlet) query(now float64, q *relational.RowsQuery, st QueryStats) (QueryStats, error) {
 	var first *Producer
 	var buf [8][][]relational.Value
-	batches, n := buf[:0], 0
+	batches := buf[:0]
 	for _, p := range ps.producers {
-		if !strings.EqualFold(p.Table, sel.Table) {
+		if !strings.EqualFold(p.Table, q.Select.Table) {
 			continue
 		}
 		if first == nil {
 			first = p
 		}
-		rows := p.Rows(now)
-		batches = append(batches, rows)
-		n += len(rows)
+		batches = append(batches, p.Rows(now))
 	}
 	if first == nil {
-		return nil, st, fmt.Errorf("rgma: no producer of table %q at %s", sel.Table, ps.Address)
-	}
-	rows := batches[0]
-	if len(batches) > 1 {
-		rows = make([][]relational.Value, 0, n)
-		for _, b := range batches {
-			rows = append(rows, b...)
-		}
+		return st, fmt.Errorf("rgma: no producer of table %q at %s", q.Select.Table, ps.Address)
 	}
 	// The first producer of the table names it and sets its columns.
-	res, stored, err := relational.SelectRows(sel, first.Table, first.Schema(), rows)
-	st.RowsScanned += stored // materialization work
+	set, err := q.Run(first.Table, first.Schema(), batches)
+	st.RowsScanned += set.Stored // materialization work
 	if err != nil {
-		return nil, st, err
+		return st, err
 	}
-	st.RowsScanned += res.Scanned
-	st.RowsReturned += len(res.Rows)
-	st.ResponseBytes += res.SizeBytes()
-	st.IndexHits += res.IndexHits
-	if !res.Indexed {
+	st.RowsScanned += set.Scanned
+	st.RowsReturned += set.Rows
+	st.ResponseBytes += set.Bytes
+	st.IndexHits += set.IndexHits
+	if !set.Indexed {
 		st.ScanFallbacks++
 	}
-	return res, st, nil
+	return st, nil
 }
 
 // ConsumerServlet mediates Consumer queries: it consults the Registry to
@@ -181,56 +177,30 @@ func (cs *ConsumerServlet) QueryCtx(ctx context.Context, now float64, sql string
 	if len(ads) == 0 {
 		return nil, st, fmt.Errorf("rgma: no producers of table %q registered", sel.Table)
 	}
-	seen := make(map[string]bool)
-	var merged *relational.Result
+	// One plan and one result serve every producer servlet; each still
+	// orders and limits its own rows, and Result orders and limits the
+	// union.
+	q := relational.RowsQuery{Select: sel}
+	var buf [16]string
+	seen := buf[:0] // a handful of servlets: a scan beats a map's growth
 	for _, ad := range ads {
 		if err := ctx.Err(); err != nil {
 			return nil, st, err
 		}
-		if seen[ad.Address] {
+		if slices.Contains(seen, ad.Address) {
 			continue
 		}
-		seen[ad.Address] = true
+		seen = append(seen, ad.Address)
 		pserv, err := cs.resolve(ad.Address)
 		if err != nil {
 			return nil, st, err
 		}
-		res, pStats, err := pserv.query(now, sel, QueryStats{ThreadSpawns: 1})
+		pStats, err := pserv.query(now, &q, QueryStats{ThreadSpawns: 1})
 		st.ProducersContacted++
 		st.Add(pStats)
 		if err != nil {
 			return nil, st, err
 		}
-		if merged == nil {
-			merged = &relational.Result{Columns: res.Columns}
-		}
-		merged.Rows = append(merged.Rows, res.Rows...)
 	}
-	// Re-apply ORDER BY and LIMIT across the merged rows: each producer
-	// servlet ordered and limited only its own slice.
-	if sel.OrderBy != "" && merged != nil {
-		oi := -1
-		for i, c := range merged.Columns {
-			if strings.EqualFold(c, sel.OrderBy) {
-				oi = i
-				break
-			}
-		}
-		if oi >= 0 {
-			sort.SliceStable(merged.Rows, func(i, j int) bool {
-				cmp, err := merged.Rows[i][oi].Compare(merged.Rows[j][oi])
-				if err != nil {
-					return false
-				}
-				if sel.Desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			})
-		}
-	}
-	if sel.Limit > 0 && merged != nil && len(merged.Rows) > sel.Limit {
-		merged.Rows = merged.Rows[:sel.Limit]
-	}
-	return merged, st, nil
+	return q.Result(), st, nil
 }
