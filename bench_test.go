@@ -241,19 +241,24 @@ func BenchmarkLDAPFilterSearch(b *testing.B) {
 }
 
 func BenchmarkSQLSelect(b *testing.B) {
-	db := relational.NewDB()
-	if _, err := db.Exec("CREATE TABLE siteinfo (host VARCHAR, metric VARCHAR, value REAL)"); err != nil {
-		b.Fatal(err)
-	}
+	t := relational.NewTable("siteinfo", []relational.Column{
+		{Name: "host", Type: relational.StringType},
+		{Name: "metric", Type: relational.StringType},
+		{Name: "value", Type: relational.RealType},
+	})
 	for i := 0; i < 500; i++ {
-		stmt := fmt.Sprintf("INSERT INTO siteinfo VALUES ('h%03d', 'cpu', %d.5)", i, i%100)
-		if _, err := db.Exec(stmt); err != nil {
+		row := []relational.Value{relational.StrVal(fmt.Sprintf("h%03d", i)), relational.StrVal("cpu"), relational.RealVal(float64(i%100) + 0.5)}
+		if err := t.Insert(row); err != nil {
 			b.Fatal(err)
 		}
 	}
+	sel, err := relational.Parse("SELECT host, value FROM siteinfo WHERE value >= 50 ORDER BY value DESC LIMIT 10")
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := db.Exec("SELECT host, value FROM siteinfo WHERE value >= 50 ORDER BY value DESC LIMIT 10")
+		res, err := relational.ScanSelect(t, sel)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -165,6 +165,35 @@ func TestSubsetSystems(t *testing.T) {
 	}
 }
 
+// TestRGMAProvablyEmptyWork pins the Work of a WHERE that matches no row
+// by its types alone: ts = 1.5 on the INT ts column is answered without
+// reading a row, so it counts no scan fallback (and no index hit: no
+// index serves it), while ts = 7.0, an integral real, is scanned and
+// counts one fallback per servlet.
+func TestRGMAProvablyEmptyWork(t *testing.T) {
+	grid := newTestGrid(t, WithSystems(RGMA))
+	for _, tc := range []struct {
+		host, expr string
+		fallbacks  int
+	}{
+		{"lucky3", "SELECT * FROM siteinfo WHERE ts = 1.5", 0},
+		{"lucky3", "SELECT * FROM siteinfo WHERE ts = 7.0 AND host = 'x'", 1},
+		{"", "SELECT * FROM siteinfo WHERE ts = 1.5", 0},
+		{"", "SELECT * FROM siteinfo WHERE ts = 7.0 AND host = 'x'", len(testHosts)},
+	} {
+		rs, err := grid.Query(context.Background(), Query{System: RGMA, Host: tc.host, Expr: tc.expr})
+		if err != nil {
+			t.Fatalf("%q on %q: %v", tc.expr, tc.host, err)
+		}
+		if rs.Len() != 0 || rs.Work.ScanFallbacks != tc.fallbacks {
+			t.Errorf("%q on %q: %d records, ScanFallbacks %d, want 0 and %d", tc.expr, tc.host, rs.Len(), rs.Work.ScanFallbacks, tc.fallbacks)
+		}
+		if tc.host != "" && rs.Work.IndexHits != 0 {
+			t.Errorf("%q on %q: IndexHits %d, want 0", tc.expr, tc.host, rs.Work.IndexHits)
+		}
+	}
+}
+
 // TestRemoteIntrospection: the remote client's discovery surface.
 func TestRemoteIntrospection(t *testing.T) {
 	remote := serveGrid(t, newTestGrid(t))

@@ -71,7 +71,6 @@ import (
 	"repro/internal/hawkeye"
 	"repro/internal/ldap"
 	"repro/internal/mds"
-	"repro/internal/relational"
 	"repro/internal/rgma"
 )
 
@@ -137,21 +136,6 @@ func ParseClassAdExpr(src string) (classad.Expr, error) { return classad.ParseEx
 
 // ParseLDAPFilter parses an RFC 1960 search filter.
 func ParseLDAPFilter(src string) (LDAPFilter, error) { return ldap.ParseFilter(src) }
-
-// SQL executes one statement against a fresh throwaway database — a
-// convenience for exploring the relational substrate.
-func SQL(statements ...string) (*relational.Result, error) {
-	db := relational.NewDB()
-	var last *relational.Result
-	for _, s := range statements {
-		res, err := db.Exec(s)
-		if err != nil {
-			return nil, err
-		}
-		last = res
-	}
-	return last, nil
-}
 
 // ExperimentNames lists the runnable experiment sets: the paper's four
 // plus the exp5 extension (the multi-layer aggregation architecture the

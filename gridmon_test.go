@@ -75,20 +75,6 @@ func TestGridHawkeyeQueryable(t *testing.T) {
 	}
 }
 
-func TestSQLConvenience(t *testing.T) {
-	res, err := SQL(
-		"CREATE TABLE t (x INT)",
-		"INSERT INTO t VALUES (7)",
-		"SELECT x FROM t",
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].I != 7 {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-}
-
 func TestComponentMappingExposed(t *testing.T) {
 	if ComponentMapping[RoleInformationServer][MDS] != "GRIS" {
 		t.Fatal("Table 1 not exposed correctly")

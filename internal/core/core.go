@@ -78,7 +78,8 @@ type Work struct {
 	// ResponseBytes is the response payload size.
 	ResponseBytes int
 	// IndexHits counts records fetched from an index fast path (LDAP
-	// attribute postings, SQL hash buckets, the Manager's name index)
+	// attribute postings, the Registry's table-name index, the Manager's
+	// name index)
 	// instead of a scan. RecordsVisited still reports the logical scan
 	// cost either way — IndexHits is how `gridmon-query -o json` shows
 	// whether the fast path ran, it does not change simulated CPU.

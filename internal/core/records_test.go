@@ -127,16 +127,12 @@ func randomEntries(rng *rand.Rand, n int) []*ldap.Entry {
 }
 
 func randomResult(rng *rand.Rand, rows int) *relational.Result {
-	db := relational.NewDB()
-	t, err := db.CreateTable("siteinfo", []relational.Column{
+	t := relational.NewTable("siteinfo", []relational.Column{
 		{Name: "host", Type: relational.StringType},
 		{Name: "metric", Type: relational.StringType},
 		{Name: "value", Type: relational.RealType},
 		{Name: "slot", Type: relational.IntType},
 	})
-	if err != nil {
-		panic(err)
-	}
 	reals := []float64{0, math.Copysign(0, -1), 42.5, 1e21, 1e-7, math.Inf(1), math.NaN(), -3}
 	for i := 0; i < rows; i++ {
 		row := []relational.Value{
@@ -156,7 +152,11 @@ func randomResult(rng *rand.Rand, rows int) *relational.Result {
 		"SELECT * FROM siteinfo WHERE host = 'h03' ORDER BY value LIMIT 3",
 		"SELECT slot FROM siteinfo WHERE host = 'nosuch'",
 	}
-	res, err := db.Exec(selects[rng.Intn(len(selects))])
+	sel, err := relational.Parse(selects[rng.Intn(len(selects))])
+	if err != nil {
+		panic(err)
+	}
+	res, err := relational.ScanSelect(t, sel)
 	if err != nil {
 		panic(err)
 	}

@@ -13,30 +13,23 @@ func errBadOperator(op string) error {
 	return fmt.Errorf("relational: bad operator %q", op)
 }
 
-// This file is the SELECT planner. Three independent optimizations over
-// the naive evaluate-everything executor in db.go:
+// This file is the SELECT planner. Two optimizations over the naive
+// evaluate-every-row executor (ScanSelect):
 //
 //  1. Predicate compilation: column references are resolved to positions
 //     once per statement instead of once per row per operand (ColIndex is
 //     a linear scan over the schema — the dominant per-row cost).
-//  2. Hash-index equality: a top-level `col = literal` conjunct is served
-//     from the table's hash index (auto-built on first use), and only the
-//     candidate rows are evaluated. This is taken only when the planner
-//     can prove the WHERE tree cannot raise a type error on any row
-//     (typeSafe), because the scan path surfaces such errors from rows
-//     the index would skip.
-//  3. Top-k selection: ORDER BY + LIMIT keeps a bounded heap instead of
+//  2. Top-k selection: ORDER BY + LIMIT keeps a bounded heap instead of
 //     sorting every matched row.
 //
-// A plan runs in one of two places: over a DB table (DB.Exec caches it by
-// statement source), or over row sets held outside any table (RowsQuery,
-// the R-GMA servlets' path), where one plan and one Result serve every
-// set a query runs over.
+// A plan runs over row sets held outside any table (RowsQuery, the R-GMA
+// servlets' path), where one plan and one Result serve every set a query
+// runs over.
 //
-// Work accounting: Result.Scanned always reports the logical scan cost
-// (the rows a scan-based executor examines — the quantity the testbed
-// charges CPU for), identical on both paths; Result.IndexHits reports
-// the candidate rows actually fetched when the index path ran. The
+// Work accounting: RowsStats.Scanned always reports the logical scan
+// cost (the rows the naive executor examines — the quantity the testbed
+// charges CPU for), even when no row is read; Indexed marks a WHERE the
+// plan proves empty without reading a row (provablyEmpty). The
 // differential tests in plan_test.go hold the planner to byte-identical
 // results with the naive executor.
 
@@ -197,151 +190,101 @@ func typeSafe(s *Schema, e BoolExpr) bool {
 }
 
 // maxExactInt bounds the integers exactly representable as float64;
-// beyond it Compare's numeric equality and the index's string keys can
-// disagree, so the planner refuses such literals.
+// beyond it Compare's numeric equality and an index's string keys can
+// disagree, so findEqLookup passes over such literals.
 const maxExactInt = int64(1) << 53
 
-// eqLookup describes an indexable equality conjunct: probe the hash
-// index of column ci with key. impossible marks a provably empty match
-// set (e.g. a non-integral real literal against an INT column).
-type eqLookup struct {
-	ci         int
-	key        string
-	impossible bool
-}
-
 // findEqLookup walks the top-level AND chain of e for the first
-// `col = literal` (or `literal = col`) conjunct the hash index can serve
-// exactly-or-superset: candidate rows must cover every row Compare
-// considers equal, which holds for string columns (the index key is a
-// case-folded superset) and for numeric columns when the literal is
-// within float64-exact range.
-func findEqLookup(s *Schema, e BoolExpr) (eqLookup, bool) {
+// `col = literal` (or `literal = col`) conjunct a hash index on col could
+// serve exactly-or-superset — a string column with a string literal, or
+// a numeric column with a literal within float64-exact range — and
+// reports whether that conjunct is impossible: a non-integral real
+// against an INT column, which matches no row. The first such conjunct
+// alone decides, as it would for a planner probing an index on it: the
+// accounting is the index model's, whatever the engine executes.
+func findEqLookup(s *Schema, e BoolExpr) (impossible, ok bool) {
 	switch e := e.(type) {
 	case andExpr:
-		if lk, ok := findEqLookup(s, e.l); ok {
-			return lk, ok
+		if impossible, ok := findEqLookup(s, e.l); ok {
+			return impossible, ok
 		}
 		return findEqLookup(s, e.r)
 	case cmpExpr:
 		if e.op != "=" {
-			return eqLookup{}, false
+			return false, false
 		}
 		col, lit := e.left, e.right
 		if !col.isCol {
 			col, lit = lit, col
 		}
 		if !col.isCol || lit.isCol {
-			return eqLookup{}, false
+			return false, false
 		}
 		ci := s.ColIndex(col.col)
 		if ci < 0 {
-			return eqLookup{}, false
+			return false, false
 		}
-		return eqLookupFor(ci, s.Columns[ci].Type, lit.val)
+		return eqLookupFor(s.Columns[ci].Type, lit.val)
 	}
-	return eqLookup{}, false
+	return false, false
 }
 
-func eqLookupFor(ci int, colType ColType, lit Value) (eqLookup, bool) {
+func eqLookupFor(colType ColType, lit Value) (impossible, ok bool) {
+	exact := func(i int64) bool { return -maxExactInt < i && i < maxExactInt }
 	switch colType {
 	case StringType:
-		if lit.Type != StringType {
-			return eqLookup{}, false
-		}
-		return eqLookup{ci: ci, key: indexKey(lit)}, true
+		return false, lit.Type == StringType
 	case IntType:
 		switch lit.Type {
 		case IntType:
-			if lit.I <= -maxExactInt || lit.I >= maxExactInt {
-				return eqLookup{}, false
-			}
-			return eqLookup{ci: ci, key: indexKey(lit)}, true
+			return false, exact(lit.I)
 		case RealType:
 			i := int64(lit.R)
 			if float64(i) != lit.R {
-				// Non-integral real against an INT column matches no row.
-				return eqLookup{ci: ci, impossible: true}, true
+				return true, true
 			}
-			if i <= -maxExactInt || i >= maxExactInt {
-				return eqLookup{}, false
-			}
-			return eqLookup{ci: ci, key: indexKey(IntVal(i))}, true
+			return false, exact(i)
 		}
 	case RealType:
 		switch lit.Type {
 		case RealType:
-			return eqLookup{ci: ci, key: indexKey(lit)}, true
+			return false, true
 		case IntType:
-			if lit.I <= -maxExactInt || lit.I >= maxExactInt {
-				return eqLookup{}, false
-			}
-			return eqLookup{ci: ci, key: indexKey(RealVal(float64(lit.I)))}, true
+			return false, exact(lit.I)
 		}
 	}
-	return eqLookup{}, false
+	return false, false
 }
 
-// wantIndex decides whether an equality conjunct should go through the
-// hash index: yes when the index already exists (built explicitly or by
-// an earlier probe), or on the second equality probe of the column —
-// building an O(rows) index for a table queried exactly once would cost
-// more than the compiled scan it replaces (a RowsQuery's sets are queried
-// exactly once, so it never asks). Provably-empty lookups are free and
-// always taken. Probe counting mutates on the read path, so it runs
-// under idxMu — concurrent read-locked SELECTs (the grid facade's
-// parallel query path) race here.
-func (t *Table) wantIndex(lk eqLookup) bool {
-	if lk.impossible {
-		return true
+// provablyEmpty reports whether where matches no row, decided without
+// reading one: no comparison in it can raise a type error (typeSafe —
+// otherwise the scan would surface that error from some row), and its
+// first indexable equality conjunct is impossible (findEqLookup).
+func provablyEmpty(s *Schema, where BoolExpr) bool {
+	if !typeSafe(s, where) {
+		return false
 	}
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
-	if _, ok := t.index[lk.ci]; ok {
-		return true
-	}
-	if t.eqProbes == nil {
-		t.eqProbes = make(map[int]int)
-	}
-	t.eqProbes[lk.ci]++
-	return t.eqProbes[lk.ci] >= 2
+	impossible, ok := findEqLookup(s, where)
+	return ok && impossible
 }
 
 // selectPlan is a SELECT fully resolved against its table: projection
-// positions, the compiled predicate, the equality-index analysis, and
-// the ORDER BY position. DB.Exec caches plans by statement source (the
-// monitoring pattern re-issues the same query every few seconds), so
-// the tree walks and closure allocations happen once; the plan is
-// invalidated when the table identity changes (DROP + CREATE).
+// positions, the compiled predicate, whether it is provably empty, and
+// the ORDER BY position.
 type selectPlan struct {
 	table    *Table
 	colIdx   []int
 	colNames []string
 	pred     compiledPred
 	compiled bool // pred is usable (all columns resolved)
-	safe     bool // typeSafe: skipping rows cannot hide an error
-	lk       eqLookup
-	lkOK     bool
-	oi       int // ORDER BY column position; -1 when absent or unknown
+	empty    bool // provablyEmpty: no row need be read
+	oi       int  // ORDER BY column position; -1 when absent or unknown
 }
 
-// planSelect resolves s against the database. Projection errors surface
-// here (as the naive executor surfaces them before scanning); an
-// unknown ORDER BY column is recorded and surfaces only after matching,
-// again matching the naive executor's error order.
-func (db *DB) planSelect(s SelectStmt) (*selectPlan, error) {
-	t, ok := db.Table(s.Table)
-	if !ok {
-		return nil, fmt.Errorf("relational: no table %q", s.Table)
-	}
-	p, err := newSelectPlan(t, s)
-	if err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
-
-// newSelectPlan resolves s against t. It returns the plan by value, so a
+// newSelectPlan resolves s against t. Projection errors surface here (as
+// the naive executor surfaces them before scanning); an unknown ORDER BY
+// column is recorded and surfaces only after matching, again matching
+// the naive executor's error order. It returns the plan by value, so a
 // RowsQuery holds its plan without a separate allocation.
 func newSelectPlan(t *Table, s SelectStmt) (selectPlan, error) {
 	colIdx, colNames, err := projectionPlan(t, s)
@@ -351,15 +294,34 @@ func newSelectPlan(t *Table, s SelectStmt) (selectPlan, error) {
 	p := selectPlan{table: t, colIdx: colIdx, colNames: colNames, oi: -1}
 	if s.Where != nil {
 		p.pred, p.compiled = compileBool(&t.Schema, s.Where)
-		if p.compiled && typeSafe(&t.Schema, s.Where) {
-			p.safe = true
-			p.lk, p.lkOK = findEqLookup(&t.Schema, s.Where)
-		}
+		p.empty = provablyEmpty(&t.Schema, s.Where)
 	}
 	if s.OrderBy != "" {
 		p.oi = t.Schema.ColIndex(s.OrderBy)
 	}
 	return p, nil
+}
+
+// projectionPlan resolves the SELECT column list against the table.
+func projectionPlan(t *Table, s SelectStmt) (colIdx []int, colNames []string, err error) {
+	if len(s.Columns) == 0 {
+		colIdx = make([]int, len(t.Schema.Columns))
+		for i := range colIdx {
+			colIdx[i] = i
+		}
+		return colIdx, t.Schema.Names(), nil
+	}
+	colIdx = make([]int, 0, len(s.Columns))
+	colNames = make([]string, 0, len(s.Columns))
+	for _, cn := range s.Columns {
+		ci := t.Schema.ColIndex(cn)
+		if ci < 0 {
+			return nil, nil, fmt.Errorf("relational: no column %q in %q", cn, s.Table)
+		}
+		colIdx = append(colIdx, ci)
+		colNames = append(colNames, t.Schema.Columns[ci].Name)
+	}
+	return colIdx, colNames, nil
 }
 
 // selectRows matches, orders and limits the table's rows: the source rows
@@ -382,9 +344,10 @@ func (p *selectPlan) selectRows(s SelectStmt, buf [][]Value) (rows, grown [][]Va
 	return rows, grown, st, nil
 }
 
-// match is selectRows' FROM/WHERE part, choosing between the index probe,
-// the compiled scan, and the legacy Eval scan. The matched rows are in row
-// order on every path (and may be the table's own rows, only read).
+// match is selectRows' FROM/WHERE part: no row for a provably empty
+// WHERE, else the compiled scan, or the Eval scan when a column did not
+// resolve. The matched rows are in row order (and may be the table's own
+// rows, only read).
 func (p *selectPlan) match(s SelectStmt, buf [][]Value) (matched, grown [][]Value, st RowsStats, err error) {
 	t := p.table
 	st.Scanned = len(t.rows)
@@ -398,22 +361,8 @@ func (p *selectPlan) match(s SelectStmt, buf [][]Value) (matched, grown [][]Valu
 		return matched, matched, st, nil
 	}
 	matched = buf[:0]
-	if p.safe && p.lkOK && t.wantIndex(p.lk) {
-		var cand []int
-		if !p.lk.impossible {
-			cand = t.lookupIndex(p.lk.ci, p.lk.key)
-		}
-		st.IndexHits, st.Indexed = len(cand), true
-		for _, rn := range cand {
-			row := t.rows[rn]
-			keep, err := p.pred(row)
-			if err != nil {
-				return nil, matched, st, err
-			}
-			if keep {
-				matched = append(matched, row)
-			}
-		}
+	if p.empty {
+		st.Indexed = true
 		return matched, matched, st, nil
 	}
 	for i, row := range t.rows {
@@ -436,18 +385,6 @@ func (p *selectPlan) match(s SelectStmt, buf [][]Value) (matched, grown [][]Valu
 		}
 	}
 	return matched, matched, st, nil
-}
-
-// exec runs the planned SELECT.
-func (p *selectPlan) exec(s SelectStmt) (*Result, error) {
-	rows, _, st, err := p.selectRows(s, nil)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Columns: p.colNames, Rows: make([][]Value, 0, len(rows)),
-		Scanned: st.Scanned, IndexHits: st.IndexHits, Indexed: st.Indexed}
-	p.project(res, make([]Value, 0, len(rows)*len(p.colIdx)), rows...)
-	return res, nil
 }
 
 // project appends the projection of rows to res.Rows, each row cut from
@@ -478,6 +415,25 @@ func (p *selectPlan) answerBytes(rows [][]Value) int {
 		n++
 	}
 	return n
+}
+
+// Result is a SELECT's answer. Scanned and Indexed are the naive
+// executor's accounting (ScanSelect); a RowsQuery reports its accounting
+// per set, in RowsStats, and leaves them zero.
+type Result struct {
+	Columns []string
+	Rows    [][]Value
+	Scanned int
+	Indexed bool
+}
+
+// SizeBytes estimates the result's wire size.
+func (r *Result) SizeBytes() int {
+	n := 0
+	for _, c := range r.Columns {
+		n += len(c) + 1
+	}
+	return n + SizeBytes(r.Rows)
 }
 
 // RowsQuery runs one parsed SELECT over row sets held outside any table —
@@ -512,13 +468,14 @@ type heldRow struct {
 }
 
 // RowsStats is what one set of a RowsQuery cost: the rows Stored (all
-// unless one was refused — what a table would have cost to fill), its
-// Result accounting, and the Rows it answered and their Bytes, the
-// SizeBytes of the set's own answer.
+// unless one was refused — what a table would have cost to fill), the
+// Scanned and Indexed accounting described at the top of the file, and
+// the Rows it answered and their Bytes, the SizeBytes of the set's own
+// answer.
 type RowsStats struct {
-	Stored, Scanned, IndexHits int
-	Indexed                    bool
-	Rows, Bytes                int
+	Stored, Scanned int
+	Indexed         bool
+	Rows, Bytes     int
 }
 
 // Run answers the query over one set: the rows of batches, concatenated,
@@ -563,12 +520,6 @@ func (q *RowsQuery) Run(name string, cols []Column, batches [][][]Value) (RowsSt
 		p, err := newSelectPlan(t, q.Select)
 		if err != nil {
 			return RowsStats{Stored: len(rows)}, err
-		}
-		// A fresh table's first equality probe keeps the compiled scan
-		// (wantIndex); only a provably empty lookup takes the index path,
-		// and that one reads no index.
-		if !p.lk.impossible {
-			p.lkOK = false
 		}
 		if len(q.held) > 0 {
 			// The rows held so far keep the plan they were answered by.

@@ -4,34 +4,35 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // randomTable populates a host/metric/value table with collisions in
 // every column so equality predicates hit multi-row buckets.
-func randomTable(rng *rand.Rand, db *DB, rows int) *Table {
-	t, err := db.CreateTable("siteinfo", []Column{
+func randomTable(rng *rand.Rand, rows int) *Table {
+	t := NewTable("siteinfo", []Column{
 		{Name: "host", Type: StringType},
 		{Name: "metric", Type: StringType},
 		{Name: "value", Type: RealType},
 		{Name: "slot", Type: IntType},
 	})
-	if err != nil {
-		panic(err)
-	}
 	for i := 0; i < rows; i++ {
-		row := []Value{
-			StrVal(fmt.Sprintf("h%02d", rng.Intn(12))),
-			StrVal([]string{"cpu", "mem", "disk", "Net"}[rng.Intn(4)]),
-			RealVal(float64(rng.Intn(200)) / 2),
-			IntVal(int64(rng.Intn(8))),
-		}
-		if err := t.Insert(row); err != nil {
+		if err := t.Insert(randomRow(rng)); err != nil {
 			panic(err)
 		}
 	}
 	return t
+}
+
+func randomRow(rng *rand.Rand) []Value {
+	return []Value{
+		StrVal(fmt.Sprintf("h%02d", rng.Intn(12))),
+		StrVal([]string{"cpu", "mem", "disk", "Net"}[rng.Intn(4)]),
+		RealVal(float64(rng.Intn(200)) / 2),
+		IntVal(int64(rng.Intn(8))),
+	}
 }
 
 // selectCorpus mixes planner-friendly statements (equality conjuncts,
@@ -88,15 +89,14 @@ func resultString(r *Result) string {
 	return s
 }
 
-func assertSameSelect(t *testing.T, db *DB, src string) {
+func assertSameSelect(t *testing.T, tbl *Table, src string) {
 	t.Helper()
-	st, err := Parse(src)
+	sel, err := Parse(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	sel := st.(SelectStmt)
-	got, gotErr := db.runSelect(sel)
-	want, wantErr := db.runSelectScan(sel)
+	got, gotErr := rowsSelect(tbl, src)
+	want, wantErr := ScanSelect(tbl, sel)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("%q: planner err %v, oracle err %v", src, gotErr, wantErr)
 	}
@@ -111,87 +111,88 @@ func assertSameSelect(t *testing.T, db *DB, src string) {
 	}
 }
 
-// TestSelectDifferential holds the planner to byte-identical results —
-// rows, order, Scanned accounting, and error text — with the naive
-// executor over randomized tables and the whole statement corpus.
+// TestSelectDifferential holds the planner (RowsQuery) to byte-identical
+// results — rows, order, Scanned accounting, and error text — with the
+// naive executor over randomized tables and the whole statement corpus.
 func TestSelectDifferential(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		db := NewDB()
-		randomTable(rng, db, 150)
+		tbl := randomTable(rand.New(rand.NewSource(seed)), 150)
 		for _, src := range selectCorpus {
-			assertSameSelect(t, db, src)
+			assertSameSelect(t, tbl, src)
 		}
 	}
 }
 
-// TestSelectDifferentialAfterChurn interleaves INSERT/UPDATE/DELETE with
-// the differential corpus so stale hash-index postings cannot hide: the
-// planner auto-builds indexes, then the writes must keep them exact.
+// TestSelectDifferentialAfterChurn interleaves Insert and DeleteWhere
+// with the differential corpus, and holds an explicit hash index to the
+// scan after every round: Insert extends its postings and DeleteWhere
+// rebuilds them, so a stale posting cannot hide.
 func TestSelectDifferentialAfterChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	db := NewDB()
-	randomTable(rng, db, 120)
-	if _, err := db.Exec("INSERT INTO siteinfo VALUES ('hz', 'cpu', -0.0, 0)"); err != nil {
+	tbl := randomTable(rng, 120)
+	if err := tbl.CreateIndex("host"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Insert([]Value{StrVal("hz"), StrVal("cpu"), RealVal(math.Copysign(0, -1)), IntVal(0)}); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 15; round++ {
-		var stmt string
-		switch rng.Intn(3) {
-		case 0:
-			stmt = fmt.Sprintf("INSERT INTO siteinfo VALUES ('h%02d', 'cpu', %d.5, %d)",
-				rng.Intn(12), rng.Intn(100), rng.Intn(8))
-		case 1:
-			stmt = fmt.Sprintf("UPDATE siteinfo SET host = 'h%02d' WHERE slot = %d",
-				rng.Intn(12), rng.Intn(8))
-		case 2:
-			stmt = fmt.Sprintf("DELETE FROM siteinfo WHERE host = 'h%02d' AND value >= %d",
-				rng.Intn(12), 50+rng.Intn(50))
-		}
-		if _, err := db.Exec(stmt); err != nil {
-			t.Fatalf("%q: %v", stmt, err)
+		if rng.Intn(2) == 0 {
+			if err := tbl.Insert(randomRow(rng)); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			host, min := fmt.Sprintf("h%02d", rng.Intn(12)), float64(50+rng.Intn(50))
+			tbl.DeleteWhere(func(row []Value) bool { return row[0].S == host && row[2].R >= min })
 		}
 		for _, src := range selectCorpus {
-			assertSameSelect(t, db, src)
+			assertSameSelect(t, tbl, src)
+		}
+		for _, host := range []string{"h00", "h03", "h11", "hz", "nosuch"} {
+			got, ok := tbl.LookupIndexed("host", StrVal(host))
+			want := mustSelect(t, tbl, "SELECT * FROM siteinfo WHERE host = '"+host+"'")
+			if !ok || len(got) != len(want.Rows) || len(got) > 0 && !reflect.DeepEqual(got, want.Rows) {
+				t.Fatalf("round %d: index has %v for %s, scan %v", round, got, host, want.Rows)
+			}
 		}
 	}
 }
 
-// TestSelectIndexStats pins the fast-path accounting: an equality
-// predicate is served from the hash index with Scanned still reporting
-// the logical full-scan cost, identical to the oracle's.
+// TestSelectIndexStats pins the plan's accounting: Scanned is the
+// logical full-scan cost whatever the path, and Indexed marks only a
+// WHERE whose first indexable equality conjunct is impossible (an INT
+// column against a non-integral real), which reads no row. An equality
+// probe scans however often it repeats: the read path builds no index.
 func TestSelectIndexStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	db := NewDB()
-	tbl := randomTable(rng, db, 80)
-	// First equality probe scans (one-shot tables never pay an index
-	// build); the second auto-builds and uses the hash index.
-	res, err := db.Exec("SELECT * FROM siteinfo WHERE host = 'h03'")
-	if err != nil {
-		t.Fatal(err)
+	tbl := randomTable(rand.New(rand.NewSource(3)), 80)
+	for _, tc := range []struct {
+		src     string
+		indexed bool
+	}{
+		{"SELECT * FROM siteinfo WHERE host = 'h03'", false},
+		{"SELECT * FROM siteinfo WHERE host = 'h03'", false},
+		{"SELECT * FROM siteinfo WHERE value >= 50", false},
+		{"SELECT * FROM siteinfo WHERE slot = 3.5", true},
+		{"SELECT * FROM siteinfo WHERE 3.5 = slot AND host = 'h03'", true},
+		{"SELECT * FROM siteinfo WHERE host = 'h03' AND slot = 3.5", false},                      // the first conjunct decides
+		{"SELECT * FROM siteinfo WHERE slot = 9007199254740993 AND slot = 3.5", true},            // past float64-exact: passed over
+		{"SELECT * FROM siteinfo WHERE slot = 3.5 OR host = 'h03'", false},                       // not a top-level conjunct
+		{"SELECT * FROM siteinfo WHERE slot = 3.5 AND value LIKE 'x%'", false},                   // could raise a type error
+		{"SELECT * FROM siteinfo WHERE slot = 3.5 AND nosuch = 1 ORDER BY value LIMIT 2", false}, // unresolved column
+	} {
+		res, err := rowsSelect(tbl, tc.src)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.src, err)
+		}
+		if res.Indexed != tc.indexed || res.Scanned != tbl.Len() {
+			t.Errorf("%q: Indexed %v Scanned %d, want %v and %d", tc.src, res.Indexed, res.Scanned, tc.indexed, tbl.Len())
+		}
+		if tc.indexed && len(res.Rows) != 0 {
+			t.Errorf("%q: a provably empty WHERE answered %d rows", tc.src, len(res.Rows))
+		}
 	}
-	if res.Indexed {
-		t.Fatal("first equality probe should not build an index")
-	}
-	res, err = db.Exec("SELECT * FROM siteinfo WHERE host = 'h03'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Indexed {
-		t.Fatal("second equality probe did not use the hash index")
-	}
-	if res.IndexHits == 0 {
-		t.Fatal("indexed select reported no index hits")
-	}
-	if res.Scanned != tbl.Len() {
-		t.Fatalf("Scanned = %d, want logical scan cost %d", res.Scanned, tbl.Len())
-	}
-	res, err = db.Exec("SELECT * FROM siteinfo WHERE value >= 50")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Indexed || res.IndexHits != 0 {
-		t.Fatalf("range-only predicate should scan: %+v", res)
+	if _, ok := tbl.LookupIndexed("host", StrVal("h03")); ok {
+		t.Fatal("a SELECT built an index")
 	}
 }
 

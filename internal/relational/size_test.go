@@ -72,7 +72,7 @@ func FuzzValueSize(f *testing.F) {
 // TestRandomTableSizes runs the same checks over the randomized table
 // the planner's differential tests query.
 func TestRandomTableSizes(t *testing.T) {
-	tab := randomTable(rand.New(rand.NewSource(5)), NewDB(), 300)
+	tab := randomTable(rand.New(rand.NewSource(5)), 300)
 	for _, row := range tab.Rows() {
 		for _, v := range row {
 			checkValueRendering(t, v)
@@ -82,7 +82,7 @@ func TestRandomTableSizes(t *testing.T) {
 
 // TestSizeBytesZeroAlloc: measuring rows allocates nothing.
 func TestSizeBytesZeroAlloc(t *testing.T) {
-	rows := randomTable(rand.New(rand.NewSource(6)), NewDB(), 40).Rows()
+	rows := randomTable(rand.New(rand.NewSource(6)), 40).Rows()
 	rows = append(rows, []Value{StrVal("it's"), RealVal(math.Inf(-1)), IntVal(math.MinInt64), RealVal(2.2250738585072014e-308)})
 	res := &Result{Columns: []string{"host", "metric", "value", "slot"}, Rows: rows}
 	if allocs := testing.AllocsPerRun(100, func() { res.SizeBytes() }); allocs != 0 {

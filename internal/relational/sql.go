@@ -4,23 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
-
-// Statement is a parsed SQL statement.
-type Statement interface{ stmt() }
-
-// CreateStmt is CREATE TABLE name (col TYPE, ...).
-type CreateStmt struct {
-	Table   string
-	Columns []Column
-}
-
-// InsertStmt is INSERT INTO name [(cols)] VALUES (v, ...).
-type InsertStmt struct {
-	Table   string
-	Columns []string // empty means schema order
-	Values  []Value
-}
 
 // SelectStmt is SELECT cols FROM table [WHERE expr] [ORDER BY col [DESC]]
 // [LIMIT n].
@@ -32,26 +17,6 @@ type SelectStmt struct {
 	Desc    bool
 	Limit   int // 0 means no limit
 }
-
-// DeleteStmt is DELETE FROM table [WHERE expr].
-type DeleteStmt struct {
-	Table string
-	Where BoolExpr
-}
-
-// UpdateStmt is UPDATE table SET col = literal [, ...] [WHERE expr].
-type UpdateStmt struct {
-	Table   string
-	Columns []string
-	Values  []Value
-	Where   BoolExpr
-}
-
-func (CreateStmt) stmt() {}
-func (InsertStmt) stmt() {}
-func (SelectStmt) stmt() {}
-func (DeleteStmt) stmt() {}
-func (UpdateStmt) stmt() {}
 
 // BoolExpr is a WHERE predicate over a row.
 type BoolExpr interface {
@@ -128,32 +93,72 @@ func (e cmpExpr) Eval(s *Schema, row []Value) (bool, error) {
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (any single char).
+// Runes are compared case-insensitively (equalFoldRune), and a byte that
+// is not UTF-8 is one U+FFFD rune, as in a range loop.
+//
+// It allocates nothing and does not recurse: a pattern is user text, and
+// a few MiB of it fit in one v3 frame. Every rune of pattern but %
+// consumes one rune of s, so a pattern that needs more runes than s has
+// is refused first, reading no further into either than that takes. The
+// walk then backs up, on a mismatch, only to just past the last % seen,
+// which absorbs one more rune of s: whatever an earlier % could have
+// absorbed, the last one can too, so no earlier choice needs revisiting,
+// and the work is at most len(pattern)·len(s) steps.
 func likeMatch(pattern, s string) bool {
-	// Dynamic programming over pattern and string positions.
-	p, n := []rune(pattern), []rune(s)
-	memo := make(map[[2]int]bool)
-	var rec func(i, j int) bool
-	rec = func(i, j int) bool {
-		if i == len(p) {
-			return j == len(n)
+	need := 0 // the bytes of s the literal runes so far consume
+	for _, r := range pattern {
+		if r != '%' {
+			if need == len(s) {
+				return false
+			}
+			_, w := utf8.DecodeRuneInString(s[need:])
+			need += w
 		}
-		key := [2]int{i, j}
-		if v, ok := memo[key]; ok {
-			return v
-		}
-		var out bool
-		switch p[i] {
-		case '%':
-			out = rec(i+1, j) || (j < len(n) && rec(i, j+1))
-		case '_':
-			out = j < len(n) && rec(i+1, j+1)
-		default:
-			out = j < len(n) && equalFoldRune(p[i], n[j]) && rec(i+1, j+1)
-		}
-		memo[key] = out
-		return out
 	}
-	return rec(0, 0)
+	p, n := 0, 0        // byte offsets into pattern and s
+	star, mark := -1, 0 // just past the last % in pattern, and where in s it resumes
+	for n < len(s) {
+		if p < len(pattern) {
+			pr, pw := utf8.DecodeRuneInString(pattern[p:])
+			if pr == '%' {
+				p += pw
+				star, mark = p, n
+				continue
+			}
+			sr, sw := utf8.DecodeRuneInString(s[n:])
+			if pr == '_' || equalFoldRune(pr, sr) {
+				p, n = p+pw, n+sw
+				continue
+			}
+		}
+		if star < 0 {
+			return false
+		}
+		_, sw := utf8.DecodeRuneInString(s[mark:])
+		mark += sw
+		p, n = star, mark
+	}
+	for p < len(pattern) && pattern[p] == '%' {
+		p++
+	}
+	return p == len(pattern)
+}
+
+// collapsePercents folds each run of % in a LIKE pattern into one %,
+// which matches the same strings. The parser applies it to a literal
+// pattern once, so a run a few MiB long is not walked again for every
+// row. (% is one byte that no multi-byte UTF-8 sequence contains.)
+func collapsePercents(pattern string) string {
+	if !strings.Contains(pattern, "%%") {
+		return pattern
+	}
+	b := make([]byte, 0, len(pattern))
+	for i := 0; i < len(pattern); i++ {
+		if pattern[i] != '%' || i == 0 || pattern[i-1] != '%' {
+			b = append(b, pattern[i])
+		}
+	}
+	return string(b)
 }
 
 func equalFoldRune(a, b rune) bool {
@@ -278,41 +283,31 @@ type sqlParser struct {
 // parseOr but compiles and evaluates recursively, one level per link.
 const maxNesting = 1000
 
-// Parse parses one SQL statement (a trailing semicolon is allowed).
-func Parse(src string) (Statement, error) {
+// Parse parses one SQL SELECT (a trailing semicolon is allowed). Any
+// other statement is refused: R-GMA's consumers only query, and its
+// producers publish rows through their API, not through SQL.
+func Parse(src string) (SelectStmt, error) {
 	p := &sqlParser{src: src}
 	p.scan()
 	st, err := p.parseStatement()
 	if p.err != nil {
 		// The parser reached a token the lexer could not read.
-		return nil, p.err
+		return SelectStmt{}, p.err
 	}
 	return st, err
 }
 
-func (p *sqlParser) parseStatement() (Statement, error) {
-	var st Statement
-	var err error
-	switch {
-	case p.acceptKeyword("CREATE"):
-		st, err = p.parseCreate()
-	case p.acceptKeyword("INSERT"):
-		st, err = p.parseInsert()
-	case p.acceptKeyword("SELECT"):
-		st, err = p.parseSelect()
-	case p.acceptKeyword("DELETE"):
-		st, err = p.parseDelete()
-	case p.acceptKeyword("UPDATE"):
-		st, err = p.parseUpdate()
-	default:
-		return nil, fmt.Errorf("relational: expected CREATE, INSERT, SELECT, UPDATE or DELETE, got %q", p.peek().text)
+func (p *sqlParser) parseStatement() (SelectStmt, error) {
+	if err := p.expectKeyword("SELECT"); err != nil {
+		return SelectStmt{}, err
 	}
+	st, err := p.parseSelect()
 	if err != nil {
-		return nil, err
+		return SelectStmt{}, err
 	}
 	p.acceptOp(";")
 	if p.peek().kind != "eof" {
-		return nil, fmt.Errorf("relational: trailing input %q", p.peek().text)
+		return SelectStmt{}, fmt.Errorf("relational: trailing input %q", p.peek().text)
 	}
 	return st, nil
 }
@@ -379,113 +374,7 @@ func (p *sqlParser) expectIdent() (string, error) {
 	return t.text, nil
 }
 
-func (p *sqlParser) parseCreate() (Statement, error) {
-	if err := p.expectKeyword("TABLE"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectOp("("); err != nil {
-		return nil, err
-	}
-	var cols []Column
-	for {
-		cn, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		tn, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		ct, err := ParseColType(tn)
-		if err != nil {
-			return nil, err
-		}
-		// Swallow an optional length such as VARCHAR(64).
-		if p.acceptOp("(") {
-			p.advance()
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-		}
-		cols = append(cols, Column{Name: cn, Type: ct})
-		if p.acceptOp(",") {
-			continue
-		}
-		break
-	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	return CreateStmt{Table: name, Columns: cols}, nil
-}
-
-func (p *sqlParser) parseInsert() (Statement, error) {
-	if err := p.expectKeyword("INTO"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	var cols []string
-	if p.acceptOp("(") {
-		for {
-			cn, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			cols = append(cols, cn)
-			if p.acceptOp(",") {
-				continue
-			}
-			break
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-	}
-	if err := p.expectKeyword("VALUES"); err != nil {
-		return nil, err
-	}
-	if err := p.expectOp("("); err != nil {
-		return nil, err
-	}
-	var vals []Value
-	for {
-		v, err := p.parseLiteral()
-		if err != nil {
-			return nil, err
-		}
-		vals = append(vals, v)
-		if p.acceptOp(",") {
-			continue
-		}
-		break
-	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	return InsertStmt{Table: name, Columns: cols, Values: vals}, nil
-}
-
-func (p *sqlParser) parseLiteral() (Value, error) {
-	t := p.advance()
-	switch t.kind {
-	case "int":
-		return IntVal(t.i), nil
-	case "real":
-		return RealVal(t.r), nil
-	case "string":
-		return StrVal(t.text), nil
-	}
-	return Value{}, fmt.Errorf("relational: expected literal, got %q", t.text)
-}
-
-func (p *sqlParser) parseSelect() (Statement, error) {
+func (p *sqlParser) parseSelect() (SelectStmt, error) {
 	st := SelectStmt{}
 	if p.acceptOp("*") {
 		// all columns
@@ -493,7 +382,7 @@ func (p *sqlParser) parseSelect() (Statement, error) {
 		for {
 			cn, err := p.expectIdent()
 			if err != nil {
-				return nil, err
+				return SelectStmt{}, err
 			}
 			st.Columns = append(st.Columns, cn)
 			if p.acceptOp(",") {
@@ -503,27 +392,27 @@ func (p *sqlParser) parseSelect() (Statement, error) {
 		}
 	}
 	if err := p.expectKeyword("FROM"); err != nil {
-		return nil, err
+		return SelectStmt{}, err
 	}
 	name, err := p.expectIdent()
 	if err != nil {
-		return nil, err
+		return SelectStmt{}, err
 	}
 	st.Table = name
 	if p.acceptKeyword("WHERE") {
 		w, err := p.parseOr()
 		if err != nil {
-			return nil, err
+			return SelectStmt{}, err
 		}
 		st.Where = w
 	}
 	if p.acceptKeyword("ORDER") {
 		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
+			return SelectStmt{}, err
 		}
 		col, err := p.expectIdent()
 		if err != nil {
-			return nil, err
+			return SelectStmt{}, err
 		}
 		st.OrderBy = col
 		if p.acceptKeyword("DESC") {
@@ -535,66 +424,9 @@ func (p *sqlParser) parseSelect() (Statement, error) {
 	if p.acceptKeyword("LIMIT") {
 		t := p.advance()
 		if t.kind != "int" || t.i < 0 {
-			return nil, fmt.Errorf("relational: LIMIT expects a non-negative integer")
+			return SelectStmt{}, fmt.Errorf("relational: LIMIT expects a non-negative integer")
 		}
 		st.Limit = int(t.i)
-	}
-	return st, nil
-}
-
-func (p *sqlParser) parseDelete() (Statement, error) {
-	if err := p.expectKeyword("FROM"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	st := DeleteStmt{Table: name}
-	if p.acceptKeyword("WHERE") {
-		w, err := p.parseOr()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = w
-	}
-	return st, nil
-}
-
-func (p *sqlParser) parseUpdate() (Statement, error) {
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("SET"); err != nil {
-		return nil, err
-	}
-	st := UpdateStmt{Table: name}
-	for {
-		cn, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp("="); err != nil {
-			return nil, err
-		}
-		v, err := p.parseLiteral()
-		if err != nil {
-			return nil, err
-		}
-		st.Columns = append(st.Columns, cn)
-		st.Values = append(st.Values, v)
-		if p.acceptOp(",") {
-			continue
-		}
-		break
-	}
-	if p.acceptKeyword("WHERE") {
-		w, err := p.parseOr()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = w
 	}
 	return st, nil
 }
@@ -693,6 +525,9 @@ func (p *sqlParser) parseComparison() (BoolExpr, error) {
 	right, err := p.parseOperand()
 	if err != nil {
 		return nil, err
+	}
+	if op == "LIKE" && !right.isCol && right.val.Type == StringType {
+		right.val.S = collapsePercents(right.val.S)
 	}
 	return cmpExpr{op: op, left: left, right: right}, nil
 }

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 )
@@ -36,28 +37,19 @@ func (s *Schema) Names() []string {
 	return out
 }
 
-// Table is an in-memory relation. MaxRows, when positive, caps the table
-// size: inserts beyond it fail, the way the paper's R-GMA environment hit
-// a 128-row table limit.
+// Table is an in-memory relation: each row is stored coerced to its
+// columns' types, and hash indexes are built on request (CreateIndex).
 type Table struct {
-	Name    string
-	Schema  Schema
-	MaxRows int
-	rows    [][]Value
-	// idxMu guards index and eqProbes: SELECTs lazily build indexes and
-	// bump probe counters, so concurrent read-locked queries (the grid
-	// facade's parallel read path) mutate this state from what is
-	// otherwise a pure read. Row mutation still requires external
-	// exclusion (the owning service's write lock).
+	Name   string
+	Schema Schema
+	rows   [][]Value
+	// idxMu guards index: CreateIndex, Insert and DeleteWhere write it and
+	// LookupIndexed reads it, so lookups stay safe beside an index build.
+	// Row mutation still requires external exclusion (the owner's write
+	// lock; the Registry's mu).
 	idxMu sync.Mutex
 	// index maps an indexed column position to value-key -> row numbers.
 	index map[int]map[string][]int
-	// eqProbes counts equality SELECTs per un-indexed column; the
-	// planner auto-builds an index only on the second probe, so a table
-	// queried once never pays an O(rows) index build for a single
-	// lookup (RowsQuery, which queries each row set exactly once, relies
-	// on this to skip the index altogether).
-	eqProbes map[int]int
 }
 
 // NewTable creates an empty table.
@@ -69,9 +61,9 @@ func NewTable(name string, cols []Column) *Table {
 	}
 }
 
-// CreateIndex builds (or rebuilds) a hash index on the named column. The
-// Hawkeye Manager's "indexed resident database" and the R-GMA Registry's
-// table-name lookups both rely on this.
+// CreateIndex builds (or rebuilds) a hash index on the named column,
+// which Insert and DeleteWhere then keep current and LookupIndexed reads.
+// The R-GMA Registry indexes its producers by table name.
 func (t *Table) CreateIndex(col string) error {
 	ci := t.Schema.ColIndex(col)
 	if ci < 0 {
@@ -118,24 +110,6 @@ func indexKey(v Value) string {
 	return string(v.AppendTo(append(buf[:0], 0)))
 }
 
-// lookupIndex returns the candidate row numbers for key in the index on
-// column position ci, building the index first when absent — the SELECT
-// planner's auto-indexing of predicate columns. The build is
-// double-checked under idxMu so concurrent readers race safely; the
-// returned slice is append-only until the next row mutation (which runs
-// under external exclusion), so reading it outside the lock is safe.
-func (t *Table) lookupIndex(ci int, key string) []int {
-	t.idxMu.Lock()
-	idx, ok := t.index[ci]
-	if !ok {
-		t.createIndexLocked(ci)
-		idx = t.index[ci]
-	}
-	cand := idx[key]
-	t.idxMu.Unlock()
-	return cand
-}
-
 // Len reports the number of rows.
 func (t *Table) Len() int { return len(t.rows) }
 
@@ -143,9 +117,6 @@ func (t *Table) Len() int { return len(t.rows) }
 func (t *Table) Insert(row []Value) error {
 	if err := t.checkWidth(row); err != nil {
 		return err
-	}
-	if t.MaxRows > 0 && len(t.rows) >= t.MaxRows {
-		return fmt.Errorf("relational: table %q is full (%d rows)", t.Name, t.MaxRows)
 	}
 	stored, err := t.coerceRow(row)
 	if err != nil {
@@ -187,6 +158,62 @@ func (t *Table) coerceRow(row []Value) ([]Value, error) {
 
 // Rows returns the backing rows; callers must not mutate them.
 func (t *Table) Rows() [][]Value { return t.rows }
+
+// ScanSelect answers s over t the naive way — evaluate the WHERE on every
+// row, sort the matches stably, limit, project — and is kept as the
+// reference the planner's differential tests hold RowsQuery to. s.Table
+// names t only in error messages. Scanned is t's row count; Indexed is
+// the planner's verdict that the WHERE is provably empty, though every
+// row is still evaluated here.
+func ScanSelect(t *Table, s SelectStmt) (*Result, error) {
+	colIdx, colNames, err := projectionPlan(t, s)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Columns: colNames, Scanned: len(t.rows)}
+	res.Indexed = s.Where != nil && provablyEmpty(&t.Schema, s.Where)
+	var matched [][]Value
+	for _, row := range t.rows {
+		if s.Where != nil {
+			ok, err := s.Where.Eval(&t.Schema, row)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				continue
+			}
+		}
+		matched = append(matched, row)
+	}
+	if s.OrderBy != "" {
+		oi := t.Schema.ColIndex(s.OrderBy)
+		if oi < 0 {
+			return nil, fmt.Errorf("relational: no column %q in %q", s.OrderBy, s.Table)
+		}
+		sort.SliceStable(matched, func(i, j int) bool {
+			cmp, err := matched[i][oi].Compare(matched[j][oi])
+			if err != nil {
+				return false
+			}
+			if s.Desc {
+				return cmp > 0
+			}
+			return cmp < 0
+		})
+	}
+	if s.Limit > 0 && len(matched) > s.Limit {
+		matched = matched[:s.Limit]
+	}
+	res.Rows = make([][]Value, 0, len(matched))
+	for _, row := range matched {
+		out := make([]Value, len(colIdx))
+		for i, ci := range colIdx {
+			out[i] = row[ci]
+		}
+		res.Rows = append(res.Rows, out)
+	}
+	return res, nil
+}
 
 // LookupIndexed returns the rows whose indexed column equals v, and
 // reports whether an index on that column exists. The scanned count is 0

@@ -1,8 +1,10 @@
-// Package relational implements a small in-memory relational database with
-// a SQL subset: CREATE TABLE, INSERT, and single-table SELECT with WHERE,
-// projection, ORDER BY and LIMIT. It is the substrate underneath R-GMA,
-// whose Registry stores producer registrations in an RDBMS and whose
-// Consumers express queries in SQL against producer tables.
+// Package relational is the SQL engine under R-GMA, whose Consumers
+// query producer tables in SQL and whose Registry keeps producer
+// advertisements in an RDBMS. It answers one statement, a single-table
+// SELECT with WHERE, projection, ORDER BY and LIMIT, through RowsQuery
+// over row sets held outside any table. Table is the in-memory relation
+// the Registry stores advertisements in: rows added with Insert, removed
+// with DeleteWhere, and found by hash indexes built with CreateIndex.
 package relational
 
 import (
@@ -31,20 +33,6 @@ func (t ColType) String() string {
 		return "VARCHAR"
 	}
 	return "INVALID"
-}
-
-// ParseColType maps SQL type names (INT, INTEGER, REAL, FLOAT, DOUBLE,
-// VARCHAR, TEXT, CHAR) to a ColType.
-func ParseColType(s string) (ColType, error) {
-	switch strings.ToUpper(s) {
-	case "INT", "INTEGER", "BIGINT", "SMALLINT":
-		return IntType, nil
-	case "REAL", "FLOAT", "DOUBLE":
-		return RealType, nil
-	case "VARCHAR", "TEXT", "CHAR", "STRING":
-		return StringType, nil
-	}
-	return 0, fmt.Errorf("relational: unknown column type %q", s)
 }
 
 // Value is a typed cell value.

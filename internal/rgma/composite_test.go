@@ -136,14 +136,14 @@ func TestCompositeExcludesItself(t *testing.T) {
 
 func TestSubscriptionDeliversMatchingRows(t *testing.T) {
 	p := NewProducer("p", "t", MonitoringSchema)
-	where, err := ParseWhere("value >= 50")
+	sel, err := relational.Parse("SELECT * FROM t WHERE value >= 50")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got [][]relational.Value
 	p.Subscribe(&Subscription{
 		ID:    "s1",
-		Where: where,
+		Where: sel.Where,
 		Deliver: func(producerID string, rows [][]relational.Value) {
 			if producerID != "p" {
 				t.Errorf("producer id = %q", producerID)
@@ -206,37 +206,5 @@ func TestRefreshDrivenDelivery(t *testing.T) {
 	p.Rows(2)
 	if deliveries != 2 {
 		t.Fatalf("deliveries = %d, want 2", deliveries)
-	}
-}
-
-func TestSubscribeAll(t *testing.T) {
-	reg, _, resolve := multiServletSetup(t, 3, 2)
-	total := 0
-	n, err := SubscribeAll(reg, resolve, "siteinfo", 1, &Subscription{
-		ID:      "watch",
-		Deliver: func(string, [][]relational.Value) { total++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 6 {
-		t.Fatalf("subscribed to %d producers, want 6", n)
-	}
-	// Trigger regeneration on one servlet's producers via a query.
-	ps, _ := resolve("lucky3:8080")
-	if _, _, err := ps.Query(5, "SELECT * FROM siteinfo"); err != nil {
-		t.Fatal(err)
-	}
-	if total == 0 {
-		t.Fatal("no push deliveries after producer refresh")
-	}
-}
-
-func TestParseWhereErrors(t *testing.T) {
-	if _, err := ParseWhere("value >="); err == nil {
-		t.Fatal("bad predicate accepted")
-	}
-	if _, err := ParseWhere(""); err == nil {
-		t.Fatal("empty predicate accepted")
 	}
 }

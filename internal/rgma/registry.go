@@ -2,6 +2,7 @@ package rgma
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/gma"
@@ -63,8 +64,8 @@ func (s *QueryStats) Add(o QueryStats) {
 type Registry struct {
 	Name string
 
-	mu sync.RWMutex
-	db *relational.DB // producers table; guarded by mu
+	mu        sync.RWMutex
+	producers *relational.Table // indexed by table_name; guarded by mu
 
 	// Durable logging state (zero/nil for a volatile registry).
 	store      storage.Store // WAL+snapshot engine; guarded by mu
@@ -75,23 +76,19 @@ type Registry struct {
 
 var _ gma.Registry = (*Registry)(nil)
 
-// NewRegistry creates an empty registry with its backing database.
+// NewRegistry creates an empty registry with its producers table.
 func NewRegistry(name string) *Registry {
-	db := relational.NewDB()
-	if _, err := db.CreateTable("producers", []relational.Column{
+	t := relational.NewTable("producers", []relational.Column{
 		{Name: "producer_id", Type: relational.StringType},
 		{Name: "address", Type: relational.StringType},
 		{Name: "table_name", Type: relational.StringType},
 		{Name: "predicate", Type: relational.StringType},
 		{Name: "expires", Type: relational.RealType},
-	}); err != nil {
-		panic(err) // fresh database cannot collide
-	}
-	t, _ := db.Table("producers")
+	})
 	if err := t.CreateIndex("table_name"); err != nil {
 		panic(err)
 	}
-	return &Registry{Name: name, db: db}
+	return &Registry{Name: name, producers: t}
 }
 
 // RegisterProducer records or renews an advertisement with a soft-state
@@ -126,8 +123,7 @@ func (r *Registry) UnregisterProducer(producerID string, now float64) bool {
 // anyExpired reports whether any advertisement's soft state has lapsed
 // at time now. Callers hold mu (either mode).
 func (r *Registry) anyExpired(now float64) bool {
-	t, _ := r.db.Table("producers")
-	for _, row := range t.Rows() {
+	for _, row := range r.producers.Rows() {
 		if row[4].R <= now {
 			return true
 		}
@@ -138,8 +134,7 @@ func (r *Registry) anyExpired(now float64) bool {
 // expire drops advertisements whose soft state lapsed, reporting how
 // many. Callers hold mu exclusively.
 func (r *Registry) expire(now float64) int {
-	t, _ := r.db.Table("producers")
-	return t.DeleteWhere(func(row []relational.Value) bool {
+	return r.producers.DeleteWhere(func(row []relational.Value) bool {
 		return row[4].R <= now
 	})
 }
@@ -179,8 +174,7 @@ func (r *Registry) LookupProducersStats(table string, now float64) ([]gma.Advert
 // lookup answers the table's producers from the table-name index.
 // Callers hold mu (either mode).
 func (r *Registry) lookup(table string) ([]gma.Advertisement, QueryStats, error) {
-	t, _ := r.db.Table("producers")
-	rows, indexed := t.LookupIndexed("table_name", relational.StrVal(table))
+	rows, indexed := r.producers.LookupIndexed("table_name", relational.StrVal(table))
 	st := QueryStats{ThreadSpawns: 1}
 	if !indexed {
 		return nil, st, fmt.Errorf("rgma: registry index missing")
@@ -206,18 +200,12 @@ func (r *Registry) Tables(now float64) []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.expireAndLog(now)
-	res, err := r.db.Exec("SELECT table_name FROM producers ORDER BY table_name")
-	if err != nil {
-		return nil
-	}
 	var out []string
-	for _, row := range res.Rows {
-		name := row[0].S
-		if len(out) == 0 || out[len(out)-1] != name {
-			out = append(out, name)
-		}
+	for _, row := range r.producers.Rows() {
+		out = append(out, row[2].S) // table_name
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // NumRegistered reports the number of live advertisements.
@@ -225,6 +213,5 @@ func (r *Registry) NumRegistered(now float64) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.expireAndLog(now)
-	t, _ := r.db.Table("producers")
-	return t.Len()
+	return r.producers.Len()
 }

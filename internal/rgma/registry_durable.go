@@ -143,8 +143,7 @@ func (r *Registry) snapshotLocked() error {
 // encodeState serializes the producers table in row order. Callers
 // hold mu.
 func (r *Registry) encodeState() []byte {
-	t, _ := r.db.Table("producers")
-	rows := t.Rows()
+	rows := r.producers.Rows()
 	var e storage.Encoder
 	e.Uvarint(uint64(len(rows)))
 	for _, row := range rows {
@@ -246,11 +245,10 @@ func encodeUnregisterRec(producerID string) []byte {
 // inserts the new row — the shared mutation core of RegisterProducer
 // and replay. Callers hold mu exclusively.
 func (r *Registry) putProducer(ad gma.Advertisement, expires float64) error {
-	t, _ := r.db.Table("producers")
-	t.DeleteWhere(func(row []relational.Value) bool {
+	r.producers.DeleteWhere(func(row []relational.Value) bool {
 		return row[0].S == ad.ProducerID
 	})
-	return t.Insert([]relational.Value{
+	return r.producers.Insert([]relational.Value{
 		relational.StrVal(ad.ProducerID),
 		relational.StrVal(ad.Address),
 		relational.StrVal(ad.TableName),
@@ -262,8 +260,7 @@ func (r *Registry) putProducer(ad gma.Advertisement, expires float64) error {
 // deleteProducer removes a producer's advertisement, reporting whether
 // one existed. Callers hold mu exclusively.
 func (r *Registry) deleteProducer(producerID string) bool {
-	t, _ := r.db.Table("producers")
-	return t.DeleteWhere(func(row []relational.Value) bool {
+	return r.producers.DeleteWhere(func(row []relational.Value) bool {
 		return row[0].S == producerID
 	}) > 0
 }

@@ -2,11 +2,14 @@ package rgma
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/gma"
 	"repro/internal/relational"
+	"repro/internal/storage"
 )
 
 // newSetup builds the paper's Experiment-Set-1 R-GMA deployment: one
@@ -103,6 +106,83 @@ func TestRegistryTables(t *testing.T) {
 	tables := reg.Tables(1)
 	if len(tables) != 2 || tables[0] != "netinfo" || tables[1] != "siteinfo" {
 		t.Fatalf("tables = %v", tables)
+	}
+}
+
+// oracleTables is Registry.Tables as it was while the Registry ran SQL
+// over its producers table: SELECT table_name … ORDER BY table_name,
+// then adjacent duplicates dropped.
+func oracleTables(r *Registry, now float64) []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.expireAndLog(now)
+	sel, err := relational.Parse("SELECT table_name FROM producers ORDER BY table_name")
+	if err != nil {
+		panic(err)
+	}
+	res, err := relational.ScanSelect(r.producers, sel)
+	if err != nil {
+		return nil
+	}
+	var out []string
+	for _, row := range res.Rows {
+		name := row[0].S
+		if len(out) == 0 || out[len(out)-1] != name {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// TestRegistryTablesOrder holds Tables to the ORDER BY body it replaced
+// on a registry churned with mixed-case, duplicate and non-ASCII table
+// names — registrations, renewals that move a producer to another table,
+// unregistrations and soft-state expiry — both volatile and reopened
+// from its log.
+func TestRegistryTablesOrder(t *testing.T) {
+	names := []string{"siteinfo", "SiteInfo", "SITEINFO", "netinfo", "Zeta", "alpha", "Éire", "eire", "a b", "siteinfo2"}
+	rng := rand.New(rand.NewSource(7))
+	store := storage.NewMem()
+	durable, err := OpenRegistry("durable", store, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	volatile := NewRegistry("volatile")
+	check := func(r *Registry, now float64) {
+		t.Helper()
+		want := oracleTables(r, now)
+		if got := r.Tables(now); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s at %g: Tables %q, oracle %q", r.Name, now, got, want)
+		}
+	}
+	if got := volatile.Tables(0); got != nil {
+		t.Fatalf("empty registry: Tables %q, want nil", got)
+	}
+	for i := 0; i < 200; i++ {
+		now := float64(i)
+		id := fmt.Sprintf("p%d", rng.Intn(40))
+		for _, r := range []*Registry{volatile, durable} {
+			if rng.Intn(4) == 0 {
+				r.UnregisterProducer(id, now)
+				continue
+			}
+			ad := gma.Advertisement{ProducerID: id, Address: "a:1", TableName: names[rng.Intn(len(names))]}
+			if err := r.RegisterProducer(ad, now, float64(5+rng.Intn(60))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%10 == 0 {
+			check(volatile, now)
+			check(durable, now)
+		}
+	}
+	reopened, err := OpenRegistry("reopened", store.Reopen(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, now := range []float64{200, 230, 1e9} {
+		check(reopened, now)
+		check(volatile, now)
 	}
 }
 

@@ -54,13 +54,9 @@ func (ps *ProducerServlet) Advertisements() []gma.Advertisement {
 // at time now).
 func (ps *ProducerServlet) Query(now float64, sql string) (*relational.Result, QueryStats, error) {
 	st := QueryStats{ThreadSpawns: 1}
-	stmt, err := relational.Parse(sql)
+	sel, err := relational.Parse(sql)
 	if err != nil {
 		return nil, st, err
-	}
-	sel, ok := stmt.(relational.SelectStmt)
-	if !ok {
-		return nil, st, fmt.Errorf("rgma: producer servlet accepts only SELECT, got %T", stmt)
 	}
 	q := relational.RowsQuery{Select: sel}
 	st, err = ps.query(now, &q, st)
@@ -99,7 +95,6 @@ func (ps *ProducerServlet) query(now float64, q *relational.RowsQuery, st QueryS
 	st.RowsScanned += set.Scanned
 	st.RowsReturned += set.Rows
 	st.ResponseBytes += set.Bytes
-	st.IndexHits += set.IndexHits
 	if !set.Indexed {
 		st.ScanFallbacks++
 	}
@@ -160,13 +155,9 @@ func (cs *ConsumerServlet) Query(now float64, sql string) (*relational.Result, Q
 // the fan-out mid-flight rather than only at the edges.
 func (cs *ConsumerServlet) QueryCtx(ctx context.Context, now float64, sql string) (*relational.Result, QueryStats, error) {
 	st := QueryStats{ThreadSpawns: 1}
-	stmt, err := relational.Parse(sql)
+	sel, err := relational.Parse(sql)
 	if err != nil {
 		return nil, st, err
-	}
-	sel, ok := stmt.(relational.SelectStmt)
-	if !ok {
-		return nil, st, fmt.Errorf("rgma: consumers may only SELECT, got %T", stmt)
 	}
 	ads, lookupStats, err := cs.registry.LookupProducersStats(sel.Table, now)
 	st.RegistryLookups++

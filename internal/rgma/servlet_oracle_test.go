@@ -13,32 +13,25 @@ import (
 )
 
 // oracleServletQuery is ProducerServlet.Query as it was while the servlet
-// materialized its producers' rows in a scratch database for every
-// query: CreateTable, one Insert per row, then db.Run. The servlet now
-// runs a relational.RowsQuery over the rows without building a table,
-// and must answer exactly this — rows, QueryStats and error text.
+// materialized its producers' rows in a scratch table for every query:
+// a table named and typed by the first producer of the queried table, one
+// Insert per row, then the naive executor (relational.ScanSelect). The
+// servlet now runs a relational.RowsQuery over the rows without building
+// a table, and must answer exactly this — rows, QueryStats and error
+// text.
 func oracleServletQuery(ps *ProducerServlet, now float64, sql string) (*relational.Result, QueryStats, error) {
 	st := QueryStats{ThreadSpawns: 1}
-	stmt, err := relational.Parse(sql)
+	sel, err := relational.Parse(sql)
 	if err != nil {
 		return nil, st, err
 	}
-	sel, ok := stmt.(relational.SelectStmt)
-	if !ok {
-		return nil, st, fmt.Errorf("rgma: producer servlet accepts only SELECT, got %T", stmt)
-	}
-	db := relational.NewDB()
-	var contributors int
+	var t *relational.Table
 	for _, p := range ps.producers {
 		if !strings.EqualFold(p.Table, sel.Table) {
 			continue
 		}
-		t, exists := db.Table(p.Table)
-		if !exists {
-			t, err = db.CreateTable(p.Table, p.Schema())
-			if err != nil {
-				return nil, st, err
-			}
+		if t == nil {
+			t = relational.NewTable(p.Table, p.Schema())
 		}
 		for _, row := range p.Rows(now) {
 			if err := t.Insert(row); err != nil {
@@ -46,19 +39,17 @@ func oracleServletQuery(ps *ProducerServlet, now float64, sql string) (*relation
 			}
 			st.RowsScanned++ // materialization work
 		}
-		contributors++
 	}
-	if contributors == 0 {
+	if t == nil {
 		return nil, st, fmt.Errorf("rgma: no producer of table %q at %s", sel.Table, ps.Address)
 	}
-	res, err := db.Run(sel)
+	res, err := relational.ScanSelect(t, sel)
 	if err != nil {
 		return nil, st, err
 	}
 	st.RowsScanned += res.Scanned
 	st.RowsReturned += len(res.Rows)
 	st.ResponseBytes += res.SizeBytes()
-	st.IndexHits += res.IndexHits
 	if !res.Indexed {
 		st.ScanFallbacks++
 	}
@@ -170,7 +161,7 @@ func checkServletAgainstOracle(t *testing.T, ps *ProducerServlet, sql string) {
 	}
 	if want != nil {
 		// The work is QueryStats', checked above; the answer carries none.
-		want.Scanned, want.IndexHits, want.Indexed = 0, 0, false
+		want.Scanned, want.Indexed = 0, false
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%q:\nresult %+v\noracle %+v", sql, got, want)
@@ -230,13 +221,9 @@ func TestServletResultsDoNotAliasProducers(t *testing.T) {
 // orders by a column it does not project.
 func oracleConsumerQuery(cs *ConsumerServlet, now float64, sql string) (*relational.Result, QueryStats, error) {
 	st := QueryStats{ThreadSpawns: 1}
-	stmt, err := relational.Parse(sql)
+	sel, err := relational.Parse(sql)
 	if err != nil {
 		return nil, st, err
-	}
-	sel, ok := stmt.(relational.SelectStmt)
-	if !ok {
-		return nil, st, fmt.Errorf("rgma: consumers may only SELECT, got %T", stmt)
 	}
 	ads, lookupStats, err := cs.registry.LookupProducersStats(sel.Table, now)
 	st.RegistryLookups++
@@ -300,19 +287,15 @@ func oracleConsumerQuery(cs *ConsumerServlet, now float64, sql string) (*relatio
 // consumer's producer servlets hold for the queried table, inserted in
 // the order the mediator reaches them — what a mediated query means.
 func oracleOneTable(cs *ConsumerServlet, now float64, sql string) (*relational.Result, error) {
-	stmt, err := relational.Parse(sql)
+	sel, err := relational.Parse(sql)
 	if err != nil {
 		return nil, err
-	}
-	sel, ok := stmt.(relational.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("not a SELECT")
 	}
 	ads, err := cs.registry.LookupProducers(sel.Table, now)
 	if err != nil {
 		return nil, err
 	}
-	db := relational.NewDB()
+	var t *relational.Table
 	seen := make(map[string]bool)
 	for _, ad := range ads {
 		if seen[ad.Address] {
@@ -327,11 +310,8 @@ func oracleOneTable(cs *ConsumerServlet, now float64, sql string) (*relational.R
 			if !strings.EqualFold(p.Table, sel.Table) {
 				continue
 			}
-			t, exists := db.Table(p.Table)
-			if !exists {
-				if t, err = db.CreateTable(p.Table, p.Schema()); err != nil {
-					return nil, err
-				}
+			if t == nil {
+				t = relational.NewTable(p.Table, p.Schema())
 			}
 			for _, row := range p.Rows(now) {
 				if err := t.Insert(row); err != nil {
@@ -340,16 +320,18 @@ func oracleOneTable(cs *ConsumerServlet, now float64, sql string) (*relational.R
 			}
 		}
 	}
-	return db.Run(sel)
+	if t == nil {
+		return nil, fmt.Errorf("no table %q", sel.Table)
+	}
+	return relational.ScanSelect(t, sel)
 }
 
 // orderedByUnprojected reports whether sql is a SELECT ordered by a
 // column it does not project — where the mediator answers what
 // oracleOneTable does, and the per-servlet oracle did not.
 func orderedByUnprojected(sql string) bool {
-	stmt, err := relational.Parse(sql)
-	sel, ok := stmt.(relational.SelectStmt)
-	if err != nil || !ok || sel.OrderBy == "" || len(sel.Columns) == 0 {
+	sel, err := relational.Parse(sql)
+	if err != nil || sel.OrderBy == "" || len(sel.Columns) == 0 {
 		return false
 	}
 	return !slices.ContainsFunc(sel.Columns, func(c string) bool { return strings.EqualFold(c, sel.OrderBy) })

@@ -1,7 +1,6 @@
 package rgma
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/relational"
@@ -97,48 +96,4 @@ func (p *Producer) publish(rows [][]relational.Value) {
 			sub.Deliver(p.ID, matched)
 		}
 	}
-}
-
-// ParseWhere parses a SQL WHERE fragment into a predicate usable in a
-// Subscription, by parsing "SELECT * FROM t WHERE <frag>".
-func ParseWhere(frag string) (relational.BoolExpr, error) {
-	stmt, err := relational.Parse("SELECT * FROM streamtable WHERE " + frag)
-	if err != nil {
-		return nil, fmt.Errorf("rgma: bad subscription predicate %q: %v", frag, err)
-	}
-	sel, ok := stmt.(relational.SelectStmt)
-	if !ok || sel.Where == nil {
-		return nil, fmt.Errorf("rgma: bad subscription predicate %q", frag)
-	}
-	return sel.Where, nil
-}
-
-// SubscribeAll attaches the subscription to every producer of the table
-// known to the registry at time now, via the resolver. It returns the
-// number of producers subscribed.
-func SubscribeAll(reg *Registry, resolve func(string) (*ProducerServlet, error),
-	table string, now float64, sub *Subscription) (int, error) {
-	ads, err := reg.LookupProducers(table, now)
-	if err != nil {
-		return 0, err
-	}
-	count := 0
-	seen := make(map[string]bool)
-	for _, ad := range ads {
-		if seen[ad.Address] {
-			continue
-		}
-		seen[ad.Address] = true
-		pserv, err := resolve(ad.Address)
-		if err != nil {
-			return count, err
-		}
-		for _, p := range pserv.Producers() {
-			if p.Table == table {
-				p.Subscribe(sub)
-				count++
-			}
-		}
-	}
-	return count, nil
 }

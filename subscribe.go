@@ -157,14 +157,9 @@ func (g *Grid) subscribeRGMA(st *Stream, sub Subscription, id string) (func(), e
 	table := "siteinfo"
 	var where relational.BoolExpr
 	if sub.Expr != "" {
-		stmt, err := relational.Parse(sub.Expr)
+		sel, err := relational.Parse(sub.Expr)
 		if err != nil {
 			return nil, transport.Errf(transport.CodeParse, "R-GMA subscription: %v", err)
-		}
-		sel, ok := stmt.(relational.SelectStmt)
-		if !ok {
-			return nil, transport.Errf(transport.CodeParse,
-				"R-GMA subscription wants a SELECT (its WHERE is the continuous predicate), got %T", stmt)
 		}
 		table = sel.Table
 		where = sel.Where

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/binenc"
 	"repro/internal/transport"
@@ -114,6 +115,34 @@ func TestWireDeepNestingIsParseError(t *testing.T) {
 	rs, err := remote.Query(ctx, Query{System: Hawkeye, Role: RoleDirectoryServer})
 	if err != nil || len(rs.Records) == 0 {
 		t.Fatalf("query after the nested ones: %v", err)
+	}
+}
+
+// TestWireHostileLikeIsAnswered: a LIKE pattern is user text, and a few
+// MiB of it fit in one frame. The matcher used to recurse once per
+// pattern rune, so 4 Mi of % overflowed the goroutine stack — a fatal
+// error, so one grid.query killed the server — and it built a memo map
+// per row. Each pattern below matches no host and must be answered so,
+// within 2 s, and the server must keep serving on the same connection.
+func TestWireHostileLikeIsAnswered(t *testing.T) {
+	remote := serveGrid(t, newTestGrid(t))
+	ctx := context.Background()
+	for name, pattern := range map[string]string{
+		"4 Mi %":  strings.Repeat("%", 4<<20) + "x",
+		"2 Mi %a": strings.Repeat("%a", 2<<20),
+	} {
+		start := time.Now()
+		rs, err := remote.Query(ctx, Query{System: RGMA, Expr: "SELECT * FROM siteinfo WHERE host LIKE '" + pattern + "'"})
+		if err != nil || len(rs.Records) != 0 {
+			t.Fatalf("%s: %d records, err %v", name, len(rs.Records), err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("%s: answered in %v, want within 2 s", name, d)
+		}
+	}
+	rs, err := remote.Query(ctx, Query{System: RGMA, Expr: "SELECT host FROM siteinfo WHERE host LIKE 'LUCKY_-SENSOR%'"})
+	if err != nil || len(rs.Records) == 0 {
+		t.Fatalf("query after the hostile patterns: %d records, err %v", len(rs.Records), err)
 	}
 }
 
