@@ -112,12 +112,14 @@ bench-smoke:
 # the SQL, LDAP-filter and ClassAd-expression parsers that read what a
 # user wrote (parse or error, never a panic or a stack overflow,
 # allocation in proportion to the text; an accepted filter or expression
-# renders to a canonical form that parses back to itself), the SQL LIKE
+# renders to a canonical form that parses back to itself; the ClassAd
+# expression and ad parsers answer what the parser that lexed the whole
+# input first answered, error text included), the SQL LIKE
 # matcher (what the recursive matcher it replaced answers, with no
 # allocation), the ProducerServlet answering from its producers' rows
 # (what the scratch-table body it replaced answers, for any SQL), and
 # the -shards flag parser (never a panic; an accepted map renders back
-# to one that parses equal) — fourteen targets.
+# to one that parses equal) — fifteen targets.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) .
@@ -132,5 +134,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLikeMatch$$' -fuzztime $(FUZZTIME) ./internal/relational
 	$(GO) test -run '^$$' -fuzz '^FuzzLDAPFilter$$' -fuzztime $(FUZZTIME) ./internal/ldap
 	$(GO) test -run '^$$' -fuzz '^FuzzClassAdParse$$' -fuzztime $(FUZZTIME) ./internal/classad
+	$(GO) test -run '^$$' -fuzz '^FuzzParseAd$$' -fuzztime $(FUZZTIME) ./internal/classad
 	$(GO) test -run '^$$' -fuzz '^FuzzServletSelect$$' -fuzztime $(FUZZTIME) ./internal/rgma
 	$(GO) test -run '^$$' -fuzz '^FuzzShardMap$$' -fuzztime $(FUZZTIME) ./internal/federation

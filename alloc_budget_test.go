@@ -9,7 +9,8 @@ import (
 
 // allocBudgetCells is one representative query per (system, role) — the
 // nine cells of the facade's query surface, plus the R-GMA information
-// role's mediated query (no Host) — with the allocations one
+// role's mediated query (no Host), a projected GRIS and GIIS query and a
+// two-clause numeric Hawkeye constraint — with the allocations one
 // in-process Grid.Query of it may cost: the measured count plus ~10%.
 // What the engine side of a query allocates is dominated by how often it
 // renders a value and folds a name, so a budget breaks when a decoder
@@ -40,11 +41,16 @@ import (
 // query costs one allocation more, the list of answered rows the result
 // is projected from, and the MDS cells were re-pinned, when an LDAP search
 // began normalizing its base DN once, in one allocation (the last numbers;
-// noswissmap: 11, 59, 84 in-process, the same served).
+// noswissmap: 11, 59, 84 in-process, the same served). The last three
+// cells were added, and the MDS directory and Hawkeye aggregate cells
+// re-pinned, when a GRIS or GIIS query part stopped copying the entries
+// it projects and the ClassAd parser began lexing on demand (before →
+// after; noswissmap: the same, except Hawkeye aggregate 29 and 28
+// in-process).
 //
 //	                                                             served
 //	MDS      information     72 →  27 →  28 →  13             23 →  8
-//	MDS      directory      192 →  67 →  68 →  59             56 → 47
+//	MDS      directory      192 →  67 →  68 →  59 →  21       56 → 47 →  9
 //	MDS      aggregate     1184 →  98 →  99 →  90             20 → 11
 //	R-GMA    information    113 →  72 →  33 →  34 →  35       19 → 20
 //	R-GMA    mediated               102 →  79                 55 → 32
@@ -52,10 +58,13 @@ import (
 //	R-GMA    aggregate      615 → 210 → 101 → 102                  12
 //	Hawkeye  information    482 → 122 →  14 →  16                  11
 //	Hawkeye  directory     1042 →  14 →  15                         9
-//	Hawkeye  aggregate     1054 →  39 →  40                        27
+//	Hawkeye  aggregate     1054 →  39 →  40 →  34             27 → 21
+//	MDS      information, 3 attrs      25 →  11               23 →  9
+//	MDS      aggregate, 1 attr         35 →  15               29 →  9
+//	Hawkeye  aggregate, 2 clauses      48 →  33               35 → 20
 var allocBudgetCells = []allocBudgetCell{
 	{Query{System: MDS, Role: RoleInformationServer, Host: "lucky4", Expr: "(objectclass=MdsCpu)"}, 15},
-	{Query{System: MDS, Role: RoleDirectoryServer, Expr: "(objectclass=MdsHost)", Attrs: []string{"Mds-Host-hn"}}, 65},
+	{Query{System: MDS, Role: RoleDirectoryServer, Expr: "(objectclass=MdsHost)", Attrs: []string{"Mds-Host-hn"}}, 24},
 	{Query{System: MDS, Role: RoleAggregateServer}, 99},
 	{Query{System: RGMA, Role: RoleInformationServer, Host: "lucky4", Expr: "SELECT host, value FROM siteinfo WHERE value >= 50"}, 36},
 	{Query{System: RGMA, Role: RoleInformationServer, Expr: "SELECT host, value FROM siteinfo WHERE value >= 50"}, 87},
@@ -63,7 +72,11 @@ var allocBudgetCells = []allocBudgetCell{
 	{Query{System: RGMA, Role: RoleAggregateServer, Expr: "SELECT * FROM siteinfo", Attrs: []string{"host", "value"}}, 111},
 	{Query{System: Hawkeye, Role: RoleInformationServer, Host: "lucky4"}, 16},
 	{Query{System: Hawkeye, Role: RoleDirectoryServer, Attrs: []string{"Name", "CpuLoad"}}, 16},
-	{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: `TARGET.OpSys == "LINUX"`}, 43},
+	{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: `TARGET.OpSys == "LINUX"`}, 38},
+	{Query{System: MDS, Role: RoleInformationServer, Host: "lucky4", Expr: "(objectclass=MdsCpu)",
+		Attrs: []string{"Mds-Cpu-Free-1minX100", "Mds-Cpu-Free-5minX100", "Mds-Cpu-speedMHz"}}, 13},
+	{Query{System: MDS, Role: RoleAggregateServer, Expr: "(objectclass=MdsCpu)", Attrs: []string{"Mds-Cpu-Free-1minX100"}}, 17},
+	{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: "TARGET.MemFreeMB >= 100.5 && TARGET.CpuLoad < 90.25"}, 37},
 }
 
 // allocBudgetCell is a query and the allocations one run of it may cost.
@@ -154,7 +167,7 @@ func TestRemoteQueryAllocBudget(t *testing.T) {
 // what one binary grid.query costs the server on an uncached grid:
 // decoding the request, answering it, and encoding the answer into a
 // reused buffer (queryV3's body, without the transport around it).
-var serverAllocBudgets = []float64{9, 52, 13, 21, 35, 14, 13, 12, 10, 30}
+var serverAllocBudgets = []float64{9, 10, 13, 21, 35, 14, 13, 12, 10, 24, 10, 10, 22}
 
 // servedAllocs is what one binary grid.query of q costs the server of g,
 // after a warming call.

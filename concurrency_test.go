@@ -31,11 +31,16 @@ func (c *atomicClock) Fn() func() float64 { return c.Now }
 
 // stressQueries is the read-only query mix the stress tests and the
 // parallel benchmark share: every system, both per-host and aggregate
-// shapes, indexed and scanning expressions.
+// shapes, indexed and scanning expressions. The projected MDS shapes
+// decode the GRIS's and GIIS's stored entries after the lock is
+// released, and the Hawkeye constraint with a real literal parses while
+// the pump advances the pool.
 func stressQueries() []Query {
 	return []Query{
 		{System: MDS, Host: "lucky3", Expr: "(objectclass=MdsCpu)"},
+		{System: MDS, Host: "lucky4", Expr: "(objectclass=MdsCpu)", Attrs: []string{"Mds-Cpu-Free-1minX100", "MDS-CPU-FREE-5MINX100"}},
 		{System: MDS, Role: RoleAggregateServer, Expr: "(objectclass=MdsHost)"},
+		{System: MDS, Role: RoleAggregateServer, Expr: "(objectclass=MdsCpu)", Attrs: []string{"mds-cpu-free-1minx100", "Mds-Host-hn"}},
 		{System: MDS, Role: RoleDirectoryServer},
 		{System: RGMA, Host: "lucky4"},
 		{System: RGMA, Expr: "SELECT host, metric, value FROM siteinfo WHERE value >= 50"},
@@ -43,6 +48,7 @@ func stressQueries() []Query {
 		{System: RGMA, Role: RoleAggregateServer},
 		{System: Hawkeye, Host: "lucky3"},
 		{System: Hawkeye, Role: RoleAggregateServer, Expr: "TARGET.CpuLoad >= 0"},
+		{System: Hawkeye, Role: RoleAggregateServer, Expr: "TARGET.MemFreeMB >= 100.5 && TARGET.CpuLoad < 90.25"},
 	}
 }
 

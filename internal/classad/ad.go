@@ -279,19 +279,23 @@ func (a *Ad) SortedNames() []string {
 // "[ a = 1; b = 2 ]" or old-ClassAd attribute lines separated by newlines
 // or semicolons.
 func ParseAd(src string) (*Ad, error) {
-	toks, err := lexAll(src)
-	if err != nil {
+	p := newParser(src)
+	ad, err := p.parseAd()
+	if err = p.settle(err); err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	return ad, nil
+}
+
+func (p *parser) parseAd() (*Ad, error) {
 	if p.peekSig().kind == tokLBracket {
 		e, err := p.parseAdLiteral()
 		if err != nil {
 			return nil, err
 		}
 		p.skipNewlines()
-		if p.peek().kind != tokEOF {
-			return nil, fmt.Errorf("classad: trailing input after ad at %s", p.peek())
+		if p.tok.kind != tokEOF {
+			return nil, fmt.Errorf("classad: trailing input after ad at %s", p.tok)
 		}
 		ad := NewAd()
 		rec := e.(adExpr)
@@ -303,17 +307,19 @@ func ParseAd(src string) (*Ad, error) {
 	ad := NewAd()
 	for {
 		p.skipNewlines()
-		if p.peek().kind == tokEOF {
+		if p.tok.kind == tokEOF {
 			return ad, nil
 		}
 		name, err := p.expect(tokIdent, "attribute name")
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokAssign, "'='"); err != nil {
-			return nil, err
+		if t := p.peekSig(); t.kind != tokAssign {
+			return nil, fmt.Errorf("classad: expected '=', found %s", t)
 		}
-		e, err := p.parseExprLine()
+		p.line, p.open = true, 0 // the line starts after the '='
+		p.scan()
+		e, err := p.parseLine()
 		if err != nil {
 			return nil, err
 		}
@@ -330,43 +336,38 @@ func MustParseAd(src string) *Ad {
 	return ad
 }
 
-// parseExprLine parses an expression that ends at an unbracketed newline,
-// semicolon, or EOF — the old-ClassAd attribute-per-line rule.
-func (p *parser) parseExprLine() (Expr, error) {
-	// Find the extent of the line: tokens up to the first newline or
-	// semicolon at bracket depth 0.
-	start := p.pos
-	depth := 0
-scan:
-	for i := start; ; i++ {
-		switch p.toks[i].kind {
-		case tokLParen, tokLBrace, tokLBracket:
-			depth++
-		case tokRParen, tokRBrace, tokRBracket:
-			depth--
-		case tokNewline, tokSemi:
-			if depth == 0 {
-				end := i
-				sub := &parser{toks: append(append([]token{}, p.toks[start:end]...), token{kind: tokEOF})}
-				e, err := sub.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				if sub.peekSig().kind != tokEOF {
-					return nil, fmt.Errorf("classad: trailing input in attribute at %s", sub.peek())
-				}
-				p.pos = end + 1
-				return e, nil
-			}
-		case tokEOF:
-			break scan
-		}
-	}
-	sub := &parser{toks: p.toks[start:]}
-	e, err := sub.parseExpr()
+// parseLine parses an old-style attribute's expression, which ends at
+// the line's end (scan reads it as EOF) or at the end of input — the
+// old-ClassAd attribute-per-line rule. Input the expression leaves
+// unread before the line's end is trailing input; with no line end
+// ahead, the ad reads on from it ("a = 1 b = 2" holds two attributes).
+func (p *parser) parseLine() (Expr, error) {
+	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	p.pos = start + sub.pos
+	if t := p.peekSig(); t.kind != tokEOF && p.lineEndsAhead() {
+		return nil, fmt.Errorf("classad: trailing input in attribute at %s", t)
+	}
+	p.line = false
+	if p.tok.kind == tokEOF {
+		p.scan() // past the line's end
+	}
 	return e, nil
+}
+
+// lineEndsAhead reports whether the line ends past the current token,
+// lexing ahead on a copy of the lexer. A malformed token ahead stops the
+// look; the parse reaches it later or settle finds it.
+func (p *parser) lineEndsAhead() bool {
+	l, open := p.lex, p.open
+	for {
+		t, err := l.next()
+		if err != nil || t.kind == tokEOF {
+			return false
+		}
+		if endsLine(t, &open) {
+			return true
+		}
+	}
 }

@@ -52,7 +52,6 @@ type token struct {
 	text string
 	i    int64
 	r    float64
-	pos  int
 }
 
 func (t token) String() string {
@@ -62,40 +61,19 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-// lexer scans ClassAd source text. Newlines are reported as tokens (the
-// old-ClassAd ad syntax separates attributes with newlines); expression
-// parsing skips them.
+// lexer scans ClassAd source text one token per next call, as the parser
+// asks for them. Newlines are reported as tokens (the old-ClassAd ad
+// syntax separates attributes with newlines); expression parsing skips
+// them. A token's text is a substring of the source, except for a string
+// literal with escapes, whose decoded text is built.
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
+	src string
+	pos int
 }
 
-// lexAll scans the entire input, returning an error with position context
-// on any malformed token.
-func lexAll(src string) ([]token, error) {
-	l := &lexer{src: src}
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		l.toks = append(l.toks, t)
-		if t.kind == tokEOF {
-			return l.toks, nil
-		}
-	}
-}
-
+// errf reports a malformed token with its position.
 func (l *lexer) errf(format string, args ...interface{}) error {
 	return fmt.Errorf("classad: at offset %d: %s", l.pos, fmt.Sprintf(format, args...))
-}
-
-func (l *lexer) peekByte() byte {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
 }
 
 func (l *lexer) next() (token, error) {
@@ -106,14 +84,9 @@ func (l *lexer) next() (token, error) {
 		case c == ' ' || c == '\t' || c == '\r':
 			l.pos++
 		case c == '\n':
-			p := l.pos
 			l.pos++
-			return token{kind: tokNewline, text: "\\n", pos: p}, nil
-		case c == '#': // comment to end of line
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
-			}
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
+			return token{kind: tokNewline, text: "\\n"}, nil
+		case c == '#', c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/': // comment to end of line
 			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
 				l.pos++
 			}
@@ -121,7 +94,7 @@ func (l *lexer) next() (token, error) {
 			goto scan
 		}
 	}
-	return token{kind: tokEOF, pos: l.pos}, nil
+	return token{kind: tokEOF}, nil
 
 scan:
 	start := l.pos
@@ -131,96 +104,34 @@ scan:
 		for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
 			l.pos++
 		}
-		return token{kind: tokIdent, text: l.src[start:l.pos], pos: start}, nil
+		return token{kind: tokIdent, text: l.src[start:l.pos]}, nil
 	case c >= '0' && c <= '9', c == '.' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
 		return l.scanNumber()
 	case c == '"':
 		return l.scanString()
 	}
-	l.pos++
-	two := ""
-	if l.pos < len(l.src) {
-		two = l.src[start : l.pos+1]
+	for n := 3; n > 0; n-- { // the longest operator first: "=?=" before "="
+		if start+n <= len(l.src) {
+			if k := operators[l.src[start:start+n]]; k != tokEOF {
+				l.pos = start + n
+				return token{kind: k, text: l.src[start:l.pos]}, nil
+			}
+		}
 	}
-	switch c {
-	case '(':
-		return token{kind: tokLParen, text: "(", pos: start}, nil
-	case ')':
-		return token{kind: tokRParen, text: ")", pos: start}, nil
-	case '{':
-		return token{kind: tokLBrace, text: "{", pos: start}, nil
-	case '}':
-		return token{kind: tokRBrace, text: "}", pos: start}, nil
-	case '[':
-		return token{kind: tokLBracket, text: "[", pos: start}, nil
-	case ']':
-		return token{kind: tokRBracket, text: "]", pos: start}, nil
-	case ',':
-		return token{kind: tokComma, text: ",", pos: start}, nil
-	case ';':
-		return token{kind: tokSemi, text: ";", pos: start}, nil
-	case '.':
-		return token{kind: tokDot, text: ".", pos: start}, nil
-	case '?':
-		return token{kind: tokQuest, text: "?", pos: start}, nil
-	case ':':
-		return token{kind: tokColon, text: ":", pos: start}, nil
-	case '+':
-		return token{kind: tokPlus, text: "+", pos: start}, nil
-	case '-':
-		return token{kind: tokMinus, text: "-", pos: start}, nil
-	case '*':
-		return token{kind: tokStar, text: "*", pos: start}, nil
-	case '/':
-		return token{kind: tokSlash, text: "/", pos: start}, nil
-	case '%':
-		return token{kind: tokPercent, text: "%", pos: start}, nil
-	case '!':
-		if two == "!=" {
-			l.pos++
-			return token{kind: tokNE, text: "!=", pos: start}, nil
-		}
-		return token{kind: tokNot, text: "!", pos: start}, nil
-	case '&':
-		if two == "&&" {
-			l.pos++
-			return token{kind: tokAnd, text: "&&", pos: start}, nil
-		}
-		return token{}, l.errf("unexpected '&' (did you mean '&&'?)")
-	case '|':
-		if two == "||" {
-			l.pos++
-			return token{kind: tokOr, text: "||", pos: start}, nil
-		}
-		return token{}, l.errf("unexpected '|' (did you mean '||'?)")
-	case '<':
-		if two == "<=" {
-			l.pos++
-			return token{kind: tokLE, text: "<=", pos: start}, nil
-		}
-		return token{kind: tokLT, text: "<", pos: start}, nil
-	case '>':
-		if two == ">=" {
-			l.pos++
-			return token{kind: tokGE, text: ">=", pos: start}, nil
-		}
-		return token{kind: tokGT, text: ">", pos: start}, nil
-	case '=':
-		if two == "==" {
-			l.pos++
-			return token{kind: tokEQ, text: "==", pos: start}, nil
-		}
-		if two == "=?" && l.pos+1 < len(l.src) && l.src[l.pos+1] == '=' {
-			l.pos += 2
-			return token{kind: tokMetaEQ, text: "=?=", pos: start}, nil
-		}
-		if two == "=!" && l.pos+1 < len(l.src) && l.src[l.pos+1] == '=' {
-			l.pos += 2
-			return token{kind: tokMetaNE, text: "=!=", pos: start}, nil
-		}
-		return token{kind: tokAssign, text: "=", pos: start}, nil
+	l.pos++
+	if c == '&' || c == '|' {
+		return token{}, l.errf("unexpected '%c' (did you mean '%c%c'?)", c, c, c)
 	}
 	return token{}, l.errf("unexpected character %q", c)
+}
+
+// operators are the punctuation tokens by their text.
+var operators = map[string]tokKind{
+	"(": tokLParen, ")": tokRParen, "{": tokLBrace, "}": tokRBrace, "[": tokLBracket, "]": tokRBracket,
+	",": tokComma, ";": tokSemi, ".": tokDot, "?": tokQuest, ":": tokColon, "=": tokAssign,
+	"+": tokPlus, "-": tokMinus, "*": tokStar, "/": tokSlash, "%": tokPercent, "!": tokNot,
+	"&&": tokAnd, "||": tokOr, "==": tokEQ, "!=": tokNE, "<": tokLT, "<=": tokLE, ">": tokGT, ">=": tokGE,
+	"=?=": tokMetaEQ, "=!=": tokMetaNE,
 }
 
 func (l *lexer) scanNumber() (token, error) {
@@ -251,31 +162,42 @@ func (l *lexer) scanNumber() (token, error) {
 			l.pos = save // "12eggs": the e belongs to an identifier
 		}
 	}
+	// The text is digits with at most one '.' and one exponent. Of such
+	// text strconv accepts what fmt's %d and %g scanning accepted ("007",
+	// ".5", "1."), and refuses what it refused: a value out of range
+	// (2^63, 1e999).
 	text := l.src[start:l.pos]
 	if isReal {
-		var r float64
-		if _, err := fmt.Sscanf(text, "%g", &r); err != nil {
+		r, err := strconv.ParseFloat(text, 64)
+		if err != nil {
 			return token{}, l.errf("bad real literal %q", text)
 		}
-		return token{kind: tokReal, text: text, r: r, pos: start}, nil
+		return token{kind: tokReal, text: text, r: r}, nil
 	}
-	var i int64
-	if _, err := fmt.Sscanf(text, "%d", &i); err != nil {
+	i, err := strconv.ParseInt(text, 10, 64)
+	if err != nil {
 		return token{}, l.errf("bad integer literal %q", text)
 	}
-	return token{kind: tokInt, text: text, i: i, pos: start}, nil
+	return token{kind: tokInt, text: text, i: i}, nil
 }
 
+// scanString reads a string literal. Without escapes its text is the
+// source between the quotes; from the first escape on it is built.
 func (l *lexer) scanString() (token, error) {
-	start := l.pos
-	l.pos++ // opening quote
+	l.pos++ // past the opening quote
+	// plain is where the run of source not yet copied into sb began.
+	start, plain := l.pos, l.pos
 	var sb strings.Builder
 	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		switch c {
+		switch l.src[l.pos] {
 		case '"':
+			text := l.src[start:l.pos]
+			if sb.Len() > 0 {
+				sb.WriteString(l.src[plain:l.pos])
+				text = sb.String()
+			}
 			l.pos++
-			return token{kind: tokString, text: sb.String(), pos: start}, nil
+			return token{kind: tokString, text: text}, nil
 		case '\\':
 			// Every escape Go quoting writes, so a rendered string
 			// (Value.String quotes with strconv) reads back as itself.
@@ -283,7 +205,9 @@ func (l *lexer) scanString() (token, error) {
 			if err != nil {
 				return token{}, l.errf("bad escape in string literal")
 			}
+			sb.WriteString(l.src[plain:l.pos])
 			l.pos = len(l.src) - len(tail)
+			plain = l.pos
 			if multibyte {
 				sb.WriteRune(r)
 			} else {
@@ -292,7 +216,6 @@ func (l *lexer) scanString() (token, error) {
 		case '\n':
 			return token{}, l.errf("newline in string literal")
 		default:
-			sb.WriteByte(c)
 			l.pos++
 		}
 	}

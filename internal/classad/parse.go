@@ -5,11 +5,79 @@ import (
 	"strings"
 )
 
-// parser consumes a token stream produced by lexAll.
+// parser pulls tokens from its lexer one at a time, as it needs them:
+// it holds the current token and nothing lexed past it, so what a parse
+// allocates is the tree it builds. It answers as if the input were
+// lexed whole before parsing: a malformed token anywhere in the input
+// wins over a parse error (see settle), and an old-style ad line ends
+// at the first newline or ';' outside brackets (see scan and
+// parseLine).
 type parser struct {
-	toks  []token
-	pos   int
-	depth int // parseExpr and parseUnary calls in progress
+	lex   lexer
+	tok   token // the current token
+	err   error // the first lex error; tok is EOF from then on
+	depth int   // parseExpr and parseUnary calls in progress
+
+	// line is set while an old-style ad attribute's expression is read:
+	// then scan counts brackets in open and turns the line's end, a
+	// newline or ';' outside brackets, into EOF.
+	line bool
+	open int
+}
+
+// newParser starts a parser on src's first token.
+func newParser(src string) *parser {
+	p := &parser{lex: lexer{src: src}}
+	p.scan()
+	return p
+}
+
+// scan moves to the next token.
+func (p *parser) scan() {
+	if p.err != nil {
+		return
+	}
+	t, err := p.lex.next()
+	if err != nil {
+		p.err, t = err, token{kind: tokEOF}
+	}
+	if p.line && endsLine(t, &p.open) {
+		t = token{kind: tokEOF}
+	}
+	p.tok = t
+}
+
+// endsLine counts t's brackets into *open and reports whether t is a
+// newline or ';' outside brackets, the end of an old-style ad line.
+func endsLine(t token, open *int) bool {
+	switch t.kind {
+	case tokLParen, tokLBrace, tokLBracket:
+		*open++
+	case tokRParen, tokRBrace, tokRBracket:
+		*open--
+	case tokNewline, tokSemi:
+		return *open == 0
+	}
+	return false
+}
+
+// settle is the error a parse that returned err ends with. The
+// input's first malformed token wins over any parse error, so a parse
+// that failed lexes the rest of the input for one. A parse that
+// succeeded has read to the end already.
+func (p *parser) settle(err error) error {
+	for err != nil && p.err == nil {
+		t, lexErr := p.lex.next()
+		if lexErr != nil {
+			p.err = lexErr
+		} else if t.kind == tokEOF {
+			break
+		}
+	}
+	if p.err != nil {
+		return p.err
+	}
+	return err
 }
 
 // maxParseDepth bounds how deep an expression may nest. Every nesting
@@ -17,7 +85,7 @@ type parser struct {
 // through parseExpr, and a chain of unary operators through parseUnary;
 // a goroutine stack overflow kills the process instead of panicking,
 // while a few MiB of "(" fit in one v3 frame. So does the tree: x && x
-// && … loops in parseAnd but evaluates recursively, one level per link.
+// && … loops in parseBinary but evaluates recursively, one level per link.
 const maxParseDepth = 1000
 
 // nest enters one level of recursion; the caller defers p.depth--.
@@ -31,19 +99,24 @@ func (p *parser) nest() error {
 
 // ParseExpr parses a single ClassAd expression.
 func ParseExpr(src string) (Expr, error) {
-	toks, err := lexAll(src)
-	if err != nil {
+	p := newParser(src)
+	e, err := p.parseWhole()
+	if err = p.settle(err); err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	return e, nil
+}
+
+// parseWhole parses an expression that is the whole input.
+func (p *parser) parseWhole() (Expr, error) {
 	p.skipNewlines()
 	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
 	p.skipNewlines()
-	if p.peek().kind != tokEOF {
-		return nil, fmt.Errorf("classad: trailing input at %s", p.peek())
+	if p.tok.kind != tokEOF {
+		return nil, fmt.Errorf("classad: trailing input at %s", p.tok)
 	}
 	return e, nil
 }
@@ -58,27 +131,26 @@ func MustParseExpr(src string) Expr {
 	return e
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
-
+// advance consumes the current token and returns it; EOF stays current.
 func (p *parser) advance() token {
-	t := p.toks[p.pos]
+	t := p.tok
 	if t.kind != tokEOF {
-		p.pos++
+		p.scan()
 	}
 	return t
 }
 
 func (p *parser) skipNewlines() {
-	for p.peek().kind == tokNewline {
-		p.pos++
+	for p.tok.kind == tokNewline {
+		p.scan()
 	}
 }
 
-// peekSig returns the next significant (non-newline) token without
-// consuming newlines permanently — used where newlines are insignificant.
+// peekSig returns the next significant (non-newline) token, skipping
+// newlines — used where newlines are insignificant.
 func (p *parser) peekSig() token {
 	p.skipNewlines()
-	return p.peek()
+	return p.tok
 }
 
 func (p *parser) expect(k tokKind, what string) (token, error) {
@@ -96,7 +168,7 @@ func (p *parser) parseExpr() (Expr, error) {
 	if err := p.nest(); err != nil {
 		return nil, err
 	}
-	c, err := p.parseOr()
+	c, err := p.parseBinary(0)
 	if err != nil {
 		return nil, err
 	}
@@ -150,108 +222,33 @@ func deeperThan(e Expr, max int) bool {
 	return false
 }
 
-func (p *parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.peekSig().kind == tokOr {
-		p.advance()
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = binary{op: "||", l: l, r: r}
-	}
-	return l, nil
+// binaryLevels are the binary operators by precedence, loosest first.
+// All are left-associative, and a level's operands are expressions of
+// the next level (of parseUnary after the last).
+var binaryLevels = [...][tokNewline + 1]string{
+	{tokOr: "||"},
+	{tokAnd: "&&"},
+	{tokEQ: "==", tokNE: "!=", tokLT: "<", tokLE: "<=", tokGT: ">", tokGE: ">=", tokMetaEQ: "=?=", tokMetaNE: "=!="},
+	{tokPlus: "+", tokMinus: "-"},
+	{tokStar: "*", tokSlash: "/", tokPercent: "%"},
 }
 
-func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseComparison()
-	if err != nil {
-		return nil, err
+// parseBinary parses a chain of binaryLevels[level]'s operators.
+func (p *parser) parseBinary(level int) (Expr, error) {
+	if level == len(binaryLevels) {
+		return p.parseUnary()
 	}
-	for p.peekSig().kind == tokAnd {
-		p.advance()
-		r, err := p.parseComparison()
-		if err != nil {
-			return nil, err
-		}
-		l = binary{op: "&&", l: l, r: r}
-	}
-	return l, nil
-}
-
-var comparisonOps = map[tokKind]string{
-	tokEQ: "==", tokNE: "!=", tokLT: "<", tokLE: "<=",
-	tokGT: ">", tokGE: ">=", tokMetaEQ: "=?=", tokMetaNE: "=!=",
-}
-
-func (p *parser) parseComparison() (Expr, error) {
-	l, err := p.parseAdditive()
+	l, err := p.parseBinary(level + 1)
 	if err != nil {
 		return nil, err
 	}
 	for {
-		op, ok := comparisonOps[p.peekSig().kind]
-		if !ok {
+		op := binaryLevels[level][p.peekSig().kind]
+		if op == "" {
 			return l, nil
 		}
 		p.advance()
-		r, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		l = binary{op: op, l: l, r: r}
-	}
-}
-
-func (p *parser) parseAdditive() (Expr, error) {
-	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch p.peekSig().kind {
-		case tokPlus:
-			p.advance()
-			r, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			l = binary{op: "+", l: l, r: r}
-		case tokMinus:
-			p.advance()
-			r, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			l = binary{op: "-", l: l, r: r}
-		default:
-			return l, nil
-		}
-	}
-}
-
-func (p *parser) parseMultiplicative() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch p.peekSig().kind {
-		case tokStar:
-			op = "*"
-		case tokSlash:
-			op = "/"
-		case tokPercent:
-			op = "%"
-		default:
-			return l, nil
-		}
-		p.advance()
-		r, err := p.parseUnary()
+		r, err := p.parseBinary(level + 1)
 		if err != nil {
 			return nil, err
 		}
@@ -330,8 +327,8 @@ func (p *parser) parsePrimary() (Expr, error) {
 
 func (p *parser) parseIdent() (Expr, error) {
 	t := p.advance()
-	lower := strings.ToLower(t.text)
-	switch lower {
+	kw := keyword(t.text)
+	switch kw {
 	case "true":
 		return &literal{Bool(true)}, nil
 	case "false":
@@ -341,21 +338,21 @@ func (p *parser) parseIdent() (Expr, error) {
 	case "error":
 		return &literal{ErrorValue("error literal")}, nil
 	case "my", "target":
-		if p.peek().kind == tokDot {
+		if p.tok.kind == tokDot {
 			p.advance()
 			at, err := p.expect(tokIdent, "attribute name")
 			if err != nil {
 				return nil, err
 			}
 			sc := scopeMy
-			if lower == "target" {
+			if kw == "target" {
 				sc = scopeTarget
 			}
 			return newAttrRef(sc, at.text), nil
 		}
 		return newAttrRef(scopeNone, t.text), nil
 	}
-	if p.peek().kind == tokLParen {
+	if p.tok.kind == tokLParen {
 		p.advance()
 		var args []Expr
 		if p.peekSig().kind != tokRParen {
@@ -380,6 +377,24 @@ func (p *parser) parseIdent() (Expr, error) {
 		return call{name: t.text, args: args}, nil
 	}
 	return newAttrRef(scopeNone, t.text), nil
+}
+
+// keyword is the keyword ident spells, or "" when it spells none. It
+// matches as strings.ToLower(ident) == keyword would, folding ASCII
+// only. The two runes that lower to ASCII are the Kelvin sign (to 'k',
+// which no keyword has) and 'İ' (to 'i'), and neither can be in an
+// identifier: the lexer reads one byte by byte, and the second UTF-8
+// byte of 'İ', 0xb0, is no letter.
+func keyword(ident string) string {
+	var buf [foldBufLen]byte
+	if n, ok := foldASCII(&buf, ident); ok {
+		for _, kw := range [...]string{"true", "false", "undefined", "error", "my", "target"} {
+			if string(buf[:n]) == kw {
+				return kw
+			}
+		}
+	}
+	return ""
 }
 
 func (p *parser) parseList() (Expr, error) {

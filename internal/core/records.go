@@ -171,15 +171,22 @@ func selected(attrs []string, name string) bool {
 
 // MDSRecords decodes LDAP entries: the record key is the DN and each
 // attribute becomes a field (multi-valued attributes joined with "|").
-func MDSRecords(entries []*ldap.Entry) []Record { return MDSAnswer(entries).Records() }
+func MDSRecords(entries []*ldap.Entry) []Record { return MDSAnswer(entries, nil).Records() }
 
-// MDSAnswer is MDSRecords in flat form. LDAP values are strings already,
-// so nothing is rendered.
-func MDSAnswer(entries []*ldap.Entry) Answer {
+// MDSAnswer is MDSRecords in flat form, projected onto attrs the way
+// LDAP projects (ldap.Entry.Keeps: a name selects an attribute in any
+// case; all of them when attrs is empty). Fields keep the entry's order
+// and stored spelling. The entries are read in place, so a GRIS or GIIS
+// query part copies none; LDAP values are strings already, so nothing
+// is rendered.
+func MDSAnswer(entries []*ldap.Entry, attrs []string) Answer {
 	a := arenas.Get().(*arena)
 	for _, e := range entries {
 		a.keyText(e.DNString())
 		for j := 0; j < e.Len(); j++ {
+			if !e.Keeps(j, attrs) {
+				continue
+			}
 			name, values := e.At(j)
 			a.fieldText(name, strings.Join(values, "|"))
 		}

@@ -33,6 +33,28 @@ func oracleMDSRecords(entries []*ldap.Entry) []Record {
 	return out
 }
 
+// oracleMDSProjected is oracleMDSRecords over the copies a GRIS or GIIS
+// query part used to build: only the attributes some name in attrs
+// folds to (strings.ToLower, in any case), every one when attrs is empty.
+func oracleMDSProjected(entries []*ldap.Entry, attrs []string) []Record {
+	out := oracleMDSRecords(entries)
+	if len(attrs) == 0 {
+		return out
+	}
+	for i, e := range entries {
+		for _, name := range e.Attributes() {
+			kept := false
+			for _, a := range attrs {
+				kept = kept || strings.ToLower(a) == strings.ToLower(name)
+			}
+			if !kept {
+				delete(out[i].Fields, name)
+			}
+		}
+	}
+	return out
+}
+
 func oraclePlainValue(v relational.Value) string {
 	if v.Type == relational.StringType {
 		return v.S
@@ -209,7 +231,8 @@ func randomAds(rng *rand.Rand, n int) []*classad.Ad {
 
 // projections are the Attrs the decoders are tried with: none, exact
 // names, names in the wrong case (which select nothing, as in
-// Record.Project), unknown names, duplicates.
+// Record.Project, except for MDS, where LDAP folds them), unknown names,
+// duplicates.
 var projections = [][]string{
 	nil,
 	{},
@@ -219,6 +242,8 @@ var projections = [][]string{
 	{"cpuload", "NAME", "nosuch"},
 	{"Requirements", "OpSys", "Idle", "FreeDisk"},
 	{"objectclass", "Mds-Service"},
+	{"OBJECTCLASS", "mds-cpu-free-1minx100", "ObjectClass"},
+	{""},
 }
 
 func TestDecodersMatchOracles(t *testing.T) {
@@ -233,9 +258,8 @@ func TestDecodersMatchOracles(t *testing.T) {
 		entries := randomEntries(rng, rng.Intn(20))
 		diff("MDSRecords", nil, MDSRecords(entries), oracleMDSRecords(entries))
 		for _, attrs := range projections {
-			// MDS projects inside the LDAP query: decode the projected entries.
-			projected := ldap.ProjectAll(entries, attrs)
-			diff("MDSRecords(ProjectAll)", attrs, MDSRecords(projected), oracleMDSRecords(projected))
+			// MDS projects while decoding the stored entries.
+			diff("MDSAnswer", attrs, MDSAnswer(entries, attrs).Records(), oracleMDSProjected(entries, attrs))
 		}
 
 		res := randomResult(rng, rng.Intn(40))
@@ -307,8 +331,8 @@ func BenchmarkMDSRecordsProjected(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// MDS projects the entries, then decodes what is left.
-		benchRecords = MDSRecords(ldap.ProjectAll(entries, attrs))
+		// MDS decodes only the kept attributes of the stored entries.
+		benchRecords = MDSAnswer(entries, attrs).Records()
 	}
 }
 

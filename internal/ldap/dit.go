@@ -276,25 +276,12 @@ func (t *DIT) DNs() []string {
 	return out
 }
 
-// SizeBytes estimates the LDIF size of a result set.
-func SizeBytes(entries []*Entry) int {
+// SizeBytes is the LDIF size of a result set projected onto attrs (the
+// whole entries when attrs is empty; see Entry.Keeps).
+func SizeBytes(entries []*Entry, attrs []string) int {
 	n := 0
 	for _, e := range entries {
-		n += e.SizeBytes() + 1
+		n += e.ProjectedSizeBytes(attrs) + 1
 	}
 	return n
-}
-
-// ProjectAll applies Entry.Project to each entry when attrs is non-empty,
-// returning the originals otherwise.
-func ProjectAll(entries []*Entry, attrs []string) []*Entry {
-	if len(attrs) == 0 {
-		return entries
-	}
-	want := lowerSet(attrs) // folded once for the whole result set
-	out := make([]*Entry, len(entries))
-	for i, e := range entries {
-		out[i] = e.project(want)
-	}
-	return out
 }

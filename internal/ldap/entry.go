@@ -3,6 +3,8 @@ package ldap
 import (
 	"sort"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Entry is a directory entry: a DN plus multi-valued attributes. Attribute
@@ -133,42 +135,51 @@ func (e *Entry) Attributes() []string {
 	return out
 }
 
-// Project returns a copy of the entry keeping only the named attributes.
-// MDS "query part" requests use this to return a slice of each entry.
-func (e *Entry) Project(attrs []string) *Entry {
-	return e.project(lowerSet(attrs))
+// Keeps reports whether an MDS "query part" projection onto attrs keeps
+// the i'th attribute, 0 <= i < Len(). Empty attrs keep every attribute;
+// otherwise a name in attrs must fold to the attribute's key the way Add
+// folded it (strings.ToLower). Nothing is copied: a query part reads
+// the entry in place.
+func (e *Entry) Keeps(i int, attrs []string) bool {
+	return len(attrs) == 0 || selects(attrs, e.order[i])
 }
 
-// lowerSet folds a projection list into the set of keys it selects.
-func lowerSet(attrs []string) map[string]struct{} {
-	want := make(map[string]struct{}, len(attrs))
+// selects reports whether some name in attrs folds to key.
+func selects(attrs []string, key string) bool {
 	for _, a := range attrs {
-		want[strings.ToLower(a)] = struct{}{}
-	}
-	return want
-}
-
-// project is Project with the attribute names already folded into keys.
-func (e *Entry) project(want map[string]struct{}) *Entry {
-	out := &Entry{
-		DN:       e.DN,
-		dnString: e.dnString,
-		attrs:    make(map[string]*attrValues, len(want)),
-		order:    make([]string, 0, len(want)),
-	}
-	for _, k := range e.order {
-		if _, ok := want[k]; ok {
-			out.copyAttr(k, e.attrs[k])
+		if foldsTo(a, key) {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
-// copyAttr stores a copy of another entry's attribute under the key that
-// entry folded for it.
-func (e *Entry) copyAttr(key string, av *attrValues) {
-	e.attrs[key] = &attrValues{name: av.name, values: append([]string(nil), av.values...)}
-	e.order = append(e.order, key)
+// foldsTo reports strings.ToLower(name) == key without allocating. The
+// key is strings.ToLower's output, which lowers rune by rune with
+// unicode.ToLower and writes U+FFFD for a byte that is not UTF-8, so the
+// two are compared rune by rune; an ASCII byte is lowered in place.
+// (EqualFold would also match 'ſ' to 's'.)
+func foldsTo(name, key string) bool {
+	for i := 0; i < len(name); {
+		if c := name[i]; c < utf8.RuneSelf {
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if key == "" || key[0] != c {
+				return false
+			}
+			i, key = i+1, key[1:]
+			continue
+		}
+		r, n := utf8.DecodeRuneInString(name[i:])
+		r = unicode.ToLower(r)
+		k, m := utf8.DecodeRuneInString(key)
+		if k != r || m != utf8.RuneLen(r) {
+			return false
+		}
+		i, key = i+n, key[m:]
+	}
+	return key == ""
 }
 
 // Clone deep-copies the entry.
@@ -179,13 +190,15 @@ func (e *Entry) Clone() *Entry {
 		order: make([]string, 0, len(e.order)),
 	}
 	for _, k := range e.order {
-		out.copyAttr(k, e.attrs[k])
+		av := e.attrs[k]
+		out.attrs[k] = &attrValues{name: av.name, values: append([]string(nil), av.values...)}
+		out.order = append(out.order, k)
 	}
 	return out
 }
 
 // DNString is e.DN.String(), kept from when the entry was stored in a
-// DIT (or projected from a stored entry) instead of rebuilt per call.
+// DIT instead of rebuilt per call.
 func (e *Entry) DNString() string {
 	if e.dnString != "" && e.DN.rendersAs(e.dnString) {
 		return e.dnString
@@ -223,13 +236,35 @@ func (e *Entry) SizeBytes() int {
 	return len("dn: ") + e.DN.stringLen() + len("\n") + n
 }
 
+// ProjectedSizeBytes is the wire size of the entry projected onto attrs
+// (see Keeps): the SizeBytes of the projection, counted without
+// building it.
+func (e *Entry) ProjectedSizeBytes(attrs []string) int {
+	if len(attrs) == 0 {
+		return e.SizeBytes()
+	}
+	n := len("dn: ") + e.DN.stringLen() + len("\n")
+	for _, k := range e.order {
+		if selects(attrs, k) {
+			n += e.attrs[k].size()
+		}
+	}
+	return n
+}
+
 func (e *Entry) countAttrSize() int {
 	n := 0
 	for _, k := range e.order {
-		av := e.attrs[k]
-		for _, v := range av.values {
-			n += len(av.name) + len(": ") + len(v) + len("\n")
-		}
+		n += e.attrs[k].size()
+	}
+	return n
+}
+
+// size is the attribute's share of its entry's LDIF: one line per value.
+func (av *attrValues) size() int {
+	n := 0
+	for _, v := range av.values {
+		n += len(av.name) + len(": ") + len(v) + len("\n")
 	}
 	return n
 }

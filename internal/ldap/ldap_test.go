@@ -84,12 +84,23 @@ func TestEntryProject(t *testing.T) {
 	e.Set("a", "1")
 	e.Set("b", "2")
 	e.Set("c", "3")
-	p := e.Project([]string{"A", "c"})
-	if p.Has("b") || !p.Has("a") || !p.Has("c") {
-		t.Fatalf("projection kept %v", p.Attributes())
+	attrs := []string{"A", "c"}
+	var kept []string
+	for i := 0; i < e.Len(); i++ {
+		if e.Keeps(i, attrs) {
+			name, _ := e.At(i)
+			kept = append(kept, name)
+		}
 	}
-	if p.SizeBytes() >= e.SizeBytes() {
+	if !equalStrings(kept, []string{"a", "c"}) {
+		t.Fatalf("projection kept %v", kept)
+	}
+	size := e.ProjectedSizeBytes(attrs)
+	if size >= e.SizeBytes() {
 		t.Fatal("projection did not shrink entry")
+	}
+	if want := e.Project(attrs).SizeBytes(); size != want {
+		t.Fatalf("ProjectedSizeBytes = %d, the projected copy measures %d", size, want)
 	}
 }
 
@@ -388,13 +399,17 @@ func TestSearchDeterministicOrder(t *testing.T) {
 func TestProjectAllAndSize(t *testing.T) {
 	dit := buildTestDIT(t)
 	all, _ := dit.Search(nil, ScopeSub, MustParseFilter("(objectclass=MdsHost)"))
-	full := SizeBytes(all)
-	part := SizeBytes(ProjectAll(all, []string{"Mds-Host-hn"}))
+	attrs := []string{"Mds-Host-hn"}
+	full := SizeBytes(all, nil)
+	part := SizeBytes(all, attrs)
 	if part >= full {
 		t.Fatalf("projected size %d not smaller than full %d", part, full)
 	}
-	if same := ProjectAll(all, nil); len(same) != len(all) {
-		t.Fatal("nil projection changed result count")
+	if copied := SizeBytes(ProjectAll(all, attrs), nil); part != copied {
+		t.Fatalf("projected size %d, the projected copies measure %d", part, copied)
+	}
+	if empty := SizeBytes(all, []string{}); empty != full {
+		t.Fatalf("empty projection measures %d, full %d", empty, full)
 	}
 }
 

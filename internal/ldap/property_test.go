@@ -113,9 +113,8 @@ func TestSearchProjectionShrinksProperty(t *testing.T) {
 		if len(all) != count {
 			return false
 		}
-		projected := ProjectAll(all, []string{"objectclass"})
-		for i := range all {
-			if projected[i].SizeBytes() > all[i].SizeBytes() {
+		for _, e := range all {
+			if e.ProjectedSizeBytes([]string{"objectclass"}) > e.SizeBytes() {
 				return false
 			}
 		}

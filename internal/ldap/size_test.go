@@ -48,21 +48,6 @@ func oracleSortedAttributes(e *Entry) []string {
 	return out
 }
 
-func oracleProject(e *Entry, attrs []string) *Entry {
-	out := NewEntry(e.DN)
-	want := make(map[string]bool, len(attrs))
-	for _, a := range attrs {
-		want[strings.ToLower(a)] = true
-	}
-	for _, k := range e.order {
-		if want[k] {
-			av := e.attrs[k]
-			out.Set(av.name, av.values...)
-		}
-	}
-	return out
-}
-
 // checkEntry holds every rendering and lookup of e to the oracles.
 func checkEntry(t *testing.T, e *Entry, probes []string) {
 	t.Helper()
@@ -104,12 +89,41 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
+// checkProjection holds the in-place projection of entries onto attrs —
+// Keeps, ProjectedSizeBytes and SizeBytes(entries, attrs) — to the
+// copies the ProjectAll oracle builds.
+func checkProjection(t *testing.T, entries []*Entry, attrs []string) {
+	t.Helper()
+	copies := ProjectAll(entries, attrs)
+	if got, want := SizeBytes(entries, attrs), SizeBytes(copies, nil); got != want {
+		t.Fatalf("SizeBytes(entries, %q) = %d, the ProjectAll copies measure %d", attrs, got, want)
+	}
+	for i, e := range entries {
+		var kept []string
+		for j := 0; j < e.Len(); j++ {
+			if e.Keeps(j, attrs) {
+				name, _ := e.At(j)
+				kept = append(kept, name)
+			}
+		}
+		if want := copies[i].Attributes(); !equalStrings(kept, want) {
+			t.Fatalf("projecting %q onto %q keeps %q, ProjectAll %q", e.Attributes(), attrs, kept, want)
+		}
+		if got, want := e.ProjectedSizeBytes(attrs), copies[i].SizeBytes(); got != want {
+			t.Fatalf("ProjectedSizeBytes(%q) = %d, the ProjectAll copy measures %d", attrs, got, want)
+		}
+	}
+}
+
 // FuzzEntrySize: entries built from arbitrary names and values —
 // multi-valued, empty, mixed-case, non-ASCII, longer than the fold
 // buffer — measure as long as their LDIF and answer lookups in any
 // spelling exactly as the strings.ToLower path did; the same holds for
-// the copy a DIT stores (memoized), for a projection of it, and after
-// the stored copy is edited.
+// the copy a DIT stores (memoized) and after the stored copy is edited.
+// Projected onto attribute lists cut from the same fuzzed strings (mixed
+// case, duplicates, "", nil versus empty, names that match nothing, 'ſ',
+// the Kelvin sign, 'İ', invalid UTF-8), an entry keeps and measures
+// exactly what a ProjectAll copy of it holds.
 func FuzzEntrySize(f *testing.F) {
 	f.Add("objectclass", "MdsCpu", "Mds-Cpu-Free-1minX100", "", "lucky7")
 	f.Add("ObjectClass", "a", "OBJECTCLASS", "b", "h")
@@ -118,6 +132,9 @@ func FuzzEntrySize(f *testing.F) {
 	f.Add(strings.Repeat("LongAttributeName", 5), "v", "İ", "dotted", "y")
 	f.Add("", "", "", "", "")
 	f.Add("a: b", "c\nd", "e=f", ", ", "g, h")
+	f.Add("ſ", "S", "K", "k", "İ")
+	f.Add("s", "ſ", "K", "K", "i")
+	f.Add("\xff", "\xc5", "İ", "\xc4\xb0x", "I")
 	f.Fuzz(func(t *testing.T, n1, v1, n2, v2, host string) {
 		dn := DN{{Attr: "Mds-Device-Group-name", Value: v2}, {Attr: "Mds-Host-hn", Value: host}, {Attr: "o", Value: "grid"}}
 		e := NewEntry(dn)
@@ -129,13 +146,6 @@ func FuzzEntrySize(f *testing.F) {
 		probes := []string{n1, n2, strings.ToUpper(n1), strings.ToLower(n2), strings.ToUpper(n2[:len(n2)/2]) + n2[len(n2)/2:], "objectclass", "EMPTY", "nosuch", ""}
 		checkEntry(t, e, probes)
 
-		attrs := []string{strings.ToUpper(n2), "objectclass", "nosuch"}
-		p, want := e.Project(attrs), oracleProject(e, attrs)
-		if p.LDIF() != oracleLDIF(want) {
-			t.Fatalf("Project(%q) = %q, oracle %q", attrs, p.LDIF(), oracleLDIF(want))
-		}
-		checkEntry(t, p, probes)
-
 		dit := NewDIT()
 		if err := dit.Add(e.Clone()); err != nil {
 			t.Fatal(err)
@@ -145,7 +155,15 @@ func FuzzEntrySize(f *testing.F) {
 			t.Fatalf("stored entry %q not found", dn)
 		}
 		checkEntry(t, stored, probes)
-		checkEntry(t, ProjectAll([]*Entry{stored}, attrs)[0], probes)
+		for _, attrs := range [][]string{
+			nil, {}, {""}, {n1}, {n2, n2},
+			{strings.ToUpper(n1), strings.ToLower(n2)},
+			{strings.ToUpper(n2), "objectclass", "nosuch"},
+			{v1, v2, host},
+			{"OBJECTCLASS", "empty", "Empty"},
+		} {
+			checkProjection(t, []*Entry{e, stored}, attrs)
+		}
 		stored.Add(n2, "later")
 		stored.Set("fresh", v1)
 		checkEntry(t, stored, probes)
@@ -156,8 +174,8 @@ func FuzzEntrySize(f *testing.F) {
 }
 
 // TestRandomDITSizes runs the same checks over the randomized tree the
-// index differential tests search, and holds the result-set size to the
-// sum of the oracle's entry sizes.
+// index differential tests search, holds the result-set size to the sum
+// of the oracle's entry sizes, and holds its projections to ProjectAll.
 func TestRandomDITSizes(t *testing.T) {
 	dit := randomDIT(rand.New(rand.NewSource(11)), 120)
 	all, _ := dit.Search(nil, ScopeSub, nil)
@@ -167,53 +185,61 @@ func TestRandomDITSizes(t *testing.T) {
 		checkEntry(t, e, probes)
 		want += len(oracleLDIF(e)) + 1
 	}
-	if got := SizeBytes(all); got != want {
+	if got := SizeBytes(all, nil); got != want {
 		t.Fatalf("SizeBytes(all) = %d, oracle %d", got, want)
 	}
-	attrs := []string{"mds-service", "ObjectClass"}
-	for i, p := range ProjectAll(all, attrs) {
-		if p.LDIF() != oracleLDIF(oracleProject(all[i], attrs)) {
-			t.Fatalf("ProjectAll entry %d = %q, oracle %q", i, p.LDIF(), oracleLDIF(oracleProject(all[i], attrs)))
-		}
+	for _, attrs := range [][]string{{"mds-service", "ObjectClass"}, {"MDS-CPU-FREE-1MINX100"}, {"nosuch"}, {""}} {
+		checkProjection(t, all, attrs)
 	}
 }
 
 // TestReassignedDNDropsMemo: DN is an exported field, so an entry a
-// search returned (stored or projected) may be given another DN — one
-// that renders to the same length included; every rendering follows it.
+// search returned may be given another DN — one that renders to the same
+// length included; every rendering follows it.
 func TestReassignedDNDropsMemo(t *testing.T) {
 	dit := randomDIT(rand.New(rand.NewSource(13)), 30)
 	stored, _ := dit.Search(nil, ScopeSub, nil)
-	projected := ProjectAll(stored, []string{"objectclass"})
-	for _, entries := range [][]*Entry{stored, projected} {
-		for _, e := range entries {
-			if len(e.DN) == 0 {
-				continue
-			}
-			was := e.DNString()
-			if !e.DN.rendersAs(was) || e.DN.rendersAs(was+" ") || e.DN.rendersAs(was[1:]) {
-				t.Fatalf("rendersAs disagrees with String() = %q", was)
-			}
-			sameLen := append(DN(nil), e.DN...)
-			sameLen[0].Value = strings.Repeat("z", len(sameLen[0].Value))
-			for _, dn := range []DN{sameLen, e.DN[1:], append(DN{{Attr: "cn", Value: "a, b=c"}}, e.DN...)} {
-				e.DN = dn
-				checkEntry(t, e, nil)
-			}
+	for _, e := range stored {
+		if len(e.DN) == 0 {
+			continue
+		}
+		was := e.DNString()
+		if !e.DN.rendersAs(was) || e.DN.rendersAs(was+" ") || e.DN.rendersAs(was[1:]) {
+			t.Fatalf("rendersAs disagrees with String() = %q", was)
+		}
+		sameLen := append(DN(nil), e.DN...)
+		sameLen[0].Value = strings.Repeat("z", len(sameLen[0].Value))
+		for _, dn := range []DN{sameLen, e.DN[1:], append(DN{{Attr: "cn", Value: "a, b=c"}}, e.DN...)} {
+			e.DN = dn
+			checkEntry(t, e, nil)
+			checkProjection(t, []*Entry{e}, []string{"objectclass"})
 		}
 	}
 }
 
-// TestSizeBytesZeroAlloc: measuring entries — stored (memoized) or
-// freshly projected (counted) — and looking attributes up in any ASCII
-// spelling allocates nothing.
+// TestSizeBytesZeroAlloc: measuring entries — stored (memoized), built
+// outside a tree (counted), or projected onto ASCII names in any case
+// (counted in place) — and looking attributes up in any ASCII spelling
+// allocates nothing.
 func TestSizeBytesZeroAlloc(t *testing.T) {
 	dit := randomDIT(rand.New(rand.NewSource(12)), 30)
 	stored, _ := dit.Search(nil, ScopeSub, nil)
-	projected := ProjectAll(stored, []string{"objectclass", "Mds-Service"})
-	for name, entries := range map[string][]*Entry{"stored": stored, "projected": projected} {
-		if allocs := testing.AllocsPerRun(100, func() { SizeBytes(entries) }); allocs != 0 {
-			t.Errorf("SizeBytes(%s entries): %.1f allocs/op, want 0", name, allocs)
+	built := make([]*Entry, len(stored))
+	for i, e := range stored {
+		built[i] = e.Clone()
+	}
+	for _, c := range []struct {
+		name    string
+		entries []*Entry
+		attrs   []string
+	}{
+		{"stored", stored, nil},
+		{"built", built, nil},
+		{"stored, projected", stored, []string{"objectclass", "MDS-SERVICE"}},
+		{"stored, projected onto non-ASCII names", stored, []string{"ſ", "K", "İ", "\xff"}},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { SizeBytes(c.entries, c.attrs) }); allocs != 0 {
+			t.Errorf("SizeBytes(%s entries): %.1f allocs/op, want 0", c.name, allocs)
 		}
 	}
 	e := stored[0]

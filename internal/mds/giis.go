@@ -220,8 +220,10 @@ func (g *GIIS) expireAndLog(now float64) {
 
 // Query searches the aggregated directory at time now. Expired cache
 // subtrees are refreshed from their sources first (a no-op when CacheTTL
-// is effectively infinite). A nil filter matches everything; non-empty
-// attrs project each entry ("query part").
+// is effectively infinite). A nil filter matches everything. Like
+// GRIS.Query it returns the stored entries that match, which the caller
+// must not modify, and non-empty attrs ("query part") only size
+// ResponseBytes as the projected answer.
 func (g *GIIS) Query(now float64, filter ldap.Filter, attrs []string) ([]*ldap.Entry, QueryStats, error) {
 	//gridmon:nolint ctxflow compat entry point: pre-context callers have no deadline to propagate
 	return g.QueryCtx(context.Background(), now, filter, attrs)
@@ -230,9 +232,12 @@ func (g *GIIS) Query(now float64, filter ldap.Filter, attrs []string) ([]*ldap.E
 // QueryCtx is Query with a cancellation point between each registered
 // source's cache refresh and before the directory search, so a caller
 // abandoning a fan-heavy aggregate query stops the work mid-flight
-// rather than only at the edges. Cache-hit queries run under the read
-// lock and proceed in parallel; a query that must expire or refill takes
-// the write lock.
+// rather than only at the edges. It returns stored entries and sizes
+// ResponseBytes by attrs, as Query does: the caller decodes the entries
+// after the lock is released, which is safe because a refill swaps in
+// new entries instead of editing the ones handed out. Cache-hit queries
+// run under the read lock and proceed in parallel; a query that must
+// expire or refill takes the write lock.
 func (g *GIIS) QueryCtx(ctx context.Context, now float64, filter ldap.Filter, attrs []string) ([]*ldap.Entry, QueryStats, error) {
 	g.mu.RLock()
 	if g.fresh(now) {
@@ -272,15 +277,14 @@ func (g *GIIS) search(st QueryStats, filter ldap.Filter, attrs []string) ([]*lda
 			data = append(data, e)
 		}
 	}
-	results = ldap.ProjectAll(data, attrs)
 	st.EntriesVisited += info.Visited
-	st.EntriesReturned += len(results)
-	st.ResponseBytes += ldap.SizeBytes(results)
+	st.EntriesReturned += len(data)
+	st.ResponseBytes += ldap.SizeBytes(data, attrs)
 	st.IndexHits += info.IndexHits
 	if info.Scanned {
 		st.ScanFallbacks++
 	}
-	return results, st, nil
+	return data, st, nil
 }
 
 // Hosts lists hostnames currently served, in registration order (each

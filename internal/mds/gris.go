@@ -126,10 +126,14 @@ func (g *GRIS) refresh(i int, now float64) QueryStats {
 }
 
 // Query runs an LDAP search over the GRIS data at time now, refreshing
-// expired provider data first. A nil filter matches everything; attrs
-// non-empty projects the result ("query part"). Cache-hit queries run
-// under the read lock and proceed in parallel; a query that must refresh
-// takes the write lock.
+// expired provider data first. A nil filter matches everything. It
+// returns the stored entries that match, not copies: they are immutable
+// snapshots (a refresh swaps in new ones), so the caller reads them after
+// the lock is released and must not modify them. Non-empty attrs make the
+// query a "query part", which only sizes ResponseBytes as the projected
+// answer; the caller projects while decoding (core.MDSAnswer). Cache-hit
+// queries run under the read lock and proceed in parallel; a query that
+// must refresh takes the write lock.
 func (g *GRIS) Query(now float64, filter ldap.Filter, attrs []string) ([]*ldap.Entry, QueryStats) {
 	g.mu.RLock()
 	if g.fresh(now) {
@@ -154,10 +158,9 @@ func (g *GRIS) Query(now float64, filter ldap.Filter, attrs []string) ([]*ldap.E
 // Callers hold mu (either mode).
 func (g *GRIS) search(st QueryStats, filter ldap.Filter, attrs []string) ([]*ldap.Entry, QueryStats) {
 	results, info := g.dit.SearchStats(g.dn, ldap.ScopeSub, filter)
-	results = ldap.ProjectAll(results, attrs)
 	st.EntriesVisited += info.Visited
 	st.EntriesReturned += len(results)
-	st.ResponseBytes += ldap.SizeBytes(results)
+	st.ResponseBytes += ldap.SizeBytes(results, attrs)
 	st.IndexHits += info.IndexHits
 	if info.Scanned {
 		st.ScanFallbacks++

@@ -222,9 +222,9 @@ func (g *Grid) endRead() {
 // is read once, and ctx is checked after it: here for the single-server
 // engines, inside QueryCtx between sub-queries for the two fan-out ones
 // (the GIIS and the mediating ConsumerServlet), so an abandoned query
-// stops mid-flight. The answer comes back projected to q.Attrs: MDS
-// projects inside the LDAP query (so Work reflects the projected
-// response), the other decoders skip the fields nobody asked for.
+// stops mid-flight. The answer comes back projected to q.Attrs: every
+// decoder skips the fields nobody asked for, and the LDAP query sizes
+// MDS's Work as the projected response.
 // Callers hold beginRead.
 func (g *Grid) read(ctx context.Context, q Query, role Role) (core.Answer, Work, error) {
 	switch q.System {
@@ -273,11 +273,11 @@ func (g *Grid) readMDS(ctx context.Context, role Role, q Query) (core.Answer, Wo
 			return core.Answer{}, Work{}, err
 		}
 		entries, st := gris.Query(now, filter, q.Attrs)
-		return core.MDSAnswer(entries), core.MDSWork(st), nil
+		return core.MDSAnswer(entries, q.Attrs), core.MDSWork(st), nil
 	case RoleDirectoryServer, RoleAggregateServer:
 		// The GIIS plays both roles in Table 1.
 		entries, st, err := g.giis.QueryCtx(ctx, g.clock(), filter, q.Attrs)
-		return core.MDSAnswer(entries), core.MDSWork(st), err
+		return core.MDSAnswer(entries, q.Attrs), core.MDSWork(st), err
 	}
 	return core.Answer{}, Work{}, badRole(role)
 }

@@ -291,12 +291,12 @@ func (g *Grid) subscribeMDS(st *Stream, sub Subscription, id string) (func(), er
 		}
 		poll = func(now float64) ([]Record, Work, error) {
 			entries, st := gris.Query(now, filter, sub.Attrs)
-			return core.MDSRecords(entries), core.MDSWork(st), nil
+			return core.MDSAnswer(entries, sub.Attrs).Records(), core.MDSWork(st), nil
 		}
 	case RoleAggregateServer:
 		poll = func(now float64) ([]Record, Work, error) {
 			entries, st, err := g.giis.Query(now, filter, sub.Attrs)
-			return core.MDSRecords(entries), core.MDSWork(st), err
+			return core.MDSAnswer(entries, sub.Attrs).Records(), core.MDSWork(st), err
 		}
 	default:
 		return nil, transport.Errf(transport.CodeBadRequest,
