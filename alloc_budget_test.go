@@ -46,15 +46,18 @@ import (
 // re-pinned, when a GRIS or GIIS query part stopped copying the entries
 // it projects and the ClassAd parser began lexing on demand (before →
 // after; noswissmap: the same, except Hawkeye aggregate 29 and 28
-// in-process).
+// in-process). The R-GMA directory and mediated cells were re-pinned
+// when the Registry stopped keeping its advertisements in a hash-indexed
+// table and began answering a lookup into one slice (the last numbers,
+// in-process and served; noswissmap: the same).
 //
 //	                                                             served
 //	MDS      information     72 →  27 →  28 →  13             23 →  8
 //	MDS      directory      192 →  67 →  68 →  59 →  21       56 → 47 →  9
 //	MDS      aggregate     1184 →  98 →  99 →  90             20 → 11
 //	R-GMA    information    113 →  72 →  33 →  34 →  35       19 → 20
-//	R-GMA    mediated               102 →  79                 55 → 32
-//	R-GMA    directory       95 →  32 →  32                        13
+//	R-GMA    mediated               102 →  79 →  69           55 → 32 → 22
+//	R-GMA    directory       95 →  32 →  32 →  23             13 →  4
 //	R-GMA    aggregate      615 → 210 → 101 → 102                  12
 //	Hawkeye  information    482 → 122 →  14 →  16                  11
 //	Hawkeye  directory     1042 →  14 →  15                         9
@@ -67,8 +70,8 @@ var allocBudgetCells = []allocBudgetCell{
 	{Query{System: MDS, Role: RoleDirectoryServer, Expr: "(objectclass=MdsHost)", Attrs: []string{"Mds-Host-hn"}}, 24},
 	{Query{System: MDS, Role: RoleAggregateServer}, 99},
 	{Query{System: RGMA, Role: RoleInformationServer, Host: "lucky4", Expr: "SELECT host, value FROM siteinfo WHERE value >= 50"}, 36},
-	{Query{System: RGMA, Role: RoleInformationServer, Expr: "SELECT host, value FROM siteinfo WHERE value >= 50"}, 87},
-	{Query{System: RGMA, Role: RoleDirectoryServer, Expr: "siteinfo"}, 36},
+	{Query{System: RGMA, Role: RoleInformationServer, Expr: "SELECT host, value FROM siteinfo WHERE value >= 50"}, 76},
+	{Query{System: RGMA, Role: RoleDirectoryServer, Expr: "siteinfo"}, 26},
 	{Query{System: RGMA, Role: RoleAggregateServer, Expr: "SELECT * FROM siteinfo", Attrs: []string{"host", "value"}}, 111},
 	{Query{System: Hawkeye, Role: RoleInformationServer, Host: "lucky4"}, 16},
 	{Query{System: Hawkeye, Role: RoleDirectoryServer, Attrs: []string{"Name", "CpuLoad"}}, 16},
@@ -167,7 +170,7 @@ func TestRemoteQueryAllocBudget(t *testing.T) {
 // what one binary grid.query costs the server on an uncached grid:
 // decoding the request, answering it, and encoding the answer into a
 // reused buffer (queryV3's body, without the transport around it).
-var serverAllocBudgets = []float64{9, 10, 13, 21, 35, 14, 13, 12, 10, 24, 10, 10, 22}
+var serverAllocBudgets = []float64{9, 10, 13, 21, 25, 5, 13, 12, 10, 24, 10, 10, 22}
 
 // servedAllocs is what one binary grid.query of q costs the server of g,
 // after a warming call.

@@ -62,12 +62,7 @@ type GIIS struct {
 	regOrder  []string                 // registration order; guarded by mu
 	cacheFill map[string]float64       // registration id -> cache expiry; guarded by mu
 
-	// Durable logging state (zero/nil for a volatile GIIS); see
-	// giis_durable.go.
-	store      storage.Store // WAL+snapshot engine; guarded by mu
-	storeErr   error         // first logging failure, sticky; guarded by mu
-	walRecords int           // records since the last snapshot; guarded by mu
-	snapEvery  int           // snapshot cadence; immutable after construction
+	wal *storage.Log // nil for a volatile GIIS (see giis_durable.go); guarded by mu
 }
 
 // NewGIIS creates an empty GIIS.
@@ -115,7 +110,7 @@ func (g *GIIS) Register(id string, src Source, now float64) (QueryStats, error) 
 	}
 	reg := g.upsertRegistration(id, now+g.RegistrationTTL)
 	reg.src = src
-	if err := g.log(encodeUpsertRec(id, reg.expiry)); err != nil {
+	if err := g.wal.Append(func() []byte { return encodeUpsertRec(id, reg.expiry) }); err != nil {
 		return QueryStats{}, err
 	}
 	return g.fill(reg, now), nil
@@ -214,7 +209,8 @@ func (g *GIIS) expire(now float64) int {
 // resurrect dead sources. Callers hold mu exclusively.
 func (g *GIIS) expireAndLog(now float64) {
 	if g.expire(now) > 0 {
-		g.logExpire(now)
+		// The log keeps any failure; see Err.
+		_ = g.wal.Append(func() []byte { return encodeExpireRec(now) })
 	}
 }
 

@@ -8,14 +8,15 @@ import (
 )
 
 // Durable GIIS state. A storage-backed GIIS write-ahead-logs its
-// soft-state registration table — add, renew, lapse — and periodically
-// compacts the log into a snapshot, so a restarted GIIS reopens
-// knowing exactly which sources were registered (and still enforcing
-// MaxRegistrants against them). Cached source *data* is deliberately
-// not logged: it is a cache of state the sources own, rebuilt by
-// re-pulling when each source re-registers after the restart. Until a
-// recovered registration's source returns, the entry is "detached" —
-// it holds its directory slot and expiry but contributes no entries.
+// soft-state registration table — add, renew, lapse — through a
+// storage.Log, which also compacts the log into a snapshot on cadence,
+// so a restarted GIIS reopens knowing exactly which sources were
+// registered (and still enforcing MaxRegistrants against them). Cached
+// source *data* is deliberately not logged: it is a cache of state the
+// sources own, rebuilt by re-pulling when each source re-registers
+// after the restart. Until a recovered registration's source returns,
+// the entry is "detached" — it holds its directory slot and expiry but
+// contributes no entries.
 //
 // WAL record grammar (see internal/binenc for the primitive forms):
 //
@@ -35,30 +36,13 @@ const (
 // records (<= 0 means storage.DefaultSnapshotEvery).
 func OpenGIIS(name string, cacheTTL, registrationTTL float64, st storage.Store, snapEvery int) (*GIIS, error) {
 	g := NewGIIS(name, cacheTTL, registrationTTL)
-	if st == nil {
-		return g, nil
-	}
-	if snapEvery <= 0 {
-		snapEvery = storage.DefaultSnapshotEvery
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	snap, recs := st.Recovered()
-	if snap != nil {
-		if err := g.restoreState(snap); err != nil {
-			return nil, err
-		}
+	wal, err := storage.OpenLog(st, snapEvery, "mds: replaying giis", g.restoreState, g.applyRecord, g.encodeState)
+	if err != nil {
+		return nil, err
 	}
-	for i, rec := range recs {
-		if err := g.applyRecord(rec); err != nil {
-			return nil, fmt.Errorf("mds: replaying giis record %d of %d: %w", i, len(recs), err)
-		}
-	}
-	g.store = st
-	g.snapEvery = snapEvery
-	// Count the replayed tail toward the cadence so a GIIS that crashed
-	// with a long WAL compacts soon after reopen.
-	g.walRecords = len(recs)
+	g.wal = wal
 	return g, nil
 }
 
@@ -69,7 +53,7 @@ func OpenGIIS(name string, cacheTTL, registrationTTL float64, st storage.Store, 
 func (g *GIIS) Err() error {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.storeErr
+	return g.wal.Err()
 }
 
 // Close writes a final snapshot and releases the store, so a clean
@@ -78,61 +62,7 @@ func (g *GIIS) Err() error {
 func (g *GIIS) Close() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.store == nil {
-		return nil
-	}
-	err := g.storeErr
-	if err == nil {
-		err = g.snapshotLocked()
-	}
-	if cerr := g.store.Close(); err == nil {
-		err = cerr
-	}
-	g.store = nil
-	return err
-}
-
-// log appends one WAL record and compacts on cadence. A nil store (the
-// volatile GIIS) makes it a no-op. Callers hold mu exclusively.
-func (g *GIIS) log(rec []byte) error {
-	if g.store == nil {
-		return nil
-	}
-	if g.storeErr != nil {
-		return g.storeErr
-	}
-	if err := g.store.Append(rec); err != nil {
-		g.storeErr = err
-		return err
-	}
-	g.walRecords++
-	if g.walRecords >= g.snapEvery {
-		return g.snapshotLocked()
-	}
-	return nil
-}
-
-// logExpire records a soft-state sweep that dropped registrations. The
-// error is sticky in storeErr rather than returned: expiry happens
-// inside queries, which must keep answering. Callers hold mu
-// exclusively.
-func (g *GIIS) logExpire(now float64) {
-	var e storage.Encoder
-	e.Byte(giisOpExpire)
-	e.Float64(now)
-	// log already recorded the failure in storeErr; see Err.
-	_ = g.log(e.Bytes())
-}
-
-// snapshotLocked compacts the WAL into a snapshot of the registration
-// table. Callers hold mu exclusively, with a live store.
-func (g *GIIS) snapshotLocked() error {
-	if err := g.store.SaveSnapshot(g.encodeState()); err != nil {
-		g.storeErr = err
-		return err
-	}
-	g.walRecords = 0
-	return nil
+	return g.wal.Close()
 }
 
 // encodeState serializes the registration table in registration order.
@@ -200,5 +130,14 @@ func encodeUpsertRec(id string, expiry float64) []byte {
 	e.Byte(giisOpUpsert)
 	e.String(id)
 	e.Float64(expiry)
+	return e.Bytes()
+}
+
+// encodeExpireRec serializes a soft-state sweep that dropped
+// registrations.
+func encodeExpireRec(now float64) []byte {
+	var e storage.Encoder
+	e.Byte(giisOpExpire)
+	e.Float64(now)
 	return e.Bytes()
 }

@@ -59,8 +59,8 @@ func mustSelect(t *testing.T, tbl *Table, src string) *Result {
 
 func TestCreateAndInsert(t *testing.T) {
 	tbl := newHostTable(t)
-	if tbl.Len() != 4 {
-		t.Fatalf("rows = %d, want 4", tbl.Len())
+	if len(tbl.Rows()) != 4 {
+		t.Fatalf("rows = %d, want 4", len(tbl.Rows()))
 	}
 }
 
@@ -143,8 +143,8 @@ func TestInsertMissingColumnFails(t *testing.T) {
 	if err := tbl.Insert([]Value{StrVal("x")}); err == nil {
 		t.Fatal("short insert succeeded")
 	}
-	if tbl.Len() != 4 {
-		t.Fatalf("rows = %d after a refused insert", tbl.Len())
+	if len(tbl.Rows()) != 4 {
+		t.Fatalf("rows = %d after a refused insert", len(tbl.Rows()))
 	}
 }
 
@@ -159,56 +159,6 @@ func TestInsertTypeCoercion(t *testing.T) {
 	// String into an INT column fails.
 	if err := tbl.Insert([]Value{StrVal("x"), StrVal("two"), RealVal(0.5)}); err == nil {
 		t.Fatal("string-into-int insert succeeded")
-	}
-}
-
-func TestDeleteWhere(t *testing.T) {
-	tbl := newHostTable(t)
-	if n := tbl.DeleteWhere(func(row []Value) bool { return row[1].I == 1 }); n != 1 {
-		t.Fatalf("removed = %d, want 1", n)
-	}
-	if tbl.Len() != 3 {
-		t.Fatalf("rows after delete = %d", tbl.Len())
-	}
-}
-
-func TestDeleteAll(t *testing.T) {
-	tbl := newHostTable(t)
-	if n := tbl.DeleteWhere(func([]Value) bool { return true }); n != 4 {
-		t.Fatalf("removed = %d, want 4", n)
-	}
-	if tbl.Len() != 0 {
-		t.Fatalf("rows after delete = %d", tbl.Len())
-	}
-}
-
-func TestIndexedLookup(t *testing.T) {
-	tbl := newHostTable(t)
-	if err := tbl.CreateIndex("name"); err != nil {
-		t.Fatal(err)
-	}
-	rows, ok := tbl.LookupIndexed("name", StrVal("lucky4"))
-	if !ok || len(rows) != 1 || rows[0][0].S != "lucky4" {
-		t.Fatalf("indexed lookup = %v, %v", rows, ok)
-	}
-	// Index stays consistent across later inserts.
-	mustInsert(t, tbl, StrVal("lucky4"), IntVal(4), RealVal(0))
-	rows, _ = tbl.LookupIndexed("name", StrVal("lucky4"))
-	if len(rows) != 2 {
-		t.Fatalf("indexed rows after insert = %d, want 2", len(rows))
-	}
-	// And across deletes (rebuild).
-	tbl.DeleteWhere(func(row []Value) bool { return row[1].I == 4 })
-	rows, _ = tbl.LookupIndexed("name", StrVal("lucky4"))
-	if len(rows) != 1 {
-		t.Fatalf("indexed rows after delete = %d, want 1", len(rows))
-	}
-}
-
-func TestLookupWithoutIndex(t *testing.T) {
-	tbl := newHostTable(t)
-	if _, ok := tbl.LookupIndexed("name", StrVal("lucky4")); ok {
-		t.Fatal("lookup on unindexed column reported ok")
 	}
 }
 

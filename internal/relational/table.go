@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Column describes one table column.
@@ -37,81 +36,20 @@ func (s *Schema) Names() []string {
 	return out
 }
 
-// Table is an in-memory relation: each row is stored coerced to its
-// columns' types, and hash indexes are built on request (CreateIndex).
+// Table is an in-memory relation: a header and rows, each stored
+// coerced to its columns' types (Insert). It has no index. A RowsQuery
+// runs its plan over a Table header on borrowed rows; ScanSelect, the
+// reference RowsQuery is held to, reads a filled one.
 type Table struct {
 	Name   string
 	Schema Schema
 	rows   [][]Value
-	// idxMu guards index: CreateIndex, Insert and DeleteWhere write it and
-	// LookupIndexed reads it, so lookups stay safe beside an index build.
-	// Row mutation still requires external exclusion (the owner's write
-	// lock; the Registry's mu).
-	idxMu sync.Mutex
-	// index maps an indexed column position to value-key -> row numbers.
-	index map[int]map[string][]int
 }
 
 // NewTable creates an empty table.
 func NewTable(name string, cols []Column) *Table {
-	return &Table{
-		Name:   name,
-		Schema: Schema{Columns: cols},
-		index:  make(map[int]map[string][]int),
-	}
+	return &Table{Name: name, Schema: Schema{Columns: cols}}
 }
-
-// CreateIndex builds (or rebuilds) a hash index on the named column,
-// which Insert and DeleteWhere then keep current and LookupIndexed reads.
-// The R-GMA Registry indexes its producers by table name.
-func (t *Table) CreateIndex(col string) error {
-	ci := t.Schema.ColIndex(col)
-	if ci < 0 {
-		return fmt.Errorf("relational: no column %q in table %q", col, t.Name)
-	}
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
-	t.createIndexLocked(ci)
-	return nil
-}
-
-// createIndexLocked builds (or rebuilds) the index on column position ci.
-// Callers hold idxMu.
-func (t *Table) createIndexLocked(ci int) {
-	idx := make(map[string][]int)
-	for rowNum, row := range t.rows {
-		key := indexKey(row[ci])
-		idx[key] = append(idx[key], rowNum)
-	}
-	t.index[ci] = idx
-}
-
-// indexKey is the hash key for one value. Strings are case-folded, so
-// string lookups are case-insensitive supersets of Compare equality, and
-// a string's key is its folded text itself: for one that is already
-// lower case that is the stored string, so (re)building the index over a
-// column of lower-case names allocates no key per row. Every other value
-// is keyed by a NUL byte and its SQL literal, with negative zero
-// normalized so -0.0 and +0.0 (numerically equal to Compare) share a
-// bucket with the integer 0; a string that itself begins with NUL gets
-// NUL and a quote in front, which no literal begins with — so a string
-// never shares a bucket with a number or NULL, whatever its text.
-func indexKey(v Value) string {
-	if v.Type == StringType {
-		if strings.HasPrefix(v.S, "\x00") {
-			return "\x00'" + strings.ToLower(v.S)
-		}
-		return strings.ToLower(v.S)
-	}
-	if v.Type == RealType && v.R == 0 {
-		return "\x000"
-	}
-	var buf [32]byte // NUL and the longest number, a 24-byte real
-	return string(v.AppendTo(append(buf[:0], 0)))
-}
-
-// Len reports the number of rows.
-func (t *Table) Len() int { return len(t.rows) }
 
 // Insert appends a row after coercing each value to its column type.
 func (t *Table) Insert(row []Value) error {
@@ -122,14 +60,7 @@ func (t *Table) Insert(row []Value) error {
 	if err != nil {
 		return err
 	}
-	rowNum := len(t.rows)
 	t.rows = append(t.rows, stored)
-	t.idxMu.Lock()
-	for ci, idx := range t.index {
-		key := indexKey(stored[ci])
-		idx[key] = append(idx[key], rowNum)
-	}
-	t.idxMu.Unlock()
 	return nil
 }
 
@@ -213,54 +144,6 @@ func ScanSelect(t *Table, s SelectStmt) (*Result, error) {
 		res.Rows = append(res.Rows, out)
 	}
 	return res, nil
-}
-
-// LookupIndexed returns the rows whose indexed column equals v, and
-// reports whether an index on that column exists. The scanned count is 0
-// for indexed lookups — the cost distinction the paper draws between the
-// Hawkeye Manager and the LDAP backend.
-func (t *Table) LookupIndexed(col string, v Value) (rows [][]Value, ok bool) {
-	ci := t.Schema.ColIndex(col)
-	if ci < 0 {
-		return nil, false
-	}
-	t.idxMu.Lock()
-	idx, ok := t.index[ci]
-	var cand []int
-	if ok {
-		cand = idx[indexKey(v)]
-	}
-	t.idxMu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	for _, rn := range cand {
-		rows = append(rows, t.rows[rn])
-	}
-	return rows, true
-}
-
-// DeleteWhere removes every row for which pred returns true, returning the
-// count removed. Indexes are rebuilt afterwards.
-func (t *Table) DeleteWhere(pred func(row []Value) bool) int {
-	kept := t.rows[:0]
-	removed := 0
-	for _, row := range t.rows {
-		if pred(row) {
-			removed++
-		} else {
-			kept = append(kept, row)
-		}
-	}
-	t.rows = kept
-	if removed > 0 {
-		t.idxMu.Lock()
-		for ci := range t.index {
-			t.createIndexLocked(ci)
-		}
-		t.idxMu.Unlock()
-	}
-	return removed
 }
 
 // SizeBytes estimates the wire size of a row set.

@@ -1,10 +1,8 @@
 // Package relational is the SQL engine under R-GMA, whose Consumers
-// query producer tables in SQL and whose Registry keeps producer
-// advertisements in an RDBMS. It answers one statement, a single-table
+// query producer tables in SQL. It answers one statement, a single-table
 // SELECT with WHERE, projection, ORDER BY and LIMIT, through RowsQuery
-// over row sets held outside any table. Table is the in-memory relation
-// the Registry stores advertisements in: rows added with Insert, removed
-// with DeleteWhere, and found by hash indexes built with CreateIndex.
+// over row sets held outside any table. Table, a header and rows added
+// with Insert, is what the naive executor ScanSelect reads.
 package relational
 
 import (

@@ -3,6 +3,7 @@ package rgma
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/gma"
@@ -26,8 +27,8 @@ type QueryStats struct {
 	// ThreadSpawns counts servlet worker threads created (the Java
 	// overhead the paper blames for the Registry's lower throughput).
 	ThreadSpawns int
-	// IndexHits counts rows fetched from hash-index postings
-	// (RowsScanned still reports the logical scan cost either way).
+	// IndexHits counts rows found by key, as a Registry lookup finds its
+	// table's (RowsScanned still reports the logical scan cost either way).
 	IndexHits int
 	// ScanFallbacks counts SELECTs executed without a usable index.
 	ScanFallbacks int
@@ -45,10 +46,10 @@ func (s *QueryStats) Add(o QueryStats) {
 	s.ScanFallbacks += o.ScanFallbacks
 }
 
-// Registry is R-GMA's directory: producer advertisements held in an
-// RDBMS. Producers register a table name and their fixed predicate; the
-// Registry answers Consumer lookups with the matching producers. It
-// implements gma.Registry.
+// Registry is R-GMA's directory: a soft-state list of producer
+// advertisements. Producers register a table name and their fixed
+// predicate; the Registry answers Consumer lookups with the matching
+// producers in registration order. It implements gma.Registry.
 //
 // The Registry is safe for concurrent use: lookups whose soft state has
 // nothing to expire — the steady state under live registrations — run
@@ -64,31 +65,33 @@ func (s *QueryStats) Add(o QueryStats) {
 type Registry struct {
 	Name string
 
-	mu        sync.RWMutex
-	producers *relational.Table // indexed by table_name; guarded by mu
+	mu   sync.RWMutex
+	byID map[string]*registration // guarded by mu
+	// order is the sentinel of the ring of registrations in registration
+	// order: order.next is the oldest, order.prev the newest.
+	order registration // guarded by mu
+	wal   *storage.Log // nil for a volatile registry; guarded by mu
+}
 
-	// Durable logging state (zero/nil for a volatile registry).
-	store      storage.Store // WAL+snapshot engine; guarded by mu
-	storeErr   error         // first logging failure, sticky; guarded by mu
-	walRecords int           // records since the last snapshot; guarded by mu
-	snapEvery  int           // snapshot cadence; immutable after construction
+// registration is one live advertisement, with what a lookup compares
+// and counts worked out once when it is registered.
+type registration struct {
+	ad      gma.Advertisement
+	expires float64
+	table   string // ad.TableName folded by strings.ToLower, which lookups match
+	// size is relational.SizeBytes of the answer row (producer_id,
+	// address, table_name, predicate, expires).
+	size       int
+	prev, next *registration
 }
 
 var _ gma.Registry = (*Registry)(nil)
 
-// NewRegistry creates an empty registry with its producers table.
+// NewRegistry creates an empty volatile registry.
 func NewRegistry(name string) *Registry {
-	t := relational.NewTable("producers", []relational.Column{
-		{Name: "producer_id", Type: relational.StringType},
-		{Name: "address", Type: relational.StringType},
-		{Name: "table_name", Type: relational.StringType},
-		{Name: "predicate", Type: relational.StringType},
-		{Name: "expires", Type: relational.RealType},
-	})
-	if err := t.CreateIndex("table_name"); err != nil {
-		panic(err)
-	}
-	return &Registry{Name: name, producers: t}
+	r := &Registry{Name: name, byID: make(map[string]*registration)}
+	r.order.prev, r.order.next = &r.order, &r.order
+	return r
 }
 
 // RegisterProducer records or renews an advertisement with a soft-state
@@ -99,11 +102,8 @@ func (r *Registry) RegisterProducer(ad gma.Advertisement, now, ttl float64) erro
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// Replace any previous registration for this producer.
-	if err := r.putProducer(ad, now+ttl); err != nil {
-		return err
-	}
-	return r.log(encodeRegisterRec(ad, now+ttl))
+	r.putProducer(ad, now+ttl)
+	return r.wal.Append(func() []byte { return encodeRegisterRec(ad, now+ttl) })
 }
 
 // UnregisterProducer removes a producer's advertisement. A durable
@@ -115,28 +115,67 @@ func (r *Registry) UnregisterProducer(producerID string, now float64) bool {
 	if !r.deleteProducer(producerID) {
 		return false
 	}
-	// log records any failure in storeErr; see Err.
-	_ = r.log(encodeUnregisterRec(producerID))
+	// The log keeps any failure; see Err.
+	_ = r.wal.Append(func() []byte { return encodeUnregisterRec(producerID) })
 	return true
 }
 
-// anyExpired reports whether any advertisement's soft state has lapsed
-// at time now. Callers hold mu (either mode).
-func (r *Registry) anyExpired(now float64) bool {
-	for _, row := range r.producers.Rows() {
-		if row[4].R <= now {
-			return true
-		}
+// putProducer registers ad, or renews the producer's registration and
+// moves it to the end of the registration order — the shared mutation
+// core of RegisterProducer and replay. Callers hold mu exclusively.
+func (r *Registry) putProducer(ad gma.Advertisement, expires float64) {
+	reg := r.byID[ad.ProducerID]
+	if reg == nil {
+		reg = &registration{}
+		r.byID[ad.ProducerID] = reg
+	} else {
+		reg.unlink()
 	}
-	return false
+	reg.ad = ad
+	reg.expires = expires
+	reg.table = strings.ToLower(ad.TableName)
+	reg.size = relational.SizeBytes([][]relational.Value{{
+		relational.StrVal(ad.ProducerID),
+		relational.StrVal(ad.Address),
+		relational.StrVal(ad.TableName),
+		relational.StrVal(ad.Predicate),
+		relational.RealVal(expires),
+	}})
+	reg.prev, reg.next = r.order.prev, &r.order
+	r.order.prev.next = reg
+	r.order.prev = reg
+}
+
+// deleteProducer removes a producer's advertisement, reporting whether
+// one existed. Callers hold mu exclusively.
+func (r *Registry) deleteProducer(producerID string) bool {
+	reg := r.byID[producerID]
+	if reg == nil {
+		return false
+	}
+	reg.unlink()
+	delete(r.byID, producerID)
+	return true
+}
+
+// unlink takes reg out of the registration order.
+func (reg *registration) unlink() {
+	reg.prev.next = reg.next
+	reg.next.prev = reg.prev
 }
 
 // expire drops advertisements whose soft state lapsed, reporting how
 // many. Callers hold mu exclusively.
 func (r *Registry) expire(now float64) int {
-	return r.producers.DeleteWhere(func(row []relational.Value) bool {
-		return row[4].R <= now
-	})
+	n := 0
+	for reg := r.order.next; reg != &r.order; reg = reg.next {
+		if reg.expires <= now {
+			reg.unlink()
+			delete(r.byID, reg.ad.ProducerID)
+			n++
+		}
+	}
+	return n
 }
 
 // expireAndLog drops lapsed advertisements and, when the sweep removed
@@ -144,12 +183,13 @@ func (r *Registry) expire(now float64) int {
 // resurrect dead producers. Callers hold mu exclusively.
 func (r *Registry) expireAndLog(now float64) {
 	if r.expire(now) > 0 {
-		r.logExpire(now)
+		// The log keeps any failure; see Err.
+		_ = r.wal.Append(func() []byte { return encodeExpireRec(now) })
 	}
 }
 
-// LookupProducers returns the live advertisements for a table via the
-// registry's table-name index.
+// LookupProducers returns the live advertisements for a table, matched
+// case-insensitively, in registration order.
 func (r *Registry) LookupProducers(table string, now float64) ([]gma.Advertisement, error) {
 	ads, _, err := r.LookupProducersStats(table, now)
 	return ads, err
@@ -159,40 +199,45 @@ func (r *Registry) LookupProducers(table string, now float64) ([]gma.Advertiseme
 // steady-state lookup (nothing to expire) runs under the read lock;
 // expiry upgrades to the exclusive lock with a re-check.
 func (r *Registry) LookupProducersStats(table string, now float64) ([]gma.Advertisement, QueryStats, error) {
+	key := strings.ToLower(table)
 	r.mu.RLock()
-	if !r.anyExpired(now) {
+	n, lapsed := r.scan(key, now)
+	if lapsed {
+		r.mu.RUnlock()
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.expireAndLog(now)
+		n, _ = r.scan(key, now)
+	} else {
 		defer r.mu.RUnlock()
-		return r.lookup(table)
 	}
-	r.mu.RUnlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.expireAndLog(now)
-	return r.lookup(table)
+	st := QueryStats{ThreadSpawns: 1, RowsScanned: n, RowsReturned: n, IndexHits: n}
+	if n == 0 {
+		return nil, st, nil
+	}
+	ads := make([]gma.Advertisement, 0, n)
+	for reg := r.order.next; len(ads) < n; reg = reg.next {
+		if reg.table == key {
+			ads = append(ads, reg.ad)
+			st.ResponseBytes += reg.size
+		}
+	}
+	return ads, st, nil
 }
 
-// lookup answers the table's producers from the table-name index.
+// scan counts the advertisements for folded table name key and reports
+// whether any advertisement's soft state has lapsed at time now.
 // Callers hold mu (either mode).
-func (r *Registry) lookup(table string) ([]gma.Advertisement, QueryStats, error) {
-	rows, indexed := r.producers.LookupIndexed("table_name", relational.StrVal(table))
-	st := QueryStats{ThreadSpawns: 1}
-	if !indexed {
-		return nil, st, fmt.Errorf("rgma: registry index missing")
+func (r *Registry) scan(key string, now float64) (matches int, lapsed bool) {
+	for reg := r.order.next; reg != &r.order; reg = reg.next {
+		if reg.table == key {
+			matches++
+		}
+		if reg.expires <= now {
+			lapsed = true
+		}
 	}
-	st.IndexHits = len(rows) // served from the table-name hash index
-	var out []gma.Advertisement
-	for _, row := range rows {
-		st.RowsScanned++
-		out = append(out, gma.Advertisement{
-			ProducerID: row[0].S,
-			Address:    row[1].S,
-			TableName:  row[2].S,
-			Predicate:  row[3].S,
-		})
-	}
-	st.RowsReturned = len(out)
-	st.ResponseBytes = relational.SizeBytes(rows)
-	return out, st, nil
+	return matches, lapsed
 }
 
 // Tables lists the distinct tables currently advertised, sorted.
@@ -201,8 +246,8 @@ func (r *Registry) Tables(now float64) []string {
 	defer r.mu.Unlock()
 	r.expireAndLog(now)
 	var out []string
-	for _, row := range r.producers.Rows() {
-		out = append(out, row[2].S) // table_name
+	for reg := r.order.next; reg != &r.order; reg = reg.next {
+		out = append(out, reg.ad.TableName)
 	}
 	slices.Sort(out)
 	return slices.Compact(out)
@@ -213,5 +258,5 @@ func (r *Registry) NumRegistered(now float64) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.expireAndLog(now)
-	return r.producers.Len()
+	return len(r.byID)
 }

@@ -11,13 +11,6 @@ import (
 	"repro/internal/storage"
 )
 
-// maxMeasuredReplay bounds the inputs whose allocation is asserted: the
-// producers table rebuilds its index whenever a row replaces another, a
-// cost quadratic in the rows actually present that has nothing to do with
-// what a count claims, and past a few hundred rows it would drown the
-// signal.
-const maxMeasuredReplay = 4 << 10
-
 // FuzzRegistryReplay feeds arbitrary bytes to the two decoders that read
 // what a data directory holds — applyRecord (one WAL record) and
 // restoreState (a snapshot). Neither may panic; neither may allocate or
@@ -30,7 +23,7 @@ const maxMeasuredReplay = 4 << 10
 func FuzzRegistryReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		budget := uint64(1024*len(data) + 256<<10)
+		budget := uint64(256*len(data) + 64<<10)
 		for _, dec := range []struct {
 			name string
 			load func(*Registry, []byte) error
@@ -52,7 +45,7 @@ func FuzzRegistryReplay(f *testing.F) {
 					break
 				}
 			}
-			if n := after.TotalAlloc - before.TotalAlloc; n > budget && len(data) <= maxMeasuredReplay {
+			if n := after.TotalAlloc - before.TotalAlloc; n > budget {
 				t.Fatalf("%s: loading %d bytes allocated %d", dec.name, len(data), n)
 			}
 			if err != nil {

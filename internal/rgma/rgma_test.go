@@ -110,17 +110,23 @@ func TestRegistryTables(t *testing.T) {
 }
 
 // oracleTables is Registry.Tables as it was while the Registry ran SQL
-// over its producers table: SELECT table_name … ORDER BY table_name,
-// then adjacent duplicates dropped.
+// over a table of its advertisements: SELECT table_name … ORDER BY
+// table_name, then adjacent duplicates dropped.
 func oracleTables(r *Registry, now float64) []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.expireAndLog(now)
+	producers := relational.NewTable("producers", []relational.Column{{Name: "table_name", Type: relational.StringType}})
+	for reg := r.order.next; reg != &r.order; reg = reg.next {
+		if err := producers.Insert([]relational.Value{relational.StrVal(reg.ad.TableName)}); err != nil {
+			panic(err)
+		}
+	}
 	sel, err := relational.Parse("SELECT table_name FROM producers ORDER BY table_name")
 	if err != nil {
 		panic(err)
 	}
-	res, err := relational.ScanSelect(r.producers, sel)
+	res, err := relational.ScanSelect(producers, sel)
 	if err != nil {
 		return nil
 	}

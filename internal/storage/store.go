@@ -20,7 +20,9 @@
 //
 // Two implementations share the Store interface: FileStore (the real
 // thing, see OpenFile) and MemStore (volatile, the differential oracle
-// the crash tests compare a reopened FileStore against).
+// the crash tests compare a reopened FileStore against). Log is the
+// bookkeeping a service keeps over either: replay on open, one record
+// per mutation, snapshots on cadence and at Close.
 package storage
 
 // Store is an append-only durable log with snapshot compaction. A Store
