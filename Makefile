@@ -104,7 +104,9 @@ bench-smoke:
 # ResponseBytes rests on (SizeBytes is the length of the canonical
 # rendering; fold-free lookups find what strings.ToLower found), the
 # wire decoders that read what a peer sent (never panic, allocate in
-# proportion to the frame, round-trip what they accept), the two frame
+# proportion to the frame, round-trip what they accept; the flat answer
+# decoder the federation Router reads its branches with accepts what the
+# record decoder accepts and yields the same records), the two frame
 # readers under them (never panic or hang: a well-formed answer or a
 # closed connection, and every waiter released), the two replay
 # decoders that read what a data directory holds (the same bounds, and

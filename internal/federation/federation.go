@@ -20,9 +20,9 @@
 // per-host data is deterministic in (host, time). A broad query fans
 // out to every shard with bounded concurrency and a per-branch
 // deadline budget carved from the caller's remaining context; the
-// per-shard answers are merged by MergeResultSets (records in
-// canonical key order, Work summed field-wise, no aggregator charges
-// added).
+// per-shard answers are read and merged flat, as MergeResultSets
+// merges result sets (records in canonical key order, Work summed
+// field-wise, no aggregator charges added).
 //
 // Degradation: each replica address has its own resilient client with
 // a circuit breaker (consecutive failures mark the address down,

@@ -2,10 +2,12 @@ package federation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	gridmon "repro"
+	"repro/internal/core"
 	"repro/internal/transport"
 )
 
@@ -24,17 +26,14 @@ import (
 // interleaving, so the federation commits to a deterministic order
 // instead. Record sets and Work remain equal (see the differential
 // tests).
+//
+// MergeResultSets is the reference merge. The Router merges the same
+// way over flat answers (mergeAnswers), building no field map, and the
+// differential suite and the benchmark's correctness gate hold what it
+// answers to this function.
 func MergeResultSets(q gridmon.Query, parts []*gridmon.ResultSet) *gridmon.ResultSet {
-	role := q.Role
-	if role == "" {
-		role = gridmon.RoleInformationServer
-	}
-	out := &gridmon.ResultSet{
-		System:  q.System,
-		Role:    role,
-		Host:    q.Host,
-		Records: []gridmon.Record{},
-	}
+	out := mergedResultSet(q)
+	out.Records = []gridmon.Record{}
 	for _, p := range parts {
 		out.Records = append(out.Records, p.Records...)
 		out.Work = MergeWork(out.Work, p.Work)
@@ -42,7 +41,48 @@ func MergeResultSets(q gridmon.Query, parts []*gridmon.ResultSet) *gridmon.Resul
 	sort.SliceStable(out.Records, func(i, j int) bool {
 		return out.Records[i].Key < out.Records[j].Key
 	})
-	return out
+	return &out
+}
+
+// mergeAnswers is MergeResultSets over the answers of the branches that
+// did not fail, flat: their spans are shifted onto one pairs slice in
+// shard order (two allocations however many records) and stably sorted
+// by key, so ties keep shard order, and Work is summed. A merge of no
+// records is empty, never nil, as MergeResultSets' is.
+func mergeAnswers(q gridmon.Query, outs []branchOutcome) (gridmon.ResultSet, gridmon.Answer) {
+	rs := mergedResultSet(q)
+	nrecs, npairs := 0, 0
+	for _, o := range outs {
+		if o.err == nil {
+			nrecs += len(o.ans.Recs)
+			npairs += len(o.ans.Pairs)
+		}
+	}
+	ans := gridmon.Answer{Recs: make([]core.Span, 0, nrecs), Pairs: make([]core.Pair, 0, npairs)}
+	for _, o := range outs {
+		if o.err != nil {
+			continue
+		}
+		shift := len(ans.Pairs)
+		for _, s := range o.ans.Recs {
+			ans.Recs = append(ans.Recs, core.Span{Key: s.Key, From: s.From + shift, To: s.To + shift})
+		}
+		ans.Pairs = append(ans.Pairs, o.ans.Pairs...)
+		rs.Work = MergeWork(rs.Work, o.rs.Work)
+	}
+	slices.SortStableFunc(ans.Recs, func(a, b core.Span) int { return strings.Compare(a.Key, b.Key) })
+	return rs, ans
+}
+
+// mergedResultSet is what a merge of q's answers starts from: System,
+// Role and Host from the query, Role defaulting to RoleInformationServer
+// as Grid.Query defaults it.
+func mergedResultSet(q gridmon.Query) gridmon.ResultSet {
+	role := q.Role
+	if role == "" {
+		role = gridmon.RoleInformationServer
+	}
+	return gridmon.ResultSet{System: q.System, Role: role, Host: q.Host}
 }
 
 // MergeWork sums two branches' Work field-wise. It is exactly

@@ -24,11 +24,14 @@ type Router struct {
 	branchTimeout time.Duration
 	dial          gridmon.DialOptions
 
-	// mu guards smap and pool; queries snapshot both at entry and run
-	// entirely against that epoch.
-	mu   sync.RWMutex
-	smap ShardMap
-	pool map[string]*gridmon.RemoteGrid // one lazy resilient client per address
+	// mu guards smap, pool and backends; queries snapshot smap and
+	// backends at entry and run entirely against that epoch. backends is
+	// smap's shards resolved to pool clients, built once per epoch and
+	// never written after, so a snapshot shares it without a copy.
+	mu       sync.RWMutex
+	smap     ShardMap
+	pool     map[string]*gridmon.RemoteGrid // one lazy resilient client per address
+	backends [][]*gridmon.RemoteGrid
 
 	queries     atomic.Int64
 	partials    atomic.Int64
@@ -88,6 +91,7 @@ func New(cfg Config) (*Router, error) {
 			}
 		}
 	}
+	r.backends = r.resolve(cfg.Map)
 	return r, nil
 }
 
@@ -103,8 +107,11 @@ func (r *Router) Map() ShardMap {
 // strictly greater than the current one — the guard against stale
 // provisioning racing a newer push. Clients for new addresses are
 // created lazily-dialing; clients for addresses no longer referenced
-// are closed. In-flight queries finish against the epoch they
-// snapshotted.
+// are closed, and a closed client never dials again. In-flight queries
+// finish against the epoch they snapshotted: a branch whose client was
+// closed under it fails with CodeUnavailable ("client closed") and
+// fails over to the shard's next replica, as any unavailable branch
+// does, rather than opening a connection nothing would close.
 func (r *Router) SetMap(m ShardMap) error {
 	if err := m.Validate(); err != nil {
 		return err
@@ -132,10 +139,13 @@ func (r *Router) SetMap(m ShardMap) error {
 		}
 	}
 	r.smap = m
+	r.backends = r.resolve(m)
 	return nil
 }
 
-// Close closes every backend client.
+// Close closes every backend client. A closed client never dials
+// again, so after Close every branch fails with CodeUnavailable
+// ("client closed") and no connection is opened.
 func (r *Router) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -145,20 +155,25 @@ func (r *Router) Close() error {
 	return nil
 }
 
-// snapshot resolves the current map to per-shard client slices under
-// one read lock.
+// resolve maps m's shards to their pool clients. Callers hold mu.
+func (r *Router) resolve(m ShardMap) [][]*gridmon.RemoteGrid {
+	backends := make([][]*gridmon.RemoteGrid, len(m.Shards))
+	for i, sh := range m.Shards {
+		backends[i] = make([]*gridmon.RemoteGrid, len(sh.Addrs))
+		for j, a := range sh.Addrs {
+			backends[i][j] = r.pool[a]
+		}
+	}
+	return backends
+}
+
+// snapshot returns the current map and its resolved clients under one
+// read lock. It allocates nothing: the clients are the epoch's own
+// slices, which nobody writes.
 func (r *Router) snapshot() (ShardMap, [][]*gridmon.RemoteGrid) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	smap := r.smap
-	backends := make([][]*gridmon.RemoteGrid, len(smap.Shards))
-	for i, sh := range smap.Shards {
-		backends[i] = make([]*gridmon.RemoteGrid, 0, len(sh.Addrs))
-		for _, a := range sh.Addrs {
-			backends[i] = append(backends[i], r.pool[a])
-		}
-	}
-	return smap, backends
+	return r.smap, r.backends
 }
 
 // carve derives one branch's context from the caller's remaining
@@ -184,12 +199,13 @@ func (r *Router) carve(ctx context.Context, fanout bool) (context.Context, conte
 	return context.WithCancel(ctx)
 }
 
-// branchOutcome is what one shard's branch produced: an answer or an
-// error, plus the replica address that produced it (the last one
+// branchOutcome is what one shard's branch produced: an answer, flat,
+// or an error, plus the replica address that produced it (the last one
 // tried, on failure).
 type branchOutcome struct {
 	addr string
-	rs   *gridmon.ResultSet
+	rs   gridmon.ResultSet
+	ans  gridmon.Answer
 	err  error
 }
 
@@ -211,9 +227,9 @@ func queryBranch(ctx context.Context, backends []*gridmon.RemoteGrid, q gridmon.
 	var out branchOutcome
 	for _, rg := range backends {
 		out.addr = rg.Addr()
-		rs, err := rg.Query(ctx, q)
+		rs, ans, err := rg.QueryAnswer(ctx, q)
 		if err == nil {
-			out.rs, out.err = rs, nil
+			out.rs, out.ans, out.err = rs, ans, nil
 			return out
 		}
 		out.err = err
@@ -241,42 +257,55 @@ func callBranch(ctx context.Context, backends []*gridmon.RemoteGrid, op string, 
 	return transport.AsError(lastErr)
 }
 
-// Query answers q across the federation: a host-targeted query routes
-// to the one shard owning the host and returns the leaf's answer
-// unchanged (Records and Work byte-identical to a single grid
-// monitoring the same hosts); a broad query scatter-gathers every
-// shard and merges with MergeResultSets. Branch failures degrade per
-// the configured Policy — see the package comment. Elapsed measures
-// the full federated round trip.
+// Query answers q across the federation: QueryAnswer, with the records
+// built from the flat answer.
 func (r *Router) Query(ctx context.Context, q gridmon.Query) (*gridmon.ResultSet, error) {
+	rs, ans, err := r.QueryAnswer(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	rs.Records = ans.Records()
+	return &rs, nil
+}
+
+// QueryAnswer answers q across the federation with its records flat
+// (ResultSet.Records nil). The branches are read flat too, so no field
+// map is built anywhere, and a served Router encodes the answer pair by
+// pair. A host-targeted query routes to the one shard owning the host
+// and returns the leaf's answer unchanged (Records and Work
+// byte-identical to a single grid monitoring the same hosts); a broad
+// query scatter-gathers every shard and merges as MergeResultSets does.
+// Branch failures degrade per the configured Policy — see the package
+// comment. Elapsed measures the full federated round trip.
+func (r *Router) QueryAnswer(ctx context.Context, q gridmon.Query) (rs gridmon.ResultSet, ans gridmon.Answer, err error) {
 	start := time.Now()
 	r.queries.Add(1)
 	if err := ctx.Err(); err != nil {
-		return nil, transport.AsError(err)
+		return rs, ans, transport.AsError(err)
 	}
 	smap, backends := r.snapshot()
-	if q.Host != "" {
-		shard := smap.ShardFor(q.Host)
-		bctx, cancel := r.carve(ctx, false)
-		defer cancel()
-		out := queryBranch(bctx, backends[shard], q)
-		if out.err != nil {
-			r.branchFails.Add(1)
-			if err := ctx.Err(); err != nil {
-				return nil, transport.AsError(err)
-			}
-			return nil, out.err
-		}
-		out.rs.Elapsed = time.Since(start)
-		return out.rs, nil
+	if q.Host == "" {
+		return r.queryBroad(ctx, start, smap, backends, q)
 	}
-	return r.queryBroad(ctx, start, smap, backends, q)
+	shard := smap.ShardFor(q.Host)
+	bctx, cancel := r.carve(ctx, false)
+	defer cancel()
+	out := queryBranch(bctx, backends[shard], q)
+	if out.err != nil {
+		r.branchFails.Add(1)
+		if err := ctx.Err(); err != nil {
+			return rs, ans, transport.AsError(err)
+		}
+		return rs, ans, out.err
+	}
+	out.rs.Elapsed = time.Since(start)
+	return out.rs, out.ans, nil
 }
 
 // queryBroad fans q out to every shard with bounded concurrency and
 // merges per the policy.
 func (r *Router) queryBroad(ctx context.Context, start time.Time, smap ShardMap,
-	backends [][]*gridmon.RemoteGrid, q gridmon.Query) (*gridmon.ResultSet, error) {
+	backends [][]*gridmon.RemoteGrid, q gridmon.Query) (rs gridmon.ResultSet, ans gridmon.Answer, err error) {
 	outs := make([]branchOutcome, len(smap.Shards))
 	gctx := ctx
 	cancelGroup := func() {}
@@ -309,7 +338,6 @@ func (r *Router) queryBroad(ctx context.Context, start time.Time, smap ShardMap,
 	}
 	wg.Wait()
 
-	var parts []*gridmon.ResultSet
 	var fails []gridmon.BranchError
 	for i, out := range outs {
 		if out.err != nil {
@@ -317,41 +345,40 @@ func (r *Router) queryBroad(ctx context.Context, start time.Time, smap ShardMap,
 			fails = append(fails, gridmon.BranchError{
 				Shard: i, Addr: out.addr, Code: te.Code, Message: te.Message,
 			})
-			continue
 		}
-		parts = append(parts, out.rs)
 	}
 	if len(fails) == 0 {
-		rs := MergeResultSets(q, parts)
+		rs, ans = mergeAnswers(q, outs)
 		rs.Elapsed = time.Since(start)
-		return rs, nil
+		return rs, ans, nil
 	}
 	r.branchFails.Add(int64(len(fails)))
 	if err := ctx.Err(); err != nil {
 		// The caller's own context died; the branch failures are its
 		// echo, not degradation.
-		return nil, transport.AsError(err)
+		return rs, ans, transport.AsError(err)
 	}
-	if len(parts) == 0 && passthroughCode(fails) {
+	survivors := len(outs) - len(fails)
+	if survivors == 0 && passthroughCode(fails) {
 		// Every branch answered the same request-level error — the same
 		// answer a single grid would give, so pass it through untouched.
-		return nil, &transport.Error{Code: fails[0].Code, Message: fails[0].Message}
+		return rs, ans, &transport.Error{Code: fails[0].Code, Message: fails[0].Message}
 	}
-	if r.policy == FailFast || len(parts) == 0 {
+	if r.policy == FailFast || survivors == 0 {
 		r.degraded.Add(1)
 		// List originating failures before the cancellations fail-fast
 		// induced in their siblings.
 		sort.SliceStable(fails, func(i, j int) bool {
 			return fails[i].Code != transport.CodeCanceled && fails[j].Code == transport.CodeCanceled
 		})
-		return nil, degradedError(len(outs), fails)
+		return rs, ans, degradedError(len(outs), fails)
 	}
 	r.partials.Add(1)
-	rs := MergeResultSets(q, parts)
+	rs, ans = mergeAnswers(q, outs)
 	rs.Partial = true
 	rs.Branches = fails
 	rs.Elapsed = time.Since(start)
-	return rs, nil
+	return rs, ans, nil
 }
 
 // Subscribe proxies a host-targeted subscription to the shard owning
@@ -470,7 +497,8 @@ func (r *Router) Stats() Stats {
 // grid.subscribe / grid.hosts / grid.systems surface a leaf serves —
 // so a RemoteGrid pointed at an aggregator works unchanged, and trees
 // can stack (an aggregator's shard address may itself be an
-// aggregator) — plus fed.stats for the federation counters.
+// aggregator) — plus fed.stats for the federation counters. A served
+// Router answers grid.query flat, pair by pair, as a Grid does.
 func (r *Router) Serve(srv *gridmon.TransportServer) {
 	gridmon.ServeQueryV3(srv, r)
 	gridmon.ServeSubscribe(srv, r)

@@ -51,8 +51,10 @@ type Querier interface {
 }
 
 var (
-	_ Querier = (*Grid)(nil)
-	_ Querier = (*RemoteGrid)(nil)
+	_ Querier     = (*Grid)(nil)
+	_ Querier     = (*RemoteGrid)(nil)
+	_ flatQuerier = (*Grid)(nil)
+	_ flatQuerier = (*RemoteGrid)(nil)
 )
 
 // ErrorCode classifies a query failure. The codes travel on the wire,
@@ -127,6 +129,20 @@ func (g *Grid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 	}
 	rs.Elapsed = time.Since(start)
 	return &rs, nil
+}
+
+// QueryAnswer is Query with the records left flat: the ResultSet comes
+// back with Records nil and the records in the Answer, so a caller that
+// only forwards them (the grid.query handler) builds no field map. A
+// cache hit's Answer is the cache entry's own: read it, never write it.
+func (g *Grid) QueryAnswer(ctx context.Context, q Query) (ResultSet, Answer, error) {
+	start := time.Now()
+	rs, ans, _, err := g.answer(ctx, q, start)
+	if err != nil {
+		return ResultSet{}, Answer{}, err
+	}
+	rs.Elapsed = time.Since(start)
+	return rs, ans, nil
 }
 
 // answer is Query without Records: ans holds them flat, and e is the

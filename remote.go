@@ -152,9 +152,11 @@ type RemoteGrid struct {
 	rng   *rand.Rand // guarded by rngMu
 
 	// connMu guards client, the current shared request/response
-	// connection; nil means the next call must dial.
+	// connection (nil means the next call must dial), and closed, set by
+	// Close: a closed client never dials again.
 	connMu sync.Mutex
 	client *transport.MuxClient // guarded by connMu
+	closed bool                 // guarded by connMu
 
 	calls      atomic.Int64
 	retries    atomic.Int64
@@ -231,11 +233,17 @@ func (r *RemoteGrid) dialClient(ctx context.Context) (*transport.MuxClient, erro
 	return transport.NewMuxClient(conn, r.opts.MaxInFlight), nil
 }
 
+// errClientClosed is what every call on a closed RemoteGrid fails with.
+var errClientClosed = &transport.Error{Code: transport.CodeUnavailable, Message: "client closed"}
+
 // getClient returns the current shared connection, dialing a fresh one
-// if the last was torn down.
+// if the last was torn down — unless the client is closed.
 func (r *RemoteGrid) getClient(ctx context.Context) (*transport.MuxClient, error) {
 	r.connMu.Lock()
 	defer r.connMu.Unlock()
+	if r.closed {
+		return nil, errClientClosed
+	}
 	if r.client != nil {
 		return r.client, nil
 	}
@@ -314,6 +322,9 @@ func (r *RemoteGrid) callWire(ctx context.Context, attempt func(ctx context.Cont
 			}
 		}
 		c, err := r.getClient(ctx)
+		if errors.Is(err, errClientClosed) {
+			return err
+		}
 		if err != nil {
 			// Dial failures are always connection-class: note, retry.
 			if r.br != nil {
@@ -444,6 +455,12 @@ func (r *RemoteGrid) ClientStats() ClientStats {
 // frame, after which Next drains the buffer and returns the terminal
 // error. A failed connection surfaces as the stream's terminal error.
 func (r *RemoteGrid) Subscribe(ctx context.Context, sub Subscription) (*Stream, error) {
+	r.connMu.Lock()
+	closed := r.closed
+	r.connMu.Unlock()
+	if closed {
+		return nil, errClientClosed
+	}
 	mux, err := r.dialClient(ctx)
 	if err != nil {
 		return nil, transport.AsError(err)
@@ -556,6 +573,32 @@ func (r *RemoteGrid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 	return &rs, nil
 }
 
+// QueryAnswer is Query with the records left flat: the ResultSet comes
+// back with Records nil and the answer's records in the Answer, cut
+// from the same one copy of the frame (the same retention contract)
+// with no field map, so beside the text an answer costs its spans and
+// its pairs however many records it holds. The federation Router reads
+// its branches this way.
+func (r *RemoteGrid) QueryAnswer(ctx context.Context, q Query) (ResultSet, Answer, error) {
+	start := time.Now()
+	var rs ResultSet
+	var ans Answer
+	err := r.callWire(ctx, func(actx context.Context, c *transport.MuxClient) error {
+		return c.CallV3(actx, "grid.query",
+			func(b []byte) []byte { return appendWireQuery(b, q) },
+			func(body []byte) error {
+				d := binenc.NewDecText(body)
+				decodeWireResult(&d, &rs, &ans)
+				return d.Err()
+			})
+	})
+	if err != nil {
+		return ResultSet{}, Answer{}, err
+	}
+	rs.Elapsed = time.Since(start)
+	return rs, ans, nil
+}
+
 // Hosts lists the remote grid's monitored hosts.
 func (r *RemoteGrid) Hosts(ctx context.Context) ([]string, error) {
 	var hl HostList
@@ -594,11 +637,15 @@ func (r *RemoteGrid) Stats(ctx context.Context) (Stats, error) {
 }
 
 // Close closes the shared request/response connection (dedicated
-// subscribe connections close with their streams).
+// subscribe connections close with their streams) and retires the
+// client for good: every later call, and every retry of a call already
+// in flight, fails with CodeUnavailable ("client closed") and opens no
+// connection.
 func (r *RemoteGrid) Close() error {
 	r.connMu.Lock()
 	c := r.client
 	r.client = nil
+	r.closed = true
 	r.connMu.Unlock()
 	if c == nil {
 		return nil

@@ -331,3 +331,48 @@ func TestOverloadedTravelsTheWire(t *testing.T) {
 		t.Errorf("server shed count = %d, want 1", st.Shed)
 	}
 }
+
+// TestClosedClientNeverRedials: Close retires a RemoteGrid for good. A
+// call after it fails typed and opens no connection, where it used to
+// re-dial one that nothing would ever close. The server outlives the
+// leak check, so such a connection would still be open when it runs.
+func TestClosedClientNeverRedials(t *testing.T) {
+	srv := transport.NewServer()
+	newTestGrid(t).Serve(srv)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	t.Run("close-then-query", func(t *testing.T) {
+		leakcheck.Check(t)
+		remote, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		q := Query{System: MDS, Role: RoleAggregateServer}
+		if _, err := remote.Query(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+		remote.Close()
+		for name, call := range map[string]func() error{
+			"Query": func() error { _, err := remote.Query(ctx, q); return err },
+			"Hosts": func() error { _, err := remote.Hosts(ctx); return err },
+			"Subscribe": func() error {
+				st, err := remote.Subscribe(ctx, Subscription{System: RGMA, Host: "lucky4"})
+				if err == nil {
+					st.Close()
+				}
+				return err
+			},
+		} {
+			if err := call(); CodeOf(err) != ErrUnavailable || !strings.Contains(err.Error(), "client closed") {
+				t.Errorf("%s after Close: %v, want unavailable \"client closed\"", name, err)
+			}
+		}
+		if st := remote.ClientStats(); st.Reconnects != 0 {
+			t.Errorf("closed client reconnected %d times", st.Reconnects)
+		}
+	})
+}

@@ -26,11 +26,15 @@ import (
 // error texts — is a substring of one copy of the frame body: the text
 // costs one allocation however many records it spans, never aliases the
 // connection's pooled frame buffer, and stays alive as a whole while any
-// decoded string is retained. Beside it the client builds an answer's
-// []Record and one map per record (see TestWireQueryRoundTripAllocs);
-// the server builds none, a Grid encoding its flat core.Answer
-// (appendWireAnswer). Counts read off the wire are bounded by the bytes
-// left in the frame (Dec.Count) before anything is sized by them.
+// decoded string is retained. RemoteGrid.Query then builds an answer's
+// []Record and one map per record (decodeWireRecords; see
+// TestWireQueryRoundTripAllocs). QueryAnswer builds none: decodeWireAnswer
+// cuts the records into one flat Answer, spans and pairs, which is how
+// the federation Router reads its branches. Nor does a server: a source
+// that answers flat (a Grid, a Router forwarding its branches) encodes
+// its Answer pair by pair (appendWireAnswer). Counts read off the wire
+// are bounded by the bytes left in the frame (Dec.Count) before anything
+// is sized by them.
 //
 // Nil-ness is preserved exactly as the JSON codecs preserve it, so a
 // binary-bodied answer is reflect.DeepEqual to the JSON-bodied answer
@@ -192,6 +196,43 @@ func decodeWireRecords(d *binenc.Dec) []Record {
 	return out
 }
 
+// decodeWireAnswer decodes a record slice as decodeWireRecords does, but
+// flat: keys, names and values are the decoder's strings, and the answer
+// costs its spans and its pairs, one allocation each however many
+// records it holds (a first pass over a copy of the decoder counts the
+// pairs). It accepts and refuses what decodeWireRecords does, and its
+// Records are that function's records, up to nil versus empty Fields.
+func decodeWireAnswer(d *binenc.Dec) Answer {
+	n1 := d.Uvarint()
+	if n1 == 0 {
+		return Answer{}
+	}
+	n := d.Count(n1-1, 2)
+	count, pairs := *d, 0
+	for i := 0; i < n; i++ {
+		count.Bytes()
+		nf := count.Count(count.Uvarint(), 2)
+		for j := 0; j < nf; j++ {
+			count.Bytes()
+			count.Bytes()
+		}
+		pairs += nf
+	}
+	a := Answer{Recs: make([]core.Span, n), Pairs: make([]core.Pair, 0, pairs)}
+	for i := range a.Recs {
+		s := &a.Recs[i]
+		s.Key = d.String()
+		nf := d.Count(d.Uvarint(), 2)
+		s.From = len(a.Pairs)
+		for j := 0; j < nf; j++ {
+			name := d.String()
+			a.Pairs = append(a.Pairs, core.Pair{Name: name, Value: d.String()})
+		}
+		s.To = len(a.Pairs)
+	}
+	return a
+}
+
 // appendWireResultSet appends rs's binary encoding to b, with ans in
 // place of rs.Records when it is not nil.
 func appendWireResultSet(b []byte, rs *ResultSet, ans *core.Answer) []byte {
@@ -222,11 +263,21 @@ func appendWireResultSet(b []byte, rs *ResultSet, ans *core.Answer) []byte {
 }
 
 // decodeWireResultSetInto decodes a ResultSet into rs.
-func decodeWireResultSetInto(d *binenc.Dec, rs *ResultSet) {
+func decodeWireResultSetInto(d *binenc.Dec, rs *ResultSet) { decodeWireResult(d, rs, nil) }
+
+// decodeWireResult decodes what appendWireResultSet(b, rs, ans) appends:
+// a ResultSet into rs, with its records flat in ans when ans is not nil
+// (rs.Records is then nil).
+func decodeWireResult(d *binenc.Dec, rs *ResultSet, ans *Answer) {
 	rs.System = System(d.String())
 	rs.Role = Role(d.String())
 	rs.Host = d.String()
-	rs.Records = decodeWireRecords(d)
+	rs.Records = nil
+	if ans != nil {
+		*ans = decodeWireAnswer(d)
+	} else {
+		rs.Records = decodeWireRecords(d)
+	}
 	decodeWireWorkInto(d, &rs.Work)
 	rs.Elapsed = time.Duration(d.Varint())
 	rs.Partial = d.Byte() == 1
@@ -310,16 +361,24 @@ const (
 // ServeQueryV3 is the registration of grid.query for source on srv, in
 // both of the op's body encodings: binary-bodied requests decode straight
 // from the frame and answers encode straight into the server's pooled
-// response buffer — no intermediate JSON — while JSON-bodied calls
-// (gridmon-query, RemoteGrid.Call) reach the same source through the
-// derived JSON form.
+// response buffer — no intermediate JSON, and no field map when source
+// answers flat (see queryV3) — while JSON-bodied calls (gridmon-query,
+// RemoteGrid.Call) reach the same source through the derived JSON form.
 func ServeQueryV3(srv *TransportServer, source Querier) {
 	transport.HandleV3(srv, "grid.query", source.Query, queryV3(source))
 }
 
-// queryV3 is the binary body of grid.query for source. A Grid encodes
-// its flat answer and builds no Records; any other Querier's ResultSet is
-// encoded as it is.
+// flatQuerier is a source that answers with its records flat: the
+// ResultSet with Records nil, and the records in the Answer. Grid,
+// RemoteGrid and the federation Router are. The ResultSet comes back by
+// value, so serving a Grid's answer costs no allocation for it.
+type flatQuerier interface {
+	QueryAnswer(ctx context.Context, q Query) (ResultSet, Answer, error)
+}
+
+// queryV3 is the binary body of grid.query for source. A flat source is
+// encoded from its Answer, pair by pair, and builds no Records; any other
+// Querier's ResultSet is encoded as it is.
 func queryV3(source Querier) transport.V3Handler {
 	answer := func(ctx context.Context, q Query, out []byte) ([]byte, error) {
 		rs, err := source.Query(ctx, q)
@@ -328,14 +387,12 @@ func queryV3(source Querier) transport.V3Handler {
 		}
 		return appendWireResultSet(out, rs, nil), nil
 	}
-	if g, ok := source.(*Grid); ok {
+	if fq, ok := source.(flatQuerier); ok {
 		answer = func(ctx context.Context, q Query, out []byte) ([]byte, error) {
-			start := time.Now()
-			rs, ans, _, err := g.answer(ctx, q, start)
+			rs, ans, err := fq.QueryAnswer(ctx, q)
 			if err != nil {
 				return nil, err
 			}
-			rs.Elapsed = time.Since(start)
 			return appendWireResultSet(out, &rs, &ans), nil
 		}
 	}

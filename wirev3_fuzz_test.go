@@ -1,6 +1,7 @@
 package gridmon
 
 import (
+	"maps"
 	"math"
 	"reflect"
 	"runtime"
@@ -52,7 +53,7 @@ func noNaN(fs ...*float64) {
 	}
 }
 
-// wireFuzzDecoders are the four decoders that face bytes a peer chose,
+// wireFuzzDecoders are the five decoders that face bytes a peer chose,
 // each as: decode data with the given kind of Dec into a fresh value
 // (NaNs scrubbed), and re-encode that value.
 var wireFuzzDecoders = []struct {
@@ -77,6 +78,13 @@ var wireFuzzDecoders = []struct {
 			return rs, d.Err()
 		},
 		func(v interface{}) []byte { rs := v.(ResultSet); return appendWireResultSet(nil, &rs, nil) }},
+	{"answer",
+		func(newDec func([]byte) binenc.Dec, data []byte) (interface{}, error) {
+			d := newDec(data)
+			a := decodeWireAnswer(&d)
+			return a, d.Err()
+		},
+		func(v interface{}) []byte { a := v.(Answer); return appendWireAnswer(nil, &a) }},
 	{"subscription",
 		func(newDec func([]byte) binenc.Dec, data []byte) (interface{}, error) {
 			var sub Subscription
@@ -150,5 +158,29 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("%s: decoded %#v, round trip gave %#v", dec.name, got, again)
 			}
 		}
+		checkAnswerMatchesRecords(t, data)
 	})
+}
+
+// checkAnswerMatchesRecords holds decodeWireAnswer, the Router's decoder,
+// to decodeWireRecords, RemoteGrid.Query's: the same bytes accepted and
+// consumed, the same nil-ness, and record for record the same key and
+// fields (nil and empty Fields are equal, as in JSON).
+func checkAnswerMatchesRecords(t *testing.T, data []byte) {
+	d, e := binenc.NewDecText(data), binenc.NewDecText(data)
+	got, want := decodeWireAnswer(&d).Records(), decodeWireRecords(&e)
+	if (d.Err() == nil) != (e.Err() == nil) || d.Len() != e.Len() {
+		t.Fatalf("flat decode err %v (%d bytes left), records decode err %v (%d left)", d.Err(), d.Len(), e.Err(), e.Len())
+	}
+	if d.Err() != nil {
+		return
+	}
+	if (got == nil) != (want == nil) || len(got) != len(want) {
+		t.Fatalf("flat decode gave %d records (nil %v), records decode %d (nil %v)", len(got), got == nil, len(want), want == nil)
+	}
+	for i := range want {
+		if got[i].Key != want[i].Key || !maps.Equal(got[i].Fields, want[i].Fields) {
+			t.Fatalf("record %d: flat decode %+v, records decode %+v", i, got[i], want[i])
+		}
+	}
 }
