@@ -38,9 +38,11 @@ race:
 
 # stress re-runs just the concurrent-serving gates under the race
 # detector: parallel queries mixed with the Advance pump, checked
-# against serialized-oracle snapshots, plus the cache semantics.
+# against serialized-oracle snapshots, plus the cache semantics and the
+# expression memo (warm answers equal fresh ones, its bounds, its keys
+# copied out of the request).
 stress:
-	$(GO) test -race -count=2 -run 'Concurrent|QueryCache' .
+	$(GO) test -race -count=2 -run 'Concurrent|QueryCache|Memo' .
 
 # recovery re-runs the crash-injection suite hard: kills at every WAL
 # byte/record boundary, differential recovery against the volatile
@@ -116,15 +118,18 @@ bench-smoke:
 # allocation in proportion to the text; an accepted filter or expression
 # renders to a canonical form that parses back to itself; the ClassAd
 # expression and ad parsers answer what the parser that lexed the whole
-# input first answered, error text included), the SQL LIKE
+# input first answered, error text included), the facade's memo of
+# what they parsed (any system and expression answers the same on a grid
+# that parsed it before as on one that did not), the SQL LIKE
 # matcher (what the recursive matcher it replaced answers, with no
 # allocation), the ProducerServlet answering from its producers' rows
 # (what the scratch-table body it replaced answers, for any SQL), and
 # the -shards flag parser (never a panic; an accepted map renders back
-# to one that parses equal) — fifteen targets.
+# to one that parses equal) — sixteen targets.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzQueryMemo$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzV3ServerFrames$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzV3ClientFrames$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzValueSize$$' -fuzztime $(FUZZTIME) ./internal/relational

@@ -36,6 +36,8 @@ type Grid struct {
 	// cache is the opt-in GIIS-style query result cache (nil without
 	// WithQueryCache).
 	cache *queryCache
+	// memo holds each query expression parsed, under its own lock.
+	memo exprMemo
 
 	// counters is the serving path's self-observability (Grid.Stats,
 	// ops.stats); always allocated, lock-free.

@@ -110,21 +110,24 @@ func (cm *CompiledMatch) Matches(other *Ad) bool {
 // strict boolean test, the Manager's historical behavior. Not safe for
 // concurrent use.
 type CompiledConstraint struct {
-	expr  Expr
-	empty *Ad
-	ctx   evalCtx
+	expr Expr
+	ctx  evalCtx
 }
 
+// noAd is the empty ad every constraint is evaluated as: evaluation only
+// reads it, so one is shared by all.
+var noAd = NewAd()
+
 // CompileConstraint prepares a constraint expression.
-func CompileConstraint(e Expr) *CompiledConstraint {
-	return &CompiledConstraint{expr: e, empty: NewAd()}
+func CompileConstraint(e Expr) CompiledConstraint {
+	return CompiledConstraint{expr: e}
 }
 
 // SatisfiedBy reports whether the candidate satisfies the constraint:
 // the expression must evaluate to boolean true (numbers, undefined and
 // error do not count).
 func (cc *CompiledConstraint) SatisfiedBy(candidate *Ad) bool {
-	cc.ctx = evalCtx{a: cc.empty, b: candidate, cur: cc.empty}
+	cc.ctx = evalCtx{a: noAd, b: candidate, cur: noAd}
 	v := cc.expr.eval(&cc.ctx)
 	b, ok := v.BoolVal()
 	return ok && b

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -200,6 +201,9 @@ func TestServedRouterDegradation(t *testing.T) {
 		}
 		if served.Error() != direct.Error() {
 			t.Errorf("degraded error text differs\nserved:     %s\nin-process: %s", served, direct)
+		}
+		if n := strings.Count(direct.Error(), "canceled after shard 2 failed [canceled]"); n != 2 {
+			t.Errorf("want both stalled siblings canceled by shard 2's failure, got %d: %s", n, direct)
 		}
 	})
 }

@@ -207,6 +207,9 @@ type branchOutcome struct {
 	rs   gridmon.ResultSet
 	ans  gridmon.Answer
 	err  error
+	// late marks a fail-fast branch that ended after a sibling's failure
+	// had canceled the group.
+	late bool
 }
 
 // definitive reports whether a branch error is request-level — the
@@ -325,21 +328,36 @@ func (r *Router) queryBroad(ctx context.Context, start time.Time, smap ShardMap,
 			case sem <- struct{}{}:
 				defer func() { <-sem }()
 			case <-gctx.Done():
-				outs[i] = branchOutcome{addr: smap.Shards[i].Addrs[0], err: transport.AsError(gctx.Err())}
+				outs[i] = branchOutcome{addr: smap.Shards[i].Addrs[0], err: transport.AsError(gctx.Err()), late: r.policy == FailFast}
 				return
 			}
 			bctx, cancel := r.carve(gctx, true)
 			defer cancel()
 			outs[i] = queryBranch(bctx, backends[i], q)
 			if outs[i].err != nil && r.policy == FailFast {
+				outs[i].late = gctx.Err() != nil
 				cancelGroup()
 			}
 		}(i)
 	}
 	wg.Wait()
 
+	// A fail-fast branch that ended after the group was canceled reports
+	// one fixed cancellation naming the first shard that failed on its
+	// own, not whichever error the cancel happened to surface as in its
+	// client: the same failure always degrades with the same error.
+	first := -1
+	for i, out := range outs {
+		if out.err != nil && !out.late {
+			first = i
+			break
+		}
+	}
 	var fails []gridmon.BranchError
 	for i, out := range outs {
+		if out.late && first >= 0 && !definitive(out.err) {
+			out.err = transport.Errf(transport.CodeCanceled, "canceled after shard %d failed", first)
+		}
 		if out.err != nil {
 			te := transport.AsError(out.err)
 			fails = append(fails, gridmon.BranchError{

@@ -89,12 +89,10 @@ func (a *Agent) AddModules(ms []*Module) error {
 // NumModules reports the number of registered modules.
 func (a *Agent) NumModules() int { return len(a.modules) }
 
-// The Startd ad's identity attributes, and the empty MY ad a direct
-// query's constraint is evaluated as (shared, never written).
+// The Startd ad's identity attributes.
 var (
 	attrName   = classad.NewName("Name")
 	attrMyType = classad.NewName("MyType")
-	noAd       = classad.NewAd()
 )
 
 // StartdAd collects every module into a single fresh Startd ClassAd
@@ -124,9 +122,8 @@ func (a *Agent) Query(now float64, constraint classad.Expr) (*classad.Ad, QueryS
 	ad, st := a.StartdAd(now)
 	match := true
 	if constraint != nil {
-		v := classad.EvalExprAgainst(constraint, noAd, ad)
-		b, ok := v.BoolVal()
-		match = ok && b
+		cc := classad.CompileConstraint(constraint)
+		match = cc.SatisfiedBy(ad)
 	}
 	st.AdsScanned = 1
 	if !match {

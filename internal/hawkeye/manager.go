@@ -186,7 +186,8 @@ func (m *Manager) Query(now float64, constraint classad.Expr) ([]*classad.Ad, Qu
 	var out []*classad.Ad
 	var cc *classad.CompiledConstraint
 	if constraint != nil {
-		cc = classad.CompileConstraint(constraint)
+		c := classad.CompileConstraint(constraint)
+		cc = &c
 	}
 	for _, key := range m.order {
 		rec := m.ads[key]

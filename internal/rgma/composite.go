@@ -114,8 +114,21 @@ func (cp *CompositeProducer) refreshLocked(now float64) (int, QueryStats, error)
 // from upstream first when the cached data is older than RefreshTTL. This
 // is the aggregated-form serving the paper describes. The staleness
 // check is double-checked under the composite's mutex, so concurrent
-// queries at the same instant refresh once and share the copy.
+// queries at the same instant refresh once and share the copy. A
+// statement that does not parse fails after the refresh, as the query
+// it names would have refreshed.
 func (cp *CompositeProducer) Query(now float64, sql string) (*relational.Result, QueryStats, error) {
+	sel, err := relational.Parse(sql)
+	return cp.query(now, sel, err)
+}
+
+// QuerySelect is Query with the statement already parsed.
+func (cp *CompositeProducer) QuerySelect(now float64, sel relational.SelectStmt) (*relational.Result, QueryStats, error) {
+	return cp.query(now, sel, nil)
+}
+
+// query refreshes if stale, then answers sel, or fails with parseErr.
+func (cp *CompositeProducer) query(now float64, sel relational.SelectStmt, parseErr error) (*relational.Result, QueryStats, error) {
 	var st QueryStats
 	cp.mu.Lock()
 	if !cp.haveData || now-cp.lastRefresh > cp.RefreshTTL {
@@ -127,7 +140,11 @@ func (cp *CompositeProducer) Query(now float64, sql string) (*relational.Result,
 		}
 	}
 	cp.mu.Unlock()
-	res, qSt, err := cp.servlet.Query(now, sql)
+	if parseErr != nil {
+		st.Add(QueryStats{ThreadSpawns: 1})
+		return nil, st, parseErr
+	}
+	res, qSt, err := cp.servlet.QuerySelect(now, sel)
 	st.Add(qSt)
 	return res, st, err
 }

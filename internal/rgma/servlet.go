@@ -53,13 +53,17 @@ func (ps *ProducerServlet) Advertisements() []gma.Advertisement {
 // its producers. Every producer of the table contributes rows (refreshed
 // at time now).
 func (ps *ProducerServlet) Query(now float64, sql string) (*relational.Result, QueryStats, error) {
-	st := QueryStats{ThreadSpawns: 1}
 	sel, err := relational.Parse(sql)
 	if err != nil {
-		return nil, st, err
+		return nil, QueryStats{ThreadSpawns: 1}, err
 	}
+	return ps.QuerySelect(now, sel)
+}
+
+// QuerySelect is Query with the statement already parsed.
+func (ps *ProducerServlet) QuerySelect(now float64, sel relational.SelectStmt) (*relational.Result, QueryStats, error) {
 	q := relational.RowsQuery{Select: sel}
-	st, err = ps.query(now, &q, st)
+	st, err := ps.query(now, &q, QueryStats{ThreadSpawns: 1})
 	if err != nil {
 		return nil, st, err
 	}
@@ -154,11 +158,16 @@ func (cs *ConsumerServlet) Query(now float64, sql string) (*relational.Result, Q
 // servlet is contacted, so a caller abandoning a mediated query stops
 // the fan-out mid-flight rather than only at the edges.
 func (cs *ConsumerServlet) QueryCtx(ctx context.Context, now float64, sql string) (*relational.Result, QueryStats, error) {
-	st := QueryStats{ThreadSpawns: 1}
 	sel, err := relational.Parse(sql)
 	if err != nil {
-		return nil, st, err
+		return nil, QueryStats{ThreadSpawns: 1}, err
 	}
+	return cs.QuerySelectCtx(ctx, now, sel)
+}
+
+// QuerySelectCtx is QueryCtx with the statement already parsed.
+func (cs *ConsumerServlet) QuerySelectCtx(ctx context.Context, now float64, sel relational.SelectStmt) (*relational.Result, QueryStats, error) {
+	st := QueryStats{ThreadSpawns: 1}
 	ads, lookupStats, err := cs.registry.LookupProducersStats(sel.Table, now)
 	st.RegistryLookups++
 	st.Add(lookupStats)

@@ -1,0 +1,330 @@
+package gridmon
+
+import (
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"unsafe"
+)
+
+// forgetMemo empties g's expression memo, so its next query parses as a
+// fresh grid's would.
+func forgetMemo(g *Grid) {
+	g.memo.mu.Lock()
+	g.memo.parsed = nil
+	g.memo.mu.Unlock()
+}
+
+// memoEntries is how many parsed expressions g's memo holds.
+func memoEntries(g *Grid) int {
+	g.memo.mu.RLock()
+	defer g.memo.mu.RUnlock()
+	return len(g.memo.parsed)
+}
+
+// memoKeyFor returns the stored key of sys's expr, if the memo holds it.
+func memoKeyFor(g *Grid, sys System, expr string) (memoKey, bool) {
+	g.memo.mu.RLock()
+	defer g.memo.mu.RUnlock()
+	for k := range g.memo.parsed {
+		if k.system == sys && k.expr == expr {
+			return k, true
+		}
+	}
+	return memoKey{}, false
+}
+
+// memoDump is everything a query answered but its timing: the records
+// as JSON and the Work, or the error's code and text.
+func memoDump(t testing.TB, rs *ResultSet, err error) string {
+	if err != nil {
+		return fmt.Sprintf("error %s: %s", CodeOf(err), err)
+	}
+	return fmt.Sprintf("%s %+v", recordsJSON(t, rs.Records), rs.Work)
+}
+
+// fuzzCorpus reads the checked-in seed corpus of one fuzz target: one
+// string per file, in the "go test fuzz v1" format.
+func fuzzCorpus(t testing.TB, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus in %s: %v", dir, err)
+	}
+	var out []string
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := strings.TrimSpace(strings.SplitN(string(b), "\n", 2)[1])
+		s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(line, "string("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// memoQueries is the differential's query list: every alloc-budget
+// cell, the stress mix, and each dialect's fuzz seed corpus (plus a few
+// accepted and refused expressions of each, and one past the length cap)
+// on every role that parses it.
+func memoQueries(t testing.TB) []Query {
+	var qs []Query
+	for _, c := range allocBudgetCells {
+		qs = append(qs, c.q)
+	}
+	qs = append(qs, stressQueries()...)
+	long := strings.Repeat(" ", maxMemoExpr)
+	ldapExprs := append(fuzzCorpus(t, "internal/ldap/testdata/fuzz/FuzzLDAPFilter"),
+		"(objectclass=MdsCpu)", "(|(Mds-Host-hn=lucky3)(Mds-Cpu-Free-1minX100>=50))", "(a=(b)", "(&)",
+		"(objectclass=MdsHost)"+long)
+	sqlExprs := append(fuzzCorpus(t, "internal/relational/testdata/fuzz/FuzzSQLParse"),
+		"SELECT host, value FROM SiteInfo WHERE value >= 50 ORDER BY value DESC LIMIT 4",
+		"SELECT nosuch FROM siteinfo", "SELECT * FROM nosuch", "DELETE FROM siteinfo", "SELECT * FROM",
+		"SELECT * FROM siteinfo"+long)
+	adExprs := append(fuzzCorpus(t, "internal/classad/testdata/fuzz/FuzzClassAdParse"),
+		`TARGET.OpSys == "LINUX" && TARGET.CpuLoad > 50`, "TARGET.CpuLoad", "a + ) @", "1e999",
+		"TARGET.CpuLoad >= 0"+long)
+	// Each expression without its last byte too: texts that share all
+	// but their end, so a memo keyed by less than the whole text answers
+	// one with the other's parse.
+	for _, exprs := range []*[]string{&ldapExprs, &sqlExprs, &adExprs} {
+		for _, e := range *exprs {
+			if len(e) > 1 {
+				*exprs = append(*exprs, e[:len(e)-1])
+			}
+		}
+	}
+	for _, e := range ldapExprs {
+		qs = append(qs,
+			Query{System: MDS, Host: "lucky4", Expr: e},
+			Query{System: MDS, Role: RoleAggregateServer, Expr: e, Attrs: []string{"Mds-Host-hn"}})
+	}
+	for _, e := range sqlExprs {
+		qs = append(qs,
+			Query{System: RGMA, Host: "lucky4", Expr: e},
+			Query{System: RGMA, Host: "nosuch", Expr: e},
+			Query{System: RGMA, Expr: e},
+			Query{System: RGMA, Role: RoleAggregateServer, Expr: e})
+	}
+	for _, e := range adExprs {
+		qs = append(qs,
+			Query{System: Hawkeye, Host: "lucky4", Expr: e},
+			Query{System: Hawkeye, Role: RoleAggregateServer, Expr: e})
+	}
+	return qs
+}
+
+// TestQueryMemoWarmMatchesFresh holds the memo to a grid without one:
+// two identical grids answer the same query sequence twice over, one
+// keeping its memo and one emptying it before every query, and every
+// answer — records, Work, error code and text — must be the same. The
+// second pass is answered from a full memo.
+func TestQueryMemoWarmMatchesFresh(t *testing.T) {
+	queries := memoQueries(t)
+	warm, fresh := newTestGrid(t), newTestGrid(t)
+	ctx := context.Background()
+	for pass := 1; pass <= 2; pass++ {
+		for i, q := range queries {
+			w, werr := warm.Query(ctx, q)
+			forgetMemo(fresh)
+			f, ferr := fresh.Query(ctx, q)
+			if got, want := memoDump(t, w, werr), memoDump(t, f, ferr); got != want {
+				t.Errorf("pass %d query %d %+.80v:\nwarm:  %.300s\nfresh: %.300s", pass, i, q, got, want)
+			}
+		}
+		if pass == 1 && memoEntries(warm) == 0 {
+			t.Fatal("the warm grid's memo is empty after the first pass")
+		}
+	}
+}
+
+// TestQueryMemoBounds: ten times the entry cap in distinct expressions
+// never leave more than the cap stored; an expression past the length
+// cap, and one that fails to parse, are answered but never stored.
+func TestQueryMemoBounds(t *testing.T) {
+	g := newTestGrid(t)
+	ctx := context.Background()
+	for i := 0; i < 10*maxMemoEntries; i++ {
+		q := Query{System: Hawkeye, Role: RoleAggregateServer, Expr: fmt.Sprintf("TARGET.CpuLoad > -%d", i)}
+		if _, err := g.Query(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+		if n := memoEntries(g); n > maxMemoEntries {
+			t.Fatalf("after %d distinct expressions the memo holds %d, cap %d", i+1, n, maxMemoEntries)
+		}
+	}
+	long := "TARGET.CpuLoad >= 0" + strings.Repeat(" ", maxMemoExpr)
+	bad := "TARGET.CpuLoad >"
+	if _, err := g.Query(ctx, Query{System: Hawkeye, Role: RoleAggregateServer, Expr: long}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Query(ctx, Query{System: Hawkeye, Role: RoleAggregateServer, Expr: bad}); CodeOf(err) != ErrParse {
+		t.Fatalf("%q: %v, want a parse error", bad, err)
+	}
+	for _, e := range []string{long, bad} {
+		if _, ok := memoKeyFor(g, Hawkeye, e); ok {
+			t.Errorf("the memo stored %.40q", e)
+		}
+	}
+}
+
+// TestQueryMemoKeyIsACopy: the memo keys an expression by a copy of its
+// text, so a stored entry never keeps the request it came from alive.
+func TestQueryMemoKeyIsACopy(t *testing.T) {
+	g := newTestGrid(t)
+	frame := []byte("xx(objectclass=MdsCpu)xx")
+	q := Query{System: MDS, Host: "lucky3", Expr: string(frame[2 : len(frame)-2])}
+	if _, err := g.Query(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	k, ok := memoKeyFor(g, MDS, q.Expr)
+	if !ok {
+		t.Fatalf("the memo does not hold %q", q.Expr)
+	}
+	if unsafe.StringData(k.expr) == unsafe.StringData(q.Expr) {
+		t.Error("the stored key shares the request's bytes")
+	}
+}
+
+// TestConcurrentMemoWithAdvanceOracle runs the stress mix beside the
+// Advance pump, each query followed by a distinct expression that
+// selects exactly what it does, so repeated lookups, stores and
+// wholesale drops of the memo all race with each other and with the
+// pump. Every answer must be one the serialized oracle produces for the
+// stress query.
+func TestConcurrentMemoWithAdvanceOracle(t *testing.T) {
+	const rounds = 25
+	const workers = 8
+	const perWorker = 2 * maxMemoEntries / workers // distinct expressions overflow the memo
+	valid := oracleSnapshots(t, rounds)
+	queries := stressQueries()
+	// variant returns q with an expression no earlier query used that
+	// selects the same records, or false when q has no expression.
+	variant := func(q Query, n int) (Query, bool) {
+		switch {
+		case q.Expr == "":
+			return q, false
+		case q.System == MDS:
+			q.Expr = fmt.Sprintf("(&%s(!(cn=x%d)))", q.Expr, n)
+		case q.System == RGMA:
+			q.Expr = fmt.Sprintf("%s AND host != 'x%d'", q.Expr, n)
+		default:
+			q.Expr = fmt.Sprintf(`%s && TARGET.Name != "x%d"`, q.Expr, n)
+		}
+		return q, true
+	}
+
+	var clock atomicClock
+	grid := newStressGrid(t, clock.Fn())
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				qi := (i + w) % len(queries)
+				asked := []Query{queries[qi]}
+				if v, ok := variant(queries[qi], w*perWorker+i); ok {
+					asked = append(asked, v)
+				}
+				for _, q := range asked {
+					rs, err := grid.Query(ctx, q)
+					if err != nil {
+						t.Errorf("worker %d query %+v: %v", w, q, err)
+						return
+					}
+					if got := recordsJSON(t, rs.Records); !valid[qi][got] {
+						t.Errorf("worker %d: %q returned a record set no serialized execution of %q produces:\n%.200s...",
+							w, q.Expr, queries[qi].Expr, got)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	r := 0
+	for pumping := true; pumping; {
+		select {
+		case <-done:
+			pumping = false
+		default:
+			if r < rounds {
+				r++
+			}
+			clock.Set(float64(r))
+			if err := grid.Advance(float64(r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := memoEntries(grid); n > maxMemoEntries {
+		t.Errorf("the memo holds %d entries, cap %d", n, maxMemoEntries)
+	}
+}
+
+// FuzzQueryMemo: any system, role and expression answers the same on a
+// grid that has parsed it before as on one that has not. Two identical
+// grids see the same queries, so their state moves in lockstep; one
+// keeps its memo, the other forgets it before every query.
+func FuzzQueryMemo(f *testing.F) {
+	for _, seed := range []struct {
+		sys  uint8
+		role uint8
+		expr string
+	}{
+		{0, 0, "(objectclass=MdsCpu)"},
+		{0, 2, "(|(Mds-Host-hn=lucky3)(objectclass=MdsHost))"},
+		{0, 1, "(a=(b)"},
+		{1, 0, "SELECT host, value FROM siteinfo WHERE value >= 50"},
+		{1, 3, "SELECT * FROM SiteInfo ORDER BY value DESC LIMIT 3"},
+		{1, 2, "SELECT nosuch FROM siteinfo"},
+		{1, 1, "siteinfo"},
+		{2, 2, `TARGET.OpSys == "LINUX" && TARGET.CpuLoad > 50`},
+		{2, 0, "TARGET.CpuLoad >"},
+		{2, 3, "MY.x + target.Y * -3 % 2"},
+	} {
+		f.Add(seed.sys, seed.role, seed.expr)
+	}
+	grid := func() *Grid {
+		g, err := New(WithHosts(testHosts...), fixedClock(1))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return g
+	}
+	warm, fresh := grid(), grid()
+	systems := []System{MDS, RGMA, Hawkeye}
+	roles := []Role{RoleInformationServer, RoleDirectoryServer, RoleAggregateServer}
+	ctx := context.Background()
+	f.Fuzz(func(t *testing.T, sys, role uint8, expr string) {
+		// role 3 is the mediated form: an information-server query with
+		// no host.
+		q := Query{System: systems[int(sys)%len(systems)], Role: roles[int(role)%len(roles)], Host: "lucky4", Expr: expr}
+		if role%4 == 3 {
+			q.Role, q.Host = RoleInformationServer, ""
+		}
+		for try := 0; try < 2; try++ {
+			w, werr := warm.Query(ctx, q)
+			forgetMemo(fresh)
+			fr, ferr := fresh.Query(ctx, q)
+			if got, want := memoDump(t, w, werr), memoDump(t, fr, ferr); got != want {
+				t.Fatalf("ask %d of %+v:\nwarm:  %.300s\nfresh: %.300s", try+1, q, got, want)
+			}
+		}
+	})
+}

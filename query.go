@@ -7,6 +7,7 @@ import (
 	"repro/internal/classad"
 	"repro/internal/core"
 	"repro/internal/ldap"
+	"repro/internal/relational"
 	"repro/internal/transport"
 )
 
@@ -106,6 +107,13 @@ func CodeOf(err error) ErrorCode { return transport.ErrorCode(err) }
 // Advance and Subscribe, and runs under the facade's read lock:
 // independent queries are served in parallel, while the state-changing
 // paths (Advance, Advertise) exclude them.
+//
+// An expression is parsed once per Grid: the parsed filter, SELECT or
+// constraint is kept by system and text, so a repeated Expr goes
+// straight to the engine even when the result cache misses. A parse
+// depends only on the text, so nothing invalidates it; an Expr longer
+// than 512 bytes is parsed on every query, and a bad one fails every
+// time.
 //
 // With WithQueryCache configured, an identical query repeated within the
 // TTL is answered from the cache without taking the facade lock at all;
@@ -273,7 +281,7 @@ func (g *Grid) readMDS(ctx context.Context, role Role, q Query) (core.Answer, Wo
 	var filter ldap.Filter
 	if q.Expr != "" {
 		var err error
-		filter, err = ldap.ParseFilter(q.Expr)
+		filter, err = memoParse(&g.memo, MDS, q.Expr, ldap.ParseFilter)
 		if err != nil {
 			return core.Answer{}, Work{}, transport.Errf(transport.CodeParse, "MDS filter: %v", err)
 		}
@@ -311,19 +319,23 @@ func (g *Grid) gris(host string) (*GRIS, error) {
 	return gris, nil
 }
 
-// readRGMA answers an R-GMA query. SQL is parsed by the engine, so there
-// is no expression check ahead of the role: an empty Expr selects the
-// whole table, and an empty Host on the information-server role goes
-// through the mediating ConsumerServlet instead of one servlet.
+// readRGMA answers an R-GMA query. SQL is parsed where the engine would
+// parse it, so the checks ahead of it come first: a host-targeted query
+// checks its host and ctx, the aggregate role refreshes the composite,
+// and a bad SELECT fails with the engine's own error (ErrExec). An empty
+// Expr selects the whole table, and an empty Host on the
+// information-server role goes through the mediating ConsumerServlet
+// instead of one servlet.
 func (g *Grid) readRGMA(ctx context.Context, role Role, q Query) (core.Answer, Work, error) {
 	switch role {
 	case RoleInformationServer:
-		sql := q.Expr
-		if sql == "" {
-			sql = "SELECT * FROM siteinfo"
-		}
 		if q.Host == "" {
-			res, st, err := g.consumer.QueryCtx(ctx, g.clock(), sql)
+			now := g.clock()
+			sel, err := g.selectStmt(q.Expr, "siteinfo")
+			if err != nil {
+				return core.Answer{}, Work{}, err
+			}
+			res, st, err := g.consumer.QuerySelectCtx(ctx, now, sel)
 			return core.ResultAnswer(res, q.Attrs), core.RGMAWork(st), err
 		}
 		ps, ok := g.servlets[q.Host]
@@ -335,7 +347,11 @@ func (g *Grid) readRGMA(ctx context.Context, role Role, q Query) (core.Answer, W
 		if err != nil {
 			return core.Answer{}, Work{}, err
 		}
-		res, st, err := ps.Query(now, sql)
+		sel, err := g.selectStmt(q.Expr, "siteinfo")
+		if err != nil {
+			return core.Answer{}, Work{}, err
+		}
+		res, st, err := ps.QuerySelect(now, sel)
 		return core.ResultAnswer(res, q.Attrs), core.RGMAWork(st), err
 	case RoleDirectoryServer:
 		table := q.Expr
@@ -349,25 +365,37 @@ func (g *Grid) readRGMA(ctx context.Context, role Role, q Query) (core.Answer, W
 		ads, st, err := g.registry.LookupProducersStats(table, now)
 		return core.AdvertisementAnswer(ads, q.Attrs), core.RGMAWork(st), err
 	case RoleAggregateServer:
-		sql := q.Expr
-		if sql == "" {
-			sql = "SELECT * FROM " + g.composite.Table
-		}
 		now, err := g.engineNow(ctx)
 		if err != nil {
 			return core.Answer{}, Work{}, err
 		}
-		res, st, err := g.composite.Query(now, sql)
+		sel, err := g.selectStmt(q.Expr, g.composite.Table)
+		if err != nil {
+			// A bad statement still costs the composite its refresh: the
+			// string form fails it after the refresh, as it always has.
+			res, st, err := g.composite.Query(now, q.Expr)
+			return core.ResultAnswer(res, q.Attrs), core.RGMAWork(st), err
+		}
+		res, st, err := g.composite.QuerySelect(now, sel)
 		return core.ResultAnswer(res, q.Attrs), core.RGMAWork(st), err
 	}
 	return core.Answer{}, Work{}, badRole(role)
+}
+
+// selectStmt is the SELECT an R-GMA query's expr states, parsed once
+// per Grid; an empty expr is "SELECT * FROM table".
+func (g *Grid) selectStmt(expr, table string) (relational.SelectStmt, error) {
+	if expr == "" {
+		return relational.SelectStmt{Table: table}, nil
+	}
+	return memoParse(&g.memo, RGMA, expr, relational.Parse)
 }
 
 func (g *Grid) readHawkeye(ctx context.Context, role Role, q Query) (core.Answer, Work, error) {
 	var constraint classad.Expr
 	if q.Expr != "" {
 		var err error
-		constraint, err = classad.ParseExpr(q.Expr)
+		constraint, err = memoParse(&g.memo, Hawkeye, q.Expr, classad.ParseExpr)
 		if err != nil {
 			return core.Answer{}, Work{}, transport.Errf(transport.CodeParse, "Hawkeye constraint: %v", err)
 		}

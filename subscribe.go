@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"sort"
+	"strings"
 
 	"repro/internal/classad"
 	"repro/internal/core"
@@ -181,7 +182,7 @@ func (g *Grid) subscribeRGMA(st *Stream, sub Subscription, id string) (func(), e
 	var producers []*rgma.Producer
 	for _, ps := range servlets {
 		for _, p := range ps.Producers() {
-			if p.Table == table {
+			if strings.EqualFold(p.Table, table) { // as a servlet matches a query's table
 				producers = append(producers, p)
 				schemas[p.ID] = p.Schema()
 			}

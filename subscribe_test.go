@@ -66,6 +66,9 @@ func TestSubscribeEquivalence(t *testing.T) {
 		// R-GMA streams each producer's regenerated rows: 3 hosts x 3
 		// producers = 9 Put events per Advance.
 		{"RGMA", Subscription{System: RGMA, Expr: "SELECT * FROM siteinfo WHERE value >= 0"}, 18},
+		// A table name matches its producers' case-insensitively, as it
+		// does in a query.
+		{"RGMA folded table", Subscription{System: RGMA, Expr: "SELECT * FROM SiteInfo WHERE value >= 0"}, 18},
 		// Hawkeye trigger matchmaking: 3 machines match at subscribe
 		// time, then 3 more per advertise round.
 		{"Hawkeye", Subscription{System: Hawkeye, Expr: "TARGET.CpuLoad >= 0"}, 9},
