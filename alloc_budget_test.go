@@ -151,17 +151,20 @@ func TestQueryAllocBudget(t *testing.T) {
 // sides are counted. Measured +10% on go1.24.0 linux/amd64, before →
 // after the client cut its strings out of one copy of the frame; what is
 // left is the field map of each record (two allocations for a small one)
-// plus ~15 for the call. The last number is the server encoding its flat
-// answer instead of a []Record. Under GOEXPERIMENT=noswissmap the cells
-// measure 84, 104 and 19 — the same or lower.
+// plus ~10 for the call. The third number is the server encoding its flat
+// answer instead of a []Record; the last is the v3 hop allocating
+// nothing in the transport (reused reply channels, per-connection call
+// workers, the op looked up without a copy, frame lengths written and
+// read without escaping), 8 fewer per call. Under GOEXPERIMENT=noswissmap
+// the cells measure 76, 96 and 11 — the same or lower.
 //
-//	MDS aggregate      36 records, 162 fields   441 →  91 →  90
-//	R-GMA aggregate    45 records,  90 fields   335 → 105 → 104
-//	Hawkeye aggregate   3 records,  69 fields   163 →  25 →  24
+//	MDS aggregate      36 records, 162 fields   441 →  91 →  90 →  82
+//	R-GMA aggregate    45 records,  90 fields   335 → 105 → 104 →  96
+//	Hawkeye aggregate   3 records,  69 fields   163 →  25 →  24 →  16
 var remoteAllocBudgetCells = []allocBudgetCell{
-	{Query{System: MDS, Role: RoleAggregateServer}, 100},
-	{Query{System: RGMA, Role: RoleAggregateServer, Expr: "SELECT * FROM siteinfo", Attrs: []string{"host", "value"}}, 115},
-	{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: `TARGET.OpSys == "LINUX"`}, 28},
+	{Query{System: MDS, Role: RoleAggregateServer}, 90},
+	{Query{System: RGMA, Role: RoleAggregateServer, Expr: "SELECT * FROM siteinfo", Attrs: []string{"host", "value"}}, 106},
+	{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: `TARGET.OpSys == "LINUX"`}, 18},
 }
 
 // TestRemoteQueryAllocBudget is TestQueryAllocBudget's remote twin: it

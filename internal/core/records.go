@@ -60,6 +60,25 @@ func (a Answer) Records() []Record {
 	return out
 }
 
+// Get returns the value of the named field and whether r has it.
+func (r Record) Get(name string) (string, bool) {
+	v, ok := r.Fields[name]
+	return v, ok
+}
+
+// Len returns how many fields r has.
+func (r Record) Len() int { return len(r.Fields) }
+
+// Each calls fn with every field of r, in no particular order, until fn
+// returns false.
+func (r Record) Each(fn func(name, value string) bool) {
+	for name, value := range r.Fields {
+		if !fn(name, value) {
+			return
+		}
+	}
+}
+
 // SortedFieldNames lists the record's field names in sorted order — the
 // canonical rendering order shared by every place records print.
 func (r Record) SortedFieldNames() []string {

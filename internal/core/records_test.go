@@ -390,3 +390,46 @@ func BenchmarkHawkeyeRecordsProjected(b *testing.B) {
 		benchRecords = AdRecords(ads, attrs)
 	}
 }
+
+// TestRecordAccessors: Get, Len and Each read a record's fields the way
+// indexing, len and ranging over Fields do — for a record with no field
+// map, one with an empty map and one with fields — and Each stops at the
+// first false.
+func TestRecordAccessors(t *testing.T) {
+	full := Record{Key: "lucky4", Fields: map[string]string{"host": "lucky4", "value": "42", "empty": ""}}
+	for _, r := range []Record{{Key: "nil"}, {Key: "empty", Fields: map[string]string{}}, full} {
+		if r.Len() != len(r.Fields) {
+			t.Errorf("%s: Len = %d, want %d", r.Key, r.Len(), len(r.Fields))
+		}
+		seen := make(map[string]string)
+		r.Each(func(name, value string) bool {
+			if _, dup := seen[name]; dup {
+				t.Errorf("%s: Each visited %q twice", r.Key, name)
+			}
+			seen[name] = value
+			return true
+		})
+		if !reflect.DeepEqual(seen, map[string]string(r.Fields)) && (len(seen) != 0 || len(r.Fields) != 0) {
+			t.Errorf("%s: Each visited %v, want %v", r.Key, seen, r.Fields)
+		}
+		for name, want := range r.Fields {
+			if got, ok := r.Get(name); !ok || got != want {
+				t.Errorf("%s: Get(%q) = %q, %v, want %q, true", r.Key, name, got, ok, want)
+			}
+		}
+		if got, ok := r.Get("missing"); ok || got != "" {
+			t.Errorf("%s: Get of a missing field = %q, %v", r.Key, got, ok)
+		}
+	}
+	if v, ok := full.Get("empty"); !ok || v != "" {
+		t.Errorf("an empty value reads as missing: %q, %v", v, ok)
+	}
+	calls := 0
+	full.Each(func(string, string) bool {
+		calls++
+		return false
+	})
+	if calls != 1 {
+		t.Errorf("Each called fn %d times after it returned false, want 1", calls)
+	}
+}

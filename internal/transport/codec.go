@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -40,18 +41,24 @@ func putBuf(pb *wireBuf) {
 // length, then the payload) into *buf — growing it only when a frame
 // exceeds its capacity, so a long-lived read loop stops paying one
 // allocation per frame — and returns the payload as a view into it,
-// valid until the next call.
-func readFrameInto(r io.Reader, buf *[]byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// valid until the next call. The length is peeked in r's own buffer, so
+// reading it costs nothing either.
+func readFrameInto(r *bufio.Reader, buf *[]byte) ([]byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
 	// Bounds-check before any int conversion: on 32-bit platforms a
 	// length above MaxInt32 would wrap negative and sail past the guard.
-	if binary.BigEndian.Uint32(hdr[:]) > MaxFrame {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", binary.BigEndian.Uint32(hdr[:]))
+	l := binary.BigEndian.Uint32(hdr)
+	if l > MaxFrame {
+		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", l)
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	r.Discard(4)
+	n := int(l)
 	if cap(*buf) < n {
 		*buf = make([]byte, n)
 	}

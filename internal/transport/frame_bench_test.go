@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"testing"
@@ -24,6 +25,7 @@ func BenchmarkV3CallFrame(b *testing.B) {
 	var wire bytes.Buffer
 	var frame, readBuf []byte
 	r := bytes.NewReader(nil)
+	br := bufio.NewReader(r)
 	op := "grid.query"
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -39,7 +41,8 @@ func BenchmarkV3CallFrame(b *testing.B) {
 		wire.Write(l[:])
 		wire.Write(frame)
 		r.Reset(wire.Bytes())
-		payload, err := readFrameInto(r, &readBuf)
+		br.Reset(r)
+		payload, err := readFrameInto(br, &readBuf)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -85,10 +85,11 @@ func FuzzV3ServerFrames(f *testing.F) {
 			t.Fatalf("reading the answers: %v", res.err)
 		}
 		var buf []byte
-		for r := bytes.NewReader(res.answers); r.Len() > 0; {
+		rest := bytes.NewReader(res.answers)
+		for r := bufio.NewReader(rest); r.Buffered()+rest.Len() > 0; {
 			payload, err := readFrameInto(r, &buf)
 			if err != nil {
-				t.Fatalf("answers end in a partial or oversized frame (%v), %d bytes before the end", err, r.Len())
+				t.Fatalf("answers end in a partial or oversized frame (%v), %d bytes before the end", err, r.Buffered()+rest.Len())
 			}
 			checkResponseFrame(t, payload)
 		}

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -60,13 +61,15 @@ func (r *muxReply) release() {
 // the same error; the client is then dead and must be re-dialed (the
 // resilient RemoteGrid layers retry/reconnect on top).
 type MuxClient struct {
-	conn net.Conn
-	wmu  sync.Mutex // serializes frame writes + flush
-	w    *bufio.Writer
+	conn   net.Conn
+	wmu    sync.Mutex // serializes frame writes + flush
+	w      *bufio.Writer
+	length [4]byte // guarded by wmu: the frame length being written
 
 	mu      sync.Mutex
 	nextID  uint64
 	calls   map[uint64]chan muxReply
+	free    []chan muxReply // guarded by mu: reply channels for register to reuse
 	streams map[uint64]*MuxStream
 	err     error // terminal connection error, set once
 
@@ -222,14 +225,10 @@ func (m *MuxClient) writeFrame(payload []byte) error {
 	if len(payload) > MaxFrame {
 		return Errf(CodeBadRequest, "transport: v3 frame of %d bytes exceeds limit", len(payload))
 	}
-	var l [4]byte
-	l[0] = byte(len(payload) >> 24)
-	l[1] = byte(len(payload) >> 16)
-	l[2] = byte(len(payload) >> 8)
-	l[3] = byte(len(payload))
 	m.wmu.Lock()
 	err := func() error {
-		if _, err := m.w.Write(l[:]); err != nil {
+		binary.BigEndian.PutUint32(m.length[:], uint32(len(payload)))
+		if _, err := m.w.Write(m.length[:]); err != nil {
 			return err
 		}
 		if _, err := m.w.Write(payload); err != nil {
@@ -244,7 +243,8 @@ func (m *MuxClient) writeFrame(payload []byte) error {
 	return err
 }
 
-// register allocates a request id and completion channel.
+// register allocates a request id and completion channel, reusing one
+// that recycle handed back when there is one.
 func (m *MuxClient) register() (uint64, chan muxReply, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -252,13 +252,33 @@ func (m *MuxClient) register() (uint64, chan muxReply, error) {
 		return 0, nil, m.err
 	}
 	m.nextID++
-	ch := make(chan muxReply, 1)
+	var ch chan muxReply
+	if n := len(m.free); n > 0 {
+		ch = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		ch = make(chan muxReply, 1)
+	}
 	m.calls[m.nextID] = ch
 	return m.nextID, ch, nil
 }
 
+// recycle hands back the channel of a call that received its reply: the
+// demux loop removed the call's entry before it sent, so nothing sends
+// on the channel again. A channel unregister abandoned may still get the
+// late reply the demux loop was about to send, and one fail closed is
+// dead, so neither ever comes back. At most maxInFlight calls hold a
+// channel at once, so no more are ever kept.
+func (m *MuxClient) recycle(ch chan muxReply) {
+	m.mu.Lock()
+	if len(m.free) < cap(m.sem) {
+		m.free = append(m.free, ch)
+	}
+	m.mu.Unlock()
+}
+
 // unregister abandons a pending call (context expiry); a late response
-// is then dropped by the demux loop.
+// is then dropped by the demux loop. The channel is not recycled.
 func (m *MuxClient) unregister(id uint64, ch chan muxReply) {
 	m.mu.Lock()
 	delete(m.calls, id)
@@ -334,6 +354,7 @@ func (m *MuxClient) call(ctx context.Context, op string, flags byte, enc func(b 
 		if !ok {
 			return m.connErr()
 		}
+		m.recycle(ch)
 		defer reply.release()
 		if reply.flags&v3FlagError != 0 {
 			return reply.err()

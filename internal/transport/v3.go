@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"math"
 	"net"
 	"sync"
@@ -17,10 +18,11 @@ import (
 // closes a connection that opens with anything else.
 //
 // Every request frame carries a client-assigned request id. The
-// server dispatches calls concurrently (bounded by maxPipeline per
-// connection) and writes each response as its handler completes —
-// completion order, not arrival order — so one slow call no longer
-// blocks the line. The client demultiplexes by id (see mux.go).
+// server answers calls concurrently — on per-connection workers, at
+// most DefaultMaxPipeline of them — and writes each response as its
+// handler completes: completion order, not arrival order, so one slow
+// call does not block the line. The client demultiplexes by id (see
+// mux.go).
 //
 // Request payload layout (after the 4-byte length envelope):
 //
@@ -75,8 +77,9 @@ const (
 )
 
 // DefaultMaxPipeline bounds how many calls one v3 connection may have
-// dispatched concurrently on the server; past it the read loop stops
-// picking up frames, which backpressures the client through TCP.
+// dispatched concurrently on the server — the number of call workers it
+// may start; past it the read loop stops picking up frames, which
+// backpressures the client through TCP.
 const DefaultMaxPipeline = 64
 
 // V3Handler answers one call: body is the request payload (a view valid
@@ -112,8 +115,9 @@ func (s *Server) HandleStreamV3(op string, open func(ctx context.Context, body [
 // and body are written as separate sections under the lock, so handlers
 // build bodies in their own buffers without a final copy.
 type v3ConnWriter struct {
-	mu sync.Mutex
-	w  *bufio.Writer
+	mu     sync.Mutex
+	w      *bufio.Writer
+	length [4]byte // guarded by mu: the frame length being written
 }
 
 // writeSplit writes one frame whose payload is hdr followed by body.
@@ -122,14 +126,10 @@ func (cw *v3ConnWriter) writeSplit(hdr, body []byte) error {
 	if total > MaxFrame {
 		return Errf(CodeInternal, "transport: v3 frame of %d bytes exceeds limit", total)
 	}
-	var l [4]byte
-	l[0] = byte(total >> 24)
-	l[1] = byte(total >> 16)
-	l[2] = byte(total >> 8)
-	l[3] = byte(total)
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	if _, err := cw.w.Write(l[:]); err != nil {
+	binary.BigEndian.PutUint32(cw.length[:], uint32(total))
+	if _, err := cw.w.Write(cw.length[:]); err != nil {
 		return err
 	}
 	if _, err := cw.w.Write(hdr); err != nil {
@@ -164,15 +164,37 @@ func (cw *v3ConnWriter) v3Error(kind byte, id uint64, e *Error) error {
 	return cw.writeSplit(b, nil)
 }
 
+// v3Job is one call the read loop hands a connection worker: the op
+// already resolved to the handler that answers it (or to the error that
+// answers instead), and the request body in a pooled buffer the worker
+// releases.
+type v3Job struct {
+	id        uint64
+	h         V3Handler
+	respFlags byte
+	herr      *Error
+	timeoutMS uint64
+	pb        *wireBuf
+}
+
 // serveConnV3 answers pipelined frames on one connection until it
 // closes. The magic has already been consumed by serveConn.
 func (s *Server) serveConnV3(conn net.Conn, r *bufio.Reader) {
 	cw := &v3ConnWriter{w: bufio.NewWriter(conn)}
-	// Dispatch goroutines must drain before the connection teardown
-	// returns, so Server.Close keeps its contract of waiting out
-	// in-flight handlers.
+	// Workers and stream goroutines must drain before the connection
+	// teardown returns, so Server.Close keeps its contract of waiting
+	// out in-flight handlers.
 	var wg sync.WaitGroup
 	defer wg.Wait()
+	// Calls go to the connection's workers over jobs. A worker is started
+	// only when no idle one takes the call at once, so a connection keeps
+	// as many as its deepest pipeline needed, at most DefaultMaxPipeline;
+	// at the bound the read loop waits for one to finish. Closing jobs
+	// when the read loop returns, however it returns, lets every worker
+	// exit once its call is answered.
+	jobs := make(chan v3Job)
+	workers := 0
+	defer close(jobs)
 	// Open streams by request id, for cancel routing; every one is
 	// cancelled when the read loop exits, however it exits.
 	var streamMu sync.Mutex
@@ -184,7 +206,6 @@ func (s *Server) serveConnV3(conn net.Conn, r *bufio.Reader) {
 		}
 		streamMu.Unlock()
 	}()
-	sem := make(chan struct{}, DefaultMaxPipeline)
 	var frameBuf []byte
 	for {
 		payload, err := readFrameInto(r, &frameBuf)
@@ -205,7 +226,7 @@ func (s *Server) serveConnV3(conn net.Conn, r *bufio.Reader) {
 			streamMu.Unlock()
 			continue
 		}
-		op := d.String()
+		op := d.Bytes()
 		flags := d.Byte()
 		timeoutMS := d.Uvarint()
 		if d.Err() != nil || (kind != v3Call && kind != v3Open) {
@@ -215,11 +236,12 @@ func (s *Server) serveConnV3(conn net.Conn, r *bufio.Reader) {
 			return
 		}
 		// The body aliases the read buffer, which the next loop iteration
-		// reuses — copy it into a pooled buffer that the dispatch
+		// reuses — copy it into a pooled buffer that the worker or stream
 		// goroutine owns and releases.
 		pb := getBuf()
 		pb.b = append(pb.b, d.Rest()...)
 		if kind == v3Open {
+			op := string(op)
 			//gridmon:nolint ctxflow server-side stream root: the client cancels with a wire frame, which the cancel routing above turns into this ctx's cancel
 			ctx, cancel := context.WithCancel(context.Background())
 			streamMu.Lock()
@@ -238,16 +260,56 @@ func (s *Server) serveConnV3(conn net.Conn, r *bufio.Reader) {
 			}()
 			continue
 		}
-		// Calls dispatch concurrently, each writing its own response as
-		// it completes; sem bounds how far one connection can fan out.
-		sem <- struct{}{}
+		job := v3Job{id: id, timeoutMS: timeoutMS, pb: pb}
+		job.h, job.respFlags, job.herr = s.resolveCall(op, flags)
+		select {
+		case jobs <- job: // an idle worker took it
+			continue
+		default:
+		}
+		if workers == DefaultMaxPipeline {
+			jobs <- job
+			continue
+		}
+		workers++
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			s.dispatchV3(cw, id, op, flags, timeoutMS, pb)
-		}()
+		go s.v3Worker(cw, jobs, &wg, job)
 	}
+}
+
+// v3Worker is one call worker of a connection: it answers first, then
+// every call the read loop hands it, until the read loop closes jobs.
+func (s *Server) v3Worker(cw *v3ConnWriter, jobs <-chan v3Job, wg *sync.WaitGroup, first v3Job) {
+	defer wg.Done()
+	for job, ok := first, true; ok; job, ok = <-jobs {
+		s.dispatchV3(cw, job)
+	}
+}
+
+// resolveCall finds what answers a call of op sent with the given
+// request flags: the op's binary codec for a binary body, its derived
+// JSON form (answered with the JSON flag set) for a JSON-flagged one.
+// op is a view into the read buffer; the lookup does not copy it, and
+// only an op that cannot answer — whose error names it — costs a string.
+func (s *Server) resolveCall(op []byte, flags byte) (h V3Handler, respFlags byte, herr *Error) {
+	s.mu.Lock()
+	e := s.ops[string(op)]
+	s.mu.Unlock()
+	h = e.binary
+	if flags&v3FlagJSON != 0 {
+		h, respFlags = e.json, v3FlagJSON
+	}
+	switch {
+	case e.stream != nil:
+		return nil, 0, Errf(CodeBadRequest, "op %q is a streaming op (open it as a stream)", string(op))
+	case e.json == nil:
+		return nil, 0, Errf(CodeUnknownOp, "unknown op %q (try ops.list)", string(op))
+	case h == nil:
+		// A binary body must never reach the JSON form (the handler
+		// would see garbage).
+		return nil, 0, Errf(CodeBadRequest, "op %q has no binary codec on this server (send a JSON body)", string(op))
+	}
+	return h, respFlags, nil
 }
 
 // maxTimeoutMS is the longest wire deadline that still fits a
@@ -256,14 +318,17 @@ func (s *Server) serveConnV3(conn net.Conn, r *bufio.Reader) {
 // already-expired one.
 const maxTimeoutMS = uint64(math.MaxInt64 / int64(time.Millisecond))
 
-// dispatchV3 runs one call — through the op's binary codec for a binary
-// body, through its derived JSON form for a JSON-flagged one — and writes
-// the response frame. It owns and releases pb.
-func (s *Server) dispatchV3(cw *v3ConnWriter, id uint64, op string, flags byte, timeoutMS uint64, pb *wireBuf) {
-	defer putBuf(pb)
+// dispatchV3 runs one call and writes its response frame. It owns and
+// releases the job's body buffer.
+func (s *Server) dispatchV3(cw *v3ConnWriter, job v3Job) {
+	defer putBuf(job.pb)
+	if job.herr != nil {
+		cw.v3Error(v3Reply, job.id, job.herr)
+		return
+	}
 	//gridmon:nolint ctxflow server-side root: the caller's deadline arrives on the wire and is re-armed via WithTimeout below
 	ctx := context.Background()
-	if timeoutMS > 0 {
+	if timeoutMS := job.timeoutMS; timeoutMS > 0 {
 		if timeoutMS > maxTimeoutMS {
 			timeoutMS = maxTimeoutMS
 		}
@@ -271,41 +336,21 @@ func (s *Server) dispatchV3(cw *v3ConnWriter, id uint64, op string, flags byte, 
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	s.mu.Lock()
-	e := s.ops[op]
-	s.mu.Unlock()
-	h, respFlags := e.binary, byte(0)
-	if flags&v3FlagJSON != 0 {
-		h, respFlags = e.json, v3FlagJSON
-	}
-	switch {
-	case e.stream != nil:
-		cw.v3Error(v3Reply, id, Errf(CodeBadRequest, "op %q is a streaming op (open it as a stream)", op))
-		return
-	case e.json == nil:
-		cw.v3Error(v3Reply, id, Errf(CodeUnknownOp, "unknown op %q (try ops.list)", op))
-		return
-	case h == nil:
-		// A binary body must never reach the JSON form (the handler
-		// would see garbage).
-		cw.v3Error(v3Reply, id, Errf(CodeBadRequest, "op %q has no binary codec on this server (send a JSON body)", op))
-		return
-	}
 	out := getBuf()
 	defer putBuf(out)
-	body, herr := h(ctx, pb.b, out.b)
+	body, herr := job.h(ctx, job.pb.b, out.b)
 	if body != nil {
 		// The handler may have grown the buffer; keep the grown backing
 		// array when it returns to the pool.
 		out.b = body[:0]
 	}
 	if herr != nil {
-		cw.v3Error(v3Reply, id, herr)
+		cw.v3Error(v3Reply, job.id, herr)
 		return
 	}
 	hdr := getBuf()
 	defer putBuf(hdr)
-	cw.writeSplit(appendV3RespHeader(hdr.b, v3Reply, id, respFlags), body)
+	cw.writeSplit(appendV3RespHeader(hdr.b, v3Reply, job.id, job.respFlags), body)
 }
 
 // serveStreamV3 runs one stream: ack, event frames, end frame. It does

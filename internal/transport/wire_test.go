@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"io"
@@ -48,6 +49,7 @@ func TestV3HugeTimeoutRuns(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	r := bufio.NewReader(conn)
 	for i, timeoutMS := range []uint64{math.MaxInt64/1_000_000 + 1, math.MaxUint64} {
 		msg := rawRequest(v3Call, uint64(i+1), "math.add", 0, timeoutMS, addBody(19, 23))
 		if i == 0 {
@@ -57,7 +59,7 @@ func TestV3HugeTimeoutRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf []byte
-		payload, err := readFrameInto(conn, &buf)
+		payload, err := readFrameInto(r, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,10 +164,10 @@ func (l pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: 
 // without costing the connection.
 func TestFrameBounds(t *testing.T) {
 	var buf []byte
-	if _, err := readFrameInto(strings.NewReader("\xff\xff\xff\xff"), &buf); err == nil || buf != nil {
+	if _, err := readFrameInto(bufio.NewReader(strings.NewReader("\xff\xff\xff\xff")), &buf); err == nil || buf != nil {
 		t.Fatalf("oversized header: err = %v, %d bytes allocated", err, cap(buf))
 	}
-	if _, err := readFrameInto(strings.NewReader("\x00\x00\x00\x10abc"), &buf); err == nil {
+	if _, err := readFrameInto(bufio.NewReader(strings.NewReader("\x00\x00\x00\x10abc")), &buf); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 	_, addr := v3AddServer(t)
