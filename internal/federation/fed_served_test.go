@@ -214,12 +214,20 @@ func TestServedRouterDegradation(t *testing.T) {
 // answer. Measured +10% on go1.24.0 linux/amd64, before → after the
 // Router read its branches flat and served the merged answer flat (the
 // R-GMA cell then measured 68 once the leaves kept each expression
-// parsed), and after each v3 hop stopped allocating in the transport:
-// 8 fewer per hop, the client's hop to the Router and the Router's to
-// each leaf it asks (GOEXPERIMENT=noswissmap: 357 and 52).
+// parsed), after each v3 hop stopped allocating in the transport (8
+// fewer per hop, the client's hop to the Router and the Router's to
+// each leaf it asks), and after a query's cost at the Router stopped
+// growing with the shard count: no context, goroutine or second copy of
+// the answer per branch (GOEXPERIMENT=noswissmap: 331, 49, 15 and 93).
+// The broad query that matches nothing shows the Router's fixed cost:
+// its 15 are 3 per leaf, the text of each branch reply the Router reads
+// and of the request it serves, and the client's reply text and
+// ResultSet.
 //
-//	MDS aggregate, broad (144 records)       737 → 412 → 380
-//	R-GMA information, node04 (15 records)   105 →  71 →  52
+//	MDS aggregate, broad (144 records)       737 → 412 → 380 → 355
+//	R-GMA information, node04 (15 records)   105 →  71 →  52 →  49
+//	Hawkeye aggregate, broad, matches nothing           35 →  15
+//	R-GMA directory, broad (36 records)                119 →  93
 func TestServedRouterAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops entries at random, so counts are not repeatable")
@@ -230,16 +238,19 @@ func TestServedRouterAllocBudget(t *testing.T) {
 	for _, cell := range []struct {
 		q      gridmon.Query
 		budget float64
+		empty  bool // the query matches nothing
 	}{
-		{gridmon.Query{System: gridmon.MDS, Role: gridmon.RoleAggregateServer}, 419},
-		{gridmon.Query{System: gridmon.RGMA, Host: fedHosts[4], Expr: "SELECT host, metric, value FROM siteinfo"}, 57},
+		{gridmon.Query{System: gridmon.MDS, Role: gridmon.RoleAggregateServer}, 391, false},
+		{gridmon.Query{System: gridmon.RGMA, Host: fedHosts[4], Expr: "SELECT host, metric, value FROM siteinfo"}, 54, false},
+		{gridmon.Query{System: gridmon.Hawkeye, Role: gridmon.RoleAggregateServer, Expr: "LoadAvg < 5"}, 17, true},
+		{gridmon.Query{System: gridmon.RGMA, Role: gridmon.RoleDirectoryServer}, 102, false},
 	} {
 		rs, err := remote.Query(ctx, cell.q)
 		if err != nil {
 			t.Fatalf("%+v: %v", cell.q, err)
 		}
-		if len(rs.Records) == 0 {
-			t.Fatalf("%+v: the representative query returned no records", cell.q)
+		if (len(rs.Records) == 0) != cell.empty {
+			t.Fatalf("%+v: %d records, want empty %v", cell.q, len(rs.Records), cell.empty)
 		}
 		allocs := testing.AllocsPerRun(200, func() {
 			if _, err := remote.Query(ctx, cell.q); err != nil {

@@ -18,11 +18,16 @@
 // the host and the answer is returned exactly as the leaf produced it
 // — byte-identical to a single grid monitoring the same hosts, since
 // per-host data is deterministic in (host, time). A broad query fans
-// out to every shard with bounded concurrency and a per-branch
-// deadline budget carved from the caller's remaining context; the
+// out to every shard with bounded concurrency, each branch under a
+// deadline budget carved from the caller's remaining context (or under
+// the caller's context itself when there is nothing to carve); the
 // per-shard answers are read and merged flat, as MergeResultSets
 // merges result sets (records in canonical key order, Work summed
-// field-wise, no aggregator charges added).
+// field-wise, no aggregator charges added). Beside the answer data it
+// carries, what a broad query costs the Router does not grow with the
+// shard count: its branches run on goroutines the Router reuses and on
+// the caller's, their bookkeeping is pooled, and each branch answer is
+// decoded once, into slices the branch reuses from query to query.
 //
 // Degradation: each replica address has its own resilient client with
 // a circuit breaker (consecutive failures mark the address down,
@@ -189,7 +194,13 @@ type Config struct {
 	// Policy selects best-effort (default) or fail-fast degradation.
 	Policy Policy
 	// MaxFanout bounds concurrent branches per broad query (default
-	// DefaultMaxFanout).
+	// DefaultMaxFanout). A map with no more shards than MaxFanout runs
+	// every branch at once and needs no semaphore; a larger one makes
+	// each branch wait for one of MaxFanout slots before it starts, and
+	// its deadline budget is carved when it starts. MaxFanout also sizes
+	// the goroutines the Router keeps to run branches: at most
+	// transport.DefaultMaxPipeline × MaxFanout, one connection's full
+	// pipeline of broad queries at full fan-out.
 	MaxFanout int
 	// BranchBudget is the fraction (0..1] of the caller's remaining
 	// deadline granted to each fan-out branch (default

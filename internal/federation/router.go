@@ -24,14 +24,28 @@ type Router struct {
 	branchTimeout time.Duration
 	dial          gridmon.DialOptions
 
-	// mu guards smap, pool and backends; queries snapshot smap and
-	// backends at entry and run entirely against that epoch. backends is
-	// smap's shards resolved to pool clients, built once per epoch and
-	// never written after, so a snapshot shares it without a copy.
+	// mu guards smap, pool, backends, nworkers and closed; queries
+	// snapshot smap and backends at entry and run entirely against that
+	// epoch. backends is smap's shards resolved to pool clients, built
+	// once per epoch and never written after, so a snapshot shares it
+	// without a copy.
 	mu       sync.RWMutex
 	smap     ShardMap
 	pool     map[string]*gridmon.RemoteGrid // one lazy resilient client per address
 	backends [][]*gridmon.RemoteGrid
+
+	// Broad queries hand their branches, all but the last, to branch
+	// workers: goroutines the Router keeps and reuses, at most maxWorkers
+	// of them. jobs reaches an idle one; stop, closed by Close, retires
+	// them, and workers counts them for Close to wait on.
+	jobs       chan branchJob
+	stop       chan struct{}
+	workers    sync.WaitGroup
+	maxWorkers int
+	nworkers   int  // guarded by mu
+	closed     bool // guarded by mu
+	// scatters pools each broad query's branch bookkeeping (*scatter).
+	scatters sync.Pool
 
 	queries     atomic.Int64
 	partials    atomic.Int64
@@ -83,6 +97,11 @@ func New(cfg Config) (*Router, error) {
 		dial:          dial,
 		smap:          cfg.Map,
 		pool:          make(map[string]*gridmon.RemoteGrid),
+		jobs:          make(chan branchJob),
+		stop:          make(chan struct{}),
+		// Enough workers for one connection's full pipeline of broad
+		// queries, each with MaxFanout branches in flight.
+		maxWorkers: transport.DefaultMaxPipeline * fanout,
 	}
 	for _, sh := range cfg.Map.Shards {
 		for _, a := range sh.Addrs {
@@ -143,15 +162,22 @@ func (r *Router) SetMap(m ShardMap) error {
 	return nil
 }
 
-// Close closes every backend client. A closed client never dials
+// Close closes every backend client and retires the branch workers,
+// waiting for any still running a branch. A closed client never dials
 // again, so after Close every branch fails with CodeUnavailable
-// ("client closed") and no connection is opened.
+// ("client closed"), no connection is opened, and a broad query runs
+// each branch but the last on a goroutine of its own.
 func (r *Router) Close() error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	for _, rg := range r.pool {
 		rg.Close()
 	}
+	if !r.closed {
+		r.closed = true
+		close(r.stop)
+	}
+	r.mu.Unlock()
+	r.workers.Wait()
 	return nil
 }
 
@@ -179,9 +205,12 @@ func (r *Router) snapshot() (ShardMap, [][]*gridmon.RemoteGrid) {
 // carve derives one branch's context from the caller's remaining
 // budget — always from the parent context, never a fresh root, so the
 // caller cancelling cancels every branch. A fan-out branch gets
-// BranchBudget of the remaining deadline (the reserve keeps the merge
-// inside the caller's deadline); BranchTimeout caps either way and
-// bounds branches when the caller brought no deadline.
+// BranchBudget of the deadline remaining when it starts (the reserve
+// keeps the merge inside the caller's deadline); BranchTimeout caps
+// either way and bounds branches when the caller brought no deadline.
+// With neither a deadline nor a BranchTimeout there is nothing to carve:
+// the branch runs under the parent itself and cancel does nothing, so
+// such a branch costs no context.
 func (r *Router) carve(ctx context.Context, fanout bool) (context.Context, context.CancelFunc) {
 	if dl, ok := ctx.Deadline(); ok {
 		d := time.Until(dl)
@@ -196,8 +225,11 @@ func (r *Router) carve(ctx context.Context, fanout bool) (context.Context, conte
 	if r.branchTimeout > 0 {
 		return context.WithTimeout(ctx, r.branchTimeout)
 	}
-	return context.WithCancel(ctx)
+	return ctx, noCancel
 }
+
+// noCancel is the cancel of a branch that runs under its parent context.
+func noCancel() {}
 
 // branchOutcome is what one shard's branch produced: an answer, flat,
 // or an error, plus the replica address that produced it (the last one
@@ -205,11 +237,23 @@ func (r *Router) carve(ctx context.Context, fanout bool) (context.Context, conte
 type branchOutcome struct {
 	addr string
 	rs   gridmon.ResultSet
-	ans  gridmon.Answer
-	err  error
+	// ans holds the answer's records. A broad query's outcomes are
+	// pooled, so ans keeps its slices from query to query and a branch
+	// decodes into them without allocating.
+	ans gridmon.Answer
+	err error
 	// late marks a fail-fast branch that ended after a sibling's failure
 	// had canceled the group.
 	late bool
+}
+
+// reset empties o for the next query, keeping its answer's slices but
+// none of the strings they held — past their length too, where a failed
+// or retried decode may have left records of a reply it then dropped.
+func (o *branchOutcome) reset() {
+	clear(o.ans.Recs[:cap(o.ans.Recs)])
+	clear(o.ans.Pairs[:cap(o.ans.Pairs)])
+	*o = branchOutcome{ans: gridmon.Answer{Recs: o.ans.Recs[:0], Pairs: o.ans.Pairs[:0]}}
 }
 
 // definitive reports whether a branch error is request-level — the
@@ -225,22 +269,21 @@ func definitive(err error) bool {
 	return false
 }
 
-// queryBranch answers q on one shard, failing over across its replicas.
-func queryBranch(ctx context.Context, backends []*gridmon.RemoteGrid, q gridmon.Query) branchOutcome {
-	var out branchOutcome
+// queryBranch answers q on one shard into out, failing over across its
+// replicas. The answer's records are appended to out.ans.
+func queryBranch(ctx context.Context, backends []*gridmon.RemoteGrid, q gridmon.Query, out *branchOutcome) {
 	for _, rg := range backends {
 		out.addr = rg.Addr()
-		rs, ans, err := rg.QueryAnswer(ctx, q)
+		rs, err := rg.QueryAnswerInto(ctx, q, &out.ans)
 		if err == nil {
-			out.rs, out.ans, out.err = rs, ans, nil
-			return out
+			out.rs, out.err = rs, nil
+			return
 		}
 		out.err = err
 		if ctx.Err() != nil || definitive(err) {
-			return out
+			return
 		}
 	}
-	return out
 }
 
 // callBranch runs one idempotent op on a shard with the same replica
@@ -288,12 +331,13 @@ func (r *Router) QueryAnswer(ctx context.Context, q gridmon.Query) (rs gridmon.R
 	}
 	smap, backends := r.snapshot()
 	if q.Host == "" {
-		return r.queryBroad(ctx, start, smap, backends, q)
+		return r.queryBroad(ctx, start, backends, q)
 	}
 	shard := smap.ShardFor(q.Host)
 	bctx, cancel := r.carve(ctx, false)
 	defer cancel()
-	out := queryBranch(bctx, backends[shard], q)
+	var out branchOutcome
+	queryBranch(bctx, backends[shard], q, &out)
 	if out.err != nil {
 		r.branchFails.Add(1)
 		if err := ctx.Err(); err != nil {
@@ -305,42 +349,166 @@ func (r *Router) QueryAnswer(ctx context.Context, q gridmon.Query) (rs gridmon.R
 	return out.rs, out.ans, nil
 }
 
-// queryBroad fans q out to every shard with bounded concurrency and
-// merges per the policy.
-func (r *Router) queryBroad(ctx context.Context, start time.Time, smap ShardMap,
-	backends [][]*gridmon.RemoteGrid, q gridmon.Query) (rs gridmon.ResultSet, ans gridmon.Answer, err error) {
-	outs := make([]branchOutcome, len(smap.Shards))
-	gctx := ctx
-	cancelGroup := func() {}
+// scatter is one broad query's branch bookkeeping: what its branches
+// share and what each produced. The Router pools it, so fanning a query
+// out allocates nothing for it once warm.
+type scatter struct {
+	r        *Router
+	ctx      context.Context    // the group context branches carve from
+	cancel   context.CancelFunc // fail-fast's group cancel, else noCancel
+	q        gridmon.Query
+	backends [][]*gridmon.RemoteGrid
+	outs     []branchOutcome
+	wg       sync.WaitGroup
+	// sem bounds the branches in flight when the map has more shards
+	// than MaxFanout (bounded): the caller takes a slot for each branch
+	// before starting it, and the branch gives it back. It is made the
+	// first time a query needs it, so a map no larger than MaxFanout
+	// never makes one.
+	sem chan struct{}
+}
+
+// bounded reports whether the query has more branches than MaxFanout.
+func (s *scatter) bounded() bool { return len(s.outs) > s.r.maxFanout }
+
+// branchJob is branch i of a broad query, as handed to a branch worker.
+type branchJob struct {
+	s *scatter
+	i int
+}
+
+// getScatter returns pooled bookkeeping for a query over shards shards.
+func (r *Router) getScatter(shards int) *scatter {
+	s, _ := r.scatters.Get().(*scatter)
+	if s == nil {
+		s = &scatter{r: r}
+	}
+	if cap(s.outs) < shards {
+		s.outs = make([]branchOutcome, shards)
+	}
+	s.outs = s.outs[:shards]
+	if s.bounded() && s.sem == nil {
+		s.sem = make(chan struct{}, r.maxFanout)
+	}
+	return s
+}
+
+// putScatter returns s to the pool, holding on to nothing of its query.
+func (r *Router) putScatter(s *scatter) {
+	for i := range s.outs {
+		s.outs[i].reset()
+	}
+	s.ctx, s.cancel, s.q, s.backends = nil, nil, gridmon.Query{}, nil
+	r.scatters.Put(s)
+}
+
+// acquire waits for a fan-out slot for branch i of a bounded query. If
+// the group's context ends first, branch i is settled as canceled
+// without running, and acquire reports false.
+func (s *scatter) acquire(i int) bool {
+	select {
+	case s.sem <- struct{}{}:
+		return true
+	case <-s.ctx.Done():
+		out := &s.outs[i]
+		out.addr = s.backends[i][0].Addr()
+		out.err = transport.AsError(s.ctx.Err())
+		out.late = s.r.policy == FailFast
+		s.wg.Done()
+		return false
+	}
+}
+
+// run is branch i: it answers the shard under its carved context, under
+// fail-fast cancels its siblings when it fails, and gives back its
+// fan-out slot when the query is bounded.
+func (s *scatter) run(i int) {
+	out := &s.outs[i]
+	bctx, cancel := s.r.carve(s.ctx, true)
+	queryBranch(bctx, s.backends[i], s.q, out)
+	cancel()
+	if out.err != nil && s.r.policy == FailFast {
+		out.late = s.ctx.Err() != nil
+		s.cancel()
+	}
+	if s.bounded() {
+		<-s.sem
+	}
+	s.wg.Done()
+}
+
+// dispatch hands job to an idle branch worker, or to a new one while
+// there are fewer than maxWorkers. At the bound it waits for a worker to
+// come free: every busy worker runs a branch that already holds its
+// fan-out slot, so one does. Once Close has retired the workers, job
+// runs on a goroutine of its own.
+func (r *Router) dispatch(job branchJob) {
+	select {
+	case r.jobs <- job:
+		return
+	default:
+	}
+	r.mu.Lock()
+	spawn := !r.closed && r.nworkers < r.maxWorkers
+	if spawn {
+		r.nworkers++
+		r.workers.Add(1)
+	}
+	r.mu.Unlock()
+	if spawn {
+		go r.branchWorker(job)
+		return
+	}
+	select {
+	case r.jobs <- job:
+	case <-r.stop:
+		go job.s.run(job.i)
+	}
+}
+
+// branchWorker runs job, then every branch dispatch hands it, until
+// Close retires it.
+func (r *Router) branchWorker(job branchJob) {
+	defer r.workers.Done()
+	for {
+		job.s.run(job.i)
+		select {
+		case job = <-r.jobs:
+		case <-r.stop:
+			return
+		}
+	}
+}
+
+// queryBroad fans q out to every shard and merges per the policy. The
+// branches start in shard order, at most MaxFanout in flight at once:
+// every one but the last on a branch worker, the last on the calling
+// goroutine.
+func (r *Router) queryBroad(ctx context.Context, start time.Time, backends [][]*gridmon.RemoteGrid,
+	q gridmon.Query) (rs gridmon.ResultSet, ans gridmon.Answer, err error) {
+	s := r.getScatter(len(backends))
+	defer r.putScatter(s)
+	s.ctx, s.cancel, s.q, s.backends = ctx, noCancel, q, backends
 	if r.policy == FailFast {
 		// Fail-fast siblings stop as soon as one branch fails: the
 		// answer is already decided.
-		gctx, cancelGroup = context.WithCancel(ctx)
+		s.ctx, s.cancel = context.WithCancel(ctx)
+		defer s.cancel()
 	}
-	defer cancelGroup()
-	sem := make(chan struct{}, r.maxFanout)
-	var wg sync.WaitGroup
-	for i := range smap.Shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-gctx.Done():
-				outs[i] = branchOutcome{addr: smap.Shards[i].Addrs[0], err: transport.AsError(gctx.Err()), late: r.policy == FailFast}
-				return
-			}
-			bctx, cancel := r.carve(gctx, true)
-			defer cancel()
-			outs[i] = queryBranch(bctx, backends[i], q)
-			if outs[i].err != nil && r.policy == FailFast {
-				outs[i].late = gctx.Err() != nil
-				cancelGroup()
-			}
-		}(i)
+	last := len(backends) - 1
+	s.wg.Add(len(backends))
+	for i := range backends {
+		if s.bounded() && !s.acquire(i) {
+			continue
+		}
+		if i == last {
+			s.run(i)
+		} else {
+			r.dispatch(branchJob{s: s, i: i})
+		}
 	}
-	wg.Wait()
+	s.wg.Wait()
+	outs := s.outs
 
 	// A fail-fast branch that ended after the group was canceled reports
 	// one fixed cancellation naming the first shard that failed on its

@@ -1,9 +1,18 @@
 package federation
 
 import (
+	"bytes"
+	"context"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	gridmon "repro"
+	"repro/internal/core"
+	"repro/internal/leakcheck"
+	"repro/internal/transport"
 )
 
 // TestSnapshotAllocatesNothing: every query snapshots the map and its
@@ -47,5 +56,160 @@ func TestSnapshotAllocatesNothing(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOutcomeResetDropsStrings: a broad query's outcomes go back to the
+// pool holding no string of its replies — neither in their answers'
+// records nor past their length, where a failed or retried decode
+// leaves what it appended before the answer was restored.
+func TestOutcomeResetDropsStrings(t *testing.T) {
+	r, err := New(Config{Map: NewShardMap("a:1", "b:1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	s := r.getScatter(2)
+	for i := range s.outs {
+		ans := &s.outs[i].ans
+		ans.Recs = append(ans.Recs, core.Span{Key: "kept", To: 1}, core.Span{Key: "dropped", From: 1, To: 2})
+		ans.Pairs = append(ans.Pairs, core.Pair{Name: "n", Value: "kept"}, core.Pair{Name: "n", Value: "dropped"})
+		// A failed attempt appended the second record, then the answer
+		// was restored to what it held before.
+		ans.Recs, ans.Pairs = ans.Recs[:1], ans.Pairs[:1]
+		s.outs[i].addr = "a:1"
+	}
+	r.putScatter(s)
+	for i, o := range s.outs {
+		if o.addr != "" || len(o.ans.Recs) != 0 || len(o.ans.Pairs) != 0 {
+			t.Errorf("outcome %d not emptied: %+v", i, o)
+		}
+		for j, sp := range o.ans.Recs[:cap(o.ans.Recs)] {
+			if sp != (core.Span{}) {
+				t.Errorf("outcome %d: span %d still holds %+v", i, j, sp)
+			}
+		}
+		for j, p := range o.ans.Pairs[:cap(o.ans.Pairs)] {
+			if p != (core.Pair{}) {
+				t.Errorf("outcome %d: pair %d still holds %+v", i, j, p)
+			}
+		}
+	}
+}
+
+// gateLeaf answers every grid.query with an empty result once release
+// is closed, counting the calls that reached it.
+type gateLeaf struct {
+	release chan struct{}
+	calls   atomic.Int64
+}
+
+func (l *gateLeaf) Query(ctx context.Context, q gridmon.Query) (*gridmon.ResultSet, error) {
+	l.calls.Add(1)
+	select {
+	case <-l.release:
+		return &gridmon.ResultSet{System: q.System}, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// TestBranchWorkerBound: a Router keeps at most DefaultMaxPipeline ×
+// MaxFanout branch workers. With every one of them running a stalled
+// branch, further broad queries wait for a worker rather than start
+// one, and all of them answer once the leaves do; Close then leaves no
+// goroutine running.
+func TestBranchWorkerBound(t *testing.T) {
+	leakcheck.Check(t)
+	release := make(chan struct{})
+	var leaves []*gateLeaf
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		leaf := &gateLeaf{release: release}
+		srv := transport.NewServer()
+		gridmon.ServeQueryV3(srv, leaf)
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		leaves = append(leaves, leaf)
+		addrs = append(addrs, addr)
+	}
+	// MaxFanout 1 over two shards: a query's caller starts shard 0's
+	// branch on a worker and waits for it before running shard 1's
+	// itself, so each stalled query holds exactly one worker.
+	r, err := New(Config{Map: NewShardMap(addrs...), MaxFanout: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.maxWorkers != transport.DefaultMaxPipeline {
+		t.Fatalf("maxWorkers %d, want DefaultMaxPipeline × MaxFanout = %d", r.maxWorkers, transport.DefaultMaxPipeline)
+	}
+	nworkers := func() int {
+		r.mu.RLock()
+		defer r.mu.RUnlock()
+		return r.nworkers
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	queries := r.maxWorkers + 16
+	var answered atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < queries; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q := gridmon.Query{System: gridmon.Hawkeye, Role: gridmon.RoleAggregateServer}
+			rs, err := r.Query(ctx, q)
+			if err != nil || rs.Partial {
+				t.Errorf("query: %v (partial %v)", err, rs != nil && rs.Partial)
+				return
+			}
+			answered.Add(1)
+		}()
+	}
+	over := queries - r.maxWorkers
+	for nworkers() < r.maxWorkers || waitingInDispatch() < over {
+		if ctx.Err() != nil {
+			t.Fatalf("%d branch workers started and %d queries waiting for one, want %d and %d",
+				nworkers(), waitingInDispatch(), r.maxWorkers, over)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The queries past the bound keep waiting: none starts a goroutine.
+	time.Sleep(100 * time.Millisecond)
+	if n, w := nworkers(), waitingInDispatch(); n != r.maxWorkers || w != over {
+		t.Errorf("%d branch workers and %d queries waiting for one, want %d and %d", n, w, r.maxWorkers, over)
+	}
+	if n := answered.Load(); n != 0 {
+		t.Fatalf("%d queries answered before the leaves did", n)
+	}
+	close(release)
+	wg.Wait()
+	if n := answered.Load(); n != int64(queries) {
+		t.Errorf("%d of %d queries answered", n, queries)
+	}
+	for i, leaf := range leaves {
+		if n := leaf.calls.Load(); n != int64(queries) {
+			t.Errorf("leaf %d: %d calls, want %d", i, n, queries)
+		}
+	}
+	if n := nworkers(); n != r.maxWorkers {
+		t.Errorf("%d branch workers after the stall, want %d", n, r.maxWorkers)
+	}
+}
+
+// waitingInDispatch counts the goroutines inside Router.dispatch, where a
+// query past the worker bound waits for a worker to come free.
+func waitingInDispatch() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("federation.(*Router).dispatch("))
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }

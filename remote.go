@@ -577,26 +577,42 @@ func (r *RemoteGrid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 // back with Records nil and the answer's records in the Answer, cut
 // from the same one copy of the frame (the same retention contract)
 // with no field map, so beside the text an answer costs its spans and
-// its pairs however many records it holds. The federation Router reads
-// its branches this way.
+// its pairs however many records it holds.
 func (r *RemoteGrid) QueryAnswer(ctx context.Context, q Query) (ResultSet, Answer, error) {
+	var ans Answer
+	rs, err := r.QueryAnswerInto(ctx, q, &ans)
+	return rs, ans, err
+}
+
+// QueryAnswerInto is QueryAnswer appending the answer's records to ans
+// rather than returning them: their spans follow ans.Recs and point past
+// the pairs ans already holds, and each slice grows only when its
+// capacity is short. It is how the federation Router reads its
+// branches: a branch reuses one Answer from query to query, so beside
+// the frame's one copy of text a branch answer costs nothing. Nil
+// records on the wire leave ans as it was; on an error ans is as it was
+// too, whatever a failed attempt had appended. The strings appended are
+// substrings of the frame's text, the retention contract of Query.
+func (r *RemoteGrid) QueryAnswerInto(ctx context.Context, q Query, ans *Answer) (ResultSet, error) {
 	start := time.Now()
 	var rs ResultSet
-	var ans Answer
+	before := *ans
 	err := r.callWire(ctx, func(actx context.Context, c *transport.MuxClient) error {
 		return c.CallV3(actx, "grid.query",
 			func(b []byte) []byte { return appendWireQuery(b, q) },
 			func(body []byte) error {
+				*ans = before
 				d := binenc.NewDecText(body)
-				decodeWireResult(&d, &rs, &ans)
+				decodeWireResult(&d, &rs, ans)
 				return d.Err()
 			})
 	})
 	if err != nil {
-		return ResultSet{}, Answer{}, err
+		*ans = before
+		return ResultSet{}, err
 	}
 	rs.Elapsed = time.Since(start)
-	return rs, ans, nil
+	return rs, nil
 }
 
 // Hosts lists the remote grid's monitored hosts.

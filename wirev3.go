@@ -28,11 +28,13 @@ import (
 // connection's pooled frame buffer, and stays alive as a whole while any
 // decoded string is retained. RemoteGrid.Query then builds an answer's
 // []Record and one map per record (decodeWireRecords; see
-// TestWireQueryRoundTripAllocs). QueryAnswer builds none: decodeWireAnswer
-// cuts the records into one flat Answer, spans and pairs, which is how
-// the federation Router reads its branches. Nor does a server: a source
-// that answers flat (a Grid, a Router forwarding its branches) encodes
-// its Answer pair by pair (appendWireAnswer). Counts read off the wire
+// TestWireQueryRoundTripAllocs). QueryAnswer builds none:
+// decodeWireAnswerInto cuts the records into one flat Answer, spans and
+// pairs, and QueryAnswerInto appends them to an Answer the caller
+// reuses, which is how the federation Router reads its branches. Nor
+// does a server: a source that answers flat (a Grid, a Router
+// forwarding its branches) encodes its Answer pair by pair
+// (appendWireAnswer). Counts read off the wire
 // are bounded by the bytes left in the frame (Dec.Count) before anything
 // is sized by them.
 //
@@ -196,16 +198,22 @@ func decodeWireRecords(d *binenc.Dec) []Record {
 	return out
 }
 
-// decodeWireAnswer decodes a record slice as decodeWireRecords does, but
-// flat: keys, names and values are the decoder's strings, and the answer
-// costs its spans and its pairs, one allocation each however many
-// records it holds (a first pass over a copy of the decoder counts the
-// pairs). It accepts and refuses what decodeWireRecords does, and its
-// Records are that function's records, up to nil versus empty Fields.
-func decodeWireAnswer(d *binenc.Dec) Answer {
+// decodeWireAnswerInto decodes a record slice as decodeWireRecords does,
+// but flat, appending to a: keys, names and values are the decoder's
+// strings, and the records' spans follow a.Recs and point past the pairs
+// a already holds, so answers decoded one after another into one Answer
+// share its two slices. Each slice grows at most once, to the size a
+// first pass over a copy of the decoder counts, and not at all when its
+// capacity suffices: decoded into a zero Answer, an answer costs its
+// spans and its pairs, one allocation each however many records it
+// holds. Nil records leave a as it was; present ones, even none, leave
+// a.Recs and a.Pairs non-nil. It accepts and refuses what
+// decodeWireRecords does, and the Records of what it appends are that
+// function's records, up to nil versus empty Fields.
+func decodeWireAnswerInto(d *binenc.Dec, a *Answer) {
 	n1 := d.Uvarint()
 	if n1 == 0 {
-		return Answer{}
+		return
 	}
 	n := d.Count(n1-1, 2)
 	count, pairs := *d, 0
@@ -218,19 +226,27 @@ func decodeWireAnswer(d *binenc.Dec) Answer {
 		}
 		pairs += nf
 	}
-	a := Answer{Recs: make([]core.Span, n), Pairs: make([]core.Pair, 0, pairs)}
-	for i := range a.Recs {
-		s := &a.Recs[i]
-		s.Key = d.String()
+	a.Recs = growFor(a.Recs, n)
+	a.Pairs = growFor(a.Pairs, pairs)
+	for i := 0; i < n; i++ {
+		key := d.String()
 		nf := d.Count(d.Uvarint(), 2)
-		s.From = len(a.Pairs)
+		from := len(a.Pairs)
 		for j := 0; j < nf; j++ {
 			name := d.String()
 			a.Pairs = append(a.Pairs, core.Pair{Name: name, Value: d.String()})
 		}
-		s.To = len(a.Pairs)
+		a.Recs = append(a.Recs, core.Span{Key: key, From: from, To: len(a.Pairs)})
 	}
-	return a
+}
+
+// growFor returns s, never nil, with room for n more elements: s itself
+// when it has the room, else a copy in a slice sized exactly.
+func growFor[E any](s []E, n int) []E {
+	if s != nil && cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]E, 0, len(s)+n), s...)
 }
 
 // appendWireResultSet appends rs's binary encoding to b, with ans in
@@ -266,15 +282,15 @@ func appendWireResultSet(b []byte, rs *ResultSet, ans *core.Answer) []byte {
 func decodeWireResultSetInto(d *binenc.Dec, rs *ResultSet) { decodeWireResult(d, rs, nil) }
 
 // decodeWireResult decodes what appendWireResultSet(b, rs, ans) appends:
-// a ResultSet into rs, with its records flat in ans when ans is not nil
-// (rs.Records is then nil).
+// a ResultSet into rs, with its records appended flat to ans when ans is
+// not nil (rs.Records is then nil; see decodeWireAnswerInto).
 func decodeWireResult(d *binenc.Dec, rs *ResultSet, ans *Answer) {
 	rs.System = System(d.String())
 	rs.Role = Role(d.String())
 	rs.Host = d.String()
 	rs.Records = nil
 	if ans != nil {
-		*ans = decodeWireAnswer(d)
+		decodeWireAnswerInto(d, ans)
 	} else {
 		rs.Records = decodeWireRecords(d)
 	}

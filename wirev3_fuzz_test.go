@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/binenc"
+	"repro/internal/core"
 )
 
 // wireBatch is what decodeWireBatch delivered, in order: one entry per
@@ -80,8 +81,9 @@ var wireFuzzDecoders = []struct {
 		func(v interface{}) []byte { rs := v.(ResultSet); return appendWireResultSet(nil, &rs, nil) }},
 	{"answer",
 		func(newDec func([]byte) binenc.Dec, data []byte) (interface{}, error) {
+			var a Answer
 			d := newDec(data)
-			a := decodeWireAnswer(&d)
+			decodeWireAnswerInto(&d, &a)
 			return a, d.Err()
 		},
 		func(v interface{}) []byte { a := v.(Answer); return appendWireAnswer(nil, &a) }},
@@ -162,25 +164,52 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
-// checkAnswerMatchesRecords holds decodeWireAnswer, the Router's decoder,
-// to decodeWireRecords, RemoteGrid.Query's: the same bytes accepted and
-// consumed, the same nil-ness, and record for record the same key and
-// fields (nil and empty Fields are equal, as in JSON).
+// checkAnswerMatchesRecords holds decodeWireAnswerInto, the Router's
+// decoder, into a zero Answer and into one that already holds a record,
+// to decodeWireRecords, RemoteGrid.Query's:
+// the same bytes accepted and consumed, the same nil-ness, and record for
+// record the same key and fields (nil and empty Fields are equal, as in
+// JSON). Appending leaves the record already held as it was.
 func checkAnswerMatchesRecords(t *testing.T, data []byte) {
-	d, e := binenc.NewDecText(data), binenc.NewDecText(data)
-	got, want := decodeWireAnswer(&d).Records(), decodeWireRecords(&e)
+	e := binenc.NewDecText(data)
+	want := decodeWireRecords(&e)
+	var fresh Answer
+	d := binenc.NewDecText(data)
+	decodeWireAnswerInto(&d, &fresh)
+	checkRecords(t, "flat decode", &d, &e, fresh.Records(), want)
+
+	// Room for a few more of each, so that small answers append in place
+	// and larger ones grow the slices.
+	held := Answer{Recs: make([]core.Span, 1, 4), Pairs: make([]core.Pair, 1, 8)}
+	held.Recs[0], held.Pairs[0] = core.Span{Key: "held", From: 0, To: 1}, core.Pair{Name: "n", Value: "v"}
+	d = binenc.NewDecText(data)
+	decodeWireAnswerInto(&d, &held)
+	if held.Recs[0] != (core.Span{Key: "held", From: 0, To: 1}) || held.Pairs[0] != (core.Pair{Name: "n", Value: "v"}) {
+		t.Fatalf("decoding into an answer changed the record it held: %+v %+v", held.Recs[0], held.Pairs[0])
+	}
+	appended := Answer{Recs: held.Recs[1:], Pairs: held.Pairs}.Records()
+	if want == nil && len(appended) == 0 {
+		appended = nil
+	}
+	checkRecords(t, "appending decode", &d, &e, appended, want)
+}
+
+// checkRecords fails t unless decoder d ended as e did and got equals
+// want, record for record.
+func checkRecords(t *testing.T, what string, d, e *binenc.Dec, got, want []Record) {
+	t.Helper()
 	if (d.Err() == nil) != (e.Err() == nil) || d.Len() != e.Len() {
-		t.Fatalf("flat decode err %v (%d bytes left), records decode err %v (%d left)", d.Err(), d.Len(), e.Err(), e.Len())
+		t.Fatalf("%s err %v (%d bytes left), records decode err %v (%d left)", what, d.Err(), d.Len(), e.Err(), e.Len())
 	}
 	if d.Err() != nil {
 		return
 	}
 	if (got == nil) != (want == nil) || len(got) != len(want) {
-		t.Fatalf("flat decode gave %d records (nil %v), records decode %d (nil %v)", len(got), got == nil, len(want), want == nil)
+		t.Fatalf("%s gave %d records (nil %v), records decode %d (nil %v)", what, len(got), got == nil, len(want), want == nil)
 	}
 	for i := range want {
 		if got[i].Key != want[i].Key || !maps.Equal(got[i].Fields, want[i].Fields) {
-			t.Fatalf("record %d: flat decode %+v, records decode %+v", i, got[i], want[i])
+			t.Fatalf("record %d: %s %+v, records decode %+v", i, what, got[i], want[i])
 		}
 	}
 }
