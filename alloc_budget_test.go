@@ -55,36 +55,43 @@ import (
 // Manager stopped allocating a constraint wrapper and an empty ad per
 // query (the last numbers, in-process and served; the R-GMA aggregate
 // cell's "SELECT * FROM siteinfo" parses with no allocation, so it did
-// not move; noswissmap: the same or lower).
+// not move; noswissmap: the same or lower). The cells whose query plans
+// a SELECT or an LDAP filter, or compares ClassAd strings, were
+// re-pinned when a prepared SELECT began keeping its plan, an LDAP
+// filter began arriving normalized, a GRIS or GIIS began normalizing its
+// search base once, and ClassAd strings began comparing without lowered
+// copies (the last numbers, in-process and served; noswissmap: the same
+// served, and in-process the same or lower: MDS information 8, MDS
+// aggregate 83, Hawkeye aggregate 17).
 //
-//	                                                             served
-//	MDS      information     72 →  27 →  28 →  13 →  12       23 →  8 →  7
-//	MDS      directory      192 →  67 →  68 →  59 →  21 → 20  56 → 47 →  9 →  8
-//	MDS      aggregate     1184 →  98 →  99 →  90             20 → 11
-//	R-GMA    information    113 →  72 →  33 →  34 →  35 → 31  19 → 20 → 16
-//	R-GMA    mediated               102 →  79 →  69 →  66     55 → 32 → 22 → 19
-//	R-GMA    directory       95 →  32 →  32 →  23             13 →  4
-//	R-GMA    aggregate      615 → 210 → 101 → 102                  12
-//	Hawkeye  information    482 → 122 →  14 →  16                  11
-//	Hawkeye  directory     1042 →  14 →  15                         9
-//	Hawkeye  aggregate     1054 →  39 →  40 →  34 →  28       27 → 21 → 15
-//	MDS      information, 3 attrs      25 →  11 →  10         23 →  9 →  8
-//	MDS      aggregate, 1 attr         35 →  15 →  14         29 →  9 →  8
-//	Hawkeye  aggregate, 2 clauses      48 →  33 →  22         35 → 20 →  9
+//	                                                                  served
+//	MDS      information     72 →  27 →  28 →  13 →  12 → 10       23 →  8 →  7 →  5
+//	MDS      directory      192 →  67 →  68 →  59 →  21 → 20 → 18  56 → 47 →  9 →  8 →  6
+//	MDS      aggregate     1184 →  98 →  99 →  90 →  89            20 → 11 → 10
+//	R-GMA    information    113 →  72 →  33 →  34 →  35 → 31 → 25  19 → 20 → 16 → 10
+//	R-GMA    mediated               102 →  79 →  69 →  66 →  60    55 → 32 → 22 → 19 → 13
+//	R-GMA    directory       95 →  32 →  32 →  23                  13 →  4
+//	R-GMA    aggregate      615 → 210 → 101 → 102 →  99                 12 →  9
+//	Hawkeye  information    482 → 122 →  14 →  16                       11
+//	Hawkeye  directory     1042 →  14 →  15                              9
+//	Hawkeye  aggregate     1054 →  39 →  40 →  34 →  28 → 22       27 → 21 → 15 →  9
+//	MDS      information, 3 attrs      25 →  11 →  10 →   8        23 →  9 →  8 →  6
+//	MDS      aggregate, 1 attr         35 →  15 →  14 →  12        29 →  9 →  8 →  6
+//	Hawkeye  aggregate, 2 clauses      48 →  33 →  22              35 → 20 →  9
 var allocBudgetCells = []allocBudgetCell{
-	{Query{System: MDS, Role: RoleInformationServer, Host: "lucky4", Expr: "(objectclass=MdsCpu)"}, 14},
-	{Query{System: MDS, Role: RoleDirectoryServer, Expr: "(objectclass=MdsHost)", Attrs: []string{"Mds-Host-hn"}}, 22},
-	{Query{System: MDS, Role: RoleAggregateServer}, 99},
-	{Query{System: RGMA, Role: RoleInformationServer, Host: "lucky4", Expr: "SELECT host, value FROM siteinfo WHERE value >= 50"}, 35},
-	{Query{System: RGMA, Role: RoleInformationServer, Expr: "SELECT host, value FROM siteinfo WHERE value >= 50"}, 73},
+	{Query{System: MDS, Role: RoleInformationServer, Host: "lucky4", Expr: "(objectclass=MdsCpu)"}, 11},
+	{Query{System: MDS, Role: RoleDirectoryServer, Expr: "(objectclass=MdsHost)", Attrs: []string{"Mds-Host-hn"}}, 20},
+	{Query{System: MDS, Role: RoleAggregateServer}, 98},
+	{Query{System: RGMA, Role: RoleInformationServer, Host: "lucky4", Expr: "SELECT host, value FROM siteinfo WHERE value >= 50"}, 28},
+	{Query{System: RGMA, Role: RoleInformationServer, Expr: "SELECT host, value FROM siteinfo WHERE value >= 50"}, 66},
 	{Query{System: RGMA, Role: RoleDirectoryServer, Expr: "siteinfo"}, 26},
-	{Query{System: RGMA, Role: RoleAggregateServer, Expr: "SELECT * FROM siteinfo", Attrs: []string{"host", "value"}}, 111},
+	{Query{System: RGMA, Role: RoleAggregateServer, Expr: "SELECT * FROM siteinfo", Attrs: []string{"host", "value"}}, 109},
 	{Query{System: Hawkeye, Role: RoleInformationServer, Host: "lucky4"}, 16},
 	{Query{System: Hawkeye, Role: RoleDirectoryServer, Attrs: []string{"Name", "CpuLoad"}}, 16},
-	{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: `TARGET.OpSys == "LINUX"`}, 31},
+	{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: `TARGET.OpSys == "LINUX"`}, 25},
 	{Query{System: MDS, Role: RoleInformationServer, Host: "lucky4", Expr: "(objectclass=MdsCpu)",
-		Attrs: []string{"Mds-Cpu-Free-1minX100", "Mds-Cpu-Free-5minX100", "Mds-Cpu-speedMHz"}}, 11},
-	{Query{System: MDS, Role: RoleAggregateServer, Expr: "(objectclass=MdsCpu)", Attrs: []string{"Mds-Cpu-Free-1minX100"}}, 16},
+		Attrs: []string{"Mds-Cpu-Free-1minX100", "Mds-Cpu-Free-5minX100", "Mds-Cpu-speedMHz"}}, 9},
+	{Query{System: MDS, Role: RoleAggregateServer, Expr: "(objectclass=MdsCpu)", Attrs: []string{"Mds-Cpu-Free-1minX100"}}, 14},
 	{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: "TARGET.MemFreeMB >= 100.5 && TARGET.CpuLoad < 90.25"}, 25},
 }
 
@@ -179,7 +186,7 @@ func TestRemoteQueryAllocBudget(t *testing.T) {
 // what one binary grid.query costs the server on an uncached grid:
 // decoding the request, answering it, and encoding the answer into a
 // reused buffer (queryV3's body, without the transport around it).
-var serverAllocBudgets = []float64{8, 9, 13, 18, 21, 5, 13, 12, 10, 17, 9, 9, 10}
+var serverAllocBudgets = []float64{6, 7, 11, 11, 15, 5, 10, 12, 10, 10, 7, 7, 10}
 
 // servedAllocs is what one binary grid.query of q costs the server of g,
 // after a warming call.
@@ -285,7 +292,11 @@ func TestServerQueryAllocBudget(t *testing.T) {
 // parses its SELECT and stores it. Measured with go1.24.0 linux/amd64,
 // before → after the facade kept each expression parsed: 40 → 42, a copy
 // of the text to key it by and the boxed statement, and the budget is
-// the parent's count + 2. The warm cell's query costs 34 → 31.
+// the parent's count + 2. The warm cell's query costs 34 → 31. Since a
+// prepared SELECT keeps its plan, a miss compiles the plan into the
+// memo's entry, in the allocation that boxed the statement before, and a
+// servlet's query no longer moves to the heap: 41, and the warm query
+// 25. The budget stays.
 func TestColdQueryAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops entries at random, so counts are not repeatable")

@@ -58,14 +58,10 @@ func foldASCII(buf *[foldBufLen]byte, name string) (n int, ok bool) {
 		return 0, false
 	}
 	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if c >= 0x80 {
+		if name[i] >= 0x80 {
 			return 0, false
 		}
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		buf[i] = c
+		buf[i] = lowerASCII(name[i])
 	}
 	return len(name), true
 }

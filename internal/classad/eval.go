@@ -3,6 +3,7 @@ package classad
 import (
 	"math"
 	"strings"
+	"unicode/utf8"
 )
 
 // maxEvalDepth bounds recursive attribute resolution; self-referential
@@ -276,8 +277,7 @@ func evalCompare(op string, l, r Value) Value {
 	if lIsStr && rIsStr {
 		// Old-ClassAd string comparison is case-insensitive; =?= is the
 		// case-sensitive identity test.
-		cmp := strings.Compare(strings.ToLower(ls), strings.ToLower(rs))
-		return cmpResult(op, cmp)
+		return cmpResult(op, compareFold(ls, rs))
 	}
 	if lIsStr != rIsStr {
 		return ErrorValue("%s applied to %s and %s", op, l.Kind(), r.Kind())
@@ -295,6 +295,49 @@ func evalCompare(op string, l, r Value) Value {
 	default:
 		return cmpResult(op, 0)
 	}
+}
+
+// compareFold is strings.Compare(strings.ToLower(a), strings.ToLower(b)).
+// Two ASCII strings are compared folding as it goes, with no lowered
+// copy; any other pair is lowered, since Unicode folding can change a
+// string's length and its order ("İ", "ſ", the Kelvin sign).
+func compareFold(a, b string) int {
+	if !isASCII(a) || !isASCII(b) {
+		return strings.Compare(strings.ToLower(a), strings.ToLower(b))
+	}
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if c, d := lowerASCII(a[i]), lowerASCII(b[i]); c != d {
+			if c < d {
+				return -1
+			}
+			return 1
+		}
+	}
+	switch {
+	case len(a) < len(b):
+		return -1
+	case len(a) > len(b):
+		return 1
+	}
+	return 0
+}
+
+// isASCII reports whether s has no byte above 0x7f.
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// lowerASCII lower-cases one ASCII letter and leaves any other byte.
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }
 
 func cmpResult(op string, cmp int) Value {

@@ -186,17 +186,18 @@ func (t *DIT) Delete(dn DN) int {
 	return removed
 }
 
-// Children returns the immediate child entries of dn in insertion order.
-func (t *DIT) Children(dn DN) []*Entry {
-	keys := t.children[dn.Norm()]
-	out := make([]*Entry, 0, len(keys))
-	for _, k := range keys {
-		if e, ok := t.entries[k]; ok {
-			out = append(out, e)
-		}
-	}
-	return out
+// A Base is a search base normalized once, for a service that searches
+// from the same entry on every query.
+type Base struct {
+	dn  DN
+	key string // dn.Norm()
 }
+
+// NewBase normalizes dn as a search base.
+func NewBase(dn DN) Base { return Base{dn: dn, key: dn.Norm()} }
+
+// DN returns the base's DN.
+func (b Base) DN() DN { return b.dn }
 
 // Search walks the tree from base with the given scope and returns entries
 // matching filter, in deterministic (depth-first insertion) order. A nil
@@ -205,21 +206,21 @@ func (t *DIT) Children(dn DN) []*Entry {
 // the testbed charges CPU for — and is identical whether the filter was
 // served from the index or by scanning (see SearchStats).
 func (t *DIT) Search(base DN, scope Scope, filter Filter) ([]*Entry, int) {
-	results, info := t.SearchStats(base, scope, filter)
+	results, info := t.SearchStats(NewBase(base), scope, filter)
 	return results, info.Visited
 }
 
-// SearchStats is Search with execution-path accounting. Subtree searches
-// with an indexable filter (equality, presence, >=/<= and AND/OR
-// combinations of them — see planFilter) are answered from attribute
-// postings; everything else walks the subtree. Both paths return exactly
-// the same entries in the same depth-first order, and both report the
-// same Visited count; Info.IndexHits and Info.Scanned record which path
-// ran.
-func (t *DIT) SearchStats(base DN, scope Scope, filter Filter) (results []*Entry, info SearchInfo) {
-	baseKey := base.Norm() // the one normalization of the search
+// SearchStats is Search from a normalized base, with execution-path
+// accounting. Subtree searches with an indexable filter (equality,
+// presence, >=/<= and AND/OR combinations of them — see planFilter) are
+// answered from attribute postings; everything else walks the subtree.
+// Both paths return exactly the same entries in the same depth-first
+// order, and both report the same Visited count; Info.IndexHits and
+// Info.Scanned record which path ran.
+func (t *DIT) SearchStats(base Base, scope Scope, filter Filter) (results []*Entry, info SearchInfo) {
+	baseKey := base.key
 	baseEntry, ok := t.entries[baseKey]
-	if !ok && base.Depth() > 0 {
+	if !ok && base.dn.Depth() > 0 {
 		return nil, SearchInfo{}
 	}
 	if scope == ScopeSub && filter != nil {
@@ -240,8 +241,10 @@ func (t *DIT) SearchStats(base DN, scope Scope, filter Filter) (results []*Entry
 			match(baseEntry)
 		}
 	case ScopeOne:
-		for _, c := range t.Children(base) {
-			match(c)
+		for _, k := range t.children[baseKey] {
+			if e, ok := t.entries[k]; ok {
+				match(e)
+			}
 		}
 	case ScopeSub:
 		var rec func(dnKey string)
@@ -253,7 +256,7 @@ func (t *DIT) SearchStats(base DN, scope Scope, filter Filter) (results []*Entry
 				rec(c)
 			}
 		}
-		if base.Depth() == 0 {
+		if base.dn.Depth() == 0 {
 			// Whole tree: every suffix under the root.
 			for _, c := range t.children[""] {
 				rec(c)

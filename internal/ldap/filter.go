@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Filter is a parsed RFC 1960 search filter.
@@ -18,19 +19,43 @@ type andFilter struct{ subs []Filter }
 type orFilter struct{ subs []Filter }
 type notFilter struct{ sub Filter }
 
-// cmpFilter covers equality, substring, presence, >= and <= assertions.
+// cmpFilter is one equality, substring, presence, approximate, >= or <=
+// assertion. attr, op and value are the assertion as written, which
+// String renders; the rest is normalized once, by ParseFilter, so neither
+// Matches nor the index planner lowers, splits or parses the filter's
+// text again, per query or per entry.
 type cmpFilter struct {
-	attr string
-	op   string // "=", ">=", "<=", "~="
-	// For op "=": pattern parts; a nil parts with value "*" is presence,
-	// substring patterns are split on '*'.
-	value string
+	attr  string
+	op    string // "=", ">=", "<=", "~="
+	value string // "*" alone is presence
+	key   string // attr lowered: the key entries and the index file it under
+	lower string // value lowered: an equality's index key, an ordering's fallback operand
+	// parts is an equality's substring pattern, its lowered text split
+	// on '*' (nil when value holds no '*', and for presence); num is a
+	// >= or <= assertion's value as a number, valid when isNum.
+	parts []string
+	num   float64
+	isNum bool
 }
 
-func (f andFilter) String() string { return "(&" + joinFilters(f.subs) + ")" }
-func (f orFilter) String() string  { return "(|" + joinFilters(f.subs) + ")" }
-func (f notFilter) String() string { return "(!" + f.sub.String() + ")" }
-func (f cmpFilter) String() string { return "(" + f.attr + f.op + f.value + ")" }
+// newCmpFilter normalizes an assertion as cmpFilter describes.
+func newCmpFilter(attr, op, value string) *cmpFilter {
+	f := &cmpFilter{attr: attr, op: op, value: value,
+		key: strings.ToLower(attr), lower: strings.ToLower(value)}
+	switch {
+	case op == ">=" || op == "<=":
+		n, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
+		f.num, f.isNum = n, err == nil
+	case value != "*" && strings.Contains(f.lower, "*"):
+		f.parts = strings.Split(f.lower, "*")
+	}
+	return f
+}
+
+func (f andFilter) String() string  { return "(&" + joinFilters(f.subs) + ")" }
+func (f orFilter) String() string   { return "(|" + joinFilters(f.subs) + ")" }
+func (f notFilter) String() string  { return "(!" + f.sub.String() + ")" }
+func (f *cmpFilter) String() string { return "(" + f.attr + f.op + f.value + ")" }
 
 func joinFilters(subs []Filter) string {
 	var sb strings.Builder
@@ -60,22 +85,25 @@ func (f orFilter) Matches(e *Entry) bool {
 
 func (f notFilter) Matches(e *Entry) bool { return !f.sub.Matches(e) }
 
-func (f cmpFilter) Matches(e *Entry) bool {
-	values := e.Get(f.attr)
+func (f *cmpFilter) Matches(e *Entry) bool {
+	av := e.attrs[f.key]
+	if av == nil {
+		return false
+	}
 	switch f.op {
 	case "=", "~=":
 		if f.value == "*" {
-			return len(values) > 0
+			return len(av.values) > 0
 		}
-		for _, v := range values {
-			if matchPattern(f.value, v) {
+		for _, v := range av.values {
+			if f.matchValue(v) {
 				return true
 			}
 		}
 		return false
 	case ">=", "<=":
-		for _, v := range values {
-			if ordered(f.op, v, f.value) {
+		for _, v := range av.values {
+			if f.orders(v) {
 				return true
 			}
 		}
@@ -84,34 +112,33 @@ func (f cmpFilter) Matches(e *Entry) bool {
 	return false
 }
 
-// matchPattern implements case-insensitive equality with '*' wildcards.
-func matchPattern(pattern, value string) bool {
-	p := strings.ToLower(pattern)
-	v := strings.ToLower(value)
-	if !strings.Contains(p, "*") {
-		return p == v
+// matchValue reports whether v equals f's value, or matches its
+// substring pattern, case-insensitively: what comparing
+// strings.ToLower(v) with the lowered pattern reports. An ASCII v is
+// compared folding as it goes; any other is lowered first, which leaves
+// no byte the fold changes.
+func (f *cmpFilter) matchValue(v string) bool {
+	if !isASCII(v) {
+		v = strings.ToLower(v)
 	}
-	parts := strings.Split(p, "*")
-	// Leading anchor.
-	if parts[0] != "" {
-		if !strings.HasPrefix(v, parts[0]) {
-			return false
-		}
-		v = v[len(parts[0]):]
+	if f.parts == nil {
+		return len(v) == len(f.lower) && hasPrefixFold(v, f.lower)
 	}
-	// Trailing anchor.
-	last := parts[len(parts)-1]
-	if last != "" {
-		if !strings.HasSuffix(v, last) {
-			return false
-		}
-		v = v[:len(v)-len(last)]
+	first, last := f.parts[0], f.parts[len(f.parts)-1]
+	// The anchors first, then each middle part after the one before.
+	if !hasPrefixFold(v, first) {
+		return false
 	}
-	for _, mid := range parts[1 : len(parts)-1] {
+	v = v[len(first):]
+	if len(v) < len(last) || !hasPrefixFold(v[len(v)-len(last):], last) {
+		return false
+	}
+	v = v[:len(v)-len(last)]
+	for _, mid := range f.parts[1 : len(f.parts)-1] {
 		if mid == "" {
 			continue
 		}
-		i := strings.Index(v, mid)
+		i := indexFold(v, mid)
 		if i < 0 {
 			return false
 		}
@@ -120,27 +147,97 @@ func matchPattern(pattern, value string) bool {
 	return true
 }
 
-// ordered compares numerically when both operands parse as numbers,
-// falling back to case-insensitive string order — matching how MDS data
-// (load averages, free memory) is compared in practice.
-func ordered(op, a, b string) bool {
-	fa, errA := strconv.ParseFloat(strings.TrimSpace(a), 64)
-	fb, errB := strconv.ParseFloat(strings.TrimSpace(b), 64)
+// orders reports whether v stands in f's order (>= or <=) to f's value:
+// numerically when both parse as numbers, else by their lowered text —
+// matching how MDS data (load averages, free memory) is compared in
+// practice.
+func (f *cmpFilter) orders(v string) bool {
 	var cmp int
-	if errA == nil && errB == nil {
-		switch {
-		case fa < fb:
-			cmp = -1
-		case fa > fb:
-			cmp = 1
+	numeric := false
+	if f.isNum {
+		if n, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil {
+			numeric = true
+			switch {
+			case n < f.num:
+				cmp = -1
+			case n > f.num:
+				cmp = 1
+			}
 		}
-	} else {
-		cmp = strings.Compare(strings.ToLower(a), strings.ToLower(b))
 	}
-	if op == ">=" {
+	if !numeric {
+		cmp = compareFold(v, f.lower)
+	}
+	if f.op == ">=" {
 		return cmp >= 0
 	}
 	return cmp <= 0
+}
+
+// isASCII reports whether s has no byte above 0x7f.
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// lowerASCII lower-cases one ASCII letter and leaves any other byte.
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
+}
+
+// hasPrefixFold reports whether s, its ASCII letters lower-cased, starts
+// with the lowered prefix.
+func hasPrefixFold(s, prefix string) bool {
+	if len(s) < len(prefix) {
+		return false
+	}
+	for i := 0; i < len(prefix); i++ {
+		if lowerASCII(s[i]) != prefix[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// indexFold is strings.Index of the lowered sub in s with its ASCII
+// letters lower-cased.
+func indexFold(s, sub string) int {
+	for i := 0; i+len(sub) <= len(s); i++ {
+		if hasPrefixFold(s[i:], sub) {
+			return i
+		}
+	}
+	return -1
+}
+
+// compareFold is strings.Compare(strings.ToLower(s), lower) for a
+// lowered operand, comparing an ASCII s in place.
+func compareFold(s, lower string) int {
+	if !isASCII(s) {
+		return strings.Compare(strings.ToLower(s), lower)
+	}
+	for i := 0; i < len(s) && i < len(lower); i++ {
+		if c, d := lowerASCII(s[i]), lower[i]; c != d {
+			if c < d {
+				return -1
+			}
+			return 1
+		}
+	}
+	switch {
+	case len(s) < len(lower):
+		return -1
+	case len(s) > len(lower):
+		return 1
+	}
+	return 0
 }
 
 // ParseFilter parses an RFC 1960 filter string such as
@@ -304,7 +401,7 @@ func (p *filterParser) parseComparison() (Filter, error) {
 	if err := p.expectClose(); err != nil {
 		return nil, err
 	}
-	return cmpFilter{attr: attr, op: op, value: value}, nil
+	return newCmpFilter(attr, op, value), nil
 }
 
 // PresentAll is the match-everything filter "(objectclass=*)".

@@ -15,7 +15,7 @@ import (
 // walking the subtree; filters it cannot plan (substring wildcards, NOT)
 // fall back to the scan in Search. Range terms are answered by testing
 // each *distinct* value of the attribute — O(distinct values) instead of
-// O(entries) — with the same ordered() comparison the scan uses, so the
+// O(entries) — with the same comparison the scan uses, so the
 // two paths agree on every entry.
 //
 // Work accounting: SearchInfo.Visited always reports the logical scan
@@ -296,8 +296,8 @@ type filterPlan struct {
 // caller must clone before mutating.
 func (t *DIT) planFilter(f Filter) (plan filterPlan, owned, ok bool) {
 	switch f := f.(type) {
-	case cmpFilter:
-		ix := t.idx[strings.ToLower(f.attr)]
+	case *cmpFilter:
+		ix := t.idx[f.key]
 		switch f.op {
 		case "=", "~=":
 			if f.value == "*" {
@@ -306,13 +306,13 @@ func (t *DIT) planFilter(f Filter) (plan filterPlan, owned, ok bool) {
 				}
 				return filterPlan{bits: ix.present.bits, exact: true}, false, true
 			}
-			if strings.Contains(f.value, "*") {
+			if f.parts != nil {
 				return filterPlan{}, false, false // substring pattern: scan
 			}
 			if ix == nil {
 				return filterPlan{exact: true}, true, true
 			}
-			p := ix.values[strings.ToLower(f.value)]
+			p := ix.values[f.lower]
 			if p == nil {
 				return filterPlan{exact: true}, true, true
 			}
@@ -322,10 +322,10 @@ func (t *DIT) planFilter(f Filter) (plan filterPlan, owned, ok bool) {
 				return filterPlan{exact: true}, true, true
 			}
 			// Test each distinct value once — O(distinct values) instead
-			// of O(entries) — with the same ordered() the scan path uses.
+			// of O(entries) — with the same orders the scan path uses.
 			var bits bitset
 			for v, p := range ix.values {
-				if ordered(f.op, v, f.value) {
+				if f.orders(v) {
 					bits = bits.or(p.bits)
 				}
 			}

@@ -105,7 +105,7 @@ func dnList(entries []*Entry) []string {
 func assertSameSearch(t *testing.T, dit *DIT, base DN, src string) {
 	t.Helper()
 	filter := MustParseFilter(src)
-	got, info := dit.SearchStats(base, ScopeSub, filter)
+	got, info := dit.SearchStats(NewBase(base), ScopeSub, filter)
 	want, visited := scanOracle(dit, base, filter)
 	gotDNs, wantDNs := dnList(got), dnList(want)
 	if strings.Join(gotDNs, "\n") != strings.Join(wantDNs, "\n") {
@@ -180,14 +180,14 @@ func TestSearchDifferentialAfterChurn(t *testing.T) {
 func TestSearchIndexStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dit := randomDIT(rng, 50)
-	_, indexed := dit.SearchStats(nil, ScopeSub, MustParseFilter("(objectclass=MdsHost)"))
+	_, indexed := dit.SearchStats(NewBase(nil), ScopeSub, MustParseFilter("(objectclass=MdsHost)"))
 	if indexed.Scanned {
 		t.Fatal("equality filter took the scan path")
 	}
 	if indexed.IndexHits == 0 {
 		t.Fatal("equality filter reported no index hits")
 	}
-	_, scanned := dit.SearchStats(nil, ScopeSub, MustParseFilter("(Mds-Host-hn=h0*)"))
+	_, scanned := dit.SearchStats(NewBase(nil), ScopeSub, MustParseFilter("(Mds-Host-hn=h0*)"))
 	if !scanned.Scanned || scanned.IndexHits != 0 {
 		t.Fatalf("substring filter should scan: %+v", scanned)
 	}

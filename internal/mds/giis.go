@@ -265,7 +265,7 @@ func (g *GIIS) QueryCtx(ctx context.Context, now float64, filter ldap.Filter, at
 // search runs the directory search and accumulates its accounting into
 // st. Callers hold mu (either mode).
 func (g *GIIS) search(st QueryStats, filter ldap.Filter, attrs []string) ([]*ldap.Entry, QueryStats, error) {
-	results, info := g.dit.SearchStats(SuffixDN, ldap.ScopeSub, filter)
+	results, info := g.dit.SearchStats(suffixBase, ldap.ScopeSub, filter)
 	// Structural glue entries materialized for tree shape are not data.
 	data := results[:0]
 	for _, e := range results {

@@ -57,7 +57,7 @@ type GRIS struct {
 	// a very large value keeps data always in cache after warmup.
 	CacheTTL float64
 
-	dn        ldap.DN // the host's DN, the base of every search
+	base      ldap.Base // the host's DN, normalized once: the base of every search
 	mu        sync.RWMutex
 	providers []*Provider // immutable after NewGRIS; len() is read lock-free
 	expiry    []float64   // per-provider cache expiry; guarded by mu
@@ -70,7 +70,7 @@ func NewGRIS(host string, cacheTTL float64, providers []*Provider) *GRIS {
 	g := &GRIS{
 		Host:      host,
 		CacheTTL:  cacheTTL,
-		dn:        hostDN(host),
+		base:      ldap.NewBase(hostDN(host)),
 		providers: providers,
 		expiry:    make([]float64, len(providers)),
 		dit:       ldap.NewDIT(),
@@ -78,10 +78,10 @@ func NewGRIS(host string, cacheTTL float64, providers []*Provider) *GRIS {
 	for i := range g.expiry {
 		g.expiry[i] = -1 // cold
 	}
-	base := ldap.NewEntry(g.dn)
-	base.Set("objectclass", "MdsHost")
-	base.Set("Mds-Host-hn", host)
-	if err := g.dit.Add(base); err != nil {
+	root := ldap.NewEntry(g.base.DN())
+	root.Set("objectclass", "MdsHost")
+	root.Set("Mds-Host-hn", host)
+	if err := g.dit.Add(root); err != nil {
 		panic(err) // fresh tree cannot collide
 	}
 	return g
@@ -157,7 +157,7 @@ func (g *GRIS) Query(now float64, filter ldap.Filter, attrs []string) ([]*ldap.E
 // search runs the LDAP search and accumulates its accounting into st.
 // Callers hold mu (either mode).
 func (g *GRIS) search(st QueryStats, filter ldap.Filter, attrs []string) ([]*ldap.Entry, QueryStats) {
-	results, info := g.dit.SearchStats(g.dn, ldap.ScopeSub, filter)
+	results, info := g.dit.SearchStats(g.base, ldap.ScopeSub, filter)
 	st.EntriesVisited += info.Visited
 	st.EntriesReturned += len(results)
 	st.ResponseBytes += ldap.SizeBytes(results, attrs)
@@ -189,7 +189,7 @@ func (g *GRIS) Snapshot(now float64) []*ldap.Entry {
 
 // snapshot clones the current entries. Callers hold mu (either mode).
 func (g *GRIS) snapshot() []*ldap.Entry {
-	entries, _ := g.dit.Search(g.dn, ldap.ScopeSub, nil)
+	entries, _ := g.dit.SearchStats(g.base, ldap.ScopeSub, nil)
 	out := make([]*ldap.Entry, len(entries))
 	for i, e := range entries {
 		out[i] = e.Clone()

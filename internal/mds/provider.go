@@ -13,6 +13,9 @@ import (
 // SuffixDN is the directory suffix MDS publishes under.
 var SuffixDN = ldap.MustParseDN("Mds-Vo-name=local, o=grid")
 
+// suffixBase is SuffixDN normalized once, the base of every GIIS search.
+var suffixBase = ldap.NewBase(SuffixDN)
+
 // Provider is an MDS information provider: a program the GRIS forks to
 // produce directory entries about one aspect of a resource. ForkWeight
 // scales the cost the testbed charges per invocation (1.0 = the default

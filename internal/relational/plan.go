@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 var errLikeNeedsStrings = errors.New("relational: LIKE needs strings")
@@ -268,11 +269,15 @@ func provablyEmpty(s *Schema, where BoolExpr) bool {
 	return ok && impossible
 }
 
-// selectPlan is a SELECT fully resolved against its table: projection
-// positions, the compiled predicate, whether it is provably empty, and
-// the ORDER BY position.
+// selectPlan is a SELECT resolved against a column set: projection
+// positions and names, the compiled predicate, whether it is provably
+// empty, and the ORDER BY position. It holds no table and reads no row,
+// so it depends only on the statement and the columns, and one plan
+// serves every set with those columns. A prepared statement's plan is
+// shared by concurrent queries: nothing in a plan is written after
+// newSelectPlan returns it, and colNames, which becomes Result.Columns,
+// is read-only too.
 type selectPlan struct {
-	table    *Table
 	colIdx   []int
 	colNames []string
 	pred     compiledPred
@@ -281,54 +286,119 @@ type selectPlan struct {
 	oi       int  // ORDER BY column position; -1 when absent or unknown
 }
 
-// newSelectPlan resolves s against t. Projection errors surface here (as
-// the naive executor surfaces them before scanning); an unknown ORDER BY
-// column is recorded and surfaces only after matching, again matching
+// newSelectPlan resolves s against sch. Projection errors surface here
+// (as the naive executor surfaces them before scanning); an unknown ORDER
+// BY column is recorded and surfaces only after matching, again matching
 // the naive executor's error order. It returns the plan by value, so a
-// RowsQuery holds its plan without a separate allocation.
-func newSelectPlan(t *Table, s SelectStmt) (selectPlan, error) {
-	colIdx, colNames, err := projectionPlan(t, s)
+// prepared statement stores it without a separate allocation.
+func newSelectPlan(sch *Schema, s SelectStmt) (selectPlan, error) {
+	colIdx, colNames, err := projectionPlan(sch, s)
 	if err != nil {
 		return selectPlan{}, err
 	}
-	p := selectPlan{table: t, colIdx: colIdx, colNames: colNames, oi: -1}
+	p := selectPlan{colIdx: colIdx, colNames: colNames, oi: -1}
 	if s.Where != nil {
-		p.pred, p.compiled = compileBool(&t.Schema, s.Where)
-		p.empty = provablyEmpty(&t.Schema, s.Where)
+		p.pred, p.compiled = compileBool(sch, s.Where)
+		p.empty = provablyEmpty(sch, s.Where)
 	}
 	if s.OrderBy != "" {
-		p.oi = t.Schema.ColIndex(s.OrderBy)
+		p.oi = sch.ColIndex(s.OrderBy)
 	}
 	return p, nil
 }
 
-// projectionPlan resolves the SELECT column list against the table.
-func projectionPlan(t *Table, s SelectStmt) (colIdx []int, colNames []string, err error) {
+// A Prepared statement is a SELECT parsed to be run by many queries,
+// possibly at once. Its Select, and every copy of it, shares one plan
+// slot: the first run that compiles a plan stores it there, for the
+// columns it ran over, and every later run over equal columns reuses it
+// instead of compiling its own. A run over other columns compiles a plan
+// for that query only. The plan never depends on rows, so it is never
+// invalidated. Select's fields must not be changed: a changed copy would
+// still share the plan.
+type Prepared struct {
+	Select SelectStmt
+	plan   sharedPlan
+}
+
+// Prepare parses sql into a Prepared statement, in one allocation more
+// than Parse.
+func Prepare(sql string) (*Prepared, error) {
+	s, err := Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	p := &Prepared{Select: s}
+	p.Select.shared = &p.plan
+	return p, nil
+}
+
+// sharedPlan is a prepared statement's plan slot. state publishes it: a
+// run that moves it from planEmpty to planBusy stores cols and plan and
+// then sets planReady, after which neither is written again, so a reader
+// that loads planReady may read both without a lock. A run that finds
+// the slot busy compiles a plan of its own.
+type sharedPlan struct {
+	state atomic.Uint32
+	cols  []Column // the columns plan was compiled against
+	plan  selectPlan
+}
+
+// The states of a sharedPlan.
+const (
+	planEmpty uint32 = iota
+	planBusy
+	planReady
+)
+
+// planOver returns s's plan over a set with schema sch: the shared plan
+// of a prepared s when it was compiled for these columns, else a new
+// one, which becomes the shared plan when a prepared s has none yet. The
+// shared plan keeps sch.Columns, which must not change afterwards.
+func (s SelectStmt) planOver(sch *Schema) (*selectPlan, error) {
+	sp := s.shared
+	if sp != nil && sp.state.Load() == planReady && slices.Equal(sp.cols, sch.Columns) {
+		return &sp.plan, nil
+	}
+	p, err := newSelectPlan(sch, s)
+	if err != nil {
+		return nil, err
+	}
+	if sp != nil && sp.state.CompareAndSwap(planEmpty, planBusy) {
+		sp.cols, sp.plan = sch.Columns, p
+		sp.state.Store(planReady)
+		return &sp.plan, nil
+	}
+	own := p
+	return &own, nil
+}
+
+// projectionPlan resolves the SELECT column list against the schema.
+func projectionPlan(sch *Schema, s SelectStmt) (colIdx []int, colNames []string, err error) {
 	if len(s.Columns) == 0 {
-		colIdx = make([]int, len(t.Schema.Columns))
+		colIdx = make([]int, len(sch.Columns))
 		for i := range colIdx {
 			colIdx[i] = i
 		}
-		return colIdx, t.Schema.Names(), nil
+		return colIdx, sch.Names(), nil
 	}
 	colIdx = make([]int, 0, len(s.Columns))
 	colNames = make([]string, 0, len(s.Columns))
 	for _, cn := range s.Columns {
-		ci := t.Schema.ColIndex(cn)
+		ci := sch.ColIndex(cn)
 		if ci < 0 {
 			return nil, nil, fmt.Errorf("relational: no column %q in %q", cn, s.Table)
 		}
 		colIdx = append(colIdx, ci)
-		colNames = append(colNames, t.Schema.Columns[ci].Name)
+		colNames = append(colNames, sch.Columns[ci].Name)
 	}
 	return colIdx, colNames, nil
 }
 
-// selectRows matches, orders and limits the table's rows: the source rows
-// the SELECT answers with. Matches are appended to buf, which comes back
+// selectRows matches, orders and limits t's rows: the source rows the
+// SELECT answers with. Matches are appended to buf, which comes back
 // grown; st carries the work accounting described at the top of the file.
-func (p *selectPlan) selectRows(s SelectStmt, buf [][]Value) (rows, grown [][]Value, st RowsStats, err error) {
-	rows, grown, st, err = p.match(s, buf)
+func (p *selectPlan) selectRows(t *Table, s SelectStmt, buf [][]Value) (rows, grown [][]Value, st RowsStats, err error) {
+	rows, grown, st, err = p.match(t, s, buf)
 	if err != nil {
 		return nil, grown, st, err
 	}
@@ -348,8 +418,7 @@ func (p *selectPlan) selectRows(s SelectStmt, buf [][]Value) (rows, grown [][]Va
 // WHERE, else the compiled scan, or the Eval scan when a column did not
 // resolve. The matched rows are in row order (and may be the table's own
 // rows, only read).
-func (p *selectPlan) match(s SelectStmt, buf [][]Value) (matched, grown [][]Value, st RowsStats, err error) {
-	t := p.table
+func (p *selectPlan) match(t *Table, s SelectStmt, buf [][]Value) (matched, grown [][]Value, st RowsStats, err error) {
 	st.Scanned = len(t.rows)
 	where := s.Where
 	if where == nil {
@@ -365,13 +434,19 @@ func (p *selectPlan) match(s SelectStmt, buf [][]Value) (matched, grown [][]Valu
 		st.Indexed = true
 		return matched, matched, st, nil
 	}
+	var sch *Schema
+	if !p.compiled {
+		// A schema of its own: handing &t.Schema to an interface method
+		// would move every RowsQuery, which holds t, to the heap.
+		sch = &Schema{Columns: t.Schema.Columns}
+	}
 	for i, row := range t.rows {
 		var keep bool
 		var err error
 		if p.compiled {
 			keep, err = p.pred(row)
 		} else {
-			keep, err = where.Eval(&t.Schema, row)
+			keep, err = where.Eval(sch, row)
 		}
 		if err != nil {
 			return nil, matched, st, err
@@ -419,7 +494,9 @@ func (p *selectPlan) answerBytes(rows [][]Value) int {
 
 // Result is a SELECT's answer. Scanned and Indexed are the naive
 // executor's accounting (ScanSelect); a RowsQuery reports its accounting
-// per set, in RowsStats, and leaves them zero.
+// per set, in RowsStats, and leaves them zero. Columns is read-only: a
+// RowsQuery's result shares it with the plan that projected it, which a
+// prepared statement shares with every query of it.
 type Result struct {
 	Columns []string
 	Rows    [][]Value
@@ -442,20 +519,22 @@ func (r *Result) SizeBytes() int {
 // it once as a fresh table name(cols), but no table is built: column-typed
 // rows are borrowed (projection copies values out, so no answer aliases
 // them), and a row Insert would refuse fails the set with Insert's error.
-// The plan is compiled at the first set that passes its row checks, and
-// again whenever a set's columns differ. Result orders and limits the
-// union of the sets' answers as one table of all their rows, in set
-// order, would, and projects it once. Its zero value with Select set is
-// ready for one query on one goroutine.
+// A set's plan is the shared plan of a prepared Select when that was
+// compiled for the set's columns; otherwise one is compiled at the first
+// set that passes its row checks (see planOver), and again whenever a
+// set's columns differ. Result orders and limits the union of the sets'
+// answers as one table of all their rows, in set order, would, and
+// projects it once. Its zero value with Select set is ready for one
+// query on one goroutine.
 type RowsQuery struct {
 	Select SelectStmt
 
-	t       Table // the set being run, over borrowed rows
-	plan    selectPlan
-	planned []Column  // the columns plan was compiled against
-	columns []string  // the result's: those the first set answered with
-	held    []heldRow // the sets' answered rows, in set order
-	sets    int       // the sets answered
+	t       Table       // the set being run, over borrowed rows
+	plan    *selectPlan // the plan of the set being run
+	planned []Column    // the columns plan was compiled against
+	columns []string    // the result's: those the first set answered with
+	held    []heldRow   // the sets' answered rows, in set order
+	sets    int         // the sets answered
 	// Scratch reused by every set: the sets' rows concatenated or
 	// coerced, and the matched rows.
 	rows, matched [][]Value
@@ -516,23 +595,15 @@ func (q *RowsQuery) Run(name string, cols []Column, batches [][][]Value) (RowsSt
 		rows[i] = cv
 	}
 	t.rows = rows
-	if q.planned == nil || !slices.Equal(q.planned, cols) {
-		p, err := newSelectPlan(t, q.Select)
+	if q.plan == nil || !slices.Equal(q.planned, cols) {
+		// The rows held so far keep the plan they were answered by.
+		p, err := q.Select.planOver(&t.Schema)
 		if err != nil {
 			return RowsStats{Stored: len(rows)}, err
 		}
-		if len(q.held) > 0 {
-			// The rows held so far keep the plan they were answered by.
-			old := q.plan
-			for i := range q.held {
-				if q.held[i].plan == &q.plan {
-					q.held[i].plan = &old
-				}
-			}
-		}
 		q.plan, q.planned = p, cols
 	}
-	out, grown, st, err := q.plan.selectRows(q.Select, q.matched)
+	out, grown, st, err := q.plan.selectRows(t, q.Select, q.matched)
 	q.matched = grown
 	st.Stored = len(rows)
 	if err != nil {
@@ -545,7 +616,7 @@ func (q *RowsQuery) Run(name string, cols []Column, batches [][][]Value) (RowsSt
 	q.sets++
 	q.held = slices.Grow(q.held, len(out))
 	for _, row := range out {
-		q.held = append(q.held, heldRow{row, &q.plan})
+		q.held = append(q.held, heldRow{row, q.plan})
 	}
 	return st, nil
 }

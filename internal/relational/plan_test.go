@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -186,5 +188,80 @@ func TestSelectIndexStats(t *testing.T) {
 		if tc.indexed && len(res.Rows) != 0 {
 			t.Errorf("%q: a provably empty WHERE answered %d rows", tc.src, len(res.Rows))
 		}
+	}
+}
+
+// reversedTable is tbl with its columns, and every row, in reverse order.
+func reversedTable(tbl *Table) *Table {
+	cols := slices.Clone(tbl.Schema.Columns)
+	slices.Reverse(cols)
+	out := NewTable(tbl.Name, cols)
+	for _, row := range tbl.Rows() {
+		row = slices.Clone(row)
+		slices.Reverse(row)
+		if err := out.Insert(row); err != nil {
+			panic(err)
+		}
+	}
+	return out
+}
+
+// preparedAnswer runs sel over tbl in a RowsQuery and renders the result,
+// or the error, for comparison.
+func preparedAnswer(tbl *Table, sel SelectStmt) string {
+	q := RowsQuery{Select: sel}
+	st, err := q.Run(tbl.Name, tbl.Schema.Columns, [][][]Value{tbl.Rows()})
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	res := q.Result()
+	res.Scanned = st.Scanned
+	return resultString(res)
+}
+
+// TestPreparedPlanSharedConcurrently: eight goroutines run each
+// prepared statement of the corpus at once, over a table and over the
+// same table with its columns reversed, so the first runs race to
+// publish the statement's plan, later runs over the same columns read
+// it, and runs over the other order compile their own. Every answer must
+// be the naive executor's. Nothing but the plan slot orders the
+// goroutines once they start, so under -race this also holds the slot's
+// publication to its protocol.
+func TestPreparedPlanSharedConcurrently(t *testing.T) {
+	tbl := randomTable(rand.New(rand.NewSource(1)), 60)
+	tables := []*Table{tbl, reversedTable(tbl)}
+	for _, src := range selectCorpus {
+		p, err := Prepare(src)
+		if err != nil {
+			t.Fatalf("prepare %q: %v", src, err)
+		}
+		want := make([]string, len(tables))
+		for i, tb := range tables {
+			res, err := ScanSelect(tb, p.Select)
+			if err != nil {
+				want[i] = "error: " + err.Error()
+				continue
+			}
+			res.Indexed = false
+			want[i] = resultString(res)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 6; i++ {
+					ti := (g + i) % len(tables)
+					if got := preparedAnswer(tables[ti], p.Select); got != want[ti] {
+						t.Errorf("%q over table %d:\nprepared:\n%s\noracle:\n%s", src, ti, got, want[ti])
+						return
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
 	}
 }

@@ -16,6 +16,8 @@ type SelectStmt struct {
 	OrderBy string
 	Desc    bool
 	Limit   int // 0 means no limit
+
+	shared *sharedPlan // a Prepared statement's plan slot; nil when parsed alone
 }
 
 // BoolExpr is a WHERE predicate over a row.

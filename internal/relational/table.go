@@ -97,7 +97,7 @@ func (t *Table) Rows() [][]Value { return t.rows }
 // the planner's verdict that the WHERE is provably empty, though every
 // row is still evaluated here.
 func ScanSelect(t *Table, s SelectStmt) (*Result, error) {
-	colIdx, colNames, err := projectionPlan(t, s)
+	colIdx, colNames, err := projectionPlan(&t.Schema, s)
 	if err != nil {
 		return nil, err
 	}

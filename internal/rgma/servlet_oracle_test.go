@@ -1,6 +1,7 @@
 package rgma
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -151,8 +152,23 @@ var servletCorpus = []string{
 // on the same producers at the same instant.
 func checkServletAgainstOracle(t *testing.T, ps *ProducerServlet, sql string) {
 	t.Helper()
-	want, wantSt, wantErr := oracleServletQuery(ps, oracleNow, sql)
 	got, gotSt, gotErr := ps.Query(oracleNow, sql)
+	checkServletAnswer(t, ps, sql, got, gotSt, gotErr)
+}
+
+// checkPreparedServletAgainstOracle is checkServletAgainstOracle with
+// the statement prepared, so the servlet runs prep's shared plan when it
+// was compiled for its producers' columns.
+func checkPreparedServletAgainstOracle(t *testing.T, ps *ProducerServlet, prep *relational.Prepared, sql string) {
+	t.Helper()
+	got, gotSt, gotErr := ps.QuerySelect(oracleNow, prep.Select)
+	checkServletAnswer(t, ps, sql, got, gotSt, gotErr)
+}
+
+// checkServletAnswer holds what ps answered sql with to the oracle.
+func checkServletAnswer(t *testing.T, ps *ProducerServlet, sql string, got *relational.Result, gotSt QueryStats, gotErr error) {
+	t.Helper()
+	want, wantSt, wantErr := oracleServletQuery(ps, oracleNow, sql)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("%q: err %v, oracle %v", sql, gotErr, wantErr)
 	}
@@ -410,6 +426,12 @@ func mixedConsumer(t testing.TB) *ConsumerServlet {
 func checkConsumerAgainstOracles(t *testing.T, cs *ConsumerServlet, uniform bool, sql string) {
 	t.Helper()
 	got, gotSt, gotErr := cs.Query(oracleNow, sql)
+	checkConsumerAnswer(t, cs, uniform, sql, got, gotSt, gotErr)
+}
+
+// checkConsumerAnswer holds what cs answered sql with to the oracles.
+func checkConsumerAnswer(t *testing.T, cs *ConsumerServlet, uniform bool, sql string, got *relational.Result, gotSt QueryStats, gotErr error) {
+	t.Helper()
 	want, wantSt, wantErr := oracleConsumerQuery(cs, oracleNow, sql)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("%q: err %v, oracle %v", sql, gotErr, wantErr)
@@ -471,18 +493,65 @@ func TestConsumerOrdersByUnprojectedColumn(t *testing.T) {
 	}
 }
 
+// permutedServlet hosts oracleServlet's siteinfo rows under the
+// monitoring columns in reverse order (ts, value, metric, host), so a
+// plan compiled for one order answering the other would pick the wrong
+// values, or fail on their types.
+func permutedServlet() *ProducerServlet {
+	cols := slices.Clone(MonitoringSchema)
+	slices.Reverse(cols)
+	ps := NewProducerServlet("permuted:8080")
+	for _, p := range oracleServlet().producers {
+		if !strings.EqualFold(p.Table, "siteinfo") {
+			continue
+		}
+		var rows [][]relational.Value
+		for _, row := range p.Rows(oracleNow) {
+			row = slices.Clone(row)
+			slices.Reverse(row)
+			rows = append(rows, row)
+		}
+		rp := NewProducer("permuted-"+p.ID, p.Table, cols)
+		rp.Publish(rows)
+		ps.Host(rp)
+	}
+	return ps
+}
+
 // FuzzServletSelect: for any SQL text, the servlet answers what the
 // scratch-DB oracle answers over the same producers, and the mediator
-// what its oracles answer over servlets of such producers.
+// what its oracles answer over servlets of such producers — parsed per
+// query, and prepared, when two runs over the same producers share one
+// plan and a run over the columns in another order must not use it. One
+// prepared statement first runs over the usual order, another first over
+// the reversed one, so either order may own the shared plan.
 func FuzzServletSelect(f *testing.F) {
 	for _, sql := range servletCorpus {
 		f.Add(sql)
 	}
-	ps := oracleServlet()
+	ps, permuted := oracleServlet(), permutedServlet()
 	uniform, mixed := uniformConsumer(f), mixedConsumer(f)
 	f.Fuzz(func(t *testing.T, sql string) {
 		checkServletAgainstOracle(t, ps, sql)
 		checkConsumerAgainstOracles(t, uniform, true, sql)
 		checkConsumerAgainstOracles(t, mixed, false, sql)
+		prep, err := relational.Prepare(sql)
+		if err != nil {
+			return // ps.Query failed with this error above, as the oracle did
+		}
+		for _, s := range []*ProducerServlet{ps, ps, permuted} {
+			checkPreparedServletAgainstOracle(t, s, prep, sql)
+		}
+		for _, cs := range []struct {
+			cs      *ConsumerServlet
+			uniform bool
+		}{{uniform, true}, {mixed, false}} {
+			got, gotSt, gotErr := cs.cs.QuerySelectCtx(context.Background(), oracleNow, prep.Select)
+			checkConsumerAnswer(t, cs.cs, cs.uniform, sql, got, gotSt, gotErr)
+		}
+		prep, _ = relational.Prepare(sql)
+		for _, s := range []*ProducerServlet{permuted, ps, permuted} {
+			checkPreparedServletAgainstOracle(t, s, prep, sql)
+		}
 	})
 }

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -327,4 +329,109 @@ func FuzzQueryMemo(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestConcurrentSharedPlansWithAdvance: eight goroutines ask one grid
+// the same SQL, LDAP and ClassAd expressions, each on several roles, so
+// from the first query on they share every memo entry and every
+// prepared statement's plan, while the pump advances the grid. The pump
+// wraps each round in a seqlock, which tells a query that ran wholly
+// within one round, and such an answer's records must be exactly what
+// the same query answers on a fresh grid at that round. (Its Work may
+// differ: the composite and the caches refresh on the round's first
+// query.) The grid's counters order its queries for the race detector,
+// so the plan slot's publication is held to its protocol in
+// internal/relational (TestPreparedPlanSharedConcurrently).
+func TestConcurrentSharedPlansWithAdvance(t *testing.T) {
+	const rounds = 12
+	const workers = 8
+	const perRound = 4 * workers // queries answered within each round before the next
+	sql := "SELECT host, metric, value FROM siteinfo WHERE value >= 30 AND metric != 'metric-03' ORDER BY value DESC LIMIT 7"
+	filter := "(|(&(objectclass=MdsCpu)(Mds-Cpu-Free-1minX100>=10))(Mds-Os-name=lin*))"
+	constraint := `TARGET.OpSys == "linux" && TARGET.CpuLoad >= 0`
+	queries := []Query{
+		{System: RGMA, Host: "lucky4", Expr: sql},
+		{System: RGMA, Expr: sql},
+		{System: RGMA, Role: RoleAggregateServer, Expr: sql},
+		{System: MDS, Host: "lucky3", Expr: filter},
+		{System: MDS, Role: RoleAggregateServer, Expr: filter, Attrs: []string{"Mds-Cpu-Free-1minX100", "mds-os-name"}},
+		{System: Hawkeye, Host: "lucky7", Expr: constraint},
+		{System: Hawkeye, Role: RoleAggregateServer, Expr: constraint, Attrs: []string{"Name", "CpuLoad"}},
+	}
+	ctx := context.Background()
+	dump := func(g *Grid, q Query) string {
+		rs, err := g.Query(ctx, q)
+		if err != nil {
+			return fmt.Sprintf("error %s: %s", CodeOf(err), err)
+		}
+		return recordsJSON(t, rs.Records)
+	}
+	want := make([][]string, rounds+1) // want[r][i]: queries[i] on a fresh grid at round r
+	for r := range want {
+		now := float64(r)
+		fresh := newStressGrid(t, func() float64 { return now })
+		for a := 1; a <= r; a++ {
+			if err := fresh.Advance(float64(a)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range queries {
+			want[r] = append(want[r], dump(fresh, q))
+		}
+	}
+
+	var clock atomicClock
+	grid := newStressGrid(t, clock.Fn())
+	var seq atomic.Uint64 // 2r while the grid is at round r, odd while the pump advances it
+	var answered, checked atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			failed := false
+			for i := w; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				qi := i % len(queries)
+				before := seq.Load()
+				got := dump(grid, queries[qi])
+				if before%2 == 0 && seq.Load() == before {
+					checked.Add(1)
+					if r := before / 2; got != want[r][qi] && !failed {
+						failed = true // one report per worker; it keeps the pump going
+						t.Errorf("worker %d, round %d: %+v answered\n%.300s\na fresh grid answers\n%.300s", w, r, queries[qi], got, want[r][qi])
+					}
+				}
+				answered.Add(1)
+			}
+		}(w)
+	}
+	// Each round lets the workers answer perRound queries before the
+	// next Advance, which then waits on queries still in flight.
+	settle := func() {
+		for from := answered.Load(); answered.Load()-from < perRound; {
+			runtime.Gosched()
+		}
+	}
+	for r := 1; r <= rounds; r++ {
+		settle()
+		seq.Add(1)
+		clock.Set(float64(r))
+		if err := grid.Advance(float64(r)); err != nil {
+			t.Error(err)
+		}
+		seq.Add(1)
+	}
+	settle()
+	close(done)
+	wg.Wait()
+	t.Logf("%d answers, %d of them within one round", answered.Load(), checked.Load())
+	if n := checked.Load(); n < rounds {
+		t.Errorf("only %d of %d answers ran within one round", n, answered.Load())
+	}
 }

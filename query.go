@@ -382,13 +382,18 @@ func (g *Grid) readRGMA(ctx context.Context, role Role, q Query) (core.Answer, W
 	return core.Answer{}, Work{}, badRole(role)
 }
 
-// selectStmt is the SELECT an R-GMA query's expr states, parsed once
-// per Grid; an empty expr is "SELECT * FROM table".
+// selectStmt is the SELECT an R-GMA query's expr states, prepared once
+// per Grid, so its plan is compiled once too; an empty expr is "SELECT *
+// FROM table", planned per query.
 func (g *Grid) selectStmt(expr, table string) (relational.SelectStmt, error) {
 	if expr == "" {
 		return relational.SelectStmt{Table: table}, nil
 	}
-	return memoParse(&g.memo, RGMA, expr, relational.Parse)
+	p, err := memoParse(&g.memo, RGMA, expr, relational.Prepare)
+	if err != nil {
+		return relational.SelectStmt{}, err
+	}
+	return p.Select, nil
 }
 
 func (g *Grid) readHawkeye(ctx context.Context, role Role, q Query) (core.Answer, Work, error) {
