@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci fmt vet lint build test race stress recovery chaos fed-chaos wire load-smoke bench bench-smoke fuzz-smoke
+.PHONY: all ci fmt vet lint build test examples race stress recovery chaos fed-chaos wire load-smoke bench bench-smoke fuzz-smoke
 
 all: ci
 
@@ -8,8 +8,8 @@ all: ci
 # plus the repo's own gridmon-vet analyzers), the tier-1 build/test
 # pass, the race-detector pass, a one-iteration benchmark smoke run, a
 # smoke run of the bench/ end-to-end benchmark, and a few seconds of
-# each fuzz target.
-ci: fmt vet lint build test race bench bench-smoke fuzz-smoke
+# each fuzz target. The examples run after the tests.
+ci: fmt vet lint build test examples race bench bench-smoke fuzz-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -30,6 +30,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# examples runs every program under examples/ to completion (about a
+# second each); a walkthrough that breaks exits non-zero.
+examples:
+	@for e in examples/*/; do \
+		echo "== $$e"; \
+		$(GO) run ./$$e || exit 1; \
+	done
 
 # race runs the full test suite under the race detector — the gate for
 # the concurrent surfaces: streams, the transport, the Grid facade.

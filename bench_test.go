@@ -6,8 +6,7 @@ package gridmon
 // experiment set through the simulated testbed and reports the *measured
 // simulation results* (throughput, response time, load) as custom
 // metrics; the full sweeps that regenerate every curve are produced by
-// `go run ./cmd/gridmon-bench` (or the -calibrate tests in
-// internal/experiments).
+// `go run ./cmd/gridmon-bench`.
 //
 // Figure index:
 //

@@ -2,6 +2,7 @@ package gridmon
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -367,8 +368,13 @@ func TestChaosSubscribeReset(t *testing.T) {
 			if ctx.Err() != nil {
 				t.Fatal("stream did not terminate after the mid-frame reset (hang)")
 			}
-			// Terminated with an error, as it must. Lag reports would
-			// also be fine, but a torn conn ends the stream.
+			// A lag report does not end the stream: the pump can outrun
+			// the reader before the reset fires. Keep reading.
+			if errors.Is(err, ErrLagged) {
+				continue
+			}
+			// Terminated with an error, as it must: a torn conn ends
+			// the stream.
 			break
 		}
 		if ev.Seq <= lastSeq && lastSeq != 0 {

@@ -11,28 +11,13 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 func measure(cached bool, users int) (throughput, respTime, cpu float64) {
-	env := sim.NewEnv()
-	tb := cluster.NewTestbed(env)
-	cal := experiments.DefaultCalibration()
-	dep, err := experiments.BuildGRISUsers(cal, cached)(env, tb, users)
-	if err != nil {
-		panic(err)
-	}
-	const warmup, window = 30, 180
-	rec := metrics.NewRecorder(warmup, warmup+window)
-	sampler := metrics.NewSampler(dep.Monitored, warmup, warmup+window, 5)
-	sampler.Start(env)
-	pop := workload.NewPopulation(dep.Users, dep.Clients, dep.Server, dep.Query, rec)
-	pop.Start(env)
-	env.Run(warmup + window + 5)
-	host := sampler.Result()
-	return rec.Throughput(), rec.MeanResponseTime(), host.CPUPercent
+	build := experiments.BuildGRISUsers(experiments.DefaultCalibration(), cached)
+	p := experiments.RunPoint(build, users, experiments.Params{Warmup: 30, Window: 180, Interval: 5})
+	return p.Throughput, p.ResponseTime, p.CPULoad
 }
 
 func main() {

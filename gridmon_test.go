@@ -1,9 +1,10 @@
 package gridmon
 
 import (
-	"bytes"
 	"context"
-	"strings"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/classad"
@@ -97,29 +98,29 @@ func TestExperimentNames(t *testing.T) {
 	}
 }
 
-// TestRunExperimentQuickExp3 exercises the full experiment pipeline end
-// to end on the smallest set (Experiment 3 has the fewest points).
-func TestRunExperimentQuickExp3(t *testing.T) {
+// TestRunExperimentQuickGolden runs every experiment set end to end at
+// the quick windows and compares its CSV with the checked-in figures in
+// testdata/experiments-quick, which `go run ./cmd/gridmon-bench -quick
+// -csv testdata/experiments-quick` writes. Every simulated number must
+// stay bit-identical unless a change means to move the figures.
+func TestRunExperimentQuickGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
-	var buf bytes.Buffer
-	series, err := RunExperiment("exp3", &buf, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != 4 {
-		t.Fatalf("series = %d, want 4", len(series))
-	}
-	out := buf.String()
-	for _, want := range []string{"Figures 13-16", "Throughput", "MDS GRIS(cache)", "Hawkeye Agent"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
-	csv := ExperimentCSV(series)
-	if !strings.Contains(csv, "series,x,") {
-		t.Error("CSV header missing")
+	for _, name := range ExperimentNames() {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "experiments-quick", name+".csv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			series, err := RunExperimentWorkers(name, nil, true, runtime.GOMAXPROCS(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ExperimentCSV(series); got != string(want) {
+				t.Errorf("%s.csv changed:\ngot:\n%s\nwant:\n%s", name, got, want)
+			}
+		})
 	}
 }
 

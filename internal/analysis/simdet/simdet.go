@@ -3,7 +3,9 @@
 // worker counts because the packages under it never consult wall
 // clocks, process-global randomness, or scheduler ordering.
 //
-// In packages named sim, experiments and workload it forbids:
+// In the packages that make up the simulator — sim (the kernel), cluster
+// (the testbed model) and experiments (servers, users, measurement and
+// the paper's experiment sets) — it forbids:
 //
 //   - time.Now (the sim clock is the only time source)
 //   - importing math/rand or math/rand/v2 (sim.RNG is seeded and
@@ -31,7 +33,7 @@ var Analyzer = &framework.Analyzer{
 }
 
 // gated lists the package names the analyzer applies to.
-var gated = map[string]bool{"sim": true, "experiments": true, "workload": true}
+var gated = map[string]bool{"sim": true, "experiments": true, "cluster": true}
 
 func run(pass *framework.Pass) error {
 	if !gated[pass.Pkg.Name()] {

@@ -8,5 +8,5 @@ import (
 )
 
 func TestSimdet(t *testing.T) {
-	analysistest.Run(t, "testdata", simdet.Analyzer, "workload", "sim", "other")
+	analysistest.Run(t, "testdata", simdet.Analyzer, "experiments", "sim", "other")
 }

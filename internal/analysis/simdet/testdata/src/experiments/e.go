@@ -1,6 +1,6 @@
-// Package workload is gated by simdet; every nondeterminism source
+// Package experiments is gated by simdet; every nondeterminism source
 // below must be flagged.
-package workload
+package experiments
 
 import (
 	"math/rand" // want `math/rand is a process-global nondeterminism source`

@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/cluster"
 	"repro/internal/mds"
-	"repro/internal/node"
 	"repro/internal/sim"
 )
 
@@ -20,7 +19,7 @@ func BuildGRISWithTTL(cal Calibration, ttl float64) Builder {
 		if ttl > 0 {
 			gris.Warm(0)
 		}
-		server := node.NewServer(env, tb.Host("lucky7"), tb.Network, cal.GRISConfig())
+		server := NewServer(env, tb.Host("lucky7"), tb.Network, cal.GRISConfig())
 		return &Deployment{
 			Env: env, Testbed: tb, Server: server,
 			Monitored: tb.Host("lucky7"),
@@ -42,7 +41,7 @@ func BuildAgentWithWorkers(cal Calibration, workers int) Builder {
 		}
 		cfg := cal.AgentConfig()
 		cfg.Workers = workers
-		dep.Server = node.NewServer(env, dep.Monitored, tb.Network, cfg)
+		dep.Server = NewServer(env, dep.Monitored, tb.Network, cfg)
 		return dep, nil
 	}
 }
@@ -58,7 +57,7 @@ func BuildServletWithBacklog(cal Calibration, backlog int) Builder {
 		}
 		cfg := cal.ServletConfig()
 		cfg.Backlog = backlog
-		dep.Server = node.NewServer(env, dep.Monitored, tb.Network, cfg)
+		dep.Server = NewServer(env, dep.Monitored, tb.Network, cfg)
 		return dep, nil
 	}
 }

@@ -5,7 +5,6 @@ package experiments
 
 import (
 	"repro/internal/core"
-	"repro/internal/node"
 )
 
 // Calibration converts the work a component performed (core.Work counts)
@@ -169,39 +168,39 @@ func DefaultCalibration() Calibration {
 // Server configurations: worker-pool and backlog shapes of the measured
 // daemons. Backlogs reflect the kernel's SOMAXCONN-era limit of 128
 // pending connections.
-func (c Calibration) GRISConfig() node.Config {
-	return node.Config{Workers: 2, Backlog: 126, SetupRTTs: 2, PostHoldRampConns: 50}
+func (c Calibration) GRISConfig() ServerConfig {
+	return ServerConfig{Workers: 2, Backlog: 126, SetupRTTs: 2, PostHoldRampConns: 50}
 }
 
 // ServletConfig covers both the ProducerServlet and the Registry (the
 // same servlet container). The modest connector queue drives the same
 // post-threshold backoff collapse the paper reports for the
 // ProducerServlet.
-func (c Calibration) ServletConfig() node.Config {
-	return node.Config{Workers: 2, Backlog: 12, SetupRTTs: 2, WorkerHeldDuringSend: true}
+func (c Calibration) ServletConfig() ServerConfig {
+	return ServerConfig{Workers: 2, Backlog: 12, SetupRTTs: 2, WorkerHeldDuringSend: true}
 }
 
 // AgentConfig is the single-process Startd. Its short accept queue is what
 // produces the paper's post-threshold collapse: past the knee most users
 // sit in connection backoff, the queue drains, and measured load falls.
-func (c Calibration) AgentConfig() node.Config {
-	return node.Config{Workers: 8, Backlog: 2, SetupRTTs: 2}
+func (c Calibration) AgentConfig() ServerConfig {
+	return ServerConfig{Workers: 8, Backlog: 2, SetupRTTs: 2}
 }
 
 // GIISConfig and ManagerConfig shape the directory/aggregate servers.
-func (c Calibration) GIISConfig() node.Config {
-	return node.Config{Workers: 2, Backlog: 126, SetupRTTs: 2}
+func (c Calibration) GIISConfig() ServerConfig {
+	return ServerConfig{Workers: 2, Backlog: 126, SetupRTTs: 2}
 }
 
-func (c Calibration) ManagerConfig() node.Config {
-	return node.Config{Workers: 2, Backlog: 126, SetupRTTs: 2}
+func (c Calibration) ManagerConfig() ServerConfig {
+	return ServerConfig{Workers: 2, Backlog: 126, SetupRTTs: 2}
 }
 
 // GRISDemand converts GRIS query work into demand. nProviders is the
 // number of providers behind the GRIS (response-size effects come through
 // w.ResponseBytes from the real engine).
-func (c Calibration) GRISDemand(w core.Work) node.Demand {
-	return node.Demand{
+func (c Calibration) GRISDemand(w core.Work) Demand {
+	return Demand{
 		CPUSeconds:        c.GRISBaseCPU + w.CollectorInvocations*c.ProviderForkCPU + float64(w.RecordsVisited)*c.GRISEntryCPU,
 		WorkerHoldSeconds: w.CollectorInvocations * c.ProviderForkHold,
 		PostHoldSeconds:   c.GRISPipelineHold,
@@ -212,9 +211,9 @@ func (c Calibration) GRISDemand(w core.Work) node.Demand {
 
 // ProducerServletDemand converts a (direct or mediated) R-GMA query into
 // demand. nProducers is the producer count behind the servlet.
-func (c Calibration) ProducerServletDemand(w core.Work, nProducers int) node.Demand {
+func (c Calibration) ProducerServletDemand(w core.Work, nProducers int) Demand {
 	quad := float64(nProducers * nProducers)
-	return node.Demand{
+	return Demand{
 		CPUSeconds:        c.ServletBaseCPU + quad*c.ProducerQuadCPU,
 		WorkerHoldSeconds: c.ServletBaseHold + quad*c.ProducerQuadHold,
 		RequestBytes:      c.RequestBytes,
@@ -223,8 +222,8 @@ func (c Calibration) ProducerServletDemand(w core.Work, nProducers int) node.Dem
 }
 
 // RegistryDemand converts a Registry lookup into demand.
-func (c Calibration) RegistryDemand(w core.Work) node.Demand {
-	return node.Demand{
+func (c Calibration) RegistryDemand(w core.Work) Demand {
+	return Demand{
 		CPUSeconds:        c.RegistryLookupCPU,
 		WorkerHoldSeconds: c.RegistryLookupHold,
 		RequestBytes:      c.RequestBytes,
@@ -234,9 +233,9 @@ func (c Calibration) RegistryDemand(w core.Work) node.Demand {
 
 // AgentDemand converts an Agent query into demand. nModules is the module
 // count (the quadratic integration term).
-func (c Calibration) AgentDemand(w core.Work, nModules int) node.Demand {
+func (c Calibration) AgentDemand(w core.Work, nModules int) Demand {
 	quad := float64(nModules * nModules)
-	return node.Demand{
+	return Demand{
 		CPUSeconds:        c.AgentBaseCPU + quad*c.ModuleQuadCPU,
 		WorkerHoldSeconds: c.AgentBaseHold + quad*c.ModuleQuadHold,
 		RequestBytes:      c.RequestBytes,
@@ -245,9 +244,9 @@ func (c Calibration) AgentDemand(w core.Work, nModules int) node.Demand {
 }
 
 // ManagerScanDemand converts a Manager constraint scan into demand.
-func (c Calibration) ManagerScanDemand(w core.Work) node.Demand {
+func (c Calibration) ManagerScanDemand(w core.Work) Demand {
 	scanned := float64(w.RecordsVisited)
-	return node.Demand{
+	return Demand{
 		CPUSeconds:        c.ManagerBaseCPU + scanned*c.ManagerAdScanCPU,
 		WorkerHoldSeconds: c.ManagerBaseHold + scanned*c.ManagerAdScanHold,
 		RequestBytes:      c.RequestBytes,
@@ -257,8 +256,8 @@ func (c Calibration) ManagerScanDemand(w core.Work) node.Demand {
 
 // GIISDirectoryDemand prices the Experiment Set 2 GIIS lookup (data always
 // cached; cachettl effectively infinite).
-func (c Calibration) GIISDirectoryDemand(w core.Work) node.Demand {
-	return node.Demand{
+func (c Calibration) GIISDirectoryDemand(w core.Work) Demand {
+	return Demand{
 		CPUSeconds:        c.GIISDirCPU + float64(w.RecordsVisited)*c.GIISDirEntryCPU,
 		WorkerHoldSeconds: c.GIISDirHold,
 		RequestBytes:      c.RequestBytes,
@@ -267,8 +266,8 @@ func (c Calibration) GIISDirectoryDemand(w core.Work) node.Demand {
 }
 
 // ManagerDirectoryDemand prices the Experiment Set 2 Manager lookup.
-func (c Calibration) ManagerDirectoryDemand(w core.Work) node.Demand {
-	return node.Demand{
+func (c Calibration) ManagerDirectoryDemand(w core.Work) Demand {
+	return Demand{
 		CPUSeconds:        c.ManagerDirCPU,
 		WorkerHoldSeconds: c.ManagerDirHold,
 		RequestBytes:      c.RequestBytes,
@@ -279,10 +278,10 @@ func (c Calibration) ManagerDirectoryDemand(w core.Work) node.Demand {
 // GIISAggregateDemand prices an Experiment Set 4 aggregate query: the
 // per-entry LDAP walk and per-returned-entry serialization dominate as
 // registered GRIS grow, split between CPU and worker-held backend I/O.
-func (c Calibration) GIISAggregateDemand(w core.Work) node.Demand {
+func (c Calibration) GIISAggregateDemand(w core.Work) Demand {
 	visited := float64(w.RecordsVisited)
 	returned := float64(w.RecordsReturned)
-	return node.Demand{
+	return Demand{
 		CPUSeconds:        c.GIISDirCPU + visited*c.GIISAggVisitCPU + returned*c.GIISAggReturnCPU,
 		WorkerHoldSeconds: visited*c.GIISAggVisitHold + returned*c.GIISAggReturnHold,
 		RequestBytes:      c.RequestBytes,
@@ -291,8 +290,8 @@ func (c Calibration) GIISAggregateDemand(w core.Work) node.Demand {
 }
 
 // AdvertiseDemand prices one Startd ClassAd ingest at the Manager.
-func (c Calibration) AdvertiseDemand(adBytes int) node.Demand {
-	return node.Demand{
+func (c Calibration) AdvertiseDemand(adBytes int) Demand {
+	return Demand{
 		CPUSeconds:    c.AdvertiseCPU,
 		RequestBytes:  float64(adBytes),
 		ResponseBytes: 64, // ack
@@ -303,9 +302,9 @@ func (c Calibration) AdvertiseDemand(adBytes int) node.Demand {
 // Consumer/Producer: row materialization and scan over the aggregated
 // local table, with the servlet container's base costs. Upstream refresh
 // work appears in the row counts whenever the composite's cache expired.
-func (c Calibration) CompositeDemand(w core.Work) node.Demand {
+func (c Calibration) CompositeDemand(w core.Work) Demand {
 	rows := float64(w.RecordsVisited)
-	return node.Demand{
+	return Demand{
 		CPUSeconds:        c.ServletBaseCPU + rows*c.CompositeRowCPU,
 		WorkerHoldSeconds: c.ServletBaseHold + rows*c.CompositeRowCPU,
 		RequestBytes:      c.RequestBytes,

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mds"
-	"repro/internal/node"
 	"repro/internal/sim"
 )
 
@@ -21,8 +20,8 @@ const RegistrationInterval = 30.0
 
 // RegisterDemand prices one soft-state registration renewal at the
 // receiving GIIS: per-entry cache refresh plus the snapshot on the wire.
-func (c Calibration) RegisterDemand(entries int) node.Demand {
-	return node.Demand{
+func (c Calibration) RegisterDemand(entries int) Demand {
+	return Demand{
 		CPUSeconds:    0.002 + float64(entries)*c.GIISAggVisitCPU,
 		RequestBytes:  float64(entries) * 400,
 		ResponseBytes: 128,
@@ -43,7 +42,7 @@ func BuildGIISFlat(cal Calibration) Builder {
 			}
 			grises = append(grises, g)
 		}
-		server := node.NewServer(env, tb.Host("lucky0"), tb.Network, cal.GIISConfig())
+		server := NewServer(env, tb.Host("lucky0"), tb.Network, cal.GIISConfig())
 		senders := luckyClients(tb, "lucky0")
 		dep := &Deployment{
 			Env: env, Testbed: tb, Server: server,
@@ -71,12 +70,12 @@ func BuildGIISTwoLevel(cal Calibration) Builder {
 		top := mds.NewGIIS("giis-top", 1e12, 4*RegistrationInterval)
 		midHosts := []string{"lucky3", "lucky4", "lucky5", "lucky6"}
 		var mids []*mds.GIIS
-		var midNodes []*node.Server
+		var midNodes []*Server
 		var grisByMid [][]*mds.GRIS
 		for m, host := range midHosts {
 			mid := mds.NewGIIS(fmt.Sprintf("giis-mid%d", m), 1e12, 4*RegistrationInterval)
 			mids = append(mids, mid)
-			midNodes = append(midNodes, node.NewServer(env, tb.Host(host), tb.Network, cal.GIISConfig()))
+			midNodes = append(midNodes, NewServer(env, tb.Host(host), tb.Network, cal.GIISConfig()))
 			grisByMid = append(grisByMid, nil)
 		}
 		for i := 0; i < x; i++ {
@@ -92,7 +91,7 @@ func BuildGIISTwoLevel(cal Calibration) Builder {
 				return nil, err
 			}
 		}
-		server := node.NewServer(env, tb.Host("lucky0"), tb.Network, cal.GIISConfig())
+		server := NewServer(env, tb.Host("lucky0"), tb.Network, cal.GIISConfig())
 		dep := &Deployment{
 			Env: env, Testbed: tb, Server: server,
 			Monitored: tb.Host("lucky0"),
@@ -134,7 +133,7 @@ func BuildGIISTwoLevel(cal Calibration) Builder {
 
 // startRegistrationLoops runs batched soft-state renewals for a set of
 // GRIS against one GIIS node, spreading renewals across the interval.
-func startRegistrationLoops(env *sim.Env, cal Calibration, giisNode *node.Server,
+func startRegistrationLoops(env *sim.Env, cal Calibration, giisNode *Server,
 	senders []*cluster.Machine, grises []*mds.GRIS,
 	renew func(id int, now float64) (int, error)) {
 	const batch = 25

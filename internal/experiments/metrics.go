@@ -1,12 +1,13 @@
-// Package metrics implements the paper's measurement procedure: response
-// times and throughput accumulated over a ten-minute window, and a
-// Ganglia-style sampler reading machine load at five-second intervals.
-package metrics
+package experiments
 
 import (
 	"repro/internal/cluster"
 	"repro/internal/sim"
 )
+
+// The paper's measurement procedure: response times and throughput
+// accumulated over a ten-minute window, and a Ganglia-style sampler
+// reading machine load at five-second intervals.
 
 // Recorder accumulates per-query outcomes inside a measurement window.
 // Queries completing outside [WindowStart, WindowEnd) are ignored,
@@ -17,8 +18,6 @@ type Recorder struct {
 
 	completed int
 	totalRT   float64
-	maxRT     float64
-	errors    int
 	refused   int
 }
 
@@ -34,18 +33,7 @@ func (r *Recorder) RecordQuery(start, end float64) {
 		return
 	}
 	r.completed++
-	rt := end - start
-	r.totalRT += rt
-	if rt > r.maxRT {
-		r.maxRT = rt
-	}
-}
-
-// RecordError registers a query that failed inside the window.
-func (r *Recorder) RecordError(at float64) {
-	if at >= r.WindowStart && at < r.WindowEnd {
-		r.errors++
-	}
+	r.totalRT += end - start
 }
 
 // RecordRefusal registers one refused connection attempt in the window.
@@ -57,9 +45,6 @@ func (r *Recorder) RecordRefusal(at float64) {
 
 // Completed reports the number of queries completed in the window.
 func (r *Recorder) Completed() int { return r.completed }
-
-// Errors reports the number of failed queries in the window.
-func (r *Recorder) Errors() int { return r.errors }
 
 // Refusals reports the number of refused connection attempts.
 func (r *Recorder) Refusals() int { return r.refused }
@@ -80,9 +65,6 @@ func (r *Recorder) MeanResponseTime() float64 {
 	}
 	return r.totalRT / float64(r.completed)
 }
-
-// MaxResponseTime reports the slowest completed query.
-func (r *Recorder) MaxResponseTime() float64 { return r.maxRT }
 
 // HostSample summarizes one machine's load over the measurement window.
 type HostSample struct {

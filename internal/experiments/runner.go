@@ -3,14 +3,12 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
-	"repro/internal/node"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // Params controls the measurement procedure. The paper warms the system up
@@ -61,7 +59,7 @@ type Deployment struct {
 	Env     *sim.Env
 	Testbed *cluster.Testbed
 	// Server receives the measured queries.
-	Server *node.Server
+	Server *Server
 	// Monitored is the machine whose load the figures report (the
 	// server host).
 	Monitored *cluster.Machine
@@ -70,7 +68,7 @@ type Deployment struct {
 	// Users is the number of simulated users.
 	Users int
 	// Query performs one logical user query.
-	Query workload.Query
+	Query Query
 	// Background, if non-nil, launches auxiliary processes (advertise
 	// streams, registration refreshes) before measurement.
 	Background func()
@@ -88,14 +86,13 @@ func RunPoint(build Builder, x int, par Params) Point {
 	if err != nil {
 		return Point{X: x, Failed: true}
 	}
-	rec := metrics.NewRecorder(par.Warmup, par.Warmup+par.Window)
-	sampler := metrics.NewSampler(dep.Monitored, par.Warmup, par.Warmup+par.Window, par.Interval)
+	rec := NewRecorder(par.Warmup, par.Warmup+par.Window)
+	sampler := NewSampler(dep.Monitored, par.Warmup, par.Warmup+par.Window, par.Interval)
 	sampler.Start(env)
 	if dep.Background != nil {
 		dep.Background()
 	}
-	pop := workload.NewPopulation(dep.Users, dep.Clients, dep.Server, dep.Query, rec)
-	pop.Start(env)
+	startUsers(env, dep.Users, dep.Clients, dep.Server, dep.Query, rec)
 	env.Run(par.Warmup + par.Window + 5)
 
 	host := sampler.Result()
@@ -110,8 +107,73 @@ func RunPoint(build Builder, x int, par Params) Point {
 	}
 }
 
-// RunSeries measures one labelled curve over the given x values. With
-// par.Workers > 1 the points are measured by a bounded worker pool —
+// Paper measurement constants for the simulated users.
+const (
+	// ThinkTime is the one-second wait between receiving a response and
+	// sending the next query.
+	ThinkTime = 1.0
+	// InitialBackoff and MaxBackoff bound the retry backoff after a
+	// refused connection (TCP SYN retransmission behavior).
+	InitialBackoff = 3.0
+	MaxBackoff     = 120.0
+	// MaxUsersPerClientMachine is the paper's cap of 50 simulated users
+	// per client machine.
+	MaxUsersPerClientMachine = 50
+)
+
+// Query issues one request and returns its demand outcome. It runs the
+// real service logic (at simulation-time `now`) and converts the work
+// performed into testbed demand.
+type Query func(now float64) (Demand, error)
+
+// startUsers launches n users the way the paper's client scripts ran,
+// spread over the client machines under the paper's placement rule and
+// all querying server with q. Each user issues a blocking query, waits
+// ThinkTime after the response, and repeats. A refused connection is
+// retried with TCP-style exponential backoff, which is what turns
+// overload into the post-threshold load collapse the paper reports.
+func startUsers(env *sim.Env, n int, clients []*cluster.Machine, server *Server, q Query, rec *Recorder) {
+	for id, m := range cluster.SpreadUsers(clients, n, MaxUsersPerClientMachine) {
+		env.Go("user-"+strconv.Itoa(id), func(p *sim.Proc) {
+			// The seed decorrelates user start times and backoff jitter.
+			rng := sim.NewRNG(0x9E3779B97F4A7C15 ^ uint64(id)*7919 ^ uint64(id))
+			// Stagger start-up over the first think time so users do not
+			// arrive in lockstep.
+			p.Sleep(rng.Uniform(0, ThinkTime))
+			backoff := InitialBackoff
+			for {
+				start := p.Now()
+				demand, err := q(p.Now())
+				if err != nil {
+					p.Sleep(ThinkTime)
+					continue
+				}
+				callErr := server.Call(p, m, demand)
+				for callErr == ErrRefused {
+					rec.RecordRefusal(p.Now())
+					p.Sleep(rng.Jitter(backoff, 0.25))
+					if backoff *= 2; backoff > MaxBackoff {
+						backoff = MaxBackoff
+					}
+					callErr = server.Call(p, m, demand)
+				}
+				// Multiplicative decrease on success: a client that was
+				// recently refused stays cautious, so sustained overload
+				// drives the population's offered rate below the server's
+				// capacity — the post-threshold load collapse of the
+				// paper's Figures 7-8.
+				if backoff /= 2; backoff < InitialBackoff {
+					backoff = InitialBackoff
+				}
+				rec.RecordQuery(start, p.Now())
+				p.Sleep(ThinkTime)
+			}
+		})
+	}
+}
+
+// RunSeries measures one labelled curve over the given x values. The
+// points are measured by a pool of par.Workers workers (at least one) —
 // the standard dynamic-load-balancing recipe for embarrassingly
 // parallel point evaluations — and the returned series is ordered and
 // valued exactly as a serial run.
@@ -121,11 +183,8 @@ func RunSeries(label string, build Builder, xs []int, par Params) Series {
 	if workers > len(xs) {
 		workers = len(xs)
 	}
-	if workers <= 1 {
-		for _, x := range xs {
-			s.Points = append(s.Points, RunPoint(build, x, par))
-		}
-		return s
+	if workers < 1 {
+		workers = 1
 	}
 	s.Points = make([]Point, len(xs))
 	next := make(chan int)

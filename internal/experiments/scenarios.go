@@ -9,10 +9,8 @@ import (
 	"repro/internal/hawkeye"
 	"repro/internal/ldap"
 	"repro/internal/mds"
-	"repro/internal/node"
 	"repro/internal/rgma"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // luckyClients returns the Lucky machines usable as client hosts, leaving
@@ -33,8 +31,8 @@ func luckyClients(tb *cluster.Testbed, exclude ...string) []*cluster.Machine {
 
 // grisQuery is the information-server request of Experiment Sets 1 and
 // 3 on a GRIS: everything it holds.
-func grisQuery(cal Calibration, gris *mds.GRIS) workload.Query {
-	return func(now float64) (node.Demand, error) {
+func grisQuery(cal Calibration, gris *mds.GRIS) Query {
+	return func(now float64) (Demand, error) {
 		_, st := gris.Query(now, nil, nil)
 		return cal.GRISDemand(core.MDSWork(st)), nil
 	}
@@ -42,8 +40,8 @@ func grisQuery(cal Calibration, gris *mds.GRIS) workload.Query {
 
 // agentQuery is the same request on a Hawkeye Agent: its Startd ad, from
 // a fresh collection by every module.
-func agentQuery(cal Calibration, agent *hawkeye.Agent) workload.Query {
-	return func(now float64) (node.Demand, error) {
+func agentQuery(cal Calibration, agent *hawkeye.Agent) Query {
+	return func(now float64) (Demand, error) {
 		_, st := agent.Query(now, nil)
 		return cal.AgentDemand(core.HawkeyeWork(st), agent.NumModules()), nil
 	}
@@ -63,7 +61,7 @@ func BuildGRISUsers(cal Calibration, cached bool) Builder {
 		if cached {
 			gris.Warm(0)
 		}
-		server := node.NewServer(env, tb.Host("lucky7"), tb.Network, cal.GRISConfig())
+		server := NewServer(env, tb.Host("lucky7"), tb.Network, cal.GRISConfig())
 		return &Deployment{
 			Env: env, Testbed: tb, Server: server,
 			Monitored: tb.Host("lucky7"),
@@ -85,8 +83,8 @@ func BuildAgentUsers(cal Calibration) Builder {
 			return nil, err
 		}
 		manager := hawkeye.NewManager("lucky3", 90)
-		server := node.NewServer(env, tb.Host("lucky4"), tb.Network, cal.AgentConfig())
-		mgrNode := node.NewServer(env, tb.Host("lucky3"), tb.Network, cal.ManagerConfig())
+		server := NewServer(env, tb.Host("lucky4"), tb.Network, cal.AgentConfig())
+		mgrNode := NewServer(env, tb.Host("lucky3"), tb.Network, cal.ManagerConfig())
 		dep := &Deployment{
 			Env: env, Testbed: tb, Server: server,
 			Monitored: tb.Host("lucky4"),
@@ -104,7 +102,7 @@ func BuildAgentUsers(cal Calibration) Builder {
 // startAdvertiseLoop runs a Hawkeye Agent's periodic Startd ClassAd push
 // to its Manager over the testbed network.
 func startAdvertiseLoop(env *sim.Env, tb *cluster.Testbed, cal Calibration,
-	agent *hawkeye.Agent, manager *hawkeye.Manager, mgrNode *node.Server,
+	agent *hawkeye.Agent, manager *hawkeye.Manager, mgrNode *Server,
 	from *cluster.Machine, phase float64) {
 	env.Go("advertise/"+agent.Host, func(p *sim.Proc) {
 		p.Sleep(phase)
@@ -158,24 +156,24 @@ func BuildProducerServletUsers(cal Calibration, fromUC bool) Builder {
 			return pserv, nil
 		})
 		cserv.MaxConsumers = 120
-		server := node.NewServer(env, tb.Host("lucky3"), tb.Network, cal.ServletConfig())
+		server := NewServer(env, tb.Host("lucky3"), tb.Network, cal.ServletConfig())
 		clients := tb.Clients
 		if !fromUC {
 			clients = luckyClients(tb, "lucky3", "lucky1")
 		}
 		n := pserv.NumProducers()
-		query := func(now float64) (node.Demand, error) {
+		query := func(now float64) (Demand, error) {
 			var w core.Work
 			if fromUC {
 				_, st, err := cserv.Query(now, "SELECT * FROM siteinfo")
 				if err != nil {
-					return node.Demand{}, err
+					return Demand{}, err
 				}
 				w = core.RGMAWork(st)
 			} else {
 				_, st, err := pserv.Query(now, "SELECT * FROM siteinfo")
 				if err != nil {
-					return node.Demand{}, err
+					return Demand{}, err
 				}
 				w = core.RGMAWork(st)
 			}
@@ -235,18 +233,18 @@ func BuildGIISUsers(cal Calibration) Builder {
 				return nil, err
 			}
 		}
-		server := node.NewServer(env, tb.Host("lucky0"), tb.Network, cal.GIISConfig())
+		server := NewServer(env, tb.Host("lucky0"), tb.Network, cal.GIISConfig())
 		return &Deployment{
 			Env: env, Testbed: tb, Server: server,
 			Monitored: tb.Host("lucky0"),
 			Clients:   tb.Clients,
 			Users:     x,
-			Query: func(now float64) (node.Demand, error) {
+			Query: func(now float64) (Demand, error) {
 				// The directory query: the cached search that resolves
 				// which resources exist.
 				_, st, err := giis.Query(now, nil, nil)
 				if err != nil {
-					return node.Demand{}, err
+					return Demand{}, err
 				}
 				return cal.GIISDirectoryDemand(core.MDSWork(st)), nil
 			},
@@ -260,7 +258,7 @@ func BuildGIISUsers(cal Calibration) Builder {
 func BuildManagerUsers(cal Calibration) Builder {
 	return func(env *sim.Env, tb *cluster.Testbed, x int) (*Deployment, error) {
 		manager := hawkeye.NewManager("lucky3", 120)
-		server := node.NewServer(env, tb.Host("lucky3"), tb.Network, cal.ManagerConfig())
+		server := NewServer(env, tb.Host("lucky3"), tb.Network, cal.ManagerConfig())
 		var agents []*hawkeye.Agent
 		hosts := []string{"lucky0", "lucky1", "lucky4", "lucky5", "lucky6", "lucky7"}
 		for _, h := range hosts {
@@ -280,7 +278,7 @@ func BuildManagerUsers(cal Calibration) Builder {
 			Monitored: tb.Host("lucky3"),
 			Clients:   tb.Clients,
 			Users:     x,
-			Query: func(now float64) (node.Demand, error) {
+			Query: func(now float64) (Demand, error) {
 				// The directory query: the pool-membership scan a status
 				// query triggers.
 				_, st := manager.Query(now, nil)
@@ -319,7 +317,7 @@ func BuildRegistryUsers(cal Calibration, fromUC bool) Builder {
 				}
 			}
 		}
-		server := node.NewServer(env, tb.Host("lucky1"), tb.Network, cal.ServletConfig())
+		server := NewServer(env, tb.Host("lucky1"), tb.Network, cal.ServletConfig())
 		clients := tb.Clients
 		if !fromUC {
 			clients = luckyClients(tb, "lucky1")
@@ -329,10 +327,10 @@ func BuildRegistryUsers(cal Calibration, fromUC bool) Builder {
 			Monitored: tb.Host("lucky1"),
 			Clients:   clients,
 			Users:     x,
-			Query: func(now float64) (node.Demand, error) {
+			Query: func(now float64) (Demand, error) {
 				_, st, err := reg.LookupProducersStats("siteinfo", now)
 				if err != nil {
-					return node.Demand{}, err
+					return Demand{}, err
 				}
 				return cal.RegistryDemand(core.RGMAWork(st)), nil
 			},
@@ -368,7 +366,7 @@ func BuildGRISCollectors(cal Calibration, cached bool) Builder {
 		if cached {
 			gris.Warm(0)
 		}
-		server := node.NewServer(env, tb.Host("lucky7"), tb.Network, cal.GRISConfig())
+		server := NewServer(env, tb.Host("lucky7"), tb.Network, cal.GRISConfig())
 		return &Deployment{
 			Env: env, Testbed: tb, Server: server,
 			Monitored: tb.Host("lucky7"),
@@ -394,7 +392,7 @@ func BuildAgentCollectors(cal Calibration) Builder {
 		if err := agent.AddModules(modules); err != nil {
 			return nil, err
 		}
-		server := node.NewServer(env, tb.Host("lucky4"), tb.Network, cal.AgentConfig())
+		server := NewServer(env, tb.Host("lucky4"), tb.Network, cal.AgentConfig())
 		return &Deployment{
 			Env: env, Testbed: tb, Server: server,
 			Monitored: tb.Host("lucky4"),
@@ -413,16 +411,16 @@ func BuildProducerServletCollectors(cal Calibration) Builder {
 		if err != nil {
 			return nil, err
 		}
-		server := node.NewServer(env, tb.Host("lucky3"), tb.Network, cal.ServletConfig())
+		server := NewServer(env, tb.Host("lucky3"), tb.Network, cal.ServletConfig())
 		return &Deployment{
 			Env: env, Testbed: tb, Server: server,
 			Monitored: tb.Host("lucky3"),
 			Clients:   tb.Clients,
 			Users:     Exp3Users,
-			Query: func(now float64) (node.Demand, error) {
+			Query: func(now float64) (Demand, error) {
 				_, st, err := pserv.Query(now, "SELECT * FROM siteinfo")
 				if err != nil {
-					return node.Demand{}, err
+					return Demand{}, err
 				}
 				return cal.ProducerServletDemand(core.RGMAWork(st), pserv.NumProducers()), nil
 			},
@@ -460,11 +458,11 @@ var (
 )
 
 // giisQueryPart is the query-part request on a GIIS.
-func giisQueryPart(cal Calibration, giis *mds.GIIS) workload.Query {
-	return func(now float64) (node.Demand, error) {
+func giisQueryPart(cal Calibration, giis *mds.GIIS) Query {
+	return func(now float64) (Demand, error) {
 		_, st, err := giis.Query(now, queryPartFilter, queryPartAttrs)
 		if err != nil {
-			return node.Demand{}, err
+			return Demand{}, err
 		}
 		return cal.GIISAggregateDemand(core.MDSWork(st)), nil
 	}
@@ -487,15 +485,15 @@ func BuildGIISAggregate(cal Calibration, queryAll bool) Builder {
 		}
 		query := giisQueryPart(cal, giis)
 		if queryAll {
-			query = func(now float64) (node.Demand, error) {
+			query = func(now float64) (Demand, error) {
 				_, st, err := giis.Query(now, nil, nil)
 				if err != nil {
-					return node.Demand{}, err
+					return Demand{}, err
 				}
 				return cal.GIISAggregateDemand(core.MDSWork(st)), nil
 			}
 		}
-		server := node.NewServer(env, tb.Host("lucky0"), tb.Network, cal.GIISConfig())
+		server := NewServer(env, tb.Host("lucky0"), tb.Network, cal.GIISConfig())
 		return &Deployment{
 			Env: env, Testbed: tb, Server: server,
 			Monitored: tb.Host("lucky0"),
@@ -513,7 +511,7 @@ func BuildGIISAggregate(cal Calibration, queryAll bool) Builder {
 func BuildManagerAggregate(cal Calibration) Builder {
 	return func(env *sim.Env, tb *cluster.Testbed, x int) (*Deployment, error) {
 		manager := hawkeye.NewManager("lucky3", 120)
-		server := node.NewServer(env, tb.Host("lucky3"), tb.Network, cal.ManagerConfig())
+		server := NewServer(env, tb.Host("lucky3"), tb.Network, cal.ManagerConfig())
 		// Prime the pool and prepare the advertise streams.
 		adBytes := 0
 		for i := 0; i < x; i++ {
@@ -533,7 +531,7 @@ func BuildManagerAggregate(cal Calibration) Builder {
 			Monitored: tb.Host("lucky3"),
 			Clients:   tb.Clients,
 			Users:     Exp4Users,
-			Query: func(now float64) (node.Demand, error) {
+			Query: func(now float64) (Demand, error) {
 				_, st := manager.Query(now, managerWorstCase)
 				return cal.ManagerScanDemand(core.HawkeyeWork(st)), nil
 			},
@@ -623,16 +621,16 @@ func BuildCompositeAggregate(cal Calibration) Builder {
 		}
 		composite := rgma.NewCompositeProducer("composite", "lucky3:8080", "siteinfo", reg, resolve)
 		composite.RefreshTTL = 30
-		server := node.NewServer(env, tb.Host("lucky3"), tb.Network, cal.ServletConfig())
+		server := NewServer(env, tb.Host("lucky3"), tb.Network, cal.ServletConfig())
 		return &Deployment{
 			Env: env, Testbed: tb, Server: server,
 			Monitored: tb.Host("lucky3"),
 			Clients:   tb.Clients,
 			Users:     Exp4Users,
-			Query: func(now float64) (node.Demand, error) {
+			Query: func(now float64) (Demand, error) {
 				_, st, err := composite.Query(now, "SELECT * FROM "+composite.Table)
 				if err != nil {
-					return node.Demand{}, err
+					return Demand{}, err
 				}
 				return cal.CompositeDemand(core.RGMAWork(st)), nil
 			},

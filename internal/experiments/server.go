@@ -1,12 +1,4 @@
-// Package node models a network service process deployed on a simulated
-// machine: an accept backlog, a worker (thread) pool, per-request CPU
-// demand charged to the machine, and request/response transfers over the
-// shared network. These are the mechanisms behind every threshold the
-// paper observes — caching differences show up as CPU demand, "the network
-// on the server side can no longer handle the traffic" shows up as NIC
-// sharing, and post-threshold load collapse shows up as connection refusal
-// plus client backoff.
-package node
+package experiments
 
 import (
 	"errors"
@@ -17,7 +9,7 @@ import (
 
 // ErrRefused reports that the server's accept queue was full — the
 // client's connection attempt was dropped, as TCP does under SYN overload.
-var ErrRefused = errors.New("node: connection refused (accept backlog full)")
+var ErrRefused = errors.New("experiments: connection refused (accept backlog full)")
 
 // Demand is what one request costs the serving node.
 type Demand struct {
@@ -37,8 +29,8 @@ type Demand struct {
 	ResponseBytes float64
 }
 
-// Config shapes a server's concurrency behavior.
-type Config struct {
+// ServerConfig shapes a server's concurrency behavior.
+type ServerConfig struct {
 	// Workers is the size of the worker/thread pool (slapd threads,
 	// servlet container threads, forked condor children).
 	Workers int
@@ -63,11 +55,18 @@ type Config struct {
 	PostHoldRampConns int
 }
 
-// Server is a service process bound to a machine.
+// Server is a network service process deployed on a simulated machine:
+// an accept backlog, a worker (thread) pool, per-request CPU demand charged
+// to the machine, and request/response transfers over the shared network.
+// These are the mechanisms behind every threshold the paper observes —
+// caching differences show up as CPU demand, "the network on the server
+// side can no longer handle the traffic" shows up as NIC sharing, and
+// post-threshold load collapse shows up as connection refusal plus client
+// backoff.
 type Server struct {
 	Machine *cluster.Machine
 	Net     *cluster.Network
-	Config  Config
+	Config  ServerConfig
 
 	slots   *sim.Resource // accept queue: workers + backlog
 	workers *sim.Resource
@@ -79,7 +78,7 @@ type Server struct {
 }
 
 // NewServer deploys a server on a machine.
-func NewServer(env *sim.Env, m *cluster.Machine, net *cluster.Network, cfg Config) *Server {
+func NewServer(env *sim.Env, m *cluster.Machine, net *cluster.Network, cfg ServerConfig) *Server {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
@@ -153,10 +152,3 @@ func (s *Server) postHold(d Demand) float64 {
 	}
 	return d.PostHoldSeconds * frac
 }
-
-// InFlight reports the number of requests occupying the accept queue or a
-// worker.
-func (s *Server) InFlight() int { return s.slots.InUse() }
-
-// OpenConns reports established connections (admission through response).
-func (s *Server) OpenConns() int { return s.open }

@@ -1,4 +1,4 @@
-package node
+package experiments
 
 import (
 	"math"
@@ -11,7 +11,7 @@ import (
 func testRig(workers, backlog int) (*sim.Env, *cluster.Testbed, *Server) {
 	env := sim.NewEnv()
 	tb := cluster.NewTestbed(env)
-	srv := NewServer(env, tb.Host("lucky7"), tb.Network, Config{
+	srv := NewServer(env, tb.Host("lucky7"), tb.Network, ServerConfig{
 		Workers: workers, Backlog: backlog, SetupRTTs: 0,
 	})
 	return env, tb, srv
@@ -171,7 +171,7 @@ func TestResponseBytesCrossNetwork(t *testing.T) {
 func TestSetupRTTs(t *testing.T) {
 	env := sim.NewEnv()
 	tb := cluster.NewTestbed(env)
-	srv := NewServer(env, tb.Host("lucky7"), tb.Network, Config{
+	srv := NewServer(env, tb.Host("lucky7"), tb.Network, ServerConfig{
 		Workers: 1, Backlog: 1, SetupRTTs: 2,
 	})
 	var done float64
@@ -187,27 +187,10 @@ func TestSetupRTTs(t *testing.T) {
 	}
 }
 
-func TestInFlight(t *testing.T) {
-	env, tb, srv := testRig(2, 10)
-	env.Go("c", func(p *sim.Proc) {
-		_ = srv.Call(p, tb.Clients[0], Demand{CPUSeconds: 5})
-	})
-	env.Go("probe", func(p *sim.Proc) {
-		p.Sleep(1)
-		if srv.InFlight() != 1 {
-			t.Errorf("InFlight = %d, want 1", srv.InFlight())
-		}
-	})
-	env.Run(50)
-	if srv.InFlight() != 0 {
-		t.Fatalf("InFlight after drain = %d", srv.InFlight())
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
 	env := sim.NewEnv()
 	tb := cluster.NewTestbed(env)
-	srv := NewServer(env, tb.Host("lucky7"), tb.Network, Config{Workers: 0, Backlog: -5})
+	srv := NewServer(env, tb.Host("lucky7"), tb.Network, ServerConfig{Workers: 0, Backlog: -5})
 	if srv.Config.Workers != 1 || srv.Config.Backlog != 0 {
 		t.Fatalf("defaults: %+v", srv.Config)
 	}

@@ -1,36 +1,33 @@
-package workload
+package experiments
 
 import (
 	"math"
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
-	"repro/internal/node"
 	"repro/internal/sim"
 )
 
-func rig(workers, backlog int) (*sim.Env, *cluster.Testbed, *node.Server) {
+func rig(workers, backlog int) (*sim.Env, *cluster.Testbed, *Server) {
 	env := sim.NewEnv()
 	tb := cluster.NewTestbed(env)
-	srv := node.NewServer(env, tb.Host("lucky7"), tb.Network, node.Config{
+	srv := NewServer(env, tb.Host("lucky7"), tb.Network, ServerConfig{
 		Workers: workers, Backlog: backlog,
 	})
 	return env, tb, srv
 }
 
-func constQuery(d node.Demand) Query {
-	return func(now float64) (node.Demand, error) { return d, nil }
+func constQuery(d Demand) Query {
+	return func(now float64) (Demand, error) { return d, nil }
 }
 
 func TestSingleUserPacing(t *testing.T) {
 	// One user, 0.5s service, 1s think: ~each cycle takes 1.5s, so about
 	// 60/1.5 = 40 queries in 60 seconds.
 	env, _, srv := rig(2, 10)
-	rec := metrics.NewRecorder(0, 60)
-	pop := NewPopulation(1, []*cluster.Machine{cluster.NewMachine(env, "c", 1, 1, nil)}, srv,
-		constQuery(node.Demand{CPUSeconds: 0.5}), rec)
-	pop.Start(env)
+	rec := NewRecorder(0, 60)
+	startUsers(env, 1, []*cluster.Machine{cluster.NewMachine(env, "c", 1, 1, nil)}, srv,
+		constQuery(Demand{CPUSeconds: 0.5}), rec)
 	env.Run(61)
 	got := rec.Completed()
 	if got < 35 || got > 42 {
@@ -44,9 +41,8 @@ func TestSingleUserPacing(t *testing.T) {
 func TestClosedLoopLittlesLaw(t *testing.T) {
 	// N users, service s, think Z, no contention: X ~ N/(s+Z).
 	env, tb, srv := rig(64, 128)
-	rec := metrics.NewRecorder(30, 330)
-	pop := NewPopulation(20, tb.Clients, srv, constQuery(node.Demand{PostHoldSeconds: 1}), rec)
-	pop.Start(env)
+	rec := NewRecorder(30, 330)
+	startUsers(env, 20, tb.Clients, srv, constQuery(Demand{PostHoldSeconds: 1}), rec)
 	env.Run(340)
 	want := 20.0 / (1 + 1)
 	if x := rec.Throughput(); math.Abs(x-want) > 1 {
@@ -57,9 +53,8 @@ func TestClosedLoopLittlesLaw(t *testing.T) {
 func TestSaturationCapsThroughput(t *testing.T) {
 	// 1 worker, 1s CPU per query: capacity 1 q/s no matter how many users.
 	env, tb, srv := rig(1, 200)
-	rec := metrics.NewRecorder(60, 360)
-	pop := NewPopulation(100, tb.Clients, srv, constQuery(node.Demand{CPUSeconds: 1}), rec)
-	pop.Start(env)
+	rec := NewRecorder(60, 360)
+	startUsers(env, 100, tb.Clients, srv, constQuery(Demand{CPUSeconds: 1}), rec)
 	env.Run(370)
 	if x := rec.Throughput(); x > 1.1 {
 		t.Fatalf("throughput = %v exceeds 1-worker capacity", x)
@@ -77,9 +72,8 @@ func TestRefusalsTriggerBackoffAndRetry(t *testing.T) {
 	// Tiny backlog forces refusals; users must still complete queries via
 	// retries, and refusals must be recorded.
 	env, tb, srv := rig(1, 2)
-	rec := metrics.NewRecorder(30, 330)
-	pop := NewPopulation(80, tb.Clients, srv, constQuery(node.Demand{CPUSeconds: 0.5}), rec)
-	pop.Start(env)
+	rec := NewRecorder(30, 330)
+	startUsers(env, 80, tb.Clients, srv, constQuery(Demand{CPUSeconds: 0.5}), rec)
 	env.Run(340)
 	if rec.Refusals() == 0 {
 		t.Fatal("no refusals despite tiny backlog and 80 users")
@@ -95,21 +89,14 @@ func TestRefusalsTriggerBackoffAndRetry(t *testing.T) {
 
 func TestQueryErrorCountsAsFailure(t *testing.T) {
 	env, tb, srv := rig(1, 10)
-	rec := metrics.NewRecorder(0, 30)
+	rec := NewRecorder(0, 30)
 	calls := 0
-	q := func(now float64) (node.Demand, error) {
+	q := func(now float64) (Demand, error) {
 		calls++
-		return node.Demand{}, errTest
+		return Demand{}, errTest
 	}
-	pop := NewPopulation(1, tb.Clients, srv, q, rec)
-	pop.Start(env)
+	startUsers(env, 1, tb.Clients, srv, q, rec)
 	env.Run(31)
-	if rec.Errors() == 0 {
-		t.Fatal("errors not recorded")
-	}
-	if pop.Users[0].Failures == 0 {
-		t.Fatal("user failure counter not incremented")
-	}
 	if rec.Completed() != 0 {
 		t.Fatal("failed queries counted as completed")
 	}
@@ -125,47 +112,27 @@ type errBox string
 func (e errBox) Error() string { return string(e) }
 
 func TestPopulationPlacementRespectsCap(t *testing.T) {
-	env, tb, srv := rig(2, 10)
-	pop := NewPopulation(600, tb.Clients, srv, constQuery(node.Demand{}), nil)
-	if len(pop.Users) != 600 {
-		t.Fatalf("users = %d", len(pop.Users))
+	_, tb, _ := rig(2, 10)
+	placement := cluster.SpreadUsers(tb.Clients, 600, MaxUsersPerClientMachine)
+	if len(placement) != 600 {
+		t.Fatalf("users = %d", len(placement))
 	}
 	perMachine := map[string]int{}
-	for _, u := range pop.Users {
-		perMachine[u.Machine.Name]++
+	for _, m := range placement {
+		perMachine[m.Name]++
 	}
 	for name, n := range perMachine {
 		if n > MaxUsersPerClientMachine {
 			t.Fatalf("machine %s has %d users (cap %d)", name, n, MaxUsersPerClientMachine)
 		}
 	}
-	_ = env
-}
-
-func TestUserUntilStops(t *testing.T) {
-	env, tb, srv := rig(2, 10)
-	u := &User{
-		ID: 0, Machine: tb.Clients[0], Server: srv,
-		Query: constQuery(node.Demand{}),
-		Until: 10,
-	}
-	u.Start(env)
-	env.Run(100)
-	// ~10 queries in 10 seconds of think-paced querying.
-	if u.Completed > 13 {
-		t.Fatalf("user ran past Until: %d queries", u.Completed)
-	}
-	if u.Completed < 5 {
-		t.Fatalf("user barely ran: %d queries", u.Completed)
-	}
 }
 
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (int, float64) {
 		env, tb, srv := rig(2, 50)
-		rec := metrics.NewRecorder(10, 110)
-		pop := NewPopulation(30, tb.Clients, srv, constQuery(node.Demand{CPUSeconds: 0.05}), rec)
-		pop.Start(env)
+		rec := NewRecorder(10, 110)
+		startUsers(env, 30, tb.Clients, srv, constQuery(Demand{CPUSeconds: 0.05}), rec)
 		env.Run(120)
 		return rec.Completed(), rec.MeanResponseTime()
 	}

@@ -2,23 +2,6 @@ package sim
 
 import "testing"
 
-// BenchmarkQueueChurn measures the steady-state Put/Get cycle — the ring
-// buffer's zero-allocation regime (the old head-slice implementation
-// re-allocated the backing array once per trip).
-func BenchmarkQueueChurn(b *testing.B) {
-	env := NewEnv()
-	q := NewQueue(env, 0)
-	n := b.N
-	env.Go("churn", func(p *Proc) {
-		for i := 0; i < n; i++ {
-			q.Put(p, i)
-			q.Get(p)
-		}
-	})
-	b.ResetTimer()
-	env.RunAll()
-}
-
 // BenchmarkEventChurn measures the scheduler's event alloc/fire cycle —
 // the free-list pool's target. Each Sleep schedules (and recycles) one
 // event.

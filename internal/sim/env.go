@@ -197,10 +197,9 @@ func (e *Env) shutdown() {
 // environment shutdown.
 type killedPanic struct{}
 
-// Proc is a simulation process: a goroutine scheduled by the kernel. All of
-// its blocking methods (Sleep, and the Wait/Acquire/Get methods on the
-// kernel's synchronization types) must be called only from the process's own
-// goroutine.
+// Proc is a simulation process: a goroutine scheduled by the kernel. Its
+// blocking calls (Sleep, Signal.Wait, Resource.Acquire, PS.Consume) must be
+// made only from the process's own goroutine.
 type Proc struct {
 	env      *Env
 	name     string
@@ -209,14 +208,10 @@ type Proc struct {
 	started  bool
 	finished bool
 	kill     bool
-	timedOut bool // result of the last WaitTimeout-style call
 }
 
 // Name reports the name given to Go.
 func (p *Proc) Name() string { return p.name }
-
-// Env returns the owning environment.
-func (p *Proc) Env() *Env { return p.env }
 
 // Now reports current simulation time.
 func (p *Proc) Now() float64 { return p.env.now }
@@ -277,7 +272,3 @@ func (p *Proc) Sleep(d float64) {
 	e.schedule(e.now+d, p.resumeFn)
 	p.park()
 }
-
-// Yield lets every other event scheduled for the current instant run before
-// the process continues.
-func (p *Proc) Yield() { p.Sleep(0) }

@@ -46,13 +46,21 @@ func TestSleepSequence(t *testing.T) {
 func TestNegativeSleepIsZero(t *testing.T) {
 	e := NewEnv()
 	var at float64 = -1
+	var order []string
 	e.Go("p", func(p *Proc) {
+		order = append(order, "p1")
 		p.Sleep(-5)
 		at = p.Now()
+		order = append(order, "p2")
 	})
+	e.Go("q", func(p *Proc) { order = append(order, "q") })
 	e.RunAll()
 	if at != 0 {
 		t.Fatalf("woke at %v, want 0", at)
+	}
+	// A zero-length sleep still yields to events of the same instant.
+	if len(order) != 3 || order[0] != "p1" || order[1] != "q" || order[2] != "p2" {
+		t.Fatalf("order = %v, want [p1 q p2]", order)
 	}
 }
 
@@ -155,26 +163,6 @@ func TestManyProcessesDeterministicInterleave(t *testing.T) {
 	}
 }
 
-func TestYieldLetsSameTimeEventsRun(t *testing.T) {
-	e := NewEnv()
-	var order []string
-	e.Go("a", func(p *Proc) {
-		order = append(order, "a1")
-		p.Yield()
-		order = append(order, "a2")
-	})
-	e.Go("b", func(p *Proc) {
-		order = append(order, "b1")
-	})
-	e.RunAll()
-	want := []string{"a1", "b1", "a2"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEnv()
 	e.Go("p", func(p *Proc) { p.Sleep(5) })
@@ -207,5 +195,37 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTimerCancelAfterRecycle pins the event-pool generation check: a
+// Timer whose event has fired (and been recycled into a new event) must
+// not cancel the new owner's callback.
+func TestTimerCancelAfterRecycle(t *testing.T) {
+	env := NewEnv()
+	var fired bool
+	stale := env.After(1, func() {})
+	env.Run(2)
+	// The fired event is on the free list; the next After reuses it.
+	env.After(1, func() { fired = true })
+	stale.Cancel() // must not cancel the recycled event's new callback
+	env.Run(4)
+	if !fired {
+		t.Fatal("stale Timer.Cancel canceled a recycled event")
+	}
+}
+
+// TestEventPoolRecycles checks the kernel actually reuses event structs
+// instead of allocating one per schedule.
+func TestEventPoolRecycles(t *testing.T) {
+	env := NewEnv()
+	env.Go("sleeper", func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			p.Sleep(1)
+		}
+	})
+	env.RunAll()
+	if len(env.free) == 0 {
+		t.Fatal("no events were recycled to the free list")
 	}
 }

@@ -24,8 +24,7 @@ type PS struct {
 	// at now+d == now and never cross the epsilon threshold).
 	expect []*psJob
 
-	busyArea  TimeWeighted // integral of utilization in [0,1]
-	countArea TimeWeighted // integral of active-job count
+	busyArea TimeWeighted // integral of utilization in [0,1]
 
 	// OnCount, if non-nil, is invoked whenever the active-job count
 	// changes. Machines use it to maintain the run-queue load average.
@@ -48,18 +47,11 @@ func NewPS(env *Env, servers int, rate float64) *PS {
 	}
 	ps := &PS{env: env, servers: servers, rate: rate, last: env.now}
 	ps.busyArea.Reset(env.now, 0)
-	ps.countArea.Reset(env.now, 0)
 	return ps
 }
 
 // Active reports the number of jobs currently in service.
 func (ps *PS) Active() int { return len(ps.jobs) }
-
-// Rate reports the per-server service rate.
-func (ps *PS) Rate() float64 { return ps.rate }
-
-// Servers reports the number of servers.
-func (ps *PS) Servers() int { return ps.servers }
 
 // perJobRate reports the rate each of n active jobs receives.
 func (ps *PS) perJobRate(n int) float64 {
@@ -92,7 +84,6 @@ func (ps *PS) stateChanged() {
 	n := len(ps.jobs)
 	util := math.Min(float64(n), float64(ps.servers)) / float64(ps.servers)
 	ps.busyArea.Set(ps.env.now, util)
-	ps.countArea.Set(ps.env.now, float64(n))
 	if ps.OnCount != nil {
 		ps.OnCount(ps.env.now, n)
 	}
@@ -161,8 +152,7 @@ func (ps *PS) Consume(p *Proc, demand float64) {
 	p.park()
 }
 
-// Utilization reports the time-averaged utilization in [0,1] since creation
-// or the last ResetStats.
+// Utilization reports the time-averaged utilization in [0,1] since creation.
 func (ps *PS) Utilization() float64 { return ps.busyArea.Mean(ps.env.now) }
 
 // UtilizationIntegral reports the accumulated utilization integral (in
@@ -170,16 +160,4 @@ func (ps *PS) Utilization() float64 { return ps.busyArea.Mean(ps.env.now) }
 // an interval yields the mean utilization over that interval.
 func (ps *PS) UtilizationIntegral(t float64) float64 {
 	return ps.busyArea.Integral(t)
-}
-
-// MeanActive reports the time-averaged number of active jobs.
-func (ps *PS) MeanActive() float64 { return ps.countArea.Mean(ps.env.now) }
-
-// ResetStats restarts the utilization and job-count accumulators, keeping
-// active jobs in service.
-func (ps *PS) ResetStats() {
-	n := len(ps.jobs)
-	util := math.Min(float64(n), float64(ps.servers)) / float64(ps.servers)
-	ps.busyArea.Reset(ps.env.now, util)
-	ps.countArea.Reset(ps.env.now, float64(n))
 }

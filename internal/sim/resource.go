@@ -4,14 +4,9 @@ package sim
 // worker pools, accept backlogs, and similar capacity limits. Acquire blocks
 // while all units are held; Release hands a unit to the longest waiter.
 type Resource struct {
-	env      *Env
 	capacity int
 	inUse    int
 	avail    *Signal
-
-	// Stats.
-	waitArea  TimeWeighted // integral of queue length
-	inUseArea TimeWeighted // integral of units in use
 }
 
 // NewResource returns a resource with the given number of units
@@ -20,27 +15,14 @@ func NewResource(env *Env, capacity int) *Resource {
 	if capacity < 1 {
 		panic("sim: resource capacity must be >= 1")
 	}
-	r := &Resource{env: env, capacity: capacity, avail: NewSignal(env)}
-	r.waitArea.Reset(env.now, 0)
-	r.inUseArea.Reset(env.now, 0)
-	return r
+	return &Resource{capacity: capacity, avail: NewSignal(env)}
 }
-
-// Capacity reports the total number of units.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse reports the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen reports the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return r.avail.Waiting() }
 
 // TryAcquire takes a unit without blocking, reporting whether it could.
 func (r *Resource) TryAcquire() bool {
 	if r.inUse >= r.capacity {
 		return false
 	}
-	r.inUseArea.Set(r.env.now, float64(r.inUse+1))
 	r.inUse++
 	return true
 }
@@ -48,33 +30,9 @@ func (r *Resource) TryAcquire() bool {
 // Acquire blocks p until a unit is free, then takes it.
 func (r *Resource) Acquire(p *Proc) {
 	for r.inUse >= r.capacity {
-		r.waitArea.Set(r.env.now, float64(r.avail.Waiting()+1))
 		r.avail.Wait(p)
-		r.waitArea.Set(r.env.now, float64(r.avail.Waiting()))
 	}
-	r.inUseArea.Set(r.env.now, float64(r.inUse+1))
 	r.inUse++
-}
-
-// AcquireTimeout is like Acquire but gives up after d seconds, reporting
-// whether the unit was obtained.
-func (r *Resource) AcquireTimeout(p *Proc, d float64) bool {
-	deadline := r.env.now + d
-	for r.inUse >= r.capacity {
-		remain := deadline - r.env.now
-		if remain <= 0 {
-			return false
-		}
-		r.waitArea.Set(r.env.now, float64(r.avail.Waiting()+1))
-		ok := r.avail.WaitTimeout(p, remain)
-		r.waitArea.Set(r.env.now, float64(r.avail.Waiting()))
-		if !ok {
-			return false
-		}
-	}
-	r.inUseArea.Set(r.env.now, float64(r.inUse+1))
-	r.inUse++
-	return true
 }
 
 // Release returns a unit and wakes the longest waiter, if any.
@@ -83,12 +41,5 @@ func (r *Resource) Release() {
 		panic("sim: Release of idle resource")
 	}
 	r.inUse--
-	r.inUseArea.Set(r.env.now, float64(r.inUse))
 	r.avail.Notify()
 }
-
-// MeanQueueLen reports the time-averaged number of waiters since creation.
-func (r *Resource) MeanQueueLen() float64 { return r.waitArea.Mean(r.env.now) }
-
-// MeanInUse reports the time-averaged number of units held since creation.
-func (r *Resource) MeanInUse() float64 { return r.inUseArea.Mean(r.env.now) }

@@ -1,89 +1,32 @@
 package sim
 
-// Signal is a broadcast condition: processes park on Wait (optionally with a
-// timeout) and are released one at a time by Notify or all at once by
-// Broadcast. Unlike a sync.Cond there is no associated lock — the kernel
-// only ever runs one process at a time.
+// Signal is a wait queue: processes park on Wait and Notify releases them
+// one at a time, longest waiter first. Unlike a sync.Cond there is no
+// associated lock — the kernel only ever runs one process at a time.
 type Signal struct {
 	env     *Env
-	waiters []*waiter
-}
-
-type waiter struct {
-	proc  *Proc
-	done  bool
-	timer *Timer
+	waiters []*Proc
 }
 
 // NewSignal returns a Signal bound to env.
 func NewSignal(env *Env) *Signal { return &Signal{env: env} }
 
-// Waiting reports how many processes are currently parked on the signal.
-func (s *Signal) Waiting() int { return len(s.waiters) }
-
-// Wait parks p until Notify or Broadcast releases it.
+// Wait parks p until Notify releases it.
 func (s *Signal) Wait(p *Proc) {
-	w := &waiter{proc: p}
-	s.waiters = append(s.waiters, w)
+	s.waiters = append(s.waiters, p)
 	p.park()
-}
-
-// WaitTimeout parks p until released or until d seconds elapse. It reports
-// false if the wait timed out.
-func (s *Signal) WaitTimeout(p *Proc, d float64) bool {
-	w := &waiter{proc: p}
-	s.waiters = append(s.waiters, w)
-	w.timer = s.env.After(d, func() {
-		if w.done {
-			return
-		}
-		w.done = true
-		s.remove(w)
-		p.timedOut = true
-		s.env.resumeProc(p)
-	})
-	p.timedOut = false
-	p.park()
-	return !p.timedOut
-}
-
-func (s *Signal) remove(w *waiter) {
-	for i, x := range s.waiters {
-		if x == w {
-			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-			return
-		}
-	}
-}
-
-// release wakes w at the current instant via a scheduled event, preserving
-// deterministic ordering with other same-time events.
-func (s *Signal) release(w *waiter) {
-	w.done = true
-	w.timer.Cancel()
-	p := w.proc
-	p.timedOut = false
-	s.env.schedule(s.env.now, func() { s.env.resumeProc(p) })
 }
 
 // Notify releases the longest-waiting process, if any, and reports whether
-// one was released.
+// one was released. The waiter resumes at the current instant via a
+// scheduled event, preserving deterministic ordering with other same-time
+// events.
 func (s *Signal) Notify() bool {
 	if len(s.waiters) == 0 {
 		return false
 	}
-	w := s.waiters[0]
+	p := s.waiters[0]
 	s.waiters = s.waiters[1:]
-	s.release(w)
+	s.env.schedule(s.env.now, func() { s.env.resumeProc(p) })
 	return true
-}
-
-// Broadcast releases every waiting process and returns the number released.
-func (s *Signal) Broadcast() int {
-	n := len(s.waiters)
-	for _, w := range s.waiters {
-		s.release(w)
-	}
-	s.waiters = nil
-	return n
 }

@@ -27,9 +27,6 @@ func (w *TimeWeighted) Set(t, v float64) {
 	w.lastV = v
 }
 
-// Value reports the current value.
-func (w *TimeWeighted) Value() float64 { return w.lastV }
-
 // Integral reports the accumulated integral up to time t.
 func (w *TimeWeighted) Integral(t float64) float64 {
 	extra := 0.0

@@ -1,69 +1,9 @@
 package sim
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
-
-func TestResourceMeanInUse(t *testing.T) {
-	e := NewEnv()
-	r := NewResource(e, 2)
-	e.Go("a", func(p *Proc) {
-		r.Acquire(p)
-		p.Sleep(10)
-		r.Release()
-	})
-	e.Run(20)
-	// One unit held for 10 of 20 seconds: mean 0.5.
-	if m := r.MeanInUse(); math.Abs(m-0.5) > 0.01 {
-		t.Fatalf("MeanInUse = %v, want 0.5", m)
-	}
-}
-
-func TestResourceMeanQueueLen(t *testing.T) {
-	e := NewEnv()
-	r := NewResource(e, 1)
-	for i := 0; i < 3; i++ {
-		e.Go("w", func(p *Proc) {
-			r.Acquire(p)
-			p.Sleep(10)
-			r.Release()
-		})
-	}
-	e.Run(30)
-	// Queue holds 2 waiters for the first 10s, 1 for the next 10s:
-	// integral 30 over 30s = 1.0.
-	if m := r.MeanQueueLen(); math.Abs(m-1.0) > 0.05 {
-		t.Fatalf("MeanQueueLen = %v, want ~1.0", m)
-	}
-}
-
-func TestPSMeanActive(t *testing.T) {
-	e := NewEnv()
-	cpu := NewPS(e, 1, 1)
-	e.Go("a", func(p *Proc) { cpu.Consume(p, 5) })
-	e.Run(10)
-	// One job active for 5 of 10 seconds.
-	if m := cpu.MeanActive(); math.Abs(m-0.5) > 0.01 {
-		t.Fatalf("MeanActive = %v, want 0.5", m)
-	}
-}
-
-func TestPSResetStats(t *testing.T) {
-	e := NewEnv()
-	cpu := NewPS(e, 1, 1)
-	e.Go("a", func(p *Proc) { cpu.Consume(p, 5) })
-	e.Go("reset", func(p *Proc) {
-		p.Sleep(5)
-		cpu.ResetStats()
-	})
-	e.Run(10)
-	// After the reset at t=5 the CPU is idle; utilization over [5,10] = 0.
-	if u := cpu.Utilization(); u > 0.01 {
-		t.Fatalf("post-reset utilization = %v", u)
-	}
-}
 
 // Property: the time-weighted mean always lies within [min, max] of the
 // observed values.

@@ -26,140 +26,11 @@ func TestSignalNotifyWakesFIFO(t *testing.T) {
 	}
 }
 
-func TestSignalBroadcast(t *testing.T) {
-	e := NewEnv()
-	s := NewSignal(e)
-	woke := 0
-	for i := 0; i < 4; i++ {
-		e.Go("w", func(p *Proc) {
-			s.Wait(p)
-			woke++
-		})
-	}
-	e.Go("b", func(p *Proc) {
-		p.Sleep(1)
-		if n := s.Broadcast(); n != 4 {
-			t.Errorf("Broadcast released %d, want 4", n)
-		}
-	})
-	e.RunAll()
-	if woke != 4 {
-		t.Fatalf("woke = %d, want 4", woke)
-	}
-}
-
 func TestSignalNotifyOnEmpty(t *testing.T) {
 	e := NewEnv()
 	s := NewSignal(e)
 	if s.Notify() {
 		t.Fatal("Notify on empty signal reported a release")
-	}
-}
-
-func TestWaitTimeoutExpires(t *testing.T) {
-	e := NewEnv()
-	s := NewSignal(e)
-	var ok bool
-	var at float64
-	e.Go("w", func(p *Proc) {
-		ok = s.WaitTimeout(p, 3)
-		at = p.Now()
-	})
-	e.RunAll()
-	if ok {
-		t.Fatal("WaitTimeout returned true with no notifier")
-	}
-	if at != 3 {
-		t.Fatalf("timed out at %v, want 3", at)
-	}
-	if s.Waiting() != 0 {
-		t.Fatalf("Waiting() = %d after timeout, want 0", s.Waiting())
-	}
-}
-
-func TestWaitTimeoutNotifiedInTime(t *testing.T) {
-	e := NewEnv()
-	s := NewSignal(e)
-	var ok bool
-	e.Go("w", func(p *Proc) { ok = s.WaitTimeout(p, 10) })
-	e.Go("n", func(p *Proc) {
-		p.Sleep(1)
-		s.Notify()
-	})
-	e.RunAll()
-	if !ok {
-		t.Fatal("WaitTimeout returned false despite timely notify")
-	}
-}
-
-func TestQueuePutGetFIFO(t *testing.T) {
-	e := NewEnv()
-	q := NewQueue(e, 0)
-	var got []int
-	e.Go("consumer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, q.Get(p).(int))
-		}
-	})
-	e.Go("producer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.Sleep(1)
-			q.Put(p, i)
-		}
-	})
-	e.RunAll()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("got = %v, want [0 1 2]", got)
-		}
-	}
-}
-
-func TestQueueBoundedBlocksPut(t *testing.T) {
-	e := NewEnv()
-	q := NewQueue(e, 1)
-	var putDone float64 = -1
-	e.Go("producer", func(p *Proc) {
-		q.Put(p, 1)
-		q.Put(p, 2) // must block until consumer drains
-		putDone = p.Now()
-	})
-	e.Go("consumer", func(p *Proc) {
-		p.Sleep(5)
-		q.Get(p)
-	})
-	e.RunAll()
-	if putDone != 5 {
-		t.Fatalf("second Put completed at %v, want 5", putDone)
-	}
-}
-
-func TestQueueTryPutRespectsCapacity(t *testing.T) {
-	e := NewEnv()
-	q := NewQueue(e, 2)
-	if !q.TryPut(1) || !q.TryPut(2) {
-		t.Fatal("TryPut failed below capacity")
-	}
-	if q.TryPut(3) {
-		t.Fatal("TryPut succeeded above capacity")
-	}
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", q.Len())
-	}
-}
-
-func TestQueueGetTimeout(t *testing.T) {
-	e := NewEnv()
-	q := NewQueue(e, 0)
-	var ok bool
-	var at float64
-	e.Go("c", func(p *Proc) {
-		_, ok = q.GetTimeout(p, 2)
-		at = p.Now()
-	})
-	e.RunAll()
-	if ok || at != 2 {
-		t.Fatalf("GetTimeout: ok=%v at=%v, want false at 2", ok, at)
 	}
 }
 
@@ -200,25 +71,6 @@ func TestResourceTryAcquire(t *testing.T) {
 	r.Release()
 	if !r.TryAcquire() {
 		t.Fatal("TryAcquire failed after release")
-	}
-}
-
-func TestResourceAcquireTimeout(t *testing.T) {
-	e := NewEnv()
-	r := NewResource(e, 1)
-	var got bool
-	e.Go("holder", func(p *Proc) {
-		r.Acquire(p)
-		p.Sleep(10)
-		r.Release()
-	})
-	e.Go("waiter", func(p *Proc) {
-		p.Sleep(0.5)
-		got = r.AcquireTimeout(p, 2)
-	})
-	e.RunAll()
-	if got {
-		t.Fatal("AcquireTimeout succeeded though holder held for 10s")
 	}
 }
 
