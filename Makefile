@@ -46,11 +46,12 @@ race:
 
 # stress re-runs just the concurrent-serving gates under the race
 # detector: parallel queries mixed with the Advance pump, checked
-# against serialized-oracle snapshots, plus the cache semantics and the
+# against serialized-oracle snapshots, plus the cache semantics, the
 # expression memo (warm answers equal fresh ones, its bounds, its keys
-# copied out of the request).
+# copied out of the request) and the reused answer scratch (every served
+# frame equals a fresh answer's, answers served concurrently).
 stress:
-	$(GO) test -race -count=2 -run 'Concurrent|QueryCache|Memo' .
+	$(GO) test -race -count=2 -run 'Concurrent|QueryCache|Memo|Scratch' .
 
 # recovery re-runs the crash-injection suite hard: kills at every WAL
 # byte/record boundary, differential recovery against the volatile
@@ -84,9 +85,10 @@ fed-chaos:
 # the equivalence suites (identical answers in-process, binary-bodied
 # and JSON-bodied; identical event sequences in-process and remote), the
 # transport/mux suites, the shared binary encoding's own (binenc), the
-# typed record codec round trips, and the pipelining chaos case
-# (mid-frame reset with K>1 in-flight calls fails exactly the affected
-# calls, typed, no hang).
+# typed record codec round trips, the reused answer scratch
+# (TestV3ScratchFrames) and the pipelining chaos case (mid-frame reset
+# with K>1 in-flight calls fails exactly the affected calls, typed, no
+# hang).
 wire:
 	$(GO) test -race -count=3 -run 'Proto|Wire|V3|Codec|ChaosPipelined' . ./internal/transport ./internal/binenc
 

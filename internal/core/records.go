@@ -29,9 +29,66 @@ type Record struct {
 // (the arena's), so it costs at most three allocations and no map
 // however many records it holds. A nil Recs is a nil record slice.
 // Records is the one place a field map is built from it.
+//
+// An Answer can be scratch: every decoder renders into one the caller
+// hands it, replacing what it held and reusing the capacity of its two
+// slices (Reset), so an Answer reused from query to query costs only the
+// text of each answer. Clear drops what it held before it is reused by
+// someone else. An answer lent to many readers (a cached one) is handed
+// out Shared, and then nobody writes its slices.
 type Answer struct {
 	Recs  []Span
 	Pairs []Pair
+	// shared marks slices a does not own: Reset and Clear drop them
+	// instead of writing them.
+	shared bool
+}
+
+// Shared returns a marked as holding slices it does not own, so that an
+// Answer it is stored into reads them but never writes them: Reset
+// gives it new ones, Clear just drops them.
+func (a Answer) Shared() Answer {
+	a.shared = true
+	return a
+}
+
+// Reset empties a for an answer of nrecs records over npairs pairs. Both
+// slices come back empty and non-nil, on their own arrays when these
+// have the room, else on new ones sized exactly.
+func (a *Answer) Reset(nrecs, npairs int) {
+	if a.shared {
+		*a = Answer{}
+	}
+	a.Recs = reuse(a.Recs, nrecs)
+	a.Pairs = reuse(a.Pairs, npairs)
+}
+
+// reuse returns s emptied, never nil, with room for n elements.
+func reuse[E any](s []E, n int) []E {
+	if s == nil || cap(s) < n {
+		return make([]E, 0, n)
+	}
+	return s[:0]
+}
+
+// SetNil makes a the answer with no record slice, keeping the pairs'
+// array for the next answer rendered into a.
+func (a *Answer) SetNil() {
+	a.Reset(0, 0)
+	a.Recs = nil
+}
+
+// Clear empties a and drops every string it held, up to the capacity of
+// its slices, keeping their arrays: scratch that goes back to a pool
+// keeps no answer's text alive. Shared slices are dropped untouched.
+func (a *Answer) Clear() {
+	if a.shared {
+		*a = Answer{}
+		return
+	}
+	clear(a.Recs[:cap(a.Recs)])
+	clear(a.Pairs[:cap(a.Pairs)])
+	a.Recs, a.Pairs = a.Recs[:0], a.Pairs[:0]
 }
 
 // Span is one record of an Answer.
@@ -148,11 +205,11 @@ func (a *arena) fieldRendered(name string) {
 	a.marks = append(a.marks, mark{name: name, rendered: true, end: len(a.buf)})
 }
 
-// answer builds the Answer of the n marked records and returns the arena
+// render replaces *out with the n marked records and returns the arena
 // to the pool.
-func (a *arena) answer(n int) Answer {
+func (a *arena) render(out *Answer, n int) {
 	text := string(a.buf)
-	out := Answer{Recs: make([]Span, 0, n), Pairs: make([]Pair, 0, len(a.marks)-n)}
+	out.Reset(n, len(a.marks)-n)
 	from := 0
 	for i := range a.marks {
 		m := &a.marks[i]
@@ -170,7 +227,6 @@ func (a *arena) answer(n int) Answer {
 	clear(a.marks) // drop the references to names and values
 	a.marks, a.buf = a.marks[:0], a.buf[:0]
 	arenas.Put(a)
-	return out
 }
 
 // selected reports whether a projection keeps the named field: attrs
@@ -190,15 +246,19 @@ func selected(attrs []string, name string) bool {
 
 // MDSRecords decodes LDAP entries: the record key is the DN and each
 // attribute becomes a field (multi-valued attributes joined with "|").
-func MDSRecords(entries []*ldap.Entry) []Record { return MDSAnswer(entries, nil).Records() }
+func MDSRecords(entries []*ldap.Entry) []Record {
+	var a Answer
+	MDSAnswer(&a, entries, nil)
+	return a.Records()
+}
 
-// MDSAnswer is MDSRecords in flat form, projected onto attrs the way
-// LDAP projects (ldap.Entry.Keeps: a name selects an attribute in any
-// case; all of them when attrs is empty). Fields keep the entry's order
-// and stored spelling. The entries are read in place, so a GRIS or GIIS
-// query part copies none; LDAP values are strings already, so nothing
-// is rendered.
-func MDSAnswer(entries []*ldap.Entry, attrs []string) Answer {
+// MDSAnswer renders MDSRecords into out in flat form, projected onto
+// attrs the way LDAP projects (ldap.Entry.Keeps: a name selects an
+// attribute in any case; all of them when attrs is empty). Fields keep
+// the entry's order and stored spelling. The entries are read in place,
+// so a GRIS or GIIS query part copies none; LDAP values are strings
+// already, so nothing is rendered.
+func MDSAnswer(out *Answer, entries []*ldap.Entry, attrs []string) {
 	a := arenas.Get().(*arena)
 	for _, e := range entries {
 		a.keyText(e.DNString())
@@ -210,7 +270,7 @@ func MDSAnswer(entries []*ldap.Entry, attrs []string) Answer {
 			a.fieldText(name, strings.Join(values, "|"))
 		}
 	}
-	return a.answer(len(entries))
+	a.render(out, len(entries))
 }
 
 // RGMARecords decodes a relational result: one record per row, keyed by
@@ -220,16 +280,20 @@ func RGMARecords(res *relational.Result) []Record { return ResultRecords(res, ni
 // ResultRecords is RGMARecords keeping only the columns attrs names (all
 // of them when attrs is empty).
 func ResultRecords(res *relational.Result, attrs []string) []Record {
-	return ResultAnswer(res, attrs).Records()
+	var a Answer
+	ResultAnswer(&a, res, attrs)
+	return a.Records()
 }
 
-// ResultAnswer is ResultRecords in flat form; a nil result is a nil
-// record slice.
-func ResultAnswer(res *relational.Result, attrs []string) Answer {
+// ResultAnswer renders ResultRecords into out in flat form; a nil result
+// is a nil record slice. Nothing in out points into res: string cells
+// are the strings res holds, and numbers are rendered into the text.
+func ResultAnswer(out *Answer, res *relational.Result, attrs []string) {
 	if res == nil {
-		return Answer{}
+		out.SetNil()
+		return
 	}
-	return rowAnswer("", res.Columns, res.Rows, attrs)
+	rowAnswer(out, "", res.Columns, res.Rows, attrs)
 }
 
 // RowRecords decodes raw published rows (the R-GMA push path, where no
@@ -242,13 +306,15 @@ func RowRecords(producerID string, cols []relational.Column, rows [][]relational
 	for i, col := range cols {
 		names[i] = col.Name
 	}
-	return rowAnswer(producerID+"/", names, rows, attrs).Records()
+	var a Answer
+	rowAnswer(&a, producerID+"/", names, rows, attrs)
+	return a.Records()
 }
 
-// rowAnswer decodes rows into records keyed keyPrefix + "row-NNNN".
-// String cells are plain text already (the field is decoded data, not a
-// SQL literal); numbers and keys are rendered into the arena.
-func rowAnswer(keyPrefix string, cols []string, rows [][]relational.Value, attrs []string) Answer {
+// rowAnswer renders rows into out as records keyed keyPrefix +
+// "row-NNNN". String cells are plain text already (the field is decoded
+// data, not a SQL literal); numbers and keys are rendered into the arena.
+func rowAnswer(out *Answer, keyPrefix string, cols []string, rows [][]relational.Value, attrs []string) {
 	a := arenas.Get().(*arena)
 	for i, row := range rows {
 		a.buf = appendRowKey(append(a.buf, keyPrefix...), i)
@@ -265,7 +331,7 @@ func rowAnswer(keyPrefix string, cols []string, rows [][]relational.Value, attrs
 			}
 		}
 	}
-	return a.answer(len(rows))
+	a.render(out, len(rows))
 }
 
 // appendRowKey appends "row-" and i zero-padded to four digits, as
@@ -278,10 +344,10 @@ func appendRowKey(dst []byte, i int) []byte {
 	return strconv.AppendInt(dst, int64(i), 10)
 }
 
-// AdvertisementAnswer decodes GMA producer advertisements (the R-GMA
-// Registry's directory answer), keyed by producer ID, keeping only the
-// fields attrs names (all of them when attrs is empty).
-func AdvertisementAnswer(ads []gma.Advertisement, attrs []string) Answer {
+// AdvertisementAnswer renders GMA producer advertisements (the R-GMA
+// Registry's directory answer) into out, keyed by producer ID, keeping
+// only the fields attrs names (all of them when attrs is empty).
+func AdvertisementAnswer(out *Answer, ads []gma.Advertisement, attrs []string) {
 	a := arenas.Get().(*arena)
 	for _, ad := range ads {
 		a.keyText(ad.ProducerID)
@@ -295,7 +361,7 @@ func AdvertisementAnswer(ads []gma.Advertisement, attrs []string) Answer {
 			}
 		}
 	}
-	return a.answer(len(ads))
+	a.render(out, len(ads))
 }
 
 // HawkeyeRecords decodes ClassAds, keyed by the ad's Name attribute, each
@@ -305,10 +371,15 @@ func HawkeyeRecords(ads []*classad.Ad) []Record { return AdRecords(ads, nil) }
 
 // AdRecords is HawkeyeRecords keeping only the attributes attrs names
 // (all of them when attrs is empty); the others are never rendered.
-func AdRecords(ads []*classad.Ad, attrs []string) []Record { return AdAnswer(ads, attrs).Records() }
+func AdRecords(ads []*classad.Ad, attrs []string) []Record {
+	var a Answer
+	AdAnswer(&a, ads, attrs)
+	return a.Records()
+}
 
-// AdAnswer is AdRecords in flat form. Sorting moves only the spans.
-func AdAnswer(ads []*classad.Ad, attrs []string) Answer {
+// AdAnswer renders AdRecords into out in flat form. Sorting moves only
+// the spans.
+func AdAnswer(out *Answer, ads []*classad.Ad, attrs []string) {
 	a := arenas.Get().(*arena)
 	n := 0
 	for _, ad := range ads {
@@ -326,7 +397,6 @@ func AdAnswer(ads []*classad.Ad, attrs []string) Answer {
 			}
 		}
 	}
-	out := a.answer(n)
+	a.render(out, n)
 	slices.SortStableFunc(out.Recs, func(x, y Span) int { return strings.Compare(x.Key, y.Key) })
-	return out
 }

@@ -259,7 +259,9 @@ func TestDecodersMatchOracles(t *testing.T) {
 		diff("MDSRecords", nil, MDSRecords(entries), oracleMDSRecords(entries))
 		for _, attrs := range projections {
 			// MDS projects while decoding the stored entries.
-			diff("MDSAnswer", attrs, MDSAnswer(entries, attrs).Records(), oracleMDSProjected(entries, attrs))
+			var a Answer
+			MDSAnswer(&a, entries, attrs)
+			diff("MDSAnswer", attrs, a.Records(), oracleMDSProjected(entries, attrs))
 		}
 
 		res := randomResult(rng, rng.Intn(40))
@@ -283,6 +285,47 @@ func TestDecodersMatchOracles(t *testing.T) {
 	diff("HawkeyeRecords(nil)", nil, HawkeyeRecords(nil), oracleHawkeyeRecords(nil))
 	short := &relational.Result{Columns: []string{"a", "b"}, Rows: [][]relational.Value{{relational.IntVal(1)}, {}}}
 	diff("RGMARecords(short rows)", nil, RGMARecords(short), oracleRGMARecords(short))
+}
+
+// TestAnswerScratch: an Answer reused by every decoder in turn, largest
+// answer first, holds exactly what a new Answer holds after each one: no
+// record, pair or nil-ness of an earlier answer shows. A Shared answer
+// lent to it is never written: rendering over it and clearing it leave
+// the lender's spans and pairs as they were.
+func TestAnswerScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	entries, res, ads := randomEntries(rng, 30), randomResult(rng, 40), randomAds(rng, 6)
+	renders := []func(*Answer){
+		func(a *Answer) { ResultAnswer(a, res, nil) },
+		func(a *Answer) { MDSAnswer(a, entries, nil) },
+		func(a *Answer) { AdAnswer(a, ads, nil) },
+		func(a *Answer) { MDSAnswer(a, entries[:3], []string{"objectclass"}) },
+		func(a *Answer) { ResultAnswer(a, nil, nil) },
+		func(a *Answer) { AdvertisementAnswer(a, nil, nil) },
+		func(a *Answer) { ResultAnswer(a, res, []string{"host"}) },
+	}
+	var scratch Answer
+	for i, render := range renders {
+		var fresh Answer
+		render(&fresh)
+		render(&scratch)
+		if !reflect.DeepEqual(scratch, fresh) {
+			t.Fatalf("render %d into reused scratch:\n got %+v\nwant %+v", i, scratch, fresh)
+		}
+	}
+
+	var owner Answer
+	MDSAnswer(&owner, entries[:2], nil)
+	recs, pairs := append([]Span(nil), owner.Recs...), append([]Pair(nil), owner.Pairs...)
+	lent := owner.Shared()
+	ResultAnswer(&lent, res, nil)
+	lent = owner.Shared()
+	lent.SetNil()
+	lent = owner.Shared()
+	lent.Clear()
+	if !reflect.DeepEqual(owner.Recs, recs) || !reflect.DeepEqual(owner.Pairs, pairs) {
+		t.Fatalf("a Shared answer was written through: %+v %+v", owner.Recs, owner.Pairs)
+	}
 }
 
 // TestRowKeysPadLikePrintf: the append-formatted row key is fmt's %04d.
@@ -332,7 +375,9 @@ func BenchmarkMDSRecordsProjected(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// MDS decodes only the kept attributes of the stored entries.
-		benchRecords = MDSAnswer(entries, attrs).Records()
+		var a Answer
+		MDSAnswer(&a, entries, attrs)
+		benchRecords = a.Records()
 	}
 }
 

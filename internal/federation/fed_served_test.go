@@ -218,16 +218,18 @@ func TestServedRouterDegradation(t *testing.T) {
 // fewer per hop, the client's hop to the Router and the Router's to
 // each leaf it asks), and after a query's cost at the Router stopped
 // growing with the shard count: no context, goroutine or second copy of
-// the answer per branch (GOEXPERIMENT=noswissmap: 331, 49, 15 and 93).
-// The broad query that matches nothing shows the Router's fixed cost:
-// its 15 are 3 per leaf, the text of each branch reply the Router reads
-// and of the request it serves, and the client's reply text and
-// ResultSet.
+// the answer per branch (GOEXPERIMENT=noswissmap: 331, 49, 15 and 93),
+// and after the Router merged into, and decoded a routed answer into,
+// the scratch Answer its handler lends, and each leaf rendered into
+// scratch too (noswissmap: 319, 37, 15 and 85). The broad query that matches nothing shows the Router's
+// fixed cost: its 15 are 3 per leaf, the text of each branch reply the
+// Router reads and of the request it serves, and the client's reply
+// text and ResultSet.
 //
-//	MDS aggregate, broad (144 records)       737 → 412 → 380 → 355
-//	R-GMA information, node04 (15 records)   105 →  71 →  52 →  49
-//	Hawkeye aggregate, broad, matches nothing           35 →  15
-//	R-GMA directory, broad (36 records)                119 →  93
+//	MDS aggregate, broad (144 records)       737 → 412 → 380 → 355 → 343
+//	R-GMA information, node04 (15 records)   105 →  71 →  52 →  49 →  37
+//	Hawkeye aggregate, broad, matches nothing           35 →  15 →  15
+//	R-GMA directory, broad (36 records)                119 →  93 →  85
 func TestServedRouterAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops entries at random, so counts are not repeatable")
@@ -240,10 +242,10 @@ func TestServedRouterAllocBudget(t *testing.T) {
 		budget float64
 		empty  bool // the query matches nothing
 	}{
-		{gridmon.Query{System: gridmon.MDS, Role: gridmon.RoleAggregateServer}, 391, false},
-		{gridmon.Query{System: gridmon.RGMA, Host: fedHosts[4], Expr: "SELECT host, metric, value FROM siteinfo"}, 54, false},
+		{gridmon.Query{System: gridmon.MDS, Role: gridmon.RoleAggregateServer}, 378, false},
+		{gridmon.Query{System: gridmon.RGMA, Host: fedHosts[4], Expr: "SELECT host, metric, value FROM siteinfo"}, 41, false},
 		{gridmon.Query{System: gridmon.Hawkeye, Role: gridmon.RoleAggregateServer, Expr: "LoadAvg < 5"}, 17, true},
-		{gridmon.Query{System: gridmon.RGMA, Role: gridmon.RoleDirectoryServer}, 102, false},
+		{gridmon.Query{System: gridmon.RGMA, Role: gridmon.RoleDirectoryServer}, 94, false},
 	} {
 		rs, err := remote.Query(ctx, cell.q)
 		if err != nil {

@@ -45,11 +45,12 @@ func MergeResultSets(q gridmon.Query, parts []*gridmon.ResultSet) *gridmon.Resul
 }
 
 // mergeAnswers is MergeResultSets over the answers of the branches that
-// did not fail, flat: their spans are shifted onto one pairs slice in
-// shard order (two allocations however many records) and stably sorted
-// by key, so ties keep shard order, and Work is summed. A merge of no
-// records is empty, never nil, as MergeResultSets' is.
-func mergeAnswers(q gridmon.Query, outs []branchOutcome) (gridmon.ResultSet, gridmon.Answer) {
+// did not fail, flat, into ans, which it replaces: their spans are
+// shifted onto one pairs slice in shard order (in ans's own slices when
+// they have the room, else in two allocations however many records) and
+// stably sorted by key, so ties keep shard order, and Work is summed. A
+// merge of no records is empty, never nil, as MergeResultSets' is.
+func mergeAnswers(q gridmon.Query, outs []branchOutcome, ans *gridmon.Answer) gridmon.ResultSet {
 	rs := mergedResultSet(q)
 	nrecs, npairs := 0, 0
 	for _, o := range outs {
@@ -58,7 +59,7 @@ func mergeAnswers(q gridmon.Query, outs []branchOutcome) (gridmon.ResultSet, gri
 			npairs += len(o.ans.Pairs)
 		}
 	}
-	ans := gridmon.Answer{Recs: make([]core.Span, 0, nrecs), Pairs: make([]core.Pair, 0, npairs)}
+	ans.Reset(nrecs, npairs)
 	for _, o := range outs {
 		if o.err != nil {
 			continue
@@ -71,7 +72,7 @@ func mergeAnswers(q gridmon.Query, outs []branchOutcome) (gridmon.ResultSet, gri
 		rs.Work = MergeWork(rs.Work, o.rs.Work)
 	}
 	slices.SortStableFunc(ans.Recs, func(a, b core.Span) int { return strings.Compare(a.Key, b.Key) })
-	return rs, ans
+	return rs
 }
 
 // mergedResultSet is what a merge of q's answers starts from: System,

@@ -248,12 +248,10 @@ type branchOutcome struct {
 }
 
 // reset empties o for the next query, keeping its answer's slices but
-// none of the strings they held — past their length too, where a failed
-// or retried decode may have left records of a reply it then dropped.
+// none of the strings they held, past their length too.
 func (o *branchOutcome) reset() {
-	clear(o.ans.Recs[:cap(o.ans.Recs)])
-	clear(o.ans.Pairs[:cap(o.ans.Pairs)])
-	*o = branchOutcome{ans: gridmon.Answer{Recs: o.ans.Recs[:0], Pairs: o.ans.Pairs[:0]}}
+	o.ans.Clear()
+	*o = branchOutcome{ans: o.ans}
 }
 
 // definitive reports whether a branch error is request-level — the
@@ -269,21 +267,19 @@ func definitive(err error) bool {
 	return false
 }
 
-// queryBranch answers q on one shard into out, failing over across its
-// replicas. The answer's records are appended to out.ans.
-func queryBranch(ctx context.Context, backends []*gridmon.RemoteGrid, q gridmon.Query, out *branchOutcome) {
+// queryBranch answers q on one shard, failing over across its replicas,
+// and decodes the answer's records into ans, which it replaces (on an
+// error ans is as it was). addr is the replica that answered, or the
+// last one tried.
+func queryBranch(ctx context.Context, backends []*gridmon.RemoteGrid, q gridmon.Query, ans *gridmon.Answer) (addr string, rs gridmon.ResultSet, err error) {
 	for _, rg := range backends {
-		out.addr = rg.Addr()
-		rs, err := rg.QueryAnswerInto(ctx, q, &out.ans)
-		if err == nil {
-			out.rs, out.err = rs, nil
-			return
-		}
-		out.err = err
-		if ctx.Err() != nil || definitive(err) {
-			return
+		addr = rg.Addr()
+		rs, err = rg.QueryAnswerInto(ctx, q, ans)
+		if err == nil || ctx.Err() != nil || definitive(err) {
+			return addr, rs, err
 		}
 	}
+	return addr, rs, err
 }
 
 // callBranch runs one idempotent op on a shard with the same replica
@@ -303,10 +299,11 @@ func callBranch(ctx context.Context, backends []*gridmon.RemoteGrid, op string, 
 	return transport.AsError(lastErr)
 }
 
-// Query answers q across the federation: QueryAnswer, with the records
-// built from the flat answer.
+// Query answers q across the federation: QueryAnswerInto, with the
+// records built from the flat answer.
 func (r *Router) Query(ctx context.Context, q gridmon.Query) (*gridmon.ResultSet, error) {
-	rs, ans, err := r.QueryAnswer(ctx, q)
+	var ans gridmon.Answer
+	rs, err := r.QueryAnswerInto(ctx, q, &ans)
 	if err != nil {
 		return nil, err
 	}
@@ -314,39 +311,42 @@ func (r *Router) Query(ctx context.Context, q gridmon.Query) (*gridmon.ResultSet
 	return &rs, nil
 }
 
-// QueryAnswer answers q across the federation with its records flat
-// (ResultSet.Records nil). The branches are read flat too, so no field
-// map is built anywhere, and a served Router encodes the answer pair by
+// QueryAnswerInto answers q across the federation with its records flat
+// (ResultSet.Records nil), in ans, which it replaces, reusing the
+// capacity of its two slices: an answer with no record slice leaves
+// ans.Recs nil, and on an error ans is as it was. The branches are read
+// flat too, so no field map is built anywhere, and a served Router
+// renders into the scratch its handler lends and encodes it pair by
 // pair. A host-targeted query routes to the one shard owning the host
-// and returns the leaf's answer unchanged (Records and Work
-// byte-identical to a single grid monitoring the same hosts); a broad
-// query scatter-gathers every shard and merges as MergeResultSets does.
-// Branch failures degrade per the configured Policy — see the package
-// comment. Elapsed measures the full federated round trip.
-func (r *Router) QueryAnswer(ctx context.Context, q gridmon.Query) (rs gridmon.ResultSet, ans gridmon.Answer, err error) {
+// and decodes the leaf's answer straight into ans, unchanged (Records
+// and Work byte-identical to a single grid monitoring the same hosts); a
+// broad query scatter-gathers every shard and merges into ans as
+// MergeResultSets merges. Branch failures degrade per the configured
+// Policy — see the package comment. Elapsed measures the full federated
+// round trip.
+func (r *Router) QueryAnswerInto(ctx context.Context, q gridmon.Query, ans *gridmon.Answer) (gridmon.ResultSet, error) {
 	start := time.Now()
 	r.queries.Add(1)
 	if err := ctx.Err(); err != nil {
-		return rs, ans, transport.AsError(err)
+		return gridmon.ResultSet{}, transport.AsError(err)
 	}
 	smap, backends := r.snapshot()
 	if q.Host == "" {
-		return r.queryBroad(ctx, start, backends, q)
+		return r.queryBroad(ctx, start, backends, q, ans)
 	}
 	shard := smap.ShardFor(q.Host)
 	bctx, cancel := r.carve(ctx, false)
 	defer cancel()
-	var out branchOutcome
-	queryBranch(bctx, backends[shard], q, &out)
-	if out.err != nil {
+	_, rs, err := queryBranch(bctx, backends[shard], q, ans)
+	if err != nil {
 		r.branchFails.Add(1)
 		if err := ctx.Err(); err != nil {
-			return rs, ans, transport.AsError(err)
+			return gridmon.ResultSet{}, transport.AsError(err)
 		}
-		return rs, ans, out.err
+		return gridmon.ResultSet{}, err
 	}
-	out.rs.Elapsed = time.Since(start)
-	return out.rs, out.ans, nil
+	rs.Elapsed = time.Since(start)
+	return rs, nil
 }
 
 // scatter is one broad query's branch bookkeeping: what its branches
@@ -425,7 +425,7 @@ func (s *scatter) acquire(i int) bool {
 func (s *scatter) run(i int) {
 	out := &s.outs[i]
 	bctx, cancel := s.r.carve(s.ctx, true)
-	queryBranch(bctx, s.backends[i], s.q, out)
+	out.addr, out.rs, out.err = queryBranch(bctx, s.backends[i], s.q, &out.ans)
 	cancel()
 	if out.err != nil && s.r.policy == FailFast {
 		out.late = s.ctx.Err() != nil
@@ -480,12 +480,12 @@ func (r *Router) branchWorker(job branchJob) {
 	}
 }
 
-// queryBroad fans q out to every shard and merges per the policy. The
-// branches start in shard order, at most MaxFanout in flight at once:
-// every one but the last on a branch worker, the last on the calling
-// goroutine.
+// queryBroad fans q out to every shard and merges per the policy, into
+// ans. The branches start in shard order, at most MaxFanout in flight at
+// once: every one but the last on a branch worker, the last on the
+// calling goroutine.
 func (r *Router) queryBroad(ctx context.Context, start time.Time, backends [][]*gridmon.RemoteGrid,
-	q gridmon.Query) (rs gridmon.ResultSet, ans gridmon.Answer, err error) {
+	q gridmon.Query, ans *gridmon.Answer) (rs gridmon.ResultSet, err error) {
 	s := r.getScatter(len(backends))
 	defer r.putScatter(s)
 	s.ctx, s.cancel, s.q, s.backends = ctx, noCancel, q, backends
@@ -534,21 +534,21 @@ func (r *Router) queryBroad(ctx context.Context, start time.Time, backends [][]*
 		}
 	}
 	if len(fails) == 0 {
-		rs, ans = mergeAnswers(q, outs)
+		rs = mergeAnswers(q, outs, ans)
 		rs.Elapsed = time.Since(start)
-		return rs, ans, nil
+		return rs, nil
 	}
 	r.branchFails.Add(int64(len(fails)))
 	if err := ctx.Err(); err != nil {
 		// The caller's own context died; the branch failures are its
 		// echo, not degradation.
-		return rs, ans, transport.AsError(err)
+		return rs, transport.AsError(err)
 	}
 	survivors := len(outs) - len(fails)
 	if survivors == 0 && passthroughCode(fails) {
 		// Every branch answered the same request-level error — the same
 		// answer a single grid would give, so pass it through untouched.
-		return rs, ans, &transport.Error{Code: fails[0].Code, Message: fails[0].Message}
+		return rs, &transport.Error{Code: fails[0].Code, Message: fails[0].Message}
 	}
 	if r.policy == FailFast || survivors == 0 {
 		r.degraded.Add(1)
@@ -557,14 +557,14 @@ func (r *Router) queryBroad(ctx context.Context, start time.Time, backends [][]*
 		sort.SliceStable(fails, func(i, j int) bool {
 			return fails[i].Code != transport.CodeCanceled && fails[j].Code == transport.CodeCanceled
 		})
-		return rs, ans, degradedError(len(outs), fails)
+		return rs, degradedError(len(outs), fails)
 	}
 	r.partials.Add(1)
-	rs, ans = mergeAnswers(q, outs)
+	rs = mergeAnswers(q, outs, ans)
 	rs.Partial = true
 	rs.Branches = fails
 	rs.Elapsed = time.Since(start)
-	return rs, ans, nil
+	return rs, nil
 }
 
 // Subscribe proxies a host-targeted subscription to the shard owning

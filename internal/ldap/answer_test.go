@@ -82,7 +82,9 @@ func TestMDSAnswerProjectsLikeProjectAll(t *testing.T) {
 		entries, _ := dit.Search(nil, ldap.ScopeSub, nil)
 		attrs := randomProjection(rng)
 		copies := ldap.ProjectAll(entries, attrs)
-		got, want := core.MDSAnswer(entries, attrs), core.MDSAnswer(copies, nil)
+		var got, want core.Answer
+		core.MDSAnswer(&got, entries, attrs)
+		core.MDSAnswer(&want, copies, nil)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("MDSAnswer(entries, %q):\n got %+v\nwant %+v", attrs, got, want)
 		}

@@ -394,24 +394,26 @@ func projectionPlan(sch *Schema, s SelectStmt) (colIdx []int, colNames []string,
 	return colIdx, colNames, nil
 }
 
-// selectRows matches, orders and limits t's rows: the source rows the
-// SELECT answers with. Matches are appended to buf, which comes back
-// grown; st carries the work accounting described at the top of the file.
-func (p *selectPlan) selectRows(t *Table, s SelectStmt, buf [][]Value) (rows, grown [][]Value, st RowsStats, err error) {
-	rows, grown, st, err = p.match(t, s, buf)
+// selectRows matches, orders and limits the rows of the set being run:
+// the source rows the SELECT answers with. The matches and the top-k
+// heap are q's scratch, which comes back grown; st carries the work
+// accounting described at the top of the file.
+func (q *RowsQuery) selectRows() (rows [][]Value, st RowsStats, err error) {
+	p, s := q.plan, q.Select
+	rows, q.matched, st, err = p.match(&q.t, s, q.matched)
 	if err != nil {
-		return nil, grown, st, err
+		return nil, st, err
 	}
 	if s.OrderBy != "" {
 		if p.oi < 0 {
-			return nil, grown, st, fmt.Errorf("relational: no column %q in %q", s.OrderBy, s.Table)
+			return nil, st, fmt.Errorf("relational: no column %q in %q", s.OrderBy, s.Table)
 		}
-		rows = orderRows(rows, p.oi, s.Desc, s.Limit)
+		rows, q.heap = orderRows(rows, q.heap, p.oi, s.Desc, s.Limit)
 	}
 	if s.Limit > 0 && len(rows) > s.Limit {
 		rows = rows[:s.Limit]
 	}
-	return rows, grown, st, nil
+	return rows, st, nil
 }
 
 // match is selectRows' FROM/WHERE part: no row for a provably empty
@@ -496,7 +498,8 @@ func (p *selectPlan) answerBytes(rows [][]Value) int {
 // executor's accounting (ScanSelect); a RowsQuery reports its accounting
 // per set, in RowsStats, and leaves them zero. Columns is read-only: a
 // RowsQuery's result shares it with the plan that projected it, which a
-// prepared statement shares with every query of it.
+// prepared statement shares with every query of it. A RowsQuery's result
+// is the query's own, rows and values included, until Reset.
 type Result struct {
 	Columns []string
 	Rows    [][]Value
@@ -525,7 +528,9 @@ func (r *Result) SizeBytes() int {
 // set's columns differ. Result orders and limits the union of the sets'
 // answers as one table of all their rows, in set order, would, and
 // projects it once. Its zero value with Select set is ready for one
-// query on one goroutine.
+// query on one goroutine; Reset makes it ready for another, keeping its
+// scratch, so a pooled RowsQuery answers a query in memory the one
+// before it grew.
 type RowsQuery struct {
 	Select SelectStmt
 
@@ -536,8 +541,29 @@ type RowsQuery struct {
 	held    []heldRow   // the sets' answered rows, in set order
 	sets    int         // the sets answered
 	// Scratch reused by every set: the sets' rows concatenated or
-	// coerced, and the matched rows.
+	// coerced, the matched rows and the top-k heap.
 	rows, matched [][]Value
+	heap          []seqRow
+	// The answer: res, its rows cut from vals.
+	res  Result
+	vals []Value
+}
+
+// Reset empties q for another query, keeping its scratch but none of
+// the rows, values or plans it held, so a pooled RowsQuery keeps no
+// producer's data alive. The Result q returned is invalid afterwards.
+// Set Select before running q again.
+func (q *RowsQuery) Reset() {
+	clear(q.held[:cap(q.held)])
+	clear(q.rows[:cap(q.rows)])
+	clear(q.matched[:cap(q.matched)])
+	clear(q.heap[:cap(q.heap)])
+	clear(q.res.Rows[:cap(q.res.Rows)])
+	clear(q.vals[:cap(q.vals)])
+	*q = RowsQuery{
+		held: q.held[:0], rows: q.rows[:0], matched: q.matched[:0], heap: q.heap[:0],
+		res: Result{Rows: q.res.Rows[:0]}, vals: q.vals[:0],
+	}
 }
 
 // heldRow is a set's answered source row and the plan that projects it.
@@ -603,8 +629,7 @@ func (q *RowsQuery) Run(name string, cols []Column, batches [][][]Value) (RowsSt
 		}
 		q.plan, q.planned = p, cols
 	}
-	out, grown, st, err := q.plan.selectRows(t, q.Select, q.matched)
-	q.matched = grown
+	out, st, err := q.selectRows()
 	st.Stored = len(rows)
 	if err != nil {
 		return st, err
@@ -624,7 +649,9 @@ func (q *RowsQuery) Run(name string, cols []Column, batches [][][]Value) (RowsSt
 // Result returns the query's answer once its last set has run, nil when
 // no set answered; its columns are the first set's. One set is already
 // ordered; several are re-sorted stably, Compare errors ranking as equal
-// as in orderRows.
+// as in orderRows. The Result, its rows and their values are q's own
+// scratch: they stay valid until q is Reset, and a RowsQuery never Reset
+// leaves them to the caller.
 func (q *RowsQuery) Result() *Result {
 	if q.sets == 0 {
 		return nil
@@ -645,12 +672,23 @@ func (q *RowsQuery) Result() *Result {
 	if q.Select.Limit > 0 && len(held) > q.Select.Limit {
 		held = held[:q.Select.Limit]
 	}
-	res := &Result{Columns: q.columns, Rows: make([][]Value, 0, len(held))}
-	vals := make([]Value, 0, len(held)*len(q.plan.colIdx)) // exact unless a recompile changed the width
+	res := &q.res
+	res.Columns = q.columns
+	res.Rows = reuse(res.Rows, len(held))
+	q.vals = reuse(q.vals, len(held)*len(q.plan.colIdx)) // exact unless a recompile changed the width
 	for _, h := range held {
-		vals = h.plan.project(res, vals, h.row)
+		q.vals = h.plan.project(res, q.vals, h.row)
 	}
 	return res
+}
+
+// reuse returns s emptied, never nil, with room for n elements: s
+// itself when it has the room, else a new slice sized exactly.
+func reuse[E any](s []E, n int) []E {
+	if s == nil || cap(s) < n {
+		return make([]E, 0, n)
+	}
+	return s[:0]
 }
 
 // hasColumnTypes reports whether every value of row already has its
@@ -664,17 +702,18 @@ func hasColumnTypes(cols []Column, row []Value) bool {
 	return true
 }
 
-// orderRows applies ORDER BY (and LIMIT, when present) to matched rows:
-// a bounded top-k heap when limit is effective, a stable sort otherwise.
-// Both produce exactly the order of a stable sort on the column.
-func orderRows(matched [][]Value, oi int, desc bool, limit int) [][]Value {
+// orderRows applies ORDER BY (and LIMIT, when present) to matched rows,
+// in place: a bounded top-k heap, kept in heap, which comes back grown,
+// when limit is effective, a stable sort otherwise. Both produce exactly
+// the order of a stable sort on the column.
+func orderRows(matched [][]Value, heap []seqRow, oi int, desc bool, limit int) ([][]Value, []seqRow) {
 	if limit > 0 && limit < len(matched) {
-		return topK(matched, oi, desc, limit)
+		return topK(matched, heap, oi, desc, limit)
 	}
 	sort.SliceStable(matched, func(i, j int) bool {
 		return rowBefore(matched[i], i, matched[j], j, oi, desc)
 	})
-	return matched
+	return matched, heap
 }
 
 // rowBefore is the total order the stable sort induces: the ORDER BY
@@ -696,14 +735,18 @@ func rowBefore(a []Value, ai int, b []Value, bi int, oi int, desc bool) bool {
 	return ai < bi
 }
 
+// seqRow is a matched row and its position, the top-k heap's element.
+type seqRow struct {
+	row []Value
+	seq int
+}
+
 // topK returns the first k rows of the stable ORDER BY order without
-// sorting the rest: a size-k binary max-heap keyed by "comes last".
-func topK(matched [][]Value, oi int, desc bool, k int) [][]Value {
-	type seqRow struct {
-		row []Value
-		seq int
-	}
-	heap := make([]seqRow, 0, k)
+// sorting the rest: a size-k binary max-heap keyed by "comes last", built
+// in heap. The rows come back in matched[:k], which the heap no longer
+// reads once every row has been offered to it.
+func topK(matched [][]Value, heap []seqRow, oi int, desc bool, k int) ([][]Value, []seqRow) {
+	heap = reuse(heap, k)
 	// after reports whether x sorts after y (x is worse).
 	after := func(x, y seqRow) bool {
 		return rowBefore(y.row, y.seq, x.row, x.seq, oi, desc)
@@ -745,12 +788,12 @@ func topK(matched [][]Value, oi int, desc bool, k int) [][]Value {
 		siftDown(0)
 	}
 	// Extract in reverse (worst first) to fill the result front-to-back.
-	out := make([][]Value, len(heap))
+	out := matched[:len(heap)]
 	for n := len(heap); n > 0; n-- {
 		out[n-1] = heap[0].row
 		heap[0] = heap[n-1]
 		heap = heap[:n-1]
 		siftDown(0)
 	}
-	return out
+	return out, heap
 }

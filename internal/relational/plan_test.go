@@ -265,3 +265,55 @@ func TestPreparedPlanSharedConcurrently(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// TestRowsQueryReset: one RowsQuery, Reset between queries, answers the
+// whole corpus, in several orders and over two sets a query, as a fresh
+// RowsQuery answers each statement, though every query runs in the
+// scratch the ones before it grew; and once Reset it holds none of the
+// rows or values it answered, past the length of its slices too.
+func TestRowsQueryReset(t *testing.T) {
+	tbl := randomTable(rand.New(rand.NewSource(3)), 150)
+	rows := tbl.Rows()
+	run := func(q *RowsQuery) string {
+		var out string
+		for _, set := range [][][]Value{rows[:90], rows[90:]} {
+			st, err := q.Run(tbl.Name, tbl.Schema.Columns, [][][]Value{set})
+			if err != nil {
+				return "error: " + err.Error()
+			}
+			out += fmt.Sprintf("set: %+v\n", st)
+		}
+		return out + resultString(q.Result())
+	}
+	var reused RowsQuery
+	order := rand.New(rand.NewSource(4))
+	for round := 0; round < 3; round++ {
+		for _, i := range order.Perm(len(selectCorpus)) {
+			sel, err := Parse(selectCorpus[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			reused.Reset()
+			reused.Select = sel
+			if got, want := run(&reused), run(&RowsQuery{Select: sel}); got != want {
+				t.Fatalf("%q after Reset:\n%s\nfresh:\n%s", selectCorpus[i], got, want)
+			}
+		}
+	}
+	reused.Reset()
+	for name, holds := range map[string]bool{
+		"held":    slices.ContainsFunc(reused.held[:cap(reused.held)], func(h heldRow) bool { return h.row != nil || h.plan != nil }),
+		"rows":    slices.ContainsFunc(reused.rows[:cap(reused.rows)], func(r []Value) bool { return r != nil }),
+		"matched": slices.ContainsFunc(reused.matched[:cap(reused.matched)], func(r []Value) bool { return r != nil }),
+		"heap":    slices.ContainsFunc(reused.heap[:cap(reused.heap)], func(e seqRow) bool { return e.row != nil }),
+		"result":  slices.ContainsFunc(reused.res.Rows[:cap(reused.res.Rows)], func(r []Value) bool { return r != nil }),
+		"values":  slices.ContainsFunc(reused.vals[:cap(reused.vals)], func(v Value) bool { return v != Value{} }),
+	} {
+		if holds {
+			t.Errorf("after Reset the %s scratch still holds what it answered", name)
+		}
+	}
+	if cap(reused.held) == 0 || cap(reused.heap) == 0 || cap(reused.vals) == 0 {
+		t.Errorf("Reset dropped the scratch: held %d, heap %d, values %d", cap(reused.held), cap(reused.heap), cap(reused.vals))
+	}
+}

@@ -119,16 +119,22 @@ func (cp *CompositeProducer) refreshLocked(now float64) (int, QueryStats, error)
 // it names would have refreshed.
 func (cp *CompositeProducer) Query(now float64, sql string) (*relational.Result, QueryStats, error) {
 	sel, err := relational.Parse(sql)
-	return cp.query(now, sel, err)
+	return cp.query(now, &relational.RowsQuery{Select: sel}, err)
 }
 
 // QuerySelect is Query with the statement already parsed.
 func (cp *CompositeProducer) QuerySelect(now float64, sel relational.SelectStmt) (*relational.Result, QueryStats, error) {
-	return cp.query(now, sel, nil)
+	return cp.QueryInto(now, &relational.RowsQuery{Select: sel})
 }
 
-// query refreshes if stale, then answers sel, or fails with parseErr.
-func (cp *CompositeProducer) query(now float64, sel relational.SelectStmt, parseErr error) (*relational.Result, QueryStats, error) {
+// QueryInto is QuerySelect answering q's Select on q, whose scratch the
+// caller may reuse: the Result is q's (see RowsQuery.Result).
+func (cp *CompositeProducer) QueryInto(now float64, q *relational.RowsQuery) (*relational.Result, QueryStats, error) {
+	return cp.query(now, q, nil)
+}
+
+// query refreshes if stale, then answers q, or fails with parseErr.
+func (cp *CompositeProducer) query(now float64, q *relational.RowsQuery, parseErr error) (*relational.Result, QueryStats, error) {
 	var st QueryStats
 	cp.mu.Lock()
 	if !cp.haveData || now-cp.lastRefresh > cp.RefreshTTL {
@@ -144,7 +150,7 @@ func (cp *CompositeProducer) query(now float64, sel relational.SelectStmt, parse
 		st.Add(QueryStats{ThreadSpawns: 1})
 		return nil, st, parseErr
 	}
-	res, qSt, err := cp.servlet.QuerySelect(now, sel)
+	res, qSt, err := cp.servlet.QueryInto(now, q)
 	st.Add(qSt)
 	return res, st, err
 }

@@ -62,8 +62,13 @@ func (ps *ProducerServlet) Query(now float64, sql string) (*relational.Result, Q
 
 // QuerySelect is Query with the statement already parsed.
 func (ps *ProducerServlet) QuerySelect(now float64, sel relational.SelectStmt) (*relational.Result, QueryStats, error) {
-	q := relational.RowsQuery{Select: sel}
-	st, err := ps.query(now, &q, QueryStats{ThreadSpawns: 1})
+	return ps.QueryInto(now, &relational.RowsQuery{Select: sel})
+}
+
+// QueryInto is QuerySelect answering q's Select on q, whose scratch the
+// caller may reuse: the Result is q's (see RowsQuery.Result).
+func (ps *ProducerServlet) QueryInto(now float64, q *relational.RowsQuery) (*relational.Result, QueryStats, error) {
+	st, err := ps.query(now, q, QueryStats{ThreadSpawns: 1})
 	if err != nil {
 		return nil, st, err
 	}
@@ -167,20 +172,25 @@ func (cs *ConsumerServlet) QueryCtx(ctx context.Context, now float64, sql string
 
 // QuerySelectCtx is QueryCtx with the statement already parsed.
 func (cs *ConsumerServlet) QuerySelectCtx(ctx context.Context, now float64, sel relational.SelectStmt) (*relational.Result, QueryStats, error) {
+	return cs.QueryIntoCtx(ctx, now, &relational.RowsQuery{Select: sel})
+}
+
+// QueryIntoCtx is QuerySelectCtx answering q's Select on q, whose scratch
+// the caller may reuse: the Result is q's (see RowsQuery.Result).
+func (cs *ConsumerServlet) QueryIntoCtx(ctx context.Context, now float64, q *relational.RowsQuery) (*relational.Result, QueryStats, error) {
 	st := QueryStats{ThreadSpawns: 1}
-	ads, lookupStats, err := cs.registry.LookupProducersStats(sel.Table, now)
+	ads, lookupStats, err := cs.registry.LookupProducersStats(q.Select.Table, now)
 	st.RegistryLookups++
 	st.Add(lookupStats)
 	if err != nil {
 		return nil, st, err
 	}
 	if len(ads) == 0 {
-		return nil, st, fmt.Errorf("rgma: no producers of table %q registered", sel.Table)
+		return nil, st, fmt.Errorf("rgma: no producers of table %q registered", q.Select.Table)
 	}
 	// One plan and one result serve every producer servlet; each still
 	// orders and limits its own rows, and Result orders and limits the
 	// union.
-	q := relational.RowsQuery{Select: sel}
 	var buf [16]string
 	seen := buf[:0] // a handful of servlets: a scan beats a map's growth
 	for _, ad := range ads {
@@ -195,7 +205,7 @@ func (cs *ConsumerServlet) QuerySelectCtx(ctx context.Context, now float64, sel 
 		if err != nil {
 			return nil, st, err
 		}
-		pStats, err := pserv.query(now, &q, QueryStats{ThreadSpawns: 1})
+		pStats, err := pserv.query(now, q, QueryStats{ThreadSpawns: 1})
 		st.ProducersContacted++
 		st.Add(pStats)
 		if err != nil {

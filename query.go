@@ -2,12 +2,14 @@ package gridmon
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"repro/internal/classad"
 	"repro/internal/core"
 	"repro/internal/ldap"
 	"repro/internal/relational"
+	"repro/internal/rgma"
 	"repro/internal/transport"
 )
 
@@ -126,39 +128,68 @@ func CodeOf(err error) ErrorCode { return transport.ErrorCode(err) }
 // fast-fails with ErrOverloaded — see WithAdmission for the semantics.
 func (g *Grid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 	start := time.Now()
-	rs, ans, e, err := g.answer(ctx, q, start)
+	ans := answers.Get().(*Answer)
+	rs, e, err := g.answer(ctx, q, start, ans)
+	if err == nil {
+		if e != nil {
+			rs.Records = e.records()
+		} else {
+			rs.Records = ans.Records()
+		}
+	}
+	ans.Clear()
+	answers.Put(ans)
 	if err != nil {
 		return nil, err
-	}
-	if e != nil {
-		rs.Records = e.records()
-	} else {
-		rs.Records = ans.Records()
 	}
 	rs.Elapsed = time.Since(start)
 	return &rs, nil
 }
 
+// answers pools the scratch Answers that a query renders into when its
+// records are only passed on: encoded (queryV3) or turned into Records
+// (Grid.Query). Whoever takes one Clears it before putting it back.
+var answers = sync.Pool{New: func() any { return new(Answer) }}
+
 // QueryAnswer is Query with the records left flat: the ResultSet comes
 // back with Records nil and the records in the Answer, so a caller that
-// only forwards them (the grid.query handler) builds no field map. A
-// cache hit's Answer is the cache entry's own: read it, never write it.
+// only forwards them builds no field map. A cached Answer is the cache
+// entry's own, Shared: read it, never write it.
 func (g *Grid) QueryAnswer(ctx context.Context, q Query) (ResultSet, Answer, error) {
-	start := time.Now()
-	rs, ans, _, err := g.answer(ctx, q, start)
-	if err != nil {
-		return ResultSet{}, Answer{}, err
-	}
-	rs.Elapsed = time.Since(start)
-	return rs, ans, nil
+	var ans Answer
+	rs, err := g.QueryAnswerInto(ctx, q, &ans)
+	return rs, ans, err
 }
 
-// answer is Query without Records: ans holds them flat, and e is the
-// cache entry holding ans (the hit, or the miss just stored), if any.
-func (g *Grid) answer(ctx context.Context, q Query, start time.Time) (rs ResultSet, ans core.Answer, e *cacheEntry, err error) {
+// QueryAnswerInto is QueryAnswer rendering the records into ans, which
+// it replaces, reusing the capacity of its two slices: an answer with no
+// record slice leaves ans.Recs nil, and on an error ans is as it was. A
+// cached answer is the cache entry's own, with no copy, handed out
+// Shared (see Answer.Shared). The grid.query handler lends ans pooled
+// scratch, so an uncached answer it serves is rendered without
+// allocating for its spans and pairs.
+func (g *Grid) QueryAnswerInto(ctx context.Context, q Query, ans *Answer) (ResultSet, error) {
+	start := time.Now()
+	rs, e, err := g.answer(ctx, q, start, ans)
+	if err != nil {
+		return ResultSet{}, err
+	}
+	if e != nil {
+		*ans = e.answer.Shared()
+	}
+	rs.Elapsed = time.Since(start)
+	return rs, nil
+}
+
+// answer is Query without Records, the one answer function every query
+// goes through. An uncached answer is rendered into out. A cached one is
+// in e, the cache entry holding it (the hit, or the miss just stored,
+// which renders once, into the answer its entry owns), and out is left
+// as it was, as it is on an error.
+func (g *Grid) answer(ctx context.Context, q Query, start time.Time, out *Answer) (rs ResultSet, e *cacheEntry, err error) {
 	if err := ctx.Err(); err != nil {
 		g.counters.Errors.Add(1)
-		return rs, ans, nil, transport.AsError(err)
+		return rs, nil, transport.AsError(err)
 	}
 	rs.System, rs.Role, rs.Host = q.System, q.Role, q.Host
 	if rs.Role == "" {
@@ -183,35 +214,37 @@ func (g *Grid) answer(ctx context.Context, q Query, start time.Time) (rs ResultS
 			}
 			g.counters.Queries.Add(1)
 			g.counters.CacheHits.Add(1)
-			return rs, e.answer, e, nil
+			return rs, e, nil
 		}
 	}
 	if err := g.beginRead(ctx); err != nil {
 		// Sheds are accounted inside the gate (Stats.Shed), not as
 		// query errors; a ctx expiry while queued counts as neither.
-		return rs, ans, nil, err
+		return rs, nil, err
 	}
 	var gen uint64
+	var owned Answer
 	if cache != nil {
 		// Read the cache generation while holding the read lock: an
 		// Advance cannot run concurrently, so the answer below is
 		// computed at exactly this generation and the store after the
 		// unlock can never publish pre-Advance data as fresh.
 		gen = cache.gen.Load()
+		out = &owned
 	}
-	ans, rs.Work, err = g.read(ctx, q, rs.Role)
+	rs.Work, err = g.read(ctx, q, rs.Role, out)
 	g.endRead()
 	if err != nil {
 		g.counters.Errors.Add(1)
-		return rs, core.Answer{}, nil, transport.AsError(err)
+		return ResultSet{}, nil, transport.AsError(err)
 	}
 	if cache != nil {
-		e = cache.store(key, gen, start, ans, rs.Work)
+		e = cache.store(key, gen, start, owned, rs.Work)
 		rs.Work.CacheMisses = 1
 		g.counters.CacheMisses.Add(1)
 	}
 	g.counters.Queries.Add(1)
-	return rs, ans, e, nil
+	return rs, e, nil
 }
 
 // beginRead admits the caller as one reader of the engines, the way every
@@ -240,33 +273,34 @@ func (g *Grid) endRead() {
 	}
 }
 
-// read answers q, under role, from the engine that serves it. The checks
-// run in the order every caller sees their errors — system, deployment,
-// expression, role, host — and only then does the engine run. The clock
-// is read once, and ctx is checked after it: here for the single-server
-// engines, inside QueryCtx between sub-queries for the two fan-out ones
-// (the GIIS and the mediating ConsumerServlet), so an abandoned query
-// stops mid-flight. The answer comes back projected to q.Attrs: every
-// decoder skips the fields nobody asked for, and the LDAP query sizes
-// MDS's Work as the projected response.
+// read answers q, under role, from the engine that serves it, rendering
+// the answer into out. The checks run in the order every caller sees
+// their errors — system, deployment, expression, role, host — and only
+// then does the engine run. The clock is read once, and ctx is checked
+// after it: here for the single-server engines, inside QueryCtx between
+// sub-queries for the two fan-out ones (the GIIS and the mediating
+// ConsumerServlet), so an abandoned query stops mid-flight. The answer
+// is projected to q.Attrs: every decoder skips the fields nobody asked
+// for, and the LDAP query sizes MDS's Work as the projected response. On
+// an error out is as it was.
 // Callers hold beginRead.
-func (g *Grid) read(ctx context.Context, q Query, role Role) (core.Answer, Work, error) {
+func (g *Grid) read(ctx context.Context, q Query, role Role, out *Answer) (Work, error) {
 	switch q.System {
 	case MDS, RGMA, Hawkeye:
 	default:
-		return core.Answer{}, Work{}, transport.Errf(transport.CodeBadRequest,
+		return Work{}, transport.Errf(transport.CodeBadRequest,
 			"unknown system %q (want %q, %q or %q)", q.System, MDS, RGMA, Hawkeye)
 	}
 	if !g.Enabled(q.System) {
-		return core.Answer{}, Work{}, transport.Errf(transport.CodeUnavailable, "%s is not deployed in this grid", q.System)
+		return Work{}, transport.Errf(transport.CodeUnavailable, "%s is not deployed in this grid", q.System)
 	}
 	switch q.System {
 	case MDS:
-		return g.readMDS(ctx, role, q)
+		return g.readMDS(ctx, role, q, out)
 	case RGMA:
-		return g.readRGMA(ctx, role, q)
+		return g.readRGMA(ctx, role, q, out)
 	default:
-		return g.readHawkeye(ctx, role, q)
+		return g.readHawkeye(ctx, role, q, out)
 	}
 }
 
@@ -277,33 +311,38 @@ func (g *Grid) engineNow(ctx context.Context) (float64, error) {
 	return now, ctx.Err()
 }
 
-func (g *Grid) readMDS(ctx context.Context, role Role, q Query) (core.Answer, Work, error) {
+func (g *Grid) readMDS(ctx context.Context, role Role, q Query, out *Answer) (Work, error) {
 	var filter ldap.Filter
 	if q.Expr != "" {
 		var err error
 		filter, err = memoParse(&g.memo, MDS, q.Expr, ldap.ParseFilter)
 		if err != nil {
-			return core.Answer{}, Work{}, transport.Errf(transport.CodeParse, "MDS filter: %v", err)
+			return Work{}, transport.Errf(transport.CodeParse, "MDS filter: %v", err)
 		}
 	}
 	switch role {
 	case RoleInformationServer:
 		gris, err := g.gris(q.Host)
 		if err != nil {
-			return core.Answer{}, Work{}, err
+			return Work{}, err
 		}
 		now, err := g.engineNow(ctx)
 		if err != nil {
-			return core.Answer{}, Work{}, err
+			return Work{}, err
 		}
 		entries, st := gris.Query(now, filter, q.Attrs)
-		return core.MDSAnswer(entries, q.Attrs), core.MDSWork(st), nil
+		core.MDSAnswer(out, entries, q.Attrs)
+		return core.MDSWork(st), nil
 	case RoleDirectoryServer, RoleAggregateServer:
 		// The GIIS plays both roles in Table 1.
 		entries, st, err := g.giis.QueryCtx(ctx, g.clock(), filter, q.Attrs)
-		return core.MDSAnswer(entries, q.Attrs), core.MDSWork(st), err
+		if err != nil {
+			return Work{}, err
+		}
+		core.MDSAnswer(out, entries, q.Attrs)
+		return core.MDSWork(st), nil
 	}
-	return core.Answer{}, Work{}, badRole(role)
+	return Work{}, badRole(role)
 }
 
 func (g *Grid) gris(host string) (*GRIS, error) {
@@ -319,67 +358,90 @@ func (g *Grid) gris(host string) (*GRIS, error) {
 	return gris, nil
 }
 
-// readRGMA answers an R-GMA query. SQL is parsed where the engine would
-// parse it, so the checks ahead of it come first: a host-targeted query
-// checks its host and ctx, the aggregate role refreshes the composite,
-// and a bad SELECT fails with the engine's own error (ErrExec). An empty
-// Expr selects the whole table, and an empty Host on the
-// information-server role goes through the mediating ConsumerServlet
-// instead of one servlet.
-func (g *Grid) readRGMA(ctx context.Context, role Role, q Query) (core.Answer, Work, error) {
-	switch role {
-	case RoleInformationServer:
-		if q.Host == "" {
-			now := g.clock()
-			sel, err := g.selectStmt(q.Expr, "siteinfo")
-			if err != nil {
-				return core.Answer{}, Work{}, err
-			}
-			res, st, err := g.consumer.QuerySelectCtx(ctx, now, sel)
-			return core.ResultAnswer(res, q.Attrs), core.RGMAWork(st), err
-		}
-		ps, ok := g.servlets[q.Host]
-		if !ok {
-			return core.Answer{}, Work{}, transport.Errf(transport.CodeBadRequest,
-				"unknown host %q (monitored hosts: %v)", q.Host, g.cfg.hosts)
-		}
-		now, err := g.engineNow(ctx)
-		if err != nil {
-			return core.Answer{}, Work{}, err
-		}
-		sel, err := g.selectStmt(q.Expr, "siteinfo")
-		if err != nil {
-			return core.Answer{}, Work{}, err
-		}
-		res, st, err := ps.QuerySelect(now, sel)
-		return core.ResultAnswer(res, q.Attrs), core.RGMAWork(st), err
-	case RoleDirectoryServer:
+// rowsQueries pools the row scratch of the R-GMA engines' SELECTs (see
+// relational.RowsQuery): a query runs on one, core renders its Result,
+// and the scratch goes back, holding none of the producers' rows. The
+// rendered answer points into none of it: string cells are the
+// producers' own strings, and numbers are rendered into the answer's
+// text.
+var rowsQueries = sync.Pool{New: func() any { return new(relational.RowsQuery) }}
+
+// readRGMA answers an R-GMA query: the Registry's directory answer, or a
+// SELECT run on pooled row scratch (selectRGMA).
+func (g *Grid) readRGMA(ctx context.Context, role Role, q Query, out *Answer) (Work, error) {
+	if role == RoleDirectoryServer {
 		table := q.Expr
 		if table == "" {
 			table = "siteinfo"
 		}
 		now, err := g.engineNow(ctx)
 		if err != nil {
-			return core.Answer{}, Work{}, err
+			return Work{}, err
 		}
 		ads, st, err := g.registry.LookupProducersStats(table, now)
-		return core.AdvertisementAnswer(ads, q.Attrs), core.RGMAWork(st), err
+		if err != nil {
+			return Work{}, err
+		}
+		core.AdvertisementAnswer(out, ads, q.Attrs)
+		return core.RGMAWork(st), nil
+	}
+	rq := rowsQueries.Get().(*relational.RowsQuery)
+	res, st, err := g.selectRGMA(ctx, role, q, rq)
+	if err == nil {
+		core.ResultAnswer(out, res, q.Attrs)
+	}
+	rq.Reset()
+	rowsQueries.Put(rq)
+	if err != nil {
+		return Work{}, err
+	}
+	return core.RGMAWork(st), nil
+}
+
+// selectRGMA runs an R-GMA SELECT on rq. SQL is parsed where the engine
+// would parse it, so the checks ahead of it come first: a host-targeted
+// query checks its host and ctx, the aggregate role refreshes the
+// composite, and a bad SELECT fails with the engine's own error
+// (ErrExec). An empty Expr selects the whole table, and an empty Host on
+// the information-server role goes through the mediating ConsumerServlet
+// instead of one servlet.
+func (g *Grid) selectRGMA(ctx context.Context, role Role, q Query, rq *relational.RowsQuery) (*relational.Result, rgma.QueryStats, error) {
+	var err error
+	switch role {
+	case RoleInformationServer:
+		if q.Host == "" {
+			now := g.clock()
+			if rq.Select, err = g.selectStmt(q.Expr, "siteinfo"); err != nil {
+				return nil, rgma.QueryStats{}, err
+			}
+			return g.consumer.QueryIntoCtx(ctx, now, rq)
+		}
+		ps, ok := g.servlets[q.Host]
+		if !ok {
+			return nil, rgma.QueryStats{}, transport.Errf(transport.CodeBadRequest,
+				"unknown host %q (monitored hosts: %v)", q.Host, g.cfg.hosts)
+		}
+		now, err := g.engineNow(ctx)
+		if err != nil {
+			return nil, rgma.QueryStats{}, err
+		}
+		if rq.Select, err = g.selectStmt(q.Expr, "siteinfo"); err != nil {
+			return nil, rgma.QueryStats{}, err
+		}
+		return ps.QueryInto(now, rq)
 	case RoleAggregateServer:
 		now, err := g.engineNow(ctx)
 		if err != nil {
-			return core.Answer{}, Work{}, err
+			return nil, rgma.QueryStats{}, err
 		}
-		sel, err := g.selectStmt(q.Expr, g.composite.Table)
-		if err != nil {
+		if rq.Select, err = g.selectStmt(q.Expr, g.composite.Table); err != nil {
 			// A bad statement still costs the composite its refresh: the
 			// string form fails it after the refresh, as it always has.
-			res, st, err := g.composite.Query(now, q.Expr)
-			return core.ResultAnswer(res, q.Attrs), core.RGMAWork(st), err
+			return g.composite.Query(now, q.Expr)
 		}
-		res, st, err := g.composite.QuerySelect(now, sel)
-		return core.ResultAnswer(res, q.Attrs), core.RGMAWork(st), err
+		return g.composite.QueryInto(now, rq)
 	}
-	return core.Answer{}, Work{}, badRole(role)
+	return nil, rgma.QueryStats{}, badRole(role)
 }
 
 // selectStmt is the SELECT an R-GMA query's expr states, prepared once
@@ -396,47 +458,50 @@ func (g *Grid) selectStmt(expr, table string) (relational.SelectStmt, error) {
 	return p.Select, nil
 }
 
-func (g *Grid) readHawkeye(ctx context.Context, role Role, q Query) (core.Answer, Work, error) {
+func (g *Grid) readHawkeye(ctx context.Context, role Role, q Query, out *Answer) (Work, error) {
 	var constraint classad.Expr
 	if q.Expr != "" {
 		var err error
 		constraint, err = memoParse(&g.memo, Hawkeye, q.Expr, classad.ParseExpr)
 		if err != nil {
-			return core.Answer{}, Work{}, transport.Errf(transport.CodeParse, "Hawkeye constraint: %v", err)
+			return Work{}, transport.Errf(transport.CodeParse, "Hawkeye constraint: %v", err)
 		}
 	}
 	switch role {
 	case RoleInformationServer:
 		if q.Host == "" {
-			return core.Answer{}, Work{}, transport.Errf(transport.CodeBadRequest,
+			return Work{}, transport.Errf(transport.CodeBadRequest,
 				"Hawkeye information-server query needs a Host (one of %v)", g.cfg.hosts)
 		}
 		agent, ok := g.agents[q.Host]
 		if !ok {
-			return core.Answer{}, Work{}, transport.Errf(transport.CodeBadRequest,
+			return Work{}, transport.Errf(transport.CodeBadRequest,
 				"unknown host %q (monitored hosts: %v)", q.Host, g.cfg.hosts)
 		}
 		now, err := g.engineNow(ctx)
 		if err != nil {
-			return core.Answer{}, Work{}, err
+			return Work{}, err
 		}
-		// The Agent answers with its Startd ad, or nothing when the
-		// constraint rejects it.
+		// The Agent answers with its Startd ad, or nothing (no record
+		// slice) when the constraint rejects it.
 		ad, st := agent.Query(now, constraint)
 		if ad == nil {
-			return core.Answer{}, core.HawkeyeWork(st), nil
+			out.SetNil()
+		} else {
+			core.AdAnswer(out, []*classad.Ad{ad}, q.Attrs)
 		}
-		return core.AdAnswer([]*classad.Ad{ad}, q.Attrs), core.HawkeyeWork(st), nil
+		return core.HawkeyeWork(st), nil
 	case RoleDirectoryServer, RoleAggregateServer:
 		// The Manager plays both roles in Table 1.
 		now, err := g.engineNow(ctx)
 		if err != nil {
-			return core.Answer{}, Work{}, err
+			return Work{}, err
 		}
 		ads, st := g.manager.Query(now, constraint)
-		return core.AdAnswer(ads, q.Attrs), core.HawkeyeWork(st), nil
+		core.AdAnswer(out, ads, q.Attrs)
+		return core.HawkeyeWork(st), nil
 	}
-	return core.Answer{}, Work{}, badRole(role)
+	return Work{}, badRole(role)
 }
 
 func badRole(role Role) error {

@@ -584,31 +584,27 @@ func (r *RemoteGrid) QueryAnswer(ctx context.Context, q Query) (ResultSet, Answe
 	return rs, ans, err
 }
 
-// QueryAnswerInto is QueryAnswer appending the answer's records to ans
-// rather than returning them: their spans follow ans.Recs and point past
-// the pairs ans already holds, and each slice grows only when its
-// capacity is short. It is how the federation Router reads its
-// branches: a branch reuses one Answer from query to query, so beside
-// the frame's one copy of text a branch answer costs nothing. Nil
-// records on the wire leave ans as it was; on an error ans is as it was
-// too, whatever a failed attempt had appended. The strings appended are
-// substrings of the frame's text, the retention contract of Query.
+// QueryAnswerInto is QueryAnswer decoding the answer's records into ans,
+// which it replaces, reusing the capacity of its two slices: an answer
+// with no record slice leaves ans.Recs nil, and on an error ans is as it
+// was (the records are written only once a whole reply has decoded).
+// The federation Router reads its branches this way: a branch reuses one
+// Answer from query to query, so beside the frame's one copy of text a
+// branch answer costs nothing. The strings are substrings of the frame's
+// text, the retention contract of Query.
 func (r *RemoteGrid) QueryAnswerInto(ctx context.Context, q Query, ans *Answer) (ResultSet, error) {
 	start := time.Now()
 	var rs ResultSet
-	before := *ans
 	err := r.callWire(ctx, func(actx context.Context, c *transport.MuxClient) error {
 		return c.CallV3(actx, "grid.query",
 			func(b []byte) []byte { return appendWireQuery(b, q) },
 			func(body []byte) error {
-				*ans = before
 				d := binenc.NewDecText(body)
 				decodeWireResult(&d, &rs, ans)
 				return d.Err()
 			})
 	})
 	if err != nil {
-		*ans = before
 		return ResultSet{}, err
 	}
 	rs.Elapsed = time.Since(start)

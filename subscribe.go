@@ -263,6 +263,13 @@ type mdsWatcher struct {
 	last     map[string]Record
 }
 
+// mdsRecords decodes a watcher's poll, projected onto attrs.
+func mdsRecords(entries []*ldap.Entry, attrs []string) []Record {
+	var a Answer
+	core.MDSAnswer(&a, entries, attrs)
+	return a.Records()
+}
+
 // subscribeMDS installs a poll-and-diff watcher. Callers hold g.mu.
 func (g *Grid) subscribeMDS(st *Stream, sub Subscription, id string) (func(), error) {
 	var filter ldap.Filter
@@ -292,12 +299,12 @@ func (g *Grid) subscribeMDS(st *Stream, sub Subscription, id string) (func(), er
 		}
 		poll = func(now float64) ([]Record, Work, error) {
 			entries, st := gris.Query(now, filter, sub.Attrs)
-			return core.MDSAnswer(entries, sub.Attrs).Records(), core.MDSWork(st), nil
+			return mdsRecords(entries, sub.Attrs), core.MDSWork(st), nil
 		}
 	case RoleAggregateServer:
 		poll = func(now float64) ([]Record, Work, error) {
 			entries, st, err := g.giis.Query(now, filter, sub.Attrs)
-			return core.MDSAnswer(entries, sub.Attrs).Records(), core.MDSWork(st), err
+			return mdsRecords(entries, sub.Attrs), core.MDSWork(st), err
 		}
 	default:
 		return nil, transport.Errf(transport.CodeBadRequest,

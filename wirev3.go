@@ -28,15 +28,15 @@ import (
 // connection's pooled frame buffer, and stays alive as a whole while any
 // decoded string is retained. RemoteGrid.Query then builds an answer's
 // []Record and one map per record (decodeWireRecords; see
-// TestWireQueryRoundTripAllocs). QueryAnswer builds none:
-// decodeWireAnswerInto cuts the records into one flat Answer, spans and
-// pairs, and QueryAnswerInto appends them to an Answer the caller
-// reuses, which is how the federation Router reads its branches. Nor
-// does a server: a source that answers flat (a Grid, a Router
-// forwarding its branches) encodes its Answer pair by pair
-// (appendWireAnswer). Counts read off the wire
-// are bounded by the bytes left in the frame (Dec.Count) before anything
-// is sized by them.
+// TestWireQueryRoundTripAllocs). QueryAnswer builds none: it cuts the
+// records into one flat Answer, spans and pairs (countWireAnswer,
+// fillWireAnswer), and QueryAnswerInto replaces an Answer the caller
+// reuses with them, which is how the federation Router reads its
+// branches. Nor does a server: a source that answers flat (a Grid, a
+// Router forwarding its branches) replaces the pooled scratch Answer the
+// grid.query handler lends it, and the handler encodes it pair by pair
+// (appendWireAnswer). Counts read off the wire are bounded by the bytes
+// left in the frame (Dec.Count) before anything is sized by them.
 //
 // Nil-ness is preserved exactly as the JSON codecs preserve it, so a
 // binary-bodied answer is reflect.DeepEqual to the JSON-bodied answer
@@ -198,39 +198,46 @@ func decodeWireRecords(d *binenc.Dec) []Record {
 	return out
 }
 
-// decodeWireAnswerInto decodes a record slice as decodeWireRecords does,
-// but flat, appending to a: keys, names and values are the decoder's
-// strings, and the records' spans follow a.Recs and point past the pairs
-// a already holds, so answers decoded one after another into one Answer
-// share its two slices. Each slice grows at most once, to the size a
-// first pass over a copy of the decoder counts, and not at all when its
-// capacity suffices: decoded into a zero Answer, an answer costs its
-// spans and its pairs, one allocation each however many records it
-// holds. Nil records leave a as it was; present ones, even none, leave
-// a.Recs and a.Pairs non-nil. It accepts and refuses what
-// decodeWireRecords does, and the Records of what it appends are that
-// function's records, up to nil versus empty Fields.
-func decodeWireAnswerInto(d *binenc.Dec, a *Answer) {
+// countWireAnswer reads past a record slice as decodeWireRecords reads
+// it, accepting and refusing what that function does, and reports
+// whether it is present (not nil) and how many records and pairs it
+// holds: what fillWireAnswer then decodes flat.
+func countWireAnswer(d *binenc.Dec) (present bool, n, pairs int) {
 	n1 := d.Uvarint()
 	if n1 == 0 {
-		return
+		return false, 0, 0
 	}
-	n := d.Count(n1-1, 2)
-	count, pairs := *d, 0
+	n = d.Count(n1-1, 2) // a record is its key's length byte and its field count at least
 	for i := 0; i < n; i++ {
-		count.Bytes()
-		nf := count.Count(count.Uvarint(), 2)
+		d.Bytes()
+		nf := d.Count(d.Uvarint(), 2) // a field is two length bytes at least
 		for j := 0; j < nf; j++ {
-			count.Bytes()
-			count.Bytes()
+			d.Bytes()
+			d.Bytes()
 		}
 		pairs += nf
 	}
-	a.Recs = growFor(a.Recs, n)
-	a.Pairs = growFor(a.Pairs, pairs)
+	return true, n, pairs
+}
+
+// fillWireAnswer decodes the record slice countWireAnswer read past, and
+// found well formed, into a, which it replaces: keys, names and values
+// are the decoder's strings, and a's two slices are reused when their
+// capacity suffices, so an answer decoded into an Answer reused from
+// query to query costs nothing beyond the frame's text. Nil records
+// leave a.Recs nil; present ones, even none, leave a.Recs and a.Pairs
+// non-nil. The Records of a are decodeWireRecords' records, up to nil
+// versus empty Fields.
+func fillWireAnswer(d *binenc.Dec, a *Answer, present bool, n, pairs int) {
+	if !present {
+		a.SetNil()
+		return
+	}
+	d.Uvarint()
+	a.Reset(n, pairs)
 	for i := 0; i < n; i++ {
 		key := d.String()
-		nf := d.Count(d.Uvarint(), 2)
+		nf := int(d.Uvarint())
 		from := len(a.Pairs)
 		for j := 0; j < nf; j++ {
 			name := d.String()
@@ -238,15 +245,6 @@ func decodeWireAnswerInto(d *binenc.Dec, a *Answer) {
 		}
 		a.Recs = append(a.Recs, core.Span{Key: key, From: from, To: len(a.Pairs)})
 	}
-}
-
-// growFor returns s, never nil, with room for n more elements: s itself
-// when it has the room, else a copy in a slice sized exactly.
-func growFor[E any](s []E, n int) []E {
-	if s != nil && cap(s)-len(s) >= n {
-		return s
-	}
-	return append(make([]E, 0, len(s)+n), s...)
 }
 
 // appendWireResultSet appends rs's binary encoding to b, with ans in
@@ -282,18 +280,30 @@ func appendWireResultSet(b []byte, rs *ResultSet, ans *core.Answer) []byte {
 func decodeWireResultSetInto(d *binenc.Dec, rs *ResultSet) { decodeWireResult(d, rs, nil) }
 
 // decodeWireResult decodes what appendWireResultSet(b, rs, ans) appends:
-// a ResultSet into rs, with its records appended flat to ans when ans is
-// not nil (rs.Records is then nil; see decodeWireAnswerInto).
+// a ResultSet into rs, with its records decoded flat into ans when ans
+// is not nil (rs.Records is then nil; see fillWireAnswer). ans is
+// written only once the whole frame has decoded, so a malformed one
+// leaves it as it was.
 func decodeWireResult(d *binenc.Dec, rs *ResultSet, ans *Answer) {
 	rs.System = System(d.String())
 	rs.Role = Role(d.String())
 	rs.Host = d.String()
 	rs.Records = nil
-	if ans != nil {
-		decodeWireAnswerInto(d, ans)
-	} else {
+	if ans == nil {
 		rs.Records = decodeWireRecords(d)
+		decodeWireTail(d, rs)
+		return
 	}
+	recs := *d
+	present, n, pairs := countWireAnswer(d)
+	decodeWireTail(d, rs)
+	if d.Err() == nil {
+		fillWireAnswer(&recs, ans, present, n, pairs)
+	}
+}
+
+// decodeWireTail decodes what follows a ResultSet's records into rs.
+func decodeWireTail(d *binenc.Dec, rs *ResultSet) {
 	decodeWireWorkInto(d, &rs.Work)
 	rs.Elapsed = time.Duration(d.Varint())
 	rs.Partial = d.Byte() == 1
@@ -384,17 +394,22 @@ func ServeQueryV3(srv *TransportServer, source Querier) {
 	transport.HandleV3(srv, "grid.query", source.Query, queryV3(source))
 }
 
-// flatQuerier is a source that answers with its records flat: the
-// ResultSet with Records nil, and the records in the Answer. Grid,
-// RemoteGrid and the federation Router are. The ResultSet comes back by
-// value, so serving a Grid's answer costs no allocation for it.
+// flatQuerier is a source that answers with its records flat, into an
+// Answer the caller lends. QueryAnswerInto replaces *ans, reusing the
+// capacity of its slices, and returns the ResultSet with Records nil. An
+// answer with no record slice leaves ans.Recs nil, and on an error ans
+// is as it was. Grid, RemoteGrid and the federation Router are. The
+// ResultSet comes back by value, so serving a Grid's answer costs no
+// allocation for it.
 type flatQuerier interface {
-	QueryAnswer(ctx context.Context, q Query) (ResultSet, Answer, error)
+	QueryAnswerInto(ctx context.Context, q Query, ans *Answer) (ResultSet, error)
 }
 
-// queryV3 is the binary body of grid.query for source. A flat source is
-// encoded from its Answer, pair by pair, and builds no Records; any other
-// Querier's ResultSet is encoded as it is.
+// queryV3 is the binary body of grid.query for source. A flat source
+// renders into a pooled scratch Answer, which is encoded pair by pair,
+// then cleared and taken back: no Records are built, and an uncached
+// answer lives no longer than its frame. Any other Querier's ResultSet
+// is encoded as it is.
 func queryV3(source Querier) transport.V3Handler {
 	answer := func(ctx context.Context, q Query, out []byte) ([]byte, error) {
 		rs, err := source.Query(ctx, q)
@@ -405,11 +420,17 @@ func queryV3(source Querier) transport.V3Handler {
 	}
 	if fq, ok := source.(flatQuerier); ok {
 		answer = func(ctx context.Context, q Query, out []byte) ([]byte, error) {
-			rs, ans, err := fq.QueryAnswer(ctx, q)
+			ans := answers.Get().(*Answer)
+			rs, err := fq.QueryAnswerInto(ctx, q, ans)
+			if err == nil {
+				out = appendWireResultSet(out, &rs, ans)
+			}
+			ans.Clear()
+			answers.Put(ans)
 			if err != nil {
 				return nil, err
 			}
-			return appendWireResultSet(out, &rs, &ans), nil
+			return out, nil
 		}
 	}
 	return func(ctx context.Context, body []byte, out []byte) ([]byte, *transport.Error) {

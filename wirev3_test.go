@@ -206,7 +206,7 @@ func TestWireAnswerIsRecordEncoding(t *testing.T) {
 	}
 	var nilRecs, emptyRecs, zeroFields, repeated bool
 	for _, q := range flatAnswerQueries() {
-		_, ans, _, err := g.answer(ctx, q, time.Now())
+		_, ans, err := g.QueryAnswer(ctx, q)
 		if err != nil {
 			t.Fatalf("%+v: %v", q, err)
 		}
@@ -217,7 +217,7 @@ func TestWireAnswerIsRecordEncoding(t *testing.T) {
 		if again := appendWireAnswer(nil, &ans); !bytes.Equal(again, flat) {
 			t.Errorf("%+v: one answer encodes to two byte strings", q)
 		}
-		_, ans2, _, err := g.answer(ctx, q, time.Now())
+		_, ans2, err := g.QueryAnswer(ctx, q)
 		if err != nil || !bytes.Equal(appendWireAnswer(nil, &ans2), flat) {
 			t.Errorf("%+v: asking again encodes different bytes (err %v)", q, err)
 		}
