@@ -49,7 +49,9 @@ race:
 # against serialized-oracle snapshots, plus the cache semantics, the
 # expression memo (warm answers equal fresh ones, its bounds, its keys
 # copied out of the request) and the reused answer scratch (every served
-# frame equals a fresh answer's, answers served concurrently).
+# frame equals a fresh answer's, answers served concurrently; a
+# Router's spliced reply equals the pre-splice merge of the same leaf
+# replies, TestV3ScratchSplice).
 stress:
 	$(GO) test -race -count=2 -run 'Concurrent|QueryCache|Memo|Scratch' .
 
@@ -86,7 +88,8 @@ fed-chaos:
 # and JSON-bodied; identical event sequences in-process and remote), the
 # transport/mux suites, the shared binary encoding's own (binenc), the
 # typed record codec round trips, the reused answer scratch
-# (TestV3ScratchFrames) and the pipelining chaos case (mid-frame reset
+# (TestV3ScratchFrames), the Router's spliced replies held byte for byte
+# to the pre-splice merge (TestV3ScratchSplice) and the pipelining chaos case (mid-frame reset
 # with K>1 in-flight calls fails exactly the affected calls, typed, no
 # hang).
 wire:
@@ -116,9 +119,11 @@ bench-smoke:
 # ResponseBytes rests on (SizeBytes is the length of the canonical
 # rendering; fold-free lookups find what strings.ToLower found), the
 # wire decoders that read what a peer sent (never panic, allocate in
-# proportion to the frame, round-trip what they accept; the flat answer
-# decoder the federation Router reads its branches with accepts what the
-# record decoder accepts and yields the same records), the two frame
+# proportion to the frame, round-trip what they accept; the walk that
+# checks a reply a client relays accepts what the reply decoder
+# accepts), the merge the federation Router splices its branches'
+# replies with (what the reply decoder accepts, what MergeResultSets
+# merges, allocation in proportion to the replies), the two frame
 # readers under them (never panic or hang: a well-formed answer or a
 # closed connection, and every waiter released), the two replay
 # decoders that read what a data directory holds (the same bounds, and
@@ -135,10 +140,11 @@ bench-smoke:
 # allocation), the ProducerServlet answering from its producers' rows
 # (what the scratch-table body it replaced answers, for any SQL), and
 # the -shards flag parser (never a panic; an accepted map renders back
-# to one that parses equal) — sixteen targets.
+# to one that parses equal) — seventeen targets.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzWireMerge$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryMemo$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzV3ServerFrames$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzV3ClientFrames$$' -fuzztime $(FUZZTIME) ./internal/transport

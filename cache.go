@@ -59,9 +59,8 @@ func cacheable(q Query) bool {
 }
 
 // cacheEntry is one cached answer, kept flat for remote hits to encode
-// with no copy (QueryAnswerInto hands it out Shared, so the scratch it
-// lands in is never written through to it); in-process callers share the
-// records built once from it — see WithQueryCache for the read-only
+// with no copy (AppendQuery reads it in place); in-process callers share
+// the records built once from it — see WithQueryCache for the read-only
 // contract.
 type cacheEntry struct {
 	gen     uint64

@@ -32,6 +32,15 @@ func NewAdSized(n int) *Ad {
 	return &Ad{attrs: make(map[string]adEntry, n), order: make([]string, 0, n), lits: make([]literal, 0, n)}
 }
 
+// Reset empties a, keeping the room its map and slices have grown, so an
+// ad refilled from query to query binds its constants without allocating.
+func (a *Ad) Reset() {
+	clear(a.attrs)
+	clear(a.order)
+	clear(a.lits)
+	a.order, a.lits = a.order[:0], a.lits[:0]
+}
+
 // Set binds an attribute to an expression, replacing any previous binding
 // (the original spelling and position of a replaced attribute survive).
 func (a *Ad) Set(name string, e Expr) { a.setLower(strings.ToLower(name), name, e) }

@@ -34,31 +34,17 @@ type Record struct {
 // hands it, replacing what it held and reusing the capacity of its two
 // slices (Reset), so an Answer reused from query to query costs only the
 // text of each answer. Clear drops what it held before it is reused by
-// someone else. An answer lent to many readers (a cached one) is handed
-// out Shared, and then nobody writes its slices.
+// someone else. An answer lent to many readers (a cached one) is read,
+// never written.
 type Answer struct {
 	Recs  []Span
 	Pairs []Pair
-	// shared marks slices a does not own: Reset and Clear drop them
-	// instead of writing them.
-	shared bool
-}
-
-// Shared returns a marked as holding slices it does not own, so that an
-// Answer it is stored into reads them but never writes them: Reset
-// gives it new ones, Clear just drops them.
-func (a Answer) Shared() Answer {
-	a.shared = true
-	return a
 }
 
 // Reset empties a for an answer of nrecs records over npairs pairs. Both
 // slices come back empty and non-nil, on their own arrays when these
 // have the room, else on new ones sized exactly.
 func (a *Answer) Reset(nrecs, npairs int) {
-	if a.shared {
-		*a = Answer{}
-	}
 	a.Recs = reuse(a.Recs, nrecs)
 	a.Pairs = reuse(a.Pairs, npairs)
 }
@@ -80,12 +66,8 @@ func (a *Answer) SetNil() {
 
 // Clear empties a and drops every string it held, up to the capacity of
 // its slices, keeping their arrays: scratch that goes back to a pool
-// keeps no answer's text alive. Shared slices are dropped untouched.
+// keeps no answer's text alive.
 func (a *Answer) Clear() {
-	if a.shared {
-		*a = Answer{}
-		return
-	}
 	clear(a.Recs[:cap(a.Recs)])
 	clear(a.Pairs[:cap(a.Pairs)])
 	a.Recs, a.Pairs = a.Recs[:0], a.Pairs[:0]

@@ -141,16 +141,18 @@ func TestServedRouterDifferential(t *testing.T) {
 	}
 
 	q := gridmon.Query{System: gridmon.MDS, Role: gridmon.RoleAggregateServer}
-	_, first, err := remote.QueryAnswer(ctx, q)
+	first, err := remote.AppendQuery(ctx, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, again, err := remote.QueryAnswer(ctx, q)
+	again, err := remote.AppendQuery(ctx, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(first.Pairs) == 0 || !reflect.DeepEqual(first, again) {
-		t.Errorf("one Router answer came back as two different frames (%d and %d pairs)", len(first.Pairs), len(again.Pairs))
+	// Elapsed is the one thing two answers do not share.
+	first, again = gridmon.StampElapsed(first, 0, 0), gridmon.StampElapsed(again, 0, 0)
+	if len(first) < 1000 || !bytes.Equal(first, again) {
+		t.Errorf("one Router answer came back as two different frames (%d and %d bytes)", len(first), len(again))
 	}
 }
 
@@ -219,17 +221,28 @@ func TestServedRouterDegradation(t *testing.T) {
 // each leaf it asks), and after a query's cost at the Router stopped
 // growing with the shard count: no context, goroutine or second copy of
 // the answer per branch (GOEXPERIMENT=noswissmap: 331, 49, 15 and 93),
-// and after the Router merged into, and decoded a routed answer into,
-// the scratch Answer its handler lends, and each leaf rendered into
-// scratch too (noswissmap: 319, 37, 15 and 85). The broad query that matches nothing shows the Router's
-// fixed cost: its 15 are 3 per leaf, the text of each branch reply the
-// Router reads and of the request it serves, and the client's reply
-// text and ResultSet.
+// after the Router merged into, and decoded a routed answer into, the
+// scratch Answer its handler lends, and each leaf rendered into scratch
+// too (noswissmap: 319, 37, 15 and 85), and after the Router stopped
+// decoding its branches' replies and spliced their bytes instead: one
+// text copy fewer per branch (the last numbers).
 //
-//	MDS aggregate, broad (144 records)       737 → 412 → 380 → 355 → 343
-//	R-GMA information, node04 (15 records)   105 →  71 →  52 →  49 →  37
-//	Hawkeye aggregate, broad, matches nothing           35 →  15 →  15
-//	R-GMA directory, broad (36 records)                119 →  93 →  85
+// Most of those allocations are the end client's field maps. The
+// second budget leaves the client out: the Router's own AppendQuery,
+// what its grid.query handler runs, appending into a reused buffer,
+// with the leaves that answer it. Once warm the Router itself allocates
+// nothing (a profile at MemProfileRate 1 finds only its pools refilling
+// after a GC): every count is the leaves' own, so the broad query that
+// matches nothing costs 2 per leaf, the request text each leaf's handler
+// decodes and the constraint it compiles. (The Hawkeye cell's last step
+// is 3 for the splice and 3 for the leaves' Manager query, which
+// stopped allocating per query in the same change.)
+//
+//	                                                                with the client   Router
+//	MDS aggregate, broad (144 records)       737 → 412 → 380 → 355 → 343 → 340     24
+//	R-GMA information, node04 (15 records)   105 →  71 →  52 →  49 →  37 →  36      2
+//	Hawkeye aggregate, broad, matches nothing           35 →  15 →  15 →  9       6
+//	R-GMA directory, broad (36 records)                119 →  93 →  85 →  82      6
 func TestServedRouterAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops entries at random, so counts are not repeatable")
@@ -238,14 +251,14 @@ func TestServedRouterAllocBudget(t *testing.T) {
 	remote := serveRouter(t, c.router)
 	ctx := context.Background()
 	for _, cell := range []struct {
-		q      gridmon.Query
-		budget float64
-		empty  bool // the query matches nothing
+		q              gridmon.Query
+		budget, router float64
+		empty          bool // the query matches nothing
 	}{
-		{gridmon.Query{System: gridmon.MDS, Role: gridmon.RoleAggregateServer}, 378, false},
-		{gridmon.Query{System: gridmon.RGMA, Host: fedHosts[4], Expr: "SELECT host, metric, value FROM siteinfo"}, 41, false},
-		{gridmon.Query{System: gridmon.Hawkeye, Role: gridmon.RoleAggregateServer, Expr: "LoadAvg < 5"}, 17, true},
-		{gridmon.Query{System: gridmon.RGMA, Role: gridmon.RoleDirectoryServer}, 94, false},
+		{gridmon.Query{System: gridmon.MDS, Role: gridmon.RoleAggregateServer}, 374, 27, false},
+		{gridmon.Query{System: gridmon.RGMA, Host: fedHosts[4], Expr: "SELECT host, metric, value FROM siteinfo"}, 40, 3, false},
+		{gridmon.Query{System: gridmon.Hawkeye, Role: gridmon.RoleAggregateServer, Expr: "LoadAvg < 5"}, 10, 7, true},
+		{gridmon.Query{System: gridmon.RGMA, Role: gridmon.RoleDirectoryServer}, 90, 7, false},
 	} {
 		rs, err := remote.Query(ctx, cell.q)
 		if err != nil {
@@ -259,9 +272,19 @@ func TestServedRouterAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s/%s host=%q: %d records, %.0f allocs/query (budget %.0f)", cell.q.System, cell.q.Role, cell.q.Host, len(rs.Records), allocs, cell.budget)
+		var buf []byte
+		router := testing.AllocsPerRun(200, func() {
+			if buf, err = c.router.AppendQuery(ctx, cell.q, buf[:0]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s/%s host=%q: %d records, %.0f allocs/query (budget %.0f), %.0f at the Router (budget %.0f)",
+			cell.q.System, cell.q.Role, cell.q.Host, len(rs.Records), allocs, cell.budget, router, cell.router)
 		if allocs > cell.budget {
 			t.Errorf("%s/%s host=%q: %.0f allocs/query, budget %.0f", cell.q.System, cell.q.Role, cell.q.Host, allocs, cell.budget)
+		}
+		if router > cell.router {
+			t.Errorf("%s/%s host=%q: %.0f allocs/query at the Router, budget %.0f", cell.q.System, cell.q.Role, cell.q.Host, router, cell.router)
 		}
 	}
 }

@@ -21,13 +21,14 @@
 // out to every shard with bounded concurrency, each branch under a
 // deadline budget carved from the caller's remaining context (or under
 // the caller's context itself when there is nothing to carve); the
-// per-shard answers are read and merged flat, as MergeResultSets
-// merges result sets (records in canonical key order, Work summed
-// field-wise, no aggregator charges added). Beside the answer data it
+// per-shard replies are spliced into one, as MergeResultSets merges
+// result sets (records in canonical key order, Work summed field-wise,
+// no aggregator charges added). Beside the answer data it
 // carries, what a broad query costs the Router does not grow with the
 // shard count: its branches run on goroutines the Router reuses and on
-// the caller's, their bookkeeping is pooled, and each branch answer is
-// decoded once, into slices the branch reuses from query to query.
+// the caller's, their bookkeeping is pooled, and each branch reply is
+// copied once, into bytes the branch reuses from query to query, and
+// relayed without being decoded.
 //
 // Degradation: each replica address has its own resilient client with
 // a circuit breaker (consecutive failures mark the address down,

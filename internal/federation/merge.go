@@ -2,12 +2,10 @@ package federation
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
 	gridmon "repro"
-	"repro/internal/core"
 	"repro/internal/transport"
 )
 
@@ -28,12 +26,14 @@ import (
 // tests).
 //
 // MergeResultSets is the reference merge. The Router merges the same
-// way over flat answers (mergeAnswers), building no field map, and the
-// differential suite and the benchmark's correctness gate hold what it
-// answers to this function.
+// way over its branches' reply bodies (gridmon.MergeReplies), decoding
+// none of them, and the differential suite and the benchmark's
+// correctness gate hold what it answers to this function.
 func MergeResultSets(q gridmon.Query, parts []*gridmon.ResultSet) *gridmon.ResultSet {
-	out := mergedResultSet(q)
-	out.Records = []gridmon.Record{}
+	out := gridmon.ResultSet{System: q.System, Role: q.Role, Host: q.Host, Records: []gridmon.Record{}}
+	if out.Role == "" {
+		out.Role = gridmon.RoleInformationServer
+	}
 	for _, p := range parts {
 		out.Records = append(out.Records, p.Records...)
 		out.Work = MergeWork(out.Work, p.Work)
@@ -42,48 +42,6 @@ func MergeResultSets(q gridmon.Query, parts []*gridmon.ResultSet) *gridmon.Resul
 		return out.Records[i].Key < out.Records[j].Key
 	})
 	return &out
-}
-
-// mergeAnswers is MergeResultSets over the answers of the branches that
-// did not fail, flat, into ans, which it replaces: their spans are
-// shifted onto one pairs slice in shard order (in ans's own slices when
-// they have the room, else in two allocations however many records) and
-// stably sorted by key, so ties keep shard order, and Work is summed. A
-// merge of no records is empty, never nil, as MergeResultSets' is.
-func mergeAnswers(q gridmon.Query, outs []branchOutcome, ans *gridmon.Answer) gridmon.ResultSet {
-	rs := mergedResultSet(q)
-	nrecs, npairs := 0, 0
-	for _, o := range outs {
-		if o.err == nil {
-			nrecs += len(o.ans.Recs)
-			npairs += len(o.ans.Pairs)
-		}
-	}
-	ans.Reset(nrecs, npairs)
-	for _, o := range outs {
-		if o.err != nil {
-			continue
-		}
-		shift := len(ans.Pairs)
-		for _, s := range o.ans.Recs {
-			ans.Recs = append(ans.Recs, core.Span{Key: s.Key, From: s.From + shift, To: s.To + shift})
-		}
-		ans.Pairs = append(ans.Pairs, o.ans.Pairs...)
-		rs.Work = MergeWork(rs.Work, o.rs.Work)
-	}
-	slices.SortStableFunc(ans.Recs, func(a, b core.Span) int { return strings.Compare(a.Key, b.Key) })
-	return rs
-}
-
-// mergedResultSet is what a merge of q's answers starts from: System,
-// Role and Host from the query, Role defaulting to RoleInformationServer
-// as Grid.Query defaults it.
-func mergedResultSet(q gridmon.Query) gridmon.ResultSet {
-	role := q.Role
-	if role == "" {
-		role = gridmon.RoleInformationServer
-	}
-	return gridmon.ResultSet{System: q.System, Role: role, Host: q.Host}
 }
 
 // MergeWork sums two branches' Work field-wise. It is exactly

@@ -231,28 +231,23 @@ func (r *Router) carve(ctx context.Context, fanout bool) (context.Context, conte
 // noCancel is the cancel of a branch that runs under its parent context.
 func noCancel() {}
 
-// branchOutcome is what one shard's branch produced: an answer, flat,
-// or an error, plus the replica address that produced it (the last one
-// tried, on failure).
+// branchOutcome is what one shard's branch produced: a reply body or an
+// error, plus the replica address that produced it (the last one tried,
+// on failure).
 type branchOutcome struct {
 	addr string
-	rs   gridmon.ResultSet
-	// ans holds the answer's records. A broad query's outcomes are
-	// pooled, so ans keeps its slices from query to query and a branch
-	// decodes into them without allocating.
-	ans gridmon.Answer
-	err error
+	// body is the reply, as the leaf sent it. A broad query's outcomes
+	// are pooled, so body keeps its capacity from query to query and a
+	// branch copies its reply into it without allocating.
+	body []byte
+	err  error
 	// late marks a fail-fast branch that ended after a sibling's failure
 	// had canceled the group.
 	late bool
 }
 
-// reset empties o for the next query, keeping its answer's slices but
-// none of the strings they held, past their length too.
-func (o *branchOutcome) reset() {
-	o.ans.Clear()
-	*o = branchOutcome{ans: o.ans}
-}
+// reset empties o for the next query, keeping the room its body has.
+func (o *branchOutcome) reset() { *o = branchOutcome{body: o.body[:0]} }
 
 // definitive reports whether a branch error is request-level — the
 // same data on a replica must answer it the same way, so failover
@@ -268,18 +263,17 @@ func definitive(err error) bool {
 }
 
 // queryBranch answers q on one shard, failing over across its replicas,
-// and decodes the answer's records into ans, which it replaces (on an
-// error ans is as it was). addr is the replica that answered, or the
-// last one tried.
-func queryBranch(ctx context.Context, backends []*gridmon.RemoteGrid, q gridmon.Query, ans *gridmon.Answer) (addr string, rs gridmon.ResultSet, err error) {
+// and appends the reply body to dst (on an error out is dst). addr is
+// the replica that answered, or the last one tried.
+func queryBranch(ctx context.Context, backends []*gridmon.RemoteGrid, q gridmon.Query, dst []byte) (addr string, out []byte, err error) {
 	for _, rg := range backends {
 		addr = rg.Addr()
-		rs, err = rg.QueryAnswerInto(ctx, q, ans)
+		out, err = rg.AppendQuery(ctx, q, dst)
 		if err == nil || ctx.Err() != nil || definitive(err) {
-			return addr, rs, err
+			return addr, out, err
 		}
 	}
-	return addr, rs, err
+	return addr, out, err
 }
 
 // callBranch runs one idempotent op on a shard with the same replica
@@ -299,54 +293,55 @@ func callBranch(ctx context.Context, backends []*gridmon.RemoteGrid, op string, 
 	return transport.AsError(lastErr)
 }
 
-// Query answers q across the federation: QueryAnswerInto, with the
-// records built from the flat answer.
+// replies pools the buffers Query appends a reply to before decoding it.
+var replies = sync.Pool{New: func() any { return new([]byte) }}
+
+// Query answers q across the federation: AppendQuery, decoded.
 func (r *Router) Query(ctx context.Context, q gridmon.Query) (*gridmon.ResultSet, error) {
-	var ans gridmon.Answer
-	rs, err := r.QueryAnswerInto(ctx, q, &ans)
-	if err != nil {
-		return nil, err
+	buf := replies.Get().(*[]byte)
+	b, err := r.AppendQuery(ctx, q, (*buf)[:0])
+	var rs *gridmon.ResultSet
+	if err == nil {
+		rs, err = gridmon.DecodeReply(b)
 	}
-	rs.Records = ans.Records()
-	return &rs, nil
+	*buf = b[:0]
+	replies.Put(buf)
+	return rs, err
 }
 
-// QueryAnswerInto answers q across the federation with its records flat
-// (ResultSet.Records nil), in ans, which it replaces, reusing the
-// capacity of its two slices: an answer with no record slice leaves
-// ans.Recs nil, and on an error ans is as it was. The branches are read
-// flat too, so no field map is built anywhere, and a served Router
-// renders into the scratch its handler lends and encodes it pair by
-// pair. A host-targeted query routes to the one shard owning the host
-// and decodes the leaf's answer straight into ans, unchanged (Records
-// and Work byte-identical to a single grid monitoring the same hosts); a
-// broad query scatter-gathers every shard and merges into ans as
-// MergeResultSets merges. Branch failures degrade per the configured
-// Policy — see the package comment. Elapsed measures the full federated
-// round trip.
-func (r *Router) QueryAnswerInto(ctx context.Context, q gridmon.Query, ans *gridmon.Answer) (gridmon.ResultSet, error) {
+// AppendQuery answers q across the federation and appends its grid.query
+// reply body to dst, relaying the leaves' bytes: no branch reply is
+// decoded, so no string is cut from one and no field map is built. A
+// host-targeted query routes to the one shard owning the host and
+// appends the leaf's reply unchanged but for Elapsed (Records and Work
+// byte-identical to a single grid monitoring the same hosts); a broad
+// query scatter-gathers every shard and splices their records into one
+// reply as MergeResultSets merges them (gridmon.MergeReplies). Branch
+// failures degrade per the configured Policy — see the package comment.
+// Elapsed measures the full federated round trip. On an error dst comes
+// back as it was.
+func (r *Router) AppendQuery(ctx context.Context, q gridmon.Query, dst []byte) ([]byte, error) {
 	start := time.Now()
 	r.queries.Add(1)
 	if err := ctx.Err(); err != nil {
-		return gridmon.ResultSet{}, transport.AsError(err)
+		return dst, transport.AsError(err)
 	}
 	smap, backends := r.snapshot()
 	if q.Host == "" {
-		return r.queryBroad(ctx, start, backends, q, ans)
+		return r.queryBroad(ctx, start, backends, q, dst)
 	}
 	shard := smap.ShardFor(q.Host)
 	bctx, cancel := r.carve(ctx, false)
 	defer cancel()
-	_, rs, err := queryBranch(bctx, backends[shard], q, ans)
+	_, out, err := queryBranch(bctx, backends[shard], q, dst)
 	if err != nil {
 		r.branchFails.Add(1)
 		if err := ctx.Err(); err != nil {
-			return gridmon.ResultSet{}, transport.AsError(err)
+			return dst, transport.AsError(err)
 		}
-		return gridmon.ResultSet{}, err
+		return dst, err
 	}
-	rs.Elapsed = time.Since(start)
-	return rs, nil
+	return gridmon.StampElapsed(out, len(dst), time.Since(start)), nil
 }
 
 // scatter is one broad query's branch bookkeeping: what its branches
@@ -359,6 +354,7 @@ type scatter struct {
 	q        gridmon.Query
 	backends [][]*gridmon.RemoteGrid
 	outs     []branchOutcome
+	bodies   [][]byte // the answered branches' bodies, in shard order
 	wg       sync.WaitGroup
 	// sem bounds the branches in flight when the map has more shards
 	// than MaxFanout (bounded): the caller takes a slot for each branch
@@ -398,7 +394,8 @@ func (r *Router) putScatter(s *scatter) {
 	for i := range s.outs {
 		s.outs[i].reset()
 	}
-	s.ctx, s.cancel, s.q, s.backends = nil, nil, gridmon.Query{}, nil
+	clear(s.bodies)
+	s.ctx, s.cancel, s.q, s.backends, s.bodies = nil, nil, gridmon.Query{}, nil, s.bodies[:0]
 	r.scatters.Put(s)
 }
 
@@ -425,7 +422,7 @@ func (s *scatter) acquire(i int) bool {
 func (s *scatter) run(i int) {
 	out := &s.outs[i]
 	bctx, cancel := s.r.carve(s.ctx, true)
-	out.addr, out.rs, out.err = queryBranch(bctx, s.backends[i], s.q, &out.ans)
+	out.addr, out.body, out.err = queryBranch(bctx, s.backends[i], s.q, out.body[:0])
 	cancel()
 	if out.err != nil && s.r.policy == FailFast {
 		out.late = s.ctx.Err() != nil
@@ -480,12 +477,12 @@ func (r *Router) branchWorker(job branchJob) {
 	}
 }
 
-// queryBroad fans q out to every shard and merges per the policy, into
-// ans. The branches start in shard order, at most MaxFanout in flight at
-// once: every one but the last on a branch worker, the last on the
-// calling goroutine.
+// queryBroad fans q out to every shard and merges per the policy,
+// appending the reply to dst. The branches start in shard order, at most
+// MaxFanout in flight at once: every one but the last on a branch
+// worker, the last on the calling goroutine.
 func (r *Router) queryBroad(ctx context.Context, start time.Time, backends [][]*gridmon.RemoteGrid,
-	q gridmon.Query, ans *gridmon.Answer) (rs gridmon.ResultSet, err error) {
+	q gridmon.Query, dst []byte) ([]byte, error) {
 	s := r.getScatter(len(backends))
 	defer r.putScatter(s)
 	s.ctx, s.cancel, s.q, s.backends = ctx, noCancel, q, backends
@@ -531,40 +528,40 @@ func (r *Router) queryBroad(ctx context.Context, start time.Time, backends [][]*
 			fails = append(fails, gridmon.BranchError{
 				Shard: i, Addr: out.addr, Code: te.Code, Message: te.Message,
 			})
+			continue
 		}
+		s.bodies = append(s.bodies, out.body)
 	}
-	if len(fails) == 0 {
-		rs = mergeAnswers(q, outs, ans)
-		rs.Elapsed = time.Since(start)
-		return rs, nil
+	if len(fails) > 0 {
+		r.branchFails.Add(int64(len(fails)))
+		if err := ctx.Err(); err != nil {
+			// The caller's own context died; the branch failures are its
+			// echo, not degradation.
+			return dst, transport.AsError(err)
+		}
+		survivors := len(outs) - len(fails)
+		if survivors == 0 && passthroughCode(fails) {
+			// Every branch answered the same request-level error — the same
+			// answer a single grid would give, so pass it through untouched.
+			return dst, &transport.Error{Code: fails[0].Code, Message: fails[0].Message}
+		}
+		if r.policy == FailFast || survivors == 0 {
+			r.degraded.Add(1)
+			// List originating failures before the cancellations fail-fast
+			// induced in their siblings.
+			sort.SliceStable(fails, func(i, j int) bool {
+				return fails[i].Code != transport.CodeCanceled && fails[j].Code == transport.CodeCanceled
+			})
+			return dst, degradedError(len(outs), fails)
+		}
+		r.partials.Add(1)
 	}
-	r.branchFails.Add(int64(len(fails)))
-	if err := ctx.Err(); err != nil {
-		// The caller's own context died; the branch failures are its
-		// echo, not degradation.
-		return rs, transport.AsError(err)
+	// The merge names the failed branches, Partial when there are any.
+	b, err := gridmon.MergeReplies(dst, q, s.bodies, fails, time.Since(start))
+	if err != nil {
+		return dst, transport.AsError(err)
 	}
-	survivors := len(outs) - len(fails)
-	if survivors == 0 && passthroughCode(fails) {
-		// Every branch answered the same request-level error — the same
-		// answer a single grid would give, so pass it through untouched.
-		return rs, &transport.Error{Code: fails[0].Code, Message: fails[0].Message}
-	}
-	if r.policy == FailFast || survivors == 0 {
-		r.degraded.Add(1)
-		// List originating failures before the cancellations fail-fast
-		// induced in their siblings.
-		sort.SliceStable(fails, func(i, j int) bool {
-			return fails[i].Code != transport.CodeCanceled && fails[j].Code == transport.CodeCanceled
-		})
-		return rs, degradedError(len(outs), fails)
-	}
-	r.partials.Add(1)
-	rs = mergeAnswers(q, outs, ans)
-	rs.Partial = true
-	rs.Branches = fails
-	rs.Elapsed = time.Since(start)
-	return rs, nil
+	return b, nil
 }
 
 // Subscribe proxies a host-targeted subscription to the shard owning

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	gridmon "repro"
-	"repro/internal/core"
 	"repro/internal/leakcheck"
 	"repro/internal/transport"
 )
@@ -60,9 +59,9 @@ func TestSnapshotAllocatesNothing(t *testing.T) {
 }
 
 // TestOutcomeResetDropsStrings: a broad query's outcomes go back to the
-// pool holding no string of its replies — neither in their answers'
-// records nor past their length, where a failed or retried decode
-// leaves what it appended before the answer was restored.
+// pool holding no string of their query, and no pointer into their
+// replies: the replies are bytes each outcome owns, emptied and kept for
+// the next query, and the bodies the merge was handed are dropped.
 func TestOutcomeResetDropsStrings(t *testing.T) {
 	r, err := New(Config{Map: NewShardMap("a:1", "b:1")})
 	if err != nil {
@@ -71,28 +70,23 @@ func TestOutcomeResetDropsStrings(t *testing.T) {
 	defer r.Close()
 	s := r.getScatter(2)
 	for i := range s.outs {
-		ans := &s.outs[i].ans
-		ans.Recs = append(ans.Recs, core.Span{Key: "kept", To: 1}, core.Span{Key: "dropped", From: 1, To: 2})
-		ans.Pairs = append(ans.Pairs, core.Pair{Name: "n", Value: "kept"}, core.Pair{Name: "n", Value: "dropped"})
-		// A failed attempt appended the second record, then the answer
-		// was restored to what it held before.
-		ans.Recs, ans.Pairs = ans.Recs[:1], ans.Pairs[:1]
 		s.outs[i].addr = "a:1"
+		s.outs[i].body = append(s.outs[i].body, "a reply"...)
+		s.outs[i].err = transport.Errf(transport.CodeUnavailable, "down")
+		s.bodies = append(s.bodies, s.outs[i].body)
 	}
 	r.putScatter(s)
 	for i, o := range s.outs {
-		if o.addr != "" || len(o.ans.Recs) != 0 || len(o.ans.Pairs) != 0 {
-			t.Errorf("outcome %d not emptied: %+v", i, o)
+		if o.addr != "" || o.err != nil || len(o.body) != 0 || cap(o.body) == 0 {
+			t.Errorf("outcome %d not emptied, or its body's room not kept: %+v", i, o)
 		}
-		for j, sp := range o.ans.Recs[:cap(o.ans.Recs)] {
-			if sp != (core.Span{}) {
-				t.Errorf("outcome %d: span %d still holds %+v", i, j, sp)
-			}
-		}
-		for j, p := range o.ans.Pairs[:cap(o.ans.Pairs)] {
-			if p != (core.Pair{}) {
-				t.Errorf("outcome %d: pair %d still holds %+v", i, j, p)
-			}
+	}
+	if len(s.bodies) != 0 {
+		t.Errorf("the merge's bodies were kept: %q", s.bodies)
+	}
+	for i, b := range s.bodies[:cap(s.bodies)] {
+		if b != nil {
+			t.Errorf("body %d still held past the length: %q", i, b)
 		}
 	}
 }

@@ -99,11 +99,22 @@ var (
 // carrying the host identity. The ad is new on every call and belongs to
 // the caller, which may hand it to a Manager.
 func (a *Agent) StartdAd(now float64) (*classad.Ad, QueryStats) {
+	ad := a.newAd()
+	return ad, a.collect(ad, now)
+}
+
+// newAd is an empty ad with room for the Startd ad's attributes.
+func (a *Agent) newAd() *classad.Ad {
 	n := 2
 	for _, m := range a.modules {
 		n += m.attrs
 	}
-	ad := classad.NewAdSized(n)
+	return classad.NewAdSized(n)
+}
+
+// collect fills ad, which is empty, with the host identity and every
+// module's attributes.
+func (a *Agent) collect(ad *classad.Ad, now float64) QueryStats {
 	ad.SetNamed(attrName, classad.Str(a.Host))
 	ad.SetNamed(attrMyType, classad.Str("Machine"))
 	var st QueryStats
@@ -112,14 +123,23 @@ func (a *Agent) StartdAd(now float64) (*classad.Ad, QueryStats) {
 		st.ModulesCollected++
 		st.ModuleExecWeight += m.ExecWeight
 	}
-	return ad, st
+	return st
 }
 
 // Query answers a direct query about this Agent: the constraint expression
 // is evaluated against a freshly collected Startd ClassAd, which is
 // returned when it matches. A nil constraint always matches.
 func (a *Agent) Query(now float64, constraint classad.Expr) (*classad.Ad, QueryStats) {
-	ad, st := a.StartdAd(now)
+	return a.QueryInto(now, constraint, a.newAd())
+}
+
+// QueryInto is Query collecting into ad, which it empties first, keeping
+// the room it has: a caller that lends one ad from query to query still
+// collects every module on every query, but builds no ad. The ad
+// returned on a match is ad.
+func (a *Agent) QueryInto(now float64, constraint classad.Expr, ad *classad.Ad) (*classad.Ad, QueryStats) {
+	ad.Reset()
+	st := a.collect(ad, now)
 	match := true
 	if constraint != nil {
 		cc := classad.CompileConstraint(constraint)

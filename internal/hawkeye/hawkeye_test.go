@@ -374,3 +374,75 @@ func TestStartdAdAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryIntoLentAd: a direct query that collects into a lent ad,
+// reused from query to query and from agent to agent, answers what a
+// query into a fresh ad answers, ad for ad and stat for stat, including
+// a rejection; once the ad has grown for the largest agent it asks, a
+// query allocates nothing for the ad. The Work a query reports still
+// counts every module, collected again on every query.
+func TestQueryIntoLentAd(t *testing.T) {
+	small := newDefaultAgent(t)
+	big := newDefaultAgent(t)
+	if err := big.AddModules(VmstatModuleCopies(79)); err != nil {
+		t.Fatal(err)
+	}
+	lent := classad.NewAd()
+	for _, c := range []struct {
+		agent      *Agent
+		constraint string
+	}{{big, ""}, {small, ""}, {small, "TARGET.CpuLoad >= 0"}, {big, "false"}, {small, "TARGET.OpSys == \"LINUX\""}} {
+		var constraint classad.Expr
+		if c.constraint != "" {
+			var err error
+			if constraint, err = classad.ParseExpr(c.constraint); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, now := range []float64{1, 2} {
+			want, wst := c.agent.Query(now, constraint)
+			got, gst := c.agent.QueryInto(now, constraint, lent)
+			if gst != wst || (got == nil) != (want == nil) || (got != nil && (got != lent || got.String() != want.String())) {
+				t.Fatalf("%d modules, %q at %v: lent ad %v %+v, fresh ad %v %+v",
+					c.agent.NumModules(), c.constraint, now, got, gst, want, wst)
+			}
+			if wst.ModulesCollected != c.agent.NumModules() {
+				t.Fatalf("%d modules collected, want every one of %d", wst.ModulesCollected, c.agent.NumModules())
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { small.QueryInto(1, nil, lent) }); allocs != 0 {
+		t.Errorf("a query into a lent ad costs %.0f allocs, want 0", allocs)
+	}
+}
+
+// TestManagerQueryInto: a Manager query that lists its matches in a
+// lent slice lists what Query lists, after whatever the slice held, and
+// a read unlocks without a closure: once the slice has room, a query
+// with no constraint allocates nothing, with or without ad expiry.
+func TestManagerQueryInto(t *testing.T) {
+	for _, lifetime := range []float64{0, 60} {
+		mgr := NewManager("m", lifetime)
+		for _, host := range []string{"a", "b", "c"} {
+			ad, _ := NewAgent(host, 30).StartdAd(0)
+			if _, err := mgr.Update(0, ad); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, wst := mgr.Query(1, nil)
+		held := classad.NewAd()
+		got, gst := mgr.QueryInto(1, nil, []*classad.Ad{held})
+		if gst != wst || len(got) != len(want)+1 || got[0] != held {
+			t.Fatalf("lifetime %v: lent slice %v %+v, fresh %v %+v", lifetime, got, gst, want, wst)
+		}
+		for i := range want {
+			if got[i+1] != want[i] {
+				t.Fatalf("lifetime %v: ad %d differs", lifetime, i)
+			}
+		}
+		lent := make([]*classad.Ad, 0, 8)
+		if allocs := testing.AllocsPerRun(100, func() { mgr.QueryInto(1, nil, lent) }); allocs != 0 {
+			t.Errorf("lifetime %v: a query into a lent slice costs %.0f allocs, want 0", lifetime, allocs)
+		}
+	}
+}

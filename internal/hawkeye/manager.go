@@ -77,22 +77,23 @@ func NewManager(name string, adLifetime float64) *Manager {
 // lockForRead takes the lock a read at time now needs: the shared lock
 // when no ad can expire (AdLifetime zero — reads mutate nothing and run
 // in parallel), otherwise the exclusive lock with expiry applied first.
-// It returns the matching unlock.
+// It returns the lock to unlock, as an interface that costs no
+// allocation, unlike a method value.
 //
-// locks mu (for the calling function, until the returned unlock runs).
-func (m *Manager) lockForRead(now float64) (unlock func()) {
+// locks mu (for the calling function, until the returned Locker unlocks).
+func (m *Manager) lockForRead(now float64) sync.Locker {
 	if m.AdLifetime <= 0 {
 		m.mu.RLock()
-		return m.mu.RUnlock
+		return m.mu.RLocker()
 	}
 	m.mu.Lock()
 	m.expire(now)
-	return m.mu.Unlock
+	return &m.mu
 }
 
 // NumMachines reports the number of live pool members at time now.
 func (m *Manager) NumMachines(now float64) int {
-	defer m.lockForRead(now)()
+	defer m.lockForRead(now).Unlock()
 	return len(m.ads)
 }
 
@@ -166,7 +167,7 @@ func (m *Manager) expire(now float64) {
 // no scan, the "indexed resident database" advantage the paper credits for
 // the Manager's efficiency.
 func (m *Manager) QueryByName(now float64, name string) (*classad.Ad, QueryStats, bool) {
-	defer m.lockForRead(now)()
+	defer m.lockForRead(now).Unlock()
 	rec, ok := m.lookup(name)
 	if !ok {
 		return nil, QueryStats{}, false
@@ -181,9 +182,15 @@ func (m *Manager) QueryByName(now float64, name string) (*classad.Ad, QueryStats
 // pool; the constraint is compiled once per query so the scan does not
 // re-resolve its attribute references per machine.
 func (m *Manager) Query(now float64, constraint classad.Expr) ([]*classad.Ad, QueryStats) {
-	defer m.lockForRead(now)()
+	return m.QueryInto(now, constraint, nil)
+}
+
+// QueryInto is Query appending the matching ads to out, so a caller
+// that lends the same slice from query to query scans without growing
+// one. The ads are the pool's own: read them, never write them.
+func (m *Manager) QueryInto(now float64, constraint classad.Expr, out []*classad.Ad) ([]*classad.Ad, QueryStats) {
+	defer m.lockForRead(now).Unlock()
 	st := QueryStats{ScanFallbacks: 1}
-	var out []*classad.Ad
 	var cc *classad.CompiledConstraint
 	if constraint != nil {
 		c := classad.CompileConstraint(constraint)
@@ -244,7 +251,7 @@ func (m *Manager) RemoveTrigger(name string) bool {
 
 // Machines lists live pool-member names in sorted order.
 func (m *Manager) Machines(now float64) []string {
-	defer m.lockForRead(now)()
+	defer m.lockForRead(now).Unlock()
 	out := make([]string, 0, len(m.order))
 	for _, key := range m.order {
 		out = append(out, m.ads[key].name)
@@ -257,7 +264,7 @@ func (m *Manager) Machines(now float64) []string {
 // an Agent directly must first ask the Manager for the Agent's address,
 // the two-step lookup the paper describes.
 func (m *Manager) AgentAddress(now float64, name string) (string, bool) {
-	defer m.lockForRead(now)()
+	defer m.lockForRead(now).Unlock()
 	rec, ok := m.lookup(name)
 	if !ok {
 		return "", false

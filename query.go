@@ -54,10 +54,10 @@ type Querier interface {
 }
 
 var (
-	_ Querier     = (*Grid)(nil)
-	_ Querier     = (*RemoteGrid)(nil)
-	_ flatQuerier = (*Grid)(nil)
-	_ flatQuerier = (*RemoteGrid)(nil)
+	_ Querier       = (*Grid)(nil)
+	_ Querier       = (*RemoteGrid)(nil)
+	_ appendQuerier = (*Grid)(nil)
+	_ appendQuerier = (*RemoteGrid)(nil)
 )
 
 // ErrorCode classifies a query failure. The codes travel on the wire,
@@ -128,7 +128,7 @@ func CodeOf(err error) ErrorCode { return transport.ErrorCode(err) }
 // fast-fails with ErrOverloaded — see WithAdmission for the semantics.
 func (g *Grid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 	start := time.Now()
-	ans := answers.Get().(*Answer)
+	ans := answers.Get().(*core.Answer)
 	rs, e, err := g.answer(ctx, q, start, ans)
 	if err == nil {
 		if e != nil {
@@ -146,39 +146,32 @@ func (g *Grid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 	return &rs, nil
 }
 
-// answers pools the scratch Answers that a query renders into when its
-// records are only passed on: encoded (queryV3) or turned into Records
-// (Grid.Query). Whoever takes one Clears it before putting it back.
-var answers = sync.Pool{New: func() any { return new(Answer) }}
+// answers pools the scratch Answers a query renders into when its records
+// are only passed on (AppendQuery, Grid.Query). Whoever takes one Clears
+// it before putting it back.
+var answers = sync.Pool{New: func() any { return new(core.Answer) }}
 
-// QueryAnswer is Query with the records left flat: the ResultSet comes
-// back with Records nil and the records in the Answer, so a caller that
-// only forwards them builds no field map. A cached Answer is the cache
-// entry's own, Shared: read it, never write it.
-func (g *Grid) QueryAnswer(ctx context.Context, q Query) (ResultSet, Answer, error) {
-	var ans Answer
-	rs, err := g.QueryAnswerInto(ctx, q, &ans)
-	return rs, ans, err
-}
-
-// QueryAnswerInto is QueryAnswer rendering the records into ans, which
-// it replaces, reusing the capacity of its two slices: an answer with no
-// record slice leaves ans.Recs nil, and on an error ans is as it was. A
-// cached answer is the cache entry's own, with no copy, handed out
-// Shared (see Answer.Shared). The grid.query handler lends ans pooled
-// scratch, so an uncached answer it serves is rendered without
-// allocating for its spans and pairs.
-func (g *Grid) QueryAnswerInto(ctx context.Context, q Query, ans *Answer) (ResultSet, error) {
+// AppendQuery answers q as Query does and appends its grid.query reply
+// body to dst, the ResultSet as the wire carries it, its records encoded
+// pair by pair: an uncached answer from the pooled scratch it is rendered
+// into, which is cleared and taken back, a cached one from the answer its
+// entry owns. No Records are built, and an uncached answer lives no
+// longer than the call. On an error dst comes back as it was.
+func (g *Grid) AppendQuery(ctx context.Context, q Query, dst []byte) ([]byte, error) {
 	start := time.Now()
+	ans := answers.Get().(*core.Answer)
 	rs, e, err := g.answer(ctx, q, start, ans)
-	if err != nil {
-		return ResultSet{}, err
+	if err == nil {
+		flat := ans
+		if e != nil {
+			flat = &e.answer
+		}
+		rs.Elapsed = time.Since(start)
+		dst = appendWireResultSet(dst, &rs, flat)
 	}
-	if e != nil {
-		*ans = e.answer.Shared()
-	}
-	rs.Elapsed = time.Since(start)
-	return rs, nil
+	ans.Clear()
+	answers.Put(ans)
+	return dst, err
 }
 
 // answer is Query without Records, the one answer function every query
@@ -186,7 +179,7 @@ func (g *Grid) QueryAnswerInto(ctx context.Context, q Query, ans *Answer) (Resul
 // in e, the cache entry holding it (the hit, or the miss just stored,
 // which renders once, into the answer its entry owns), and out is left
 // as it was, as it is on an error.
-func (g *Grid) answer(ctx context.Context, q Query, start time.Time, out *Answer) (rs ResultSet, e *cacheEntry, err error) {
+func (g *Grid) answer(ctx context.Context, q Query, start time.Time, out *core.Answer) (rs ResultSet, e *cacheEntry, err error) {
 	if err := ctx.Err(); err != nil {
 		g.counters.Errors.Add(1)
 		return rs, nil, transport.AsError(err)
@@ -223,7 +216,7 @@ func (g *Grid) answer(ctx context.Context, q Query, start time.Time, out *Answer
 		return rs, nil, err
 	}
 	var gen uint64
-	var owned Answer
+	var owned core.Answer
 	if cache != nil {
 		// Read the cache generation while holding the read lock: an
 		// Advance cannot run concurrently, so the answer below is
@@ -284,7 +277,7 @@ func (g *Grid) endRead() {
 // for, and the LDAP query sizes MDS's Work as the projected response. On
 // an error out is as it was.
 // Callers hold beginRead.
-func (g *Grid) read(ctx context.Context, q Query, role Role, out *Answer) (Work, error) {
+func (g *Grid) read(ctx context.Context, q Query, role Role, out *core.Answer) (Work, error) {
 	switch q.System {
 	case MDS, RGMA, Hawkeye:
 	default:
@@ -311,7 +304,7 @@ func (g *Grid) engineNow(ctx context.Context) (float64, error) {
 	return now, ctx.Err()
 }
 
-func (g *Grid) readMDS(ctx context.Context, role Role, q Query, out *Answer) (Work, error) {
+func (g *Grid) readMDS(ctx context.Context, role Role, q Query, out *core.Answer) (Work, error) {
 	var filter ldap.Filter
 	if q.Expr != "" {
 		var err error
@@ -368,7 +361,7 @@ var rowsQueries = sync.Pool{New: func() any { return new(relational.RowsQuery) }
 
 // readRGMA answers an R-GMA query: the Registry's directory answer, or a
 // SELECT run on pooled row scratch (selectRGMA).
-func (g *Grid) readRGMA(ctx context.Context, role Role, q Query, out *Answer) (Work, error) {
+func (g *Grid) readRGMA(ctx context.Context, role Role, q Query, out *core.Answer) (Work, error) {
 	if role == RoleDirectoryServer {
 		table := q.Expr
 		if table == "" {
@@ -458,7 +451,7 @@ func (g *Grid) selectStmt(expr, table string) (relational.SelectStmt, error) {
 	return p.Select, nil
 }
 
-func (g *Grid) readHawkeye(ctx context.Context, role Role, q Query, out *Answer) (Work, error) {
+func (g *Grid) readHawkeye(ctx context.Context, role Role, q Query, out *core.Answer) (Work, error) {
 	var constraint classad.Expr
 	if q.Expr != "" {
 		var err error
@@ -482,14 +475,16 @@ func (g *Grid) readHawkeye(ctx context.Context, role Role, q Query, out *Answer)
 		if err != nil {
 			return Work{}, err
 		}
-		// The Agent answers with its Startd ad, or nothing (no record
-		// slice) when the constraint rejects it.
-		ad, st := agent.Query(now, constraint)
+		// The Agent answers with its Startd ad, collected into a pooled
+		// one, or nothing (no record slice) when the constraint rejects it.
+		lent := startdAds.Get().(*classad.Ad)
+		ad, st := agent.QueryInto(now, constraint, lent)
 		if ad == nil {
 			out.SetNil()
 		} else {
 			core.AdAnswer(out, []*classad.Ad{ad}, q.Attrs)
 		}
+		startdAds.Put(lent)
 		return core.HawkeyeWork(st), nil
 	case RoleDirectoryServer, RoleAggregateServer:
 		// The Manager plays both roles in Table 1.
@@ -497,12 +492,24 @@ func (g *Grid) readHawkeye(ctx context.Context, role Role, q Query, out *Answer)
 		if err != nil {
 			return Work{}, err
 		}
-		ads, st := g.manager.Query(now, constraint)
+		lent := adLists.Get().(*[]*classad.Ad)
+		ads, st := g.manager.QueryInto(now, constraint, (*lent)[:0])
 		core.AdAnswer(out, ads, q.Attrs)
+		clear(ads)
+		*lent = ads[:0]
+		adLists.Put(lent)
 		return core.HawkeyeWork(st), nil
 	}
 	return Work{}, badRole(role)
 }
+
+// startdAds pools the ads a direct Agent query collects into, and
+// adLists the slices a Manager query lists its matches in, emptied
+// before they go back so the pool keeps no pool member's ad.
+var (
+	startdAds = sync.Pool{New: func() any { return classad.NewAd() }}
+	adLists   = sync.Pool{New: func() any { return new([]*classad.Ad) }}
+)
 
 func badRole(role Role) error {
 	return transport.Errf(transport.CodeBadRequest,

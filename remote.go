@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/binenc"
 	"repro/internal/transport"
 )
 
@@ -556,59 +555,41 @@ func (r *RemoteGrid) Subscribe(ctx context.Context, sub Subscription) (*Stream, 
 // clone the strings to keep a few fields of a large answer for long.
 func (r *RemoteGrid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 	start := time.Now()
-	var rs ResultSet
+	var rs *ResultSet
 	err := r.callWire(ctx, func(actx context.Context, c *transport.MuxClient) error {
 		return c.CallV3(actx, "grid.query",
 			func(b []byte) []byte { return appendWireQuery(b, q) },
-			func(body []byte) error {
-				d := binenc.NewDecText(body)
-				decodeWireResultSetInto(&d, &rs)
-				return d.Err()
+			func(body []byte) (err error) {
+				rs, err = DecodeReply(body)
+				return err
 			})
 	})
 	if err != nil {
 		return nil, err
 	}
 	rs.Elapsed = time.Since(start)
-	return &rs, nil
+	return rs, nil
 }
 
-// QueryAnswer is Query with the records left flat: the ResultSet comes
-// back with Records nil and the answer's records in the Answer, cut
-// from the same one copy of the frame (the same retention contract)
-// with no field map, so beside the text an answer costs its spans and
-// its pairs however many records it holds.
-func (r *RemoteGrid) QueryAnswer(ctx context.Context, q Query) (ResultSet, Answer, error) {
-	var ans Answer
-	rs, err := r.QueryAnswerInto(ctx, q, &ans)
-	return rs, ans, err
-}
-
-// QueryAnswerInto is QueryAnswer decoding the answer's records into ans,
-// which it replaces, reusing the capacity of its two slices: an answer
-// with no record slice leaves ans.Recs nil, and on an error ans is as it
-// was (the records are written only once a whole reply has decoded).
-// The federation Router reads its branches this way: a branch reuses one
-// Answer from query to query, so beside the frame's one copy of text a
-// branch answer costs nothing. The strings are substrings of the frame's
-// text, the retention contract of Query.
-func (r *RemoteGrid) QueryAnswerInto(ctx context.Context, q Query, ans *Answer) (ResultSet, error) {
-	start := time.Now()
-	var rs ResultSet
+// AppendQuery asks q as Query does and appends the reply body the server
+// sent, Elapsed the server's own, to dst once it has walked the body as
+// Query decodes it, cutting no string: relaying an answer costs the copy
+// of its bytes. A reply that does not decode fails the attempt as it
+// fails Query's. On an error dst comes back as it was.
+func (r *RemoteGrid) AppendQuery(ctx context.Context, q Query, dst []byte) ([]byte, error) {
+	out := dst
 	err := r.callWire(ctx, func(actx context.Context, c *transport.MuxClient) error {
 		return c.CallV3(actx, "grid.query",
 			func(b []byte) []byte { return appendWireQuery(b, q) },
 			func(body []byte) error {
-				d := binenc.NewDecText(body)
-				decodeWireResult(&d, &rs, ans)
-				return d.Err()
+				rep, err := scanWireReply(body, nil)
+				if err == nil {
+					out = append(dst, body[:rep.end]...)
+				}
+				return err
 			})
 	})
-	if err != nil {
-		return ResultSet{}, err
-	}
-	rs.Elapsed = time.Since(start)
-	return rs, nil
+	return out, err // out is dst unless a reply was appended, and then err is nil
 }
 
 // Hosts lists the remote grid's monitored hosts.

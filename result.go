@@ -13,11 +13,6 @@ import (
 // string fields.
 type Record = core.Record
 
-// Answer is a query's records in flat form: spans over name/value pairs
-// cut from one text, with no field map (see core.Answer). Its Records
-// method builds the map form.
-type Answer = core.Answer
-
 // Work quantifies what the serving component did to answer a query, in
 // units common to all three systems (see internal/core).
 type Work = core.Work

@@ -265,7 +265,7 @@ type mdsWatcher struct {
 
 // mdsRecords decodes a watcher's poll, projected onto attrs.
 func mdsRecords(entries []*ldap.Entry, attrs []string) []Record {
-	var a Answer
+	var a core.Answer
 	core.MDSAnswer(&a, entries, attrs)
 	return a.Records()
 }

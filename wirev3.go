@@ -1,8 +1,12 @@
 package gridmon
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/binenc"
@@ -28,15 +32,15 @@ import (
 // connection's pooled frame buffer, and stays alive as a whole while any
 // decoded string is retained. RemoteGrid.Query then builds an answer's
 // []Record and one map per record (decodeWireRecords; see
-// TestWireQueryRoundTripAllocs). QueryAnswer builds none: it cuts the
-// records into one flat Answer, spans and pairs (countWireAnswer,
-// fillWireAnswer), and QueryAnswerInto replaces an Answer the caller
-// reuses with them, which is how the federation Router reads its
-// branches. Nor does a server: a source that answers flat (a Grid, a
-// Router forwarding its branches) replaces the pooled scratch Answer the
-// grid.query handler lends it, and the handler encodes it pair by pair
-// (appendWireAnswer). Counts read off the wire are bounded by the bytes
-// left in the frame (Dec.Count) before anything is sized by them.
+// TestWireQueryRoundTripAllocs). A server decodes no reply: its source
+// appends one to the handler's buffer (appendQuerier). A Grid encodes
+// its pooled scratch Answer pair by pair (appendWireAnswer), a
+// RemoteGrid copies the body it received once it has walked it
+// (scanWireReply), and the federation Router relays its branches'
+// bytes: a routed reply restamped (StampElapsed), broad ones' records
+// sorted by key into one reply (MergeReplies). Counts read off the wire
+// are bounded by the bytes left in the frame (Dec.Count) before
+// anything is sized by them.
 //
 // Nil-ness is preserved exactly as the JSON codecs preserve it, so a
 // binary-bodied answer is reflect.DeepEqual to the JSON-bodied answer
@@ -198,66 +202,27 @@ func decodeWireRecords(d *binenc.Dec) []Record {
 	return out
 }
 
-// countWireAnswer reads past a record slice as decodeWireRecords reads
-// it, accepting and refusing what that function does, and reports
-// whether it is present (not nil) and how many records and pairs it
-// holds: what fillWireAnswer then decodes flat.
-func countWireAnswer(d *binenc.Dec) (present bool, n, pairs int) {
-	n1 := d.Uvarint()
-	if n1 == 0 {
-		return false, 0, 0
-	}
-	n = d.Count(n1-1, 2) // a record is its key's length byte and its field count at least
-	for i := 0; i < n; i++ {
-		d.Bytes()
-		nf := d.Count(d.Uvarint(), 2) // a field is two length bytes at least
-		for j := 0; j < nf; j++ {
-			d.Bytes()
-			d.Bytes()
-		}
-		pairs += nf
-	}
-	return true, n, pairs
-}
-
-// fillWireAnswer decodes the record slice countWireAnswer read past, and
-// found well formed, into a, which it replaces: keys, names and values
-// are the decoder's strings, and a's two slices are reused when their
-// capacity suffices, so an answer decoded into an Answer reused from
-// query to query costs nothing beyond the frame's text. Nil records
-// leave a.Recs nil; present ones, even none, leave a.Recs and a.Pairs
-// non-nil. The Records of a are decodeWireRecords' records, up to nil
-// versus empty Fields.
-func fillWireAnswer(d *binenc.Dec, a *Answer, present bool, n, pairs int) {
-	if !present {
-		a.SetNil()
-		return
-	}
-	d.Uvarint()
-	a.Reset(n, pairs)
-	for i := 0; i < n; i++ {
-		key := d.String()
-		nf := int(d.Uvarint())
-		from := len(a.Pairs)
-		for j := 0; j < nf; j++ {
-			name := d.String()
-			a.Pairs = append(a.Pairs, core.Pair{Name: name, Value: d.String()})
-		}
-		a.Recs = append(a.Recs, core.Span{Key: key, From: from, To: len(a.Pairs)})
-	}
-}
-
 // appendWireResultSet appends rs's binary encoding to b, with ans in
 // place of rs.Records when it is not nil.
 func appendWireResultSet(b []byte, rs *ResultSet, ans *core.Answer) []byte {
-	b = binenc.AppendString(b, string(rs.System))
-	b = binenc.AppendString(b, string(rs.Role))
-	b = binenc.AppendString(b, rs.Host)
+	b = appendWireHead(b, rs)
 	if ans != nil {
 		b = appendWireAnswer(b, ans)
 	} else {
 		b = appendWireRecords(b, rs.Records)
 	}
+	return appendWireTail(b, rs)
+}
+
+// appendWireHead appends what precedes a ResultSet's records.
+func appendWireHead(b []byte, rs *ResultSet) []byte {
+	b = binenc.AppendString(b, string(rs.System))
+	b = binenc.AppendString(b, string(rs.Role))
+	return binenc.AppendString(b, rs.Host)
+}
+
+// appendWireTail appends what follows a ResultSet's records.
+func appendWireTail(b []byte, rs *ResultSet) []byte {
 	b = appendWireWork(b, &rs.Work)
 	b = binenc.AppendVarint(b, int64(rs.Elapsed))
 	var partial byte
@@ -277,33 +242,11 @@ func appendWireResultSet(b []byte, rs *ResultSet, ans *core.Answer) []byte {
 }
 
 // decodeWireResultSetInto decodes a ResultSet into rs.
-func decodeWireResultSetInto(d *binenc.Dec, rs *ResultSet) { decodeWireResult(d, rs, nil) }
-
-// decodeWireResult decodes what appendWireResultSet(b, rs, ans) appends:
-// a ResultSet into rs, with its records decoded flat into ans when ans
-// is not nil (rs.Records is then nil; see fillWireAnswer). ans is
-// written only once the whole frame has decoded, so a malformed one
-// leaves it as it was.
-func decodeWireResult(d *binenc.Dec, rs *ResultSet, ans *Answer) {
+func decodeWireResultSetInto(d *binenc.Dec, rs *ResultSet) {
 	rs.System = System(d.String())
 	rs.Role = Role(d.String())
 	rs.Host = d.String()
-	rs.Records = nil
-	if ans == nil {
-		rs.Records = decodeWireRecords(d)
-		decodeWireTail(d, rs)
-		return
-	}
-	recs := *d
-	present, n, pairs := countWireAnswer(d)
-	decodeWireTail(d, rs)
-	if d.Err() == nil {
-		fillWireAnswer(&recs, ans, present, n, pairs)
-	}
-}
-
-// decodeWireTail decodes what follows a ResultSet's records into rs.
-func decodeWireTail(d *binenc.Dec, rs *ResultSet) {
+	rs.Records = decodeWireRecords(d)
 	decodeWireWorkInto(d, &rs.Work)
 	rs.Elapsed = time.Duration(d.Varint())
 	rs.Partial = d.Byte() == 1
@@ -319,6 +262,125 @@ func decodeWireTail(d *binenc.Dec, rs *ResultSet) {
 		be.Code = ErrorCode(d.String())
 		be.Message = d.String()
 	}
+}
+
+// wireRecord is one record of a reply body: its key and its whole
+// encoding, views into the body.
+type wireRecord struct{ key, enc []byte }
+
+// wireReply is a reply body's Work and the offsets of its Elapsed, of
+// what follows Elapsed, and of its end.
+type wireReply struct {
+	work               Work
+	elapsed, tail, end int
+}
+
+// scanWireReply reads past a reply body as decodeWireResultSetInto
+// decodes it, accepting exactly what that function accepts, but cuts no
+// string and decodes only the Work. When recs is not nil, each record
+// is appended to *recs.
+func scanWireReply(body []byte, recs *[]wireRecord) (r wireReply, err error) {
+	d := binenc.NewDec(body)
+	d.Bytes() // System
+	d.Bytes() // Role
+	d.Bytes() // Host
+	if n1 := d.Uvarint(); n1 > 0 {
+		n := d.Count(n1-1, 2) // a record is its key's length byte and its field count at least
+		for i := 0; i < n; i++ {
+			from := len(body) - d.Len()
+			key := d.Bytes()
+			nf := d.Count(d.Uvarint(), 2) // a field is two length bytes at least
+			for j := 0; j < nf; j++ {
+				d.Bytes()
+				d.Bytes()
+			}
+			if recs != nil && d.Err() == nil {
+				*recs = append(*recs, wireRecord{key: key, enc: body[from : len(body)-d.Len()]})
+			}
+		}
+	}
+	decodeWireWorkInto(&d, &r.work)
+	r.elapsed = len(body) - d.Len()
+	d.Varint()
+	r.tail = len(body) - d.Len()
+	d.Byte()
+	nb := d.Count(d.Uvarint(), 4) // a branch is a shard varint and three length bytes at least
+	for i := 0; i < nb; i++ {
+		d.Varint()
+		d.Bytes()
+		d.Bytes()
+		d.Bytes()
+	}
+	r.end = len(body) - d.Len()
+	return r, d.Err()
+}
+
+// DecodeReply decodes a grid.query reply body, as AppendQuery appends
+// one. Its strings are substrings of one copy of body.
+func DecodeReply(body []byte) (*ResultSet, error) {
+	var rs ResultSet
+	d := binenc.NewDecText(body)
+	decodeWireResultSetInto(&d, &rs)
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return &rs, nil
+}
+
+// StampElapsed rewrites in place the Elapsed of the reply body b[from:]
+// holds, as AppendQuery appended it, and drops anything past the reply:
+// an aggregator relaying one branch's reply stamps its own round trip on
+// it. If b[from:] is not a well-formed reply, b comes back as it was.
+func StampElapsed(b []byte, from int, elapsed time.Duration) []byte {
+	r, err := scanWireReply(b[from:], nil)
+	if err != nil {
+		return b
+	}
+	var v [binary.MaxVarintLen64]byte
+	stamp := binenc.AppendVarint(v[:0], int64(elapsed))
+	return slices.Replace(b[:from+r.end], from+r.elapsed, from+r.tail, stamp...)
+}
+
+// mergeScratch pools the record lists MergeReplies sorts.
+var mergeScratch = sync.Pool{New: func() any { return new([]wireRecord) }}
+
+// MergeReplies appends to dst the reply that merges bodies, the replies
+// q's branches gave, in branch order, as federation.MergeResultSets
+// merges answers: the records' bytes copied unchanged, stably sorted by
+// key, always present, even none; Work summed; System, Role and Host
+// from q. The branches' Elapsed, Partial and Branches are ignored: the
+// merge carries elapsed, and failed, Partial when not empty. Nothing is
+// decoded, and the sort runs on pooled scratch. A body that does not
+// decode fails the merge and leaves dst as it was.
+func MergeReplies(dst []byte, q Query, bodies [][]byte, failed []BranchError, elapsed time.Duration) ([]byte, error) {
+	rs := ResultSet{System: q.System, Role: q.Role, Host: q.Host, Elapsed: elapsed,
+		Partial: len(failed) > 0, Branches: failed}
+	if rs.Role == "" {
+		rs.Role = RoleInformationServer
+	}
+	scratch := mergeScratch.Get().(*[]wireRecord)
+	recs := (*scratch)[:0]
+	var err error
+	for _, body := range bodies {
+		var r wireReply
+		if r, err = scanWireReply(body, &recs); err != nil {
+			break
+		}
+		rs.Work.Add(r.work)
+	}
+	if err == nil {
+		slices.SortStableFunc(recs, func(a, b wireRecord) int { return bytes.Compare(a.key, b.key) })
+		dst = appendWireHead(dst, &rs)
+		dst = binenc.AppendUvarint(dst, uint64(len(recs))+1)
+		for _, r := range recs {
+			dst = append(dst, r.enc...)
+		}
+		dst = appendWireTail(dst, &rs)
+	}
+	clear(recs)
+	*scratch = recs[:0]
+	mergeScratch.Put(scratch)
+	return dst, err
 }
 
 // appendWireEvent appends ev's binary encoding to b.
@@ -388,28 +450,22 @@ const (
 // both of the op's body encodings: binary-bodied requests decode straight
 // from the frame and answers encode straight into the server's pooled
 // response buffer — no intermediate JSON, and no field map when source
-// answers flat (see queryV3) — while JSON-bodied calls (gridmon-query,
+// appends its replies (see queryV3) — while JSON-bodied calls (gridmon-query,
 // RemoteGrid.Call) reach the same source through the derived JSON form.
 func ServeQueryV3(srv *TransportServer, source Querier) {
 	transport.HandleV3(srv, "grid.query", source.Query, queryV3(source))
 }
 
-// flatQuerier is a source that answers with its records flat, into an
-// Answer the caller lends. QueryAnswerInto replaces *ans, reusing the
-// capacity of its slices, and returns the ResultSet with Records nil. An
-// answer with no record slice leaves ans.Recs nil, and on an error ans
-// is as it was. Grid, RemoteGrid and the federation Router are. The
-// ResultSet comes back by value, so serving a Grid's answer costs no
-// allocation for it.
-type flatQuerier interface {
-	QueryAnswerInto(ctx context.Context, q Query, ans *Answer) (ResultSet, error)
+// appendQuerier is a source that appends its grid.query reply bodies to
+// a buffer the caller lends, and on an error leaves what the buffer
+// holds as it was: Grid, RemoteGrid and the federation Router.
+type appendQuerier interface {
+	AppendQuery(ctx context.Context, q Query, dst []byte) ([]byte, error)
 }
 
-// queryV3 is the binary body of grid.query for source. A flat source
-// renders into a pooled scratch Answer, which is encoded pair by pair,
-// then cleared and taken back: no Records are built, and an uncached
-// answer lives no longer than its frame. Any other Querier's ResultSet
-// is encoded as it is.
+// queryV3 is the binary body of grid.query for source. A source that
+// appends its replies appends into the server's pooled response buffer;
+// any other Querier's ResultSet is encoded as it is.
 func queryV3(source Querier) transport.V3Handler {
 	answer := func(ctx context.Context, q Query, out []byte) ([]byte, error) {
 		rs, err := source.Query(ctx, q)
@@ -418,20 +474,8 @@ func queryV3(source Querier) transport.V3Handler {
 		}
 		return appendWireResultSet(out, rs, nil), nil
 	}
-	if fq, ok := source.(flatQuerier); ok {
-		answer = func(ctx context.Context, q Query, out []byte) ([]byte, error) {
-			ans := answers.Get().(*Answer)
-			rs, err := fq.QueryAnswerInto(ctx, q, ans)
-			if err == nil {
-				out = appendWireResultSet(out, &rs, ans)
-			}
-			ans.Clear()
-			answers.Put(ans)
-			if err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
+	if aq, ok := source.(appendQuerier); ok {
+		answer = aq.AppendQuery
 	}
 	return func(ctx context.Context, body []byte, out []byte) ([]byte, *transport.Error) {
 		var q Query

@@ -1,14 +1,13 @@
 package gridmon
 
 import (
-	"maps"
+	"bytes"
 	"math"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/binenc"
-	"repro/internal/core"
 )
 
 // wireBatch is what decodeWireBatch delivered, in order: one entry per
@@ -54,7 +53,7 @@ func noNaN(fs ...*float64) {
 	}
 }
 
-// wireFuzzDecoders are the five decoders that face bytes a peer chose,
+// wireFuzzDecoders are the four decoders that face bytes a peer chose,
 // each as: decode data with the given kind of Dec into a fresh value
 // (NaNs scrubbed), and re-encode that value.
 var wireFuzzDecoders = []struct {
@@ -79,14 +78,6 @@ var wireFuzzDecoders = []struct {
 			return rs, d.Err()
 		},
 		func(v interface{}) []byte { rs := v.(ResultSet); return appendWireResultSet(nil, &rs, nil) }},
-	{"answer",
-		func(newDec func([]byte) binenc.Dec, data []byte) (interface{}, error) {
-			var a Answer
-			d := newDec(data)
-			decodeWireAnswerInto(&d, &a)
-			return a, d.Err()
-		},
-		func(v interface{}) []byte { a := v.(Answer); return appendWireAnswer(nil, &a) }},
 	{"subscription",
 		func(newDec func([]byte) binenc.Dec, data []byte) (interface{}, error) {
 			var sub Subscription
@@ -119,6 +110,8 @@ var wireFuzzDecoders = []struct {
 // frame (NewDecText) decodes exactly what copying each one (NewDec) does.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
+	// A reply with bytes after it, which a restamp drops.
+	f.Add(append(appendWireResultSet(nil, &ResultSet{System: MDS, Records: []Record{{Key: "k"}}, Elapsed: 300}, nil), "past"...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The widest thing a decoder sizes from a count is a field map:
 		// one slot per two input bytes, ~40-80 bytes a slot.
@@ -160,64 +153,48 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("%s: decoded %#v, round trip gave %#v", dec.name, got, again)
 			}
 		}
-		checkAnswerMatchesRecords(t, data)
+		checkScanMatchesDecode(t, data)
 	})
 }
 
-// decodeWireAnswerInto decodes a record slice flat into a, as
-// RemoteGrid.QueryAnswerInto does (a malformed one leaves a as it was).
-func decodeWireAnswerInto(d *binenc.Dec, a *Answer) {
-	recs := *d
-	present, n, pairs := countWireAnswer(d)
-	if d.Err() == nil {
-		fillWireAnswer(&recs, a, present, n, pairs)
-	}
-}
-
-// checkAnswerMatchesRecords holds decodeWireAnswerInto, the Router's
-// decoder, into a zero Answer and into one that already holds a record,
-// to decodeWireRecords, RemoteGrid.Query's:
-// the same bytes accepted and consumed, the same nil-ness, and record for
-// record the same key and fields (nil and empty Fields are equal, as in
-// JSON). Decoding replaces the record already held; a frame it refuses
-// leaves that record as it was.
-func checkAnswerMatchesRecords(t *testing.T, data []byte) {
-	e := binenc.NewDecText(data)
-	want := decodeWireRecords(&e)
-	var fresh Answer
+// checkScanMatchesDecode holds scanWireReply, which RemoteGrid.AppendQuery
+// checks a reply with and StampElapsed and MergeReplies walk one with,
+// to decodeWireResultSetInto: the same bytes accepted, the reply ending
+// where the decode stopped, the same Work, and the sections where they
+// lie: a reply restamped with Elapsed zero ends where its walk does and
+// decodes to the same ResultSet with Elapsed zero.
+func checkScanMatchesDecode(t *testing.T, data []byte) {
+	var want ResultSet
 	d := binenc.NewDecText(data)
-	decodeWireAnswerInto(&d, &fresh)
-	checkRecords(t, "flat decode", &d, &e, fresh.Records(), want)
-
-	// Room for a few more of each, so that small answers decode in place
-	// and larger ones grow the slices.
-	held := Answer{Recs: make([]core.Span, 1, 4), Pairs: make([]core.Pair, 1, 8)}
-	heldRec, heldPair := core.Span{Key: "held", From: 0, To: 1}, core.Pair{Name: "n", Value: "v"}
-	held.Recs[0], held.Pairs[0] = heldRec, heldPair
-	d = binenc.NewDecText(data)
-	decodeWireAnswerInto(&d, &held)
-	if d.Err() != nil && (len(held.Recs) != 1 || held.Recs[0] != heldRec || held.Pairs[0] != heldPair) {
-		t.Fatalf("a refused frame changed the answer it was decoded into: %+v %+v", held.Recs, held.Pairs)
+	decodeWireResultSetInto(&d, &want)
+	r, err := scanWireReply(data, nil)
+	if (err == nil) != (d.Err() == nil) {
+		t.Fatalf("scan err %v, decode err %v", err, d.Err())
 	}
-	checkRecords(t, "decode into a held answer", &d, &e, held.Records(), want)
-}
-
-// checkRecords fails t unless decoder d ended as e did and got equals
-// want, record for record.
-func checkRecords(t *testing.T, what string, d, e *binenc.Dec, got, want []Record) {
-	t.Helper()
-	if (d.Err() == nil) != (e.Err() == nil) || d.Len() != e.Len() {
-		t.Fatalf("%s err %v (%d bytes left), records decode err %v (%d left)", what, d.Err(), d.Len(), e.Err(), e.Len())
-	}
-	if d.Err() != nil {
+	if err != nil {
 		return
 	}
-	if (got == nil) != (want == nil) || len(got) != len(want) {
-		t.Fatalf("%s gave %d records (nil %v), records decode %d (nil %v)", what, len(got), got == nil, len(want), want == nil)
+	if r.end != len(data)-d.Len() {
+		t.Fatalf("the scan ended at %d, the decode at %d", r.end, len(data)-d.Len())
 	}
-	for i := range want {
-		if got[i].Key != want[i].Key || !maps.Equal(got[i].Fields, want[i].Fields) {
-			t.Fatalf("record %d: %s %+v, records decode %+v", i, what, got[i], want[i])
-		}
+	noNaN(&want.Work.CollectorInvocations, &r.work.CollectorInvocations)
+	if r.work != want.Work {
+		t.Fatalf("scanned Work %+v, decoded %+v", r.work, want.Work)
+	}
+	stamped := StampElapsed(append([]byte("kept"), data...), len("kept"), 0)
+	if !bytes.HasPrefix(stamped, []byte("kept")) {
+		t.Fatalf("StampElapsed changed what precedes the reply: %q", stamped)
+	}
+	if r, _ := scanWireReply(stamped[len("kept"):], nil); len("kept")+r.end != len(stamped) {
+		t.Fatalf("StampElapsed kept %d bytes past the reply", len(stamped)-len("kept")-r.end)
+	}
+	got, err := DecodeReply(stamped[len("kept"):])
+	if err != nil {
+		t.Fatalf("a restamped reply does not decode: %v", err)
+	}
+	noNaN(&got.Work.CollectorInvocations)
+	want.Elapsed = 0
+	if !reflect.DeepEqual(*got, want) {
+		t.Fatalf("restamped, the reply decodes to %#v, want %#v", *got, want)
 	}
 }

@@ -195,7 +195,6 @@ func flatAnswerQueries() []Query {
 // time — the pairs go in the engine's order, not a map's.
 func TestWireAnswerIsRecordEncoding(t *testing.T) {
 	g := newTestGrid(t)
-	ctx := context.Background()
 	decode := func(b []byte) []Record {
 		d := binenc.NewDecText(b)
 		recs := decodeWireRecords(&d)
@@ -206,7 +205,7 @@ func TestWireAnswerIsRecordEncoding(t *testing.T) {
 	}
 	var nilRecs, emptyRecs, zeroFields, repeated bool
 	for _, q := range flatAnswerQueries() {
-		_, ans, err := g.QueryAnswer(ctx, q)
+		_, ans, err := freshAnswer(g, q)
 		if err != nil {
 			t.Fatalf("%+v: %v", q, err)
 		}
@@ -217,7 +216,7 @@ func TestWireAnswerIsRecordEncoding(t *testing.T) {
 		if again := appendWireAnswer(nil, &ans); !bytes.Equal(again, flat) {
 			t.Errorf("%+v: one answer encodes to two byte strings", q)
 		}
-		_, ans2, err := g.QueryAnswer(ctx, q)
+		_, ans2, err := freshAnswer(g, q)
 		if err != nil || !bytes.Equal(appendWireAnswer(nil, &ans2), flat) {
 			t.Errorf("%+v: asking again encodes different bytes (err %v)", q, err)
 		}
