@@ -84,8 +84,8 @@ fed-chaos:
 	$(GO) test -race -count=3 ./internal/federation
 
 # wire re-runs the wire-protocol gates hard under the race detector:
-# the equivalence suites (identical answers in-process, binary-bodied
-# and JSON-bodied; identical event sequences in-process and remote), the
+# the equivalence suites (identical answers in-process and over the
+# binary codec; identical event sequences in-process and remote), the
 # transport/mux suites, the shared binary encoding's own (binenc), the
 # typed record codec round trips, the reused answer scratch
 # (TestV3ScratchFrames), the Router's spliced replies held byte for byte

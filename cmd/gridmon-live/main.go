@@ -31,7 +31,7 @@
 //
 // Operations served (ops.list reports the full namespace):
 //
-//	grid.query      typed query (body: gridmon.Query; binary codec or JSON) — what gridmon.Dial speaks
+//	grid.query      typed query (body: gridmon.Query; binary codec) — what gridmon.Dial speaks
 //	grid.subscribe  typed event stream (body: gridmon.Subscription; binary)
 //	grid.hosts      list monitored hosts
 //	grid.systems    list deployed systems
@@ -47,10 +47,10 @@
 // advertise (running trigger matchmaking), and MDS watchers poll-and-
 // diff — so grid.subscribe streams move in real time.
 //
-// Every op but grid.subscribe takes a JSON body, which is what
-// gridmon-query sends. A peer that does
-// not open with the protocol's magic preamble — a client of the removed
-// JSON framings, say — is disconnected without an answer.
+// grid.query and grid.subscribe are the binary ops (a JSON-bodied
+// grid.query gets bad_request); every other op takes a JSON body. A
+// peer that does not open with the protocol's magic preamble — a client
+// of the removed JSON framings, say — is disconnected without an answer.
 //
 // With -data DIR the grid's directory state is durable: the R-GMA
 // Registry and the GIIS registration table are write-ahead-logged under

@@ -1,9 +1,10 @@
 // Command gridmon-query is the client for gridmon-live: it issues one
-// operation against a running server and prints the payload. Ops are
-// called with JSON bodies over the one binary-framed wire (grid.query
-// included, so any op a server lists is reachable from here); server
-// failures come back with structured error codes, which map to the exit
-// status (see below).
+// operation against a running server and prints the payload. grid.query
+// rides the binary codec (RemoteGrid.Query); every other op is called
+// with a JSON body, so any control op a server lists is reachable from
+// here. Server failures come back with structured error codes, which map
+// to the exit status (see below). A server refuses a JSON-bodied
+// grid.query, as an older gridmon-query sends it, with bad_request.
 //
 // Usage:
 //
@@ -117,7 +118,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "-watch applies to grid.query, not %q\n", op)
 			os.Exit(2)
 		}
-		os.Exit(watchLoop(*addr, dialOpts, params, *interval, *timeout, *output))
+		os.Exit(watchLoop(*addr, dialOpts, query(params), *interval, *timeout, *output))
 	}
 
 	remote, err := gridmon.DialWith(*addr, dialOpts)
@@ -149,26 +150,25 @@ func main() {
 	}
 }
 
-// subscription builds the Subscription the grid.query params describe.
-func subscription(params map[string]string, interval time.Duration) gridmon.Subscription {
-	sub := gridmon.Subscription{
-		System:    gridmon.System(params["system"]),
-		Role:      gridmon.Role(params["role"]),
-		Host:      params["host"],
-		Expr:      params["expr"],
-		PollEvery: interval.Seconds(),
+// query builds the Query the grid.query params describe.
+func query(params map[string]string) gridmon.Query {
+	q := gridmon.Query{
+		System: gridmon.System(params["system"]),
+		Role:   gridmon.Role(params["role"]),
+		Host:   params["host"],
+		Expr:   params["expr"],
 	}
 	if a := params["attrs"]; a != "" {
-		sub.Attrs = strings.Split(a, ",")
+		q.Attrs = strings.Split(a, ",")
 	}
-	return sub
+	return q
 }
 
-// watchLoop subscribes and prints events until interrupted, returning
-// the process exit status. The -timeout bounds the dial and subscribe
-// handshake (the stream itself is unbounded: it runs until
-// interrupted).
-func watchLoop(addr string, dialOpts gridmon.DialOptions, params map[string]string, interval, timeout time.Duration, output string) int {
+// watchLoop subscribes to q, polling MDS every interval, and prints
+// events until interrupted, returning the process exit status. The
+// -timeout bounds the dial and subscribe handshake (the stream itself is
+// unbounded: it runs until interrupted).
+func watchLoop(addr string, dialOpts gridmon.DialOptions, q gridmon.Query, interval, timeout time.Duration, output string) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	// Bound the dial + subscribe handshake without bounding the stream:
@@ -187,7 +187,8 @@ func watchLoop(addr string, dialOpts gridmon.DialOptions, params map[string]stri
 			handshake <- opened{err: err}
 			return
 		}
-		st, err := remote.Subscribe(ctx, subscription(params, interval))
+		st, err := remote.Subscribe(ctx, gridmon.Subscription{System: q.System, Role: q.Role,
+			Host: q.Host, Expr: q.Expr, Attrs: q.Attrs, PollEvery: interval.Seconds()})
 		handshake <- opened{remote: remote, st: st, err: err}
 	}()
 	var timeoutC <-chan time.Time
@@ -323,17 +324,8 @@ func call(ctx context.Context, remote *gridmon.RemoteGrid, op string, params map
 		}
 		return b.String(), nil
 	case "grid.query":
-		q := gridmon.Query{
-			System: gridmon.System(params["system"]),
-			Role:   gridmon.Role(params["role"]),
-			Host:   params["host"],
-			Expr:   params["expr"],
-		}
-		if a := params["attrs"]; a != "" {
-			q.Attrs = strings.Split(a, ",")
-		}
-		var rs gridmon.ResultSet
-		if err := remote.Call(ctx, op, q, &rs); err != nil {
+		rs, err := remote.Query(ctx, query(params))
+		if err != nil {
 			return "", err
 		}
 		if output == "json" {

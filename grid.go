@@ -224,11 +224,14 @@ func (g *Grid) buildRGMA() error {
 	return nil
 }
 
+// hawkeyeAdvertiseInterval is the paper's Hawkeye agent cadence, in seconds.
+const hawkeyeAdvertiseInterval = 30
+
 func (g *Grid) buildHawkeye() error {
 	g.manager = hawkeye.NewManager(g.cfg.managerHost, 0)
 	g.agents = make(map[string]*hawkeye.Agent, len(g.cfg.hosts))
 	for _, h := range g.cfg.hosts {
-		a := hawkeye.NewAgent(h, g.cfg.advertiseInterval)
+		a := hawkeye.NewAgent(h, hawkeyeAdvertiseInterval)
 		if err := a.AddModules(hawkeye.DefaultModules()); err != nil {
 			return err
 		}
@@ -367,7 +370,7 @@ func NewTransportServer() *TransportServer { return transport.NewServer() }
 // Serve registers the grid's full operation namespace on a transport
 // server, each op exactly once:
 //
-//	grid.query      body: Query            -> ResultSet (binary codec + JSON)
+//	grid.query      body: Query            -> ResultSet (binary codec)
 //	grid.subscribe  body: Subscription     -> event stream (see Subscribe)
 //	grid.hosts      ->  {"hosts": [...]}
 //	grid.systems    ->  {"systems": [...]}

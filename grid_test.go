@@ -138,7 +138,6 @@ func TestOptionValidation(t *testing.T) {
 		{"zero producers", []Option{WithHosts("a"), WithRGMAProducers(0)}},
 		{"empty manager", []Option{WithHosts("a"), WithManagerHost("")}},
 		{"nil clock", []Option{WithHosts("a"), WithClock(nil)}},
-		{"bad interval", []Option{WithHosts("a"), WithAdvertiseInterval(0)}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.opts...); err == nil {

@@ -31,9 +31,10 @@ func Register(s *transport.Server) {
 		return Resp{}, errors.New("boom") // want `errors.New crosses the wire`
 	})
 	transport.Handle(s, "named", named)
-	transport.HandleV3(s, "codec", func(ctx context.Context, r Req) (Resp, error) {
-		return Resp{}, fmt.Errorf("codec boom") // want `fmt.Errorf crosses the wire`
-	}, nil)
+	// A binary handler returns *transport.Error by type: nothing to check.
+	s.HandleV3("codec", func(ctx context.Context, body, out []byte) ([]byte, *transport.Error) {
+		return nil, transport.Errf(transport.CodeExec, "codec boom")
+	})
 	transport.Handle(s, "nested", func(ctx context.Context, r Req) (Resp, error) {
 		// The nested literal is not a handler; its returns are free.
 		f := func() error { return fmt.Errorf("internal detail") }

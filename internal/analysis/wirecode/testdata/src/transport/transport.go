@@ -35,6 +35,5 @@ func Handle[Req, Resp any](s *Server, op string, fn func(context.Context, Req) (
 // V3Handler is a binary codec.
 type V3Handler func(ctx context.Context, body, out []byte) ([]byte, *Error)
 
-// HandleV3 registers a typed handler with a binary codec beside it.
-func HandleV3[Req, Resp any](s *Server, op string, fn func(context.Context, Req) (Resp, error), binary V3Handler) {
-}
+// HandleV3 registers a binary call handler.
+func (s *Server) HandleV3(op string, h V3Handler) {}

@@ -1,8 +1,9 @@
 // Package wirecode keeps wire errors structured. A handler registered
-// with transport.Handle/HandleV3 that returns a bare fmt.Errorf or
-// errors.New loses its machine-readable code on the
-// wire (the client sees CodeExec for everything); handlers must build
-// failures with transport.Errf so the code survives the round trip.
+// with transport.Handle that returns a bare fmt.Errorf or errors.New
+// loses its machine-readable code on the wire (the client sees CodeExec
+// for everything); handlers must build failures with transport.Errf so
+// the code survives the round trip. A binary handler (Server.HandleV3)
+// returns a *transport.Error by type, so it needs no check.
 //
 // The check covers error expressions in return statements of handler
 // function literals and of same-package named functions passed as
@@ -107,7 +108,7 @@ func namedFuncs(pass *framework.Pass) map[types.Object]*ast.FuncDecl {
 	return decls
 }
 
-// isHandlerRegistration recognizes transport.Handle / HandleV3 calls.
+// isHandlerRegistration recognizes transport.Handle calls.
 func isHandlerRegistration(pass *framework.Pass, call *ast.CallExpr) bool {
 	fun := call.Fun
 	if ix, ok := fun.(*ast.IndexExpr); ok { // explicit instantiation
@@ -128,11 +129,7 @@ func isHandlerRegistration(pass *framework.Pass, call *ast.CallExpr) bool {
 	if !ok || fn.Pkg() == nil || fn.Pkg().Name() != "transport" {
 		return false
 	}
-	switch fn.Name() {
-	case "Handle", "HandleV3":
-		return true
-	}
-	return false
+	return fn.Name() == "Handle"
 }
 
 // checkHandlerBody flags bare-error constructors in the handler's own

@@ -122,13 +122,9 @@ func (cp *CompositeProducer) Query(now float64, sql string) (*relational.Result,
 	return cp.query(now, &relational.RowsQuery{Select: sel}, err)
 }
 
-// QuerySelect is Query with the statement already parsed.
-func (cp *CompositeProducer) QuerySelect(now float64, sel relational.SelectStmt) (*relational.Result, QueryStats, error) {
-	return cp.QueryInto(now, &relational.RowsQuery{Select: sel})
-}
-
-// QueryInto is QuerySelect answering q's Select on q, whose scratch the
-// caller may reuse: the Result is q's (see RowsQuery.Result).
+// QueryInto is Query answering q's already-parsed Select on q, whose
+// scratch the caller may reuse: the Result is q's (see
+// RowsQuery.Result).
 func (cp *CompositeProducer) QueryInto(now float64, q *relational.RowsQuery) (*relational.Result, QueryStats, error) {
 	return cp.query(now, q, nil)
 }

@@ -57,16 +57,12 @@ func (ps *ProducerServlet) Query(now float64, sql string) (*relational.Result, Q
 	if err != nil {
 		return nil, QueryStats{ThreadSpawns: 1}, err
 	}
-	return ps.QuerySelect(now, sel)
-}
-
-// QuerySelect is Query with the statement already parsed.
-func (ps *ProducerServlet) QuerySelect(now float64, sel relational.SelectStmt) (*relational.Result, QueryStats, error) {
 	return ps.QueryInto(now, &relational.RowsQuery{Select: sel})
 }
 
-// QueryInto is QuerySelect answering q's Select on q, whose scratch the
-// caller may reuse: the Result is q's (see RowsQuery.Result).
+// QueryInto is Query answering q's already-parsed Select on q, whose
+// scratch the caller may reuse: the Result is q's (see
+// RowsQuery.Result).
 func (ps *ProducerServlet) QueryInto(now float64, q *relational.RowsQuery) (*relational.Result, QueryStats, error) {
 	st, err := ps.query(now, q, QueryStats{ThreadSpawns: 1})
 	if err != nil {
@@ -167,16 +163,12 @@ func (cs *ConsumerServlet) QueryCtx(ctx context.Context, now float64, sql string
 	if err != nil {
 		return nil, QueryStats{ThreadSpawns: 1}, err
 	}
-	return cs.QuerySelectCtx(ctx, now, sel)
-}
-
-// QuerySelectCtx is QueryCtx with the statement already parsed.
-func (cs *ConsumerServlet) QuerySelectCtx(ctx context.Context, now float64, sel relational.SelectStmt) (*relational.Result, QueryStats, error) {
 	return cs.QueryIntoCtx(ctx, now, &relational.RowsQuery{Select: sel})
 }
 
-// QueryIntoCtx is QuerySelectCtx answering q's Select on q, whose scratch
-// the caller may reuse: the Result is q's (see RowsQuery.Result).
+// QueryIntoCtx is QueryCtx answering q's already-parsed Select on q,
+// whose scratch the caller may reuse: the Result is q's (see
+// RowsQuery.Result).
 func (cs *ConsumerServlet) QueryIntoCtx(ctx context.Context, now float64, q *relational.RowsQuery) (*relational.Result, QueryStats, error) {
 	st := QueryStats{ThreadSpawns: 1}
 	ads, lookupStats, err := cs.registry.LookupProducersStats(q.Select.Table, now)

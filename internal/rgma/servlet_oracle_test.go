@@ -161,7 +161,7 @@ func checkServletAgainstOracle(t *testing.T, ps *ProducerServlet, sql string) {
 // was compiled for its producers' columns.
 func checkPreparedServletAgainstOracle(t *testing.T, ps *ProducerServlet, prep *relational.Prepared, sql string) {
 	t.Helper()
-	got, gotSt, gotErr := ps.QuerySelect(oracleNow, prep.Select)
+	got, gotSt, gotErr := ps.QueryInto(oracleNow, &relational.RowsQuery{Select: prep.Select})
 	checkServletAnswer(t, ps, sql, got, gotSt, gotErr)
 }
 
@@ -546,7 +546,7 @@ func FuzzServletSelect(f *testing.F) {
 			cs      *ConsumerServlet
 			uniform bool
 		}{{uniform, true}, {mixed, false}} {
-			got, gotSt, gotErr := cs.cs.QuerySelectCtx(context.Background(), oracleNow, prep.Select)
+			got, gotSt, gotErr := cs.cs.QueryIntoCtx(context.Background(), oracleNow, &relational.RowsQuery{Select: prep.Select})
 			checkConsumerAnswer(t, cs.cs, cs.uniform, sql, got, gotSt, gotErr)
 		}
 		prep, _ = relational.Prepare(sql)

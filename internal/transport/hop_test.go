@@ -63,12 +63,12 @@ func TestV3AbandonedReplyNeverReused(t *testing.T) {
 	handleAdd(srv)
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	handleBinary(srv, "hold", func(_ context.Context, _, out []byte) ([]byte, *Error) {
+	srv.HandleV3("hold", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		close(entered)
 		<-release
 		return out, nil
 	})
-	handleBinary(srv, "nap", func(_ context.Context, body, out []byte) ([]byte, *Error) {
+	srv.HandleV3("nap", func(_ context.Context, body, out []byte) ([]byte, *Error) {
 		// The handler ignores its context, so a call that gives up is
 		// still answered, late.
 		d := binenc.NewDec(body)
@@ -188,7 +188,7 @@ func TestV3WorkersBoundedAndReaped(t *testing.T) {
 	srv := NewServer()
 	entered := make(chan struct{}, DefaultMaxPipeline+1)
 	release := make(chan struct{})
-	handleBinary(srv, "hold", func(_ context.Context, _, out []byte) ([]byte, *Error) {
+	srv.HandleV3("hold", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		entered <- struct{}{}
 		<-release
 		return out, nil

@@ -11,9 +11,9 @@ import (
 	"repro/internal/leakcheck"
 )
 
-// JSON-bodied calls: every call op is reachable through its derived JSON
-// form (Handle), with typed bodies, structured codes and the caller's
-// deadline. The typed round trip itself is TestV3JSONBridge.
+// JSON-bodied calls: an op registered with Handle is reachable through
+// its derived JSON form, with typed bodies, structured codes and the
+// caller's deadline. The typed round trip itself is TestV3JSONBridge.
 
 type addReq struct {
 	A int `json:"a"`
@@ -24,12 +24,12 @@ type addResp struct {
 	Sum int `json:"sum"`
 }
 
-// handleBinary registers a binary-only test op: the transport mechanics
-// under test (pipelining, abandonment, close) never send it a JSON body.
-func handleBinary(srv *Server, op string, h V3Handler) {
-	HandleV3(srv, op, func(context.Context, struct{}) (struct{}, error) {
-		return struct{}{}, Errf(CodeBadRequest, "op %q is binary-only in this test", op)
-	}, h)
+// handleAddJSON registers "math.add" with JSON bodies, derived from the
+// typed function.
+func handleAddJSON(srv *Server) {
+	Handle(srv, "math.add", func(_ context.Context, req addReq) (addResp, error) {
+		return addResp{Sum: req.A + req.B}, nil
+	})
 }
 
 func TestJSONStructuredErrorCode(t *testing.T) {
@@ -60,10 +60,16 @@ func TestJSONStructuredErrorCode(t *testing.T) {
 }
 
 func TestJSONBadRequestBody(t *testing.T) {
-	_, addr := v3AddServer(t)
+	srv := NewServer()
+	handleAddJSON(srv)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
 	m := dialV3(t, addr)
 	// A request body of the wrong shape must fail decoding server-side.
-	err := m.CallJSON(context.Background(), "math.add", map[string]string{"a": "NaN"}, nil)
+	err = m.CallJSON(context.Background(), "math.add", map[string]string{"a": "NaN"}, nil)
 	if ErrorCode(err) != CodeBadRequest {
 		t.Fatalf("err = %v", err)
 	}

@@ -393,9 +393,9 @@ func (m *MuxClient) CallV3(ctx context.Context, op string, enc func(b []byte) []
 }
 
 // CallJSON performs one JSON-bodied exchange over the pipelined
-// connection: the server routes it through the op's derived JSON form
-// (see Handle), so every call op is callable — and pipelined — whether
-// or not it has a binary codec.
+// connection, for an op registered with Handle: the server routes it
+// through the op's derived JSON form, and refuses it with bad_request
+// when the op's codec is binary.
 func (m *MuxClient) CallJSON(ctx context.Context, op string, req, resp interface{}) error {
 	var enc func(b []byte) []byte
 	if req != nil {

@@ -2,9 +2,9 @@
 // length-prefixed binary frames, pipelined and multiplexed by request id
 // over TCP (or any net.Conn) — with an op-dispatch Server and the
 // MuxClient that speaks to it. Every op is registered once in the
-// server's table: a typed function whose JSON request/response bodies are
-// derived (Handle), optionally with a binary codec beside them for the
-// hot path (HandleV3), or a binary server-push stream (HandleStreamV3).
+// server's table in exactly one body encoding: a typed function whose
+// JSON request/response bodies are derived (Handle), a binary codec
+// (HandleV3), or a binary server-push stream (HandleStreamV3).
 // Failures carry structured error codes and the client's context deadline
 // is propagated to the server. The frame layout is documented in v3.go,
 // the client in mux.go; bodies are built from internal/binenc. The
@@ -27,12 +27,11 @@ import (
 // runaway payloads.
 const MaxFrame = 16 << 20
 
-// opEntry is one row of the server's op table. A call op always has its
-// JSON form and may have a binary codec beside it; a stream op has only
-// stream set.
+// opEntry is one row of the server's op table: a call op's handler and
+// whether its bodies are JSON, or a stream op's opener.
 type opEntry struct {
-	json   V3Handler
-	binary V3Handler
+	call   V3Handler
+	json   bool
 	stream v3StreamOpen
 }
 
@@ -69,22 +68,13 @@ func NewServer() *Server {
 }
 
 // Handle registers a typed handler for op on s, replacing any previous
-// registration. The op takes JSON bodies: the request body is decoded
+// registration. The op takes JSON bodies only: the request body is decoded
 // into Req, the handler's Resp is encoded as the response body, and a
 // returned error becomes a structured error frame (keeping its Code when
 // it is a *Error). The context carries the client's propagated deadline,
 // when it sent one.
 func Handle[Req, Resp any](s *Server, op string, fn func(context.Context, Req) (Resp, error)) {
-	HandleV3(s, op, fn, nil)
-}
-
-// HandleV3 is Handle for an op that also has a binary codec: binary
-// answers binary-bodied calls straight from and into the frame buffers —
-// no JSON on the op's hot path — while JSON-bodied calls keep going
-// through fn, so the JSON encoding stays the codec's reference and every
-// op stays reachable by a generic client (gridmon-query).
-func HandleV3[Req, Resp any](s *Server, op string, fn func(context.Context, Req) (Resp, error), binary V3Handler) {
-	jsonBody := func(ctx context.Context, body, out []byte) ([]byte, *Error) {
+	call := func(ctx context.Context, body, out []byte) ([]byte, *Error) {
 		var req Req
 		if len(body) > 0 {
 			//gridmon:nolint wirecode the derived JSON form of an op: this is the seam where typed requests meet JSON bodies
@@ -103,9 +93,14 @@ func HandleV3[Req, Resp any](s *Server, op string, fn func(context.Context, Req)
 		}
 		return append(out, b...), nil
 	}
+	s.register(op, opEntry{call: call, json: true})
+}
+
+// register installs op's table row, replacing any previous registration.
+func (s *Server) register(op string, e opEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ops[op] = opEntry{json: jsonBody, binary: binary}
+	s.ops[op] = e
 }
 
 // OpsList is the response of the built-in "ops.list" introspection op:

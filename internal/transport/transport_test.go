@@ -139,13 +139,13 @@ func TestServerCloseIdempotent(t *testing.T) {
 	srv.Close() // must not panic or deadlock
 }
 
-// TestOpsListing: JSON-bodied ops, ops with a binary codec and stream
-// ops share one table, so one sorted listing — in process and over the
+// TestOpsListing: JSON-bodied ops, binary ops and stream ops share one
+// table, so one sorted listing — in process and over the
 // built-in ops.list op — names them all.
 func TestOpsListing(t *testing.T) {
 	srv := NewServer()
 	Handle(srv, "b.json", func(context.Context, struct{}) (struct{}, error) { return struct{}{}, nil })
-	handleBinary(srv, "a.binary", func(_ context.Context, _, out []byte) ([]byte, *Error) { return out, nil })
+	srv.HandleV3("a.binary", func(_ context.Context, _, out []byte) ([]byte, *Error) { return out, nil })
 	srv.HandleStreamV3("c.stream", func(context.Context, []byte) (V3StreamFunc, *Error) {
 		return func(V3Send) error { return nil }, nil
 	})

@@ -42,12 +42,12 @@ import (
 //	-- on error: string code, string message (no body) --
 //	...     body         the rest of the frame
 //
-// Bodies are opaque here: a binary body goes to the op's binary codec
-// (HandleV3/HandleStreamV3), which decodes and encodes with the codec
-// primitives; a body sent with the JSON flag goes to the op's derived
-// JSON form (Handle) and is answered with the JSON flag set, so every
-// call op is reachable — and pipelined — whether or not it has a binary
-// codec. Stream ops are binary only.
+// Bodies are opaque here, and every op has exactly one encoding: a call
+// op registered with HandleV3 and a stream op (HandleStreamV3) take
+// binary bodies, which their codecs decode and encode with the codec
+// primitives; a call op registered with Handle takes JSON bodies and is
+// answered with the JSON flag set. A body whose JSON flag disagrees with
+// its op's encoding is refused with bad_request before any handler runs.
 
 // v3Magic is the preamble a client opens its connection with. Read as a
 // big-endian frame length it is 1.19 GiB — far beyond MaxFrame — so a
@@ -101,14 +101,19 @@ type V3StreamFunc func(send V3Send) error
 // v3StreamOpen is the stored form of a binary stream handler.
 type v3StreamOpen func(ctx context.Context, body []byte) (V3StreamFunc, *Error)
 
+// HandleV3 registers a binary call handler for op, replacing any
+// previous registration: h answers binary-bodied calls straight from and
+// into the frame buffers, and a JSON-bodied call of op is refused.
+func (s *Server) HandleV3(op string, h V3Handler) {
+	s.register(op, opEntry{call: h})
+}
+
 // HandleStreamV3 registers a binary stream handler for op, replacing any
 // previous registration. open validates the request and attaches sources;
 // the returned V3StreamFunc runs for the stream's lifetime with ctx
 // cancelled when the client cancels or the connection drops.
 func (s *Server) HandleStreamV3(op string, open func(ctx context.Context, body []byte) (V3StreamFunc, *Error)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ops[op] = opEntry{stream: open}
+	s.register(op, opEntry{stream: open})
 }
 
 // v3ConnWriter serializes response frames onto one v3 connection: header
@@ -287,29 +292,28 @@ func (s *Server) v3Worker(cw *v3ConnWriter, jobs <-chan v3Job, wg *sync.WaitGrou
 }
 
 // resolveCall finds what answers a call of op sent with the given
-// request flags: the op's binary codec for a binary body, its derived
-// JSON form (answered with the JSON flag set) for a JSON-flagged one.
-// op is a view into the read buffer; the lookup does not copy it, and
-// only an op that cannot answer — whose error names it — costs a string.
+// request flags: the op's handler, answering with the JSON flag set when
+// the op's bodies are JSON. A body in the other encoding never reaches
+// the handler (it would see garbage). op is a view into the read buffer;
+// the lookup does not copy it, and only an op that cannot answer — whose
+// error names it — costs a string.
 func (s *Server) resolveCall(op []byte, flags byte) (h V3Handler, respFlags byte, herr *Error) {
 	s.mu.Lock()
 	e := s.ops[string(op)]
 	s.mu.Unlock()
-	h = e.binary
-	if flags&v3FlagJSON != 0 {
-		h, respFlags = e.json, v3FlagJSON
-	}
 	switch {
 	case e.stream != nil:
 		return nil, 0, Errf(CodeBadRequest, "op %q is a streaming op (open it as a stream)", string(op))
-	case e.json == nil:
+	case e.call == nil:
 		return nil, 0, Errf(CodeUnknownOp, "unknown op %q (try ops.list)", string(op))
-	case h == nil:
-		// A binary body must never reach the JSON form (the handler
-		// would see garbage).
+	case e.json && flags&v3FlagJSON == 0:
 		return nil, 0, Errf(CodeBadRequest, "op %q has no binary codec on this server (send a JSON body)", string(op))
+	case !e.json && flags&v3FlagJSON != 0:
+		return nil, 0, Errf(CodeBadRequest, "op %q takes a binary body on this server (it has no JSON form)", string(op))
+	case e.json:
+		return e.call, v3FlagJSON, nil
 	}
-	return h, respFlags, nil
+	return e.call, 0, nil
 }
 
 // maxTimeoutMS is the longest wire deadline that still fits a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,13 +14,10 @@ import (
 	"repro/internal/leakcheck"
 )
 
-// handleAdd registers "math.add" in both body encodings from one
-// registration: a binary codec (two uvarints in, their sum out) beside
-// the JSON form derived from the typed function.
+// handleAdd registers "math.add" with a binary codec: two uvarints in,
+// their sum out.
 func handleAdd(srv *Server) {
-	HandleV3(srv, "math.add", func(_ context.Context, req addReq) (addResp, error) {
-		return addResp{Sum: req.A + req.B}, nil
-	}, func(_ context.Context, body, out []byte) ([]byte, *Error) {
+	srv.HandleV3("math.add", func(_ context.Context, body, out []byte) ([]byte, *Error) {
 		d := binenc.NewDec(body)
 		a := d.Uvarint()
 		b := d.Uvarint()
@@ -97,11 +95,11 @@ func TestV3PipelinedOutOfOrder(t *testing.T) {
 	leakcheck.Check(t)
 	srv := NewServer()
 	release := make(chan struct{})
-	handleBinary(srv, "slow", func(_ context.Context, _, out []byte) ([]byte, *Error) {
+	srv.HandleV3("slow", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		<-release
 		return append(out, 1), nil
 	})
-	handleBinary(srv, "fast", func(_ context.Context, _, out []byte) ([]byte, *Error) {
+	srv.HandleV3("fast", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		return append(out, 2), nil
 	})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -163,13 +161,11 @@ func TestV3ConcurrentCalls(t *testing.T) {
 	}
 }
 
-// TestV3JSONBridge: an op with only a JSON registration is still
-// callable — and pipelined — over a v3 connection via CallJSON.
+// TestV3JSONBridge: an op registered with Handle is callable — and
+// pipelined — over a v3 connection via CallJSON.
 func TestV3JSONBridge(t *testing.T) {
 	srv := NewServer()
-	Handle(srv, "math.add", func(_ context.Context, req addReq) (addResp, error) {
-		return addResp{Sum: req.A + req.B}, nil
-	})
+	handleAddJSON(srv)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -223,11 +219,45 @@ func TestV3BinaryBodyToJSONOnlyOp(t *testing.T) {
 	}
 }
 
+// TestV3JSONBodyToBinaryOnlyOp: a JSON-bodied call against an op
+// registered with only a binary codec never reaches the codec (it would
+// decode JSON text as binary); it fails as a typed bad_request naming
+// the op, and the connection stays usable for binary calls.
+func TestV3JSONBodyToBinaryOnlyOp(t *testing.T) {
+	srv := NewServer()
+	var ran atomic.Bool
+	srv.HandleV3("math.add", func(_ context.Context, body, out []byte) ([]byte, *Error) {
+		ran.Store(true)
+		d := binenc.NewDec(body)
+		return binenc.AppendUvarint(out, d.Uvarint()+d.Uvarint()), nil
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	m := dialV3(t, addr)
+	var resp addResp
+	err = m.CallJSON(context.Background(), "math.add", addReq{A: 1, B: 2}, &resp)
+	if ErrorCode(err) != CodeBadRequest || !strings.Contains(err.Error(), `"math.add"`) {
+		t.Fatalf("JSON body to a binary-only op: err = %v, want %s naming the op", err, CodeBadRequest)
+	}
+	if ran.Load() {
+		t.Fatal("the binary handler ran on a JSON body")
+	}
+	if err := m.CallJSON(context.Background(), "no.such.op", nil, nil); ErrorCode(err) != CodeUnknownOp {
+		t.Fatalf("unknown op err = %v", err)
+	}
+	if sum, err := addV3(t, m, 1, 2); err != nil || sum != 3 {
+		t.Fatalf("binary call on the same connection = %d, %v", sum, err)
+	}
+}
+
 // TestV3ErrorCodePropagation: a binary handler's structured error
 // arrives with its code intact.
 func TestV3ErrorCodePropagation(t *testing.T) {
 	srv := NewServer()
-	handleBinary(srv, "fail", func(context.Context, []byte, []byte) ([]byte, *Error) {
+	srv.HandleV3("fail", func(context.Context, []byte, []byte) ([]byte, *Error) {
 		return nil, Errf(CodeUnavailable, "deliberately unavailable")
 	})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -252,11 +282,11 @@ func TestV3AbandonedCallSparesSiblings(t *testing.T) {
 	// The handler ignores its context so the client's deadline always
 	// fires first: the call is abandoned client-side and the late reply
 	// must be dropped without disturbing the connection.
-	handleBinary(srv, "stall", func(_ context.Context, _, out []byte) ([]byte, *Error) {
+	srv.HandleV3("stall", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		<-release
 		return out, nil
 	})
-	handleBinary(srv, "quick", func(_ context.Context, _, out []byte) ([]byte, *Error) {
+	srv.HandleV3("quick", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		return out, nil
 	})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -464,7 +494,7 @@ func TestV3StreamOpMisuse(t *testing.T) {
 func TestV3StalledStreamDoesNotBlockCalls(t *testing.T) {
 	leakcheck.Check(t)
 	srv := NewServer()
-	handleBinary(srv, "ping", func(_ context.Context, _, out []byte) ([]byte, *Error) {
+	srv.HandleV3("ping", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		return append(out, 'p'), nil
 	})
 	srv.HandleStreamV3("flood", func(ctx context.Context, _ []byte) (V3StreamFunc, *Error) {
@@ -537,7 +567,7 @@ func TestV3StalledStreamDoesNotBlockCalls(t *testing.T) {
 func TestV3CallsInterleaveWithStream(t *testing.T) {
 	leakcheck.Check(t)
 	srv := NewServer()
-	handleBinary(srv, "ping", func(_ context.Context, _, out []byte) ([]byte, *Error) {
+	srv.HandleV3("ping", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		return append(out, 'p'), nil
 	})
 	srv.HandleStreamV3("ticks", func(ctx context.Context, _ []byte) (V3StreamFunc, *Error) {
@@ -585,7 +615,7 @@ func TestV3ServerCloseFailsInFlight(t *testing.T) {
 	srv := NewServer()
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	handleBinary(srv, "stall", func(_ context.Context, _, out []byte) ([]byte, *Error) {
+	srv.HandleV3("stall", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		close(entered)
 		<-release
 		return out, nil

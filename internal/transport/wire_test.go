@@ -86,11 +86,11 @@ func TestV3SlowReaderSparesOtherConns(t *testing.T) {
 	// the reply is still blocked when the second connection calls.
 	big := make([]byte, MaxFrame-1024)
 	handled := make(chan struct{})
-	handleBinary(srv, "big", func(_ context.Context, _, out []byte) ([]byte, *Error) {
+	srv.HandleV3("big", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		defer close(handled)
 		return append(out, big...), nil
 	})
-	handleBinary(srv, "ping", func(_ context.Context, _, out []byte) ([]byte, *Error) {
+	srv.HandleV3("ping", func(_ context.Context, _, out []byte) ([]byte, *Error) {
 		return append(out, 'p'), nil
 	})
 	addr, err := srv.Listen("127.0.0.1:0")

@@ -12,18 +12,17 @@ type Option func(*config) error
 
 // config collects the construction-time knobs.
 type config struct {
-	hosts             []string
-	systems           map[System]bool
-	rgmaProducers     int
-	managerHost       string
-	clock             func() float64
-	advertiseInterval float64
-	streamBuffer      int
-	queryCacheTTL     time.Duration
-	dataDir           string
-	admitMax          int
-	admitQueue        int
-	admitTimeout      time.Duration
+	hosts         []string
+	systems       map[System]bool
+	rgmaProducers int
+	managerHost   string
+	clock         func() float64
+	streamBuffer  int
+	queryCacheTTL time.Duration
+	dataDir       string
+	admitMax      int
+	admitQueue    int
+	admitTimeout  time.Duration
 }
 
 // DefaultStreamBuffer is the per-subscription event buffer bound used
@@ -32,11 +31,10 @@ const DefaultStreamBuffer = 64
 
 func defaultConfig() *config {
 	return &config{
-		systems:           map[System]bool{MDS: true, RGMA: true, Hawkeye: true},
-		rgmaProducers:     3,
-		managerHost:       "manager",
-		advertiseInterval: 30,
-		streamBuffer:      DefaultStreamBuffer,
+		systems:       map[System]bool{MDS: true, RGMA: true, Hawkeye: true},
+		rgmaProducers: 3,
+		managerHost:   "manager",
+		streamBuffer:  DefaultStreamBuffer,
 	}
 }
 
@@ -218,18 +216,6 @@ func WithAdmission(maxConcurrent, maxQueued int, queueTimeout time.Duration) Opt
 		c.admitMax = maxConcurrent
 		c.admitQueue = maxQueued
 		c.admitTimeout = queueTimeout
-		return nil
-	}
-}
-
-// WithAdvertiseInterval sets the Hawkeye agents' advertised update
-// interval in seconds (default 30, the paper's Hawkeye cadence).
-func WithAdvertiseInterval(seconds float64) Option {
-	return func(c *config) error {
-		if seconds <= 0 {
-			return fmt.Errorf("gridmon: advertise interval must be positive")
-		}
-		c.advertiseInterval = seconds
 		return nil
 	}
 }

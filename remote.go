@@ -285,15 +285,6 @@ func (r *RemoteGrid) sleepBackoff(ctx context.Context, n int) error {
 	}
 }
 
-// call runs one idempotent JSON-bodied exchange through the resilience
-// machinery (the common case; Query routes its binary codec through
-// callWire directly).
-func (r *RemoteGrid) call(ctx context.Context, op string, req, resp interface{}) error {
-	return r.callWire(ctx, func(actx context.Context, c *transport.MuxClient) error {
-		return c.CallJSON(actx, op, req, resp)
-	})
-}
-
 // callWire runs one idempotent exchange through the resilience
 // machinery: breaker gate, per-attempt timeout, retry with backoff and
 // reconnect. attempt performs the protocol-level exchange on the
@@ -403,14 +394,16 @@ func (r *RemoteGrid) classify(ctx context.Context, err error) (retry, reconnect,
 	}
 }
 
-// Call runs one idempotent typed request/response op through the full
-// resilience machinery (breaker gate, per-attempt timeout, retry with
-// backoff and reconnect) — the raw form of Query/Hosts/Systems/Ops/
-// Stats for callers that route arbitrary ops, like gridmon-query and
-// the federation backend pool. The op must be idempotent: a retried
-// Call re-sends the request after connection repair.
+// Call runs one idempotent JSON-bodied op through the full resilience
+// machinery (breaker gate, per-attempt timeout, retry with backoff and
+// reconnect) — the raw form of Hosts/Systems/Ops/Stats for callers that
+// route control ops, like gridmon-query and the federation backend pool
+// (grid.query takes only binary bodies: use Query). The op must be
+// idempotent: a retry re-sends it after connection repair.
 func (r *RemoteGrid) Call(ctx context.Context, op string, req, resp interface{}) error {
-	return r.call(ctx, op, req, resp)
+	return r.callWire(ctx, func(actx context.Context, c *transport.MuxClient) error {
+		return c.CallJSON(actx, op, req, resp)
+	})
 }
 
 // Addr returns the server address this client dials.
@@ -595,7 +588,7 @@ func (r *RemoteGrid) AppendQuery(ctx context.Context, q Query, dst []byte) ([]by
 // Hosts lists the remote grid's monitored hosts.
 func (r *RemoteGrid) Hosts(ctx context.Context) ([]string, error) {
 	var hl HostList
-	if err := r.call(ctx, "grid.hosts", nil, &hl); err != nil {
+	if err := r.Call(ctx, "grid.hosts", nil, &hl); err != nil {
 		return nil, err
 	}
 	return hl.Hosts, nil
@@ -604,7 +597,7 @@ func (r *RemoteGrid) Hosts(ctx context.Context) ([]string, error) {
 // Systems lists the remote grid's deployed systems.
 func (r *RemoteGrid) Systems(ctx context.Context) ([]System, error) {
 	var sl SystemList
-	if err := r.call(ctx, "grid.systems", nil, &sl); err != nil {
+	if err := r.Call(ctx, "grid.systems", nil, &sl); err != nil {
 		return nil, err
 	}
 	return sl.Systems, nil
@@ -613,7 +606,7 @@ func (r *RemoteGrid) Systems(ctx context.Context) ([]System, error) {
 // Ops lists every operation the remote server answers.
 func (r *RemoteGrid) Ops(ctx context.Context) ([]string, error) {
 	var ol transport.OpsList
-	if err := r.call(ctx, "ops.list", nil, &ol); err != nil {
+	if err := r.Call(ctx, "ops.list", nil, &ol); err != nil {
 		return nil, err
 	}
 	return ol.Ops, nil
@@ -623,7 +616,7 @@ func (r *RemoteGrid) Ops(ctx context.Context) ([]string, error) {
 // remote form of Grid.Stats.
 func (r *RemoteGrid) Stats(ctx context.Context) (Stats, error) {
 	var st Stats
-	if err := r.call(ctx, "ops.stats", nil, &st); err != nil {
+	if err := r.Call(ctx, "ops.stats", nil, &st); err != nil {
 		return Stats{}, err
 	}
 	return st, nil

@@ -42,9 +42,9 @@ import (
 // are bounded by the bytes left in the frame (Dec.Count) before
 // anything is sized by them.
 //
-// Nil-ness is preserved exactly as the JSON codecs preserve it, so a
-// binary-bodied answer is reflect.DeepEqual to the JSON-bodied answer
-// for the same request (see TestProtoQueryEquivalence):
+// Nil-ness is preserved exactly as a JSON round trip preserves it, so a
+// decoded value is reflect.DeepEqual to the same value sent through
+// encoding/json (jsonRT in the tests; see TestProtoQueryEquivalence):
 // slices whose JSON tag lacks omitempty (ResultSet.Records,
 // Event.Records) distinguish nil from empty on the wire (count+1
 // encoding, 0 = nil); omitempty slices and maps (Query.Attrs,
@@ -148,7 +148,7 @@ func decodeWireRecordInto(d *binenc.Dec, rec *Record) {
 
 // appendWireRecords appends a record slice, preserving nil-ness (the
 // records JSON tag has no omitempty, so nil and empty are distinct in
-// a JSON body too): count+1 for a non-nil slice, 0 for nil. Per record
+// JSON too): count+1 for a non-nil slice, 0 for nil. Per record
 // it appends the key, then the field count and name/value pairs, in map
 // order — record equality is map equality, which the decoder rebuilds.
 func appendWireRecords(b []byte, recs []Record) []byte {
@@ -446,14 +446,14 @@ const (
 	maxEventBatchBytes = 1 << 10
 )
 
-// ServeQueryV3 is the registration of grid.query for source on srv, in
-// both of the op's body encodings: binary-bodied requests decode straight
-// from the frame and answers encode straight into the server's pooled
-// response buffer — no intermediate JSON, and no field map when source
-// appends its replies (see queryV3) — while JSON-bodied calls (gridmon-query,
-// RemoteGrid.Call) reach the same source through the derived JSON form.
+// ServeQueryV3 is the registration of grid.query for source on srv. The
+// op speaks only the binary codec: requests decode straight from the
+// frame and answers encode straight into the server's pooled response
+// buffer — no intermediate JSON, and no field map when source appends
+// its replies (see queryV3). A JSON-bodied grid.query is refused with
+// bad_request.
 func ServeQueryV3(srv *TransportServer, source Querier) {
-	transport.HandleV3(srv, "grid.query", source.Query, queryV3(source))
+	srv.HandleV3("grid.query", queryV3(source))
 }
 
 // appendQuerier is a source that appends its grid.query reply bodies to

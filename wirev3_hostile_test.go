@@ -27,7 +27,8 @@ var wireDecKinds = []func([]byte) binenc.Dec{binenc.NewDec, binenc.NewDecText}
 // 13-byte frame used to reach make([]string, 1<<62) on the server — a
 // panic nothing recovered, so any client could kill the process (and
 // 1<<30 instead asked for 16 GB). It must be an ordinary typed
-// bad_request, and the server must keep serving.
+// bad_request, as a JSON-bodied grid.query is, and the server must keep
+// serving.
 func TestWireHugeCountIsBadRequest(t *testing.T) {
 	srv := transport.NewServer()
 	newTestGrid(t).Serve(srv)
@@ -55,9 +56,19 @@ func TestWireHugeCountIsBadRequest(t *testing.T) {
 			t.Fatalf("body %x: err = %v, want bad_request", body, err)
 		}
 	}
-	// Same connection, same server: the next call is answered.
+	// grid.query speaks only the binary codec: a JSON-bodied one — what
+	// a client from before the op went binary-only sends — never reaches
+	// the grid, and is a bad_request naming the op.
 	q := Query{System: Hawkeye, Role: RoleDirectoryServer}
 	var rs ResultSet
+	err = mux.CallJSON(ctx, "grid.query", q, &rs)
+	if transport.ErrorCode(err) != transport.CodeBadRequest || !strings.Contains(err.Error(), `"grid.query"`) {
+		t.Fatalf("JSON-bodied grid.query: err = %v, want bad_request naming the op", err)
+	}
+	if rs.Records != nil {
+		t.Fatalf("JSON-bodied grid.query was answered with %d records", len(rs.Records))
+	}
+	// Same connection, same server: the next call is answered.
 	err = mux.CallV3(ctx, "grid.query",
 		func(b []byte) []byte { return appendWireQuery(b, q) },
 		func(body []byte) error {

@@ -13,7 +13,8 @@ import (
 
 // jsonRT round-trips v through JSON — the reference semantics the binary
 // codec must reproduce exactly, nil-ness and omitempty behaviour
-// included, so JSON-bodied and binary-bodied calls see the same values.
+// included, so a value decoded off the wire is the value encoding/json
+// would have delivered.
 func jsonRT[T any](t *testing.T, v T) T {
 	t.Helper()
 	b, err := json.Marshal(v)
