@@ -51,9 +51,12 @@ race:
 # copied out of the request) and the reused answer scratch (every served
 # frame equals a fresh answer's, answers served concurrently; a
 # Router's spliced reply equals the pre-splice merge of the same leaf
-# replies, TestV3ScratchSplice).
+# replies, TestV3ScratchSplice). The all-misses scratch case then runs
+# 25 more times: its frames hold only if no query reads an answer stored
+# by one that started with or after it (queryCache.lookup's rule).
 stress:
 	$(GO) test -race -count=2 -run 'Concurrent|QueryCache|Memo|Scratch' .
+	$(GO) test -race -count=25 -run 'TestV3ScratchFrames/cache-misses' .
 
 # recovery re-runs the crash-injection suite hard: kills at every WAL
 # byte/record boundary, differential recovery against the volatile

@@ -89,26 +89,24 @@ type queryCache struct {
 
 	mu      sync.RWMutex
 	entries map[cacheKey]*cacheEntry // guarded by mu
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
 }
 
 func newQueryCache(ttl time.Duration) *queryCache {
 	return &queryCache{ttl: ttl, entries: make(map[cacheKey]*cacheEntry)}
 }
 
-// lookup returns the live cached answer for key, if any, counting the
-// hit or miss.
+// lookup returns the live cached answer for key, if any. An entry
+// answers a lookup only if the lookup's start, now, is strictly after
+// the start of the query that stored it (expires − ttl) and not after
+// expires: a query that began before or with the one that computed an
+// answer never reads that answer, however the two interleave.
 func (c *queryCache) lookup(key cacheKey, now time.Time) (*cacheEntry, bool) {
 	c.mu.RLock()
 	e := c.entries[key]
 	c.mu.RUnlock()
-	if e == nil || e.gen != c.gen.Load() || now.After(e.expires) {
-		c.misses.Add(1)
+	if e == nil || e.gen != c.gen.Load() || now.After(e.expires) || !now.After(e.expires.Add(-c.ttl)) {
 		return nil, false
 	}
-	c.hits.Add(1)
 	return e, true
 }
 
@@ -153,14 +151,4 @@ func (c *queryCache) store(key cacheKey, gen uint64, now time.Time, answer core.
 // invalidate drops every cached answer (generation bump; O(1)).
 func (c *queryCache) invalidate() {
 	c.gen.Add(1)
-}
-
-// QueryCacheStats reports the facade query cache's lifetime hit and miss
-// counts. With no cache configured (see WithQueryCache) both are zero
-// and ok is false.
-func (g *Grid) QueryCacheStats() (hits, misses uint64, ok bool) {
-	if g.cache == nil {
-		return 0, 0, false
-	}
-	return g.cache.hits.Load(), g.cache.misses.Load(), true
 }

@@ -82,8 +82,8 @@ func BenchmarkGridQueryCached(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		if hits, misses, ok := grid.QueryCacheStats(); ok {
-			b.ReportMetric(float64(hits)/float64(hits+misses), "hit-rate")
+		if st := grid.Stats(); st.CacheHits+st.CacheMisses > 0 {
+			b.ReportMetric(float64(st.CacheHits)/float64(st.CacheHits+st.CacheMisses), "hit-rate")
 		}
 	}
 	b.Run("uncached", func(b *testing.B) { run(b) })

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/leakcheck"
 )
 
@@ -312,21 +313,17 @@ func TestQueryCacheSemantics(t *testing.T) {
 		t.Fatalf("projected query must not hit the unprojected entry, got %+v", projected.Work)
 	}
 
-	hits, misses, ok := grid.QueryCacheStats()
-	if !ok {
-		t.Fatal("QueryCacheStats: cache should be enabled")
-	}
-	if hits != 2 || misses != 4 {
-		t.Fatalf("QueryCacheStats: want hits=2 misses=4, got hits=%d misses=%d", hits, misses)
+	if st := grid.Stats(); st.CacheHits != 2 || st.CacheMisses != 4 {
+		t.Fatalf("Stats: want CacheHits=2 CacheMisses=4, got %+v", st)
 	}
 
-	// Without the option there is no cache and no counters.
+	// Without the option there is no cache, so nothing is counted.
 	plain := newStressGrid(t, clock.Fn())
 	if _, err := plain.Query(ctx, q); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := plain.QueryCacheStats(); ok {
-		t.Fatal("QueryCacheStats: cache should be absent without WithQueryCache")
+	if st := plain.Stats(); st.CacheHits != 0 || st.CacheMisses != 0 {
+		t.Fatalf("Stats without WithQueryCache: want no cache counts, got %+v", st)
 	}
 }
 
@@ -347,6 +344,36 @@ func TestQueryCacheTTLExpiry(t *testing.T) {
 	}
 	if rs.Work.CacheHits != 0 || rs.Work.CacheMisses != 1 {
 		t.Fatalf("entry past TTL must miss, got %+v", rs.Work)
+	}
+}
+
+// TestQueryCacheLookupWindow pins which lookups an entry answers: only
+// those starting strictly after the storing query started and no later
+// than its expiry. A query that began before (or with) the one that
+// stored an answer must not read it, however the two interleave.
+func TestQueryCacheLookupWindow(t *testing.T) {
+	const ttl = time.Second
+	stored := time.Now()
+	key := keyFor(Query{System: MDS, Expr: "(objectclass=MdsCpu)"}, RoleInformationServer)
+	for _, tc := range []struct {
+		name   string
+		lookup time.Time
+		hit    bool
+	}{
+		{"at the storing start", stored, false},
+		{"inside the window", stored.Add(ttl / 2), true},
+		{"at expiry", stored.Add(ttl), true},
+		{"past expiry", stored.Add(ttl + time.Nanosecond), false},
+		{"started before the storing query", stored.Add(-time.Nanosecond), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newQueryCache(ttl)
+			want := c.store(key, c.gen.Load(), stored, core.Answer{}, Work{})
+			e, ok := c.lookup(key, tc.lookup)
+			if ok != tc.hit || (ok && e != want) {
+				t.Fatalf("lookup hit=%v (entry %p), want hit=%v (entry %p)", ok, e, tc.hit, want)
+			}
+		})
 	}
 }
 

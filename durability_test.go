@@ -38,7 +38,7 @@ var extraAd = gma.Advertisement{
 func registryHas(t *testing.T, grid *Grid, producerID string) bool {
 	t.Helper()
 	registry, _, _ := grid.RGMA()
-	ads, err := registry.LookupProducers("siteinfo", grid.Now())
+	ads, _, err := registry.LookupProducersStats("siteinfo", grid.Now())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@
 //   - Live mode: construct a Grid and query it in-process (or over TCP
 //     via cmd/gridmon-live and Dial); see the examples/ directory.
 //   - Simulated mode: run the paper's experiment sets on the modeled
-//     Lucky/UC testbed; see RunExperiment and cmd/gridmon-bench.
+//     Lucky/UC testbed; see RunExperimentWorkers and cmd/gridmon-bench.
 package gridmon
 
 import (
@@ -69,7 +69,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/hawkeye"
-	"repro/internal/ldap"
 	"repro/internal/mds"
 	"repro/internal/rgma"
 )
@@ -82,9 +81,8 @@ type (
 	Role   = core.Role
 
 	// MDS components.
-	GRIS     = mds.GRIS
-	GIIS     = mds.GIIS
-	Provider = mds.Provider
+	GRIS = mds.GRIS
+	GIIS = mds.GIIS
 
 	// R-GMA components.
 	Registry        = rgma.Registry
@@ -95,13 +93,10 @@ type (
 	// Hawkeye components.
 	Agent   = hawkeye.Agent
 	Manager = hawkeye.Manager
-	Module  = hawkeye.Module
 	Trigger = hawkeye.Trigger
 
-	// ClassAd and LDAP building blocks.
-	ClassAd    = classad.Ad
-	LDAPEntry  = ldap.Entry
-	LDAPFilter = ldap.Filter
+	// ClassAd is the record Hawkeye advertises and matches.
+	ClassAd = classad.Ad
 )
 
 // The systems and roles of the paper's Table 1.
@@ -119,24 +114,6 @@ const (
 // ComponentMapping is the paper's Table 1.
 var ComponentMapping = core.ComponentMapping
 
-// AttrRequirements is the ClassAd attribute matchmaking evaluates (used
-// when building Trigger ads).
-const AttrRequirements = classad.AttrRequirements
-
-// NewClassAd creates an empty ClassAd — external callers build Trigger
-// ads with it, since the classad package itself is internal.
-func NewClassAd() *ClassAd { return classad.NewAd() }
-
-// ParseClassAd parses a ClassAd in either record or old-style syntax.
-func ParseClassAd(src string) (*ClassAd, error) { return classad.ParseAd(src) }
-
-// ParseClassAdExpr parses a ClassAd expression (for constraints and
-// triggers).
-func ParseClassAdExpr(src string) (classad.Expr, error) { return classad.ParseExpr(src) }
-
-// ParseLDAPFilter parses an RFC 1960 search filter.
-func ParseLDAPFilter(src string) (LDAPFilter, error) { return ldap.ParseFilter(src) }
-
 // ExperimentNames lists the runnable experiment sets: the paper's four
 // plus the exp5 extension (the multi-layer aggregation architecture the
 // paper's Section 3.6 proposes examining).
@@ -144,18 +121,14 @@ func ExperimentNames() []string {
 	return []string{"exp1", "exp2", "exp3", "exp4", "exp5"}
 }
 
-// RunExperiment regenerates one of the paper's experiment sets, writing
-// the four figure panels as text tables to w and returning the series.
-// Valid names are exp1 (Figures 5–8), exp2 (9–12), exp3 (13–16) and exp4
-// (17–20). quick shortens the measurement window for smoke runs.
-func RunExperiment(name string, w io.Writer, quick bool) ([]experiments.Series, error) {
-	return RunExperimentWorkers(name, w, quick, 1)
-}
-
-// RunExperimentWorkers is RunExperiment with a bounded worker pool
-// measuring up to workers sweep points concurrently (cmd/gridmon-bench's
-// -parallel flag). Each point runs on its own sim.Env, so the series are
-// bit-identical to a serial run — only wall-clock changes.
+// RunExperimentWorkers regenerates one of the paper's experiment sets,
+// writing the four figure panels as text tables to w and returning the
+// series. Valid names are exp1 (Figures 5–8), exp2 (9–12), exp3 (13–16),
+// exp4 (17–20) and exp5 (the hierarchy extension). quick shortens the
+// measurement window for smoke runs. A bounded worker pool measures up
+// to workers sweep points concurrently (cmd/gridmon-bench's -parallel
+// flag). Each point runs on its own sim.Env, so the series are
+// bit-identical to a serial run (workers = 1) — only wall-clock changes.
 func RunExperimentWorkers(name string, w io.Writer, quick bool, workers int) ([]experiments.Series, error) {
 	cal := experiments.DefaultCalibration()
 	par := experiments.PaperParams()

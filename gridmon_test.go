@@ -86,7 +86,7 @@ func TestComponentMappingExposed(t *testing.T) {
 }
 
 func TestRunExperimentUnknown(t *testing.T) {
-	if _, err := RunExperiment("exp9", nil, true); err == nil {
+	if _, err := RunExperimentWorkers("exp9", nil, true, 1); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }

@@ -182,15 +182,6 @@ func (a *Ad) EvalExpr(e Expr) Value {
 	return e.eval(ctx)
 }
 
-// EvalExprString parses and evaluates src in this ad's context.
-func (a *Ad) EvalExprString(src string) (Value, error) {
-	e, err := ParseExpr(src)
-	if err != nil {
-		return Undefined(), err
-	}
-	return a.EvalExpr(e), nil
-}
-
 // String renders the ad in new-ClassAd record syntax: [ a = 1; b = 2 ].
 func (a *Ad) String() string { return string(a.appendRecord(nil)) }
 

@@ -1,23 +1,8 @@
 package classad
 
-// AttrRequirements and AttrRank are the attribute names matchmaking
-// consults, following Condor convention.
-const (
-	AttrRequirements = "Requirements"
-	AttrRank         = "Rank"
-)
-
-// EvalAgainst evaluates attribute name of ad self with other as the match
-// candidate: unqualified and MY references resolve in self, TARGET
-// references in other.
-func EvalAgainst(self, other *Ad, name string) Value {
-	e, ok := self.Lookup(name)
-	if !ok {
-		return Undefined()
-	}
-	ctx := &evalCtx{a: self, b: other, cur: self}
-	return e.eval(ctx)
-}
+// AttrRequirements is the attribute name matchmaking consults, following
+// Condor convention.
+const AttrRequirements = "Requirements"
 
 // EvalExprAgainst evaluates expression e as if it were an attribute of
 // self being matched against other. Hawkeye Manager constraint queries use
@@ -131,44 +116,4 @@ func (cc *CompiledConstraint) SatisfiedBy(candidate *Ad) bool {
 	v := cc.expr.eval(&cc.ctx)
 	b, ok := v.BoolVal()
 	return ok && b
-}
-
-// RankOf evaluates self's Rank against other as a float. Missing,
-// non-numeric, undefined, or error ranks count as 0, per Condor.
-func RankOf(self, other *Ad) float64 {
-	v := EvalAgainst(self, other, AttrRank)
-	if n, ok := v.Number(); ok {
-		return n
-	}
-	return 0
-}
-
-// BestMatch returns the index of the candidate that matches trigger with
-// the highest trigger Rank, or -1 when nothing matches. Ties keep the
-// earliest candidate, making selection deterministic.
-func BestMatch(trigger *Ad, candidates []*Ad) int {
-	best := -1
-	bestRank := 0.0
-	for i, c := range candidates {
-		if !Match(trigger, c) {
-			continue
-		}
-		r := RankOf(trigger, c)
-		if best == -1 || r > bestRank {
-			best, bestRank = i, r
-		}
-	}
-	return best
-}
-
-// MatchAll returns the indices of every candidate that symmetrically
-// matches trigger, in order.
-func MatchAll(trigger *Ad, candidates []*Ad) []int {
-	var out []int
-	for i, c := range candidates {
-		if Match(trigger, c) {
-			out = append(out, i)
-		}
-	}
-	return out
 }

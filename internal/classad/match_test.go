@@ -92,55 +92,6 @@ func TestUnqualifiedRefFallsThroughToTarget(t *testing.T) {
 	}
 }
 
-func TestRankOf(t *testing.T) {
-	job := NewAd()
-	job.Set(AttrRank, MustParseExpr("TARGET.FreeDisk"))
-	if r := RankOf(job, startdAd("m", 0, 500)); r != 500 {
-		t.Fatalf("rank = %v, want 500", r)
-	}
-	noRank := NewAd()
-	if r := RankOf(noRank, startdAd("m", 0, 500)); r != 0 {
-		t.Fatalf("missing rank = %v, want 0", r)
-	}
-}
-
-func TestBestMatchPicksHighestRank(t *testing.T) {
-	job := NewAd()
-	job.Set(AttrRequirements, MustParseExpr("TARGET.CpuLoad < 50"))
-	job.Set(AttrRank, MustParseExpr("TARGET.FreeDisk"))
-	cands := []*Ad{
-		startdAd("a", 10, 100),
-		startdAd("b", 99, 9999), // fails requirements
-		startdAd("c", 10, 300),
-		startdAd("d", 10, 300), // tie: earlier wins
-	}
-	if i := BestMatch(job, cands); i != 2 {
-		t.Fatalf("BestMatch = %d, want 2", i)
-	}
-}
-
-func TestBestMatchNoCandidates(t *testing.T) {
-	job := NewAd()
-	job.Set(AttrRequirements, MustParseExpr("TARGET.CpuLoad < 0"))
-	if i := BestMatch(job, []*Ad{startdAd("a", 10, 0)}); i != -1 {
-		t.Fatalf("BestMatch = %d, want -1", i)
-	}
-}
-
-func TestMatchAll(t *testing.T) {
-	trigger := NewAd()
-	trigger.Set(AttrRequirements, MustParseExpr("TARGET.CpuLoad > 50"))
-	cands := []*Ad{
-		startdAd("a", 80, 0),
-		startdAd("b", 10, 0),
-		startdAd("c", 90, 0),
-	}
-	got := MatchAll(trigger, cands)
-	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("MatchAll = %v, want [0 2]", got)
-	}
-}
-
 func TestEvalExprAgainst(t *testing.T) {
 	constraint := MustParseExpr("TARGET.CpuLoad > 50 && TARGET.OpSys == \"LINUX\"")
 	self := NewAd() // the query's ad is empty

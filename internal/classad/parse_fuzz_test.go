@@ -96,8 +96,8 @@ func FuzzClassAdParse(f *testing.F) {
 	})
 }
 
-// FuzzParseAd: ParseAd, which reads the ads gridmon.ParseClassAd is
-// given, answers every input as oracleParseAd (the parser that lexed the
+// FuzzParseAd: ParseAd, which reads ClassAds in record or old-style
+// syntax, answers every input as oracleParseAd (the parser that lexed the
 // whole input first) does: the same inputs accepted, the same Unparse()
 // and the same error text. The old-style syntax is where the two could
 // part: a line ends at a newline or ';' outside brackets, found there by

@@ -111,14 +111,6 @@ func (v Value) ListVal() ([]Value, bool) { return v.list, v.kind == ListKind }
 // AdVal extracts a nested ad, reporting whether the value is a classad.
 func (v Value) AdVal() (*Ad, bool) { return v.ad, v.kind == AdKind }
 
-// ErrMessage returns the message of an error value, or "".
-func (v Value) ErrMessage() string {
-	if v.kind == ErrorKind {
-		return v.s
-	}
-	return ""
-}
-
 // Number extracts the value as a float64 if it is numeric (integer, real,
 // or boolean promoted to 0/1), reporting whether it was.
 func (v Value) Number() (float64, bool) {

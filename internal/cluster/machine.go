@@ -71,9 +71,6 @@ func (m *Machine) Compute(p *sim.Proc, cpuSeconds float64) {
 	m.cpu.Consume(p, cpuSeconds)
 }
 
-// Runnable reports the instantaneous run-queue length (jobs on the CPU).
-func (m *Machine) Runnable() int { return m.cpu.Active() }
-
 // Load1 reports the one-minute load average — the exponentially damped
 // run-queue length, the quantity Ganglia reports as "load_one".
 func (m *Machine) Load1() float64 { return m.load1.Value(m.env.Now()) }

@@ -122,7 +122,8 @@ type Calibration struct {
 // experiment. The paper's qualitative results they must reproduce are
 // the tests in experiments_test.go (TestCachingDominatesInfoServerThroughput,
 // TestQueryPartBeatsQueryAll, ...); a generated paper-vs-measured
-// comparison is ROADMAP item 3.
+// comparison is the ROADMAP item "Put the paper's four experiment sets
+// on the live system".
 func DefaultCalibration() Calibration {
 	return Calibration{
 		GRISBaseCPU:       0.006,

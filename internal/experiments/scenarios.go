@@ -155,7 +155,6 @@ func BuildProducerServletUsers(cal Calibration, fromUC bool) Builder {
 		cserv := rgma.NewConsumerServlet("uc00:8080", reg, func(string) (*rgma.ProducerServlet, error) {
 			return pserv, nil
 		})
-		cserv.MaxConsumers = 120
 		server := NewServer(env, tb.Host("lucky3"), tb.Network, cal.ServletConfig())
 		clients := tb.Clients
 		if !fromUC {

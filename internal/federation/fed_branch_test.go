@@ -51,8 +51,8 @@ func (l *deadlineLeaf) take() []time.Duration {
 }
 
 // TestBranchDeadlineCarve pins what deadline a branch carries to its
-// leaf: BranchBudget of what the caller has left for a broad query's
-// branches, capped by BranchTimeout; none when the caller has no
+// leaf: DefaultBranchBudget of what the caller has left for a broad
+// query's branches, capped by BranchTimeout; none when the caller has no
 // deadline and there is no BranchTimeout; and a host-targeted query's
 // branch keeps the caller's whole deadline. The wire carries deadlines
 // in whole milliseconds, rounded down, and the leaf reads its deadline
@@ -86,12 +86,11 @@ func TestBranchDeadlineCarve(t *testing.T) {
 		deadline time.Duration // the caller's; 0 for none
 		want     time.Duration // what each asked leaf is carved; noDeadline for none
 	}{
-		{"budget", federation.Config{BranchBudget: 0.5}, broad, time.Second, 500 * time.Millisecond},
 		{"default budget", federation.Config{}, broad, time.Second, 900 * time.Millisecond},
-		{"timeout caps budget", federation.Config{BranchBudget: 0.5, BranchTimeout: 200 * time.Millisecond}, broad, time.Second, 200 * time.Millisecond},
+		{"timeout caps budget", federation.Config{BranchTimeout: 200 * time.Millisecond}, broad, time.Second, 200 * time.Millisecond},
 		{"timeout alone", federation.Config{BranchTimeout: 300 * time.Millisecond}, broad, 0, 300 * time.Millisecond},
 		{"nothing to carve", federation.Config{}, broad, 0, noDeadline},
-		{"host-targeted", federation.Config{BranchBudget: 0.5}, targeted, time.Second, time.Second},
+		{"host-targeted", federation.Config{}, targeted, time.Second, time.Second},
 		{"host-targeted without deadline", federation.Config{}, targeted, 0, noDeadline},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -176,7 +176,8 @@ const (
 	// DefaultBranchBudget is the fraction of the caller's remaining
 	// deadline each fan-out branch receives; the reserved remainder
 	// keeps the merge and the aggregator's own response inside the
-	// caller's deadline.
+	// caller's deadline. Host-targeted queries keep the caller's full
+	// deadline — there are no siblings to budget against.
 	DefaultBranchBudget = 0.9
 	// DefaultBreakerThreshold / DefaultBreakerCooldown configure the
 	// per-address circuit breaker when cfg.Dial.Breaker is unset: a
@@ -203,11 +204,6 @@ type Config struct {
 	// transport.DefaultMaxPipeline × MaxFanout, one connection's full
 	// pipeline of broad queries at full fan-out.
 	MaxFanout int
-	// BranchBudget is the fraction (0..1] of the caller's remaining
-	// deadline granted to each fan-out branch (default
-	// DefaultBranchBudget). Host-targeted queries keep the caller's
-	// full deadline — there are no siblings to budget against.
-	BranchBudget float64
 	// BranchTimeout, when > 0, caps every branch's deadline regardless
 	// of the caller's budget — and bounds branches when the caller has
 	// no deadline at all. 0 leaves deadline-less callers unbounded

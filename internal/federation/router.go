@@ -20,7 +20,6 @@ import (
 type Router struct {
 	policy        Policy
 	maxFanout     int
-	branchBudget  float64
 	branchTimeout time.Duration
 	dial          gridmon.DialOptions
 
@@ -78,10 +77,6 @@ func New(cfg Config) (*Router, error) {
 	if fanout <= 0 {
 		fanout = DefaultMaxFanout
 	}
-	budget := cfg.BranchBudget
-	if budget <= 0 || budget > 1 {
-		budget = DefaultBranchBudget
-	}
 	dial := cfg.Dial
 	if dial.Breaker.Threshold <= 0 {
 		dial.Breaker = gridmon.Breaker{
@@ -92,7 +87,6 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		policy:        policy,
 		maxFanout:     fanout,
-		branchBudget:  budget,
 		branchTimeout: cfg.BranchTimeout,
 		dial:          dial,
 		smap:          cfg.Map,
@@ -205,9 +199,10 @@ func (r *Router) snapshot() (ShardMap, [][]*gridmon.RemoteGrid) {
 // carve derives one branch's context from the caller's remaining
 // budget — always from the parent context, never a fresh root, so the
 // caller cancelling cancels every branch. A fan-out branch gets
-// BranchBudget of the deadline remaining when it starts (the reserve
-// keeps the merge inside the caller's deadline); BranchTimeout caps
-// either way and bounds branches when the caller brought no deadline.
+// DefaultBranchBudget of the deadline remaining when it starts (the
+// reserve keeps the merge inside the caller's deadline); BranchTimeout
+// caps either way and bounds branches when the caller brought no
+// deadline.
 // With neither a deadline nor a BranchTimeout there is nothing to carve:
 // the branch runs under the parent itself and cancel does nothing, so
 // such a branch costs no context.
@@ -215,7 +210,7 @@ func (r *Router) carve(ctx context.Context, fanout bool) (context.Context, conte
 	if dl, ok := ctx.Deadline(); ok {
 		d := time.Until(dl)
 		if fanout {
-			d = time.Duration(float64(d) * r.branchBudget)
+			d = time.Duration(float64(d) * DefaultBranchBudget)
 		}
 		if r.branchTimeout > 0 && d > r.branchTimeout {
 			d = r.branchTimeout

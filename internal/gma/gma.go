@@ -1,9 +1,9 @@
-// Package gma defines the Grid Monitoring Architecture of the Global Grid
-// Forum: Producers that publish monitoring data, Consumers that request
-// it, and a Registry through which Consumers locate Producers (the paper's
-// Figure 2). GMA deliberately specifies neither protocol nor data model;
-// the rgma package supplies both with a relational model, exactly as
-// R-GMA does.
+// Package gma holds the one shared shape of the Grid Monitoring
+// Architecture of the Global Grid Forum: the Advertisement a Producer
+// registers so that Consumers can locate it through a Registry (the
+// paper's Figure 2). GMA deliberately specifies neither protocol nor data
+// model; the rgma package supplies both with a relational model, exactly
+// as R-GMA does.
 package gma
 
 // Advertisement is what a Producer registers: where it can be contacted
@@ -20,35 +20,4 @@ type Advertisement struct {
 	// Predicate is a SQL WHERE fragment fixing the producer's slice of
 	// the table, e.g. "host = 'lucky3'". Empty means the whole table.
 	Predicate string
-}
-
-// Registry is the GMA directory service: producers register themselves;
-// consumers query the registry to locate producers for the data they
-// want, then contact producers directly.
-type Registry interface {
-	// RegisterProducer records (or renews) an advertisement with the
-	// given soft-state lifetime in seconds.
-	RegisterProducer(ad Advertisement, now, ttl float64) error
-	// UnregisterProducer removes a producer, reporting whether it was
-	// registered.
-	UnregisterProducer(producerID string, now float64) bool
-	// LookupProducers returns the advertisements offering the named
-	// table, in registration order.
-	LookupProducers(table string, now float64) ([]Advertisement, error)
-	// Tables lists the distinct table names currently offered.
-	Tables(now float64) []string
-}
-
-// Producer is the minimal producing component: it can describe itself for
-// registration.
-type Producer interface {
-	Advertisement() Advertisement
-}
-
-// Consumer is a marker for consuming components; in GMA the consumer's
-// only architectural obligation is to locate producers via the Registry
-// and contact them directly, which concrete implementations do with their
-// own query APIs.
-type Consumer interface {
-	ConsumerID() string
 }

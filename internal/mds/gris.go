@@ -87,9 +87,6 @@ func NewGRIS(host string, cacheTTL float64, providers []*Provider) *GRIS {
 	return g
 }
 
-// NumProviders reports the number of information providers.
-func (g *GRIS) NumProviders() int { return len(g.providers) }
-
 // Warm refreshes every provider at time now, pre-populating the cache the
 // way the paper's "data always in cache" configuration did.
 func (g *GRIS) Warm(now float64) QueryStats {

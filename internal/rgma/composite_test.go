@@ -100,7 +100,7 @@ func TestCompositeRegistersAsAggregatedSource(t *testing.T) {
 	// A consumer can now reach aggregated data through the registry.
 	cserv := NewConsumerServlet("c:8080", reg, resolve)
 	_ = cserv
-	ads, err := reg.LookupProducers("siteinfo", 2)
+	ads, _, err := reg.LookupProducersStats("siteinfo", 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,8 @@ func (s *QueryStats) Add(o QueryStats) {
 // Registry is R-GMA's directory: a soft-state list of producer
 // advertisements. Producers register a table name and their fixed
 // predicate; the Registry answers Consumer lookups with the matching
-// producers in registration order. It implements gma.Registry.
+// producers in registration order: the GMA directory of the paper's
+// Figure 2.
 //
 // The Registry is safe for concurrent use: lookups whose soft state has
 // nothing to expire — the steady state under live registrations — run
@@ -85,8 +86,6 @@ type registration struct {
 	prev, next *registration
 }
 
-var _ gma.Registry = (*Registry)(nil)
-
 // NewRegistry creates an empty volatile registry.
 func NewRegistry(name string) *Registry {
 	r := &Registry{Name: name, byID: make(map[string]*registration)}
@@ -106,9 +105,8 @@ func (r *Registry) RegisterProducer(ad gma.Advertisement, now, ttl float64) erro
 	return r.wal.Append(func() []byte { return encodeRegisterRec(ad, now+ttl) })
 }
 
-// UnregisterProducer removes a producer's advertisement. A durable
-// logging failure is sticky in Err (the bool return is the gma.Registry
-// contract).
+// UnregisterProducer removes a producer's advertisement, reporting
+// whether it was registered. A durable logging failure is sticky in Err.
 func (r *Registry) UnregisterProducer(producerID string, now float64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -188,16 +186,10 @@ func (r *Registry) expireAndLog(now float64) {
 	}
 }
 
-// LookupProducers returns the live advertisements for a table, matched
-// case-insensitively, in registration order.
-func (r *Registry) LookupProducers(table string, now float64) ([]gma.Advertisement, error) {
-	ads, _, err := r.LookupProducersStats(table, now)
-	return ads, err
-}
-
-// LookupProducersStats is LookupProducers with work accounting. The
-// steady-state lookup (nothing to expire) runs under the read lock;
-// expiry upgrades to the exclusive lock with a re-check.
+// LookupProducersStats returns the live advertisements for a table,
+// matched case-insensitively, in registration order, with work
+// accounting. The steady-state lookup (nothing to expire) runs under
+// the read lock; expiry upgrades to the exclusive lock with a re-check.
 func (r *Registry) LookupProducersStats(table string, now float64) ([]gma.Advertisement, QueryStats, error) {
 	key := strings.ToLower(table)
 	r.mu.RLock()

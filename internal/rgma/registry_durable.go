@@ -24,7 +24,7 @@ import (
 //	expire     = 0x03 now
 //
 // The snapshot is every advertisement in registration order, so replay
-// reconstructs the exact order LookupProducers promises.
+// reconstructs the exact order LookupProducersStats promises.
 const (
 	regOpRegister   = 0x01
 	regOpUnregister = 0x02

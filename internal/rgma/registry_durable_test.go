@@ -101,7 +101,7 @@ func dumpRegistry(t *testing.T, r *Registry, now float64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "registered=%d\n", r.NumRegistered(now))
 	for _, table := range r.Tables(now) {
-		ads, err := r.LookupProducers(table, now)
+		ads, _, err := r.LookupProducersStats(table, now)
 		if err != nil {
 			t.Fatalf("lookup %q: %v", table, err)
 		}
@@ -288,7 +288,7 @@ func TestRegistryExpiryDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A lookup at t=500 sweeps the lapsed advertisement — and logs it.
-	ads, err := r.LookupProducers("siteinfo", 500)
+	ads, _, err := r.LookupProducersStats("siteinfo", 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestRegistryExpiryDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	ads, err = r2.LookupProducers("siteinfo", 0) // clock restarted below the lapse point
+	ads, _, err = r2.LookupProducersStats("siteinfo", 0) // clock restarted below the lapse point
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -285,7 +285,7 @@ func TestRegistryConcurrentChurn(t *testing.T) {
 				id := fmt.Sprintf("p%d", (i*7+w)%50)
 				switch w {
 				case 0, 1:
-					if _, err := r.LookupProducers([]string{"siteinfo", "SiteInfo"}[w], now); err != nil {
+					if _, _, err := r.LookupProducersStats([]string{"siteinfo", "SiteInfo"}[w], now); err != nil {
 						t.Error(err)
 						return
 					}

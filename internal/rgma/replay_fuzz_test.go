@@ -85,7 +85,7 @@ func FuzzRegistryReplay(f *testing.F) {
 			case 2:
 				live.UnregisterProducer(fmt.Sprintf("p%d", d.Byte()%8), now)
 			case 3:
-				if _, err := live.LookupProducers("t0", now); err != nil {
+				if _, _, err := live.LookupProducersStats("t0", now); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -42,7 +42,7 @@ func TestRegistryRegisterAndLookup(t *testing.T) {
 	if n := reg.NumRegistered(1); n != 10 {
 		t.Fatalf("registered = %d, want 10", n)
 	}
-	ads, err := reg.LookupProducers("siteinfo", 1)
+	ads, _, err := reg.LookupProducersStats("siteinfo", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRegistrySoftStateExpiry(t *testing.T) {
 	if n := reg.NumRegistered(601); n != 0 {
 		t.Fatalf("registered after expiry = %d, want 0", n)
 	}
-	ads, _ := reg.LookupProducers("siteinfo", 601)
+	ads, _, _ := reg.LookupProducersStats("siteinfo", 601)
 	if len(ads) != 0 {
 		t.Fatalf("expired lookup returned %d ads", len(ads))
 	}
@@ -297,27 +297,6 @@ func TestConsumerServletFanOutAcrossServlets(t *testing.T) {
 	}
 	if len(res.Rows) != 5*10*3 {
 		t.Fatalf("rows = %d, want 150", len(res.Rows))
-	}
-}
-
-func TestConsumerServletAttachCap(t *testing.T) {
-	_, _, cserv := newSetup(t)
-	cserv.MaxConsumers = 2
-	if err := cserv.Attach(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cserv.Attach(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cserv.Attach(); err == nil {
-		t.Fatal("attach past cap succeeded")
-	}
-	cserv.Detach()
-	if err := cserv.Attach(); err != nil {
-		t.Fatal("attach after detach failed")
-	}
-	if cserv.Attached() != 2 {
-		t.Fatalf("attached = %d", cserv.Attached())
 	}
 }
 

@@ -108,19 +108,15 @@ func (ps *ProducerServlet) query(now float64, q *relational.RowsQuery, st QueryS
 
 // ConsumerServlet mediates Consumer queries: it consults the Registry to
 // locate producers of the queried table, forwards the query to each
-// producer's servlet, and merges the answers. The paper's UC setup hits a
-// 128-row environment limit, surfaced here as MaxConsumers.
+// producer's servlet, and merges the answers. (The paper's UC setup hit
+// a 128-row environment limit at 120 consumers per ConsumerServlet; the
+// experiments that model it enforce that cap themselves.)
 type ConsumerServlet struct {
 	Address string
-	// MaxConsumers caps concurrently attached consumers (the paper could
-	// drive only 120 consumers through one ConsumerServlet). Zero means
-	// no cap.
-	MaxConsumers int
 
 	registry *Registry
 	// resolve maps a producer advertisement address to its servlet.
-	resolve  func(address string) (*ProducerServlet, error)
-	attached int
+	resolve func(address string) (*ProducerServlet, error)
 }
 
 // NewConsumerServlet creates a consumer servlet bound to a registry and a
@@ -128,25 +124,6 @@ type ConsumerServlet struct {
 func NewConsumerServlet(address string, reg *Registry, resolve func(string) (*ProducerServlet, error)) *ConsumerServlet {
 	return &ConsumerServlet{Address: address, registry: reg, resolve: resolve}
 }
-
-// Attach admits a consumer, enforcing MaxConsumers.
-func (cs *ConsumerServlet) Attach() error {
-	if cs.MaxConsumers > 0 && cs.attached >= cs.MaxConsumers {
-		return fmt.Errorf("rgma: consumer servlet %s full (%d consumers)", cs.Address, cs.MaxConsumers)
-	}
-	cs.attached++
-	return nil
-}
-
-// Detach releases a consumer slot.
-func (cs *ConsumerServlet) Detach() {
-	if cs.attached > 0 {
-		cs.attached--
-	}
-}
-
-// Attached reports the number of attached consumers.
-func (cs *ConsumerServlet) Attached() int { return cs.attached }
 
 // Query mediates one SQL SELECT: registry lookup, per-producer-servlet
 // fan-out, merge. Distinct producer servlets are contacted once each.

@@ -307,7 +307,7 @@ func oracleOneTable(cs *ConsumerServlet, now float64, sql string) (*relational.R
 	if err != nil {
 		return nil, err
 	}
-	ads, err := cs.registry.LookupProducers(sel.Table, now)
+	ads, _, err := cs.registry.LookupProducersStats(sel.Table, now)
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,6 @@ type config struct {
 	rgmaProducers int
 	managerHost   string
 	clock         func() float64
-	streamBuffer  int
 	queryCacheTTL time.Duration
 	dataDir       string
 	admitMax      int
@@ -26,7 +25,7 @@ type config struct {
 }
 
 // DefaultStreamBuffer is the per-subscription event buffer bound used
-// when neither Subscription.Buffer nor WithStreamBuffer sets one.
+// when Subscription.Buffer does not set one.
 const DefaultStreamBuffer = 64
 
 func defaultConfig() *config {
@@ -34,7 +33,6 @@ func defaultConfig() *config {
 		systems:       map[System]bool{MDS: true, RGMA: true, Hawkeye: true},
 		rgmaProducers: 3,
 		managerHost:   "manager",
-		streamBuffer:  DefaultStreamBuffer,
 	}
 }
 
@@ -128,31 +126,18 @@ func WithWallClock() Option {
 	}
 }
 
-// WithStreamBuffer sets the default per-subscription event buffer bound
-// (default DefaultStreamBuffer). A Subscription's own Buffer field, when
-// positive, overrides it. When a consumer falls behind the buffer, new
-// events are dropped and accounted rather than queued without limit; see
-// ErrLagged for the delivery semantics.
-func WithStreamBuffer(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("gridmon: WithStreamBuffer(%d): need a positive buffer", n)
-		}
-		c.streamBuffer = n
-		return nil
-	}
-}
-
 // WithQueryCache puts a GIIS-style result cache in front of Query,
 // modeled on the cache behind the paper's >10x "data always in cache"
 // throughput (Figures 5–6): an identical Query (same System, Role, Host,
 // Expr and Attrs) repeated within ttl is answered from the cached
-// records without touching any engine. Work on a hit reports CacheHits=1
-// and no engine accounting; on a miss the engine's Work is returned with
-// CacheMisses=1. The whole cache is invalidated when grid state advances
-// (Advance, Advertise, or a legacy write serialized through the facade),
-// so a cached answer is never older than both ttl and the last
-// monitoring round.
+// records without touching any engine. An answer serves only queries
+// that start strictly after the query that computed it started, and no
+// later than ttl after. Work on a hit reports CacheHits=1 and no engine
+// accounting; on a miss the engine's Work is returned with
+// CacheMisses=1, and Grid.Stats counts both. The whole cache is
+// invalidated when grid state advances (Advance or Advertise), so a
+// cached answer is never older than both ttl and the last monitoring
+// round.
 //
 // Cached records are shared between hits: callers must treat returned
 // ResultSet records as read-only (the transport server, which only
@@ -198,8 +183,9 @@ func WithStorage(dir string) Option {
 //
 // The shed path never blocks — an over-limit request is refused in
 // microseconds — and sheds, queue transits and the live queue depth are
-// visible in Grid.Stats / ops.stats. The same gate covers the legacy
-// param-based ops served through Serve. maxQueued of 0 disables the
+// visible in Grid.Stats / ops.stats. Every query that reaches an
+// engine, in-process or served through Serve, passes the same gate; a
+// cache hit reaches none and skips it. maxQueued of 0 disables the
 // queue (immediate shed when saturated); queueTimeout of 0 means queued
 // requests wait until a slot frees or their context gives up.
 func WithAdmission(maxConcurrent, maxQueued int, queueTimeout time.Duration) Option {

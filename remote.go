@@ -14,40 +14,31 @@ import (
 )
 
 // Backoff shapes the delay between a resilient client's retry attempts:
-// exponential growth from Base by Multiplier, capped at Max, with a
-// seeded ±Jitter fraction randomized on top so a fleet of clients
-// recovering from the same outage does not retry in lockstep. The zero
-// value means 10ms base, 1s cap, ×2 growth, ±20% jitter from a fixed
-// seed — deterministic across runs, which is what the chaos tests need.
+// exponential growth from Base by backoffMultiplier, capped at Max, with
+// a seeded ±backoffJitter/2 fraction randomized on top so a fleet of
+// clients recovering from the same outage does not retry in lockstep.
+// The zero value means 10ms base, 1s cap and a fixed seed — deterministic
+// across runs, which is what the chaos tests need.
 type Backoff struct {
 	// Base is the delay before the first retry (default 10ms).
 	Base time.Duration
 	// Max caps the grown delay (default 1s).
 	Max time.Duration
-	// Multiplier grows the delay per attempt (default 2).
-	Multiplier float64
-	// Jitter is the fraction of the delay randomized symmetrically
-	// around it, 0..1 (default 0.2: the delay varies ±10%).
-	Jitter float64
 	// Seed seeds the jitter source (0 uses a fixed default seed, so an
 	// unconfigured client is still deterministic).
 	Seed int64
 }
 
+// backoffMultiplier grows the retry delay per attempt; backoffJitter is
+// the fraction of the delay randomized symmetrically around it (the
+// delay varies ±10%).
+const (
+	backoffMultiplier = 2
+	backoffJitter     = 0.2
+)
+
 func (b Backoff) base() time.Duration { return defDur(b.Base, 10*time.Millisecond) }
 func (b Backoff) max() time.Duration  { return defDur(b.Max, time.Second) }
-func (b Backoff) multiplier() float64 {
-	if b.Multiplier <= 1 {
-		return 2
-	}
-	return b.Multiplier
-}
-func (b Backoff) jitter() float64 {
-	if b.Jitter <= 0 || b.Jitter > 1 {
-		return 0.2
-	}
-	return b.Jitter
-}
 
 func defDur(d, def time.Duration) time.Duration {
 	if d <= 0 {
@@ -60,16 +51,14 @@ func defDur(d, def time.Duration) time.Duration {
 // the jitter source. Callers serialize access to rng.
 func (b Backoff) delay(n int, rng *rand.Rand) time.Duration {
 	d := float64(b.base())
-	mult := b.multiplier()
 	limit := float64(b.max())
 	for i := 0; i < n && d < limit; i++ {
-		d *= mult
+		d *= backoffMultiplier
 	}
 	if d > limit {
 		d = limit
 	}
-	j := b.jitter()
-	d *= 1 - j/2 + j*rng.Float64()
+	d *= 1 - backoffJitter/2 + backoffJitter*rng.Float64()
 	return time.Duration(d)
 }
 
@@ -465,9 +454,8 @@ func (r *RemoteGrid) Subscribe(ctx context.Context, sub Subscription) (*Stream, 
 	}
 	// The first frame is the preamble batch carrying the serving grid's
 	// effective buffer bound, so an unset Subscription.Buffer lags exactly
-	// as the in-process stream would (WithStreamBuffer on the server
-	// included). A first frame that already carries data is processed,
-	// not lost.
+	// as the in-process stream would. A first frame that already carries
+	// data is processed, not lost.
 	var preEvents []Event
 	var preDrops uint64
 	preBuffer := 0

@@ -114,7 +114,7 @@ func TestParseBreaker(t *testing.T) {
 // delays grow exponentially, and the cap holds.
 func TestBackoffDeterminism(t *testing.T) {
 	leakcheck.Check(t)
-	cfg := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Multiplier: 2, Jitter: 0.2}
+	cfg := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond}
 	a := rand.New(rand.NewSource(42))
 	b := rand.New(rand.NewSource(42))
 	var prev time.Duration

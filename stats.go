@@ -16,9 +16,10 @@ type serveCounters struct {
 }
 
 // Stats is a point-in-time snapshot of the grid's serving counters. It is
-// the first slice of ROADMAP item 4's live metrics endpoint: Grid.Stats
-// reads it in-process, the ops.stats transport op serves it to remote
-// clients (RemoteGrid.Stats, `gridmon-query -o json ops.stats`).
+// the first slice of the live metrics the ROADMAP item "Tracing inside
+// the program" asks for: Grid.Stats reads it in-process, the ops.stats
+// transport op serves it to remote clients (RemoteGrid.Stats,
+// `gridmon-query -o json ops.stats`).
 type Stats struct {
 	// Queries counts facade queries answered successfully (cache hits
 	// included).
@@ -38,8 +39,9 @@ type Stats struct {
 	QueueDepth int64 `json:"queue_depth"`
 	// InFlight is the number of queries executing right now.
 	InFlight int64 `json:"in_flight"`
-	// CacheHits / CacheMisses mirror the query cache's lifetime counters
-	// as seen from the serving path (zero without WithQueryCache).
+	// CacheHits counts queries answered from the result cache,
+	// CacheMisses the ones that missed it and stored a fresh answer
+	// (both zero without WithQueryCache).
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 }

@@ -58,9 +58,9 @@ type Subscription struct {
 	// Advance. Ignored by the natively push-based systems.
 	PollEvery float64 `json:"poll_every,omitempty"`
 	// Buffer bounds the stream's event buffer (default
-	// DefaultStreamBuffer, see WithStreamBuffer). When the consumer
-	// lags, new events beyond the buffer are dropped and accounted (see
-	// ErrLagged) rather than queued without limit.
+	// DefaultStreamBuffer). When the consumer lags, new events beyond the
+	// buffer are dropped and accounted (see ErrLagged) rather than queued
+	// without limit.
 	Buffer int `json:"buffer,omitempty"`
 }
 
@@ -104,7 +104,7 @@ func (g *Grid) Subscribe(ctx context.Context, sub Subscription) (*Stream, error)
 	}
 	buffer := sub.Buffer
 	if buffer <= 0 {
-		buffer = g.cfg.streamBuffer
+		buffer = DefaultStreamBuffer
 	}
 	st := newStream(sub, buffer)
 

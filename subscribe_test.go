@@ -263,12 +263,12 @@ func TestSubscribeLag(t *testing.T) {
 }
 
 // TestRemoteBufferFollowsServer: with no Buffer in the Subscription,
-// the remote stream adopts the serving grid's WithStreamBuffer bound
+// the remote stream adopts the serving grid's bound, DefaultStreamBuffer
 // (carried in the stream preamble), so lag behavior matches in-process;
 // an explicit Buffer still wins.
 func TestRemoteBufferFollowsServer(t *testing.T) {
 	leakcheck.Check(t)
-	served, _ := steppedGrid(t, WithStreamBuffer(7))
+	served, _ := steppedGrid(t)
 	remote := serveGrid(t, served)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -276,8 +276,8 @@ func TestRemoteBufferFollowsServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Buffer(); got != 7 {
-		t.Errorf("remote buffer = %d, want the server's 7", got)
+	if got := st.Buffer(); got != DefaultStreamBuffer {
+		t.Errorf("remote buffer = %d, want the server's %d", got, DefaultStreamBuffer)
 	}
 	st2, err := remote.Subscribe(ctx, Subscription{System: RGMA, Buffer: 3})
 	if err != nil {

@@ -517,8 +517,7 @@ func ServeSubscribe(srv *TransportServer, source Subscriber) {
 		run := func(send transport.V3Send) error {
 			defer st.Close()
 			// The preamble carries the serving grid's effective buffer
-			// bound, so the client's buffer honors the serving grid's
-			// WithStreamBuffer configuration.
+			// bound, so the client's buffer is the server's.
 			serr := send(func(b []byte) []byte {
 				b = binenc.AppendUvarint(b, 1)
 				b = append(b, wireEntryBuffer)
