@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -16,9 +19,11 @@ import (
 )
 
 // ScratchQueries is every allocBudgetCells and stressQueries shape, plus
-// an Agent constraint that rejects its ad (no record slice) and a WHERE
-// that matches nothing (an empty one): the mix TestV3ScratchFrames
-// serves through reused scratch.
+// an Agent constraint that rejects its ad (no record slice), a WHERE
+// that matches nothing (an empty one), an LDAP OR filter and a range
+// filter (candidate sets unioned in scratch), a mixed-case R-GMA table
+// name (folded without a copy) and a three-name projection: the mix
+// TestV3ScratchFrames serves through reused scratch.
 func ScratchQueries() []Query {
 	var qs []Query
 	for _, cell := range allocBudgetCells {
@@ -27,7 +32,108 @@ func ScratchQueries() []Query {
 	return append(append(qs, stressQueries()...),
 		Query{System: Hawkeye, Host: "lucky4", Expr: "false"},
 		Query{System: RGMA, Expr: "SELECT * FROM siteinfo WHERE value > 1000000"},
+		Query{System: MDS, Role: RoleAggregateServer, Expr: "(|(objectclass=MdsHost)(objectclass=MdsCpu))"},
+		Query{System: MDS, Role: RoleAggregateServer, Expr: "(Mds-Cpu-Free-1minX100>=50)"},
+		Query{System: RGMA, Role: RoleDirectoryServer, Expr: "SiteINFO"},
+		Query{System: Hawkeye, Role: RoleAggregateServer, Attrs: []string{"Name", "CpuLoad", "OpSys"}},
 	)
+}
+
+// QueryGroup is one named part of AnswerCorpus.
+type QueryGroup struct {
+	Name    string
+	Queries []Query
+}
+
+// AnswerCorpus is what TestAnswerDigest serves, in named groups: the
+// alloc-budget cells, the stress mix, ScratchQueries, every checked-in
+// seed of the LDAP, SQL and ClassAd parser fuzz targets on every
+// (system, role) that parses it, and the Attrs edge cases (nil, one
+// empty name, names in the wrong case) on one query per (system, role).
+// Host-targeted queries name hosts of scratch grids (lucky3, lucky4).
+func AnswerCorpus(t testing.TB) []QueryGroup {
+	t.Helper()
+	var cells []Query
+	for _, cell := range allocBudgetCells {
+		cells = append(cells, cell.q)
+	}
+	groups := []QueryGroup{
+		{"cells", cells},
+		{"stress", stressQueries()},
+		{"scratch", ScratchQueries()},
+	}
+	for _, f := range []struct {
+		name, dir string
+		system    System
+		shapes    []Query
+	}{
+		{"seeds-ldap", "internal/ldap/testdata/fuzz/FuzzLDAPFilter", MDS, []Query{
+			{Role: RoleInformationServer, Host: "lucky4"}, {Role: RoleDirectoryServer}, {Role: RoleAggregateServer}}},
+		{"seeds-sql", "internal/relational/testdata/fuzz/FuzzSQLParse", RGMA, []Query{
+			{Role: RoleInformationServer, Host: "lucky4"}, {Role: RoleInformationServer}, {Role: RoleAggregateServer}}},
+		{"seeds-classad", "internal/classad/testdata/fuzz/FuzzClassAdParse", Hawkeye, []Query{
+			{Role: RoleInformationServer, Host: "lucky4"}, {Role: RoleDirectoryServer}, {Role: RoleAggregateServer}}},
+	} {
+		var qs []Query
+		for _, expr := range fuzzSeeds(t, f.dir) {
+			for _, shape := range f.shapes {
+				shape.System, shape.Expr = f.system, expr
+				qs = append(qs, shape)
+			}
+		}
+		groups = append(groups, QueryGroup{f.name, qs})
+	}
+	var attrs []Query
+	for _, base := range []struct {
+		q     Query
+		mixed []string
+	}{
+		{Query{System: MDS, Host: "lucky3", Expr: "(objectclass=MdsCpu)"}, []string{"MDS-CPU-FREE-1MINX100", "mds-cpu-speedmhz"}},
+		{Query{System: MDS, Role: RoleDirectoryServer}, []string{"MDS-HOST-HN"}},
+		{Query{System: MDS, Role: RoleAggregateServer, Expr: "(objectclass=MdsHost)"}, []string{"ObjectClass", "Mds-Host-HN"}},
+		{Query{System: RGMA, Host: "lucky3", Expr: "SELECT host, value FROM siteinfo"}, []string{"HOST", "Value"}},
+		{Query{System: RGMA, Expr: "SELECT * FROM siteinfo"}, []string{"Host", "metric"}},
+		{Query{System: RGMA, Role: RoleDirectoryServer}, []string{"Address", "table"}},
+		{Query{System: RGMA, Role: RoleAggregateServer}, []string{"HOST"}},
+		{Query{System: Hawkeye, Host: "lucky3"}, []string{"name", "CPULOAD"}},
+		{Query{System: Hawkeye, Role: RoleDirectoryServer}, []string{"NAME"}},
+		{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: "TARGET.CpuLoad >= 0"}, []string{"Name", "cpuload"}},
+	} {
+		for _, as := range [][]string{nil, {""}, base.mixed} {
+			q := base.q
+			q.Attrs = as
+			attrs = append(attrs, q)
+		}
+	}
+	return append(groups, QueryGroup{"attrs", attrs})
+}
+
+// fuzzSeeds reads the string seeds of a checked-in fuzz corpus, in file
+// name order.
+func fuzzSeeds(t testing.TB, dir string) []string {
+	t.Helper()
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seeds []string
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+		arg, ok := strings.CutPrefix(lines[len(lines)-1], "string(")
+		if !ok || len(lines) != 2 || !strings.HasSuffix(arg, ")") {
+			t.Fatalf("%s/%s: not a one-string seed", dir, f.Name())
+		}
+		s, err := strconv.Unquote(strings.TrimSuffix(arg, ")"))
+		if err != nil {
+			t.Fatalf("%s/%s: %v", dir, f.Name(), err)
+		}
+		seeds = append(seeds, s)
+	}
+	return seeds
 }
 
 // MaskElapsed returns a copy of the reply body frame with its Elapsed,
