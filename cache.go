@@ -25,7 +25,9 @@ import (
 // join is undone by the count only while no name holds the separator:
 // see cacheable. The role is the caller's normalized one, so an empty
 // Role and an explicit information-server Role — identical requests to
-// the engines — share an entry.
+// the engines — share an entry. The join of a list a served request
+// resolved is the one the server's table keeps beside it, so a served
+// hit builds its key without allocating.
 type cacheKey struct {
 	system System
 	role   Role
@@ -41,7 +43,7 @@ func keyFor(q Query, role Role) cacheKey {
 		role:   role,
 		host:   q.Host,
 		expr:   q.Expr,
-		attrs:  strings.Join(q.Attrs, "\x00"),
+		attrs:  requests.joined(q.Attrs),
 		nattrs: len(q.Attrs),
 	}
 }
@@ -58,10 +60,10 @@ func cacheable(q Query) bool {
 	return true
 }
 
-// cacheEntry is one cached answer, kept flat for remote hits to encode
-// with no copy (AppendQuery reads it in place); in-process callers share
-// the records built once from it — see WithQueryCache for the read-only
-// contract.
+// cacheEntry is one cached answer: the record section it was rendered
+// as, an exact-size copy the entry owns, which a remote hit appends to its
+// reply as it is; in-process callers share the records decoded once from
+// it — see WithQueryCache for the read-only contract.
 type cacheEntry struct {
 	gen     uint64
 	expires time.Time
@@ -72,7 +74,7 @@ type cacheEntry struct {
 	recs []Record
 }
 
-// records returns the entry's answer as Records, built once per entry.
+// records returns the entry's answer as Records, decoded once per entry.
 func (e *cacheEntry) records() []Record {
 	e.once.Do(func() { e.recs = e.answer.Records() })
 	return e.recs

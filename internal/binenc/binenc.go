@@ -37,6 +37,12 @@ func AppendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// AppendBytes appends b length-prefixed, as AppendString appends it.
+func AppendBytes(dst, b []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
+	return append(dst, b...)
+}
+
 // ErrMalformed is the one decode failure: the payload ended early, a
 // varint was invalid, or a count could not fit in what was left. A
 // shared instance keeps the error path off the decode hot path's

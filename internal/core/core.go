@@ -2,8 +2,9 @@
 // them side by side: Table 1's functional component mapping as data
 // (ComponentMapping, System, Role), the uniform cost of one request
 // (Work, with MDSWork, RGMAWork and HawkeyeWork converting each engine's
-// own statistics), and the uniform result shape (a flat Answer from one
-// decoder per engine's native answer, and the Records built from it).
+// own statistics), and the uniform result shape (an Answer, the record
+// section of a reply, rendered by one decoder per engine's native answer,
+// and the Records decoded from it).
 // The facade and the simulator both call the engines directly and meet
 // here: the simulator prices Work, the facade returns Records and Work.
 package core

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/binenc"
 	"repro/internal/classad"
 	"repro/internal/gma"
 	"repro/internal/ldap"
@@ -24,77 +25,72 @@ type Record struct {
 	Fields map[string]string `json:"fields,omitempty"`
 }
 
-// Answer is one decoded result in flat form: Recs in decoder order, each
-// a key and its fields Pairs[From:To] in engine order, cut from one text
-// (the arena's), so it costs at most three allocations and no map
-// however many records it holds. A nil Recs is a nil record slice.
-// Records is the one place a field map is built from it.
+// Answer is one decoded result as a grid.query reply carries it: Enc is
+// the reply's record section, a record count (count+1; 0 for no record
+// slice), then per record its key, its field count and its name/value
+// pairs in engine order. A name a record repeats (SELECT host, host) is
+// sent each time; whoever decodes it keeps the last value.
 //
-// An Answer can be scratch: every decoder renders into one the caller
-// hands it, replacing what it held and reusing the capacity of its two
-// slices (Reset), so an Answer reused from query to query costs only the
-// text of each answer. Clear drops what it held before it is reused by
-// someone else. An answer lent to many readers (a cached one) is read,
-// never written.
-type Answer struct {
-	Recs  []Span
-	Pairs []Pair
+// An Answer is scratch: every decoder renders into one the caller hands
+// it, replacing what it held and reusing the room Enc has, so an Answer
+// reused from query to query costs nothing once it has grown. It holds
+// bytes only, so one that goes back to a pool keeps no answer's text
+// alive. Records decodes it (DecodeRecords), the one place a field map
+// is built. An answer lent to many readers (a cached one) is read, never
+// written.
+type Answer struct{ Enc []byte }
+
+// Records decodes a into the map form, its strings cut from one copy of
+// Enc.
+func (a *Answer) Records() []Record {
+	d := binenc.NewDecText(a.Enc)
+	return DecodeRecords(&d)
 }
 
-// Reset empties a for an answer of nrecs records over npairs pairs. Both
-// slices come back empty and non-nil, on their own arrays when these
-// have the room, else on new ones sized exactly.
-func (a *Answer) Reset(nrecs, npairs int) {
-	a.Recs = reuse(a.Recs, nrecs)
-	a.Pairs = reuse(a.Pairs, npairs)
-}
-
-// reuse returns s emptied, never nil, with room for n elements.
-func reuse[E any](s []E, n int) []E {
-	if s == nil || cap(s) < n {
-		return make([]E, 0, n)
+// AppendRecords appends recs as a record section, preserving nil-ness
+// (count+1 for a non-nil slice, 0 for nil). Per record it appends the
+// key, then the field count and name/value pairs, in map order: record
+// equality is map equality, which DecodeRecords rebuilds.
+func AppendRecords(b []byte, recs []Record) []byte {
+	if recs == nil {
+		return binenc.AppendUvarint(b, 0)
 	}
-	return s[:0]
+	b = binenc.AppendUvarint(b, uint64(len(recs))+1)
+	for _, r := range recs {
+		b = binenc.AppendString(b, r.Key)
+		b = binenc.AppendUvarint(b, uint64(len(r.Fields)))
+		for k, v := range r.Fields {
+			b = binenc.AppendString(b, k)
+			b = binenc.AppendString(b, v)
+		}
+	}
+	return b
 }
 
-// SetNil makes a the answer with no record slice, keeping the pairs'
-// array for the next answer rendered into a.
-func (a *Answer) SetNil() {
-	a.Reset(0, 0)
-	a.Recs = nil
-}
-
-// Clear empties a and drops every string it held, up to the capacity of
-// its slices, keeping their arrays: scratch that goes back to a pool
-// keeps no answer's text alive.
-func (a *Answer) Clear() {
-	clear(a.Recs[:cap(a.Recs)])
-	clear(a.Pairs[:cap(a.Pairs)])
-	a.Recs, a.Pairs = a.Recs[:0], a.Pairs[:0]
-}
-
-// Span is one record of an Answer.
-type Span struct {
-	Key      string
-	From, To int
-}
-
-// Pair is one field of an Answer record.
-type Pair struct{ Name, Value string }
-
-// Records builds the map form of a: one Record per span, fields keyed by
-// name. A name the span repeats (SELECT host, host) keeps its last value.
-func (a Answer) Records() []Record {
-	if a.Recs == nil {
+// DecodeRecords decodes a record section, as AppendRecords and the
+// decoders append one (a record is at least its key's length byte and
+// its field count). A present but empty section is an empty slice, not
+// nil; a record with no fields has nil Fields, which is what its JSON
+// decodes to, and a name the record repeats keeps its last value, as a
+// JSON object would.
+func DecodeRecords(d *binenc.Dec) []Record {
+	n1 := d.Uvarint()
+	if n1 == 0 {
 		return nil
 	}
-	out := make([]Record, len(a.Recs))
-	for i, s := range a.Recs {
-		fields := make(map[string]string, s.To-s.From)
-		for _, p := range a.Pairs[s.From:s.To] {
-			fields[p.Name] = p.Value
+	out := make([]Record, d.Count(n1-1, 2))
+	for i := range out {
+		rec := &out[i]
+		rec.Key = d.String()
+		nf := d.Count(d.Uvarint(), 2) // a field is two length bytes at least
+		if nf == 0 {
+			continue
 		}
-		out[i] = Record{Key: s.Key, Fields: fields}
+		rec.Fields = make(map[string]string, nf)
+		for j := 0; j < nf; j++ {
+			k := d.String()
+			rec.Fields[k] = d.String()
+		}
 	}
 	return out
 }
@@ -150,24 +146,25 @@ func ProjectRecords(recs []Record, attrs []string) []Record {
 
 // --- decoders: each system's native result shape into []Record ---
 
-// arena is where a decoder renders the values of one result set. Every
-// value is appended to buf exactly once and marked; records then turns
-// buf into a single string and cuts the values out of it, so the text
-// of a whole result costs one allocation however many values it holds.
-// Values that are strings already are marked as they are and never
-// copied. Arenas are pooled: buf and marks are scratch, only the final
-// string and the records outlive a decode.
+// arena is where a decoder renders the values of one result set before
+// they are written out as its record section. A value that is a string
+// already is marked as it is; any other is appended to buf and marked
+// by its place there, and recs lists where each record's key mark is.
+// Arenas are pooled, and all of an arena is scratch: render writes the
+// Answer and empties it, dropping every string it marked.
 type arena struct {
-	buf   []byte
-	marks []mark
+	buf      []byte
+	marks    []mark
+	recs     []int // the index in marks of each record's key
+	rendered int   // the end of the last value appended to buf
 }
 
 // mark is one value of the result: a record key (which starts a new
 // record) or a field of the record last started.
 type mark struct {
 	key      bool
-	rendered bool   // the value is buf[end of the previous rendered value:end]
-	end      int    // (rendered values only)
+	rendered bool   // the value is buf[from:to]
+	from, to int    // (rendered values only)
 	text     string // the value, when it is not rendered
 	name     string // field name
 }
@@ -175,40 +172,58 @@ type mark struct {
 var arenas = sync.Pool{New: func() any { return new(arena) }}
 
 // keyText and fieldText mark a value that is a string already.
-func (a *arena) keyText(s string)         { a.marks = append(a.marks, mark{key: true, text: s}) }
+func (a *arena) keyText(s string) {
+	a.recs = append(a.recs, len(a.marks))
+	a.marks = append(a.marks, mark{key: true, text: s})
+}
 func (a *arena) fieldText(name, s string) { a.marks = append(a.marks, mark{name: name, text: s}) }
 
 // keyRendered and fieldRendered mark the value the caller has just
 // appended to buf.
 func (a *arena) keyRendered() {
-	a.marks = append(a.marks, mark{key: true, rendered: true, end: len(a.buf)})
+	a.recs = append(a.recs, len(a.marks))
+	a.marks = append(a.marks, mark{key: true, rendered: true, from: a.rendered, to: len(a.buf)})
+	a.rendered = len(a.buf)
 }
 func (a *arena) fieldRendered(name string) {
-	a.marks = append(a.marks, mark{name: name, rendered: true, end: len(a.buf)})
+	a.marks = append(a.marks, mark{name: name, rendered: true, from: a.rendered, to: len(a.buf)})
+	a.rendered = len(a.buf)
 }
 
-// render replaces *out with the n marked records and returns the arena
-// to the pool.
-func (a *arena) render(out *Answer, n int) {
-	text := string(a.buf)
-	out.Reset(n, len(a.marks)-n)
-	from := 0
-	for i := range a.marks {
-		m := &a.marks[i]
-		v := m.text
-		if m.rendered {
-			v, from = text[from:m.end], m.end
-		}
-		if m.key {
-			out.Recs = append(out.Recs, Span{Key: v, From: len(out.Pairs), To: len(out.Pairs)})
-			continue
-		}
-		out.Pairs = append(out.Pairs, Pair{m.name, v})
-		out.Recs[len(out.Recs)-1].To++
+// appendValue appends m's value length-prefixed.
+func (a *arena) appendValue(b []byte, m *mark) []byte {
+	if !m.rendered {
+		return binenc.AppendString(b, m.text)
 	}
-	clear(a.marks) // drop the references to names and values
-	a.marks, a.buf = a.marks[:0], a.buf[:0]
+	return binenc.AppendBytes(b, a.buf[m.from:m.to])
+}
+
+// render writes the marked records into out as a record section and
+// returns the arena, emptied, to the pool.
+func (a *arena) render(out *Answer) {
+	b := binenc.AppendUvarint(out.Enc[:0], uint64(len(a.recs))+1)
+	for _, k := range a.recs {
+		end := k + 1
+		for end < len(a.marks) && !a.marks[end].key {
+			end++
+		}
+		b = a.appendValue(b, &a.marks[k])
+		b = binenc.AppendUvarint(b, uint64(end-k-1))
+		for j := k + 1; j < end; j++ {
+			b = binenc.AppendString(b, a.marks[j].name)
+			b = a.appendValue(b, &a.marks[j])
+		}
+	}
+	out.Enc = b
+	a.reset()
 	arenas.Put(a)
+}
+
+// reset empties a, dropping the strings its marks held up to their
+// capacity.
+func (a *arena) reset() {
+	clear(a.marks[:cap(a.marks)])
+	a.buf, a.marks, a.recs, a.rendered = a.buf[:0], a.marks[:0], a.recs[:0], 0
 }
 
 // selected reports whether a projection keeps the named field: attrs
@@ -234,12 +249,12 @@ func MDSRecords(entries []*ldap.Entry) []Record {
 	return a.Records()
 }
 
-// MDSAnswer renders MDSRecords into out in flat form, projected onto
-// attrs the way LDAP projects (ldap.Entry.Keeps: a name selects an
-// attribute in any case; all of them when attrs is empty). Fields keep
-// the entry's order and stored spelling. The entries are read in place,
-// so a GRIS or GIIS query part copies none; LDAP values are strings
-// already, so nothing is rendered.
+// MDSAnswer renders MDSRecords into out, projected onto attrs the way
+// LDAP projects (ldap.Entry.Keeps: a name selects an attribute in any
+// case; all of them when attrs is empty). Fields keep the entry's order
+// and stored spelling. The entries are read in place, so a GRIS or GIIS
+// query part copies none; a single LDAP value is a string already, and
+// only a multi-valued attribute is rendered, its values joined.
 func MDSAnswer(out *Answer, entries []*ldap.Entry, attrs []string) {
 	a := arenas.Get().(*arena)
 	for _, e := range entries {
@@ -249,10 +264,20 @@ func MDSAnswer(out *Answer, entries []*ldap.Entry, attrs []string) {
 				continue
 			}
 			name, values := e.At(j)
-			a.fieldText(name, strings.Join(values, "|"))
+			if len(values) == 1 {
+				a.fieldText(name, values[0])
+				continue
+			}
+			for i, v := range values {
+				if i > 0 {
+					a.buf = append(a.buf, '|')
+				}
+				a.buf = append(a.buf, v...)
+			}
+			a.fieldRendered(name)
 		}
 	}
-	a.render(out, len(entries))
+	a.render(out)
 }
 
 // RGMARecords decodes a relational result: one record per row, keyed by
@@ -267,12 +292,11 @@ func ResultRecords(res *relational.Result, attrs []string) []Record {
 	return a.Records()
 }
 
-// ResultAnswer renders ResultRecords into out in flat form; a nil result
-// is a nil record slice. Nothing in out points into res: string cells
-// are the strings res holds, and numbers are rendered into the text.
+// ResultAnswer renders ResultRecords into out; a nil result is no
+// record slice. Nothing in out points into res.
 func ResultAnswer(out *Answer, res *relational.Result, attrs []string) {
 	if res == nil {
-		out.SetNil()
+		NoRecords(out)
 		return
 	}
 	rowAnswer(out, "", res.Columns, res.Rows, attrs)
@@ -313,7 +337,7 @@ func rowAnswer(out *Answer, keyPrefix string, cols []string, rows [][]relational
 			}
 		}
 	}
-	a.render(out, len(rows))
+	a.render(out)
 }
 
 // appendRowKey appends "row-" and i zero-padded to four digits, as
@@ -333,17 +357,18 @@ func AdvertisementAnswer(out *Answer, ads []gma.Advertisement, attrs []string) {
 	a := arenas.Get().(*arena)
 	for _, ad := range ads {
 		a.keyText(ad.ProducerID)
-		fields := []Pair{{"address", ad.Address}, {"table", ad.TableName}, {"predicate", ad.Predicate}}
+		fields := [...]struct{ name, value string }{{"address", ad.Address}, {"table", ad.TableName}, {"predicate", ad.Predicate}}
+		n := len(fields)
 		if ad.Predicate == "" {
-			fields = fields[:2]
+			n--
 		}
-		for _, f := range fields {
-			if selected(attrs, f.Name) {
-				a.fieldText(f.Name, f.Value)
+		for _, f := range fields[:n] {
+			if selected(attrs, f.name) {
+				a.fieldText(f.name, f.value)
 			}
 		}
 	}
-	a.render(out, len(ads))
+	a.render(out)
 }
 
 // HawkeyeRecords decodes ClassAds, keyed by the ad's Name attribute, each
@@ -359,16 +384,14 @@ func AdRecords(ads []*classad.Ad, attrs []string) []Record {
 	return a.Records()
 }
 
-// AdAnswer renders AdRecords into out in flat form. Sorting moves only
-// the spans.
+// AdAnswer renders AdRecords into out. Sorting moves only the arena's
+// list of records.
 func AdAnswer(out *Answer, ads []*classad.Ad, attrs []string) {
 	a := arenas.Get().(*arena)
-	n := 0
 	for _, ad := range ads {
 		if ad == nil {
 			continue
 		}
-		n++
 		key, _ := ad.Eval("Name").StringVal()
 		a.keyText(key)
 		for i := 0; i < ad.Len(); i++ {
@@ -379,6 +402,13 @@ func AdAnswer(out *Answer, ads []*classad.Ad, attrs []string) {
 			}
 		}
 	}
-	a.render(out, n)
-	slices.SortStableFunc(out.Recs, func(x, y Span) int { return strings.Compare(x.Key, y.Key) })
+	slices.SortStableFunc(a.recs, a.compareKeys)
+	a.render(out)
 }
+
+// compareKeys orders two records of a by key, as strings.Compare orders
+// them. Their keys must be marked as text.
+func (a *arena) compareKeys(x, y int) int { return strings.Compare(a.marks[x].text, a.marks[y].text) }
+
+// NoRecords makes out the answer with no record slice.
+func NoRecords(out *Answer) { out.Enc = binenc.AppendUvarint(out.Enc[:0], 0) }

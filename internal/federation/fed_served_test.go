@@ -232,17 +232,16 @@ func TestServedRouterDegradation(t *testing.T) {
 // what its grid.query handler runs, appending into a reused buffer,
 // with the leaves that answer it. Once warm the Router itself allocates
 // nothing (a profile at MemProfileRate 1 finds only its pools refilling
-// after a GC): every count is the leaves' own, so the broad query that
-// matches nothing costs 2 per leaf, the request text each leaf's handler
-// decodes and the constraint it compiles. (The Hawkeye cell's last step
-// is 3 for the splice and 3 for the leaves' Manager query, which
-// stopped allocating per query in the same change.)
+// after a GC), and since a served query allocates nothing at a leaf
+// either (gridmon's TestServerQueryAllocBudget), neither does the tree:
+// before, every count there was the leaves' own, the request text each
+// leaf's handler decoded and what its engine built (the last step).
 //
 //	                                                                with the client   Router
-//	MDS aggregate, broad (144 records)       737 → 412 → 380 → 355 → 343 → 340     24
-//	R-GMA information, node04 (15 records)   105 →  71 →  52 →  49 →  37 →  36      2
-//	Hawkeye aggregate, broad, matches nothing           35 →  15 →  15 →  9       6
-//	R-GMA directory, broad (36 records)                119 →  93 →  85 →  82      6
+//	MDS aggregate, broad (144 records)       737 → 412 → 380 → 355 → 343 → 340 → 315     24 → 0
+//	R-GMA information, node04 (15 records)   105 →  71 →  52 →  49 →  37 →  36 →  33      2 → 0
+//	Hawkeye aggregate, broad, matches nothing           35 →  15 →  15 →  9 →   2      6 → 0
+//	R-GMA directory, broad (36 records)                119 →  93 →  85 →  82 →  75      6 → 0
 func TestServedRouterAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops entries at random, so counts are not repeatable")
@@ -255,10 +254,10 @@ func TestServedRouterAllocBudget(t *testing.T) {
 		budget, router float64
 		empty          bool // the query matches nothing
 	}{
-		{gridmon.Query{System: gridmon.MDS, Role: gridmon.RoleAggregateServer}, 374, 27, false},
-		{gridmon.Query{System: gridmon.RGMA, Host: fedHosts[4], Expr: "SELECT host, metric, value FROM siteinfo"}, 40, 3, false},
-		{gridmon.Query{System: gridmon.Hawkeye, Role: gridmon.RoleAggregateServer, Expr: "LoadAvg < 5"}, 10, 7, true},
-		{gridmon.Query{System: gridmon.RGMA, Role: gridmon.RoleDirectoryServer}, 90, 7, false},
+		{gridmon.Query{System: gridmon.MDS, Role: gridmon.RoleAggregateServer}, 347, 0, false},
+		{gridmon.Query{System: gridmon.RGMA, Host: fedHosts[4], Expr: "SELECT host, metric, value FROM siteinfo"}, 37, 0, false},
+		{gridmon.Query{System: gridmon.Hawkeye, Role: gridmon.RoleAggregateServer, Expr: "LoadAvg < 5"}, 3, 0, true},
+		{gridmon.Query{System: gridmon.RGMA, Role: gridmon.RoleDirectoryServer}, 83, 0, false},
 	} {
 		rs, err := remote.Query(ctx, cell.q)
 		if err != nil {

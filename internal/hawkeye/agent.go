@@ -141,9 +141,9 @@ func (a *Agent) QueryInto(now float64, constraint classad.Expr, ad *classad.Ad) 
 	ad.Reset()
 	st := a.collect(ad, now)
 	match := true
-	if constraint != nil {
-		cc := classad.CompileConstraint(constraint)
+	if cc := compile(constraint); cc != nil {
 		match = cc.SatisfiedBy(ad)
+		release(cc)
 	}
 	st.AdsScanned = 1
 	if !match {

@@ -446,3 +446,33 @@ func TestManagerQueryInto(t *testing.T) {
 		}
 	}
 }
+
+// TestConstraintScratchComesBackEmpty: the compiled constraint a
+// Manager or Agent query evaluates in goes back to the pool holding
+// neither the constraint nor the last ad it was evaluated against, and a
+// Manager query lent the same list from query to query matches what a
+// new one does.
+func TestConstraintScratchComesBackEmpty(t *testing.T) {
+	m, agents := newPool(t, 4)
+	constraint := classad.MustParseExpr(`TARGET.OpSys == "LINUX" && TARGET.CpuLoad >= 0`)
+	cc := compile(constraint)
+	ad, _ := agents[0].StartdAd(1)
+	if !cc.SatisfiedBy(ad) {
+		t.Fatal("the Startd ad does not satisfy the constraint")
+	}
+	release(cc)
+	if *cc != (classad.CompiledConstraint{}) {
+		t.Fatalf("the compiled constraint came back holding %+v", *cc)
+	}
+	if compile(nil) != nil {
+		t.Fatal("no constraint compiled to one")
+	}
+	want, _ := m.Query(1, constraint)
+	var lent []*classad.Ad
+	for i := 0; i < 3; i++ {
+		lent, _ = m.QueryInto(1, constraint, lent[:0])
+	}
+	if len(lent) != len(want) || len(want) != len(agents) {
+		t.Fatalf("a lent query matched %d ads, a new one %d, of %d", len(lent), len(want), len(agents))
+	}
+}

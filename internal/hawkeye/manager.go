@@ -191,11 +191,8 @@ func (m *Manager) Query(now float64, constraint classad.Expr) ([]*classad.Ad, Qu
 func (m *Manager) QueryInto(now float64, constraint classad.Expr, out []*classad.Ad) ([]*classad.Ad, QueryStats) {
 	defer m.lockForRead(now).Unlock()
 	st := QueryStats{ScanFallbacks: 1}
-	var cc *classad.CompiledConstraint
-	if constraint != nil {
-		c := classad.CompileConstraint(constraint)
-		cc = &c
-	}
+	cc := compile(constraint)
+	defer release(cc)
 	for _, key := range m.order {
 		rec := m.ads[key]
 		st.AdsScanned++
@@ -291,4 +288,28 @@ func foldASCII(dst []byte, s string) []byte {
 		dst = append(dst, c)
 	}
 	return dst
+}
+
+// constraints pools the compiled constraints queries evaluate in: one
+// keeps its evaluation context, which a compiled constraint of a query's
+// own would move to the heap on every query.
+var constraints = sync.Pool{New: func() any { return new(classad.CompiledConstraint) }}
+
+// compile returns constraint compiled into pooled scratch, or nil for no
+// constraint; release gives it back.
+func compile(constraint classad.Expr) *classad.CompiledConstraint {
+	if constraint == nil {
+		return nil
+	}
+	cc := constraints.Get().(*classad.CompiledConstraint)
+	*cc = classad.CompileConstraint(constraint)
+	return cc
+}
+
+// release returns cc to the pool holding no expression and no ad.
+func release(cc *classad.CompiledConstraint) {
+	if cc != nil {
+		*cc = classad.CompiledConstraint{}
+		constraints.Put(cc)
+	}
 }

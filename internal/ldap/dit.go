@@ -217,55 +217,77 @@ func (t *DIT) Search(base DN, scope Scope, filter Filter) ([]*Entry, int) {
 // Both paths return exactly the same entries in the same depth-first
 // order, and both report the same Visited count; Info.IndexHits and
 // Info.Scanned record which path ran.
-func (t *DIT) SearchStats(base Base, scope Scope, filter Filter) (results []*Entry, info SearchInfo) {
-	baseKey := base.key
-	baseEntry, ok := t.entries[baseKey]
+func (t *DIT) SearchStats(base Base, scope Scope, filter Filter) ([]*Entry, SearchInfo) {
+	return t.SearchInto(base, scope, filter, nil)
+}
+
+// SearchInto is SearchStats appending the results to dst, which the
+// caller lends: a caller that lends the same slice from search to search
+// searches without growing one. An indexed search plans, unions,
+// verifies and orders its candidates in pooled scratch, so once both
+// have grown a search allocates nothing.
+func (t *DIT) SearchInto(base Base, scope Scope, filter Filter, dst []*Entry) ([]*Entry, SearchInfo) {
+	baseEntry, ok := t.entries[base.key]
 	if !ok && base.dn.Depth() > 0 {
-		return nil, SearchInfo{}
+		return dst, SearchInfo{}
 	}
 	if scope == ScopeSub && filter != nil {
-		if plan, _, planned := t.planFilter(filter); planned {
-			return t.searchIndexed(baseKey, plan, filter)
+		sc := scratches.Get().(*searchScratch)
+		defer sc.release()
+		if plan, _, planned := t.planFilter(filter, sc); planned {
+			return t.searchIndexed(base.key, plan, filter, sc, dst)
 		}
 	}
-	info.Scanned = true
-	match := func(e *Entry) {
-		info.Visited++
-		if filter == nil || filter.Matches(e) {
-			results = append(results, e)
-		}
-	}
+	w := walk{t: t, filter: filter, results: dst}
 	switch scope {
 	case ScopeBase:
 		if baseEntry != nil {
-			match(baseEntry)
+			w.match(baseEntry)
 		}
 	case ScopeOne:
-		for _, k := range t.children[baseKey] {
+		for _, k := range t.children[base.key] {
 			if e, ok := t.entries[k]; ok {
-				match(e)
+				w.match(e)
 			}
 		}
 	case ScopeSub:
-		var rec func(dnKey string)
-		rec = func(dnKey string) {
-			if e, ok := t.entries[dnKey]; ok {
-				match(e)
-			}
-			for _, c := range t.children[dnKey] {
-				rec(c)
-			}
-		}
 		if base.dn.Depth() == 0 {
 			// Whole tree: every suffix under the root.
 			for _, c := range t.children[""] {
-				rec(c)
+				w.subtree(c)
 			}
 		} else {
-			rec(baseKey)
+			w.subtree(base.key)
 		}
 	}
-	return results, info
+	return w.results, SearchInfo{Visited: w.visited, Scanned: true}
+}
+
+// walk is one scanning search: the entries it has matched so far and
+// how many it has examined.
+type walk struct {
+	t       *DIT
+	filter  Filter
+	results []*Entry
+	visited int
+}
+
+// match examines e.
+func (w *walk) match(e *Entry) {
+	w.visited++
+	if w.filter == nil || w.filter.Matches(e) {
+		w.results = append(w.results, e)
+	}
+}
+
+// subtree examines the entry keyed key and its subtree, depth first.
+func (w *walk) subtree(key string) {
+	if e, ok := w.t.entries[key]; ok {
+		w.match(e)
+	}
+	for _, c := range w.t.children[key] {
+		w.subtree(c)
+	}
 }
 
 // DNs returns every entry DN in sorted normalized order, for stable test

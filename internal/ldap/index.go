@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"sync"
 )
 
 // The DIT maintains attribute indexes over every entry: each entry gets a
@@ -49,13 +50,6 @@ func (b bitset) without(i int) {
 	}
 }
 
-// clone copies b.
-func (b bitset) clone() bitset {
-	out := make(bitset, len(b))
-	copy(out, b)
-	return out
-}
-
 // and intersects o into b in place (b is truncated to o's length).
 func (b bitset) and(o bitset) bitset {
 	if len(o) < len(b) {
@@ -85,15 +79,6 @@ func (b bitset) count() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// forEach calls fn with each set bit in ascending order.
-func (b bitset) forEach(fn func(i int)) {
-	for wi, w := range b {
-		for ; w != 0; w &= w - 1 {
-			fn(wi<<6 + bits.TrailingZeros64(w))
-		}
-	}
 }
 
 // posting is the id set for one attribute value (or for presence), with
@@ -290,11 +275,44 @@ type filterPlan struct {
 	exact bool
 }
 
+// searchScratch is the working memory of one indexed search: the words
+// its plan's own bitsets are cut from and the candidate ids it orders.
+// It is pooled and holds no entry, so what goes back keeps nothing of
+// the tree alive.
+type searchScratch struct {
+	words []uint64
+	used  int // words handed out to this search
+	ids   []int
+}
+
+var scratches = sync.Pool{New: func() any { return new(searchScratch) }}
+
+// bitset returns a zeroed bitset of n words cut from s. When s runs out
+// of words it moves to a larger array; the bitsets already cut keep the
+// old one.
+func (s *searchScratch) bitset(n int) bitset {
+	if s.used+n > len(s.words) {
+		s.words, s.used = make([]uint64, 2*(len(s.words)+n)), 0
+	}
+	b := s.words[s.used : s.used+n : s.used+n]
+	s.used += n
+	clear(b)
+	return b
+}
+
+// release empties s and returns it to the pool.
+func (s *searchScratch) release() {
+	s.used, s.ids = 0, s.ids[:0]
+	scratches.Put(s)
+}
+
 // planFilter maps a filter to a candidate plan. ok is false when the
 // filter (or every usable part of it) is not indexable and the caller
-// must scan. plan.bits may alias live postings when owned is false; the
-// caller must clone before mutating.
-func (t *DIT) planFilter(f Filter) (plan filterPlan, owned, ok bool) {
+// must scan. plan.bits may alias live postings when owned is false; a
+// plan that combines postings builds its own bitsets from sc, each as
+// wide as the id space, so combining them never grows one.
+func (t *DIT) planFilter(f Filter, sc *searchScratch) (plan filterPlan, owned, ok bool) {
+	width := (len(t.byID) + 63) / 64
 	switch f := f.(type) {
 	case *cmpFilter:
 		ix := t.idx[f.key]
@@ -323,7 +341,7 @@ func (t *DIT) planFilter(f Filter) (plan filterPlan, owned, ok bool) {
 			}
 			// Test each distinct value once — O(distinct values) instead
 			// of O(entries) — with the same orders the scan path uses.
-			var bits bitset
+			bits := sc.bitset(width)
 			for v, p := range ix.values {
 				if f.orders(v) {
 					bits = bits.or(p.bits)
@@ -340,7 +358,7 @@ func (t *DIT) planFilter(f Filter) (plan filterPlan, owned, ok bool) {
 		outOwned, planned := false, false
 		out.exact = true
 		for _, sub := range f.subs {
-			p, pOwned, ok := t.planFilter(sub)
+			p, pOwned, ok := t.planFilter(sub, sc)
 			if !ok {
 				out.exact = false
 				continue
@@ -351,7 +369,9 @@ func (t *DIT) planFilter(f Filter) (plan filterPlan, owned, ok bool) {
 				continue
 			}
 			if !outOwned {
-				out.bits, outOwned = out.bits.clone(), true
+				own := sc.bitset(width)
+				copy(own, out.bits)
+				out.bits, outOwned = own[:len(out.bits)], true
 			}
 			out.bits = out.bits.and(p.bits)
 		}
@@ -361,10 +381,9 @@ func (t *DIT) planFilter(f Filter) (plan filterPlan, owned, ok bool) {
 		return out, outOwned, true
 	case orFilter:
 		// Every branch must be indexable, or matches could be missed.
-		var out filterPlan
-		out.exact = true
+		out := filterPlan{bits: sc.bitset(width), exact: true}
 		for _, sub := range f.subs {
-			p, _, ok := t.planFilter(sub)
+			p, _, ok := t.planFilter(sub, sc)
 			if !ok {
 				return filterPlan{}, false, false
 			}
@@ -378,27 +397,30 @@ func (t *DIT) planFilter(f Filter) (plan filterPlan, owned, ok bool) {
 
 // searchIndexed answers a ScopeSub search from a candidate plan: restrict
 // to the base subtree, verify against the full filter when the plan is
-// inexact, and order by global DFS position.
-func (t *DIT) searchIndexed(baseKey string, plan filterPlan, filter Filter) ([]*Entry, SearchInfo) {
+// inexact, and order by global DFS position, appending the results to
+// dst.
+func (t *DIT) searchIndexed(baseKey string, plan filterPlan, filter Filter, sc *searchScratch, dst []*Entry) ([]*Entry, SearchInfo) {
 	info := SearchInfo{IndexHits: plan.bits.count()}
 	info.Visited = t.counts[baseKey]
-	ids := make([]int, 0, info.IndexHits)
-	plan.bits.forEach(func(id int) {
-		if baseKey != "" && !inSubtree(t.keyByID[id], baseKey) {
-			return
+	ids := sc.ids[:0]
+	for wi, w := range plan.bits {
+		for ; w != 0; w &= w - 1 {
+			id := wi<<6 + bits.TrailingZeros64(w)
+			if baseKey != "" && !inSubtree(t.keyByID[id], baseKey) {
+				continue
+			}
+			if !plan.exact && !filter.Matches(t.byID[id]) {
+				continue
+			}
+			ids = append(ids, id)
 		}
-		if !plan.exact && !filter.Matches(t.byID[id]) {
-			return
-		}
-		ids = append(ids, id)
-	})
-	ord := t.ensureOrdinals()
-	sortIDsByOrdinal(ids, ord)
-	results := make([]*Entry, len(ids))
-	for i, id := range ids {
-		results[i] = t.byID[id]
 	}
-	return results, info
+	sortIDsByOrdinal(ids, t.ensureOrdinals())
+	for _, id := range ids {
+		dst = append(dst, t.byID[id])
+	}
+	sc.ids = ids
+	return dst, info
 }
 
 // inSubtree reports whether the entry keyed k is the one keyed baseKey

@@ -3,6 +3,7 @@ package ldap
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -196,5 +197,47 @@ func TestSearchIndexStats(t *testing.T) {
 	}
 	if indexed.Visited != dit.Len() {
 		t.Fatalf("whole-tree Visited = %d, want %d entries", indexed.Visited, dit.Len())
+	}
+}
+
+// TestSearchScratchComesBackEmpty: the scratch an indexed search plans,
+// unions, verifies and orders its candidates in goes back to the pool
+// with nothing handed out and no candidate listed, and a search lent
+// the same slice from search to search returns what a new one does,
+// allocating nothing once both have grown.
+func TestSearchScratchComesBackEmpty(t *testing.T) {
+	dit := randomDIT(rand.New(rand.NewSource(5)), 40)
+	for _, src := range []string{
+		"(|(objectclass=MdsCpu)(objectclass=MdsHost))",
+		"(&(objectclass=MdsCpu)(Mds-Cpu-Free-1minX100>=50))",
+		"(|(Mds-Cpu-Free-1minX100<=10)(&(objectclass=MdsHost)(!(Mds-Host-hn=h1*))))",
+	} {
+		f := MustParseFilter(src)
+		sc := new(searchScratch)
+		plan, _, ok := dit.planFilter(f, sc)
+		if !ok {
+			t.Fatalf("%s: not planned", src)
+		}
+		got, _ := dit.searchIndexed("", plan, f, sc, nil)
+		sc.release()
+		if sc.used != 0 || len(sc.ids) != 0 {
+			t.Errorf("%s: the scratch came back with %d words handed out and %d ids", src, sc.used, len(sc.ids))
+		}
+		want, _ := scanOracle(dit, nil, f)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d results, the scan finds %d", src, len(got), len(want))
+		}
+		var lent []*Entry
+		for i := 0; i < 3; i++ {
+			lent, _ = dit.SearchInto(NewBase(nil), ScopeSub, f, lent[:0])
+		}
+		if !slices.Equal(lent, want) {
+			t.Fatalf("%s: a lent search found %d entries, the scan %d", src, len(lent), len(want))
+		}
+		if !raceEnabled {
+			if n := testing.AllocsPerRun(50, func() { lent, _ = dit.SearchInto(NewBase(nil), ScopeSub, f, lent[:0]) }); n != 0 {
+				t.Errorf("%s: %.0f allocs per lent search, want 0", src, n)
+			}
+		}
 	}
 }

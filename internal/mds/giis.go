@@ -235,13 +235,20 @@ func (g *GIIS) Query(now float64, filter ldap.Filter, attrs []string) ([]*ldap.E
 // run under the read lock and proceed in parallel; a query that must
 // expire or refill takes the write lock.
 func (g *GIIS) QueryCtx(ctx context.Context, now float64, filter ldap.Filter, attrs []string) ([]*ldap.Entry, QueryStats, error) {
+	return g.QueryInto(ctx, now, filter, attrs, nil)
+}
+
+// QueryInto is QueryCtx appending the entries to dst, which the caller
+// lends, so a caller that lends the same slice from query to query
+// searches without growing one. On an error it returns dst as it was.
+func (g *GIIS) QueryInto(ctx context.Context, now float64, filter ldap.Filter, attrs []string, dst []*ldap.Entry) ([]*ldap.Entry, QueryStats, error) {
 	g.mu.RLock()
 	if g.fresh(now) {
 		defer g.mu.RUnlock()
 		if err := ctx.Err(); err != nil {
-			return nil, QueryStats{}, err
+			return dst, QueryStats{}, err
 		}
-		return g.search(QueryStats{}, filter, attrs)
+		return g.search(QueryStats{}, filter, attrs, dst)
 	}
 	g.mu.RUnlock()
 	g.mu.Lock()
@@ -250,32 +257,33 @@ func (g *GIIS) QueryCtx(ctx context.Context, now float64, filter ldap.Filter, at
 	var st QueryStats
 	for _, id := range g.regOrder {
 		if err := ctx.Err(); err != nil {
-			return nil, st, err
+			return dst, st, err
 		}
 		if now >= g.cacheFill[id] {
 			st.Add(g.fill(g.regs[id], now))
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, st, err
+		return dst, st, err
 	}
-	return g.search(st, filter, attrs)
+	return g.search(st, filter, attrs, dst)
 }
 
-// search runs the directory search and accumulates its accounting into
-// st. Callers hold mu (either mode).
-func (g *GIIS) search(st QueryStats, filter ldap.Filter, attrs []string) ([]*ldap.Entry, QueryStats, error) {
-	results, info := g.dit.SearchStats(suffixBase, ldap.ScopeSub, filter)
+// search runs the directory search, appending the entries to dst, and
+// accumulates its accounting into st. The glue entries it drops stay in
+// the slice past its length. Callers hold mu (either mode).
+func (g *GIIS) search(st QueryStats, filter ldap.Filter, attrs []string, dst []*ldap.Entry) ([]*ldap.Entry, QueryStats, error) {
+	results, info := g.dit.SearchInto(suffixBase, ldap.ScopeSub, filter, dst)
 	// Structural glue entries materialized for tree shape are not data.
-	data := results[:0]
-	for _, e := range results {
+	data := results[:len(dst)]
+	for _, e := range results[len(dst):] {
 		if e.First("objectclass") != "MdsStructure" {
 			data = append(data, e)
 		}
 	}
 	st.EntriesVisited += info.Visited
-	st.EntriesReturned += len(data)
-	st.ResponseBytes += ldap.SizeBytes(data, attrs)
+	st.EntriesReturned += len(data) - len(dst)
+	st.ResponseBytes += ldap.SizeBytes(data[len(dst):], attrs)
 	st.IndexHits += info.IndexHits
 	if info.Scanned {
 		st.ScanFallbacks++

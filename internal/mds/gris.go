@@ -132,10 +132,17 @@ func (g *GRIS) refresh(i int, now float64) QueryStats {
 // queries run under the read lock and proceed in parallel; a query that
 // must refresh takes the write lock.
 func (g *GRIS) Query(now float64, filter ldap.Filter, attrs []string) ([]*ldap.Entry, QueryStats) {
+	return g.QueryInto(now, filter, attrs, nil)
+}
+
+// QueryInto is Query appending the entries to dst, which the caller
+// lends, so a caller that lends the same slice from query to query
+// searches without growing one.
+func (g *GRIS) QueryInto(now float64, filter ldap.Filter, attrs []string, dst []*ldap.Entry) ([]*ldap.Entry, QueryStats) {
 	g.mu.RLock()
 	if g.fresh(now) {
 		defer g.mu.RUnlock()
-		return g.search(QueryStats{}, filter, attrs)
+		return g.search(QueryStats{}, filter, attrs, dst)
 	}
 	g.mu.RUnlock()
 	g.mu.Lock()
@@ -148,16 +155,16 @@ func (g *GRIS) Query(now float64, filter ldap.Filter, attrs []string) ([]*ldap.E
 			st.Add(g.refresh(i, now))
 		}
 	}
-	return g.search(st, filter, attrs)
+	return g.search(st, filter, attrs, dst)
 }
 
-// search runs the LDAP search and accumulates its accounting into st.
-// Callers hold mu (either mode).
-func (g *GRIS) search(st QueryStats, filter ldap.Filter, attrs []string) ([]*ldap.Entry, QueryStats) {
-	results, info := g.dit.SearchStats(g.base, ldap.ScopeSub, filter)
+// search runs the LDAP search, appending the entries to dst, and
+// accumulates its accounting into st. Callers hold mu (either mode).
+func (g *GRIS) search(st QueryStats, filter ldap.Filter, attrs []string, dst []*ldap.Entry) ([]*ldap.Entry, QueryStats) {
+	results, info := g.dit.SearchInto(g.base, ldap.ScopeSub, filter, dst)
 	st.EntriesVisited += info.Visited
-	st.EntriesReturned += len(results)
-	st.ResponseBytes += ldap.SizeBytes(results, attrs)
+	st.EntriesReturned += len(results) - len(dst)
+	st.ResponseBytes += ldap.SizeBytes(results[len(dst):], attrs)
 	st.IndexHits += info.IndexHits
 	if info.Scanned {
 		st.ScanFallbacks++

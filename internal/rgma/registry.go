@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/gma"
 	"repro/internal/relational"
@@ -188,41 +190,48 @@ func (r *Registry) expireAndLog(now float64) {
 
 // LookupProducersStats returns the live advertisements for a table,
 // matched case-insensitively, in registration order, with work
-// accounting. The steady-state lookup (nothing to expire) runs under
-// the read lock; expiry upgrades to the exclusive lock with a re-check.
+// accounting (nil when there are none).
 func (r *Registry) LookupProducersStats(table string, now float64) ([]gma.Advertisement, QueryStats, error) {
-	key := strings.ToLower(table)
+	ads, st := r.LookupInto(table, now, nil)
+	return ads, st, nil
+}
+
+// LookupInto is LookupProducersStats appending the advertisements to dst,
+// which the caller lends: a caller that lends the same slice from lookup
+// to lookup looks up without growing one. The table name is matched
+// folded, as strings.ToLower folds it, without a folded copy. The
+// steady-state lookup (nothing to expire) runs under the read lock;
+// expiry upgrades to the exclusive lock with a re-check.
+func (r *Registry) LookupInto(table string, now float64, dst []gma.Advertisement) ([]gma.Advertisement, QueryStats) {
 	r.mu.RLock()
-	n, lapsed := r.scan(key, now)
+	n, lapsed := r.scan(table, now)
 	if lapsed {
 		r.mu.RUnlock()
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		r.expireAndLog(now)
-		n, _ = r.scan(key, now)
+		n, _ = r.scan(table, now)
 	} else {
 		defer r.mu.RUnlock()
 	}
 	st := QueryStats{ThreadSpawns: 1, RowsScanned: n, RowsReturned: n, IndexHits: n}
-	if n == 0 {
-		return nil, st, nil
-	}
-	ads := make([]gma.Advertisement, 0, n)
-	for reg := r.order.next; len(ads) < n; reg = reg.next {
-		if reg.table == key {
-			ads = append(ads, reg.ad)
+	dst = slices.Grow(dst, n)
+	for reg := r.order.next; n > 0; reg = reg.next {
+		if foldsTo(reg.table, table) {
+			dst = append(dst, reg.ad)
 			st.ResponseBytes += reg.size
+			n--
 		}
 	}
-	return ads, st, nil
+	return dst, st
 }
 
-// scan counts the advertisements for folded table name key and reports
-// whether any advertisement's soft state has lapsed at time now.
-// Callers hold mu (either mode).
-func (r *Registry) scan(key string, now float64) (matches int, lapsed bool) {
+// scan counts the advertisements for table and reports whether any
+// advertisement's soft state has lapsed at time now. Callers hold mu
+// (either mode).
+func (r *Registry) scan(table string, now float64) (matches int, lapsed bool) {
 	for reg := r.order.next; reg != &r.order; reg = reg.next {
-		if reg.table == key {
+		if foldsTo(reg.table, table) {
 			matches++
 		}
 		if reg.expires <= now {
@@ -230,6 +239,29 @@ func (r *Registry) scan(key string, now float64) (matches int, lapsed bool) {
 		}
 	}
 	return matches, lapsed
+}
+
+// foldsTo reports whether strings.ToLower(s) is folded, without building
+// it: s is lowered rune by rune as strings.ToLower lowers it (an invalid
+// byte reads as utf8.RuneError) and compared as it goes.
+func foldsTo(folded, s string) bool {
+	for _, c := range s {
+		c = unicode.ToLower(c)
+		if c < utf8.RuneSelf {
+			if folded == "" || folded[0] != byte(c) {
+				return false
+			}
+			folded = folded[1:]
+			continue
+		}
+		var b [utf8.UTFMax]byte
+		n := utf8.EncodeRune(b[:], c)
+		if len(folded) < n || folded[:n] != string(b[:n]) {
+			return false
+		}
+		folded = folded[n:]
+	}
+	return folded == ""
 }
 
 // Tables lists the distinct tables currently advertised, sorted.

@@ -329,3 +329,47 @@ func TestStaticProducerPublish(t *testing.T) {
 		t.Fatalf("rows = %v", rows)
 	}
 }
+
+// TestAdvertListComesBackEmpty: the list a mediated query looks its
+// producers up in goes back to the pool holding no advertisement, up to
+// its capacity, and a lookup lent it finds what a new one does, however
+// the table name is cased.
+func TestAdvertListComesBackEmpty(t *testing.T) {
+	reg, _, cserv := newSetup(t)
+	want, _, _ := reg.LookupProducersStats("siteinfo", 1)
+	lent := new([]gma.Advertisement)
+	ads, st := reg.LookupInto("SiteINFO", 1, *lent)
+	if !reflect.DeepEqual(ads, want) || st.RowsReturned != len(want) {
+		t.Fatalf("a lent lookup of SiteINFO found %d ads, siteinfo %d", len(ads), len(want))
+	}
+	putAdverts(lent, ads[:2])
+	if len(*lent) != 0 {
+		t.Fatalf("the list came back holding %d ads", len(*lent))
+	}
+	for i, ad := range (*lent)[:cap(*lent)] {
+		if ad != (gma.Advertisement{}) {
+			t.Fatalf("ad %d still held past the length: %+v", i, ad)
+		}
+	}
+	if _, _, err := cserv.Query(1, "SELECT * FROM SiteInfo"); err != nil {
+		t.Fatalf("a mediated query of a mixed-case table: %v", err)
+	}
+}
+
+// TestFoldsToIsToLower: a lookup's fold-free comparison agrees with
+// strings.ToLower on ASCII, on Unicode whose lower case changes length,
+// and on invalid UTF-8.
+func TestFoldsToIsToLower(t *testing.T) {
+	names := []string{"", "siteinfo", "SiteInfo", "SITEINFO", "siteinf", "siteinfoo", "İstanbul", "i̇stanbul",
+		"ΣΑΣ", "σασ", "Kelvin", "Kelvin", "kelvin", "bad\xffbyte", "bad�byte", "ẞ", "ß", "Ⱥ", "ⱥ"}
+	for _, folded := range names {
+		for _, s := range names {
+			if got, want := foldsTo(folded, s), strings.ToLower(s) == folded; got != want {
+				t.Errorf("foldsTo(%q, %q) = %v, strings.ToLower gives %q", folded, s, got, strings.ToLower(s))
+			}
+		}
+		if !foldsTo(strings.ToLower(folded), folded) {
+			t.Errorf("foldsTo(ToLower(%q), %q) = false", folded, folded)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/gma"
 	"repro/internal/relational"
@@ -147,13 +148,28 @@ func (cs *ConsumerServlet) QueryCtx(ctx context.Context, now float64, sql string
 // whose scratch the caller may reuse: the Result is q's (see
 // RowsQuery.Result).
 func (cs *ConsumerServlet) QueryIntoCtx(ctx context.Context, now float64, q *relational.RowsQuery) (*relational.Result, QueryStats, error) {
-	st := QueryStats{ThreadSpawns: 1}
-	ads, lookupStats, err := cs.registry.LookupProducersStats(q.Select.Table, now)
-	st.RegistryLookups++
+	lent := adverts.Get().(*[]gma.Advertisement)
+	ads, lookupStats := cs.registry.LookupInto(q.Select.Table, now, *lent)
+	res, st, err := cs.mediate(ctx, now, q, ads, lookupStats)
+	putAdverts(lent, ads)
+	return res, st, err
+}
+
+// adverts pools the lists a mediated query looks its producers up in.
+var adverts = sync.Pool{New: func() any { return new([]gma.Advertisement) }}
+
+// putAdverts returns lent, the list used grew from, to adverts, emptied
+// and cleared to its capacity, so the pool keeps no advertisement alive.
+func putAdverts(lent *[]gma.Advertisement, used []gma.Advertisement) {
+	clear(used[:cap(used)])
+	*lent = used[:0]
+	adverts.Put(lent)
+}
+
+// mediate is QueryIntoCtx past the registry lookup that found ads.
+func (cs *ConsumerServlet) mediate(ctx context.Context, now float64, q *relational.RowsQuery, ads []gma.Advertisement, lookupStats QueryStats) (*relational.Result, QueryStats, error) {
+	st := QueryStats{ThreadSpawns: 1, RegistryLookups: 1}
 	st.Add(lookupStats)
-	if err != nil {
-		return nil, st, err
-	}
 	if len(ads) == 0 {
 		return nil, st, fmt.Errorf("rgma: no producers of table %q registered", q.Select.Table)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -433,5 +434,84 @@ func TestConcurrentSharedPlansWithAdvance(t *testing.T) {
 	t.Logf("%d answers, %d of them within one round", answered.Load(), checked.Load())
 	if n := checked.Load(); n < rounds {
 		t.Errorf("only %d of %d answers ran within one round", n, answered.Load())
+	}
+}
+
+// TestRequestStringsStayBounded: 100k requests with distinct Host, Expr
+// and Attrs values each decode to what they encode, and leave the table
+// within its entry and byte bounds, the bytes it counts being the text
+// its maps hold; a value longer than maxMemoExpr is never stored.
+func TestRequestStringsStayBounded(t *testing.T) {
+	var table requestStrings
+	long := strings.Repeat("x", maxMemoExpr+1)
+	held := func() (entries, bytes int) {
+		for k := range table.strs {
+			bytes += len(k)
+		}
+		for k := range table.lists {
+			bytes += 2 * len(k) // the key, and the copy the names are cut from
+		}
+		return len(table.strs) + len(table.lists), bytes
+	}
+	starts := 0
+	for i := 0; i < 100000; i++ {
+		q := Query{System: MDS, Role: RoleAggregateServer, Host: fmt.Sprintf("host%06d", i),
+			Expr: fmt.Sprintf("(cn=%06d)", i), Attrs: []string{fmt.Sprintf("attr%06d", i), "Mds-Host-hn"}}
+		if i%1000 == 0 {
+			q.Expr = long + q.Expr
+		}
+		before := len(table.strs)
+		var got Query
+		if err := table.decodeQuery(appendWireQuery(nil, q), &got); err != nil || !reflect.DeepEqual(got, q) {
+			t.Fatalf("request %d decoded to %+v (err %v), want %+v", i, got, err, q)
+		}
+		if len(table.strs) < before {
+			starts++
+		}
+		if i%997 == 0 || i == 99999 {
+			entries, bytes := held()
+			if entries > maxInternEntries || bytes > maxInternBytes || bytes != table.bytes {
+				t.Fatalf("after %d requests the table holds %d values of %d bytes (counted %d); bounds %d and %d",
+					i+1, entries, bytes, table.bytes, maxInternEntries, maxInternBytes)
+			}
+			if _, ok := table.strs[q.Expr]; ok && len(q.Expr) > maxMemoExpr {
+				t.Fatalf("request %d: a %d-byte Expr was stored", i, len(q.Expr))
+			}
+		}
+	}
+	if starts == 0 {
+		t.Fatal("the table never started over")
+	}
+	t.Logf("the table started over %d times", starts)
+}
+
+// TestRequestStringsShareOwnedCopies: a repeated request resolves to the
+// list the first one stored, and to strings that alias no frame, copying
+// nothing, and a cache key for it takes the list's joined form from the
+// table.
+func TestRequestStringsShareOwnedCopies(t *testing.T) {
+	var table requestStrings
+	q := Query{System: Hawkeye, Host: "lucky4", Expr: "TARGET.CpuLoad > 50", Attrs: []string{"Name", "CpuLoad", "OpSys"}}
+	frame := appendWireQuery(nil, q)
+	var first, second Query
+	if err := table.decodeQuery(frame, &first); err != nil {
+		t.Fatal(err)
+	}
+	clear(frame) // a pooled frame buffer reused for another request
+	if !reflect.DeepEqual(first, q) {
+		t.Fatalf("the first decode kept a view of its frame: %+v", first)
+	}
+	if err := table.decodeQuery(appendWireQuery(nil, q), &second); err != nil {
+		t.Fatal(err)
+	}
+	if &second.Attrs[0] != &first.Attrs[0] {
+		t.Fatalf("a repeated request did not resolve to the stored list")
+	}
+	joined := table.joined(second.Attrs)
+	if joined != strings.Join(q.Attrs, "\x00") || table.strs[joined] == "" {
+		t.Fatalf("the joined form %q is not the table's", joined)
+	}
+	if n := testing.AllocsPerRun(100, func() { table.decodeQuery(appendWireQuery(frame[:0], q), &second); _ = table.joined(second.Attrs) }); n != 0 && !raceEnabled {
+		t.Errorf("a repeated request and its key cost %.0f allocs, want 0", n)
 	}
 }

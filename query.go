@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/classad"
 	"repro/internal/core"
+	"repro/internal/gma"
 	"repro/internal/ldap"
 	"repro/internal/relational"
 	"repro/internal/rgma"
@@ -137,7 +138,6 @@ func (g *Grid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 			rs.Records = ans.Records()
 		}
 	}
-	ans.Clear()
 	answers.Put(ans)
 	if err != nil {
 		return nil, err
@@ -146,17 +146,17 @@ func (g *Grid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 	return &rs, nil
 }
 
-// answers pools the scratch Answers a query renders into when its records
-// are only passed on (AppendQuery, Grid.Query). Whoever takes one Clears
-// it before putting it back.
+// answers pools the scratch Answers a query renders into. An Answer holds
+// bytes only, so one goes back as it is, and the next query renders over
+// it.
 var answers = sync.Pool{New: func() any { return new(core.Answer) }}
 
 // AppendQuery answers q as Query does and appends its grid.query reply
-// body to dst, the ResultSet as the wire carries it, its records encoded
-// pair by pair: an uncached answer from the pooled scratch it is rendered
-// into, which is cleared and taken back, a cached one from the answer its
-// entry owns. No Records are built, and an uncached answer lives no
-// longer than the call. On an error dst comes back as it was.
+// body to dst, the ResultSet as the wire carries it: the answer's record
+// section is copied in, from the pooled scratch an uncached answer is
+// rendered into or from the bytes a cache entry owns. No Records are
+// built, and an uncached answer lives no longer than the call. On an
+// error dst comes back as it was.
 func (g *Grid) AppendQuery(ctx context.Context, q Query, dst []byte) ([]byte, error) {
 	start := time.Now()
 	ans := answers.Get().(*core.Answer)
@@ -169,16 +169,15 @@ func (g *Grid) AppendQuery(ctx context.Context, q Query, dst []byte) ([]byte, er
 		rs.Elapsed = time.Since(start)
 		dst = appendWireResultSet(dst, &rs, flat)
 	}
-	ans.Clear()
 	answers.Put(ans)
 	return dst, err
 }
 
 // answer is Query without Records, the one answer function every query
 // goes through. An uncached answer is rendered into out. A cached one is
-// in e, the cache entry holding it (the hit, or the miss just stored,
-// which renders once, into the answer its entry owns), and out is left
-// as it was, as it is on an error.
+// in e, the cache entry holding it: the hit, or the miss just stored,
+// rendered into out and copied, exact size, into the answer its entry
+// owns.
 func (g *Grid) answer(ctx context.Context, q Query, start time.Time, out *core.Answer) (rs ResultSet, e *cacheEntry, err error) {
 	if err := ctx.Err(); err != nil {
 		g.counters.Errors.Add(1)
@@ -216,14 +215,12 @@ func (g *Grid) answer(ctx context.Context, q Query, start time.Time, out *core.A
 		return rs, nil, err
 	}
 	var gen uint64
-	var owned core.Answer
 	if cache != nil {
 		// Read the cache generation while holding the read lock: an
 		// Advance cannot run concurrently, so the answer below is
 		// computed at exactly this generation and the store after the
 		// unlock can never publish pre-Advance data as fresh.
 		gen = cache.gen.Load()
-		out = &owned
 	}
 	rs.Work, err = g.read(ctx, q, rs.Role, out)
 	g.endRead()
@@ -232,6 +229,8 @@ func (g *Grid) answer(ctx context.Context, q Query, start time.Time, out *core.A
 		return ResultSet{}, nil, transport.AsError(err)
 	}
 	if cache != nil {
+		owned := core.Answer{Enc: make([]byte, len(out.Enc))}
+		copy(owned.Enc, out.Enc)
 		e = cache.store(key, gen, start, owned, rs.Work)
 		rs.Work.CacheMisses = 1
 		g.counters.CacheMisses.Add(1)
@@ -323,16 +322,22 @@ func (g *Grid) readMDS(ctx context.Context, role Role, q Query, out *core.Answer
 		if err != nil {
 			return Work{}, err
 		}
-		entries, st := gris.Query(now, filter, q.Attrs)
+		lent := entryLists.Get().(*[]*ldap.Entry)
+		entries, st := gris.QueryInto(now, filter, q.Attrs, *lent)
 		core.MDSAnswer(out, entries, q.Attrs)
+		giveBack(&entryLists, lent, entries)
 		return core.MDSWork(st), nil
 	case RoleDirectoryServer, RoleAggregateServer:
 		// The GIIS plays both roles in Table 1.
-		entries, st, err := g.giis.QueryCtx(ctx, g.clock(), filter, q.Attrs)
+		lent := entryLists.Get().(*[]*ldap.Entry)
+		entries, st, err := g.giis.QueryInto(ctx, g.clock(), filter, q.Attrs, *lent)
+		if err == nil {
+			core.MDSAnswer(out, entries, q.Attrs)
+		}
+		giveBack(&entryLists, lent, entries)
 		if err != nil {
 			return Work{}, err
 		}
-		core.MDSAnswer(out, entries, q.Attrs)
 		return core.MDSWork(st), nil
 	}
 	return Work{}, badRole(role)
@@ -371,11 +376,10 @@ func (g *Grid) readRGMA(ctx context.Context, role Role, q Query, out *core.Answe
 		if err != nil {
 			return Work{}, err
 		}
-		ads, st, err := g.registry.LookupProducersStats(table, now)
-		if err != nil {
-			return Work{}, err
-		}
+		lent := advertLists.Get().(*[]gma.Advertisement)
+		ads, st := g.registry.LookupInto(table, now, *lent)
 		core.AdvertisementAnswer(out, ads, q.Attrs)
+		giveBack(&advertLists, lent, ads)
 		return core.RGMAWork(st), nil
 	}
 	rq := rowsQueries.Get().(*relational.RowsQuery)
@@ -480,7 +484,7 @@ func (g *Grid) readHawkeye(ctx context.Context, role Role, q Query, out *core.An
 		lent := startdAds.Get().(*classad.Ad)
 		ad, st := agent.QueryInto(now, constraint, lent)
 		if ad == nil {
-			out.SetNil()
+			core.NoRecords(out)
 		} else {
 			core.AdAnswer(out, []*classad.Ad{ad}, q.Attrs)
 		}
@@ -493,23 +497,34 @@ func (g *Grid) readHawkeye(ctx context.Context, role Role, q Query, out *core.An
 			return Work{}, err
 		}
 		lent := adLists.Get().(*[]*classad.Ad)
-		ads, st := g.manager.QueryInto(now, constraint, (*lent)[:0])
+		ads, st := g.manager.QueryInto(now, constraint, *lent)
 		core.AdAnswer(out, ads, q.Attrs)
-		clear(ads)
-		*lent = ads[:0]
-		adLists.Put(lent)
+		giveBack(&adLists, lent, ads)
 		return core.HawkeyeWork(st), nil
 	}
 	return Work{}, badRole(role)
 }
 
-// startdAds pools the ads a direct Agent query collects into, and
-// adLists the slices a Manager query lists its matches in, emptied
-// before they go back so the pool keeps no pool member's ad.
+// The engines' answers are listed in slices the facade lends them from
+// pools, and rendered before the slices go back: startdAds pools the ads
+// a direct Agent query collects into, and entryLists, advertLists and
+// adLists the slices an MDS search, a Registry lookup and a Manager
+// query list their answers in. Each list goes back empty (giveBack).
 var (
-	startdAds = sync.Pool{New: func() any { return classad.NewAd() }}
-	adLists   = sync.Pool{New: func() any { return new([]*classad.Ad) }}
+	startdAds   = sync.Pool{New: func() any { return classad.NewAd() }}
+	entryLists  = sync.Pool{New: func() any { return new([]*ldap.Entry) }}
+	advertLists = sync.Pool{New: func() any { return new([]gma.Advertisement) }}
+	adLists     = sync.Pool{New: func() any { return new([]*classad.Ad) }}
 )
+
+// giveBack returns lent, the slice used grew from, to pool, emptied and
+// cleared to its capacity (an engine may have dropped entries past its
+// length), so the pool keeps nothing of the answer listed in it alive.
+func giveBack[E any](pool *sync.Pool, lent *[]E, used []E) {
+	clear(used[:cap(used)])
+	*lent = used[:0]
+	pool.Put(lent)
+}
 
 func badRole(role Role) error {
 	return transport.Errf(transport.CodeBadRequest,

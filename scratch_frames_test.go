@@ -14,7 +14,10 @@ import (
 	"time"
 
 	"repro/internal/binenc"
+	"repro/internal/classad"
 	"repro/internal/core"
+	"repro/internal/gma"
+	"repro/internal/ldap"
 	"repro/internal/transport"
 )
 
@@ -142,8 +145,8 @@ func MaskElapsed(frame []byte) []byte {
 	return StampElapsed(slices.Clone(frame), 0, 0)
 }
 
-// freshAnswer answers q on g with its records flat, in a new Answer, not
-// pooled scratch, or in the cache entry's own on a hit.
+// freshAnswer answers q on g with its record section in a new Answer,
+// not pooled scratch, or in the cache entry's own on a hit.
 func freshAnswer(g *Grid, q Query) (ResultSet, core.Answer, error) {
 	var ans core.Answer
 	rs, e, err := g.answer(context.Background(), q, time.Now(), &ans)
@@ -168,8 +171,40 @@ func FreshFrames(g *Grid) func(Query) ([]byte, error) {
 
 // The reference a federation Router's replies are held to: the path a
 // Router took before it spliced its branches' bytes, which decoded each
-// branch reply flat (refDecodeFlat), merged the answers flat
-// (refMergeAnswers) and encoded the result pair by pair.
+// branch reply into flat spans and pairs (refDecodeFlat), merged those
+// (refMergeAnswers) and encoded the result pair by pair (refEncode).
+
+// refAnswer is an answer in that flat form: records in order, each a
+// key and its fields pairs[from:to]; nil recs is no record slice.
+type refAnswer struct {
+	recs  []refSpan
+	pairs [][2]string
+}
+
+// refSpan is one record of a refAnswer.
+type refSpan struct {
+	key      string
+	from, to int
+}
+
+// refEncode appends a's records pair by pair, in a's order, as a
+// record section.
+func refEncode(a *refAnswer) *core.Answer {
+	var b []byte
+	if a.recs == nil {
+		return &core.Answer{Enc: binenc.AppendUvarint(b, 0)}
+	}
+	b = binenc.AppendUvarint(b, uint64(len(a.recs))+1)
+	for _, r := range a.recs {
+		b = binenc.AppendString(b, r.key)
+		b = binenc.AppendUvarint(b, uint64(r.to-r.from))
+		for _, p := range a.pairs[r.from:r.to] {
+			b = binenc.AppendString(b, p[0])
+			b = binenc.AppendString(b, p[1])
+		}
+	}
+	return &core.Answer{Enc: b}
+}
 
 // RefRoutedFrame is the reply the reference path made of body, one
 // leaf's reply to a host-targeted query, with Elapsed zero.
@@ -179,14 +214,14 @@ func RefRoutedFrame(body []byte) ([]byte, error) {
 		return nil, err
 	}
 	rs.Elapsed = 0
-	return appendWireResultSet(nil, &rs, &ans), nil
+	return appendWireResultSet(nil, &rs, refEncode(&ans)), nil
 }
 
 // RefMergedFrame is the reply the reference path made of bodies, the
 // replies of the branches of broad query q that answered, in shard
 // order, with failed naming those that did not, and Elapsed zero.
 func RefMergedFrame(q Query, bodies [][]byte, failed []BranchError) ([]byte, error) {
-	parts := make([]core.Answer, len(bodies))
+	parts := make([]refAnswer, len(bodies))
 	works := make([]Work, len(bodies))
 	for i, body := range bodies {
 		rs, ans, err := refDecodeFlat(body)
@@ -195,94 +230,60 @@ func RefMergedFrame(q Query, bodies [][]byte, failed []BranchError) ([]byte, err
 		}
 		parts[i], works[i] = ans, rs.Work
 	}
-	var merged core.Answer
+	var merged refAnswer
 	rs := refMergeAnswers(q, parts, works, &merged)
 	rs.Partial, rs.Branches = len(failed) > 0, failed
-	return appendWireResultSet(nil, &rs, &merged), nil
+	return appendWireResultSet(nil, &rs, refEncode(&merged)), nil
 }
 
 // refDecodeFlat decodes a reply with its records flat, as the Router
-// read its branches: once the whole reply has decoded, the records are
-// counted (refCountWireAnswer), then cut into an Answer's spans and pairs
-// (refFillWireAnswer).
-func refDecodeFlat(body []byte) (rs ResultSet, ans core.Answer, err error) {
+// read its branches.
+func refDecodeFlat(body []byte) (rs ResultSet, ans refAnswer, err error) {
 	d := binenc.NewDecText(body)
 	decodeWireResultSetInto(&d, &rs)
 	if err := d.Err(); err != nil {
-		return ResultSet{}, core.Answer{}, err
+		return ResultSet{}, refAnswer{}, err
 	}
 	recs := binenc.NewDecText(body)
 	recs.Bytes() // System
 	recs.Bytes() // Role
 	recs.Bytes() // Host
-	count := recs
-	present, n, pairs := refCountWireAnswer(&count)
-	refFillWireAnswer(&recs, &ans, present, n, pairs)
+	if n1 := recs.Uvarint(); n1 > 0 {
+		ans.recs = []refSpan{}
+		for i := uint64(0); i < n1-1; i++ {
+			key := recs.String()
+			nf := int(recs.Uvarint())
+			from := len(ans.pairs)
+			for j := 0; j < nf; j++ {
+				name := recs.String()
+				ans.pairs = append(ans.pairs, [2]string{name, recs.String()})
+			}
+			ans.recs = append(ans.recs, refSpan{key: key, from: from, to: len(ans.pairs)})
+		}
+	}
 	rs.Records = nil
 	return rs, ans, nil
-}
-
-// refCountWireAnswer reads past a record slice as decodeWireRecords
-// reads it and reports whether it is present and how many records and
-// pairs it holds.
-func refCountWireAnswer(d *binenc.Dec) (present bool, n, pairs int) {
-	n1 := d.Uvarint()
-	if n1 == 0 {
-		return false, 0, 0
-	}
-	n = d.Count(n1-1, 2)
-	for i := 0; i < n; i++ {
-		d.Bytes()
-		nf := d.Count(d.Uvarint(), 2)
-		for j := 0; j < nf; j++ {
-			d.Bytes()
-			d.Bytes()
-		}
-		pairs += nf
-	}
-	return true, n, pairs
-}
-
-// refFillWireAnswer decodes the record slice refCountWireAnswer read
-// past into a: nil records leave a.Recs nil.
-func refFillWireAnswer(d *binenc.Dec, a *core.Answer, present bool, n, pairs int) {
-	if !present {
-		a.SetNil()
-		return
-	}
-	d.Uvarint()
-	a.Reset(n, pairs)
-	for i := 0; i < n; i++ {
-		key := d.String()
-		nf := int(d.Uvarint())
-		from := len(a.Pairs)
-		for j := 0; j < nf; j++ {
-			name := d.String()
-			a.Pairs = append(a.Pairs, core.Pair{Name: name, Value: d.String()})
-		}
-		a.Recs = append(a.Recs, core.Span{Key: key, From: from, To: len(a.Pairs)})
-	}
 }
 
 // refMergeAnswers merges flat answers into ans as the federation's
 // MergeResultSets merges result sets: spans shifted onto one pairs slice
 // in shard order and stably sorted by key, Work summed in shard order,
 // System, Role and Host from q. A merge of no records is empty, not nil.
-func refMergeAnswers(q Query, parts []core.Answer, works []Work, ans *core.Answer) ResultSet {
+func refMergeAnswers(q Query, parts []refAnswer, works []Work, ans *refAnswer) ResultSet {
 	rs := ResultSet{System: q.System, Role: q.Role, Host: q.Host}
 	if rs.Role == "" {
 		rs.Role = RoleInformationServer
 	}
-	ans.Reset(0, 0)
+	ans.recs = []refSpan{}
 	for i, p := range parts {
-		shift := len(ans.Pairs)
-		for _, s := range p.Recs {
-			ans.Recs = append(ans.Recs, core.Span{Key: s.Key, From: s.From + shift, To: s.To + shift})
+		shift := len(ans.pairs)
+		for _, s := range p.recs {
+			ans.recs = append(ans.recs, refSpan{key: s.key, from: s.from + shift, to: s.to + shift})
 		}
-		ans.Pairs = append(ans.Pairs, p.Pairs...)
+		ans.pairs = append(ans.pairs, p.pairs...)
 		rs.Work.Add(works[i])
 	}
-	slices.SortStableFunc(ans.Recs, func(a, b core.Span) int { return strings.Compare(a.Key, b.Key) })
+	slices.SortStableFunc(ans.recs, func(a, b refSpan) int { return strings.Compare(a.key, b.key) })
 	return rs
 }
 
@@ -373,4 +374,47 @@ func CheckV3ScratchFrames(t *testing.T, source Querier, queries []Query, fresh f
 		}(rand.New(rand.NewSource(int64(g + 2))))
 	}
 	wg.Wait()
+}
+
+// TestLentListsComeBackEmpty: the slices a query lends the GIIS, the
+// Registry and the Manager to list their answers in go back to their
+// pools empty and holding no entry, advertisement or ad up to their
+// capacity, though the GIIS leaves the glue entries it drops past the
+// length.
+func TestLentListsComeBackEmpty(t *testing.T) {
+	g := newTestGrid(t)
+	ctx := context.Background()
+	entries := new([]*ldap.Entry)
+	got, _, err := g.giis.QueryInto(ctx, 1, nil, nil, *entries)
+	if err != nil || len(got) == 0 || len(got) == cap(got) {
+		t.Fatalf("the GIIS listed %d entries in %d (err %v): no glue dropped past the length", len(got), cap(got), err)
+	}
+	giveBack(&entryLists, entries, got)
+	adverts := new([]gma.Advertisement)
+	found, _ := g.registry.LookupInto("siteinfo", 1, *adverts)
+	giveBack(&advertLists, adverts, found)
+	ads := new([]*classad.Ad)
+	matched, _ := g.manager.QueryInto(1, nil, *ads)
+	giveBack(&adLists, ads, matched)
+	for _, list := range []struct {
+		name string
+		n    int
+		held func(i int) bool
+	}{
+		{"entries", cap(*entries), func(i int) bool { return (*entries)[:cap(*entries)][i] != nil }},
+		{"advertisements", cap(*adverts), func(i int) bool { return (*adverts)[:cap(*adverts)][i] != (gma.Advertisement{}) }},
+		{"ads", cap(*ads), func(i int) bool { return (*ads)[:cap(*ads)][i] != nil }},
+	} {
+		if list.n == 0 {
+			t.Fatalf("the %s list kept no room", list.name)
+		}
+		for i := 0; i < list.n; i++ {
+			if list.held(i) {
+				t.Errorf("the %s list still holds element %d past its length", list.name, i)
+			}
+		}
+	}
+	if len(*entries)+len(*adverts)+len(*ads) != 0 {
+		t.Errorf("a list came back holding elements: %d entries, %d advertisements, %d ads", len(*entries), len(*adverts), len(*ads))
+	}
 }

@@ -24,23 +24,24 @@ import (
 //
 // Every codec comes in append/decode-into pairs: encoders extend a
 // caller-owned []byte; decoders write every field of the value they are
-// handed, straight-line, and keep nothing it held before. Production
-// hands them a binenc.NewDecText decoder, so every string of an
-// answer, an event batch or a request — keys, field names, values, branch
-// error texts — is a substring of one copy of the frame body: the text
-// costs one allocation however many records it spans, never aliases the
-// connection's pooled frame buffer, and stays alive as a whole while any
-// decoded string is retained. RemoteGrid.Query then builds an answer's
-// []Record and one map per record (decodeWireRecords; see
-// TestWireQueryRoundTripAllocs). A server decodes no reply: its source
-// appends one to the handler's buffer (appendQuerier). A Grid encodes
-// its pooled scratch Answer pair by pair (appendWireAnswer), a
-// RemoteGrid copies the body it received once it has walked it
-// (scanWireReply), and the federation Router relays its branches'
-// bytes: a routed reply restamped (StampElapsed), broad ones' records
-// sorted by key into one reply (MergeReplies). Counts read off the wire
-// are bounded by the bytes left in the frame (Dec.Count) before
-// anything is sized by them.
+// handed, straight-line, and keep nothing it held before. A client hands
+// them a binenc.NewDecText decoder, so every string of an answer or an
+// event batch — keys, field names, values, branch error texts — is a
+// substring of one copy of the frame body: the text costs one allocation
+// however many records it spans, never aliases the connection's pooled
+// frame buffer, and stays alive as a whole while any decoded string is
+// retained. RemoteGrid.Query then builds an answer's []Record and one map
+// per record (core.DecodeRecords, the one record decoder; see
+// TestWireQueryRoundTripAllocs). A server copies no grid.query request:
+// its strings resolve through the table of those it has seen (requests,
+// memo.go). It decodes no reply either: its source appends one to the
+// handler's buffer (appendQuerier). A Grid copies in the record section
+// its answer was rendered as (core.Answer), a RemoteGrid copies the body
+// it received once it has walked it (scanWireReply), and the federation
+// Router relays its branches' bytes: a routed reply restamped
+// (StampElapsed), broad ones' records sorted by key into one reply
+// (MergeReplies). Counts read off the wire are bounded by the bytes left
+// in the frame (Dec.Count) before anything is sized by them.
 //
 // Nil-ness is preserved exactly as a JSON round trip preserves it, so a
 // decoded value is reflect.DeepEqual to the same value sent through
@@ -60,7 +61,8 @@ func appendWireQuery(b []byte, q Query) []byte {
 	return appendWireStrings(b, q.Attrs)
 }
 
-// decodeWireQueryInto decodes a Query into q.
+// decodeWireQueryInto decodes a Query into q: what a server's
+// requestStrings.decodeQuery decodes, its strings copied.
 func decodeWireQueryInto(d *binenc.Dec, q *Query) {
 	q.System = System(d.String())
 	q.Role = Role(d.String())
@@ -127,89 +129,14 @@ func decodeWireWorkInto(d *binenc.Dec, w *Work) {
 	w.CacheMisses = int(d.Varint())
 }
 
-// decodeWireRecordInto decodes one record into rec. A field name the
-// frame repeats keeps its last value, as a JSON object would.
-func decodeWireRecordInto(d *binenc.Dec, rec *Record) {
-	rec.Key = d.String()
-	rec.Fields = nil
-	nf := d.Count(d.Uvarint(), 2) // a field is two length bytes at least
-	if nf == 0 {
-		// JSON omitempty: an empty Fields map crosses the wire as absent
-		// and decodes as nil.
-		return
-	}
-	m := make(map[string]string, nf)
-	for i := 0; i < nf; i++ {
-		k := d.String()
-		m[k] = d.String()
-	}
-	rec.Fields = m
-}
-
-// appendWireRecords appends a record slice, preserving nil-ness (the
-// records JSON tag has no omitempty, so nil and empty are distinct in
-// JSON too): count+1 for a non-nil slice, 0 for nil. Per record
-// it appends the key, then the field count and name/value pairs, in map
-// order — record equality is map equality, which the decoder rebuilds.
-func appendWireRecords(b []byte, recs []Record) []byte {
-	if recs == nil {
-		return binenc.AppendUvarint(b, 0)
-	}
-	b = binenc.AppendUvarint(b, uint64(len(recs))+1)
-	for _, r := range recs {
-		b = binenc.AppendString(b, r.Key)
-		b = binenc.AppendUvarint(b, uint64(len(r.Fields)))
-		for k, v := range r.Fields {
-			b = binenc.AppendString(b, k)
-			b = binenc.AppendString(b, v)
-		}
-	}
-	return b
-}
-
-// appendWireAnswer appends a's records as appendWireRecords appends
-// a.Records(), but pair for pair in a's order: the same answer always
-// encodes to the same bytes, and a repeated name is sent each time (the
-// decoder keeps its last value, as Records does).
-func appendWireAnswer(b []byte, a *core.Answer) []byte {
-	if a.Recs == nil {
-		return binenc.AppendUvarint(b, 0)
-	}
-	b = binenc.AppendUvarint(b, uint64(len(a.Recs))+1)
-	for _, r := range a.Recs {
-		b = binenc.AppendString(b, r.Key)
-		b = binenc.AppendUvarint(b, uint64(r.To-r.From))
-		for _, p := range a.Pairs[r.From:r.To] {
-			b = binenc.AppendString(b, p.Name)
-			b = binenc.AppendString(b, p.Value)
-		}
-	}
-	return b
-}
-
-// decodeWireRecords decodes a record slice (a record is at least its
-// key's length byte and its field count).
-func decodeWireRecords(d *binenc.Dec) []Record {
-	n1 := d.Uvarint()
-	if n1 == 0 {
-		return nil
-	}
-	// Present but empty ([] in JSON, distinct from null) is never nil.
-	out := make([]Record, d.Count(n1-1, 2))
-	for i := range out {
-		decodeWireRecordInto(d, &out[i])
-	}
-	return out
-}
-
-// appendWireResultSet appends rs's binary encoding to b, with ans in
-// place of rs.Records when it is not nil.
+// appendWireResultSet appends rs's binary encoding to b, with ans's
+// record section in place of rs.Records when ans is not nil.
 func appendWireResultSet(b []byte, rs *ResultSet, ans *core.Answer) []byte {
 	b = appendWireHead(b, rs)
 	if ans != nil {
-		b = appendWireAnswer(b, ans)
+		b = append(b, ans.Enc...)
 	} else {
-		b = appendWireRecords(b, rs.Records)
+		b = core.AppendRecords(b, rs.Records)
 	}
 	return appendWireTail(b, rs)
 }
@@ -246,7 +173,7 @@ func decodeWireResultSetInto(d *binenc.Dec, rs *ResultSet) {
 	rs.System = System(d.String())
 	rs.Role = Role(d.String())
 	rs.Host = d.String()
-	rs.Records = decodeWireRecords(d)
+	rs.Records = core.DecodeRecords(d)
 	decodeWireWorkInto(d, &rs.Work)
 	rs.Elapsed = time.Duration(d.Varint())
 	rs.Partial = d.Byte() == 1
@@ -388,7 +315,7 @@ func appendWireEvent(b []byte, ev *Event) []byte {
 	b = binenc.AppendUvarint(b, ev.Seq)
 	b = binenc.AppendFloat64(b, ev.Time)
 	b = binenc.AppendString(b, string(ev.Kind))
-	b = appendWireRecords(b, ev.Records)
+	b = core.AppendRecords(b, ev.Records)
 	return appendWireWork(b, &ev.Work)
 }
 
@@ -397,7 +324,7 @@ func decodeWireEventInto(d *binenc.Dec, ev *Event) {
 	ev.Seq = d.Uvarint()
 	ev.Time = d.Float64()
 	ev.Kind = EventKind(d.String())
-	ev.Records = decodeWireRecords(d)
+	ev.Records = core.DecodeRecords(d)
 	decodeWireWorkInto(d, &ev.Work)
 }
 
@@ -448,10 +375,10 @@ const (
 
 // ServeQueryV3 is the registration of grid.query for source on srv. The
 // op speaks only the binary codec: requests decode straight from the
-// frame and answers encode straight into the server's pooled response
-// buffer — no intermediate JSON, and no field map when source appends
-// its replies (see queryV3). A JSON-bodied grid.query is refused with
-// bad_request.
+// frame, their strings resolved through the server's table, and answers
+// encode straight into the server's pooled response buffer — no
+// intermediate JSON, and no field map when source appends its replies
+// (see queryV3). A JSON-bodied grid.query is refused with bad_request.
 func ServeQueryV3(srv *TransportServer, source Querier) {
 	srv.HandleV3("grid.query", queryV3(source))
 }
@@ -479,9 +406,7 @@ func queryV3(source Querier) transport.V3Handler {
 	}
 	return func(ctx context.Context, body []byte, out []byte) ([]byte, *transport.Error) {
 		var q Query
-		d := binenc.NewDecText(body)
-		decodeWireQueryInto(&d, &q)
-		if err := d.Err(); err != nil {
+		if err := requests.decodeQuery(body, &q); err != nil {
 			return nil, transport.Errf(transport.CodeBadRequest, "grid.query: %v", transport.AsError(err))
 		}
 		b, err := answer(ctx, q, out)

@@ -198,3 +198,50 @@ func checkScanMatchesDecode(t *testing.T, data []byte) {
 		t.Fatalf("restamped, the reply decodes to %#v, want %#v", *got, want)
 	}
 }
+
+// FuzzQueryDecode holds the grid.query decoder a server runs, which
+// resolves a request's strings through its table, to decodeWireQueryInto
+// over one copy of the frame: for any body, the same Query or the same
+// error, on a cold table, a warm one and one that has started over. A
+// decode allocates in proportion to the frame.
+func FuzzQueryDecode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(appendWireQuery(nil, Query{System: MDS, Host: "lucky4", Expr: "(objectclass=MdsCpu)",
+		Attrs: []string{"Mds-Cpu-Free-1minX100", "mds-cpu-speedmhz", "Mds-Cpu-Free-1minX100"}}))
+	f.Add(appendWireQuery(nil, Query{System: "GRAM", Role: "Broker", Attrs: []string{""}}))
+	f.Add(appendWireQuery(nil, Query{System: RGMA, Role: RoleDirectoryServer, Expr: "SiteInfo", Attrs: []string{"a\x00b", "c"}}))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want Query
+		d := binenc.NewDecText(body)
+		decodeWireQueryInto(&d, &want)
+		budget := uint64(64*len(body) + 64<<10)
+		var table requestStrings
+		for pass := 0; pass < 3; pass++ {
+			if pass == 2 {
+				table.mu.Lock()
+				table.room(maxInternEntries+1, 0) // start over
+				table.mu.Unlock()
+			}
+			var got Query
+			var err error
+			var before, after runtime.MemStats
+			for try := 0; try < 3; try++ {
+				runtime.ReadMemStats(&before)
+				err = table.decodeQuery(body, &got)
+				runtime.ReadMemStats(&after)
+				if after.TotalAlloc-before.TotalAlloc <= budget {
+					break
+				}
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > budget {
+				t.Fatalf("pass %d: decoding %d bytes allocated %d", pass, len(body), n)
+			}
+			if err != d.Err() {
+				t.Fatalf("pass %d: decode error %v, want %v", pass, err, d.Err())
+			}
+			if err == nil && !reflect.DeepEqual(got, want) {
+				t.Fatalf("pass %d: decoded %#v, want %#v", pass, got, want)
+			}
+		}
+	})
+}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/binenc"
+	"repro/internal/core"
 )
 
 // jsonRT round-trips v through JSON — the reference semantics the binary
@@ -191,16 +192,17 @@ func flatAnswerQueries() []Query {
 	)
 }
 
-// TestWireAnswerIsRecordEncoding: a grid's flat answer decodes to what
-// its records' encoding decodes to, and encodes to the same bytes every
-// time — the pairs go in the engine's order, not a map's.
+// TestWireAnswerIsRecordEncoding: a grid's answer is a record section
+// that decodes to what its records' encoding decodes to, and it is the
+// same bytes every time — the pairs go in the engine's order, not a
+// map's.
 func TestWireAnswerIsRecordEncoding(t *testing.T) {
 	g := newTestGrid(t)
 	decode := func(b []byte) []Record {
 		d := binenc.NewDecText(b)
-		recs := decodeWireRecords(&d)
-		if err := d.Err(); err != nil {
-			t.Fatal(err)
+		recs := core.DecodeRecords(&d)
+		if !d.Done() {
+			t.Fatalf("%q is not one record section: %v", b, d.Err())
 		}
 		return recs
 	}
@@ -210,24 +212,29 @@ func TestWireAnswerIsRecordEncoding(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", q, err)
 		}
-		flat := appendWireAnswer(nil, &ans)
-		if got, want := decode(flat), decode(appendWireRecords(nil, ans.Records())); !reflect.DeepEqual(got, want) {
-			t.Errorf("%+v: the flat encoding decodes to\n%+v\nthe records' to\n%+v", q, got, want)
-		}
-		if again := appendWireAnswer(nil, &ans); !bytes.Equal(again, flat) {
-			t.Errorf("%+v: one answer encodes to two byte strings", q)
+		flat := ans.Enc
+		recs := decode(flat)
+		if got, want := recs, decode(core.AppendRecords(nil, ans.Records())); !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: the answer decodes to\n%+v\nthe records' encoding to\n%+v", q, got, want)
 		}
 		_, ans2, err := freshAnswer(g, q)
-		if err != nil || !bytes.Equal(appendWireAnswer(nil, &ans2), flat) {
-			t.Errorf("%+v: asking again encodes different bytes (err %v)", q, err)
+		if err != nil || !bytes.Equal(ans2.Enc, flat) {
+			t.Errorf("%+v: asking again renders different bytes (err %v)", q, err)
 		}
-		nilRecs = nilRecs || ans.Recs == nil
-		emptyRecs = emptyRecs || (ans.Recs != nil && len(ans.Recs) == 0)
-		for _, r := range ans.Recs {
-			zeroFields = zeroFields || r.From == r.To
-			if r.To-r.From == 2 && ans.Pairs[r.From].Name == ans.Pairs[r.From+1].Name {
-				repeated = true
+		nilRecs = nilRecs || recs == nil
+		emptyRecs = emptyRecs || (recs != nil && len(recs) == 0)
+		// Walk the pairs as they lie: a repeated name is sent twice.
+		d := binenc.NewDec(flat)
+		for n := int(d.Uvarint()) - 1; n > 0; n-- {
+			d.Bytes()
+			nf := d.Uvarint()
+			zeroFields = zeroFields || nf == 0
+			var names []string
+			for j := uint64(0); j < nf; j++ {
+				names = append(names, string(d.Bytes()))
+				d.Bytes()
 			}
+			repeated = repeated || (len(names) == 2 && names[0] == names[1])
 		}
 	}
 	if !nilRecs || !emptyRecs || !zeroFields || !repeated {
