@@ -25,9 +25,7 @@ import (
 // join is undone by the count only while no name holds the separator:
 // see cacheable. The role is the caller's normalized one, so an empty
 // Role and an explicit information-server Role — identical requests to
-// the engines — share an entry. The join of a list a served request
-// resolved is the one the server's table keeps beside it, so a served
-// hit builds its key without allocating.
+// the engines — share an entry. A served list's join is its table's.
 type cacheKey struct {
 	system System
 	role   Role

@@ -25,19 +25,11 @@ type Record struct {
 	Fields map[string]string `json:"fields,omitempty"`
 }
 
-// Answer is one decoded result as a grid.query reply carries it: Enc is
-// the reply's record section, a record count (count+1; 0 for no record
-// slice), then per record its key, its field count and its name/value
-// pairs in engine order. A name a record repeats (SELECT host, host) is
-// sent each time; whoever decodes it keeps the last value.
-//
-// An Answer is scratch: every decoder renders into one the caller hands
-// it, replacing what it held and reusing the room Enc has, so an Answer
-// reused from query to query costs nothing once it has grown. It holds
-// bytes only, so one that goes back to a pool keeps no answer's text
-// alive. Records decodes it (DecodeRecords), the one place a field map
-// is built. An answer lent to many readers (a cached one) is read, never
-// written.
+// Answer is one decoded result as a grid.query reply's record section
+// (AppendRecords' layout, pairs in engine order, a repeated name sent
+// each time). Every decoder renders into one the caller hands it,
+// reusing the room Enc has; it holds bytes only, so pooled scratch keeps
+// no answer's text alive. A cached one is read, never written.
 type Answer struct{ Enc []byte }
 
 // Records decodes a into the map form, its strings cut from one copy of
@@ -47,10 +39,8 @@ func (a *Answer) Records() []Record {
 	return DecodeRecords(&d)
 }
 
-// AppendRecords appends recs as a record section, preserving nil-ness
-// (count+1 for a non-nil slice, 0 for nil). Per record it appends the
-// key, then the field count and name/value pairs, in map order: record
-// equality is map equality, which DecodeRecords rebuilds.
+// AppendRecords appends recs as a record section: count+1 (0 for nil),
+// then per record its key, field count and name/value pairs.
 func AppendRecords(b []byte, recs []Record) []byte {
 	if recs == nil {
 		return binenc.AppendUvarint(b, 0)
@@ -67,12 +57,8 @@ func AppendRecords(b []byte, recs []Record) []byte {
 	return b
 }
 
-// DecodeRecords decodes a record section, as AppendRecords and the
-// decoders append one (a record is at least its key's length byte and
-// its field count). A present but empty section is an empty slice, not
-// nil; a record with no fields has nil Fields, which is what its JSON
-// decodes to, and a name the record repeats keeps its last value, as a
-// JSON object would.
+// DecodeRecords decodes a record section, as JSON would decode the
+// records: no fields is nil Fields, a repeated name keeps its last value.
 func DecodeRecords(d *binenc.Dec) []Record {
 	n1 := d.Uvarint()
 	if n1 == 0 {
@@ -146,12 +132,9 @@ func ProjectRecords(recs []Record, attrs []string) []Record {
 
 // --- decoders: each system's native result shape into []Record ---
 
-// arena is where a decoder renders the values of one result set before
-// they are written out as its record section. A value that is a string
-// already is marked as it is; any other is appended to buf and marked
-// by its place there, and recs lists where each record's key mark is.
-// Arenas are pooled, and all of an arena is scratch: render writes the
-// Answer and empties it, dropping every string it marked.
+// arena is pooled scratch where a decoder marks the values of one
+// result: a string as it is, anything else appended to buf. recs lists
+// each record's key mark. render writes the Answer and empties it.
 type arena struct {
 	buf      []byte
 	marks    []mark
@@ -406,8 +389,7 @@ func AdAnswer(out *Answer, ads []*classad.Ad, attrs []string) {
 	a.render(out)
 }
 
-// compareKeys orders two records of a by key, as strings.Compare orders
-// them. Their keys must be marked as text.
+// compareKeys orders two records by their keys, marked as text.
 func (a *arena) compareKeys(x, y int) int { return strings.Compare(a.marks[x].text, a.marks[y].text) }
 
 // NoRecords makes out the answer with no record slice.

@@ -290,13 +290,11 @@ func foldASCII(dst []byte, s string) []byte {
 	return dst
 }
 
-// constraints pools the compiled constraints queries evaluate in: one
-// keeps its evaluation context, which a compiled constraint of a query's
-// own would move to the heap on every query.
+// constraints pools the compiled constraints queries evaluate in.
 var constraints = sync.Pool{New: func() any { return new(classad.CompiledConstraint) }}
 
-// compile returns constraint compiled into pooled scratch, or nil for no
-// constraint; release gives it back.
+// compile compiles constraint into pooled scratch (nil for none), which
+// release gives back holding no expression and no ad.
 func compile(constraint classad.Expr) *classad.CompiledConstraint {
 	if constraint == nil {
 		return nil
@@ -306,7 +304,6 @@ func compile(constraint classad.Expr) *classad.CompiledConstraint {
 	return cc
 }
 
-// release returns cc to the pool holding no expression and no ad.
 func release(cc *classad.CompiledConstraint) {
 	if cc != nil {
 		*cc = classad.CompiledConstraint{}

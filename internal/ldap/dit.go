@@ -204,28 +204,19 @@ func (b Base) DN() DN { return b.dn }
 // filter matches everything. The returned visited count is the logical
 // scan cost — the number of entries a subtree walk examines, the quantity
 // the testbed charges CPU for — and is identical whether the filter was
-// served from the index or by scanning (see SearchStats).
+// served from the index or by scanning (see SearchInto).
 func (t *DIT) Search(base DN, scope Scope, filter Filter) ([]*Entry, int) {
-	results, info := t.SearchStats(NewBase(base), scope, filter)
+	results, info := t.SearchInto(NewBase(base), scope, filter, nil)
 	return results, info.Visited
 }
 
-// SearchStats is Search from a normalized base, with execution-path
-// accounting. Subtree searches with an indexable filter (equality,
-// presence, >=/<= and AND/OR combinations of them — see planFilter) are
-// answered from attribute postings; everything else walks the subtree.
-// Both paths return exactly the same entries in the same depth-first
-// order, and both report the same Visited count; Info.IndexHits and
-// Info.Scanned record which path ran.
-func (t *DIT) SearchStats(base Base, scope Scope, filter Filter) ([]*Entry, SearchInfo) {
-	return t.SearchInto(base, scope, filter, nil)
-}
-
-// SearchInto is SearchStats appending the results to dst, which the
-// caller lends: a caller that lends the same slice from search to search
-// searches without growing one. An indexed search plans, unions,
-// verifies and orders its candidates in pooled scratch, so once both
-// have grown a search allocates nothing.
+// SearchInto is Search from a normalized base, appending the results to
+// dst, with execution-path accounting. Subtree searches with an indexable
+// filter (equality, presence, >=/<= and AND/OR combinations of them —
+// see planFilter) are answered from attribute postings in pooled
+// scratch; everything else walks the subtree. Both paths return the same
+// entries in the same depth-first order and the same Visited count;
+// Info.IndexHits and Info.Scanned record which path ran.
 func (t *DIT) SearchInto(base Base, scope Scope, filter Filter, dst []*Entry) ([]*Entry, SearchInfo) {
 	baseEntry, ok := t.entries[base.key]
 	if !ok && base.dn.Depth() > 0 {
@@ -263,8 +254,7 @@ func (t *DIT) SearchInto(base Base, scope Scope, filter Filter, dst []*Entry) ([
 	return w.results, SearchInfo{Visited: w.visited, Scanned: true}
 }
 
-// walk is one scanning search: the entries it has matched so far and
-// how many it has examined.
+// walk is one scanning search.
 type walk struct {
 	t       *DIT
 	filter  Filter
@@ -272,7 +262,6 @@ type walk struct {
 	visited int
 }
 
-// match examines e.
 func (w *walk) match(e *Entry) {
 	w.visited++
 	if w.filter == nil || w.filter.Matches(e) {

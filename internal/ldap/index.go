@@ -275,10 +275,8 @@ type filterPlan struct {
 	exact bool
 }
 
-// searchScratch is the working memory of one indexed search: the words
-// its plan's own bitsets are cut from and the candidate ids it orders.
-// It is pooled and holds no entry, so what goes back keeps nothing of
-// the tree alive.
+// searchScratch is one indexed search's pooled memory: the words its
+// bitsets are cut from and the candidate ids it orders. It holds no entry.
 type searchScratch struct {
 	words []uint64
 	used  int // words handed out to this search
@@ -287,9 +285,8 @@ type searchScratch struct {
 
 var scratches = sync.Pool{New: func() any { return new(searchScratch) }}
 
-// bitset returns a zeroed bitset of n words cut from s. When s runs out
-// of words it moves to a larger array; the bitsets already cut keep the
-// old one.
+// bitset cuts a zeroed bitset of n words from s, moving to a larger array
+// when s runs out (the bitsets already cut keep the old one).
 func (s *searchScratch) bitset(n int) bitset {
 	if s.used+n > len(s.words) {
 		s.words, s.used = make([]uint64, 2*(len(s.words)+n)), 0
@@ -308,9 +305,8 @@ func (s *searchScratch) release() {
 
 // planFilter maps a filter to a candidate plan. ok is false when the
 // filter (or every usable part of it) is not indexable and the caller
-// must scan. plan.bits may alias live postings when owned is false; a
-// plan that combines postings builds its own bitsets from sc, each as
-// wide as the id space, so combining them never grows one.
+// must scan. plan.bits may alias live postings when owned is false;
+// owned bitsets come from sc, as wide as the id space.
 func (t *DIT) planFilter(f Filter, sc *searchScratch) (plan filterPlan, owned, ok bool) {
 	width := (len(t.byID) + 63) / 64
 	switch f := f.(type) {
@@ -397,8 +393,7 @@ func (t *DIT) planFilter(f Filter, sc *searchScratch) (plan filterPlan, owned, o
 
 // searchIndexed answers a ScopeSub search from a candidate plan: restrict
 // to the base subtree, verify against the full filter when the plan is
-// inexact, and order by global DFS position, appending the results to
-// dst.
+// inexact, and order by global DFS position, appending to dst.
 func (t *DIT) searchIndexed(baseKey string, plan filterPlan, filter Filter, sc *searchScratch, dst []*Entry) ([]*Entry, SearchInfo) {
 	info := SearchInfo{IndexHits: plan.bits.count()}
 	info.Visited = t.counts[baseKey]

@@ -238,9 +238,7 @@ func (g *GIIS) QueryCtx(ctx context.Context, now float64, filter ldap.Filter, at
 	return g.QueryInto(ctx, now, filter, attrs, nil)
 }
 
-// QueryInto is QueryCtx appending the entries to dst, which the caller
-// lends, so a caller that lends the same slice from query to query
-// searches without growing one. On an error it returns dst as it was.
+// QueryInto is QueryCtx appending the entries to dst.
 func (g *GIIS) QueryInto(ctx context.Context, now float64, filter ldap.Filter, attrs []string, dst []*ldap.Entry) ([]*ldap.Entry, QueryStats, error) {
 	g.mu.RLock()
 	if g.fresh(now) {

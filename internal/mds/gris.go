@@ -135,9 +135,7 @@ func (g *GRIS) Query(now float64, filter ldap.Filter, attrs []string) ([]*ldap.E
 	return g.QueryInto(now, filter, attrs, nil)
 }
 
-// QueryInto is Query appending the entries to dst, which the caller
-// lends, so a caller that lends the same slice from query to query
-// searches without growing one.
+// QueryInto is Query appending the entries to dst.
 func (g *GRIS) QueryInto(now float64, filter ldap.Filter, attrs []string, dst []*ldap.Entry) ([]*ldap.Entry, QueryStats) {
 	g.mu.RLock()
 	if g.fresh(now) {
@@ -193,7 +191,7 @@ func (g *GRIS) Snapshot(now float64) []*ldap.Entry {
 
 // snapshot clones the current entries. Callers hold mu (either mode).
 func (g *GRIS) snapshot() []*ldap.Entry {
-	entries, _ := g.dit.SearchStats(g.base, ldap.ScopeSub, nil)
+	entries, _ := g.dit.SearchInto(g.base, ldap.ScopeSub, nil, nil)
 	out := make([]*ldap.Entry, len(entries))
 	for i, e := range entries {
 		out[i] = e.Clone()

@@ -196,12 +196,9 @@ func (r *Registry) LookupProducersStats(table string, now float64) ([]gma.Advert
 	return ads, st, nil
 }
 
-// LookupInto is LookupProducersStats appending the advertisements to dst,
-// which the caller lends: a caller that lends the same slice from lookup
-// to lookup looks up without growing one. The table name is matched
-// folded, as strings.ToLower folds it, without a folded copy. The
-// steady-state lookup (nothing to expire) runs under the read lock;
-// expiry upgrades to the exclusive lock with a re-check.
+// LookupInto is LookupProducersStats appending to dst, the table name
+// folded without a copy (foldsTo). The steady-state lookup runs under the
+// read lock; expiry upgrades to the exclusive lock with a re-check.
 func (r *Registry) LookupInto(table string, now float64, dst []gma.Advertisement) ([]gma.Advertisement, QueryStats) {
 	r.mu.RLock()
 	n, lapsed := r.scan(table, now)
@@ -241,22 +238,13 @@ func (r *Registry) scan(table string, now float64) (matches int, lapsed bool) {
 	return matches, lapsed
 }
 
-// foldsTo reports whether strings.ToLower(s) is folded, without building
-// it: s is lowered rune by rune as strings.ToLower lowers it (an invalid
-// byte reads as utf8.RuneError) and compared as it goes.
+// foldsTo reports whether strings.ToLower(s) == folded, lowering s rune
+// by rune (an invalid byte as utf8.RuneError) without building it.
 func foldsTo(folded, s string) bool {
+	var b [utf8.UTFMax]byte
 	for _, c := range s {
-		c = unicode.ToLower(c)
-		if c < utf8.RuneSelf {
-			if folded == "" || folded[0] != byte(c) {
-				return false
-			}
-			folded = folded[1:]
-			continue
-		}
-		var b [utf8.UTFMax]byte
-		n := utf8.EncodeRune(b[:], c)
-		if len(folded) < n || folded[:n] != string(b[:n]) {
+		n := utf8.EncodeRune(b[:], unicode.ToLower(c))
+		if !strings.HasPrefix(folded, string(b[:n])) {
 			return false
 		}
 		folded = folded[n:]

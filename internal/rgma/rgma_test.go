@@ -372,4 +372,7 @@ func TestFoldsToIsToLower(t *testing.T) {
 			t.Errorf("foldsTo(ToLower(%q), %q) = false", folded, folded)
 		}
 	}
+	if n := testing.AllocsPerRun(100, func() { foldsTo("i̇stanbul", "İSTANBUL") }); n != 0 {
+		t.Errorf("foldsTo allocates %.0f times", n)
+	}
 }

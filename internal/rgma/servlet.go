@@ -150,24 +150,7 @@ func (cs *ConsumerServlet) QueryCtx(ctx context.Context, now float64, sql string
 func (cs *ConsumerServlet) QueryIntoCtx(ctx context.Context, now float64, q *relational.RowsQuery) (*relational.Result, QueryStats, error) {
 	lent := adverts.Get().(*[]gma.Advertisement)
 	ads, lookupStats := cs.registry.LookupInto(q.Select.Table, now, *lent)
-	res, st, err := cs.mediate(ctx, now, q, ads, lookupStats)
-	putAdverts(lent, ads)
-	return res, st, err
-}
-
-// adverts pools the lists a mediated query looks its producers up in.
-var adverts = sync.Pool{New: func() any { return new([]gma.Advertisement) }}
-
-// putAdverts returns lent, the list used grew from, to adverts, emptied
-// and cleared to its capacity, so the pool keeps no advertisement alive.
-func putAdverts(lent *[]gma.Advertisement, used []gma.Advertisement) {
-	clear(used[:cap(used)])
-	*lent = used[:0]
-	adverts.Put(lent)
-}
-
-// mediate is QueryIntoCtx past the registry lookup that found ads.
-func (cs *ConsumerServlet) mediate(ctx context.Context, now float64, q *relational.RowsQuery, ads []gma.Advertisement, lookupStats QueryStats) (*relational.Result, QueryStats, error) {
+	defer putAdverts(lent, ads)
 	st := QueryStats{ThreadSpawns: 1, RegistryLookups: 1}
 	st.Add(lookupStats)
 	if len(ads) == 0 {
@@ -198,4 +181,14 @@ func (cs *ConsumerServlet) mediate(ctx context.Context, now float64, q *relation
 		}
 	}
 	return q.Result(), st, nil
+}
+
+// adverts pools the lists a mediated query looks its producers up in.
+var adverts = sync.Pool{New: func() any { return new([]gma.Advertisement) }}
+
+// putAdverts returns lent to adverts as used, emptied to its capacity.
+func putAdverts(lent *[]gma.Advertisement, used []gma.Advertisement) {
+	clear(used[:cap(used)])
+	*lent = used[:0]
+	adverts.Put(lent)
 }

@@ -80,39 +80,27 @@ func memoParse[T any](m *exprMemo, system System, expr string, parse func(string
 	return t, nil
 }
 
-// requests is the bounded table of the request strings the servers in
-// this process have seen: the Host and Expr texts of grid.query bodies,
-// and their Attrs lists, keyed by the list's wire bytes, with each
-// list's joined form (the cache key's) among the strings. A served
-// request resolves its strings through it under one read lock, so a
-// repeated one copies nothing; a string not in the table is copied once,
-// as a decode copies it, and stored. Every string it hands out is owned,
-// with no frame buffer behind it, so a cache key, the memo or a Router
-// branch that outlives its caller may keep it, and a list is shared by
-// every request that sends it (Query.Attrs is read-only everywhere). A
-// value longer than maxMemoExpr is copied every time and never stored,
-// and when a store would take the table past maxInternEntries values or
-// maxInternBytes bytes, the table starts over: the memo's policy.
+// requests holds the grid.query strings this process's servers have
+// seen, owned, so a cache key, the memo or a Router branch may keep one:
+// Hosts, Exprs, and Attrs lists (shared read-only) keyed by their wire
+// bytes, each beside its joined form. Values over maxMemoExpr bytes are
+// never stored; past maxInternEntries or maxInternBytes it starts over.
 var requests requestStrings
 
-// The request-string table's bounds (see requests).
 const (
 	maxInternEntries = 2048
 	maxInternBytes   = 512 << 10
 )
 
-// requestStrings is the type of requests.
 type requestStrings struct {
 	mu    sync.RWMutex
 	strs  map[string]string   // guarded by mu
-	lists map[string][]string // an Attrs section's wire bytes -> its list; guarded by mu
-	bytes int                 // the text both maps hold; guarded by mu
+	lists map[string][]string // guarded by mu
+	bytes int                 // the text the maps hold; guarded by mu
 }
 
-// decodeQuery decodes a grid.query body into q exactly as
-// decodeWireQueryInto decodes it (the same Query, or the same error),
-// but with System and Role resolved to their constants and the other
-// strings through t.
+// decodeQuery decodes a grid.query body into q as decodeWireQueryInto
+// does, resolving its strings through t under one read lock.
 func (t *requestStrings) decodeQuery(body []byte, q *Query) error {
 	d := binenc.NewDec(body)
 	system, role, host, expr := d.Bytes(), d.Bytes(), d.Bytes(), d.Bytes()
@@ -125,80 +113,53 @@ func (t *requestStrings) decodeQuery(body []byte, q *Query) error {
 		return err
 	}
 	attrs := body[from : len(body)-d.Len()]
-	q.System, q.Role = systemOf(system), roleOf(role)
-	var hostOK, exprOK bool
+	q.System = constant(system, MDS, RGMA, Hawkeye)
+	q.Role = constant(role, "", RoleInformationServer, RoleAggregateServer, RoleDirectoryServer, RoleInformationCollector)
+	var okHost, okExpr, okAttrs bool
 	t.mu.RLock()
-	q.Host, hostOK = t.find(host)
-	q.Expr, exprOK = t.find(expr)
-	q.Attrs = nil
-	listOK := n == 0
-	if !listOK {
-		q.Attrs, listOK = t.lists[string(attrs)]
-	}
+	q.Host, okHost = t.strs[string(host)]
+	q.Expr, okExpr = t.strs[string(expr)]
+	q.Attrs, okAttrs = t.lists[string(attrs)]
 	t.mu.RUnlock()
-	if !hostOK {
-		q.Host = t.store(host)
+	if !okHost {
+		q.Host = t.keep(string(host), nil)
 	}
-	if !exprOK {
-		q.Expr = t.store(expr)
+	if !okExpr {
+		q.Expr = t.keep(string(expr), nil)
 	}
-	if !listOK {
-		q.Attrs = t.storeList(attrs)
+	if !okAttrs && n > 0 {
+		d := binenc.NewDecText(attrs)
+		q.Attrs = decodeWireStrings(&d)
+		t.keep(string(attrs), q.Attrs)
 	}
 	return nil
 }
 
-// find returns the table's copy of b. Callers hold mu.
-func (t *requestStrings) find(b []byte) (string, bool) {
-	if len(b) == 0 {
-		return "", true
+// keep stores s, or list under its wire bytes s and its joined form
+// beside it, and returns s.
+func (t *requestStrings) keep(s string, list []string) string {
+	if len(s) > maxMemoExpr {
+		return s
 	}
-	s, ok := t.strs[string(b)]
-	return s, ok
-}
-
-// store returns a copy of b, stored for the next request when it is
-// short enough.
-func (t *requestStrings) store(b []byte) string {
-	s := string(b)
-	if len(s) <= maxMemoExpr {
-		t.mu.Lock()
-		t.room(1, len(s))
-		t.strs[s] = s
-		t.bytes += len(s)
-		t.mu.Unlock()
+	joined, size := s, len(s)
+	if list != nil {
+		joined = strings.Join(list, "\x00")
+		size += len(s) + len(joined) // the names are cut from a copy of s
 	}
+	t.mu.Lock()
+	if t.strs == nil || len(t.strs)+len(t.lists)+2 > maxInternEntries || t.bytes+size > maxInternBytes {
+		t.strs, t.lists, t.bytes = make(map[string]string), make(map[string][]string), 0
+	}
+	if list != nil {
+		t.lists[s] = list
+	}
+	t.strs[joined] = joined
+	t.bytes += size
+	t.mu.Unlock()
 	return s
 }
 
-// storeList returns the list the Attrs section enc holds, stored with its
-// joined form for the next request when enc is short enough.
-func (t *requestStrings) storeList(enc []byte) []string {
-	d := binenc.NewDecText(enc)
-	list := decodeWireStrings(&d)
-	if len(enc) <= maxMemoExpr {
-		key, joined := string(enc), strings.Join(list, "\x00")
-		t.mu.Lock()
-		t.room(2, 2*len(key)+len(joined))
-		t.lists[key] = list
-		t.strs[joined] = joined
-		t.bytes += 2*len(key) + len(joined)
-		t.mu.Unlock()
-	}
-	return list
-}
-
-// room starts t over unless it can take n more values of size bytes.
-// Callers hold mu exclusively.
-func (t *requestStrings) room(n, size int) {
-	if t.strs == nil || len(t.strs)+len(t.lists)+n > maxInternEntries || t.bytes+size > maxInternBytes {
-		t.strs, t.lists, t.bytes = make(map[string]string), make(map[string][]string), 0
-	}
-}
-
-// joined returns strings.Join(attrs, "\x00"), the table's own copy when it
-// holds one: a list a served request resolved has its joined form there,
-// so keying the cache by it allocates nothing.
+// joined returns strings.Join(attrs, "\x00"), t's copy when it has one.
 func (t *requestStrings) joined(attrs []string) string {
 	if len(attrs) < 2 {
 		return strings.Join(attrs, "\x00")
@@ -212,30 +173,19 @@ func (t *requestStrings) joined(attrs []string) string {
 		b = append(b, a...)
 	}
 	t.mu.RLock()
-	s, ok := t.strs[string(b)]
-	t.mu.RUnlock()
-	if !ok {
-		s = string(b)
+	defer t.mu.RUnlock()
+	if s, ok := t.strs[string(b)]; ok {
+		return s
 	}
-	return s
+	return string(b)
 }
 
-// systemOf and roleOf resolve a request's System and Role to the
-// constants they name, and copy any other text.
-func systemOf(b []byte) System {
-	for _, s := range [...]System{MDS, RGMA, Hawkeye} {
-		if string(b) == string(s) {
-			return s
+// constant returns the one of consts b spells, or a copy of b.
+func constant[T ~string](b []byte, consts ...T) T {
+	for _, c := range consts {
+		if string(b) == string(c) {
+			return c
 		}
 	}
-	return System(b)
-}
-
-func roleOf(b []byte) Role {
-	for _, r := range [...]Role{"", RoleInformationServer, RoleAggregateServer, RoleDirectoryServer, RoleInformationCollector} {
-		if string(b) == string(r) {
-			return r
-		}
-	}
-	return Role(b)
+	return T(b)
 }

@@ -146,9 +146,7 @@ func (g *Grid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 	return &rs, nil
 }
 
-// answers pools the scratch Answers a query renders into. An Answer holds
-// bytes only, so one goes back as it is, and the next query renders over
-// it.
+// answers pools the scratch Answers a query renders into.
 var answers = sync.Pool{New: func() any { return new(core.Answer) }}
 
 // AppendQuery answers q as Query does and appends its grid.query reply
@@ -505,11 +503,9 @@ func (g *Grid) readHawkeye(ctx context.Context, role Role, q Query, out *core.An
 	return Work{}, badRole(role)
 }
 
-// The engines' answers are listed in slices the facade lends them from
-// pools, and rendered before the slices go back: startdAds pools the ads
-// a direct Agent query collects into, and entryLists, advertLists and
-// adLists the slices an MDS search, a Registry lookup and a Manager
-// query list their answers in. Each list goes back empty (giveBack).
+// The pools of what the engines answer in: the ads a direct Agent query
+// collects into, and the lists an MDS search, a Registry lookup and a
+// Manager query append to, which go back empty (giveBack).
 var (
 	startdAds   = sync.Pool{New: func() any { return classad.NewAd() }}
 	entryLists  = sync.Pool{New: func() any { return new([]*ldap.Entry) }}
@@ -517,9 +513,8 @@ var (
 	adLists     = sync.Pool{New: func() any { return new([]*classad.Ad) }}
 )
 
-// giveBack returns lent, the slice used grew from, to pool, emptied and
-// cleared to its capacity (an engine may have dropped entries past its
-// length), so the pool keeps nothing of the answer listed in it alive.
+// giveBack returns lent to pool as used, emptied and cleared to its
+// capacity (the GIIS drops entries past the length).
 func giveBack[E any](pool *sync.Pool, lent *[]E, used []E) {
 	clear(used[:cap(used)])
 	*lent = used[:0]

@@ -61,16 +61,6 @@ func appendWireQuery(b []byte, q Query) []byte {
 	return appendWireStrings(b, q.Attrs)
 }
 
-// decodeWireQueryInto decodes a Query into q: what a server's
-// requestStrings.decodeQuery decodes, its strings copied.
-func decodeWireQueryInto(d *binenc.Dec, q *Query) {
-	q.System = System(d.String())
-	q.Role = Role(d.String())
-	q.Host = d.String()
-	q.Expr = d.String()
-	q.Attrs = decodeWireStrings(d)
-}
-
 // appendWireStrings appends an omitempty-style string slice (nil and
 // empty both encode as count 0 and decode as nil, matching JSON
 // omitempty round-trip behavior).

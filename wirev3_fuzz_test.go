@@ -219,7 +219,7 @@ func FuzzQueryDecode(f *testing.F) {
 		for pass := 0; pass < 3; pass++ {
 			if pass == 2 {
 				table.mu.Lock()
-				table.room(maxInternEntries+1, 0) // start over
+				table.bytes = maxInternBytes // the next store starts over
 				table.mu.Unlock()
 			}
 			var got Query

@@ -12,6 +12,17 @@ import (
 	"repro/internal/core"
 )
 
+// decodeWireQueryInto decodes a Query into q, every string a copy: the
+// reference requestStrings.decodeQuery, which a server decodes requests
+// with, is held to (FuzzQueryDecode).
+func decodeWireQueryInto(d *binenc.Dec, q *Query) {
+	q.System = System(d.String())
+	q.Role = Role(d.String())
+	q.Host = d.String()
+	q.Expr = d.String()
+	q.Attrs = decodeWireStrings(d)
+}
+
 // jsonRT round-trips v through JSON — the reference semantics the binary
 // codec must reproduce exactly, nil-ness and omitempty behaviour
 // included, so a value decoded off the wire is the value encoding/json
