@@ -51,11 +51,18 @@ race:
 # copied out of the request) and the reused answer scratch (every served
 # frame equals a fresh answer's, answers served concurrently; a
 # Router's spliced reply equals the pre-splice merge of the same leaf
-# replies, TestV3ScratchSplice). The all-misses scratch case then runs
-# 25 more times: its frames hold only if no query reads an answer stored
-# by one that started with or after it (queryCache.lookup's rule).
+# replies, TestV3ScratchSplice), the table of request strings a server
+# resolves grid.query bodies through (TestRequestStringsStayBounded,
+# TestRequestStringsShareOwnedCopies) and the scratch every served query
+# borrows coming back empty (TestLentListsComeBackEmpty,
+# TestArenaRenderComesBackEmpty, TestSearchScratchComesBackEmpty,
+# TestAdvertListComesBackEmpty, TestConstraintScratchComesBackEmpty).
+# The all-misses scratch case then runs 25 more times: its frames hold
+# only if no query reads an answer stored by one that started with or
+# after it (queryCache.lookup's rule).
 stress:
-	$(GO) test -race -count=2 -run 'Concurrent|QueryCache|Memo|Scratch' .
+	$(GO) test -race -count=2 -run 'Concurrent|QueryCache|Memo|Scratch|RequestStrings|ComesBackEmpty' .
+	$(GO) test -race -count=2 -run 'ComesBackEmpty' ./internal/core ./internal/ldap ./internal/rgma ./internal/hawkeye
 	$(GO) test -race -count=25 -run 'TestV3ScratchFrames/cache-misses' .
 
 # recovery re-runs the crash-injection suite hard: kills at every WAL
@@ -92,11 +99,15 @@ fed-chaos:
 # transport/mux suites, the shared binary encoding's own (binenc), the
 # typed record codec round trips, the reused answer scratch
 # (TestV3ScratchFrames), the Router's spliced replies held byte for byte
-# to the pre-splice merge (TestV3ScratchSplice) and the pipelining chaos case (mid-frame reset
-# with K>1 in-flight calls fails exactly the affected calls, typed, no
-# hang).
+# to the pre-splice merge (TestV3ScratchSplice), the checked-in digest of
+# every answer in-process, remote and through a Router
+# (TestAnswerDigest), the request strings a server resolves grid.query
+# bodies through (TestRequestStrings*) and the scratch a served query
+# borrows coming back empty (Test*ComesBackEmpty), and the pipelining
+# chaos case (mid-frame reset with K>1 in-flight calls fails exactly the
+# affected calls, typed, no hang).
 wire:
-	$(GO) test -race -count=3 -run 'Proto|Wire|V3|Codec|ChaosPipelined' . ./internal/transport ./internal/binenc
+	$(GO) test -race -count=3 -run 'Proto|Wire|V3|Codec|ChaosPipelined|AnswerDigest|RequestStrings|ComesBackEmpty' . ./internal/transport ./internal/binenc
 
 # load-smoke proves the closed-loop load generator end to end: an
 # in-process server, two users, one second — enough to catch rot without
@@ -124,7 +135,8 @@ bench-smoke:
 # wire decoders that read what a peer sent (never panic, allocate in
 # proportion to the frame, round-trip what they accept; the walk that
 # checks a reply a client relays accepts what the reply decoder
-# accepts), the merge the federation Router splices its branches'
+# accepts; a server's grid.query decode through its table of request
+# strings, cold, warm or started over, is the copying decode), the merge the federation Router splices its branches'
 # replies with (what the reply decoder accepts, what MergeResultSets
 # merges, allocation in proportion to the replies), the two frame
 # readers under them (never panic or hang: a well-formed answer or a
@@ -143,11 +155,12 @@ bench-smoke:
 # allocation), the ProducerServlet answering from its producers' rows
 # (what the scratch-table body it replaced answers, for any SQL), and
 # the -shards flag parser (never a panic; an accepted map renders back
-# to one that parses equal) — seventeen targets.
+# to one that parses equal) — eighteen targets.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzWireMerge$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzQueryDecode$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryMemo$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzV3ServerFrames$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzV3ClientFrames$$' -fuzztime $(FUZZTIME) ./internal/transport

@@ -196,25 +196,28 @@ func (r *Registry) LookupProducersStats(table string, now float64) ([]gma.Advert
 	return ads, st, nil
 }
 
-// LookupInto is LookupProducersStats appending to dst, the table name
-// folded without a copy (foldsTo). The steady-state lookup runs under the
-// read lock; expiry upgrades to the exclusive lock with a re-check.
+// LookupInto is LookupProducersStats appending to dst. The steady-state
+// lookup runs under the read lock; expiry upgrades to the exclusive lock.
 func (r *Registry) LookupInto(table string, now float64, dst []gma.Advertisement) ([]gma.Advertisement, QueryStats) {
+	lower := true // table is its own strings.ToLower
+	for i := 0; i < len(table) && lower; i++ {
+		lower = table[i] < utf8.RuneSelf && (table[i] < 'A' || table[i] > 'Z')
+	}
 	r.mu.RLock()
-	n, lapsed := r.scan(table, now)
+	n, lapsed := r.scan(table, lower, now)
 	if lapsed {
 		r.mu.RUnlock()
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		r.expireAndLog(now)
-		n, _ = r.scan(table, now)
+		n, _ = r.scan(table, lower, now)
 	} else {
 		defer r.mu.RUnlock()
 	}
 	st := QueryStats{ThreadSpawns: 1, RowsScanned: n, RowsReturned: n, IndexHits: n}
 	dst = slices.Grow(dst, n)
 	for reg := r.order.next; n > 0; reg = reg.next {
-		if foldsTo(reg.table, table) {
+		if reg.matches(table, lower) {
 			dst = append(dst, reg.ad)
 			st.ResponseBytes += reg.size
 			n--
@@ -226,9 +229,9 @@ func (r *Registry) LookupInto(table string, now float64, dst []gma.Advertisement
 // scan counts the advertisements for table and reports whether any
 // advertisement's soft state has lapsed at time now. Callers hold mu
 // (either mode).
-func (r *Registry) scan(table string, now float64) (matches int, lapsed bool) {
+func (r *Registry) scan(table string, lower bool, now float64) (matches int, lapsed bool) {
 	for reg := r.order.next; reg != &r.order; reg = reg.next {
-		if foldsTo(reg.table, table) {
+		if reg.matches(table, lower) {
 			matches++
 		}
 		if reg.expires <= now {
@@ -238,11 +241,15 @@ func (r *Registry) scan(table string, now float64) (matches int, lapsed bool) {
 	return matches, lapsed
 }
 
-// foldsTo reports whether strings.ToLower(s) == folded, lowering s rune
-// by rune (an invalid byte as utf8.RuneError) without building it.
-func foldsTo(folded, s string) bool {
+// matches reports whether strings.ToLower(table) is reg.table, lowering
+// table rune by rune (an invalid byte as utf8.RuneError) without a copy.
+func (reg *registration) matches(table string, lower bool) bool {
+	if lower {
+		return reg.table == table
+	}
+	folded := reg.table
 	var b [utf8.UTFMax]byte
-	for _, c := range s {
+	for _, c := range table {
 		n := utf8.EncodeRune(b[:], unicode.ToLower(c))
 		if !strings.HasPrefix(folded, string(b[:n])) {
 			return false

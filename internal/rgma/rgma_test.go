@@ -356,23 +356,26 @@ func TestAdvertListComesBackEmpty(t *testing.T) {
 	}
 }
 
-// TestFoldsToIsToLower: a lookup's fold-free comparison agrees with
+// TestLookupFoldsLikeToLower: a lookup's fold-free match agrees with
 // strings.ToLower on ASCII, on Unicode whose lower case changes length,
-// and on invalid UTF-8.
-func TestFoldsToIsToLower(t *testing.T) {
+// and on invalid UTF-8, and allocates nothing.
+func TestLookupFoldsLikeToLower(t *testing.T) {
 	names := []string{"", "siteinfo", "SiteInfo", "SITEINFO", "siteinf", "siteinfoo", "İstanbul", "i̇stanbul",
-		"ΣΑΣ", "σασ", "Kelvin", "Kelvin", "kelvin", "bad\xffbyte", "bad�byte", "ẞ", "ß", "Ⱥ", "ⱥ"}
-	for _, folded := range names {
-		for _, s := range names {
-			if got, want := foldsTo(folded, s), strings.ToLower(s) == folded; got != want {
-				t.Errorf("foldsTo(%q, %q) = %v, strings.ToLower gives %q", folded, s, got, strings.ToLower(s))
+		"ΣΑΣ", "σασ", "Kelvin", "Kelvin", "kelvin", "bad\xffbyte", "bad�byte", "ẞ", "ß", "Ⱥ", "ⱥ"}
+	for _, stored := range names {
+		reg := &registration{table: strings.ToLower(stored)}
+		for _, table := range names {
+			lower := strings.ToLower(table) == table && strings.IndexFunc(table, func(r rune) bool { return r >= 0x80 }) < 0
+			if got, want := reg.matches(table, lower), strings.ToLower(table) == reg.table; got != want {
+				t.Errorf("%q matches %q = %v, strings.ToLower gives %q", reg.table, table, got, strings.ToLower(table))
+			}
+			if got, want := reg.matches(table, false), strings.ToLower(table) == reg.table; got != want {
+				t.Errorf("%q matches %q folding = %v, strings.ToLower gives %q", reg.table, table, got, strings.ToLower(table))
 			}
 		}
-		if !foldsTo(strings.ToLower(folded), folded) {
-			t.Errorf("foldsTo(ToLower(%q), %q) = false", folded, folded)
-		}
 	}
-	if n := testing.AllocsPerRun(100, func() { foldsTo("i̇stanbul", "İSTANBUL") }); n != 0 {
-		t.Errorf("foldsTo allocates %.0f times", n)
+	reg := &registration{table: "i̇stanbul"}
+	if n := testing.AllocsPerRun(100, func() { reg.matches("İSTANBUL", false) }); n != 0 {
+		t.Errorf("a folding match allocates %.0f times", n)
 	}
 }
