@@ -202,10 +202,10 @@ func (a *arena) render(out *Answer) {
 	arenas.Put(a)
 }
 
-// reset empties a, dropping the strings its marks held up to their
-// capacity.
+// reset empties a, dropping the strings its marks held. Marks are only
+// appended, so none past the length holds one.
 func (a *arena) reset() {
-	clear(a.marks[:cap(a.marks)])
+	clear(a.marks)
 	a.buf, a.marks, a.recs, a.rendered = a.buf[:0], a.marks[:0], a.recs[:0], 0
 }
 

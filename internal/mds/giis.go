@@ -268,8 +268,8 @@ func (g *GIIS) QueryInto(ctx context.Context, now float64, filter ldap.Filter, a
 }
 
 // search runs the directory search, appending the entries to dst, and
-// accumulates its accounting into st. The glue entries it drops stay in
-// the slice past its length. Callers hold mu (either mode).
+// accumulates its accounting into st, clearing the glue entries it drops
+// past the length. Callers hold mu (either mode).
 func (g *GIIS) search(st QueryStats, filter ldap.Filter, attrs []string, dst []*ldap.Entry) ([]*ldap.Entry, QueryStats, error) {
 	results, info := g.dit.SearchInto(suffixBase, ldap.ScopeSub, filter, dst)
 	// Structural glue entries materialized for tree shape are not data.
@@ -279,6 +279,7 @@ func (g *GIIS) search(st QueryStats, filter ldap.Filter, attrs []string, dst []*
 			data = append(data, e)
 		}
 	}
+	clear(results[len(data):])
 	st.EntriesVisited += info.Visited
 	st.EntriesReturned += len(data) - len(dst)
 	st.ResponseBytes += ldap.SizeBytes(data[len(dst):], attrs)

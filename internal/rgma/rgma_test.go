@@ -342,7 +342,7 @@ func TestAdvertListComesBackEmpty(t *testing.T) {
 	if !reflect.DeepEqual(ads, want) || st.RowsReturned != len(want) {
 		t.Fatalf("a lent lookup of SiteINFO found %d ads, siteinfo %d", len(ads), len(want))
 	}
-	putAdverts(lent, ads[:2])
+	putAdverts(lent, ads)
 	if len(*lent) != 0 {
 		t.Fatalf("the list came back holding %d ads", len(*lent))
 	}

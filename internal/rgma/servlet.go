@@ -186,9 +186,9 @@ func (cs *ConsumerServlet) QueryIntoCtx(ctx context.Context, now float64, q *rel
 // adverts pools the lists a mediated query looks its producers up in.
 var adverts = sync.Pool{New: func() any { return new([]gma.Advertisement) }}
 
-// putAdverts returns lent to adverts as used, emptied to its capacity.
+// putAdverts returns lent to adverts as used, emptied and cleared.
 func putAdverts(lent *[]gma.Advertisement, used []gma.Advertisement) {
-	clear(used[:cap(used)])
+	clear(used)
 	*lent = used[:0]
 	adverts.Put(lent)
 }

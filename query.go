@@ -513,10 +513,10 @@ var (
 	adLists     = sync.Pool{New: func() any { return new([]*classad.Ad) }}
 )
 
-// giveBack returns lent to pool as used, emptied and cleared to its
-// capacity (the GIIS drops entries past the length).
+// giveBack returns lent to pool as used, emptied and cleared (the
+// engines leave nothing past the length).
 func giveBack[E any](pool *sync.Pool, lent *[]E, used []E) {
-	clear(used[:cap(used)])
+	clear(used)
 	*lent = used[:0]
 	pool.Put(lent)
 }

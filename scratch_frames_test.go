@@ -379,8 +379,8 @@ func CheckV3ScratchFrames(t *testing.T, source Querier, queries []Query, fresh f
 // TestLentListsComeBackEmpty: the slices a query lends the GIIS, the
 // Registry and the Manager to list their answers in go back to their
 // pools empty and holding no entry, advertisement or ad up to their
-// capacity, though the GIIS leaves the glue entries it drops past the
-// length.
+// capacity: the GIIS clears the glue entries it drops past the length,
+// and giveBack clears the rest.
 func TestLentListsComeBackEmpty(t *testing.T) {
 	g := newTestGrid(t)
 	ctx := context.Background()
@@ -388,6 +388,11 @@ func TestLentListsComeBackEmpty(t *testing.T) {
 	got, _, err := g.giis.QueryInto(ctx, 1, nil, nil, *entries)
 	if err != nil || len(got) == 0 || len(got) == cap(got) {
 		t.Fatalf("the GIIS listed %d entries in %d (err %v): no glue dropped past the length", len(got), cap(got), err)
+	}
+	for i, e := range got[len(got):cap(got)] {
+		if e != nil {
+			t.Fatalf("the GIIS left glue entry %d past the length: %s", i, e.DNString())
+		}
 	}
 	giveBack(&entryLists, entries, got)
 	adverts := new([]gma.Advertisement)
