@@ -293,8 +293,7 @@ func foldASCII(dst []byte, s string) []byte {
 // constraints pools the compiled constraints queries evaluate in.
 var constraints = sync.Pool{New: func() any { return new(classad.CompiledConstraint) }}
 
-// compile compiles constraint into pooled scratch (nil for none), which
-// release gives back holding no expression and no ad.
+// compile compiles constraint into pooled scratch (nil for none).
 func compile(constraint classad.Expr) *classad.CompiledConstraint {
 	if constraint == nil {
 		return nil
@@ -304,6 +303,7 @@ func compile(constraint classad.Expr) *classad.CompiledConstraint {
 	return cc
 }
 
+// release gives cc back holding no expression and no ad.
 func release(cc *classad.CompiledConstraint) {
 	if cc != nil {
 		*cc = classad.CompiledConstraint{}

@@ -267,9 +267,8 @@ func (g *GIIS) QueryInto(ctx context.Context, now float64, filter ldap.Filter, a
 	return g.search(st, filter, attrs, dst)
 }
 
-// search runs the directory search, appending the entries to dst, and
-// accumulates its accounting into st, clearing the glue entries it drops
-// past the length. Callers hold mu (either mode).
+// search runs the directory search into dst (clearing the glue it drops
+// past the length) and adds its accounting to st. Callers hold mu.
 func (g *GIIS) search(st QueryStats, filter ldap.Filter, attrs []string, dst []*ldap.Entry) ([]*ldap.Entry, QueryStats, error) {
 	results, info := g.dit.SearchInto(suffixBase, ldap.ScopeSub, filter, dst)
 	// Structural glue entries materialized for tree shape are not data.
