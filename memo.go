@@ -99,8 +99,8 @@ type requestStrings struct {
 	bytes int                 // the text the maps hold; guarded by mu
 }
 
-// decodeQuery decodes a grid.query body into q as decodeWireQueryInto
-// does, resolving its strings through t under one read lock.
+// decodeQuery decodes a grid.query body into q, its strings resolved
+// through t under one read lock: what a copying decode gives (FuzzQueryDecode).
 func (t *requestStrings) decodeQuery(body []byte, q *Query) error {
 	d := binenc.NewDec(body)
 	system, role, host, expr := d.Bytes(), d.Bytes(), d.Bytes(), d.Bytes()
