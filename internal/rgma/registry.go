@@ -5,8 +5,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"unicode"
-	"unicode/utf8"
 
 	"repro/internal/gma"
 	"repro/internal/relational"
@@ -197,27 +195,25 @@ func (r *Registry) LookupProducersStats(table string, now float64) ([]gma.Advert
 }
 
 // LookupInto is LookupProducersStats appending to dst. The steady-state
-// lookup runs under the read lock; expiry upgrades to the exclusive lock.
+// lookup (nothing to expire) runs under the read lock; expiry upgrades
+// to the exclusive lock with a re-check.
 func (r *Registry) LookupInto(table string, now float64, dst []gma.Advertisement) ([]gma.Advertisement, QueryStats) {
-	lower := true // table is its own strings.ToLower
-	for i := 0; i < len(table) && lower; i++ {
-		lower = table[i] < utf8.RuneSelf && (table[i] < 'A' || table[i] > 'Z')
-	}
+	key := strings.ToLower(table)
 	r.mu.RLock()
-	n, lapsed := r.scan(table, lower, now)
+	n, lapsed := r.scan(key, now)
 	if lapsed {
 		r.mu.RUnlock()
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		r.expireAndLog(now)
-		n, _ = r.scan(table, lower, now)
+		n, _ = r.scan(key, now)
 	} else {
 		defer r.mu.RUnlock()
 	}
 	st := QueryStats{ThreadSpawns: 1, RowsScanned: n, RowsReturned: n, IndexHits: n}
 	dst = slices.Grow(dst, n)
 	for reg := r.order.next; n > 0; reg = reg.next {
-		if reg.matches(table, lower) {
+		if reg.table == key {
 			dst = append(dst, reg.ad)
 			st.ResponseBytes += reg.size
 			n--
@@ -226,12 +222,12 @@ func (r *Registry) LookupInto(table string, now float64, dst []gma.Advertisement
 	return dst, st
 }
 
-// scan counts the advertisements for table and reports whether any
-// advertisement's soft state has lapsed at time now. Callers hold mu
-// (either mode).
-func (r *Registry) scan(table string, lower bool, now float64) (matches int, lapsed bool) {
+// scan counts the advertisements for folded table name key and reports
+// whether any advertisement's soft state has lapsed at time now.
+// Callers hold mu (either mode).
+func (r *Registry) scan(key string, now float64) (matches int, lapsed bool) {
 	for reg := r.order.next; reg != &r.order; reg = reg.next {
-		if reg.matches(table, lower) {
+		if reg.table == key {
 			matches++
 		}
 		if reg.expires <= now {
@@ -239,24 +235,6 @@ func (r *Registry) scan(table string, lower bool, now float64) (matches int, lap
 		}
 	}
 	return matches, lapsed
-}
-
-// matches reports whether strings.ToLower(table) is reg.table, lowering
-// table rune by rune (an invalid byte as utf8.RuneError) without a copy.
-func (reg *registration) matches(table string, lower bool) bool {
-	if lower {
-		return reg.table == table
-	}
-	folded := reg.table
-	var b [utf8.UTFMax]byte
-	for _, c := range table {
-		n := utf8.EncodeRune(b[:], unicode.ToLower(c))
-		if !strings.HasPrefix(folded, string(b[:n])) {
-			return false
-		}
-		folded = folded[n:]
-	}
-	return folded == ""
 }
 
 // Tables lists the distinct tables currently advertised, sorted.

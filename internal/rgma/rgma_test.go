@@ -337,12 +337,12 @@ func TestStaticProducerPublish(t *testing.T) {
 func TestAdvertListComesBackEmpty(t *testing.T) {
 	reg, _, cserv := newSetup(t)
 	want, _, _ := reg.LookupProducersStats("siteinfo", 1)
-	lent := new([]gma.Advertisement)
+	lent := LendAdverts()
 	ads, st := reg.LookupInto("SiteINFO", 1, *lent)
 	if !reflect.DeepEqual(ads, want) || st.RowsReturned != len(want) {
 		t.Fatalf("a lent lookup of SiteINFO found %d ads, siteinfo %d", len(ads), len(want))
 	}
-	putAdverts(lent, ads)
+	ReturnAdverts(lent, ads)
 	if len(*lent) != 0 {
 		t.Fatalf("the list came back holding %d ads", len(*lent))
 	}
@@ -353,29 +353,5 @@ func TestAdvertListComesBackEmpty(t *testing.T) {
 	}
 	if _, _, err := cserv.Query(1, "SELECT * FROM SiteInfo"); err != nil {
 		t.Fatalf("a mediated query of a mixed-case table: %v", err)
-	}
-}
-
-// TestLookupFoldsLikeToLower: a lookup's fold-free match agrees with
-// strings.ToLower on ASCII, on Unicode whose lower case changes length,
-// and on invalid UTF-8, and allocates nothing.
-func TestLookupFoldsLikeToLower(t *testing.T) {
-	names := []string{"", "siteinfo", "SiteInfo", "SITEINFO", "siteinf", "siteinfoo", "İstanbul", "i̇stanbul",
-		"ΣΑΣ", "σασ", "Kelvin", "Kelvin", "kelvin", "bad\xffbyte", "bad�byte", "ẞ", "ß", "Ⱥ", "ⱥ"}
-	for _, stored := range names {
-		reg := &registration{table: strings.ToLower(stored)}
-		for _, table := range names {
-			lower := strings.ToLower(table) == table && strings.IndexFunc(table, func(r rune) bool { return r >= 0x80 }) < 0
-			if got, want := reg.matches(table, lower), strings.ToLower(table) == reg.table; got != want {
-				t.Errorf("%q matches %q = %v, strings.ToLower gives %q", reg.table, table, got, strings.ToLower(table))
-			}
-			if got, want := reg.matches(table, false), strings.ToLower(table) == reg.table; got != want {
-				t.Errorf("%q matches %q folding = %v, strings.ToLower gives %q", reg.table, table, got, strings.ToLower(table))
-			}
-		}
-	}
-	reg := &registration{table: "i̇stanbul"}
-	if n := testing.AllocsPerRun(100, func() { reg.matches("İSTANBUL", false) }); n != 0 {
-		t.Errorf("a folding match allocates %.0f times", n)
 	}
 }

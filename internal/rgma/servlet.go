@@ -148,9 +148,9 @@ func (cs *ConsumerServlet) QueryCtx(ctx context.Context, now float64, sql string
 // whose scratch the caller may reuse: the Result is q's (see
 // RowsQuery.Result).
 func (cs *ConsumerServlet) QueryIntoCtx(ctx context.Context, now float64, q *relational.RowsQuery) (*relational.Result, QueryStats, error) {
-	lent := adverts.Get().(*[]gma.Advertisement)
+	lent := LendAdverts()
 	ads, lookupStats := cs.registry.LookupInto(q.Select.Table, now, *lent)
-	defer putAdverts(lent, ads)
+	defer ReturnAdverts(lent, ads)
 	st := QueryStats{ThreadSpawns: 1, RegistryLookups: 1}
 	st.Add(lookupStats)
 	if len(ads) == 0 {
@@ -183,11 +183,16 @@ func (cs *ConsumerServlet) QueryIntoCtx(ctx context.Context, now float64, q *rel
 	return q.Result(), st, nil
 }
 
-// adverts pools the lists a mediated query looks its producers up in.
+// adverts pools the lists a Registry lookup appends to (LookupInto),
+// for a mediated query and a directory query alike.
 var adverts = sync.Pool{New: func() any { return new([]gma.Advertisement) }}
 
-// putAdverts returns lent to adverts as used, emptied and cleared.
-func putAdverts(lent *[]gma.Advertisement, used []gma.Advertisement) {
+// LendAdverts lends an empty list to look advertisements up in; give it
+// back with ReturnAdverts.
+func LendAdverts() *[]gma.Advertisement { return adverts.Get().(*[]gma.Advertisement) }
+
+// ReturnAdverts returns lent to the pool as used, emptied and cleared.
+func ReturnAdverts(lent *[]gma.Advertisement, used []gma.Advertisement) {
 	clear(used)
 	*lent = used[:0]
 	adverts.Put(lent)

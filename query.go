@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/classad"
 	"repro/internal/core"
-	"repro/internal/gma"
 	"repro/internal/ldap"
 	"repro/internal/relational"
 	"repro/internal/rgma"
@@ -374,10 +373,10 @@ func (g *Grid) readRGMA(ctx context.Context, role Role, q Query, out *core.Answe
 		if err != nil {
 			return Work{}, err
 		}
-		lent := advertLists.Get().(*[]gma.Advertisement)
+		lent := rgma.LendAdverts()
 		ads, st := g.registry.LookupInto(table, now, *lent)
 		core.AdvertisementAnswer(out, ads, q.Attrs)
-		giveBack(&advertLists, lent, ads)
+		rgma.ReturnAdverts(lent, ads)
 		return core.RGMAWork(st), nil
 	}
 	rq := rowsQueries.Get().(*relational.RowsQuery)
@@ -504,13 +503,13 @@ func (g *Grid) readHawkeye(ctx context.Context, role Role, q Query, out *core.An
 }
 
 // The pools of what the engines answer in: the ads a direct Agent query
-// collects into, and the lists an MDS search, a Registry lookup and a
-// Manager query append to, which go back empty (giveBack).
+// collects into, and the lists an MDS search and a Manager query append
+// to, which go back empty (giveBack). A Registry lookup's list is
+// rgma's (LendAdverts).
 var (
-	startdAds   = sync.Pool{New: func() any { return classad.NewAd() }}
-	entryLists  = sync.Pool{New: func() any { return new([]*ldap.Entry) }}
-	advertLists = sync.Pool{New: func() any { return new([]gma.Advertisement) }}
-	adLists     = sync.Pool{New: func() any { return new([]*classad.Ad) }}
+	startdAds  = sync.Pool{New: func() any { return classad.NewAd() }}
+	entryLists = sync.Pool{New: func() any { return new([]*ldap.Entry) }}
+	adLists    = sync.Pool{New: func() any { return new([]*classad.Ad) }}
 )
 
 // giveBack returns lent to pool as used, emptied and cleared (the

@@ -16,7 +16,6 @@ import (
 	"repro/internal/binenc"
 	"repro/internal/classad"
 	"repro/internal/core"
-	"repro/internal/gma"
 	"repro/internal/ldap"
 	"repro/internal/transport"
 )
@@ -376,11 +375,11 @@ func CheckV3ScratchFrames(t *testing.T, source Querier, queries []Query, fresh f
 	wg.Wait()
 }
 
-// TestLentListsComeBackEmpty: the slices a query lends the GIIS, the
-// Registry and the Manager to list their answers in go back to their
-// pools empty and holding no entry, advertisement or ad up to their
-// capacity: the GIIS clears the glue entries it drops past the length,
-// and giveBack clears the rest.
+// TestLentListsComeBackEmpty: the slices a query lends the GIIS and the
+// Manager to list their answers in go back to their pools empty and
+// holding no entry or ad up to their capacity: the GIIS clears the glue
+// entries it drops past the length, and giveBack clears the rest. The
+// Registry's list is rgma's (TestAdvertListComesBackEmpty).
 func TestLentListsComeBackEmpty(t *testing.T) {
 	g := newTestGrid(t)
 	ctx := context.Background()
@@ -395,9 +394,6 @@ func TestLentListsComeBackEmpty(t *testing.T) {
 		}
 	}
 	giveBack(&entryLists, entries, got)
-	adverts := new([]gma.Advertisement)
-	found, _ := g.registry.LookupInto("siteinfo", 1, *adverts)
-	giveBack(&advertLists, adverts, found)
 	ads := new([]*classad.Ad)
 	matched, _ := g.manager.QueryInto(1, nil, *ads)
 	giveBack(&adLists, ads, matched)
@@ -407,7 +403,6 @@ func TestLentListsComeBackEmpty(t *testing.T) {
 		held func(i int) bool
 	}{
 		{"entries", cap(*entries), func(i int) bool { return (*entries)[:cap(*entries)][i] != nil }},
-		{"advertisements", cap(*adverts), func(i int) bool { return (*adverts)[:cap(*adverts)][i] != (gma.Advertisement{}) }},
 		{"ads", cap(*ads), func(i int) bool { return (*ads)[:cap(*ads)][i] != nil }},
 	} {
 		if list.n == 0 {
@@ -419,7 +414,7 @@ func TestLentListsComeBackEmpty(t *testing.T) {
 			}
 		}
 	}
-	if len(*entries)+len(*adverts)+len(*ads) != 0 {
-		t.Errorf("a list came back holding elements: %d entries, %d advertisements, %d ads", len(*entries), len(*adverts), len(*ads))
+	if len(*entries)+len(*ads) != 0 {
+		t.Errorf("a list came back holding elements: %d entries, %d ads", len(*entries), len(*ads))
 	}
 }
