@@ -54,7 +54,7 @@ race:
 # replies, TestV3ScratchSplice), the table of request strings a server
 # resolves grid.query bodies through (TestRequestStringsStayBounded,
 # TestRequestStringsShareOwnedCopies) and the scratch every served query
-# borrows coming back empty (TestLentListsComeBackEmpty,
+# borrows coming back empty (TestLentListComesBackEmpty,
 # TestArenaRenderComesBackEmpty, TestSearchScratchComesBackEmpty,
 # TestAdvertListComesBackEmpty, TestConstraintScratchComesBackEmpty).
 # The all-misses scratch case then runs 25 more times: its frames hold

@@ -375,12 +375,12 @@ func CheckV3ScratchFrames(t *testing.T, source Querier, queries []Query, fresh f
 	wg.Wait()
 }
 
-// TestLentListsComeBackEmpty: the slices a query lends the GIIS and the
+// TestLentListComesBackEmpty: the slices a query lends the GIIS and the
 // Manager to list their answers in go back to their pools empty and
 // holding no entry or ad up to their capacity: the GIIS clears the glue
 // entries it drops past the length, and giveBack clears the rest. The
 // Registry's list is rgma's (TestAdvertListComesBackEmpty).
-func TestLentListsComeBackEmpty(t *testing.T) {
+func TestLentListComesBackEmpty(t *testing.T) {
 	g := newTestGrid(t)
 	ctx := context.Background()
 	entries := new([]*ldap.Entry)
