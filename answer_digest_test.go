@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	gridmon "repro"
 	"repro/internal/federation"
@@ -21,10 +22,12 @@ var updateAnswers = flag.Bool("update", false, "rewrite testdata/answers.sum fro
 // answersFile is the checked-in digest of AnswerCorpus's answers.
 const answersFile = "testdata/answers.sum"
 
-// TestAnswerDigest serves AnswerCorpus three ways — in-process, over a
-// loopback v3 server, and through a federation Router over three
-// loopback leaves — and, on grids whose clock moves, the stress mix
-// before and after each of three Advance rounds. Per way and group it
+// TestAnswerDigest serves AnswerCorpus four ways — in-process, over a
+// loopback v3 server, through a federation Router over three loopback
+// leaves, and through such a Router served on loopback itself — and, on
+// grids whose clock moves, the stress mix before and after each of
+// three Advance rounds. It also subscribes SubscriptionCorpus
+// (digestSubscriptions). Per way and group it
 // records how many queries ran and a sha256 over each answer's records
 // as JSON (encoding/json sorts the field names), its Work, and its error
 // code and text (a leaf's address replaced by its shard number); Elapsed
@@ -64,6 +67,9 @@ func TestAnswerDigest(t *testing.T) {
 		lines = append(lines, fmt.Sprintf("%s/advance %d %x", w.name, 4*len(stress), sha256.Sum256([]byte(strings.Join(rounds, "")))))
 	}
 
+	clock.Store(math.Float64bits(1))
+	lines = append(lines, digestSubscriptions(t, &clock)...)
+
 	got := strings.Join(lines, "\n") + "\n"
 	if *updateAnswers {
 		if err := os.WriteFile(answersFile, []byte(got), 0o644); err != nil {
@@ -90,7 +96,7 @@ type digestWay struct {
 	addrs  []string
 }
 
-// digestWays builds the three ways over scratchHosts on clock now.
+// digestWays builds the four ways over scratchHosts on clock now.
 func digestWays(t *testing.T, now func() float64) []digestWay {
 	t.Helper()
 	grid := func(hosts []string) *gridmon.Grid {
@@ -115,20 +121,37 @@ func digestWays(t *testing.T, now func() float64) []digestWay {
 	}
 	t.Cleanup(func() { remote.Close() })
 
-	smap := federation.ShardMap{Epoch: 1, Shards: make([]federation.Shard, 3)}
-	var leaves []*gridmon.Grid
-	var sources []gridmon.Querier
-	for _, part := range smap.PartitionHosts(scratchHosts) {
-		leaf := grid(part)
-		leaves = append(leaves, leaf)
-		sources = append(sources, leaf)
+	// Each Router has leaves of its own: a way's rounds step its grids.
+	routerWay := func(name string) digestWay {
+		smap := federation.ShardMap{Epoch: 1, Shards: make([]federation.Shard, 3)}
+		var leaves []*gridmon.Grid
+		var sources []gridmon.Querier
+		for _, part := range smap.PartitionHosts(scratchHosts) {
+			leaf := grid(part)
+			leaves = append(leaves, leaf)
+			sources = append(sources, leaf)
+		}
+		addrs := serveLeaves(t, sources)
+		router := newRouter(t, federation.Config{Map: federation.NewShardMap(addrs...)})
+		return digestWay{name: name, source: router, grids: leaves, addrs: addrs}
 	}
-	addrs := serveLeaves(t, sources)
-	router := newRouter(t, federation.Config{Map: federation.NewShardMap(addrs...)})
+	servedRouter := routerWay("served-router")
+	rsrv := gridmon.NewTransportServer()
+	servedRouter.source.(*federation.Router).Serve(rsrv)
+	raddr, err := rsrv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rsrv.Close)
+	if servedRouter.source, err = gridmon.Dial(raddr); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { servedRouter.source.(*gridmon.RemoteGrid).Close() })
 	return []digestWay{
 		{name: "in-process", source: inProcess, grids: []*gridmon.Grid{inProcess}},
 		{name: "remote", source: remote, grids: []*gridmon.Grid{served}},
-		{name: "router", source: router, grids: leaves, addrs: addrs},
+		routerWay("router"),
+		servedRouter,
 	}
 }
 
@@ -164,4 +187,124 @@ func digestSum(t *testing.T, w digestWay, qs []gridmon.Query) string {
 		fmt.Fprintf(&sb, "%s\n%s\n", recs, work)
 	}
 	return sb.String()
+}
+
+// digestSubscriptions subscribes every SubscriptionCorpus group
+// in-process and over a loopback v3 server, steps both ways' grids
+// through three Advance rounds on clock, and returns one line per way
+// and group: its name, the number of subscriptions and the sha256 of
+// what each saw — the code it was refused with, or per round the kind,
+// records as JSON and Work of each event, and the code its stream ended
+// with. The remote stream is read for as many events as the in-process
+// one buffered that round, which an in-process source sends before
+// Advance returns.
+func digestSubscriptions(t *testing.T, clock *atomic.Uint64) []string {
+	t.Helper()
+	now := func() float64 { return math.Float64frombits(clock.Load()) }
+	ways := digestWays(t, now)[:2] // a Router proxies only host-targeted subscriptions
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type watch struct {
+		group   int
+		streams [2]*gridmon.Stream
+		sums    [2]strings.Builder
+	}
+	groups := gridmon.SubscriptionCorpus()
+	var watches []*watch
+	for gi, g := range groups {
+		for _, sub := range g.Subs {
+			w := &watch{group: gi}
+			for i, way := range ways {
+				st, err := way.source.(gridmon.Subscriber).Subscribe(ctx, sub)
+				if err != nil {
+					fmt.Fprintf(&w.sums[i], "refused %s\n", gridmon.CodeOf(err))
+					continue
+				}
+				w.streams[i] = st
+			}
+			watches = append(watches, w)
+		}
+	}
+	over, stop := context.WithCancel(context.Background())
+	stop()
+	for round := 0; round <= 3; round++ {
+		if round > 0 {
+			at := float64(1 + round)
+			clock.Store(math.Float64bits(at))
+			for _, way := range ways {
+				for _, g := range way.grids {
+					if err := g.Advance(at); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		for _, w := range watches {
+			local := w.streams[0]
+			if local == nil {
+				continue
+			}
+			var n int
+			for {
+				ev, err := local.Next(over)
+				if err != nil {
+					break
+				}
+				n++
+				digestEvent(t, &w.sums[0], round, ev)
+			}
+			end := local.Err()
+			if end != nil {
+				fmt.Fprintf(&w.sums[0], "end %s\n", gridmon.CodeOf(end))
+				w.streams[0] = nil
+			}
+			if w.streams[1] == nil {
+				continue
+			}
+			wait, done := context.WithTimeout(ctx, 10*time.Second)
+			for i := 0; i < n; i++ {
+				ev, err := w.streams[1].Next(wait)
+				if err != nil {
+					fmt.Fprintf(&w.sums[1], "end %s\n", gridmon.CodeOf(err))
+					w.streams[1] = nil
+					break
+				}
+				digestEvent(t, &w.sums[1], round, ev)
+			}
+			if end != nil && w.streams[1] != nil {
+				_, err := w.streams[1].Next(wait)
+				fmt.Fprintf(&w.sums[1], "end %s\n", gridmon.CodeOf(err))
+				w.streams[1] = nil
+			}
+			done()
+		}
+	}
+	var lines []string
+	for i, way := range ways {
+		for gi, g := range groups {
+			var sb strings.Builder
+			for _, w := range watches {
+				if w.group == gi {
+					sb.WriteString(w.sums[i].String())
+					sb.WriteString("--\n")
+				}
+			}
+			lines = append(lines, fmt.Sprintf("%s/%s %d %x", way.name, g.Name, len(g.Subs), sha256.Sum256([]byte(sb.String()))))
+		}
+	}
+	return lines
+}
+
+// digestEvent renders one event of round into sb.
+func digestEvent(t *testing.T, sb *strings.Builder, round int, ev gridmon.Event) {
+	t.Helper()
+	recs, err := json.Marshal(ev.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	work, err := json.Marshal(ev.Work)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(sb, "%d %s %s %s\n", round, ev.Kind, recs, work)
 }
