@@ -265,39 +265,26 @@ func MDSAnswer(out *Answer, entries []*ldap.Entry, attrs []string) {
 
 // RGMARecords decodes a relational result: one record per row, keyed by
 // position (SQL rows have no inherent identity), each column a field.
-func RGMARecords(res *relational.Result) []Record { return ResultRecords(res, nil) }
+func RGMARecords(res *relational.Result) []Record { return ResultRecords("", res, nil) }
 
 // ResultRecords is RGMARecords keeping only the columns attrs names (all
-// of them when attrs is empty).
-func ResultRecords(res *relational.Result, attrs []string) []Record {
+// of them when attrs is empty), each key prefixed by keyPrefix. A
+// continuous query's events prefix theirs with "producerID/", so a
+// subscriber can tell which producer streamed each row.
+func ResultRecords(keyPrefix string, res *relational.Result, attrs []string) []Record {
 	var a Answer
-	ResultAnswer(&a, res, attrs)
+	ResultAnswer(&a, keyPrefix, res, attrs)
 	return a.Records()
 }
 
 // ResultAnswer renders ResultRecords into out; a nil result is no
 // record slice. Nothing in out points into res.
-func ResultAnswer(out *Answer, res *relational.Result, attrs []string) {
+func ResultAnswer(out *Answer, keyPrefix string, res *relational.Result, attrs []string) {
 	if res == nil {
 		NoRecords(out)
 		return
 	}
-	rowAnswer(out, "", res.Columns, res.Rows, attrs)
-}
-
-// RowRecords decodes raw published rows (the R-GMA push path, where no
-// relational.Result exists) into records keyed by producer and position,
-// so a continuous query's deliveries identify which producer streamed
-// each row. Only the columns attrs names are decoded (all of them when
-// attrs is empty), so a buffered event holds no text it did not ask for.
-func RowRecords(producerID string, cols []relational.Column, rows [][]relational.Value, attrs []string) []Record {
-	names := make([]string, len(cols))
-	for i, col := range cols {
-		names[i] = col.Name
-	}
-	var a Answer
-	rowAnswer(&a, producerID+"/", names, rows, attrs)
-	return a.Records()
+	rowAnswer(out, keyPrefix, res.Columns, res.Rows, attrs)
 }
 
 // rowAnswer renders rows into out as records keyed keyPrefix +

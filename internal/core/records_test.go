@@ -79,13 +79,13 @@ func oracleRGMARecords(res *relational.Result) []Record {
 	return out
 }
 
-func oracleRowRecords(producerID string, cols []relational.Column, rows [][]relational.Value) []Record {
-	out := make([]Record, len(rows))
-	for i, row := range rows {
-		fields := make(map[string]string, len(cols))
-		for c, col := range cols {
+func oracleRowRecords(producerID string, res *relational.Result) []Record {
+	out := make([]Record, len(res.Rows))
+	for i, row := range res.Rows {
+		fields := make(map[string]string, len(res.Columns))
+		for c, col := range res.Columns {
 			if c < len(row) {
-				fields[col.Name] = oraclePlainValue(row[c])
+				fields[col] = oraclePlainValue(row[c])
 			}
 		}
 		out[i] = Record{Key: fmt.Sprintf("%s/row-%04d", producerID, i), Fields: fields}
@@ -273,18 +273,14 @@ func TestDecodersMatchOracles(t *testing.T) {
 
 		res := randomResult(rng, rng.Intn(40))
 		diff("RGMARecords", nil, RGMARecords(res), oracleRGMARecords(res))
-		cols := make([]relational.Column, len(res.Columns))
-		for i, c := range res.Columns {
-			cols[i] = relational.Column{Name: c}
-		}
-		diff("RowRecords", nil, RowRecords("lucky3-p0", cols, res.Rows, nil), oracleRowRecords("lucky3-p0", cols, res.Rows))
+		diff("ResultRecords(producer)", nil, ResultRecords("lucky3-p0/", res, nil), oracleRowRecords("lucky3-p0", res))
 
 		ads := randomAds(rng, rng.Intn(12))
 		diff("HawkeyeRecords", nil, HawkeyeRecords(ads), oracleHawkeyeRecords(ads))
 
 		for _, attrs := range projections {
-			diff("ResultRecords", attrs, ResultRecords(res, attrs), ProjectRecords(oracleRGMARecords(res), attrs))
-			diff("RowRecords", attrs, RowRecords("lucky3-p0", cols, res.Rows, attrs), ProjectRecords(oracleRowRecords("lucky3-p0", cols, res.Rows), attrs))
+			diff("ResultRecords", attrs, ResultRecords("", res, attrs), ProjectRecords(oracleRGMARecords(res), attrs))
+			diff("ResultRecords(producer)", attrs, ResultRecords("lucky3-p0/", res, attrs), ProjectRecords(oracleRowRecords("lucky3-p0", res), attrs))
 			diff("AdRecords", attrs, AdRecords(ads, attrs), ProjectRecords(oracleHawkeyeRecords(ads), attrs))
 		}
 	}
@@ -301,13 +297,13 @@ func TestAnswerScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	entries, res, ads := randomEntries(rng, 30), randomResult(rng, 40), randomAds(rng, 6)
 	renders := []func(*Answer){
-		func(a *Answer) { ResultAnswer(a, res, nil) },
+		func(a *Answer) { ResultAnswer(a, "", res, nil) },
 		func(a *Answer) { MDSAnswer(a, entries, nil) },
 		func(a *Answer) { AdAnswer(a, ads, nil) },
 		func(a *Answer) { MDSAnswer(a, entries[:3], []string{"objectclass"}) },
-		func(a *Answer) { ResultAnswer(a, nil, nil) },
+		func(a *Answer) { ResultAnswer(a, "", nil, nil) },
 		func(a *Answer) { AdvertisementAnswer(a, nil, nil) },
-		func(a *Answer) { ResultAnswer(a, res, []string{"host"}) },
+		func(a *Answer) { ResultAnswer(a, "", res, []string{"host"}) },
 	}
 	var scratch Answer
 	for i, render := range renders {
@@ -398,7 +394,7 @@ func BenchmarkRGMARecordsProjected(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchRecords = ResultRecords(res, attrs)
+		benchRecords = ResultRecords("", res, attrs)
 	}
 }
 

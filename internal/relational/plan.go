@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -9,6 +10,10 @@ import (
 )
 
 var errLikeNeedsStrings = errors.New("relational: LIKE needs strings")
+
+func errUnknownColumn(col string) error {
+	return fmt.Errorf("relational: unknown column %q", col)
+}
 
 func errBadOperator(op string) error {
 	return fmt.Errorf("relational: bad operator %q", op)
@@ -23,9 +28,9 @@ func errBadOperator(op string) error {
 //  2. Top-k selection: ORDER BY + LIMIT keeps a bounded heap instead of
 //     sorting every matched row.
 //
-// A plan runs over row sets held outside any table (RowsQuery, the R-GMA
-// servlets' path), where one plan and one Result serve every set a query
-// runs over.
+// A plan runs over row sets held outside any table (RowsQuery, the path
+// of the R-GMA servlets and of a continuous query over published rows),
+// where one plan and one Result serve every set a query runs over.
 //
 // Work accounting: RowsStats.Scanned always reports the logical scan
 // cost (the rows the naive executor examines — the quantity the testbed
@@ -37,68 +42,57 @@ func errBadOperator(op string) error {
 // compiledPred is a WHERE predicate with all column references resolved.
 type compiledPred func(row []Value) (bool, error)
 
-// compileBool compiles e against the schema. ok is false when a column
-// cannot be resolved; the caller must then fall back to the lazy Eval
-// path so unknown-column errors keep surfacing only when a row is
-// actually evaluated (e.g. never on an empty table).
-func compileBool(s *Schema, e BoolExpr) (compiledPred, bool) {
+// compileBool compiles e against the schema, and reports the first
+// column, in walk order, that the schema lacks ("" when every one
+// resolves). A comparison naming such a column compiles to one that
+// fails with the error Eval would, so a compiled WHERE fails on the same
+// row, with the same error, as Eval does: never on an empty set, and
+// never where AND or OR short-circuits past it.
+func compileBool(s *Schema, e BoolExpr) (compiledPred, string) {
 	switch e := e.(type) {
 	case andExpr:
-		l, ok := compileBool(s, e.l)
-		if !ok {
-			return nil, false
-		}
-		r, ok := compileBool(s, e.r)
-		if !ok {
-			return nil, false
-		}
+		l, lu := compileBool(s, e.l)
+		r, ru := compileBool(s, e.r)
 		return func(row []Value) (bool, error) {
 			lv, err := l(row)
 			if err != nil || !lv {
 				return false, err
 			}
 			return r(row)
-		}, true
+		}, cmp.Or(lu, ru)
 	case orExpr:
-		l, ok := compileBool(s, e.l)
-		if !ok {
-			return nil, false
-		}
-		r, ok := compileBool(s, e.r)
-		if !ok {
-			return nil, false
-		}
+		l, lu := compileBool(s, e.l)
+		r, ru := compileBool(s, e.r)
 		return func(row []Value) (bool, error) {
 			lv, err := l(row)
 			if err != nil || lv {
 				return lv, err
 			}
 			return r(row)
-		}, true
+		}, cmp.Or(lu, ru)
 	case notExpr:
-		x, ok := compileBool(s, e.x)
-		if !ok {
-			return nil, false
-		}
+		x, xu := compileBool(s, e.x)
 		return func(row []Value) (bool, error) {
 			xv, err := x(row)
 			return !xv, err
-		}, true
+		}, xu
 	case cmpExpr:
-		left, ok := compileOperand(s, e.left)
-		if !ok {
-			return nil, false
-		}
-		right, ok := compileOperand(s, e.right)
-		if !ok {
-			return nil, false
+		left, lok := compileOperand(s, e.left)
+		right, rok := compileOperand(s, e.right)
+		if !lok || !rok {
+			col := e.left.col
+			if lok {
+				col = e.right.col
+			}
+			err := errUnknownColumn(col)
+			return func([]Value) (bool, error) { return false, err }, col
 		}
 		op := e.op
 		return func(row []Value) (bool, error) {
 			return evalCmp(op, left(row), right(row))
-		}, true
+		}, ""
 	}
-	return nil, false
+	panic(fmt.Sprintf("relational: no compiled form of %T", e))
 }
 
 // compileOperand resolves an operand to a row accessor.
@@ -112,6 +106,23 @@ func compileOperand(s *Schema, o operand) (func(row []Value) Value, bool) {
 		return nil, false
 	}
 	return func(row []Value) Value { return row[ci] }, true
+}
+
+// Check reports the error every set with columns cols fails s with
+// once a row reaches the column: the first SELECT-list column cols
+// lack, else the first WHERE column they lack. nil means no column of
+// either is missing.
+func (s SelectStmt) Check(cols []Column) error {
+	sch := &Schema{Columns: cols}
+	if _, _, err := projectionPlan(sch, s); err != nil {
+		return err
+	}
+	if s.Where != nil {
+		if _, col := compileBool(sch, s.Where); col != "" {
+			return errUnknownColumn(col)
+		}
+	}
+	return nil
 }
 
 // evalCmp applies one comparison; it is the shared kernel of both
@@ -280,10 +291,9 @@ func provablyEmpty(s *Schema, where BoolExpr) bool {
 type selectPlan struct {
 	colIdx   []int
 	colNames []string
-	pred     compiledPred
-	compiled bool // pred is usable (all columns resolved)
-	empty    bool // provablyEmpty: no row need be read
-	oi       int  // ORDER BY column position; -1 when absent or unknown
+	pred     compiledPred // nil when there is no WHERE
+	empty    bool         // provablyEmpty: no row need be read
+	oi       int          // ORDER BY column position; -1 when absent or unknown
 }
 
 // newSelectPlan resolves s against sch. Projection errors surface here
@@ -298,7 +308,7 @@ func newSelectPlan(sch *Schema, s SelectStmt) (selectPlan, error) {
 	}
 	p := selectPlan{colIdx: colIdx, colNames: colNames, oi: -1}
 	if s.Where != nil {
-		p.pred, p.compiled = compileBool(sch, s.Where)
+		p.pred, _ = compileBool(sch, s.Where)
 		p.empty = provablyEmpty(sch, s.Where)
 	}
 	if s.OrderBy != "" {
@@ -417,13 +427,11 @@ func (q *RowsQuery) selectRows() (rows [][]Value, st RowsStats, err error) {
 }
 
 // match is selectRows' FROM/WHERE part: no row for a provably empty
-// WHERE, else the compiled scan, or the Eval scan when a column did not
-// resolve. The matched rows are in row order (and may be the table's own
-// rows, only read).
+// WHERE, else the compiled scan. The matched rows are in row order (and
+// may be the table's own rows, only read).
 func (p *selectPlan) match(t *Table, s SelectStmt, buf [][]Value) (matched, grown [][]Value, st RowsStats, err error) {
 	st.Scanned = len(t.rows)
-	where := s.Where
-	if where == nil {
+	if p.pred == nil {
 		if s.OrderBy == "" {
 			return t.rows, buf, st, nil // the projection only reads it
 		}
@@ -436,20 +444,8 @@ func (p *selectPlan) match(t *Table, s SelectStmt, buf [][]Value) (matched, grow
 		st.Indexed = true
 		return matched, matched, st, nil
 	}
-	var sch *Schema
-	if !p.compiled {
-		// A schema of its own: handing &t.Schema to an interface method
-		// would move every RowsQuery, which holds t, to the heap.
-		sch = &Schema{Columns: t.Schema.Columns}
-	}
 	for i, row := range t.rows {
-		var keep bool
-		var err error
-		if p.compiled {
-			keep, err = p.pred(row)
-		} else {
-			keep, err = where.Eval(sch, row)
-		}
+		keep, err := p.pred(row)
 		if err != nil {
 			return nil, matched, st, err
 		}

@@ -48,7 +48,7 @@ func (o operand) value(s *Schema, row []Value) (Value, error) {
 	}
 	ci := s.ColIndex(o.col)
 	if ci < 0 {
-		return Value{}, fmt.Errorf("relational: unknown column %q", o.col)
+		return Value{}, errUnknownColumn(o.col)
 	}
 	return row[ci], nil
 }

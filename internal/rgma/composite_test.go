@@ -134,44 +134,24 @@ func TestCompositeExcludesItself(t *testing.T) {
 	}
 }
 
-func TestSubscriptionDeliversMatchingRows(t *testing.T) {
-	p := NewProducer("p", "t", MonitoringSchema)
-	sel, err := relational.Parse("SELECT * FROM t WHERE value >= 50")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got [][]relational.Value
-	p.Subscribe(&Subscription{
-		ID:    "s1",
-		Where: sel.Where,
-		Deliver: func(producerID string, rows [][]relational.Value) {
-			if producerID != "p" {
-				t.Errorf("producer id = %q", producerID)
-			}
-			got = append(got, rows...)
-		},
-	})
-	p.Publish([][]relational.Value{
-		{relational.StrVal("h"), relational.StrVal("m"), relational.RealVal(75), relational.IntVal(1)},
-		{relational.StrVal("h"), relational.StrVal("m"), relational.RealVal(25), relational.IntVal(1)},
-		{relational.StrVal("h"), relational.StrVal("m"), relational.RealVal(90), relational.IntVal(1)},
-	})
-	if len(got) != 2 {
-		t.Fatalf("delivered %d rows, want 2 (value >= 50)", len(got))
-	}
-}
-
-func TestSubscriptionNilPredicateDeliversAll(t *testing.T) {
+// TestSubscriptionDeliversPublishedRows: the hub hands a subscriber
+// every published row, named by its producer; the subscriber runs its
+// own query over them.
+func TestSubscriptionDeliversPublishedRows(t *testing.T) {
 	p := NewProducer("p", "t", MonitoringSchema)
 	count := 0
-	p.Subscribe(&Subscription{ID: "all", Deliver: func(_ string, rows [][]relational.Value) {
+	p.Subscribe(&Subscription{ID: "all", Deliver: func(producerID string, rows [][]relational.Value) {
+		if producerID != "p" {
+			t.Errorf("producer id = %q", producerID)
+		}
 		count += len(rows)
 	}})
 	p.Publish([][]relational.Value{
-		{relational.StrVal("h"), relational.StrVal("m"), relational.RealVal(1), relational.IntVal(1)},
+		{relational.StrVal("h"), relational.StrVal("m"), relational.RealVal(75), relational.IntVal(1)},
+		{relational.StrVal("h"), relational.StrVal("m"), relational.RealVal(25), relational.IntVal(1)},
 	})
-	if count != 1 {
-		t.Fatalf("delivered %d", count)
+	if count != 2 {
+		t.Fatalf("delivered %d rows, want 2", count)
 	}
 }
 

@@ -9,18 +9,16 @@ import (
 // R-GMA supports both pull and push: "a user can subscribe to a flow of
 // data with specific properties directly from a data source" (the paper,
 // Sections 2.2 and 3.7). This file implements the push half: continuous
-// queries registered against producers, delivering matching rows as they
-// are published.
+// queries attached to producers, handed every row as it is published.
+// The query itself runs in the subscriber (the gridmon facade runs the
+// SELECT a query over the same rows runs).
 
-// Subscription is a continuous query over one table: whenever a
-// subscribed producer publishes rows, those matching the predicate are
-// delivered.
+// Subscription is a continuous query's attachment to producers:
+// whenever a subscribed producer publishes rows, they are delivered,
+// and the subscriber runs its query over them.
 type Subscription struct {
 	ID string
-	// Where filters rows (nil delivers everything). It is evaluated
-	// against the producer's schema.
-	Where relational.BoolExpr
-	// Deliver receives matching rows; it must not retain the slice.
+	// Deliver receives the published rows; it must not retain the slice.
 	Deliver func(producerID string, rows [][]relational.Value)
 }
 
@@ -71,29 +69,12 @@ func (p *Producer) Subscribers() int {
 	return len(p.hub.subs)
 }
 
-// publish routes newly published rows to subscribers.
+// publish fans newly published rows out to subscribers.
 func (p *Producer) publish(rows [][]relational.Value) {
 	if len(rows) == 0 {
 		return
 	}
-	subs := p.hub.snapshot()
-	if len(subs) == 0 {
-		return
-	}
-	schema := relational.Schema{Columns: p.schema}
-	for _, sub := range subs {
-		var matched [][]relational.Value
-		for _, row := range rows {
-			if sub.Where != nil {
-				ok, err := sub.Where.Eval(&schema, row)
-				if err != nil || !ok {
-					continue
-				}
-			}
-			matched = append(matched, row)
-		}
-		if len(matched) > 0 && sub.Deliver != nil {
-			sub.Deliver(p.ID, matched)
-		}
+	for _, sub := range p.hub.snapshot() {
+		sub.Deliver(p.ID, rows)
 	}
 }

@@ -382,7 +382,7 @@ func (g *Grid) readRGMA(ctx context.Context, role Role, q Query, out *core.Answe
 	rq := rowsQueries.Get().(*relational.RowsQuery)
 	res, st, err := g.selectRGMA(ctx, role, q, rq)
 	if err == nil {
-		core.ResultAnswer(out, res, q.Attrs)
+		core.ResultAnswer(out, "", res, q.Attrs)
 	}
 	rq.Reset()
 	rowsQueries.Put(rq)

@@ -28,11 +28,14 @@ import (
 //	         the watcher polls the GRIS/GIIS on the grid clock and
 //	         emits Put/Delete events for differences (MDS has no
 //	         native push).
-//	R-GMA    a SQL SELECT whose FROM names the table and whose WHERE
-//	         clause becomes the continuous-query predicate evaluated
-//	         against every published row (the select list is ignored —
-//	         use Attrs to project). Empty subscribes to every row of
-//	         "siteinfo".
+//	R-GMA    a SQL SELECT run over every batch a producer of its FROM
+//	         table publishes, exactly as a query over that producer's
+//	         rows runs it: the WHERE selects rows, the select list
+//	         projects them (then Attrs). Subscribe refuses ORDER BY and
+//	         LIMIT (ErrBadRequest: a stream has no order) and a column
+//	         a producer lacks (ErrExec, as the query fails); an error
+//	         evaluating a batch ends the stream with the query's error.
+//	         Empty subscribes to every row of "siteinfo".
 //	Hawkeye  a ClassAd constraint installed as a Trigger ClassAd's
 //	         Requirements; matchmaking fires a Trigger event per
 //	         matching Startd ad, at subscribe time for the current pool
@@ -148,56 +151,66 @@ func (g *Grid) Subscribe(ctx context.Context, sub Subscription) (*Stream, error)
 
 // subscribeRGMA attaches a continuous query to producer hubs — the
 // paper's "subscribe to a flow of data with specific properties directly
-// from a data source". Callers hold g.mu.
+// from a data source". Each published batch is answered as a query over
+// the batch's producer alone would answer it: the same prepared SELECT,
+// run on the query path's scratch and rendered by its row renderer.
+// Callers hold g.mu.
 func (g *Grid) subscribeRGMA(st *Stream, sub Subscription, id string) (func(), error) {
 	if sub.Role != "" && sub.Role != RoleInformationServer {
 		return nil, transport.Errf(transport.CodeBadRequest,
 			"R-GMA subscriptions stream directly from producers (role %q or empty), not %q",
 			RoleInformationServer, sub.Role)
 	}
-	table := "siteinfo"
-	var where relational.BoolExpr
-	if sub.Expr != "" {
-		sel, err := relational.Parse(sub.Expr)
-		if err != nil {
-			return nil, transport.Errf(transport.CodeParse, "R-GMA subscription: %v", err)
-		}
-		table = sel.Table
-		where = sel.Where
+	sel, err := g.selectStmt(sub.Expr, "siteinfo")
+	if err != nil {
+		return nil, transport.Errf(transport.CodeParse, "R-GMA subscription: %v", err)
 	}
-	servlets := make([]*rgma.ProducerServlet, 0, len(g.cfg.hosts))
+	if sel.OrderBy != "" || sel.Limit > 0 {
+		return nil, transport.Errf(transport.CodeBadRequest,
+			"R-GMA subscription: a stream has no order to apply ORDER BY or LIMIT to")
+	}
+	hosts := g.cfg.hosts
 	if sub.Host != "" {
-		ps, ok := g.servlets[sub.Host]
-		if !ok {
+		if _, ok := g.servlets[sub.Host]; !ok {
 			return nil, transport.Errf(transport.CodeBadRequest,
 				"unknown host %q (monitored hosts: %v)", sub.Host, g.cfg.hosts)
 		}
-		servlets = append(servlets, ps)
-	} else {
-		for _, h := range g.cfg.hosts {
-			servlets = append(servlets, g.servlets[h])
-		}
+		hosts = []string{sub.Host}
 	}
-	schemas := make(map[string][]relational.Column)
-	var producers []*rgma.Producer
-	for _, ps := range servlets {
-		for _, p := range ps.Producers() {
-			if strings.EqualFold(p.Table, table) { // as a servlet matches a query's table
-				producers = append(producers, p)
-				schemas[p.ID] = p.Schema()
+	producers := make(map[string]*rgma.Producer)
+	for _, h := range hosts {
+		for _, p := range g.servlets[h].Producers() {
+			if strings.EqualFold(p.Table, sel.Table) { // as a servlet matches a query's table
+				// A column the producer lacks fails every query of it.
+				if err := sel.Check(p.Schema()); err != nil {
+					return nil, transport.AsError(err)
+				}
+				producers[p.ID] = p
 			}
 		}
 	}
 	if len(producers) == 0 {
 		return nil, transport.Errf(transport.CodeBadRequest,
-			"no producer of table %q to subscribe to", table)
+			"no producer of table %q to subscribe to", sel.Table)
 	}
 	rsub := &rgma.Subscription{
-		ID:    id,
-		Where: where,
+		ID: id,
 		Deliver: func(producerID string, rows [][]relational.Value) {
-			records := core.RowRecords(producerID, schemas[producerID], rows, sub.Attrs)
-			st.send(g.clock(), EventPut, records, Work{RecordsReturned: len(records)})
+			p := producers[producerID]
+			rq := rowsQueries.Get().(*relational.RowsQuery)
+			rq.Select = sel
+			_, err := rq.Run(p.Table, p.Schema(), [][][]relational.Value{rows})
+			if res := rq.Result(); err == nil && res != nil && len(res.Rows) > 0 {
+				records := core.ResultRecords(producerID+"/", res, sub.Attrs)
+				st.send(g.clock(), EventPut, records, Work{RecordsReturned: len(records)})
+			}
+			rq.Reset()
+			rowsQueries.Put(rq)
+			if err != nil {
+				// The query over these rows fails; so does the stream,
+				// after the events it already buffered.
+				st.terminate(transport.AsError(err))
+			}
 		},
 	}
 	for _, p := range producers {
