@@ -149,6 +149,9 @@ func TestBackoffDeterminism(t *testing.T) {
 // TestAdmissionGate covers the gate's shed decisions directly: fast
 // path, no-queue shed, full-queue shed, queue-timeout shed, and a ctx
 // expiring mid-wait reporting as the ctx's error rather than a shed.
+// A shed's wall-clock bound (< 1ms) is asserted only under
+// GRIDMON_WALLCLOCK=1 (wallclockBounds): a busy 2-core machine
+// overran it.
 func TestAdmissionGate(t *testing.T) {
 	leakcheck.Check(t)
 	ctx := context.Background()
@@ -181,7 +184,7 @@ func TestAdmissionGate(t *testing.T) {
 		if !errors.Is(err, ErrOverloaded) {
 			t.Fatalf("over-limit acquire: %v, want ErrOverloaded", err)
 		}
-		if fastFail > time.Millisecond {
+		if wallclockBounds() && fastFail > time.Millisecond {
 			t.Errorf("shed took %v, want < 1ms", fastFail)
 		}
 		if st := c.snapshot(); st.Shed != 1 {
@@ -207,7 +210,7 @@ func TestAdmissionGate(t *testing.T) {
 		if !errors.Is(err, ErrOverloaded) {
 			t.Fatalf("past-queue acquire: %v, want ErrOverloaded", err)
 		}
-		if fastFail > time.Millisecond {
+		if wallclockBounds() && fastFail > time.Millisecond {
 			t.Errorf("shed took %v, want < 1ms", fastFail)
 		}
 		// Freeing the slot admits the queued waiter.
