@@ -139,9 +139,11 @@ func WithWallClock() Option {
 // cached answer is never older than both ttl and the last monitoring
 // round.
 //
-// Cached records are shared between hits: callers must treat returned
-// ResultSet records as read-only (the transport server, which only
-// encodes them, always may cache).
+// Only in-process hits share records: a Query hit returns the Records
+// its entry decoded once, so callers must treat returned ResultSet
+// records as read-only. A served hit (Grid.AppendQuery, which the
+// transport server answers grid.query with) appends the bytes its entry
+// owns and builds no Records.
 func WithQueryCache(ttl time.Duration) Option {
 	return func(c *config) error {
 		if ttl <= 0 {
