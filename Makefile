@@ -56,12 +56,15 @@ race:
 # TestRequestStringsShareOwnedCopies) and the scratch every served query
 # borrows coming back empty (TestLentListComesBackEmpty,
 # TestArenaRenderComesBackEmpty, TestSearchScratchComesBackEmpty,
-# TestAdvertListComesBackEmpty, TestConstraintScratchComesBackEmpty).
+# TestAdvertListComesBackEmpty, TestConstraintScratchComesBackEmpty),
+# and R-GMA subscriptions answering each published batch as the query
+# does (TestContinuousQueryMatchesQuery: deliveries run on the query
+# path's scratch, inside whatever refreshes the sensors).
 # The all-misses scratch case then runs 25 more times: its frames hold
 # only if no query reads an answer stored by one that started with or
 # after it (queryCache.lookup's rule).
 stress:
-	$(GO) test -race -count=2 -run 'Concurrent|QueryCache|Memo|Scratch|RequestStrings|ComesBackEmpty' .
+	$(GO) test -race -count=2 -run 'Concurrent|QueryCache|Memo|Scratch|RequestStrings|ComesBackEmpty|ContinuousQuery' .
 	$(GO) test -race -count=2 -run 'ComesBackEmpty' ./internal/core ./internal/ldap ./internal/rgma ./internal/hawkeye
 	$(GO) test -race -count=25 -run 'TestV3ScratchFrames/cache-misses' .
 
@@ -155,7 +158,10 @@ bench-smoke:
 # allocation), the ProducerServlet answering from its producers' rows
 # (what the scratch-table body it replaced answers, for any SQL), and
 # the -shards flag parser (never a panic; an accepted map renders back
-# to one that parses equal) — eighteen targets.
+# to one that parses equal), and an R-GMA subscription's SELECT (its
+# events are ScanSelect's answer over each published batch, or it fails
+# with the code Grid.Query fails with, FuzzContinuousSelect) — nineteen
+# targets.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) .
@@ -176,3 +182,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseAd$$' -fuzztime $(FUZZTIME) ./internal/classad
 	$(GO) test -run '^$$' -fuzz '^FuzzServletSelect$$' -fuzztime $(FUZZTIME) ./internal/rgma
 	$(GO) test -run '^$$' -fuzz '^FuzzShardMap$$' -fuzztime $(FUZZTIME) ./internal/federation
+	$(GO) test -run '^$$' -fuzz '^FuzzContinuousSelect$$' -fuzztime $(FUZZTIME) .
