@@ -73,6 +73,14 @@ var selectCorpus = []string{
 	"SELECT * FROM siteinfo WHERE value LIKE 'x%'", // LIKE on REAL
 	"SELECT * FROM siteinfo WHERE host = 'h03' AND value LIKE 'x%'",
 	"SELECT * FROM siteinfo WHERE slot = 99 AND value LIKE 'x%'", // empty eq bucket + erroring conjunct
+	// An unknown column fails only where a row reaches it.
+	"SELECT * FROM siteinfo WHERE 1 = nosuch",
+	"SELECT * FROM siteinfo WHERE NOT nosuch = 1",
+	"SELECT * FROM siteinfo WHERE host = 'none' AND nosuch = 1", // never reached
+	"SELECT * FROM siteinfo WHERE host LIKE 'h%' OR nosuch = 1", // never reached
+	"SELECT * FROM siteinfo WHERE host = 'h03' AND nosuch = 1",
+	"SELECT * FROM siteinfo WHERE nosuch = 1 AND value LIKE 'x%'", // the first error wins
+	"SELECT * FROM siteinfo WHERE value LIKE 'x%' AND nosuch = 1",
 }
 
 func resultString(r *Result) string {
@@ -119,6 +127,36 @@ func TestSelectDifferential(t *testing.T) {
 		tbl := randomTable(rand.New(rand.NewSource(seed)), 150)
 		for _, src := range selectCorpus {
 			assertSameSelect(t, tbl, src)
+		}
+	}
+	// No row reaches any column: nothing fails.
+	empty := randomTable(rand.New(rand.NewSource(0)), 0)
+	for _, src := range selectCorpus {
+		assertSameSelect(t, empty, src)
+	}
+}
+
+// TestSelectCheck: Check reports the first SELECT-list column, else the
+// first WHERE column, that a column set lacks, with the error a query
+// fails with once a row reaches it, even where no row would.
+func TestSelectCheck(t *testing.T) {
+	cols := randomTable(rand.New(rand.NewSource(0)), 0).Schema.Columns
+	for src, want := range map[string]string{
+		"SELECT host, value FROM siteinfo WHERE host = 'h03' AND NOT value >= 5":  "",
+		"SELECT nosuch FROM siteinfo WHERE other = 1":                             `relational: no column "nosuch" in "siteinfo"`,
+		"SELECT * FROM siteinfo WHERE host = 'none' AND (value > 1 OR 1 = other)": `relational: unknown column "other"`,
+		"SELECT * FROM siteinfo WHERE NOT a = b":                                  `relational: unknown column "a"`,
+	} {
+		sel, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ""
+		if err := sel.Check(cols); err != nil {
+			got = err.Error()
+		}
+		if got != want {
+			t.Errorf("%q: Check = %q, want %q", src, got, want)
 		}
 	}
 }
