@@ -38,11 +38,9 @@
 // become a gridmon.Subscription (with -interval as the MDS watcher's
 // poll cadence) and events print as they stream, one block (or one JSON
 // line) per event, until interrupted. The server's -advance loop paces
-// delivery. An R-GMA watch runs its whole SELECT over each batch a
-// producer publishes, as a grid.query over those rows would: the select
-// list projects, then attrs. ORDER BY, LIMIT and a column the producers
-// lack are refused when the watch starts; an error evaluating a batch
-// ends the watch with the query's error.
+// delivery. An R-GMA watch runs its whole SELECT over each published
+// batch as grid.query would; ORDER BY, LIMIT and unknown columns are
+// refused at the start, and an evaluation error ends the watch.
 //
 // The connection is the resilient client gridmon.DialWith builds:
 // -retries re-issues a failed idempotent call that many extra times

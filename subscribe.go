@@ -28,14 +28,13 @@ import (
 //	         the watcher polls the GRIS/GIIS on the grid clock and
 //	         emits Put/Delete events for differences (MDS has no
 //	         native push).
-//	R-GMA    a SQL SELECT run over every batch a producer of its FROM
-//	         table publishes, exactly as a query over that producer's
-//	         rows runs it: the WHERE selects rows, the select list
-//	         projects them (then Attrs). Subscribe refuses ORDER BY and
-//	         LIMIT (ErrBadRequest: a stream has no order) and a column
-//	         a producer lacks (ErrExec, as the query fails); an error
-//	         evaluating a batch ends the stream with the query's error.
-//	         Empty subscribes to every row of "siteinfo".
+//	R-GMA    a SQL SELECT run whole over each batch a producer of its
+//	         FROM table publishes, as a query over those rows runs it
+//	         (the select list projects, then Attrs). Subscribe refuses
+//	         ORDER BY and LIMIT (ErrBadRequest) and a column a producer
+//	         lacks (ErrExec); an error evaluating a batch ends the
+//	         stream with the query's error. Empty subscribes to every
+//	         row of "siteinfo".
 //	Hawkeye  a ClassAd constraint installed as a Trigger ClassAd's
 //	         Requirements; matchmaking fires a Trigger event per
 //	         matching Startd ad, at subscribe time for the current pool
