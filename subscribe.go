@@ -199,7 +199,7 @@ func (g *Grid) subscribeRGMA(st *Stream, sub Subscription, id string) (func(), e
 			rq := rowsQueries.Get().(*relational.RowsQuery)
 			rq.Select = sel
 			_, err := rq.Run(p.Table, p.Schema(), [][][]relational.Value{rows})
-			if res := rq.Result(); err == nil && res != nil && len(res.Rows) > 0 {
+			if res := rq.Result(); err == nil && len(res.Rows) > 0 {
 				records := core.ResultRecords(producerID+"/", res, sub.Attrs)
 				st.send(g.clock(), EventPut, records, Work{RecordsReturned: len(records)})
 			}
