@@ -57,9 +57,10 @@ race:
 # borrows coming back empty (TestLentListComesBackEmpty,
 # TestArenaRenderComesBackEmpty, TestSearchScratchComesBackEmpty,
 # TestAdvertListComesBackEmpty, TestConstraintScratchComesBackEmpty),
-# and R-GMA subscriptions answering each published batch as the query
-# does (TestContinuousQueryMatchesQuery: deliveries run on the query
-# path's scratch, inside whatever refreshes the sensors).
+# and subscriptions answering as the query does in all three systems
+# (TestContinuousQueryMatchesQuery and FuzzContinuousQuery's seeds: R-GMA
+# deliveries run on the query path's scratch, inside whatever refreshes
+# the sensors; MDS polls run on it under Advance's lock).
 # The all-misses scratch case then runs 25 more times: its frames hold
 # only if no query reads an answer stored by one that started with or
 # after it (queryCache.lookup's rule).
@@ -158,10 +159,12 @@ bench-smoke:
 # allocation), the ProducerServlet answering from its producers' rows
 # (what the scratch-table body it replaced answers, for any SQL), and
 # the -shards flag parser (never a panic; an accepted map renders back
-# to one that parses equal), and an R-GMA subscription's SELECT (its
-# events are ScanSelect's answer over each published batch, or it fails
-# with the code Grid.Query fails with, FuzzContinuousSelect) — nineteen
-# targets.
+# to one that parses equal), and a subscription in any of the three
+# dialects (an MDS watcher holds what Grid.Query answers after each
+# poll, a Hawkeye trigger fires for what the Manager query answers and
+# matchmaking accepts, an R-GMA stream is ScanSelect's answer over each
+# published batch; a refusal carries the code Grid.Query fails with,
+# FuzzContinuousQuery) — nineteen targets.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) .
@@ -182,4 +185,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseAd$$' -fuzztime $(FUZZTIME) ./internal/classad
 	$(GO) test -run '^$$' -fuzz '^FuzzServletSelect$$' -fuzztime $(FUZZTIME) ./internal/rgma
 	$(GO) test -run '^$$' -fuzz '^FuzzShardMap$$' -fuzztime $(FUZZTIME) ./internal/federation
-	$(GO) test -run '^$$' -fuzz '^FuzzContinuousSelect$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzContinuousQuery$$' -fuzztime $(FUZZTIME) .

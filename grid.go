@@ -331,17 +331,17 @@ func (g *Grid) advertiseLocked(now float64) error {
 // every push path (live servers call it from a background loop; tests
 // and simulations step it explicitly):
 //
-//   - MDS: every active poll-and-diff watcher whose interval elapsed
-//     re-queries its GRIS/GIIS and emits Put/Delete events for the
-//     differences.
+//   - MDS: every watcher whose interval elapsed runs its query on the
+//     query's path and emits Put/Delete events for the records whose
+//     bytes differ from its previous poll's.
 //   - R-GMA: every producer's sensor regenerates its rows, streaming
 //     them through the producer hub to continuous queries (Put events).
 //   - Hawkeye: every agent advertises a fresh Startd ad; Manager
 //     matchmaking fires matching triggers (Trigger events).
 //
-// Events are stamped with the grid clock, so configure the clock (see
-// WithClock) to track the times passed here. Advance is safe for
-// concurrent use with Query and Subscribe.
+// Events are stamped with the grid clock, and the engines read it, so
+// configure the clock (see WithClock) to track the times passed here.
+// Advance is safe for concurrent use with Query and Subscribe.
 func (g *Grid) Advance(now float64) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -25,15 +25,6 @@ type Trigger struct {
 	compiled *classad.CompiledMatch
 }
 
-// matches runs the trigger's matchmaking against a Startd ClassAd,
-// compiling on first use for triggers constructed outside SubmitTrigger.
-func (tr *Trigger) matches(ad *classad.Ad) bool {
-	if tr.compiled == nil {
-		tr.compiled = classad.CompileMatch(tr.Ad)
-	}
-	return tr.compiled.Matches(ad)
-}
-
 // Manager is the head computer of a Hawkeye Pool: it collects Startd
 // ClassAds from registered Agents into an indexed resident database,
 // answers status queries about pool members, and performs ClassAd
@@ -138,7 +129,7 @@ func (m *Manager) Update(now float64, ad *classad.Ad) (int, error) {
 	rec.expires = now + m.AdLifetime
 	var firings []firing
 	for _, tr := range m.triggers {
-		if tr.matches(ad) {
+		if tr.compiled.Matches(ad) {
 			firings = append(firings, firing{tr: tr, machine: name, ad: ad})
 		}
 	}
@@ -217,7 +208,7 @@ func (m *Manager) SubmitTrigger(now float64, tr *Trigger) int {
 	var firings []firing
 	for _, key := range m.order {
 		rec := m.ads[key]
-		if tr.matches(rec.ad) {
+		if tr.compiled.Matches(rec.ad) {
 			firings = append(firings, firing{tr: tr, machine: rec.name, ad: rec.ad})
 		}
 	}

@@ -36,14 +36,16 @@ func hostDN(host string) ldap.DN {
 	return SuffixDN.Child("Mds-Host-hn", host)
 }
 
-// deviceEntry creates one provider output entry under the host.
-func deviceEntry(host, class, device string, attrs map[string]string) *ldap.Entry {
+// deviceEntry creates one provider output entry under the host, its
+// attributes set in the order given: pairs holds name, value, name,
+// value, … so an entry's byte order is the same on every run.
+func deviceEntry(host, class, device string, pairs ...string) *ldap.Entry {
 	dn := hostDN(host).Child("Mds-Device-Group-name", device)
 	e := ldap.NewEntry(dn)
 	e.Set("objectclass", class)
 	e.Set("Mds-Device-Group-name", device)
-	for k, v := range attrs {
-		e.Set(k, v)
+	for i := 0; i+1 < len(pairs); i += 2 {
+		e.Set(pairs[i], pairs[i+1])
 	}
 	return e
 }
@@ -61,75 +63,75 @@ func DefaultProviders() []*Provider {
 	}
 	return []*Provider{
 		mk("cpu", func(host string, now float64) []*ldap.Entry {
-			return []*ldap.Entry{deviceEntry(host, "MdsCpu", "cpu", map[string]string{
-				"Mds-Cpu-Total-count":   "2",
-				"Mds-Cpu-speedMHz":      "1133",
-				"Mds-Cpu-Free-1minX100": fmtF(50 + 40*pseudo(now, host, 1)),
-				"Mds-Cpu-Free-5minX100": fmtF(50 + 30*pseudo(now, host, 2)),
-				"Mds-Cpu-vendor":        "Intel",
-				"Mds-Cpu-model":         "Pentium III",
-				"Mds-Cpu-Cache-l2kB":    "512",
-			})}
+			return []*ldap.Entry{deviceEntry(host, "MdsCpu", "cpu",
+				"Mds-Cpu-Total-count", "2",
+				"Mds-Cpu-speedMHz", "1133",
+				"Mds-Cpu-Free-1minX100", fmtF(50+40*pseudo(now, host, 1)),
+				"Mds-Cpu-Free-5minX100", fmtF(50+30*pseudo(now, host, 2)),
+				"Mds-Cpu-vendor", "Intel",
+				"Mds-Cpu-model", "Pentium III",
+				"Mds-Cpu-Cache-l2kB", "512",
+			)}
 		}),
 		mk("memory", func(host string, now float64) []*ldap.Entry {
-			return []*ldap.Entry{deviceEntry(host, "MdsMemoryRam", "memory", map[string]string{
-				"Mds-Memory-Ram-Total-sizeMB": "512",
-				"Mds-Memory-Ram-freeMB":       fmtF(100 + 300*pseudo(now, host, 3)),
-				"Mds-Memory-Vm-Total-sizeMB":  "1024",
-				"Mds-Memory-Vm-freeMB":        fmtF(500 + 400*pseudo(now, host, 4)),
-			})}
+			return []*ldap.Entry{deviceEntry(host, "MdsMemoryRam", "memory",
+				"Mds-Memory-Ram-Total-sizeMB", "512",
+				"Mds-Memory-Ram-freeMB", fmtF(100+300*pseudo(now, host, 3)),
+				"Mds-Memory-Vm-Total-sizeMB", "1024",
+				"Mds-Memory-Vm-freeMB", fmtF(500+400*pseudo(now, host, 4)),
+			)}
 		}),
 		mk("filesystem", func(host string, now float64) []*ldap.Entry {
 			var out []*ldap.Entry
 			for _, fs := range []string{"root", "scratch"} {
-				out = append(out, deviceEntry(host, "MdsFilesystem", "fs-"+fs, map[string]string{
-					"Mds-Fs-Total-sizeMB": "40000",
-					"Mds-Fs-freeMB":       fmtF(10000 + 20000*pseudo(now, host+fs, 5)),
-					"Mds-Fs-mount":        "/" + fs,
-				}))
+				out = append(out, deviceEntry(host, "MdsFilesystem", "fs-"+fs,
+					"Mds-Fs-Total-sizeMB", "40000",
+					"Mds-Fs-freeMB", fmtF(10000+20000*pseudo(now, host+fs, 5)),
+					"Mds-Fs-mount", "/"+fs,
+				))
 			}
 			return out
 		}),
 		mk("os", func(host string, now float64) []*ldap.Entry {
-			return []*ldap.Entry{deviceEntry(host, "MdsOs", "os", map[string]string{
-				"Mds-Os-name":    "Linux",
-				"Mds-Os-release": "2.4.10",
-			})}
+			return []*ldap.Entry{deviceEntry(host, "MdsOs", "os",
+				"Mds-Os-name", "Linux",
+				"Mds-Os-release", "2.4.10",
+			)}
 		}),
 		mk("net", func(host string, now float64) []*ldap.Entry {
-			return []*ldap.Entry{deviceEntry(host, "MdsNet", "eth0", map[string]string{
-				"Mds-Net-Total-count": "1",
-				"Mds-Net-name":        "eth0",
-				"Mds-Net-speedMbps":   "100",
-			})}
+			return []*ldap.Entry{deviceEntry(host, "MdsNet", "eth0",
+				"Mds-Net-Total-count", "1",
+				"Mds-Net-name", "eth0",
+				"Mds-Net-speedMbps", "100",
+			)}
 		}),
 		mk("host", func(host string, now float64) []*ldap.Entry {
-			return []*ldap.Entry{deviceEntry(host, "MdsHost", "hostinfo", map[string]string{
-				"Mds-Host-hn": host,
-			})}
+			return []*ldap.Entry{deviceEntry(host, "MdsHost", "hostinfo",
+				"Mds-Host-hn", host,
+			)}
 		}),
 		mk("queue", func(host string, now float64) []*ldap.Entry {
-			return []*ldap.Entry{deviceEntry(host, "MdsGramJobQueue", "jobqueue", map[string]string{
-				"Mds-Gram-Job-Queue-maxcount": "64",
-				"Mds-Gram-Job-Queue-jobcount": fmt.Sprintf("%d", int(10*pseudo(now, host, 6))),
-			})}
+			return []*ldap.Entry{deviceEntry(host, "MdsGramJobQueue", "jobqueue",
+				"Mds-Gram-Job-Queue-maxcount", "64",
+				"Mds-Gram-Job-Queue-jobcount", fmt.Sprintf("%d", int(10*pseudo(now, host, 6))),
+			)}
 		}),
 		mk("software", func(host string, now float64) []*ldap.Entry {
-			return []*ldap.Entry{deviceEntry(host, "MdsSoftwareDeployment", "globus", map[string]string{
-				"Mds-Software-deployment": "globus-2.2",
-			})}
+			return []*ldap.Entry{deviceEntry(host, "MdsSoftwareDeployment", "globus",
+				"Mds-Software-deployment", "globus-2.2",
+			)}
 		}),
 		mk("loadavg", func(host string, now float64) []*ldap.Entry {
-			return []*ldap.Entry{deviceEntry(host, "MdsHostLoad", "load", map[string]string{
-				"Mds-Load-1min":  fmtF(2 * pseudo(now, host, 7)),
-				"Mds-Load-5min":  fmtF(2 * pseudo(now, host, 8)),
-				"Mds-Load-15min": fmtF(2 * pseudo(now, host, 9)),
-			})}
+			return []*ldap.Entry{deviceEntry(host, "MdsHostLoad", "load",
+				"Mds-Load-1min", fmtF(2*pseudo(now, host, 7)),
+				"Mds-Load-5min", fmtF(2*pseudo(now, host, 8)),
+				"Mds-Load-15min", fmtF(2*pseudo(now, host, 9)),
+			)}
 		}),
 		mk("users", func(host string, now float64) []*ldap.Entry {
-			return []*ldap.Entry{deviceEntry(host, "MdsUsers", "users", map[string]string{
-				"Mds-Users-count": fmt.Sprintf("%d", 1+int(5*pseudo(now, host, 10))),
-			})}
+			return []*ldap.Entry{deviceEntry(host, "MdsUsers", "users",
+				"Mds-Users-count", fmt.Sprintf("%d", 1+int(5*pseudo(now, host, 10))),
+			)}
 		}),
 	}
 }
@@ -145,12 +147,12 @@ func MemoryProviderCopies(n int) []*Provider {
 			Name:       fmt.Sprintf("memory-%02d", i),
 			ForkWeight: 1.0,
 			Generate: func(host string, now float64) []*ldap.Entry {
-				return []*ldap.Entry{deviceEntry(host, "MdsMemoryRam", fmt.Sprintf("memory-%02d", i), map[string]string{
-					"Mds-Memory-Ram-Total-sizeMB": "512",
-					"Mds-Memory-Ram-freeMB":       fmtF(100 + 300*pseudo(now, host, uint64(20+i))),
-					"Mds-Memory-Vm-Total-sizeMB":  "1024",
-					"Mds-Memory-Vm-freeMB":        fmtF(500 + 400*pseudo(now, host, uint64(120+i))),
-				})}
+				return []*ldap.Entry{deviceEntry(host, "MdsMemoryRam", fmt.Sprintf("memory-%02d", i),
+					"Mds-Memory-Ram-Total-sizeMB", "512",
+					"Mds-Memory-Ram-freeMB", fmtF(100+300*pseudo(now, host, uint64(20+i))),
+					"Mds-Memory-Vm-Total-sizeMB", "1024",
+					"Mds-Memory-Vm-freeMB", fmtF(500+400*pseudo(now, host, uint64(120+i))),
+				)}
 			},
 		})
 	}

@@ -122,6 +122,13 @@ func (cp *CompositeProducer) Query(now float64, sql string) (*relational.Result,
 	return cp.query(now, &relational.RowsQuery{Select: sel}, err)
 }
 
+// Refuse fails a statement that did not parse with err, as Query does:
+// after the refresh it would have made, whose failure comes first.
+func (cp *CompositeProducer) Refuse(now float64, err error) (QueryStats, error) {
+	_, st, err := cp.query(now, nil, err)
+	return st, err
+}
+
 // QueryInto is Query answering q's already-parsed Select on q, whose
 // scratch the caller may reuse: the Result is q's (see
 // RowsQuery.Result).

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/binenc"
+	"repro/internal/transport"
 )
 
 // exprMemo remembers what each query expression parsed to, so a Grid
@@ -54,29 +55,33 @@ const (
 )
 
 // memoParse returns what parse makes of expr, parsing it only when the
-// memo does not hold it yet.
-func memoParse[T any](m *exprMemo, system System, expr string, parse func(string) (T, error)) (T, error) {
-	if len(expr) > maxMemoExpr {
-		return parse(expr)
+// memo does not hold it yet; an empty expr is the zero T. Text that does
+// not parse fails with ErrParse prefixed by what, query or subscription.
+func memoParse[T any](m *exprMemo, system System, what, expr string, parse func(string) (T, error)) (t T, err error) {
+	if expr == "" {
+		return t, nil
 	}
-	key := memoKey{system, expr}
-	m.mu.RLock()
-	v, ok := m.parsed[key]
-	m.mu.RUnlock()
-	if ok {
-		return v.(T), nil
+	key, keep := memoKey{system, expr}, len(expr) <= maxMemoExpr
+	if keep {
+		m.mu.RLock()
+		v, ok := m.parsed[key]
+		m.mu.RUnlock()
+		if ok {
+			return v.(T), nil
+		}
+		key.expr = strings.Clone(expr)
 	}
-	key.expr = strings.Clone(expr)
-	t, err := parse(key.expr)
-	if err != nil {
-		return t, err
+	if t, err = parse(key.expr); err != nil {
+		return t, transport.Errf(transport.CodeParse, "%s: %v", what, err)
 	}
-	m.mu.Lock()
-	if m.parsed == nil || len(m.parsed) >= maxMemoEntries {
-		m.parsed = make(map[memoKey]any)
+	if keep {
+		m.mu.Lock()
+		if m.parsed == nil || len(m.parsed) >= maxMemoEntries {
+			m.parsed = make(map[memoKey]any)
+		}
+		m.parsed[key] = t
+		m.mu.Unlock()
 	}
-	m.parsed[key] = t
-	m.mu.Unlock()
 	return t, nil
 }
 

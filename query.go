@@ -98,8 +98,11 @@ func CodeOf(err error) ErrorCode { return transport.ErrorCode(err) }
 // Query answers q against the grid's own components at the clock's
 // current time. The returned ResultSet carries the decoded records, the
 // Work the serving component performed, and the elapsed wall time.
-// Failures carry structured codes (see CodeOf): ErrParse for a bad
-// Expr, ErrBadRequest for a bad target, ErrUnavailable for a system not
+// Failures carry structured codes (see CodeOf), one code per failure,
+// the code Subscribe gives the same failure: ErrParse for an Expr that
+// does not parse in any system, ErrBadRequest for a bad target or role,
+// ErrExec for what fails in the engine (an R-GMA table no producer
+// serves, a column its producers lack), ErrUnavailable for a system not
 // deployed here, ErrDeadline when ctx expires first.
 //
 // The context is honored during execution, not just at the edges: the
@@ -301,13 +304,9 @@ func (g *Grid) engineNow(ctx context.Context) (float64, error) {
 }
 
 func (g *Grid) readMDS(ctx context.Context, role Role, q Query, out *core.Answer) (Work, error) {
-	var filter ldap.Filter
-	if q.Expr != "" {
-		var err error
-		filter, err = memoParse(&g.memo, MDS, q.Expr, ldap.ParseFilter)
-		if err != nil {
-			return Work{}, transport.Errf(transport.CodeParse, "MDS filter: %v", err)
-		}
+	filter, err := memoParse(&g.memo, MDS, "MDS filter", q.Expr, ldap.ParseFilter)
+	if err != nil {
+		return Work{}, err
 	}
 	switch role {
 	case RoleInformationServer:
@@ -394,11 +393,11 @@ func (g *Grid) readRGMA(ctx context.Context, role Role, q Query, out *core.Answe
 
 // selectRGMA runs an R-GMA SELECT on rq. SQL is parsed where the engine
 // would parse it, so the checks ahead of it come first: a host-targeted
-// query checks its host and ctx, the aggregate role refreshes the
-// composite, and a bad SELECT fails with the engine's own error
-// (ErrExec). An empty Expr selects the whole table, and an empty Host on
-// the information-server role goes through the mediating ConsumerServlet
-// instead of one servlet.
+// query checks its host and ctx, and the aggregate role refreshes the
+// composite. A SELECT that does not parse fails with ErrParse, as a bad
+// Expr does in every system. An empty Expr selects the whole table, and
+// an empty Host on the information-server role goes through the
+// mediating ConsumerServlet instead of one servlet.
 func (g *Grid) selectRGMA(ctx context.Context, role Role, q Query, rq *relational.RowsQuery) (*relational.Result, rgma.QueryStats, error) {
 	var err error
 	switch role {
@@ -429,9 +428,9 @@ func (g *Grid) selectRGMA(ctx context.Context, role Role, q Query, rq *relationa
 			return nil, rgma.QueryStats{}, err
 		}
 		if rq.Select, err = g.selectStmt(q.Expr, g.composite.Table); err != nil {
-			// A bad statement still costs the composite its refresh: the
-			// string form fails it after the refresh, as it always has.
-			return g.composite.Query(now, q.Expr)
+			// A bad statement still costs the composite its refresh.
+			st, err := g.composite.Refuse(now, err)
+			return nil, st, err
 		}
 		return g.composite.QueryInto(now, rq)
 	}
@@ -442,24 +441,17 @@ func (g *Grid) selectRGMA(ctx context.Context, role Role, q Query, rq *relationa
 // per Grid, so its plan is compiled once too; an empty expr is "SELECT *
 // FROM table", planned per query.
 func (g *Grid) selectStmt(expr, table string) (relational.SelectStmt, error) {
-	if expr == "" {
-		return relational.SelectStmt{Table: table}, nil
-	}
-	p, err := memoParse(&g.memo, RGMA, expr, relational.Prepare)
-	if err != nil {
-		return relational.SelectStmt{}, err
+	p, err := memoParse(&g.memo, RGMA, "R-GMA SELECT", expr, relational.Prepare)
+	if p == nil { // an empty expr, or one that does not parse
+		return relational.SelectStmt{Table: table}, err
 	}
 	return p.Select, nil
 }
 
 func (g *Grid) readHawkeye(ctx context.Context, role Role, q Query, out *core.Answer) (Work, error) {
-	var constraint classad.Expr
-	if q.Expr != "" {
-		var err error
-		constraint, err = memoParse(&g.memo, Hawkeye, q.Expr, classad.ParseExpr)
-		if err != nil {
-			return Work{}, transport.Errf(transport.CodeParse, "Hawkeye constraint: %v", err)
-		}
+	constraint, err := memoParse(&g.memo, Hawkeye, "Hawkeye constraint", q.Expr, classad.ParseExpr)
+	if err != nil {
+		return Work{}, err
 	}
 	switch role {
 	case RoleInformationServer:

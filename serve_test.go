@@ -124,7 +124,7 @@ func TestLiveErrorCodes(t *testing.T) {
 		code ErrorCode
 	}{
 		{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: "1 +"}, ErrParse},
-		{Query{System: RGMA, Expr: "DELETE FROM siteinfo"}, ErrExec},
+		{Query{System: RGMA, Expr: "DELETE FROM siteinfo"}, ErrParse},
 		{Query{System: RGMA, Host: "nope"}, ErrBadRequest},
 		{Query{System: Hawkeye}, ErrBadRequest},
 		{Query{System: Hawkeye, Host: "nope"}, ErrBadRequest},

@@ -10,10 +10,10 @@ import (
 // EventKind classifies what a stream event reports.
 type EventKind string
 
-// The event kinds. Put carries new or changed records, Delete carries
-// the keys of records that vanished (MDS watchers only — the poll-and-
-// diff detects disappearance), and Trigger carries the record that
-// matched a Hawkeye trigger constraint.
+// The event kinds. Put carries new or changed records, Delete the keys
+// of records that vanished (MDS watchers only: each poll's answer is
+// diffed with the last one on its records' bytes), and Trigger the
+// record that matched a Hawkeye trigger constraint.
 const (
 	EventPut     EventKind = "put"
 	EventDelete  EventKind = "delete"

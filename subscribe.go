@@ -1,12 +1,13 @@
 package gridmon
 
 import (
+	"bytes"
 	"context"
 	"fmt"
-	"maps"
-	"sort"
+	"slices"
 	"strings"
 
+	"repro/internal/binenc"
 	"repro/internal/classad"
 	"repro/internal/core"
 	"repro/internal/hawkeye"
@@ -24,10 +25,12 @@ import (
 //
 // Expr is interpreted per system:
 //
-//	MDS      an RFC 1960 LDAP filter selecting the entries to watch;
-//	         the watcher polls the GRIS/GIIS on the grid clock and
-//	         emits Put/Delete events for differences (MDS has no
-//	         native push).
+//	MDS      an RFC 1960 LDAP filter. MDS has no native push, so at each
+//	         due Advance a watcher runs the Query of the same Role, Host,
+//	         Expr and Attrs on the query's path and diffs its records'
+//	         bytes with the previous poll's: Put carries the new or
+//	         changed records, Delete the keys that vanished, so the
+//	         records put and not deleted are what the query answered.
 //	R-GMA    a SQL SELECT run whole over each batch a producer of its
 //	         FROM table publishes, as a query over those rows runs it
 //	         (the select list projects, then Attrs). Subscribe refuses
@@ -35,10 +38,16 @@ import (
 //	         lacks (ErrExec); an error evaluating a batch ends the
 //	         stream with the query's error. Empty subscribes to every
 //	         row of "siteinfo".
-//	Hawkeye  a ClassAd constraint installed as a Trigger ClassAd's
-//	         Requirements; matchmaking fires a Trigger event per
-//	         matching Startd ad, at subscribe time for the current pool
-//	         and then on every advertisement. Empty matches every ad.
+//	Hawkeye  a ClassAd constraint, shared through the memo with Manager
+//	         queries, installed as a Trigger ClassAd's Requirements. At
+//	         subscribe time and on every advertisement, symmetric
+//	         matchmaking (Raman, Livny and Solomon, HPDC 1998) fires a
+//	         Trigger event for machine m exactly when m's ad is in the
+//	         Manager query's answer for Expr and m's own Requirements
+//	         accepts the trigger ad, except where Expr reads Requirements
+//	         from its own ad (Requirements, MY.Requirements: the
+//	         trigger's there, none in the query) or is a non-zero number
+//	         (true to matchmaking, not to the query). Empty matches all.
 type Subscription struct {
 	// System selects MDS, RGMA or Hawkeye.
 	System System `json:"system"`
@@ -81,10 +90,11 @@ var (
 // Subscribe opens a typed event stream for sub against the grid's own
 // components. Events flow when the grid's push paths run — Advance
 // drives all three systems; R-GMA rows also stream when queries refresh
-// sensors, and Hawkeye triggers also fire on Advertise. Setup failures
-// carry the same structured codes as Query: ErrParse for a bad Expr,
-// ErrBadRequest for a bad target or role, ErrUnavailable for a system
-// not deployed here.
+// sensors, and Hawkeye triggers also fire on Advertise. A setup failure
+// carries the code Query gives the same failure: ErrParse for a bad
+// Expr, ErrBadRequest for a bad target or role, ErrExec for an R-GMA
+// table no producer serves or a column its producers lack,
+// ErrUnavailable for a system not deployed here.
 //
 // Cancelling ctx (or calling Stream.Close) detaches the subscription
 // from its sources; Next then drains the buffered events and returns the
@@ -121,7 +131,7 @@ func (g *Grid) Subscribe(ctx context.Context, sub Subscription) (*Stream, error)
 	case Hawkeye:
 		detach, err = g.subscribeHawkeye(st, sub, id)
 	default:
-		detach, err = g.subscribeMDS(st, sub, id)
+		detach, err = g.subscribeMDS(st, sub)
 	}
 	g.mu.Unlock()
 	if err != nil {
@@ -160,14 +170,6 @@ func (g *Grid) subscribeRGMA(st *Stream, sub Subscription, id string) (func(), e
 			"R-GMA subscriptions stream directly from producers (role %q or empty), not %q",
 			RoleInformationServer, sub.Role)
 	}
-	sel, err := g.selectStmt(sub.Expr, "siteinfo")
-	if err != nil {
-		return nil, transport.Errf(transport.CodeParse, "R-GMA subscription: %v", err)
-	}
-	if sel.OrderBy != "" || sel.Limit > 0 {
-		return nil, transport.Errf(transport.CodeBadRequest,
-			"R-GMA subscription: a stream has no order to apply ORDER BY or LIMIT to")
-	}
 	hosts := g.cfg.hosts
 	if sub.Host != "" {
 		if _, ok := g.servlets[sub.Host]; !ok {
@@ -175,6 +177,10 @@ func (g *Grid) subscribeRGMA(st *Stream, sub Subscription, id string) (func(), e
 				"unknown host %q (monitored hosts: %v)", sub.Host, g.cfg.hosts)
 		}
 		hosts = []string{sub.Host}
+	}
+	sel, err := g.selectStmt(sub.Expr, "siteinfo")
+	if err != nil {
+		return nil, err
 	}
 	producers := make(map[string]*rgma.Producer)
 	for _, h := range hosts {
@@ -189,8 +195,14 @@ func (g *Grid) subscribeRGMA(st *Stream, sub Subscription, id string) (func(), e
 		}
 	}
 	if len(producers) == 0 {
-		return nil, transport.Errf(transport.CodeBadRequest,
+		// As the query fails: which tables are served can change.
+		return nil, transport.Errf(transport.CodeExec,
 			"no producer of table %q to subscribe to", sel.Table)
+	}
+	// Refused only where the query answers.
+	if sel.OrderBy != "" || sel.Limit > 0 {
+		return nil, transport.Errf(transport.CodeBadRequest,
+			"R-GMA subscription: a stream has no order to apply ORDER BY or LIMIT to")
 	}
 	rsub := &rgma.Subscription{
 		ID: id,
@@ -223,10 +235,14 @@ func (g *Grid) subscribeRGMA(st *Stream, sub Subscription, id string) (func(), e
 }
 
 // subscribeHawkeye surfaces Manager trigger matchmaking as events: the
-// subscription's Expr becomes a Trigger ClassAd's Requirements, fired
-// against the current pool immediately and then on every advertisement.
+// memo's constraint for Expr becomes a Trigger ClassAd's Requirements,
+// fired against the current pool now and on every advertisement.
 // Callers hold g.mu.
 func (g *Grid) subscribeHawkeye(st *Stream, sub Subscription, id string) (func(), error) {
+	constraint, err := memoParse(&g.memo, Hawkeye, "Hawkeye constraint", sub.Expr, classad.ParseExpr)
+	if err != nil {
+		return nil, err
+	}
 	if sub.Role != "" && sub.Role != RoleAggregateServer {
 		return nil, transport.Errf(transport.CodeBadRequest,
 			"Hawkeye subscriptions run trigger matchmaking in the Manager (role %q or empty), not %q",
@@ -239,11 +255,7 @@ func (g *Grid) subscribeHawkeye(st *Stream, sub Subscription, id string) (func()
 		}
 	}
 	ad := classad.NewAd()
-	if sub.Expr != "" {
-		constraint, err := classad.ParseExpr(sub.Expr)
-		if err != nil {
-			return nil, transport.Errf(transport.CodeParse, "Hawkeye trigger constraint: %v", err)
-		}
+	if constraint != nil {
 		ad.Set(classad.AttrRequirements, constraint)
 	}
 	tr := &hawkeye.Trigger{
@@ -255,134 +267,117 @@ func (g *Grid) subscribeHawkeye(st *Stream, sub Subscription, id string) (func()
 			}
 			records := core.AdRecords([]*classad.Ad{matched}, sub.Attrs)
 			st.send(g.clock(), EventTrigger, records,
-				Work{RecordsReturned: 1, ResponseBytes: matched.SizeBytes()})
+				Work{RecordsVisited: 1, RecordsReturned: 1, ResponseBytes: matched.SizeBytes()})
 		},
 	}
 	g.manager.SubmitTrigger(g.clock(), tr)
 	return func() { g.manager.RemoveTrigger(id) }, nil
 }
 
-// mdsWatcher is the poll-and-diff source that gives MDS — which has no
-// native push — the same Subscription surface as the other systems: at
-// each due Advance it re-queries its GRIS/GIIS and emits Put events for
-// new or changed entries and Delete events for vanished ones.
+// mdsWatcher is the poll-and-diff source that gives MDS, which has no
+// native push, the Subscription surface: each due poll runs q through
+// g.read into one of the two answers the watcher owns, and is diffed
+// with the other, the previous poll, on each record's bytes.
 type mdsWatcher struct {
-	id       string
 	st       *Stream
-	poll     func(now float64) ([]Record, Work, error)
+	q        Query // the poll, its Role resolved
 	interval float64
 	nextPoll float64
-	last     map[string]Record
+	cur      core.Answer
+	prev     core.Answer // the previous poll; nil Enc before the first
 }
 
-// mdsRecords decodes a watcher's poll, projected onto attrs.
-func mdsRecords(entries []*ldap.Entry, attrs []string) []Record {
-	var a core.Answer
-	core.MDSAnswer(&a, entries, attrs)
-	return a.Records()
-}
-
-// subscribeMDS installs a poll-and-diff watcher. Callers hold g.mu.
-func (g *Grid) subscribeMDS(st *Stream, sub Subscription, id string) (func(), error) {
-	var filter ldap.Filter
-	if sub.Expr != "" {
-		var err error
-		filter, err = ldap.ParseFilter(sub.Expr)
-		if err != nil {
-			return nil, transport.Errf(transport.CodeParse, "MDS filter: %v", err)
-		}
+// subscribeMDS installs a watcher, refusing before any poll what its
+// query would fail on, and a role other than the GRIS's or the GIIS's
+// aggregate. Callers hold g.mu.
+func (g *Grid) subscribeMDS(st *Stream, sub Subscription) (func(), error) {
+	q := Query{System: MDS, Role: sub.Role, Host: sub.Host, Expr: sub.Expr, Attrs: sub.Attrs}
+	if _, err := memoParse(&g.memo, MDS, "MDS filter", q.Expr, ldap.ParseFilter); err != nil {
+		return nil, err
 	}
-	role := sub.Role
-	if role == "" {
-		if sub.Host != "" {
-			role = RoleInformationServer
-		} else {
-			role = RoleAggregateServer
-		}
-	}
-	// The poll is built here, so a bad target fails the Subscribe call,
-	// not the first Advance after it.
-	var poll func(now float64) ([]Record, Work, error)
-	switch role {
-	case RoleInformationServer:
-		gris, err := g.gris(sub.Host)
-		if err != nil {
+	switch {
+	case q.Role == RoleAggregateServer, q.Role == "" && q.Host == "":
+		q.Role = RoleAggregateServer
+	case q.Role == RoleInformationServer, q.Role == "":
+		q.Role = RoleInformationServer
+		if _, err := g.gris(q.Host); err != nil {
 			return nil, err
-		}
-		poll = func(now float64) ([]Record, Work, error) {
-			entries, st := gris.Query(now, filter, sub.Attrs)
-			return mdsRecords(entries, sub.Attrs), core.MDSWork(st), nil
-		}
-	case RoleAggregateServer:
-		poll = func(now float64) ([]Record, Work, error) {
-			entries, st, err := g.giis.Query(now, filter, sub.Attrs)
-			return mdsRecords(entries, sub.Attrs), core.MDSWork(st), err
 		}
 	default:
 		return nil, transport.Errf(transport.CodeBadRequest,
 			"MDS subscriptions watch the GRIS or GIIS (role %q, %q or empty), not %q",
-			RoleInformationServer, RoleAggregateServer, role)
+			RoleInformationServer, RoleAggregateServer, q.Role)
 	}
-	w := &mdsWatcher{id: id, st: st, poll: poll, interval: sub.PollEvery}
+	w := &mdsWatcher{st: st, q: q, interval: sub.PollEvery}
 	g.watchers = append(g.watchers, w)
-	return func() {
-		for i, cand := range g.watchers {
-			if cand == w {
-				g.watchers = append(g.watchers[:i], g.watchers[i+1:]...)
-				return
-			}
-		}
-	}, nil
+	return func() { g.watchers = slices.DeleteFunc(g.watchers, func(c *mdsWatcher) bool { return c == w }) }, nil
 }
 
-// pollWatchersLocked runs every due MDS watcher at time now. Callers
-// hold g.mu.
+// pollWatchersLocked runs every due MDS watcher at time now, through
+// g.read, past admission, the result cache and Stats. Callers hold g.mu.
 func (g *Grid) pollWatchersLocked(now float64) {
 	for _, w := range g.watchers {
-		if w.st.Err() != nil || (w.last != nil && now < w.nextPoll) {
+		if w.st.Err() != nil || (w.prev.Enc != nil && now < w.nextPoll) {
 			continue
 		}
 		w.nextPoll = now + w.interval
-		recs, work, err := w.poll(now)
+		//gridmon:nolint ctxflow poll root: Advance takes no ctx, and a watch ends by its stream, not by a deadline
+		work, err := g.read(context.Background(), w.q, w.q.Role, &w.cur)
 		if err != nil {
-			// The source failed; the watch cannot continue honestly. The
-			// subscriber sees the buffered events, then the error.
+			// The subscriber sees the buffered events, then the error.
 			w.st.terminate(transport.AsError(err))
 			continue
 		}
-		puts, dels := diffRecords(w.last, recs)
-		if len(puts) > 0 {
-			w.st.send(g.clock(), EventPut, puts, work)
-		}
-		if len(dels) > 0 {
-			w.st.send(g.clock(), EventDelete, dels, Work{RecordsReturned: len(dels)})
-		}
-		last := make(map[string]Record, len(recs))
-		for _, r := range recs {
-			last[r.Key] = r
-		}
-		w.last = last
+		w.diff(g.clock(), work)
+		w.prev, w.cur = w.cur, w.prev
 	}
 }
 
-// diffRecords compares a previous snapshot with the current one: puts
-// are new or changed records, dels carry the keys that vanished. Both
-// are sorted by key so event order is deterministic.
-func diffRecords(last map[string]Record, cur []Record) (puts, dels []Record) {
-	seen := make(map[string]bool, len(cur))
+// diff sends what changed from w.prev to w.cur, each sorted by key: a
+// Put event with the records new or whose bytes differ, then a Delete
+// event with the keys that vanished (an answer holds a DN once). Only
+// what a Put sends is decoded, from a section written over w.prev.
+func (w *mdsWatcher) diff(now float64, work Work) {
+	prevList, curList := mergeScratch.Get().(*[]wireRecord), mergeScratch.Get().(*[]wireRecord)
+	prev, cur := recordsByKey(w.prev.Enc, *prevList), recordsByKey(w.cur.Enc, *curList)
+	var dels []Record
+	puts, i := cur[:0], 0 // puts is written over the records walked
 	for _, r := range cur {
-		seen[r.Key] = true
-		prev, ok := last[r.Key]
-		if !ok || !maps.Equal(prev.Fields, r.Fields) {
-			puts = append(puts, r)
+		for ; i < len(prev) && bytes.Compare(prev[i].key, r.key) < 0; i++ {
+			dels = append(dels, Record{Key: string(prev[i].key)})
 		}
-	}
-	for key := range last {
-		if !seen[key] {
-			dels = append(dels, Record{Key: key})
+		if i < len(prev) && bytes.Equal(prev[i].key, r.key) {
+			i++
+			if bytes.Equal(prev[i-1].enc, r.enc) {
+				continue
+			}
 		}
+		puts = append(puts, r)
 	}
-	sort.Slice(puts, func(i, j int) bool { return puts[i].Key < puts[j].Key })
-	sort.Slice(dels, func(i, j int) bool { return dels[i].Key < dels[j].Key })
-	return puts, dels
+	for ; i < len(prev); i++ {
+		dels = append(dels, Record{Key: string(prev[i].key)})
+	}
+	if len(puts) > 0 {
+		section := binenc.AppendUvarint(w.prev.Enc[:0], uint64(len(puts))+1)
+		for _, r := range puts {
+			section = append(section, r.enc...)
+		}
+		w.prev.Enc = section
+		d := binenc.NewDecText(section)
+		w.st.send(now, EventPut, core.DecodeRecords(&d), work)
+	}
+	if len(dels) > 0 {
+		w.st.send(now, EventDelete, dels, Work{RecordsReturned: len(dels)})
+	}
+	giveBack(&mergeScratch, prevList, prev)
+	giveBack(&mergeScratch, curList, cur)
+}
+
+// recordsByKey appends to list the records of the record section enc,
+// sorted by key.
+func recordsByKey(enc []byte, list []wireRecord) []wireRecord {
+	d := binenc.NewDec(enc)
+	scanRecords(&d, enc, &list)
+	slices.SortFunc(list, func(a, b wireRecord) int { return bytes.Compare(a.key, b.key) })
+	return list
 }

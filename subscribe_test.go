@@ -1,6 +1,7 @@
 package gridmon
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -406,74 +407,94 @@ func TestRemoteSubscribeCancel(t *testing.T) {
 	}
 }
 
-// TestSubscribeErrorEquivalence: setup failures carry the same
-// structured code in-process and over TCP.
-func TestSubscribeErrorEquivalence(t *testing.T) {
+// TestDiffRecords: the MDS watcher's diff classifies new, changed and
+// vanished records by their bytes, each sorted by key.
+func TestDiffRecords(t *testing.T) {
 	leakcheck.Check(t)
-	local, _ := steppedGrid(t, WithSystems(RGMA, Hawkeye))
-	served, _ := steppedGrid(t, WithSystems(RGMA, Hawkeye))
-	remote := serveGrid(t, served)
-	ctx := context.Background()
-
-	cases := []struct {
-		name string
-		sub  Subscription
-		code ErrorCode
-	}{
-		{"unknown system", Subscription{System: "AFS"}, ErrBadRequest},
-		{"disabled system", Subscription{System: MDS}, ErrUnavailable},
-		{"bad sql", Subscription{System: RGMA, Expr: "SELEKT broken"}, ErrParse},
-		{"unknown rgma host", Subscription{System: RGMA, Host: "nope"}, ErrBadRequest},
-		{"unknown rgma table", Subscription{System: RGMA, Expr: "SELECT * FROM nosuch"}, ErrBadRequest},
-		{"bad rgma role", Subscription{System: RGMA, Role: RoleDirectoryServer}, ErrBadRequest},
-		{"bad constraint", Subscription{System: Hawkeye, Expr: "TARGET.&&"}, ErrParse},
-		{"unknown hawkeye host", Subscription{System: Hawkeye, Host: "nope"}, ErrBadRequest},
-		{"bad hawkeye role", Subscription{System: Hawkeye, Role: RoleDirectoryServer}, ErrBadRequest},
-	}
-	for _, tc := range cases {
-		if _, err := local.Subscribe(ctx, tc.sub); err == nil || CodeOf(err) != tc.code {
-			t.Errorf("%s in-process: err = %v, want code %s", tc.name, err, tc.code)
-		}
-		if _, err := remote.Subscribe(ctx, tc.sub); err == nil || CodeOf(err) != tc.code {
-			t.Errorf("%s over TCP: err = %v, want code %s", tc.name, err, tc.code)
+	rec := func(key, v string) Record { return Record{Key: key, Fields: map[string]string{"v": v}} }
+	w := &mdsWatcher{st: newStream(Subscription{}, 8)}
+	over, stop := context.WithCancel(context.Background())
+	stop()
+	poll := func(recs ...Record) (events []Event) {
+		w.cur.Enc = core.AppendRecords(w.cur.Enc[:0], recs)
+		w.diff(1, Work{RecordsVisited: 9})
+		w.prev, w.cur = w.cur, w.prev
+		for {
+			ev, err := w.st.Next(over)
+			if err != nil {
+				return events
+			}
+			events = append(events, Event{Kind: ev.Kind, Records: ev.Records, Work: ev.Work})
 		}
 	}
-
-	// An already-canceled ctx is a setup failure on both sides too.
-	dead, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := local.Subscribe(dead, Subscription{System: RGMA}); CodeOf(err) != ErrCanceled {
-		t.Errorf("canceled ctx in-process: err = %v, want canceled", err)
+	want := []Event{{Kind: EventPut, Records: []Record{rec("a", "1"), rec("b", "2"), rec("c", "3")}, Work: Work{RecordsVisited: 9}}}
+	if got := poll(rec("c", "3"), rec("a", "1"), rec("b", "2")); !reflect.DeepEqual(got, want) {
+		t.Errorf("first poll: %+v, want %+v", got, want)
 	}
-	if _, err := remote.Subscribe(dead, Subscription{System: RGMA}); CodeOf(err) != ErrCanceled {
-		t.Errorf("canceled ctx over TCP: err = %v, want canceled", err)
+	want = []Event{
+		{Kind: EventPut, Records: []Record{rec("b", "99"), rec("d", "4")}, Work: Work{RecordsVisited: 9}},
+		{Kind: EventDelete, Records: []Record{{Key: "a"}}, Work: Work{RecordsReturned: 1}},
+	}
+	if got := poll(rec("d", "4"), rec("c", "3"), rec("b", "99")); !reflect.DeepEqual(got, want) {
+		t.Errorf("second poll: %+v, want changed b and new d, then vanished a", got)
+	}
+	if got := poll(rec("b", "99"), rec("c", "3"), rec("d", "4")); len(got) != 0 {
+		t.Errorf("unchanged poll: %+v, want no events", got)
 	}
 }
 
-// TestDiffRecords: the MDS watcher's diff classifies new, changed and
-// vanished records deterministically.
-func TestDiffRecords(t *testing.T) {
-	leakcheck.Check(t)
-	last := map[string]Record{
-		"a": {Key: "a", Fields: map[string]string{"v": "1"}},
-		"b": {Key: "b", Fields: map[string]string{"v": "2"}},
-		"c": {Key: "c", Fields: map[string]string{"v": "3"}},
+// TestMDSReplyBytesAreStable: two freshly built grids serve the MDS
+// cells of allocBudgetCells byte for byte alike, Elapsed aside. The MDS
+// watcher diffs records on their bytes, so an entry whose attribute
+// order changed from one provider run to the next would be sent as
+// changed.
+func TestMDSReplyBytesAreStable(t *testing.T) {
+	a, b := newTestGrid(t), newTestGrid(t)
+	for _, cell := range allocBudgetCells {
+		if cell.q.System != MDS {
+			continue
+		}
+		var replies [2][]byte
+		for i, g := range []*Grid{a, b} {
+			reply, err := g.AppendQuery(context.Background(), cell.q, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", cellName(cell.q), err)
+			}
+			replies[i] = StampElapsed(reply, 0, 0)
+		}
+		if !bytes.Equal(replies[0], replies[1]) {
+			t.Errorf("%s: two grids serve different bytes", cellName(cell.q))
+		}
 	}
-	cur := []Record{
-		{Key: "c", Fields: map[string]string{"v": "3"}},  // unchanged
-		{Key: "b", Fields: map[string]string{"v": "99"}}, // changed
-		{Key: "d", Fields: map[string]string{"v": "4"}},  // new
+}
+
+// TestMDSPollAllocs: a due poll of an MDS watcher over a GRIS whose data
+// has not changed allocates nothing: the query renders into the answer
+// the watcher owns, and the diff walks pooled scratch and sends nothing.
+func TestMDSPollAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops entries at random, so counts are not repeatable")
 	}
-	puts, dels := diffRecords(last, cur)
-	if len(puts) != 2 || puts[0].Key != "b" || puts[1].Key != "d" {
-		t.Errorf("puts = %+v, want changed b then new d", puts)
+	grid, now := steppedGrid(t, WithSystems(MDS))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st, err := grid.Subscribe(ctx, Subscription{System: MDS, Host: "lucky4", Expr: "(objectclass=*)"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(dels) != 1 || dels[0].Key != "a" {
-		t.Errorf("dels = %+v, want vanished a", dels)
+	*now = 5
+	poll := func() {
+		grid.mu.Lock()
+		grid.pollWatchersLocked(*now)
+		grid.mu.Unlock()
 	}
-	puts, dels = diffRecords(nil, cur)
-	if len(puts) != 3 || len(dels) != 0 {
-		t.Errorf("initial snapshot: puts=%d dels=%d, want 3, 0", len(puts), len(dels))
+	poll()
+	collectEvents(t, st, 1)
+	if allocs := testing.AllocsPerRun(100, poll); allocs != 0 {
+		t.Errorf("a due poll over an unchanged GRIS: %.0f allocs, want 0", allocs)
+	}
+	if st.Dropped() != 0 || len(st.ch) != 0 {
+		t.Errorf("an unchanged GRIS sent events: %d buffered, %d dropped", len(st.ch), st.Dropped())
 	}
 }
 

@@ -201,6 +201,27 @@ func scanWireReply(body []byte, recs *[]wireRecord) (r wireReply, err error) {
 	d.Bytes() // System
 	d.Bytes() // Role
 	d.Bytes() // Host
+	scanRecords(&d, body, recs)
+	decodeWireWorkInto(&d, &r.work)
+	r.elapsed = len(body) - d.Len()
+	d.Varint()
+	r.tail = len(body) - d.Len()
+	d.Byte()
+	nb := d.Count(d.Uvarint(), 4) // a branch is a shard varint and three length bytes at least
+	for i := 0; i < nb; i++ {
+		d.Varint()
+		d.Bytes()
+		d.Bytes()
+		d.Bytes()
+	}
+	r.end = len(body) - d.Len()
+	return r, d.Err()
+}
+
+// scanRecords reads past the record section at d, which reads body, as
+// core.DecodeRecords decodes it. When recs is not nil, each record is
+// appended to *recs.
+func scanRecords(d *binenc.Dec, body []byte, recs *[]wireRecord) {
 	if n1 := d.Uvarint(); n1 > 0 {
 		n := d.Count(n1-1, 2) // a record is its key's length byte and its field count at least
 		for i := 0; i < n; i++ {
@@ -216,20 +237,6 @@ func scanWireReply(body []byte, recs *[]wireRecord) (r wireReply, err error) {
 			}
 		}
 	}
-	decodeWireWorkInto(&d, &r.work)
-	r.elapsed = len(body) - d.Len()
-	d.Varint()
-	r.tail = len(body) - d.Len()
-	d.Byte()
-	nb := d.Count(d.Uvarint(), 4) // a branch is a shard varint and three length bytes at least
-	for i := 0; i < nb; i++ {
-		d.Varint()
-		d.Bytes()
-		d.Bytes()
-		d.Bytes()
-	}
-	r.end = len(body) - d.Len()
-	return r, d.Err()
 }
 
 // DecodeReply decodes a grid.query reply body, as AppendQuery appends
@@ -294,9 +301,7 @@ func MergeReplies(dst []byte, q Query, bodies [][]byte, failed []BranchError, el
 		}
 		dst = appendWireTail(dst, &rs)
 	}
-	clear(recs)
-	*scratch = recs[:0]
-	mergeScratch.Put(scratch)
+	giveBack(&mergeScratch, scratch, recs)
 	return dst, err
 }
 

@@ -85,8 +85,7 @@ func TestWireHugeCountIsBadRequest(t *testing.T) {
 // levels deep fits in one frame and, before the parsers bounded their
 // recursion, overflowed the goroutine stack — a fatal error, not a
 // panic, so one grid.query killed the server. Each system's parser must
-// refuse it with the code its parse errors carry (a SQL error surfaces
-// from inside the mediator, as exec), and the server must keep serving
+// refuse it with the code parse errors carry, and the server must keep serving
 // on the same connection. A flat chain (a=1 OR a=1 OR …) is parsed in a
 // loop but builds one tree level per link, which compiling and
 // evaluating it recurse through, so it is held to the same bound: 1,000
@@ -103,11 +102,11 @@ func TestWireDeepNestingIsParseError(t *testing.T) {
 		code transport.Code
 	}{
 		{Query{System: MDS, Role: RoleAggregateServer, Expr: strings.Repeat("(&", 4<<20)}, transport.CodeParse},
-		{Query{System: RGMA, Expr: "SELECT * FROM siteinfo WHERE " + strings.Repeat("(", 4<<20) + "value > 1"}, transport.CodeExec},
+		{Query{System: RGMA, Expr: "SELECT * FROM siteinfo WHERE " + strings.Repeat("(", 4<<20) + "value > 1"}, transport.CodeParse},
 		// The ClassAd lexer reads all of an expression before parsing,
 		// so this one is smaller: 64 Ki levels would parse unbounded.
 		{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: strings.Repeat("(", 64<<10) + "true" + strings.Repeat(")", 64<<10)}, transport.CodeParse},
-		{Query{System: RGMA, Expr: sqlChain(1001)}, transport.CodeExec},
+		{Query{System: RGMA, Expr: sqlChain(1001)}, transport.CodeParse},
 		{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: adChain(1001)}, transport.CodeParse},
 	} {
 		_, err := remote.Query(ctx, tc.q)
