@@ -336,7 +336,7 @@ func (g *Grid) pollWatchersLocked(now float64) {
 // diff sends what changed from w.prev to w.cur, each sorted by key: a
 // Put event with the records new or whose bytes differ, then a Delete
 // event with the keys that vanished (an answer holds a DN once). Only
-// what a Put sends is decoded, from a section written over w.prev.
+// what a Put sends is decoded.
 func (w *mdsWatcher) diff(now float64, work Work) {
 	prevList, curList := mergeScratch.Get().(*[]wireRecord), mergeScratch.Get().(*[]wireRecord)
 	prev, cur := recordsByKey(w.prev.Enc, *prevList), recordsByKey(w.cur.Enc, *curList)
@@ -358,11 +358,10 @@ func (w *mdsWatcher) diff(now float64, work Work) {
 		dels = append(dels, Record{Key: string(prev[i].key)})
 	}
 	if len(puts) > 0 {
-		section := binenc.AppendUvarint(w.prev.Enc[:0], uint64(len(puts))+1)
+		section := binenc.AppendUvarint(nil, uint64(len(puts))+1)
 		for _, r := range puts {
 			section = append(section, r.enc...)
 		}
-		w.prev.Enc = section
 		d := binenc.NewDecText(section)
 		w.st.send(now, EventPut, core.DecodeRecords(&d), work)
 	}

@@ -133,6 +133,23 @@ func TestSubscribeErrorEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		check(ways, tc.name, tc.sub, tc.code)
 	}
+	// The directory role is a Query's, not a subscription's: Subscribe
+	// refuses it before any poll, match or hub attaches, though the
+	// Query of the same target answers.
+	for _, sys := range []gridmon.System{mds, rgma, hawkeye} {
+		for _, host := range []string{"", "lucky3"} {
+			sub := gridmon.Subscription{System: sys, Role: gridmon.RoleDirectoryServer, Host: host}
+			for _, w := range ways {
+				if w.routed && host == "" {
+					continue
+				}
+				if _, err := w.source.Subscribe(context.Background(), sub); gridmon.CodeOf(err) != gridmon.ErrBadRequest {
+					t.Errorf("%s directory role at %q, subscribed %s: err = %v, want %s",
+						sys, host, w.name, err, gridmon.ErrBadRequest)
+				}
+			}
+		}
+	}
 	disabled := failureWays(t, scratchHosts, gridmon.WithSystems(rgma, hawkeye))
 	check(disabled, "disabled system", gridmon.Subscription{System: mds}, gridmon.ErrUnavailable)
 	check(disabled, "disabled system at a host", gridmon.Subscription{System: mds, Host: "lucky3"}, gridmon.ErrUnavailable)
