@@ -60,12 +60,14 @@ race:
 # and subscriptions answering as the query does in all three systems
 # (TestContinuousQueryMatchesQuery and FuzzContinuousQuery's seeds: R-GMA
 # deliveries run on the query path's scratch, inside whatever refreshes
-# the sensors; MDS polls run on it under Advance's lock).
+# the sensors; MDS polls run on it under Advance's lock), and a client's
+# table of answer texts decoding shared and differing replies at once
+# (TestAnswerTextsConcurrent: every answer is a fresh decode's).
 # The all-misses scratch case then runs 25 more times: its frames hold
 # only if no query reads an answer stored by one that started with or
 # after it (queryCache.lookup's rule).
 stress:
-	$(GO) test -race -count=2 -run 'Concurrent|QueryCache|Memo|Scratch|RequestStrings|ComesBackEmpty|ContinuousQuery' .
+	$(GO) test -race -count=2 -run 'Concurrent|QueryCache|Memo|Scratch|RequestStrings|ComesBackEmpty|ContinuousQuery|AnswerTexts' .
 	$(GO) test -race -count=2 -run 'ComesBackEmpty' ./internal/core ./internal/ldap ./internal/rgma ./internal/hawkeye
 	$(GO) test -race -count=25 -run 'TestV3ScratchFrames/cache-misses' .
 

@@ -125,20 +125,22 @@ func TestQueryAllocBudget(t *testing.T) {
 // after the client cut its strings out of one copy of the frame; what is
 // left is the field map of each record (two allocations for a small one)
 // plus ~10 for the call. The third number is the server encoding its flat
-// answer instead of a []Record; the last is the v3 hop allocating
+// answer instead of a []Record; the fourth is the v3 hop allocating
 // nothing in the transport (reused reply channels, per-connection call
 // workers, the op looked up without a copy, frame lengths written and
-// read without escaping), 8 fewer per call; the last is a served hit
-// allocating nothing (TestServedCacheHitAllocs). Under
-// GOEXPERIMENT=noswissmap the cells measure 75, 93 and 10.
+// read without escaping), 8 fewer per call; the fifth is a served hit
+// allocating nothing (TestServedCacheHitAllocs); the last is the client
+// cutting a repeated answer from the copy of its text it already holds
+// (answerTexts), 1 fewer. Under GOEXPERIMENT=noswissmap the cells
+// measure 74, 92 and 9.
 //
-//	MDS aggregate      36 records, 162 fields   441 →  91 →  90 →  82 → 81
-//	R-GMA aggregate    45 records,  90 fields   335 → 105 → 104 →  96 → 93
-//	Hawkeye aggregate   3 records,  69 fields   163 →  25 →  24 →  16 → 15
+//	MDS aggregate      36 records, 162 fields   441 →  91 →  90 →  82 → 81 → 80
+//	R-GMA aggregate    45 records,  90 fields   335 → 105 → 104 →  96 → 93 → 92
+//	Hawkeye aggregate   3 records,  69 fields   163 →  25 →  24 →  16 → 15 → 14
 var remoteAllocBudgetCells = []allocBudgetCell{
-	{Query{System: MDS, Role: RoleAggregateServer}, 89},
-	{Query{System: RGMA, Role: RoleAggregateServer, Expr: "SELECT * FROM siteinfo", Attrs: []string{"host", "value"}}, 102},
-	{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: `TARGET.OpSys == "LINUX"`}, 17},
+	{Query{System: MDS, Role: RoleAggregateServer}, 88},
+	{Query{System: RGMA, Role: RoleAggregateServer, Expr: "SELECT * FROM siteinfo", Attrs: []string{"host", "value"}}, 101},
+	{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: `TARGET.OpSys == "LINUX"`}, 15},
 }
 
 // TestRemoteQueryAllocBudget is TestQueryAllocBudget's remote twin: it

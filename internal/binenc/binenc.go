@@ -1,13 +1,14 @@
 // Package binenc is the repo's one binary encoding: append-style
 // encoders that extend a caller-owned []byte and a sticky-error decoder
 // that reads values back out of a payload without copying (text, when
-// asked, out of one copy of the whole payload). The primitives are
-// deliberately dumb — uvarints, length-prefixed strings, fixed 8-byte
-// little-endian floats. The v3 wire bodies (internal/transport, the root
-// package's typed record section) and the durable stores' WAL and
-// snapshot records (internal/storage, internal/rgma, internal/mds) are
-// all composed from them, so a count read from a peer or from a damaged
-// file is bounded the same way everywhere.
+// asked, out of one copy of the payload or of its first bytes). The
+// primitives are deliberately dumb — uvarints, length-prefixed strings,
+// fixed 8-byte little-endian floats. The v3 wire bodies
+// (internal/transport, the root package's typed record section) and the
+// durable stores' WAL and snapshot records (internal/storage,
+// internal/rgma, internal/mds) are all composed from them, so a count
+// read from a peer or from a damaged file is bounded the same way
+// everywhere.
 package binenc
 
 import (
@@ -55,14 +56,17 @@ var ErrMalformed = errors.New("binenc: truncated or malformed payload")
 // decode sequences read straight-line without per-field error checks.
 //
 // Bytes and Rest return views into the payload, valid only until its
-// buffer is reused. String never aliases the payload: a NewDec decoder
-// copies each string out of it, a NewDecText decoder copies the whole
-// payload once and returns substrings of that copy — one allocation for
-// all the text of a frame, which every string read from it then keeps
-// alive together.
+// buffer is reused. String never aliases the payload: it returns a
+// substring of the decoder's text when the string lies inside it and a
+// fresh copy otherwise. A NewDec decoder has no text, so it copies each
+// string; a NewDecText decoder's text is one copy of the whole payload —
+// one allocation for all the text of a frame, which every string read
+// from it then keeps alive together; a NewDecPrefix decoder's text is
+// one the caller already holds for the payload's first bytes, so the
+// strings inside it cost nothing.
 type Dec struct {
 	buf  []byte
-	text string // NewDecText: string(buf), the copy String slices
+	text string // equal to buf[:len(text)]; the strings it covers are cut from it
 	off  int
 	bad  bool
 }
@@ -74,6 +78,11 @@ func NewDec(payload []byte) Dec { return Dec{buf: payload} }
 // substrings of a single copy of it. Use it for bodies that are mostly
 // text and decode into values that outlive the frame.
 func NewDecText(payload []byte) Dec { return Dec{buf: payload, text: string(payload)} }
+
+// NewDecPrefix returns a decoder over payload whose String results are
+// substrings of text when they lie within its first len(text) bytes, and
+// copies past them. text must equal string(payload[:len(text)]).
+func NewDecPrefix(payload []byte, text string) Dec { return Dec{buf: payload, text: text} }
 
 // Err reports whether any read so far ran off the payload.
 func (d *Dec) Err() error {
@@ -162,10 +171,11 @@ func (d *Dec) Bytes() []byte {
 }
 
 // String reads a length-prefixed string: a substring of the decoder's
-// text copy when it has one, a fresh copy out of the payload otherwise.
+// text when the string lies inside it, a fresh copy out of the payload
+// otherwise.
 func (d *Dec) String() string {
 	b := d.Bytes()
-	if d.text != "" {
+	if d.off <= len(d.text) {
 		return d.text[d.off-len(b) : d.off]
 	}
 	return string(b)

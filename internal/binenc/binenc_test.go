@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"unsafe"
 )
 
 // TestCodecRoundTrip: every primitive survives append → decode, in
@@ -159,6 +160,54 @@ func TestCodecText(t *testing.T) {
 	d = NewDecText(AppendUvarint(nil, 100))
 	if s := d.String(); s != "" || !errors.Is(d.Err(), ErrMalformed) {
 		t.Fatalf("string past end = %q, err %v", s, d.Err())
+	}
+}
+
+// TestCodecPrefix: a NewDecPrefix decoder cuts the strings that lie
+// inside its text out of that text, allocating nothing for them, and
+// copies a string that ends past it, one straddling the boundary too.
+func TestCodecPrefix(t *testing.T) {
+	var b []byte
+	b = AppendString(b, "head")
+	b = AppendString(b, "")
+	b = AppendString(b, "edge")
+	b = AppendString(b, "tail")
+	cut := len(AppendString(AppendString(nil, "head"), "")) + 3 // inside "edge"
+	text := string(b[:cut])
+	var got [4]string
+	allocs := testing.AllocsPerRun(100, func() {
+		d := NewDecPrefix(b, text)
+		got[0] = d.String()
+		got[1] = d.String()
+	})
+	if allocs != 0 {
+		t.Errorf("2 strings inside the text: %.1f allocs, want 0", allocs)
+	}
+	d := NewDecPrefix(b, text)
+	for i := range got {
+		got[i] = d.String()
+	}
+	if err := d.Err(); err != nil || d.Len() != 0 {
+		t.Fatalf("err = %v, %d bytes left", err, d.Len())
+	}
+	if got != [4]string{"head", "", "edge", "tail"} {
+		t.Fatalf("decoded %q", got)
+	}
+	if unsafe.StringData(got[0]) != unsafe.StringData(text[1:]) {
+		t.Error("a string inside the text is not cut from it")
+	}
+	inText := func(s string) bool {
+		p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(text)))
+		return p >= lo && p < lo+uintptr(len(text))
+	}
+	if inText(got[2]) || inText(got[3]) {
+		t.Error("a string past the text's end is cut from it")
+	}
+	for i := range b {
+		b[i] = 0xff // the frame buffer is reused; nothing decoded may change
+	}
+	if got != [4]string{"head", "", "edge", "tail"} {
+		t.Fatalf("after the buffer changed: %q", got)
 	}
 }
 

@@ -325,6 +325,9 @@ func (g *Grid) readMDS(ctx context.Context, role Role, q Query, out *core.Answer
 		return core.MDSWork(st), nil
 	case RoleDirectoryServer, RoleAggregateServer:
 		// The GIIS plays both roles in Table 1.
+		if _, ok := g.grises[q.Host]; q.Host != "" && !ok {
+			return Work{}, g.unknownHost(q.Host)
+		}
 		lent := entryLists.Get().(*[]*ldap.Entry)
 		entries, st, err := g.giis.QueryInto(ctx, g.clock(), filter, q.Attrs, *lent)
 		if err == nil {
@@ -346,10 +349,15 @@ func (g *Grid) gris(host string) (*GRIS, error) {
 	}
 	gris, ok := g.grises[host]
 	if !ok {
-		return nil, transport.Errf(transport.CodeBadRequest,
-			"unknown host %q (monitored hosts: %v)", host, g.cfg.hosts)
+		return nil, g.unknownHost(host)
 	}
 	return gris, nil
+}
+
+// unknownHost refuses a Host the grid does not monitor, on any role.
+func (g *Grid) unknownHost(host string) error {
+	return transport.Errf(transport.CodeBadRequest,
+		"unknown host %q (monitored hosts: %v)", host, g.cfg.hosts)
 }
 
 // rowsQueries pools the row scratch of the R-GMA engines' SELECTs (see
@@ -364,6 +372,9 @@ var rowsQueries = sync.Pool{New: func() any { return new(relational.RowsQuery) }
 // SELECT run on pooled row scratch (selectRGMA).
 func (g *Grid) readRGMA(ctx context.Context, role Role, q Query, out *core.Answer) (Work, error) {
 	if role == RoleDirectoryServer {
+		if _, ok := g.servlets[q.Host]; q.Host != "" && !ok {
+			return Work{}, g.unknownHost(q.Host)
+		}
 		table := q.Expr
 		if table == "" {
 			table = "siteinfo"
@@ -411,8 +422,7 @@ func (g *Grid) selectRGMA(ctx context.Context, role Role, q Query, rq *relationa
 		}
 		ps, ok := g.servlets[q.Host]
 		if !ok {
-			return nil, rgma.QueryStats{}, transport.Errf(transport.CodeBadRequest,
-				"unknown host %q (monitored hosts: %v)", q.Host, g.cfg.hosts)
+			return nil, rgma.QueryStats{}, g.unknownHost(q.Host)
 		}
 		now, err := g.engineNow(ctx)
 		if err != nil {
@@ -423,6 +433,9 @@ func (g *Grid) selectRGMA(ctx context.Context, role Role, q Query, rq *relationa
 		}
 		return ps.QueryInto(now, rq)
 	case RoleAggregateServer:
+		if _, ok := g.servlets[q.Host]; q.Host != "" && !ok {
+			return nil, rgma.QueryStats{}, g.unknownHost(q.Host)
+		}
 		now, err := g.engineNow(ctx)
 		if err != nil {
 			return nil, rgma.QueryStats{}, err
@@ -461,8 +474,7 @@ func (g *Grid) readHawkeye(ctx context.Context, role Role, q Query, out *core.An
 		}
 		agent, ok := g.agents[q.Host]
 		if !ok {
-			return Work{}, transport.Errf(transport.CodeBadRequest,
-				"unknown host %q (monitored hosts: %v)", q.Host, g.cfg.hosts)
+			return Work{}, g.unknownHost(q.Host)
 		}
 		now, err := g.engineNow(ctx)
 		if err != nil {
@@ -481,6 +493,9 @@ func (g *Grid) readHawkeye(ctx context.Context, role Role, q Query, out *core.An
 		return core.HawkeyeWork(st), nil
 	case RoleDirectoryServer, RoleAggregateServer:
 		// The Manager plays both roles in Table 1.
+		if _, ok := g.agents[q.Host]; q.Host != "" && !ok {
+			return Work{}, g.unknownHost(q.Host)
+		}
 		now, err := g.engineNow(ctx)
 		if err != nil {
 			return Work{}, err

@@ -146,6 +146,9 @@ type RemoteGrid struct {
 	client *transport.MuxClient // guarded by connMu
 	closed bool                 // guarded by connMu
 
+	// texts holds the answer texts Query decoded last (answerTexts).
+	texts answerTexts
+
 	calls      atomic.Int64
 	retries    atomic.Int64
 	reconnects atomic.Int64
@@ -529,11 +532,15 @@ func (r *RemoteGrid) Subscribe(ctx context.Context, sub Subscription) (*Stream, 
 // ride the binary codec — no JSON on either side — and the call
 // pipelines with its siblings on the shared connection.
 //
-// The caller owns the returned ResultSet. All its strings (record keys,
-// field names and values, Host, branch error texts) are substrings of
-// one copy of the answer's frame, so a retained Record keeps its whole
-// answer's text alive — the contract in-process answers already have;
-// clone the strings to keep a few fields of a large answer for long.
+// The caller owns the returned ResultSet. All its strings but the
+// branch error texts (record keys, field names and values, Host) are
+// substrings of one immutable copy of the answer's text, its reply's
+// head and records, so a retained Record keeps its whole answer's text
+// alive — the contract in-process answers already have; clone the
+// strings to keep a few fields of a large answer for long. That copy is
+// shared: an answer whose text is byte-identical to one the client
+// decoded before is cut from the same copy, which the client keeps for
+// its next answers, at most 1024 texts and 4 MiB of them.
 func (r *RemoteGrid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 	start := time.Now()
 	var rs *ResultSet
@@ -541,7 +548,7 @@ func (r *RemoteGrid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 		return c.CallV3(actx, "grid.query",
 			func(b []byte) []byte { return appendWireQuery(b, q) },
 			func(body []byte) (err error) {
-				rs, err = DecodeReply(body)
+				rs, err = r.texts.decodeReply(body)
 				return err
 			})
 	})

@@ -173,8 +173,7 @@ func (g *Grid) subscribeRGMA(st *Stream, sub Subscription, id string) (func(), e
 	hosts := g.cfg.hosts
 	if sub.Host != "" {
 		if _, ok := g.servlets[sub.Host]; !ok {
-			return nil, transport.Errf(transport.CodeBadRequest,
-				"unknown host %q (monitored hosts: %v)", sub.Host, g.cfg.hosts)
+			return nil, g.unknownHost(sub.Host)
 		}
 		hosts = []string{sub.Host}
 	}
@@ -248,11 +247,8 @@ func (g *Grid) subscribeHawkeye(st *Stream, sub Subscription, id string) (func()
 			"Hawkeye subscriptions run trigger matchmaking in the Manager (role %q or empty), not %q",
 			RoleAggregateServer, sub.Role)
 	}
-	if sub.Host != "" {
-		if _, ok := g.agents[sub.Host]; !ok {
-			return nil, transport.Errf(transport.CodeBadRequest,
-				"unknown host %q (monitored hosts: %v)", sub.Host, g.cfg.hosts)
-		}
+	if _, ok := g.agents[sub.Host]; sub.Host != "" && !ok {
+		return nil, g.unknownHost(sub.Host)
 	}
 	ad := classad.NewAd()
 	if constraint != nil {
@@ -298,6 +294,9 @@ func (g *Grid) subscribeMDS(st *Stream, sub Subscription) (func(), error) {
 	switch {
 	case q.Role == RoleAggregateServer, q.Role == "" && q.Host == "":
 		q.Role = RoleAggregateServer
+		if _, ok := g.grises[q.Host]; q.Host != "" && !ok {
+			return nil, g.unknownHost(q.Host)
+		}
 	case q.Role == RoleInformationServer, q.Role == "":
 		q.Role = RoleInformationServer
 		if _, err := g.gris(q.Host); err != nil {

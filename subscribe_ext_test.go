@@ -88,6 +88,7 @@ func TestSubscribeErrorEquivalence(t *testing.T) {
 	const (
 		mds, rgma, hawkeye = gridmon.MDS, gridmon.RGMA, gridmon.Hawkeye
 		info, aggregate    = gridmon.RoleInformationServer, gridmon.RoleAggregateServer
+		directory          = gridmon.RoleDirectoryServer
 	)
 	cases := []struct {
 		name string
@@ -114,6 +115,16 @@ func TestSubscribeErrorEquivalence(t *testing.T) {
 		{"unknown hawkeye host", gridmon.Subscription{System: hawkeye, Host: "nope"}, gridmon.ErrBadRequest},
 		{"bad hawkeye role", gridmon.Subscription{System: hawkeye, Role: "Oracle"}, gridmon.ErrBadRequest},
 		{"bad hawkeye role at a host", gridmon.Subscription{System: hawkeye, Role: aggregate + "s", Host: "lucky3"}, gridmon.ErrBadRequest},
+		// A pool-wide role refuses a Host it does not monitor as the
+		// per-host role does.
+		{"unknown mds host, aggregate", gridmon.Subscription{System: mds, Role: aggregate, Host: "nope"}, gridmon.ErrBadRequest},
+		{"unknown mds host, directory", gridmon.Subscription{System: mds, Role: directory, Host: "nope"}, gridmon.ErrBadRequest},
+		{"unknown rgma host, aggregate", gridmon.Subscription{System: rgma, Role: aggregate, Host: "nope"}, gridmon.ErrBadRequest},
+		{"unknown rgma host, directory", gridmon.Subscription{System: rgma, Role: directory, Host: "nope"}, gridmon.ErrBadRequest},
+		{"unknown hawkeye host, aggregate", gridmon.Subscription{System: hawkeye, Role: aggregate, Host: "nope"}, gridmon.ErrBadRequest},
+		{"unknown hawkeye host, directory", gridmon.Subscription{System: hawkeye, Role: directory, Host: "nope"}, gridmon.ErrBadRequest},
+		{"bad filter at an unknown host, aggregate", gridmon.Subscription{System: mds, Role: aggregate, Host: "nope", Expr: "(cn="}, gridmon.ErrParse},
+		{"bad constraint at an unknown host, aggregate", gridmon.Subscription{System: hawkeye, Role: aggregate, Host: "nope", Expr: "1 +"}, gridmon.ErrParse},
 	}
 	check := func(ways []failureWay, name string, sub gridmon.Subscription, code gridmon.ErrorCode) {
 		ctx := context.Background()
@@ -138,7 +149,7 @@ func TestSubscribeErrorEquivalence(t *testing.T) {
 	// Query of the same target answers.
 	for _, sys := range []gridmon.System{mds, rgma, hawkeye} {
 		for _, host := range []string{"", "lucky3"} {
-			sub := gridmon.Subscription{System: sys, Role: gridmon.RoleDirectoryServer, Host: host}
+			sub := gridmon.Subscription{System: sys, Role: directory, Host: host}
 			for _, w := range ways {
 				if w.routed && host == "" {
 					continue

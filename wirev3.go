@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"hash/maphash"
 	"slices"
 	"sync"
 	"time"
@@ -24,14 +25,18 @@ import (
 //
 // Every codec comes in append/decode-into pairs: encoders extend a
 // caller-owned []byte; decoders write every field of the value they are
-// handed, straight-line, and keep nothing it held before. A client hands
-// them a binenc.NewDecText decoder, so every string of an answer or an
-// event batch — keys, field names, values, branch error texts — is a
-// substring of one copy of the frame body: the text costs one allocation
-// however many records it spans, never aliases the connection's pooled
-// frame buffer, and stays alive as a whole while any decoded string is
-// retained. RemoteGrid.Query then builds an answer's []Record and one map
-// per record (core.DecodeRecords, the one record decoder; see
+// handed, straight-line, and keep nothing it held before. A client's
+// decoder cuts every string of an answer or an event batch — keys, field
+// names, values — out of one copy of the frame's text: the text costs at
+// most one allocation however many records it spans, never aliases the
+// connection's pooled frame buffer, and stays alive as a whole while any
+// decoded string is retained. An event batch's text is its whole body
+// (binenc.NewDecText); an answer's is its reply's head and records
+// (binenc.NewDecPrefix), so the client's table of recent answer texts
+// (answerTexts) serves a repeated answer without a copy, and only branch
+// error texts, past it, are copied one by one. RemoteGrid.Query then
+// builds an answer's []Record and one map per record
+// (core.DecodeRecords, the one record decoder; see
 // TestWireQueryRoundTripAllocs). A server copies no grid.query request:
 // its strings resolve through the table of those it has seen (requests,
 // memo.go). It decodes no reply either: its source appends one to the
@@ -242,13 +247,86 @@ func scanRecords(d *binenc.Dec, body []byte, recs *[]wireRecord) {
 // DecodeReply decodes a grid.query reply body, as AppendQuery appends
 // one. Its strings are substrings of one copy of body.
 func DecodeReply(body []byte) (*ResultSet, error) {
+	return decodeReply(body, binenc.NewDecText(body))
+}
+
+// decodeReply decodes the reply body d reads.
+func decodeReply(body []byte, d binenc.Dec) (*ResultSet, error) {
 	var rs ResultSet
-	d := binenc.NewDecText(body)
 	decodeWireResultSetInto(&d, &rs)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	return &rs, nil
+}
+
+// answerTexts is a client's table of the answer texts it decoded last,
+// so a reply byte-identical to one seen before decodes onto the same
+// immutable text instead of a fresh copy: the paper's "data in cache"
+// advantage on the client. An answer's text is its reply's head and
+// record section, every string of the answer but its branch error
+// texts, which follow Work and Elapsed, the two parts that differ from
+// reply to reply. A hash of the text picks one of maxAnswerTexts slots
+// and a full compare confirms a hit, so a hit is exact and a collision
+// only a miss, whose text is copied as DecodeReply copies it and stored
+// in the slot. A text over maxAnswerTextBytes is never kept, and when a
+// store would take the table past that many bytes it starts over. The
+// zero value is empty and ready to use.
+type answerTexts struct {
+	mu    sync.Mutex
+	slots []string // made by the first store; guarded by mu
+	bytes int      // the text slots hold; guarded by mu
+}
+
+const (
+	maxAnswerTexts     = 1024
+	maxAnswerTextBytes = 4 << 20
+)
+
+// answerSeed seeds the hash that picks an answer text's slot.
+var answerSeed = maphash.MakeSeed()
+
+// decodeReply is DecodeReply with the answer's text shared through t.
+func (t *answerTexts) decodeReply(body []byte) (*ResultSet, error) {
+	d := binenc.NewDec(body)
+	d.Bytes() // System
+	d.Bytes() // Role
+	d.Bytes() // Host
+	scanRecords(&d, body, nil)
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return decodeReply(body, binenc.NewDecPrefix(body, t.text(body[:len(body)-d.Len()])))
+}
+
+// text returns string(b), the copy t holds when it has one.
+func (t *answerTexts) text(b []byte) string {
+	i := maphash.Bytes(answerSeed, b) % maxAnswerTexts
+	var held string
+	t.mu.Lock()
+	if t.slots != nil {
+		held = t.slots[i]
+	}
+	t.mu.Unlock()
+	if held == string(b) {
+		return held
+	}
+	s := string(b)
+	if len(s) > maxAnswerTextBytes {
+		return s
+	}
+	t.mu.Lock()
+	if t.slots == nil {
+		t.slots = make([]string, maxAnswerTexts)
+	}
+	if t.bytes+len(s)-len(t.slots[i]) > maxAnswerTextBytes {
+		clear(t.slots)
+		t.bytes = 0
+	}
+	t.bytes += len(s) - len(t.slots[i])
+	t.slots[i] = s
+	t.mu.Unlock()
+	return s
 }
 
 // StampElapsed rewrites in place the Elapsed of the reply body b[from:]

@@ -107,11 +107,17 @@ var wireFuzzDecoders = []struct {
 // bounded by the bytes left in the frame before anything is sized by
 // them); a decode that reports no error yields a value that re-encodes
 // and decodes back to itself; and cutting strings out of one copy of the
-// frame (NewDecText) decodes exactly what copying each one (NewDec) does.
+// frame (NewDecText) decodes exactly what copying each one (NewDec) does,
+// as does a client's decode through its table of answer texts, a miss
+// and then a hit.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	// A reply with bytes after it, which a restamp drops.
 	f.Add(append(appendWireResultSet(nil, &ResultSet{System: MDS, Records: []Record{{Key: "k"}}, Elapsed: 300}, nil), "past"...))
+	// A partial reply, whose branch error texts lie past its answer text.
+	f.Add(appendWireResultSet(nil, &ResultSet{System: Hawkeye, Role: RoleAggregateServer,
+		Records: []Record{{Key: "lucky3", Fields: map[string]string{"CpuLoad": "12"}}}, Elapsed: 300, Partial: true,
+		Branches: []BranchError{{Shard: 2, Addr: "127.0.0.1:7950", Code: ErrUnavailable, Message: "leaf down"}}}, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The widest thing a decoder sizes from a count is a field map:
 		// one slot per two input bytes, ~40-80 bytes a slot.
@@ -154,7 +160,32 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 		checkScanMatchesDecode(t, data)
+		checkAnswerTexts(t, data)
 	})
+}
+
+// checkAnswerTexts decodes data twice through one table of answer texts,
+// so a reply the first decode accepts is a hit the second time, and
+// holds both decodes to the copying one.
+func checkAnswerTexts(t *testing.T, data []byte) {
+	var want ResultSet
+	d := binenc.NewDec(data)
+	decodeWireResultSetInto(&d, &want)
+	noNaN(&want.Work.CollectorInvocations)
+	var texts answerTexts
+	for pass := 0; pass < 2; pass++ {
+		got, err := texts.decodeReply(data)
+		if (err == nil) != (d.Err() == nil) {
+			t.Fatalf("pass %d: decode err %v, copying decode err %v", pass, err, d.Err())
+		}
+		if err != nil {
+			return
+		}
+		noNaN(&got.Work.CollectorInvocations)
+		if !reflect.DeepEqual(*got, want) {
+			t.Fatalf("pass %d: decoded %#v, copying decode %#v", pass, *got, want)
+		}
+	}
 }
 
 // checkScanMatchesDecode holds scanWireReply, which RemoteGrid.AppendQuery
