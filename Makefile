@@ -62,12 +62,14 @@ race:
 # deliveries run on the query path's scratch, inside whatever refreshes
 # the sensors; MDS polls run on it under Advance's lock), and a client's
 # table of answer texts decoding shared and differing replies at once
-# (TestAnswerTextsConcurrent: every answer is a fresh decode's).
+# (TestAnswerTextsConcurrent: every answer is a fresh decode's), and the
+# one bounded map behind those tables and the cache (TestBoundedMap*:
+# goroutines getting, storing and overflowing one map).
 # The all-misses scratch case then runs 25 more times: its frames hold
 # only if no query reads an answer stored by one that started with or
 # after it (queryCache.lookup's rule).
 stress:
-	$(GO) test -race -count=2 -run 'Concurrent|QueryCache|Memo|Scratch|RequestStrings|ComesBackEmpty|ContinuousQuery|AnswerTexts' .
+	$(GO) test -race -count=2 -run 'Concurrent|QueryCache|Memo|Scratch|RequestStrings|ComesBackEmpty|ContinuousQuery|AnswerTexts|BoundedMap' .
 	$(GO) test -race -count=2 -run 'ComesBackEmpty' ./internal/core ./internal/ldap ./internal/rgma ./internal/hawkeye
 	$(GO) test -race -count=25 -run 'TestV3ScratchFrames/cache-misses' .
 

@@ -31,7 +31,7 @@ func decodeEqual(t *testing.T, texts *answerTexts, body []byte) *ResultSet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := texts.decodeReply(body)
+	got, err := decodeSharedReply(texts, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func decodeEqual(t *testing.T, texts *answerTexts, body []byte) *ResultSet {
 // byte-identical decode onto one copy, though their Elapsed and Work
 // differ; the text does not alias the frame.
 func TestAnswerTextsShareIdenticalReplies(t *testing.T) {
-	var texts answerTexts
+	texts := newAnswerTexts()
 	first := textReply("77", 1, 0)
 	a := decodeEqual(t, &texts, first)
 	for i := range first {
@@ -63,7 +63,7 @@ func TestAnswerTextsShareIdenticalReplies(t *testing.T) {
 // TestAnswerTextsMissOnOneByte: a reply whose text differs from a held
 // one in one byte of a value gets a text of its own.
 func TestAnswerTextsMissOnOneByte(t *testing.T) {
-	var texts answerTexts
+	texts := newAnswerTexts()
 	a := decodeEqual(t, &texts, textReply("77", 1, 0))
 	b := decodeEqual(t, &texts, textReply("78", 1, 0))
 	if textOf(a) == textOf(b) {
@@ -74,7 +74,7 @@ func TestAnswerTextsMissOnOneByte(t *testing.T) {
 // TestAnswerTextsByteCap: a text over maxAnswerTextBytes is never kept,
 // and the texts kept never add up to more than that.
 func TestAnswerTextsByteCap(t *testing.T) {
-	var texts answerTexts
+	texts := newAnswerTexts()
 	huge := textReply(strings.Repeat("x", maxAnswerTextBytes), 1, 0)
 	a, b := decodeEqual(t, &texts, huge), decodeEqual(t, &texts, huge)
 	if textOf(a) == textOf(b) {
@@ -114,7 +114,7 @@ func TestAnswerTextsConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var texts answerTexts
+	texts := newAnswerTexts()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -129,7 +129,7 @@ func TestAnswerTextsConcurrent(t *testing.T) {
 					i = r % 5
 				}
 				frame = append(frame[:0], bodies[i]...)
-				got, err := texts.decodeReply(frame)
+				got, err := decodeSharedReply(&texts, frame)
 				for j := range frame {
 					frame[j] = 0
 				}

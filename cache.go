@@ -78,21 +78,28 @@ func (e *cacheEntry) records() []Record {
 	return e.recs
 }
 
-// queryCache is the facade's TTL result cache. Lookups run under a read
-// lock so cache hits scale with readers; stores take the write lock.
-// Invalidation bumps a generation counter instead of clearing the map,
-// so it is O(1) under the facade's write lock; stale generations are
-// overwritten by the next store on their key.
+// queryCache is the facade's TTL result cache. Invalidation bumps a
+// generation counter instead of clearing the map, so it is O(1) under
+// the facade's write lock; a stale entry never answers and is replaced
+// by the next store on its key. It keeps at most maxCacheEntries answers
+// and maxCacheBytes of record sections (boundedMap).
 type queryCache struct {
-	ttl time.Duration
-	gen atomic.Uint64
-
-	mu      sync.RWMutex
-	entries map[cacheKey]*cacheEntry // guarded by mu
+	ttl     time.Duration
+	gen     atomic.Uint64
+	entries boundedMap[cacheKey, *cacheEntry]
 }
 
+// The cache's bounds: a long-lived server seeing many distinct query
+// shapes (per-client filters, rotating hosts) must not retain an answer
+// per shape forever.
+const (
+	maxCacheEntries = 1024
+	maxCacheBytes   = 64 << 20
+)
+
 func newQueryCache(ttl time.Duration) *queryCache {
-	return &queryCache{ttl: ttl, entries: make(map[cacheKey]*cacheEntry)}
+	return &queryCache{ttl: ttl, entries: newBoundedMap(maxCacheEntries, maxCacheBytes, maxCacheBytes,
+		func(_ cacheKey, e *cacheEntry) int { return len(e.answer.Enc) })}
 }
 
 // lookup returns the live cached answer for key, if any. An entry
@@ -101,26 +108,19 @@ func newQueryCache(ttl time.Duration) *queryCache {
 // expires: a query that began before or with the one that computed an
 // answer never reads that answer, however the two interleave.
 func (c *queryCache) lookup(key cacheKey, now time.Time) (*cacheEntry, bool) {
-	c.mu.RLock()
-	e := c.entries[key]
-	c.mu.RUnlock()
+	e, _ := c.entries.get(key)
 	if e == nil || e.gen != c.gen.Load() || now.After(e.expires) || !now.After(e.expires.Add(-c.ttl)) {
 		return nil, false
 	}
 	return e, true
 }
 
-// maxCacheEntries bounds the cache map: a long-lived server seeing many
-// distinct query shapes (per-client filters, rotating hosts) must not
-// retain an answer per shape forever.
-const maxCacheEntries = 1024
-
 // store caches an answer computed while generation gen was current (the
 // caller reads gen under the facade's read lock, so a concurrent
 // Advance cannot slip between the engine query and the stamp — an entry
 // stored after an invalidation carries the old gen and is dead on
 // arrival rather than serving pre-Advance data as fresh). It returns the
-// stored entry.
+// entry.
 func (c *queryCache) store(key cacheKey, gen uint64, now time.Time, answer core.Answer, work Work) *cacheEntry {
 	e := &cacheEntry{
 		gen:     gen,
@@ -128,23 +128,7 @@ func (c *queryCache) store(key cacheKey, gen uint64, now time.Time, answer core.
 		answer:  answer,
 		work:    work,
 	}
-	c.mu.Lock()
-	if len(c.entries) >= maxCacheEntries {
-		// Drop everything dead first (stale generation or past TTL); if
-		// the cap is still hit the working set genuinely exceeds the
-		// bound, so start over rather than grow without limit.
-		cur := c.gen.Load()
-		for k, old := range c.entries {
-			if old.gen != cur || now.After(old.expires) {
-				delete(c.entries, k)
-			}
-		}
-		if len(c.entries) >= maxCacheEntries {
-			c.entries = make(map[cacheKey]*cacheEntry)
-		}
-	}
-	c.entries[key] = e
-	c.mu.Unlock()
+	c.entries.put(key, e)
 	return e
 }
 

@@ -564,18 +564,6 @@ func FuzzContinuousQuery(f *testing.F) {
 	})
 }
 
-// FuzzContinuousSelect is FuzzContinuousQuery over R-GMA alone, seeded
-// with the SQL parser's corpus and SubscriptionCorpus' R-GMA group.
-func FuzzContinuousSelect(f *testing.F) {
-	for _, expr := range fuzzSeeds(f, "internal/relational/testdata/fuzz/FuzzSQLParse") {
-		f.Add(expr)
-	}
-	for _, sub := range SubscriptionCorpus()[0].Subs {
-		f.Add(sub.Expr)
-	}
-	f.Fuzz(func(t *testing.T, expr string) { checkContinuous(t, RGMA, expr) })
-}
-
 // continuousSystems are the systems FuzzContinuousQuery picks from.
 var continuousSystems = []System{MDS, RGMA, Hawkeye}
 

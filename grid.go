@@ -36,7 +36,7 @@ type Grid struct {
 	// cache is the opt-in GIIS-style query result cache (nil without
 	// WithQueryCache).
 	cache *queryCache
-	// memo holds each query expression parsed, under its own lock.
+	// memo holds each query expression parsed (exprMemo).
 	memo exprMemo
 
 	// counters is the serving path's self-observability (Grid.Stats,
@@ -85,7 +85,7 @@ func New(opts ...Option) (*Grid, error) {
 	if len(cfg.hosts) == 0 {
 		return nil, fmt.Errorf("gridmon: no hosts (use WithHosts)")
 	}
-	g := &Grid{cfg: cfg, clock: cfg.clock}
+	g := &Grid{cfg: cfg, clock: cfg.clock, memo: newExprMemo()}
 	if g.clock == nil {
 		g.clock = func() float64 { return 0 }
 	}

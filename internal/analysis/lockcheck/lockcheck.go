@@ -196,7 +196,7 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl, guards map[*types.Var]gua
 		if !ok {
 			return true
 		}
-		g, ok := guards[fv]
+		g, ok := guards[fv.Origin()] // a generic type's field is instantiated per use
 		if !ok {
 			return true
 		}
@@ -271,7 +271,7 @@ func heldMutexes(pass *framework.Pass, fd *ast.FuncDecl, lockers map[*types.Func
 			}
 		default:
 			if fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok {
-				if mu, ok := lockers[fn]; ok {
+				if mu, ok := lockers[fn.Origin()]; ok {
 					held[mu] = true
 				}
 			}
@@ -282,13 +282,13 @@ func heldMutexes(pass *framework.Pass, fd *ast.FuncDecl, lockers map[*types.Func
 }
 
 // fieldVarOf resolves the expression a Lock call's receiver to a field
-// (or plain) variable object.
+// (or plain) variable object, a generic type's field to its declaration.
 func fieldVarOf(pass *framework.Pass, e ast.Expr) *types.Var {
 	switch x := e.(type) {
 	case *ast.SelectorExpr:
 		if s := pass.TypesInfo.Selections[x]; s != nil {
 			if v, ok := s.Obj().(*types.Var); ok {
-				return v
+				return v.Origin()
 			}
 		}
 	case *ast.Ident:

@@ -108,3 +108,22 @@ type Typo struct {
 	// n is guarded by mux.
 	n int // want `no field named mux`
 }
+
+// Table is generic: a use sees an instantiated field, checked as the
+// declared one.
+type Table[K comparable, V any] struct {
+	mu sync.RWMutex
+	m  map[K]V // guarded by mu
+}
+
+// Put writes m without the lock.
+func (t *Table[K, V]) Put(k K, v V) {
+	t.m[k] = v // want `m is guarded by mu`
+}
+
+// Lookup locks an instantiation before reading it.
+func Lookup(t *Table[string, int], b []byte) int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.m[string(b)]
+}

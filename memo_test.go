@@ -19,7 +19,8 @@ import (
 // fresh grid's would.
 func forgetMemo(g *Grid) {
 	g.memo.mu.Lock()
-	g.memo.parsed = nil
+	clear(g.memo.m)
+	g.memo.bytes = 0
 	g.memo.mu.Unlock()
 }
 
@@ -27,14 +28,14 @@ func forgetMemo(g *Grid) {
 func memoEntries(g *Grid) int {
 	g.memo.mu.RLock()
 	defer g.memo.mu.RUnlock()
-	return len(g.memo.parsed)
+	return len(g.memo.m)
 }
 
 // memoKeyFor returns the stored key of sys's expr, if the memo holds it.
 func memoKeyFor(g *Grid, sys System, expr string) (memoKey, bool) {
 	g.memo.mu.RLock()
 	defer g.memo.mu.RUnlock()
-	for k := range g.memo.parsed {
+	for k := range g.memo.m {
 		if k.system == sys && k.expr == expr {
 			return k, true
 		}
@@ -443,16 +444,16 @@ func TestConcurrentSharedPlansWithAdvance(t *testing.T) {
 // the text its maps hold; a value longer than maxMemoExpr is never
 // stored.
 func TestRequestStringsStayBounded(t *testing.T) {
-	var table requestStrings
+	table := newRequestStrings()
 	long := strings.Repeat("x", maxMemoExpr+1)
 	held := func() (entries, bytes int) {
-		for k := range table.strs {
+		for k := range table.strs.m {
 			bytes += len(k)
 		}
-		for k := range table.lists {
+		for k := range table.lists.m {
 			bytes += 2 * len(k) // the key, and the copy the names are cut from
 		}
-		return len(table.strs) + len(table.lists), bytes
+		return len(table.strs.m) + len(table.lists.m), bytes
 	}
 	starts := 0
 	for i := 0; i < 100000; i++ {
@@ -461,21 +462,22 @@ func TestRequestStringsStayBounded(t *testing.T) {
 		if i%1000 == 0 {
 			q.Expr = long + q.Expr
 		}
-		before := len(table.strs)
+		before := len(table.strs.m)
 		var got Query
 		if err := table.decodeQuery(appendWireQuery(nil, q), &got); err != nil || !reflect.DeepEqual(got, q) {
 			t.Fatalf("request %d decoded to %+v (err %v), want %+v", i, got, err, q)
 		}
-		if len(table.strs) < before {
+		if len(table.strs.m) < before {
 			starts++
 		}
 		if i%997 == 0 || i == 99999 {
 			entries, bytes := held()
-			if entries > maxInternEntries || table.bytes > maxInternBytes || bytes > table.bytes {
+			counted := table.strs.bytes + table.lists.bytes
+			if entries > maxInternEntries || counted > maxInternBytes || bytes > counted {
 				t.Fatalf("after %d requests the table holds %d values of %d bytes (counted %d); bounds %d and %d",
-					i+1, entries, bytes, table.bytes, maxInternEntries, maxInternBytes)
+					i+1, entries, bytes, counted, maxInternEntries, maxInternBytes)
 			}
-			if _, ok := table.strs[q.Expr]; ok && len(q.Expr) > maxMemoExpr {
+			if _, ok := table.strs.m[q.Expr]; ok && len(q.Expr) > maxMemoExpr {
 				t.Fatalf("request %d: a %d-byte Expr was stored", i, len(q.Expr))
 			}
 		}
@@ -491,7 +493,7 @@ func TestRequestStringsStayBounded(t *testing.T) {
 // nothing, and a cache key for it takes the list's joined form from the
 // table.
 func TestRequestStringsShareOwnedCopies(t *testing.T) {
-	var table requestStrings
+	table := newRequestStrings()
 	q := Query{System: Hawkeye, Host: "lucky4", Expr: "TARGET.CpuLoad > 50", Attrs: []string{"Name", "CpuLoad", "OpSys"}}
 	frame := appendWireQuery(nil, q)
 	var first, second Query
@@ -509,7 +511,7 @@ func TestRequestStringsShareOwnedCopies(t *testing.T) {
 		t.Fatalf("a repeated request did not resolve to the stored list")
 	}
 	joined := table.joined(second.Attrs)
-	if joined != strings.Join(q.Attrs, "\x00") || table.strs[joined] == "" {
+	if joined != strings.Join(q.Attrs, "\x00") || table.strs.m[joined] == "" {
 		t.Fatalf("the joined form %q is not the table's", joined)
 	}
 	if n := testing.AllocsPerRun(100, func() { table.decodeQuery(appendWireQuery(frame[:0], q), &second); _ = table.joined(second.Attrs) }); n != 0 && !raceEnabled {

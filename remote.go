@@ -197,10 +197,11 @@ func DialContextWith(ctx context.Context, addr string, opts DialOptions) (*Remot
 // coming back.
 func DialLazy(addr string, opts DialOptions) *RemoteGrid {
 	return &RemoteGrid{
-		addr: addr,
-		opts: opts,
-		br:   newBreaker(opts.Breaker),
-		rng:  rand.New(rand.NewSource(defSeed(opts.Backoff.Seed))),
+		addr:  addr,
+		opts:  opts,
+		br:    newBreaker(opts.Breaker),
+		rng:   rand.New(rand.NewSource(defSeed(opts.Backoff.Seed))),
+		texts: newAnswerTexts(),
 	}
 }
 
@@ -548,7 +549,7 @@ func (r *RemoteGrid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 		return c.CallV3(actx, "grid.query",
 			func(b []byte) []byte { return appendWireQuery(b, q) },
 			func(body []byte) (err error) {
-				rs, err = r.texts.decodeReply(body)
+				rs, err = decodeSharedReply(&r.texts, body)
 				return err
 			})
 	})

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"hash/maphash"
 	"slices"
 	"sync"
 	"time"
@@ -260,34 +259,25 @@ func decodeReply(body []byte, d binenc.Dec) (*ResultSet, error) {
 	return &rs, nil
 }
 
-// answerTexts is a client's table of the answer texts it decoded last,
-// so a reply byte-identical to one seen before decodes onto the same
-// immutable text instead of a fresh copy: the paper's "data in cache"
-// advantage on the client. An answer's text is its reply's head and
-// record section, every string of the answer but its branch error
-// texts, which follow Work and Elapsed, the two parts that differ from
-// reply to reply. A hash of the text picks one of maxAnswerTexts slots
-// and a full compare confirms a hit, so a hit is exact and a collision
-// only a miss, whose text is copied as DecodeReply copies it and stored
-// in the slot. A text over maxAnswerTextBytes is never kept, and when a
-// store would take the table past that many bytes it starts over. The
-// zero value is empty and ready to use.
-type answerTexts struct {
-	mu    sync.Mutex
-	slots []string // made by the first store; guarded by mu
-	bytes int      // the text slots hold; guarded by mu
-}
+// answerTexts holds the answer texts a client decoded last, keyed by the
+// text itself, so a reply byte-identical to an earlier one decodes onto
+// the same copy. An answer's text is its reply's head and record
+// section: every string of the answer but its branch error texts, which
+// follow Work and Elapsed, the parts that differ from reply to reply. It
+// keeps maxAnswerTexts texts and maxAnswerTextBytes of them.
+type answerTexts = boundedMap[string, string]
 
 const (
 	maxAnswerTexts     = 1024
 	maxAnswerTextBytes = 4 << 20
 )
 
-// answerSeed seeds the hash that picks an answer text's slot.
-var answerSeed = maphash.MakeSeed()
+func newAnswerTexts() answerTexts {
+	return newBoundedMap(maxAnswerTexts, maxAnswerTextBytes, maxAnswerTextBytes, keyLen[string])
+}
 
-// decodeReply is DecodeReply with the answer's text shared through t.
-func (t *answerTexts) decodeReply(body []byte) (*ResultSet, error) {
+// decodeSharedReply is DecodeReply with the answer's text shared through t.
+func decodeSharedReply(t *answerTexts, body []byte) (*ResultSet, error) {
 	d := binenc.NewDec(body)
 	d.Bytes() // System
 	d.Bytes() // Role
@@ -296,37 +286,7 @@ func (t *answerTexts) decodeReply(body []byte) (*ResultSet, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	return decodeReply(body, binenc.NewDecPrefix(body, t.text(body[:len(body)-d.Len()])))
-}
-
-// text returns string(b), the copy t holds when it has one.
-func (t *answerTexts) text(b []byte) string {
-	i := maphash.Bytes(answerSeed, b) % maxAnswerTexts
-	var held string
-	t.mu.Lock()
-	if t.slots != nil {
-		held = t.slots[i]
-	}
-	t.mu.Unlock()
-	if held == string(b) {
-		return held
-	}
-	s := string(b)
-	if len(s) > maxAnswerTextBytes {
-		return s
-	}
-	t.mu.Lock()
-	if t.slots == nil {
-		t.slots = make([]string, maxAnswerTexts)
-	}
-	if t.bytes+len(s)-len(t.slots[i]) > maxAnswerTextBytes {
-		clear(t.slots)
-		t.bytes = 0
-	}
-	t.bytes += len(s) - len(t.slots[i])
-	t.slots[i] = s
-	t.mu.Unlock()
-	return s
+	return decodeReply(body, binenc.NewDecPrefix(body, intern(t, body[:len(body)-d.Len()])))
 }
 
 // StampElapsed rewrites in place the Elapsed of the reply body b[from:]

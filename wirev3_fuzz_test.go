@@ -164,17 +164,21 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
-// checkAnswerTexts decodes data twice through one table of answer texts,
-// so a reply the first decode accepts is a hit the second time, and
-// holds both decodes to the copying one.
+// checkAnswerTexts decodes data three times through one table of answer
+// texts, so a reply the first decode accepts is a hit the second time
+// and the third store starts the table over, and holds every decode to
+// the copying one.
 func checkAnswerTexts(t *testing.T, data []byte) {
 	var want ResultSet
 	d := binenc.NewDec(data)
 	decodeWireResultSetInto(&d, &want)
 	noNaN(&want.Work.CollectorInvocations)
-	var texts answerTexts
-	for pass := 0; pass < 2; pass++ {
-		got, err := texts.decodeReply(data)
+	texts := newAnswerTexts()
+	for pass := 0; pass < 3; pass++ {
+		if pass == 2 {
+			startOver(&texts)
+		}
+		got, err := decodeSharedReply(&texts, data)
 		if (err == nil) != (d.Err() == nil) {
 			t.Fatalf("pass %d: decode err %v, copying decode err %v", pass, err, d.Err())
 		}
@@ -246,12 +250,11 @@ func FuzzQueryDecode(f *testing.F) {
 		d := binenc.NewDecText(body)
 		decodeWireQueryInto(&d, &want)
 		budget := uint64(64*len(body) + 64<<10)
-		var table requestStrings
+		table := newRequestStrings()
 		for pass := 0; pass < 3; pass++ {
 			if pass == 2 {
-				table.mu.Lock()
-				table.bytes = maxInternBytes // the next store starts over
-				table.mu.Unlock()
+				startOver(&table.strs)
+				startOver(&table.lists)
 			}
 			var got Query
 			var err error
