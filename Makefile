@@ -104,7 +104,8 @@ fed-chaos:
 # wire re-runs the wire-protocol gates hard under the race detector:
 # the equivalence suites (identical answers in-process and over the
 # binary codec; identical event sequences in-process and remote), the
-# transport/mux suites, the shared binary encoding's own (binenc), the
+# transport's call and stream suites (TestV3*, the stream client's
+# TestV3Stream* among them), the shared binary encoding's own (binenc), the
 # typed record codec round trips, the reused answer scratch
 # (TestV3ScratchFrames), the Router's spliced replies held byte for byte
 # to the pre-splice merge (TestV3ScratchSplice), the checked-in digest of
@@ -146,9 +147,10 @@ bench-smoke:
 # accepts; a server's grid.query decode through its table of request
 # strings, cold, warm or started over, is the copying decode), the merge the federation Router splices its branches'
 # replies with (what the reply decoder accepts, what MergeResultSets
-# merges, allocation in proportion to the replies), the two frame
-# readers under them (never panic or hang: a well-formed answer or a
-# closed connection, and every waiter released), the two replay
+# merges, allocation in proportion to the replies), the server's frame
+# reader and the two client ones under them, a call connection's and a
+# stream's (never panic or hang: a well-formed answer or a closed
+# connection, every call returned and every stream ended), the two replay
 # decoders that read what a data directory holds (the same bounds, and
 # every record the encoders log replays to the state that logged it),
 # the SQL, LDAP-filter and ClassAd-expression parsers that read what a
@@ -168,7 +170,7 @@ bench-smoke:
 # poll, a Hawkeye trigger fires for what the Manager query answers and
 # matchmaking accepts, an R-GMA stream is ScanSelect's answer over each
 # published batch; a refusal carries the code Grid.Query fails with,
-# FuzzContinuousQuery) — nineteen targets.
+# FuzzContinuousQuery) — twenty targets.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) .
@@ -177,6 +179,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryMemo$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzV3ServerFrames$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzV3ClientFrames$$' -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzV3StreamFrames$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzValueSize$$' -fuzztime $(FUZZTIME) ./internal/relational
 	$(GO) test -run '^$$' -fuzz '^FuzzExprAppend$$' -fuzztime $(FUZZTIME) ./internal/classad
 	$(GO) test -run '^$$' -fuzz '^FuzzEntrySize$$' -fuzztime $(FUZZTIME) ./internal/ldap

@@ -3,6 +3,7 @@ package gridmon
 import (
 	"context"
 	"errors"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -384,6 +385,65 @@ func TestChaosSubscribeReset(t *testing.T) {
 	}
 	if st := inj.Stats(); st.Resets == 0 {
 		t.Errorf("injector tore nothing: %+v", st)
+	}
+}
+
+// stalledListener accepts connections and never answers on them: a
+// server wedged past its accept loop. It returns the address.
+func stalledListener(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	return ln.Addr().String()
+}
+
+// TestChaosSubscribeStalledServer: AttemptTimeout bounds a subscribe's
+// dial and handshake as it bounds a call's attempt, so a server that
+// accepts and never answers fails the subscribe deadline_exceeded well
+// inside the caller's budget instead of holding it to the end.
+func TestChaosSubscribeStalledServer(t *testing.T) {
+	leakcheck.Check(t)
+	remote := DialLazy(stalledListener(t), DialOptions{AttemptTimeout: 100 * time.Millisecond})
+	defer remote.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	st, err := remote.Subscribe(ctx, Subscription{System: RGMA})
+	if err == nil {
+		st.Close()
+		t.Fatal("a server that never answers acknowledged the subscribe")
+	}
+	if code := transport.ErrorCode(err); code != transport.CodeDeadline {
+		t.Fatalf("subscribe to a stalled server = %v, want %s", err, transport.CodeDeadline)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("subscribe took %v to fail: the attempt timeout did not bound the handshake", elapsed)
 	}
 }
 

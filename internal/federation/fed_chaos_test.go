@@ -3,6 +3,7 @@ package federation_test
 import (
 	"context"
 	"errors"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -319,6 +320,58 @@ func TestFedChaosReplicaFailover(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rs.Records, baseline.Records) {
 		t.Error("failover answer differs from the healthy baseline")
+	}
+}
+
+// TestFedChaosSubscribeStalledReplica: a shard whose first replica
+// accepts and never answers still opens a host's stream, from the
+// second — the backends' AttemptTimeout bounds the stalled handshake, so
+// the subscribe fails over instead of spending the caller's budget on it.
+func TestFedChaosSubscribeStalledReplica(t *testing.T) {
+	leakcheck.Check(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stalled []net.Conn // touched only by the accept loop until it ends
+	acceptDone := make(chan struct{})
+	go func() {
+		defer close(acceptDone)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			stalled = append(stalled, c)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-acceptDone
+		for _, c := range stalled {
+			c.Close()
+		}
+	})
+	live, _, _ := serveLeaf(t, buildGrid(t, fedHosts), faultconn.Plan{}, "127.0.0.1:0")
+	r, err := federation.New(federation.Config{
+		Map:  federation.ShardMap{Epoch: 1, Shards: []federation.Shard{{Addrs: []string{ln.Addr().String(), live}}}},
+		Dial: gridmon.DialOptions{AttemptTimeout: 100 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	start := time.Now()
+	st, err := r.Subscribe(testCtx(t), gridmon.Subscription{System: gridmon.RGMA, Host: fedHosts[0]})
+	if err != nil {
+		t.Fatalf("subscribe behind a stalled first replica: %v", err)
+	}
+	defer st.Close()
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("failover took %v: the stalled replica held the subscribe", elapsed)
+	}
+	if err := st.Err(); err != nil {
+		t.Fatalf("the replica's stream ended at once: %v", err)
 	}
 }
 

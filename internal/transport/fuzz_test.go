@@ -12,14 +12,14 @@ import (
 	"repro/internal/binenc"
 )
 
-// The two halves of the wire read bytes a peer chose. The fuzz targets
-// feed each half arbitrary bytes where frames should be and hold it to
-// the transport's failure contract: never a panic, never a hang — a
-// well-formed answer or a closed connection, and everything waiting on
-// the connection is released. The seed corpora are checked in under
-// testdata/fuzz, one named file per case (a valid call, a cancel for an
-// unknown id, a truncated header, the huge-timeout frame, a reply for an
-// unknown id, ...).
+// The server and both kinds of client connection read bytes a peer
+// chose. The fuzz targets feed each arbitrary bytes where frames should
+// be and hold it to the transport's failure contract: never a panic,
+// never a hang — a well-formed answer or a closed connection, and
+// everything waiting on the connection is released. The seed corpora
+// are checked in under testdata/fuzz, one named file per case (a valid
+// call, a cancel for an unknown id, a truncated header, the huge-timeout
+// frame, a reply for an unknown id, a stream's ack for another id, ...).
 
 // fuzzServer serves one op of each kind over in-process connections.
 func fuzzServer() (*Server, pipeListener) {
@@ -123,19 +123,18 @@ func checkResponseFrame(t *testing.T, payload []byte) {
 }
 
 // FuzzV3ClientFrames feeds a MuxClient's demux loop data where the
-// server's response frames should be, with one call (request id 1) and
-// one stream (request id 2) waiting on the connection, then ends the
-// input. Whatever the bytes were, the call must return and the stream
-// must terminate.
+// server's reply frames should be, with one call (request id 1) waiting
+// on the connection, then ends the input. Whatever the bytes were, the
+// call must return.
 func FuzzV3ClientFrames(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		client, peer := duplexPipe()
 		m := NewMuxClient(client, 0)
 		defer m.Close()
-		// The peer swallows what the client sends, reporting each request
-		// frame, so the harness knows both requests hold their ids before
-		// the input starts.
-		sent := make(chan struct{}, 2)
+		// The peer swallows what the client sends, reporting the request
+		// frame, so the harness knows the call holds its id before the
+		// input starts.
+		sent := make(chan struct{}, 1)
 		go func() {
 			r := bufio.NewReader(peer)
 			r.Discard(len(v3Magic))
@@ -144,10 +143,7 @@ func FuzzV3ClientFrames(f *testing.F) {
 				if _, err := readFrameInto(r, &buf); err != nil {
 					return
 				}
-				select {
-				case sent <- struct{}{}:
-				default: // cancel frames, once the input is flowing
-				}
+				sent <- struct{}{}
 			}
 		}()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -164,27 +160,46 @@ func FuzzV3ClientFrames(f *testing.F) {
 				})
 		}()
 		<-sent
-		streamDone := make(chan struct{})
-		go func() {
-			defer close(streamDone)
-			ms, err := m.OpenStreamV3(ctx, "ticks", nil)
-			if err != nil {
-				return
-			}
-			for ms.Recv(func(byte, []byte) error { return nil }) == nil {
-			}
-		}()
-		<-sent
 		go func() {
 			peer.Write(data)
 			peer.CloseWrite()
 		}()
-		for _, done := range []chan struct{}{callDone, streamDone} {
-			select {
-			case <-done:
-			case <-ctx.Done():
-				t.Fatal("a call or stream was still waiting after the connection's input ended")
+		select {
+		case <-callDone:
+		case <-ctx.Done():
+			t.Fatal("a call was still waiting after the connection's input ended")
+		}
+	})
+}
+
+// FuzzV3StreamFrames feeds a stream's reader data where the server's
+// ack, event and end frames should be, then ends the input. Whatever the
+// bytes were, OpenStream must return, and a stream it opened must end —
+// with no context to cut either short.
+func FuzzV3StreamFrames(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		client, peer := duplexPipe()
+		defer peer.Close()
+		go io.Copy(io.Discard, peer) // the open frame, and a cancel
+		go func() {
+			peer.Write(data)
+			peer.CloseWrite()
+		}()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s, err := OpenStream(context.Background(), client, "ticks", nil)
+			if err != nil {
+				return
 			}
+			defer s.Close()
+			for s.Recv(func(byte, []byte) error { return nil }) == nil {
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the stream was still open after its connection's input ended")
 		}
 	})
 }

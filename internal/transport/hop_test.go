@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -216,10 +217,11 @@ func TestV3WorkersBoundedAndReaped(t *testing.T) {
 	var releaseOnce sync.Once
 	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
 	t.Cleanup(releaseAll)
-	m, err := DialV3(context.Background(), addr, DefaultMaxPipeline+1)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := NewMuxClient(conn, DefaultMaxPipeline+1)
 	defer m.Close()
 	done := make(chan error, DefaultMaxPipeline+1)
 	for i := 0; i <= DefaultMaxPipeline; i++ {

@@ -144,8 +144,12 @@ func TestExpiredContextClientSide(t *testing.T) {
 	if err := m.CallV3(ctx, "math.add", nil, nil); ErrorCode(err) != CodeDeadline {
 		t.Fatalf("CallV3 err = %v", err)
 	}
-	if _, err := m.OpenStreamV3(ctx, "ticks", nil); ErrorCode(err) != CodeDeadline {
-		t.Fatalf("OpenStreamV3 err = %v", err)
+	sconn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStream(ctx, writeCountingConn{sconn, &written}, "ticks", nil); ErrorCode(err) != CodeDeadline {
+		t.Fatalf("OpenStream err = %v", err)
 	}
 	if n := written.Load(); n != 0 {
 		t.Fatalf("%d bytes reached the wire under an expired context", n)

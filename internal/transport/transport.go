@@ -1,16 +1,17 @@
 // Package transport provides the live-mode wire layer: one protocol —
 // length-prefixed binary frames, pipelined and multiplexed by request id
-// over TCP (or any net.Conn) — with an op-dispatch Server and the
-// MuxClient that speaks to it. Every op is registered once in the
-// server's table in exactly one body encoding: a typed function whose
-// JSON request/response bodies are derived (Handle), a binary codec
-// (HandleV3), or a binary server-push stream (HandleStreamV3).
-// Failures carry structured error codes and the client's context deadline
-// is propagated to the server. The frame layout is documented in v3.go,
-// the client in mux.go; bodies are built from internal/binenc. The
-// monitoring services' engines are pure request/response logic; this
-// package makes them network services a real client can query,
-// complementing the simulated testbed used for the experiments.
+// over TCP (or any net.Conn) — with an op-dispatch Server, the MuxClient
+// that calls it and the StreamConn that subscribes to it. Every op is
+// registered once in the server's table in exactly one body encoding: a
+// typed function whose JSON request/response bodies are derived
+// (Handle), a binary codec (HandleV3), or a binary server-push stream
+// (HandleStreamV3). Failures carry structured error codes and the
+// client's context deadline is propagated to the server. The frame
+// layout is documented in v3.go, the clients in mux.go and stream.go;
+// bodies are built from internal/binenc. The monitoring services'
+// engines are pure request/response logic; this package makes them
+// network services a real client can query, complementing the simulated
+// testbed used for the experiments.
 package transport
 
 import (

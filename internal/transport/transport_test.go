@@ -102,11 +102,12 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			m, err := DialV3(context.Background(), addr, 0)
+			conn, err := net.Dial("tcp", addr)
 			if err != nil {
 				errs <- err
 				return
 			}
+			m := NewMuxClient(conn, 0)
 			defer m.Close()
 			for k := 0; k < 10; k++ {
 				want := fmt.Sprintf("c%d-%d", i, k)

@@ -21,8 +21,8 @@ import (
 // server answers calls concurrently — on per-connection workers, at
 // most DefaultMaxPipeline of them — and writes each response as its
 // handler completes: completion order, not arrival order, so one slow
-// call does not block the line. The client demultiplexes by id (see
-// mux.go).
+// call does not block the line. The call client demultiplexes by id
+// (see mux.go); the stream client owns its connection (stream.go).
 //
 // Request payload layout (after the 4-byte length envelope):
 //
@@ -153,6 +153,30 @@ func appendV3RespHeader(b []byte, kind byte, id uint64, flags byte) []byte {
 	b = append(b, kind)
 	b = binenc.AppendUvarint(b, id)
 	return append(b, flags)
+}
+
+// v3Response is one response frame as a client reads it.
+type v3Response struct {
+	kind  byte
+	id    uint64
+	flags byte
+	err   *Error // the error an error-flagged frame carries
+	body  []byte // the rest of the frame, a view into it
+}
+
+// parseV3Response reads a response frame's header; ok is false when it
+// is malformed. An error frame with no code reads as CodeExec.
+func parseV3Response(payload []byte) (resp v3Response, ok bool) {
+	d := binenc.NewDec(payload)
+	resp = v3Response{kind: d.Byte(), id: d.Uvarint(), flags: d.Byte()}
+	if resp.flags&v3FlagError != 0 {
+		resp.err = &Error{Code: Code(d.String()), Message: d.String()}
+		if resp.err.Code == "" {
+			resp.err.Code = CodeExec
+		}
+	}
+	resp.body = d.Rest()
+	return resp, d.Err() == nil
 }
 
 // v3Error writes an error response frame for id.
@@ -358,9 +382,9 @@ func (s *Server) dispatchV3(cw *v3ConnWriter, job v3Job) {
 }
 
 // serveStreamV3 runs one stream: ack, event frames, end frame. It does
-// not own the connection — event frames interleave with other responses
-// under the connection writer — so the client can keep calling while
-// subscribed. It owns and releases pb.
+// not own the connection: its frames go out under the connection writer,
+// so a peer that sends calls or opens more streams on the same
+// connection is answered between the events. It owns and releases pb.
 func (s *Server) serveStreamV3(ctx context.Context, cw *v3ConnWriter, id uint64, op string, flags byte, pb *wireBuf) {
 	s.mu.Lock()
 	open := s.ops[op].stream

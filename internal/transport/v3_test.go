@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"io"
 	"net"
@@ -43,12 +44,32 @@ func v3AddServer(t *testing.T) (*Server, string) {
 
 func dialV3(t *testing.T, addr string) *MuxClient {
 	t.Helper()
-	m, err := DialV3(context.Background(), addr, 0)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := NewMuxClient(conn, 0)
 	t.Cleanup(func() { m.Close() })
 	return m
+}
+
+// openV3Stream opens op as a stream on a connection of its own to addr.
+func openV3Stream(t *testing.T, addr, op string, enc func(b []byte) []byte) (*StreamConn, error) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenStream(context.Background(), conn, op, enc)
+	if err == nil {
+		t.Cleanup(func() { s.Close() })
+	}
+	return s, err
+}
+
+// ticksBody is the "ticks" stream's request body.
+func ticksBody(n uint64) func(b []byte) []byte {
+	return func(b []byte) []byte { return binenc.AppendUvarint(b, n) }
 }
 
 func addV3(t *testing.T, m *MuxClient, a, b uint64) (uint64, error) {
@@ -378,15 +399,13 @@ func v3TickServer(t *testing.T) string {
 // order and ends with io.EOF.
 func TestV3StreamDelivery(t *testing.T) {
 	leakcheck.Check(t)
-	m := dialV3(t, v3TickServer(t))
-	ms, err := m.OpenStreamV3(context.Background(), "ticks",
-		func(b []byte) []byte { return binenc.AppendUvarint(b, 3) })
+	s, err := openV3Stream(t, v3TickServer(t), "ticks", ticksBody(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []uint64
 	for {
-		err := ms.Recv(func(_ byte, body []byte) error {
+		err := s.Recv(func(_ byte, body []byte) error {
 			d := binenc.NewDec(body)
 			got = append(got, d.Uvarint())
 			return d.Err()
@@ -404,48 +423,49 @@ func TestV3StreamDelivery(t *testing.T) {
 }
 
 // TestV3StreamSetupError: a failing open returns the structured error
-// from OpenStreamV3 itself; nothing is left registered.
+// from OpenStream itself and closes the connection it was handed; the
+// next stream, on a connection of its own, opens fine.
 func TestV3StreamSetupError(t *testing.T) {
 	leakcheck.Check(t)
-	m := dialV3(t, v3TickServer(t))
-	_, err := m.OpenStreamV3(context.Background(), "ticks",
-		func(b []byte) []byte { return binenc.AppendUvarint(b, 99) })
-	if ErrorCode(err) != CodeUnavailable {
-		t.Fatalf("setup err = %v", err)
-	}
-	// The connection is fine for the next stream.
-	ms, err := m.OpenStreamV3(context.Background(), "ticks",
-		func(b []byte) []byte { return binenc.AppendUvarint(b, 1) })
+	addr := v3TickServer(t)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms.Cancel()
+	if _, err := OpenStream(context.Background(), conn, "ticks", ticksBody(99)); ErrorCode(err) != CodeUnavailable {
+		t.Fatalf("setup err = %v", err)
+	}
+	if _, err := conn.Write([]byte{0}); err == nil {
+		t.Fatal("the connection of a failed open is still open")
+	}
+	s, err := openV3Stream(t, addr, "ticks", ticksBody(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Cancel()
 }
 
 // TestV3StreamCancel: cancelling an endless stream ends it cleanly —
 // Recv observes the end frame, never a hang.
 func TestV3StreamCancel(t *testing.T) {
 	leakcheck.Check(t)
-	m := dialV3(t, v3TickServer(t))
-	ms, err := m.OpenStreamV3(context.Background(), "ticks",
-		func(b []byte) []byte { return binenc.AppendUvarint(b, 0) })
+	s, err := openV3Stream(t, v3TickServer(t), "ticks", ticksBody(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Take a couple of events, then hang up.
 	for i := 0; i < 2; i++ {
-		if err := ms.Recv(func(byte, []byte) error { return nil }); err != nil {
+		if err := s.Recv(func(byte, []byte) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := ms.Cancel(); err != nil {
+	if err := s.Cancel(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(5 * time.Second)
 	done := make(chan error, 1)
 	go func() {
 		for {
-			if err := ms.Recv(func(byte, []byte) error { return nil }); err != nil {
+			if err := s.Recv(func(byte, []byte) error { return nil }); err != nil {
 				done <- err
 				return
 			}
@@ -456,28 +476,29 @@ func TestV3StreamCancel(t *testing.T) {
 		if err != io.EOF {
 			t.Fatalf("after cancel, Recv = %v, want EOF", err)
 		}
-	case <-deadline:
+	case <-time.After(5 * time.Second):
 		t.Fatal("stream did not end after cancel")
 	}
 }
 
 // TestV3StreamOpMisuse: stream ops demand stream opens and call ops
-// demand calls, with structured codes either way — and neither mistake
-// costs the connection.
+// demand calls, with structured codes either way — and a misused call
+// does not cost its connection.
 func TestV3StreamOpMisuse(t *testing.T) {
 	leakcheck.Check(t)
-	m := dialV3(t, v3TickServer(t))
-	err := m.CallV3(context.Background(), "ticks", func(b []byte) []byte { return binenc.AppendUvarint(b, 1) }, nil)
+	addr := v3TickServer(t)
+	m := dialV3(t, addr)
+	err := m.CallV3(context.Background(), "ticks", ticksBody(1), nil)
 	if ErrorCode(err) != CodeBadRequest {
 		t.Fatalf("plain call on stream op = %v, want %s", err, CodeBadRequest)
 	}
 	if err := m.CallJSON(context.Background(), "ticks", nil, nil); ErrorCode(err) != CodeBadRequest {
 		t.Fatalf("JSON call on stream op = %v, want %s", err, CodeBadRequest)
 	}
-	if _, err := m.OpenStreamV3(context.Background(), "ops.list", nil); ErrorCode(err) != CodeUnknownOp {
+	if _, err := openV3Stream(t, addr, "ops.list", nil); ErrorCode(err) != CodeUnknownOp {
 		t.Fatalf("stream open on call op = %v, want %s", err, CodeUnknownOp)
 	}
-	if _, err := m.OpenStreamV3(context.Background(), "no.such.stream", nil); ErrorCode(err) != CodeUnknownOp {
+	if _, err := openV3Stream(t, addr, "no.such.stream", nil); ErrorCode(err) != CodeUnknownOp {
 		t.Fatalf("unknown stream err = %v", err)
 	}
 	if err := m.CallJSON(context.Background(), "ops.list", nil, nil); err != nil {
@@ -485,85 +506,10 @@ func TestV3StreamOpMisuse(t *testing.T) {
 	}
 }
 
-// TestV3StalledStreamDoesNotBlockCalls: the demux loop must never park
-// on a stream whose consumer stopped receiving — call replies demux
-// regardless (a blocked loop was a head-of-line deadlock for any
-// goroutine interleaving Recv with calls), and once the consumer has
-// fallen maxStreamInbox frames behind, the stream alone dies with
-// CodeOverloaded while the connection stays usable.
-func TestV3StalledStreamDoesNotBlockCalls(t *testing.T) {
-	leakcheck.Check(t)
-	srv := NewServer()
-	srv.HandleV3("ping", func(_ context.Context, _, out []byte) ([]byte, *Error) {
-		return append(out, 'p'), nil
-	})
-	srv.HandleStreamV3("flood", func(ctx context.Context, _ []byte) (V3StreamFunc, *Error) {
-		return func(send V3Send) error {
-			for i := uint64(0); ; i++ {
-				select {
-				case <-ctx.Done():
-					return ctx.Err()
-				default:
-				}
-				i := i
-				if err := send(func(b []byte) []byte { return binenc.AppendUvarint(b, i) }); err != nil {
-					return err
-				}
-			}
-		}, nil
-	})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	m := dialV3(t, addr)
-	ms, err := m.OpenStreamV3(context.Background(), "flood", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The server floods events nobody receives; every call must still
-	// answer inside its deadline.
-	for i := 0; i < 50; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err := m.CallV3(ctx, "ping", nil, nil)
-		cancel()
-		if err != nil {
-			t.Fatalf("call %d alongside a stalled stream: %v", i, err)
-		}
-	}
-	// Wait for the flood to overflow the inbox — how long that takes is
-	// the scheduler's business, not this test's.
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		ms.qMu.Lock()
-		overflowed := ms.done
-		ms.qMu.Unlock()
-		if overflowed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the flood never overflowed the stream's inbox")
-		}
-	}
-	// The abandoned consumer finds its frames up to the inbox bound and
-	// then the typed overflow error — never a hang, never a conn error.
-	var streamErr error
-	for i := 0; i <= maxStreamInbox; i++ {
-		if streamErr = ms.Recv(func(byte, []byte) error { return nil }); streamErr != nil {
-			break
-		}
-	}
-	if ErrorCode(streamErr) != CodeOverloaded {
-		t.Fatalf("stalled stream err = %v, want CodeOverloaded", streamErr)
-	}
-	// The connection survived its stream's death.
-	if err := m.CallV3(context.Background(), "ping", nil, nil); err != nil {
-		t.Fatalf("call after stream overflow: %v", err)
-	}
-}
-
-// TestV3CallsInterleaveWithStream: an open stream does not dedicate the
-// connection — calls keep answering on the same mux while events flow.
+// TestV3CallsInterleaveWithStream: the server does not dedicate a
+// connection to a stream. A peer that writes calls on the connection it
+// opened a stream on gets each reply while the events keep coming, and
+// the stream still ends with its end frame when cancelled.
 func TestV3CallsInterleaveWithStream(t *testing.T) {
 	leakcheck.Check(t)
 	srv := NewServer()
@@ -591,18 +537,56 @@ func TestV3CallsInterleaveWithStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	m := dialV3(t, addr)
-	ms, err := m.OpenStreamV3(context.Background(), "ticks", nil)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ms.Cancel()
-	for i := 0; i < 5; i++ {
-		if err := ms.Recv(func(byte, []byte) error { return nil }); err != nil {
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	write := func(frame []byte) {
+		t.Helper()
+		if _, err := conn.Write(frame); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.CallV3(context.Background(), "ping", nil, nil); err != nil {
-			t.Fatalf("call %d alongside stream: %v", i, err)
+	}
+	r := bufio.NewReader(conn)
+	var buf []byte
+	read := func() v3Response {
+		t.Helper()
+		payload, err := readFrameInto(r, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, ok := parseV3Response(payload)
+		if !ok {
+			t.Fatalf("malformed response frame % x", payload)
+		}
+		return resp
+	}
+	const stream = 7
+	write(append(v3Magic[:], rawRequest(v3Open, stream, "ticks", 0, 0, nil)...))
+	if resp := read(); resp.kind != v3Ack || resp.id != stream {
+		t.Fatalf("first frame: kind %d id %d, want the stream's ack", resp.kind, resp.id)
+	}
+	// Each round's call is answered, and an event arrives in the round.
+	for call := uint64(stream + 1); call <= stream+5; call++ {
+		write(rawRequest(v3Call, call, "ping", 0, 0, nil))
+		replied, events := false, 0
+		for !replied || events == 0 {
+			switch resp := read(); {
+			case resp.kind == v3Event && resp.id == stream:
+				events++
+			case resp.kind == v3Reply && resp.id == call && string(resp.body) == "p":
+				replied = true
+			default:
+				t.Fatalf("call %d: unexpected frame kind %d id %d", call, resp.kind, resp.id)
+			}
+		}
+	}
+	write(rawFrame(binenc.AppendUvarint([]byte{v3Cancel}, stream)))
+	for resp := read(); resp.kind != v3End; resp = read() {
+		if resp.kind != v3Event || resp.id != stream {
+			t.Fatalf("after cancel: unexpected frame kind %d id %d", resp.kind, resp.id)
 		}
 	}
 }

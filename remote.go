@@ -212,8 +212,8 @@ func defSeed(seed int64) int64 {
 	return 0x67726964 // "grid": fixed so unconfigured jitter is still reproducible
 }
 
-// dialClient opens one wrapped connection to the server.
-func (r *RemoteGrid) dialClient(ctx context.Context) (*transport.MuxClient, error) {
+// dial opens one wrapped connection to the server.
+func (r *RemoteGrid) dial(ctx context.Context) (net.Conn, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", r.addr)
 	if err != nil {
@@ -221,6 +221,15 @@ func (r *RemoteGrid) dialClient(ctx context.Context) (*transport.MuxClient, erro
 	}
 	if r.opts.WrapConn != nil {
 		conn = r.opts.WrapConn(conn)
+	}
+	return conn, nil
+}
+
+// dialClient opens one call connection to the server.
+func (r *RemoteGrid) dialClient(ctx context.Context) (*transport.MuxClient, error) {
+	conn, err := r.dial(ctx)
+	if err != nil {
+		return nil, err
 	}
 	return transport.NewMuxClient(conn, r.opts.MaxInFlight), nil
 }
@@ -418,7 +427,7 @@ func (r *RemoteGrid) ClientStats() ClientStats {
 }
 
 // Subscribe opens a typed event stream for sub on the remote grid, over
-// a dedicated connection: the subscription rides the binary codec and
+// a connection of its own: the subscription rides the binary codec and
 // events arrive as batched frames (up to maxEventBatch entries per frame
 // under fan-out), lag reports and the buffer preamble in the same entry
 // sequence. Setup failures return here with the same structured codes as
@@ -426,14 +435,18 @@ func (r *RemoteGrid) ClientStats() ClientStats {
 // numbers, so a remote stream is event-for-event identical to an
 // in-process one; the client-side buffer applies the same bounded-buffer
 // lag semantics (see ErrLagged), and drops on the serving side are
-// merged into this stream's drop accounting.
+// merged into this stream's drop accounting. One goroutine reads the
+// frames off the socket into that buffer, which drops and never blocks.
 //
 // Subscribe is deliberately outside the retry machinery: a replayed
 // subscribe is not idempotent (the server acks and begins delivery —
 // blind replay could double-deliver), so a failed stream surfaces as
 // the stream's terminal error and re-subscribing is the consumer's
-// decision. DialOptions.WrapConn does apply to the dedicated
-// connection, so chaos tests can fault streams too.
+// decision. DialOptions.AttemptTimeout bounds the dial and the
+// handshake (the ack and the preamble), not the stream, so a server
+// that accepts and never answers fails the subscribe deadline_exceeded;
+// DialOptions.WrapConn applies to the connection, so chaos tests can
+// fault streams too.
 //
 // Cancelling ctx (or calling Stream.Close) sends a cancel frame; the
 // server detaches the subscription's sources and confirms with an end
@@ -446,14 +459,19 @@ func (r *RemoteGrid) Subscribe(ctx context.Context, sub Subscription) (*Stream, 
 	if closed {
 		return nil, errClientClosed
 	}
-	mux, err := r.dialClient(ctx)
+	hctx := ctx // bounds the dial and the handshake, not the stream
+	if r.opts.AttemptTimeout > 0 {
+		var cancel context.CancelFunc
+		hctx, cancel = context.WithTimeout(ctx, r.opts.AttemptTimeout)
+		defer cancel()
+	}
+	conn, err := r.dial(hctx)
 	if err != nil {
 		return nil, transport.AsError(err)
 	}
-	ms, err := mux.OpenStreamV3(ctx, "grid.subscribe",
+	sc, err := transport.OpenStream(hctx, conn, "grid.subscribe",
 		func(b []byte) []byte { return appendWireSubscription(b, sub) })
 	if err != nil {
-		mux.Close()
 		return nil, transport.AsError(err)
 	}
 	// The first frame is the preamble batch carrying the serving grid's
@@ -463,17 +481,18 @@ func (r *RemoteGrid) Subscribe(ctx context.Context, sub Subscription) (*Stream, 
 	var preEvents []Event
 	var preDrops uint64
 	preBuffer := 0
-	preErr := ms.Recv(func(_ byte, body []byte) error {
+	stop := context.AfterFunc(hctx, func() { sc.Close() })
+	preErr := sc.Recv(func(_ byte, body []byte) error {
 		return decodeWireBatch(body,
 			func(ev Event) { preEvents = append(preEvents, ev) },
 			func(n uint64) { preDrops += n },
 			func(b int) { preBuffer = b })
 	})
+	if !stop() {
+		preErr = hctx.Err()
+	}
 	if preErr != nil {
-		mux.Close()
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, transport.AsError(ctxErr)
-		}
+		sc.Close()
 		return nil, transport.AsError(preErr)
 	}
 	buffer := sub.Buffer
@@ -499,12 +518,12 @@ func (r *RemoteGrid) Subscribe(ctx context.Context, sub Subscription) (*Stream, 
 		case <-st.stopped:
 		case <-st.done:
 		}
-		ms.Cancel()
+		sc.Cancel()
 	}()
 	go func() {
-		defer mux.Close()
+		defer sc.Close()
 		for {
-			err := ms.Recv(func(_ byte, body []byte) error {
+			err := sc.Recv(func(_ byte, body []byte) error {
 				return decodeWireBatch(body,
 					func(ev Event) { st.emit(ev) },
 					func(n uint64) { st.addDrops(n) },

@@ -2,6 +2,7 @@ package gridmon
 
 import (
 	"context"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -38,10 +39,11 @@ func TestWireHugeCountIsBadRequest(t *testing.T) {
 	}
 	t.Cleanup(srv.Close)
 	ctx := context.Background()
-	mux, err := transport.DialV3(ctx, addr, 0)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mux := transport.NewMuxClient(conn, 0)
 	defer mux.Close()
 
 	hostile := [][]byte{hugeCountQueryFrame(1 << 62), hugeCountQueryFrame(1 << 30)}
