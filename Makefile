@@ -61,8 +61,10 @@ race:
 # (TestContinuousQueryMatchesQuery and FuzzContinuousQuery's seeds: R-GMA
 # deliveries run on the query path's scratch, inside whatever refreshes
 # the sensors; MDS polls run on it under Advance's lock), and a client's
-# table of answer texts decoding shared and differing replies at once
-# (TestAnswerTextsConcurrent: every answer is a fresh decode's), and the
+# table of decoded answers serving shared and differing replies at once
+# (TestAnswerTextsConcurrent: every answer is a fresh decode's, and
+# after every pass every held answer is still what its text decodes
+# to, so no shared field map was written), and the
 # one bounded map behind those tables and the cache (TestBoundedMap*:
 # goroutines getting, storing and overflowing one map).
 # The all-misses scratch case then runs 25 more times: its frames hold

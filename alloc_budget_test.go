@@ -122,25 +122,27 @@ func TestQueryAllocBudget(t *testing.T) {
 // the count is the wire's: framing, the cache lookup, and the client
 // decoding the answer. Server and client share the process, so both
 // sides are counted. Measured +10% on go1.24.0 linux/amd64, before →
-// after the client cut its strings out of one copy of the frame; what is
-// left is the field map of each record (two allocations for a small one)
-// plus ~10 for the call. The third number is the server encoding its flat
-// answer instead of a []Record; the fourth is the v3 hop allocating
-// nothing in the transport (reused reply channels, per-connection call
-// workers, the op looked up without a copy, frame lengths written and
-// read without escaping), 8 fewer per call; the fifth is a served hit
-// allocating nothing (TestServedCacheHitAllocs); the last is the client
-// cutting a repeated answer from the copy of its text it already holds
-// (answerTexts), 1 fewer. Under GOEXPERIMENT=noswissmap the cells
-// measure 74, 92 and 9.
+// after the client cut its strings out of one copy of the frame. The
+// third number is the server encoding its flat answer instead of a
+// []Record; the fourth is the v3 hop allocating nothing in the
+// transport (reused reply channels, per-connection call workers, the op
+// looked up without a copy, frame lengths written and read without
+// escaping), 8 fewer per call; the fifth is a served hit allocating
+// nothing (TestServedCacheHitAllocs); the sixth is the client cutting a
+// repeated answer from the copy of its text it already holds, 1 fewer;
+// the last is the client reusing a repeated answer's decoded records
+// (answerTexts): what is left is the ResultSet and its own []Record,
+// whose field maps are the held ones, whatever the answer's size. Under
+// GOEXPERIMENT=noswissmap the cells measure 74, 92 and 9 before the
+// last step and 2, 2 and 2 after it.
 //
-//	MDS aggregate      36 records, 162 fields   441 →  91 →  90 →  82 → 81 → 80
-//	R-GMA aggregate    45 records,  90 fields   335 → 105 → 104 →  96 → 93 → 92
-//	Hawkeye aggregate   3 records,  69 fields   163 →  25 →  24 →  16 → 15 → 14
+//	MDS aggregate      36 records, 162 fields   441 →  91 →  90 →  82 → 81 → 80 → 2
+//	R-GMA aggregate    45 records,  90 fields   335 → 105 → 104 →  96 → 93 → 92 → 2
+//	Hawkeye aggregate   3 records,  69 fields   163 →  25 →  24 →  16 → 15 → 14 → 2
 var remoteAllocBudgetCells = []allocBudgetCell{
-	{Query{System: MDS, Role: RoleAggregateServer}, 88},
-	{Query{System: RGMA, Role: RoleAggregateServer, Expr: "SELECT * FROM siteinfo", Attrs: []string{"host", "value"}}, 101},
-	{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: `TARGET.OpSys == "LINUX"`}, 15},
+	{Query{System: MDS, Role: RoleAggregateServer}, 2.2},
+	{Query{System: RGMA, Role: RoleAggregateServer, Expr: "SELECT * FROM siteinfo", Attrs: []string{"host", "value"}}, 2.2},
+	{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: `TARGET.OpSys == "LINUX"`}, 2.2},
 }
 
 // TestRemoteQueryAllocBudget is TestQueryAllocBudget's remote twin: it

@@ -19,7 +19,10 @@ import (
 // machine name) plus flat string fields. Records are what the query API
 // returns, so they must survive a JSON round trip unchanged — in-process
 // and remote queries compare equal on them. A server builds them only
-// for in-process callers (Answer.Records).
+// for in-process callers (Answer.Records). A decoded record's Fields is
+// read-only: a remote client hands one map to every answer whose reply
+// is byte-identical to an earlier one's, so a write would change those
+// answers too.
 type Record struct {
 	Key    string            `json:"key"`
 	Fields map[string]string `json:"fields,omitempty"`

@@ -146,7 +146,7 @@ type RemoteGrid struct {
 	client *transport.MuxClient // guarded by connMu
 	closed bool                 // guarded by connMu
 
-	// texts holds the answer texts Query decoded last (answerTexts).
+	// texts holds the answers Query decoded last (answerTexts).
 	texts answerTexts
 
 	calls      atomic.Int64
@@ -552,15 +552,18 @@ func (r *RemoteGrid) Subscribe(ctx context.Context, sub Subscription) (*Stream, 
 // ride the binary codec — no JSON on either side — and the call
 // pipelines with its siblings on the shared connection.
 //
-// The caller owns the returned ResultSet. All its strings but the
-// branch error texts (record keys, field names and values, Host) are
+// The caller owns the returned ResultSet and its Records slice, but not
+// the records' field maps, which it must not write. All its strings but
+// the branch error texts (record keys, field names and values, Host) are
 // substrings of one immutable copy of the answer's text, its reply's
 // head and records, so a retained Record keeps its whole answer's text
 // alive — the contract in-process answers already have; clone the
-// strings to keep a few fields of a large answer for long. That copy is
+// strings to keep a few fields of a large answer for long. The decode is
 // shared: an answer whose text is byte-identical to one the client
-// decoded before is cut from the same copy, which the client keeps for
-// its next answers, at most 1024 texts and 4 MiB of them.
+// decoded before gets a []Record of its own over the same records, keys
+// and field maps, cut from the same copy. The client keeps at most 1024
+// decoded answers for its next ones, 4 MiB of them counted as their
+// text and what their records and maps cost.
 func (r *RemoteGrid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 	start := time.Now()
 	var rs *ResultSet

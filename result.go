@@ -28,6 +28,10 @@ type Work = core.Work
 // travel the wire inside the grid.query response, so a remote caller
 // sees exactly what an in-process caller of the Router would. A
 // single grid never sets them.
+//
+// Records is the caller's to sort, re-slice or append to, but a
+// RemoteGrid answer's field maps may be shared with earlier answers of
+// the same client and are read-only (see Record).
 type ResultSet struct {
 	System  System        `json:"system"`
 	Role    Role          `json:"role"`

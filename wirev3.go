@@ -31,21 +31,22 @@ import (
 // connection's pooled frame buffer, and stays alive as a whole while any
 // decoded string is retained. An event batch's text is its whole body
 // (binenc.NewDecText); an answer's is its reply's head and records
-// (binenc.NewDecPrefix), so the client's table of recent answer texts
-// (answerTexts) serves a repeated answer without a copy, and only branch
-// error texts, past it, are copied one by one. RemoteGrid.Query then
-// builds an answer's []Record and one map per record
-// (core.DecodeRecords, the one record decoder; see
-// TestWireQueryRoundTripAllocs). A server copies no grid.query request:
-// its strings resolve through the table of those it has seen (requests,
-// memo.go). It decodes no reply either: its source appends one to the
-// handler's buffer (appendQuerier). A Grid copies in the record section
-// its answer was rendered as (core.Answer), a RemoteGrid copies the body
-// it received once it has walked it (scanWireReply), and the federation
-// Router relays its branches' bytes: a routed reply restamped
-// (StampElapsed), broad ones' records sorted by key into one reply
-// (MergeReplies). Counts read off the wire are bounded by the bytes left
-// in the frame (Dec.Count) before anything is sized by them.
+// (binenc.NewDecPrefix), and only branch error texts, past it, are
+// copied one by one. RemoteGrid.Query builds a new answer's []Record
+// and one map per record (core.DecodeRecords, the one record decoder;
+// see TestWireQueryRoundTripAllocs) and keeps them with the text in the
+// client's table of recent answers (answerTexts): a repeated answer
+// costs no copy and no map, only a []Record of its own over the held
+// records' maps, and its tail's decode. A server copies no grid.query
+// request: its strings resolve through the table of those it has seen
+// (requests, memo.go). It decodes no reply either: its source appends
+// one to the handler's buffer (appendQuerier). A Grid copies in the
+// record section its answer was rendered as (core.Answer), a RemoteGrid
+// copies the body it received once it has walked it (scanWireReply),
+// and the federation Router relays its branches' bytes: a routed reply
+// restamped (StampElapsed), broad ones' records sorted by key into one
+// reply (MergeReplies). Counts read off the wire are bounded by the
+// bytes left in the frame (Dec.Count) before anything is sized by them.
 //
 // Nil-ness is preserved exactly as a JSON round trip preserves it, so a
 // decoded value is reflect.DeepEqual to the same value sent through
@@ -164,10 +165,20 @@ func appendWireTail(b []byte, rs *ResultSet) []byte {
 
 // decodeWireResultSetInto decodes a ResultSet into rs.
 func decodeWireResultSetInto(d *binenc.Dec, rs *ResultSet) {
+	decodeWireHeadInto(d, rs)
+	rs.Records = core.DecodeRecords(d)
+	decodeWireTailInto(d, rs)
+}
+
+// decodeWireHeadInto decodes what precedes a ResultSet's records into rs.
+func decodeWireHeadInto(d *binenc.Dec, rs *ResultSet) {
 	rs.System = System(d.String())
 	rs.Role = Role(d.String())
 	rs.Host = d.String()
-	rs.Records = core.DecodeRecords(d)
+}
+
+// decodeWireTailInto decodes what follows a ResultSet's records into rs.
+func decodeWireTailInto(d *binenc.Dec, rs *ResultSet) {
 	decodeWireWorkInto(d, &rs.Work)
 	rs.Elapsed = time.Duration(d.Varint())
 	rs.Partial = d.Byte() == 1
@@ -259,13 +270,22 @@ func decodeReply(body []byte, d binenc.Dec) (*ResultSet, error) {
 	return &rs, nil
 }
 
-// answerTexts holds the answer texts a client decoded last, keyed by the
-// text itself, so a reply byte-identical to an earlier one decodes onto
-// the same copy. An answer's text is its reply's head and record
-// section: every string of the answer but its branch error texts, which
-// follow Work and Elapsed, the parts that differ from reply to reply. It
-// keeps maxAnswerTexts texts and maxAnswerTextBytes of them.
-type answerTexts = boundedMap[string, string]
+// answerTexts holds the answers a client decoded last, keyed by their
+// text, so a reply byte-identical to an earlier one reuses its decode.
+// An answer's text is its reply's head and record section: every string
+// of the answer but its branch error texts, which follow Work and
+// Elapsed, the parts that differ from reply to reply. It keeps
+// maxAnswerTexts answers and maxAnswerTextBytes of what they count (see
+// newAnswerTexts).
+type answerTexts = boundedMap[string, heldAnswer]
+
+// heldAnswer is an answer's text and the records decoded from it. The
+// table owns the records slice; their field maps are shared by every
+// answer decoded from the text, so nothing may write them.
+type heldAnswer struct {
+	text    string
+	records []Record
+}
 
 const (
 	maxAnswerTexts     = 1024
@@ -273,10 +293,30 @@ const (
 )
 
 func newAnswerTexts() answerTexts {
-	return newBoundedMap(maxAnswerTexts, maxAnswerTextBytes, maxAnswerTextBytes, keyLen[string])
+	// An answer counts its text, perRecord for itself and for each
+	// record, and perField for each field. core.DecodeRecords allocates
+	// 360 bytes for an AnswerCorpus record of up to eight fields (376
+	// under GOEXPERIMENT=noswissmap), its slot in the []Record and a map
+	// of one group of slots, and at most 688 for one of 9 and 1,264 for
+	// one of 23, go1.24.0 linux/amd64; the answer's own perRecord covers
+	// the table's slot and its text's copy being rounded up to a size
+	// class. TestAnswerTextsByteCap holds every corpus answer's count to
+	// what holding it costs.
+	const perRecord, perField = 384, 48
+	return newBoundedMap(maxAnswerTexts, maxAnswerTextBytes, maxAnswerTextBytes, func(text string, a heldAnswer) int {
+		n := len(text) + perRecord*(1+len(a.records))
+		for _, r := range a.records {
+			n += perField * len(r.Fields)
+		}
+		return n
+	})
 }
 
-// decodeSharedReply is DecodeReply with the answer's text shared through t.
+// decodeSharedReply is DecodeReply with the answer's decode shared
+// through t. A reply whose text t holds gets a fresh []Record of the
+// held records, so its keys, maps and strings cost nothing, and only
+// its tail is decoded; any other is decoded onto a new copy of its text
+// and kept.
 func decodeSharedReply(t *answerTexts, body []byte) (*ResultSet, error) {
 	d := binenc.NewDec(body)
 	d.Bytes() // System
@@ -286,7 +326,25 @@ func decodeSharedReply(t *answerTexts, body []byte) (*ResultSet, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	return decodeReply(body, binenc.NewDecPrefix(body, intern(t, body[:len(body)-d.Len()])))
+	text := body[:len(body)-d.Len()]
+	held, ok := lookup(t, text)
+	if !ok {
+		s := string(text)
+		rs, err := decodeReply(body, binenc.NewDecPrefix(body, s))
+		if err == nil {
+			t.put(s, heldAnswer{text: s, records: slices.Clone(rs.Records)})
+		}
+		return rs, err
+	}
+	var rs ResultSet
+	h := binenc.NewDecPrefix(text, held.text)
+	decodeWireHeadInto(&h, &rs)
+	rs.Records = slices.Clone(held.records)
+	decodeWireTailInto(&d, &rs)
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return &rs, nil
 }
 
 // StampElapsed rewrites in place the Elapsed of the reply body b[from:]

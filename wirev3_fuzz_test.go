@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/binenc"
@@ -166,8 +167,11 @@ func FuzzWireDecode(f *testing.F) {
 
 // checkAnswerTexts decodes data three times through one table of answer
 // texts, so a reply the first decode accepts is a hit the second time
-// and the third store starts the table over, and holds every decode to
-// the copying one.
+// and, the table emptied and counted full, a miss the third time whose
+// store starts the table over, and holds every decode to the copying
+// one. Each decode's records are then reversed, as a caller
+// may, and after every pass every answer the table holds must still be
+// what its own text decodes to.
 func checkAnswerTexts(t *testing.T, data []byte) {
 	var want ResultSet
 	d := binenc.NewDec(data)
@@ -177,6 +181,9 @@ func checkAnswerTexts(t *testing.T, data []byte) {
 	for pass := 0; pass < 3; pass++ {
 		if pass == 2 {
 			startOver(&texts)
+			texts.mu.Lock()
+			clear(texts.m)
+			texts.mu.Unlock()
 		}
 		got, err := decodeSharedReply(&texts, data)
 		if (err == nil) != (d.Err() == nil) {
@@ -189,6 +196,8 @@ func checkAnswerTexts(t *testing.T, data []byte) {
 		if !reflect.DeepEqual(*got, want) {
 			t.Fatalf("pass %d: decoded %#v, copying decode %#v", pass, *got, want)
 		}
+		slices.Reverse(got.Records)
+		checkHeldAnswers(t, &texts)
 	}
 }
 
