@@ -61,9 +61,9 @@ race:
 # (TestContinuousQueryMatchesQuery and FuzzContinuousQuery's seeds: R-GMA
 # deliveries run on the query path's scratch, inside whatever refreshes
 # the sensors; MDS polls run on it under Advance's lock), and a client's
-# table of decoded answers serving shared and differing replies at once
+# table of decoded records serving replies that share records at once
 # (TestAnswerTextsConcurrent: every answer is a fresh decode's, and
-# after every pass every held answer is still what its text decodes
+# after every pass every held record is still what its bytes decode
 # to, so no shared field map was written), and the
 # one bounded map behind those tables and the cache (TestBoundedMap*:
 # goroutines getting, storing and overflowing one map).

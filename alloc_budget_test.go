@@ -130,11 +130,15 @@ func TestQueryAllocBudget(t *testing.T) {
 // escaping), 8 fewer per call; the fifth is a served hit allocating
 // nothing (TestServedCacheHitAllocs); the sixth is the client cutting a
 // repeated answer from the copy of its text it already holds, 1 fewer;
-// the last is the client reusing a repeated answer's decoded records
-// (answerTexts): what is left is the ResultSet and its own []Record,
-// whose field maps are the held ones, whatever the answer's size. Under
+// the last is the client reusing a repeated answer's decoded records:
+// what is left is the ResultSet and its own []Record, whose field maps
+// are the held ones, whatever the answer's size. Under
 // GOEXPERIMENT=noswissmap the cells measure 74, 92 and 9 before the
-// last step and 2, 2 and 2 after it.
+// last step and 2, 2 and 2 after it. Since the client holds records
+// rather than answers (answerRecords), an answer it has never seen
+// whose records it has all decoded before costs the same 2
+// (TestRemoteQueryAllocBudget's first-seen cell); it cost 47 before, a
+// copy of its text and a map per record.
 //
 //	MDS aggregate      36 records, 162 fields   441 →  91 →  90 →  82 → 81 → 80 → 2
 //	R-GMA aggregate    45 records,  90 fields   335 → 105 → 104 →  96 → 93 → 92 → 2
@@ -147,10 +151,56 @@ var remoteAllocBudgetCells = []allocBudgetCell{
 
 // TestRemoteQueryAllocBudget is TestQueryAllocBudget's remote twin: it
 // pins what the client half of a query allocates, which the in-process
-// cells never see.
+// cells never see. Its first-seen cell asks for the first n rows of an
+// ordered SELECT, a different n each time, from a client that has
+// decoded every row but none of those answers: each answer is new to
+// the client, and each of its records is held. A second client warms
+// the server's cache and request strings, so the server allocates
+// nothing.
 func TestRemoteQueryAllocBudget(t *testing.T) {
-	remote := serveGrid(t, newTestGrid(t, WithQueryCache(time.Hour)))
+	grid := newTestGrid(t, WithQueryCache(time.Hour))
+	remote := serveGrid(t, grid)
 	checkAllocBudget(t, remote, remoteAllocBudgetCells)
+
+	const runs, budget = 40, 2.2
+	ordered := Query{System: RGMA, Role: RoleInformationServer, Expr: "SELECT host, metric, value FROM siteinfo ORDER BY value DESC"}
+	firstN := make([]Query, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range firstN {
+		firstN[i] = ordered
+		firstN[i].Expr = fmt.Sprintf("%s LIMIT %d", ordered.Expr, i+1)
+	}
+	ctx := context.Background()
+	all, err := remote.Query(ctx, ordered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all.Records) <= runs {
+		t.Fatalf("the ordered SELECT answers %d rows, want more than %d", len(all.Records), runs)
+	}
+	warmer := serveGrid(t, grid)
+	for _, q := range firstN {
+		if _, err := warmer.Query(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		rs, err := remote.Query(ctx, firstN[next])
+		if err != nil {
+			t.Fatal(err)
+		}
+		next++
+		if len(rs.Records) != next {
+			t.Fatalf("%q: %d records", firstN[next-1].Expr, len(rs.Records))
+		}
+	})
+	t.Logf("%-40s %5.0f allocs/query (budget %.1f)", "first-seen answer, records held", allocs, budget)
+	if allocs > budget {
+		t.Errorf("a first-seen answer whose records are held: %.0f allocs/query, budget %.1f", allocs, budget)
+	}
 }
 
 // servedAllocs is what one binary grid.query of q costs the server of g,

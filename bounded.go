@@ -3,7 +3,7 @@ package gridmon
 import "sync"
 
 // boundedMap is the one rule behind the root package's recall tables
-// (exprMemo, requests, queryCache, answerTexts). Its owner gives it an
+// (exprMemo, requests, queryCache, answerRecords). Its owner gives it an
 // entry bound, a byte bound, the largest entry it keeps and what an
 // entry counts. An entry over the largest is never kept. A store that
 // would take the map past either bound first empties it with clear,
@@ -45,15 +45,22 @@ func (t *boundedMap[K, V]) put(k K, v V) {
 		t.bytes -= t.size(k, old)
 		delete(t.m, k)
 	}
+	t.room(1, size)
+	t.m[k] = v
+	t.mu.Unlock()
+}
+
+// room readies t, by the rule above, for a store of up to n entries that
+// count size together, and counts them; only a start-over takes back
+// what such a store counted. Callers hold mu.
+func (t *boundedMap[K, V]) room(n, size int) {
 	if t.m == nil {
 		t.m = make(map[K]V)
-	} else if len(t.m) >= t.maxEntries || t.bytes+size > t.maxBytes {
+	} else if len(t.m)+n > t.maxEntries || t.bytes+size > t.maxBytes {
 		clear(t.m)
 		t.bytes = 0
 	}
-	t.m[k] = v
 	t.bytes += size
-	t.mu.Unlock()
 }
 
 // lookup is get for the string key b spells; it copies nothing.

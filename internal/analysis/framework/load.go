@@ -32,8 +32,6 @@ type listPkg struct {
 	Name       string
 	Dir        string
 	GoFiles    []string
-	Imports    []string
-	Standard   bool
 	DepOnly    bool
 	// ImportMap rewrites import paths as the build would (stdlib
 	// vendoring: "golang.org/x/net/..." inside net is really

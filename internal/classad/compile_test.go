@@ -48,10 +48,12 @@ func randomAd(rng *rand.Rand, withReq bool) *Ad {
 	return ad
 }
 
-// TestCompileMatchDifferential holds CompiledMatch.Matches to the exact
-// behavior of Match over randomized ad pairs (including ads with no
-// Requirements on either side), re-using one CompiledMatch across many
-// candidates the way the Manager does.
+// TestCompileMatchDifferential holds CompiledMatch.Matches to Match over
+// randomized ad pairs (including ads with no Requirements on either
+// side), re-using one CompiledMatch across many candidates the way the
+// Manager does, but for the compiled ad's own Requirements, which is
+// held to the constraint query's strict boolean test: a numeric
+// Requirements there ("1") matches nothing.
 func TestCompileMatchDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -60,8 +62,12 @@ func TestCompileMatchDifferential(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			b := randomAd(rng, rng.Intn(2) == 0)
 			want := Match(a, b)
+			if req, ok := a.Lookup(AttrRequirements); ok {
+				v, isBool := EvalExprAgainst(req, a, b).BoolVal()
+				want = isBool && v && SatisfiedBy(b, a)
+			}
 			if got := cm.Matches(b); got != want {
-				t.Fatalf("trial %d: CompileMatch(%s).Matches(%s) = %v, Match = %v",
+				t.Fatalf("trial %d: CompileMatch(%s).Matches(%s) = %v, want %v",
 					trial, a, b, got, want)
 			}
 		}

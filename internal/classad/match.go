@@ -15,18 +15,19 @@ func EvalExprAgainst(e Expr, self, other *Ad) Value {
 // attrRequirementsLower is Requirements' precomputed lookup key.
 const attrRequirementsLower = "requirements"
 
-// satisfied interprets an evaluated Requirements value: booleans count
-// directly, numbers count as non-zero, undefined and error do not
-// satisfy.
+// satisfied interprets an evaluated Requirements value as matchmaking
+// does: booleans count directly, numbers count as non-zero, undefined
+// and error do not satisfy.
 func satisfied(v Value) bool {
+	n, ok := v.Number()
+	return ok && n != 0
+}
+
+// isTrue interprets an evaluated constraint as a query does: only
+// boolean true satisfies it.
+func isTrue(v Value) bool {
 	b, ok := v.BoolVal()
-	if !ok {
-		if n, isNum := v.Number(); isNum {
-			return n != 0
-		}
-		return false
-	}
-	return b
+	return ok && b
 }
 
 // SatisfiedBy reports whether self's Requirements evaluate to true against
@@ -71,13 +72,13 @@ func CompileMatch(self *Ad) *CompiledMatch {
 	return cm
 }
 
-// Matches reports whether self and other match symmetrically, exactly as
-// Match(self, other) would, short-circuiting on the precompiled side
-// first.
+// Matches reports whether self and other match symmetrically, as Match
+// would but holding self's Requirements, a trigger's constraint, to
+// boolean true as a constraint query does; self's side goes first.
 func (cm *CompiledMatch) Matches(other *Ad) bool {
 	if cm.req != nil {
 		cm.ctx = evalCtx{a: cm.self, b: other, cur: cm.self}
-		if !satisfied(cm.req.eval(&cm.ctx)) {
+		if !isTrue(cm.req.eval(&cm.ctx)) {
 			return false
 		}
 	}
@@ -113,7 +114,5 @@ func CompileConstraint(e Expr) CompiledConstraint {
 // error do not count).
 func (cc *CompiledConstraint) SatisfiedBy(candidate *Ad) bool {
 	cc.ctx = evalCtx{a: noAd, b: candidate, cur: noAd}
-	v := cc.expr.eval(&cc.ctx)
-	b, ok := v.BoolVal()
-	return ok && b
+	return isTrue(cc.expr.eval(&cc.ctx))
 }

@@ -59,9 +59,6 @@ func NewMachine(env *sim.Env, name string, cores int, speed float64, site *Site)
 // Env returns the owning simulation environment.
 func (m *Machine) Env() *sim.Env { return m.env }
 
-// Site returns the site the machine belongs to, or nil.
-func (m *Machine) Site() *Site { return m.site }
-
 // NIC returns the machine's network interface link.
 func (m *Machine) NIC() *Link { return m.nic }
 

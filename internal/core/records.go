@@ -20,9 +20,9 @@ import (
 // returns, so they must survive a JSON round trip unchanged — in-process
 // and remote queries compare equal on them. A server builds them only
 // for in-process callers (Answer.Records). A decoded record's Fields is
-// read-only: a remote client hands one map to every answer whose reply
-// is byte-identical to an earlier one's, so a write would change those
-// answers too.
+// read-only: a remote client hands one map to every answer that carries
+// a record byte-identical to one it decoded before, so a write would
+// change those answers too.
 type Record struct {
 	Key    string            `json:"key"`
 	Fields map[string]string `json:"fields,omitempty"`
@@ -69,19 +69,23 @@ func DecodeRecords(d *binenc.Dec) []Record {
 	}
 	out := make([]Record, d.Count(n1-1, 2))
 	for i := range out {
-		rec := &out[i]
-		rec.Key = d.String()
-		nf := d.Count(d.Uvarint(), 2) // a field is two length bytes at least
-		if nf == 0 {
-			continue
-		}
+		out[i] = DecodeRecord(d)
+	}
+	return out
+}
+
+// DecodeRecord decodes one record of a record section, as DecodeRecords
+// decodes each.
+func DecodeRecord(d *binenc.Dec) Record {
+	rec := Record{Key: d.String()}
+	if nf := d.Count(d.Uvarint(), 2); nf > 0 { // a field is two length bytes at least
 		rec.Fields = make(map[string]string, nf)
 		for j := 0; j < nf; j++ {
 			k := d.String()
 			rec.Fields[k] = d.String()
 		}
 	}
-	return out
+	return rec
 }
 
 // Get returns the value of the named field and whether r has it.

@@ -2,7 +2,6 @@ package ldap
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -277,17 +276,6 @@ func (w *walk) subtree(key string) {
 	for _, c := range w.t.children[key] {
 		w.subtree(c)
 	}
-}
-
-// DNs returns every entry DN in sorted normalized order, for stable test
-// assertions.
-func (t *DIT) DNs() []string {
-	out := make([]string, 0, len(t.entries))
-	for k := range t.entries {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // SizeBytes is the LDIF size of a result set projected onto attrs (the

@@ -403,6 +403,3 @@ func (p *filterParser) parseComparison() (Filter, error) {
 	}
 	return newCmpFilter(attr, op, value), nil
 }
-
-// PresentAll is the match-everything filter "(objectclass=*)".
-var PresentAll = MustParseFilter("(objectclass=*)")

@@ -28,9 +28,6 @@ type Provider struct {
 	Generate func(host string, now float64) []*ldap.Entry
 }
 
-// InvocationCount tracks how often a provider ran, for cache tests.
-type InvocationCount struct{ N int }
-
 // hostDN returns the host's DN under the MDS suffix.
 func hostDN(host string) ldap.DN {
 	return SuffixDN.Child("Mds-Host-hn", host)

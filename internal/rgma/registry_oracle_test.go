@@ -5,13 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"unsafe"
 
+	"repro/internal/allocmeter"
 	"repro/internal/gma"
 	"repro/internal/relational"
 	"repro/internal/storage"
@@ -182,20 +182,6 @@ func TestRegistryOracleEquivalence(t *testing.T) {
 	}
 }
 
-// allocsPerOp reports what one run of f allocates, objects and bytes,
-// averaged over runs after a warming run.
-func allocsPerOp(runs int, f func()) (objects, bytes float64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
-}
-
 // TestRegistryChurnAllocs pins what the directory costs on a registry of
 // 5,000 advertisements plus 48 siteinfo producers. A renewal, and an
 // unregistration followed by a registration, allocate no more than the
@@ -249,23 +235,23 @@ func TestRegistryChurnAllocs(t *testing.T) {
 			}
 		}},
 	} {
-		objects, bytes := allocsPerOp(1000, tc.op)
-		t.Logf("%s: %.2f allocs, %.0f bytes", tc.name, objects, bytes)
-		if objects > 1 || bytes > registration {
-			t.Errorf("%s: %.2f allocs and %.0f bytes, want at most one registration (%.0f bytes)", tc.name, objects, bytes, registration)
+		objects, bytes := allocmeter.PerRun(1000, tc.op)
+		t.Logf("%s: %d allocs, %d bytes", tc.name, objects, bytes)
+		if objects > 1 || float64(bytes) > registration {
+			t.Errorf("%s: %d allocs and %d bytes, want at most one registration (%.0f bytes)", tc.name, objects, bytes, registration)
 		}
 	}
 	var got []gma.Advertisement
-	objects, bytes := allocsPerOp(200, func() {
+	objects, bytes := allocmeter.PerRun(200, func() {
 		var err error
 		if got, _, err = r.LookupProducersStats("siteinfo", 1); err != nil {
 			t.Fatal(err)
 		}
 	})
 	answer := float64(48*unsafe.Sizeof(gma.Advertisement{})) * 9 / 8
-	t.Logf("lookup of %d: %.2f allocs, %.0f bytes", len(got), objects, bytes)
-	if len(got) != 48 || objects > 1 || bytes > answer {
-		t.Errorf("lookup of %d: %.2f allocs and %.0f bytes, want one answer of 48 (%.0f bytes)", len(got), objects, bytes, answer)
+	t.Logf("lookup of %d: %d allocs, %d bytes", len(got), objects, bytes)
+	if len(got) != 48 || objects > 1 || float64(bytes) > answer {
+		t.Errorf("lookup of %d: %d allocs and %d bytes, want one answer of 48 (%.0f bytes)", len(got), objects, bytes, answer)
 	}
 }
 

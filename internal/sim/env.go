@@ -15,15 +15,14 @@ import (
 // Env is a simulation environment: a virtual clock plus an event queue.
 // The zero value is not usable; create one with NewEnv.
 type Env struct {
-	now      float64
-	events   eventHeap
-	free     []*event // recycled events; see allocEvent/recycle
-	seq      uint64
-	yielded  chan struct{}
-	procs    []*Proc
-	running  bool
-	stopped  bool
-	nStarted int
+	now     float64
+	events  eventHeap
+	free    []*event // recycled events; see allocEvent/recycle
+	seq     uint64
+	yielded chan struct{}
+	procs   []*Proc
+	running bool
+	stopped bool
 }
 
 // NewEnv returns an environment with the clock at zero.

@@ -146,8 +146,8 @@ type RemoteGrid struct {
 	client *transport.MuxClient // guarded by connMu
 	closed bool                 // guarded by connMu
 
-	// texts holds the answers Query decoded last (answerTexts).
-	texts answerTexts
+	// records holds the records Query decoded last (answerRecords).
+	records answerRecords
 
 	calls      atomic.Int64
 	retries    atomic.Int64
@@ -197,11 +197,11 @@ func DialContextWith(ctx context.Context, addr string, opts DialOptions) (*Remot
 // coming back.
 func DialLazy(addr string, opts DialOptions) *RemoteGrid {
 	return &RemoteGrid{
-		addr:  addr,
-		opts:  opts,
-		br:    newBreaker(opts.Breaker),
-		rng:   rand.New(rand.NewSource(defSeed(opts.Backoff.Seed))),
-		texts: newAnswerTexts(),
+		addr:    addr,
+		opts:    opts,
+		br:      newBreaker(opts.Breaker),
+		rng:     rand.New(rand.NewSource(defSeed(opts.Backoff.Seed))),
+		records: newAnswerRecords(),
 	}
 }
 
@@ -553,17 +553,15 @@ func (r *RemoteGrid) Subscribe(ctx context.Context, sub Subscription) (*Stream, 
 // pipelines with its siblings on the shared connection.
 //
 // The caller owns the returned ResultSet and its Records slice, but not
-// the records' field maps, which it must not write. All its strings but
-// the branch error texts (record keys, field names and values, Host) are
-// substrings of one immutable copy of the answer's text, its reply's
-// head and records, so a retained Record keeps its whole answer's text
-// alive — the contract in-process answers already have; clone the
-// strings to keep a few fields of a large answer for long. The decode is
-// shared: an answer whose text is byte-identical to one the client
-// decoded before gets a []Record of its own over the same records, keys
-// and field maps, cut from the same copy. The client keeps at most 1024
-// decoded answers for its next ones, 4 MiB of them counted as their
-// text and what their records and maps cost.
+// the records' field maps, which it must not write. The decode is shared
+// record by record: a record byte-identical to one the client decoded
+// before, in any answer, is that record, its Key and field map included;
+// the records and head the client lacked are cut from one immutable copy
+// of their bytes. So a retained Record keeps alive what was new in the
+// answer that first brought it — clone the strings to keep a few fields
+// of a large answer for long. Branch error texts are copied. The client
+// keeps 4 MiB of decoded records for its next answers, counted as the
+// copies they lie in and what their maps cost.
 func (r *RemoteGrid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 	start := time.Now()
 	var rs *ResultSet
@@ -571,7 +569,7 @@ func (r *RemoteGrid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 		return c.CallV3(actx, "grid.query",
 			func(b []byte) []byte { return appendWireQuery(b, q) },
 			func(body []byte) (err error) {
-				rs, err = decodeSharedReply(&r.texts, body)
+				rs, err = decodeSharedReply(&r.records, body)
 				return err
 			})
 	})

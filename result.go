@@ -30,8 +30,8 @@ type Work = core.Work
 // single grid never sets them.
 //
 // Records is the caller's to sort, re-slice or append to, but a
-// RemoteGrid answer's field maps may be shared with earlier answers of
-// the same client and are read-only (see Record).
+// RemoteGrid answer's records may share their keys and field maps with
+// other answers of the same client; the maps are read-only (see Record).
 type ResultSet struct {
 	System  System        `json:"system"`
 	Role    Role          `json:"role"`

@@ -46,8 +46,7 @@ import (
 //	         Manager query's answer for Expr and m's own Requirements
 //	         accepts the trigger ad, except where Expr reads Requirements
 //	         from its own ad (Requirements, MY.Requirements: the
-//	         trigger's there, none in the query) or is a non-zero number
-//	         (true to matchmaking, not to the query). Empty matches all.
+//	         trigger's there, none in the query). Empty matches all.
 type Subscription struct {
 	// System selects MDS, RGMA or Hawkeye.
 	System System `json:"system"`

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -25,22 +26,21 @@ import (
 // Every codec comes in append/decode-into pairs: encoders extend a
 // caller-owned []byte; decoders write every field of the value they are
 // handed, straight-line, and keep nothing it held before. A client's
-// decoder cuts every string of an answer or an event batch — keys, field
-// names, values — out of one copy of the frame's text: the text costs at
-// most one allocation however many records it spans, never aliases the
-// connection's pooled frame buffer, and stays alive as a whole while any
-// decoded string is retained. An event batch's text is its whole body
-// (binenc.NewDecText); an answer's is its reply's head and records
-// (binenc.NewDecPrefix), and only branch error texts, past it, are
-// copied one by one. RemoteGrid.Query builds a new answer's []Record
-// and one map per record (core.DecodeRecords, the one record decoder;
-// see TestWireQueryRoundTripAllocs) and keeps them with the text in the
-// client's table of recent answers (answerTexts): a repeated answer
-// costs no copy and no map, only a []Record of its own over the held
-// records' maps, and its tail's decode. A server copies no grid.query
-// request: its strings resolve through the table of those it has seen
-// (requests, memo.go). It decodes no reply either: its source appends
-// one to the handler's buffer (appendQuerier). A Grid copies in the
+// decoder cuts every string of an event batch — keys, field names,
+// values — out of one copy of its body (binenc.NewDecText): one
+// allocation however many records it spans, never aliasing the
+// connection's pooled frame buffer, and alive as a whole while any
+// decoded string is retained. RemoteGrid.Query decodes a record once:
+// its client's table (answerRecords) holds each record it decoded under
+// the record's bytes, and a later answer that carries those bytes shares
+// the held Key and field map. The records and head an answer brings new
+// are copied together into one string and decoded from it
+// (core.DecodeRecord, the one record decoder), so a retained record
+// keeps alive what was new in the answer that first brought it; only
+// branch error texts, past the records, are copied one by one. A server
+// copies no grid.query request: its strings resolve through the table of
+// those it has seen (requests, memo.go). It decodes no reply either: its
+// source appends one to the handler's buffer (appendQuerier). A Grid copies in the
 // record section its answer was rendered as (core.Answer), a RemoteGrid
 // copies the body it received once it has walked it (scanWireReply),
 // and the federation Router relays its branches' bytes: a routed reply
@@ -240,28 +240,30 @@ func scanRecords(d *binenc.Dec, body []byte, recs *[]wireRecord) {
 	if n1 := d.Uvarint(); n1 > 0 {
 		n := d.Count(n1-1, 2) // a record is its key's length byte and its field count at least
 		for i := 0; i < n; i++ {
-			from := len(body) - d.Len()
-			key := d.Bytes()
-			nf := d.Count(d.Uvarint(), 2) // a field is two length bytes at least
-			for j := 0; j < nf; j++ {
-				d.Bytes()
-				d.Bytes()
-			}
-			if recs != nil && d.Err() == nil {
-				*recs = append(*recs, wireRecord{key: key, enc: body[from : len(body)-d.Len()]})
+			if r := nextRecord(d, body); recs != nil && d.Err() == nil {
+				*recs = append(*recs, r)
 			}
 		}
 	}
 }
 
+// nextRecord reads past the record at d, which reads body, and returns
+// it.
+func nextRecord(d *binenc.Dec, body []byte) wireRecord {
+	from := len(body) - d.Len()
+	key := d.Bytes()
+	nf := d.Count(d.Uvarint(), 2) // a field is two length bytes at least
+	for j := 0; j < nf; j++ {
+		d.Bytes()
+		d.Bytes()
+	}
+	return wireRecord{key: key, enc: body[from : len(body)-d.Len()]}
+}
+
 // DecodeReply decodes a grid.query reply body, as AppendQuery appends
 // one. Its strings are substrings of one copy of body.
 func DecodeReply(body []byte) (*ResultSet, error) {
-	return decodeReply(body, binenc.NewDecText(body))
-}
-
-// decodeReply decodes the reply body d reads.
-func decodeReply(body []byte, d binenc.Dec) (*ResultSet, error) {
+	d := binenc.NewDecText(body)
 	var rs ResultSet
 	decodeWireResultSetInto(&d, &rs)
 	if err := d.Err(); err != nil {
@@ -270,80 +272,114 @@ func decodeReply(body []byte, d binenc.Dec) (*ResultSet, error) {
 	return &rs, nil
 }
 
-// answerTexts holds the answers a client decoded last, keyed by their
-// text, so a reply byte-identical to an earlier one reuses its decode.
-// An answer's text is its reply's head and record section: every string
-// of the answer but its branch error texts, which follow Work and
-// Elapsed, the parts that differ from reply to reply. It keeps
-// maxAnswerTexts answers and maxAnswerTextBytes of what they count (see
-// newAnswerTexts).
-type answerTexts = boundedMap[string, heldAnswer]
+// answerRecords holds the records a client decoded last, keyed by their
+// encoding (a wireRecord's enc), so a record decoded before, in any
+// answer, reuses its Key and its Fields map, which nothing may write. A
+// reply head is held as a Record whose Key is its whole encoding; a
+// record's Key is always shorter than its encoding.
+type answerRecords = boundedMap[string, Record]
 
-// heldAnswer is an answer's text and the records decoded from it. The
-// table owns the records slice; their field maps are shared by every
-// answer decoded from the text, so nothing may write them.
-type heldAnswer struct {
-	text    string
-	records []Record
-}
+const maxHeldBytes = 4 << 20
 
-const (
-	maxAnswerTexts     = 1024
-	maxAnswerTextBytes = 4 << 20
-)
-
-func newAnswerTexts() answerTexts {
-	// An answer counts its text, perRecord for itself and for each
-	// record, and perField for each field. core.DecodeRecords allocates
-	// 360 bytes for an AnswerCorpus record of up to eight fields (376
-	// under GOEXPERIMENT=noswissmap), its slot in the []Record and a map
-	// of one group of slots, and at most 688 for one of 9 and 1,264 for
-	// one of 23, go1.24.0 linux/amd64; the answer's own perRecord covers
-	// the table's slot and its text's copy being rounded up to a size
-	// class. TestAnswerTextsByteCap holds every corpus answer's count to
-	// what holding it costs.
-	const perRecord, perField = 384, 48
-	return newBoundedMap(maxAnswerTexts, maxAnswerTextBytes, maxAnswerTextBytes, func(text string, a heldAnswer) int {
-		n := len(text) + perRecord*(1+len(a.records))
-		for _, r := range a.records {
-			n += perField * len(r.Fields)
-		}
-		return n
+func newAnswerRecords() answerRecords {
+	// An entry counts its encoding, perRecord, and perField per field.
+	// Past its encoding, holding an AnswerCorpus record costs at most 440
+	// bytes with up to eight fields, 785 with 9 and 1,377 with 23,
+	// go1.24.0 linux/amd64: its copy's rounding to a size class, its field
+	// map and its table slot; under GOEXPERIMENT=noswissmap 456, 761 and
+	// 1,353, and 1,641 when a map of 23 takes an overflow bucket (a third
+	// of decodes). TestAnswerTextsByteCap holds every corpus record to it.
+	// Every entry counts perRecord, so the byte bound bounds entries too.
+	const perRecord, perField = 416, 56
+	return newBoundedMap(maxHeldBytes/perRecord, maxHeldBytes, maxHeldBytes, func(enc string, r Record) int {
+		return len(enc) + perRecord + perField*len(r.Fields)
 	})
 }
 
-// decodeSharedReply is DecodeReply with the answer's decode shared
-// through t. A reply whose text t holds gets a fresh []Record of the
-// held records, so its keys, maps and strings cost nothing, and only
-// its tail is decoded; any other is decoded onto a new copy of its text
-// and kept.
-func decodeSharedReply(t *answerTexts, body []byte) (*ResultSet, error) {
+// newPart is a part of a reply its client's table lacks, and its
+// encoding: record at of the answer's Records, or its head when at is -1.
+type newPart struct {
+	at  int
+	enc []byte
+}
+
+// newParts pools the lists of newParts decodeSharedReply keeps.
+var newParts = sync.Pool{New: func() any { return new([]newPart) }}
+
+// decodeSharedReply is DecodeReply with every record's decode shared
+// through t. The records and head t lacks are copied together into one
+// new string, decoded from their substrings and stored at once, counted
+// as the whole copy, repeats included, so no entry keeps alive bytes t
+// does not count. A reply t holds all of costs its ResultSet, its
+// []Record and its tail. Nothing is kept from a reply that does not
+// decode, or whose copy counts over maxHeldBytes.
+func decodeSharedReply(t *answerRecords, body []byte) (*ResultSet, error) {
 	d := binenc.NewDec(body)
 	d.Bytes() // System
 	d.Bytes() // Role
 	d.Bytes() // Host
-	scanRecords(&d, body, nil)
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	text := body[:len(body)-d.Len()]
-	held, ok := lookup(t, text)
-	if !ok {
-		s := string(text)
-		rs, err := decodeReply(body, binenc.NewDecPrefix(body, s))
-		if err == nil {
-			t.put(s, heldAnswer{text: s, records: slices.Clone(rs.Records)})
-		}
-		return rs, err
-	}
 	var rs ResultSet
-	h := binenc.NewDecPrefix(text, held.text)
-	decodeWireHeadInto(&h, &rs)
-	rs.Records = slices.Clone(held.records)
+	var head Record
+	list := newParts.Get().(*[]newPart)
+	news, missing := (*list)[:0], 0
+	t.mu.RLock()
+	if enc := body[:len(body)-d.Len()]; d.Err() == nil {
+		if held, ok := t.m[string(enc)]; ok && len(held.Key) == len(enc) {
+			head = held
+		} else {
+			news, missing = append(news, newPart{-1, enc}), len(enc)
+		}
+	}
+	if n1 := d.Uvarint(); n1 > 0 {
+		rs.Records = make([]Record, d.Count(n1-1, 2)) // a record is its key's length byte and its field count at least
+		for i := range rs.Records {
+			enc := nextRecord(&d, body).enc
+			if held, ok := t.m[string(enc)]; ok && len(held.Key) < len(enc) {
+				rs.Records[i] = held
+			} else if d.Err() == nil {
+				news, missing = append(news, newPart{i, enc}), missing+len(enc)
+			}
+		}
+	}
+	t.mu.RUnlock()
 	decodeWireTailInto(&d, &rs)
 	if err := d.Err(); err != nil {
+		giveBack(&newParts, list, news)
 		return nil, err
 	}
+	at := func(i int) *Record {
+		if i < 0 {
+			return &head
+		}
+		return &rs.Records[i]
+	}
+	var sb strings.Builder
+	sb.Grow(missing)
+	for _, p := range news {
+		sb.Write(p.enc)
+	}
+	text, off, size := sb.String(), 0, 0
+	for _, p := range news {
+		enc := text[off : off+len(p.enc)]
+		if off += len(p.enc); p.at < 0 {
+			head.Key = enc
+		} else {
+			rd := binenc.NewDecPrefix(p.enc, enc)
+			rs.Records[p.at] = core.DecodeRecord(&rd)
+		}
+		size += t.size(enc, *at(p.at))
+	}
+	if size > 0 && size <= t.maxValue {
+		t.mu.Lock()
+		t.room(len(news), size)
+		for _, p := range news {
+			t.m[text[:len(p.enc)]], text = *at(p.at), text[len(p.enc):]
+		}
+		t.mu.Unlock()
+	}
+	giveBack(&newParts, list, news)
+	h := binenc.NewDecPrefix(body, head.Key)
+	decodeWireHeadInto(&h, &rs)
 	return &rs, nil
 }
 

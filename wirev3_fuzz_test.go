@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/binenc"
+	"repro/internal/core"
 )
 
 // wireBatch is what decodeWireBatch delivered, in order: one entry per
@@ -109,8 +110,8 @@ var wireFuzzDecoders = []struct {
 // them); a decode that reports no error yields a value that re-encodes
 // and decodes back to itself; and cutting strings out of one copy of the
 // frame (NewDecText) decodes exactly what copying each one (NewDec) does,
-// as does a client's decode through its table of answer texts, a miss
-// and then a hit.
+// as does a client's decode through its table of records, after another
+// answer of the same records and into an empty table.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	// A reply with bytes after it, which a restamp drops.
@@ -165,39 +166,62 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
-// checkAnswerTexts decodes data three times through one table of answer
-// texts, so a reply the first decode accepts is a hit the second time
-// and, the table emptied and counted full, a miss the third time whose
-// store starts the table over, and holds every decode to the copying
-// one. Each decode's records are then reversed, as a caller
-// may, and after every pass every answer the table holds must still be
-// what its own text decodes to.
+// checkAnswerTexts decodes data through one client's table of records
+// after a different answer of the same head and records, rotated by one:
+// first with its records and head held, then, the table emptied and
+// counted full, as a miss whose stores start the table over. Each decode
+// must be what DecodeReply gives, and after each, with its records
+// reversed as a caller may, every entry the table holds must still be
+// what its own encoding decodes to.
 func checkAnswerTexts(t *testing.T, data []byte) {
-	var want ResultSet
-	d := binenc.NewDec(data)
-	decodeWireResultSetInto(&d, &want)
-	noNaN(&want.Work.CollectorInvocations)
-	texts := newAnswerTexts()
-	for pass := 0; pass < 3; pass++ {
-		if pass == 2 {
-			startOver(&texts)
-			texts.mu.Lock()
-			clear(texts.m)
-			texts.mu.Unlock()
+	want, werr := DecodeReply(data)
+	table := newAnswerRecords()
+	if werr == nil {
+		earlier := *want
+		earlier.Elapsed++
+		var recs []wireRecord
+		d := binenc.NewDec(data)
+		d.Bytes()
+		d.Bytes()
+		d.Bytes()
+		scanRecords(&d, data, &recs)
+		sec := core.AppendRecords(nil, want.Records) // when none, nil or empty as data's
+		if len(recs) > 0 {
+			encs := make([][]byte, 0, len(recs))
+			for _, r := range recs[1:] {
+				encs = append(encs, r.enc)
+			}
+			sec = section(append(encs, recs[0].enc)...)
 		}
-		got, err := decodeSharedReply(&texts, data)
-		if (err == nil) != (d.Err() == nil) {
-			t.Fatalf("pass %d: decode err %v, copying decode err %v", pass, err, d.Err())
+		body := appendWireResultSet(nil, &earlier, &core.Answer{Enc: sec})
+		if _, err := decodeSharedReply(&table, body); err != nil {
+			t.Fatalf("the earlier answer does not decode: %v", err)
+		}
+		checkHeldRecords(t, &table)
+	}
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			startOver(&table)
+			table.mu.Lock()
+			clear(table.m)
+			table.mu.Unlock()
+		}
+		got, err := decodeSharedReply(&table, data)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("pass %d: decode err %v, DecodeReply err %v", pass, err, werr)
 		}
 		if err != nil {
+			if n := len(table.m); n != 0 {
+				t.Fatalf("a reply that does not decode left %d entries in an empty table", n)
+			}
 			return
 		}
-		noNaN(&got.Work.CollectorInvocations)
-		if !reflect.DeepEqual(*got, want) {
-			t.Fatalf("pass %d: decoded %#v, copying decode %#v", pass, *got, want)
+		noNaN(&got.Work.CollectorInvocations, &want.Work.CollectorInvocations)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pass %d: decoded %#v, DecodeReply %#v", pass, got, want)
 		}
 		slices.Reverse(got.Records)
-		checkHeldAnswers(t, &texts)
+		checkHeldRecords(t, &table)
 	}
 }
 
