@@ -3,6 +3,7 @@ package gridmon
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -11,54 +12,58 @@ import (
 // nine cells of the facade's query surface, plus the R-GMA information
 // role's mediated query (no Host), a projected GRIS and GIIS query and a
 // two-clause numeric Hawkeye constraint — with the allocations one
-// in-process Grid.Query of it may cost: the measured count plus ~10%.
-// Served, the same query costs nothing (TestServerQueryAllocBudget): the
-// engines answer into scratch and the answer is rendered once as its
-// reply bytes. In-process, Grid.Query decodes Records from those bytes —
-// one copy of them, the slice and a map per record with fields — plus
-// whatever the engine still builds per query (the GRIS and GIIS sizing
-// their projections, a SELECT's result). So a budget breaks when a
-// decoder goes back to one string per value, SizeBytes goes back to
-// building the text it measures, or a lookup goes back to
-// strings.ToLower.
+// repeated in-process Grid.Query of it may cost, with and without the
+// result cache: the measured count plus ~10%. Served, the same query
+// costs nothing (TestServerQueryAllocBudget): the engines answer into
+// scratch and the answer is rendered once as its reply bytes. In-process,
+// Grid.Query appends that reply to a pooled buffer and decodes it
+// through the grid's table of records (RecordTable), as a RemoteGrid
+// decodes; a repeated answer's records are all held, so what is left is
+// the ResultSet and its own []Record, whatever the answer's size. So a
+// budget breaks when an engine or the render goes back to allocating
+// per query, or the decode stops sharing what it decoded before.
 //
 // Measured with go1.24.0 linux/amd64 (swiss maps), three hosts, frozen
-// clock; under GOEXPERIMENT=noswissmap every cell measures the same or
-// lower (MDS information 5, MDS aggregate 75, Hawkeye information 5,
-// Hawkeye aggregate 10 and 10). go.mod and CI pin Go 1.22, which is not
-// in this image; re-measure on the toolchain you change to before
-// trusting a cell that fails. How each count came down, change by
-// change, is in CHANGES.md.
+// clock, before → after Grid.Query decoded through its table. Before, an
+// uncached query decoded every answer afresh (one copy of its text, the
+// slice and a map per record with fields), and a cache hit shared its
+// entry's once-decoded []Record, which broke the caller's right to sort
+// it (TestQueryCacheRecordsAreTheCallers): a hit now costs its own
+// []Record, one more. A hit whose query has two or more Attrs costs one
+// more again, its joined cache key. GOEXPERIMENT=noswissmap measures
+// the same after. go.mod and CI pin Go 1.22: re-measure on the toolchain
+// you change to before trusting a cell that fails. How each uncached
+// count came down, change by change, is in CHANGES.md.
 //
-//	                                   records  fields  in-process  served
-//	MDS      information                    1       9          7       0
-//	MDS      directory                      6       6         15       0
-//	MDS      aggregate                     36     162         81       0
-//	R-GMA    information                    7      14         17       0
-//	R-GMA    mediated                      23      46         49       0
-//	R-GMA    directory                      9      27         21       0
-//	R-GMA    aggregate                     45      90         93       0
-//	Hawkeye  information                    1      23          7       0
-//	Hawkeye  directory                      3       6          9       0
-//	Hawkeye  aggregate                      3      69         15       0
-//	MDS      information, 3 attrs           1       3          5       0
-//	MDS      aggregate, 1 attr              3       3          9       0
-//	Hawkeye  aggregate, 2 clauses           3      69         15       0
+//	                                   records  fields  in-process  cached  served
+//	MDS      information                    1       9       7 → 2   1 → 2       0
+//	MDS      directory                      6       6      15 → 2   1 → 2       0
+//	MDS      aggregate                     36     162      81 → 2   1 → 2       0
+//	R-GMA    information                    7      14      17 → 2   1 → 2       0
+//	R-GMA    mediated                      23      46      49 → 2   1 → 2       0
+//	R-GMA    directory                      9      27      21 → 2   1 → 2       0
+//	R-GMA    aggregate                     45      90      93 → 2   2 → 3       0
+//	Hawkeye  information                    1      23       7 → 2   1 → 2       0
+//	Hawkeye  directory                      3       6       9 → 2   2 → 3       0
+//	Hawkeye  aggregate                      3      69      15 → 2   1 → 2       0
+//	MDS      information, 3 attrs           1       3       5 → 2   2 → 3       0
+//	MDS      aggregate, 1 attr              3       3       9 → 2   1 → 2       0
+//	Hawkeye  aggregate, 2 clauses           3      69      15 → 2   1 → 2       0
 var allocBudgetCells = []allocBudgetCell{
-	{Query{System: MDS, Role: RoleInformationServer, Host: "lucky4", Expr: "(objectclass=MdsCpu)"}, 8},
-	{Query{System: MDS, Role: RoleDirectoryServer, Expr: "(objectclass=MdsHost)", Attrs: []string{"Mds-Host-hn"}}, 17},
-	{Query{System: MDS, Role: RoleAggregateServer}, 89},
-	{Query{System: RGMA, Role: RoleInformationServer, Host: "lucky4", Expr: "SELECT host, value FROM siteinfo WHERE value >= 50"}, 19},
-	{Query{System: RGMA, Role: RoleInformationServer, Expr: "SELECT host, value FROM siteinfo WHERE value >= 50"}, 54},
-	{Query{System: RGMA, Role: RoleDirectoryServer, Expr: "siteinfo"}, 23},
-	{Query{System: RGMA, Role: RoleAggregateServer, Expr: "SELECT * FROM siteinfo", Attrs: []string{"host", "value"}}, 102},
-	{Query{System: Hawkeye, Role: RoleInformationServer, Host: "lucky4"}, 8},
-	{Query{System: Hawkeye, Role: RoleDirectoryServer, Attrs: []string{"Name", "CpuLoad"}}, 10},
-	{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: `TARGET.OpSys == "LINUX"`}, 17},
+	{Query{System: MDS, Role: RoleInformationServer, Host: "lucky4", Expr: "(objectclass=MdsCpu)"}, 2.2},
+	{Query{System: MDS, Role: RoleDirectoryServer, Expr: "(objectclass=MdsHost)", Attrs: []string{"Mds-Host-hn"}}, 2.2},
+	{Query{System: MDS, Role: RoleAggregateServer}, 2.2},
+	{Query{System: RGMA, Role: RoleInformationServer, Host: "lucky4", Expr: "SELECT host, value FROM siteinfo WHERE value >= 50"}, 2.2},
+	{Query{System: RGMA, Role: RoleInformationServer, Expr: "SELECT host, value FROM siteinfo WHERE value >= 50"}, 2.2},
+	{Query{System: RGMA, Role: RoleDirectoryServer, Expr: "siteinfo"}, 2.2},
+	{Query{System: RGMA, Role: RoleAggregateServer, Expr: "SELECT * FROM siteinfo", Attrs: []string{"host", "value"}}, 2.2},
+	{Query{System: Hawkeye, Role: RoleInformationServer, Host: "lucky4"}, 2.2},
+	{Query{System: Hawkeye, Role: RoleDirectoryServer, Attrs: []string{"Name", "CpuLoad"}}, 2.2},
+	{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: `TARGET.OpSys == "LINUX"`}, 2.2},
 	{Query{System: MDS, Role: RoleInformationServer, Host: "lucky4", Expr: "(objectclass=MdsCpu)",
-		Attrs: []string{"Mds-Cpu-Free-1minX100", "Mds-Cpu-Free-5minX100", "Mds-Cpu-speedMHz"}}, 6},
-	{Query{System: MDS, Role: RoleAggregateServer, Expr: "(objectclass=MdsCpu)", Attrs: []string{"Mds-Cpu-Free-1minX100"}}, 10},
-	{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: "TARGET.MemFreeMB >= 100.5 && TARGET.CpuLoad < 90.25"}, 17},
+		Attrs: []string{"Mds-Cpu-Free-1minX100", "Mds-Cpu-Free-5minX100", "Mds-Cpu-speedMHz"}}, 2.2},
+	{Query{System: MDS, Role: RoleAggregateServer, Expr: "(objectclass=MdsCpu)", Attrs: []string{"Mds-Cpu-Free-1minX100"}}, 2.2},
+	{Query{System: Hawkeye, Role: RoleAggregateServer, Expr: "TARGET.MemFreeMB >= 100.5 && TARGET.CpuLoad < 90.25"}, 2.2},
 }
 
 // allocBudgetCell is a query and the allocations one run of it may cost.
@@ -102,18 +107,36 @@ func checkAllocBudget(t *testing.T, source Querier, cells []allocBudgetCell) {
 		for _, rec := range rs.Records {
 			fields += len(rec.Fields)
 		}
-		t.Logf("%-40s %3d records %4d fields %5.0f allocs/query (budget %.0f)", name, len(rs.Records), fields, allocs, cell.budget)
+		t.Logf("%-40s %3d records %4d fields %5.0f allocs/query (budget %.1f)", name, len(rs.Records), fields, allocs, cell.budget)
 		if allocs > cell.budget {
-			t.Errorf("%s: %.0f allocs/query, budget %.0f", name, allocs, cell.budget)
+			t.Errorf("%s: %.0f allocs/query, budget %.1f", name, allocs, cell.budget)
 		}
 	}
 }
 
 // TestQueryAllocBudget pins the per-query allocation count of every
 // cell where go test can see it (the end-to-end number is bench/'s
-// allocs_per_query).
+// allocs_per_query), on an uncached grid and on a cached one, where
+// every measured query is a hit.
 func TestQueryAllocBudget(t *testing.T) {
-	checkAllocBudget(t, newTestGrid(t), allocBudgetCells)
+	t.Run("uncached", func(t *testing.T) {
+		checkAllocBudget(t, newTestGrid(t), allocBudgetCells)
+	})
+	t.Run("cached", func(t *testing.T) {
+		// A hit joins two or more Attrs into its cache key: one string
+		// more, measured 3.
+		cells := slices.Clone(allocBudgetCells)
+		for i := range cells {
+			if len(cells[i].q.Attrs) > 1 {
+				cells[i].budget = 3.3
+			}
+		}
+		g := newTestGrid(t, WithQueryCache(time.Hour))
+		checkAllocBudget(t, g, cells)
+		if st := g.Stats(); st.CacheMisses != int64(len(allocBudgetCells)) {
+			t.Errorf("%d cache misses, want one per cell (%d)", st.CacheMisses, len(allocBudgetCells))
+		}
+	})
 }
 
 // remoteAllocBudgetCells is one representative query per system with the

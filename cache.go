@@ -2,7 +2,6 @@ package gridmon
 
 import (
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,7 +11,7 @@ import (
 // The facade's opt-in result cache, modeled on the paper's GIIS cache:
 // the single biggest performance lever its experiments found (>10x
 // information-server throughput with data in cache, Figures 5–6). A hit
-// serves the decoded answer of an earlier identical query without
+// serves the answer of an earlier identical query without
 // touching any engine; entries live for the configured TTL and are
 // invalidated wholesale whenever the grid's state advances (Advance or
 // Advertise), so a cached answer is never older than both the TTL and
@@ -59,23 +58,13 @@ func cacheable(q Query) bool {
 }
 
 // cacheEntry is one cached answer: the record section it was rendered
-// as, an exact-size copy the entry owns, which a remote hit appends to its
-// reply as it is; in-process callers share the records decoded once from
-// it — see WithQueryCache for the read-only contract.
+// as, an exact-size copy the entry owns, which a hit appends to its reply
+// as it is.
 type cacheEntry struct {
 	gen     uint64
 	expires time.Time
 	answer  core.Answer
 	work    Work
-
-	once sync.Once
-	recs []Record
-}
-
-// records returns the entry's answer as Records, decoded once per entry.
-func (e *cacheEntry) records() []Record {
-	e.once.Do(func() { e.recs = e.answer.Records() })
-	return e.recs
 }
 
 // queryCache is the facade's TTL result cache. Invalidation bumps a

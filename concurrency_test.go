@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -324,6 +326,45 @@ func TestQueryCacheSemantics(t *testing.T) {
 	}
 	if st := plain.Stats(); st.CacheHits != 0 || st.CacheMisses != 0 {
 		t.Fatalf("Stats without WithQueryCache: want no cache counts, got %+v", st)
+	}
+}
+
+// TestQueryCacheRecordsAreTheCallers holds a cached in-process answer to
+// ResultSet's contract: its Records slice is the caller's to sort. A
+// caller reverses one hit's records; the next hit, and the next miss
+// after an Advance, still come back in engine order, which an uncached
+// twin of the grid answers.
+func TestQueryCacheRecordsAreTheCallers(t *testing.T) {
+	cached, plain := newTestGrid(t, WithQueryCache(time.Hour)), newTestGrid(t)
+	ctx := context.Background()
+	q := Query{System: RGMA, Expr: "SELECT * FROM siteinfo"}
+	query := func(g *Grid) *ResultSet {
+		t.Helper()
+		rs, err := g.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	for round, now := range []float64{1, 2} {
+		want := recordsJSON(t, query(plain).Records)
+		if miss := query(cached); miss.Work.CacheMisses != 1 || recordsJSON(t, miss.Records) != want {
+			t.Fatalf("round %d: the miss (%+v) is not the engine's answer", round, miss.Work)
+		}
+		hit := query(cached)
+		if hit.Work.CacheHits != 1 || len(hit.Records) < 2 {
+			t.Fatalf("round %d: want a hit of two records or more, got %d records, %+v", round, len(hit.Records), hit.Work)
+		}
+		slices.SortFunc(hit.Records, func(a, b Record) int { return strings.Compare(b.Key, a.Key) })
+		if next := query(cached); recordsJSON(t, next.Records) != want {
+			t.Fatalf("round %d: the hit after a caller sorted its own comes back in another order: first key %q",
+				round, next.Records[0].Key)
+		}
+		for _, g := range []*Grid{cached, plain} {
+			if err := g.Advance(now + 1); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -38,6 +38,8 @@ type Grid struct {
 	cache *queryCache
 	// memo holds each query expression parsed (exprMemo).
 	memo exprMemo
+	// records holds the records Query decoded last (RecordTable).
+	records RecordTable
 
 	// counters is the serving path's self-observability (Grid.Stats,
 	// ops.stats); always allocated, lock-free.

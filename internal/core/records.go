@@ -18,11 +18,11 @@ import (
 // three systems: a key identifying the record (an LDAP DN, a row key, a
 // machine name) plus flat string fields. Records are what the query API
 // returns, so they must survive a JSON round trip unchanged — in-process
-// and remote queries compare equal on them. A server builds them only
-// for in-process callers (Answer.Records). A decoded record's Fields is
-// read-only: a remote client hands one map to every answer that carries
-// a record byte-identical to one it decoded before, so a write would
-// change those answers too.
+// and remote queries compare equal on them. A query's records are
+// decoded from its reply bytes, in process or not, and every querier
+// hands one map to every answer that carries a record byte-identical to
+// one it decoded before. So a decoded record's Fields is read-only: a
+// write would change those answers too.
 type Record struct {
 	Key    string            `json:"key"`
 	Fields map[string]string `json:"fields,omitempty"`

@@ -227,21 +227,28 @@ func TestServedRouterDegradation(t *testing.T) {
 // decoding its branches' replies and spliced their bytes instead: one
 // text copy fewer per branch (the last numbers).
 //
-// Most of those allocations are the end client's field maps. The
-// second budget leaves the client out: the Router's own AppendQuery,
-// what its grid.query handler runs, appending into a reused buffer,
-// with the leaves that answer it. Once warm the Router itself allocates
-// nothing (a profile at MemProfileRate 1 finds only its pools refilling
-// after a GC), and since a served query allocates nothing at a leaf
-// either (gridmon's TestServerQueryAllocBudget), neither does the tree:
-// before, every count there was the leaves' own, the request text each
-// leaf's handler decoded and what its engine built (the last step).
+// Most of those allocations were the end client's field maps, until
+// the client decoded a record once (its RecordTable): a repeated answer
+// now costs its ResultSet and its []Record, whatever its size (the last
+// step; one for the empty answer, whose empty []Record costs nothing).
+// The second budget leaves the client out: the Router's own
+// AppendQuery, what its grid.query handler runs, appending into a reused
+// buffer, with the leaves that answer it. Once warm the Router itself
+// allocates nothing (a profile at MemProfileRate 1 finds only its pools
+// refilling after a GC), and since a served query allocates nothing at a
+// leaf either (gridmon's TestServerQueryAllocBudget), neither does the
+// tree: before, every count there was the leaves' own, the request text
+// each leaf's handler decoded and what its engine built (the last step).
+// The third is an in-process Router.Query, which decodes through the
+// Router's own RecordTable: before → after it stopped decoding every
+// answer afresh (DecodeReply). GOEXPERIMENT=noswissmap measures the same
+// after, all three columns.
 //
-//	                                                                with the client   Router
-//	MDS aggregate, broad (144 records)       737 → 412 → 380 → 355 → 343 → 340 → 315     24 → 0
-//	R-GMA information, node04 (15 records)   105 →  71 →  52 →  49 →  37 →  36 →  33      2 → 0
-//	Hawkeye aggregate, broad, matches nothing           35 →  15 →  15 →  9 →   2      6 → 0
-//	R-GMA directory, broad (36 records)                119 →  93 →  85 →  82 →  75      6 → 0
+//	                                                                     with the client   Router   in-process
+//	MDS aggregate, broad (144 records)       737 → 412 → 380 → 355 → 343 → 340 → 315 → 2   24 → 0   315 → 2
+//	R-GMA information, node04 (15 records)   105 →  71 →  52 →  49 →  37 →  36 →  33 → 2    2 → 0    33 → 2
+//	Hawkeye aggregate, broad, matches nothing           35 →  15 →  15 →  9 →   2 → 1    6 → 0     2 → 1
+//	R-GMA directory, broad (36 records)                119 →  93 →  85 →  82 →  75 → 2    6 → 0    75 → 2
 func TestServedRouterAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops entries at random, so counts are not repeatable")
@@ -250,14 +257,14 @@ func TestServedRouterAllocBudget(t *testing.T) {
 	remote := serveRouter(t, c.router)
 	ctx := context.Background()
 	for _, cell := range []struct {
-		q              gridmon.Query
-		budget, router float64
-		empty          bool // the query matches nothing
+		q                        gridmon.Query
+		budget, router, inRouter float64
+		empty                    bool // the query matches nothing
 	}{
-		{gridmon.Query{System: gridmon.MDS, Role: gridmon.RoleAggregateServer}, 347, 0, false},
-		{gridmon.Query{System: gridmon.RGMA, Host: fedHosts[4], Expr: "SELECT host, metric, value FROM siteinfo"}, 37, 0, false},
-		{gridmon.Query{System: gridmon.Hawkeye, Role: gridmon.RoleAggregateServer, Expr: "LoadAvg < 5"}, 3, 0, true},
-		{gridmon.Query{System: gridmon.RGMA, Role: gridmon.RoleDirectoryServer}, 83, 0, false},
+		{gridmon.Query{System: gridmon.MDS, Role: gridmon.RoleAggregateServer}, 2.2, 0, 2.2, false},
+		{gridmon.Query{System: gridmon.RGMA, Host: fedHosts[4], Expr: "SELECT host, metric, value FROM siteinfo"}, 2.2, 0, 2.2, false},
+		{gridmon.Query{System: gridmon.Hawkeye, Role: gridmon.RoleAggregateServer, Expr: "LoadAvg < 5"}, 1.1, 0, 1.1, true},
+		{gridmon.Query{System: gridmon.RGMA, Role: gridmon.RoleDirectoryServer}, 2.2, 0, 2.2, false},
 	} {
 		rs, err := remote.Query(ctx, cell.q)
 		if err != nil {
@@ -277,13 +284,21 @@ func TestServedRouterAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s/%s host=%q: %d records, %.0f allocs/query (budget %.0f), %.0f at the Router (budget %.0f)",
-			cell.q.System, cell.q.Role, cell.q.Host, len(rs.Records), allocs, cell.budget, router, cell.router)
+		inRouter := testing.AllocsPerRun(200, func() {
+			if _, err := c.router.Query(ctx, cell.q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s/%s host=%q: %d records, %.0f allocs/query (budget %.1f), %.0f at the Router (budget %.0f), %.0f in-process (budget %.1f)",
+			cell.q.System, cell.q.Role, cell.q.Host, len(rs.Records), allocs, cell.budget, router, cell.router, inRouter, cell.inRouter)
 		if allocs > cell.budget {
-			t.Errorf("%s/%s host=%q: %.0f allocs/query, budget %.0f", cell.q.System, cell.q.Role, cell.q.Host, allocs, cell.budget)
+			t.Errorf("%s/%s host=%q: %.0f allocs/query, budget %.1f", cell.q.System, cell.q.Role, cell.q.Host, allocs, cell.budget)
 		}
 		if router > cell.router {
 			t.Errorf("%s/%s host=%q: %.0f allocs/query at the Router, budget %.0f", cell.q.System, cell.q.Role, cell.q.Host, router, cell.router)
+		}
+		if inRouter > cell.inRouter {
+			t.Errorf("%s/%s host=%q: %.0f allocs per in-process Router.Query, budget %.1f", cell.q.System, cell.q.Role, cell.q.Host, inRouter, cell.inRouter)
 		}
 	}
 }

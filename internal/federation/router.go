@@ -45,6 +45,8 @@ type Router struct {
 	closed     bool // guarded by mu
 	// scatters pools each broad query's branch bookkeeping (*scatter).
 	scatters sync.Pool
+	// records holds the records Query decoded last.
+	records gridmon.RecordTable
 
 	queries     atomic.Int64
 	partials    atomic.Int64
@@ -288,20 +290,11 @@ func callBranch(ctx context.Context, backends []*gridmon.RemoteGrid, op string, 
 	return transport.AsError(lastErr)
 }
 
-// replies pools the buffers Query appends a reply to before decoding it.
-var replies = sync.Pool{New: func() any { return new([]byte) }}
-
-// Query answers q across the federation: AppendQuery, decoded.
+// Query answers q across the federation: AppendQuery, decoded through
+// the Router's RecordTable (see gridmon.RecordTable for what the caller
+// owns).
 func (r *Router) Query(ctx context.Context, q gridmon.Query) (*gridmon.ResultSet, error) {
-	buf := replies.Get().(*[]byte)
-	b, err := r.AppendQuery(ctx, q, (*buf)[:0])
-	var rs *gridmon.ResultSet
-	if err == nil {
-		rs, err = gridmon.DecodeReply(b)
-	}
-	*buf = b[:0]
-	replies.Put(buf)
-	return rs, err
+	return r.records.Query(ctx, r, q)
 }
 
 // AppendQuery answers q across the federation and appends its grid.query

@@ -130,7 +130,7 @@ func WithWallClock() Option {
 // modeled on the cache behind the paper's >10x "data always in cache"
 // throughput (Figures 5–6): an identical Query (same System, Role, Host,
 // Expr and Attrs) repeated within ttl is answered from the cached
-// records without touching any engine. An answer serves only queries
+// answer without touching any engine. An answer serves only queries
 // that start strictly after the query that computed it started, and no
 // later than ttl after. Work on a hit reports CacheHits=1 and no engine
 // accounting; on a miss the engine's Work is returned with
@@ -138,12 +138,6 @@ func WithWallClock() Option {
 // invalidated when grid state advances (Advance or Advertise), so a
 // cached answer is never older than both ttl and the last monitoring
 // round.
-//
-// Only in-process hits share records: a Query hit returns the Records
-// its entry decoded once, so callers must treat returned ResultSet
-// records as read-only. A served hit (Grid.AppendQuery, which the
-// transport server answers grid.query with) appends the bytes its entry
-// owns and builds no Records.
 func WithQueryCache(ttl time.Duration) Option {
 	return func(c *config) error {
 		if ttl <= 0 {

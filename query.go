@@ -56,8 +56,7 @@ type Querier interface {
 var (
 	_ Querier       = (*Grid)(nil)
 	_ Querier       = (*RemoteGrid)(nil)
-	_ appendQuerier = (*Grid)(nil)
-	_ appendQuerier = (*RemoteGrid)(nil)
+	_ AppendQuerier = (*RemoteGrid)(nil)
 )
 
 // ErrorCode classifies a query failure. The codes travel on the wire,
@@ -129,23 +128,11 @@ func CodeOf(err error) ErrorCode { return transport.ErrorCode(err) }
 // admitted before it executes: past the concurrency limit it waits in
 // the bounded FIFO queue, and past that bound (or the queue timeout) it
 // fast-fails with ErrOverloaded — see WithAdmission for the semantics.
+//
+// Query is AppendQuery decoded through the grid's RecordTable, as every
+// querier decodes: see RecordTable for what the caller owns.
 func (g *Grid) Query(ctx context.Context, q Query) (*ResultSet, error) {
-	start := time.Now()
-	ans := answers.Get().(*core.Answer)
-	rs, e, err := g.answer(ctx, q, start, ans)
-	if err == nil {
-		if e != nil {
-			rs.Records = e.records()
-		} else {
-			rs.Records = ans.Records()
-		}
-	}
-	answers.Put(ans)
-	if err != nil {
-		return nil, err
-	}
-	rs.Elapsed = time.Since(start)
-	return &rs, nil
+	return g.records.Query(ctx, g, q)
 }
 
 // answers pools the scratch Answers a query renders into.
@@ -173,11 +160,11 @@ func (g *Grid) AppendQuery(ctx context.Context, q Query, dst []byte) ([]byte, er
 	return dst, err
 }
 
-// answer is Query without Records, the one answer function every query
-// goes through. An uncached answer is rendered into out. A cached one is
-// in e, the cache entry holding it: the hit, or the miss just stored,
-// rendered into out and copied, exact size, into the answer its entry
-// owns.
+// answer is AppendQuery without the reply, the one answer function
+// every query goes through. An uncached answer is rendered into out. A
+// cached one is in e, the cache entry holding it: the hit, or the miss
+// just stored, rendered into out and copied, exact size, into the answer
+// its entry owns.
 func (g *Grid) answer(ctx context.Context, q Query, start time.Time, out *core.Answer) (rs ResultSet, e *cacheEntry, err error) {
 	if err := ctx.Err(); err != nil {
 		g.counters.Errors.Add(1)

@@ -146,8 +146,8 @@ type RemoteGrid struct {
 	client *transport.MuxClient // guarded by connMu
 	closed bool                 // guarded by connMu
 
-	// records holds the records Query decoded last (answerRecords).
-	records answerRecords
+	// records holds the records Query decoded last (RecordTable).
+	records RecordTable
 
 	calls      atomic.Int64
 	retries    atomic.Int64
@@ -197,11 +197,10 @@ func DialContextWith(ctx context.Context, addr string, opts DialOptions) (*Remot
 // coming back.
 func DialLazy(addr string, opts DialOptions) *RemoteGrid {
 	return &RemoteGrid{
-		addr:    addr,
-		opts:    opts,
-		br:      newBreaker(opts.Breaker),
-		rng:     rand.New(rand.NewSource(defSeed(opts.Backoff.Seed))),
-		records: newAnswerRecords(),
+		addr: addr,
+		opts: opts,
+		br:   newBreaker(opts.Breaker),
+		rng:  rand.New(rand.NewSource(defSeed(opts.Backoff.Seed))),
 	}
 }
 
@@ -552,16 +551,8 @@ func (r *RemoteGrid) Subscribe(ctx context.Context, sub Subscription) (*Stream, 
 // ride the binary codec — no JSON on either side — and the call
 // pipelines with its siblings on the shared connection.
 //
-// The caller owns the returned ResultSet and its Records slice, but not
-// the records' field maps, which it must not write. The decode is shared
-// record by record: a record byte-identical to one the client decoded
-// before, in any answer, is that record, its Key and field map included;
-// the records and head the client lacked are cut from one immutable copy
-// of their bytes. So a retained Record keeps alive what was new in the
-// answer that first brought it — clone the strings to keep a few fields
-// of a large answer for long. Branch error texts are copied. The client
-// keeps 4 MiB of decoded records for its next answers, counted as the
-// copies they lie in and what their maps cost.
+// The frame is decoded through the client's RecordTable, as every
+// querier decodes: see RecordTable for what the caller owns.
 func (r *RemoteGrid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 	start := time.Now()
 	var rs *ResultSet
@@ -569,7 +560,7 @@ func (r *RemoteGrid) Query(ctx context.Context, q Query) (*ResultSet, error) {
 		return c.CallV3(actx, "grid.query",
 			func(b []byte) []byte { return appendWireQuery(b, q) },
 			func(body []byte) (err error) {
-				rs, err = decodeSharedReply(&r.records, body)
+				rs, err = r.records.decode(body)
 				return err
 			})
 	})

@@ -29,9 +29,11 @@ type Work = core.Work
 // sees exactly what an in-process caller of the Router would. A
 // single grid never sets them.
 //
-// Records is the caller's to sort, re-slice or append to, but a
-// RemoteGrid answer's records may share their keys and field maps with
-// other answers of the same client; the maps are read-only (see Record).
+// Every querier — Grid, RemoteGrid and the federation Router — decodes
+// through a table of its own (RecordTable), under one rule: Records is
+// the caller's to sort, re-slice or append to, but its records may share
+// their keys and field maps with other answers of the same querier; the
+// maps are read-only (see Record).
 type ResultSet struct {
 	System  System        `json:"system"`
 	Role    Role          `json:"role"`

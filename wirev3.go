@@ -30,17 +30,18 @@ import (
 // values — out of one copy of its body (binenc.NewDecText): one
 // allocation however many records it spans, never aliasing the
 // connection's pooled frame buffer, and alive as a whole while any
-// decoded string is retained. RemoteGrid.Query decodes a record once:
-// its client's table (answerRecords) holds each record it decoded under
-// the record's bytes, and a later answer that carries those bytes shares
-// the held Key and field map. The records and head an answer brings new
-// are copied together into one string and decoded from it
-// (core.DecodeRecord, the one record decoder), so a retained record
-// keeps alive what was new in the answer that first brought it; only
-// branch error texts, past the records, are copied one by one. A server
-// copies no grid.query request: its strings resolve through the table of
-// those it has seen (requests, memo.go). It decodes no reply either: its
-// source appends one to the handler's buffer (appendQuerier). A Grid copies in the
+// decoded string is retained. Every querier decodes a reply through a
+// table of its own (RecordTable): Grid and the federation Router the
+// reply their own AppendQuery appends, RemoteGrid the frame it received.
+// The table holds each record it decoded under the record's bytes, and a
+// later answer that carries those bytes shares the held Key and field
+// map. The records and head an answer brings new are copied together
+// into one string and decoded from it (core.DecodeRecord, the one record
+// decoder); only branch error texts, past the records, are copied one
+// by one. A server copies no grid.query request: its strings resolve
+// through the table of those it has seen (requests, memo.go). It decodes
+// no reply either: its source appends one to the handler's buffer
+// (AppendQuerier). A Grid copies in the
 // record section its answer was rendered as (core.Answer), a RemoteGrid
 // copies the body it received once it has walked it (scanWireReply),
 // and the federation Router relays its branches' bytes: a routed reply
@@ -510,11 +511,49 @@ func ServeQueryV3(srv *TransportServer, source Querier) {
 	srv.HandleV3("grid.query", queryV3(source))
 }
 
-// appendQuerier is a source that appends its grid.query reply bodies to
+// AppendQuerier is a source that appends its grid.query reply bodies to
 // a buffer the caller lends, and on an error leaves what the buffer
 // holds as it was: Grid, RemoteGrid and the federation Router.
-type appendQuerier interface {
+type AppendQuerier interface {
 	AppendQuery(ctx context.Context, q Query, dst []byte) ([]byte, error)
+}
+
+// RecordTable is the one decode of every querier: Grid, RemoteGrid and
+// the federation Router each decode their replies through a table of
+// their own, which keeps 4 MiB of the records it decoded (answerRecords).
+// A record byte-identical to one the table decoded before, in any
+// answer, is that record, Key and field map included; the records and
+// head it lacked are cut from one copy of their bytes, so a retained
+// Record keeps alive what was new in the answer that first brought it —
+// clone the strings to keep a few fields of a large answer for long. The
+// caller owns each ResultSet and its Records slice, but not the field
+// maps, which it must not write. The zero value is ready to use.
+type RecordTable struct {
+	once    sync.Once
+	records answerRecords
+}
+
+// decode decodes body, as DecodeReply does, through t.
+func (t *RecordTable) decode(body []byte) (*ResultSet, error) {
+	t.once.Do(func() { t.records = newAnswerRecords() })
+	return decodeSharedReply(&t.records, body)
+}
+
+// replies pools the buffers RecordTable.Query appends a reply to.
+var replies = sync.Pool{New: func() any { return new([]byte) }}
+
+// Query answers q as source appends its reply, into a pooled buffer,
+// decoded through t, with Elapsed the whole call's.
+func (t *RecordTable) Query(ctx context.Context, source AppendQuerier, q Query) (rs *ResultSet, err error) {
+	start := time.Now()
+	buf := replies.Get().(*[]byte)
+	if *buf, err = source.AppendQuery(ctx, q, (*buf)[:0]); err == nil {
+		if rs, err = t.decode(*buf); err == nil {
+			rs.Elapsed = time.Since(start)
+		}
+	}
+	replies.Put(buf)
+	return rs, err
 }
 
 // queryV3 is the binary body of grid.query for source. A source that
@@ -528,7 +567,7 @@ func queryV3(source Querier) transport.V3Handler {
 		}
 		return appendWireResultSet(out, rs, nil), nil
 	}
-	if aq, ok := source.(appendQuerier); ok {
+	if aq, ok := source.(AppendQuerier); ok {
 		answer = aq.AppendQuery
 	}
 	return func(ctx context.Context, body []byte, out []byte) ([]byte, *transport.Error) {
