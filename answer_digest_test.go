@@ -189,31 +189,31 @@ func digestSum(t *testing.T, w digestWay, qs []gridmon.Query) string {
 	return sb.String()
 }
 
-// digestSubscriptions subscribes every SubscriptionCorpus group
-// in-process and over a loopback v3 server, steps both ways' grids
-// through three Advance rounds on clock, and returns one line per way
-// and group: its name, the number of subscriptions and the sha256 of
-// what each saw — the code it was refused with, or per round the kind,
-// records as JSON and Work of each event, and the code its stream ended
-// with. The remote stream is read for as many events as the in-process
-// one buffered that round, which an in-process source sends before
-// Advance returns.
+// digestSubscriptions subscribes every SubscriptionCorpus group each
+// way a query is served (digestWays), steps every way's grids through
+// three Advance rounds on clock, and returns one line per way and group:
+// its name, the number of subscriptions and the sha256 of what each saw
+// — the code it was refused with (a Router refuses a subscription with
+// no Host), or per round the kind, records as JSON and Work of each
+// event, and the code its stream ended with. Every other way's stream is
+// read for as many events as the in-process one buffered that round,
+// which an in-process source sends before Advance returns.
 func digestSubscriptions(t *testing.T, clock *atomic.Uint64) []string {
 	t.Helper()
 	now := func() float64 { return math.Float64frombits(clock.Load()) }
-	ways := digestWays(t, now)[:2] // a Router proxies only host-targeted subscriptions
+	ways := digestWays(t, now)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	type watch struct {
 		group   int
-		streams [2]*gridmon.Stream
-		sums    [2]strings.Builder
+		streams []*gridmon.Stream
+		sums    []strings.Builder
 	}
 	groups := gridmon.SubscriptionCorpus()
 	var watches []*watch
 	for gi, g := range groups {
 		for _, sub := range g.Subs {
-			w := &watch{group: gi}
+			w := &watch{group: gi, streams: make([]*gridmon.Stream, len(ways)), sums: make([]strings.Builder, len(ways))}
 			for i, way := range ways {
 				st, err := way.source.(gridmon.Subscriber).Subscribe(ctx, sub)
 				if err != nil {
@@ -258,25 +258,27 @@ func digestSubscriptions(t *testing.T, clock *atomic.Uint64) []string {
 				fmt.Fprintf(&w.sums[0], "end %s\n", gridmon.CodeOf(end))
 				w.streams[0] = nil
 			}
-			if w.streams[1] == nil {
-				continue
-			}
-			wait, done := context.WithTimeout(ctx, 10*time.Second)
-			for i := 0; i < n; i++ {
-				ev, err := w.streams[1].Next(wait)
-				if err != nil {
-					fmt.Fprintf(&w.sums[1], "end %s\n", gridmon.CodeOf(err))
-					w.streams[1] = nil
-					break
+			for i := 1; i < len(ways); i++ {
+				if w.streams[i] == nil {
+					continue
 				}
-				digestEvent(t, &w.sums[1], round, ev)
+				wait, done := context.WithTimeout(ctx, 10*time.Second)
+				for j := 0; j < n; j++ {
+					ev, err := w.streams[i].Next(wait)
+					if err != nil {
+						fmt.Fprintf(&w.sums[i], "end %s\n", gridmon.CodeOf(err))
+						w.streams[i] = nil
+						break
+					}
+					digestEvent(t, &w.sums[i], round, ev)
+				}
+				if end != nil && w.streams[i] != nil {
+					_, err := w.streams[i].Next(wait)
+					fmt.Fprintf(&w.sums[i], "end %s\n", gridmon.CodeOf(err))
+					w.streams[i] = nil
+				}
+				done()
 			}
-			if end != nil && w.streams[1] != nil {
-				_, err := w.streams[1].Next(wait)
-				fmt.Fprintf(&w.sums[1], "end %s\n", gridmon.CodeOf(err))
-				w.streams[1] = nil
-			}
-			done()
 		}
 	}
 	var lines []string

@@ -28,14 +28,17 @@ func scratchGrid(t *testing.T, hosts []string, opts ...gridmon.Option) *gridmon.
 // shard at least, so each leaf owns some.
 var scratchHosts = []string{"lucky3", "lucky4", "lucky7", "lucky5", "lucky6", "lucky8", "lucky9"}
 
-// serveLeaves serves each of sources' grid.query on loopback and returns
-// their addresses.
+// serveLeaves serves each of sources' grid.query, and grid.subscribe
+// where it subscribes, on loopback and returns their addresses.
 func serveLeaves(t *testing.T, sources []gridmon.Querier) []string {
 	t.Helper()
 	addrs := make([]string, len(sources))
 	for i, source := range sources {
 		srv := gridmon.NewTransportServer()
 		gridmon.ServeQueryV3(srv, source)
+		if sub, ok := source.(gridmon.Subscriber); ok {
+			gridmon.ServeSubscribe(srv, sub)
+		}
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
