@@ -113,10 +113,15 @@ fed-chaos:
 # to the pre-splice merge (TestV3ScratchSplice), the checked-in digest of
 # every answer in-process, remote and through a Router
 # (TestAnswerDigest), the request strings a server resolves grid.query
-# bodies through (TestRequestStrings*) and the scratch a served query
-# borrows coming back empty (Test*ComesBackEmpty), and the pipelining
-# chaos case (mid-frame reset with K>1 in-flight calls fails exactly the
-# affected calls, typed, no hang).
+# bodies through (TestRequestStrings*), the scratch a served query
+# borrows coming back empty (Test*ComesBackEmpty), events never aliasing
+# pooled scratch (TestWireEventScratch), relayed by a Router with their
+# record sections byte for byte as rendered (TestWireEventRelayBytes) and
+# served at a copy and no decode (TestWireEventAllocBudget, which skips
+# under -race), a stream's first frame the preamble alone
+# (TestWireSubscribePreambleAlone), and the pipelining chaos case
+# (mid-frame reset with K>1 in-flight calls fails exactly the affected
+# calls, typed, no hang).
 wire:
 	$(GO) test -race -count=3 -run 'Proto|Wire|V3|Codec|ChaosPipelined|AnswerDigest|RequestStrings|ComesBackEmpty' . ./internal/transport ./internal/binenc
 

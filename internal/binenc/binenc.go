@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"unsafe"
 )
 
 // AppendUvarint appends v in unsigned varint encoding.
@@ -62,8 +63,9 @@ var ErrMalformed = errors.New("binenc: truncated or malformed payload")
 // string; a NewDecText decoder's text is one copy of the whole payload —
 // one allocation for all the text of a frame, which every string read
 // from it then keeps alive together; a NewDecPrefix decoder's text is
-// one the caller already holds for the payload's first bytes, so the
-// strings inside it cost nothing.
+// one the caller already holds for the payload's first bytes, and a
+// NewDecString decoder's is the payload itself, so the strings inside
+// it cost nothing.
 type Dec struct {
 	buf  []byte
 	text string // equal to buf[:len(text)]; the strings it covers are cut from it
@@ -83,6 +85,14 @@ func NewDecText(payload []byte) Dec { return Dec{buf: payload, text: string(payl
 // substrings of text when they lie within its first len(text) bytes, and
 // copies past them. text must equal string(payload[:len(text)]).
 func NewDecPrefix(payload []byte, text string) Dec { return Dec{buf: payload, text: text} }
+
+// NewDecString returns a decoder over text whose String results are
+// substrings of text: a payload kept as a string decodes with no copy.
+// The views its Bytes and Rest return are text's own memory and must
+// not be written.
+func NewDecString(text string) Dec {
+	return Dec{buf: unsafe.Slice(unsafe.StringData(text), len(text)), text: text}
+}
 
 // Err reports whether any read so far ran off the payload.
 func (d *Dec) Err() error {

@@ -211,6 +211,41 @@ func TestCodecPrefix(t *testing.T) {
 	}
 }
 
+// TestCodecString: a NewDecString decoder reads a payload kept as a
+// string, cutting every string out of it and allocating nothing.
+func TestCodecString(t *testing.T) {
+	b := AppendString(nil, "key")
+	b = AppendUvarint(b, 7)
+	b = AppendString(b, "value-α")
+	text := string(b)
+	var got [2]string
+	var n uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		d := NewDecString(text)
+		got[0] = d.String()
+		n = d.Uvarint()
+		got[1] = d.String()
+		if !d.Done() {
+			t.Fatal("not done")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("2 strings out of a string payload: %.1f allocs, want 0", allocs)
+	}
+	if got != [2]string{"key", "value-α"} || n != 7 {
+		t.Fatalf("decoded %q %d", got, n)
+	}
+	if unsafe.StringData(got[0]) != unsafe.StringData(text[1:]) {
+		t.Error("a string is not cut from the payload")
+	}
+	d := NewDecString(text[:len(text)-1])
+	_ = d.String()
+	d.Uvarint()
+	if s := d.String(); s != "" || !errors.Is(d.Err(), ErrMalformed) {
+		t.Fatalf("truncated: err %v", d.Err())
+	}
+}
+
 // TestCodecCount: a count is accepted only when that many minimum-size
 // elements fit in what is left of the frame; anything larger is the
 // sticky malformed error, never a value a decoder would size a slice by.

@@ -272,20 +272,17 @@ func MDSAnswer(out *Answer, entries []*ldap.Entry, attrs []string) {
 
 // RGMARecords decodes a relational result: one record per row, keyed by
 // position (SQL rows have no inherent identity), each column a field.
-func RGMARecords(res *relational.Result) []Record { return ResultRecords("", res, nil) }
-
-// ResultRecords is RGMARecords keeping only the columns attrs names (all
-// of them when attrs is empty), each key prefixed by keyPrefix. A
-// continuous query's events prefix theirs with "producerID/", so a
-// subscriber can tell which producer streamed each row.
-func ResultRecords(keyPrefix string, res *relational.Result, attrs []string) []Record {
+func RGMARecords(res *relational.Result) []Record {
 	var a Answer
-	ResultAnswer(&a, keyPrefix, res, attrs)
+	ResultAnswer(&a, "", res, nil)
 	return a.Records()
 }
 
-// ResultAnswer renders ResultRecords into out; a nil result is no
-// record slice. Nothing in out points into res.
+// ResultAnswer renders RGMARecords into out, keeping only the columns
+// attrs names (all of them when attrs is empty), each key prefixed by
+// keyPrefix; a nil result is no record slice. A continuous query's
+// events prefix theirs with "producerID/", so a subscriber can tell
+// which producer streamed each row. Nothing in out points into res.
 func ResultAnswer(out *Answer, keyPrefix string, res *relational.Result, attrs []string) {
 	if res == nil {
 		NoRecords(out)
@@ -351,18 +348,15 @@ func AdvertisementAnswer(out *Answer, ads []gma.Advertisement, attrs []string) {
 // HawkeyeRecords decodes ClassAds, keyed by the ad's Name attribute, each
 // attribute unparsed to its expression text. Ads are sorted by key so the
 // record order is deterministic regardless of pool-map iteration.
-func HawkeyeRecords(ads []*classad.Ad) []Record { return AdRecords(ads, nil) }
-
-// AdRecords is HawkeyeRecords keeping only the attributes attrs names
-// (all of them when attrs is empty); the others are never rendered.
-func AdRecords(ads []*classad.Ad, attrs []string) []Record {
+func HawkeyeRecords(ads []*classad.Ad) []Record {
 	var a Answer
-	AdAnswer(&a, ads, attrs)
+	AdAnswer(&a, ads, nil)
 	return a.Records()
 }
 
-// AdAnswer renders AdRecords into out. Sorting moves only the arena's
-// list of records.
+// AdAnswer renders HawkeyeRecords into out, keeping only the attributes
+// attrs names (all of them when attrs is empty); the others are never
+// rendered. Sorting moves only the arena's list of records.
 func AdAnswer(out *Answer, ads []*classad.Ad, attrs []string) {
 	a := arenas.Get().(*arena)
 	for _, ad := range ads {

@@ -273,21 +273,35 @@ func TestDecodersMatchOracles(t *testing.T) {
 
 		res := randomResult(rng, rng.Intn(40))
 		diff("RGMARecords", nil, RGMARecords(res), oracleRGMARecords(res))
-		diff("ResultRecords(producer)", nil, ResultRecords("lucky3-p0/", res, nil), oracleRowRecords("lucky3-p0", res))
+		diff("ResultAnswer(producer)", nil, resultRecords("lucky3-p0/", res, nil), oracleRowRecords("lucky3-p0", res))
 
 		ads := randomAds(rng, rng.Intn(12))
 		diff("HawkeyeRecords", nil, HawkeyeRecords(ads), oracleHawkeyeRecords(ads))
 
 		for _, attrs := range projections {
-			diff("ResultRecords", attrs, ResultRecords("", res, attrs), ProjectRecords(oracleRGMARecords(res), attrs))
-			diff("ResultRecords(producer)", attrs, ResultRecords("lucky3-p0/", res, attrs), ProjectRecords(oracleRowRecords("lucky3-p0", res), attrs))
-			diff("AdRecords", attrs, AdRecords(ads, attrs), ProjectRecords(oracleHawkeyeRecords(ads), attrs))
+			diff("ResultAnswer", attrs, resultRecords("", res, attrs), ProjectRecords(oracleRGMARecords(res), attrs))
+			diff("ResultAnswer(producer)", attrs, resultRecords("lucky3-p0/", res, attrs), ProjectRecords(oracleRowRecords("lucky3-p0", res), attrs))
+			diff("AdAnswer", attrs, adRecords(ads, attrs), ProjectRecords(oracleHawkeyeRecords(ads), attrs))
 		}
 	}
 	diff("RGMARecords(nil)", nil, RGMARecords(nil), oracleRGMARecords(nil))
 	diff("HawkeyeRecords(nil)", nil, HawkeyeRecords(nil), oracleHawkeyeRecords(nil))
 	short := &relational.Result{Columns: []string{"a", "b"}, Rows: [][]relational.Value{{relational.IntVal(1)}, {}}}
 	diff("RGMARecords(short rows)", nil, RGMARecords(short), oracleRGMARecords(short))
+}
+
+// resultRecords and adRecords decode what ResultAnswer and AdAnswer
+// render.
+func resultRecords(keyPrefix string, res *relational.Result, attrs []string) []Record {
+	var a Answer
+	ResultAnswer(&a, keyPrefix, res, attrs)
+	return a.Records()
+}
+
+func adRecords(ads []*classad.Ad, attrs []string) []Record {
+	var a Answer
+	AdAnswer(&a, ads, attrs)
+	return a.Records()
 }
 
 // TestAnswerScratch: an Answer reused by every decoder in turn, largest
@@ -394,7 +408,7 @@ func BenchmarkRGMARecordsProjected(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchRecords = ResultRecords("", res, attrs)
+		benchRecords = resultRecords("", res, attrs)
 	}
 }
 
@@ -420,7 +434,7 @@ func BenchmarkHawkeyeRecordsProjected(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchRecords = AdRecords(ads, attrs)
+		benchRecords = adRecords(ads, attrs)
 	}
 }
 

@@ -473,19 +473,17 @@ func (r *RemoteGrid) Subscribe(ctx context.Context, sub Subscription) (*Stream, 
 	if err != nil {
 		return nil, transport.AsError(err)
 	}
-	// The first frame is the preamble batch carrying the serving grid's
+	// The first frame is the preamble alone, carrying the serving grid's
 	// effective buffer bound, so an unset Subscription.Buffer lags exactly
-	// as the in-process stream would. A first frame that already carries
-	// data is processed, not lost.
-	var preEvents []Event
-	var preDrops uint64
-	preBuffer := 0
+	// as the in-process stream would.
+	buffer := sub.Buffer
 	stop := context.AfterFunc(hctx, func() { sc.Close() })
 	preErr := sc.Recv(func(_ byte, body []byte) error {
-		return decodeWireBatch(body,
-			func(ev Event) { preEvents = append(preEvents, ev) },
-			func(n uint64) { preDrops += n },
-			func(b int) { preBuffer = b })
+		bound, err := decodeWirePreamble(body)
+		if buffer <= 0 {
+			buffer = bound
+		}
+		return err
 	})
 	if !stop() {
 		preErr = hctx.Err()
@@ -494,20 +492,7 @@ func (r *RemoteGrid) Subscribe(ctx context.Context, sub Subscription) (*Stream, 
 		sc.Close()
 		return nil, transport.AsError(preErr)
 	}
-	buffer := sub.Buffer
-	if buffer <= 0 {
-		buffer = preBuffer
-	}
-	if buffer <= 0 {
-		buffer = DefaultStreamBuffer
-	}
 	st := newStream(sub, buffer)
-	if preDrops > 0 {
-		st.addDrops(preDrops)
-	}
-	for _, ev := range preEvents {
-		st.emit(ev)
-	}
 	// The canceller propagates the consumer hanging up — by ctx or by
 	// Stream.Close — to the server as a cancel frame; the reader below
 	// then observes the server's end frame and terminates the stream.
@@ -523,10 +508,7 @@ func (r *RemoteGrid) Subscribe(ctx context.Context, sub Subscription) (*Stream, 
 		defer sc.Close()
 		for {
 			err := sc.Recv(func(_ byte, body []byte) error {
-				return decodeWireBatch(body,
-					func(ev Event) { st.emit(ev) },
-					func(n uint64) { st.addDrops(n) },
-					nil)
+				return decodeWireBatch(body, st.emit, st.addDrops)
 			})
 			if err != nil {
 				switch {

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"repro/internal/binenc"
+	"repro/internal/core"
 )
 
 // EventKind classifies what a stream event reports.
@@ -33,7 +36,10 @@ type Event struct {
 	Time float64 `json:"time"`
 	// Kind is Put, Delete or Trigger.
 	Kind EventKind `json:"kind"`
-	// Records carries the event's decoded records (keys only for Delete).
+	// Records carries the event's records (keys only for Delete),
+	// decoded by Next from the record section its source rendered; a
+	// retained Record keeps that section, or on a remote stream its
+	// batch's one copy, alive (see Next).
 	Records []Record `json:"records"`
 	// Work quantifies what the source did to produce the event.
 	Work Work `json:"work"`
@@ -46,6 +52,24 @@ var ErrLagged = errors.New("gridmon: subscriber lagged, events dropped")
 
 // ErrStreamClosed is returned by Next after Close.
 var ErrStreamClosed = errors.New("gridmon: stream closed")
+
+// event is an Event as a Stream holds it, its record section undecoded
+// until Next: in process, the one copy send made of what the source
+// rendered; on a remote stream, a view of the one copy of its batch. A
+// serving pump appends it to the wire as it is.
+type event struct {
+	seq  uint64
+	time float64
+	kind EventKind
+	sec  string
+	work Work
+}
+
+// decode is the Event ev is, its Records cut from ev's section.
+func (ev *event) decode() Event {
+	d := binenc.NewDecString(ev.sec)
+	return Event{Seq: ev.seq, Time: ev.time, Kind: ev.kind, Records: core.DecodeRecords(&d), Work: ev.work}
+}
 
 // LagError is the concrete lag report: Dropped events were discarded
 // since the previous Next call. errors.Is(err, ErrLagged) matches it.
@@ -67,7 +91,7 @@ func (e *LagError) Is(target error) bool { return target == ErrLagged }
 type Stream struct {
 	sub Subscription
 
-	ch      chan Event
+	ch      chan event
 	stopped chan struct{} // closed by Close: the consumer hung up
 
 	mu       sync.Mutex
@@ -81,7 +105,7 @@ type Stream struct {
 func newStream(sub Subscription, buffer int) *Stream {
 	return &Stream{
 		sub:     sub,
-		ch:      make(chan Event, buffer),
+		ch:      make(chan event, buffer),
 		stopped: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -93,26 +117,24 @@ func (s *Stream) Subscription() Subscription { return s.sub }
 // Buffer reports the stream's effective bounded-buffer capacity.
 func (s *Stream) Buffer() int { return cap(s.ch) }
 
-// send assigns the next sequence number and emits (in-process sources).
-func (s *Stream) send(time float64, kind EventKind, records []Record, work Work) {
-	s.mu.Lock()
-	s.seq++
-	ev := Event{Seq: s.seq, Time: time, Kind: kind, Records: records, Work: work}
-	s.deliverLocked(ev)
-	s.mu.Unlock()
+// send emits an in-process source's event. sec is the record section
+// the source rendered, in scratch it goes on using: the event keeps one
+// copy of it.
+func (s *Stream) send(time float64, kind EventKind, sec []byte, work Work) {
+	s.emit(event{time: time, kind: kind, sec: string(sec), work: work})
 }
 
-// emit delivers an event that already carries its sequence number (the
-// remote client path, which preserves the server's numbering).
-func (s *Stream) emit(ev Event) {
+// emit buffers ev or — when the consumer has let the buffer fill —
+// drops it and counts the loss. An event with no sequence number yet
+// (an in-process source's) takes the next one; a remote stream's keep
+// the server's numbering.
+func (s *Stream) emit(ev event) {
 	s.mu.Lock()
-	s.deliverLocked(ev)
-	s.mu.Unlock()
-}
-
-// deliverLocked buffers ev or — when the consumer has let the buffer
-// fill — drops it and counts the loss. Callers hold s.mu.
-func (s *Stream) deliverLocked(ev Event) {
+	defer s.mu.Unlock()
+	if ev.seq == 0 {
+		s.seq++
+		ev.seq = s.seq
+	}
 	select {
 	case <-s.done:
 		return
@@ -153,36 +175,6 @@ func (s *Stream) terminate(err error) {
 	close(s.done)
 }
 
-// takeLag swaps out the pending drop count for a lag report.
-func (s *Stream) takeLag() (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lagPend == 0 {
-		return 0, false
-	}
-	n := s.lagPend
-	s.lagPend = 0
-	return n, true
-}
-
-// tryNext is Next's non-blocking form, used by the v3 subscribe pump to
-// coalesce already-buffered events into one batched frame. It returns a
-// pending lag report (dropped > 0) or a buffered event (ok, dropped 0);
-// ok is false when nothing is immediately available — including when
-// only the terminal error remains, which stays with the blocking Next so
-// termination is observed in exactly one place.
-func (s *Stream) tryNext() (Event, uint64, bool) {
-	if n, lagged := s.takeLag(); lagged {
-		return Event{}, n, true
-	}
-	select {
-	case ev := <-s.ch:
-		return ev, 0, true
-	default:
-		return Event{}, 0, false
-	}
-}
-
 // Next returns the next event. When the consumer has lagged and events
 // were dropped since the previous call, Next first returns a *LagError
 // carrying the drop count (errors.Is(err, ErrLagged)), then resumes
@@ -191,37 +183,58 @@ func (s *Stream) tryNext() (Event, uint64, bool) {
 // connection failed — Next drains the remaining buffered events and then
 // returns the terminal error.
 //
-// The strings of an event's Records share storage with the rest of what
-// was decoded with them — on a remote v3 stream, one copy of the event
-// batch (up to 32 events) the event arrived in — so a retained
-// Record keeps that whole text alive; clone the strings to keep a few
-// fields of a large stream for long.
+// Next decodes the event's Records out of its record section, and their
+// strings are cut from the text that section lies in: in process, the
+// event's own copy of what its source rendered; on a remote v3 stream,
+// one copy of the event batch (up to 32 events) the event arrived in. So
+// a retained Record keeps its event's section, or its whole batch,
+// alive; clone the strings to keep a few fields of a large stream for
+// long.
 func (s *Stream) Next(ctx context.Context) (Event, error) {
-	if n, lagged := s.takeLag(); lagged {
-		return Event{}, &LagError{Dropped: n}
+	ev, dropped, err := s.next(ctx)
+	switch {
+	case dropped > 0:
+		return Event{}, &LagError{Dropped: dropped}
+	case err != nil:
+		return Event{}, err
+	}
+	return ev.decode(), nil
+}
+
+// next is Next undecoded: a pending lag report (dropped > 0), else the
+// next event, else the error Next returns. With ctx done it takes only
+// what is already there, as the v3 subscribe pump does to coalesce
+// buffered events into one batched frame.
+func (s *Stream) next(ctx context.Context) (event, uint64, error) {
+	s.mu.Lock()
+	dropped := s.lagPend
+	s.lagPend = 0
+	s.mu.Unlock()
+	if dropped > 0 {
+		return event{}, dropped, nil
 	}
 	// Prefer buffered events over termination, so a closing stream still
 	// delivers what it already accepted.
 	select {
 	case ev := <-s.ch:
-		return ev, nil
+		return ev, 0, nil
 	default:
 	}
 	select {
 	case ev := <-s.ch:
-		return ev, nil
+		return ev, 0, nil
 	case <-ctx.Done():
-		return Event{}, ctx.Err()
+		return event{}, 0, ctx.Err()
 	case <-s.done:
 		select {
 		case ev := <-s.ch:
-			return ev, nil
+			return ev, 0, nil
 		default:
 		}
 		s.mu.Lock()
 		err := s.err
 		s.mu.Unlock()
-		return Event{}, err
+		return event{}, 0, err
 	}
 }
 

@@ -161,7 +161,8 @@ func (g *Grid) Subscribe(ctx context.Context, sub Subscription) (*Stream, error)
 // paper's "subscribe to a flow of data with specific properties directly
 // from a data source". Each published batch is answered as a query over
 // the batch's producer alone would answer it: the same prepared SELECT,
-// run on the query path's scratch and rendered by its row renderer.
+// run on the query path's scratch and rendered by its row renderer into
+// the query path's pooled Answer, which the event copies.
 // Callers hold g.mu.
 func (g *Grid) subscribeRGMA(st *Stream, sub Subscription, id string) (func(), error) {
 	if sub.Role != "" && sub.Role != RoleInformationServer {
@@ -210,8 +211,10 @@ func (g *Grid) subscribeRGMA(st *Stream, sub Subscription, id string) (func(), e
 			rq.Select = sel
 			_, err := rq.Run(p.Table, p.Schema(), [][][]relational.Value{rows})
 			if res := rq.Result(); err == nil && len(res.Rows) > 0 {
-				records := core.ResultRecords(producerID+"/", res, sub.Attrs)
-				st.send(g.clock(), EventPut, records, Work{RecordsReturned: len(records)})
+				ans := answers.Get().(*core.Answer)
+				core.ResultAnswer(ans, producerID+"/", res, sub.Attrs)
+				st.send(g.clock(), EventPut, ans.Enc, Work{RecordsReturned: len(res.Rows)})
+				answers.Put(ans)
 			}
 			rq.Reset()
 			rowsQueries.Put(rq)
@@ -234,8 +237,9 @@ func (g *Grid) subscribeRGMA(st *Stream, sub Subscription, id string) (func(), e
 
 // subscribeHawkeye surfaces Manager trigger matchmaking as events: the
 // memo's constraint for Expr becomes a Trigger ClassAd's Requirements,
-// fired against the current pool now and on every advertisement.
-// Callers hold g.mu.
+// fired against the current pool now and on every advertisement. The
+// matched ad is rendered into the query path's pooled Answer, which the
+// event copies. Callers hold g.mu.
 func (g *Grid) subscribeHawkeye(st *Stream, sub Subscription, id string) (func(), error) {
 	constraint, err := memoParse(&g.memo, Hawkeye, "Hawkeye constraint", sub.Expr, classad.ParseExpr)
 	if err != nil {
@@ -260,9 +264,11 @@ func (g *Grid) subscribeHawkeye(st *Stream, sub Subscription, id string) (func()
 			if sub.Host != "" && machine != sub.Host {
 				return
 			}
-			records := core.AdRecords([]*classad.Ad{matched}, sub.Attrs)
-			st.send(g.clock(), EventTrigger, records,
+			ans := answers.Get().(*core.Answer)
+			core.AdAnswer(ans, []*classad.Ad{matched}, sub.Attrs)
+			st.send(g.clock(), EventTrigger, ans.Enc,
 				Work{RecordsVisited: 1, RecordsReturned: 1, ResponseBytes: matched.SizeBytes()})
+			answers.Put(ans)
 		},
 	}
 	g.manager.SubmitTrigger(g.clock(), tr)
@@ -332,17 +338,17 @@ func (g *Grid) pollWatchersLocked(now float64) {
 }
 
 // diff sends what changed from w.prev to w.cur, each sorted by key: a
-// Put event with the records new or whose bytes differ, then a Delete
-// event with the keys that vanished (an answer holds a DN once). Only
-// what a Put sends is decoded.
+// Put event with the records new or whose bytes differ, their bytes as
+// the poll rendered them, then a Delete event with the keys that
+// vanished (an answer holds a DN once), each a record of no fields.
 func (w *mdsWatcher) diff(now float64, work Work) {
 	prevList, curList := mergeScratch.Get().(*[]wireRecord), mergeScratch.Get().(*[]wireRecord)
 	prev, cur := recordsByKey(w.prev.Enc, *prevList), recordsByKey(w.cur.Enc, *curList)
-	var dels []Record
-	puts, i := cur[:0], 0 // puts is written over the records walked
+	// Each list is written over the records it has walked.
+	puts, dels, i := cur[:0], prev[:0], 0
 	for _, r := range cur {
 		for ; i < len(prev) && bytes.Compare(prev[i].key, r.key) < 0; i++ {
-			dels = append(dels, Record{Key: string(prev[i].key)})
+			dels = append(dels, prev[i])
 		}
 		if i < len(prev) && bytes.Equal(prev[i].key, r.key) {
 			i++
@@ -352,20 +358,23 @@ func (w *mdsWatcher) diff(now float64, work Work) {
 		}
 		puts = append(puts, r)
 	}
-	for ; i < len(prev); i++ {
-		dels = append(dels, Record{Key: string(prev[i].key)})
-	}
+	dels = append(dels, prev[i:]...)
+	sec := answers.Get().(*core.Answer)
 	if len(puts) > 0 {
-		section := binenc.AppendUvarint(nil, uint64(len(puts))+1)
+		sec.Enc = binenc.AppendUvarint(sec.Enc[:0], uint64(len(puts))+1)
 		for _, r := range puts {
-			section = append(section, r.enc...)
+			sec.Enc = append(sec.Enc, r.enc...)
 		}
-		d := binenc.NewDecText(section)
-		w.st.send(now, EventPut, core.DecodeRecords(&d), work)
+		w.st.send(now, EventPut, sec.Enc, work)
 	}
 	if len(dels) > 0 {
-		w.st.send(now, EventDelete, dels, Work{RecordsReturned: len(dels)})
+		sec.Enc = binenc.AppendUvarint(sec.Enc[:0], uint64(len(dels))+1)
+		for _, r := range dels {
+			sec.Enc = binenc.AppendUvarint(binenc.AppendBytes(sec.Enc, r.key), 0)
+		}
+		w.st.send(now, EventDelete, sec.Enc, Work{RecordsReturned: len(dels)})
 	}
+	answers.Put(sec)
 	giveBack(&mergeScratch, prevList, prev)
 	giveBack(&mergeScratch, curList, cur)
 }

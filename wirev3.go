@@ -25,29 +25,33 @@ import (
 //
 // Every codec comes in append/decode-into pairs: encoders extend a
 // caller-owned []byte; decoders write every field of the value they are
-// handed, straight-line, and keep nothing it held before. A client's
-// decoder cuts every string of an event batch — keys, field names,
-// values — out of one copy of its body (binenc.NewDecText): one
-// allocation however many records it spans, never aliasing the
-// connection's pooled frame buffer, and alive as a whole while any
-// decoded string is retained. Every querier decodes a reply through a
-// table of its own (RecordTable): Grid and the federation Router the
-// reply their own AppendQuery appends, RemoteGrid the frame it received.
-// The table holds each record it decoded under the record's bytes, and a
-// later answer that carries those bytes shares the held Key and field
-// map. The records and head an answer brings new are copied together
-// into one string and decoded from it (core.DecodeRecord, the one record
-// decoder); only branch error texts, past the records, are copied one
-// by one. A server copies no grid.query request: its strings resolve
+// handed, straight-line, and keep nothing it held before. An event
+// travels as its record section: rendered once into pooled scratch,
+// copied once by its Stream, appended to the frame as it is by every
+// subscribe pump (a Router's relaying a leaf's stream too), so in the
+// engine's field order, and decoded only by Stream.Next. A client walks
+// each event of a batch as core.DecodeRecords would decode it and keeps
+// it as a view of one copy of the batch's body: one allocation however
+// many events it spans, never aliasing the connection's pooled frame
+// buffer, and alive while any of its events or strings is retained.
+// Every querier decodes a reply through a table of its own
+// (RecordTable): Grid and the federation Router the reply their own
+// AppendQuery appends, RemoteGrid the frame it received. The table holds
+// each record it decoded under the record's bytes, and a later answer
+// that carries those bytes shares the held Key and field map. The
+// records and head an answer brings new are copied together into one
+// string and decoded from it (core.DecodeRecord, the one record
+// decoder); only branch error texts, past the records, are copied one by
+// one. A server copies no grid.query request: its strings resolve
 // through the table of those it has seen (requests, memo.go). It decodes
 // no reply either: its source appends one to the handler's buffer
-// (AppendQuerier). A Grid copies in the
-// record section its answer was rendered as (core.Answer), a RemoteGrid
-// copies the body it received once it has walked it (scanWireReply),
-// and the federation Router relays its branches' bytes: a routed reply
-// restamped (StampElapsed), broad ones' records sorted by key into one
-// reply (MergeReplies). Counts read off the wire are bounded by the
-// bytes left in the frame (Dec.Count) before anything is sized by them.
+// (AppendQuerier). A Grid copies in the record section its answer was
+// rendered as (core.Answer), a RemoteGrid copies the body it received
+// once it has walked it (scanWireReply), and the federation Router
+// relays its branches' bytes: a routed reply restamped (StampElapsed),
+// broad ones' records sorted by key into one reply (MergeReplies).
+// Counts read off the wire are bounded by the bytes left in the frame
+// (Dec.Count) before anything is sized by them.
 //
 // Nil-ness is preserved exactly as a JSON round trip preserves it, so a
 // decoded value is reflect.DeepEqual to the same value sent through
@@ -438,24 +442,6 @@ func MergeReplies(dst []byte, q Query, bodies [][]byte, failed []BranchError, el
 	return dst, err
 }
 
-// appendWireEvent appends ev's binary encoding to b.
-func appendWireEvent(b []byte, ev *Event) []byte {
-	b = binenc.AppendUvarint(b, ev.Seq)
-	b = binenc.AppendFloat64(b, ev.Time)
-	b = binenc.AppendString(b, string(ev.Kind))
-	b = core.AppendRecords(b, ev.Records)
-	return appendWireWork(b, &ev.Work)
-}
-
-// decodeWireEventInto decodes an Event into ev.
-func decodeWireEventInto(d *binenc.Dec, ev *Event) {
-	ev.Seq = d.Uvarint()
-	ev.Time = d.Float64()
-	ev.Kind = EventKind(d.String())
-	ev.Records = core.DecodeRecords(d)
-	decodeWireWorkInto(d, &ev.Work)
-}
-
 // appendWireSubscription appends sub's binary encoding to b.
 func appendWireSubscription(b []byte, sub Subscription) []byte {
 	b = binenc.AppendString(b, string(sub.System))
@@ -484,9 +470,9 @@ func decodeWireSubscriptionInto(d *binenc.Dec, sub *Subscription) {
 // wait, then whatever is immediately available), preserving Seq ordering
 // and the position of lag reports in the sequence.
 const (
-	wireEntryEvent  = 0 // an Event (appendWireEvent encoding)
+	wireEntryEvent  = 0 // an event (appendWireEntry encoding)
 	wireEntryLag    = 1 // uvarint drop count from the serving stream
-	wireEntryBuffer = 2 // uvarint effective buffer bound (preamble, first frame only)
+	wireEntryBuffer = 2 // uvarint effective buffer bound (the first frame, alone)
 )
 
 // maxEventBatch bounds how many entries one v3 event frame coalesces;
@@ -586,9 +572,10 @@ func queryV3(source Querier) transport.V3Handler {
 // ServeSubscribe registers the grid.subscribe streaming op backed by any
 // Subscriber — the in-process Grid, or a federation Router proxying the
 // stream to the shard that owns the host. The request (a Subscription)
-// decodes from the frame, and events are delivered as batched binary
-// frames — up to maxEventBatch entries per flush under fan-out. Lag
-// reports and the buffer preamble ride the same entry stream, so
+// decodes from the frame. The first frame is the buffer preamble alone;
+// then events, each its record section as the stream holds it, are
+// delivered as batched binary frames — up to maxEventBatch entries per
+// flush under fan-out. Lag reports ride the same entry stream, so
 // ordering and Dropped() accounting match the in-process stream.
 // Cancellation propagates both ways (a client cancel detaches the
 // serving-side sources; a serving-side source failure ends the client's
@@ -607,62 +594,41 @@ func ServeSubscribe(srv *TransportServer, source Subscriber) {
 		}
 		run := func(send transport.V3Send) error {
 			defer st.Close()
-			// The preamble carries the serving grid's effective buffer
-			// bound, so the client's buffer is the server's.
-			serr := send(func(b []byte) []byte {
-				b = binenc.AppendUvarint(b, 1)
-				b = append(b, wireEntryBuffer)
-				return binenc.AppendUvarint(b, uint64(st.Buffer()))
-			})
-			if serr != nil {
+			// The preamble, alone in the first frame, carries the serving
+			// grid's effective buffer bound, so the client's buffer is the
+			// server's.
+			if serr := send(func(b []byte) []byte {
+				return binenc.AppendUvarint(append(binenc.AppendUvarint(b, 1), wireEntryBuffer), uint64(st.Buffer()))
+			}); serr != nil {
 				return serr
 			}
 			// scratch holds the encoded entries of the batch being
 			// assembled; it grows once and is reused per flush.
 			scratch := make([]byte, 0, 1024)
+			waiting, stop := context.WithCancel(ctx) // done: next takes only what is buffered
+			stop()
 			for {
 				// Block for the first entry, then coalesce whatever is
 				// already waiting, up to the batch bound.
-				count := 0
-				scratch = scratch[:0]
-				ev, err := st.Next(ctx)
-				switch {
-				case err == nil:
-					scratch = append(scratch, wireEntryEvent)
-					scratch = appendWireEvent(scratch, &ev)
-					count++
-				default:
-					var lag *LagError
-					if errors.As(err, &lag) {
-						scratch = append(scratch, wireEntryLag)
-						scratch = binenc.AppendUvarint(scratch, lag.Dropped)
-						count++
-						break
-					}
+				ev, dropped, err := st.next(ctx)
+				if err != nil {
 					if errors.Is(err, context.Canceled) || errors.Is(err, ErrStreamClosed) {
 						return nil
 					}
 					return err
 				}
-				for count < maxEventBatch && len(scratch) < maxEventBatchBytes {
-					ev, dropped, ok := st.tryNext()
-					if !ok {
+				scratch = appendWireEntry(scratch[:0], &ev, dropped)
+				count := 1
+				for ; count < maxEventBatch && len(scratch) < maxEventBatchBytes; count++ {
+					ev, dropped, err := st.next(waiting)
+					if err != nil {
 						break
 					}
-					if dropped > 0 {
-						scratch = append(scratch, wireEntryLag)
-						scratch = binenc.AppendUvarint(scratch, dropped)
-					} else {
-						scratch = append(scratch, wireEntryEvent)
-						scratch = appendWireEvent(scratch, &ev)
-					}
-					count++
+					scratch = appendWireEntry(scratch, &ev, dropped)
 				}
-				batch := scratch
-				n := count
 				if serr := send(func(b []byte) []byte {
-					b = binenc.AppendUvarint(b, uint64(n))
-					return append(b, batch...)
+					b = binenc.AppendUvarint(b, uint64(count))
+					return append(b, scratch...)
 				}); serr != nil {
 					return serr
 				}
@@ -672,34 +638,58 @@ func ServeSubscribe(srv *TransportServer, source Subscriber) {
 	})
 }
 
-// decodeWireBatch decodes one batched event frame body, dispatching each
-// entry: events to emit, lag counts to lag, the preamble bound to
-// buffer. Any callback may be nil to ignore that entry kind. The events
-// of one batch share one copy of its text.
-func decodeWireBatch(body []byte, emit func(Event), lag func(uint64), buffer func(int)) error {
-	d := binenc.NewDecText(body)
+// appendWireEntry appends one entry of an event batch: a lag report
+// when dropped is not 0, otherwise ev, its record section as it is.
+func appendWireEntry(b []byte, ev *event, dropped uint64) []byte {
+	if dropped > 0 {
+		return binenc.AppendUvarint(append(b, wireEntryLag), dropped)
+	}
+	b = binenc.AppendUvarint(append(b, wireEntryEvent), ev.seq)
+	b = binenc.AppendFloat64(b, ev.time)
+	b = binenc.AppendString(b, string(ev.kind))
+	b = append(b, ev.sec...)
+	return appendWireWork(b, &ev.work)
+}
+
+// decodeWirePreamble decodes a stream's first frame body, which is the
+// buffer preamble alone, and returns its bound, at least 1.
+func decodeWirePreamble(body []byte) (int, error) {
+	d := binenc.NewDec(body)
+	one, tag, bound := d.Uvarint(), d.Byte(), d.Uvarint()
+	if one != 1 || tag != wireEntryBuffer || bound == 0 || !d.Done() {
+		return 0, transport.Errf(transport.CodeProtocol,
+			"grid.subscribe: the first frame is not the buffer preamble alone")
+	}
+	return int(bound), nil
+}
+
+// decodeWireBatch decodes one batched event frame body after the
+// preamble, dispatching each entry: events to emit, lag counts to lag.
+// An event's record section is walked as core.DecodeRecords decodes it,
+// accepting exactly what that function accepts, and kept undecoded: the
+// events of one batch are views of one copy of its body.
+func decodeWireBatch(body []byte, emit func(event), lag func(uint64)) error {
+	text := string(body)
+	d := binenc.NewDecPrefix(body, text)
 	n := d.Count(d.Uvarint(), 2) // an entry is a tag and a value at least
 	for i := 0; i < n && d.Err() == nil; i++ {
 		switch tag := d.Byte(); tag {
 		case wireEntryEvent:
-			var ev Event
-			decodeWireEventInto(&d, &ev)
-			if d.Err() == nil && emit != nil {
+			ev := event{seq: d.Uvarint(), time: d.Float64(), kind: EventKind(d.String())}
+			from := len(body) - d.Len()
+			scanRecords(&d, body, nil)
+			ev.sec = text[from : len(body)-d.Len()]
+			if decodeWireWorkInto(&d, &ev.work); d.Err() == nil {
 				emit(ev)
 			}
 		case wireEntryLag:
 			dropped := d.Uvarint()
-			if d.Err() == nil && lag != nil {
+			if d.Err() == nil {
 				lag(dropped)
-			}
-		case wireEntryBuffer:
-			bound := d.Uvarint()
-			if d.Err() == nil && buffer != nil {
-				buffer(int(bound))
 			}
 		default:
 			return transport.Errf(transport.CodeProtocol,
-				"grid.subscribe: unknown batch entry tag %d", tag)
+				"grid.subscribe: unexpected batch entry tag %d", tag)
 		}
 	}
 	return d.Err()

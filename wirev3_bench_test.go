@@ -146,9 +146,13 @@ func benchEvents() []Event {
 // BenchmarkWireEventFanout64V3: one 8-event flush delivered to 64
 // subscribers over the batched v3 event frame — each subscriber's pump
 // encodes the batch into its reused scratch buffer and each client
-// decodes it. This is the per-flush cost of the subscribe fan-out path.
+// receives it and decodes every event as Next does. This is the
+// per-flush cost of the subscribe fan-out path.
 func BenchmarkWireEventFanout64V3(b *testing.B) {
-	evs := benchEvents()
+	var evs []event
+	for _, ev := range benchEvents() {
+		evs = append(evs, wireEvent(ev))
+	}
 	const subscribers = 64
 	bufs := make([][]byte, subscribers)
 	b.ReportAllocs()
@@ -157,16 +161,15 @@ func BenchmarkWireEventFanout64V3(b *testing.B) {
 		for s := 0; s < subscribers; s++ {
 			body := binenc.AppendUvarint(bufs[s][:0], uint64(len(evs)))
 			for j := range evs {
-				body = append(body, wireEntryEvent)
-				body = appendWireEvent(body, &evs[j])
+				body = appendWireEntry(body, &evs[j], 0)
 			}
 			bufs[s] = body
 			delivered := 0
-			if err := decodeWireBatch(body, func(Event) { delivered++ }, nil, nil); err != nil {
+			if err := decodeWireBatch(body, func(ev event) { delivered += len(ev.decode().Records) }, nil); err != nil {
 				b.Fatal(err)
 			}
 			if delivered != len(evs) {
-				b.Fatalf("delivered %d events", delivered)
+				b.Fatalf("delivered %d records", delivered)
 			}
 		}
 	}

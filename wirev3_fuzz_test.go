@@ -2,6 +2,7 @@ package gridmon
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -16,16 +17,27 @@ import (
 // callback, so a batch can be re-encoded and compared.
 type wireBatch struct {
 	Tags    []byte
-	Events  []Event  // wireEntryEvent entries, in order
-	Numbers []uint64 // wireEntryLag / wireEntryBuffer values, in order
+	Events  []Event  // wireEntryEvent entries, in order, as Next decodes them
+	Numbers []uint64 // wireEntryLag values, in order
 }
 
+// decodeBatch decodes body as a client's stream does, and each event as
+// Next does. An event section it accepts that core.DecodeRecords fails
+// on, or does not end on, panics: the walk at receipt must reject
+// exactly what the decode would.
 func decodeBatch(body []byte) (wireBatch, error) {
 	var wb wireBatch
 	err := decodeWireBatch(body,
-		func(ev Event) { wb.Tags = append(wb.Tags, wireEntryEvent); wb.Events = append(wb.Events, ev) },
-		func(n uint64) { wb.Tags = append(wb.Tags, wireEntryLag); wb.Numbers = append(wb.Numbers, n) },
-		func(n int) { wb.Tags = append(wb.Tags, wireEntryBuffer); wb.Numbers = append(wb.Numbers, uint64(n)) })
+		func(ev event) {
+			d := binenc.NewDecString(ev.sec)
+			core.DecodeRecords(&d)
+			if !d.Done() {
+				panic(fmt.Sprintf("an event section core.DecodeRecords rejects was accepted: %x", ev.sec))
+			}
+			wb.Tags = append(wb.Tags, wireEntryEvent)
+			wb.Events = append(wb.Events, ev.decode())
+		},
+		func(n uint64) { wb.Tags = append(wb.Tags, wireEntryLag); wb.Numbers = append(wb.Numbers, n) })
 	return wb, err
 }
 
@@ -33,12 +45,12 @@ func (wb wireBatch) encode() []byte {
 	b := binenc.AppendUvarint(nil, uint64(len(wb.Tags)))
 	evs, nums := wb.Events, wb.Numbers
 	for _, tag := range wb.Tags {
-		b = append(b, tag)
 		if tag == wireEntryEvent {
-			b = appendWireEvent(b, &evs[0])
+			ev := wireEvent(evs[0])
+			b = appendWireEntry(b, &ev, 0)
 			evs = evs[1:]
 		} else {
-			b = binenc.AppendUvarint(b, nums[0])
+			b = binenc.AppendUvarint(append(b, wireEntryLag), nums[0]) // 0 too
 			nums = nums[1:]
 		}
 	}
@@ -55,7 +67,7 @@ func noNaN(fs ...*float64) {
 	}
 }
 
-// wireFuzzDecoders are the four decoders that face bytes a peer chose,
+// wireFuzzDecoders are the five decoders that face bytes a peer chose,
 // each as: decode data with the given kind of Dec into a fresh value
 // (NaNs scrubbed), and re-encode that value.
 var wireFuzzDecoders = []struct {
@@ -100,11 +112,17 @@ var wireFuzzDecoders = []struct {
 			return wb, err
 		},
 		func(v interface{}) []byte { return v.(wireBatch).encode() }},
+	{"preamble",
+		func(_ func([]byte) binenc.Dec, data []byte) (interface{}, error) { return decodeWirePreamble(data) },
+		func(v interface{}) []byte {
+			return binenc.AppendUvarint([]byte{1, wireEntryBuffer}, uint64(v.(int)))
+		}},
 }
 
 // FuzzWireDecode feeds arbitrary bytes to every v3 decoder that reads
 // what a peer sent — the grid.query and grid.subscribe requests on the
-// server, the answer and the event batch on the client. None may panic;
+// server, the answer, the stream preamble and the event batch on the
+// client. None may panic;
 // none may allocate more than a fixed multiple of the input (counts are
 // bounded by the bytes left in the frame before anything is sized by
 // them); a decode that reports no error yields a value that re-encodes
@@ -120,6 +138,14 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(appendWireResultSet(nil, &ResultSet{System: Hawkeye, Role: RoleAggregateServer,
 		Records: []Record{{Key: "lucky3", Fields: map[string]string{"CpuLoad": "12"}}}, Elapsed: 300, Partial: true,
 		Branches: []BranchError{{Shard: 2, Addr: "127.0.0.1:7950", Code: ErrUnavailable, Message: "leaf down"}}}, nil))
+	// A batch of two events and a lag report.
+	evs := benchEvents()
+	batch := binenc.AppendUvarint(nil, 3)
+	for _, ev := range evs[:2] {
+		wev := wireEvent(ev)
+		batch = appendWireEntry(batch, &wev, 0)
+	}
+	f.Add(appendWireEntry(batch, nil, 7))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The widest thing a decoder sizes from a count is a field map:
 		// one slot per two input bytes, ~40-80 bytes a slot.

@@ -185,8 +185,6 @@ func TestWireHugeCountsEverywhere(t *testing.T) {
 			func(d *binenc.Dec) { decodeWireResultSetInto(d, new(ResultSet)) }},
 		"branches": {binenc.AppendUvarint(append(binenc.AppendUvarint(str(nil, "", "", ""), 0), tail...), huge),
 			func(d *binenc.Dec) { decodeWireResultSetInto(d, new(ResultSet)) }},
-		"event records": {binenc.AppendUvarint(str(binenc.AppendFloat64(binenc.AppendUvarint(nil, 1), 0), "put"), huge),
-			func(d *binenc.Dec) { decodeWireEventInto(d, new(Event)) }},
 	}
 	for name, f := range frames {
 		for _, newDec := range wireDecKinds {
@@ -197,9 +195,62 @@ func TestWireHugeCountsEverywhere(t *testing.T) {
 			}
 		}
 	}
-	err := decodeWireBatch(binenc.AppendUvarint(nil, huge), nil, nil, nil)
-	if transport.ErrorCode(err) != transport.CodeBadRequest {
-		t.Errorf("batch entries: err = %v, want bad_request", err)
+	for name, batch := range map[string][]byte{
+		"batch entries": binenc.AppendUvarint(nil, huge),
+		"event records": binenc.AppendUvarint(str(binenc.AppendFloat64(binenc.AppendUvarint([]byte{1, wireEntryEvent}, 1), 0), "put"), huge),
+	} {
+		err := decodeWireBatch(batch, nil, nil)
+		if transport.ErrorCode(err) != transport.CodeBadRequest {
+			t.Errorf("%s: err = %v, want bad_request", name, err)
+		}
+	}
+}
+
+// TestWireSubscribePreambleAlone: a stream's first frame is the buffer
+// preamble alone, as ServeSubscribe sends it. A first frame that is
+// anything else — an event beside the preamble, a lag report, an event
+// batch, trailing bytes, a bound of 0, nothing — fails the subscribe
+// with a typed protocol error, and none of what it carried is delivered.
+func TestWireSubscribePreambleAlone(t *testing.T) {
+	preamble := func(entries uint64) []byte {
+		return binenc.AppendUvarint(append(binenc.AppendUvarint(nil, entries), wireEntryBuffer), 8)
+	}
+	put := wireEvent(Event{Seq: 1, Kind: EventPut, Records: []Record{{Key: "k"}}})
+	frames := map[string][]byte{
+		"preamble and an event": appendWireEntry(preamble(2), &put, 0),
+		"preamble and a lag":    appendWireEntry(preamble(2), nil, 3),
+		"an event":              appendWireEntry(binenc.AppendUvarint(nil, 1), &put, 0),
+		"trailing bytes":        append(preamble(1), 0),
+		"no buffer":             binenc.AppendUvarint([]byte{1, wireEntryBuffer}, 0),
+		"empty":                 nil,
+	}
+	for name, frame := range frames {
+		srv := transport.NewServer()
+		srv.HandleStreamV3("grid.subscribe", func(ctx context.Context, _ []byte) (transport.V3StreamFunc, *transport.Error) {
+			return func(send transport.V3Send) error {
+				if err := send(func(b []byte) []byte { return append(b, frame...) }); err != nil {
+					return err
+				}
+				<-ctx.Done()
+				return nil
+			}, nil
+		})
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rg, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		st, err := rg.Subscribe(ctx, Subscription{System: RGMA})
+		if st != nil || transport.ErrorCode(err) != transport.CodeProtocol {
+			t.Errorf("%s: stream %v, err = %v, want a protocol error", name, st, err)
+		}
+		cancel()
+		rg.Close()
+		srv.Close()
 	}
 }
 

@@ -117,8 +117,13 @@ func TestWireResultSetRoundTrip(t *testing.T) {
 	}
 }
 
+// wireEvent is ev as a Stream holds it.
+func wireEvent(ev Event) event {
+	return event{seq: ev.Seq, time: ev.Time, kind: ev.Kind, sec: string(core.AppendRecords(nil, ev.Records)), work: ev.Work}
+}
+
 // TestWireEventRoundTrip: events preserve Seq, time, kind, records and
-// work through the binary codec.
+// work through the binary codec and Next's decode.
 func TestWireEventRoundTrip(t *testing.T) {
 	cases := []Event{
 		{Seq: 1, Time: 10.5, Kind: EventPut},
@@ -130,13 +135,14 @@ func TestWireEventRoundTrip(t *testing.T) {
 		},
 	}
 	for i, ev := range cases {
-		var got Event
-		d := binenc.NewDec(appendWireEvent(nil, &ev))
-		decodeWireEventInto(&d, &got)
-		if err := d.Err(); err != nil {
-			t.Fatalf("case %d: %v", i, err)
+		wev := wireEvent(ev)
+		var got []Event
+		err := decodeWireBatch(appendWireEntry(binenc.AppendUvarint(nil, 1), &wev, 0),
+			func(ev event) { got = append(got, ev.decode()) }, nil)
+		if err != nil || len(got) != 1 {
+			t.Fatalf("case %d: %v, %d events", i, err, len(got))
 		}
-		if want := jsonRT(t, ev); !reflect.DeepEqual(got, want) {
+		if got, want := got[0], jsonRT(t, ev); !reflect.DeepEqual(got, want) {
 			t.Errorf("case %d: got %#v, want %#v", i, got, want)
 		}
 	}
