@@ -55,7 +55,7 @@ race:
 # resolves grid.query bodies through (TestRequestStringsStayBounded,
 # TestRequestStringsShareOwnedCopies) and the scratch every served query
 # borrows coming back empty (TestLentListComesBackEmpty,
-# TestArenaRenderComesBackEmpty, TestSearchScratchComesBackEmpty,
+# TestAdKeyListComesBackEmpty, TestSearchScratchComesBackEmpty,
 # TestAdvertListComesBackEmpty, TestConstraintScratchComesBackEmpty),
 # and subscriptions answering as the query does in all three systems
 # (TestContinuousQueryMatchesQuery and FuzzContinuousQuery's seeds: R-GMA
@@ -119,7 +119,10 @@ fed-chaos:
 # record sections byte for byte as rendered (TestWireEventRelayBytes) and
 # served at a copy and no decode (TestWireEventAllocBudget, which skips
 # under -race), a stream's first frame the preamble alone
-# (TestWireSubscribePreambleAlone), and the pipelining chaos case
+# (TestWireSubscribePreambleAlone), a stream buffer over the maximum
+# refused on both ends (TestWireSubscribeBufferBounded), the length
+# placeholder the record renderers fill in (TestCodecPutUvarintAt), and
+# the pipelining chaos case
 # (mid-frame reset with K>1 in-flight calls fails exactly the affected
 # calls, typed, no hang).
 wire:
@@ -177,7 +180,9 @@ bench-smoke:
 # poll, a Hawkeye trigger fires for what the Manager query answers and
 # matchmaking accepts, an R-GMA stream is ScanSelect's answer over each
 # published batch; a refusal carries the code Grid.Query fails with,
-# FuzzContinuousQuery) — twenty targets.
+# FuzzContinuousQuery), and the one-byte length placeholder the record
+# renderers fill in (FuzzPutUvarintAt: prefix, value, suffix as
+# AppendUvarint writes them) — twenty-one targets.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) .
@@ -200,3 +205,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzServletSelect$$' -fuzztime $(FUZZTIME) ./internal/rgma
 	$(GO) test -run '^$$' -fuzz '^FuzzShardMap$$' -fuzztime $(FUZZTIME) ./internal/federation
 	$(GO) test -run '^$$' -fuzz '^FuzzContinuousQuery$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzPutUvarintAt$$' -fuzztime $(FUZZTIME) ./internal/binenc

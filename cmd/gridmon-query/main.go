@@ -168,49 +168,23 @@ func query(params map[string]string) gridmon.Query {
 
 // watchLoop subscribes to q, polling MDS every interval, and prints
 // events until interrupted, returning the process exit status. The
-// -timeout bounds the dial and subscribe handshake (the stream itself is
-// unbounded: it runs until interrupted).
+// client bounds the subscribe handshake (dial, ack and preamble) by its
+// AttemptTimeout, which -timeout caps; the stream itself is unbounded:
+// it runs until interrupted.
 func watchLoop(addr string, dialOpts gridmon.DialOptions, q gridmon.Query, interval, timeout time.Duration, output string) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	// Bound the dial + subscribe handshake without bounding the stream:
-	// the subscription lives on the interrupt context, and a handshake
-	// that outlasts -timeout is abandoned (the process exits right
-	// after, so nothing leaks).
-	type opened struct {
-		remote *gridmon.RemoteGrid
-		st     *gridmon.Stream
-		err    error
+	if timeout > 0 && (dialOpts.AttemptTimeout <= 0 || timeout < dialOpts.AttemptTimeout) {
+		dialOpts.AttemptTimeout = timeout
 	}
-	handshake := make(chan opened, 1)
-	go func() {
-		remote, err := gridmon.DialWith(addr, dialOpts)
-		if err != nil {
-			handshake <- opened{err: err}
-			return
-		}
-		st, err := remote.Subscribe(ctx, gridmon.Subscription{System: q.System, Role: q.Role,
-			Host: q.Host, Expr: q.Expr, Attrs: q.Attrs, PollEvery: interval.Seconds()})
-		handshake <- opened{remote: remote, st: st, err: err}
-	}()
-	var timeoutC <-chan time.Time
-	if timeout > 0 {
-		timeoutC = time.After(timeout)
-	}
-	var st *gridmon.Stream
-	select {
-	case h := <-handshake:
-		if h.err != nil {
-			e := transport.AsError(h.err)
-			fmt.Fprintf(os.Stderr, "error [%s]: %s\n", e.Code, e.Message)
-			return exitStatus(e.Code)
-		}
-		st = h.st
-		defer h.remote.Close()
-	case <-timeoutC:
-		fmt.Fprintf(os.Stderr, "error [%s]: subscribe: no answer within %v\n",
-			transport.CodeDeadline, timeout)
-		return exitStatus(transport.CodeDeadline)
+	remote := gridmon.DialLazy(addr, dialOpts)
+	defer remote.Close()
+	st, err := remote.Subscribe(ctx, gridmon.Subscription{System: q.System, Role: q.Role,
+		Host: q.Host, Expr: q.Expr, Attrs: q.Attrs, PollEvery: interval.Seconds()})
+	if err != nil {
+		e := transport.AsError(err)
+		fmt.Fprintf(os.Stderr, "error [%s]: %s\n", e.Code, e.Message)
+		return exitStatus(e.Code)
 	}
 	for {
 		ev, err := st.Next(ctx)

@@ -35,3 +35,27 @@ func PerRun(runs int, f func()) (objects, bytes uint64) {
 	}
 	return objects, bytes
 }
+
+// tries is how many readings Bytes takes at most.
+const tries = 3
+
+// Bytes reports the bytes one call of f allocates and whether they are
+// within budget, for the fuzz targets that bound a decoder's allocation
+// by its input. A reading over budget may be another goroutine's, so it
+// reads again, up to tries readings, stops at the first within budget
+// and reports the least. setup, when not nil, runs before each call
+// outside the reading: it builds the state the call consumes.
+func Bytes(budget uint64, setup, f func()) (bytes uint64, ok bool) {
+	var before, after runtime.MemStats
+	bytes = math.MaxUint64
+	for try := 0; try < tries && bytes > budget; try++ {
+		if setup != nil {
+			setup()
+		}
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return bytes, bytes <= budget
+}

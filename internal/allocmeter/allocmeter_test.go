@@ -23,3 +23,22 @@ func TestPerRun(t *testing.T) {
 		t.Errorf("no allocation measured %d objects and %d bytes", objects, bytes)
 	}
 }
+
+// TestBytes: a call within its budget is read once; one over it is read
+// three times and fails; what setup allocates before each call is not
+// read.
+func TestBytes(t *testing.T) {
+	setups, calls := 0, 0
+	setup := func() { setups++; stray = make([]byte, 1<<20) }
+	call := func() { calls++; sink = make([]byte, 64<<10) }
+	if n, ok := Bytes(128<<10, setup, call); !ok || n < 64<<10 || n >= 128<<10 || setups != 1 || calls != 1 {
+		t.Errorf("within budget: %d bytes, ok %v, after %d setups and %d calls", n, ok, setups, calls)
+	}
+	setups, calls = 0, 0
+	if n, ok := Bytes(1<<10, setup, call); ok || n < 64<<10 || setups != 3 || calls != 3 {
+		t.Errorf("over budget: %d bytes, ok %v, after %d setups and %d calls", n, ok, setups, calls)
+	}
+	if n, ok := Bytes(0, nil, func() {}); !ok || n != 0 {
+		t.Errorf("no allocation: %d bytes, ok %v", n, ok)
+	}
+}

@@ -45,6 +45,23 @@ func AppendBytes(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
+// PutUvarintAt writes v in unsigned varint encoding over the one-byte
+// placeholder b[at] and returns b, for a length known only once the
+// bytes after it are written. When v needs more than one byte (v >= 128)
+// it moves b[at+1:] right to make room.
+func PutUvarintAt(b []byte, at int, v uint64) []byte {
+	if v < 0x80 {
+		b[at] = byte(v)
+		return b
+	}
+	var enc [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(enc[:], v)
+	b = append(b, enc[1:n]...)
+	copy(b[at+n:], b[at+1:len(b)-n+1])
+	copy(b[at:], enc[:n])
+	return b
+}
+
 // ErrMalformed is the one decode failure: the payload ended early, a
 // varint was invalid, or a count could not fit in what was left. A
 // shared instance keeps the error path off the decode hot path's

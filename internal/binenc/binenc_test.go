@@ -1,8 +1,10 @@
 package binenc
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -281,4 +283,42 @@ func TestCodecCount(t *testing.T) {
 	if d.Count(0, 1) != 0 || d.Err() == nil {
 		t.Error("Count on a bad decoder")
 	}
+}
+
+// TestCodecPutUvarintAt: a value written over a one-byte placeholder
+// reads as AppendUvarint's bytes between what came before it and what
+// came after, with the placeholder last or followed by bytes to move, in
+// a buffer with room to spare or at full capacity.
+func TestCodecPutUvarintAt(t *testing.T) {
+	for _, v := range []uint64{0, 0x7f, 0x80, 0x3fff, 0x4000, 1 << 21, math.MaxUint64} {
+		for _, tail := range []string{"", "tail", strings.Repeat("t", 300)} {
+			for _, spare := range []int{0, 16} {
+				b := make([]byte, 0, len("head")+1+len(tail)+spare)
+				b = append(append(append(b, "head"...), 0), tail...)
+				got := PutUvarintAt(b, len("head"), v)
+				want := append(AppendUvarint([]byte("head"), v), tail...)
+				if !bytes.Equal(got, want) {
+					t.Errorf("%#x before %d bytes, %d spare: got % x, want % x", v, len(tail), spare, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzPutUvarintAt: any value written over a placeholder between any two
+// byte strings gives prefix + AppendUvarint(v) + suffix.
+func FuzzPutUvarintAt(f *testing.F) {
+	f.Add([]byte("head"), uint64(0x80), []byte("tail"), uint8(0))
+	f.Add([]byte{}, uint64(0x7f), []byte{}, uint8(3))
+	f.Add([]byte("h"), uint64(1<<21), bytes.Repeat([]byte{1}, 200), uint8(1))
+	f.Add([]byte("h"), uint64(math.MaxUint64), []byte("t"), uint8(9))
+	f.Fuzz(func(t *testing.T, prefix []byte, v uint64, suffix []byte, spare uint8) {
+		b := make([]byte, 0, len(prefix)+1+len(suffix)+int(spare))
+		b = append(append(append(b, prefix...), 0), suffix...)
+		got := PutUvarintAt(b, len(prefix), v)
+		want := append(AppendUvarint(append([]byte{}, prefix...), v), suffix...)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("got % x, want % x", got, want)
+		}
+	})
 }

@@ -1,9 +1,10 @@
 package classad
 
 import (
-	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/allocmeter"
 )
 
 // FuzzClassAdParse: every input parses or is refused with an error —
@@ -56,20 +57,9 @@ func FuzzClassAdParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		budget := uint64(256*len(src) + 64<<10)
-		var before, after runtime.MemStats
 		var e Expr
 		var err error
-		for try := 0; try < 3; try++ {
-			// Other goroutines' allocations land in the same counter, so
-			// only a reading that repeats counts as the parser's.
-			runtime.ReadMemStats(&before)
-			e, err = ParseExpr(src)
-			runtime.ReadMemStats(&after)
-			if after.TotalAlloc-before.TotalAlloc <= budget {
-				break
-			}
-		}
-		if n := after.TotalAlloc - before.TotalAlloc; n > budget {
+		if n, ok := allocmeter.Bytes(budget, nil, func() { e, err = ParseExpr(src) }); !ok {
 			t.Fatalf("parsing %d bytes allocated %d", len(src), n)
 		}
 		want, wantErr := oracleParseExpr(src)

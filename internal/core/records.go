@@ -139,82 +139,11 @@ func ProjectRecords(recs []Record, attrs []string) []Record {
 
 // --- decoders: each system's native result shape into []Record ---
 
-// arena is pooled scratch where a decoder marks the values of one
-// result: a string as it is, anything else appended to buf. recs lists
-// each record's key mark. render writes the Answer and empties it.
-type arena struct {
-	buf      []byte
-	marks    []mark
-	recs     []int // the index in marks of each record's key
-	rendered int   // the end of the last value appended to buf
-}
-
-// mark is one value of the result: a record key (which starts a new
-// record) or a field of the record last started.
-type mark struct {
-	key      bool
-	rendered bool   // the value is buf[from:to]
-	from, to int    // (rendered values only)
-	text     string // the value, when it is not rendered
-	name     string // field name
-}
-
-var arenas = sync.Pool{New: func() any { return new(arena) }}
-
-// keyText and fieldText mark a value that is a string already.
-func (a *arena) keyText(s string) {
-	a.recs = append(a.recs, len(a.marks))
-	a.marks = append(a.marks, mark{key: true, text: s})
-}
-func (a *arena) fieldText(name, s string) { a.marks = append(a.marks, mark{name: name, text: s}) }
-
-// keyRendered and fieldRendered mark the value the caller has just
-// appended to buf.
-func (a *arena) keyRendered() {
-	a.recs = append(a.recs, len(a.marks))
-	a.marks = append(a.marks, mark{key: true, rendered: true, from: a.rendered, to: len(a.buf)})
-	a.rendered = len(a.buf)
-}
-func (a *arena) fieldRendered(name string) {
-	a.marks = append(a.marks, mark{name: name, rendered: true, from: a.rendered, to: len(a.buf)})
-	a.rendered = len(a.buf)
-}
-
-// appendValue appends m's value length-prefixed.
-func (a *arena) appendValue(b []byte, m *mark) []byte {
-	if !m.rendered {
-		return binenc.AppendString(b, m.text)
-	}
-	return binenc.AppendBytes(b, a.buf[m.from:m.to])
-}
-
-// render writes the marked records into out as a record section and
-// returns the arena, emptied, to the pool.
-func (a *arena) render(out *Answer) {
-	b := binenc.AppendUvarint(out.Enc[:0], uint64(len(a.recs))+1)
-	for _, k := range a.recs {
-		end := k + 1
-		for end < len(a.marks) && !a.marks[end].key {
-			end++
-		}
-		b = a.appendValue(b, &a.marks[k])
-		b = binenc.AppendUvarint(b, uint64(end-k-1))
-		for j := k + 1; j < end; j++ {
-			b = binenc.AppendString(b, a.marks[j].name)
-			b = a.appendValue(b, &a.marks[j])
-		}
-	}
-	out.Enc = b
-	a.reset()
-	arenas.Put(a)
-}
-
-// reset empties a, dropping the strings its marks held. Marks are only
-// appended, so none past the length holds one.
-func (a *arena) reset() {
-	clear(a.marks)
-	a.buf, a.marks, a.recs, a.rendered = a.buf[:0], a.marks[:0], a.recs[:0], 0
-}
+// sized fills the one-byte placeholder at b[at] with the length of what
+// follows it. A renderer writes its answer into out.Enc in one pass: a
+// string value as it is, and a length known only after its bytes (a
+// rendered value, a record's field count) as such a placeholder.
+func sized(b []byte, at int) []byte { return binenc.PutUvarintAt(b, at, uint64(len(b)-at-1)) }
 
 // selected reports whether a projection keeps the named field: attrs
 // empty keeps everything, otherwise the name must be listed exactly
@@ -246,28 +175,35 @@ func MDSRecords(entries []*ldap.Entry) []Record {
 // query part copies none; a single LDAP value is a string already, and
 // only a multi-valued attribute is rendered, its values joined.
 func MDSAnswer(out *Answer, entries []*ldap.Entry, attrs []string) {
-	a := arenas.Get().(*arena)
+	b := binenc.AppendUvarint(out.Enc[:0], uint64(len(entries))+1)
 	for _, e := range entries {
-		a.keyText(e.DNString())
+		b = binenc.AppendString(b, e.DNString())
+		count, n := len(b), 0
+		b = append(b, 0)
 		for j := 0; j < e.Len(); j++ {
 			if !e.Keeps(j, attrs) {
 				continue
 			}
 			name, values := e.At(j)
+			b = binenc.AppendString(b, name)
+			n++
 			if len(values) == 1 {
-				a.fieldText(name, values[0])
+				b = binenc.AppendString(b, values[0])
 				continue
 			}
+			at := len(b)
+			b = append(b, 0)
 			for i, v := range values {
 				if i > 0 {
-					a.buf = append(a.buf, '|')
+					b = append(b, '|')
 				}
-				a.buf = append(a.buf, v...)
+				b = append(b, v...)
 			}
-			a.fieldRendered(name)
+			b = sized(b, at)
 		}
+		b = binenc.PutUvarintAt(b, count, uint64(n))
 	}
-	a.render(out)
+	out.Enc = b
 }
 
 // RGMARecords decodes a relational result: one record per row, keyed by
@@ -279,39 +215,40 @@ func RGMARecords(res *relational.Result) []Record {
 }
 
 // ResultAnswer renders RGMARecords into out, keeping only the columns
-// attrs names (all of them when attrs is empty), each key prefixed by
-// keyPrefix; a nil result is no record slice. A continuous query's
-// events prefix theirs with "producerID/", so a subscriber can tell
-// which producer streamed each row. Nothing in out points into res.
+// attrs names (all of them when attrs is empty), each key "row-NNNN"
+// prefixed by keyPrefix; a nil result is no record slice. A continuous
+// query's events prefix theirs with "producerID/", so a subscriber can
+// tell which producer streamed each row. A string cell is plain text
+// already (the field is decoded data, not a SQL literal), so only
+// numbers are rendered. Nothing in out points into res.
 func ResultAnswer(out *Answer, keyPrefix string, res *relational.Result, attrs []string) {
 	if res == nil {
 		NoRecords(out)
 		return
 	}
-	rowAnswer(out, keyPrefix, res.Columns, res.Rows, attrs)
-}
-
-// rowAnswer renders rows into out as records keyed keyPrefix +
-// "row-NNNN". String cells are plain text already (the field is decoded
-// data, not a SQL literal); numbers and keys are rendered into the arena.
-func rowAnswer(out *Answer, keyPrefix string, cols []string, rows [][]relational.Value, attrs []string) {
-	a := arenas.Get().(*arena)
-	for i, row := range rows {
-		a.buf = appendRowKey(append(a.buf, keyPrefix...), i)
-		a.keyRendered()
-		for c, col := range cols {
+	b := binenc.AppendUvarint(out.Enc[:0], uint64(len(res.Rows))+1)
+	for i, row := range res.Rows {
+		at := len(b)
+		b = append(append(b, 0), keyPrefix...)
+		b = sized(appendRowKey(b, i), at)
+		count, n := len(b), 0
+		b = append(b, 0)
+		for c, col := range res.Columns {
 			if c >= len(row) || !selected(attrs, col) {
 				continue
 			}
+			b = binenc.AppendString(b, col)
+			n++
 			if v := row[c]; v.Type == relational.StringType {
-				a.fieldText(col, v.S)
+				b = binenc.AppendString(b, v.S)
 			} else {
-				a.buf = v.AppendTo(a.buf)
-				a.fieldRendered(col)
+				at := len(b)
+				b = sized(v.AppendTo(append(b, 0)), at)
 			}
 		}
+		b = binenc.PutUvarintAt(b, count, uint64(n))
 	}
-	a.render(out)
+	out.Enc = b
 }
 
 // appendRowKey appends "row-" and i zero-padded to four digits, as
@@ -328,21 +265,25 @@ func appendRowKey(dst []byte, i int) []byte {
 // Registry's directory answer) into out, keyed by producer ID, keeping
 // only the fields attrs names (all of them when attrs is empty).
 func AdvertisementAnswer(out *Answer, ads []gma.Advertisement, attrs []string) {
-	a := arenas.Get().(*arena)
+	b := binenc.AppendUvarint(out.Enc[:0], uint64(len(ads))+1)
 	for _, ad := range ads {
-		a.keyText(ad.ProducerID)
+		b = binenc.AppendString(b, ad.ProducerID)
 		fields := [...]struct{ name, value string }{{"address", ad.Address}, {"table", ad.TableName}, {"predicate", ad.Predicate}}
-		n := len(fields)
+		kept := len(fields)
 		if ad.Predicate == "" {
-			n--
+			kept--
 		}
-		for _, f := range fields[:n] {
+		count, n := len(b), 0
+		b = append(b, 0)
+		for _, f := range fields[:kept] {
 			if selected(attrs, f.name) {
-				a.fieldText(f.name, f.value)
+				b = binenc.AppendString(binenc.AppendString(b, f.name), f.value)
+				n++
 			}
 		}
+		b = binenc.PutUvarintAt(b, count, uint64(n))
 	}
-	a.render(out)
+	out.Enc = b
 }
 
 // HawkeyeRecords decodes ClassAds, keyed by the ad's Name attribute, each
@@ -356,29 +297,52 @@ func HawkeyeRecords(ads []*classad.Ad) []Record {
 
 // AdAnswer renders HawkeyeRecords into out, keeping only the attributes
 // attrs names (all of them when attrs is empty); the others are never
-// rendered. Sorting moves only the arena's list of records.
+// rendered. Sorting moves only a pooled list of the ads and their keys.
 func AdAnswer(out *Answer, ads []*classad.Ad, attrs []string) {
-	a := arenas.Get().(*arena)
-	for _, ad := range ads {
-		if ad == nil {
-			continue
-		}
-		key, _ := ad.Eval("Name").StringVal()
-		a.keyText(key)
-		for i := 0; i < ad.Len(); i++ {
-			name, e := ad.At(i)
-			if selected(attrs, name) {
-				a.buf = e.AppendTo(a.buf)
-				a.fieldRendered(name)
-			}
-		}
-	}
-	slices.SortStableFunc(a.recs, a.compareKeys)
-	a.render(out)
+	p := keyedAds.Get().(*[]keyedAd)
+	adAnswer(out, p, ads, attrs)
+	keyedAds.Put(p)
 }
 
-// compareKeys orders two records by their keys, marked as text.
-func (a *arena) compareKeys(x, y int) int { return strings.Compare(a.marks[x].text, a.marks[y].text) }
+// adAnswer is AdAnswer sorting in *p, which it leaves empty and holding
+// no ad or key.
+func adAnswer(out *Answer, p *[]keyedAd, ads []*classad.Ad, attrs []string) {
+	list := (*p)[:0]
+	for _, ad := range ads {
+		if ad != nil {
+			key, _ := ad.Eval("Name").StringVal()
+			list = append(list, keyedAd{key, ad})
+		}
+	}
+	slices.SortStableFunc(list, func(x, y keyedAd) int { return strings.Compare(x.key, y.key) })
+	b := binenc.AppendUvarint(out.Enc[:0], uint64(len(list))+1)
+	for _, k := range list {
+		b = binenc.AppendString(b, k.key)
+		count, n := len(b), 0
+		b = append(b, 0)
+		for i := 0; i < k.ad.Len(); i++ {
+			if name, e := k.ad.At(i); selected(attrs, name) {
+				b = binenc.AppendString(b, name)
+				at := len(b)
+				b = sized(e.AppendTo(append(b, 0)), at)
+				n++
+			}
+		}
+		b = binenc.PutUvarintAt(b, count, uint64(n))
+	}
+	out.Enc = b
+	clear(list)
+	*p = list[:0]
+}
+
+// keyedAd is an ad and its Name, as AdAnswer sorts them.
+type keyedAd struct {
+	key string
+	ad  *classad.Ad
+}
+
+// keyedAds pools AdAnswer's lists.
+var keyedAds = sync.Pool{New: func() any { return new([]keyedAd) }}
 
 // NoRecords makes out the answer with no record slice.
 func NoRecords(out *Answer) { out.Enc = binenc.AppendUvarint(out.Enc[:0], 0) }

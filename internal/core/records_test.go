@@ -16,10 +16,10 @@ import (
 )
 
 // The oracles below are the decoder bodies this package had before the
-// decoders rendered into one arena per result and took the projection
-// with them: one small string per value, then Record.Project over every
-// finished map. The new decoders must produce the same records, nil
-// versus empty maps included.
+// decoders wrote each result straight into its record section and took
+// the projection with them: one small string per value, then
+// Record.Project over every finished map. The new decoders must produce
+// the same records, nil versus empty maps included.
 
 func oracleMDSRecords(entries []*ldap.Entry) []Record {
 	out := make([]Record, len(entries))
@@ -288,6 +288,47 @@ func TestDecodersMatchOracles(t *testing.T) {
 	diff("HawkeyeRecords(nil)", nil, HawkeyeRecords(nil), oracleHawkeyeRecords(nil))
 	short := &relational.Result{Columns: []string{"a", "b"}, Rows: [][]relational.Value{{relational.IntVal(1)}, {}}}
 	diff("RGMARecords(short rows)", nil, RGMARecords(short), oracleRGMARecords(short))
+
+	// A length of 128 bytes or more takes a second varint byte and one of
+	// 16,384 or more a third, and so does a count of 128 fields: the
+	// renderers move what they wrote after each such placeholder. No
+	// corpus answer is that large. Each record has 130 fields, a long
+	// value among them and a rendered one behind it.
+	for _, size := range []int{127, 128, 200, 16383, 16384, 20000} {
+		long := strings.Repeat("x", size)
+		e := ldap.NewEntry(ldap.MustParseDN("Mds-Host-hn=big, o=grid"))
+		e.Set("Mds-Joined", long[:size/2], long[size/2:]) // joined, size+1 bytes
+		for f := 0; f < 130; f++ {
+			e.Set(fmt.Sprintf("Mds-F%03d", f), fmt.Sprint(f))
+		}
+		e.Set("Mds-Tail", "a", "b")
+		entries := []*ldap.Entry{e, e}
+		diff("MDSRecords(long)", nil, MDSRecords(entries), oracleMDSRecords(entries))
+
+		cols := make([]string, 130)
+		row := make([]relational.Value, len(cols))
+		for c := range cols {
+			cols[c], row[c] = fmt.Sprintf("c%03d", c), relational.IntVal(int64(c))
+		}
+		row[0], row[len(row)-1] = relational.StrVal(long), relational.RealVal(1e-7)
+		res := &relational.Result{Columns: cols, Rows: [][]relational.Value{row, row}}
+		diff("RGMARecords(long)", nil, RGMARecords(res), oracleRGMARecords(res))
+		diff("ResultAnswer(long producer)", nil, resultRecords(long+"/", res, nil), oracleRowRecords(long, res))
+		attrs := []string{"c000", "c129"}
+		diff("ResultAnswer(long)", attrs, resultRecords("", res, attrs), ProjectRecords(oracleRGMARecords(res), attrs))
+
+		ad := classad.NewAd()
+		ad.SetString("Name", "big")
+		if err := ad.SetExprString("Long", "{"+strings.Repeat("1, ", size/3)+"2}"); err != nil {
+			t.Fatal(err)
+		}
+		for f := 0; f < 130; f++ {
+			ad.SetInt(fmt.Sprintf("A%03d", f), int64(f))
+		}
+		ad.SetString("Tail", long)
+		ads := []*classad.Ad{ad, nil, ad}
+		diff("HawkeyeRecords(long)", nil, HawkeyeRecords(ads), oracleHawkeyeRecords(ads))
+	}
 }
 
 // resultRecords and adRecords decode what ResultAnswer and AdAnswer
@@ -481,44 +522,26 @@ func TestRecordAccessors(t *testing.T) {
 	}
 }
 
-// TestArenaRenderComesBackEmpty: an arena goes back to the pool holding
-// no value, field name or record of the answer it rendered, up to the
-// capacity of its slices, and the next answer rendered in it is the one
-// a new arena renders.
-func TestArenaRenderComesBackEmpty(t *testing.T) {
+// TestAdKeyListComesBackEmpty: the list AdAnswer sorts in goes back to
+// the pool holding no ad or key, up to its capacity, and the next answer
+// rendered with it is the one a new list renders.
+func TestAdKeyListComesBackEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	var ads []*classad.Ad
-	for _, ad := range randomAds(rng, 8) {
-		if ad != nil {
-			ads = append(ads, ad)
+	ads := randomAds(rng, 8)
+	var list []keyedAd
+	var big, small, want Answer
+	adAnswer(&big, &list, ads, nil)
+	if len(list) != 0 || cap(list) == 0 {
+		t.Fatalf("the list came back with length %d, capacity %d", len(list), cap(list))
+	}
+	for i, k := range list[:cap(list)] {
+		if k != (keyedAd{}) {
+			t.Fatalf("entry %d still held past the length: %+v", i, k)
 		}
 	}
-	a := new(arena)
-	var big, small Answer
-	for _, ad := range ads {
-		key, _ := ad.Eval("Name").StringVal()
-		a.keyText(key)
-		for i := 0; i < ad.Len(); i++ {
-			name, e := ad.At(i)
-			a.buf = e.AppendTo(a.buf)
-			a.fieldRendered(name)
-		}
-		a.fieldText("note", "a string already")
-	}
-	a.render(&big)
-	if len(a.buf) != 0 || len(a.marks) != 0 || len(a.recs) != 0 || a.rendered != 0 {
-		t.Fatalf("the arena came back holding %d bytes, %d marks, %d records, rendered to %d",
-			len(a.buf), len(a.marks), len(a.recs), a.rendered)
-	}
-	for i, m := range a.marks[:cap(a.marks)] {
-		if m != (mark{}) {
-			t.Fatalf("mark %d still held past the length: %+v", i, m)
-		}
-	}
-	AdAnswer(&small, ads[:1], nil)
-	var want Answer
-	AdAnswer(&want, ads[:1], nil)
+	adAnswer(&small, &list, ads[:2], nil)
+	AdAnswer(&want, ads[:2], nil)
 	if !reflect.DeepEqual(small, want) || len(big.Enc) <= len(small.Enc) {
-		t.Fatalf("a reused arena rendered %q, a new one %q", small.Enc, want.Enc)
+		t.Fatalf("a reused list rendered %q, a new one %q", small.Enc, want.Enc)
 	}
 }

@@ -2,10 +2,11 @@ package ldap
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/allocmeter"
 )
 
 // textMatches is Filter.Matches as it was before ParseFilter normalized
@@ -165,20 +166,9 @@ func FuzzLDAPFilter(f *testing.F) {
 	bases := []DN{nil, MustParseDN("mds-vo-name=LOCAL, o=Grid")}
 	f.Fuzz(func(t *testing.T, src string) {
 		budget := uint64(256*len(src) + 64<<10)
-		var before, after runtime.MemStats
 		var filter Filter
 		var err error
-		for try := 0; try < 3; try++ {
-			// Other goroutines' allocations land in the same counter, so
-			// only a reading that repeats counts as the parser's.
-			runtime.ReadMemStats(&before)
-			filter, err = ParseFilter(src)
-			runtime.ReadMemStats(&after)
-			if after.TotalAlloc-before.TotalAlloc <= budget {
-				break
-			}
-		}
-		if n := after.TotalAlloc - before.TotalAlloc; n > budget {
+		if n, ok := allocmeter.Bytes(budget, nil, func() { filter, err = ParseFilter(src) }); !ok {
 			t.Fatalf("parsing %d bytes allocated %d", len(src), n)
 		}
 		if err != nil {

@@ -2,10 +2,10 @@ package mds
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/allocmeter"
 	"repro/internal/binenc"
 	"repro/internal/storage"
 )
@@ -32,19 +32,7 @@ func FuzzGIISReplay(f *testing.F) {
 		} {
 			var g *GIIS
 			var err error
-			var before, after runtime.MemStats
-			// Other goroutines' allocations land in the same counter, so
-			// only a reading that repeats counts as the decoder's.
-			for try := 0; try < 3; try++ {
-				g = NewGIIS("fuzz", 1e12, 1e12)
-				runtime.ReadMemStats(&before)
-				err = dec.load(g, data)
-				runtime.ReadMemStats(&after)
-				if after.TotalAlloc-before.TotalAlloc <= budget {
-					break
-				}
-			}
-			if n := after.TotalAlloc - before.TotalAlloc; n > budget {
+			if n, ok := allocmeter.Bytes(budget, func() { g = NewGIIS("fuzz", 1e12, 1e12) }, func() { err = dec.load(g, data) }); !ok {
 				t.Fatalf("%s: loading %d bytes allocated %d", dec.name, len(data), n)
 			}
 			if err != nil {

@@ -1,9 +1,10 @@
 package relational
 
 import (
-	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/allocmeter"
 )
 
 // deepWhere nests one comparison in n pairs of parentheses.
@@ -59,18 +60,7 @@ func FuzzSQLParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		budget := uint64(256*len(src) + 64<<10)
-		var before, after runtime.MemStats
-		for try := 0; try < 3; try++ {
-			// Other goroutines' allocations land in the same counter, so
-			// only a reading that repeats counts as the parser's.
-			runtime.ReadMemStats(&before)
-			Parse(src)
-			runtime.ReadMemStats(&after)
-			if after.TotalAlloc-before.TotalAlloc <= budget {
-				break
-			}
-		}
-		if n := after.TotalAlloc - before.TotalAlloc; n > budget {
+		if n, ok := allocmeter.Bytes(budget, nil, func() { Parse(src) }); !ok {
 			t.Fatalf("parsing %d bytes allocated %d", len(src), n)
 		}
 	})

@@ -2,10 +2,10 @@ package rgma
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/allocmeter"
 	"repro/internal/binenc"
 	"repro/internal/gma"
 	"repro/internal/storage"
@@ -33,19 +33,7 @@ func FuzzRegistryReplay(f *testing.F) {
 		} {
 			var r *Registry
 			var err error
-			var before, after runtime.MemStats
-			// Other goroutines' allocations land in the same counter, so
-			// only a reading that repeats counts as the decoder's.
-			for try := 0; try < 3; try++ {
-				r = NewRegistry("fuzz")
-				runtime.ReadMemStats(&before)
-				err = dec.load(r, data)
-				runtime.ReadMemStats(&after)
-				if after.TotalAlloc-before.TotalAlloc <= budget {
-					break
-				}
-			}
-			if n := after.TotalAlloc - before.TotalAlloc; n > budget {
+			if n, ok := allocmeter.Bytes(budget, func() { r = NewRegistry("fuzz") }, func() { err = dec.load(r, data) }); !ok {
 				t.Fatalf("%s: loading %d bytes allocated %d", dec.name, len(data), n)
 			}
 			if err != nil {

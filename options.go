@@ -28,6 +28,11 @@ type config struct {
 // when Subscription.Buffer does not set one.
 const DefaultStreamBuffer = 64
 
+// maxStreamBuffer is the largest Subscription.Buffer a grid accepts and
+// the largest preamble bound a client does: a peer's number sizes the
+// stream's channel, so it must not size it without limit.
+const maxStreamBuffer = 1 << 16
+
 func defaultConfig() *config {
 	return &config{
 		systems:       map[System]bool{MDS: true, RGMA: true, Hawkeye: true},

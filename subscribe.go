@@ -68,9 +68,10 @@ type Subscription struct {
 	// Advance. Ignored by the natively push-based systems.
 	PollEvery float64 `json:"poll_every,omitempty"`
 	// Buffer bounds the stream's event buffer (default
-	// DefaultStreamBuffer). When the consumer lags, new events beyond the
-	// buffer are dropped and accounted (see ErrLagged) rather than queued
-	// without limit.
+	// DefaultStreamBuffer, at most maxStreamBuffer, 65,536: a larger one
+	// is refused with ErrBadRequest). When the consumer lags, new events
+	// beyond the buffer are dropped and accounted (see ErrLagged) rather
+	// than queued without limit.
 	Buffer int `json:"buffer,omitempty"`
 }
 
@@ -112,6 +113,10 @@ func (g *Grid) Subscribe(ctx context.Context, sub Subscription) (*Stream, error)
 	}
 	if !g.Enabled(sub.System) {
 		return nil, transport.Errf(transport.CodeUnavailable, "%s is not deployed in this grid", sub.System)
+	}
+	if sub.Buffer > maxStreamBuffer {
+		return nil, transport.Errf(transport.CodeBadRequest,
+			"buffer %d is over the maximum %d", sub.Buffer, maxStreamBuffer)
 	}
 	buffer := sub.Buffer
 	if buffer <= 0 {

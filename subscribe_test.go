@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -286,6 +287,30 @@ func TestRemoteBufferFollowsServer(t *testing.T) {
 	}
 	if got := st2.Buffer(); got != 3 {
 		t.Errorf("explicit buffer = %d, want 3", got)
+	}
+}
+
+// TestSubscribeBufferBounded: a Buffer over maxStreamBuffer is refused
+// with ErrBadRequest before a channel is sized by it (1<<60 used to
+// panic in make), and one at the maximum is the stream's bound.
+func TestSubscribeBufferBounded(t *testing.T) {
+	leakcheck.Check(t)
+	grid, _ := steppedGrid(t, WithSystems(RGMA), WithRGMAProducers(1))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, buffer := range []int{maxStreamBuffer + 1, 1 << 60, math.MaxInt} {
+		st, err := grid.Subscribe(ctx, Subscription{System: RGMA, Buffer: buffer})
+		if st != nil || transport.ErrorCode(err) != ErrBadRequest {
+			t.Errorf("Buffer %d: stream %v, err %v, want bad_request", buffer, st, err)
+		}
+	}
+	st, err := grid.Subscribe(ctx, Subscription{System: RGMA, Buffer: maxStreamBuffer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got := st.Buffer(); got != maxStreamBuffer {
+		t.Errorf("buffer = %d, want %d", got, maxStreamBuffer)
 	}
 }
 

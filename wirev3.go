@@ -652,11 +652,11 @@ func appendWireEntry(b []byte, ev *event, dropped uint64) []byte {
 }
 
 // decodeWirePreamble decodes a stream's first frame body, which is the
-// buffer preamble alone, and returns its bound, at least 1.
+// buffer preamble alone, and returns its bound, from 1 to maxStreamBuffer.
 func decodeWirePreamble(body []byte) (int, error) {
 	d := binenc.NewDec(body)
 	one, tag, bound := d.Uvarint(), d.Byte(), d.Uvarint()
-	if one != 1 || tag != wireEntryBuffer || bound == 0 || !d.Done() {
+	if one != 1 || tag != wireEntryBuffer || bound == 0 || bound > maxStreamBuffer || !d.Done() {
 		return 0, transport.Errf(transport.CodeProtocol,
 			"grid.subscribe: the first frame is not the buffer preamble alone")
 	}

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"slices"
 	"testing"
 
+	"repro/internal/allocmeter"
 	"repro/internal/binenc"
 	"repro/internal/core"
 )
@@ -151,21 +151,9 @@ func FuzzWireDecode(f *testing.F) {
 		// one slot per two input bytes, ~40-80 bytes a slot.
 		budget := uint64(256*len(data) + 64<<10)
 		for _, dec := range wireFuzzDecoders {
-			// Bytes allocated by one decode. Other goroutines' allocations
-			// land in the same counter, so only a reading that repeats
-			// counts as the decoder's.
 			var got interface{}
 			var err error
-			var before, after runtime.MemStats
-			for try := 0; try < 3; try++ {
-				runtime.ReadMemStats(&before)
-				got, err = dec.decode(binenc.NewDecText, data)
-				runtime.ReadMemStats(&after)
-				if after.TotalAlloc-before.TotalAlloc <= budget {
-					break
-				}
-			}
-			if n := after.TotalAlloc - before.TotalAlloc; n > budget {
+			if n, ok := allocmeter.Bytes(budget, nil, func() { got, err = dec.decode(binenc.NewDecText, data) }); !ok {
 				t.Fatalf("%s: decoding %d bytes allocated %d", dec.name, len(data), n)
 			}
 
@@ -317,16 +305,7 @@ func FuzzQueryDecode(f *testing.F) {
 			}
 			var got Query
 			var err error
-			var before, after runtime.MemStats
-			for try := 0; try < 3; try++ {
-				runtime.ReadMemStats(&before)
-				err = table.decodeQuery(body, &got)
-				runtime.ReadMemStats(&after)
-				if after.TotalAlloc-before.TotalAlloc <= budget {
-					break
-				}
-			}
-			if n := after.TotalAlloc - before.TotalAlloc; n > budget {
+			if n, ok := allocmeter.Bytes(budget, nil, func() { err = table.decodeQuery(body, &got) }); !ok {
 				t.Fatalf("pass %d: decoding %d bytes allocated %d", pass, len(body), n)
 			}
 			if err != d.Err() {

@@ -2,6 +2,7 @@ package gridmon
 
 import (
 	"context"
+	"math"
 	"net"
 	"reflect"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/binenc"
+	"repro/internal/leakcheck"
 	"repro/internal/transport"
 )
 
@@ -225,32 +227,71 @@ func TestWireSubscribePreambleAlone(t *testing.T) {
 		"empty":                 nil,
 	}
 	for name, frame := range frames {
-		srv := transport.NewServer()
-		srv.HandleStreamV3("grid.subscribe", func(ctx context.Context, _ []byte) (transport.V3StreamFunc, *transport.Error) {
-			return func(send transport.V3Send) error {
-				if err := send(func(b []byte) []byte { return append(b, frame...) }); err != nil {
-					return err
-				}
-				<-ctx.Done()
-				return nil
-			}, nil
-		})
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rg, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		st, err := rg.Subscribe(ctx, Subscription{System: RGMA})
-		if st != nil || transport.ErrorCode(err) != transport.CodeProtocol {
+		if st, err := subscribeFirstFrame(t, frame); st != nil || transport.ErrorCode(err) != transport.CodeProtocol {
 			t.Errorf("%s: stream %v, err = %v, want a protocol error", name, st, err)
 		}
-		cancel()
-		rg.Close()
-		srv.Close()
+	}
+}
+
+// subscribeFirstFrame subscribes through a server whose stream sends
+// frame as its first frame and then waits to be cancelled.
+func subscribeFirstFrame(t *testing.T, frame []byte) (*Stream, error) {
+	t.Helper()
+	srv := transport.NewServer()
+	defer srv.Close()
+	srv.HandleStreamV3("grid.subscribe", func(ctx context.Context, _ []byte) (transport.V3StreamFunc, *transport.Error) {
+		return func(send transport.V3Send) error {
+			if err := send(func(b []byte) []byte { return append(b, frame...) }); err != nil {
+				return err
+			}
+			<-ctx.Done()
+			return nil
+		}, nil
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rg.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	return rg.Subscribe(ctx, Subscription{System: RGMA})
+}
+
+// TestWireSubscribeBufferBounded: a stream's buffer is sized by a number
+// the peer sent, so each side refuses one over maxStreamBuffer before a
+// channel is sized by it. A server answers a grid.subscribe asking for
+// more with bad_request and keeps serving; a client whose preamble
+// carries more fails the subscribe with a protocol error, a bound of
+// 2^63 or more included, which an int would read as negative. Each
+// value is either small or past what make can size, so a missing check
+// panics here rather than allocating gigabytes.
+func TestWireSubscribeBufferBounded(t *testing.T) {
+	leakcheck.Check(t)
+	remote := serveGrid(t, newTestGrid(t))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, buffer := range []int{maxStreamBuffer + 1, 1 << 60, math.MaxInt64} {
+		st, err := remote.Subscribe(ctx, Subscription{System: RGMA, Buffer: buffer})
+		if st != nil || transport.ErrorCode(err) != transport.CodeBadRequest {
+			t.Errorf("served Buffer %d: stream %v, err = %v, want bad_request", buffer, st, err)
+		}
+	}
+	st, err := remote.Subscribe(ctx, Subscription{System: RGMA, Buffer: 3})
+	if err != nil {
+		t.Fatalf("a subscribe after the refusals: %v", err)
+	}
+	st.Close()
+
+	for _, bound := range []uint64{maxStreamBuffer + 1, 1 << 60, 1 << 63, math.MaxUint64} {
+		frame := binenc.AppendUvarint([]byte{1, wireEntryBuffer}, bound)
+		if st, err := subscribeFirstFrame(t, frame); st != nil || transport.ErrorCode(err) != transport.CodeProtocol {
+			t.Errorf("preamble bound %d: stream %v, err = %v, want a protocol error", bound, st, err)
+		}
 	}
 }
 

@@ -5,10 +5,10 @@ import (
 	"context"
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
 
 	gridmon "repro"
+	"repro/internal/allocmeter"
 	"repro/internal/binenc"
 	"repro/internal/federation"
 )
@@ -94,21 +94,11 @@ func FuzzWireMerge(f *testing.F) {
 			parts = append(parts, rs)
 		}
 
-		// Bytes allocated by one merge. Other goroutines' allocations land
-		// in the same counter, so only a reading that repeats counts as the
-		// merge's. The widest thing it sizes is its list of records, one
-		// slot per two input bytes, 48 bytes a slot, grown by doubling.
+		// Bytes allocated by one merge. The widest thing it sizes is its
+		// list of records, one slot per two input bytes, 48 bytes a slot,
+		// grown by doubling.
 		budget := uint64(256*len(data) + 64<<10)
-		var before, after runtime.MemStats
-		for try := 0; try < 3; try++ {
-			runtime.ReadMemStats(&before)
-			_, err = gridmon.MergeReplies(nil, q, bodies, branches, 7)
-			runtime.ReadMemStats(&after)
-			if after.TotalAlloc-before.TotalAlloc <= budget {
-				break
-			}
-		}
-		if n := after.TotalAlloc - before.TotalAlloc; n > budget {
+		if n, ok := allocmeter.Bytes(budget, nil, func() { _, err = gridmon.MergeReplies(nil, q, bodies, branches, 7) }); !ok {
 			t.Fatalf("merging %d bytes allocated %d", len(data), n)
 		}
 
